@@ -192,9 +192,9 @@ func treeScanned(op operator) uint64 {
 	case *ordScanOp:
 		return t.scanned
 	case *parScanOp:
-		return t.scanned
+		return t.scan.cnt.scanned
 	case *vecScanOp:
-		return t.scanned
+		return t.cnt.scanned
 	case *corrProbeScanOp:
 		return t.scanned
 	case *mergeJoinOp:

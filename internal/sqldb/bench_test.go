@@ -162,42 +162,20 @@ func BenchmarkInterleavedReadWrite(b *testing.B) {
 	}
 }
 
-// Parallel-execution benchmarks: each runs the same statement against a
-// single-worker and a pooled database, so the morsel-parallel scan,
-// partial aggregation, and partitioned hash-join build are measured
-// against their serial twins. On a single-CPU host the pooled numbers
-// show coordination overhead, not speedup; with real cores they show the
-// fan-out win. Tables are sized above the default parallelMinRows so the
-// pooled runs genuinely take the parallel paths.
-
-func benchWorkers(b *testing.B, run func(b *testing.B, workers int)) {
-	b.Helper()
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w) })
-	}
-}
-
-func BenchmarkParallelScan(b *testing.B) {
-	benchWorkers(b, func(b *testing.B, w int) {
-		db := benchDB(b, 50000, WithMaxWorkers(w))
-		benchQuery(b, db, "SELECT name, price FROM items WHERE price > 90 AND qty < 5")
-	})
-}
-
-func BenchmarkParallelAgg(b *testing.B) {
-	benchWorkers(b, func(b *testing.B, w int) {
-		db := benchDB(b, 50000, WithMaxWorkers(w))
-		benchQuery(b, db, "SELECT cat_id, COUNT(*), SUM(qty), MIN(price), MAX(price) FROM items GROUP BY cat_id")
-	})
-}
-
+// BenchmarkParallelJoinBuild runs the partitioned hash-join build against
+// its serial twin. On a single-CPU host the pooled numbers show
+// coordination overhead, not speedup; with real cores they show the
+// fan-out win. (Pooled scans and aggregation are measured where their
+// storage is pinned down: the sealed rows of BenchmarkVector*.)
 func BenchmarkParallelJoinBuild(b *testing.B) {
-	benchWorkers(b, func(b *testing.B, w int) {
-		db := benchDB(b, 50000, WithMaxWorkers(w))
-		// Right side (items, 50k rows) is the hash-join build side and
-		// sits above the parallel-build threshold.
-		benchQuery(b, db, "SELECT items.name, cats.label FROM cats JOIN items ON cats.id = items.cat_id")
-	})
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			db := benchDB(b, 50000, WithMaxWorkers(w))
+			// Right side (items, 50k rows) is the hash-join build side and
+			// sits above the parallel-build threshold.
+			benchQuery(b, db, "SELECT items.name, cats.label FROM cats JOIN items ON cats.id = items.cat_id")
+		})
+	}
 }
 
 // BenchmarkPreparedVsParsed quantifies what the plan cache and Prepare
@@ -236,12 +214,15 @@ func BenchmarkPreparedVsParsed(b *testing.B) {
 	})
 }
 
-// Vectorized-execution benchmarks: each statement runs on the same data
-// under all four storage x engine combinations — the heap vs sealed
-// column segments underneath, and the row-at-a-time vs vectorized
-// executor on top — with a single-worker pool so the comparison isolates
-// batch execution from morsel parallelism. sealed/vec is the tentpole
-// configuration; heap/row is the old engine.
+// Batch-pipeline benchmarks: each statement runs on the same data over
+// heap and over sealed column segments, on the row iterator and on the
+// batch pipeline. The heap rows and sealed/row pin a single-worker pool,
+// isolating batch execution from the pool (the row iterator never uses
+// one); the sealed/vec rows — sealed explicitly, so the storage is not
+// left to the background sealer's timing — add the pool dimension,
+// workers=1 against the host's default, because sealed blocks on the
+// default pool is the configuration real traffic runs. heap/row is the
+// reference engine.
 // unsealAll drops every published segment so the "heap" variants measure
 // pure heap scans. The bulk load is big enough to wake the background
 // sealer, so it is waited out first — otherwise it could republish
@@ -259,23 +240,24 @@ func unsealAll(db *Database) {
 
 func benchVector(b *testing.B, sql string) {
 	b.Helper()
-	for _, storage := range []string{"heap", "sealed"} {
-		for _, engine := range []string{"row", "vec"} {
-			b.Run(storage+"/"+engine, func(b *testing.B) {
-				db := benchDB(b, 64*1024, WithMaxWorkers(1))
-				unsealAll(db)
-				if storage == "sealed" {
-					if db.Seal() == 0 {
-						b.Fatal("Seal() froze nothing")
-					}
-				}
-				old := vectorEnabled
-				vectorEnabled = engine == "vec"
-				defer func() { vectorEnabled = old }()
-				benchQuery(b, db, sql)
-			})
-		}
+	run := func(name string, sealed, vec bool, opts ...Option) {
+		b.Run(name, func(b *testing.B) {
+			db := benchDB(b, 64*1024, opts...)
+			unsealAll(db)
+			if sealed && db.Seal() == 0 {
+				b.Fatal("Seal() froze nothing")
+			}
+			old := vectorEnabled
+			vectorEnabled = vec
+			defer func() { vectorEnabled = old }()
+			benchQuery(b, db, sql)
+		})
 	}
+	run("heap/row", false, false, WithMaxWorkers(1))
+	run("heap/vec", false, true, WithMaxWorkers(1))
+	run("sealed/row", true, false, WithMaxWorkers(1))
+	run("sealed/vec/workers=1", true, true, WithMaxWorkers(1))
+	run("sealed/vec/workers=default", true, true)
 }
 
 func BenchmarkVectorScan(b *testing.B) {

@@ -500,11 +500,7 @@ func (t *Table) visibleRow(id int, snap *snapshot) Row {
 	if arrp == nil || id < 0 || id >= len(*arrp) {
 		return nil
 	}
-	head := (*arrp)[id].head.Load()
-	if snap == nil {
-		return latestRow(head)
-	}
-	return visibleVersion(head, snap)
+	return visible((*arrp)[id].head.Load(), snap)
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ func (s *scanOp) next() (Row, bool, error) {
 		for s.pos < len(s.ids) {
 			id := s.ids[s.pos]
 			s.pos++
-			r := scanRow(s.table, id, s.snap)
+			r := s.table.visibleRow(id, s.snap)
 			if r == nil {
 				s.tombSkipped++
 				if s.qc != nil {
@@ -154,15 +154,7 @@ func (s *scanOp) next() (Row, bool, error) {
 		if head == nil {
 			continue // vacuumed-away slot: no versions at all
 		}
-		var r Row
-		switch {
-		case debugDisableTombstoneSkip:
-			r = head.row
-		case s.snap == nil:
-			r = latestRow(head)
-		default:
-			r = visibleVersion(head, s.snap)
-		}
+		r := visible(head, s.snap)
 		if r == nil {
 			s.tombSkipped++
 			if s.qc != nil {
@@ -253,14 +245,7 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 			s.memo = make(map[string][]int, s.table.liveCount())
 			var kb []byte
 			for id := 0; id < n; id++ {
-				var r Row
-				if head := arr[id].head.Load(); head != nil {
-					if s.snap == nil {
-						r = latestRow(head)
-					} else {
-						r = visibleVersion(head, s.snap)
-					}
-				}
+				r := visible(arr[id].head.Load(), s.snap)
 				if r == nil {
 					continue
 				}
@@ -531,7 +516,7 @@ func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
 	// otherwise. Both paths produce identical buckets (parallel shards keep
 	// global row order), so probe results are bit-identical.
 	if db != nil && qc != nil && db.maxWorkers > 1 &&
-		len(buildRows) >= parallelMinRows && parallelSafeExpr(buildKeyE) {
+		len(buildRows) >= morselMinRows && parallelSafe(buildKeyE) {
 		if err := h.buildParallel(buildRows, buildKeyE, db, params, outer); err != nil {
 			return nil, err
 		}
@@ -818,6 +803,38 @@ type aggGroup struct {
 	keys   []Value
 	states []aggState
 	repRow Row
+	// firstID is the scan ordinal of the row that founded the group, kept
+	// by the batch fold so partial groups merged across workers can be
+	// restored to serial first-seen order (runAggregationBatch).
+	firstID int
+}
+
+// newAggStates builds one fresh accumulator per collected aggregate.
+func newAggStates(aggs []*FuncCall) ([]aggState, error) {
+	states := make([]aggState, len(aggs))
+	for i, fc := range aggs {
+		st, err := newAggState(fc)
+		if err != nil {
+			return nil, err
+		}
+		states[i] = st
+	}
+	return states, nil
+}
+
+// emptyAggGroup is the one group a query with aggregates but no GROUP BY
+// yields over empty input: fresh accumulators over an all-NULL
+// representative row.
+func emptyAggGroup(aggs []*FuncCall, width int) (*aggGroup, error) {
+	states, err := newAggStates(aggs)
+	if err != nil {
+		return nil, err
+	}
+	repRow := make(Row, width)
+	for i := range repRow {
+		repRow[i] = Null
+	}
+	return &aggGroup{states: states, repRow: repRow}, nil
 }
 
 // runAggregation materialises the child, partitions rows by the binary
@@ -848,18 +865,6 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		argExprs[i] = c
 	}
 
-	newStates := func() ([]aggState, error) {
-		states := make([]aggState, len(aggs))
-		for i, fc := range aggs {
-			st, err := newAggState(fc)
-			if err != nil {
-				return nil, err
-			}
-			states[i] = st
-		}
-		return states, nil
-	}
-
 	index := make(map[string]int)
 	var groups []*aggGroup
 	keyVals := make([]Value, len(stmt.GroupBy)) // reused per row
@@ -884,7 +889,7 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		}
 		gi, ok := index[string(kb)]
 		if !ok {
-			states, err := newStates()
+			states, err := newAggStates(aggs)
 			if err != nil {
 				return nil, err
 			}
@@ -914,18 +919,12 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		}
 	}
 
-	// A query with aggregates but no GROUP BY always yields one group,
-	// even over empty input.
 	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		states, err := newStates()
+		g, err := emptyAggGroup(aggs, len(src.columns()))
 		if err != nil {
 			return nil, err
 		}
-		repRow := make(Row, len(src.columns()))
-		for i := range repRow {
-			repRow[i] = Null
-		}
-		groups = append(groups, &aggGroup{states: states, repRow: repRow})
+		groups = append(groups, g)
 	}
 	return groups, nil
 }

@@ -121,21 +121,18 @@ func (p *planPrinter) describe(op operator, depth int) {
 		p.emit(depth, "distinct")
 		p.describe(t.child, depth+1)
 	case *groupOp:
-		parNote := ""
-		switch {
-		case t.par != nil:
-			parNote = fmt.Sprintf(" (parallel workers=%d)", t.par.workers)
-		case t.vec != nil:
-			parNote = " (vectorized)"
+		note := ""
+		if t.bat != nil {
+			note = " (folded in scan)"
 		}
 		if len(t.stmt.GroupBy) > 0 {
 			groups := make([]string, len(t.stmt.GroupBy))
 			for i, g := range t.stmt.GroupBy {
 				groups[i] = g.String()
 			}
-			p.emit(depth, "hash aggregate by %s%s", strings.Join(groups, ", "), parNote)
+			p.emit(depth, "hash aggregate by %s%s", strings.Join(groups, ", "), note)
 		} else {
-			p.emit(depth, "aggregate (single group)%s", parNote)
+			p.emit(depth, "aggregate (single group)%s", note)
 		}
 		for _, it := range t.stmt.Items {
 			p.describeSubplans(it.Expr, depth+1, t.env)
@@ -145,11 +142,11 @@ func (p *planPrinter) describe(op operator, depth int) {
 		}
 		p.describe(t.child, depth+1)
 	case *projectOp:
-		vecNote := ""
-		if t.vec != nil {
-			vecNote = " (vectorized)"
+		note := ""
+		if t.fused {
+			note = " (fused in scan)"
 		}
-		p.emit(depth, "project %d column(s)%s", len(t.outCols), vecNote)
+		p.emit(depth, "project %d column(s)%s", len(t.outCols), note)
 		for _, it := range t.items {
 			p.describeSubplans(it.Expr, depth+1, t.env)
 		}
@@ -167,43 +164,35 @@ func (p *planPrinter) describe(op operator, depth int) {
 		default:
 			p.emit(depth, "seq scan %s (as %s): %d row(s)", t.table.Name, t.qual, t.table.liveCount())
 		}
-	case *vecScanOp:
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped) +
-				fmt.Sprintf(" batches=%d", t.batches)
-			if t.decBlocks > 0 {
-				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.segs), t.decBlocks)
-			}
-		}
-		p.emit(depth, "vectorized seq scan %s (as %s): %d row(s)",
-			t.table.Name, t.qual, t.table.liveCount())
-		for _, pred := range t.preds {
-			p.emit(depth+1, "fused filter %s", pred.String())
-		}
 	case *parScanOp:
-		gatherNote := ""
-		if t.unordered {
-			gatherNote = " (unordered gather)"
-		}
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped) + fmt.Sprintf(" workers=%d", t.workers)
-			if t.decBlocks > 0 {
-				p.extra += fmt.Sprintf(" decoded_blocks=%d", t.decBlocks)
-			}
-		}
+		p.describe(t.scan, depth)
+	case *vecScanOp:
+		// One node kind for every large scan: the pool (workers=N) and the
+		// kernels (k of the pipeline's m expressions compiled) annotate it.
+		kind, detail := "seq", fmt.Sprintf("%d row(s)", t.table.liveCount())
 		switch {
 		case t.rangeIdx != nil:
-			p.emit(depth, "parallel index range scan %s (as %s) workers=%d%s: %s", t.table.Name, t.qual,
-				t.workers, gatherNote, t.spec.describe(t.table.Columns[t.rangeIdx.Column].Name))
+			kind, detail = "index range", t.rspec.describe(t.table.Columns[t.rangeIdx.Column].Name)
 		case t.ids != nil:
-			p.emit(depth, "parallel index scan %s (as %s) workers=%d%s: %d candidate row(s)",
-				t.table.Name, t.qual, t.workers, gatherNote, len(t.ids))
-		default:
-			p.emit(depth, "parallel seq scan %s (as %s) workers=%d%s: %d row(s)",
-				t.table.Name, t.qual, t.workers, gatherNote, t.table.liveCount())
+			kind, detail = "index", fmt.Sprintf("%d candidate row(s)", len(t.ids))
 		}
-		if t.pred != nil {
-			p.emit(depth+1, "fused filter %s", t.pred.String())
+		notes := ""
+		if t.workers > 1 {
+			notes = fmt.Sprintf(" workers=%d", t.workers)
+		}
+		if t.unordered {
+			notes += " (unordered gather)"
+		}
+		if analyzed {
+			p.extra = scanAnnotation(t.cnt.scanned, t.cnt.tombs) + fmt.Sprintf(" batches=%d", t.cnt.batches)
+			if t.cnt.decoded > 0 {
+				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.src.segs), t.cnt.decoded)
+			}
+		}
+		p.emit(depth, "batch %s scan %s (as %s)%s vectorized %d/%d: %s",
+			kind, t.table.Name, t.qual, notes, t.kernels, t.exprs, detail)
+		for _, pred := range t.preds {
+			p.emit(depth+1, "fused filter %s", pred.String())
 		}
 	case *ordScanOp:
 		col := t.table.Columns[t.idx.Column].Name

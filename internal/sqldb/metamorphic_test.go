@@ -330,11 +330,11 @@ func TestMetamorphicNoRECAndTLP(t *testing.T) {
 
 // TestMetamorphicNoRECAndTLPParallel re-runs the NoREC/TLP suite with a
 // forced worker pool and the parallel threshold lowered below the corpus
-// size, so the filtered/projected/partitioned queries take the morsel-
-// parallel scan and parallel aggregation paths (COUNT(*) goes through
-// runAggregationParallel) while the same DML churns the table.
+// size, so the filtered/projected/partitioned queries take the pooled
+// batch scan and partial aggregation (COUNT(*) goes through
+// runAggregationBatch) while the same DML churns the table.
 func TestMetamorphicNoRECAndTLPParallel(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, WithMaxWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -349,5 +349,12 @@ func TestMetamorphicCatchesBrokenTombstoneSkip(t *testing.T) {
 	defer func() { debugDisableTombstoneSkip = false }()
 	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400); err == nil {
 		t.Fatal("metamorphic suite did not detect disabled tombstone skipping")
+	}
+	// The same fault read through the batch source by pool workers: the
+	// one visibility function is shared, so the one switch must break
+	// this configuration too.
+	lowerMorselMinRows(t, 8)
+	if err := metamorphicProperty(rand.New(rand.NewSource(47)), 400, WithMaxWorkers(4)); err == nil {
+		t.Fatal("metamorphic suite did not detect disabled tombstone skipping on the pooled batch scan")
 	}
 }

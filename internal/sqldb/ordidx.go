@@ -49,31 +49,10 @@ type ordEntry struct {
 // entryIDs loads the entry's current id list (ascending).
 func (e *ordEntry) entryIDs() []int { return *e.ids.Load() }
 
-// Fault-injection switches for the metamorphic/property test layer: each
-// deliberately breaks one maintenance/visibility invariant so the suites
-// can prove they would catch such a bug (scans emitting deleted rows,
-// ordered views going stale). Never set outside tests.
-var (
-	debugDisableTombstoneSkip bool // scans ignore visibility: deleted rows reappear
-	debugBreakOrdMaintain     bool // DML leaves live ordered views stale
-)
-
-// scanRow fetches the row a snapshot-filtered consumer should see for id
-// — or, under the debugDisableTombstoneSkip fault, the newest version
-// regardless of visibility.
-func scanRow(t *Table, id int, snap *snapshot) Row {
-	if debugDisableTombstoneSkip {
-		arrp := t.slots.Load()
-		if arrp == nil || id >= len(*arrp) {
-			return nil
-		}
-		if v := (*arrp)[id].head.Load(); v != nil {
-			return v.row
-		}
-		return nil
-	}
-	return t.visibleRow(id, snap)
-}
+// debugBreakOrdMaintain is a fault-injection switch for the property test
+// layer: DML leaves live ordered views stale, and the suites must notice.
+// Never set outside tests.
+var debugBreakOrdMaintain bool
 
 // orderedEntries returns the index's ordered view, building it from the
 // hash map under the index latch on first ordered access after wholesale
@@ -244,7 +223,7 @@ func collectRangeIDs(t *Table, col int, entries []*ordEntry, spec rangeSpec, sna
 		e := entries[i]
 		key := e.val.Key()
 		for _, id := range e.entryIDs() {
-			r := scanRow(t, id, snap)
+			r := t.visibleRow(id, snap)
 			if r == nil || r[col].Key() != key {
 				skipped++
 				continue
@@ -264,7 +243,7 @@ func entryRows(t *Table, col int, e *ordEntry, snap *snapshot) ([]Row, uint64) {
 	var skipped uint64
 	key := e.val.Key()
 	for _, id := range ids {
-		r := scanRow(t, id, snap)
+		r := t.visibleRow(id, snap)
 		if r == nil || r[col].Key() != key {
 			skipped++
 			continue
@@ -371,7 +350,7 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		for s.ipos < len(s.eids) {
 			id := s.eids[s.ipos]
 			s.ipos++
-			r := scanRow(s.table, id, s.snap)
+			r := s.table.visibleRow(id, s.snap)
 			if r == nil || r[s.idx.Column].Key() != s.ekey {
 				s.tombSkipped++
 				if s.qc != nil {

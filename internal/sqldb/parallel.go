@@ -8,28 +8,31 @@ import (
 )
 
 // This file implements morsel-driven intra-query parallelism in the style
-// of Leis et al.'s HyPer scheduler: the row-id space of a base-table scan
-// is split into fixed-size morsels that a bounded pool of workers claims
+// of Leis et al.'s HyPer scheduler: the position space of a large scan is
+// split into fixed-size morsels that a bounded pool of workers claims
 // through an atomic counter, so fast workers steal work from slow ones
-// without any static partitioning. Three operators parallelize:
+// without any static partitioning. What a worker does with a morsel is
+// not decided here: each one owns a private instance of the statement's
+// batch pipeline (vecScanOp, vecops.go) and runs it on the morsels it
+// claims. This file keeps only what a pool adds:
 //
-//   - parScanOp: heap / index / index-range scans with the pushed-down
-//     filter fused into the workers, gathered in morsel order so the
-//     output is bit-identical to the serial scan (safe under LIMIT
-//     truncation and for the plan-equivalence property tests).
-//   - partial aggregation (runAggregationParallel): each worker folds its
-//     morsels into private GROUP BY states; the gather merges the partial
-//     states and restores serial first-seen group order by tracking the
-//     minimal scan ordinal at which each group appeared.
+//   - parScanOp: claiming, the ticket throttle, and the gather — in morsel
+//     order, so the output is bit-identical to the serial scan (safe under
+//     LIMIT truncation and for the plan-equivalence property tests), or in
+//     completion order when the consumer provably cannot tell.
+//   - runAggregationBatch: fork-join partial aggregation — workers fold
+//     their morsels into private GROUP BY states; the owner merges them and
+//     restores serial first-seen group order from the scan ordinal at which
+//     each group appeared. One worker is the serial fold.
 //   - hash-join build (hashJoinOp.buildParallel): workers evaluate and
 //     encode build keys per morsel, then one worker per partition builds
 //     its shard's buckets in global build-row order.
 //
-// Eligibility is decided at plan time (parallelEligible, parallelSafeExpr):
-// only top-level, single-table, order-insensitive paths with expressions
+// Whether a scan runs here is the planner's call (planScanDriver,
+// vecops.go): only top-level, single-table paths whose expressions are
 // free of subqueries and function calls (the registry cannot distinguish
-// builtins from user/LM UDFs, so all calls stay serial), and only above a
-// row-count threshold so small scans never pay pool overhead. Ordered
+// builtins from user/LM UDFs, so all calls stay serial), and only above
+// the size gate so small scans never pay pool overhead. Ordered
 // (sort-eliding) scans, merge joins, and correlated probes stay serial.
 //
 // Accounting: workers never touch the shared queryCtx. Each morsel result
@@ -38,19 +41,21 @@ import (
 // accounting property (per-operator sums == per-query totals) holds
 // unchanged under parallel execution.
 
-// morselSize is the number of row ids one worker claims at a time. Large
-// enough to amortise the claim + channel handoff, small enough to
-// load-balance skewed filters.
+// morselSize is the number of positions one worker claims at a time — and
+// one sealed block, and one vector batch. Large enough to amortise the
+// claim + channel handoff, small enough to load-balance skewed filters.
 const morselSize = 1024
 
 // parallelMaxWorkers caps the default pool size; WithMaxWorkers can raise
 // it explicitly.
 const parallelMaxWorkers = 8
 
-// parallelMinRows is the minimum estimated input size before the planner
-// considers a parallel operator. Package variable so property tests can
-// lower it to push their small corpora through the parallel paths.
-var parallelMinRows = 4096
+// morselMinRows is the one size gate: the minimum estimated input before
+// the planner works a morsel at a time (batch scans, pooled or not;
+// partitioned join builds). Below it statements keep the row iterator
+// and serial builds. Package variable so property tests can lower it to
+// push their small corpora through the batch paths.
+var morselMinRows = 4096
 
 // parallelWorkersActive counts live worker goroutines engine-wide. Test
 // instrumentation: the cancellation/leak tests assert it returns to zero
@@ -71,247 +76,54 @@ func defaultMaxWorkers() int {
 	return n
 }
 
-// parallelSafeExpr reports whether an expression may be evaluated on a
+// parallelSafe reports whether every expression may be evaluated on a
 // worker goroutine: no subqueries (they execute subplans against shared
 // planner state) and no function calls (the registry cannot tell builtins
 // from registered UDFs — including LM UDFs — so every call stays on the
 // owner goroutine). Plain column refs, parameters, literals, arithmetic,
 // comparisons, CASE, BETWEEN, IN (value list), LIKE and IS NULL are safe.
-func parallelSafeExpr(e Expr) bool {
+func parallelSafe(es ...Expr) bool {
 	safe := true
-	walkExpr(e, func(x Expr) bool {
-		switch t := x.(type) {
-		case *Subquery, *ExistsExpr, *FuncCall:
-			safe = false
-		case *InList:
-			if t.Sub != nil {
+	for _, e := range es {
+		walkExpr(e, func(x Expr) bool {
+			if _, call := x.(*FuncCall); call || isSubqueryNode(x) {
 				safe = false
 			}
-		}
-		return safe
-	})
+			return safe
+		})
+	}
 	return safe
 }
 
-// morselSource is the row-id space a parallel operator partitions: either
-// an explicit id list (equality/range index access) or the heap [0, n).
-// The slot array and snapshot are captured once on the owner goroutine;
-// workers evaluate visibility against them with no lock held, exactly as
-// the serial scanOp does.
-type morselSource struct {
-	table *Table
-	ids   []int // nil = full heap scan
-	arr   []*rowSlot
-	n     int
-	snap  *snapshot
-	segs  []*segment // sealed column segments (segment.go); nil = none
-}
-
-// newMorselSource captures the scan's iteration space: the id list when
-// one was materialised, otherwise the heap slot array, plus the
-// statement snapshot rows are judged against. Full heap scans also
-// capture the published segment list so fully sealed morsels decode
-// their block instead of chasing version pointers; morselSize equals
-// segBlockSlots, so a morsel is always entirely sealed or entirely heap.
-func newMorselSource(t *Table, ids []int, snap *snapshot) morselSource {
-	m := morselSource{table: t, ids: ids, snap: snap}
-	if ids == nil {
-		m.arr, m.n = t.loadSlots()
-		if !debugDisableTombstoneSkip {
-			m.segs = t.loadSegs()
-		}
-	}
-	return m
-}
-
-// sealedBlockRows decodes the sealed block covering morsel idx into
-// freshly materialised full-width rows (slot order, zero tombstones), or
-// reports false when the morsel is not a fully sealed block. Decode
-// errors cannot occur for blocks this process sealed; fail closed to the
-// heap walk anyway.
-func (m morselSource) sealedBlockRows(idx int) ([]Row, bool) {
-	if m.segs == nil {
-		return nil, false
-	}
-	lo := idx * morselSize
-	seg := findSeg(m.segs, lo)
-	if seg == nil {
-		return nil, false
-	}
-	blk := seg.block(lo)
-	width := len(m.table.Columns)
-	rows := make([]Row, blk.nrows)
-	if blk.nrows == 0 {
-		return rows, true
-	}
-	cols := make([][]Value, width)
-	for c := range cols {
-		buf := make([]Value, blk.nrows)
-		if err := blk.cols[c].decode(blk.nrows, buf); err != nil {
-			return nil, false
-		}
-		cols[c] = buf
-	}
-	vals := make([]Value, blk.nrows*width)
-	for j := range rows {
-		r := vals[j*width : (j+1)*width : (j+1)*width]
-		for c := 0; c < width; c++ {
-			r[c] = cols[c][j]
-		}
-		rows[j] = r
-	}
-	return rows, true
-}
-
-func (m morselSource) total() int {
-	if m.ids != nil {
-		return len(m.ids)
-	}
-	return m.n
-}
-
-func (m morselSource) morsels() int {
-	return (m.total() + morselSize - 1) / morselSize
-}
-
-// morselRow resolves one source position to its snapshot-visible row,
-// mirroring scanOp's per-row logic: nil row plus skip=true means a slot
-// holding only invisible versions (a tombstone the counters record);
-// nil plus skip=false means a slot with no versions at all (vacuumed or
-// rolled-back insert), stepped over silently.
-func (m morselSource) morselRow(pos int) (Row, bool) {
-	if m.ids != nil {
-		r := scanRow(m.table, m.ids[pos], m.snap)
-		return r, r == nil
-	}
-	head := m.arr[pos].head.Load()
-	if head == nil {
-		return nil, false
-	}
-	var r Row
-	switch {
-	case debugDisableTombstoneSkip:
-		r = head.row
-	case m.snap == nil:
-		r = latestRow(head)
-	default:
-		r = visibleVersion(head, m.snap)
-	}
-	return r, r == nil
-}
-
-// scanMorsel runs one morsel's scan+filter loop: positions [lo, hi) of
-// the source, predicate pred (nil = all rows), appending matches to out.
-// Returns the rows, the number scanned, tombstones stepped over, and
-// sealed blocks decoded. Heap-order iteration inside the morsel keeps the
-// gathered stream bit-identical to the serial scan; a fully sealed morsel
-// decodes its column block instead (same rows, same order, no
-// tombstones).
-func (m morselSource) scanMorsel(idx int, pred compiledExpr, env *evalEnv, out []Row) ([]Row, uint64, uint64, uint64, error) {
-	var scanned, tombSkipped uint64
-	if rows, ok := m.sealedBlockRows(idx); ok {
-		for _, r := range rows {
-			scanned++
-			if pred != nil {
-				env.row = r
-				v, err := pred()
-				if err != nil {
-					return out, scanned, 0, 1, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
-			}
-			out = append(out, r)
-		}
-		return out, scanned, 0, 1, nil
-	}
-	lo := idx * morselSize
-	hi := lo + morselSize
-	if t := m.total(); hi > t {
-		hi = t
-	}
-	for pos := lo; pos < hi; pos++ {
-		r, skip := m.morselRow(pos)
-		if r == nil {
-			if skip {
-				tombSkipped++
-			}
-			continue
-		}
-		scanned++
-		if pred != nil {
-			env.row = r
-			v, err := pred()
-			if err != nil {
-				return out, scanned, tombSkipped, 0, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		out = append(out, r)
-	}
-	return out, scanned, tombSkipped, 0, nil
-}
-
-// countAccessPath records the access path once, mirroring scanOp.
-func (m morselSource) countAccessPath(fromRange bool, qc *queryCtx) {
-	if qc == nil {
-		return
-	}
-	switch {
-	case fromRange:
-		qc.indexRangeScans++
-	case m.ids != nil:
-		qc.indexScans++
-	default:
-		qc.fullScans++
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Parallel scan with ordered gather
+// Pooled scan with ordered gather
 
 // parMorsel is one worker's result for one morsel.
 type parMorsel struct {
-	idx         int
-	rows        []Row
-	scanned     uint64
-	tombSkipped uint64
-	decoded     uint64 // sealed blocks decoded (0 or 1)
-	err         error
+	idx  int
+	rows []Row
+	cnt  scanCounts
+	err  error
 }
 
-// parScanOp scans a base table with the pushed-down predicate fused into
-// a pool of workers. The gather emits morsel results strictly in morsel
-// order, so downstream operators see exactly the serial scan's stream —
-// parallelism changes wall-clock, never semantics. Workers are throttled
-// by a ticket semaphore to at most a few morsels ahead of the gather, so
-// an abandoned or LIMIT-stopped cursor buffers O(workers) morsels, not
-// the table. qc.stopWorkers (registered at start) stops and joins the
-// pool before the cursor's snapshot reference is released.
+// parScanOp runs a batch scan on a pool of workers. The gather emits
+// morsel results strictly in morsel order, so downstream operators see
+// exactly the serial scan's stream — parallelism changes wall-clock, never
+// semantics — unless the plan is marked unordered: then the consumer is
+// provably order-insensitive (aggregation gated by aggOrderInsensitive),
+// and morsels are consumed in completion order so slow ones never stall
+// fast ones. Workers are throttled by a ticket semaphore to at most a few
+// morsels ahead of the gather, so an abandoned or LIMIT-stopped cursor
+// buffers O(workers) morsels, not the table. qc.stopWorkers (registered at
+// start) stops and joins the pool before the cursor's snapshot reference
+// is released.
 type parScanOp struct {
-	table    *Table
-	qual     string
-	cols     []colInfo
-	ids      []int // nil = heap scan unless rangeIdx materialises below
-	rangeIdx *Index
-	spec     rangeSpec
-	pred     Expr // fused filter; nil = none
-	db       *Database
-	params   []Value
-	workers  int
-	qc       *queryCtx
-	// unordered: the consumer is provably order-insensitive (aggregation
-	// without ORDER BY, gated by aggOrderInsensitive), so the gather
-	// consumes morsels in completion order instead of stashing them back
-	// into morsel order — slow morsels never stall fast ones.
-	unordered bool
+	// scan is the plan the workers copy, the node EXPLAIN shows, and the
+	// sink their counters merge into. It is never pulled itself.
+	scan *vecScanOp
 
 	started bool
 	stopped bool
-	src     morselSource
 	claim   *atomic.Int64
 	abort   *atomic.Bool
 	stopCh  chan struct{}
@@ -335,14 +147,9 @@ type parScanOp struct {
 	errMu       sync.Mutex
 	workerErr   error
 	workerErrID int
-
-	scanned     uint64 // merged per-operator counters (EXPLAIN ANALYZE)
-	tombSkipped uint64
-	decBlocks   uint64
-	segCounted  bool
 }
 
-func (s *parScanOp) columns() []colInfo { return s.cols }
+func (s *parScanOp) columns() []colInfo { return s.scan.cols }
 
 func (s *parScanOp) reset() {
 	s.stopPool()
@@ -354,44 +161,20 @@ func (s *parScanOp) reset() {
 	s.pos = 0
 	s.curErr = nil
 	s.pendErr = nil
-	if s.rangeIdx != nil {
-		s.ids = nil // re-materialise on next start
-	}
 }
 
-// start materialises range ids, records the access path, and spawns the
-// pool. Runs on the owner goroutine; workers inherit the statement's
-// snapshot through the morsel source and never take a lock.
+// start opens the scan and spawns the pool. Runs on the owner goroutine;
+// workers inherit the statement's snapshot through the shared source and
+// never take a lock.
 func (s *parScanOp) start() {
 	s.started = true
-	var snap *snapshot
-	if s.qc != nil {
-		snap = s.qc.snap
-	}
-	fromRange := s.rangeIdx != nil
-	if fromRange && s.ids == nil {
-		var skipped uint64
-		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx.Column,
-			s.rangeIdx.orderedEntries(), s.spec, snap)
-		s.tombSkipped += skipped
-		if s.qc != nil {
-			s.qc.tombstonesSkipped += skipped
-		}
-	}
-	s.src = newMorselSource(s.table, s.ids, snap)
-	s.src.countAccessPath(fromRange, s.qc)
-	s.nMorsels = s.src.morsels()
+	s.scan.open()
+	s.nMorsels = s.scan.src.batches()
 	s.claim = &atomic.Int64{}
 	s.abort = &atomic.Bool{}
 	s.stopCh = make(chan struct{})
 	s.stash = make(map[int]parMorsel)
-	nw := s.workers
-	if nw > s.nMorsels {
-		nw = s.nMorsels
-	}
-	if nw < 1 {
-		nw = 1
-	}
+	nw := max(min(s.scan.workers, s.nMorsels), 1)
 	// Tickets bound how far claims may run ahead of the gather. Claims
 	// are monotonic, so the outstanding morsels are always the smallest
 	// unconsumed indices and the gather's next morsel is among them — no
@@ -402,28 +185,23 @@ func (s *parScanOp) start() {
 		s.tickets <- struct{}{}
 	}
 	s.results = make(chan parMorsel, maxAhead)
-	if s.qc != nil {
-		s.qc.addFinalizer(s.stopPool)
+	if qc := s.scan.qc; qc != nil {
+		qc.addFinalizer(s.stopPool)
 	}
-	// Per-worker environments and predicates are compiled here, on the
-	// owner goroutine, so workers never touch shared planner state.
+	// Every worker's pipeline is compiled here, on the owner goroutine, so
+	// workers never touch shared planner state.
 	for w := 0; w < nw; w++ {
-		env := newEvalEnv(s.cols, s.db, s.params, nil, nil)
-		var pred compiledExpr
-		if s.pred != nil {
-			p, err := compileExpr(s.pred, env)
-			if err != nil {
-				// The serial plan compiled this same expression already;
-				// failure here is unreachable, but fail closed.
-				s.pendErr = err
-				s.nMorsels = 0
-				break
-			}
-			pred = p
+		inst, err := s.scan.workerCopy()
+		if err != nil {
+			// The planner compiled this same pipeline already; failure
+			// here is unreachable, but fail closed.
+			s.pendErr = err
+			s.nMorsels = 0
+			break
 		}
 		s.wg.Add(1)
 		parallelWorkersActive.Add(1)
-		go s.worker(env, pred)
+		go s.worker(inst)
 	}
 	go func() {
 		s.wg.Wait()
@@ -431,8 +209,9 @@ func (s *parScanOp) start() {
 	}()
 }
 
-func (s *parScanOp) worker(env *evalEnv, pred compiledExpr) {
+func (s *parScanOp) worker(inst *vecScanOp) {
 	defer func() {
+		inst.release()
 		parallelWorkersActive.Add(-1)
 		s.wg.Done()
 	}()
@@ -443,18 +222,14 @@ func (s *parScanOp) worker(env *evalEnv, pred compiledExpr) {
 			return
 		}
 		idx := int(s.claim.Add(1)) - 1
-		if idx >= s.nMorsels || s.abort.Load() {
+		// cancelled() reads only the immutable context — safe off the
+		// owner goroutine, unlike tickCancelled.
+		if idx >= s.nMorsels || s.abort.Load() || s.scan.qc.cancelled() != nil {
 			return
 		}
-		if s.qc != nil {
-			// cancelled() reads only the immutable context — safe off
-			// the owner goroutine, unlike tickCancelled.
-			if s.qc.cancelled() != nil {
-				return
-			}
-		}
-		rows, scanned, tombSkipped, decoded, err := s.src.scanMorsel(idx, pred, env, nil)
-		res := parMorsel{idx: idx, rows: rows, scanned: scanned, tombSkipped: tombSkipped, decoded: decoded, err: err}
+		inst.cnt = scanCounts{}
+		rows, err := inst.batchRows(idx)
+		res := parMorsel{idx: idx, rows: rows, cnt: inst.cnt, err: err}
 		if err != nil {
 			s.errMu.Lock()
 			if s.workerErr == nil || idx < s.workerErrID {
@@ -474,23 +249,6 @@ func (s *parScanOp) worker(env *evalEnv, pred compiledExpr) {
 	}
 }
 
-// fold merges one morsel's counters into the per-query and per-operator
-// totals. Owner goroutine only.
-func (s *parScanOp) fold(m parMorsel) {
-	s.scanned += m.scanned
-	s.tombSkipped += m.tombSkipped
-	s.decBlocks += m.decoded
-	if s.qc != nil {
-		s.qc.rowsScanned += m.scanned
-		s.qc.tombstonesSkipped += m.tombSkipped
-		s.qc.decodedBlocks += m.decoded
-		if m.decoded > 0 && !s.segCounted {
-			s.segCounted = true
-			s.qc.segmentScans++
-		}
-	}
-}
-
 func (s *parScanOp) next() (Row, bool, error) {
 	if s.pendErr != nil {
 		return nil, false, s.pendErr
@@ -501,6 +259,7 @@ func (s *parScanOp) next() (Row, bool, error) {
 			return nil, false, s.pendErr
 		}
 	}
+	qc := s.scan.qc
 	for {
 		if s.pos < len(s.cur) {
 			r := s.cur[s.pos]
@@ -514,11 +273,9 @@ func (s *parScanOp) next() (Row, bool, error) {
 		if s.nextIdx >= s.nMorsels {
 			return nil, false, nil
 		}
-		if s.qc != nil {
-			if err := s.qc.tickCancelled(); err != nil {
-				s.pendErr = err
-				return nil, false, err
-			}
+		if err := qc.tickCancelled(); err != nil {
+			s.pendErr = err
+			return nil, false, err
 		}
 		m, ok := s.stash[s.nextIdx]
 		if ok {
@@ -529,11 +286,9 @@ func (s *parScanOp) next() (Row, bool, error) {
 				// Workers exited without delivering the next morsel:
 				// cancellation, or an abort whose erroring morsel the
 				// ordered stream will never reach.
-				if s.qc != nil {
-					if err := s.qc.cancelled(); err != nil {
-						s.pendErr = err
-						return nil, false, err
-					}
+				if err := qc.cancelled(); err != nil {
+					s.pendErr = err
+					return nil, false, err
 				}
 				s.errMu.Lock()
 				err := s.workerErr
@@ -547,13 +302,13 @@ func (s *parScanOp) next() (Row, bool, error) {
 			// The ordered gather stashes out-of-order morsels until their
 			// turn; the unordered gather consumes completion order directly
 			// (nextIdx then just counts consumed morsels).
-			if !s.unordered && res.idx != s.nextIdx {
+			if !s.scan.unordered && res.idx != s.nextIdx {
 				s.stash[res.idx] = res
 				continue
 			}
 			m = res
 		}
-		s.fold(m)
+		s.scan.account(m.cnt)
 		s.tickets <- struct{}{}
 		s.nextIdx++
 		s.cur = m.rows
@@ -574,105 +329,24 @@ func (s *parScanOp) stopPool() {
 	s.abort.Store(true)
 	close(s.stopCh)
 	for res := range s.results { // drains until the closer closes it
-		s.fold(res)
+		s.scan.account(res.cnt)
 	}
 	for _, res := range s.stash {
-		s.fold(res)
+		s.scan.account(res.cnt)
 	}
 	s.stash = nil
 }
 
 // ---------------------------------------------------------------------------
-// Planner hooks
-
-// parallelScanTarget walks a filter stack down to its scanOp and collects
-// the predicates along the way. Returns nil when the chain does not
-// bottom out in a plain scan.
-func parallelScanTarget(src operator) (*scanOp, []Expr) {
-	var preds []Expr
-	cur := src
-	for {
-		if f, ok := cur.(*filterOp); ok {
-			preds = append(preds, f.pred)
-			cur = f.child
-			continue
-		}
-		break
-	}
-	sc, ok := cur.(*scanOp)
-	if !ok {
-		return nil, nil
-	}
-	return sc, preds
-}
-
-// parallelEligible applies the planner's gates shared by the parallel
-// scan and parallel aggregation: a pool to run on, a statement shape the
-// gather can preserve, worker-safe predicates, and enough rows to pay
-// for the pool.
-func parallelEligible(db *Database, qc *queryCtx, sc *scanOp, preds []Expr) bool {
-	if db == nil || db.maxWorkers <= 1 || qc == nil || sc == nil {
-		return false
-	}
-	for _, p := range preds {
-		if !parallelSafeExpr(p) {
-			return false
-		}
-	}
-	est := sc.table.liveCount()
-	if sc.ids != nil {
-		est = len(sc.ids)
-	}
-	// Range scans estimate by table size: bounds are not yet
-	// materialised, and a small range costs one morsel anyway.
-	return est >= parallelMinRows
-}
-
-// tryParallelScan replaces a filter-stack-over-scan chain with a fused
-// parScanOp when eligible. Non-aggregate statements only; the caller has
-// already ruled out joins, elided orders, and bare-LIMIT windows (where
-// scan-ahead would waste work the limit never reads).
-func tryParallelScan(src operator, db *Database, params []Value, qc *queryCtx) operator {
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return src
-	}
-	return &parScanOp{
-		table: sc.table, qual: sc.qual, cols: sc.cols,
-		ids: sc.ids, rangeIdx: sc.rangeIdx, spec: sc.spec,
-		pred: joinConjuncts(preds), db: db, params: params,
-		workers: db.maxWorkers, qc: qc,
-	}
-}
-
-// tryParallelScanUnordered feeds an order-insensitive serial aggregation
-// from a parallel scan gathered in completion order. Only when the
-// statement provably cannot observe morsel arrival order: a single output
-// group (no GROUP BY — first-seen group order would leak scheduling), no
-// ORDER BY, aggregates whose folds are commutative for every value kind
-// (COUNT/MIN/MAX, DISTINCT included since the dedup set is order-free),
-// and no bare column refs outside aggregate arguments (those read the
-// group's representative row, which is arrival-order-dependent).
-func tryParallelScanUnordered(stmt *SelectStmt, items []SelectItem, src operator,
-	aggs []*FuncCall, db *Database, params []Value, qc *queryCtx) operator {
-	if !aggOrderInsensitive(stmt, items, aggs) {
-		return src
-	}
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return src
-	}
-	return &parScanOp{
-		table: sc.table, qual: sc.qual, cols: sc.cols,
-		ids: sc.ids, rangeIdx: sc.rangeIdx, spec: sc.spec,
-		pred: joinConjuncts(preds), db: db, params: params,
-		workers: db.maxWorkers, qc: qc, unordered: true,
-	}
-}
+// What the gather can preserve
 
 // aggOrderInsensitive reports whether an aggregate statement's result is
 // invariant under any permutation of its input rows — the licence for the
-// unordered gather above.
+// unordered gather: a single output group (no GROUP BY — first-seen group
+// order would leak scheduling), no ORDER BY, aggregates whose folds are
+// commutative for every value kind (COUNT/MIN/MAX, DISTINCT included since
+// the dedup set is order-free), and nothing reading the group's
+// representative row (readsRepRow), which is arrival-order-dependent.
 func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall) bool {
 	if len(stmt.GroupBy) != 0 || len(stmt.OrderBy) != 0 {
 		return false
@@ -686,52 +360,46 @@ func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall)
 			return false
 		}
 	}
-	for _, it := range items {
-		if bareRefsOutsideAggs(it.Expr) {
-			return false
-		}
-	}
-	return !bareRefsOutsideAggs(stmt.Having)
+	return !readsRepRow(stmt, items)
 }
 
-// bareRefsOutsideAggs reports whether e reads a column outside any
-// aggregate argument — such reads come from the single group's
-// representative row, which is whichever matching row arrived first.
-// Subqueries are treated as bare: walkExpr does not descend into their
-// statements, so correlated refs inside them would go unseen.
-func bareRefsOutsideAggs(e Expr) bool {
-	bare := false
-	walkExpr(e, func(x Expr) bool {
+// readsRepRow reports whether an aggregate statement's post-aggregation
+// expressions read the group's representative row: a column reference
+// outside every aggregate argument that is not itself a GROUP BY
+// expression (those resolve to the group key, compile.go). With a single
+// group that row is whichever matching row arrived first. Subqueries
+// count: walkExpr does not descend into their statements, so correlated
+// refs inside them would go unseen.
+func readsRepRow(stmt *SelectStmt, items []SelectItem) bool {
+	keys := make(map[string]bool, len(stmt.GroupBy))
+	for _, g := range stmt.GroupBy {
+		keys[g.String()] = true
+	}
+	reads := false
+	visit := func(x Expr) bool {
+		if len(keys) > 0 && keys[x.String()] {
+			return false // prune: resolves to the group key
+		}
 		switch t := x.(type) {
 		case *FuncCall:
 			if isAggregateName(t.Name) {
 				return false // prune: refs inside aggregate args are fine
 			}
 		case *ColumnRef:
-			bare = true
-		case *Subquery, *ExistsExpr:
-			bare = true
-		case *InList:
-			if t.Sub != nil {
-				bare = true
-			}
+			reads = true
+		default:
+			reads = reads || isSubqueryNode(x)
 		}
-		return !bare
-	})
-	return bare
-}
-
-// ---------------------------------------------------------------------------
-// Parallel partial aggregation
-
-// parAggPlan is the fused scan+filter+partial-aggregate a groupOp runs
-// instead of draining its child serially. The child chain is retained on
-// the groupOp for EXPLAIN display; merged scan counters are written back
-// into its scanOp so the accounting property holds.
-type parAggPlan struct {
-	sc      *scanOp
-	pred    Expr
-	workers int
+		return !reads
+	}
+	for _, it := range items {
+		walkExpr(it.Expr, visit)
+	}
+	walkExpr(stmt.Having, visit)
+	for _, ob := range stmt.OrderBy {
+		walkExpr(ob.Expr, visit)
+	}
+	return reads
 }
 
 // mergeableAggregates reports whether every collected aggregate can be
@@ -760,302 +428,100 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 		default:
 			return false
 		}
-		if !fc.Star {
-			for _, a := range fc.Args {
-				if !parallelSafeExpr(a) {
-					return false
-				}
-			}
+		if !fc.Star && !parallelSafe(fc.Args...) {
+			return false
 		}
 	}
 	return true
 }
 
-// tryParallelAgg decides whether an aggregate statement's input can run
-// as fused parallel partial aggregation, returning the plan or nil.
-func tryParallelAgg(stmt *SelectStmt, src operator, aggs []*FuncCall, db *Database, qc *queryCtx) *parAggPlan {
-	sc, preds := parallelScanTarget(src)
-	if !parallelEligible(db, qc, sc, preds) {
-		return nil
-	}
-	for _, ge := range stmt.GroupBy {
-		if !parallelSafeExpr(ge) {
-			return nil
+// ---------------------------------------------------------------------------
+// Partial aggregation
+
+// runAggregationBatch is the batch pipeline's counterpart of
+// runAggregation: instances of the scan claim morsels and fold them
+// (vecScanOp.foldBatch) into private group maps; the owner merges the
+// partial states and returns groups in exactly the serial first-seen
+// order. A serial scan is the one-instance case and runs inline on the
+// owner goroutine; a pooled one spawns and joins its workers inside this
+// call — no pool outlives it.
+func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
+	sc.open()
+	qc := sc.qc
+	nMorsels := sc.src.batches()
+	insts := []*vecScanOp{sc}
+	if nw := min(sc.workers, nMorsels); nw > 1 {
+		// Compile every worker's pipeline on the owner goroutine.
+		insts = make([]*vecScanOp, nw)
+		for w := range insts {
+			var err error
+			if insts[w], err = sc.workerCopy(); err != nil {
+				return nil, err
+			}
 		}
+	} else {
+		sc.fold.groups = make(map[string]*aggGroup) // a re-pulled plan folds afresh
 	}
-	if !mergeableAggregates(aggs) {
-		return nil
-	}
-	return &parAggPlan{sc: sc, pred: joinConjuncts(preds), workers: db.maxWorkers}
-}
-
-// parAggGroup is one worker's (and after merging, the gather's) partial
-// GROUP BY state, carrying the minimal scan ordinal at which the group
-// was first seen so merged groups can be restored to serial first-seen
-// order.
-type parAggGroup struct {
-	keys    []Value
-	states  []aggState
-	repRow  Row
-	firstID int
-}
-
-// runAggregationParallel is the fork-join parallel counterpart of
-// runAggregation: workers claim morsels, filter, and fold rows into
-// private group maps; the owner joins them, merges the partial states,
-// and returns groups in exactly the serial first-seen order. Workers are
-// spawned and joined inside this call — no pool outlives it.
-func runAggregationParallel(stmt *SelectStmt, par *parAggPlan, aggs []*FuncCall,
-	db *Database, params []Value, qc *queryCtx) ([]*aggGroup, error) {
-
-	sc := par.sc
-	var snap *snapshot
-	if qc != nil {
-		snap = qc.snap
-	}
-	fromRange := sc.rangeIdx != nil
-	ids := sc.ids
-	var rangeSkipped uint64
-	if fromRange && ids == nil {
-		ids, rangeSkipped = collectRangeIDs(sc.table, sc.rangeIdx.Column,
-			sc.rangeIdx.orderedEntries(), sc.spec, snap)
-	}
-	src := newMorselSource(sc.table, ids, snap)
-	src.countAccessPath(fromRange, qc)
-	if qc != nil {
-		qc.tombstonesSkipped += rangeSkipped
-	}
-	nMorsels := src.morsels()
-	nw := par.workers
-	if nw > nMorsels {
-		nw = nMorsels
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	type workerResult struct {
-		groups      map[string]*parAggGroup
-		scanned     uint64
-		tombSkipped uint64
-		decoded     uint64
-		errID       int
-		err         error
-	}
-	results := make([]workerResult, nw)
 	var claim atomic.Int64
 	var abort atomic.Bool
-	var wg sync.WaitGroup
-
-	// Compile every worker's expressions on the owner goroutine.
-	type workerExprs struct {
-		env        *evalEnv
-		pred       compiledExpr
-		groupExprs []compiledExpr
-		argExprs   []compiledExpr
-	}
-	exprs := make([]workerExprs, nw)
-	for w := 0; w < nw; w++ {
-		env := newEvalEnv(sc.cols, db, params, nil, nil)
-		we := workerExprs{env: env}
-		if par.pred != nil {
-			p, err := compileExpr(par.pred, env)
-			if err != nil {
-				return nil, err
+	errs := make([]error, len(insts))
+	run := func(w int) {
+		defer insts[w].release()
+		for {
+			idx := int(claim.Add(1)) - 1
+			if idx >= nMorsels || abort.Load() || qc.cancelled() != nil {
+				return
 			}
-			we.pred = p
-		}
-		we.groupExprs = make([]compiledExpr, len(stmt.GroupBy))
-		for i, ge := range stmt.GroupBy {
-			c, err := compileExpr(ge, env)
-			if err != nil {
-				return nil, err
-			}
-			we.groupExprs[i] = c
-		}
-		we.argExprs = make([]compiledExpr, len(aggs))
-		for i, fc := range aggs {
-			if fc.Star || len(fc.Args) == 0 {
-				continue
-			}
-			c, err := compileExpr(fc.Args[0], env)
-			if err != nil {
-				return nil, err
-			}
-			we.argExprs[i] = c
-		}
-		exprs[w] = we
-	}
-
-	total := src.total()
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go func(w int) {
-			defer func() {
-				parallelWorkersActive.Add(-1)
-				wg.Done()
-			}()
-			we := exprs[w]
-			res := &results[w]
-			res.groups = make(map[string]*parAggGroup)
-			res.errID = -1
-			keyVals := make([]Value, len(stmt.GroupBy))
-			var kb []byte
-			fail := func(ordinal int, err error) {
-				res.errID, res.err = ordinal, err
+			if errs[w] = insts[w].foldBatch(idx); errs[w] != nil {
 				abort.Store(true)
+				return
 			}
-			// foldRow filters and folds one visible row into the worker's
-			// partial groups. pos is the row's scan ordinal (slot position
-			// for heap rows, lo+j for sealed rows — both monotone in slot
-			// order, so first-seen ordering merges identically). Returns
-			// false after fail().
-			foldRow := func(r Row, pos, idx int) bool {
-				res.scanned++
-				we.env.row = r
-				if we.pred != nil {
-					v, err := we.pred()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					if v.IsNull() || !v.AsBool() {
-						return true
-					}
-				}
-				kb = kb[:0]
-				for i, ge := range we.groupExprs {
-					v, err := ge()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					keyVals[i] = v
-					kb = appendValueKey(kb, v)
-				}
-				g, ok := res.groups[string(kb)]
-				if !ok {
-					states := make([]aggState, len(aggs))
-					for i, fc := range aggs {
-						st, err := newAggState(fc)
-						if err != nil {
-							fail(pos, err)
-							return false
-						}
-						states[i] = st
-					}
-					g = &parAggGroup{
-						keys:    append([]Value{}, keyVals...),
-						states:  states,
-						repRow:  r.Clone(),
-						firstID: pos,
-					}
-					res.groups[string(kb)] = g
-				}
-				for i, fc := range aggs {
-					if fc.Star {
-						g.states[i].add(Int(1))
-						continue
-					}
-					if we.argExprs[i] == nil {
-						continue
-					}
-					v, err := we.argExprs[i]()
-					if err != nil {
-						fail(pos, err)
-						return false
-					}
-					// Order-sensitive float states take the morsel
-					// ordinal so partial sums fold in morsel order.
-					if ma, ok := g.states[i].(morselAdder); ok {
-						ma.addMorsel(v, idx)
-					} else {
-						g.states[i].add(v)
-					}
-				}
-				return true
-			}
-			for {
-				idx := int(claim.Add(1)) - 1
-				if idx >= nMorsels || abort.Load() {
-					return
-				}
-				if qc != nil && qc.cancelled() != nil {
-					return
-				}
-				lo := idx * morselSize
-				if rows, ok := src.sealedBlockRows(idx); ok {
-					res.decoded++
-					for j, r := range rows {
-						if !foldRow(r, lo+j, idx) {
-							return
-						}
-					}
-					continue
-				}
-				hi := lo + morselSize
-				if hi > total {
-					hi = total
-				}
-				for pos := lo; pos < hi; pos++ {
-					r, skip := src.morselRow(pos)
-					if r == nil {
-						if skip {
-							res.tombSkipped++
-						}
-						continue
-					}
-					if !foldRow(r, pos, idx) {
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Owner-side merge: counters first, then errors/cancellation, then
-	// the partial states keyed by group, keeping per group the identity
-	// (keys, repRow) of its smallest scan ordinal — the row the serial
-	// fold would have seen first.
-	var scanned, tombSkipped, decoded uint64
-	for w := range results {
-		scanned += results[w].scanned
-		tombSkipped += results[w].tombSkipped
-		decoded += results[w].decoded
-	}
-	if qc != nil {
-		qc.rowsScanned += scanned
-		qc.tombstonesSkipped += tombSkipped
-		qc.decodedBlocks += decoded
-		if decoded > 0 {
-			qc.segmentScans++
 		}
 	}
-	// Merged counters land on the (never-pulled) scanOp retained for
-	// EXPLAIN, so treeScanned and the scanned= annotation stay truthful.
-	sc.scanned += scanned
-	sc.tombSkipped += tombSkipped + rangeSkipped
-	if qc != nil {
-		if err := qc.cancelled(); err != nil {
-			return nil, err
+	if len(insts) == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range insts {
+			wg.Add(1)
+			parallelWorkersActive.Add(1)
+			go func(w int) {
+				defer func() {
+					parallelWorkersActive.Add(-1)
+					wg.Done()
+				}()
+				run(w)
+			}(w)
+		}
+		wg.Wait()
+		// Workers' counters land on the planner's instance — the node
+		// EXPLAIN shows — and through it on the per-query recorder.
+		for _, inst := range insts {
+			sc.account(inst.cnt)
 		}
 	}
+	if err := qc.cancelled(); err != nil {
+		return nil, err
+	}
+	// The error the serial fold would have hit first: smallest scan ordinal.
 	var firstErr error
-	firstErrID := -1
-	for w := range results {
-		if results[w].err != nil && (firstErrID < 0 || results[w].errID < firstErrID) {
-			firstErr, firstErrID = results[w].err, results[w].errID
+	firstErrAt := -1
+	for w, err := range errs {
+		if at := insts[w].fold.errAt; err != nil && (firstErr == nil || at < firstErrAt) {
+			firstErr, firstErrAt = err, at
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 
-	merged := make(map[string]*parAggGroup)
-	for w := range results {
-		for key, g := range results[w].groups {
+	// Merge the partial states keyed by group, keeping per group the
+	// identity (keys, repRow) of its smallest scan ordinal — the row the
+	// serial fold would have seen first — then restore first-seen order
+	// (ordinals are unique: one row founds one group).
+	merged := insts[0].fold.groups
+	for _, inst := range insts[1:] {
+		for key, g := range inst.fold.groups {
 			m, ok := merged[key]
 			if !ok {
 				merged[key] = g
@@ -1069,38 +535,19 @@ func runAggregationParallel(stmt *SelectStmt, par *parAggPlan, aggs []*FuncCall,
 			}
 		}
 	}
-	ordered := make([]*parAggGroup, 0, len(merged))
+	groups := make([]*aggGroup, 0, len(merged))
 	for _, g := range merged {
-		ordered = append(ordered, g)
+		groups = append(groups, g)
 	}
-	sortParAggGroups(ordered)
-	groups := make([]*aggGroup, len(ordered))
-	for i, g := range ordered {
-		groups[i] = &aggGroup{keys: g.keys, states: g.states, repRow: g.repRow}
-	}
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		states := make([]aggState, len(aggs))
-		for i, fc := range aggs {
-			st, err := newAggState(fc)
-			if err != nil {
-				return nil, err
-			}
-			states[i] = st
+	sort.Slice(groups, func(a, b int) bool { return groups[a].firstID < groups[b].firstID })
+	if len(sc.groupBy) == 0 && len(groups) == 0 {
+		g, err := emptyAggGroup(sc.aggs, len(sc.cols))
+		if err != nil {
+			return nil, err
 		}
-		repRow := make(Row, len(sc.cols))
-		for i := range repRow {
-			repRow[i] = Null
-		}
-		groups = append(groups, &aggGroup{states: states, repRow: repRow})
+		groups = append(groups, g)
 	}
 	return groups, nil
-}
-
-// sortParAggGroups restores merged groups to serial first-seen order by
-// their minimal scan ordinals (which are unique — one row founds one
-// group).
-func sortParAggGroups(gs []*parAggGroup) {
-	sort.Slice(gs, func(a, b int) bool { return gs[a].firstID < gs[b].firstID })
 }
 
 // keyPartition assigns an encoded join key to one of n build partitions

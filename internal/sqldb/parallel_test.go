@@ -15,13 +15,14 @@ import (
 // property under parallelism, plus the satellite fast paths that rode
 // along (range-shaped DML WHERE, index-served multi-key ORDER BY).
 
-// lowerParallelMinRows drops the parallel threshold so small test corpora
-// take the parallel paths, restoring it afterwards.
-func lowerParallelMinRows(t testing.TB, n int) {
+// lowerMorselMinRows drops the one size gate so small test corpora take
+// the batch pipeline (and, on a pooled database, the worker pool),
+// restoring it afterwards.
+func lowerMorselMinRows(t testing.TB, n int) {
 	t.Helper()
-	old := parallelMinRows
-	parallelMinRows = n
-	t.Cleanup(func() { parallelMinRows = old })
+	old := morselMinRows
+	morselMinRows = n
+	t.Cleanup(func() { morselMinRows = old })
 }
 
 // assertNoWorkerLeak asserts every spawned worker goroutine has exited.
@@ -79,7 +80,7 @@ func equivPred(r *rand.Rand) string {
 // identical results — same rows, same order — across scans, parallel
 // aggregation, elided orders, and LIMIT truncation.
 func TestSerialParallelEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	par, ser, plain := equivDBs()
 	all := []*Database{par, ser, plain}
 	r := rand.New(rand.NewSource(2025))
@@ -106,8 +107,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel seq scan") {
-		t.Fatalf("pooled db did not plan a parallel scan:\n%s", strings.Join(plan, "\n"))
+	if !strings.Contains(strings.Join(plan, "\n"), "batch seq scan m (as m) workers=4") {
+		t.Fatalf("pooled db did not plan a pooled batch scan:\n%s", strings.Join(plan, "\n"))
 	}
 
 	queries := func(pred string, r *rand.Rand) []string {
@@ -235,7 +236,7 @@ func TestParallelScanAbandonedCursor(t *testing.T) {
 }
 
 // TestParallelExplainAnalyzeWorkersAndAccounting: EXPLAIN ANALYZE renders
-// workers=N on parallel operators, and the per-operator accounting
+// workers=N on pooled batch scans, and the per-operator accounting
 // property — the sum of per-operator scanned counts equals the per-query
 // RowsScanned — holds when the rows were scanned by a worker pool.
 func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
@@ -247,8 +248,15 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := strings.Join(a.Plan, "\n")
-	if !strings.Contains(plan, "parallel seq scan") || !strings.Contains(plan, "workers=4") {
-		t.Fatalf("analyzed plan missing parallel scan annotation:\n%s", plan)
+	// One node kind: the pool and the kernels annotate the same line.
+	if !strings.Contains(plan, "batch seq scan big (as big) workers=4 vectorized 3/3") {
+		t.Fatalf("analyzed plan missing the pooled, vectorized batch scan line:\n%s", plan)
+	}
+	if !strings.Contains(plan, "batches=") {
+		t.Fatalf("analyzed plan missing batches= accounting:\n%s", plan)
+	}
+	if a.Stats.VectorBatches == 0 {
+		t.Fatal("pooled scan ran no vector batches")
 	}
 	if !strings.Contains(plan, "scanned=") {
 		t.Fatalf("analyzed plan missing scanned= accounting:\n%s", plan)
@@ -265,8 +273,15 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = strings.Join(a.Plan, "\n")
-	if !strings.Contains(plan, "parallel workers=4") {
-		t.Fatalf("analyzed aggregate plan missing parallel annotation:\n%s", plan)
+	// The aggregate is folded inside the scan's workers; the aggregate
+	// node no longer claims "parallel" or "vectorized" for itself.
+	if !strings.Contains(plan, "(folded in scan)") ||
+		!strings.Contains(plan, "batch seq scan big (as big) workers=4 vectorized 2/2") ||
+		strings.Contains(plan, "(parallel") || strings.Contains(plan, "(vectorized)") {
+		t.Fatalf("analyzed aggregate plan missing the folded pooled scan:\n%s", plan)
+	}
+	if a.Stats.VectorBatches == 0 {
+		t.Fatal("pooled aggregation ran no vector batches")
 	}
 	if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
 		t.Fatalf("agg: per-operator scanned %d != per-query RowsScanned %d", got, want)
@@ -279,7 +294,7 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 // mergeable aggregate — identical values AND identical first-seen group
 // order.
 func TestParallelAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(11))
@@ -332,7 +347,7 @@ func TestParallelAggEquivalence(t *testing.T) {
 // serial build, NULL build keys dropped, and the plan annotated with the
 // build worker count.
 func TestParallelJoinBuildEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 64)
+	lowerMorselMinRows(t, 64)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(13))
@@ -589,7 +604,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 // exactly-representable values (quarters), every association is exact,
 // so serial and parallel results must additionally be bit-identical.
 func TestParallelFloatAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(17))
@@ -614,8 +629,8 @@ func TestParallelFloatAggEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel") {
-		t.Fatalf("float SUM did not plan parallel aggregation:\n%s", strings.Join(plan, "\n"))
+	if text := strings.Join(plan, "\n"); !strings.Contains(text, "(folded in scan)") || !strings.Contains(text, "workers=4") {
+		t.Fatalf("float SUM did not plan pooled partial aggregation:\n%s", strings.Join(plan, "\n"))
 	}
 	queries := []string{
 		"SELECT SUM(v), AVG(v), TOTAL(v) FROM f",

@@ -17,9 +17,9 @@ import (
 // and future snapshot — into column-major blocks of segBlockSlots slots,
 // compressed per column (zigzag-delta varints for ints, byte-aligned XOR
 // for floats, dictionary coding for strings, bitmaps for bools, and a raw
-// fallback for mixed-kind columns). Vectorized scans (vecops.go) and
-// parallel morsels (parallel.go) decode a block at a time instead of
-// chasing version pointers; everything else keeps reading the heap.
+// fallback for mixed-kind columns). Large scans (source.go) decode a block
+// at a time instead of chasing version pointers; everything else keeps
+// reading the heap.
 //
 // Because segments are redundant with the heap, correctness never depends
 // on them: DML that touches a covered slot simply drops the covering
@@ -31,8 +31,8 @@ import (
 // dropped.
 
 // segBlockSlots is the number of heap slots one sealed block spans. It
-// equals morselSize so a parallel morsel is always either fully sealed or
-// fully heap-resident.
+// equals morselSize so a morsel is always either fully sealed or fully
+// heap-resident.
 const segBlockSlots = morselSize
 
 // segMaxBlocks bounds the blocks per segment so unsealing on DML drops a

@@ -163,6 +163,9 @@ func TestSegmentDecodeCorruptionSafe(t *testing.T) {
 // for `blocks` full sealable blocks, then seals synchronously.
 func sealedTestDB(t testing.TB, blocks int) *Database {
 	t.Helper()
+	// A few blocks sit far below the production size gate; lower it so
+	// scans of this table take the batch pipeline and read the segments.
+	lowerMorselMinRows(t, 1)
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE s (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
 	words := []string{"ant", "bee", "cat", "dge", "eel"}

@@ -31,29 +31,18 @@ type projectOp struct {
 	citems    []compiledExpr
 	orderKeys []compiledExpr // nil without ORDER BY
 	oenv      *evalEnv       // output-row environment the keys read from
-	vec       *vecProjPlan   // non-nil: items read from the scan's batches
-	arena     rowArena
+	// fused: the batch scan below evaluated the items itself (vecops.go) and
+	// hands up finished output rows.
+	fused bool
+	arena rowArena
 }
 
 func (p *projectOp) columns() []colInfo { return p.outCols }
 func (p *projectOp) reset()             { p.child.reset() }
 
 func (p *projectOp) next() (Row, bool, error) {
-	if p.vec != nil {
-		// Vectorized projection: pull through the child (so EXPLAIN
-		// ANALYZE wrappers keep counting), then read the emitted row's
-		// item values from the per-batch kernel results by ordinal.
-		_, ok, err := p.child.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		cols := p.vec.itemCols()
-		i := p.vec.src.lastIdx
-		out := p.arena.alloc(len(cols))
-		for j, c := range cols {
-			out[j] = c.at(i)
-		}
-		return out, true, nil
+	if p.fused {
+		return p.child.next()
 	}
 	r, ok, err := p.child.next()
 	if err != nil || !ok {
@@ -100,8 +89,9 @@ type groupOp struct {
 	params    []Value
 	outer     *evalEnv
 	qc        *queryCtx
-	par       *parAggPlan // non-nil: fused parallel partial aggregation
-	vec       *vecAggPlan // non-nil: vectorized scan+filter+aggregate drain
+	// bat, when set, is the batch scan that folds the aggregation itself,
+	// morsel by morsel (runAggregationBatch); child is then only displayed.
+	bat *vecScanOp
 
 	built   bool
 	groups  []*aggGroup
@@ -122,12 +112,9 @@ func (g *groupOp) next() (Row, bool, error) {
 	if !g.built {
 		var groups []*aggGroup
 		var err error
-		switch {
-		case g.par != nil:
-			groups, err = runAggregationParallel(g.stmt, g.par, g.aggs, g.db, g.params, g.qc)
-		case g.vec != nil:
-			groups, err = runAggregationVec(g.stmt, g.vec, g.child, g.aggs)
-		default:
+		if g.bat != nil {
+			groups, err = runAggregationBatch(g.bat)
+		} else {
 			groups, err = runAggregation(g.stmt, g.child, g.aggs, g.db, g.params, g.outer, g.qc)
 		}
 		if err != nil {
@@ -544,23 +531,36 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		src, orderElided = tryOrderedScan(stmt, items, src, qc)
 	}
 
-	// Morsel-parallel scan (parallel.go): top-level, single-table,
-	// order-preserving-by-gather paths only. Elided index orders stay
-	// serial (their streaming is the point), and a bare LIMIT window
-	// without ORDER BY stays serial so the scan-ahead workers never read
-	// rows the window will not emit.
-	if topLevel && outer == nil && !aggregate && !orderElided && len(stmt.Joins) == 0 &&
-		!((stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0) {
-		src = tryParallelScan(src, db, params, qc)
+	// needSort: an ORDER BY the index order does not already satisfy. A
+	// fully elided single-key order stacks no sortOp at all (rows carry no
+	// key extension); an elided leading key with trailing keys keeps a
+	// streaming tie-sort over all the keys.
+	needSort := len(stmt.OrderBy) > 0 && (!orderElided || len(stmt.OrderBy) > 1)
+
+	// Collect the aggregate calls the query references anywhere.
+	var aggs []*FuncCall
+	if aggregate {
+		for _, it := range items {
+			aggs = collectAggregates(it.Expr, aggs)
+		}
+		if stmt.Having != nil {
+			aggs = collectAggregates(stmt.Having, aggs)
+		}
+		for _, ob := range stmt.OrderBy {
+			aggs = collectAggregates(ob.Expr, aggs)
+		}
 	}
 
-	// Vectorized batch execution (vecops.go): claims unrestricted
-	// seq-scan chains the parallel scan did not take (a parScanOp no
-	// longer bottoms out in a scanOp, so the hook passes it through).
-	// The compiler is kept so projection items can be vectorized below.
-	var vcomp *vecCompiler
-	if !aggregate && !orderElided {
-		src, vcomp = tryVectorize(src, db, params, qc)
+	// The scan driver (vecops.go): a large single-table input runs through
+	// the batch pipeline, on the worker pool when the shape allows. (An
+	// elided index order no longer bottoms out in a plain scan, so it keeps
+	// its ordered scan — the streaming is the point.)
+	src, bscan, err := planScanDriver(src, scanShape{
+		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
+		needSort: needSort, poolable: topLevel && outer == nil,
+	}, db, params, outer, qc)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// LIMIT / OFFSET are constant expressions; fold them at plan time.
@@ -587,11 +587,6 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// group's representative row and env.agg carries the group context.
 	env := newEvalEnv(src.columns(), db, params, outer, qc)
 
-	// needSort: an ORDER BY the index order does not already satisfy. A
-	// fully elided single-key order stacks no sortOp at all (rows carry no
-	// key extension); an elided leading key with trailing keys keeps a
-	// streaming tie-sort over all the keys.
-	needSort := len(stmt.OrderBy) > 0 && (!orderElided || len(stmt.OrderBy) > 1)
 	var oenv *evalEnv
 	var orderKeys []compiledExpr
 	compileOrder := func() error {
@@ -614,17 +609,6 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 
 	var root operator
 	if aggregate {
-		// Collect the aggregate calls the query references anywhere.
-		var aggs []*FuncCall
-		for _, it := range items {
-			aggs = collectAggregates(it.Expr, aggs)
-		}
-		if stmt.Having != nil {
-			aggs = collectAggregates(stmt.Having, aggs)
-		}
-		for _, ob := range stmt.OrderBy {
-			aggs = collectAggregates(ob.Expr, aggs)
-		}
 		groupStrs := make([]string, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			groupStrs[i] = g.String()
@@ -647,55 +631,31 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		if err := compileOrder(); err != nil {
 			return nil, nil, err
 		}
-		// Fused parallel partial aggregation, when the input is a large
-		// single-table scan and every aggregate merges exactly.
-		var par *parAggPlan
-		if topLevel && outer == nil && len(stmt.Joins) == 0 {
-			par = tryParallelAgg(stmt, src, aggs, db, qc)
-			if par == nil {
-				// Partial states did not merge (e.g. DISTINCT aggregates),
-				// but when the consumer is provably order-insensitive the
-				// scan itself can still parallelize, gathered in morsel
-				// completion order.
-				src = tryParallelScanUnordered(stmt, items, src, aggs, db, params, qc)
-			}
-		}
-		var vagg *vecAggPlan
-		if par == nil {
-			var avc *vecCompiler
-			src, avc = tryVectorize(src, db, params, qc)
-			if avc != nil {
-				vagg = tryVectorizeAgg(src.(*vecScanOp), avc, stmt, aggs, qc)
-			}
-		}
 		root = &groupOp{
 			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env,
 			citems: citems, having: having, orderKeys: orderKeys, oenv: oenv,
 			outCols: outCols, db: db, params: params, outer: outer, qc: qc,
-			par: par, vec: vagg,
+		}
+		if bscan != nil && bscan.folds {
+			root.(*groupOp).bat = bscan
 		}
 	} else {
-		citems := make([]compiledExpr, len(items))
-		for i, it := range items {
-			if citems[i], err = compileExpr(it.Expr, env); err != nil {
-				return nil, nil, err
+		fused := bscan != nil && bscan.proj != nil
+		var citems []compiledExpr
+		if !fused { // a fused scan compiled the items into its own pipeline
+			citems = make([]compiledExpr, len(items))
+			for i, it := range items {
+				if citems[i], err = compileExpr(it.Expr, env); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 		if err := compileOrder(); err != nil {
 			return nil, nil, err
 		}
-		// Fully vectorized projection: only without ORDER BY keys (key
-		// evaluation reads the projected output row) and when every item
-		// compiles to a kernel.
-		var vproj *vecProjPlan
-		if vcomp != nil && orderKeys == nil {
-			if vsc, ok := src.(*vecScanOp); ok {
-				vproj = tryVectorizeProj(vsc, vcomp, items, qc)
-			}
-		}
 		root = &projectOp{
 			child: src, outCols: outCols, items: items, env: env,
-			citems: citems, orderKeys: orderKeys, oenv: oenv, vec: vproj,
+			citems: citems, orderKeys: orderKeys, oenv: oenv, fused: fused,
 		}
 	}
 

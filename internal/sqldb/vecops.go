@@ -1,384 +1,540 @@
 package sqldb
 
-// This file implements the vectorized executor built on the kernels of
-// vector.go: a batch-at-a-time scan with the WHERE conjuncts fused in,
-// plus the planner hooks that swap it in under projections and
-// aggregations. The operator keeps the row-at-a-time `operator` contract
-// towards the rest of the tree — it emits the surviving rows one by one —
-// while internally gathering heap rows (or decoding sealed column
-// segments, segment.go) a batch at a time and running the compiled
-// predicate kernels over whole batches.
+// This file implements the batch pipeline every large single-table scan
+// runs through, and the planner's one decision about it. Above the size
+// gate a filter-stack-over-scan chain becomes a vecScanOp: morsels of
+// visible rows come from the shared batchSource (source.go), each WHERE
+// conjunct runs as a predicate kernel (vector.go) where it compiles and as
+// the row engine's closure over the batch's rows where it does not, and
+// the survivors are emitted as rows, projected in place, or folded into
+// GROUP BY partitions. The same pipeline is driven two ways: by a counter
+// on the owner goroutine, or by pool workers (parallel.go) that each own a
+// private instance and claim morsel ordinals from a shared atomic — so
+// "vectorized" and "parallel" are properties of one scan, not two
+// executors. Below the gate, under an index-served ORDER BY, and wherever
+// vectorEnabled is off, the row iterator (scanOp + filterOp, exec.go)
+// runs instead; it is also the reference the equivalence suites compare
+// this pipeline against.
 //
-// Accounting is emission-driven so it stays bit-identical to the serial
-// scanOp+filterOp stack even when a LIMIT stops the plan early: gathered
-// rows and the tombstones stepped over before them are counted only when
-// the emission cursor passes them, exactly where the row engine's pull
-// would have counted them.
+// Serial emission accounts lazily so it stays bit-identical to the row
+// iterator even when a LIMIT stops the plan early: gathered rows and the
+// tombstones stepped over before them are billed only when the emission
+// cursor passes them, exactly where the row engine's pull would have.
+// Pool workers and folds never stop early and bill whole batches.
 
-// vectorEnabled switches the vectorized executor on. Package-level so the
-// equivalence and metamorphic suites can force the row engine and compare
-// the two row for row.
+// vectorEnabled switches the batch pipeline on. Package-level so the
+// equivalence and metamorphic suites can force the row iterator and
+// compare the two row for row.
 var vectorEnabled = true
 
-// vecMinRows is the minimum live-row count before a pure-heap scan is
-// worth batching (sealed tables always vectorize). Mirrors
-// parallelMinRows; a variable so tests can lower it.
-var vecMinRows = 4096
+// scanCounts is the work one scan (or one batch of it) did.
+type scanCounts struct {
+	scanned uint64 // visible rows read
+	tombs   uint64 // invisible versions stepped over
+	decoded uint64 // sealed blocks decoded
+	batches uint64 // non-empty batches run
+}
 
-// vecScanOp scans one base table batch-at-a-time with the filter stack's
-// conjuncts compiled to predicate kernels. It replaces an unrestricted
-// filter-over-seq-scan chain; index and range access paths keep the row
-// scan (their id lists are the win already).
+// batchPlan is what one batch scan does, fixed at plan time and shared by
+// every instance of it.
+type batchPlan struct {
+	table    *Table
+	qual     string
+	cols     []colInfo
+	ids      []int // index equality restriction; nil = none
+	rangeIdx *Index
+	rspec    rangeSpec
+	preds    []Expr       // fused WHERE conjuncts
+	items    []SelectItem // projection fused into the scan; nil = emit table rows
+	folds    bool         // the aggregation is folded batch by batch: over
+	groupBy  []Expr       // ... these keys,
+	aggs     []*FuncCall  // ... these aggregates
+	repRows  bool         // the post-aggregation phase reads representative rows
+	above    []Expr       // what the operators above read from emitted table rows
+	db       *Database
+	params   []Value
+	// workers > 1 runs the scan on the pool; unordered lets its gather
+	// take morsels in completion order (parallel.go).
+	workers   int
+	unordered bool
+}
+
+// batchExpr is one expression of the pipeline: a kernel evaluated once
+// per batch when the vector compiler accepts it, else the row engine's
+// closure evaluated per surviving row.
+type batchExpr struct {
+	kern vecExprFn
+	row  compiledExpr
+	col  *vecCol // kern's result over the current batch
+}
+
+// batchFold is one instance's partial GROUP BY state.
+type batchFold struct {
+	keys    []batchExpr
+	args    []batchExpr // indexed like aggs; zero for COUNT(*) / no-arg
+	groups  map[string]*aggGroup
+	keyVals []Value
+	kb      []byte
+	errAt   int // scan ordinal of the row a fold error was raised on
+}
+
+// vecScanOp is one instance of a batch scan. The planner's instance is
+// the plan's display node and counter sink, and runs the scan itself when
+// it is serial; pooled scans give every worker a private copy
+// (workerCopy), because kernels, closures and the batch own scratch
+// state.
 type vecScanOp struct {
-	table  *Table
-	qual   string
-	cols   []colInfo
-	preds  []Expr // fused conjuncts, retained for EXPLAIN
-	vpreds []vecPredFn
-	need   []bool // column ordinals the compiled kernels read
-	qc     *queryCtx
+	batchPlan
+	outer *evalEnv  // owner's instance only
+	qc    *queryCtx // owner's instance only: workers never touch it
 
-	// needRows: emitted rows must be real full-width rows (row-projection
-	// or aggregation consumers). The vectorized projection path clears it:
-	// items are read from batch columns, so sealed blocks skip row
-	// materialisation and decode only the needed columns.
-	needRows bool
-	// curBlk is the sealed block behind the current batch (nil for heap
-	// stretches). Kept so materializeRow can decode columns the kernels
-	// did not need lazily — once per batch, and only for batches that
-	// actually discover a new aggregation group.
-	curBlk *segBlock
-	matSeq uint64    // batch generation matBuf belongs to
-	matBuf [][]Value // lazily decoded full columns, indexed by ordinal
+	env      *evalEnv
+	vpreds   []vecPredFn    // per conjunct; nil where it did not compile
+	cpreds   []compiledExpr // the closure for those
+	proj     []batchExpr
+	fold     *batchFold
+	need     []bool // column ordinals anything reads
+	needRows bool   // something reads b.rows
+	kernels  int    // expressions compiled to kernels ...
+	exprs    int    // ... of this many in the pipeline
 
-	inited  bool
-	counted bool
-	done    bool
-	snap    *snapshot
-	arr     []*rowSlot
-	n       int
-	segs    []*segment
-	slotPos int
-	carry   int64 // tombstones stepped over since the previous gathered row
+	src *batchSource // captured by open, shared with worker copies
+	b   *vecBatch    // from batchPool; nil between scans
+	cnt scanCounts
 
-	b       vecBatch
-	seq     uint64 // batch generation, for consumers caching kernel results
-	have    bool   // b holds an unconsumed batch
-	emitPos int    // next batch ordinal to account/emit
-	lastIdx int    // batch ordinal of the row the last next() returned
+	// Serial driver: next morsel, emission cursor, and the tombstones seen
+	// since the last gathered row.
+	idx     int
+	emitPos int
+	carry   int32
 
 	arena  rowArena
-	colBuf [][]Value
-	rowBuf []Row
+	matBuf [][]Value // columns of the current sealed block decoded on demand
+}
 
-	scanned     uint64 // per-operator counters (EXPLAIN ANALYZE)
-	tombSkipped uint64
-	segScans    uint64
-	decBlocks   uint64
-	batches     uint64
+// compile builds this instance's kernels and closures and derives which
+// columns (and whether rows) the batches must carry.
+func (s *vecScanOp) compile() error {
+	if s.env == nil {
+		s.env = newEvalEnv(s.cols, s.db, s.params, s.outer, s.qc)
+	}
+	vc := newVecCompiler(s.env)
+	closure := func(e Expr) (compiledExpr, error) {
+		vc.markRefs(e)
+		s.needRows = true
+		return compileExpr(e, s.env)
+	}
+	s.vpreds = make([]vecPredFn, len(s.preds))
+	s.cpreds = make([]compiledExpr, len(s.preds))
+	for i, p := range s.preds {
+		s.exprs++
+		var ok bool
+		if s.vpreds[i], ok = vc.compilePred(p); ok {
+			s.kernels++
+			continue
+		}
+		var err error
+		if s.cpreds[i], err = closure(p); err != nil {
+			return err
+		}
+	}
+	expr := func(e Expr) (batchExpr, error) {
+		s.exprs++
+		if k, ok := vc.compileExpr(e); ok {
+			s.kernels++
+			return batchExpr{kern: k}, nil
+		}
+		c, err := closure(e)
+		return batchExpr{row: c}, err
+	}
+	var err error
+	if s.items != nil {
+		s.proj = make([]batchExpr, len(s.items))
+		for i, it := range s.items {
+			if s.proj[i], err = expr(it.Expr); err != nil {
+				return err
+			}
+		}
+	}
+	if s.folds {
+		f := &batchFold{
+			keys:    make([]batchExpr, len(s.groupBy)),
+			args:    make([]batchExpr, len(s.aggs)),
+			groups:  make(map[string]*aggGroup),
+			keyVals: make([]Value, len(s.groupBy)),
+		}
+		for i, ge := range s.groupBy {
+			if f.keys[i], err = expr(ge); err != nil {
+				return err
+			}
+		}
+		for i, fc := range s.aggs {
+			if fc.Star || len(fc.Args) == 0 {
+				continue
+			}
+			if f.args[i], err = expr(fc.Args[0]); err != nil {
+				return err
+			}
+		}
+		s.fold = f
+	}
+	if s.items == nil && !s.folds {
+		s.needRows = true // table rows are the output
+		for _, e := range s.above {
+			vc.markRefs(e)
+		}
+	}
+	s.need = vc.need
+	return nil
+}
+
+// workerCopy builds a pool worker's private instance over the same plan
+// and source. Owner goroutine only: compilation reads planner state.
+func (s *vecScanOp) workerCopy() (*vecScanOp, error) {
+	w := &vecScanOp{batchPlan: s.batchPlan, src: s.src}
+	// A private row slot over the planner's (immutable) name lookup.
+	w.env = &evalEnv{cols: s.cols, lookup: s.env.lookup, params: s.params, db: s.db}
+	return w, w.compile()
 }
 
 func (s *vecScanOp) columns() []colInfo { return s.cols }
 
+// reset rewinds the serial driver. The source and the access-path record
+// persist, as scanOp's do.
 func (s *vecScanOp) reset() {
-	s.done = false
-	s.have = false
-	s.slotPos = 0
-	s.carry = 0
-	s.emitPos = 0
-	// inited and counted persist: the snapshot, slot array and access-path
-	// record are per-operator, as in scanOp.
+	s.idx, s.emitPos, s.carry = 0, 0, 0
+	s.release()
 }
 
-func (s *vecScanOp) next() (Row, bool, error) {
-	b, i, ok, err := s.emitNext()
-	if err != nil || !ok {
-		return nil, false, err
+// release hands the batch back to the pool once nothing will read it
+// again: at the end of a scan or fold, and when a pool worker exits.
+// Anything emitted from it has been consumed by then — operators above a
+// scan copy what they keep.
+func (s *vecScanOp) release() {
+	if s.b != nil {
+		batchPool.Put(s.b)
+		s.b = nil
 	}
-	if b.rows != nil {
-		return b.rows[i], true, nil
-	}
-	// Row-free batch (fully vectorized projection): the consumer reads
-	// batch columns via lastIdx, not the returned row.
-	return nil, true, nil
 }
 
-// emitNext advances the emission cursor to the next filter-surviving row,
-// folding the counters of every row and tombstone it passes — the lazy
-// walk that keeps totals identical to the row engine under early stops.
-func (s *vecScanOp) emitNext() (*vecBatch, int, bool, error) {
-	if !s.inited {
-		s.inited = true
-		if s.qc != nil {
-			s.snap = s.qc.snap
-		}
-		s.arr, s.n = s.table.loadSlots()
-		if !debugDisableTombstoneSkip {
-			s.segs = s.table.loadSegs()
-		}
-		s.colBuf = make([][]Value, len(s.table.Columns))
-		s.b.cols = make([]vecCol, len(s.table.Columns))
-		s.b.pre = make([]int32, vecBatchRows)
+// open captures the iteration space on first use: range ids are
+// materialised, the source snapshots the table, and the access path is
+// recorded once. Owner goroutine only.
+func (s *vecScanOp) open() {
+	if s.src != nil {
+		return
 	}
+	var snap *snapshot
 	if s.qc != nil {
-		if !s.counted {
-			s.counted = true
+		snap = s.qc.snap
+	}
+	if s.rangeIdx != nil && s.ids == nil {
+		var skipped uint64
+		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx.Column,
+			s.rangeIdx.orderedEntries(), s.rspec, snap)
+		s.account(scanCounts{tombs: skipped})
+	}
+	s.src = newBatchSource(s.table, s.ids, snap)
+	if s.qc != nil {
+		switch {
+		case s.rangeIdx != nil:
+			s.qc.indexRangeScans++
+		case s.ids != nil:
+			s.qc.indexScans++
+		default:
 			s.qc.fullScans++
 		}
-		if err := s.qc.tickCancelled(); err != nil {
-			return nil, 0, false, err
-		}
-	}
-	for {
-		if s.have {
-			for s.emitPos < s.b.n {
-				i := s.emitPos
-				s.emitPos++
-				if p := s.b.pre[i]; p > 0 {
-					s.tombSkipped += uint64(p)
-					if s.qc != nil {
-						s.qc.tombstonesSkipped += uint64(p)
-					}
-				}
-				s.scanned++
-				if s.qc != nil {
-					s.qc.rowsScanned++
-				}
-				if s.b.sel.get(i) {
-					s.lastIdx = i
-					return &s.b, i, true, nil
-				}
-			}
-			s.have = false
-		}
-		if s.done {
-			return nil, 0, false, nil
-		}
-		if err := s.loadBatch(); err != nil {
-			return nil, 0, false, err
-		}
 	}
 }
 
-// loadBatch fills the next non-empty batch, or flushes the trailing
-// tombstone carry and marks the scan done. One sealed block becomes one
-// batch; heap stretches gather up to vecBatchRows visible rows, stopping
-// at sealed-block boundaries so batches never straddle storage formats.
-func (s *vecScanOp) loadBatch() error {
-	for {
-		if s.slotPos >= s.n {
-			// End of the slot array: trailing tombstones are only billed
-			// when the consumer actually drained the scan this far —
-			// exactly when the row engine would have walked them.
-			if s.carry > 0 {
-				s.tombSkipped += uint64(s.carry)
-				if s.qc != nil {
-					s.qc.tombstonesSkipped += uint64(s.carry)
-				}
-				s.carry = 0
-			}
-			s.done = true
-			return nil
-		}
-		var n int
-		var err error
-		if seg := s.coveringSeg(); seg != nil {
-			n, err = s.loadSealed(seg)
-		} else {
-			n = s.loadHeap()
-		}
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			continue
-		}
-		s.b.n = n
-		s.b.sel = maskTo(n)
-		for _, p := range s.vpreds {
-			var t, nl vecBitset
-			p(&s.b, &t, &nl)
-			for w := range s.b.sel {
-				s.b.sel[w] &= t[w] // false and NULL both drop, as filterOp
-			}
-		}
-		s.seq++
-		s.b.seq = s.seq
-		s.have = true
-		s.emitPos = 0
-		s.batches++
-		if s.qc != nil {
-			s.qc.vectorBatches++
-		}
-		return nil
-	}
-}
-
-// coveringSeg returns the sealed segment covering the current position,
-// when the position sits on a block boundary.
-func (s *vecScanOp) coveringSeg() *segment {
-	if s.segs == nil || s.slotPos%segBlockSlots != 0 {
-		return nil
-	}
-	return findSeg(s.segs, s.slotPos)
-}
-
-// loadSealed decodes one sealed block into the batch. Sealed blocks hold
-// no tombstones by construction, so pre stays zero except for the carry
-// from a preceding heap stretch.
-func (s *vecScanOp) loadSealed(seg *segment) (int, error) {
-	blk := seg.block(s.slotPos)
-	s.slotPos += segBlockSlots
-	s.decBlocks++
+// account adds work done to the operator's counters (EXPLAIN ANALYZE)
+// and, on the owner's instance, to the per-query recorder.
+func (s *vecScanOp) account(d scanCounts) {
 	if s.qc != nil {
-		s.qc.decodedBlocks++
-		if s.segScans == 0 {
+		s.qc.rowsScanned += d.scanned
+		s.qc.tombstonesSkipped += d.tombs
+		s.qc.decodedBlocks += d.decoded
+		s.qc.vectorBatches += d.batches
+		if d.decoded > 0 && s.cnt.decoded == 0 {
 			s.qc.segmentScans++
 		}
 	}
-	s.segScans++
-	nr := blk.nrows
-	if nr == 0 {
-		return 0, nil
-	}
-	s.curBlk = blk
-	width := len(s.table.Columns)
-	for c := 0; c < width; c++ {
-		if !s.needRows && !s.need[c] {
-			s.b.cols[c] = vecCol{}
-			continue
-		}
-		buf := s.colBuf[c]
-		if cap(buf) < nr {
-			buf = make([]Value, vecBatchRows)
-			s.colBuf[c] = buf
-		}
-		if err := blk.cols[c].decode(nr, buf[:nr]); err != nil {
-			return 0, err
-		}
-		s.b.cols[c] = vecCol{vals: buf[:nr], kinds: blk.cols[c].kinds}
-	}
-	if s.needRows {
-		if s.rowBuf == nil {
-			s.rowBuf = make([]Row, vecBatchRows)
-		}
-		for j := 0; j < nr; j++ {
-			r := s.arena.alloc(width)
-			for c := 0; c < width; c++ {
-				r[c] = s.b.cols[c].vals[j]
-			}
-			s.rowBuf[j] = r
-		}
-		s.b.rows = s.rowBuf[:nr]
-	} else {
-		s.b.rows = nil
-	}
-	for j := 0; j < nr; j++ {
-		s.b.pre[j] = 0
-	}
-	s.b.pre[0] = int32(s.carry)
-	s.carry = 0
-	return nr, nil
+	s.cnt.scanned += d.scanned
+	s.cnt.tombs += d.tombs
+	s.cnt.decoded += d.decoded
+	s.cnt.batches += d.batches
 }
 
-// loadHeap gathers visible heap rows into the batch, mirroring scanOp's
-// per-slot walk: versionless slots pass silently, invisible versions
-// accumulate into the carry attached to the next gathered row.
-func (s *vecScanOp) loadHeap() int {
-	if s.rowBuf == nil {
-		s.rowBuf = make([]Row, vecBatchRows)
+// fill loads morsel idx and runs the filter over it, leaving the
+// survivors in b.sel and the kernel-backed output expressions evaluated.
+// Only batch-level work is billed here; rows and tombstones are billed by
+// whoever consumes the batch.
+func (s *vecScanOp) fill(idx int) error {
+	if s.b == nil {
+		s.b = getBatch(len(s.cols))
 	}
-	s.curBlk = nil
-	n := 0
-	for n < vecBatchRows && s.slotPos < s.n {
-		if s.segs != nil && s.slotPos%segBlockSlots == 0 &&
-			findSeg(s.segs, s.slotPos) != nil {
-			break // next block is sealed: close the batch at the boundary
-		}
-		head := s.arr[s.slotPos].head.Load()
-		s.slotPos++
-		if head == nil {
+	clear(s.matBuf) // on-demand decodes belonged to the previous batch
+	b := s.b
+	if err := s.src.load(idx, s.need, s.needRows, b); err != nil {
+		return err
+	}
+	var d scanCounts
+	if b.blk != nil {
+		d.decoded = 1
+	}
+	if b.n > 0 {
+		d.batches = 1
+	}
+	s.account(d)
+	b.sel = maskTo(b.n)
+	for i, p := range s.vpreds {
+		if p != nil {
+			b.t, b.nl = vecBitset{}, vecBitset{}
+			p(b, &b.t, &b.nl)
+			for w := range b.sel {
+				b.sel[w] &= b.t[w] // false and NULL both drop, as filterOp
+			}
 			continue
 		}
-		var r Row
-		switch {
-		case debugDisableTombstoneSkip:
-			r = head.row
-		case s.snap == nil:
-			r = latestRow(head)
-		default:
-			r = visibleVersion(head, s.snap)
+		for j := 0; j < b.n; j++ {
+			if !b.sel.get(j) {
+				continue
+			}
+			s.env.row = b.rows[j]
+			v, err := s.cpreds[i]()
+			if err != nil {
+				return err
+			}
+			if v.IsNull() || !v.AsBool() {
+				b.sel.unset(j)
+			}
 		}
-		if r == nil {
-			s.carry++
+	}
+	if b.sel == (vecBitset{}) {
+		return nil
+	}
+	for i := range s.proj {
+		s.proj[i].eval(b)
+	}
+	if f := s.fold; f != nil {
+		for i := range f.keys {
+			f.keys[i].eval(b)
+		}
+		for i := range f.args {
+			f.args[i].eval(b)
+		}
+	}
+	return nil
+}
+
+func (e *batchExpr) eval(b *vecBatch) {
+	if e.kern != nil {
+		e.col = e.kern(b)
+	}
+}
+
+// at returns the expression's value for row i of the current batch.
+func (e *batchExpr) at(s *vecScanOp, i int) (Value, error) {
+	if e.kern != nil {
+		return e.col.at(i), nil
+	}
+	s.env.row = s.b.rows[i]
+	return e.row()
+}
+
+func (s *vecScanOp) next() (Row, bool, error) {
+	s.open()
+	if s.qc != nil {
+		if err := s.qc.tickCancelled(); err != nil {
+			return nil, false, err
+		}
+	}
+	nb := s.src.batches()
+	for {
+		// Advance the emission cursor to the next survivor, billing every
+		// row and tombstone it passes — the lazy walk that keeps totals
+		// identical to the row engine under early stops.
+		for s.b != nil && s.emitPos < s.b.n {
+			i := s.emitPos
+			s.emitPos++
+			s.account(scanCounts{scanned: 1, tombs: uint64(s.b.pre[i])})
+			if s.b.sel.get(i) {
+				r, err := s.rowAt(i)
+				return r, err == nil, err
+			}
+		}
+		if s.idx >= nb {
+			// Trailing tombstones are billed only when the consumer
+			// drained the scan this far — exactly when the row engine
+			// would have walked them.
+			s.account(scanCounts{tombs: uint64(s.carry)})
+			s.carry = 0
+			s.release()
+			return nil, false, nil
+		}
+		if err := s.fill(s.idx); err != nil {
+			return nil, false, err
+		}
+		s.idx++
+		s.emitPos = 0
+		if s.b.n > 0 {
+			s.b.pre[0] += s.carry
+			s.carry = 0
+		}
+		s.carry += s.b.tail
+	}
+}
+
+// rowAt is the output row for position i of the current batch: the fused
+// projection's values when there is one, else the table row (valid until
+// the next fill when the batch is a sealed block's view).
+func (s *vecScanOp) rowAt(i int) (Row, error) {
+	if s.proj == nil {
+		return s.b.rows[i], nil
+	}
+	out := s.arena.alloc(len(s.proj))
+	for j := range s.proj {
+		v, err := s.proj[j].at(s, i)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = v
+	}
+	return out, nil
+}
+
+// eager bills the whole current batch at once, for consumers that never
+// stop inside one (pool workers, folds).
+func (s *vecScanOp) eager() {
+	d := scanCounts{scanned: uint64(s.b.n), tombs: uint64(s.b.tail)}
+	for _, p := range s.b.pre[:s.b.n] {
+		d.tombs += uint64(p)
+	}
+	s.account(d)
+}
+
+// batchRows runs morsel idx and returns its surviving output rows. Rows
+// outlive the batch here (the gather holds several morsels), so a sealed
+// block's row views are copied out of the reusable buffer.
+func (s *vecScanOp) batchRows(idx int) ([]Row, error) {
+	if err := s.fill(idx); err != nil {
+		return nil, err
+	}
+	s.eager()
+	out := make([]Row, 0, s.b.sel.count(s.b.n))
+	for i := 0; i < s.b.n; i++ {
+		if !s.b.sel.get(i) {
 			continue
 		}
-		s.b.pre[n] = int32(s.carry)
-		s.carry = 0
-		s.rowBuf[n] = r
-		n++
+		r, err := s.rowAt(i)
+		if err != nil {
+			return out, err
+		}
+		if s.proj == nil && s.b.blk != nil {
+			r = append(s.arena.alloc(len(r))[:0], r...)
+		}
+		out = append(out, r)
 	}
-	if n == 0 {
-		return 0
+	return out, nil
+}
+
+// foldBatch runs morsel idx and folds its surviving rows into the
+// instance's groups: the one aggregation loop of the batch pipeline,
+// shared by the serial and the pooled driver (runAggregationBatch). Key
+// encoding, representative rows and accumulator folds match the row drain
+// (runAggregation) exactly.
+func (s *vecScanOp) foldBatch(idx int) error {
+	f := s.fold
+	f.errAt = idx * morselSize
+	if err := s.fill(idx); err != nil {
+		return err
 	}
-	s.b.rows = s.rowBuf[:n]
-	for c, needed := range s.need {
-		if !needed {
-			s.b.cols[c] = vecCol{}
+	s.eager()
+	for i := 0; i < s.b.n; i++ {
+		if !s.b.sel.get(i) {
 			continue
 		}
-		buf := s.colBuf[c]
-		if cap(buf) < n {
-			buf = make([]Value, vecBatchRows)
-			s.colBuf[c] = buf
+		f.errAt = idx*morselSize + i
+		f.kb = f.kb[:0]
+		for gi := range f.keys {
+			v, err := f.keys[gi].at(s, i)
+			if err != nil {
+				return err
+			}
+			f.keyVals[gi] = v
+			f.kb = appendValueKey(f.kb, v)
 		}
-		for j := 0; j < n; j++ {
-			buf[j] = s.rowBuf[j][c]
+		g, seen := f.groups[string(f.kb)]
+		if !seen {
+			states, err := newAggStates(s.aggs)
+			if err != nil {
+				return err
+			}
+			g = &aggGroup{keys: append([]Value{}, f.keyVals...), states: states, firstID: f.errAt}
+			if s.repRows {
+				g.repRow = s.materializeRow(i)
+			}
+			f.groups[string(f.kb)] = g
 		}
-		s.b.cols[c].setVals(buf[:n])
+		for ai, fc := range s.aggs {
+			if fc.Star {
+				g.states[ai].add(Int(1))
+				continue
+			}
+			if len(fc.Args) == 0 {
+				continue
+			}
+			v, err := f.args[ai].at(s, i)
+			if err != nil {
+				return err
+			}
+			// Partial float sums are kept per morsel so merged results do
+			// not depend on which worker ran which morsel (agg.go); a
+			// single instance just adds left to right, as the row drain.
+			if ma, ok := g.states[ai].(morselAdder); ok && s.workers > 1 {
+				ma.addMorsel(v, idx)
+			} else {
+				g.states[ai].add(v)
+			}
+		}
 	}
-	return n
+	return nil
 }
 
 // materializeRow builds a full-width row for a batch position: heap
-// batches hand back the original row; sealed batches read the eagerly
-// decoded kernel columns and decode the rest on demand, once per batch —
-// aggregation pays for columns outside its kernels only when a batch
+// batches hand back a copy of the original row; sealed batches read the
+// decoded columns and decode the rest on demand, once per batch —
+// aggregation pays for columns outside its expressions only when a batch
 // actually discovers a new group.
-func (s *vecScanOp) materializeRow(b *vecBatch, i int) Row {
-	if b.rows != nil {
+func (s *vecScanOp) materializeRow(i int) Row {
+	b := s.b
+	if b.blk == nil {
 		return b.rows[i].Clone()
 	}
-	width := len(s.table.Columns)
-	r := make(Row, width)
-	for c := 0; c < width; c++ {
+	r := make(Row, len(s.cols))
+	for c := range r {
 		if col := &b.cols[c]; col.vals != nil {
 			r[c] = col.vals[i]
 			continue
 		}
-		r[c] = s.lazyCol(b, c)[i]
+		r[c] = s.lazyCol(c)[i]
 	}
 	return r
 }
 
-// lazyCol decodes one column the kernels did not need from the current
-// sealed block, caching it for the batch's lifetime. Decode failures are
+// lazyCol decodes one column nothing asked for from the current sealed
+// block, caching it for the batch's lifetime. Decode failures are
 // impossible for blocks this process sealed (segment_test.go fuzzes the
 // corruption paths); a hypothetical one degrades to NULLs rather than a
 // panic, since the heap still holds the truth for every covered row.
-func (s *vecScanOp) lazyCol(b *vecBatch, c int) []Value {
+func (s *vecScanOp) lazyCol(c int) []Value {
+	b := s.b
 	if s.matBuf == nil {
-		s.matBuf = make([][]Value, len(s.table.Columns))
-	}
-	if s.matSeq != b.seq {
-		s.matSeq = b.seq
-		for i := range s.matBuf {
-			s.matBuf[i] = nil
-		}
+		s.matBuf = make([][]Value, len(s.cols))
 	}
 	if s.matBuf[c] == nil {
 		buf := make([]Value, b.n)
-		if s.curBlk == nil || s.curBlk.cols[c].decode(b.n, buf) != nil {
+		if b.blk.cols[c].decode(b.n, buf) != nil {
 			for i := range buf {
 				buf[i] = Null
 			}
@@ -389,241 +545,108 @@ func (s *vecScanOp) lazyCol(b *vecBatch, c int) []Value {
 }
 
 // ---------------------------------------------------------------------------
-// Planner hooks
+// The planner's decision
 
-// tryVectorize replaces an unrestricted filter-over-seq-scan chain with a
-// vecScanOp when every conjunct compiles to predicate kernels. Returns
-// the (possibly unchanged) source and, on success, the compiler — the
-// caller reuses it (and its need-column tracking) to vectorize the
-// projection or aggregation above. A chain whose shape qualified but
-// whose expressions did not compile counts a row fallback.
-func tryVectorize(src operator, db *Database, params []Value, qc *queryCtx) (operator, *vecCompiler) {
-	if !vectorEnabled {
-		return src, nil
-	}
-	sc, preds := parallelScanTarget(src)
-	if sc == nil || sc.ids != nil || sc.rangeIdx != nil {
-		return src, nil
-	}
-	// Size gate: below vecMinRows a pure-heap scan pays batch setup with
-	// nothing to amortize it over, so small tables stay row-at-a-time.
-	// Tables with sealed segments always qualify — decoding columns
-	// batch-at-a-time is the segments' native access path. This is a size
-	// gate, not a compile fallback, so rowFallbacks does not tick.
-	if sc.table.sealedRows.Load() == 0 && sc.table.liveCount() < vecMinRows {
-		return src, nil
-	}
-	vc := newVecCompiler(sc.cols, db, params)
-	vpreds := make([]vecPredFn, len(preds))
-	for i, p := range preds {
-		vp, ok := vc.compilePred(p)
-		if !ok {
-			if qc != nil {
-				qc.rowFallbacks++
-			}
-			return src, nil
-		}
-		vpreds[i] = vp
-	}
-	return &vecScanOp{
-		table: sc.table, qual: sc.qual, cols: sc.cols,
-		preds: preds, vpreds: vpreds, need: vc.need, qc: qc,
-		needRows: true,
-	}, vc
+// scanShape is what planScanDriver needs to know about the statement
+// around the scan.
+type scanShape struct {
+	stmt      *SelectStmt
+	items     []SelectItem
+	aggregate bool
+	aggs      []*FuncCall
+	needSort  bool // a sortOp will read ORDER BY keys off the input rows
+	poolable  bool // top-level, uncorrelated: the gather can preserve it
 }
 
-// vecProjPlan is a fully vectorized projection: every select item
-// compiled to a kernel, read from the scan's batches by ordinal.
-type vecProjPlan struct {
-	src    *vecScanOp
-	vitems []vecExprFn
+// planScanDriver is the planner's one decision about how a statement's
+// FROM input is driven. A filter stack over one base-table scan whose
+// input is over the morselMinRows gate becomes a batch scan — with the
+// projection fused in when nothing above needs the input rows, or the
+// aggregation folded in — and the batch scan runs on the worker pool when
+// the database has one and the statement's shape lets the gather keep the
+// serial result: every expression the workers would evaluate is
+// parallel-safe, partial aggregates merge exactly (or the consumer
+// provably cannot observe arrival order, which licenses the unordered
+// gather), and no bare LIMIT window would make scan-ahead read rows the
+// window never emits. Everything else keeps the row iterator it came
+// with. The returned scan is nil when none was planned.
+func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
+	outer *evalEnv, qc *queryCtx) (operator, *vecScanOp, error) {
 
-	seq   uint64
-	cache []*vecCol
-}
-
-// tryVectorizeProj compiles the select items against the vectorized
-// scan's compiler. All-or-nothing: a single non-compilable item keeps the
-// whole projection row-at-a-time (the scan stays vectorized), and the
-// compiler's need marks are rolled back so the scan does not gather
-// columns only the abandoned kernels would have read.
-func tryVectorizeProj(vsc *vecScanOp, vc *vecCompiler, items []SelectItem, qc *queryCtx) *vecProjPlan {
-	saved := append([]bool(nil), vc.need...)
-	vitems := make([]vecExprFn, len(items))
-	for i, it := range items {
-		f, ok := vc.compileExpr(it.Expr)
-		if !ok {
-			copy(vc.need, saved)
-			if qc != nil {
-				qc.rowFallbacks++
-			}
-			return nil
-		}
-		vitems[i] = f
+	// Walk the filter stack down to its scan; each conjunct on the way
+	// becomes a kernel or a closure of its own.
+	var filters []*filterOp
+	bottom := src
+	for f, ok := bottom.(*filterOp); ok; f, ok = bottom.(*filterOp) {
+		filters, bottom = append(filters, f), f.child
 	}
-	vsc.needRows = false
-	return &vecProjPlan{src: vsc, vitems: vitems, cache: make([]*vecCol, len(items))}
-}
-
-// itemCols returns the kernel results for the batch the scan's last
-// emitted row belongs to, re-evaluating once per batch.
-func (vp *vecProjPlan) itemCols() []*vecCol {
-	b := &vp.src.b
-	if b.seq != vp.seq {
-		vp.seq = b.seq
-		for i, f := range vp.vitems {
-			vp.cache[i] = f(b)
-		}
+	sc, ok := bottom.(*scanOp)
+	if !vectorEnabled || !ok {
+		return src, nil, nil
 	}
-	return vp.cache
-}
-
-// vecAggPlan is a vectorized aggregation input: group keys and aggregate
-// arguments compiled to kernels over the scan's batches.
-type vecAggPlan struct {
-	src        *vecScanOp
-	groupKerns []vecExprFn
-	argKerns   []vecExprFn // indexed like aggs; nil for COUNT(*) / no-arg
-
-	seq       uint64
-	groupCols []*vecCol
-	argCols   []*vecCol
-}
-
-// tryVectorizeAgg compiles the GROUP BY keys and aggregate arguments
-// against the vectorized scan's compiler. All-or-nothing, like the
-// projection. The scan drops needRows — batches carry only the kernel
-// columns, and the representative row a first-seen group needs is
-// materialised lazily (materializeRow).
-func tryVectorizeAgg(vsc *vecScanOp, vc *vecCompiler, stmt *SelectStmt, aggs []*FuncCall, qc *queryCtx) *vecAggPlan {
-	saved := append([]bool(nil), vc.need...)
-	fail := func() *vecAggPlan {
-		copy(vc.need, saved)
-		if qc != nil {
-			qc.rowFallbacks++
-		}
-		return nil
+	// Range scans estimate by table size: bounds are not yet
+	// materialised, and a small range costs one morsel anyway.
+	est := sc.table.liveCount()
+	if sc.ids != nil {
+		est = len(sc.ids)
 	}
-	groupKerns := make([]vecExprFn, len(stmt.GroupBy))
-	for i, ge := range stmt.GroupBy {
-		f, ok := vc.compileExpr(ge)
-		if !ok {
-			return fail()
-		}
-		groupKerns[i] = f
+	if est < morselMinRows {
+		return src, nil, nil
 	}
-	argKerns := make([]vecExprFn, len(aggs))
-	for i, fc := range aggs {
-		if fc.Star || len(fc.Args) == 0 {
-			continue
-		}
-		f, ok := vc.compileExpr(fc.Args[0])
-		if !ok {
-			return fail()
-		}
-		argKerns[i] = f
+	var preds []Expr
+	for _, f := range filters {
+		preds = append(preds, splitConjuncts(f.pred)...)
 	}
-	vsc.needRows = false
-	return &vecAggPlan{
-		src: vsc, groupKerns: groupKerns, argKerns: argKerns,
-		groupCols: make([]*vecCol, len(groupKerns)),
-		argCols:   make([]*vecCol, len(argKerns)),
+	bs := &vecScanOp{
+		batchPlan: batchPlan{
+			table: sc.table, qual: sc.qual, cols: sc.cols,
+			ids: sc.ids, rangeIdx: sc.rangeIdx, rspec: sc.spec,
+			preds: preds, db: db, params: params, workers: 1,
+		},
+		outer: outer, qc: qc,
 	}
-}
-
-// kernelCols re-evaluates the group/argument kernels once per batch.
-func (vp *vecAggPlan) kernelCols() ([]*vecCol, []*vecCol) {
-	b := &vp.src.b
-	if b.seq != vp.seq {
-		vp.seq = b.seq
-		for i, f := range vp.groupKerns {
-			vp.groupCols[i] = f(b)
+	stmt := sh.stmt
+	itemExprs := make([]Expr, len(sh.items))
+	for i, it := range sh.items {
+		itemExprs[i] = it.Expr
+	}
+	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && parallelSafe(preds...)
+	switch {
+	case sh.aggregate && pool && parallelSafe(stmt.GroupBy...) && mergeableAggregates(sh.aggs):
+		bs.folds, bs.workers = true, db.maxWorkers
+	case sh.aggregate && pool && aggOrderInsensitive(stmt, sh.items, sh.aggs):
+		// Partial states do not merge (e.g. DISTINCT aggregates), but the
+		// scan itself can still run on the pool, gathered in completion
+		// order, under the row aggregation.
+		bs.workers, bs.unordered = db.maxWorkers, true
+	case sh.aggregate:
+		bs.folds = true
+	default:
+		window := (stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0
+		pool = pool && !window
+		if !sh.needSort && (!pool || parallelSafe(itemExprs...)) {
+			bs.items = sh.items
 		}
-		for i, f := range vp.argKerns {
-			if f != nil {
-				vp.argCols[i] = f(b)
-			}
+		if pool {
+			bs.workers = db.maxWorkers
 		}
 	}
-	return vp.groupCols, vp.argCols
-}
-
-// runAggregationVec is runAggregation's vectorized twin: it drains the
-// (instrumented) child — which bottoms out in the plan's vecScanOp — and
-// folds each surviving row into GROUP BY partitions, reading key and
-// argument values from per-batch kernel results instead of per-row
-// closures. Group discovery order, key encoding, representative rows and
-// accumulator folds all match the row drain exactly.
-func runAggregationVec(stmt *SelectStmt, vp *vecAggPlan, src operator, aggs []*FuncCall) ([]*aggGroup, error) {
-	newStates := func() ([]aggState, error) {
-		states := make([]aggState, len(aggs))
-		for i, fc := range aggs {
-			st, err := newAggState(fc)
-			if err != nil {
-				return nil, err
-			}
-			states[i] = st
-		}
-		return states, nil
-	}
-
-	index := make(map[string]int)
-	var groups []*aggGroup
-	keyVals := make([]Value, len(stmt.GroupBy))
-	var kb []byte
-	for {
-		_, ok, err := src.next() // through statOp wrappers; row may be nil
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		i := vp.src.lastIdx
-		groupCols, argCols := vp.kernelCols()
-		kb = kb[:0]
-		for gi, c := range groupCols {
-			v := c.at(i)
-			keyVals[gi] = v
-			kb = appendValueKey(kb, v)
-		}
-		gi, seen := index[string(kb)]
-		if !seen {
-			states, err := newStates()
-			if err != nil {
-				return nil, err
-			}
-			g := &aggGroup{
-				keys:   append([]Value{}, keyVals...),
-				states: states,
-				repRow: vp.src.materializeRow(&vp.src.b, i),
-			}
-			gi = len(groups)
-			groups = append(groups, g)
-			index[string(kb)] = gi
-		}
-		g := groups[gi]
-		for ai, fc := range aggs {
-			if fc.Star {
-				g.states[ai].add(Int(1))
-				continue
-			}
-			if vp.argKerns[ai] == nil {
-				continue
-			}
-			g.states[ai].add(argCols[ai].at(i))
+	if bs.folds {
+		bs.groupBy, bs.aggs, bs.repRows = stmt.GroupBy, sh.aggs, readsRepRow(stmt, sh.items)
+	} else if bs.items == nil {
+		bs.above = append(append(itemExprs, stmt.GroupBy...), stmt.Having)
+		for _, ob := range stmt.OrderBy {
+			bs.above = append(bs.above, ob.Expr)
 		}
 	}
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		states, err := newStates()
-		if err != nil {
-			return nil, err
-		}
-		repRow := make(Row, len(vp.src.cols))
-		for i := range repRow {
-			repRow[i] = Null
-		}
-		groups = append(groups, &aggGroup{states: states, repRow: repRow})
+	if err := bs.compile(); err != nil {
+		return nil, nil, err
 	}
-	return groups, nil
+	if bs.kernels < bs.exprs && qc != nil {
+		qc.rowFallbacks++
+	}
+	if bs.workers > 1 && !bs.folds {
+		return &parScanOp{scan: bs}, bs, nil
+	}
+	return bs, bs, nil
 }

@@ -1,6 +1,9 @@
 package sqldb
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // This file implements the vectorized expression engine: column vectors,
 // selection bitsets with exact SQL three-valued logic, and the kernel
@@ -12,8 +15,9 @@ import "strings"
 // functions per element (the generic paths) — so row-vs-vector
 // equivalence holds by construction and is pinned by the property suites.
 // Shapes the compiler cannot specialize (subqueries, UDFs, CASE, grouped
-// references) report not-compilable and the plan falls back to the
-// row-at-a-time tree (vecops.go).
+// references) report not-compilable, and the batch pipeline runs the row
+// engine's closure for that one expression over the batch's rows
+// (vecops.go).
 
 // vecBatchRows is the vectorized executor's batch size. It equals
 // segBlockSlots (and morselSize) so one sealed block decodes into exactly
@@ -29,6 +33,7 @@ var debugBreakVectorKernel = false
 type vecBitset [vecBatchRows / 64]uint64
 
 func (s *vecBitset) set(i int)      { s[i>>6] |= 1 << uint(i&63) }
+func (s *vecBitset) unset(i int)    { s[i>>6] &^= 1 << uint(i&63) }
 func (s *vecBitset) get(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
 
 // maskTo returns a bitset with bits [0, n) set.
@@ -87,22 +92,63 @@ func constCol(val Value) vecCol {
 	return vecCol{konst: true, c: val, kinds: 1 << uint16(val.kind)}
 }
 
-// vecBatch is up to vecBatchRows rows in column-major form. Heap-backed
-// batches keep the source rows (emission hands back the original Row, as
-// the row scan does) and populate only the columns the kernels read;
-// sealed-block batches decode every column and rows is nil.
+// vecBatch is one morsel's visible rows in column-major form, filled by
+// batchSource.load (source.go). Heap and id-list batches keep the source
+// rows and populate only the columns the consumer reads; sealed-block
+// batches decode those columns and carry rows only on request.
 type vecBatch struct {
 	n    int
 	cols []vecCol
 	rows []Row
 	sel  vecBitset // rows surviving the filter
-	// pre[i] counts the invisible versions the gather stepped over
-	// immediately before row i — replayed at emission time so tombstone
-	// accounting is bit-identical to the row scan's lazy walk.
-	pre []int32
-	// seq increments per loaded batch; downstream kernel caches key their
-	// per-batch results on it.
-	seq uint64
+	// pre[i] counts the invisible versions stepped over immediately before
+	// row i, and tail those after the last row — replayed at emission time
+	// so tombstone accounting is bit-identical to the row scan's lazy walk.
+	pre  []int32
+	tail int32
+	// blk is the sealed block behind the batch (nil for heap and id-list
+	// batches), kept so columns nobody asked for can still be decoded on
+	// demand (vecScanOp.materializeRow).
+	blk *segBlock
+
+	// Scratch owned by the batch and overwritten by the next load.
+	colBufs [][]Value // per column ordinal, allocated on first use
+	t, nl   vecBitset // a predicate kernel's (true, null) result
+	rowBuf  []Row
+	rowVals []Value // backing of a sealed block's row views
+}
+
+// batchPool recycles batches, scratch and all, across scans: a batch's
+// buffers are a fixed ~25 KB per column touched, which a point lookup or a
+// short range over a big table would otherwise pay afresh in every worker
+// of every statement.
+var batchPool = sync.Pool{New: func() any { return new(vecBatch) }}
+
+// getBatch returns a batch for a table of the given width. Buffers keep
+// whatever a previous scan left in them; every load overwrites what it
+// hands out.
+func getBatch(width int) *vecBatch {
+	b := batchPool.Get().(*vecBatch)
+	if len(b.colBufs) < width {
+		b.cols = make([]vecCol, width)
+		b.colBufs = append(b.colBufs, make([][]Value, width-len(b.colBufs))...)
+	}
+	b.cols = b.cols[:width]
+	if b.pre == nil {
+		b.pre = make([]int32, vecBatchRows)
+		b.rowBuf = make([]Row, vecBatchRows)
+	}
+	b.n, b.blk = 0, nil
+	return b
+}
+
+// colBuf returns column c's value buffer, allocated on first use so a
+// batch pays only for the columns its consumer reads.
+func (b *vecBatch) colBuf(c int) []Value {
+	if b.colBufs[c] == nil {
+		b.colBufs[c] = make([]Value, vecBatchRows)
+	}
+	return b.colBufs[c]
 }
 
 // ---------------------------------------------------------------------------
@@ -120,19 +166,40 @@ type vecPredFn func(b *vecBatch, t, nl *vecBitset)
 // records which column ordinals the compiled kernels read, so the scan
 // gathers only those.
 type vecCompiler struct {
-	env  *evalEnv // resolution scope over the scan columns (no outer)
+	env  *evalEnv // resolution scope: the scan's columns, then any outer scopes
 	need []bool
 }
 
-func newVecCompiler(cols []colInfo, db *Database, params []Value) *vecCompiler {
-	return &vecCompiler{
-		env:  newEvalEnv(cols, db, params, nil, nil),
-		need: make([]bool, len(cols)),
-	}
+func newVecCompiler(env *evalEnv) *vecCompiler {
+	return &vecCompiler{env: env, need: make([]bool, len(env.cols))}
+}
+
+// markRefs marks every scan column e reads, for expressions that run
+// row-at-a-time over the batch's rows (closure fallbacks, operators above
+// the scan). A subquery can reach any column through the environment
+// chain, and a reference that does not resolve here is somebody else's to
+// report, so both mark them all.
+func (vc *vecCompiler) markRefs(e Expr) {
+	walkExpr(e, func(x Expr) bool {
+		all := isSubqueryNode(x)
+		if cr, ok := x.(*ColumnRef); ok {
+			if i, owner, err := vc.env.resolve(cr); err != nil {
+				all = true
+			} else if owner == vc.env {
+				vc.need[i] = true
+			}
+		}
+		if all {
+			for i := range vc.need {
+				vc.need[i] = true
+			}
+		}
+		return !all
+	})
 }
 
 // compileExpr returns a batch kernel for e, or ok=false when e's shape is
-// not vector-compilable (the plan then falls back to the row tree). It is
+// not vector-compilable (the caller then runs the row closure). It is
 // only ever called after the row compiler accepted the same expression,
 // so resolution cannot fail here in ways the row path would not surface.
 func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {

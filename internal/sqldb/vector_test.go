@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// Tests for the vectorized executor (vector.go, vecops.go): the
-// row-vs-vector equivalence property over a randomized plan corpus with
-// interleaved DML and forced sealing, the EXPLAIN / EXPLAIN ANALYZE
-// surface, the accounting property through vecScanOp, the
-// broken-kernel fault proof, and the unordered-gather aggregation path.
+// Tests for the batch pipeline (source.go, vector.go, vecops.go): the
+// row-vs-batch equivalence property over a randomized plan corpus with
+// interleaved DML and forced sealing — serial and on the worker pool —
+// the EXPLAIN / EXPLAIN ANALYZE surface, the accounting property through
+// vecScanOp, the broken-kernel and broken-visibility fault proofs, the
+// sealed × pool cost pin, and the unordered-gather aggregation path.
 
 // forceVector pins the vectorized executor on or off for one test.
 func forceVector(t testing.TB, v bool) {
@@ -20,15 +21,6 @@ func forceVector(t testing.TB, v bool) {
 	old := vectorEnabled
 	vectorEnabled = v
 	t.Cleanup(func() { vectorEnabled = old })
-}
-
-// lowerVecMinRows lets a test exercise the vectorized path on tables far
-// smaller than the production size gate would allow.
-func lowerVecMinRows(t testing.TB, n int) {
-	t.Helper()
-	old := vecMinRows
-	vecMinRows = n
-	t.Cleanup(func() { vecMinRows = old })
 }
 
 // vecPred generates a random single-table predicate over v's columns,
@@ -128,9 +120,9 @@ func vecQueryStrings(db *Database, q string) ([][]string, error) {
 // (RowsScanned, RowsEmitted, TombstonesSkipped — including under LIMIT
 // early stops), and the per-operator EXPLAIN ANALYZE sums reconcile
 // with the per-query totals on both engines.
-func vectorRowProperty(r *rand.Rand, steps int) error {
+func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
 	defer func(v bool) { vectorEnabled = v }(vectorEnabled)
-	db := NewDatabase()
+	db := NewDatabase(opts...)
 	db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
 	words := []string{"ant", "bee", "cat", "dge", "eel"}
 	nextID := 0
@@ -241,23 +233,44 @@ func vectorRowProperty(r *rand.Rand, steps int) error {
 	return nil
 }
 
+// batchDrivers are the two ways the one pipeline is driven: by a counter
+// on the owner goroutine, and by pool workers claiming morsels. Sealed
+// blocks are the pool's everyday traffic (the sealer and the gate share a
+// threshold), so every property and fault proof below runs in both cells.
+var batchDrivers = []struct {
+	name string
+	opts []Option
+}{
+	{"serial", []Option{WithMaxWorkers(1)}},
+	{"pooled", []Option{WithMaxWorkers(4)}},
+}
+
 func TestVectorRowEquivalence(t *testing.T) {
-	lowerVecMinRows(t, 1) // DML can drain every segment; keep vec live on the heap tail
-	if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160); err != nil {
-		t.Fatal(err)
+	lowerMorselMinRows(t, 1) // DML can drain every segment; keep the pipeline live on the heap tail
+	for _, d := range batchDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160, d.opts...); err != nil {
+				t.Fatal(err)
+			}
+			assertNoWorkerLeak(t)
+		})
 	}
 }
 
 // TestVectorEquivalenceCatchesBrokenKernel proves the property has
-// teeth: with the comparison kernels deliberately inverted, the
-// vectorized executor must diverge from the row engine and the property
-// must report it.
+// teeth: with the comparison kernels deliberately inverted, the batch
+// pipeline must diverge from the row engine and the property must report
+// it — whichever way the pipeline is driven.
 func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
-	lowerVecMinRows(t, 1)
+	lowerMorselMinRows(t, 1)
 	debugBreakVectorKernel = true
 	defer func() { debugBreakVectorKernel = false }()
-	if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160); err == nil {
-		t.Fatal("equivalence property did not detect inverted comparison kernels")
+	for _, d := range batchDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160, d.opts...); err == nil {
+				t.Fatal("equivalence property did not detect inverted comparison kernels")
+			}
+		})
 	}
 }
 
@@ -267,7 +280,7 @@ func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
 // on whichever engine serves each access path.
 func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
 	forceVector(t, true)
-	lowerVecMinRows(t, 1) // the metamorphic corpus uses small tables
+	lowerMorselMinRows(t, 1) // the metamorphic corpus uses small tables
 	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +293,12 @@ func TestMetamorphicNoRECAndTLPRowEngine(t *testing.T) {
 	}
 }
 
-// TestVectorExplainShapes pins the plan surface: EXPLAIN shows the
-// vectorized scan with its fused filters and marks vectorized
-// projections and aggregations; EXPLAIN ANALYZE adds batch and
-// segment-decode counts once blocks are sealed.
+// TestVectorExplainShapes pins the plan surface: every large scan is one
+// node kind, `batch <access> scan`, annotated on the same line with how
+// many of the pipeline's expressions compiled to kernels (and, on a pooled
+// database, workers=N); projections and aggregations the scan absorbed
+// say so instead of claiming an executor of their own; EXPLAIN ANALYZE
+// adds batch and segment-decode counts once blocks are sealed.
 func TestVectorExplainShapes(t *testing.T) {
 	forceVector(t, true)
 	db := sealedTestDB(t, 2)
@@ -295,18 +310,27 @@ func TestVectorExplainShapes(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	scanPlan := plan("SELECT id, a FROM s WHERE a > 10 AND c = 'ant'")
-	if !strings.Contains(scanPlan, "vectorized seq scan") {
-		t.Fatalf("plan missing vectorized seq scan:\n%s", scanPlan)
+	for _, c := range []struct{ q, want string }{
+		// Two conjuncts and two items, all kernels; the projection is fused.
+		{"SELECT id, a FROM s WHERE a > 10 AND c = 'ant'", "batch seq scan s (as s)"},
+		{"SELECT id, a FROM s WHERE a > 10 AND c = 'ant'", "vectorized 4/4"},
+		{"SELECT id, a FROM s WHERE a > 10 AND c = 'ant'", "fused filter"},
+		{"SELECT a + 1, f FROM s WHERE a > 10", "project 2 column(s) (fused in scan)"},
+		{"SELECT c, COUNT(*), MIN(a) FROM s WHERE a > 10 GROUP BY c", "(folded in scan)"},
+		{"SELECT c, COUNT(*), MIN(a) FROM s WHERE a > 10 GROUP BY c", "vectorized 3/3"},
+		// A CASE has no kernel: that one conjunct runs as a row closure
+		// inside the same scan, the other keeps its kernel.
+		{"SELECT id FROM s WHERE a > 10 AND CASE WHEN ok THEN a ELSE 0 END > 5", "vectorized 2/3"},
+		// An ORDER BY reads keys off the input rows, so the projection
+		// stays above the scan.
+		{"SELECT id FROM s WHERE a > 10 ORDER BY f", "vectorized 1/1"},
+	} {
+		if got := plan(c.q); !strings.Contains(got, c.want) {
+			t.Errorf("plan of %q missing %q:\n%s", c.q, c.want, got)
+		}
 	}
-	if !strings.Contains(scanPlan, "fused filter") {
-		t.Fatalf("plan missing fused filter:\n%s", scanPlan)
-	}
-	if !strings.Contains(plan("SELECT a + 1, f FROM s WHERE a > 10"), "(vectorized)") {
-		t.Fatal("vectorized projection not marked in plan")
-	}
-	if !strings.Contains(plan("SELECT c, COUNT(*), MIN(a) FROM s WHERE a > 10 GROUP BY c"), "(vectorized)") {
-		t.Fatal("vectorized aggregation not marked in plan")
+	if got := plan("SELECT c, COUNT(*) FROM s GROUP BY c"); strings.Contains(got, "(vectorized)") || strings.Contains(got, "parallel") {
+		t.Errorf("aggregate node still claims an executor:\n%s", got)
 	}
 
 	a, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM s WHERE a < 50")
@@ -327,17 +351,17 @@ func TestVectorExplainShapes(t *testing.T) {
 		t.Fatalf("scannedTotal %d != RowsScanned %d", got, want)
 	}
 
-	// The row engine must leave no vectorized markers behind.
+	// The row engine must leave no batch markers behind.
 	forceVector(t, false)
 	rowPlan := plan("SELECT id, a FROM s WHERE a > 10")
-	if strings.Contains(rowPlan, "vectorized") {
-		t.Fatalf("row-engine plan mentions vectorized:\n%s", rowPlan)
+	if strings.Contains(rowPlan, "vectorized") || strings.Contains(rowPlan, "batch") {
+		t.Fatalf("row-engine plan mentions the batch pipeline:\n%s", rowPlan)
 	}
 }
 
-// TestVectorRowFallbackCounter: a plan whose shape qualifies but whose
-// expressions cannot compile to kernels must fall back to the row tree
-// and count the fallback.
+// TestVectorRowFallbackCounter: a batch scan whose expressions cannot all
+// compile to kernels runs the rest as row closures and counts the
+// fallback.
 func TestVectorRowFallbackCounter(t *testing.T) {
 	forceVector(t, true)
 	db := sealedTestDB(t, 1)
@@ -351,6 +375,68 @@ func TestVectorRowFallbackCounter(t *testing.T) {
 	}
 }
 
+// TestSealedPoolScanStaysColumnar pins the sealed × pool cell, the
+// configuration the benchmark runs and (before the one batch source) no
+// test entered: at WithMaxWorkers(4) a scan of sealed blocks must stay
+// columnar inside the workers — decode each block once, only the columns
+// the statement reads, run vector batches — instead of turning every
+// block back into full-width rows (~1 allocation per row, 0 batches). A
+// kernel-compilable predicate and a CASE predicate with no kernel (a row
+// closure over the batch's row view) must both hold the line.
+func TestSealedPoolScanStaysColumnar(t *testing.T) {
+	const blocks = 8
+	const rows = blocks * segBlockSlots
+	load := func(workers int) *Database {
+		db := NewDatabase(WithMaxWorkers(workers))
+		db.MustExec("CREATE TABLE s (id INTEGER, name TEXT, price REAL, qty INTEGER)")
+		data := make([][]any, rows)
+		for i := range data {
+			data[i] = []any{i, fmt.Sprintf("item-%d", i), float64(i%10000) / 100, i % 50}
+		}
+		if err := db.InsertRows("s", data); err != nil {
+			t.Fatal(err)
+		}
+		db.Seal() // whatever the background sealer has not frozen already
+		if sealed := db.tableMap()["s"].sealedRows.Load(); sealed != rows {
+			t.Fatalf("%d rows sealed, want %d", sealed, rows)
+		}
+		return db
+	}
+	pooled, serial := load(4), load(1)
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM s WHERE price > 50 AND qty < 25",
+		"SELECT COUNT(*) FROM s WHERE CASE WHEN qty < 25 THEN price ELSE 0 END > 50",
+	} {
+		want := queryStrings(t, serial, q)
+		if got := queryStrings(t, pooled, q); fmt.Sprint(got) != fmt.Sprint(want) || want[0][0] == "0" {
+			t.Fatalf("%q: pooled %v vs WithMaxWorkers(1) %v", q, got, want)
+		}
+		rs, err := pooled.QueryRows(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rs.Next() {
+		}
+		st := rs.Stats()
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.VectorBatches == 0 || st.DecodedBlocks != blocks {
+			t.Fatalf("%q: VectorBatches %d DecodedBlocks %d, want > 0 and %d",
+				q, st.VectorBatches, st.DecodedBlocks, blocks)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := pooled.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= rows/8 {
+			t.Fatalf("%q: %.0f allocs per query over %d sealed rows, want < %d", q, allocs, rows, rows/8)
+		}
+	}
+	assertNoWorkerLeak(t)
+}
+
 // ---------------------------------------------------------------------------
 // Unordered gather
 
@@ -360,7 +446,7 @@ func TestVectorRowFallbackCounter(t *testing.T) {
 // morsels gathered in completion order. The results must equal the
 // serial engine's on every run regardless of worker scheduling.
 func TestUnorderedGatherAggEquivalence(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(31))
@@ -412,7 +498,7 @@ func TestUnorderedGatherAggEquivalence(t *testing.T) {
 // order-sensitive aggregates and bare column refs outside aggregates
 // must all keep the ordered gather (or stay serial).
 func TestUnorderedGatherGate(t *testing.T) {
-	lowerParallelMinRows(t, 8)
+	lowerMorselMinRows(t, 8)
 	db := NewDatabase(WithMaxWorkers(4))
 	db.MustExec("CREATE TABLE u (id INTEGER, a INTEGER, c TEXT, ok BOOL)")
 	rows := make([][]any, 0, 600)
