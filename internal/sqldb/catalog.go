@@ -64,11 +64,6 @@ type Table struct {
 
 	indexes atomic.Pointer[map[string]*Index] // lower-cased column name -> index; COW on CREATE INDEX
 
-	// staleIdx counts rolled-back writes whose superset index entries
-	// still need sweeping; the vacuum rebuilds this table's indexes when
-	// it is nonzero even if no chain version was reclaimable.
-	staleIdx atomic.Int64
-
 	// segs is the published list of immutable compressed column segments
 	// sealed off cold full blocks of the heap (segment.go), sorted by lo.
 	// Segments are redundant with the heap: DML on a covered slot drops
@@ -85,17 +80,21 @@ type Table struct {
 //     ever ADDS entries — INSERT adds the new id under its key, UPDATE
 //     adds the id under the new key and leaves it under the old one,
 //     DELETE leaves the posting untouched — so an id may appear under
-//     every key any of its versions ever carried. Only the vacuum removes
-//     entries, and only once no live snapshot can see the version that
-//     put them there.
-//   - The ordered view ord — one immutable entry per distinct value,
-//     sorted by Value.Compare, each entry's id list replaced copy-on-write
-//     — serves range scans, index-ordered ORDER BY and merge joins. It is
-//     built lazily from the hash map on first ordered access and
-//     maintained incrementally by the same add-only discipline; structural
-//     changes (a new distinct value, a vacuum sweep) publish a fresh view
-//     pointer, so a reader that loaded the view keeps a consistent one for
-//     its whole scan.
+//     every key any of its reachable versions carries. Only the vacuum and
+//     rollback remove entries, and they remove exactly what they unlinked:
+//     the (value, id) pairs of the versions they cut off a chain that no
+//     surviving version of that slot still carries (Table.unindex).
+//   - The ordered view ord (ordidx.go) — one entry per distinct value,
+//     sorted by Value.Compare, in a copy-on-write directory of fixed-
+//     capacity chunks — serves range scans, index-ordered ORDER BY and
+//     merge joins. It is built from the hash map on first ordered access
+//     and from then on receives every add and every remove the postings
+//     do, so it is never rebuilt; each change publishes a fresh root, and
+//     a reader that loaded the view keeps a consistent one for its scan.
+//
+// There is one way to add an entry (addEntry) and one way to remove one
+// (removeEntry); CREATE INDEX is the only bulk builder. Maintenance costs
+// what the change costs, never what the table holds.
 //
 // Because both structures are supersets, every consumer re-checks each
 // candidate: it fetches the row version visible to its snapshot and emits
@@ -103,16 +102,16 @@ type Table struct {
 // the entry's value, for ordered scans). The recheck makes lookups exact
 // per snapshot — an id listed under both its old and new key matches
 // exactly one of them — and lets readers run entirely without locks: mu
-// latches only the momentary posting copy-out and the lazy view build,
+// latches only the momentary posting copy-out and the first view build,
 // never a cursor iteration.
 type Index struct {
 	Name   string
 	Column int
 	Unique bool
 
-	mu  sync.Mutex // latches m and the lazy/structural ord transitions
+	mu  sync.Mutex // latches m and every ord transition
 	m   map[string]posting
-	ord atomic.Pointer[[]*ordEntry] // nil until first ordered access
+	ord atomic.Pointer[ordView] // nil until first ordered access, never after
 }
 
 // posting is one distinct indexed value and the ids of every version-
@@ -521,7 +520,7 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	}
 	idxs := t.idxs()
 	for _, idx := range idxs {
-		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCount(idx, r[idx.Column].Key()) > 0 {
+		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCountExcept(idx, r[idx.Column], -1) > 0 {
 			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
 				t.Name, t.Columns[idx.Column].Name, r[idx.Column])
 		}
@@ -569,8 +568,8 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 	tx.record(undoUpdate, t, id)
 	tx.db.garbage.Add(1)
 	for _, idx := range t.idxs() {
-		oldV, newV := old[idx.Column], updated[idx.Column]
-		if oldV.Key() == newV.Key() {
+		newV := updated[idx.Column]
+		if old[idx.Column].Equal(newV) {
 			continue
 		}
 		if idx.addEntry(newV, id) && qc != nil {
@@ -591,11 +590,10 @@ func (t *Table) checkUpdateUnique(id int, updated Row) error {
 		if !idx.Unique || updated[idx.Column].IsNull() {
 			continue
 		}
-		newKey := updated[idx.Column].Key()
-		if newKey == old[idx.Column].Key() {
+		if updated[idx.Column].Equal(old[idx.Column]) {
 			continue
 		}
-		if t.liveKeyCountExcept(idx, newKey, id) > 0 {
+		if t.liveKeyCountExcept(idx, updated[idx.Column], id) > 0 {
 			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
 				t.Name, t.Columns[idx.Column].Name, updated[idx.Column])
 		}
@@ -603,22 +601,18 @@ func (t *Table) checkUpdateUnique(id int, updated Row) error {
 	return nil
 }
 
-// liveKeyCount counts current (latest-committed-or-own) rows whose
-// indexed column carries exactly key. Under writeMu every chain head is
-// committed or the running writer's, so "latest" is unambiguous.
-func (t *Table) liveKeyCount(idx *Index, key string) int {
-	return t.liveKeyCountExcept(idx, key, -1)
-}
-
-func (t *Table) liveKeyCountExcept(idx *Index, key string, except int) int {
+// liveKeyCountExcept counts current (latest-committed-or-own) rows other
+// than except whose indexed column carries exactly v. Under writeMu every
+// chain head is committed or the running writer's, so "latest" is
+// unambiguous.
+func (t *Table) liveKeyCountExcept(idx *Index, v Value, except int) int {
+	var kb [24]byte
 	n := 0
-	for _, id := range idx.copyIDs(key) {
+	for _, id := range idx.copyIDs(appendValueKey(kb[:0], v)) {
 		if id == except {
 			continue
 		}
-		arrp := t.slots.Load()
-		r := latestRow((*arrp)[id].head.Load())
-		if r != nil && r[idx.Column].Key() == key {
+		if r := latestRow(t.head(id)); r != nil && r[idx.Column].Equal(v) {
 			n++
 		}
 	}
@@ -628,23 +622,19 @@ func (t *Table) liveKeyCountExcept(idx *Index, key string, except int) int {
 // ---------------------------------------------------------------------------
 // Index maintenance and lookups
 
-// copyIDs returns a private copy of the key's posting list (ascending).
-// The latch is momentary: never held across iteration.
-func (idx *Index) copyIDs(key string) []int {
+// copyIDs returns a private, non-nil copy of the posting list (ascending)
+// under an encoded key (appendValueKey). The latch is momentary: never
+// held across iteration.
+func (idx *Index) copyIDs(key []byte) []int {
 	idx.mu.Lock()
-	p, ok := idx.m[key]
-	if !ok {
-		idx.mu.Unlock()
-		return nil
-	}
-	ids := append([]int(nil), p.ids...)
+	ids := append([]int{}, idx.m[string(key)].ids...)
 	idx.mu.Unlock()
 	return ids
 }
 
 // addEntry adds id under v's key in the hash map and, when an ordered
-// view is live, maintains it in place. Reports whether ordered
-// maintenance happened (the ordMaintains counter).
+// view is live, in the view. Reports whether ordered maintenance happened
+// (the ordMaintains counter).
 func (idx *Index) addEntry(v Value, id int) bool {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
@@ -658,20 +648,61 @@ func (idx *Index) addEntry(v Value, id int) bool {
 	return idx.ordAdd(v, id)
 }
 
+// removeEntry takes id out of v's posting — in place: readers only ever
+// see copies made under the latch — and out of a live ordered view, and
+// drops a posting with its last id. An absent pair is a no-op.
+func (idx *Index) removeEntry(v Value, id int) {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	key := v.Key()
+	p := idx.m[key]
+	pos := sort.SearchInts(p.ids, id)
+	if pos == len(p.ids) || p.ids[pos] != id {
+		return
+	}
+	if len(p.ids) == 1 {
+		delete(idx.m, key)
+	} else {
+		p.ids = append(p.ids[:pos], p.ids[pos+1:]...)
+		idx.m[key] = p
+	}
+	idx.ordRemove(v, id)
+}
+
+// unindex removes from every index what the versions [dead, end) of slot
+// id put there: each (value, id) pair that no surviving version of the
+// slot — whatever its head still reaches — carries. Vacuum and rollback
+// call it right after unlinking those versions (writeMu held), which is
+// what keeps the indexes supersets of the reachable versions and nothing
+// more.
+func (t *Table) unindex(id int, dead, end *rowVersion) {
+	live := t.head(id)
+	for _, idx := range t.idxs() {
+		for w := dead; w != end; w = w.next.Load() {
+			val := w.row[idx.Column]
+			kept := false
+			for s := live; s != nil && !kept; s = s.next.Load() {
+				kept = s.row[idx.Column].Equal(val) && !debugBreakOrdMaintain
+			}
+			if !kept {
+				idx.removeEntry(val, id)
+			}
+		}
+	}
+}
+
 // visibleEqIDs returns, ascending, the row ids whose version visible to
 // snap carries exactly value v in the indexed column. The posting list is
-// a superset (old and rolled-back versions linger until vacuum); the
-// visibility + key recheck filters it exactly.
+// a superset (superseded versions linger until vacuum); the visibility +
+// key recheck filters it exactly. Never nil: as a scan restriction, no
+// ids means no rows, not a full scan.
 func visibleEqIDs(t *Table, idx *Index, v Value, snap *snapshot) []int {
-	key := v.Key()
-	ids := idx.copyIDs(key)
-	if len(ids) == 0 {
-		return nil
-	}
+	var kb [24]byte
+	ids := idx.copyIDs(appendValueKey(kb[:0], v))
 	out := ids[:0]
 	for _, id := range ids {
 		r := t.visibleRow(id, snap)
-		if r != nil && r[idx.Column].Key() == key {
+		if r != nil && r[idx.Column].Equal(v) {
 			out = append(out, id)
 		}
 	}

@@ -604,10 +604,7 @@ func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, 
 	if !ok || b.Op != "=" {
 		return nil, false
 	}
-	cr, comparand := dmlEqualitySides(b.Left, b.Right)
-	if cr == nil {
-		cr, comparand = dmlEqualitySides(b.Right, b.Left)
-	}
+	cr, v, _ := asColValue(b, params)
 	if cr == nil {
 		return nil, false
 	}
@@ -618,40 +615,11 @@ func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, 
 	if !ok {
 		return nil, false
 	}
-	var v Value
-	switch c := comparand.(type) {
-	case *Literal:
-		v = c.Val
-	case *Param:
-		if c.Index < 0 || c.Index >= len(params) {
-			return nil, false // the arity error surfaces from the slow path
-		}
-		v = params[c.Index]
-	}
 	v = coerce(v, t.Columns[idx.Column].Type)
 	if v.IsNull() {
 		return []int{}, true
 	}
-	ids := visibleEqIDs(t, idx, v, qc.snap)
-	if ids == nil {
-		ids = []int{}
-	}
-	return ids, true
-}
-
-// dmlEqualitySides matches one orientation of `col = comparand`, where
-// the comparand is a literal or parameter (never a column or anything
-// that could error or read state).
-func dmlEqualitySides(a, b Expr) (*ColumnRef, Expr) {
-	cr, ok := a.(*ColumnRef)
-	if !ok {
-		return nil, nil
-	}
-	switch b.(type) {
-	case *Literal, *Param:
-		return cr, b
-	}
-	return nil, nil
+	return visibleEqIDs(t, idx, v, qc.snap), true
 }
 
 // dmlWhereIDs resolves a DML WHERE to the exact live row ids it holds
@@ -682,7 +650,7 @@ func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, boo
 	var spec rangeSpec
 	nullBound := false
 	for _, c := range splitConjuncts(where) {
-		cr, cs, nullB, ok := dmlRangeConjunct(c, params)
+		cr, cs, nullB, ok := rangeConjunct(c, params)
 		if !ok {
 			return nil, false
 		}
@@ -708,103 +676,12 @@ func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, boo
 	if nullBound {
 		return []int{}, true
 	}
-	ids, skipped := collectRangeIDs(t, idx.Column, idx.orderedEntries(), spec, qc.snap)
+	ids, skipped := collectRangeIDs(t, idx, spec, qc.snap)
 	if qc != nil {
 		qc.indexRangeScans++
 		qc.tombstonesSkipped += skipped
 	}
 	return ids, true
-}
-
-// dmlRangeConjunct matches one range-shaped DML conjunct — the
-// parameter-aware counterpart of the planner's rangeConjunct. Returns
-// the referenced column, the bound it contributes, whether the bound
-// resolved to NULL, and whether the conjunct had a range shape at all.
-func dmlRangeConjunct(c Expr, params []Value) (*ColumnRef, rangeSpec, bool, bool) {
-	switch t := c.(type) {
-	case *BinaryOp:
-		var op string
-		var boundE Expr
-		col, ok := t.Left.(*ColumnRef)
-		if ok {
-			op, boundE = t.Op, t.Right
-		} else if col, ok = t.Right.(*ColumnRef); ok {
-			boundE = t.Left
-			// Flip the comparison around the bound: `5 < col` is `col > 5`.
-			switch t.Op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			default:
-				op = t.Op
-			}
-		} else {
-			return nil, rangeSpec{}, false, false
-		}
-		switch op {
-		case ">", ">=", "<", "<=":
-		default:
-			return nil, rangeSpec{}, false, false
-		}
-		v, ok := dmlBoundValue(boundE, params)
-		if !ok {
-			return nil, rangeSpec{}, false, false
-		}
-		if v.IsNull() {
-			return col, rangeSpec{}, true, true
-		}
-		switch op {
-		case ">":
-			return col, rangeSpec{lo: &rangeBound{val: v}}, false, true
-		case ">=":
-			return col, rangeSpec{lo: &rangeBound{val: v, incl: true}}, false, true
-		case "<":
-			return col, rangeSpec{hi: &rangeBound{val: v}}, false, true
-		default: // "<="
-			return col, rangeSpec{hi: &rangeBound{val: v, incl: true}}, false, true
-		}
-	case *Between:
-		if t.Not {
-			return nil, rangeSpec{}, false, false
-		}
-		col, ok := t.Expr.(*ColumnRef)
-		if !ok {
-			return nil, rangeSpec{}, false, false
-		}
-		lo, ok1 := dmlBoundValue(t.Lo, params)
-		hi, ok2 := dmlBoundValue(t.Hi, params)
-		if !ok1 || !ok2 {
-			return nil, rangeSpec{}, false, false
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return col, rangeSpec{}, true, true
-		}
-		return col, rangeSpec{
-			lo: &rangeBound{val: lo, incl: true},
-			hi: &rangeBound{val: hi, incl: true},
-		}, false, true
-	}
-	return nil, rangeSpec{}, false, false
-}
-
-// dmlBoundValue resolves a range bound that is a literal or a bound ?
-// parameter; anything else (a column, an expression) reports false.
-func dmlBoundValue(e Expr, params []Value) (Value, bool) {
-	switch c := e.(type) {
-	case *Literal:
-		return c.Val, true
-	case *Param:
-		if c.Index < 0 || c.Index >= len(params) {
-			return Null, false // the arity error surfaces from the slow path
-		}
-		return params[c.Index], true
-	}
-	return Null, false
 }
 
 // execUpdateSnapshot is the two-phase UPDATE path for statements whose
@@ -883,8 +760,13 @@ func execUpdateSnapshot(t *Table, stmt *UpdateStmt, setCols []int, env *evalEnv,
 				added[newKey]++
 			}
 		}
-		for key, add := range added {
-			if t.liveKeyCount(idx, key)-removed[key]+add > 1 {
+		if added == nil {
+			continue // no row changes this index's key
+		}
+		for _, p := range pend {
+			v := p.row[idx.Column]
+			key := v.Key()
+			if add := added[key]; add > 0 && t.liveKeyCountExcept(idx, v, -1)-removed[key]+add > 1 {
 				return 0, errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s",
 					t.Name, t.Columns[idx.Column].Name)
 			}

@@ -27,11 +27,14 @@ type operator interface {
 }
 
 // rowArena hands out output rows carved from larger blocks, amortising the
-// one-allocation-per-row cost of joins and projections. Rows escape into
-// results, so blocks are never reused; capacities are clamped so appends on
-// a handed-out row can never clobber a neighbour.
+// one-allocation-per-row cost of joins and projections. The first block
+// holds a handful of rows and each later one doubles, up to rowArenaBlock
+// values, so a one-row result does not pay for a thousand. Rows escape
+// into results, so blocks are never reused; capacities are clamped so
+// appends on a handed-out row can never clobber a neighbour.
 type rowArena struct {
-	buf []Value
+	buf  []Value
+	size int // values in the last block allocated
 }
 
 const rowArenaBlock = 1024
@@ -41,11 +44,8 @@ func (a *rowArena) alloc(n int) Row {
 		return Row{}
 	}
 	if len(a.buf) < n {
-		size := rowArenaBlock
-		if n > size {
-			size = n
-		}
-		a.buf = make([]Value, size)
+		a.size = min(max(2*a.size, 4*n), rowArenaBlock)
+		a.buf = make([]Value, max(a.size, n))
 	}
 	r := a.buf[:n:n]
 	a.buf = a.buf[n:]
@@ -101,8 +101,7 @@ func (s *scanOp) next() (Row, bool, error) {
 		}
 		if s.rangeIdx != nil && s.ids == nil {
 			var skipped uint64
-			s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx.Column,
-				s.rangeIdx.orderedEntries(), s.spec, s.snap)
+			s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx, s.spec, s.snap)
 			s.tombSkipped += skipped
 			if s.qc != nil {
 				s.qc.tombstonesSkipped += skipped
@@ -609,17 +608,20 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	j.leftOuter = leftOuter
 	// Per-probe: copy the posting list under the index latch, then filter
 	// it against the statement snapshot (the posting is a superset under
-	// MVCC — old and rolled-back versions linger until vacuum).
+	// MVCC — superseded versions linger until vacuum).
+	var rowKey []byte
 	j.lookup = func(key []byte) int {
-		k := string(key)
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
 		j.curRows = j.curRows[:0]
-		for _, id := range j.idx.copyIDs(k) {
+		for _, id := range j.idx.copyIDs(key) {
 			r := j.table.visibleRow(id, snap)
-			if r != nil && r[j.idx.Column].Key() == k {
+			if r == nil {
+				continue
+			}
+			if rowKey = appendValueKey(rowKey[:0], r[j.idx.Column]); string(rowKey) == string(key) {
 				j.curRows = append(j.curRows, r)
 			}
 		}
@@ -1009,7 +1011,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			continue
 		}
 		if sc, ok := inputs[i].(*scanOp); ok {
-			cs = chooseScanAccess(sc, cs)
+			cs = chooseScanAccess(sc, cs, params)
 		}
 		if rest := joinConjuncts(cs); rest != nil {
 			f, err := newFilterOp(inputs[i], rest, db, params, outer, qc)
@@ -1334,21 +1336,20 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, ke
 
 // chooseScanAccess serves what it can of a scan's conjuncts from the
 // table's indexes and returns the remainder. Preference order: a single
-// `col = literal` equality over an indexed column (hash lookup), then the
-// combined range bounds (>, >=, <, <=, BETWEEN with literal bounds) of
-// the first indexed column that has any. Equality ids are sorted
-// ascending and range ids materialise in heap order (ordidx.go), so
-// either access path emits rows exactly as a filtered full scan would.
-func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
+// `col = comparand` equality over an indexed column (hash lookup), then
+// the combined range bounds (>, >=, <, <=, BETWEEN) of the first indexed
+// column that has any — a comparand being a literal or a ? parameter,
+// resolved against this execution's bindings (plans are built per
+// execution, so nothing resolved here outlives it). Equality ids are
+// sorted ascending and range ids materialise in heap order (ordidx.go),
+// so either access path emits rows exactly as a filtered full scan would.
+func chooseScanAccess(sc *scanOp, conjuncts []Expr, params []Value) []Expr {
 	for i, c := range conjuncts {
 		b, ok := c.(*BinaryOp)
 		if !ok || b.Op != "=" {
 			continue
 		}
-		col, lit := asColLiteral(b.Left, b.Right)
-		if col == nil {
-			col, lit = asColLiteral(b.Right, b.Left)
-		}
+		col, v, _ := asColValue(b, params)
 		if col == nil {
 			continue
 		}
@@ -1356,7 +1357,7 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
 		if idx == nil {
 			continue
 		}
-		v := coerce(lit.Val, sc.table.Columns[idx.Column].Type)
+		v = coerce(v, sc.table.Columns[idx.Column].Type)
 		if v.IsNull() {
 			// `col = NULL` is never true; serving the NULL key's ids here
 			// would wrongly return the NULL-valued rows (the conjunct is
@@ -1368,44 +1369,25 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr) []Expr {
 			if sc.qc != nil {
 				snap = sc.qc.snap
 			}
-			ids := visibleEqIDs(sc.table, idx, v, snap)
-			if ids == nil {
-				ids = []int{} // non-nil: an empty restriction, not a full scan
-			}
-			sc.ids = ids
+			sc.ids = visibleEqIDs(sc.table, idx, v, snap)
 		}
 		return append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
 	}
 
-	// Range: find the first indexed column with a range conjunct, then
-	// absorb every range conjunct on that column into one bound pair.
-	var target *Index
-	for _, c := range conjuncts {
-		col, _, ok := rangeConjunct(c)
-		if !ok {
-			continue
-		}
-		if idx := scanIndexFor(sc, col); idx != nil {
-			target = idx
-			break
-		}
-	}
-	if target == nil {
-		return conjuncts
-	}
-	var spec rangeSpec
+	// Range: the first indexed column with a range conjunct absorbs every
+	// range conjunct on that column into one bound pair.
 	rest := conjuncts[:0:0]
 	for _, c := range conjuncts {
-		col, cs, ok := rangeConjunct(c)
-		if !ok || scanIndexFor(sc, col) != target {
-			rest = append(rest, c)
-			continue
+		if col, cs, null, ok := rangeConjunct(c, params); ok && !null {
+			if idx := scanIndexFor(sc, col); idx != nil && (sc.rangeIdx == nil || idx == sc.rangeIdx) {
+				sc.rangeIdx = idx
+				sc.spec.lo = tightenLo(sc.spec.lo, cs.lo)
+				sc.spec.hi = tightenHi(sc.spec.hi, cs.hi)
+				continue
+			}
 		}
-		spec.lo = tightenLo(spec.lo, cs.lo)
-		spec.hi = tightenHi(spec.hi, cs.hi)
+		rest = append(rest, c)
 	}
-	sc.rangeIdx = target
-	sc.spec = spec
 	return rest
 }
 
@@ -1498,74 +1480,80 @@ func scanIndexFor(sc *scanOp, col *ColumnRef) *Index {
 }
 
 // rangeConjunct decomposes a conjunct into a column reference and the
-// range bounds it contributes: `col > lit`, `>=`, `<`, `<=` (either
-// operand order) and `col BETWEEN lo AND hi` with literal bounds. NULL
-// literals never match a range (the predicate is NULL for every row), so
-// they are left to the filter.
-func rangeConjunct(c Expr) (*ColumnRef, rangeSpec, bool) {
+// range bounds it contributes: `col > x`, `>=`, `<`, `<=` (either operand
+// order) and `col BETWEEN lo AND hi`, each bound a literal or a bound ?
+// parameter. Shared by the SELECT planner and the DML fast path. A NULL
+// bound is reported apart (null): the predicate is NULL for every row, so
+// it matches nothing — DML returns no ids, the planner leaves the
+// conjunct to the filter.
+func rangeConjunct(c Expr, params []Value) (col *ColumnRef, spec rangeSpec, null, ok bool) {
 	switch t := c.(type) {
 	case *BinaryOp:
-		var op string
-		col, lit := asColLiteral(t.Left, t.Right)
-		if col != nil {
-			op = t.Op
-		} else {
-			col, lit = asColLiteral(t.Right, t.Left)
-			// Flip the comparison around the literal: `5 < col` is `col > 5`.
-			switch t.Op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			default:
-				op = t.Op
-			}
+		cr, v, flipped := asColValue(t, params)
+		if cr == nil {
+			return nil, rangeSpec{}, false, false
 		}
-		if col == nil || lit.Val.IsNull() {
-			return nil, rangeSpec{}, false
+		op := t.Op
+		if flipped {
+			op = flipComparison.Replace(op)
 		}
 		switch op {
-		case ">":
-			return col, rangeSpec{lo: &rangeBound{val: lit.Val}}, true
-		case ">=":
-			return col, rangeSpec{lo: &rangeBound{val: lit.Val, incl: true}}, true
-		case "<":
-			return col, rangeSpec{hi: &rangeBound{val: lit.Val}}, true
-		case "<=":
-			return col, rangeSpec{hi: &rangeBound{val: lit.Val, incl: true}}, true
+		case ">", ">=":
+			spec.lo = &rangeBound{val: v, incl: op == ">="}
+		case "<", "<=":
+			spec.hi = &rangeBound{val: v, incl: op == "<="}
+		default:
+			return nil, rangeSpec{}, false, false
 		}
+		return cr, spec, v.IsNull(), true
 	case *Between:
-		if t.Not {
-			return nil, rangeSpec{}, false
+		cr, isCol := t.Expr.(*ColumnRef)
+		lo, ok1 := boundValue(t.Lo, params)
+		hi, ok2 := boundValue(t.Hi, params)
+		if t.Not || !isCol || !ok1 || !ok2 {
+			return nil, rangeSpec{}, false, false
 		}
-		col, ok := t.Expr.(*ColumnRef)
-		if !ok {
-			return nil, rangeSpec{}, false
-		}
-		lo, ok1 := t.Lo.(*Literal)
-		hi, ok2 := t.Hi.(*Literal)
-		if !ok1 || !ok2 || lo.Val.IsNull() || hi.Val.IsNull() {
-			return nil, rangeSpec{}, false
-		}
-		return col, rangeSpec{
-			lo: &rangeBound{val: lo.Val, incl: true},
-			hi: &rangeBound{val: hi.Val, incl: true},
-		}, true
+		return cr, rangeSpec{
+			lo: &rangeBound{val: lo, incl: true},
+			hi: &rangeBound{val: hi, incl: true},
+		}, lo.IsNull() || hi.IsNull(), true
 	}
-	return nil, rangeSpec{}, false
+	return nil, rangeSpec{}, false, false
 }
 
-func asColLiteral(a, b Expr) (*ColumnRef, *Literal) {
-	col, ok1 := a.(*ColumnRef)
-	lit, ok2 := b.(*Literal)
-	if ok1 && ok2 {
-		return col, lit
+// flipComparison turns the operator of `5 < col` into that of `col > 5`.
+var flipComparison = strings.NewReplacer("<", ">", ">", "<")
+
+// asColValue matches a comparison between a column and a literal or bound
+// parameter in either operand order; flipped reports `value op col`.
+func asColValue(b *BinaryOp, params []Value) (col *ColumnRef, v Value, flipped bool) {
+	if cr, ok := b.Left.(*ColumnRef); ok {
+		if v, ok := boundValue(b.Right, params); ok {
+			return cr, v, false
+		}
 	}
-	return nil, nil
+	if cr, ok := b.Right.(*ColumnRef); ok {
+		if v, ok := boundValue(b.Left, params); ok {
+			return cr, v, true
+		}
+	}
+	return nil, Null, false
+}
+
+// boundValue resolves a comparand that is a literal or a bound ?
+// parameter; anything else (a column, an expression) reports false, and
+// so does a parameter with no binding — the arity error surfaces from
+// evaluating the predicate.
+func boundValue(e Expr, params []Value) (Value, bool) {
+	switch c := e.(type) {
+	case *Literal:
+		return c.Val, true
+	case *Param:
+		if c.Index >= 0 && c.Index < len(params) {
+			return params[c.Index], true
+		}
+	}
+	return Null, false
 }
 
 // splitConjuncts flattens a tree of ANDs into a list.

@@ -562,3 +562,32 @@ func TestCastExpr(t *testing.T) {
 		t.Errorf("cast = %v", got)
 	}
 }
+
+// TestRowArenaStartsSmallAndDoubles: a one-row result pays for a handful
+// of rows, a long one works up to full blocks, and every row handed out is
+// capacity-clamped so an append cannot reach its neighbour.
+func TestRowArenaStartsSmallAndDoubles(t *testing.T) {
+	var a rowArena
+	first := a.alloc(1)
+	if got := 1 + len(a.buf); got > 16 {
+		t.Errorf("first block holds %d values for a one-column row, want a handful", got)
+	}
+	second := a.alloc(1)
+	second[0] = Int(2)
+	if first = append(first, Int(9)); second[0].AsInt() != 2 {
+		t.Error("append on a handed-out row clobbered its neighbour")
+	}
+	largest := 0
+	for i := 0; i < 5000; i++ {
+		if r := a.alloc(3); len(r) != 3 || cap(r) != 3 {
+			t.Fatalf("alloc(3) = len %d cap %d", len(r), cap(r))
+		}
+		largest = max(largest, a.size)
+	}
+	if largest != rowArenaBlock {
+		t.Errorf("blocks grew to %d values, want the %d cap", largest, rowArenaBlock)
+	}
+	if r := a.alloc(rowArenaBlock + 5); len(r) != rowArenaBlock+5 {
+		t.Errorf("a row wider than a block: len %d", len(r))
+	}
+}

@@ -1,0 +1,463 @@
+package sqldb
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// Tests for index maintenance in proportion to the change: the vacuum and
+// rollback remove exactly the entries of the versions they unlink, and the
+// ordered view takes adds and removes chunk by chunk. The oracle is exact
+// — every index must equal, as sets of (key, ids), what a bulk build over
+// the surviving versions yields — and comes with the proof that it can
+// fail.
+
+// viewEntries flattens an index's ordered view (building it if needed).
+func viewEntries(idx *Index) []*ordEntry {
+	var out []*ordEntry
+	for _, chunk := range idx.orderedView() {
+		out = append(out, chunk...)
+	}
+	return out
+}
+
+// checkIndexesExact compares every index of table name with a reference
+// built here from the surviving versions of every chain — the same walk
+// CREATE INDEX does. Postings must match exactly; a live ordered view must
+// hold the same (value, ids) pairs strictly ascending, in well-formed
+// chunks. The writer latch keeps the background vacuum out meanwhile.
+func checkIndexesExact(db *Database, name string) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	t, err := db.lookupTable(name)
+	if err != nil {
+		return err
+	}
+	arr, n := t.loadSlots()
+	for col, idx := range t.idxs() {
+		want := make(map[string][]int)
+		for id := 0; id < n; id++ {
+			for v := arr[id].head.Load(); v != nil; v = v.next.Load() {
+				k := v.row[idx.Column].Key()
+				if ids := want[k]; len(ids) == 0 || ids[len(ids)-1] != id {
+					want[k] = append(ids, id)
+				}
+			}
+		}
+		idx.mu.Lock()
+		got := make(map[string][]int, len(idx.m))
+		for k, p := range idx.m {
+			got[k] = append([]int(nil), p.ids...)
+		}
+		idx.mu.Unlock()
+		if !reflect.DeepEqual(got, want) {
+			for k, ids := range want {
+				if !reflect.DeepEqual(got[k], ids) {
+					return fmt.Errorf("index %s.%s: key %q has ids %v, surviving versions carry %v", name, col, k, got[k], ids)
+				}
+			}
+			for k, ids := range got {
+				if _, ok := want[k]; !ok {
+					return fmt.Errorf("index %s.%s: key %q lists ids %v no surviving version carries", name, col, k, ids)
+				}
+			}
+		}
+		vp := idx.ord.Load()
+		if vp == nil {
+			continue
+		}
+		entries := 0
+		var last *ordEntry
+		for ci, chunk := range *vp {
+			if len(chunk) == 0 || len(chunk) > ordChunkCap {
+				return fmt.Errorf("view %s.%s: chunk %d holds %d entries", name, col, ci, len(chunk))
+			}
+			for _, e := range chunk {
+				if last != nil && last.val.Compare(e.val) >= 0 {
+					return fmt.Errorf("view %s.%s: %v does not sort before %v", name, col, last.val, e.val)
+				}
+				if ids := e.entryIDs(); !reflect.DeepEqual(ids, want[e.val.Key()]) {
+					return fmt.Errorf("view %s.%s: entry %v has ids %v, surviving versions carry %v",
+						name, col, e.val, ids, want[e.val.Key()])
+				}
+				last = e
+				entries++
+			}
+		}
+		if entries != len(want) {
+			return fmt.Errorf("view %s.%s: %d entries, surviving versions carry %d distinct values", name, col, entries, len(want))
+		}
+	}
+	return nil
+}
+
+// indexMaintenanceProperty interleaves, from one seed, autocommit
+// INSERT/UPDATE/DELETE, multi-statement transactions that commit or roll
+// back (including insert-then-update of one row), explicit Vacuum() and
+// whatever background vacuums the garbage triggers — with a read-only
+// transaction opened now and then and held across the following steps so
+// the horizon lags. The same operations run on an indexed and a plain
+// database. After every few steps the indexes must be exact
+// (checkIndexesExact) and every query of the indexed-vs-plain suite must
+// agree on a fresh snapshot and on the held one.
+func indexMaintenanceProperty(r *rand.Rand, steps int) error {
+	indexed, plain := dmlPropDBs()
+	dbs := []*Database{indexed, plain}
+	// Both views go live before the first write, so every later add and
+	// remove is maintenance, never a lazy build.
+	for _, q := range []string{"SELECT id FROM t ORDER BY k", "SELECT id FROM t WHERE id > 0"} {
+		if _, err := indexed.Query(q); err != nil {
+			return err
+		}
+	}
+	words := []string{"ant", "bee", "cat", "dog"}
+	nextID := 0
+	randK := func() any {
+		switch r.Intn(10) {
+		case 0:
+			return nil
+		case 1, 2, 3:
+			return r.Intn(2000) // many distinct values: chunks split and empty
+		}
+		return r.Intn(50)
+	}
+	type stmt struct {
+		sql    string
+		params []any
+	}
+	randStmt := func() stmt {
+		switch r.Intn(9) {
+		case 0, 1, 2:
+			nextID++
+			return stmt{"INSERT INTO t VALUES (?, ?, ?)", []any{nextID - 1, randK(), words[r.Intn(len(words))]}}
+		case 3:
+			return stmt{"UPDATE t SET k = ? WHERE id = ?", []any{randK(), r.Intn(nextID + 1)}}
+		case 4:
+			return stmt{"UPDATE t SET s = ? WHERE id = ?", []any{words[r.Intn(len(words))], r.Intn(nextID + 1)}}
+		case 5:
+			return stmt{fmt.Sprintf("UPDATE t SET k = k + %d WHERE k BETWEEN %d AND %d", 1+r.Intn(9), r.Intn(25), 25+r.Intn(25)), nil}
+		case 6:
+			return stmt{"DELETE FROM t WHERE id = ?", []any{r.Intn(nextID + 1)}}
+		case 7:
+			return stmt{fmt.Sprintf("DELETE FROM t WHERE k BETWEEN %d AND %d", r.Intn(2000), r.Intn(2000)), nil}
+		}
+		return stmt{"UPDATE t SET k = ? WHERE id = ?", []any{randK(), max(nextID-1, 0)}} // the newest row again
+	}
+	type queryFn func(string, ...any) (*Result, error)
+	agree := func(sql, snap string, onIndexed, onPlain queryFn) error {
+		ri, erri := onIndexed(sql)
+		rp, errp := onPlain(sql)
+		if erri != nil || errp != nil {
+			return fmt.Errorf("%s snapshot, %q: %v / %v", snap, sql, erri, errp)
+		}
+		if gi, gp := rowsToStrings(ri.Rows), rowsToStrings(rp.Rows); !reflect.DeepEqual(gi, gp) {
+			return fmt.Errorf("%s snapshot disagrees on %q:\nindexed %v\nplain   %v", snap, sql, gi, gp)
+		}
+		return nil
+	}
+	var held []*Txn // one read-only transaction per database, or none
+	release := func() {
+		for _, tx := range held {
+			_ = tx.Rollback()
+		}
+		held = nil
+	}
+	defer release()
+	for step := 0; step < steps; step++ {
+		switch op := r.Intn(20); {
+		case op < 12: // autocommit statement
+			s := randStmt()
+			ni, erri := indexed.Exec(s.sql, s.params...)
+			np, errp := plain.Exec(s.sql, s.params...)
+			if (erri == nil) != (errp == nil) || ni != np {
+				return fmt.Errorf("step %d: %q diverged: indexed (%d, %v) vs plain (%d, %v)", step, s.sql, ni, erri, np, errp)
+			}
+		case op < 16: // transaction of 1-4 statements, rolled back half the time
+			stmts := make([]stmt, 1+r.Intn(4))
+			for i := range stmts {
+				stmts[i] = randStmt()
+			}
+			rollback := r.Intn(2) == 0
+			for _, db := range dbs {
+				tx := db.Begin()
+				for _, s := range stmts {
+					_, _ = tx.Exec(s.sql, s.params...)
+				}
+				var err error
+				if rollback {
+					err = tx.Rollback()
+				} else {
+					err = tx.Commit()
+				}
+				if err != nil {
+					return fmt.Errorf("step %d: finishing transaction: %v", step, err)
+				}
+			}
+		case op < 17:
+			for _, db := range dbs {
+				db.Vacuum()
+			}
+		case op < 18: // open the old snapshot, or let it go
+			if held != nil {
+				release()
+			} else {
+				held = []*Txn{indexed.Begin(), plain.Begin()}
+			}
+		default:
+			if err := checkIndexesExact(indexed, "t"); err != nil {
+				return fmt.Errorf("step %d: %v", step, err)
+			}
+			for _, gen := range orderedSuiteQueries {
+				sql := gen(r)
+				if err := agree(sql, "fresh", indexed.Query, plain.Query); err != nil {
+					return fmt.Errorf("step %d: %v", step, err)
+				}
+				if held != nil {
+					if err := agree(sql, "held", held[0].Query, held[1].Query); err != nil {
+						return fmt.Errorf("step %d: %v", step, err)
+					}
+				}
+			}
+		}
+	}
+	release()
+	for _, db := range dbs {
+		db.Vacuum()
+	}
+	return checkIndexesExact(indexed, "t")
+}
+
+func TestIndexMaintenanceExact(t *testing.T) {
+	for _, seed := range []int64{7, 8, 9} {
+		if err := indexMaintenanceProperty(rand.New(rand.NewSource(seed)), 2500); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestIndexMaintenanceCatchesDroppedLiveKey proves the oracles above can
+// fail. With maintenance broken the vacuum drops the key of a version that
+// survives: rows whose unindexed column was updated keep their key in the
+// version the vacuum leaves behind, and lose it from the index. No insert
+// runs under the fault, so the stale-view half of the switch plays no
+// part. The exact oracle, the indexed-vs-plain comparison and NoREC must
+// each report it.
+func TestIndexMaintenanceCatchesDroppedLiveKey(t *testing.T) {
+	indexed, plain := metamorphicDBs()
+	for _, db := range []*Database{indexed, plain} {
+		for i := 0; i < 40; i++ {
+			db.MustExec("INSERT INTO m VALUES (?, ?, ?, 'ant')", i, i%10, i)
+		}
+		db.MustExec("UPDATE m SET b = b + 1 WHERE id < 20")
+	}
+	debugBreakOrdMaintain = true
+	indexed.Vacuum()
+	debugBreakOrdMaintain = false
+
+	if err := checkIndexesExact(indexed, "m"); err == nil {
+		t.Error("exact oracle did not notice the vacuum dropping a surviving version's key")
+	}
+	const q = "SELECT id FROM m WHERE a = 3 ORDER BY id"
+	if gi, gp := queryStrings(t, indexed, q), queryStrings(t, plain, q); reflect.DeepEqual(gi, gp) {
+		t.Errorf("indexed-vs-plain did not notice: both return %v", gi)
+	}
+	if err := checkNoREC(indexed, "a = 3"); err == nil {
+		t.Error("NoREC did not notice the vacuum dropping a surviving version's key")
+	}
+	// And the whole property fails under the fault, not just the scenario.
+	debugBreakOrdMaintain = true
+	defer func() { debugBreakOrdMaintain = false }()
+	if err := indexMaintenanceProperty(rand.New(rand.NewSource(7)), 2500); err == nil {
+		t.Error("index maintenance property passed with maintenance broken")
+	}
+}
+
+// mallocsOf runs f and returns how many heap objects the process
+// allocated meanwhile (background maintenance included).
+func mallocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestIndexMaintenanceProportionalToChange: 300 single-row UPDATEs of an
+// indexed column plus a Vacuum() cost the same allocations on a
+// 5,000-row and a 50,000-row table with two indexes and live views, and
+// the range query after the vacuum finds the view it left — nothing is
+// rebuilt from the table.
+func TestIndexMaintenanceProportionalToChange(t *testing.T) {
+	cost := func(n int) (updates, rangeQuery uint64) {
+		db := NewDatabase()
+		defer db.Close()
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+		db.MustExec("CREATE INDEX idx_t_k ON t (k)")
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{i, i}
+		}
+		if err := db.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		db.vacWG.Wait() // the background sealer's pass over the bulk load
+		const rangeQ = "SELECT COUNT(*) FROM t WHERE id BETWEEN 100 AND 199"
+		db.MustExec(rangeQ)
+		db.MustExec("SELECT id FROM t ORDER BY k LIMIT 1")
+		tbl, _ := db.Table("t")
+		views := func() (idView, kView *ordView) {
+			return tbl.idxs()["id"].ord.Load(), tbl.idxs()["k"].ord.Load()
+		}
+		if a, b := views(); a == nil || b == nil {
+			t.Fatal("views not live before the measured section")
+		}
+		updates = mallocsOf(func() {
+			for i := 0; i < 300; i++ {
+				db.MustExec("UPDATE t SET k = ? WHERE id = ?", n+i, (i*37)%n)
+			}
+			db.vacWG.Wait()
+			db.Vacuum()
+		})
+		if a, b := views(); a == nil || b == nil {
+			t.Errorf("n=%d: vacuum invalidated an ordered view", n)
+		}
+		rangeQuery = mallocsOf(func() {
+			if got := queryStrings(t, db, rangeQ); got[0][0] != "100" {
+				t.Errorf("n=%d: range count after vacuum = %v, want 100", n, got)
+			}
+		})
+		if err := checkIndexesExact(db, "t"); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
+		return updates, rangeQuery
+	}
+	small, smallQ := cost(5000)
+	large, largeQ := cost(50000)
+	t.Logf("300 updates + vacuum: %d mallocs at 5,000 rows, %d at 50,000; range query after: %d, %d", small, large, smallQ, largeQ)
+	if diff := float64(large) - float64(small); diff > 0.10*float64(small) || diff < -0.10*float64(small) {
+		t.Errorf("300 updates + vacuum allocate %d objects at 5,000 rows and %d at 50,000: cost follows the table, not the change", small, large)
+	}
+	if largeQ > 1000 {
+		t.Errorf("range query after the vacuum allocated %d objects at 50,000 rows: the view was rebuilt", largeQ)
+	}
+}
+
+// TestOrdAddCopiesOneChunk: a new distinct value entering a 20,000-entry
+// view copies its chunk and the directory, not the view.
+func TestOrdAddCopiesOneChunk(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+	rows := make([][]any, 20000)
+	for i := range rows {
+		rows[i] = []any{2 * i}
+	}
+	if err := db.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("t")
+	idx := tbl.idxs()["id"]
+	if n := len(viewEntries(idx)); n != 20000 {
+		t.Fatalf("view holds %d entries, want 20000", n)
+	}
+	const adds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < adds; i++ {
+		idx.addEntry(Int(int64(2*(i*97%20000)+1)), 20000+i) // odd keys: each lands inside some chunk
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / adds
+	t.Logf("%d B per new distinct value", per)
+	if per >= 16<<10 {
+		t.Errorf("adding a new distinct value allocates %d B, want < 16 KiB", per)
+	}
+	ents := viewEntries(idx)
+	sorted := sort.SliceIsSorted(ents, func(a, b int) bool { return ents[a].val.Compare(ents[b].val) < 0 })
+	if len(ents) != 20000+adds || !sorted {
+		t.Errorf("view holds %d entries (sorted=%v) after %d adds", len(ents), sorted, adds)
+	}
+}
+
+// TestConcurrentOrderedReadsDuringMaintenance (run under -race): one
+// reader range-scans, one scans in index order, while a writer inserts
+// new distinct keys, moves and deletes rows, and the garbage it makes
+// keeps the background vacuum running. Each reader compares the
+// index-served result with a filtered heap scan inside one transaction,
+// i.e. on one snapshot.
+func TestConcurrentOrderedReadsDuringMaintenance(t *testing.T) {
+	db := NewDatabase()
+	defer db.Close()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+	db.MustExec("CREATE INDEX idx_t_k ON t (k)")
+	rows := make([][]any, 2000)
+	for i := range rows {
+		rows[i] = []any{i, 3 * i}
+	}
+	if err := db.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("SELECT id FROM t ORDER BY k LIMIT 1") // views live before the race starts
+	vacuumsBefore := db.Stats().VacuumRuns
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	reader := func(indexedSQL, heapSQL string) {
+		defer wg.Done()
+		r := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			lo := r.Intn(6000)
+			tx := db.Begin()
+			ri, erri := tx.Query(indexedSQL, lo, lo+300)
+			rp, errp := tx.Query(heapSQL, lo, lo+300)
+			_ = tx.Rollback()
+			if erri != nil || errp != nil {
+				t.Errorf("reader: %v / %v", erri, errp)
+				return
+			}
+			if gi, gp := rowsToStrings(ri.Rows), rowsToStrings(rp.Rows); !reflect.DeepEqual(gi, gp) {
+				t.Errorf("%s (lo=%d) disagrees with the heap scan on one snapshot:\nindex %v\nheap  %v", indexedSQL, lo, gi, gp)
+				return
+			}
+			reads.Add(1)
+		}
+	}
+	wg.Add(2)
+	go reader("SELECT id, k FROM t WHERE k BETWEEN ? AND ?",
+		"SELECT id, k FROM t WHERE k + 0 BETWEEN ? AND ?")
+	go reader("SELECT id, k FROM t WHERE k >= ? ORDER BY k LIMIT 40",
+		"SELECT id, k FROM t WHERE k + 0 >= ? ORDER BY k + 0 LIMIT 40")
+
+	// The writer keeps going until the readers have had their share too.
+	w := rand.New(rand.NewSource(2))
+	for i := 0; i < 30000 && (i < 1500 || reads.Load() < 300) && !t.Failed(); i++ {
+		switch i % 3 {
+		case 0:
+			db.MustExec("INSERT INTO t VALUES (?, ?)", 2000+i, 3*w.Intn(2000)+1+i%2) // a key no row holds yet, mostly
+		case 1:
+			db.MustExec("UPDATE t SET k = ? WHERE id = ?", 3*w.Intn(2000)+2, w.Intn(2000+i))
+		default:
+			db.MustExec("DELETE FROM t WHERE id = ?", w.Intn(2000+i))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	db.vacWG.Wait()
+	if db.Stats().VacuumRuns == vacuumsBefore {
+		t.Error("the background vacuum never ran during the race")
+	}
+	if err := checkIndexesExact(db, "t"); err != nil {
+		t.Error(err)
+	}
+}

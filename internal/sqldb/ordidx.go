@@ -9,12 +9,13 @@ import (
 // This file implements the ordered half of the dual-structure Index
 // (catalog.go) and the operators that exploit it. The hash map's postings
 // are the source of truth; the ordered view — distinct values sorted by
-// Value.Compare, each with its row ids ascending — is derived from them
-// lazily and then maintained incrementally by DML while it is live. Under
-// MVCC both structures are supersets of what any one snapshot can see, so
-// every consumer here re-checks each candidate id: fetch the version
-// visible to the scan's snapshot, emit only if its indexed value equals
-// the entry's value. On top of the view sit:
+// Value.Compare, each with its row ids ascending — is derived from them on
+// first ordered access and from then on kept exactly in step with them:
+// addEntry splices into both, removeEntry (vacuum and rollback only)
+// removes from both. Under MVCC both structures are supersets of what any
+// one snapshot can see, so every consumer here re-checks each candidate id:
+// fetch the version visible to the scan's snapshot, emit only if its
+// indexed value equals the entry's value. On top of the view sit:
 //
 //	ordScanOp     streams a table in index order (optionally bounded),
 //	              letting ORDER BY ... LIMIT k read exactly O(k) rows
@@ -31,12 +32,23 @@ import (
 // to exactly one entry. The planner relies on this to drop sortOp without
 // changing any observable ordering, including ties.
 //
+// Shape: the view is two levels, a directory of sorted chunks of at most
+// ordChunkCap entries each, and every level is immutable once published.
+// A change to one value's id list replaces that entry's id slice; a new
+// or emptied value replaces its one chunk and the directory (a full chunk
+// splits in two, an emptied one leaves the directory) — the cost of a
+// write follows the write, never the number of distinct values.
+//
 // Concurrency: readers load the published view pointer once per scan and
-// entry id lists atomically per entry; they take no lock. Writers (under
-// the single-writer latch, holding the index latch) maintain the live
-// view copy-on-write — replacing an entry's id slice for an existing
-// value, publishing a fresh entry array for a new one — so a reader's
-// loaded view stays internally consistent for its whole iteration.
+// entry id lists atomically per entry, walk the view through an ordCursor
+// and take no lock. Writers (under the single-writer latch, holding the
+// index latch) only ever publish replacements, so a reader's loaded view
+// stays internally consistent for its whole iteration; ids it still lists
+// for versions the vacuum has since unlinked fail the recheck.
+
+// ordChunkCap is the number of entries one chunk of an ordered view holds
+// at most: the unit a new or emptied value copies.
+const ordChunkCap = 128
 
 // ordEntry is one distinct value of an ordered index view. The id list is
 // replaced copy-on-write by maintenance; entries themselves are immutable
@@ -49,70 +61,200 @@ type ordEntry struct {
 // entryIDs loads the entry's current id list (ascending).
 func (e *ordEntry) entryIDs() []int { return *e.ids.Load() }
 
+func newOrdEntry(v Value, ids []int) *ordEntry {
+	e := &ordEntry{val: v}
+	e.ids.Store(&ids)
+	return e
+}
+
+// ordView is a published ordered view: the directory of its chunks in key
+// order. No chunk is empty, so a chunk's first and last entries bound it.
+type ordView [][]*ordEntry
+
+// ordPos addresses one entry of a view; {len(view), 0} is the end.
+type ordPos struct{ chunk, slot int }
+
+func (p ordPos) before(q ordPos) bool {
+	return p.chunk < q.chunk || (p.chunk == q.chunk && p.slot < q.slot)
+}
+
+// ordCursor walks one loaded view entry by entry in either direction.
+type ordCursor struct {
+	view ordView
+	pos  ordPos
+}
+
+// seek returns a cursor on the first entry whose value is >= x (> x when
+// strict), or at the end: one binary search over the directory, one
+// inside the chunk.
+func (v ordView) seek(x Value, strict bool) ordCursor {
+	reached := func(e *ordEntry) bool {
+		c := e.val.Compare(x)
+		return c > 0 || (c == 0 && !strict)
+	}
+	ci := sort.Search(len(v), func(i int) bool { return reached(v[i][len(v[i])-1]) })
+	c := ordCursor{view: v, pos: ordPos{chunk: ci}}
+	if ci < len(v) {
+		c.pos.slot = sort.Search(len(v[ci]), func(i int) bool { return reached(v[ci][i]) })
+	}
+	return c
+}
+
+// entry returns the entry under the cursor, nil at the end.
+func (c *ordCursor) entry() *ordEntry {
+	if c.pos.chunk >= len(c.view) {
+		return nil
+	}
+	return c.view[c.pos.chunk][c.pos.slot]
+}
+
+func (c *ordCursor) next() {
+	if c.pos.slot++; c.pos.slot == len(c.view[c.pos.chunk]) {
+		c.pos = ordPos{chunk: c.pos.chunk + 1}
+	}
+}
+
+// prev steps back one entry; the caller knows one exists.
+func (c *ordCursor) prev() {
+	if c.pos.slot == 0 {
+		c.pos.chunk--
+		c.pos.slot = len(c.view[c.pos.chunk])
+	}
+	c.pos.slot--
+}
+
+// withChunk returns a copy of the directory in which chunk ci is replaced
+// by repl: one chunk for a splice, two for a split, none once it emptied.
+func (v ordView) withChunk(ci int, repl ...[]*ordEntry) ordView {
+	nv := make(ordView, 0, len(v)-1+len(repl))
+	nv = append(nv, v[:ci]...)
+	nv = append(nv, repl...)
+	return append(nv, v[ci+1:]...)
+}
+
 // debugBreakOrdMaintain is a fault-injection switch for the property test
-// layer: DML leaves live ordered views stale, and the suites must notice.
-// Never set outside tests.
+// layer: index maintenance is wrong — DML leaves live ordered views stale
+// and removal drops keys a surviving version still carries — and the
+// suites must notice. Never set outside tests.
 var debugBreakOrdMaintain bool
 
-// orderedEntries returns the index's ordered view, building it from the
-// hash map under the index latch on first ordered access after wholesale
-// invalidation (CREATE INDEX, vacuum sweep). The double-checked fast path
-// is a single atomic load; builders and maintainers serialise on idx.mu.
-// Entry id slices are copied at build — they are never shared with the
-// postings.
-func (idx *Index) orderedEntries() []*ordEntry {
-	if entp := idx.ord.Load(); entp != nil {
-		return *entp
+// orderedView returns the index's ordered view, building it from the hash
+// map under the index latch on first ordered access. The double-checked
+// fast path is a single atomic load. Entry id slices are copied at build —
+// they are never shared with the postings.
+func (idx *Index) orderedView() ordView {
+	if vp := idx.ord.Load(); vp != nil {
+		return *vp
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	if entp := idx.ord.Load(); entp != nil {
-		return *entp
+	if vp := idx.ord.Load(); vp != nil {
+		return *vp
 	}
 	entries := make([]*ordEntry, 0, len(idx.m))
 	for _, p := range idx.m {
-		e := &ordEntry{val: p.val}
-		ids := append([]int(nil), p.ids...)
-		e.ids.Store(&ids)
-		entries = append(entries, e)
+		entries = append(entries, newOrdEntry(p.val, append([]int(nil), p.ids...)))
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		return entries[a].val.Compare(entries[b].val) < 0
 	})
-	idx.ord.Store(&entries)
-	return entries
+	v := make(ordView, 0, (len(entries)+ordChunkCap-1)/ordChunkCap)
+	for ; len(entries) > ordChunkCap; entries = entries[ordChunkCap:] {
+		v = append(v, entries[:ordChunkCap:ordChunkCap])
+	}
+	if len(entries) > 0 {
+		v = append(v, entries)
+	}
+	idx.ord.Store(&v)
+	return v
 }
 
 // ordAdd maintains a live ordered view for one added (id, value) pair:
-// binary search for the value's entry, then copy-on-write the entry's id
-// list, or publish a fresh entry array with the new value spliced in at
-// its sorted position. Caller holds idx.mu. A nil view stays nil — the
-// next ordered access builds it from the hash map for free. Reports
-// whether a live view was maintained.
+// seek the value's entry, then copy-on-write its id list, or splice a new
+// entry into a copy of its chunk and publish a directory holding that copy
+// (two halves when the chunk was full; a key past a full last chunk opens
+// a chunk of its own, so ascending keys leave packed chunks behind).
+// Caller holds idx.mu. A view not yet built stays unbuilt — the first
+// ordered access builds it from the hash map for free. Reports whether a
+// live view was maintained.
 func (idx *Index) ordAdd(v Value, id int) bool {
-	entp := idx.ord.Load()
-	if entp == nil || debugBreakOrdMaintain {
+	vp := idx.ord.Load()
+	if vp == nil || debugBreakOrdMaintain {
 		return false
 	}
-	entries := *entp
-	pos := sort.Search(len(entries), func(i int) bool { return entries[i].val.Compare(v) >= 0 })
-	if pos < len(entries) && entries[pos].val.Compare(v) == 0 {
-		ids := entries[pos].entryIDs()
+	view := *vp
+	c := view.seek(v, false)
+	if e := c.entry(); e != nil && e.val.Compare(v) == 0 {
+		ids := e.entryIDs()
 		cp := make([]int, len(ids), len(ids)+1)
 		copy(cp, ids)
 		cp = spliceID(cp, id)
-		entries[pos].ids.Store(&cp)
+		e.ids.Store(&cp)
 		return true
 	}
-	grown := make([]*ordEntry, len(entries)+1)
-	copy(grown, entries[:pos])
-	e := &ordEntry{val: v}
-	eids := []int{id}
-	e.ids.Store(&eids)
-	grown[pos] = e
-	copy(grown[pos+1:], entries[pos:])
+	e := newOrdEntry(v, []int{id})
+	var grown ordView
+	if len(view) == 0 {
+		grown = ordView{{e}}
+	} else {
+		ci, at := c.pos.chunk, c.pos.slot
+		if ci == len(view) { // past every key: append to the last chunk
+			ci, at = ci-1, len(view[ci-1])
+		}
+		old := view[ci]
+		chunk := make([]*ordEntry, len(old)+1)
+		copy(chunk, old[:at])
+		chunk[at] = e
+		copy(chunk[at+1:], old[at:])
+		if len(chunk) <= ordChunkCap {
+			grown = view.withChunk(ci, chunk)
+		} else {
+			cut := len(chunk) / 2
+			if at == len(old) {
+				cut = at
+			}
+			grown = view.withChunk(ci, chunk[:cut:cut], chunk[cut:])
+		}
+	}
 	idx.ord.Store(&grown)
 	return true
+}
+
+// ordRemove drops id from v's entry in a live ordered view, and the entry
+// with its last id. Caller holds idx.mu; an absent pair is a no-op.
+func (idx *Index) ordRemove(v Value, id int) {
+	vp := idx.ord.Load()
+	if vp == nil {
+		return
+	}
+	view := *vp
+	c := view.seek(v, false)
+	e := c.entry()
+	if e == nil || e.val.Compare(v) != 0 {
+		return
+	}
+	ids := e.entryIDs()
+	pos := sort.SearchInts(ids, id)
+	if pos == len(ids) || ids[pos] != id {
+		return
+	}
+	if len(ids) > 1 {
+		cp := make([]int, 0, len(ids)-1)
+		cp = append(append(cp, ids[:pos]...), ids[pos+1:]...)
+		e.ids.Store(&cp)
+		return
+	}
+	ci, at := c.pos.chunk, c.pos.slot
+	old := view[ci]
+	var shrunk ordView
+	if len(old) == 1 {
+		shrunk = view.withChunk(ci)
+	} else {
+		chunk := make([]*ordEntry, 0, len(old)-1)
+		chunk = append(append(chunk, old[:at]...), old[at+1:]...)
+		shrunk = view.withChunk(ci, chunk)
+	}
+	idx.ord.Store(&shrunk)
 }
 
 // rangeBound is one end of a key range: the bounding value and whether
@@ -184,28 +326,22 @@ func tightenHi(cur, nb *rangeBound) *rangeBound {
 	return cur
 }
 
-// rangeStart returns the first entry index inside the lower bound. With
-// no lower bound NULL entries are still skipped: SQL range predicates
+// rangeStart returns a cursor on the first entry inside the lower bound.
+// With no lower bound NULL entries are still skipped: SQL range predicates
 // are never true of NULL, and NULLs sort first under Compare.
-func rangeStart(entries []*ordEntry, lo *rangeBound) int {
+func (v ordView) rangeStart(lo *rangeBound) ordCursor {
 	if lo == nil {
-		return sort.Search(len(entries), func(i int) bool { return !entries[i].val.IsNull() })
+		return v.seek(Null, true)
 	}
-	if lo.incl {
-		return sort.Search(len(entries), func(i int) bool { return entries[i].val.Compare(lo.val) >= 0 })
-	}
-	return sort.Search(len(entries), func(i int) bool { return entries[i].val.Compare(lo.val) > 0 })
+	return v.seek(lo.val, !lo.incl)
 }
 
-// rangeEnd returns one past the last entry index inside the upper bound.
-func rangeEnd(entries []*ordEntry, hi *rangeBound) int {
+// rangeEnd returns a cursor one past the last entry inside the upper bound.
+func (v ordView) rangeEnd(hi *rangeBound) ordCursor {
 	if hi == nil {
-		return len(entries)
+		return ordCursor{view: v, pos: ordPos{chunk: len(v)}}
 	}
-	if hi.incl {
-		return sort.Search(len(entries), func(i int) bool { return entries[i].val.Compare(hi.val) > 0 })
-	}
-	return sort.Search(len(entries), func(i int) bool { return entries[i].val.Compare(hi.val) >= 0 })
+	return v.seek(hi.val, hi.incl)
 }
 
 // collectRangeIDs gathers the row ids inside the range that are visible
@@ -215,16 +351,15 @@ func rangeEnd(entries []*ordEntry, hi *rangeBound) int {
 // no longer carries the entry's value — superset leftovers, deleted or
 // not-yet-visible rows — are skipped and counted in the second return.
 // Always returns a non-nil slice.
-func collectRangeIDs(t *Table, col int, entries []*ordEntry, spec rangeSpec, snap *snapshot) ([]int, uint64) {
-	lo, hi := rangeStart(entries, spec.lo), rangeEnd(entries, spec.hi)
+func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]int, uint64) {
+	v := idx.orderedView()
 	ids := make([]int, 0, 16)
 	var skipped uint64
-	for i := lo; i < hi; i++ {
-		e := entries[i]
-		key := e.val.Key()
+	for c, end := v.rangeStart(spec.lo), v.rangeEnd(spec.hi).pos; c.pos.before(end); c.next() {
+		e := c.entry()
 		for _, id := range e.entryIDs() {
 			r := t.visibleRow(id, snap)
-			if r == nil || r[col].Key() != key {
+			if r == nil || !r[idx.Column].Equal(e.val) {
 				skipped++
 				continue
 			}
@@ -241,10 +376,9 @@ func entryRows(t *Table, col int, e *ordEntry, snap *snapshot) ([]Row, uint64) {
 	ids := e.entryIDs()
 	rows := make([]Row, 0, len(ids))
 	var skipped uint64
-	key := e.val.Key()
 	for _, id := range ids {
 		r := t.visibleRow(id, snap)
-		if r == nil || r[col].Key() != key {
+		if r == nil || !r[col].Equal(e.val) {
 			skipped++
 			continue
 		}
@@ -278,12 +412,11 @@ type ordScanOp struct {
 
 	built       bool
 	snap        *snapshot
-	entries     []*ordEntry
-	eids        []int // current entry's id list
-	ekey        string
-	lo, hi      int // [lo, hi) window of entries inside the range
-	epos        int // current entry
-	ipos        int // current position within the entry's ids
+	cur         ordCursor // ascending: the next entry; descending: one past it
+	lo, hi      ordPos    // [lo, hi) window of entries inside the range
+	eids        []int     // current entry's id list
+	eval        Value     // current entry's value
+	ipos        int       // current position within the entry's ids
 	counted     bool
 	scanned     uint64 // rows this scan read (per-operator EXPLAIN ANALYZE)
 	tombSkipped uint64 // invisible/superseded ids stepped over (EXPLAIN ANALYZE)
@@ -293,12 +426,24 @@ func (s *ordScanOp) columns() []colInfo { return s.cols }
 
 func (s *ordScanOp) reset() { s.built = false }
 
-// loadEntry caches the current entry's id list and key.
-func (s *ordScanOp) loadEntry() {
-	e := s.entries[s.epos]
-	s.eids = e.entryIDs()
-	s.ekey = e.val.Key()
-	s.ipos = 0
+// loadEntry steps the cursor to the next entry of the window in scan
+// direction and caches its id list and value; false once the window is
+// exhausted.
+func (s *ordScanOp) loadEntry() bool {
+	if s.desc {
+		if !s.lo.before(s.cur.pos) {
+			return false
+		}
+		s.cur.prev()
+	} else if !s.cur.pos.before(s.hi) {
+		return false
+	}
+	e := s.cur.entry()
+	if !s.desc {
+		s.cur.next()
+	}
+	s.eids, s.eval, s.ipos = e.entryIDs(), e.val, 0
+	return true
 }
 
 func (s *ordScanOp) next() (Row, bool, error) {
@@ -306,23 +451,16 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		s.entries = s.idx.orderedEntries()
+		v := s.idx.orderedView()
+		lo, hi := ordCursor{view: v}, v.rangeEnd(nil)
 		if s.spec.bounded() {
-			s.lo, s.hi = rangeStart(s.entries, s.spec.lo), rangeEnd(s.entries, s.spec.hi)
-			if s.hi < s.lo {
-				s.hi = s.lo
-			}
-		} else {
-			s.lo, s.hi = 0, len(s.entries)
+			lo, hi = v.rangeStart(s.spec.lo), v.rangeEnd(s.spec.hi)
 		}
+		s.lo, s.hi, s.cur = lo.pos, hi.pos, lo
 		if s.desc {
-			s.epos = s.hi - 1
-		} else {
-			s.epos = s.lo
+			s.cur = hi
 		}
-		if s.epos >= s.lo && s.epos < s.hi {
-			s.loadEntry()
-		}
+		s.eids, s.ipos = nil, 0
 		s.built = true
 		if s.qc != nil && !s.counted {
 			s.counted = true
@@ -340,18 +478,11 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		}
 	}
 	for {
-		if s.desc {
-			if s.epos < s.lo {
-				return nil, false, nil
-			}
-		} else if s.epos >= s.hi {
-			return nil, false, nil
-		}
 		for s.ipos < len(s.eids) {
 			id := s.eids[s.ipos]
 			s.ipos++
 			r := s.table.visibleRow(id, s.snap)
-			if r == nil || r[s.idx.Column].Key() != s.ekey {
+			if r == nil || !r[s.idx.Column].Equal(s.eval) {
 				s.tombSkipped++
 				if s.qc != nil {
 					s.qc.tombstonesSkipped++
@@ -364,13 +495,8 @@ func (s *ordScanOp) next() (Row, bool, error) {
 			}
 			return r, true, nil
 		}
-		if s.desc {
-			s.epos--
-		} else {
-			s.epos++
-		}
-		if s.epos >= s.lo && s.epos < s.hi {
-			s.loadEntry()
+		if !s.loadEntry() {
+			return nil, false, nil
 		}
 	}
 }
@@ -403,8 +529,7 @@ type mergeJoinOp struct {
 	scanned     uint64 // rows read off both ordered views (EXPLAIN ANALYZE)
 	tombSkipped uint64 // invisible/superseded ids stepped over (EXPLAIN ANALYZE)
 	snap        *snapshot
-	le, re      []*ordEntry
-	li, ri      int
+	lc, rc      ordCursor
 	// current match block: the visible rows of an equal key
 	lrows, rrows []Row
 	lp, rp       int
@@ -443,11 +568,9 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 		if m.qc != nil {
 			m.snap = m.qc.snap
 		}
-		m.le = m.leftIdx.orderedEntries()
-		m.re = m.rightIdx.orderedEntries()
 		// Skip NULL entries: NULL keys never join.
-		m.li = rangeStart(m.le, nil)
-		m.ri = rangeStart(m.re, nil)
+		m.lc = m.leftIdx.orderedView().rangeStart(nil)
+		m.rc = m.rightIdx.orderedView().rangeStart(nil)
 		m.inBlock = false
 		m.built = true
 		if m.qc != nil && !m.counted {
@@ -486,22 +609,23 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 				m.lp++
 			}
 			m.inBlock = false
-			m.li++
-			m.ri++
+			m.lc.next()
+			m.rc.next()
 		}
-		if m.li >= len(m.le) || m.ri >= len(m.re) {
+		le, re := m.lc.entry(), m.rc.entry()
+		if le == nil || re == nil {
 			return nil, false, nil
 		}
-		c := m.le[m.li].val.Compare(m.re[m.ri].val)
+		c := le.val.Compare(re.val)
 		switch {
 		case c < 0:
-			m.li++
+			m.lc.next()
 		case c > 0:
-			m.ri++
+			m.rc.next()
 		default:
 			var lskip, rskip uint64
-			m.lrows, lskip = entryRows(m.leftTable, m.leftIdx.Column, m.le[m.li], m.snap)
-			m.rrows, rskip = entryRows(m.rightTable, m.rightIdx.Column, m.re[m.ri], m.snap)
+			m.lrows, lskip = entryRows(m.leftTable, m.leftIdx.Column, le, m.snap)
+			m.rrows, rskip = entryRows(m.rightTable, m.rightIdx.Column, re, m.snap)
 			m.lp, m.rp = 0, 0
 			m.inBlock = true
 			m.tombSkipped += lskip + rskip

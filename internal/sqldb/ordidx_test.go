@@ -113,6 +113,34 @@ func dmlPropDBs() (indexed, plain *Database) {
 	return indexed, plain
 }
 
+// orderedSuiteQueries is the indexed-vs-plain query suite: range, equality
+// and ORDER BY shapes over t(id, k, s) that an indexed database serves
+// from its ordered views and a plain one from heap scans and sorts.
+var orderedSuiteQueries = []func(*rand.Rand) string{
+	func(r *rand.Rand) string {
+		return fmt.Sprintf("SELECT id, k, s FROM t WHERE k > %d ORDER BY id", r.Intn(40))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf("SELECT id, k FROM t WHERE k BETWEEN %d AND %d ORDER BY id", r.Intn(20), 20+r.Intn(20))
+	},
+	func(r *rand.Rand) string {
+		return "SELECT id, k FROM t ORDER BY k" // ties + NULLs: must match stable sort
+	},
+	func(r *rand.Rand) string {
+		return "SELECT id, k FROM t ORDER BY k DESC"
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf("SELECT id, k FROM t ORDER BY k LIMIT %d", 1+r.Intn(8))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf("SELECT id, k FROM t WHERE k >= %d AND k < %d ORDER BY k LIMIT %d",
+			r.Intn(25), 25+r.Intn(25), 1+r.Intn(6))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf("SELECT id, s FROM t WHERE k = %d ORDER BY id", r.Intn(50))
+	},
+}
+
 // interleavedDMLProperty is the DML-vs-ordered-index property engine:
 // random INSERT/UPDATE/DELETE — including UPDATEs that move rows between
 // an indexed column's entries, equality-shaped DML that takes the index
@@ -172,30 +200,6 @@ func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
 		}
 		return nil
 	}
-	queries := []func(*rand.Rand) string{
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, k, s FROM t WHERE k > %d ORDER BY id", r.Intn(40))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, k FROM t WHERE k BETWEEN %d AND %d ORDER BY id", r.Intn(20), 20+r.Intn(20))
-		},
-		func(r *rand.Rand) string {
-			return "SELECT id, k FROM t ORDER BY k" // ties + NULLs: must match stable sort
-		},
-		func(r *rand.Rand) string {
-			return "SELECT id, k FROM t ORDER BY k DESC"
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, k FROM t ORDER BY k LIMIT %d", 1+r.Intn(8))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, k FROM t WHERE k >= %d AND k < %d ORDER BY k LIMIT %d",
-				r.Intn(25), 25+r.Intn(25), 1+r.Intn(6))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, s FROM t WHERE k = %d ORDER BY id", r.Intn(50))
-		},
-	}
 
 	for step := 0; step < steps; step++ {
 		var err error
@@ -228,7 +232,7 @@ func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
 		case op < 10: // multi-row delete over the indexed column's range
 			err = exec(fmt.Sprintf("DELETE FROM t WHERE k BETWEEN %d AND %d", r.Intn(40), 5+r.Intn(40)))
 		default: // query
-			sql := queries[r.Intn(len(queries))](r)
+			sql := orderedSuiteQueries[r.Intn(len(orderedSuiteQueries))](r)
 			ri, err := indexed.Query(sql)
 			if err != nil {
 				return fmt.Errorf("indexed Query(%q): %v", sql, err)
@@ -798,9 +802,9 @@ func TestTopKSortMatchesFullSort(t *testing.T) {
 
 // TestPureUpdateWorkloadBoundsOrderedView: a workload that only updates
 // an indexed column must not grow the ordered view without bound. Under
-// MVCC the superset index keeps old-key entries until the vacuum sweeps
-// dead versions and rebuilds the postings; after a vacuum pass the
-// rebuilt ordered view must hold only the live values again.
+// MVCC the superset index keeps old-key entries until the vacuum unlinks
+// the dead versions and removes their entries; after a vacuum pass the
+// same live view must hold only the live values again.
 func TestPureUpdateWorkloadBoundsOrderedView(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
@@ -821,12 +825,12 @@ func TestPureUpdateWorkloadBoundsOrderedView(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Vacuum() // deterministic sweep: drop dead versions, rebuild postings
+	db.Vacuum() // deterministic sweep: drop dead versions and their entries
 	got := queryStrings(t, db, "SELECT id FROM t ORDER BY k")
 	if len(got) != 8 {
 		t.Fatalf("ordered scan returned %d rows, want 8", len(got))
 	}
-	if n := len(idx.orderedEntries()); n > 8 {
+	if n := len(viewEntries(idx)); n > 8 {
 		t.Fatalf("ordered view holds %d entries after vacuum, want <= 8 live values", n)
 	}
 }

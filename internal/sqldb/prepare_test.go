@@ -117,3 +117,60 @@ func TestPlanCacheSurvivesSchemaChange(t *testing.T) {
 		t.Errorf("cached parse over recreated table = %v", rowsToStrings(res.Rows))
 	}
 }
+
+// TestPreparedParamsTakeIndexPerExecution: `col = ?`, `col > ?` and
+// `col BETWEEN ? AND ?` over an indexed column resolve the binding where
+// the access path is chosen — index scans, no full scan, visible in
+// EXPLAIN — and one prepared Stmt run with two bindings returns each
+// binding's rows: nothing resolved for one execution reaches the next.
+func TestPreparedParamsTakeIndexPerExecution(t *testing.T) {
+	db := testDB(t)
+	eq, err := db.Prepare("SELECT title FROM movies WHERE id = ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	for _, id := range []int{3, 5, 3} {
+		want := queryStrings(t, db, fmt.Sprintf("SELECT title FROM movies WHERE id + 0 = %d", id))
+		res, err := eq.Query(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsToStrings(res.Rows); len(got) != 1 || !reflect.DeepEqual(got, want) {
+			t.Errorf("id = ? bound to %d returned %v, want %v", id, got, want)
+		}
+	}
+	s := db.Stats()
+	if got := s.IndexScans - before.IndexScans; got != 3 {
+		t.Errorf("IndexScans moved by %d over 3 parameterised lookups, want 3", got)
+	}
+	if got := s.FullScans - before.FullScans; got != 3 {
+		t.Errorf("FullScans moved by %d, want 3 (the reference queries only)", got)
+	}
+	if res, err := eq.Query(nil); err != nil || len(res.Rows) != 0 {
+		t.Errorf("id = ? bound to NULL returned %v, %v; want no rows", res, err)
+	}
+
+	for _, c := range []struct {
+		sql, plain string
+		params     []any
+		path       string
+	}{
+		{"SELECT id FROM movies WHERE id = ?", "SELECT id FROM movies WHERE id + 0 = 4", []any{4}, "index scan movies"},
+		{"SELECT id FROM movies WHERE id > ?", "SELECT id FROM movies WHERE id + 0 > 4", []any{4}, "index range scan movies"},
+		{"SELECT id FROM movies WHERE ? >= id", "SELECT id FROM movies WHERE id + 0 <= 2", []any{2}, "index range scan movies"},
+		{"SELECT id FROM movies WHERE id BETWEEN ? AND ?", "SELECT id FROM movies WHERE id + 0 BETWEEN 2 AND 4", []any{2, 4}, "index range scan movies"},
+		{"SELECT id FROM movies WHERE id BETWEEN ? AND ?", "SELECT id FROM movies WHERE id + 0 BETWEEN 2 AND NULL", []any{2, nil}, "seq scan movies"},
+	} {
+		if got, want := queryStrings(t, db, c.sql, c.params...), queryStrings(t, db, c.plain); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %v = %v, want %v", c.sql, c.params, got, want)
+		}
+		lines, err := db.Explain(c.sql, c.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := strings.Join(lines, "\n"); !strings.Contains(out, c.path) {
+			t.Errorf("EXPLAIN %s %v: want %q in\n%s", c.sql, c.params, c.path, out)
+		}
+	}
+}

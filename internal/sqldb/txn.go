@@ -229,8 +229,8 @@ func (tm *txnManager) horizon() uint64 {
 
 // undo op kinds, replayed in reverse on rollback.
 const (
-	undoInsert      = iota // drop the inserted version (slot becomes empty)
-	undoUpdate             // unlink our version, revive the one beneath it
+	undoInsert      = iota // drop the inserted version and its index entries (slot becomes empty)
+	undoUpdate             // unlink our version and its index entries, revive the one beneath it
 	undoDelete             // clear xmax on the head we stamped
 	undoCreateTable        // unpublish the created table
 	undoDropTable          // republish the dropped table
@@ -359,15 +359,16 @@ func (tx *Txn) Rollback() error {
 			u := tx.undo[i]
 			switch u.kind {
 			case undoInsert:
+				ours := u.table.head(u.id)
 				u.table.setHead(u.id, nil)
 				u.table.liveRows.Add(-1)
-				u.table.staleIdx.Add(1)
+				u.table.unindex(u.id, ours, nil)
 			case undoUpdate:
-				head := u.table.head(u.id)
-				old := head.next.Load()
+				ours := u.table.head(u.id)
+				old := ours.next.Load()
 				old.xmax.Store(0)
 				u.table.setHead(u.id, old)
-				u.table.staleIdx.Add(1)
+				u.table.unindex(u.id, ours, old)
 			case undoDelete:
 				u.table.head(u.id).xmax.Store(0)
 				u.table.liveRows.Add(1)
@@ -380,10 +381,6 @@ func (tx *Txn) Rollback() error {
 				u.table.publishIndexes(func(m map[string]*Index) { delete(m, u.key) })
 			}
 		}
-		// Rolled-back versions may have left superset entries behind in
-		// the indexes; they are invisible (recheck filters them) and the
-		// vacuum sweeps them out.
-		db.garbage.Add(int64(len(tx.undo)))
 	}
 	db.tm.finish(tx.xid)
 	db.tm.release(tx.snap)

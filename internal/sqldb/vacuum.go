@@ -17,9 +17,15 @@ import "context"
 // terminates safely.
 //
 // The vacuum runs under the single-writer latch (writers pause, readers
-// do not), then rebuilds the swept tables' superset indexes and publishes
-// fresh ordered views; readers holding the old view or old posting copies
-// keep working — their recheck already skips reclaimed ids.
+// do not). Only the vacuum and rollback remove index entries, and they
+// remove exactly what they unlinked: for each chain it truncates, the
+// vacuum takes out of every index the (value, id) pairs the cut-off
+// versions carried and no surviving version of that slot does
+// (Table.unindex) — hash postings in place, the live ordered view
+// copy-on-write. The pass costs a pointer walk over the slots plus work in
+// proportion to what it reclaims; no index is rebuilt and no view is
+// invalidated. Readers holding an older view or posting copy keep working
+// — their recheck already skips reclaimed ids.
 
 // vacuumThreshold is the number of accumulated dead versions that wakes
 // the background vacuum.
@@ -92,9 +98,8 @@ func (db *Database) vacuum(qc *queryCtx) int {
 	return total
 }
 
-// vacuum truncates this table's version chains at the horizon and, when
-// anything was reclaimed (or rolled-back writes left stale superset
-// entries behind), rebuilds the indexes from the surviving versions.
+// vacuum truncates this table's version chains at the horizon and takes
+// the index entries of each cut-off suffix out with it.
 func (t *Table) vacuum(h uint64) int {
 	arr, n := t.loadSlots()
 	reclaimed := 0
@@ -125,40 +130,7 @@ func (t *Table) vacuum(h uint64) int {
 		} else {
 			prev.next.Store(nil)
 		}
-	}
-	if reclaimed > 0 || t.staleIdx.Load() > 0 {
-		t.staleIdx.Store(0)
-		t.rebuildIndexes()
+		t.unindex(id, v, nil)
 	}
 	return reclaimed
-}
-
-// rebuildIndexes recomputes every index's superset postings from the
-// surviving versions of every chain and invalidates the ordered views
-// (the next ordered access rebuilds lazily). Under writeMu; readers
-// holding old postings copies or old views stay correct via recheck.
-func (t *Table) rebuildIndexes() {
-	arr, n := t.loadSlots()
-	for _, idx := range t.idxs() {
-		m := make(map[string]posting, n)
-		for id := 0; id < n; id++ {
-			for v := arr[id].head.Load(); v != nil; v = v.next.Load() {
-				if v.xmin == invalidXID || v.row == nil {
-					continue
-				}
-				val := v.row[idx.Column]
-				key := val.Key()
-				p := m[key]
-				if p.ids == nil {
-					p.val = val
-				}
-				p.ids = spliceID(p.ids, id)
-				m[key] = p
-			}
-		}
-		idx.mu.Lock()
-		idx.m = m
-		idx.ord.Store(nil)
-		idx.mu.Unlock()
-	}
 }

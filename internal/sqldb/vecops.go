@@ -230,8 +230,7 @@ func (s *vecScanOp) open() {
 	}
 	if s.rangeIdx != nil && s.ids == nil {
 		var skipped uint64
-		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx.Column,
-			s.rangeIdx.orderedEntries(), s.rspec, snap)
+		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx, s.rspec, snap)
 		s.account(scanCounts{tombs: skipped})
 	}
 	s.src = newBatchSource(s.table, s.ids, snap)
