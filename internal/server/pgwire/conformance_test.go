@@ -297,6 +297,9 @@ func TestErrorSQLStates(t *testing.T) {
 		{`SELECT * FROM missing`, "42P01"},
 		{`SELECT nope FROM e`, "42703"},
 		{`SELECT nofunc(a) FROM e`, "42883"},
+		// DML binds names before it looks at any row: e is empty.
+		{`UPDATE e SET a = nope`, "42703"},
+		{`DELETE FROM e WHERE nofunc(a) = 1`, "42883"},
 		{`CREATE TABLE e (a INTEGER)`, "42P07"},
 		{`INSERT INTO e VALUES (1, 2)`, "42000"},
 	}

@@ -520,7 +520,7 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	}
 	idxs := t.idxs()
 	for _, idx := range idxs {
-		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCountExcept(idx, r[idx.Column], -1) > 0 {
+		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCount(idx, r[idx.Column]) > 0 {
 			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
 				t.Name, t.Columns[idx.Column].Name, r[idx.Column])
 		}
@@ -554,8 +554,7 @@ func (t *Table) deleteRow(id int, tx *Txn) {
 // updateRow prepends a new version at the same slot (row ids are stable;
 // scan order without ORDER BY is preserved) and adds superset index
 // entries for every key that changed. Constraint checks happen in the
-// callers (checkUpdateUnique per row, or the snapshot path's
-// whole-statement pre-check), so this is pure mechanism.
+// caller (mutate, db.go), so this is pure mechanism.
 func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 	t.dropSegFor(id) // unseal before the update can publish
 	head := t.head(id)
@@ -578,40 +577,13 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 	}
 }
 
-// checkUpdateUnique enforces UNIQUE constraints for an update the same
-// way insertRow does for inserts: if the updated row moves into a
-// non-NULL key another current row already holds, the statement fails
-// before this row is applied. The snapshot UPDATE path does not use this —
-// it pre-checks the whole statement's final state instead (so it can stay
-// atomic), then applies unchecked.
-func (t *Table) checkUpdateUnique(id int, updated Row) error {
-	old := t.head(id).row
-	for _, idx := range t.idxs() {
-		if !idx.Unique || updated[idx.Column].IsNull() {
-			continue
-		}
-		if updated[idx.Column].Equal(old[idx.Column]) {
-			continue
-		}
-		if t.liveKeyCountExcept(idx, updated[idx.Column], id) > 0 {
-			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
-				t.Name, t.Columns[idx.Column].Name, updated[idx.Column])
-		}
-	}
-	return nil
-}
-
-// liveKeyCountExcept counts current (latest-committed-or-own) rows other
-// than except whose indexed column carries exactly v. Under writeMu every
-// chain head is committed or the running writer's, so "latest" is
-// unambiguous.
-func (t *Table) liveKeyCountExcept(idx *Index, v Value, except int) int {
+// liveKeyCount counts current (latest-committed-or-own) rows whose indexed
+// column carries exactly v. Under writeMu every chain head is committed or
+// the running writer's, so "latest" is unambiguous.
+func (t *Table) liveKeyCount(idx *Index, v Value) int {
 	var kb [24]byte
 	n := 0
 	for _, id := range idx.copyIDs(appendValueKey(kb[:0], v)) {
-		if id == except {
-			continue
-		}
 		if r := latestRow(t.head(id)); r != nil && r[idx.Column].Equal(v) {
 			n++
 		}

@@ -4,14 +4,16 @@ import (
 	"strings"
 )
 
-// This file implements the engine's expression compiler. At plan time every
-// expression that will run on the per-row path is compiled into a closure:
-// column references are resolved to (environment, ordinal) pairs once,
-// scalar functions are looked up once, parameters and literals are bound to
-// their values, and operator dispatch happens at compile time instead of a
-// type switch per row. The interpreted evaluator in expr.go remains the
-// engine for DML statements and constant folding, and the compiler is kept
-// semantically identical to it (property tests cross-check the two).
+// This file implements the engine's expression compiler — the only scalar
+// evaluator that ships. Every expression a statement evaluates (SELECT's
+// filters, projections and keys; UPDATE's SET and WHERE, DELETE's WHERE,
+// INSERT's VALUES, LIMIT/OFFSET) is compiled once per execution into a
+// closure: column references are resolved to (environment, ordinal) pairs
+// once, scalar functions are looked up once, parameters and literals are
+// bound to their values, and operator dispatch happens at compile time
+// instead of a type switch per row. The tree-walking interpreter it
+// replaced lives on in interp_test.go as the reference the property tests
+// hold the compiler to.
 
 // compiledExpr evaluates an expression against the environments captured at
 // compile time. The owning operator mutates its environment's row between
@@ -58,8 +60,9 @@ func (a *aggCtx) aggIndex(fc *FuncCall) int {
 }
 
 // compileExpr compiles e against env's scope chain. Resolution errors (no
-// such column, ambiguity, unknown functions, missing parameters) surface at
-// compile time with the same messages the interpreter produces at run time.
+// such column, ambiguity, unknown functions, aggregate misuse, missing
+// parameters) surface here, before any row is read — so they depend on
+// the statement, never on the data.
 func compileExpr(e Expr, env *evalEnv) (compiledExpr, error) {
 	// Under aggregation, grouping expressions resolve to their group key and
 	// aggregate calls to their accumulated result.

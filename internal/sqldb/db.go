@@ -253,10 +253,10 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 		return db.execInsert(t, params, qc, tx)
 	case *UpdateStmt:
 		qc.execs++
-		return db.execUpdate(t, params, qc, tx)
+		return db.mutate(t.Table, t.Where, t.Set, params, qc, tx)
 	case *DeleteStmt:
 		qc.execs++
-		return db.execDelete(t, params, qc, tx)
+		return db.mutate(t.Table, t.Where, nil, params, qc, tx)
 	default:
 		return 0, errf(ErrMisuse, "sql: cannot execute %T", stmt)
 	}
@@ -418,6 +418,9 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 		}
 	}
 
+	// Every source row is evaluated before the first is inserted, so a
+	// VALUES subquery or an INSERT ... SELECT over the target table reads
+	// the pre-statement state.
 	var sourceRows []Row
 	if stmt.Select != nil {
 		rows, _, err := execSelect(stmt.Select, db, params, nil, qc)
@@ -426,15 +429,12 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 		}
 		sourceRows = rows
 	} else {
-		env := newEvalEnv(nil, db, params, nil, qc)
 		for _, exprs := range stmt.Rows {
 			row := make(Row, len(exprs))
 			for i, e := range exprs {
-				v, err := evalExpr(e, env)
-				if err != nil {
+				if row[i], err = evalConst(e, db, params, qc); err != nil {
 					return 0, err
 				}
-				row[i] = v
 			}
 			sourceRows = append(sourceRows, row)
 		}
@@ -459,29 +459,48 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 	return n, nil
 }
 
-// hasSubquery reports whether any of the expressions contains a subquery
-// (scalar, EXISTS, or IN (SELECT ...)) at any depth. DML uses it to pick
-// snapshot evaluation: a subquery may read the very table being mutated.
-func hasSubquery(exprs ...Expr) bool {
+// hasSubquery reports whether e contains a subquery (scalar, EXISTS, or
+// IN (SELECT ...)) at any depth. DML uses it to pick its apply mode: a
+// subquery may read the very table being mutated.
+func hasSubquery(e Expr) bool {
 	found := false
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		walkExpr(e, func(x Expr) bool {
-			if isSubqueryNode(x) {
-				found = true
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return false
+	walkExpr(e, func(x Expr) bool {
+		found = found || isSubqueryNode(x)
+		return !found
+	})
+	return found
 }
 
-func (db *Database) execUpdate(stmt *UpdateStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
+// dmlTarget is one row an UPDATE or DELETE is about to change: its slot,
+// its current row and the row replacing it (nil = delete).
+type dmlTarget struct {
+	id       int
+	old, row Row
+}
+
+// mutate runs an UPDATE (set non-empty) or a DELETE (set nil) over the rows
+// of table that satisfy where. It is the one loop both statements share:
+// the access path is the one SELECT would take for the same WHERE
+// (chooseIndexAccess: an index serves what it can, the residual conjuncts
+// and the SET expressions compile once and run per row), the rows come
+// from SELECT's scan in ascending id order, and each qualifying row
+// becomes a target. The one mode is when targets are applied.
+//
+// As the loop goes — the default. Row ids are stable and index ids are
+// collected before the first change, so each row is checked (NOT NULL,
+// UNIQUE against the current state) and changed when the loop reaches it,
+// the indexes staying exactly current through updateRow. Any early exit —
+// an evaluation or constraint error, cancellation — keeps exactly the
+// applied prefix: the engine's documented non-atomic statement.
+//
+// Together, at the end — when WHERE or SET contains a subquery, which may
+// read the table being mutated: changing rows under it would let it probe
+// already-updated rows or build an ordered view over a half-mutated heap
+// (the Halloween problem). Every evaluation sees the pre-statement state,
+// UNIQUE is checked once over the statement's final state, and only then
+// is anything applied — so an error or cancellation leaves the table
+// untouched.
+func (db *Database) mutate(table string, where Expr, set []SetClause, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
 	wtx, end, err := db.beginWrite(qc, tx)
 	if err != nil {
 		return 0, err
@@ -491,273 +510,153 @@ func (db *Database) execUpdate(stmt *UpdateStmt, params []Value, qc *queryCtx, t
 			err = e
 		}
 	}()
-	t, err := db.lookupTable(stmt.Table)
+	t, err := db.lookupTable(table)
 	if err != nil {
 		return 0, err
 	}
-	setCols := make([]int, len(stmt.Set))
-	for i, sc := range stmt.Set {
-		ci := t.ColumnIndex(sc.Column)
-		if ci < 0 {
+	sets := make([]struct {
+		col int
+		val compiledExpr
+	}, len(set))
+	for i, sc := range set {
+		if sets[i].col = t.ColumnIndex(sc.Column); sets[i].col < 0 {
 			return 0, errf(ErrNoColumn, "sql: table %s has no column named %s", t.Name, sc.Column)
 		}
-		setCols[i] = ci
 	}
-	cols := make([]colInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = colInfo{qual: t.Name, name: c.Name}
+
+	var acc indexAccess
+	residual := where
+	if where != nil {
+		conjuncts := splitConjuncts(where)
+		var rest []Expr
+		if acc, rest = chooseIndexAccess(t, t.Name, conjuncts, params, qc.snap); len(rest) < len(conjuncts) {
+			residual = joinConjuncts(rest)
+		}
 	}
-	env := newEvalEnv(cols, db, params, nil, qc)
-	// A WHERE or SET expression containing a subquery may read the table
-	// being updated. The one-pass loop below mutates rows in place and
-	// defers the index rebuild to the end, so such a subquery would probe
-	// stale index keys over already-updated rows — or lazily build an
-	// ordered view over a half-mutated heap (the Halloween problem).
-	// Those statements take the snapshot path: every evaluation sees the
-	// pre-statement state, and mutation happens only after the last one.
-	setExprs := make([]Expr, 0, len(stmt.Set)+1)
-	setExprs = append(setExprs, stmt.Where)
-	for _, sc := range stmt.Set {
-		setExprs = append(setExprs, sc.Expr)
+	// Names bind here, once, whether or not any row qualifies; the schema
+	// environment is built only when something is left to compile.
+	atEnd := hasSubquery(residual)
+	var env *evalEnv
+	var pred compiledExpr
+	if residual != nil || len(set) > 0 {
+		env = newEvalEnv(tableCols(t, t.Name), db, params, nil, qc)
+		if residual != nil {
+			if pred, err = compileExpr(residual, env); err != nil {
+				return 0, err
+			}
+		}
+		for i, sc := range set {
+			if sets[i].val, err = compileExpr(sc.Expr, env); err != nil {
+				return 0, err
+			}
+			atEnd = atEnd || hasSubquery(sc.Expr)
+		}
 	}
-	if hasSubquery(setExprs...) {
-		return execUpdateSnapshot(t, stmt, setCols, env, qc, wtx)
-	}
-	// Each qualifying row is updated through updateRow, which keeps the
-	// hash maps and any live ordered view exactly current — so any exit
-	// (success, an evaluation error, cancellation) leaves the indexes
-	// consistent with the rows updated so far, with no rebuild.
-	update := func(id int, r Row) error {
-		env.row = r
-		updated := r.Clone()
-		for i, sc := range stmt.Set {
-			v, err := evalExpr(sc.Expr, env)
-			if err != nil {
+
+	apply := func(targets []dmlTarget) error {
+		if len(set) > 0 {
+			if err := t.checkUnique(targets); err != nil {
 				return err
 			}
-			updated[setCols[i]] = coerce(v, t.Columns[setCols[i]].Type)
 		}
-		for i, c := range t.Columns {
-			if c.NotNull && updated[i].IsNull() {
-				return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+		for _, p := range targets {
+			if p.row == nil {
+				t.deleteRow(p.id, wtx)
+			} else {
+				t.updateRow(p.id, p.row, qc, wtx)
 			}
 		}
-		if err := t.checkUpdateUnique(id, updated); err != nil {
-			return err
-		}
-		t.updateRow(id, updated, qc, wtx)
+		n += len(targets)
 		return nil
 	}
-	// Fast path: an `UPDATE ... WHERE col = <literal/param>` over an
-	// indexed column touches exactly the index bucket, and a range-shaped
-	// WHERE (col > x, BETWEEN) over one is served from the index's ordered
-	// view — no heap walk and no per-row WHERE evaluation either way.
-	if ids, ok := dmlWhereIDs(t, stmt.Where, params, qc); ok {
-		for _, id := range ids {
-			if err := qc.tickCancelled(); err != nil {
-				return n, err
-			}
-			if err := update(id, latestRow(t.head(id))); err != nil {
-				return n, err
-			}
-			n++
-		}
-		return n, nil
-	}
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
+	// Under the writer latch the statement snapshot sees exactly the latest
+	// versions, so the scan SELECT runs is the scan DML runs, counters and
+	// cancellation included.
+	scan := scanOp{table: t, indexAccess: acc, qc: qc}
+	var pend []dmlTarget
+	for {
+		r, ok, err := scan.next()
+		if err != nil {
 			return n, err
 		}
-		if stmt.Where != nil {
-			env.row = r
-			v, err := evalExpr(stmt.Where, env)
-			if err != nil {
-				return n, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		if err := update(id, r); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// dmlEqualityIDs serves a DML statement's WHERE clause from an equality
-// index when it has exactly the shape `col = <literal or ? parameter>`
-// over an indexed column of the mutated table. The returned ids are
-// precisely the rows the statement snapshot sees the predicate holding
-// for, ascending — the order the heap walk would visit them — and are
-// private to the caller (the posting list is copied and filtered). A NULL
-// comparand matches nothing (`col = NULL` is never true of any row). Any
-// other WHERE shape reports ok=false and the caller walks the heap.
-func dmlEqualityIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	b, ok := where.(*BinaryOp)
-	if !ok || b.Op != "=" {
-		return nil, false
-	}
-	cr, v, _ := asColValue(b, params)
-	if cr == nil {
-		return nil, false
-	}
-	if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
-		return nil, false
-	}
-	idx, ok := t.idxs()[strings.ToLower(cr.Column)]
-	if !ok {
-		return nil, false
-	}
-	v = coerce(v, t.Columns[idx.Column].Type)
-	if v.IsNull() {
-		return []int{}, true
-	}
-	return visibleEqIDs(t, idx, v, qc.snap), true
-}
-
-// dmlWhereIDs resolves a DML WHERE to the exact live row ids it holds
-// for, when an index can serve it without a heap walk: equality first,
-// then range shapes over one indexed column.
-func dmlWhereIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	if ids, ok := dmlEqualityIDs(t, where, params, qc); ok {
-		return ids, true
-	}
-	return dmlRangeIDs(t, where, params, qc)
-}
-
-// dmlRangeIDs serves a DML WHERE whose conjuncts are all range-shaped
-// over the same indexed column (`col > x`, `x <= col`, `col BETWEEN lo
-// AND hi`, with literal or parameter bounds) from the index's ordered
-// view: the conjuncts tighten into one key range and collectRangeIDs
-// yields exactly the live ids the heap walk would match, ascending — the
-// order the walk would visit them. Bounds stay uncoerced on purpose: the
-// heap walk compares raw values via Value.Compare and the ordered view
-// sorts by the same Compare, so raw bounds reproduce its semantics
-// exactly. A NULL bound makes the WHERE NULL for every row, so it
-// matches nothing.
-func dmlRangeIDs(t *Table, where Expr, params []Value, qc *queryCtx) ([]int, bool) {
-	if where == nil {
-		return nil, false
-	}
-	var col *ColumnRef
-	var spec rangeSpec
-	nullBound := false
-	for _, c := range splitConjuncts(where) {
-		cr, cs, nullB, ok := rangeConjunct(c, params)
 		if !ok {
-			return nil, false
+			err = apply(pend) // before n is read: apply counts what it changes
+			return n, err
 		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, t.Name) {
-			return nil, false
+		if env != nil {
+			env.row = r
 		}
-		if col == nil {
-			col = cr
-		} else if !strings.EqualFold(col.Column, cr.Column) {
-			return nil, false
-		}
-		if nullB {
-			nullBound = true
-			continue
-		}
-		spec.lo = tightenLo(spec.lo, cs.lo)
-		spec.hi = tightenHi(spec.hi, cs.hi)
-	}
-	idx, ok := t.idxs()[strings.ToLower(col.Column)]
-	if !ok {
-		return nil, false
-	}
-	if nullBound {
-		return []int{}, true
-	}
-	ids, skipped := collectRangeIDs(t, idx, spec, qc.snap)
-	if qc != nil {
-		qc.indexRangeScans++
-		qc.tombstonesSkipped += skipped
-	}
-	return ids, true
-}
-
-// execUpdateSnapshot is the two-phase UPDATE path for statements whose
-// WHERE or SET contains a subquery: phase one evaluates every row against
-// the untouched table (so self-referential subqueries — equality-index
-// probes, correlated probes, ordered scans — see a consistent
-// pre-statement snapshot), phase two applies the collected updates
-// through the incremental index maintenance. Any error or cancellation
-// during phase one aborts with the table untouched, making these
-// statements atomic.
-func execUpdateSnapshot(t *Table, stmt *UpdateStmt, setCols []int, env *evalEnv, qc *queryCtx, wtx *Txn) (int, error) {
-	type pendingUpdate struct {
-		id  int
-		old Row
-		row Row
-	}
-	var pend []pendingUpdate
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return 0, err // phase one: nothing applied yet
-		}
-		env.row = r
-		if stmt.Where != nil {
-			v, err := evalExpr(stmt.Where, env)
+		if pred != nil {
+			v, err := pred()
 			if err != nil {
-				return 0, err
+				return n, err
 			}
 			if v.IsNull() || !v.AsBool() {
 				continue
 			}
 		}
-		updated := r.Clone()
-		for i, sc := range stmt.Set {
-			v, err := evalExpr(sc.Expr, env)
-			if err != nil {
-				return 0, err
+		var updated Row
+		if len(set) > 0 {
+			updated = r.Clone()
+			for _, s := range sets {
+				v, err := s.val()
+				if err != nil {
+					return n, err
+				}
+				updated[s.col] = coerce(v, t.Columns[s.col].Type)
 			}
-			updated[setCols[i]] = coerce(v, t.Columns[setCols[i]].Type)
-		}
-		for i, c := range t.Columns {
-			if c.NotNull && updated[i].IsNull() {
-				return 0, errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+			for i, c := range t.Columns {
+				if c.NotNull && updated[i].IsNull() {
+					return n, errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+				}
 			}
 		}
-		pend = append(pend, pendingUpdate{id: id, old: r, row: updated})
+		target := dmlTarget{id: scan.id, old: r, row: updated}
+		if atEnd {
+			pend = append(pend, target)
+		} else if err := apply([]dmlTarget{target}); err != nil {
+			return n, err
+		}
 	}
-	// UNIQUE pre-check over the statement's final state, so a violation
-	// aborts with the table untouched (this path's atomicity guarantee):
-	// for each unique index, a key's final occupancy is its current
-	// posting list minus the pending rows vacating it plus the pending
-	// rows moving in. Checking per-row during application instead would
-	// both break atomicity and spuriously reject key rotations the final
-	// state permits (e.g. SET id = maxid+1-id). Application below is then
-	// unchecked: transient duplicates mid-application are fine.
+}
+
+// checkUnique enforces UNIQUE over the state the pending updates leave,
+// before any of them is applied — so a violation aborts with none of them
+// made: for each unique index, a key's final occupancy is its current
+// posting list minus the pending rows vacating it plus the pending rows
+// moving in. For one pending row that is insertRow's check (is the new
+// key held by another current row?); for a whole statement's it is what
+// keeps the statement atomic and admits key rotations only the final
+// state permits (e.g. SET id = maxid+1-id), which a per-row check during
+// application would spuriously reject. Application is then unchecked:
+// transient duplicates mid-application are fine.
+func (t *Table) checkUnique(pend []dmlTarget) error {
+	violation := func(idx *Index, v Value) error {
+		return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
+			t.Name, t.Columns[idx.Column].Name, v)
+	}
 	for _, idx := range t.idxs() {
 		if !idx.Unique {
 			continue
 		}
+		if len(pend) == 1 { // the as-you-go loop's call: no tallies to keep
+			old, v := pend[0].old[idx.Column], pend[0].row[idx.Column]
+			if !v.IsNull() && !v.Equal(old) && t.liveKeyCount(idx, v) > 0 {
+				return violation(idx, v)
+			}
+			continue
+		}
 		var removed, added map[string]int
 		for _, p := range pend {
-			oldKey := p.old[idx.Column].Key()
-			newKey := p.row[idx.Column].Key()
-			if oldKey == newKey {
+			if p.old[idx.Column].Equal(p.row[idx.Column]) {
 				continue
 			}
 			if removed == nil {
 				removed, added = make(map[string]int), make(map[string]int)
 			}
-			removed[oldKey]++
+			removed[p.old[idx.Column].Key()]++
 			if !p.row[idx.Column].IsNull() {
-				added[newKey]++
+				added[p.row[idx.Column].Key()]++
 			}
 		}
 		if added == nil {
@@ -766,117 +665,12 @@ func execUpdateSnapshot(t *Table, stmt *UpdateStmt, setCols []int, env *evalEnv,
 		for _, p := range pend {
 			v := p.row[idx.Column]
 			key := v.Key()
-			if add := added[key]; add > 0 && t.liveKeyCountExcept(idx, v, -1)-removed[key]+add > 1 {
-				return 0, errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s",
-					t.Name, t.Columns[idx.Column].Name)
+			if add := added[key]; add > 0 && t.liveKeyCount(idx, v)-removed[key]+add > 1 {
+				return violation(idx, v)
 			}
 		}
 	}
-	for _, p := range pend {
-		t.updateRow(p.id, p.row, qc, wtx)
-	}
-	return len(pend), nil
-}
-
-func (db *Database) execDelete(stmt *DeleteStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end, err := db.beginWrite(qc, tx)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if e := end(); e != nil {
-			err = e
-		}
-	}()
-	t, err := db.lookupTable(stmt.Table)
-	if err != nil {
-		return 0, err
-	}
-	cols := make([]colInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = colInfo{qual: t.Name, name: c.Name}
-	}
-	env := newEvalEnv(cols, db, params, nil, qc)
-	// Same Halloween hazard as execUpdate: a WHERE subquery over this
-	// table would observe the rows already deleted by this very loop.
-	// Subquery-bearing DELETEs evaluate against the untouched table
-	// first, then apply.
-	if hasSubquery(stmt.Where) {
-		return execDeleteSnapshot(t, stmt, env, qc, wtx)
-	}
-	// Qualifying rows are xmax-stamped as the loop runs (ids stay stable),
-	// so an early exit — cancellation or a WHERE evaluation error — leaves
-	// exactly the examined-and-deleted rows gone and everything else
-	// untouched. Reclamation is the background vacuum's job.
-	// Fast path: `DELETE FROM t WHERE col = <literal/param>` over an
-	// indexed column deletes exactly the index bucket; a range-shaped
-	// WHERE over one deletes exactly the ordered view's window.
-	if stmt.Where != nil {
-		if ids, ok := dmlWhereIDs(t, stmt.Where, params, qc); ok {
-			for _, id := range ids {
-				if err := qc.tickCancelled(); err != nil {
-					return n, err
-				}
-				t.deleteRow(id, wtx)
-				n++
-			}
-			return n, nil
-		}
-	}
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return n, err
-		}
-		del := true
-		if stmt.Where != nil {
-			env.row = r
-			v, err := evalExpr(stmt.Where, env)
-			if err != nil {
-				return n, err
-			}
-			del = !v.IsNull() && v.AsBool()
-		}
-		if del {
-			t.deleteRow(id, wtx)
-			n++
-		}
-	}
-	return n, nil
-}
-
-// execDeleteSnapshot is the two-phase DELETE path for subquery-bearing
-// statements: phase one evaluates WHERE for every row against the
-// untouched table, phase two stamps the qualifying rows deleted. An error
-// or cancellation during phase one leaves the table untouched.
-func execDeleteSnapshot(t *Table, stmt *DeleteStmt, env *evalEnv, qc *queryCtx, wtx *Txn) (int, error) {
-	var del []int
-	arr, nSlots := t.loadSlots()
-	for id := 0; id < nSlots; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r == nil {
-			continue
-		}
-		if err := qc.tickCancelled(); err != nil {
-			return 0, err // phase one: nothing applied yet
-		}
-		env.row = r
-		v, err := evalExpr(stmt.Where, env)
-		if err != nil {
-			return 0, err
-		}
-		if !v.IsNull() && v.AsBool() {
-			del = append(del, id)
-		}
-	}
-	for _, id := range del {
-		t.deleteRow(id, wtx)
-	}
-	return len(del), nil
+	return nil
 }
 
 // InsertRows bulk-loads rows (Go values, table column order) into a table

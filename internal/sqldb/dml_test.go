@@ -122,9 +122,9 @@ func cloneTableT(t *testing.T, src *Database) *Database {
 // refUpdate computes the snapshot-semantics outcome of
 // `UPDATE t SET k = <setExpr> WHERE <where>` by running a SELECT over the
 // pristine clone, and returns the expected (id, k) rows in heap order.
-func refUpdate(t *testing.T, ref *Database, where, setExpr string) [][]string {
+func refUpdate(t *testing.T, ref *Database, where, setExpr string, params ...any) [][]string {
 	t.Helper()
-	upd, err := ref.Query("SELECT id, " + setExpr + " FROM t WHERE " + where)
+	upd, err := ref.Query("SELECT id, "+setExpr+" FROM t WHERE "+where, params...)
 	if err != nil {
 		t.Fatalf("reference SELECT for UPDATE: %v", err)
 	}
@@ -149,9 +149,9 @@ func refUpdate(t *testing.T, ref *Database, where, setExpr string) [][]string {
 
 // refDelete computes the snapshot-semantics outcome of
 // `DELETE FROM t WHERE <where>` the same way.
-func refDelete(t *testing.T, ref *Database, where string) [][]string {
+func refDelete(t *testing.T, ref *Database, where string, params ...any) [][]string {
 	t.Helper()
-	del, err := ref.Query("SELECT id FROM t WHERE " + where)
+	del, err := ref.Query("SELECT id FROM t WHERE "+where, params...)
 	if err != nil {
 		t.Fatalf("reference SELECT for DELETE: %v", err)
 	}
@@ -172,71 +172,140 @@ func refDelete(t *testing.T, ref *Database, where string) [][]string {
 	return rowsToStrings(out)
 }
 
+// dmlShape is one WHERE (and, for UPDATE, SET) of the differential below.
+// index marks the shapes whose WHERE the indexed database must serve from
+// an index — alone, or ahead of a residual the loop then filters by.
+type dmlShape struct {
+	where, set string
+	params     []any
+	index      bool
+}
+
 // TestDMLWithSubqueriesMatchesSnapshotReference is the interleaved
-// property test: random inserts mix with self-referential UPDATEs and
-// DELETEs whose subqueries take every interesting access path over the
-// mutating table — equality-index probes, correlated probes
-// (corrProbeScanOp), aggregates, and ordered/range subqueries that
-// lazily build the ordered index view mid-statement. After every DML the
-// indexed engine, the plain engine, and the SELECT-over-pristine-clone
-// reference must agree exactly.
+// property test: random inserts mix with UPDATEs and DELETEs that take
+// every access path and both apply modes. The self-referential ones carry
+// subqueries over the mutating table — equality-index probes, correlated
+// probes (corrProbeScanOp), aggregates, and ordered/range subqueries that
+// lazily build the ordered index view mid-statement; the rest are the
+// subquery-free and mixed shapes the shared chooser serves — equality or
+// BETWEEN on an indexed column, alone or ahead of a residual, with
+// literals or ? parameters, ahead of an EXISTS, and with a text comparand
+// no INTEGER row equals. After every DML the indexed engine, the plain
+// engine, and the SELECT-over-pristine-clone reference must agree
+// exactly, and the indexed engine must have taken the index where marked.
 func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 	r := rand.New(rand.NewSource(117))
 	indexed, plain := dmlTestDBs()
 	nextID := 0
 
-	updates := []func(*rand.Rand) (where, set string){
-		func(r *rand.Rand) (string, string) {
-			return fmt.Sprintf("k < (SELECT MAX(k) FROM t WHERE k < %d)", 10+r.Intn(40)), "k + 1"
+	// wheres serve UPDATE (paired with a SET below) and DELETE alike.
+	wheres := []func(*rand.Rand) dmlShape{
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("k = %d", r.Intn(40)), index: true}
 		},
-		func(r *rand.Rand) (string, string) {
-			return fmt.Sprintf("id IN (SELECT k FROM t WHERE k = %d)", r.Intn(20)), "k + 10"
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("k = %d AND id %% 2 = %d", r.Intn(40), r.Intn(2)), index: true}
 		},
-		func(r *rand.Rand) (string, string) {
-			// Correlated equality over the mutating table: corrProbeScanOp.
-			return "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id)", "k - 1"
+		func(r *rand.Rand) dmlShape {
+			lo := r.Intn(30)
+			return dmlShape{where: fmt.Sprintf("k BETWEEN %d AND %d AND id %% 3 != %d", lo, lo+r.Intn(12), r.Intn(3)), index: true}
 		},
-		func(r *rand.Rand) (string, string) {
-			// Ordered subquery: lazily builds the ordered view mid-DML.
-			return fmt.Sprintf(
-				"k >= (SELECT t2.k FROM t t2 WHERE t2.k IS NOT NULL ORDER BY t2.k DESC LIMIT 1) - %d",
-				r.Intn(6)), "k + 2"
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: "id = ? AND k >= ?", params: []any{r.Intn(nextID + 1), r.Intn(20)}, index: true}
 		},
-		func(r *rand.Rand) (string, string) {
-			// Correlated scalar subquery in SET.
-			return fmt.Sprintf("id %% 5 = %d", r.Intn(5)),
-				"(SELECT MIN(t2.k) FROM t t2 WHERE t2.k > t.k)"
+		func(r *rand.Rand) dmlShape {
+			lo := r.Intn(30)
+			return dmlShape{where: "k BETWEEN ? AND ? AND id % 3 != ?", params: []any{lo, lo + r.Intn(12), r.Intn(3)}, index: true}
 		},
-		func(r *rand.Rand) (string, string) {
-			// Range subquery over the indexed column.
-			return fmt.Sprintf("k IN (SELECT t2.k FROM t t2 WHERE t2.k BETWEEN %d AND %d)",
-				r.Intn(15), 15+r.Intn(15)), "k + 3"
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("k = %d AND EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id)", r.Intn(40)), index: true}
+		},
+		func(r *rand.Rand) dmlShape {
+			// A text comparand equals no INTEGER row, index or not.
+			return dmlShape{where: fmt.Sprintf("k = '%d'", r.Intn(40)), index: true}
+		},
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: "id = ?", params: []any{fmt.Sprint(r.Intn(nextID + 1))}, index: true}
 		},
 	}
-	deletes := []func(*rand.Rand) string{
-		func(r *rand.Rand) string {
-			return "k > (SELECT AVG(k) FROM t)"
+	updates := []func(*rand.Rand) dmlShape{
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("k < (SELECT MAX(k) FROM t WHERE k < %d)", 10+r.Intn(40)), set: "k + 1"}
 		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("id IN (SELECT t2.id FROM t t2 WHERE t2.k = %d) AND k < (SELECT MAX(k) FROM t)", r.Intn(20))
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("id IN (SELECT k FROM t WHERE k = %d)", r.Intn(20)), set: "k + 10"}
 		},
-		func(r *rand.Rand) string {
-			return "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id AND t2.id != t.id)"
+		func(r *rand.Rand) dmlShape {
+			// Correlated equality over the mutating table: corrProbeScanOp.
+			return dmlShape{where: "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id)", set: "k - 1"}
 		},
+		func(r *rand.Rand) dmlShape {
+			// Ordered subquery: lazily builds the ordered view mid-DML.
+			return dmlShape{where: fmt.Sprintf(
+				"k >= (SELECT t2.k FROM t t2 WHERE t2.k IS NOT NULL ORDER BY t2.k DESC LIMIT 1) - %d",
+				r.Intn(6)), set: "k + 2"}
+		},
+		func(r *rand.Rand) dmlShape {
+			// Correlated scalar subquery in SET.
+			return dmlShape{where: fmt.Sprintf("id %% 5 = %d", r.Intn(5)),
+				set: "(SELECT MIN(t2.k) FROM t t2 WHERE t2.k > t.k)"}
+		},
+		func(r *rand.Rand) dmlShape {
+			// Range subquery over the indexed column.
+			return dmlShape{where: fmt.Sprintf("k IN (SELECT t2.k FROM t t2 WHERE t2.k BETWEEN %d AND %d)",
+				r.Intn(15), 15+r.Intn(15)), set: "k + 3"}
+		},
+	}
+	deletes := []func(*rand.Rand) dmlShape{
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: "k > (SELECT AVG(k) FROM t)"}
+		},
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: fmt.Sprintf("id IN (SELECT t2.id FROM t t2 WHERE t2.k = %d) AND k < (SELECT MAX(k) FROM t)", r.Intn(20))}
+		},
+		func(r *rand.Rand) dmlShape {
+			return dmlShape{where: "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id AND t2.id != t.id)"}
+		},
+	}
+	for _, w := range wheres {
+		w := w
+		updates = append(updates, func(r *rand.Rand) dmlShape {
+			sh := w(r)
+			sh.set = []string{"k + 5", "k * 2 - id"}[r.Intn(2)]
+			return sh
+		})
+		deletes = append(deletes, w)
 	}
 
-	compare := func(step int, sql string, want [][]string) {
+	// step runs one DML on both engines and holds them to the reference.
+	step := func(i int, sql string, sh dmlShape, want [][]string) {
 		t.Helper()
+		before := indexed.Stats()
+		ni, erri := indexed.Exec(sql, sh.params...)
+		after := indexed.Stats()
+		np, errp := plain.Exec(sql, sh.params...)
+		if erri != nil || errp != nil {
+			t.Fatalf("step %d: %q: indexed err %v, plain err %v", i, sql, erri, errp)
+		}
+		if ni != np {
+			t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", i, sql, ni, np)
+		}
+		if sh.index && (after.IndexScans+after.IndexRangeScans == before.IndexScans+before.IndexRangeScans ||
+			after.FullScans != before.FullScans) {
+			t.Fatalf("step %d: %q %v did not take the index on the indexed engine: IndexScans %+d IndexRangeScans %+d FullScans %+d",
+				i, sql, sh.params, after.IndexScans-before.IndexScans,
+				after.IndexRangeScans-before.IndexRangeScans, after.FullScans-before.FullScans)
+		}
 		for name, db := range map[string]*Database{"indexed": indexed, "plain": plain} {
 			got := queryStrings(t, db, "SELECT id, k FROM t")
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: %s engine disagrees with snapshot reference after %q:\ngot  %v\nwant %v",
-					step, name, sql, got, want)
+				t.Fatalf("step %d: %s engine disagrees with snapshot reference after %q %v:\ngot  %v\nwant %v",
+					i, name, sql, sh.params, got, want)
 			}
 		}
 	}
 
-	for step := 0; step < 300; step++ {
+	for i := 0; i < 600; i++ {
 		switch op := r.Intn(10); {
 		case op < 5 || nextID == 0: // insert (NULL k sometimes)
 			var k any = r.Intn(40)
@@ -247,34 +316,15 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 				db.MustExec("INSERT INTO t VALUES (?, ?)", nextID, k)
 			}
 			nextID++
-		case op < 8: // self-referential UPDATE
-			where, set := updates[r.Intn(len(updates))](r)
-			sql := fmt.Sprintf("UPDATE t SET k = %s WHERE %s", set, where)
+		case op < 8:
+			sh := updates[r.Intn(len(updates))](r)
 			ref := cloneTableT(t, indexed)
-			want := refUpdate(t, ref, where, set)
-			ni, erri := indexed.Exec(sql)
-			np, errp := plain.Exec(sql)
-			if erri != nil || errp != nil {
-				t.Fatalf("step %d: %q: indexed err %v, plain err %v", step, sql, erri, errp)
-			}
-			if ni != np {
-				t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", step, sql, ni, np)
-			}
-			compare(step, sql, want)
-		default: // self-referential DELETE
-			where := deletes[r.Intn(len(deletes))](r)
-			sql := "DELETE FROM t WHERE " + where
+			step(i, fmt.Sprintf("UPDATE t SET k = %s WHERE %s", sh.set, sh.where), sh,
+				refUpdate(t, ref, sh.where, sh.set, sh.params...))
+		default:
+			sh := deletes[r.Intn(len(deletes))](r)
 			ref := cloneTableT(t, indexed)
-			want := refDelete(t, ref, where)
-			ni, erri := indexed.Exec(sql)
-			np, errp := plain.Exec(sql)
-			if erri != nil || errp != nil {
-				t.Fatalf("step %d: %q: indexed err %v, plain err %v", step, sql, erri, errp)
-			}
-			if ni != np {
-				t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", step, sql, ni, np)
-			}
-			compare(step, sql, want)
+			step(i, "DELETE FROM t WHERE "+sh.where, sh, refDelete(t, ref, sh.where, sh.params...))
 		}
 	}
 }
@@ -447,5 +497,127 @@ func TestUpdateEnforcesUnique(t *testing.T) {
 	got = queryStrings(t, db, "SELECT id, v FROM t ORDER BY id")
 	if want := [][]string{{"1", "30"}, {"2", "20"}, {"3", "10"}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("unique key rotation via snapshot path = %v, want %v", got, want)
+	}
+}
+
+// TestDMLBindsNamesBeforeAnyRow: a name that does not resolve, an
+// aggregate out of place and a missing ? are properties of the statement,
+// not of the data — UPDATE, DELETE and INSERT report them with SELECT's
+// typed errors when no row qualifies, whatever the conjunct order and
+// whether or not an index serves the rest of the WHERE, and change nothing.
+func TestDMLBindsNamesBeforeAnyRow(t *testing.T) {
+	cases := []struct {
+		sql    string
+		params []any
+		code   ErrorCode
+	}{
+		{"UPDATE t SET k = nosuch WHERE id = -1", nil, ErrNoColumn},
+		{"DELETE FROM t WHERE id = -1 AND nosuch = 1", nil, ErrNoColumn},
+		{"DELETE FROM t WHERE nosuch = 1 AND id = -1", nil, ErrNoColumn},
+		{"DELETE FROM t WHERE id < NULL AND nosuch = 1", nil, ErrNoColumn},
+		{"UPDATE t SET k = NOSUCHFN(k) WHERE id = -1", nil, ErrNoFunction},
+		{"DELETE FROM t WHERE id = -1 AND NOSUCHFN(k) = 1", nil, ErrNoFunction},
+		{"UPDATE t SET k = SUM(k) WHERE id = -1", nil, ErrMisuse},
+		{"DELETE FROM t WHERE id = -1 AND COUNT(*) > 0", nil, ErrMisuse},
+		{"UPDATE t SET k = ? WHERE id = -1", nil, ErrParams},
+		{"DELETE FROM t WHERE id = ? AND k = ?", []any{-1}, ErrParams},
+		{"INSERT INTO t VALUES (?, ?)", []any{7}, ErrParams},
+		{"INSERT INTO t VALUES (7, NOSUCHFN(1))", nil, ErrNoFunction},
+	}
+	indexed, plain := dmlTestDBs()
+	for name, db := range map[string]*Database{"indexed": indexed, "plain": plain} {
+		db.MustExec("INSERT INTO t VALUES (1, 10), (2, 20)")
+		for _, c := range cases {
+			if n, err := db.Exec(c.sql, c.params...); CodeOf(err) != c.code || n != 0 {
+				t.Errorf("%s: %q %v = (%d, %v), want code %s", name, c.sql, c.params, n, err, c.code)
+			}
+		}
+		if got, want := queryStrings(t, db, "SELECT id, k FROM t"), [][]string{{"1", "10"}, {"2", "20"}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows after failed statements = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestDMLAccessPathsCountedLikeSelect: UPDATE and DELETE find their rows
+// with the scan a SELECT over the same WHERE runs, so the five scan
+// counters move by the same amounts — including the tombstones a heap
+// walk steps over — and by the access path the WHERE implies.
+func TestDMLAccessPathsCountedLikeSelect(t *testing.T) {
+	type counts struct{ index, ranged, full, rows, tombs uint64 }
+	delta := func(a, b Stats) counts {
+		return counts{b.IndexScans - a.IndexScans, b.IndexRangeScans - a.IndexRangeScans,
+			b.FullScans - a.FullScans, b.RowsScanned - a.RowsScanned, b.TombstonesSkipped - a.TombstonesSkipped}
+	}
+	// 40 rows, k = id % 10, ids 30..39 deleted and not yet vacuumed.
+	for _, c := range []struct {
+		dml, where     string
+		params         []any
+		indexed, plain counts
+	}{
+		{"UPDATE t SET k = k", "id = 3", nil, counts{index: 1, rows: 1}, counts{full: 1, rows: 30, tombs: 10}},
+		{"UPDATE t SET k = k", "id = ? AND k >= 0", []any{3}, counts{index: 1, rows: 1}, counts{full: 1, rows: 30, tombs: 10}},
+		{"UPDATE t SET k = k", "k BETWEEN 2 AND 3 AND id < 20", nil, counts{ranged: 1, rows: 6, tombs: 2}, counts{full: 1, rows: 30, tombs: 10}},
+		{"UPDATE t SET k = k", "id % 2 = 0", nil, counts{full: 1, rows: 30, tombs: 10}, counts{full: 1, rows: 30, tombs: 10}},
+		{"DELETE FROM t", "id = 33", nil, counts{index: 1}, counts{full: 1, rows: 30, tombs: 10}},
+		{"DELETE FROM t", "k > ? AND id < 0", []any{7}, counts{ranged: 1, rows: 6, tombs: 2}, counts{full: 1, rows: 30, tombs: 10}},
+		{"DELETE FROM t", "id < 0 OR k < 0", nil, counts{full: 1, rows: 30, tombs: 10}, counts{full: 1, rows: 30, tombs: 10}},
+		// A NULL bound on an indexed column is true of no row: nothing is read.
+		{"DELETE FROM t", "k < ? AND id >= 0", []any{nil}, counts{index: 1}, counts{full: 1, rows: 30, tombs: 10}},
+		{"UPDATE t SET k = k", "id BETWEEN 1 AND NULL", nil, counts{index: 1}, counts{full: 1, rows: 30, tombs: 10}},
+	} {
+		indexed, plain := dmlTestDBs()
+		for i, db := range []*Database{indexed, plain} {
+			for id := 0; id < 40; id++ {
+				db.MustExec("INSERT INTO t VALUES (?, ?)", id, id%10)
+			}
+			db.MustExec("DELETE FROM t WHERE id >= 30")
+			want := []counts{c.indexed, c.plain}[i]
+			s0 := db.Stats()
+			queryStrings(t, db, "SELECT id FROM t WHERE "+c.where, c.params...)
+			s1 := db.Stats()
+			if _, err := db.Exec(c.dml+" WHERE "+c.where, c.params...); err != nil {
+				t.Fatal(err)
+			}
+			sel, dml := delta(s0, s1), delta(s1, db.Stats())
+			if sel != want || dml != want {
+				t.Errorf("%s WHERE %s (indexed=%v): SELECT moved %+v, DML moved %+v, want %+v",
+					c.dml, c.where, i == 0, sel, dml, want)
+			}
+		}
+	}
+}
+
+// TestIndexDoesNotChangeCrossKindAnswer: a comparand of another kind
+// than the column — text against INTEGER — equals no row under the
+// filter's Value.Compare, so it must find none through the index either,
+// in SELECT, UPDATE and DELETE, as a literal or a bound parameter; a REAL
+// that Compare does equate with the INTEGER finds the row both ways.
+func TestIndexDoesNotChangeCrossKindAnswer(t *testing.T) {
+	indexed, plain := dmlTestDBs()
+	for name, db := range map[string]*Database{"indexed": indexed, "plain": plain} {
+		db.MustExec("INSERT INTO t VALUES (5, 50), (6, 60)")
+		for _, c := range []struct {
+			where  string
+			params []any
+			want   int
+		}{
+			{"id = '5'", nil, 0},
+			{"id = ?", []any{"5"}, 0},
+			{"id = 5.0", nil, 1},
+			{"id = ?", []any{5.0}, 1},
+		} {
+			if got := len(queryStrings(t, db, "SELECT id FROM t WHERE "+c.where, c.params...)); got != c.want {
+				t.Errorf("%s: SELECT WHERE %s %v found %d rows, want %d", name, c.where, c.params, got, c.want)
+			}
+			if n, err := db.Exec("UPDATE t SET k = k + 1 WHERE "+c.where, c.params...); err != nil || n != c.want {
+				t.Errorf("%s: UPDATE WHERE %s %v = (%d, %v), want %d", name, c.where, c.params, n, err, c.want)
+			}
+		}
+		if n, err := db.Exec("DELETE FROM t WHERE id = '5'"); err != nil || n != 0 {
+			t.Errorf("%s: DELETE WHERE id = '5' = (%d, %v), want 0", name, n, err)
+		}
+		if n, err := db.Exec("DELETE FROM t WHERE id = ?", 5.0); err != nil || n != 1 {
+			t.Errorf("%s: DELETE WHERE id = 5.0 = (%d, %v), want 1", name, n, err)
+		}
 	}
 }

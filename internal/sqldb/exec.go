@@ -56,38 +56,41 @@ func (a *rowArena) alloc(n int) Row {
 // Scan
 
 // scanOp iterates a base table's version store, optionally restricted to
-// a set of row ids produced by an index lookup. A range-restricted scan
-// (rangeIdx set) materialises its ids lazily on first pull from the
-// index's ordered view, sorted ascending so emission order matches a
-// filtered full scan — the planner may instead replace the whole operator
-// with an ordScanOp when the statement's ORDER BY matches the range
-// column (stream.go). Every fetch resolves through the scan's snapshot;
-// the slot array and snapshot are captured once on first pull, so the
-// cursor iterates with no lock held and later commits stay invisible.
+// the row ids an index access produced (a range's ids materialise on first
+// pull, ascending, so emission order matches a filtered full scan — the
+// planner may instead replace the whole operator with an ordScanOp when
+// the statement's ORDER BY matches the range column, stream.go). Every
+// fetch resolves through the scan's snapshot; the slot array and snapshot
+// are captured once on first pull, so the cursor iterates with no lock
+// held and later commits stay invisible. It is also the loop UPDATE and
+// DELETE find their rows with (db.go), which is why it reports the slot.
 type scanOp struct {
-	table       *Table
-	qual        string // alias the table is addressable by
-	cols        []colInfo
-	ids         []int // nil = full scan (unless rangeIdx is set)
-	rangeIdx    *Index
-	spec        rangeSpec
+	table *Table
+	qual  string // alias the table is addressable by
+	cols  []colInfo
+	indexAccess
 	pos         int
+	id          int // slot of the row last returned
 	qc          *queryCtx
 	snap        *snapshot
 	arr         []*rowSlot
 	n           int
 	inited      bool
-	counted     bool   // access path recorded in qc (once per operator)
 	scanned     uint64 // rows this operator read (per-operator EXPLAIN ANALYZE)
 	tombSkipped uint64 // invisible versions stepped over (EXPLAIN ANALYZE)
 }
 
 func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
+	return &scanOp{table: t, qual: qual, cols: tableCols(t, qual), qc: qc}
+}
+
+// tableCols is a base table's schema as seen under the name qual.
+func tableCols(t *Table, qual string) []colInfo {
 	cols := make([]colInfo, len(t.Columns))
 	for i, c := range t.Columns {
 		cols[i] = colInfo{qual: qual, name: c.Name}
 	}
-	return &scanOp{table: t, qual: qual, cols: cols, qc: qc}
+	return cols
 }
 
 func (s *scanOp) columns() []colInfo { return s.cols }
@@ -99,60 +102,25 @@ func (s *scanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		if s.rangeIdx != nil && s.ids == nil {
-			var skipped uint64
-			s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx, s.spec, s.snap)
-			s.tombSkipped += skipped
-			if s.qc != nil {
-				s.qc.tombstonesSkipped += skipped
-			}
-		}
-		if s.ids == nil {
-			s.arr, s.n = s.table.loadSlots()
+		s.tombSkipped += s.open(s.table, s.snap, s.qc)
+		if s.arr, s.n = s.table.loadSlots(); s.ids != nil {
+			s.n = len(s.ids)
 		}
 	}
-	if s.qc != nil {
-		if !s.counted {
-			s.counted = true
-			switch {
-			case s.rangeIdx != nil:
-				s.qc.indexRangeScans++
-			case s.ids != nil:
-				s.qc.indexScans++
-			default:
-				s.qc.fullScans++
-			}
-		}
-		if err := s.qc.tickCancelled(); err != nil {
-			return nil, false, err
-		}
-	}
-	if s.ids != nil {
-		for s.pos < len(s.ids) {
-			id := s.ids[s.pos]
-			s.pos++
-			r := s.table.visibleRow(id, s.snap)
-			if r == nil {
-				s.tombSkipped++
-				if s.qc != nil {
-					s.qc.tombstonesSkipped++
-				}
-				continue
-			}
-			if s.qc != nil {
-				s.qc.rowsScanned++
-				s.scanned++
-			}
-			return r, true, nil
-		}
-		return nil, false, nil
+	if err := s.qc.tickCancelled(); err != nil {
+		return nil, false, err
 	}
 	for s.pos < s.n {
-		head := s.arr[s.pos].head.Load()
+		s.id = s.pos
+		if s.ids != nil {
+			s.id = s.ids[s.pos]
+		}
 		s.pos++
-		if head == nil {
+		head := s.arr[s.id].head.Load()
+		if head == nil && s.ids == nil {
 			continue // vacuumed-away slot: no versions at all
 		}
+		// An index id naming a vacuumed slot is a stale entry: a tombstone.
 		r := visible(head, s.snap)
 		if r == nil {
 			s.tombSkipped++
@@ -729,14 +697,6 @@ func (n *nestedLoopJoinOp) next() (Row, bool, error) {
 // ---------------------------------------------------------------------------
 // SELECT driver
 
-// execSubquery runs a nested SELECT with the enclosing row environment
-// available for correlated references, materialising its result (IN
-// subqueries need the full set for NULL semantics; EXISTS and scalar
-// subqueries stream through buildSelectPlan instead, see compile.go).
-func execSubquery(stmt *SelectStmt, outer *evalEnv) ([]Row, []colInfo, error) {
-	return execSelect(stmt, outer.db, outer.params, outer, outer.qc)
-}
-
 // execSelect plans and runs a nested or subsidiary SELECT, materialising
 // its result. Join reordering stays off: the caller may truncate the
 // result (a scalar subquery keeps one row, a derived table may feed an
@@ -755,10 +715,18 @@ func execSelect(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, 
 }
 
 // evalConst evaluates an expression that must not reference any columns
-// (LIMIT/OFFSET operands).
+// (LIMIT/OFFSET operands, INSERT's VALUES). A literal or bound parameter
+// — nearly every one — is read off directly; anything else compiles
+// against an empty schema and runs once.
 func evalConst(e Expr, db *Database, params []Value, qc *queryCtx) (Value, error) {
-	env := newEvalEnv(nil, db, params, nil, qc)
-	return evalExpr(e, env)
+	if v, ok := boundValue(e, params); ok {
+		return v, nil
+	}
+	c, err := compileExpr(e, newEvalEnv(nil, db, params, nil, qc))
+	if err != nil {
+		return Null, err
+	}
+	return c()
 }
 
 // expandItems resolves `*` and `tbl.*` select items against the input
@@ -1011,7 +979,11 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			continue
 		}
 		if sc, ok := inputs[i].(*scanOp); ok {
-			cs = chooseScanAccess(sc, cs, params)
+			var snap *snapshot
+			if qc != nil {
+				snap = qc.snap
+			}
+			sc.indexAccess, cs = chooseIndexAccess(sc.table, sc.qual, cs, params, snap)
 		}
 		if rest := joinConjuncts(cs); rest != nil {
 			f, err := newFilterOp(inputs[i], rest, db, params, outer, qc)
@@ -1212,7 +1184,7 @@ func drain(op operator) ([]Row, error) {
 
 // isSubqueryNode reports whether x itself embeds a nested SELECT: a
 // scalar subquery, EXISTS, or IN (SELECT ...). Shared by the planner's
-// rewrite blockers and DML's snapshot gate (hasSubquery, db.go) so the
+// rewrite blockers and DML's apply-mode choice (hasSubquery, db.go) so the
 // classifiers cannot drift apart.
 func isSubqueryNode(x Expr) bool {
 	switch t := x.(type) {
@@ -1334,16 +1306,31 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, ke
 	return pushed, kept
 }
 
-// chooseScanAccess serves what it can of a scan's conjuncts from the
-// table's indexes and returns the remainder. Preference order: a single
-// `col = comparand` equality over an indexed column (hash lookup), then
-// the combined range bounds (>, >=, <, <=, BETWEEN) of the first indexed
-// column that has any — a comparand being a literal or a ? parameter,
-// resolved against this execution's bindings (plans are built per
-// execution, so nothing resolved here outlives it). Equality ids are
-// sorted ascending and range ids materialise in heap order (ordidx.go),
-// so either access path emits rows exactly as a filtered full scan would.
-func chooseScanAccess(sc *scanOp, conjuncts []Expr, params []Value) []Expr {
+// indexAccess is how a statement reaches a table's rows when its WHERE
+// lets an index serve them: an exact id list from an equality probe, or a
+// key range over an index's ordered view whose ids materialise on first
+// use. The zero value is the whole heap.
+type indexAccess struct {
+	ids      []int // ascending; nil = unrestricted (unless rangeIdx is set)
+	rangeIdx *Index
+	spec     rangeSpec
+}
+
+// chooseIndexAccess is the one place a statement's access path is chosen
+// — SELECT planning calls it per scanned table with the conjuncts pushed
+// down to it, UPDATE and DELETE with their WHERE's. It serves what it can
+// of the conjuncts from t's indexes and returns the remainder, which the
+// caller filters by. Preference order: a single `col = comparand` equality
+// over an indexed column (hash lookup), then the combined range bounds (>,
+// >=, <, <=, BETWEEN) of the first indexed column that has any — a
+// comparand being a literal or a ? parameter, resolved against this
+// execution's bindings. Equality ids are ascending and range ids
+// materialise in heap order (ordidx.go), so either path yields rows
+// exactly as a filtered heap walk would. Comparands probe uncoerced: the
+// key encoding and the ordered view follow Value.Compare, which is what
+// the filter evaluates, so `id = '5'` over an INTEGER column finds what
+// the unindexed filter finds — nothing.
+func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, snap *snapshot) (indexAccess, []Expr) {
 	for i, c := range conjuncts {
 		b, ok := c.(*BinaryOp)
 		if !ok || b.Op != "=" {
@@ -1353,42 +1340,65 @@ func chooseScanAccess(sc *scanOp, conjuncts []Expr, params []Value) []Expr {
 		if col == nil {
 			continue
 		}
-		idx := scanIndexFor(sc, col)
+		idx := indexFor(t, qual, col)
 		if idx == nil {
 			continue
 		}
-		v = coerce(v, sc.table.Columns[idx.Column].Type)
-		if v.IsNull() {
-			// `col = NULL` is never true; serving the NULL key's ids here
-			// would wrongly return the NULL-valued rows (the conjunct is
-			// removed from the filter). Found by the NoREC metamorphic
-			// property: the filtered count must match the per-row count.
-			sc.ids = []int{}
-		} else {
-			var snap *snapshot
-			if sc.qc != nil {
-				snap = sc.qc.snap
-			}
-			sc.ids = visibleEqIDs(sc.table, idx, v, snap)
+		// `col = NULL` is never true; serving the NULL key's ids here would
+		// wrongly return the NULL-valued rows (the conjunct is removed from
+		// the filter). Found by the NoREC metamorphic property: the
+		// filtered count must match the per-row count.
+		ids := []int{}
+		if !v.IsNull() {
+			ids = visibleEqIDs(t, idx, v, snap)
 		}
-		return append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+		return indexAccess{ids: ids}, append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
 	}
 
 	// Range: the first indexed column with a range conjunct absorbs every
-	// range conjunct on that column into one bound pair.
+	// range conjunct on that column into one bound pair. A NULL bound makes
+	// its conjunct NULL for every row, so — like `col = NULL` above — the
+	// statement reads no row at all; the conjuncts all stay with the caller
+	// so their names still bind.
+	var acc indexAccess
 	rest := conjuncts[:0:0]
 	for _, c := range conjuncts {
-		if col, cs, null, ok := rangeConjunct(c, params); ok && !null {
-			if idx := scanIndexFor(sc, col); idx != nil && (sc.rangeIdx == nil || idx == sc.rangeIdx) {
-				sc.rangeIdx = idx
-				sc.spec.lo = tightenLo(sc.spec.lo, cs.lo)
-				sc.spec.hi = tightenHi(sc.spec.hi, cs.hi)
+		if col, cs, null, ok := rangeConjunct(c, params); ok {
+			idx := indexFor(t, qual, col)
+			if idx != nil && null {
+				return indexAccess{ids: []int{}}, conjuncts
+			}
+			if idx != nil && (acc.rangeIdx == nil || idx == acc.rangeIdx) {
+				acc.rangeIdx = idx
+				acc.spec.lo = tightenLo(acc.spec.lo, cs.lo)
+				acc.spec.hi = tightenHi(acc.spec.hi, cs.hi)
 				continue
 			}
 		}
 		rest = append(rest, c)
 	}
-	return rest
+	return acc, rest
+}
+
+// open readies the access for iteration — a range restriction
+// materialises its ids — and records the path taken, once, in qc (nil =
+// no accounting). It returns the entries the range walk stepped over.
+func (a *indexAccess) open(t *Table, snap *snapshot, qc *queryCtx) (skipped uint64) {
+	if a.rangeIdx != nil && a.ids == nil {
+		a.ids, skipped = collectRangeIDs(t, a.rangeIdx, a.spec, snap)
+	}
+	if qc != nil {
+		qc.tombstonesSkipped += skipped
+		switch {
+		case a.rangeIdx != nil:
+			qc.indexRangeScans++
+		case a.ids != nil:
+			qc.indexScans++
+		default:
+			qc.fullScans++
+		}
+	}
+	return skipped
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape
@@ -1469,23 +1479,22 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 	return sc, kept, nil
 }
 
-// scanIndexFor returns the scanned table's index over the referenced
-// column when the reference addresses this scan (bare or matching
-// qualifier), or nil.
-func scanIndexFor(sc *scanOp, col *ColumnRef) *Index {
-	if col.Table != "" && !strings.EqualFold(col.Table, sc.qual) {
+// indexFor returns t's index over the referenced column when the
+// reference addresses t under the name qual (bare or matching qualifier),
+// or nil.
+func indexFor(t *Table, qual string, col *ColumnRef) *Index {
+	if col.Table != "" && !strings.EqualFold(col.Table, qual) {
 		return nil
 	}
-	return sc.table.idxs()[strings.ToLower(col.Column)]
+	return t.idxs()[strings.ToLower(col.Column)]
 }
 
 // rangeConjunct decomposes a conjunct into a column reference and the
 // range bounds it contributes: `col > x`, `>=`, `<`, `<=` (either operand
 // order) and `col BETWEEN lo AND hi`, each bound a literal or a bound ?
-// parameter. Shared by the SELECT planner and the DML fast path. A NULL
-// bound is reported apart (null): the predicate is NULL for every row, so
-// it matches nothing — DML returns no ids, the planner leaves the
-// conjunct to the filter.
+// parameter. A NULL bound is reported apart (null): the predicate is NULL
+// for every row, so over an indexed column chooseIndexAccess answers with
+// the empty id list.
 func rangeConjunct(c Expr, params []Value) (col *ColumnRef, spec rangeSpec, null, ok bool) {
 	switch t := c.(type) {
 	case *BinaryOp:

@@ -172,7 +172,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 		kind, detail := "seq", fmt.Sprintf("%d row(s)", t.table.liveCount())
 		switch {
 		case t.rangeIdx != nil:
-			kind, detail = "index range", t.rspec.describe(t.table.Columns[t.rangeIdx.Column].Name)
+			kind, detail = "index range", t.spec.describe(t.table.Columns[t.rangeIdx.Column].Name)
 		case t.ids != nil:
 			kind, detail = "index", fmt.Sprintf("%d candidate row(s)", len(t.ids))
 		}

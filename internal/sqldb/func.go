@@ -52,29 +52,6 @@ func (r *FuncRegistry) Names() []string {
 	return out
 }
 
-// evalFunc dispatches a (non-aggregate) function call.
-func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
-	if isAggregateName(fc.Name) {
-		return Null, errf(ErrMisuse, "sql: misuse of aggregate function %s()", fc.Name)
-	}
-	var fn ScalarFunc
-	if env.db != nil {
-		fn = env.db.funcs.Lookup(fc.Name)
-	}
-	if fn == nil {
-		return Null, errf(ErrNoFunction, "sql: no such function: %s", fc.Name)
-	}
-	args := make([]Value, len(fc.Args))
-	for i, a := range fc.Args {
-		v, err := evalExpr(a, env)
-		if err != nil {
-			return Null, err
-		}
-		args[i] = v
-	}
-	return fn(args)
-}
-
 // argCheck returns an error when the argument count is outside [min,max]
 // (max < 0 means unbounded).
 func argCheck(name string, args []Value, min, max int) error {

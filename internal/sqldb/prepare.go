@@ -61,8 +61,11 @@ func (s *Stmt) SQL() string { return s.sql }
 const planCacheCap = 512
 
 // planCache is an LRU of SQL text -> parsed SELECT. Only successful SELECT
-// parses are cached; parse errors and non-SELECT statements take the slow
-// path every time (they are not on any hot path).
+// parses are cached; parse errors are re-reported by the parser each time,
+// and non-SELECT statements do not come through here at all — Exec and
+// Txn.Exec run ParseAll on every call, which on a write-heavy workload
+// (perf's oltp_durable is 45 % DML) is a parse per statement still to be
+// saved (ROADMAP, perf ledger: "DML through the plan cache").
 type planCache struct {
 	mu     sync.Mutex
 	m      map[string]*list.Element

@@ -30,13 +30,15 @@ type Stats struct {
 	// PlanCacheHits / PlanCacheMisses count lookups in the LRU plan cache.
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
-	// RowsScanned counts base-table rows read by scans (heap or index).
-	// A `SELECT ... LIMIT k` without ORDER BY stops after O(k) scanned
-	// rows — this counter is the observable proof.
+	// RowsScanned counts base-table rows read (heap or index) by any
+	// statement: a SELECT's scans and the scan an UPDATE or DELETE finds
+	// its rows with. A `SELECT ... LIMIT k` without ORDER BY stops after
+	// O(k) scanned rows — this counter is the observable proof.
 	RowsScanned uint64
 	// RowsEmitted counts rows delivered to callers.
 	RowsEmitted uint64
-	// IndexScans / FullScans count base-table access paths by kind.
+	// IndexScans / FullScans count base-table access paths by kind, for
+	// UPDATE and DELETE exactly as for a SELECT with the same WHERE.
 	// IndexScans includes ordered (sort-eliding) index scans and both
 	// sides of a merge join; IndexRangeScans counts access paths served
 	// from an index's ordered view by a range predicate (col > x,
@@ -58,8 +60,8 @@ type Stats struct {
 	// moving one between entries. Under a write-heavy workload this is the
 	// number of O(n log n) rebuilds that did not happen.
 	OrdMaintains uint64
-	// TombstonesSkipped counts row slots a scan stepped over because no
-	// version was visible to its snapshot (deleted or not-yet-committed
+	// TombstonesSkipped counts row slots a statement stepped over because
+	// no version was visible to its snapshot (deleted or not-yet-committed
 	// rows awaiting vacuum). A high rate relative to RowsScanned means
 	// vacuum lag.
 	TombstonesSkipped uint64

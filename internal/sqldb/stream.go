@@ -712,7 +712,7 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 	if !ok {
 		return src, false
 	}
-	idx := scanIndexFor(sc, cr)
+	idx := indexFor(sc.table, sc.qual, cr)
 	if idx == nil {
 		return src, false
 	}

@@ -8,17 +8,24 @@
 //	lexer.go / parser.go / ast.go   SQL text -> AST
 //	prepare.go                      prepared statements + the LRU plan cache
 //	catalog.go                      schemas, tables, indexes
-//	expr.go / func.go / agg.go      interpreted expression evaluation (DML)
-//	compile.go                      AST -> closures with ordinals bound once
+//	compile.go                      AST -> closures with ordinals bound once:
+//	                                the one expression evaluator
+//	expr.go / func.go / agg.go      what it stands on: scopes and name
+//	                                resolution, arithmetic/CAST/LIKE,
+//	                                scalar functions, aggregate states
 //	key.go                          allocation-free binary row/value keys
-//	exec.go                         planning and volcano-style execution
-//	db.go                           the public Database API
+//	exec.go                         planning (the one index chooser) and
+//	                                volcano-style execution
+//	db.go                           the public Database API; INSERT, and the
+//	                                one loop UPDATE and DELETE share
 //
-// SELECT execution happens in two phases: planning resolves every column
+// Every statement runs in two phases: planning resolves every column
 // reference to an ordinal, picks access paths (index scans, hash-join
 // build sides, index-nested-loop joins) and compiles each expression into
 // a closure; execution then runs the closures over rows without any name
 // resolution, map lookups or string formatting on the per-row path.
+// UPDATE and DELETE take the same access path a SELECT with their WHERE
+// would and read their rows through the same scan.
 //
 // Values use dynamic typing with SQLite-flavoured affinity: every cell is a
 // Value of kind null, integer, real, text, or boolean, and comparisons

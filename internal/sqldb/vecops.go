@@ -38,21 +38,19 @@ type scanCounts struct {
 // batchPlan is what one batch scan does, fixed at plan time and shared by
 // every instance of it.
 type batchPlan struct {
-	table    *Table
-	qual     string
-	cols     []colInfo
-	ids      []int // index equality restriction; nil = none
-	rangeIdx *Index
-	rspec    rangeSpec
-	preds    []Expr       // fused WHERE conjuncts
-	items    []SelectItem // projection fused into the scan; nil = emit table rows
-	folds    bool         // the aggregation is folded batch by batch: over
-	groupBy  []Expr       // ... these keys,
-	aggs     []*FuncCall  // ... these aggregates
-	repRows  bool         // the post-aggregation phase reads representative rows
-	above    []Expr       // what the operators above read from emitted table rows
-	db       *Database
-	params   []Value
+	table *Table
+	qual  string
+	cols  []colInfo
+	indexAccess
+	preds   []Expr       // fused WHERE conjuncts
+	items   []SelectItem // projection fused into the scan; nil = emit table rows
+	folds   bool         // the aggregation is folded batch by batch: over
+	groupBy []Expr       // ... these keys,
+	aggs    []*FuncCall  // ... these aggregates
+	repRows bool         // the post-aggregation phase reads representative rows
+	above   []Expr       // what the operators above read from emitted table rows
+	db      *Database
+	params  []Value
 	// workers > 1 runs the scan on the pool; unordered lets its gather
 	// take morsels in completion order (parallel.go).
 	workers   int
@@ -228,22 +226,8 @@ func (s *vecScanOp) open() {
 	if s.qc != nil {
 		snap = s.qc.snap
 	}
-	if s.rangeIdx != nil && s.ids == nil {
-		var skipped uint64
-		s.ids, skipped = collectRangeIDs(s.table, s.rangeIdx, s.rspec, snap)
-		s.account(scanCounts{tombs: skipped})
-	}
+	s.cnt.tombs += s.indexAccess.open(s.table, snap, s.qc)
 	s.src = newBatchSource(s.table, s.ids, snap)
-	if s.qc != nil {
-		switch {
-		case s.rangeIdx != nil:
-			s.qc.indexRangeScans++
-		case s.ids != nil:
-			s.qc.indexScans++
-		default:
-			s.qc.fullScans++
-		}
-	}
 }
 
 // account adds work done to the operator's counters (EXPLAIN ANALYZE)
@@ -599,8 +583,8 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 	bs := &vecScanOp{
 		batchPlan: batchPlan{
 			table: sc.table, qual: sc.qual, cols: sc.cols,
-			ids: sc.ids, rangeIdx: sc.rangeIdx, rspec: sc.spec,
-			preds: preds, db: db, params: params, workers: 1,
+			indexAccess: sc.indexAccess,
+			preds:       preds, db: db, params: params, workers: 1,
 		},
 		outer: outer, qc: qc,
 	}

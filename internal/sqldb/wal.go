@@ -36,7 +36,7 @@ import (
 // DELETE the deleted row's image, UPDATE both images. Recovery matches
 // images against the lowest visible row, which reproduces the original
 // slot assignment because DML always visits matching rows in ascending
-// id order (dmlWhereIDs and the heap walk both yield ascending ids) and
+// id order (index access and the heap walk both yield ascending ids) and
 // checkpoint compaction preserves the relative order of live rows. Image
 // ops survive checkpointing, where slot ids would not: reloading a
 // snapshot compacts slots.
