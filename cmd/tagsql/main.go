@@ -168,10 +168,25 @@ func analyze(db *sqldb.Database, src string) {
 	for _, l := range aq.Plan {
 		fmt.Println(l)
 	}
-	qs := aq.Stats
-	fmt.Printf("-- %d scanned, %d emitted, %d index / %d range / %d full scans, %d index-served orders, %d tombstones skipped, subplan %d/%d hit/miss, %v\n",
-		qs.RowsScanned, qs.RowsEmitted, qs.IndexScans, qs.IndexRangeScans, qs.FullScans,
-		qs.OrderedIndexOrders, qs.TombstonesSkipped, qs.SubplanCacheHits, qs.SubplanCacheMisses, qs.Elapsed.Round(time.Microsecond))
+	printCounters(aq.Stats)
+	fmt.Printf("elapsed          %v\n", aq.Stats.Elapsed.Round(time.Microsecond))
+}
+
+// printCounters prints the counters a statement's QueryStats and the
+// engine's Stats share. It is the one printer of both — .analyze's
+// per-query totals and .stats — so the two read in the same order under the
+// same labels.
+func printCounters(qs sqldb.QueryStats) {
+	fmt.Printf("rows scanned     %d\n", qs.RowsScanned)
+	fmt.Printf("rows emitted     %d\n", qs.RowsEmitted)
+	fmt.Printf("scans            %d index / %d range / %d full\n", qs.IndexScans, qs.IndexRangeScans, qs.FullScans)
+	fmt.Printf("ordered orders   %d\n", qs.OrderedIndexOrders)
+	fmt.Printf("subplan cache    %d hit / %d miss\n", qs.SubplanCacheHits, qs.SubplanCacheMisses)
+	fmt.Printf("index maintains  %d incremental\n", qs.OrdMaintains)
+	fmt.Printf("tombstones       %d invisible versions stepped over (SELECT and DML)\n", qs.TombstonesSkipped)
+	fmt.Printf("segments         %d scans / %d blocks decoded\n", qs.SegmentScans, qs.DecodedBlocks)
+	fmt.Printf("vectorized       %d batches / %d row fallbacks\n", qs.VectorBatches, qs.RowFallbacks)
+	fmt.Printf("reclaimed        %d versions\n", qs.VersionsReclaimed)
 }
 
 // dump writes the database as a replayable SQL script — the same format
@@ -232,21 +247,22 @@ func printStats(db *sqldb.Database) {
 	fmt.Printf("queries          %d\n", s.Queries)
 	fmt.Printf("execs            %d\n", s.Execs)
 	fmt.Printf("plan cache       %d hit / %d miss\n", s.PlanCacheHits, s.PlanCacheMisses)
-	fmt.Printf("rows scanned     %d\n", s.RowsScanned)
-	fmt.Printf("rows emitted     %d\n", s.RowsEmitted)
-	fmt.Printf("scans            %d index / %d range / %d full\n", s.IndexScans, s.IndexRangeScans, s.FullScans)
-	fmt.Printf("ordered orders   %d\n", s.OrderedIndexOrders)
-	fmt.Printf("subplan cache    %d hit / %d miss\n", s.SubplanCacheHits, s.SubplanCacheMisses)
-	fmt.Printf("index maintains  %d incremental\n", s.OrdMaintains)
-	fmt.Printf("tombstones       %d skipped by scans\n", s.TombstonesSkipped)
+	printCounters(sqldb.QueryStats{
+		RowsScanned: s.RowsScanned, RowsEmitted: s.RowsEmitted,
+		IndexScans: s.IndexScans, IndexRangeScans: s.IndexRangeScans, FullScans: s.FullScans,
+		OrderedIndexOrders: s.OrderedIndexOrders,
+		SubplanCacheHits:   s.SubplanCacheHits, SubplanCacheMisses: s.SubplanCacheMisses,
+		OrdMaintains: s.OrdMaintains, TombstonesSkipped: s.TombstonesSkipped,
+		SegmentScans: s.SegmentScans, DecodedBlocks: s.DecodedBlocks,
+		VectorBatches: s.VectorBatches, RowFallbacks: s.RowFallbacks,
+		VersionsReclaimed: s.VersionsReclaimed,
+	})
 	fmt.Printf("transactions     %d begun / %d committed / %d rolled back / %d active\n",
 		s.Begins, s.Commits, s.Rollbacks, s.ActiveTxns)
-	fmt.Printf("vacuum           %d runs / %d versions reclaimed\n", s.VacuumRuns, s.VersionsReclaimed)
+	fmt.Printf("vacuum           %d runs\n", s.VacuumRuns)
 	fmt.Printf("wal              %d appends / %d bytes / %d checkpoints / %d group commits\n",
 		s.WALAppends, s.WALBytes, s.Checkpoints, s.WALGroupCommits)
 	fmt.Printf("recovery         %d txns replayed / %d torn tails dropped\n", s.RecoveredTxns, s.TornTailsDropped)
-	fmt.Printf("segments         %d sealed / %d scans / %d blocks decoded\n",
-		s.SegmentsSealed, s.SegmentScans, s.DecodedBlocks)
-	fmt.Printf("vectorized       %d batches / %d row fallbacks\n", s.VectorBatches, s.RowFallbacks)
+	fmt.Printf("segments sealed  %d\n", s.SegmentsSealed)
 	fmt.Printf("open cursors     %d\n", s.OpenCursors)
 }

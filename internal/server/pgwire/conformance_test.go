@@ -364,6 +364,19 @@ func TestExplicitTransactions(t *testing.T) {
 	if !reflect.DeepEqual(rows, []string{"2"}) {
 		t.Fatalf("rollback did not undo: %v", rows)
 	}
+
+	// An embedded caller's SQL-level session transaction is not the wire's:
+	// an autocommit statement from a socket neither joins it nor is undone
+	// by its ROLLBACK, and a wire session's own BEGIN is a Txn of its own.
+	db.MustExec(`BEGIN`)
+	mustQuery(t, c1, `BEGIN`)
+	mustQuery(t, c2, `INSERT INTO acct VALUES (3, 7)`)
+	db.MustExec(`ROLLBACK`)
+	mustQuery(t, c1, `COMMIT`)
+	rows = wireRows(mustQuery(t, c1, `SELECT bal FROM acct WHERE id = 3`))
+	if !reflect.DeepEqual(rows, []string{"7"}) {
+		t.Fatalf("autocommit INSERT beside an embedded BEGIN: %v, want it to survive the embedded ROLLBACK", rows)
+	}
 }
 
 // TestFailedTransactionDiscipline: an error inside an explicit

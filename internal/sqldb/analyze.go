@@ -77,35 +77,44 @@ func (sp *subplanRec) replaceRoot(rec *execRecorder, root operator) {
 	sp.root = root
 }
 
+// liveChild is the one input an operator pulls from while it runs, as a
+// pointer to the field holding it; nil for a leaf. Join build sides and
+// derived-table sources ran during planning and are kept for display only.
+func liveChild(op operator) *operator {
+	switch t := op.(type) {
+	case *statOp:
+		return &t.child
+	case *limitOp:
+		return &t.child
+	case *sortOp:
+		return &t.child
+	case *distinctOp:
+		return &t.child
+	case *projectOp:
+		return &t.child
+	case *groupOp:
+		return &t.child
+	case *filterOp:
+		return &t.child
+	case *hashJoinOp:
+		return &t.probe
+	case *indexJoinOp:
+		return &t.probe
+	case *nestedLoopJoinOp:
+		return &t.left
+	}
+	return nil
+}
+
 // forget removes a discarded tree's per-operator records, leaving the
 // tree unreferenced. Nested subplans are separate trees with their own
 // records and are not touched.
 func (rec *execRecorder) forget(op operator) {
-	if op == nil {
-		return
-	}
-	switch t := op.(type) {
-	case *statOp:
-		delete(rec.stats, t.child)
-		rec.forget(t.child)
-	case *filterOp:
-		rec.forget(t.child)
-	case *projectOp:
-		rec.forget(t.child)
-	case *groupOp:
-		rec.forget(t.child)
-	case *distinctOp:
-		rec.forget(t.child)
-	case *sortOp:
-		rec.forget(t.child)
-	case *limitOp:
-		rec.forget(t.child)
-	case *hashJoinOp:
-		rec.forget(t.probe)
-	case *indexJoinOp:
-		rec.forget(t.probe)
-	case *nestedLoopJoinOp:
-		rec.forget(t.left)
+	for c := liveChild(op); c != nil; c = liveChild(op) {
+		if s, ok := op.(*statOp); ok {
+			delete(rec.stats, s.child)
+		}
+		op = *c
 	}
 }
 
@@ -153,30 +162,10 @@ func instrument(op operator, rec *execRecorder) operator {
 	if op == nil {
 		return nil
 	}
-	switch t := op.(type) {
-	case *limitOp:
-		t.child = instrument(t.child, rec)
-	case *sortOp:
-		t.child = instrument(t.child, rec)
-	case *distinctOp:
-		t.child = instrument(t.child, rec)
-	case *projectOp:
-		t.child = instrument(t.child, rec)
-	case *groupOp:
-		t.child = instrument(t.child, rec)
-	case *filterOp:
-		t.child = instrument(t.child, rec)
-	case *hashJoinOp:
-		t.probe = instrument(t.probe, rec)
-	case *indexJoinOp:
-		t.probe = instrument(t.probe, rec)
-	case *nestedLoopJoinOp:
-		t.left = instrument(t.left, rec)
-	case *scanOp, *ordScanOp, *corrProbeScanOp, *mergeJoinOp, *valuesOp, *parScanOp, *vecScanOp:
-		// Leaves (valuesOp.src is a dead display-only subtree).
+	if c := liveChild(op); c != nil {
+		*c = instrument(*c, rec)
 	}
-	w := &statOp{child: op, stat: rec.statFor(op)}
-	return w
+	return &statOp{child: op, stat: rec.statFor(op)}
 }
 
 // treeScanned sums the base-table rows an operator tree read, including
@@ -184,54 +173,23 @@ func instrument(op operator, rec *execRecorder) operator {
 // does not descend into compiled subplans — those are separate trees
 // accounted per subplanRec.
 func treeScanned(op operator) uint64 {
+	var n uint64
 	switch t := op.(type) {
-	case *statOp:
-		return treeScanned(t.child)
-	case *scanOp:
-		return t.scanned
-	case *ordScanOp:
-		return t.scanned
+	case interface{ counts() scanCounts }: // the five leaves (scanTally)
+		return t.counts().scanned
 	case *parScanOp:
 		return t.scan.cnt.scanned
-	case *vecScanOp:
-		return t.cnt.scanned
-	case *corrProbeScanOp:
-		return t.scanned
-	case *mergeJoinOp:
-		return t.scanned
 	case *valuesOp:
-		if t.src != nil {
-			return treeScanned(t.src)
-		}
-		return 0
-	case *filterOp:
-		return treeScanned(t.child)
-	case *projectOp:
-		return treeScanned(t.child)
-	case *groupOp:
-		return treeScanned(t.child)
-	case *distinctOp:
-		return treeScanned(t.child)
-	case *sortOp:
-		return treeScanned(t.child)
-	case *limitOp:
-		return treeScanned(t.child)
+		return treeScanned(t.src)
 	case *hashJoinOp:
-		n := treeScanned(t.probe)
-		if t.buildSrc != nil {
-			n += treeScanned(t.buildSrc)
-		}
-		return n
-	case *indexJoinOp:
-		return treeScanned(t.probe)
+		n = treeScanned(t.buildSrc)
 	case *nestedLoopJoinOp:
-		n := treeScanned(t.left)
-		if t.rightSrc != nil {
-			n += treeScanned(t.rightSrc)
-		}
-		return n
+		n = treeScanned(t.rightSrc)
 	}
-	return 0
+	if c := liveChild(op); c != nil {
+		n += treeScanned(*c)
+	}
+	return n
 }
 
 // AnalyzedQuery is the result of ExplainAnalyze: the operator tree the
@@ -285,37 +243,17 @@ func (db *Database) ExplainAnalyze(ctx context.Context, sql string, params ...an
 	if err != nil {
 		return nil, err
 	}
-	return db.explainAnalyze(ctx, sel, bindParams(params))
-}
-
-func (db *Database) explainAnalyze(ctx context.Context, sel *SelectStmt, vals []Value) (*AnalyzedQuery, error) {
-	qc := newQueryCtx(ctx, db)
-	qc.rec = newExecRecorder()
-	qc.queries = 1
-	defer qc.flush()
-	if err := qc.cancelled(); err != nil {
-		return nil, err
-	}
-	snap, release := db.beginRead(nil)
-	qc.snap = snap
-	qc.releaseSnap = release // the deferred flush releases the snapshot
-	defer qc.stopWorkers()   // parallel-scan pools stop before the snapshot goes
-	root, _, err := buildSelectPlan(sel, db, vals, nil, true, qc)
+	rec := newExecRecorder()
+	rows, err := db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), rec)
 	if err != nil {
 		return nil, err
 	}
-	root = instrument(root, qc.rec)
-	for {
-		_, ok, err := root.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		qc.rowsEmitted++
+	for rows.Next() {
 	}
-	p := &planPrinter{rec: qc.rec}
-	p.describe(root, 0)
-	return &AnalyzedQuery{Plan: p.lines, Stats: qc.snapshot(), root: root, rec: qc.rec}, nil
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	p := &planPrinter{rec: rec}
+	p.describe(rows.root, 0)
+	return &AnalyzedQuery{Plan: p.lines, Stats: rows.Stats(), root: rows.root, rec: rec}, nil
 }

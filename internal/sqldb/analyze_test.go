@@ -148,6 +148,9 @@ func analyzeCorpus(r *rand.Rand) []string {
 		fmt.Sprintf("SELECT x.id FROM (SELECT id, a FROM t1 WHERE %s) x WHERE x.a > %d ORDER BY x.id", randPred(r), r.Intn(4)),
 		fmt.Sprintf("SELECT id FROM t1 WHERE EXISTS (SELECT 1 FROM (SELECT t1_id FROM t2 WHERE d > %d) dd WHERE dd.t1_id = t1.id) ORDER BY id", r.Intn(15)),
 		"SELECT COUNT(*) FROM t1 a JOIN t1 b ON a.a > b.a",
+		// Both join keys indexed, nothing filtered, an ORDER BY that re-sorts:
+		// the merge join (on the indexed database).
+		"SELECT t1.id, t2.d FROM t1 JOIN t2 ON t1.id = t2.t1_id ORDER BY t1.id, t2.id",
 	}
 }
 
@@ -157,51 +160,78 @@ func analyzeCorpus(r *rand.Rand) []string {
 // (2) the per-operator scanned counts over all executed trees (main tree,
 // materialised build/derived subtrees, every compiled subplan including
 // rebuilt-and-discarded ones) sum exactly to the query's RowsScanned, and
-// (3) the plan root's row count equals RowsEmitted.
+// (3) the plan root's row count equals RowsEmitted. Every table carries
+// deleted rows a pinned snapshot keeps from the vacuum, so the tombstone
+// side of the shared tally is billed too, and the corpus must reach all
+// five base-table leaves.
 func TestExplainAnalyzeCountsMatchEngineStats(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	indexed, plain := propTables(t, r)
+	big := bigDB(t, 3*morselMinRows)
+	for _, db := range []*Database{indexed, plain, big} {
+		defer db.Begin().Rollback() // pins the vacuum horizon below the deletes
+	}
+	indexed.MustExec("DELETE FROM t2 WHERE id % 9 = 0")
+	plain.MustExec("DELETE FROM t2 WHERE id % 9 = 0")
+	big.MustExec("DELETE FROM big WHERE id % 97 = 0")
+	leaves := map[string]bool{"seq scan": false, "ordered index": false, "merge join": false,
+		"correlated probe": false, "batch ": false, "tombstones=": false}
 	ctx := context.Background()
+	check := func(name string, db *Database, sql string) {
+		before := db.Stats()
+		aq, err := db.ExplainAnalyze(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s ExplainAnalyze(%q): %v", name, sql, err)
+		}
+		after := db.Stats()
+		qs := aq.Stats
+		deltas := []struct {
+			field string
+			stats uint64
+			query uint64
+		}{
+			{"Queries", after.Queries - before.Queries, 1},
+			{"RowsScanned", after.RowsScanned - before.RowsScanned, qs.RowsScanned},
+			{"RowsEmitted", after.RowsEmitted - before.RowsEmitted, qs.RowsEmitted},
+			{"IndexScans", after.IndexScans - before.IndexScans, qs.IndexScans},
+			{"FullScans", after.FullScans - before.FullScans, qs.FullScans},
+			{"IndexRangeScans", after.IndexRangeScans - before.IndexRangeScans, qs.IndexRangeScans},
+			{"OrderedIndexOrders", after.OrderedIndexOrders - before.OrderedIndexOrders, qs.OrderedIndexOrders},
+			{"SubplanCacheHits", after.SubplanCacheHits - before.SubplanCacheHits, qs.SubplanCacheHits},
+			{"SubplanCacheMisses", after.SubplanCacheMisses - before.SubplanCacheMisses, qs.SubplanCacheMisses},
+			{"TombstonesSkipped", after.TombstonesSkipped - before.TombstonesSkipped, qs.TombstonesSkipped},
+			{"VectorBatches", after.VectorBatches - before.VectorBatches, qs.VectorBatches},
+		}
+		for _, d := range deltas {
+			if d.stats != d.query {
+				t.Fatalf("%s %q: engine %s delta %d != per-query %d",
+					name, sql, d.field, d.stats, d.query)
+			}
+		}
+		plan := strings.Join(aq.Plan, "\n")
+		if got := aq.scannedTotal(); got != qs.RowsScanned {
+			t.Fatalf("%s %q: per-operator scanned sum %d != query RowsScanned %d\n%s",
+				name, sql, got, qs.RowsScanned, plan)
+		}
+		if got := aq.rootRows(); got != qs.RowsEmitted {
+			t.Fatalf("%s %q: root rows %d != RowsEmitted %d",
+				name, sql, got, qs.RowsEmitted)
+		}
+		for leaf := range leaves {
+			leaves[leaf] = leaves[leaf] || strings.Contains(plan, leaf)
+		}
+	}
 	for round := 0; round < 12; round++ {
 		for _, sql := range analyzeCorpus(r) {
-			for name, db := range map[string]*Database{"indexed": indexed, "plain": plain} {
-				before := db.Stats()
-				aq, err := db.ExplainAnalyze(ctx, sql)
-				if err != nil {
-					t.Fatalf("%s ExplainAnalyze(%q): %v", name, sql, err)
-				}
-				after := db.Stats()
-				qs := aq.Stats
-				deltas := []struct {
-					field string
-					stats uint64
-					query uint64
-				}{
-					{"Queries", after.Queries - before.Queries, 1},
-					{"RowsScanned", after.RowsScanned - before.RowsScanned, qs.RowsScanned},
-					{"RowsEmitted", after.RowsEmitted - before.RowsEmitted, qs.RowsEmitted},
-					{"IndexScans", after.IndexScans - before.IndexScans, qs.IndexScans},
-					{"FullScans", after.FullScans - before.FullScans, qs.FullScans},
-					{"IndexRangeScans", after.IndexRangeScans - before.IndexRangeScans, qs.IndexRangeScans},
-					{"OrderedIndexOrders", after.OrderedIndexOrders - before.OrderedIndexOrders, qs.OrderedIndexOrders},
-					{"SubplanCacheHits", after.SubplanCacheHits - before.SubplanCacheHits, qs.SubplanCacheHits},
-					{"SubplanCacheMisses", after.SubplanCacheMisses - before.SubplanCacheMisses, qs.SubplanCacheMisses},
-				}
-				for _, d := range deltas {
-					if d.stats != d.query {
-						t.Fatalf("%s %q: engine %s delta %d != per-query %d",
-							name, sql, d.field, d.stats, d.query)
-					}
-				}
-				if got := aq.scannedTotal(); got != qs.RowsScanned {
-					t.Fatalf("%s %q: per-operator scanned sum %d != query RowsScanned %d\n%s",
-						name, sql, got, qs.RowsScanned, strings.Join(aq.Plan, "\n"))
-				}
-				if got := aq.rootRows(); got != qs.RowsEmitted {
-					t.Fatalf("%s %q: root rows %d != RowsEmitted %d",
-						name, sql, got, qs.RowsEmitted)
-				}
-			}
+			check("indexed", indexed, sql)
+			check("plain", plain, sql)
+		}
+		check("big", big, fmt.Sprintf("SELECT id, v FROM big WHERE v > %d", r.Intn(900)))
+		check("big", big, fmt.Sprintf("SELECT grp, COUNT(*) FROM big WHERE id > %d GROUP BY grp", r.Intn(2*morselMinRows)))
+	}
+	for leaf, seen := range leaves {
+		if !seen {
+			t.Errorf("no plan in the corpus showed %q: the shared tally is not pinned on that leaf", leaf)
 		}
 	}
 }

@@ -530,7 +530,7 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	tx.record(undoInsert, t, id)
 	for _, idx := range idxs {
 		if idx.addEntry(r[idx.Column], id) && qc != nil {
-			qc.ordMaintains++
+			qc.OrdMaintains++
 		}
 	}
 	tx.logWALOp(walOp{kind: 'I', table: t.Name, row: r})
@@ -572,7 +572,7 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 			continue
 		}
 		if idx.addEntry(newV, id) && qc != nil {
-			qc.ordMaintains++
+			qc.OrdMaintains++
 		}
 	}
 }

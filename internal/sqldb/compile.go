@@ -275,7 +275,7 @@ func compileSubplan(sel *SelectStmt, env *evalEnv) (subplanSource, error) {
 			if first {
 				first = false
 				if qc != nil {
-					qc.subplanMisses++
+					qc.SubplanCacheMisses++
 				}
 				if sp != nil {
 					sp.misses++
@@ -283,7 +283,7 @@ func compileSubplan(sel *SelectStmt, env *evalEnv) (subplanSource, error) {
 				return root, nil
 			}
 			if qc != nil {
-				qc.subplanHits++
+				qc.SubplanCacheHits++
 			}
 			if sp != nil {
 				sp.hits++
@@ -298,7 +298,7 @@ func compileSubplan(sel *SelectStmt, env *evalEnv) (subplanSource, error) {
 	}
 	return func() (operator, error) {
 		if qc != nil {
-			qc.subplanMisses++
+			qc.SubplanCacheMisses++
 		}
 		root, _, err := buildSelectPlan(sel, env.db, env.params, env, false, env.qc)
 		if err != nil {

@@ -109,26 +109,6 @@ func (db *Database) QueryContext(ctx context.Context, sql string, params ...any)
 	return rows.Collect()
 }
 
-// QueryStmt executes an already parsed SELECT, materialising its rows.
-func (db *Database) QueryStmt(sel *SelectStmt, params ...any) (*Result, error) {
-	return db.QueryStmtContext(context.Background(), sel, params...)
-}
-
-// QueryStmtContext is QueryStmt under a context.
-func (db *Database) QueryStmtContext(ctx context.Context, sel *SelectStmt, params ...any) (*Result, error) {
-	return db.querySelect(ctx, sel, bindParams(params), nil)
-}
-
-// querySelect runs an already parsed SELECT to a materialised Result,
-// optionally inside a transaction.
-func (db *Database) querySelect(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn) (*Result, error) {
-	rows, err := db.queryRows(ctx, sel, vals, tx)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
-}
-
 // Exec parses and executes any statement. For SELECT it streams rows to
 // /dev/null and returns their count; for DML it returns the number of
 // affected rows; for DDL it returns 0.
@@ -137,21 +117,42 @@ func (db *Database) Exec(sql string, params ...any) (int, error) {
 }
 
 // ExecContext is Exec under a context: long scans and DML loops observe
-// cancellation mid-flight.
+// cancellation mid-flight. Each statement runs in the SQL session
+// transaction when one is open (BEGIN through this same entry point),
+// else as its own autocommit.
 func (db *Database) ExecContext(ctx context.Context, sql string, params ...any) (int, error) {
+	return db.execSQL(ctx, sql, params, nil, true)
+}
+
+// execSQL parses sql and runs its statements: the text form of every Exec,
+// Database's and Txn's.
+func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *Txn, session bool) (int, error) {
 	stmts, err := ParseAll(sql)
 	if err != nil {
 		return 0, err
 	}
+	return db.execAll(ctx, stmts, bindParams(params), tx, session)
+}
+
+// execAll is the one exec loop: Database.ExecContext, Txn.ExecContext and
+// ExecStmtTx all run their statements here, under one query context whose
+// counters fold into Stats when the loop ends. The transaction is the one
+// the entry point resolved — tx itself (nil = autocommit), or with session
+// set the SQL session transaction as it stands before each statement, since
+// a BEGIN or COMMIT earlier in the same text changes it — and every
+// statement, of every kind, is admitted against it before it runs.
+func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value, tx *Txn, session bool) (int, error) {
 	qc := newQueryCtx(ctx, db)
 	defer qc.flush()
-	vals := bindParams(params)
 	total := 0
 	for _, stmt := range stmts {
-		if err := qc.cancelled(); err != nil {
+		if session {
+			tx = db.currentTxn()
+		}
+		if err := qc.admit(tx); err != nil {
 			return total, err
 		}
-		n, err := db.execStmt(qc, stmt, vals, nil)
+		n, err := db.execStmt(qc, stmt, vals, tx, session)
 		// DML applies partially on a mid-loop error or cancellation (the
 		// in-place paths keep their documented early-exit invariants), so
 		// the affected-row count is accumulated even when err != nil.
@@ -179,83 +180,58 @@ func bindParams(params []any) []Value {
 	return vals
 }
 
-// execStmt executes one statement. tx is the explicit transaction handle
-// when called through Txn methods, nil for bare Exec calls — which join
-// the open session transaction, if any (currentTxn resolves inside the
-// per-kind entry points).
-func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn) (int, error) {
-	switch t := stmt.(type) {
-	case *SelectStmt:
-		// Stream the plan and count: rows are never materialised, and a
-		// LIMIT stops the scan early. Parallel-scan workers (if any) are
-		// stopped before the snapshot is released — defers run LIFO.
-		qc.queries++
-		snap, release := db.beginRead(tx)
-		qc.snap = snap
-		defer func() {
-			qc.snap = nil
-			release()
-		}()
-		defer qc.stopWorkers()
-		root, _, err := buildSelectPlan(t, db, params, nil, true, qc)
+// execStmt executes one admitted statement in tx (nil = autocommit).
+// session marks a bare Database call, the only kind the SQL-level session
+// transaction answers to: BEGIN opens it, COMMIT and ROLLBACK detach it.
+func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn, session bool) (int, error) {
+	if sel, ok := stmt.(*SelectStmt); ok {
+		// Count the cursor's rows: none is materialised, a LIMIT stops the
+		// scan early, and the cursor bills itself when Next closes it.
+		rows, err := db.queryRows(qc.ctx, sel, params, tx, nil)
 		if err != nil {
 			return 0, err
 		}
 		n := 0
-		for {
-			_, ok, err := root.next()
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				return n, nil
-			}
+		for rows.Next() {
 			n++
-			qc.rowsEmitted++
 		}
+		return n, rows.Err()
+	}
+	qc.execs++
+	switch t := stmt.(type) {
 	case *BeginStmt:
-		qc.execs++
 		if tx != nil {
 			return 0, errf(ErrMisuse, "sql: cannot start a transaction within a transaction")
 		}
+		if !session {
+			return 0, errf(ErrMisuse, "sql: BEGIN needs a session; use Database.Begin")
+		}
 		return 0, db.beginSession()
-	case *CommitStmt:
-		qc.execs++
-		if tx != nil {
+	case *CommitStmt, *RollbackStmt:
+		if session {
+			var err error
+			if tx, err = db.takeSession(); err != nil {
+				return 0, err
+			}
+		}
+		if tx == nil {
+			return 0, errf(ErrMisuse, "sql: no transaction is active")
+		}
+		if _, ok := t.(*CommitStmt); ok {
 			return 0, tx.Commit()
 		}
-		stx, err := db.takeSession()
-		if err != nil {
-			return 0, err
-		}
-		return 0, stx.Commit()
-	case *RollbackStmt:
-		qc.execs++
-		if tx != nil {
-			return 0, tx.Rollback()
-		}
-		stx, err := db.takeSession()
-		if err != nil {
-			return 0, err
-		}
-		return 0, stx.Rollback()
+		return 0, tx.Rollback()
 	case *CreateTableStmt:
-		qc.execs++
 		return 0, db.createTable(t, tx)
 	case *CreateIndexStmt:
-		qc.execs++
 		return 0, db.createIndex(t, tx)
 	case *DropTableStmt:
-		qc.execs++
 		return 0, db.dropTable(t, tx)
 	case *InsertStmt:
-		qc.execs++
 		return db.execInsert(t, params, qc, tx)
 	case *UpdateStmt:
-		qc.execs++
 		return db.mutate(t.Table, t.Where, t.Set, params, qc, tx)
 	case *DeleteStmt:
-		qc.execs++
 		return db.mutate(t.Table, t.Where, nil, params, qc, tx)
 	default:
 		return 0, errf(ErrMisuse, "sql: cannot execute %T", stmt)
@@ -269,8 +245,7 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 // unpublishes it, and the WAL records it inside the transaction's frame;
 // autocommit DDL is logged as a standalone self-committed record.
 func (db *Database) createTable(stmt *CreateTableStmt, tx *Txn) error {
-	tx, unlock := db.acquireWrite(tx)
-	defer unlock()
+	defer db.acquireWrite(tx)()
 	key := strings.ToLower(stmt.Name)
 	if _, exists := db.tableMap()[key]; exists {
 		if stmt.IfNotExists {
@@ -303,8 +278,7 @@ func (db *Database) logAutocommitDDL(sql string) error {
 }
 
 func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
-	tx, unlock := db.acquireWrite(tx)
-	defer unlock()
+	defer db.acquireWrite(tx)()
 	t, err := db.lookupTable(stmt.Table)
 	if err != nil {
 		return err
@@ -364,8 +338,7 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 }
 
 func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
-	tx, unlock := db.acquireWrite(tx)
-	defer unlock()
+	defer db.acquireWrite(tx)()
 	key := strings.ToLower(stmt.Name)
 	t, exists := db.tableMap()[key]
 	if !exists {
@@ -384,10 +357,7 @@ func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
 }
 
 func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end, err := db.beginWrite(qc, tx)
-	if err != nil {
-		return 0, err
-	}
+	wtx, end := db.beginWrite(qc, tx)
 	// end() publishes the autocommit statement; on a durable database it
 	// also appends the WAL record, whose failure must surface as the
 	// statement's error even over an engine error — an I/O failure poisons
@@ -501,10 +471,7 @@ type dmlTarget struct {
 // is anything applied — so an error or cancellation leaves the table
 // untouched.
 func (db *Database) mutate(table string, where Expr, set []SetClause, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end, err := db.beginWrite(qc, tx)
-	if err != nil {
-		return 0, err
-	}
+	wtx, end := db.beginWrite(qc, tx)
 	defer func() {
 		if e := end(); e != nil {
 			err = e
@@ -572,7 +539,7 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 	// Under the writer latch the statement snapshot sees exactly the latest
 	// versions, so the scan SELECT runs is the scan DML runs, counters and
 	// cancellation included.
-	scan := scanOp{table: t, indexAccess: acc, qc: qc}
+	scan := scanOp{table: t, indexAccess: acc, scanTally: scanTally{qc: qc}}
 	var pend []dmlTarget
 	for {
 		r, ok, err := scan.next()
@@ -679,10 +646,7 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	qc := newQueryCtx(context.Background(), db)
 	defer qc.flush()
-	wtx, end, err := db.beginWrite(qc, nil)
-	if err != nil {
-		return err
-	}
+	wtx, end := db.beginWrite(qc, db.currentTxn())
 	defer func() {
 		if e := end(); e != nil {
 			err = e

@@ -14,7 +14,7 @@ import (
 // the committed state as of the call, and concurrent writers are neither
 // blocked nor reflected mid-script.
 func (db *Database) Dump(w io.Writer) error {
-	snap, release := db.beginRead(nil)
+	snap, release := db.beginRead(db.currentTxn())
 	defer release()
 	return db.dumpSnapshot(w, snap)
 }

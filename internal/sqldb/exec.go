@@ -69,19 +69,17 @@ type scanOp struct {
 	qual  string // alias the table is addressable by
 	cols  []colInfo
 	indexAccess
-	pos         int
-	id          int // slot of the row last returned
-	qc          *queryCtx
-	snap        *snapshot
-	arr         []*rowSlot
-	n           int
-	inited      bool
-	scanned     uint64 // rows this operator read (per-operator EXPLAIN ANALYZE)
-	tombSkipped uint64 // invisible versions stepped over (EXPLAIN ANALYZE)
+	scanTally
+	pos    int
+	id     int // slot of the row last returned
+	snap   *snapshot
+	arr    []*rowSlot
+	n      int
+	inited bool
 }
 
 func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
-	return &scanOp{table: t, qual: qual, cols: tableCols(t, qual), qc: qc}
+	return &scanOp{table: t, qual: qual, cols: tableCols(t, qual), scanTally: scanTally{qc: qc}}
 }
 
 // tableCols is a base table's schema as seen under the name qual.
@@ -102,7 +100,7 @@ func (s *scanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		s.tombSkipped += s.open(s.table, s.snap, s.qc)
+		s.open(s.table, s.snap, &s.scanTally)
 		if s.arr, s.n = s.table.loadSlots(); s.ids != nil {
 			s.n = len(s.ids)
 		}
@@ -123,16 +121,10 @@ func (s *scanOp) next() (Row, bool, error) {
 		// An index id naming a vacuumed slot is a stale entry: a tombstone.
 		r := visible(head, s.snap)
 		if r == nil {
-			s.tombSkipped++
-			if s.qc != nil {
-				s.qc.tombstonesSkipped++
-			}
+			s.account(scanCounts{tombs: 1})
 			continue
 		}
-		if s.qc != nil {
-			s.qc.rowsScanned++
-			s.scanned++
-		}
+		s.account(scanCounts{scanned: 1})
 		return r, true, nil
 	}
 	return nil, false, nil
@@ -179,16 +171,14 @@ type corrProbeScanOp struct {
 	keyE    Expr         // retained for EXPLAIN
 	idx     *Index       // real equality index, when one covers the column
 	fromIdx bool
-	qc      *queryCtx
+	scanTally
 
-	snap    *snapshot
-	memo    map[string][]int
-	keyBuf  []byte
-	ids     []int
-	idsSet  bool
-	pos     int
-	counted bool
-	scanned uint64 // rows this probe read (per-operator EXPLAIN ANALYZE)
+	snap   *snapshot
+	memo   map[string][]int
+	keyBuf []byte
+	ids    []int
+	idsSet bool
+	pos    int
 }
 
 func (s *corrProbeScanOp) columns() []colInfo { return s.cols }
@@ -236,15 +226,12 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 			}
 		}
 		s.idsSet = true
-		if s.qc != nil && !s.counted {
-			s.counted = true
-			s.qc.indexScans++
+		if s.firstOpen() {
+			s.qc.IndexScans++
 		}
 	}
-	if s.qc != nil {
-		if err := s.qc.tickCancelled(); err != nil {
-			return nil, false, err
-		}
+	if err := s.qc.tickCancelled(); err != nil {
+		return nil, false, err
 	}
 	for s.pos < len(s.ids) {
 		id := s.ids[s.pos]
@@ -253,10 +240,7 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 		if r == nil {
 			continue // cannot happen for same-snapshot ids; defensive
 		}
-		if s.qc != nil {
-			s.qc.rowsScanned++
-			s.scanned++
-		}
+		s.account(scanCounts{scanned: 1})
 		return r, true, nil
 	}
 	return nil, false, nil
@@ -1381,24 +1365,24 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 }
 
 // open readies the access for iteration — a range restriction
-// materialises its ids — and records the path taken, once, in qc (nil =
-// no accounting). It returns the entries the range walk stepped over.
-func (a *indexAccess) open(t *Table, snap *snapshot, qc *queryCtx) (skipped uint64) {
+// materialises its ids — and bills the leaf, once, with the path taken
+// and the entries the range walk stepped over.
+func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) {
 	if a.rangeIdx != nil && a.ids == nil {
+		var skipped uint64
 		a.ids, skipped = collectRangeIDs(t, a.rangeIdx, a.spec, snap)
+		leaf.account(scanCounts{tombs: skipped})
 	}
-	if qc != nil {
-		qc.tombstonesSkipped += skipped
+	if qc := leaf.qc; qc != nil {
 		switch {
 		case a.rangeIdx != nil:
-			qc.indexRangeScans++
+			qc.IndexRangeScans++
 		case a.ids != nil:
-			qc.indexScans++
+			qc.IndexScans++
 		default:
-			qc.fullScans++
+			qc.FullScans++
 		}
 	}
-	return skipped
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape
@@ -1467,7 +1451,7 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 		}
 		op := &corrProbeScanOp{
 			table: sc.table, qual: sc.qual, cols: sc.cols, column: ci,
-			keyC: keyC, colE: colRef, keyE: keyE, qc: qc,
+			keyC: keyC, colE: colRef, keyE: keyE, scanTally: scanTally{qc: qc},
 		}
 		if idx, ok := sc.table.idxs()[strings.ToLower(colRef.Column)]; ok {
 			op.idx = idx

@@ -29,25 +29,19 @@ func (db *Database) Explain(sql string, params ...any) ([]string, error) {
 	if !ok {
 		return nil, errf(ErrMisuse, "sql: EXPLAIN supports SELECT statements, got %T", stmt)
 	}
-	vals := bindParams(params)
-	// A real (discarded) query context, so planner decisions that depend
-	// on it — parallel scan and parallel aggregation eligibility — match
-	// the plan Query would run. Its counters are never flushed: EXPLAIN
-	// does not bill the engine-wide stats.
-	qc := newQueryCtx(context.Background(), db)
-	snap, release := db.beginRead(nil)
-	qc.snap = snap
-	defer release()
-	defer qc.stopWorkers() // pools stop before the snapshot is released
-	// topLevel mirrors Query's planning so EXPLAIN shows the plan that
-	// would actually run.
-	root, _, err := buildSelectPlan(sel, db, vals, nil, true, qc)
+	// The plan Query would run, opened by the opener Query uses — pool
+	// eligibility and every other planner decision read the same query
+	// context — and closed without a pull. EXPLAIN does not bill the
+	// engine-wide stats: what planning counted is dropped before the close
+	// would fold it.
+	rows, err := db.queryRows(context.Background(), sel, bindParams(params), db.currentTxn(), nil)
 	if err != nil {
 		return nil, err
 	}
 	p := &planPrinter{}
-	p.describe(root, 0)
-	return p.lines, nil
+	p.describe(rows.root, 0)
+	rows.qc.QueryStats, rows.qc.queries = QueryStats{}, 0
+	return p.lines, rows.Close()
 }
 
 // planPrinter renders an operator tree one line per node. With rec set
@@ -99,6 +93,9 @@ func (p *planPrinter) describe(op operator, depth int) {
 		op = s.child
 	}
 	analyzed := p.rec != nil
+	if leaf, ok := op.(interface{ counts() scanCounts }); ok && analyzed {
+		p.extra = scanAnnotation(leaf.counts())
+	}
 	switch t := op.(type) {
 	case *limitOp:
 		p.emit(depth, "limit/offset")
@@ -152,9 +149,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		}
 		p.describe(t.child, depth+1)
 	case *scanOp:
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped)
-		}
 		switch {
 		case t.rangeIdx != nil:
 			p.emit(depth, "index range scan %s (as %s): %s", t.table.Name, t.qual,
@@ -184,7 +178,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 			notes += " (unordered gather)"
 		}
 		if analyzed {
-			p.extra = scanAnnotation(t.cnt.scanned, t.cnt.tombs) + fmt.Sprintf(" batches=%d", t.cnt.batches)
+			p.extra += fmt.Sprintf(" batches=%d", t.cnt.batches)
 			if t.cnt.decoded > 0 {
 				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.src.segs), t.cnt.decoded)
 			}
@@ -200,9 +194,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if t.desc {
 			dir = " desc"
 		}
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped)
-		}
 		if t.spec.bounded() {
 			p.emit(depth, "ordered index range scan %s (as %s) by %s%s: %s",
 				t.table.Name, t.qual, col, dir, t.spec.describe(col))
@@ -213,9 +204,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		via := "transient hash memo"
 		if t.fromIdx {
 			via = "index"
-		}
-		if analyzed {
-			p.extra = fmt.Sprintf("scanned=%d", t.scanned)
 		}
 		p.emit(depth, "correlated probe %s (as %s) on %s = %s (via %s)",
 			t.table.Name, t.qual, t.colE.String(), t.keyE.String(), via)
@@ -245,9 +233,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 			p.describe(t.buildSrc, depth+2)
 		}
 	case *mergeJoinOp:
-		if analyzed {
-			p.extra = scanAnnotation(t.scanned, t.tombSkipped)
-		}
 		p.emit(depth, "merge join on %s = %s%s",
 			t.leftKeyE.String(), t.rightKeyE.String(), residualNote(t.residualE))
 		p.emit(depth+1, "ordered index scan %s by %s", t.leftTable.Name,
@@ -335,11 +320,11 @@ func (p *planPrinter) describeSubplans(e Expr, depth int, env *evalEnv) {
 // scanAnnotation renders an access path's EXPLAIN ANALYZE extras: rows
 // actually read, plus the tombstoned (deleted, not yet compacted) slots
 // it stepped over when there were any.
-func scanAnnotation(scanned, tombSkipped uint64) string {
-	if tombSkipped > 0 {
-		return fmt.Sprintf("scanned=%d tombstones=%d", scanned, tombSkipped)
+func scanAnnotation(c scanCounts) string {
+	if c.tombs > 0 {
+		return fmt.Sprintf("scanned=%d tombstones=%d", c.scanned, c.tombs)
 	}
-	return fmt.Sprintf("scanned=%d", scanned)
+	return fmt.Sprintf("scanned=%d", c.scanned)
 }
 
 func residualNote(residual Expr) string {

@@ -408,18 +408,15 @@ type ordScanOp struct {
 	cols  []colInfo
 	spec  rangeSpec
 	desc  bool
-	qc    *queryCtx
+	scanTally
 
-	built       bool
-	snap        *snapshot
-	cur         ordCursor // ascending: the next entry; descending: one past it
-	lo, hi      ordPos    // [lo, hi) window of entries inside the range
-	eids        []int     // current entry's id list
-	eval        Value     // current entry's value
-	ipos        int       // current position within the entry's ids
-	counted     bool
-	scanned     uint64 // rows this scan read (per-operator EXPLAIN ANALYZE)
-	tombSkipped uint64 // invisible/superseded ids stepped over (EXPLAIN ANALYZE)
+	built  bool
+	snap   *snapshot
+	cur    ordCursor // ascending: the next entry; descending: one past it
+	lo, hi ordPos    // [lo, hi) window of entries inside the range
+	eids   []int     // current entry's id list
+	eval   Value     // current entry's value
+	ipos   int       // current position within the entry's ids
 }
 
 func (s *ordScanOp) columns() []colInfo { return s.cols }
@@ -462,20 +459,17 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		}
 		s.eids, s.ipos = nil, 0
 		s.built = true
-		if s.qc != nil && !s.counted {
-			s.counted = true
-			s.qc.orderedOrders++
+		if s.firstOpen() {
+			s.qc.OrderedIndexOrders++
 			if s.spec.bounded() {
-				s.qc.indexRangeScans++
+				s.qc.IndexRangeScans++
 			} else {
-				s.qc.indexScans++
+				s.qc.IndexScans++
 			}
 		}
 	}
-	if s.qc != nil {
-		if err := s.qc.tickCancelled(); err != nil {
-			return nil, false, err
-		}
+	if err := s.qc.tickCancelled(); err != nil {
+		return nil, false, err
 	}
 	for {
 		for s.ipos < len(s.eids) {
@@ -483,16 +477,10 @@ func (s *ordScanOp) next() (Row, bool, error) {
 			s.ipos++
 			r := s.table.visibleRow(id, s.snap)
 			if r == nil || !r[s.idx.Column].Equal(s.eval) {
-				s.tombSkipped++
-				if s.qc != nil {
-					s.qc.tombstonesSkipped++
-				}
+				s.account(scanCounts{tombs: 1})
 				continue
 			}
-			if s.qc != nil {
-				s.qc.rowsScanned++
-				s.scanned++
-			}
+			s.account(scanCounts{scanned: 1})
 			return r, true, nil
 		}
 		if !s.loadEntry() {
@@ -522,14 +510,11 @@ type mergeJoinOp struct {
 	residual              compiledExpr
 	pairEnv               *evalEnv
 	arena                 rowArena
-	qc                    *queryCtx
+	scanTally             // rows read off, and ids stepped over on, both ordered views
 
-	built       bool
-	counted     bool
-	scanned     uint64 // rows read off both ordered views (EXPLAIN ANALYZE)
-	tombSkipped uint64 // invisible/superseded ids stepped over (EXPLAIN ANALYZE)
-	snap        *snapshot
-	lc, rc      ordCursor
+	built  bool
+	snap   *snapshot
+	lc, rc ordCursor
 	// current match block: the visible rows of an equal key
 	lrows, rrows []Row
 	lp, rp       int
@@ -544,7 +529,7 @@ func newMergeJoinOp(lt, rt *Table, lidx, ridx *Index, leftCols, rightCols []colI
 	m := &mergeJoinOp{
 		leftTable: lt, rightTable: rt, leftIdx: lidx, rightIdx: ridx,
 		cols: cols, leftKeyE: leftKeyE, rightKeyE: rightKeyE, residualE: residual,
-		qc: qc,
+		scanTally: scanTally{qc: qc},
 	}
 	m.pairEnv = newEvalEnv(cols, db, params, outer, qc)
 	if residual != nil {
@@ -573,15 +558,12 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 		m.rc = m.rightIdx.orderedView().rangeStart(nil)
 		m.inBlock = false
 		m.built = true
-		if m.qc != nil && !m.counted {
-			m.counted = true
-			m.qc.indexScans += 2
+		if m.firstOpen() {
+			m.qc.IndexScans += 2
 		}
 	}
-	if m.qc != nil {
-		if err := m.qc.tickCancelled(); err != nil {
-			return nil, false, err
-		}
+	if err := m.qc.tickCancelled(); err != nil {
+		return nil, false, err
 	}
 	for {
 		if m.inBlock {
@@ -628,12 +610,7 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 			m.rrows, rskip = entryRows(m.rightTable, m.rightIdx.Column, re, m.snap)
 			m.lp, m.rp = 0, 0
 			m.inBlock = true
-			m.tombSkipped += lskip + rskip
-			if m.qc != nil {
-				m.qc.tombstonesSkipped += lskip + rskip
-				m.qc.rowsScanned += uint64(len(m.lrows) + len(m.rrows))
-				m.scanned += uint64(len(m.lrows) + len(m.rrows))
-			}
+			m.account(scanCounts{scanned: uint64(len(m.lrows) + len(m.rrows)), tombs: lskip + rskip})
 		}
 	}
 }

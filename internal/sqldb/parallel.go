@@ -714,24 +714,3 @@ func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
 	}
 	return nil
 }
-
-// equalFold is a tiny ASCII-insensitive comparison used on identifier
-// paths hot enough to avoid strings.EqualFold's full case folding.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}

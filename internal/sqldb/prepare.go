@@ -38,18 +38,22 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 // Query executes the prepared statement with the given parameters,
 // materialising the result.
 func (s *Stmt) Query(params ...any) (*Result, error) {
-	return s.db.QueryStmt(s.sel, params...)
+	return s.QueryContext(context.Background(), params...)
 }
 
 // QueryContext is Query under a context.
 func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error) {
-	return s.db.QueryStmtContext(ctx, s.sel, params...)
+	rows, err := s.QueryRows(ctx, params...)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
 }
 
 // QueryRows executes the prepared statement and returns a streaming
 // cursor (see Database.QueryRows).
 func (s *Stmt) QueryRows(ctx context.Context, params ...any) (*Rows, error) {
-	return s.db.queryRows(ctx, s.sel, bindParams(params), nil)
+	return s.db.queryRows(ctx, s.sel, bindParams(params), s.db.currentTxn(), nil)
 }
 
 // SQL returns the statement's original text.
@@ -62,10 +66,10 @@ const planCacheCap = 512
 
 // planCache is an LRU of SQL text -> parsed SELECT. Only successful SELECT
 // parses are cached; parse errors are re-reported by the parser each time,
-// and non-SELECT statements do not come through here at all — Exec and
-// Txn.Exec run ParseAll on every call, which on a write-heavy workload
-// (perf's oltp_durable is 45 % DML) is a parse per statement still to be
-// saved (ROADMAP, perf ledger: "DML through the plan cache").
+// and non-SELECT statements do not come through here at all — every Exec
+// runs ParseAll (execSQL, db.go), which on a write-heavy workload (perf's
+// oltp_durable is 45 % DML) is a parse per statement still to be saved
+// (ROADMAP, perf ledger: "DML through the plan cache").
 type planCache struct {
 	mu     sync.Mutex
 	m      map[string]*list.Element

@@ -41,27 +41,33 @@ func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*
 	if err != nil {
 		return nil, err
 	}
-	return db.queryRows(ctx, sel, bindParams(params), nil)
+	return db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), nil)
 }
 
-// queryRows plans sel against a freshly captured (or, inside a
-// transaction, shared) snapshot and hands the snapshot reference to the
-// returned cursor; Close releases it. On error it is released here.
-func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn) (*Rows, error) {
+// queryRows is the one place a SELECT is opened — every Query and
+// QueryRows form, a SELECT handed to Exec (which counts its rows), EXPLAIN
+// (which closes it unpulled) and EXPLAIN ANALYZE (which passes the rec its
+// operators report to): the statement is admitted, reads the snapshot of
+// the transaction its entry point resolved (nil = a fresh one of its own),
+// is planned, and owns its snapshot reference until Close bills it. On
+// error everything is released here.
+func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn, rec *execRecorder) (*Rows, error) {
 	qc := newQueryCtx(ctx, db)
 	qc.queries = 1 // counted into Database.Stats when the recorder flushes
-	if err := qc.cancelled(); err != nil {
+	qc.rec = rec
+	if err := qc.admit(tx); err != nil {
 		qc.flush()
 		return nil, err
 	}
-	snap, release := db.beginRead(tx)
-	qc.snap = snap
-	qc.releaseSnap = release
+	qc.snap, qc.releaseSnap = db.beginRead(tx)
 	root, cols, err := buildSelectPlan(sel, db, vals, nil, true, qc)
 	if err != nil {
 		qc.stopWorkers()
 		qc.flush() // flush releases the snapshot reference
 		return nil, err
+	}
+	if rec != nil {
+		root = instrument(root, rec)
 	}
 	names := make([]string, len(cols))
 	for i, c := range cols {
@@ -96,7 +102,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.cur = row
-	r.qc.rowsEmitted++
+	r.qc.RowsEmitted++
 	return true
 }
 

@@ -207,13 +207,47 @@ func TestQueryContextCancelledInsidePipelineBreaker(t *testing.T) {
 	}
 }
 
+// A statement dispatched under an already-cancelled context does not run,
+// whichever entry point carried it into the one exec loop.
 func TestExecContextCancelledMidUpdate(t *testing.T) {
 	db := bigDB(t, 50000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.ExecContext(ctx, "UPDATE big SET v = v + 1 WHERE grp < 100")
-	if CodeOf(err) != ErrCanceled {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	const update = "UPDATE big SET v = v + 1 WHERE grp < 100"
+	sum := func() float64 {
+		res, err := db.Query("SELECT SUM(v) FROM big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsFloat()
+	}
+	want := sum()
+	entries := []struct {
+		name string
+		exec func(tx *Txn) (int, error)
+	}{
+		{"Database.ExecContext", func(*Txn) (int, error) { return db.ExecContext(ctx, update) }},
+		{"Txn.ExecContext", func(tx *Txn) (int, error) { return tx.ExecContext(ctx, update) }},
+		{"ExecStmtTx", func(*Txn) (int, error) {
+			stmt, err := Parse(update)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db.ExecStmtTx(ctx, stmt, nil)
+		}},
+	}
+	for _, e := range entries {
+		tx := db.Begin()
+		n, err := e.exec(tx)
+		if CodeOf(err) != ErrCanceled || SQLStateFor(err) != "57014" || n != 0 {
+			t.Errorf("%s: n = %d, err = %v, want 0 rows and ErrCanceled (57014)", e.name, n, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sum(); got != want {
+			t.Errorf("%s: SUM(v) = %v after a cancelled UPDATE, want the untouched %v", e.name, got, want)
+		}
 	}
 }
 

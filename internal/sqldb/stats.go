@@ -236,23 +236,12 @@ type queryCtx struct {
 	ctx context.Context
 	db  *Database
 
-	queries           uint64
-	execs             uint64
-	rowsScanned       uint64
-	rowsEmitted       uint64
-	indexScans        uint64
-	fullScans         uint64
-	indexRangeScans   uint64
-	orderedOrders     uint64
-	subplanHits       uint64
-	subplanMisses     uint64
-	ordMaintains      uint64
-	tombstonesSkipped uint64
-	versionsReclaimed uint64
-	segmentScans      uint64
-	decodedBlocks     uint64
-	vectorBatches     uint64
-	rowFallbacks      uint64
+	// QueryStats is the execution's own slice of Stats, the one tally every
+	// operator bills; queries and execs are the two Stats counters that
+	// have no per-query meaning. Elapsed is fixed at flush.
+	QueryStats
+	queries uint64
+	execs   uint64
 
 	// snap is the snapshot the statement evaluates visibility against:
 	// a registered read snapshot (SELECT) or an unregistered statement
@@ -268,8 +257,7 @@ type queryCtx struct {
 	// long as iteration can still happen.
 	releaseSnap func()
 
-	start   time.Time
-	elapsed time.Duration // fixed at flush
+	start time.Time
 
 	// rec collects per-operator statistics; non-nil only under
 	// ExplainAnalyze so ordinary executions skip all per-operator work.
@@ -316,28 +304,11 @@ func (qc *queryCtx) snapshot() QueryStats {
 	if qc == nil {
 		return QueryStats{}
 	}
-	elapsed := qc.elapsed
+	qs := qc.QueryStats
 	if !qc.flushed {
-		elapsed = time.Since(qc.start)
+		qs.Elapsed = time.Since(qc.start)
 	}
-	return QueryStats{
-		RowsScanned:        qc.rowsScanned,
-		RowsEmitted:        qc.rowsEmitted,
-		IndexScans:         qc.indexScans,
-		FullScans:          qc.fullScans,
-		IndexRangeScans:    qc.indexRangeScans,
-		OrderedIndexOrders: qc.orderedOrders,
-		SubplanCacheHits:   qc.subplanHits,
-		SubplanCacheMisses: qc.subplanMisses,
-		OrdMaintains:       qc.ordMaintains,
-		TombstonesSkipped:  qc.tombstonesSkipped,
-		SegmentScans:       qc.segmentScans,
-		DecodedBlocks:      qc.decodedBlocks,
-		VectorBatches:      qc.vectorBatches,
-		RowFallbacks:       qc.rowFallbacks,
-		VersionsReclaimed:  qc.versionsReclaimed,
-		Elapsed:            elapsed,
-	}
+	return qs
 }
 
 // cancelled reports a typed ErrCanceled when the execution's context is
@@ -349,6 +320,19 @@ func (qc *queryCtx) cancelled() error {
 	}
 	if err := qc.ctx.Err(); err != nil {
 		return &Error{Code: ErrCanceled, Msg: "sql: query canceled: " + err.Error(), Cause: err}
+	}
+	return nil
+}
+
+// admit is the one check every statement passes before it touches a latch
+// or a snapshot, whichever entry point carried it: its context is not
+// already done, and the transaction it was resolved into is still open.
+func (qc *queryCtx) admit(tx *Txn) error {
+	if err := qc.cancelled(); err != nil {
+		return err
+	}
+	if tx != nil && tx.done {
+		return errf(ErrMisuse, "sql: transaction already finished")
 	}
 	return nil
 }
@@ -380,54 +364,30 @@ func (qc *queryCtx) flush() {
 		qc.releaseSnap = nil
 		qc.snap = nil
 	}
-	qc.elapsed = time.Since(qc.start)
+	qc.Elapsed = time.Since(qc.start)
 	s := &qc.db.stats
-	if qc.queries > 0 {
-		s.queries.Add(qc.queries)
-	}
-	if qc.execs > 0 {
-		s.execs.Add(qc.execs)
-	}
-	if qc.rowsScanned > 0 {
-		s.rowsScanned.Add(qc.rowsScanned)
-	}
-	if qc.rowsEmitted > 0 {
-		s.rowsEmitted.Add(qc.rowsEmitted)
-	}
-	if qc.indexScans > 0 {
-		s.indexScans.Add(qc.indexScans)
-	}
-	if qc.fullScans > 0 {
-		s.fullScans.Add(qc.fullScans)
-	}
-	if qc.indexRangeScans > 0 {
-		s.indexRangeScans.Add(qc.indexRangeScans)
-	}
-	if qc.orderedOrders > 0 {
-		s.orderedOrders.Add(qc.orderedOrders)
-	}
-	if qc.subplanHits > 0 {
-		s.subplanHits.Add(qc.subplanHits)
-	}
-	if qc.subplanMisses > 0 {
-		s.subplanMisses.Add(qc.subplanMisses)
-	}
-	if qc.ordMaintains > 0 {
-		s.ordMaintains.Add(qc.ordMaintains)
-	}
-	if qc.tombstonesSkipped > 0 {
-		s.tombSkipped.Add(qc.tombstonesSkipped)
-	}
-	if qc.segmentScans > 0 {
-		s.segmentScans.Add(qc.segmentScans)
-	}
-	if qc.decodedBlocks > 0 {
-		s.decodedBlocks.Add(qc.decodedBlocks)
-	}
-	if qc.vectorBatches > 0 {
-		s.vectorBatches.Add(qc.vectorBatches)
-	}
-	if qc.rowFallbacks > 0 {
-		s.rowFallbacks.Add(qc.rowFallbacks)
+	fold(&s.queries, qc.queries)
+	fold(&s.execs, qc.execs)
+	fold(&s.rowsScanned, qc.RowsScanned)
+	fold(&s.rowsEmitted, qc.RowsEmitted)
+	fold(&s.indexScans, qc.IndexScans)
+	fold(&s.fullScans, qc.FullScans)
+	fold(&s.indexRangeScans, qc.IndexRangeScans)
+	fold(&s.orderedOrders, qc.OrderedIndexOrders)
+	fold(&s.subplanHits, qc.SubplanCacheHits)
+	fold(&s.subplanMisses, qc.SubplanCacheMisses)
+	fold(&s.ordMaintains, qc.OrdMaintains)
+	fold(&s.tombSkipped, qc.TombstonesSkipped)
+	fold(&s.segmentScans, qc.SegmentScans)
+	fold(&s.decodedBlocks, qc.DecodedBlocks)
+	fold(&s.vectorBatches, qc.VectorBatches)
+	fold(&s.rowFallbacks, qc.RowFallbacks)
+}
+
+// fold adds one execution's count to its engine-wide atomic; most are zero
+// for any one statement and skip the contended write.
+func fold(total *atomic.Uint64, n uint64) {
+	if n > 0 {
+		total.Add(n)
 	}
 }

@@ -770,7 +770,7 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 	}
 	oss := &ordScanOp{
 		table: sc.table, idx: idx, qual: sc.qual, cols: sc.cols,
-		desc: ob.Desc, qc: qc,
+		desc: ob.Desc, scanTally: scanTally{qc: qc},
 	}
 	if sc.rangeIdx == idx {
 		oss.spec = sc.spec

@@ -410,22 +410,7 @@ func (tx *Txn) Exec(sql string, params ...any) (int, error) {
 
 // ExecContext is Exec with a cancellation context.
 func (tx *Txn) ExecContext(ctx context.Context, sql string, params ...any) (int, error) {
-	stmts, err := ParseAll(sql)
-	if err != nil {
-		return 0, err
-	}
-	vals := bindParams(params)
-	qc := newQueryCtx(ctx, tx.db)
-	defer qc.flush()
-	n := 0
-	for _, stmt := range stmts {
-		m, err := tx.db.execStmt(qc, stmt, vals, tx)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return tx.db.execSQL(ctx, sql, params, tx, false)
 }
 
 // Query executes a SELECT inside the transaction, reading the
@@ -436,28 +421,22 @@ func (tx *Txn) Query(sql string, params ...any) (*Result, error) {
 
 // QueryContext is Query with a cancellation context.
 func (tx *Txn) QueryContext(ctx context.Context, sql string, params ...any) (*Result, error) {
-	if tx.done {
-		return nil, errf(ErrMisuse, "sql: transaction already finished")
-	}
-	sel, err := tx.db.plans.lookup(sql, "Query")
+	rows, err := tx.QueryRows(ctx, sql, params...)
 	if err != nil {
 		return nil, err
 	}
-	return tx.db.querySelect(ctx, sel, bindParams(params), tx)
+	return rows.Collect()
 }
 
 // QueryRows opens a streaming cursor inside the transaction. The cursor
 // holds its own snapshot reference and stays valid (and consistent) even
 // if the transaction commits before the cursor is drained.
 func (tx *Txn) QueryRows(ctx context.Context, sql string, params ...any) (*Rows, error) {
-	if tx.done {
-		return nil, errf(ErrMisuse, "sql: transaction already finished")
-	}
 	sel, err := tx.db.plans.lookup(sql, "QueryRows")
 	if err != nil {
 		return nil, err
 	}
-	return tx.db.queryRows(ctx, sel, bindParams(params), tx)
+	return tx.db.queryRows(ctx, sel, bindParams(params), tx, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -488,13 +467,12 @@ func (db *Database) takeSession() (*Txn, error) {
 	return tx, nil
 }
 
-// currentTxn resolves the transaction a statement should run in: the
-// explicit handle when called through Txn methods, else the open session
-// transaction, else nil (autocommit).
-func (db *Database) currentTxn(tx *Txn) *Txn {
-	if tx != nil {
-		return tx
-	}
+// currentTxn is how a bare Database call resolves its transaction: the
+// open session transaction, or nil (autocommit). Entry points call it;
+// nothing beneath them does — a Txn method runs in its receiver, and the
+// parsed-statement entry points the wire uses (wire.go) in exactly the tx
+// they were handed.
+func (db *Database) currentTxn() *Txn {
 	db.sessionMu.Lock()
 	defer db.sessionMu.Unlock()
 	return db.session
@@ -504,12 +482,12 @@ func (db *Database) currentTxn(tx *Txn) *Txn {
 // Statement entry points
 
 // beginRead returns the snapshot a reading statement evaluates visibility
-// against, plus a release callback. Autocommit reads capture a fresh
-// registered snapshot; reads inside a transaction share its snapshot with
-// an extra reference (the release may come from a cursor that outlives
-// the transaction).
+// against, plus a release callback. An autocommit read (tx nil) captures a
+// fresh registered snapshot; a read inside a transaction shares its
+// snapshot with an extra reference (the release may come from a cursor
+// that outlives the transaction).
 func (db *Database) beginRead(tx *Txn) (*snapshot, func()) {
-	if tx = db.currentTxn(tx); tx != nil {
+	if tx != nil {
 		db.tm.addRef(tx.snap)
 		snap := tx.snap
 		return snap, func() { db.tm.release(snap) }
@@ -520,17 +498,14 @@ func (db *Database) beginRead(tx *Txn) (*snapshot, func()) {
 
 // beginWrite pins the single-writer latch for one DML statement and
 // returns the transaction it runs in plus a statement-end callback. For
-// autocommit the transaction is a throwaway that commits in end(), which
-// also appends the statement's WAL record on a durable database — end's
-// error is the commit-time ErrIO surface and must be propagated (the
-// in-memory effects stand either way; see Txn.Commit). Inside an
-// explicit transaction the latch stays held (until Commit/Rollback) and
-// end() only clears the statement snapshot.
-func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error) {
-	if tx = db.currentTxn(tx); tx != nil {
-		if tx.done {
-			return nil, nil, errf(ErrMisuse, "sql: transaction already finished")
-		}
+// autocommit (tx nil) the transaction is a throwaway that commits in
+// end(), which also appends the statement's WAL record on a durable
+// database — end's error is the commit-time ErrIO surface and must be
+// propagated (the in-memory effects stand either way; see Txn.Commit).
+// Inside an explicit transaction the latch stays held (until
+// Commit/Rollback) and end() only clears the statement snapshot.
+func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error) {
+	if tx != nil {
 		tx.ensureWrite()
 		qc.snap = db.tm.captureStmt(tx.xid)
 		qc.wtx = tx
@@ -538,7 +513,7 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 			qc.snap = nil
 			qc.wtx = nil
 			return nil
-		}, nil
+		}
 	}
 	db.writeMu.Lock()
 	xid := db.tm.begin()
@@ -566,19 +541,18 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 		db.maybeVacuum()
 		db.maybeSeal()
 		return ioErr
-	}, nil
+	}
 }
 
-// acquireWrite takes the single-writer latch for a DDL statement and
-// resolves the transaction it runs in (nil for autocommit DDL). Inside
-// an open transaction DDL rides the transaction's latch span and — like
-// DML — is undone by rollback, so the catalog never diverges from what
-// the WAL will record at commit.
-func (db *Database) acquireWrite(tx *Txn) (*Txn, func()) {
-	if tx = db.currentTxn(tx); tx != nil {
+// acquireWrite takes the single-writer latch for a DDL statement in tx
+// (nil = autocommit DDL). Inside an open transaction DDL rides the
+// transaction's latch span and — like DML — is undone by rollback, so the
+// catalog never diverges from what the WAL will record at commit.
+func (db *Database) acquireWrite(tx *Txn) func() {
+	if tx != nil {
 		tx.ensureWrite()
-		return tx, func() {}
+		return func() {}
 	}
 	db.writeMu.Lock()
-	return nil, db.writeMu.Unlock
+	return db.writeMu.Unlock
 }

@@ -189,6 +189,90 @@ func TestTxnMisuseErrors(t *testing.T) {
 	if _, err := tx.Query("SELECT * FROM t"); CodeOf(err) != ErrMisuse {
 		t.Errorf("Query on finished Txn: %v, want ErrMisuse", err)
 	}
+
+	// A finished Txn rejects every statement kind before it touches a latch
+	// or a snapshot: nothing is left held for the next writer to wait on.
+	finish := map[string]func(*Txn) error{"Commit": (*Txn).Commit, "Rollback": (*Txn).Rollback}
+	for how, end := range finish {
+		for _, sql := range []string{
+			"CREATE TABLE b (id INTEGER)", "CREATE INDEX t_id ON t (id)", "DROP TABLE t",
+			"SELECT * FROM t", "INSERT INTO t VALUES (1)", "BEGIN",
+		} {
+			tx := db.Begin()
+			if err := end(tx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Exec(sql); CodeOf(err) != ErrMisuse {
+				t.Errorf("%s after %s: %v, want ErrMisuse", sql, how, err)
+			}
+		}
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := db.Exec("INSERT INTO t VALUES (2)")
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a statement on a finished Txn left the writer latch held")
+	}
+	if n, active := db.LiveSnapshots(), db.Stats().ActiveTxns; n != 0 || active != 0 {
+		t.Errorf("LiveSnapshots = %d, ActiveTxns = %d after finished-Txn misuse, want 0/0", n, active)
+	}
+	if _, err := db.Query("SELECT * FROM b"); CodeOf(err) != ErrNoTable {
+		t.Errorf("table b exists (err %v): a finished Txn ran its CREATE TABLE", err)
+	}
+}
+
+// TestWireAutocommitNeverJoinsSession: the parsed-statement entry points the
+// wire server uses run in exactly the tx they are handed. With nil that is
+// autocommit, whatever SQL session an embedded caller has open beside them.
+func TestWireAutocommitNeverJoinsSession(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER)")
+	ctx := context.Background()
+	ins, err := Parse("INSERT INTO t VALUES (7)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := Parse("SELECT id FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("BEGIN")
+	if _, err := db.ExecStmtTx(ctx, ins, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := db.Query("SELECT id FROM t"); err != nil || len(res.Rows) != 0 {
+		t.Errorf("session read saw %v (err %v): the autocommit INSERT joined its transaction", res, err)
+	}
+	rows, err := db.QueryRowsStmt(ctx, sel.(*SelectStmt), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rows.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
+		t.Errorf("autocommit read saw %v, want the committed row 7 the session's older snapshot cannot see", res.Rows)
+	}
+	begin, _ := Parse("BEGIN")
+	if _, err := db.ExecStmtTx(ctx, begin, nil); CodeOf(err) != ErrMisuse {
+		t.Errorf("BEGIN through ExecStmtTx(nil): %v, want ErrMisuse", err)
+	}
+	db.MustExec("ROLLBACK")
+	res, err = db.Query("SELECT id FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
+		t.Errorf("after the session's ROLLBACK: %v, want the autocommit row 7 to survive alone", res.Rows)
+	}
 }
 
 // TestTxnStatsCounters: Begins/Commits/Rollbacks/ActiveTxns move with the

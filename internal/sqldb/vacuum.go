@@ -93,7 +93,7 @@ func (db *Database) vacuum(qc *queryCtx) int {
 		db.stats.versionsReclaimed.Add(uint64(total))
 	}
 	if qc != nil {
-		qc.versionsReclaimed += uint64(total)
+		qc.VersionsReclaimed += uint64(total)
 	}
 	return total
 }

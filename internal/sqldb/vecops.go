@@ -35,6 +35,45 @@ type scanCounts struct {
 	batches uint64 // non-empty batches run
 }
 
+// scanTally is the accounting every base-table leaf embeds — scanOp,
+// ordScanOp, corrProbeScanOp, mergeJoinOp and vecScanOp: the operator's
+// own work (what EXPLAIN ANALYZE prints and treeScanned sums) beside the
+// execution it bills. qc is nil where there is nothing to bill (a pool
+// worker's private copy, a plan built only for display).
+type scanTally struct {
+	qc     *queryCtx
+	cnt    scanCounts
+	opened bool
+}
+
+func (s *scanTally) counts() scanCounts { return s.cnt }
+
+// account adds work done to the operator's counters and to the per-query
+// recorder.
+func (s *scanTally) account(d scanCounts) {
+	if s.qc != nil {
+		s.qc.RowsScanned += d.scanned
+		s.qc.TombstonesSkipped += d.tombs
+		s.qc.DecodedBlocks += d.decoded
+		s.qc.VectorBatches += d.batches
+		if d.decoded > 0 && s.cnt.decoded == 0 {
+			s.qc.SegmentScans++
+		}
+	}
+	s.cnt.scanned += d.scanned
+	s.cnt.tombs += d.tombs
+	s.cnt.decoded += d.decoded
+	s.cnt.batches += d.batches
+}
+
+// firstOpen reports whether the execution has yet to be billed this leaf's
+// access path: a leaf re-pulled per outer row (reset) took one path, once.
+func (s *scanTally) firstOpen() bool {
+	first := s.qc != nil && !s.opened
+	s.opened = true
+	return first
+}
+
 // batchPlan is what one batch scan does, fixed at plan time and shared by
 // every instance of it.
 type batchPlan struct {
@@ -83,8 +122,8 @@ type batchFold struct {
 // state.
 type vecScanOp struct {
 	batchPlan
-	outer *evalEnv  // owner's instance only
-	qc    *queryCtx // owner's instance only: workers never touch it
+	outer     *evalEnv // owner's instance only
+	scanTally          // qc on the owner's instance only: workers never touch it
 
 	env      *evalEnv
 	vpreds   []vecPredFn    // per conjunct; nil where it did not compile
@@ -98,7 +137,6 @@ type vecScanOp struct {
 
 	src *batchSource // captured by open, shared with worker copies
 	b   *vecBatch    // from batchPool; nil between scans
-	cnt scanCounts
 
 	// Serial driver: next morsel, emission cursor, and the tombstones seen
 	// since the last gathered row.
@@ -226,26 +264,8 @@ func (s *vecScanOp) open() {
 	if s.qc != nil {
 		snap = s.qc.snap
 	}
-	s.cnt.tombs += s.indexAccess.open(s.table, snap, s.qc)
+	s.indexAccess.open(s.table, snap, &s.scanTally)
 	s.src = newBatchSource(s.table, s.ids, snap)
-}
-
-// account adds work done to the operator's counters (EXPLAIN ANALYZE)
-// and, on the owner's instance, to the per-query recorder.
-func (s *vecScanOp) account(d scanCounts) {
-	if s.qc != nil {
-		s.qc.rowsScanned += d.scanned
-		s.qc.tombstonesSkipped += d.tombs
-		s.qc.decodedBlocks += d.decoded
-		s.qc.vectorBatches += d.batches
-		if d.decoded > 0 && s.cnt.decoded == 0 {
-			s.qc.segmentScans++
-		}
-	}
-	s.cnt.scanned += d.scanned
-	s.cnt.tombs += d.tombs
-	s.cnt.decoded += d.decoded
-	s.cnt.batches += d.batches
 }
 
 // fill loads morsel idx and runs the filter over it, leaving the
@@ -586,7 +606,7 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 			indexAccess: sc.indexAccess,
 			preds:       preds, db: db, params: params, workers: 1,
 		},
-		outer: outer, qc: qc,
+		outer: outer, scanTally: scanTally{qc: qc},
 	}
 	stmt := sh.stmt
 	itemExprs := make([]Expr, len(sh.items))
@@ -626,7 +646,7 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 		return nil, nil, err
 	}
 	if bs.kernels < bs.exprs && qc != nil {
-		qc.rowFallbacks++
+		qc.RowFallbacks++
 	}
 	if bs.workers > 1 && !bs.folds {
 		return &parScanOp{scan: bs}, bs, nil

@@ -6,22 +6,23 @@ import "context"
 // (internal/server/pgwire). A wire session parses each statement once
 // (Parse message or simple-query split), dispatches BEGIN/COMMIT/ROLLBACK
 // onto its own *Txn handle, and runs everything else through the two
-// entry points below — so extended-protocol portals never re-parse and
-// never touch the database's SQL-level session transaction (which belongs
-// to single-connection embedded use, not to N concurrent sockets). The
+// entry points below — so extended-protocol portals never re-parse. Both
+// run in exactly the tx they are handed, nil meaning autocommit: the
+// database's SQL-level session transaction (db.Exec("BEGIN")) belongs to
+// single-connection embedded use and is never resolved, joined or opened
+// from here, whatever an embedded caller has open beside N sockets. The
 // probes at the bottom are what the wire test layer pins leak-freedom
 // with: after every disconnect, at every protocol state, live snapshots,
 // open cursors, and parallel workers must all return to zero.
 
-// ExecStmtTx executes one already-parsed non-SELECT statement inside tx;
-// a nil tx runs it as an autocommit statement. BEGIN inside a live tx and
-// COMMIT/ROLLBACK routed here behave exactly as they do through
-// Txn.Exec; callers owning their own transaction state machine (the wire
-// session) intercept those statement kinds before calling this.
+// ExecStmtTx executes one already-parsed statement inside tx; a nil tx
+// runs it as an autocommit statement. It is the exec loop Txn.Exec runs,
+// over one statement: COMMIT/ROLLBACK finish a live tx, and BEGIN is
+// rejected either way (inside a tx as nested, outside one because there is
+// no session to open — callers owning their own transaction state machine,
+// like the wire session, intercept those kinds and use Database.Begin).
 func (db *Database) ExecStmtTx(ctx context.Context, stmt Statement, tx *Txn, params ...any) (int, error) {
-	qc := newQueryCtx(ctx, db)
-	defer qc.flush()
-	return db.execStmt(qc, stmt, bindParams(params), tx)
+	return db.execAll(ctx, []Statement{stmt}, bindParams(params), tx, false)
 }
 
 // QueryRowsStmt opens a streaming cursor over an already-parsed SELECT
@@ -31,7 +32,7 @@ func (db *Database) ExecStmtTx(ctx context.Context, stmt Statement, tx *Txn, par
 // exit path (Execute completion, portal close, Sync teardown, session
 // death).
 func (db *Database) QueryRowsStmt(ctx context.Context, sel *SelectStmt, tx *Txn, params ...any) (*Rows, error) {
-	return db.queryRows(ctx, sel, bindParams(params), tx)
+	return db.queryRows(ctx, sel, bindParams(params), tx, nil)
 }
 
 // LiveSnapshots reports the number of registered MVCC snapshots currently
