@@ -85,32 +85,31 @@ func mergeParts(a, b []sumPart) []sumPart {
 	return out
 }
 
-// foldParts folds morsel partial sums in ascending morsel order — the
+// foldParts adds morsel partial sums to f in ascending morsel order — the
 // documented float summation order.
-func foldParts(parts []sumPart) float64 {
-	var f float64
+func foldParts(f float64, parts []sumPart) float64 {
 	for _, p := range parts {
 		f += p.f
 	}
 	return f
 }
 
-// newAggState builds the accumulator for the named aggregate.
-func newAggState(fc *FuncCall) (aggState, error) {
+// newState builds the accumulator for the named aggregate, off the slab
+// for the kinds a many-group fold makes by the thousand.
+func (s *groupSlab) newState(fc *FuncCall) (aggState, error) {
 	var base aggState
 	switch fc.Name {
 	case "COUNT":
-		base = &countState{star: fc.Star}
-	case "SUM":
-		base = &sumState{}
-	case "TOTAL":
-		base = &sumState{total: true}
+		st := &s.counts.take(1)[0]
+		st.star, base = fc.Star, st
+	case "SUM", "TOTAL":
+		st := &s.sums.take(1)[0]
+		st.total, base = fc.Name == "TOTAL", st
 	case "AVG":
-		base = &avgState{}
-	case "MIN":
-		base = &minMaxState{min: true}
-	case "MAX":
-		base = &minMaxState{}
+		base = &s.avgs.take(1)[0]
+	case "MIN", "MAX":
+		st := &s.minMax.take(1)[0]
+		st.min, base = fc.Name == "MIN", st
 	case "GROUP_CONCAT":
 		sep := ","
 		if len(fc.Args) == 2 {
@@ -144,15 +143,18 @@ func (s *countState) result() Value { return Int(s.n) }
 func (s *countState) merge(other aggState) { s.n += other.(*countState).n }
 
 // sumState implements SUM (NULL over empty input) and TOTAL (0.0 over empty
-// input, always REAL), matching SQLite. The float accumulator is a
-// morsel-keyed part list (see morselAdder); integer sums merge exactly
-// and need no ordering.
+// input, always REAL), matching SQLite. Integers add into an int64 sum
+// (wrapping past it, as SUM always has) that merges in any order, so a
+// column of integers keeps nothing else; every other value adds into a
+// morsel-keyed float part list (see morselAdder). A REAL result is the
+// integer sum plus the float parts in morsel order: for an all-float column
+// the left-to-right, morsel-by-morsel sum, and for a mixed one still a
+// function of the data and the morsel size alone.
 type sumState struct {
-	total   bool
-	sawAny  bool
-	allInts bool
-	i       int64
-	parts   []sumPart
+	total  bool
+	sawAny bool
+	i      int64
+	parts  []sumPart // empty = every value so far was an integer
 }
 
 func (s *sumState) add(v Value) { s.addMorsel(v, 0) }
@@ -161,14 +163,10 @@ func (s *sumState) addMorsel(v Value, morsel int) {
 	if v.IsNull() {
 		return
 	}
-	if !s.sawAny {
-		s.sawAny = true
-		s.allInts = true
-	}
+	s.sawAny = true
 	if v.Kind() == KindInt {
 		s.i += v.AsInt()
-	} else {
-		s.allInts = false
+		return
 	}
 	if n := len(s.parts); n > 0 && s.parts[n-1].morsel == morsel {
 		s.parts[n-1].f += v.AsFloat()
@@ -179,15 +177,7 @@ func (s *sumState) addMorsel(v Value, morsel int) {
 
 func (s *sumState) merge(other aggState) {
 	o := other.(*sumState)
-	if !o.sawAny {
-		return
-	}
-	if !s.sawAny {
-		s.sawAny, s.allInts = true, o.allInts
-		s.i, s.parts = o.i, o.parts
-		return
-	}
-	s.allInts = s.allInts && o.allInts
+	s.sawAny = s.sawAny || o.sawAny
 	s.i += o.i
 	s.parts = mergeParts(s.parts, o.parts)
 }
@@ -199,13 +189,10 @@ func (s *sumState) result() Value {
 		}
 		return Null
 	}
-	if s.total {
-		return Float(foldParts(s.parts))
-	}
-	if s.allInts {
+	if len(s.parts) == 0 && !s.total {
 		return Int(s.i)
 	}
-	return Float(foldParts(s.parts))
+	return Float(foldParts(float64(s.i), s.parts))
 }
 
 // avgState implements AVG (REAL; NULL over empty input). Like sumState
@@ -240,7 +227,7 @@ func (s *avgState) result() Value {
 	if s.n == 0 {
 		return Null
 	}
-	return Float(foldParts(s.parts) / float64(s.n))
+	return Float(foldParts(0, s.parts) / float64(s.n))
 }
 
 // minMaxState implements MIN/MAX with NULLs ignored.

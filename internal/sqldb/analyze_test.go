@@ -228,6 +228,33 @@ func TestExplainAnalyzeCountsMatchEngineStats(t *testing.T) {
 		}
 		check("big", big, fmt.Sprintf("SELECT id, v FROM big WHERE v > %d", r.Intn(900)))
 		check("big", big, fmt.Sprintf("SELECT grp, COUNT(*) FROM big WHERE id > %d GROUP BY grp", r.Intn(2*morselMinRows)))
+		check("big", big, fmt.Sprintf("SELECT id, v FROM big WHERE v > %d ORDER BY v DESC, id LIMIT 100", r.Intn(900)))
+	}
+	// A sort folded into its scan still reports what it drained and kept, and
+	// the scan bills exactly what it billed when the sort sat above it.
+	const topK = "SELECT id, v FROM big WHERE v > 500 ORDER BY v DESC, id LIMIT 100"
+	folded, err := big.ExplainAnalyze(ctx, topK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceVector(t, false)
+	rowPath, err := big.ExplainAnalyze(ctx, topK)
+	forceVector(t, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors, err := big.Query("SELECT COUNT(*) FROM big WHERE v > 500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := strings.Join(folded.Plan, "\n")
+	if want := fmt.Sprintf("(top 100) (folded in scan) [rows=100 in=%s kept=100", survivors.Rows[0][0].AsText()); !strings.Contains(plan, want) {
+		t.Errorf("folded sort node missing %q:\n%s", want, plan)
+	}
+	if f, r := folded.Stats, rowPath.Stats; f.RowsScanned != r.RowsScanned || f.TombstonesSkipped != r.TombstonesSkipped ||
+		f.TombstonesSkipped == 0 || f.VectorBatches != uint64(3*morselMinRows/morselSize) {
+		t.Errorf("folded top-K billed scanned/tombstones/batches %d/%d/%d, the row path %d/%d",
+			f.RowsScanned, f.TombstonesSkipped, f.VectorBatches, r.RowsScanned, r.TombstonesSkipped)
 	}
 	for leaf, seen := range leaves {
 		if !seen {

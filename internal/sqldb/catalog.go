@@ -582,8 +582,9 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 // the running writer's, so "latest" is unambiguous.
 func (t *Table) liveKeyCount(idx *Index, v Value) int {
 	var kb [24]byte
+	var ids [8]int // a unique key's posting fits; a longer one spills to the heap
 	n := 0
-	for _, id := range idx.copyIDs(appendValueKey(kb[:0], v)) {
+	for _, id := range idx.appendIDs(ids[:0], appendValueKey(kb[:0], v)) {
 		if r := latestRow(t.head(id)); r != nil && r[idx.Column].Equal(v) {
 			n++
 		}
@@ -594,14 +595,14 @@ func (t *Table) liveKeyCount(idx *Index, v Value) int {
 // ---------------------------------------------------------------------------
 // Index maintenance and lookups
 
-// copyIDs returns a private, non-nil copy of the posting list (ascending)
-// under an encoded key (appendValueKey). The latch is momentary: never
-// held across iteration.
-func (idx *Index) copyIDs(key []byte) []int {
+// appendIDs appends a private copy of the posting list (ascending) under an
+// encoded key (appendValueKey) to dst — the caller's buffer, so a probe
+// loop reuses one. The latch is momentary: never held across iteration.
+func (idx *Index) appendIDs(dst []int, key []byte) []int {
 	idx.mu.Lock()
-	ids := append([]int{}, idx.m[string(key)].ids...)
+	dst = append(dst, idx.m[string(key)].ids...)
 	idx.mu.Unlock()
-	return ids
+	return dst
 }
 
 // addEntry adds id under v's key in the hash map and, when an ordered
@@ -670,7 +671,7 @@ func (t *Table) unindex(id int, dead, end *rowVersion) {
 // ids means no rows, not a full scan.
 func visibleEqIDs(t *Table, idx *Index, v Value, snap *snapshot) []int {
 	var kb [24]byte
-	ids := idx.copyIDs(appendValueKey(kb[:0], v))
+	ids := idx.appendIDs([]int{}, appendValueKey(kb[:0], v))
 	out := ids[:0]
 	for _, id := range ids {
 		r := t.visibleRow(id, snap)

@@ -15,6 +15,18 @@ import (
 // formatting (row identities use the binary keys of key.go with reused
 // scratch buffers). Scans carry the execution's queryCtx, counting rows
 // for Database.Stats and sampling context cancellation mid-scan.
+//
+// Rows have one lifetime rule: a row returned by next() is the producer's
+// until the next next(), and a consumer that keeps it copies it. The planner
+// tells each producer whether its consumer keeps rows, and the default is
+// that it does — drain (join builds, derived tables, subquery results), the
+// full sort, the pooled gather and the caller's cursor are handed rows
+// nothing will touch again. Three plans spend the rule, each building rows
+// only for whoever keeps them: ORDER BY … LIMIT k folds into the batch scan,
+// whose instances offer each survivor to a k-bounded heap that copies the
+// few it keeps (vecops.go); a join, projection or aggregation whose consumer
+// reads a row and drops it builds every row in one buffer (lendRows,
+// stream.go); and GROUP BY takes its groups from slabs (groupSlab).
 
 // operator is a pull-based row iterator.
 type operator interface {
@@ -26,30 +38,50 @@ type operator interface {
 	reset()
 }
 
-// rowArena hands out output rows carved from larger blocks, amortising the
-// one-allocation-per-row cost of joins and projections. The first block
-// holds a handful of rows and each later one doubles, up to rowArenaBlock
-// values, so a one-row result does not pay for a thousand. Rows escape
-// into results, so blocks are never reused; capacities are clamped so
-// appends on a handed-out row can never clobber a neighbour.
-type rowArena struct {
-	buf  []Value
-	size int // values in the last block allocated
+// slab hands out runs of T carved from larger blocks, amortising the
+// one-allocation-per-object cost of rows and group state. The first block
+// holds one run (a handful of rows, for rowArena) and each later one
+// doubles, up to rowArenaBlock elements, so a one-row or one-group result
+// does not pay for a thousand; capacities are clamped so an append on a
+// handed-out run can never clobber a neighbour.
+type slab[T any] struct {
+	buf  []T
+	size int // elements in the last block allocated
 }
 
 const rowArenaBlock = 1024
 
-func (a *rowArena) alloc(n int) Row {
-	if n == 0 {
-		return Row{}
-	}
+func (a *slab[T]) take(n int) []T {
 	if len(a.buf) < n {
-		a.size = min(max(2*a.size, 4*n), rowArenaBlock)
-		a.buf = make([]Value, max(a.size, n))
+		a.size = min(max(2*a.size, n), rowArenaBlock)
+		a.buf = make([]T, max(a.size, n))
 	}
 	r := a.buf[:n:n]
 	a.buf = a.buf[n:]
 	return r
+}
+
+// rowArena is where joins, projections and aggregations build their output
+// rows: fresh slab storage for a consumer that keeps them, one reused buffer
+// once the planner has found that it drops them (lendRows, stream.go).
+type rowArena struct {
+	slab[Value]
+	reuse bool
+}
+
+func (a *rowArena) alloc(n int) Row {
+	switch {
+	case n == 0:
+		return Row{}
+	case !a.reuse:
+		if a.size == 0 {
+			a.size = 2 * n // the first block holds four rows
+		}
+		return a.take(n)
+	case len(a.buf) < n:
+		a.buf = make([]Value, n)
+	}
+	return a.buf[:n:n]
 }
 
 // ---------------------------------------------------------------------------
@@ -558,17 +590,20 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	j.cols = cols
 	j.probeIsLeft = probeIsLeft
 	j.leftOuter = leftOuter
-	// Per-probe: copy the posting list under the index latch, then filter
-	// it against the statement snapshot (the posting is a superset under
-	// MVCC — superseded versions linger until vacuum).
+	// Per-probe: copy the posting list under the index latch (into ids,
+	// which every probe reuses), then filter it against the statement
+	// snapshot (the posting is a superset under MVCC — superseded versions
+	// linger until vacuum).
 	var rowKey []byte
+	var ids []int
 	j.lookup = func(key []byte) int {
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
 		j.curRows = j.curRows[:0]
-		for _, id := range j.idx.copyIDs(key) {
+		ids = j.idx.appendIDs(ids[:0], key)
+		for _, id := range ids {
 			r := j.table.visibleRow(id, snap)
 			if r == nil {
 				continue
@@ -763,32 +798,49 @@ type aggGroup struct {
 	firstID int
 }
 
-// newAggStates builds one fresh accumulator per collected aggregate.
-func newAggStates(aggs []*FuncCall) ([]aggState, error) {
-	states := make([]aggState, len(aggs))
+// groupSlab is where one aggregation (or one instance of a folded one)
+// takes its groups, their key values and their accumulator states from, so
+// allocations grow with the group count in blocks, not six to a group.
+type groupSlab struct {
+	groups slab[aggGroup]
+	vals   slab[Value]
+	states slab[aggState]
+	counts slab[countState]
+	sums   slab[sumState]
+	avgs   slab[avgState]
+	minMax slab[minMaxState]
+}
+
+// newGroup builds a group over a private copy of keys, with one fresh
+// accumulator per collected aggregate.
+func (s *groupSlab) newGroup(aggs []*FuncCall, keys []Value) (*aggGroup, error) {
+	g := &s.groups.take(1)[0]
+	g.keys = s.vals.take(len(keys))
+	copy(g.keys, keys)
+	g.states = s.states.take(len(aggs))
 	for i, fc := range aggs {
-		st, err := newAggState(fc)
+		st, err := s.newState(fc)
 		if err != nil {
 			return nil, err
 		}
-		states[i] = st
+		g.states[i] = st
 	}
-	return states, nil
+	return g, nil
 }
 
 // emptyAggGroup is the one group a query with aggregates but no GROUP BY
 // yields over empty input: fresh accumulators over an all-NULL
 // representative row.
 func emptyAggGroup(aggs []*FuncCall, width int) (*aggGroup, error) {
-	states, err := newAggStates(aggs)
+	g, err := new(groupSlab).newGroup(aggs, nil)
 	if err != nil {
 		return nil, err
 	}
-	repRow := make(Row, width)
-	for i := range repRow {
-		repRow[i] = Null
+	g.repRow = make(Row, width)
+	for i := range g.repRow {
+		g.repRow[i] = Null
 	}
-	return &aggGroup{states: states, repRow: repRow}, nil
+	return g, nil
 }
 
 // runAggregation materialises the child, partitions rows by the binary
@@ -821,6 +873,7 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 
 	index := make(map[string]int)
 	var groups []*aggGroup
+	var gs groupSlab
 	keyVals := make([]Value, len(stmt.GroupBy)) // reused per row
 	var kb []byte
 	for {
@@ -843,15 +896,11 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		}
 		gi, ok := index[string(kb)]
 		if !ok {
-			states, err := newAggStates(aggs)
+			g, err := gs.newGroup(aggs, keyVals)
 			if err != nil {
 				return nil, err
 			}
-			g := &aggGroup{
-				keys:   append([]Value{}, keyVals...),
-				states: states,
-				repRow: r.Clone(),
-			}
+			g.repRow = r.Clone()
 			gi = len(groups)
 			groups = append(groups, g)
 			index[string(kb)] = gi // allocates once per distinct group

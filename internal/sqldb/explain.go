@@ -109,6 +109,9 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if t.topK >= 0 {
 			note = fmt.Sprintf(" (top %d)", t.topK)
 		}
+		if t.bat != nil {
+			note += " (folded in scan)"
+		}
 		if analyzed {
 			p.extra = fmt.Sprintf("in=%d kept=%d", t.drained, len(t.rows))
 		}

@@ -20,10 +20,12 @@ import (
 //     order, so the output is bit-identical to the serial scan (safe under
 //     LIMIT truncation and for the plan-equivalence property tests), or in
 //     completion order when the consumer provably cannot tell.
-//   - runAggregationBatch: fork-join partial aggregation — workers fold
-//     their morsels into private GROUP BY states; the owner merges them and
-//     restores serial first-seen group order from the scan ordinal at which
-//     each group appeared. One worker is the serial fold.
+//   - runFold: the fork-join loop under a consumer folded into the scan —
+//     workers fold their morsels into private GROUP BY states
+//     (runAggregationBatch: the owner merges them and restores serial
+//     first-seen group order from the scan ordinal at which each group
+//     appeared) or private top-K heaps (sortOp.drainTopK). One worker is
+//     the serial fold.
 //   - hash-join build (hashJoinOp.buildParallel): workers evaluate and
 //     encode build keys per morsel, then one worker per partition builds
 //     its shard's buckets in global build-row order.
@@ -438,14 +440,14 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 // ---------------------------------------------------------------------------
 // Partial aggregation
 
-// runAggregationBatch is the batch pipeline's counterpart of
-// runAggregation: instances of the scan claim morsels and fold them
-// (vecScanOp.foldBatch) into private group maps; the owner merges the
-// partial states and returns groups in exactly the serial first-seen
-// order. A serial scan is the one-instance case and runs inline on the
+// runFold drives a batch scan whose consumer is folded into it — GROUP BY
+// partitions (foldBatch) or a top-K heap (topBatch): instances of the scan
+// claim morsels and run step on each, into private state the caller then
+// merges. A serial scan is the one-instance case and runs inline on the
 // owner goroutine; a pooled one spawns and joins its workers inside this
-// call — no pool outlives it.
-func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
+// call — no pool outlives it. Every morsel runs unless one fails or the
+// statement is cancelled.
+func runFold(sc *vecScanOp, step func(*vecScanOp, int) error) ([]*vecScanOp, error) {
 	sc.open()
 	qc := sc.qc
 	nMorsels := sc.src.batches()
@@ -460,7 +462,7 @@ func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 			}
 		}
 	} else {
-		sc.fold.groups = make(map[string]*aggGroup) // a re-pulled plan folds afresh
+		sc.resetFold()
 	}
 	var claim atomic.Int64
 	var abort atomic.Bool
@@ -472,7 +474,7 @@ func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 			if idx >= nMorsels || abort.Load() || qc.cancelled() != nil {
 				return
 			}
-			if errs[w] = insts[w].foldBatch(idx); errs[w] != nil {
+			if errs[w] = step(insts[w], idx); errs[w] != nil {
 				abort.Store(true)
 				return
 			}
@@ -511,8 +513,17 @@ func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 			firstErr, firstErrAt = err, at
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	return insts, firstErr
+}
+
+// runAggregationBatch is the batch pipeline's counterpart of
+// runAggregation: instances fold their morsels (vecScanOp.foldBatch) into
+// private group maps; the owner merges the partial states and returns groups
+// in exactly the serial first-seen order.
+func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
+	insts, err := runFold(sc, (*vecScanOp).foldBatch)
+	if err != nil {
+		return nil, err
 	}
 
 	// Merge the partial states keyed by group, keeping per group the

@@ -654,3 +654,78 @@ func TestParallelFloatAggEquivalence(t *testing.T) {
 	}
 	assertNoWorkerLeak(t)
 }
+
+// TestSumOrderOverMixedColumn pins what SUM and TOTAL define for a column
+// holding both integers and inexact reals: the exact integer sum, then the
+// float parts — left to right within a morsel, morsels in ascending order —
+// whatever the worker count and scheduling. An all-integer column keeps no
+// float parts at all: SUM stays an exact INTEGER and TOTAL is its REAL image.
+func TestSumOrderOverMixedColumn(t *testing.T) {
+	lowerMorselMinRows(t, 8)
+	par := NewDatabase(WithMaxWorkers(4))
+	ser := NewDatabase(WithMaxWorkers(1))
+	const n = 3*morselSize + 500
+	r := rand.New(rand.NewSource(23))
+	rows := make([][]any, n)
+	var ints int64
+	var serial float64                       // the floats, left to right
+	parts := make([]float64, n/morselSize+1) // ... and per morsel
+	for i := range rows {
+		var v any
+		switch r.Intn(4) {
+		case 0:
+			v = nil
+		case 1:
+			f := float64(r.Intn(1000))/10 + 0.1 // tenths: inexact in binary
+			v, serial = f, serial+f
+			parts[i/morselSize] += f
+		default:
+			iv := r.Intn(1 << 20)
+			v, ints = iv, ints+int64(iv)
+		}
+		rows[i] = []any{i, v, r.Intn(1 << 20)}
+	}
+	for _, db := range []*Database{par, ser} {
+		db.MustExec("CREATE TABLE m (id INTEGER PRIMARY KEY, v INTEGER, w INTEGER)") // INTEGER affinity keeps 0.1 a REAL
+		if err := db.InsertRows("m", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooled := float64(ints)
+	for _, p := range parts {
+		pooled += p
+	}
+	if pooled == float64(ints)+serial {
+		t.Log("this corpus does not tell the two summation orders apart")
+	}
+	const q = "SELECT SUM(v), TOTAL(v), SUM(w), TOTAL(w) FROM m"
+	plan, err := par.Explain(q)
+	if err != nil || !strings.Contains(strings.Join(plan, "\n"), "workers=4") {
+		t.Fatalf("not a pooled fold (%v):\n%s", err, strings.Join(plan, "\n"))
+	}
+	for run := 0; run < 5; run++ {
+		res, err := par.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0]; got[0] != Float(pooled) || got[1] != Float(pooled) {
+			t.Fatalf("pooled SUM/TOTAL over the mixed column = %v / %v, want %v (integer sum, then float parts by morsel)", got[0], got[1], pooled)
+		}
+	}
+	res, err := ser.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows[0], Float(float64(ints)+serial); got[0] != want || got[1] != want {
+		t.Fatalf("serial SUM/TOTAL over the mixed column = %v / %v, want %v (integer sum, then the floats in scan order)", got[0], got[1], want)
+	}
+	for _, db := range []*Database{par, ser} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0]; got[2].Kind() != KindInt || got[3] != Float(float64(got[2].AsInt())) {
+			t.Fatalf("all-integer SUM/TOTAL = %v / %v, want an exact INTEGER and its REAL image", got[2], got[3])
+		}
+	}
+}

@@ -396,7 +396,7 @@ func findRowByImage(t *Table, img Row) (int, bool) {
 		if idx.Column >= len(img) {
 			continue
 		}
-		for _, id := range idx.copyIDs(appendValueKey(nil, img[idx.Column])) {
+		for _, id := range idx.appendIDs(nil, appendValueKey(nil, img[idx.Column])) {
 			r := latestRow(t.head(id))
 			if r != nil && rowsExactEqual(r, img) {
 				return id, true

@@ -204,13 +204,16 @@ func (d *distinctOp) next() (Row, bool, error) {
 // back to the output width. When the statement has a LIMIT (and the
 // planner could not serve the order from an index), topK bounds the sort:
 // only the first topK rows of the sorted order are retained in a max-heap
-// while draining — O(n log k) with k live rows instead of sorting and
-// slicing the whole input.
+// (topKHeap) while draining — O(n log k) with k live rows instead of sorting
+// and slicing the whole input.
 type sortOp struct {
 	child   operator
 	width   int
 	orderBy []OrderItem
 	topK    int // -1 = keep everything
+	// bat, when set, is the batch scan that keeps the top-K itself, morsel
+	// by morsel (drainTopK); child is then only displayed.
+	bat *vecScanOp
 	// presorted is the count of leading sort keys the input order already
 	// satisfies (an elided index order). When positive the operator is no
 	// longer a full pipeline breaker: it streams runs of rows equal on
@@ -259,7 +262,7 @@ func (s *sortOp) next() (Row, bool, error) {
 			if err == nil {
 				s.drained += uint64(len(rows))
 				sort.SliceStable(rows, func(a, b int) bool {
-					return s.keyLess(rows[a], rows[b]) < 0
+					return compareSortKeys(s.orderBy, rows[a][s.width:], rows[b][s.width:]) < 0
 				})
 			}
 		}
@@ -319,7 +322,8 @@ func (s *sortOp) nextGrouped() (Row, bool, error) {
 			return nil, false, nil
 		}
 		sort.SliceStable(s.run, func(a, b int) bool {
-			return s.keyLessFrom(s.run[a], s.run[b], s.presorted) < 0
+			from := s.width + s.presorted
+			return compareSortKeys(s.orderBy[s.presorted:], s.run[a][from:], s.run[b][from:]) < 0
 		})
 	}
 }
@@ -327,23 +331,14 @@ func (s *sortOp) nextGrouped() (Row, bool, error) {
 // sameRun reports whether two extended rows agree on the leading
 // presorted keys.
 func (s *sortOp) sameRun(a, b Row) bool {
-	for j := 0; j < s.presorted; j++ {
-		if a[s.width+j].Compare(b[s.width+j]) != 0 {
-			return false
-		}
-	}
-	return true
+	return compareSortKeys(s.orderBy[:s.presorted], a[s.width:], b[s.width:]) == 0
 }
 
-// keyLess compares two extended rows on the trailing sort keys: <0, 0, >0.
-func (s *sortOp) keyLess(a, b Row) int { return s.keyLessFrom(a, b, 0) }
-
-// keyLessFrom compares on the sort keys starting at key index from.
-func (s *sortOp) keyLessFrom(a, b Row, from int) int {
-	for j := from; j < len(s.orderBy); j++ {
-		c := a[s.width+j].Compare(b[s.width+j])
-		if c != 0 {
-			if s.orderBy[j].Desc {
+// compareSortKeys orders two rows' evaluated sort keys: <0, 0, >0.
+func compareSortKeys(orderBy []OrderItem, a, b []Value) int {
+	for j, ob := range orderBy {
+		if c := a[j].Compare(b[j]); c != 0 {
+			if ob.Desc {
 				return -c
 			}
 			return c
@@ -352,6 +347,11 @@ func (s *sortOp) keyLessFrom(a, b Row, from int) int {
 	return 0
 }
 
+// debugBreakRowCopy makes the top-K heap retain the rows it is offered
+// instead of copying them (tests only). The row-lifetime suite must fail
+// when it is set — proof that producers below it do reuse their rows.
+var debugBreakRowCopy bool
+
 // topkRow pairs a row with its arrival ordinal so ties break exactly as
 // the stable sort would: earlier input first.
 type topkRow struct {
@@ -359,79 +359,120 @@ type topkRow struct {
 	seq int
 }
 
-// drainTopK pulls the whole child but retains only the first topK rows of
-// the sorted order, using a max-heap ordered by (sort keys, arrival).
-// The child is drained fully even when topK is 0 so that execution
-// errors surface exactly as they would from a full sort.
-func (s *sortOp) drainTopK() ([]Row, error) {
-	// after reports whether a sorts after b in the output order; it is a
-	// total order thanks to the unique arrival ordinal, so the heap's
-	// "worst" root is well defined.
-	after := func(a, b topkRow) bool {
-		if c := s.keyLess(a.row, b.row); c != 0 {
-			return c > 0
-		}
-		return a.seq > b.seq
+// topKHeap retains the first k rows of a sort order out of the extended rows
+// [out…, keys…] it is offered: a max-heap by (sort keys, arrival ordinal) —
+// a total order, so the root, the retained row sorting last, is well
+// defined. An offered row stays its producer's: one that enters is copied,
+// into the storage of the row it evicts once the heap is full. The row-path
+// sortOp keeps one heap; a batch scan the sort is folded into, one per
+// instance (vecops.go).
+type topKHeap struct {
+	k       int
+	width   int // output width: the keys follow it
+	orderBy []OrderItem
+	h       []topkRow
+	offered uint64
+}
+
+// after reports whether a sorts after b in the output order.
+func (t *topKHeap) after(a, b topkRow) bool {
+	if c := compareSortKeys(t.orderBy, a.row[t.width:], b.row[t.width:]); c != 0 {
+		return c > 0
 	}
-	var h []topkRow // max-heap: root sorts after every other retained row
-	siftUp := func(i int) {
-		for i > 0 {
+	return a.seq > b.seq
+}
+
+// offer considers row r, arriving at ordinal seq.
+func (t *topKHeap) offer(r Row, seq int) {
+	t.offered++
+	e := topkRow{row: r, seq: seq}
+	i := len(t.h)
+	switch {
+	case i < t.k:
+		if !debugBreakRowCopy {
+			e.row = r.Clone()
+		}
+		t.h = append(t.h, e)
+		for i > 0 { // sift up
 			p := (i - 1) / 2
-			if !after(h[i], h[p]) {
+			if !t.after(t.h[i], t.h[p]) {
 				break
 			}
-			h[i], h[p] = h[p], h[i]
+			t.h[i], t.h[p] = t.h[p], t.h[i]
 			i = p
 		}
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(h) && after(h[l], h[big]) {
-				big = l
+	case t.k > 0 && t.after(t.h[0], e):
+		if !debugBreakRowCopy {
+			e.row = t.h[0].row
+			copy(e.row, r)
+		}
+		t.h[0] = e
+		for i = 0; ; { // sift down
+			lt, rt, big := 2*i+1, 2*i+2, i
+			if lt < len(t.h) && t.after(t.h[lt], t.h[big]) {
+				big = lt
 			}
-			if r < len(h) && after(h[r], h[big]) {
-				big = r
+			if rt < len(t.h) && t.after(t.h[rt], t.h[big]) {
+				big = rt
 			}
 			if big == i {
-				return
+				break
 			}
-			h[i], h[big] = h[big], h[i]
+			t.h[i], t.h[big] = t.h[big], t.h[i]
 			i = big
 		}
 	}
-	seq := 0
-	for {
-		r, ok, err := s.child.next()
+}
+
+// sortedTopK merges heaps into the first k rows of the order, keys still
+// attached.
+func sortedTopK(heaps ...*topKHeap) []Row {
+	t := heaps[0]
+	all := t.h
+	for _, o := range heaps[1:] {
+		all = append(all, o.h...)
+	}
+	sort.Slice(all, func(a, b int) bool { return t.after(all[b], all[a]) })
+	rows := make([]Row, min(len(all), t.k))
+	for i := range rows {
+		rows[i] = all[i].row
+	}
+	return rows
+}
+
+// drainTopK retains the first topK rows of the sorted order. The input is
+// consumed fully even when topK is 0, so that execution errors surface
+// exactly as they would from a full sort. A sort folded into its batch scan
+// has every instance keep the first rows among the morsels it ran (topBatch)
+// and merges at most workers×topK of them.
+func (s *sortOp) drainTopK() ([]Row, error) {
+	var heaps []*topKHeap
+	if s.bat != nil {
+		insts, err := runFold(s.bat, (*vecScanOp).topBatch)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+		for _, inst := range insts {
+			heaps = append(heaps, inst.fold.top)
 		}
-		e := topkRow{row: r, seq: seq}
-		seq++
-		s.drained++
-		if s.topK == 0 {
-			continue
-		}
-		if len(h) < s.topK {
-			h = append(h, e)
-			siftUp(len(h) - 1)
-			continue
-		}
-		if after(h[0], e) {
-			h[0] = e
-			siftDown(0)
+	} else {
+		t := &topKHeap{k: s.topK, width: s.width, orderBy: s.orderBy}
+		heaps = append(heaps, t)
+		for seq := 0; ; seq++ {
+			r, ok, err := s.child.next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			t.offer(r, seq)
 		}
 	}
-	sort.Slice(h, func(a, b int) bool { return after(h[b], h[a]) })
-	rows := make([]Row, len(h))
-	for i, e := range h {
-		rows[i] = e.row
+	for _, t := range heaps {
+		s.drained += t.offered
 	}
-	return rows, nil
+	return sortedTopK(heaps...), nil
 }
 
 // limitOp applies the OFFSET/LIMIT window and — crucially — stops pulling
@@ -551,18 +592,6 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		}
 	}
 
-	// The scan driver (vecops.go): a large single-table input runs through
-	// the batch pipeline, on the worker pool when the shape allows. (An
-	// elided index order no longer bottoms out in a plain scan, so it keeps
-	// its ordered scan — the streaming is the point.)
-	src, bscan, err := planScanDriver(src, scanShape{
-		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
-		needSort: needSort, poolable: topLevel && outer == nil,
-	}, db, params, outer, qc)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	// LIMIT / OFFSET are constant expressions; fold them at plan time.
 	start, limit := 0, -1
 	if stmt.Offset != nil {
@@ -580,6 +609,30 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		limit = int(lv.AsInt())
+	}
+
+	// The limit window is all a full sort must keep (topK). The grouped
+	// tie-sort ignores it: it already streams, and the limitOp above stops
+	// pulling once the window fills.
+	topK := -1
+	if needSort && !orderElided && limit >= 0 {
+		topK = start + limit
+	}
+
+	// The scan driver (vecops.go): a large single-table input runs through
+	// the batch pipeline, on the worker pool when the shape allows. (An
+	// elided index order no longer bottoms out in a plain scan, so it keeps
+	// its ordered scan — the streaming is the point.)
+	shape := scanShape{
+		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
+		needSort: needSort, poolable: topLevel && outer == nil, topK: topK,
+	}
+	if topK >= 0 && !aggregate && !stmt.Distinct {
+		shape.order = scanOrderKeys(stmt.OrderBy, outCols)
+	}
+	src, bscan, err := planScanDriver(src, shape, db, params, outer, qc)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// env is the row environment the projection (and HAVING, and the input
@@ -658,6 +711,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			citems: citems, orderKeys: orderKeys, oenv: oenv, fused: fused,
 		}
 	}
+	lendRows(src) // both read each input row and drop it
 
 	if stmt.Distinct {
 		root = &distinctOp{child: root, width: len(outCols)}
@@ -667,19 +721,91 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		if orderElided {
 			presorted = 1
 		}
-		topK := -1
-		if limit >= 0 && presorted == 0 {
-			// The limit window is all a full sort must keep. The grouped
-			// tie-sort ignores topK: it already streams, and the limitOp
-			// above stops pulling once the window fills.
-			topK = start + limit
+		if topK >= 0 {
+			lendRows(root) // the heap copies the rows it keeps
 		}
-		root = &sortOp{child: root, width: len(outCols), orderBy: stmt.OrderBy, topK: topK, presorted: presorted}
+		so := &sortOp{child: root, width: len(outCols), orderBy: stmt.OrderBy, topK: topK, presorted: presorted}
+		if bscan != nil && bscan.order != nil {
+			so.bat = bscan
+		}
+		root = so
 	}
 	if start > 0 || limit >= 0 {
 		root = &limitOp{child: root, skip: start, limit: limit}
 	}
 	return root, outCols, nil
+}
+
+// lendRows tells the producers at the head of a chain that their consumer
+// reads each row and drops it (the row-lifetime rule, exec.go) — a
+// projection, an aggregation, a top-K sort, the probe side of a join — so
+// they build every row in one buffer. Filters and DISTINCT pass rows
+// through; a join's probe input feeds such a consumer in turn. Everything
+// else keeps the default: a drained build side or derived table, a full
+// sort and the caller's cursor own the rows they are handed.
+func lendRows(op operator) {
+	for {
+		switch t := op.(type) {
+		case *filterOp:
+			op = t.child
+		case *distinctOp:
+			op = t.child
+		case *hashJoinOp:
+			t.arena.reuse, op = true, t.probe
+		case *indexJoinOp:
+			t.arena.reuse, op = true, t.probe
+		case *projectOp:
+			t.arena.reuse = true
+			return
+		case *groupOp:
+			t.arena.reuse = true
+			return
+		default:
+			return
+		}
+	}
+}
+
+// scanOrderKeys resolves ORDER BY keys for a sort that may fold into its
+// batch scan (vecops.go): a key naming an output column — by ordinal or bare
+// name, which ORDER BY resolves against the output first — reads that column
+// of the row being built; any other must read the scan's columns alone. nil
+// when some key does neither: it reaches the output row from inside a larger
+// expression or (possibly) a subquery, or is an ambiguous or out-of-range
+// reference whose error the row path reports.
+func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
+	lookup := buildLookup(outCols)
+	outCol := func(e Expr) (int, bool) { // the output column a bare reference names
+		cr, ok := e.(*ColumnRef)
+		if !ok || cr.Table != "" {
+			return 0, false
+		}
+		j, named := lookup[strings.ToLower(cr.Column)]
+		return j, named
+	}
+	keys := make([]scanKey, len(orderBy))
+	for i, ob := range orderBy {
+		keys[i] = scanKey{out: -1, expr: ob.Expr}
+		if lit, ok := ob.Expr.(*Literal); ok && lit.Val.Kind() == KindInt {
+			keys[i].out = int(lit.Val.AsInt()) - 1
+		} else if j, named := outCol(ob.Expr); named {
+			keys[i].out = j
+		} else {
+			scanOnly := true
+			walkExpr(ob.Expr, func(x Expr) bool {
+				_, named := outCol(x)
+				scanOnly = scanOnly && !named && !isSubqueryNode(x)
+				return scanOnly
+			})
+			if scanOnly {
+				continue
+			}
+		}
+		if keys[i].out < 0 || keys[i].out >= len(outCols) {
+			return nil
+		}
+	}
+	return keys
 }
 
 // tryOrderedScan decides whether the statement's single ORDER BY key can

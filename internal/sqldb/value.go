@@ -25,7 +25,12 @@
 // a closure; execution then runs the closures over rows without any name
 // resolution, map lookups or string formatting on the per-row path.
 // UPDATE and DELETE take the same access path a SELECT with their WHERE
-// would and read their rows through the same scan.
+// would and read their rows through the same scan. An operator's output row
+// is its own until it is asked for the next one, so a consumer that keeps a
+// row copies it; where the planner can see that the consumer does not — a
+// top-K heap, an aggregation, a projection over a join — rows are built in
+// one reused buffer, or (ORDER BY … LIMIT over a large scan) only for the
+// rows that enter the heap: exec.go states the rule and its three plans.
 //
 // Values use dynamic typing with SQLite-flavoured affinity: every cell is a
 // Value of kind null, integer, real, text, or boolean, and comparisons

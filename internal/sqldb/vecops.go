@@ -6,8 +6,9 @@ package sqldb
 // visible rows come from the shared batchSource (source.go), each WHERE
 // conjunct runs as a predicate kernel (vector.go) where it compiles and as
 // the row engine's closure over the batch's rows where it does not, and
-// the survivors are emitted as rows, projected in place, or folded into
-// GROUP BY partitions. The same pipeline is driven two ways: by a counter
+// the survivors are emitted as rows, projected in place, folded into GROUP
+// BY partitions, or offered to a top-K heap that keeps ORDER BY … LIMIT k's
+// rows and builds no other. The same pipeline is driven two ways: by a counter
 // on the owner goroutine, or by pool workers (parallel.go) that each own a
 // private instance and claim morsel ordinals from a shared atomic — so
 // "vectorized" and "parallel" are properties of one scan, not two
@@ -87,9 +88,14 @@ type batchPlan struct {
 	groupBy []Expr       // ... these keys,
 	aggs    []*FuncCall  // ... these aggregates
 	repRows bool         // the post-aggregation phase reads representative rows
-	above   []Expr       // what the operators above read from emitted table rows
-	db      *Database
-	params  []Value
+	// order, when set, folds ORDER BY … LIMIT into the scan: every instance
+	// keeps the first rows of the order — items extended with the keys order
+	// names — in its own copy of top, the empty pattern heap.
+	order  []scanKey
+	top    *topKHeap
+	above  []Expr // what the operators above read from emitted table rows
+	db     *Database
+	params []Value
 	// workers > 1 runs the scan on the pool; unordered lets its gather
 	// take morsels in completion order (parallel.go).
 	workers   int
@@ -105,13 +111,24 @@ type batchExpr struct {
 	col  *vecCol // kern's result over the current batch
 }
 
-// batchFold is one instance's partial GROUP BY state.
+// scanKey is one sort key of a top-K folded into the scan: output column
+// out of the row being built or, when out is negative, an expression over
+// the scan's columns.
+type scanKey struct {
+	out  int
+	expr Expr
+}
+
+// batchFold is one instance's partial state under a pipeline breaker folded
+// into the scan: GROUP BY partitions, or the top-K heap.
 type batchFold struct {
-	keys    []batchExpr
+	keys    []batchExpr // group keys, or sort keys (zero where order names an output column)
 	args    []batchExpr // indexed like aggs; zero for COUNT(*) / no-arg
 	groups  map[string]*aggGroup
+	slab    groupSlab
 	keyVals []Value
 	kb      []byte
+	top     *topKHeap
 	errAt   int // scan ordinal of the row a fold error was raised on
 }
 
@@ -192,16 +209,22 @@ func (s *vecScanOp) compile() error {
 			}
 		}
 	}
-	if s.folds {
+	if s.folds || s.order != nil {
 		f := &batchFold{
-			keys:    make([]batchExpr, len(s.groupBy)),
+			keys:    make([]batchExpr, len(s.groupBy)+len(s.order)),
 			args:    make([]batchExpr, len(s.aggs)),
-			groups:  make(map[string]*aggGroup),
 			keyVals: make([]Value, len(s.groupBy)),
 		}
 		for i, ge := range s.groupBy {
 			if f.keys[i], err = expr(ge); err != nil {
 				return err
+			}
+		}
+		for i, k := range s.order {
+			if k.out < 0 {
+				if f.keys[i], err = expr(k.expr); err != nil {
+					return err
+				}
 			}
 		}
 		for i, fc := range s.aggs {
@@ -213,6 +236,8 @@ func (s *vecScanOp) compile() error {
 			}
 		}
 		s.fold = f
+		s.resetFold()
+		s.arena.reuse = true // nothing keeps a row a folding scan builds but the heap's copy
 	}
 	if s.items == nil && !s.folds {
 		s.needRows = true // table rows are the output
@@ -222,6 +247,17 @@ func (s *vecScanOp) compile() error {
 	}
 	s.need = vc.need
 	return nil
+}
+
+// resetFold empties the instance's fold state: a re-pulled plan folds
+// afresh.
+func (s *vecScanOp) resetFold() {
+	if s.top != nil {
+		top := *s.top
+		s.fold.top = &top
+		return
+	}
+	s.fold.groups, s.fold.slab = make(map[string]*aggGroup), groupSlab{}
 }
 
 // workerCopy builds a pool worker's private instance over the same plan
@@ -389,13 +425,14 @@ func (s *vecScanOp) next() (Row, bool, error) {
 }
 
 // rowAt is the output row for position i of the current batch: the fused
-// projection's values when there is one, else the table row (valid until
-// the next fill when the batch is a sealed block's view).
+// projection's values when there is one (with room after them for the sort
+// keys of a folded top-K), else the table row (valid until the next fill
+// when the batch is a sealed block's view).
 func (s *vecScanOp) rowAt(i int) (Row, error) {
 	if s.proj == nil {
 		return s.b.rows[i], nil
 	}
-	out := s.arena.alloc(len(s.proj))
+	out := s.arena.alloc(len(s.proj) + len(s.order))
 	for j := range s.proj {
 		v, err := s.proj[j].at(s, i)
 		if err != nil {
@@ -469,11 +506,11 @@ func (s *vecScanOp) foldBatch(idx int) error {
 		}
 		g, seen := f.groups[string(f.kb)]
 		if !seen {
-			states, err := newAggStates(s.aggs)
-			if err != nil {
+			var err error
+			if g, err = f.slab.newGroup(s.aggs, f.keyVals); err != nil {
 				return err
 			}
-			g = &aggGroup{keys: append([]Value{}, f.keyVals...), states: states, firstID: f.errAt}
+			g.firstID = f.errAt
 			if s.repRows {
 				g.repRow = s.materializeRow(i)
 			}
@@ -500,6 +537,39 @@ func (s *vecScanOp) foldBatch(idx int) error {
 				g.states[ai].add(v)
 			}
 		}
+	}
+	return nil
+}
+
+// topBatch runs morsel idx and offers every surviving row — the fused
+// projection extended with its sort keys, evaluated in projectOp's order so
+// the first error is the one the row path would raise — to the instance's
+// top-K heap, ties broken by scan ordinal as the stable sort breaks them by
+// arrival. Rows are built in one buffer; the heap copies the few it keeps.
+func (s *vecScanOp) topBatch(idx int) error {
+	f := s.fold
+	f.errAt = idx * morselSize
+	if err := s.fill(idx); err != nil {
+		return err
+	}
+	s.eager()
+	for i := 0; i < s.b.n; i++ {
+		if !s.b.sel.get(i) {
+			continue
+		}
+		f.errAt = idx*morselSize + i
+		row, err := s.rowAt(i)
+		for ki := 0; err == nil && ki < len(s.order); ki++ {
+			if k := s.order[ki]; k.out >= 0 {
+				row[len(s.proj)+ki] = row[k.out]
+			} else {
+				row[len(s.proj)+ki], err = f.keys[ki].at(s, i)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		f.top.offer(row, f.errAt)
 	}
 	return nil
 }
@@ -559,13 +629,18 @@ type scanShape struct {
 	aggs      []*FuncCall
 	needSort  bool // a sortOp will read ORDER BY keys off the input rows
 	poolable  bool // top-level, uncorrelated: the gather can preserve it
+	// order, when set: an ORDER BY … LIMIT window of topK rows whose keys
+	// the scan can evaluate itself (scanOrderKeys).
+	order []scanKey
+	topK  int
 }
 
 // planScanDriver is the planner's one decision about how a statement's
 // FROM input is driven. A filter stack over one base-table scan whose
 // input is over the morselMinRows gate becomes a batch scan — with the
 // projection fused in when nothing above needs the input rows, or the
-// aggregation folded in — and the batch scan runs on the worker pool when
+// aggregation or the ORDER BY … LIMIT folded in, so that only groups or the
+// window's rows are ever built — and the batch scan runs on the worker pool when
 // the database has one and the statement's shape lets the gather keep the
 // serial result: every expression the workers would evaluate is
 // parallel-safe, partial aggregates merge exactly (or the consumer
@@ -624,6 +699,15 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 		bs.workers, bs.unordered = db.maxWorkers, true
 	case sh.aggregate:
 		bs.folds = true
+	case sh.order != nil:
+		bs.items, bs.order = sh.items, sh.order
+		bs.top = &topKHeap{k: sh.topK, width: len(sh.items), orderBy: stmt.OrderBy}
+		for _, k := range sh.order {
+			pool = pool && (k.out >= 0 || parallelSafe(k.expr))
+		}
+		if pool && parallelSafe(itemExprs...) {
+			bs.workers = db.maxWorkers
+		}
 	default:
 		window := (stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0
 		pool = pool && !window
@@ -648,7 +732,7 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 	if bs.kernels < bs.exprs && qc != nil {
 		qc.RowFallbacks++
 	}
-	if bs.workers > 1 && !bs.folds {
+	if bs.workers > 1 && !bs.folds && bs.order == nil {
 		return &parScanOp{scan: bs}, bs, nil
 	}
 	return bs, bs, nil

@@ -324,6 +324,11 @@ func TestVectorExplainShapes(t *testing.T) {
 		// An ORDER BY reads keys off the input rows, so the projection
 		// stays above the scan.
 		{"SELECT id FROM s WHERE a > 10 ORDER BY f", "vectorized 1/1"},
+		// ... unless a LIMIT bounds it: then the scan keeps the top-K itself,
+		// building the projection and the one key no output column supplies.
+		{"SELECT id, f FROM s WHERE a > 10 ORDER BY f DESC, id, a + 1 LIMIT 100",
+			"sort by f DESC, id ASC, (a + 1) ASC (top 100) (folded in scan)\n    project 2 column(s) (fused in scan)\n      batch seq scan s (as s)"},
+		{"SELECT id, f FROM s WHERE a > 10 ORDER BY f DESC, id, a + 1 LIMIT 100", "vectorized 4/4"},
 	} {
 		if got := plan(c.q); !strings.Contains(got, c.want) {
 			t.Errorf("plan of %q missing %q:\n%s", c.q, c.want, got)
@@ -331,6 +336,25 @@ func TestVectorExplainShapes(t *testing.T) {
 	}
 	if got := plan("SELECT c, COUNT(*) FROM s GROUP BY c"); strings.Contains(got, "(vectorized)") || strings.Contains(got, "parallel") {
 		t.Errorf("aggregate node still claims an executor:\n%s", got)
+	}
+
+	// DISTINCT, a key that reads an output column from inside an expression,
+	// and a table under the size gate keep the plan they had.
+	for _, c := range []struct {
+		q    string
+		gate int
+	}{
+		{"SELECT DISTINCT a, c FROM s ORDER BY a DESC, c LIMIT 5", 1},
+		{"SELECT id, a * 2 AS aa FROM s ORDER BY aa + f, id LIMIT 5", 1},
+		{"SELECT id, f FROM s ORDER BY f DESC, id LIMIT 5", 2*segBlockSlots + 1},
+	} {
+		gate := morselMinRows
+		morselMinRows = c.gate
+		got := plan(c.q)
+		morselMinRows = gate
+		if !strings.Contains(got, "(top 5)") || strings.Contains(got, "folded") || strings.Contains(got, "fused") {
+			t.Errorf("plan of %q should keep its sort and projection above the scan:\n%s", c.q, got)
+		}
 	}
 
 	a, err := db.ExplainAnalyze(context.Background(), "SELECT COUNT(*) FROM s WHERE a < 50")
