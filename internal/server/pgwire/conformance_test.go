@@ -648,6 +648,22 @@ func TestExtendedProtocolErrors(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("close missing stmt errored: %v", res.Err)
 	}
+
+	// An error reaches a client that pipelined Flush, not Sync, behind the
+	// failing message: the Flush is discarded with the rest, so the
+	// ErrorResponse must not wait for it (TestMidQueryCancellation hung
+	// here whenever a late cancel failed its re-opened portal).
+	c.SendBind("", "ghost", nil)
+	c.SendFlush()
+	c.NetConn().SetReadDeadline(time.Now().Add(5 * time.Second))
+	if m, err := c.ReadMsg(); err != nil || m.Type != 'E' {
+		t.Fatalf("error before Flush: got %q, %v; want an ErrorResponse at once", m.Type, err)
+	}
+	c.NetConn().SetReadDeadline(time.Time{})
+	c.SendSync()
+	if _, err := c.Collect(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // appendC and frameMsg build raw frames for malformed-input legs.

@@ -227,10 +227,15 @@ func (s *session) reportError(err error) error {
 }
 
 // extErr reports an extended-protocol error and discards messages until
-// Sync.
+// Sync. The ErrorResponse goes out at once, as Postgres sends it: a Flush
+// the client pipelined behind the failing message is among the discarded,
+// and a client waiting on it would otherwise wait forever.
 func (s *session) extErr(err error) error {
 	s.skipToSync = true
-	return s.reportError(err)
+	if err := s.reportError(err); err != nil {
+		return err
+	}
+	return s.be.flush()
 }
 
 // emptyQuery reports whether sql contains no statements (whitespace and
