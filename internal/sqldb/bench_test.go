@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -16,7 +17,7 @@ import (
 
 // benchDB builds a two-table database: `items` (n rows, indexed primary
 // key) and `cats` (n/10 rows) joinable on cat_id.
-func benchDB(b *testing.B, n int, opts ...Option) *Database {
+func benchDB(b testing.TB, n int, opts ...Option) *Database {
 	b.Helper()
 	db := NewDatabase(opts...)
 	db.MustExec(`CREATE TABLE items (
@@ -277,4 +278,48 @@ func BenchmarkVectorAgg(b *testing.B) {
 // discovers new groups and pays the lazy representative-row decode.
 func BenchmarkVectorGroupBy(b *testing.B) {
 	benchVector(b, "SELECT cat_id, COUNT(*), SUM(qty), MIN(price), MAX(price) FROM items GROUP BY cat_id")
+}
+
+// liveHeapPerRow loads the benchDB shape (n five-column items, n/10
+// two-column cats, a primary-key index on each), seals it, collects twice
+// and returns the heap still held per row: row arrays, versions, slots,
+// name strings, both indexes and the sealed segments. It is `perf`'s
+// analytics_scan live_heap_mb, per row and without the benchmark's oracle.
+func liveHeapPerRow(tb testing.TB, n int) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := benchDB(tb, n)
+	db.vacWG.Wait() // the background sealer's pass over the bulk load
+	db.Seal()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(db)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n+n/10)
+}
+
+// liveHeapCeiling is the most a held row may cost at 32,768 + 3,276 rows:
+// 392.8 B measured with the 32-byte Value and the Value-keyed index map
+// (554.3 B with the 48-byte Value and string-keyed postings), plus ~10 %.
+// The index maps sit at a different load factor than at perf's 262,144 +
+// 26,214 rows (≈ 393 B there too, 555 before), so the ceiling is this
+// size's own.
+const liveHeapCeiling = 432
+
+func TestLiveHeapPerRow(t *testing.T) {
+	per := liveHeapPerRow(t, 32768)
+	t.Logf("%.1f B of live heap per row (ceiling %d)", per, liveHeapCeiling)
+	if per > liveHeapCeiling {
+		t.Errorf("a sealed row holds %.1f B of live heap, ceiling %d: Value, the index map or the version store grew", per, liveHeapCeiling)
+	}
+}
+
+func BenchmarkLiveHeapPerRow(b *testing.B) {
+	var per float64
+	for i := 0; i < b.N; i++ {
+		per = liveHeapPerRow(b, 32768)
+	}
+	b.ReportMetric(per, "B/row")
 }

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -75,8 +74,10 @@ type Table struct {
 // Index is a dual-structure secondary index over one column, maintained
 // as a *superset* of every row version still reachable:
 //
-//   - The hash map m (binary value key -> posting: the value plus its row
-//     ids, ascending) serves equality lookups and join probes. DML only
+//   - The hash map m (indexKey of the value -> its row ids, ascending)
+//     serves equality lookups and join probes. The key is the canonical
+//     Value of the column value's Compare class (key.go): a slot is a
+//     Value and a slice header, and nothing is copied per key. DML only
 //     ever ADDS entries — INSERT adds the new id under its key, UPDATE
 //     adds the id under the new key and leaves it under the old one,
 //     DELETE leaves the posting untouched — so an id may appear under
@@ -110,15 +111,8 @@ type Index struct {
 	Unique bool
 
 	mu  sync.Mutex // latches m and every ord transition
-	m   map[string]posting
+	m   map[Value][]int
 	ord atomic.Pointer[ordView] // nil until first ordered access, never after
-}
-
-// posting is one distinct indexed value and the ids of every version-
-// bearing row that ever carried it (ascending, superset semantics).
-type posting struct {
-	val Value
-	ids []int
 }
 
 // Database is an embedded in-memory SQL database, safe for concurrent
@@ -305,16 +299,13 @@ func coerce(v Value, k Kind) Value {
 	switch k {
 	case KindInt:
 		if v.Kind() == KindText {
-			f := v.AsFloat()
-			s := strings.TrimSpace(v.AsText())
-			if s != "" && fmt.Sprint(f) != "0" || s == "0" {
-				// Only coerce when the text is actually numeric.
-				if isNumericText(s) {
-					if f == float64(int64(f)) {
-						return Int(int64(f))
-					}
-					return Float(f)
+			// Only coerce when the text is actually numeric.
+			if isNumericText(strings.TrimSpace(v.AsText())) {
+				f := v.AsFloat()
+				if f == float64(int64(f)) {
+					return Int(int64(f))
 				}
+				return Float(f)
 			}
 			return v
 		}
@@ -388,7 +379,7 @@ func newTable(stmt *CreateTableStmt) (*Table, error) {
 				Name:   "auto_" + t.Name + "_" + c.Name,
 				Column: i,
 				Unique: true,
-				m:      make(map[string]posting),
+				m:      make(map[Value][]int),
 			}
 		}
 	}
@@ -507,13 +498,17 @@ func (t *Table) visibleRow(id int, snap *snapshot) Row {
 
 // insertRow appends a row (aligned to table order) as a new version
 // chain stamped with the writing transaction, maintains every index, and
-// enforces NOT NULL and UNIQUE constraints.
+// enforces NOT NULL and UNIQUE constraints. WAL replay installs the logged
+// row as it is: it is what coercion made of it when it was written, and the
+// UPDATE/DELETE images logged after it match it bit for bit.
 func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	if len(r) != len(t.Columns) {
 		return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(t.Columns), len(r))
 	}
 	for i, c := range t.Columns {
-		r[i] = coerce(r[i], c.Type)
+		if !tx.replay {
+			r[i] = coerce(r[i], c.Type)
+		}
 		if c.NotNull && r[i].IsNull() {
 			return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
 		}
@@ -581,10 +576,9 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 // column carries exactly v. Under writeMu every chain head is committed or
 // the running writer's, so "latest" is unambiguous.
 func (t *Table) liveKeyCount(idx *Index, v Value) int {
-	var kb [24]byte
 	var ids [8]int // a unique key's posting fits; a longer one spills to the heap
 	n := 0
-	for _, id := range idx.appendIDs(ids[:0], appendValueKey(kb[:0], v)) {
+	for _, id := range idx.appendIDs(ids[:0], v) {
 		if r := latestRow(t.head(id)); r != nil && r[idx.Column].Equal(v) {
 			n++
 		}
@@ -595,12 +589,12 @@ func (t *Table) liveKeyCount(idx *Index, v Value) int {
 // ---------------------------------------------------------------------------
 // Index maintenance and lookups
 
-// appendIDs appends a private copy of the posting list (ascending) under an
-// encoded key (appendValueKey) to dst — the caller's buffer, so a probe
-// loop reuses one. The latch is momentary: never held across iteration.
-func (idx *Index) appendIDs(dst []int, key []byte) []int {
+// appendIDs appends a private copy of the posting list (ascending) of v's
+// key to dst — the caller's buffer, so a probe loop reuses one. The latch
+// is momentary: never held across iteration.
+func (idx *Index) appendIDs(dst []int, v Value) []int {
 	idx.mu.Lock()
-	dst = append(dst, idx.m[string(key)].ids...)
+	dst = append(dst, idx.m[indexKey(v)]...)
 	idx.mu.Unlock()
 	return dst
 }
@@ -611,14 +605,9 @@ func (idx *Index) appendIDs(dst []int, key []byte) []int {
 func (idx *Index) addEntry(v Value, id int) bool {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	key := v.Key()
-	p := idx.m[key]
-	if p.ids == nil {
-		p.val = v
-	}
-	p.ids = spliceID(p.ids, id)
-	idx.m[key] = p
-	return idx.ordAdd(v, id)
+	key := indexKey(v)
+	idx.m[key] = spliceID(idx.m[key], id)
+	return idx.ordAdd(key, id)
 }
 
 // removeEntry takes id out of v's posting — in place: readers only ever
@@ -627,19 +616,18 @@ func (idx *Index) addEntry(v Value, id int) bool {
 func (idx *Index) removeEntry(v Value, id int) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	key := v.Key()
-	p := idx.m[key]
-	pos := sort.SearchInts(p.ids, id)
-	if pos == len(p.ids) || p.ids[pos] != id {
+	key := indexKey(v)
+	ids := idx.m[key]
+	pos := sort.SearchInts(ids, id)
+	if pos == len(ids) || ids[pos] != id {
 		return
 	}
-	if len(p.ids) == 1 {
+	if len(ids) == 1 {
 		delete(idx.m, key)
 	} else {
-		p.ids = append(p.ids[:pos], p.ids[pos+1:]...)
-		idx.m[key] = p
+		idx.m[key] = append(ids[:pos], ids[pos+1:]...)
 	}
-	idx.ordRemove(v, id)
+	idx.ordRemove(key, id)
 }
 
 // unindex removes from every index what the versions [dead, end) of slot
@@ -670,8 +658,7 @@ func (t *Table) unindex(id int, dead, end *rowVersion) {
 // key recheck filters it exactly. Never nil: as a scan restriction, no
 // ids means no rows, not a full scan.
 func visibleEqIDs(t *Table, idx *Index, v Value, snap *snapshot) []int {
-	var kb [24]byte
-	ids := idx.appendIDs([]int{}, appendValueKey(kb[:0], v))
+	ids := idx.appendIDs([]int{}, v)
 	out := ids[:0]
 	for _, id := range ids {
 		r := t.visibleRow(id, snap)

@@ -291,14 +291,14 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 	if _, exists := t.idxs()[key]; exists {
 		return nil // idempotent: one index per column is all we support
 	}
-	idx := &Index{Name: stmt.Name, Column: ci, Unique: stmt.Unique, m: make(map[string]posting)}
+	idx := &Index{Name: stmt.Name, Column: ci, Unique: stmt.Unique, m: make(map[Value][]int)}
 	// Index every surviving version of every chain (the superset contract:
 	// snapshots older than the statement must find their rows through the
 	// new index too). The UNIQUE duplicate check runs on latest rows only.
 	arr, n := t.loadSlots()
-	var seen map[string]bool
+	var seen map[Value]bool
 	if stmt.Unique {
-		seen = make(map[string]bool, n)
+		seen = make(map[Value]bool, n)
 	}
 	for id := 0; id < n; id++ {
 		head := arr[id].head.Load()
@@ -307,7 +307,7 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 		}
 		if stmt.Unique {
 			if r := latestRow(head); r != nil && !r[ci].IsNull() {
-				k := r[ci].Key()
+				k := indexKey(r[ci])
 				if seen[k] {
 					return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, r[ci])
 				}
@@ -318,14 +318,7 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 			if v.xmin == invalidXID || v.row == nil {
 				continue
 			}
-			val := v.row[ci]
-			k := val.Key()
-			p := idx.m[k]
-			if p.ids == nil {
-				p.val = val
-			}
-			p.ids = spliceID(p.ids, id)
-			idx.m[k] = p
+			idx.addEntry(v.row[ci], id)
 		}
 	}
 	t.publishIndexes(func(m map[string]*Index) { m[key] = idx })

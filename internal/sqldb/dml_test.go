@@ -621,3 +621,59 @@ func TestIndexDoesNotChangeCrossKindAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestAffinityCoercionOfNumericText pins what a numeric column does with
+// text, whichever way the row arrives: text that is a number is stored as
+// one — every spelling of zero included, which the old guard in coerce kept
+// as TEXT so that WHERE a = 0 missed '0.0', '00' and '+0' — and text that is
+// not stays TEXT.
+func TestAffinityCoercionOfNumericText(t *testing.T) {
+	cases := []struct{ in, intType, intVal, realType, realVal string }{
+		{"0", "integer", "0", "real", "0.0"},
+		{"0.0", "integer", "0", "real", "0.0"},
+		{"00", "integer", "0", "real", "0.0"},
+		{"+0", "integer", "0", "real", "0.0"},
+		{"-0", "integer", "0", "real", "-0.0"},
+		{"1.0", "integer", "1", "real", "1.0"},
+		{" 7 ", "integer", "7", "real", "7.0"},
+		{"", "text", "", "text", ""},
+		{"abc", "text", "abc", "text", "abc"},
+		{"1.5", "real", "1.5", "real", "1.5"},
+	}
+	paths := map[string]func(db *Database, id int, s string) error{
+		"literal": func(db *Database, id int, s string) error {
+			_, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s', '%s')", id, s, s))
+			return err
+		},
+		"param": func(db *Database, id int, s string) error {
+			_, err := db.Exec("INSERT INTO t VALUES (?, ?, ?)", id, s, s)
+			return err
+		},
+		"InsertRows": func(db *Database, id int, s string) error {
+			return db.InsertRows("t", [][]any{{id, s, s}})
+		},
+	}
+	for name, insert := range paths {
+		db := NewDatabase()
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, r REAL)")
+		var want [][]string
+		for i, c := range cases {
+			if err := insert(db, i, c.in); err != nil {
+				t.Fatalf("%s: insert %q: %v", name, c.in, err)
+			}
+			want = append(want, []string{c.intType, c.intVal, c.realType, c.realVal})
+		}
+		if got := queryStrings(t, db, "SELECT typeof(a), a, typeof(r), r FROM t ORDER BY id"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %v\nwant %v", name, got, want)
+		}
+		if got := queryStrings(t, db, "SELECT COUNT(*) FROM t WHERE a = 0"); got[0][0] != "5" {
+			t.Errorf("%s: %s of the 5 spellings of zero equal 0", name, got[0][0])
+		}
+	}
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (a INTEGER)")
+	db.MustExec("INSERT INTO t(a) VALUES ('0.0'),('00'),('0'),('-0')")
+	if got := queryStrings(t, db, "SELECT COUNT(*) FROM t WHERE a = 0"); got[0][0] != "4" {
+		t.Errorf("COUNT(*) WHERE a = 0 over '0.0','00','0','-0' = %s, want 4", got[0][0])
+	}
+}

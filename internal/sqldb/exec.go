@@ -322,10 +322,11 @@ func (f *filterOp) next() (Row, bool, error) {
 // Joins
 
 // probeJoinCore is the probe loop shared by hash and index joins: stream
-// probe rows, evaluate and encode the key, fetch matches through the
-// owner's lookup/matchRow hooks, assemble output rows (the probe side
-// keeps its syntactic position), apply the residual predicate, and pad
-// unmatched LEFT-JOIN probe rows with NULLs.
+// probe rows, evaluate the key, fetch matches through the owner's
+// lookup/matchRow hooks (a hash join encodes the key into keyBuf there),
+// assemble output rows (the probe side keeps its syntactic position),
+// apply the residual predicate, and pad unmatched LEFT-JOIN probe rows
+// with NULLs.
 type probeJoinCore struct {
 	probe       operator
 	cols        []colInfo // output schema: left columns then right columns
@@ -338,9 +339,9 @@ type probeJoinCore struct {
 	arena       rowArena
 	keyBuf      []byte
 
-	// lookup records the matches for an encoded key and returns their
-	// count; matchRow returns the i-th match of the latest lookup.
-	lookup   func(key []byte) int
+	// lookup records the matches for a non-NULL probe key and returns
+	// their count; matchRow returns the i-th match of the latest lookup.
+	lookup   func(k Value) int
 	matchRow func(i int) Row
 
 	cur      Row // current probe row
@@ -394,8 +395,7 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 			}
 			c.matches = 0
 			if !k.IsNull() { // NULL keys never join
-				c.keyBuf = appendValueKey(c.keyBuf[:0], k)
-				c.matches = c.lookup(c.keyBuf)
+				c.matches = c.lookup(k)
 			}
 		}
 		for c.matchPos < c.matches {
@@ -543,8 +543,9 @@ func (h *hashJoinOp) buildSerial(buildRows []Row, buildKeyE Expr,
 		h.buckets[i] = append(h.buckets[i], r)
 	}
 	h.nKeys = len(h.keyIndex)
-	h.lookup = func(key []byte) int {
-		if i, ok := h.keyIndex[string(key)]; ok {
+	h.lookup = func(k Value) int {
+		h.keyBuf = appendValueKey(h.keyBuf[:0], k)
+		if i, ok := h.keyIndex[string(h.keyBuf)]; ok {
 			h.curBucket = h.buckets[i]
 			return len(h.curBucket)
 		}
@@ -555,8 +556,8 @@ func (h *hashJoinOp) buildSerial(buildRows []Row, buildKeyE Expr,
 }
 
 // indexJoinOp performs an equi-join by probing an equality index on a base
-// table: for each probe row the key expression is evaluated, encoded, and
-// looked up directly in the index — no build phase at all.
+// table: for each probe row the key expression is evaluated and looked up
+// directly in the index — no build phase and no key encoding at all.
 type indexJoinOp struct {
 	probeJoinCore
 	table     *Table
@@ -594,21 +595,17 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	// which every probe reuses), then filter it against the statement
 	// snapshot (the posting is a superset under MVCC — superseded versions
 	// linger until vacuum).
-	var rowKey []byte
 	var ids []int
-	j.lookup = func(key []byte) int {
+	j.lookup = func(k Value) int {
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
 		j.curRows = j.curRows[:0]
-		ids = j.idx.appendIDs(ids[:0], key)
+		ids = j.idx.appendIDs(ids[:0], k)
+		key := indexKey(k)
 		for _, id := range ids {
-			r := j.table.visibleRow(id, snap)
-			if r == nil {
-				continue
-			}
-			if rowKey = appendValueKey(rowKey[:0], r[j.idx.Column]); string(rowKey) == string(key) {
+			if r := j.table.visibleRow(id, snap); r != nil && indexKey(r[j.idx.Column]) == key {
 				j.curRows = append(j.curRows, r)
 			}
 		}

@@ -52,10 +52,17 @@ func checkIndexesExact(db *Database, name string) error {
 		}
 		idx.mu.Lock()
 		got := make(map[string][]int, len(idx.m))
-		for k, p := range idx.m {
-			got[k] = append([]int(nil), p.ids...)
+		var split error
+		for k, ids := range idx.m {
+			if _, dup := got[k.Key()]; dup || indexKey(k) != k {
+				split = fmt.Errorf("index %s.%s: map key %v is not the one canonical key of its Compare class", name, col, k)
+			}
+			got[k.Key()] = append([]int(nil), ids...)
 		}
 		idx.mu.Unlock()
+		if split != nil {
+			return split
+		}
 		if !reflect.DeepEqual(got, want) {
 			for k, ids := range want {
 				if !reflect.DeepEqual(got[k], ids) {
@@ -459,5 +466,81 @@ func TestConcurrentOrderedReadsDuringMaintenance(t *testing.T) {
 	}
 	if err := checkIndexesExact(db, "t"); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIndexMaintenanceMixedKinds: one index over a column with no numeric
+// affinity, holding 1, 1.0, TRUE (one Compare class, one map key) and '1'
+// (another) — through insert, update, delete, rollback and vacuum the
+// postings stay exactly what the surviving versions carry, and the class is
+// never split across two keys. Run a second time with maintenance broken,
+// the same oracle must object.
+func TestIndexMaintenanceMixedKinds(t *testing.T) {
+	scenario := func(breakAt bool) error {
+		db := NewDatabase()
+		defer db.Close()
+		db.MustExec("CREATE TABLE x (id INTEGER PRIMARY KEY, v ANY, note TEXT)")
+		db.MustExec("CREATE INDEX idx_x_v ON x (v)")
+		db.MustExec("SELECT id FROM x ORDER BY v") // the ordered view is live from the start
+		check := func(step string, one, text []int) error {
+			if err := checkIndexesExact(db, "x"); err != nil {
+				return fmt.Errorf("%s: %v", step, err)
+			}
+			tbl, _ := db.Table("x")
+			idx := tbl.idxs()["v"]
+			idx.mu.Lock()
+			defer idx.mu.Unlock()
+			if got := idx.m[Int(1)]; fmt.Sprint(got) != fmt.Sprint(one) {
+				return fmt.Errorf("%s: key 1 lists %v, want %v", step, got, one)
+			}
+			if got := idx.m[Text("1")]; fmt.Sprint(got) != fmt.Sprint(text) {
+				return fmt.Errorf("%s: key '1' lists %v, want %v", step, got, text)
+			}
+			for k := range idx.m {
+				if k.Kind() == KindBool || k == Float(1) {
+					return fmt.Errorf("%s: %v (%v) is a map key beside its class's canonical one", step, k, k.Kind())
+				}
+			}
+			return nil
+		}
+		for i, v := range []any{1, 1.0, true, "1", 2, 2.5, nil, "one"} {
+			db.MustExec("INSERT INTO x VALUES (?, ?, 'n')", i, v)
+		}
+		if err := check("insert", []int{0, 1, 2}, []int{3}); err != nil {
+			return err
+		}
+		for _, q := range []string{"SELECT id FROM x WHERE v = 1 ORDER BY id", "SELECT id FROM x WHERE v = 1.0 ORDER BY id",
+			"SELECT id FROM x WHERE v = TRUE ORDER BY id", "SELECT x.id FROM x JOIN x y ON y.v = x.v WHERE y.id = 1 ORDER BY x.id"} {
+			if got := fmt.Sprint(queryStrings(t, db, q)); got != "[[0] [1] [2]]" {
+				return fmt.Errorf("%s = %s, want rows 0 1 2", q, got)
+			}
+		}
+		db.MustExec("UPDATE x SET v = ? WHERE id = 4", 1.0)  // 2 -> 1.0: joins the class
+		db.MustExec("UPDATE x SET v = ? WHERE id = 0", true) // 1 -> TRUE: same key, no index change
+		db.MustExec("UPDATE x SET v = '1' WHERE id = 2")     // TRUE -> '1': changes class
+		db.MustExec("UPDATE x SET note = 'm' WHERE id = 1")  // unindexed column: the version survives the vacuum with its key
+		db.MustExec("DELETE FROM x WHERE id = 3")
+		if err := check("update/delete", []int{0, 1, 2, 4}, []int{2, 3}); err != nil { // supersets until the vacuum
+			return err
+		}
+		tx := db.Begin()
+		_, _ = tx.Exec("INSERT INTO x VALUES (8, ?, 'n')", 1.0)
+		_, _ = tx.Exec("UPDATE x SET v = 1 WHERE id = 5")
+		if err := tx.Rollback(); err != nil {
+			return err
+		}
+		if err := check("rollback", []int{0, 1, 2, 4}, []int{2, 3}); err != nil {
+			return err
+		}
+		debugBreakOrdMaintain = breakAt
+		db.Vacuum()
+		debugBreakOrdMaintain = false
+		return check("vacuum", []int{0, 1, 4}, []int{2})
+	}
+	if err := scenario(false); err != nil {
+		t.Error(err)
+	}
+	if err := scenario(true); err == nil {
+		t.Error("the exact oracle passed with index maintenance broken")
 	}
 }

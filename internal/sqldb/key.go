@@ -8,15 +8,16 @@ import (
 // This file implements the engine's hash-key encoding: a compact binary
 // form of a Value (or a whole Row) that can be appended into a reusable
 // []byte scratch buffer. Hash join, GROUP BY, DISTINCT, DISTINCT
-// aggregates and secondary indexes all key their maps with it.
+// aggregates key their maps with it; a secondary index, whose key is one
+// value, keys its map with indexKey's Value directly and copies nothing.
 //
-// The encoding respects Compare's equivalence classes: values that compare
-// equal encode identically. Numerics that hold a mathematical integer
-// (INTEGER, BOOLEAN, and integral REAL within int64 range) share an exact
-// 8-byte int64 form, so int64 keys beyond 2^53 never collapse through
-// float64 rounding the way the old strconv.FormatFloat encoding did.
-// Every field is self-delimiting (fixed width or length-prefixed), so
-// concatenated row keys are unambiguous.
+// Both respect Compare's equivalence classes: values that compare equal
+// key identically. Numerics that hold a mathematical integer (INTEGER,
+// BOOLEAN, and integral REAL within int64 range) share an exact int64
+// form, so int64 keys beyond 2^53 never collapse through float64 rounding
+// the way the old strconv.FormatFloat encoding did. Every encoded field is
+// self-delimiting (fixed width or length-prefixed), so concatenated row
+// keys are unambiguous.
 
 const (
 	keyTagNull  = 0x00
@@ -25,10 +26,36 @@ const (
 	keyTagText  = 0x03
 )
 
-// appendValueKey appends v's key encoding to dst and returns the extended
-// slice. It never allocates beyond growing dst.
-func appendValueKey(dst []byte, v Value) []byte {
+// indexKey returns the canonical member of v's Compare class, usable as a
+// Go map key: two values compare equal exactly when their indexKeys are ==
+// (NaN aside: Compare calls it equal to every number, the key gives it a
+// class of its own). TEXT, NULL and INTEGER are their own keys — a TEXT key
+// shares the value's string bytes.
+func indexKey(v Value) Value {
 	switch v.kind {
+	case KindBool:
+		return Value{kind: KindInt, n: v.n}
+	case KindFloat:
+		f := v.f64()
+		// Integral floats inside int64 range take the integer form so
+		// that e.g. Int(5) and Float(5.0) — equal under Compare — key
+		// identically. The upper bound is exclusive: 2^63 itself is not
+		// representable as int64.
+		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return Int(int64(f))
+		}
+		if math.IsNaN(f) {
+			return Float(math.NaN()) // canonicalise NaN payloads
+		}
+	}
+	return v
+}
+
+// appendValueKey appends the encoding of v's indexKey to dst and returns
+// the extended slice — the same classes as indexKey by construction. It
+// never allocates beyond growing dst.
+func appendValueKey(dst []byte, v Value) []byte {
+	switch v = indexKey(v); v.kind {
 	case KindNull:
 		return append(dst, keyTagNull)
 	case KindText:
@@ -36,32 +63,11 @@ func appendValueKey(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		return append(dst, v.s...)
 	case KindInt:
-		return appendIntKey(dst, v.i)
-	case KindBool:
-		if v.b {
-			return appendIntKey(dst, 1)
-		}
-		return appendIntKey(dst, 0)
+		dst = append(dst, keyTagInt)
 	default: // KindFloat
-		f := v.f
-		// Integral floats inside int64 range share the integer form so
-		// that e.g. Int(5) and Float(5.0) — equal under Compare — key
-		// identically. The upper bound is exclusive: 2^63 itself is not
-		// representable as int64.
-		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-			return appendIntKey(dst, int64(f))
-		}
-		if math.IsNaN(f) {
-			f = math.NaN() // canonicalise NaN payloads
-		}
 		dst = append(dst, keyTagFloat)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 	}
-}
-
-func appendIntKey(dst []byte, i int64) []byte {
-	dst = append(dst, keyTagInt)
-	return binary.BigEndian.AppendUint64(dst, uint64(i))
+	return binary.BigEndian.AppendUint64(dst, v.n)
 }
 
 // appendRowKey appends the concatenated key encodings of every value in r.

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -62,36 +61,93 @@ func TestKeyRespectsCompareEquivalence(t *testing.T) {
 	}
 }
 
-// TestKeyEqualIffEqual pins the substitution the index rechecks rely on:
-// over mixed INTEGER/REAL/BOOLEAN/TEXT/NULL values, two values share a
-// key exactly when Equal says so, so `row[col].Equal(entry value)` decides
-// what comparing two Key() strings used to. NaN is left out: Compare
-// documents it as equal to every number, and no SQL path stores one.
+// keyCorpus is the mixed-kind corpus of the key-class tests: every kind,
+// both zeros, the 2^53 precision cliff from both sides as INTEGER and as
+// REAL, the int64 range ends and the REALs just past them, and texts that
+// spell numbers.
+func keyCorpus() []Value {
+	const cliff = int64(1) << 53
+	vals := []Value{Null, Bool(false), Bool(true)}
+	for _, i := range []int64{0, 1, -1, 2, 5, cliff - 1, cliff, cliff + 1, 1<<62 + 1, math.MaxInt64, math.MinInt64} {
+		vals = append(vals, Int(i))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 5, float64(cliff - 1), float64(cliff),
+		float64(cliff + 2), 1 << 62, 1 << 63, -(1 << 63), -(1 << 63) - 2048, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.NaN(), layoutNaN} {
+		vals = append(vals, Float(f))
+	}
+	for _, s := range []string{"", "0", "1", "5", "2.5", "a", "ab", "a\x00", "\x00a"} {
+		vals = append(vals, Text(s))
+	}
+	return vals
+}
+
+// keyClassesAgree states the one rule the three keyings share: two values
+// have the same indexKey exactly when they have the same Key(), exactly
+// when Compare calls them equal. A NaN is held to the first two only —
+// Compare documents it as equal to every number, the keys give it a class
+// of its own, and no SQL path stores one.
+func keyClassesAgree(a, b Value) error {
+	sameIndexKey, sameKey := indexKey(a) == indexKey(b), a.Key() == b.Key()
+	if sameIndexKey != sameKey {
+		return fmt.Errorf("%v (%v) and %v (%v): same indexKey = %v, same Key() = %v", a, a.Kind(), b, b.Kind(), sameIndexKey, sameKey)
+	}
+	isNaN := func(v Value) bool { return v.Kind() == KindFloat && math.IsNaN(v.AsFloat()) }
+	if equal := a.Equal(b); !isNaN(a) && !isNaN(b) && equal != sameKey {
+		return fmt.Errorf("%v (%v) and %v (%v): same key = %v, Equal = %v", a, a.Kind(), b, b.Kind(), sameKey, equal)
+	}
+	if k := indexKey(a); indexKey(k) != k || !(isNaN(a) || k.Equal(a)) {
+		return fmt.Errorf("indexKey(%v) = %v is not a canonical member of its class", a, k)
+	}
+	return nil
+}
+
+// TestKeyEqualIffEqual pins the substitution the index and its rechecks
+// rely on, over every pair of the corpus: the index's map key, the hash
+// operators' byte key and Compare draw the same classes, so
+// `row[col].Equal(probe)` decides what comparing two keys would.
 func TestKeyEqualIffEqual(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	ints := []int64{0, 1, -1, 2, 5, 1 << 53, 1<<53 + 1, 1<<62 + 1, math.MaxInt64, math.MinInt64}
-	floats := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 5, 1 << 53, 1 << 62, 1 << 63, -(1 << 63),
-		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 9007199254740993}
-	texts := []string{"", "0", "1", "5", "2.5", "a", "ab", "a\x00", "\x00a"}
-	gen := func() Value {
-		switch r.Intn(5) {
-		case 0:
-			return Null
-		case 1:
-			return Int(ints[r.Intn(len(ints))])
-		case 2:
-			return Float(floats[r.Intn(len(floats))])
-		case 3:
-			return Bool(r.Intn(2) == 0)
-		}
-		return Text(texts[r.Intn(len(texts))])
-	}
-	for i := 0; i < 20000; i++ {
-		a, b := gen(), gen()
-		if sameKey, equal := a.Key() == b.Key(), a.Equal(b); sameKey != equal {
-			t.Fatalf("%v (%v) and %v (%v): same key = %v, Equal = %v", a, a.Kind(), b, b.Kind(), sameKey, equal)
+	vals := keyCorpus()
+	for _, a := range vals {
+		for _, b := range vals {
+			if err := keyClassesAgree(a, b); err != nil {
+				t.Error(err)
+			}
 		}
 	}
+	if a, b := indexKey(Float(math.NaN())), indexKey(Float(layoutNaN)); a != b {
+		t.Errorf("NaN payloads key apart: %x vs %x", a.n, b.n)
+	}
+}
+
+// FuzzKeyClasses holds arbitrary pairs to the same rule; the corpus seeds it.
+func FuzzKeyClasses(f *testing.F) {
+	parts := func(v Value) (uint8, uint64, string) { return uint8(v.kind), v.n, v.s }
+	vals := keyCorpus()
+	for i, a := range vals {
+		ka, na, sa := parts(a)
+		kb, nb, sb := parts(vals[(i+1)%len(vals)])
+		f.Add(ka, na, sa, kb, nb, sb)
+		f.Add(ka, na, sa, ka, na, sa)
+	}
+	build := func(k uint8, n uint64, s string) Value {
+		switch Kind(k % 5) {
+		case KindBool:
+			return Bool(n&1 == 1)
+		case KindInt:
+			return Int(int64(n))
+		case KindFloat:
+			return Float(math.Float64frombits(n))
+		case KindText:
+			return Text(s)
+		}
+		return Null
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, na uint64, sa string, kb uint8, nb uint64, sb string) {
+		if err := keyClassesAgree(build(ka, na, sa), build(kb, nb, sb)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestCompareIntFloatExact(t *testing.T) {

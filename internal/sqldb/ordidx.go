@@ -152,8 +152,8 @@ func (idx *Index) orderedView() ordView {
 		return *vp
 	}
 	entries := make([]*ordEntry, 0, len(idx.m))
-	for _, p := range idx.m {
-		entries = append(entries, newOrdEntry(p.val, append([]int(nil), p.ids...)))
+	for key, ids := range idx.m {
+		entries = append(entries, newOrdEntry(key, append([]int(nil), ids...)))
 	}
 	sort.Slice(entries, func(a, b int) bool {
 		return entries[a].val.Compare(entries[b].val) < 0

@@ -714,9 +714,10 @@ func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
 		h.nKeys += len(h.shards[p].keyIndex)
 	}
 	h.buildWorkers = nw
-	h.lookup = func(key []byte) int {
-		sh := &h.shards[keyPartition(key, nParts)]
-		if i, ok := sh.keyIndex[string(key)]; ok {
+	h.lookup = func(k Value) int {
+		h.keyBuf = appendValueKey(h.keyBuf[:0], k)
+		sh := &h.shards[keyPartition(h.keyBuf, nParts)]
+		if i, ok := sh.keyIndex[string(h.keyBuf)]; ok {
 			h.curBucket = sh.buckets[i]
 			return len(h.curBucket)
 		}

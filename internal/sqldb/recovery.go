@@ -298,7 +298,7 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	xid := db.tm.begin()
-	tx := &Txn{db: db, xid: xid, auto: true, wrote: true}
+	tx := &Txn{db: db, xid: xid, auto: true, wrote: true, replay: true}
 	defer db.tm.finish(xid)
 	for _, op := range ops {
 		if err := ctx.Err(); err != nil {
@@ -396,7 +396,7 @@ func findRowByImage(t *Table, img Row) (int, bool) {
 		if idx.Column >= len(img) {
 			continue
 		}
-		for _, id := range idx.appendIDs(nil, appendValueKey(nil, img[idx.Column])) {
+		for _, id := range idx.appendIDs(nil, img[idx.Column]) {
 			r := latestRow(t.head(id))
 			if r != nil && rowsExactEqual(r, img) {
 				return id, true
@@ -422,29 +422,9 @@ func rowsExactEqual(a, b Row) bool {
 		return false
 	}
 	for i := range a {
-		if !valuesExactEqual(a[i], b[i]) {
+		if a[i] != b[i] { // struct identity is kind + bits: a NaN matches itself
 			return false
 		}
 	}
 	return true
-}
-
-func valuesExactEqual(a, b Value) bool {
-	if a.kind != b.kind {
-		return false
-	}
-	switch a.kind {
-	case KindNull:
-		return true
-	case KindBool:
-		return a.b == b.b
-	case KindInt:
-		return a.i == b.i
-	case KindFloat:
-		return a.f == b.f || (a.f != a.f && b.f != b.f) // NaN matches NaN
-	case KindText:
-		return a.s == b.s
-	default:
-		return false
-	}
 }

@@ -292,9 +292,9 @@ func sealColumn(vals []Value) segCol {
 			}
 			// Delta in mod-2^64 arithmetic, zigzagged: exact for the full
 			// int64 range including wraparound-sized gaps.
-			d := uint64(v.i) - uint64(prev)
+			d := v.n - uint64(prev)
 			data = binary.AppendUvarint(data, zigzag(int64(d)))
-			prev = v.i
+			prev = int64(v.n)
 		}
 	case segEncFloat:
 		prev := uint64(0)
@@ -302,9 +302,8 @@ func sealColumn(vals []Value) segCol {
 			if v.kind == KindNull {
 				continue
 			}
-			b := math.Float64bits(v.f)
-			data = appendXORFloat(data, b^prev)
-			prev = b
+			data = appendXORFloat(data, v.n^prev)
+			prev = v.n
 		}
 	case segEncText:
 		dict := make(map[string]int)
@@ -337,7 +336,7 @@ func sealColumn(vals []Value) segCol {
 			if v.kind == KindNull {
 				continue
 			}
-			if v.b {
+			if v.n != 0 {
 				bm[j/8] |= 1 << (j % 8)
 			}
 			j++

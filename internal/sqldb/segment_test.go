@@ -30,14 +30,9 @@ func sealRoundTrip(t *testing.T, vals []Value) {
 	}
 }
 
-// segValuesEqual is valuesExactEqual with bit-pattern float comparison,
-// so NaN and negative zero round-trips are checked exactly.
-func segValuesEqual(a, b Value) bool {
-	if a.kind == KindFloat && b.kind == KindFloat {
-		return math.Float64bits(a.f) == math.Float64bits(b.f)
-	}
-	return valuesExactEqual(a, b)
-}
+// segValuesEqual is kind-and-bits identity, so NaN and negative zero
+// round-trips are checked exactly.
+func segValuesEqual(a, b Value) bool { return a == b }
 
 func TestSegmentCodecIntRoundTrip(t *testing.T) {
 	cases := [][]Value{

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -242,8 +243,11 @@ func TestTopKAllocatesForKNotN(t *testing.T) {
 		}
 		db.Seal()
 		const q = "SELECT id, price FROM items ORDER BY price DESC, id LIMIT 100"
-		best := ^uint64(0)
-		for i := 0; i < 6; i++ { // the first runs warm the plan cache and the batch pool
+		// The median, not the minimum: the first runs warm the plan cache and
+		// the batch pool, and the rare run in which one worker claims every
+		// morsel of the small table fills one heap of rows instead of two.
+		runs := make([]uint64, 7)
+		for i := range runs {
 			var a, b runtime.MemStats
 			runtime.ReadMemStats(&a)
 			res, err := db.Query(q)
@@ -251,11 +255,10 @@ func TestTopKAllocatesForKNotN(t *testing.T) {
 			if err != nil || len(res.Rows) != 100 {
 				t.Fatalf("%d rows, err %v", len(res.Rows), err)
 			}
-			if d := b.TotalAlloc - a.TotalAlloc; d < best {
-				best = d
-			}
+			runs[i] = b.TotalAlloc - a.TotalAlloc
 		}
-		return best
+		sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+		return runs[len(runs)/2]
 	}
 	small, large := measure(3*morselMinRows), measure(12*morselMinRows)
 	t.Logf("ORDER BY … LIMIT 100 allocates %d B over %d rows, %d B over %d rows", small, 3*morselMinRows, large, 12*morselMinRows)

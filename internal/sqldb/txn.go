@@ -257,10 +257,11 @@ type Txn struct {
 	xid  uint64
 	snap *snapshot
 
-	wrote bool // holds db.writeMu
-	auto  bool // autocommit statement transaction: no undo, never rolled back
-	done  bool
-	undo  []undoRec
+	wrote  bool // holds db.writeMu
+	auto   bool // autocommit statement transaction: no undo, never rolled back
+	replay bool // WAL recovery: rows arrive as logged, past coercion
+	done   bool
+	undo   []undoRec
 
 	// walOps are the logical changes to log at commit, in application
 	// order. Captured only when the database has an armed WAL (wal.go);

@@ -35,6 +35,18 @@
 // Values use dynamic typing with SQLite-flavoured affinity: every cell is a
 // Value of kind null, integer, real, text, or boolean, and comparisons
 // coerce across the numeric kinds.
+//
+// A Value is 32 bytes: the kind, one payload word and one string header. At
+// most one payload is ever live, so the scalar kinds share the word — an
+// INTEGER stores its two's-complement bits in it, a REAL its
+// math.Float64bits (every NaN payload and -0.0 survive), a BOOLEAN 0 or 1 —
+// while TEXT lives in the string and NULL is the zero Value. Rows, batch
+// buffers, result sets, group keys and index keys are all arrays of this
+// struct, so its size is the unit the live heap and every statement's bytes
+// are counted in: a field added to it grows all of them by a quarter, and
+// TestValueLayout fails first. Two Values are == exactly when they agree in
+// kind and bits, which lets an index key its map by the Value itself
+// (indexKey, key.go) instead of by an encoded copy.
 package sqldb
 
 import (
@@ -75,28 +87,37 @@ func (k Kind) String() string {
 }
 
 // Value is a single dynamically-typed SQL value. The zero Value is NULL.
+// n holds an INTEGER's bits, a REAL's Float64bits or a BOOLEAN's 0/1 (the
+// package comment says why there is one word, not three).
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // Int returns an INTEGER value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a REAL value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Text returns a TEXT value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
 
 // Bool returns a BOOLEAN value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// i64 and f64 read the payload word of an INTEGER (or BOOLEAN) and a REAL.
+func (v Value) i64() int64   { return int64(v.n) }
+func (v Value) f64() float64 { return math.Float64frombits(v.n) }
 
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -108,15 +129,10 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // NULL and TEXT that does not parse return 0.
 func (v Value) AsInt() int64 {
 	switch v.kind {
-	case KindInt:
-		return v.i
+	case KindInt, KindBool:
+		return v.i64()
 	case KindFloat:
-		return int64(v.f)
-	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return int64(v.f64())
 	case KindText:
 		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
@@ -137,14 +153,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
-	case KindInt:
-		return float64(v.i)
-	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return v.f64()
+	case KindInt, KindBool:
+		return float64(v.i64())
 	case KindText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		if err != nil {
@@ -162,11 +173,11 @@ func (v Value) AsText() string {
 	case KindText:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i64(), 10)
 	case KindFloat:
-		return formatFloat(v.f)
+		return formatFloat(v.f64())
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -180,12 +191,10 @@ func (v Value) AsText() string {
 // before conversion).
 func (v Value) AsBool() bool {
 	switch v.kind {
-	case KindBool:
-		return v.b
-	case KindInt:
-		return v.i != 0
+	case KindBool, KindInt:
+		return v.n != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f64() != 0
 	case KindText:
 		return v.s != ""
 	default:
@@ -256,20 +265,13 @@ func (v Value) Compare(o Value) int {
 		// encoding in key.go — equality must not depend on whether a plan
 		// uses hashing (keys) or direct comparison.
 		if v.kind == KindInt && o.kind == KindInt {
-			switch {
-			case v.i < o.i:
-				return -1
-			case v.i > o.i:
-				return 1
-			default:
-				return 0
-			}
+			return compareInts(v.i64(), o.i64())
 		}
 		if v.kind == KindInt && o.kind == KindFloat {
-			return compareIntFloat(v.i, o.f)
+			return compareIntFloat(v.i64(), o.f64())
 		}
 		if v.kind == KindFloat && o.kind == KindInt {
-			return -compareIntFloat(o.i, v.f)
+			return -compareIntFloat(o.i64(), v.f64())
 		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {

@@ -1,9 +1,15 @@
 package sqldb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndKinds(t *testing.T) {
@@ -180,3 +186,161 @@ func TestRowClone(t *testing.T) {
 		t.Error("Clone shares storage with original")
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Layout: Value is one kind byte, one 8-byte payload word and one string
+// header — 32 bytes. Every row, result set, group key and index key is
+// built from it, so a field added here costs a third of the heap silently;
+// this test makes it cost a red build instead. The byte-level pins below
+// were generated on the commit before the layout change: on-disk and
+// on-wire encodings are the same bytes.
+
+// layoutBigText is a 70 KB string: past every inline buffer and varint
+// width the encoders use.
+var layoutBigText = strings.Repeat("0123456789abcdefghijklmnopqrstuvwxyz", 2000)[:70*1024]
+
+// layoutNaN is a quiet NaN carrying a payload: it must survive every
+// encoding bit for bit (only index/hash keys canonicalise NaN).
+var layoutNaN = math.Float64frombits(0x7ff8dead0000beef)
+
+// layoutColumns is the corpus, one slice per sealed-column encoding.
+func layoutColumns() map[string][]Value {
+	ints := []Value{Int(math.MinInt64), Int(math.MaxInt64), Int(0), Null, Int(-1)}
+	floats := []Value{Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(layoutNaN), Null, Float(1.5)}
+	texts := []Value{Text(""), Text("a"), Null, Text(""), Text("héllo")}
+	bools := []Value{Bool(true), Bool(false), Null, Bool(true)}
+	var raw []Value
+	for _, c := range [][]Value{ints, floats, texts, bools} {
+		raw = append(raw, c...)
+	}
+	return map[string][]Value{"int": ints, "float": floats, "text": texts, "bool": bools, "raw": raw,
+		"bigtext": {Text(layoutBigText), Null, Text(layoutBigText)}, "bigraw": {Int(1), Text(layoutBigText)}}
+}
+
+// sameBits is kind- and bit-level identity through the accessors alone, so
+// it means the same thing whatever the fields are.
+func sameBits(a, b Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case KindInt:
+		return a.AsInt() == b.AsInt()
+	case KindFloat:
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	case KindText:
+		return a.AsText() == b.AsText()
+	case KindBool:
+		return a.AsBool() == b.AsBool()
+	}
+	return true
+}
+
+// pinBytes renders an encoding for comparison with its pin: hex, or the
+// SHA-256 of it once hex would not fit a source line.
+func pinBytes(b []byte) string {
+	if len(b) > 256 {
+		sum := sha256.Sum256(b)
+		return fmt.Sprintf("sha256:%x/%d", sum, len(b))
+	}
+	return hex.EncodeToString(b)
+}
+
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32: every row array, result set and index key grows with it", got)
+	}
+	if (Value{}) != Null || !(Value{}).IsNull() || Null.Kind() != KindNull {
+		t.Fatal("the zero Value must be NULL")
+	}
+	for _, i := range []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 53, 1<<53 + 1} {
+		if v := Int(i); v.Kind() != KindInt || v.AsInt() != i {
+			t.Errorf("Int(%d) round trip = %v %d", i, v.Kind(), v.AsInt())
+		}
+	}
+	for _, f := range []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), layoutNaN, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		if v := Float(f); v.Kind() != KindFloat || math.Float64bits(v.AsFloat()) != math.Float64bits(f) {
+			t.Errorf("Float(%x) round trip = %v %x", math.Float64bits(f), v.Kind(), math.Float64bits(v.AsFloat()))
+		}
+	}
+	for _, b := range []bool{true, false} {
+		if v := Bool(b); v.Kind() != KindBool || v.AsBool() != b {
+			t.Errorf("Bool(%v) round trip = %v %v", b, v.Kind(), v.AsBool())
+		}
+	}
+	for _, s := range []string{"", "a", layoutBigText} {
+		if v := Text(s); v.Kind() != KindText || v.AsText() != s {
+			t.Errorf("Text(len %d) round trip = %v len %d", len(s), v.Kind(), len(v.AsText()))
+		}
+	}
+}
+
+// TestValueEncodingsPinned round-trips the corpus through the WAL value
+// codec and all five sealed-column encodings and compares the bytes with
+// pins taken on the 48-byte layout.
+func TestValueEncodingsPinned(t *testing.T) {
+	wantEnc := map[string]byte{"int": segEncInt, "float": segEncFloat, "text": segEncText,
+		"bool": segEncBool, "raw": segEncRaw, "bigtext": segEncText, "bigraw": segEncRaw}
+	for name, vals := range layoutColumns() {
+		var wal []byte
+		for _, v := range vals {
+			wal = appendWalValue(wal, v)
+		}
+		if got := pinBytes(wal); got != layoutWalPins[name] {
+			t.Errorf("appendWalValue(%s) drifted:\n got %s\nwant %s", name, got, layoutWalPins[name])
+		}
+		dec := walDecoder{b: wal}
+		for i, v := range vals {
+			if got := dec.value(); dec.err != nil || !sameBits(got, v) {
+				t.Errorf("wal %s[%d]: decoded %v (err %v), want %v", name, i, got, dec.err, v)
+			}
+		}
+		col := sealColumn(vals)
+		if col.enc != wantEnc[name] {
+			t.Errorf("sealColumn(%s) chose encoding %d, want %d", name, col.enc, wantEnc[name])
+		}
+		if got := pinBytes(col.data); got != layoutSealPins[name] {
+			t.Errorf("sealColumn(%s) drifted:\n got %s\nwant %s", name, got, layoutSealPins[name])
+		}
+		out := make([]Value, len(vals))
+		if err := col.decode(len(vals), out); err != nil {
+			t.Fatalf("decode %s: %v", name, err)
+		}
+		for i, v := range vals {
+			if !sameBits(out[i], v) {
+				t.Errorf("seal %s[%d]: decoded %v, want %v", name, i, out[i], v)
+			}
+		}
+	}
+	// The wire's text form of a cell is AsText (pgwire/messages.go dataRow).
+	var text []string
+	for _, v := range layoutColumns()["raw"] {
+		text = append(text, v.AsText())
+	}
+	if got := strings.Join(text, "|"); got != layoutTextPin {
+		t.Errorf("AsText drifted:\n got %s\nwant %s", got, layoutTextPin)
+	}
+}
+
+var layoutWalPins = map[string]string{
+	"int":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
+	"float":   "03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f0003000000000000f83f",
+	"text":    "0400000000040100000061000400000000040600000068c3a96c6c6f",
+	"bool":    "01010100000101",
+	"raw":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f0003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
+	"bigtext": "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
+	"bigraw":  "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
+}
+
+var layoutSealPins = map[string]string{
+	"int":     "08ffffffffffffffffff0101fdffffffffffffffff0101",
+	"float":   "10018002f0ff018008efbe0000adde088008efbe0000adde0040",
+	"text":    "04030001610668c3a96c6c6f00010002",
+	"bool":    "0405",
+	"raw":     "08220402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
+	"bigtext": "sha256:ebc89b53c23b6d7568aca84ea693f774d4b491822ff231e204dc3046b92b7e05/71687",
+	"bigraw":  "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
+}
+
+const layoutTextPin = "-9223372036854775808|9223372036854775807|0||-1|-0.0|Inf|-Inf|NaN||1.5||a|||héllo|true|false||true"

@@ -119,7 +119,7 @@ type vecBatch struct {
 }
 
 // batchPool recycles batches, scratch and all, across scans: a batch's
-// buffers are a fixed ~25 KB per column touched, which a point lookup or a
+// buffers are a fixed 32 KB per column touched, which a point lookup or a
 // short range over a big table would otherwise pay afresh in every worker
 // of every statement.
 var batchPool = sync.Pool{New: func() any { return new(vecBatch) }}
@@ -617,43 +617,43 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 			// Deliberately inverted kernel for suite-sensitivity tests.
 			test := cmpTest(op)
 			for i := 0; i < n; i++ {
-				if !test(compareInts(l.at(i).i, r.at(i).i)) {
+				if !test(compareInts(l.at(i).i64(), r.at(i).i64())) {
 					t.set(i)
 				}
 			}
 		case op == "=":
 			for i := 0; i < n; i++ {
-				if l.at(i).i == r.at(i).i {
+				if l.at(i).i64() == r.at(i).i64() {
 					t.set(i)
 				}
 			}
 		case op == "!=":
 			for i := 0; i < n; i++ {
-				if l.at(i).i != r.at(i).i {
+				if l.at(i).i64() != r.at(i).i64() {
 					t.set(i)
 				}
 			}
 		case op == "<":
 			for i := 0; i < n; i++ {
-				if l.at(i).i < r.at(i).i {
+				if l.at(i).i64() < r.at(i).i64() {
 					t.set(i)
 				}
 			}
 		case op == "<=":
 			for i := 0; i < n; i++ {
-				if l.at(i).i <= r.at(i).i {
+				if l.at(i).i64() <= r.at(i).i64() {
 					t.set(i)
 				}
 			}
 		case op == ">":
 			for i := 0; i < n; i++ {
-				if l.at(i).i > r.at(i).i {
+				if l.at(i).i64() > r.at(i).i64() {
 					t.set(i)
 				}
 			}
 		default: // ">="
 			for i := 0; i < n; i++ {
-				if l.at(i).i >= r.at(i).i {
+				if l.at(i).i64() >= r.at(i).i64() {
 					t.set(i)
 				}
 			}
@@ -667,7 +667,7 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 	}
 	if l.kinds == kmFloat && r.kinds == kmFloat {
 		for i := 0; i < n; i++ {
-			a, b := l.at(i).f, r.at(i).f
+			a, b := l.at(i).f64(), r.at(i).f64()
 			c := 0
 			switch {
 			case a < b:
@@ -720,30 +720,30 @@ func arithVec(op string, l, r *vecCol, n int, out []Value) {
 		switch op {
 		case "+":
 			for i := 0; i < n; i++ {
-				out[i] = Int(l.at(i).i + r.at(i).i)
+				out[i] = Int(l.at(i).i64() + r.at(i).i64())
 			}
 		case "-":
 			for i := 0; i < n; i++ {
-				out[i] = Int(l.at(i).i - r.at(i).i)
+				out[i] = Int(l.at(i).i64() - r.at(i).i64())
 			}
 		case "*":
 			for i := 0; i < n; i++ {
-				out[i] = Int(l.at(i).i * r.at(i).i)
+				out[i] = Int(l.at(i).i64() * r.at(i).i64())
 			}
 		case "/":
 			for i := 0; i < n; i++ {
-				if d := r.at(i).i; d == 0 {
+				if d := r.at(i).i64(); d == 0 {
 					out[i] = Null
 				} else {
-					out[i] = Int(l.at(i).i / d)
+					out[i] = Int(l.at(i).i64() / d)
 				}
 			}
 		case "%":
 			for i := 0; i < n; i++ {
-				if d := r.at(i).i; d == 0 {
+				if d := r.at(i).i64(); d == 0 {
 					out[i] = Null
 				} else {
-					out[i] = Int(l.at(i).i % d)
+					out[i] = Int(l.at(i).i64() % d)
 				}
 			}
 		}

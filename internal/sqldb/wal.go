@@ -237,15 +237,9 @@ func appendWalValue(b []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case KindInt:
-		b = appendU64(b, uint64(v.i))
-	case KindFloat:
-		b = appendU64(b, math.Float64bits(v.f))
+		b = append(b, byte(v.n))
+	case KindInt, KindFloat:
+		b = appendU64(b, v.n)
 	case KindText:
 		b = appendWalString(b, v.s)
 	}

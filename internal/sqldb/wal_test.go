@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -130,6 +131,48 @@ func TestReopenRecoversCommittedState(t *testing.T) {
 	// The rolled-back transaction (including its DDL) must not resurface.
 	if _, err := db2.Query("SELECT * FROM gone"); CodeOf(err) != ErrNoTable {
 		t.Errorf("rolled-back CREATE TABLE visible after recovery: err=%v", err)
+	}
+}
+
+// TestReplayInstallsLoggedRowsVerbatim: an INSERT in the log is the row
+// coercion produced under the rule of the binary that wrote it, and the
+// UPDATE/DELETE images behind it match it bit for bit — so replay must not
+// coerce it a second time under today's rule. The log here is hand-built
+// the way a binary from before `coerce` accepted every spelling of zero
+// wrote it: TEXT '0.0' and '+0' sitting in a UNIQUE INTEGER column next to
+// 0, one of them then deleted and one updated by its image.
+func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, DurabilityOptions{})
+	db.MustExec("CREATE TABLE t (a INTEGER UNIQUE, s TEXT)")
+	if _, _, err := db.wal.appendCommit([]walOp{
+		{kind: 'I', table: "t", row: Row{Int(0), Text("zero")}},
+		{kind: 'I', table: "t", row: Row{Text("0.0"), Text("gone")}},
+		{kind: 'I', table: "t", row: Row{Text("+0"), Text("old")}},
+		{kind: 'D', table: "t", row: Row{Text("0.0"), Text("gone")}},
+		{kind: 'U', table: "t", row: Row{Text("+0"), Text("old")}, row2: Row{Text("+0"), Text("new")}},
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	closeDB(t, db)
+
+	db2 := openWalDB(t, fs, DurabilityOptions{})
+	defer closeDB(t, db2)
+	res, err := db2.Query("SELECT typeof(a), a, s FROM t ORDER BY s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res.Rows {
+		got = append(got, r[0].AsText()+" "+r[1].AsText()+" "+r[2].AsText())
+	}
+	if want := []string{"text +0 new", "integer 0 zero"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered rows = %q, want %q", got, want)
+	}
+	// A fresh insert still coerces.
+	db2.MustExec("INSERT INTO t VALUES ('7.0', 'fresh')")
+	if res, err := db2.Query("SELECT typeof(a) FROM t WHERE s = 'fresh'"); err != nil || res.Rows[0][0].AsText() != "integer" {
+		t.Errorf("typeof of a fresh '7.0' = %v, %v; want integer", res, err)
 	}
 }
 
