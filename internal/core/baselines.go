@@ -72,13 +72,13 @@ func (m *RAG) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*Answer,
 // list-format prompt otherwise.
 func generateFromPoints(ctx context.Context, model llm.Model, points []llm.DataPoint, q *tagbench.Query) (*Answer, error) {
 	if q.Spec.Type == nlq.Aggregation {
-		out, err := model.Complete(ctx, llm.AggAnswerPrompt(points, nil, q.NL))
+		out, err := model.Complete(ctx, llm.AggAnswerPrompt(points, q.NL))
 		if err != nil {
 			return nil, err
 		}
 		return &Answer{Text: out}, nil
 	}
-	out, err := model.Complete(ctx, llm.AnswerPrompt(points, nil, q.NL))
+	out, err := model.Complete(ctx, llm.AnswerPrompt(points, q.NL))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func (m *RetrievalLMRank) Answer(ctx context.Context, env *Env, q *tagbench.Quer
 	}
 	prompts := make([]string, len(points))
 	for i, p := range points {
-		prompts[i] = llm.RerankPrompt(p, nil, q.NL)
+		prompts[i] = llm.RerankPrompt(p, q.NL)
 	}
 	outs, errs := m.Model.CompleteBatch(ctx, prompts)
 	type scored struct {
@@ -171,15 +171,7 @@ func (m *Text2SQLLM) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*
 	if err != nil {
 		return nil, fmt.Errorf("text2sql+lm: retrieval SQL failed: %w", err)
 	}
-	points := make([]llm.DataPoint, len(res.Rows))
-	for i, row := range res.Rows {
-		dp := make(llm.DataPoint, len(res.Columns))
-		for ci, col := range res.Columns {
-			dp[col] = row[ci].AsText()
-		}
-		points[i] = dp
-	}
-	a, err := generateFromPoints(ctx, m.Model, points, q)
+	a, err := generateFromPoints(ctx, m.Model, dataPoints(res, true), q)
 	if err != nil {
 		// Context-length failures degrade to a parametric-knowledge-only
 		// answer for aggregation queries (Figure 2's middle panel); for

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -357,7 +358,7 @@ func TestEnvRetrieve(t *testing.T) {
 	// At least some retrieved rows should be SAT-score rows.
 	satRows := 0
 	for _, p := range pts {
-		if _, ok := p["AvgScrMath"]; ok {
+		if slices.Contains(p.Cols, "AvgScrMath") {
 			satRows++
 		}
 	}

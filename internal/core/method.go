@@ -14,7 +14,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"tag/internal/embed"
@@ -55,7 +57,6 @@ type Env struct {
 	ragOnce  sync.Once
 	ragIndex *vector.Flat
 	ragRows  []llm.DataPoint
-	ragCols  [][]string // column order per row (for stable serialisation)
 	ragErr   error
 }
 
@@ -90,35 +91,26 @@ func (e *Env) ragState() (*vector.Flat, []llm.DataPoint, error) {
 	e.ragOnce.Do(func() {
 		idx := vector.NewFlat(e.embedder.Dim(), vector.Cosine)
 		id := 0
+		var text []byte
 		for _, table := range e.DB.TableNames() {
-			rows, err := e.DB.QueryRows(context.Background(), "SELECT * FROM "+table)
+			res, err := e.DB.QueryContext(context.Background(), "SELECT * FROM "+table)
 			if err != nil {
 				e.ragErr = err
 				return
 			}
-			cols := rows.Columns()
-			for rows.Next() {
-				row := rows.Row()
-				dp := make(llm.DataPoint, len(cols))
-				text := ""
-				for ci, col := range cols {
-					v := row[ci].AsText()
-					dp[col] = v
-					text += "- " + col + ": " + v + "\n"
+			for _, row := range res.Rows {
+				text = text[:0]
+				for ci, col := range res.Columns {
+					text = append(append(append(text, "- "...), col...), ": "...)
+					text = append(row[ci].AppendText(text), '\n')
 				}
-				if err := idx.Add(id, e.embedder.Embed(text)); err != nil {
+				if err := idx.Add(id, e.embedder.Embed(string(text))); err != nil {
 					e.ragErr = err
-					rows.Close()
 					return
 				}
-				e.ragRows = append(e.ragRows, dp)
-				e.ragCols = append(e.ragCols, cols)
 				id++
 			}
-			if err := rows.Err(); err != nil {
-				e.ragErr = err
-				return
-			}
+			e.ragRows = append(e.ragRows, dataPoints(res, true)...)
 		}
 		e.ragIndex = idx
 	})
@@ -140,6 +132,73 @@ func (e *Env) retrieve(question string, k int) ([]llm.DataPoint, error) {
 		out = append(out, rows[h.ID])
 	}
 	return out, nil
+}
+
+// dataPoints serialises an executed result for in-context use: one
+// llm.DataPoint per row, all sharing one header. sorted is the baselines'
+// rendering, each distinct column name once in name order; otherwise every
+// column renders, in result order (gen over exec's table). Pinned wart, kept
+// from when a point was a map keyed by column name: where a join under
+// SELECT * repeats a name, every rendering of it shows the value of the
+// *last* column so named.
+//
+// Rendering order and source column are resolved once per result. A TEXT
+// cell shares the row's string; every other cell's text is cut from one
+// arena, so the allocations are per result, not per cell.
+func dataPoints(res *sqldb.Result, sorted bool) []llm.DataPoint {
+	cols := res.Columns
+	lastNamed := func(name string) int {
+		i := len(cols) - 1
+		for cols[i] != name {
+			i--
+		}
+		return i
+	}
+	header := cols
+	if sorted {
+		header = make([]string, 0, len(cols))
+		for i, c := range cols {
+			if lastNamed(c) == i {
+				header = append(header, c)
+			}
+		}
+		sort.Strings(header)
+	}
+	src := make([]int, len(header))
+	for i, c := range header {
+		src[i] = lastNamed(c)
+	}
+
+	n := len(header)
+	points := make([]llm.DataPoint, len(res.Rows))
+	vals := make([]string, len(res.Rows)*n)
+	var arena strings.Builder
+	if len(res.Rows) > 0 {
+		// Most non-TEXT cells print in under eight bytes; a result that
+		// needs more grows the arena like any append.
+		nonText := 0
+		for _, s := range src {
+			if res.Rows[0][s].Kind() != sqldb.KindText {
+				nonText++
+			}
+		}
+		arena.Grow(8 * nonText * len(res.Rows))
+	}
+	var cell [32]byte
+	for r, row := range res.Rows {
+		pv := vals[r*n : (r+1)*n : (r+1)*n]
+		for i, s := range src {
+			if v := row[s]; v.Kind() == sqldb.KindText {
+				pv[i] = v.AsText()
+			} else {
+				at := arena.Len()
+				arena.Write(v.AppendText(cell[:0]))
+				pv[i] = arena.String()[at:]
+			}
+		}
+		points[r] = llm.DataPoint{Cols: header, Vals: pv}
+	}
+	return points
 }
 
 // resultToAnswer converts a SQL result into an Answer: single-column

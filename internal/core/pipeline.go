@@ -68,19 +68,12 @@ func (p *Pipeline) Run(ctx context.Context, env *Env, question string) (*Result,
 
 // generate runs the answer-generation step over the computed table.
 func (p *Pipeline) generate(ctx context.Context, question string, table *sqldb.Result) (string, error) {
-	points := make([]llm.DataPoint, len(table.Rows))
-	for i, row := range table.Rows {
-		dp := make(llm.DataPoint, len(table.Columns))
-		for ci, col := range table.Columns {
-			dp[col] = row[ci].AsText()
-		}
-		points[i] = dp
-	}
+	points := dataPoints(table, false)
 	spec, err := nlq.Parse(question)
 	if err == nil && spec.Type == nlq.Aggregation {
-		return p.Model.Complete(ctx, llm.AggAnswerPrompt(points, table.Columns, question))
+		return p.Model.Complete(ctx, llm.AggAnswerPrompt(points, question))
 	}
-	return p.Model.Complete(ctx, llm.AnswerPrompt(points, table.Columns, question))
+	return p.Model.Complete(ctx, llm.AnswerPrompt(points, question))
 }
 
 // RegisterLMUDFs installs the LM user-defined functions on a database:

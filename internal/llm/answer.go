@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,10 +32,12 @@ func (m *SimLM) answerList(prompt string) (string, error) {
 	case nlq.Comparison:
 		// When the provided table is already an aggregate (a single
 		// COUNT(*) row — the TAG pipeline's exec output), read the value
-		// instead of counting data points.
+		// instead of counting data points. With several COUNT columns the
+		// first in rendering order is the one read.
 		if len(points) == 1 {
-			for k, v := range points[0] {
+			for _, k := range points[0].Cols {
 				if strings.Contains(strings.ToUpper(k), "COUNT") {
+					v, _ := points[0].get(k)
 					if _, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
 						return "[" + strings.TrimSpace(v) + "]", nil
 					}
@@ -111,10 +112,10 @@ func (m *SimLM) answerAggregation(prompt string) (string, error) {
 	if spec.Aug != nil && spec.Aug.Kind == nlq.AugCircuitInfo {
 		return m.summarizeRaces(spec.Aug.Arg, dataPointStrings(rows)), nil
 	}
-	col := bareCol(spec.Target)
+	col := columnNamed(bareCol(spec.Target))
 	var items []string
 	for _, r := range rows {
-		if v, ok := r[col]; ok {
+		if v, ok := col.of(r); ok {
 			items = append(items, v)
 		} else {
 			items = append(items, flattenPoint(r))
@@ -130,10 +131,18 @@ func (m *SimLM) answerAggregation(prompt string) (string, error) {
 // on large inputs.
 func (m *SimLM) applyInContext(spec *nlq.Spec, points []DataPoint) []DataPoint {
 	var out []DataPoint
+	filterCols := make([]column, len(spec.Filters))
+	for i, f := range spec.Filters {
+		filterCols[i] = columnNamed(bareCol(f.Column))
+	}
+	var augCol column
+	if spec.Aug != nil {
+		augCol = columnNamed(bareCol(spec.Aug.Column))
+	}
 	for _, p := range points {
 		keep := true
-		for _, f := range spec.Filters {
-			v, ok := p[bareCol(f.Column)]
+		for i, f := range spec.Filters {
+			v, ok := filterCols[i].of(p)
 			if !ok {
 				// The column is not in context; the model cannot verify the
 				// predicate and optimistically keeps the row.
@@ -144,8 +153,11 @@ func (m *SimLM) applyInContext(spec *nlq.Spec, points []DataPoint) []DataPoint {
 				break
 			}
 		}
-		if keep && spec.Aug != nil && !m.augMatches(spec.Aug, p) {
-			keep = false
+		if keep && spec.Aug != nil {
+			// A column that is not in context cannot be checked either.
+			if val, ok := augCol.of(p); ok && !m.augMatches(spec.Aug, val) {
+				keep = false
+			}
 		}
 		if keep {
 			out = append(out, p)
@@ -154,13 +166,10 @@ func (m *SimLM) applyInContext(spec *nlq.Spec, points []DataPoint) []DataPoint {
 	return out
 }
 
-// augMatches applies a filter-style augment to one data point. Ranking
-// augments (trait top-k) pass everything here; ordering happens later.
-func (m *SimLM) augMatches(a *nlq.Augment, p DataPoint) bool {
-	val, ok := p[bareCol(a.Column)]
-	if !ok {
-		return true // can't check → optimistic
-	}
+// augMatches applies a filter-style augment to a data point's value of
+// the augment column. Ranking augments (trait top-k) pass everything here;
+// ordering happens later.
+func (m *SimLM) augMatches(a *nlq.Augment, val string) bool {
 	switch a.Kind {
 	case nlq.AugCityRegion:
 		return m.view.InRegion(val, a.Arg)
@@ -200,16 +209,17 @@ func (m *SimLM) orderRows(spec *nlq.Spec, rows []DataPoint) []DataPoint {
 	if spec.OrderBy == "" {
 		return rows
 	}
-	col := bareCol(spec.OrderBy)
+	col := columnNamed(bareCol(spec.OrderBy))
 	if len(rows) == 0 {
 		return rows
 	}
-	if _, ok := rows[0][col]; !ok {
+	if _, ok := col.of(rows[0]); !ok {
 		return rows
 	}
 	sorted := append([]DataPoint(nil), rows...)
 	sort.SliceStable(sorted, func(i, j int) bool {
-		a, b := sorted[i][col], sorted[j][col]
+		a, _ := col.of(sorted[i])
+		b, _ := col.of(sorted[j])
 		fa, ea := strconv.ParseFloat(a, 64)
 		fb, eb := strconv.ParseFloat(b, 64)
 		var less bool
@@ -229,10 +239,11 @@ func (m *SimLM) orderRows(spec *nlq.Spec, rows []DataPoint) []DataPoint {
 // sortByTrait re-ranks points by the model's (noisy) trait estimate of the
 // augment column, descending.
 func (m *SimLM) sortByTrait(spec *nlq.Spec, rows []DataPoint, trait string) []DataPoint {
-	col := bareCol(spec.Aug.Column)
+	col := columnNamed(bareCol(spec.Aug.Column))
 	sorted := append([]DataPoint(nil), rows...)
 	score := func(p DataPoint) float64 {
-		t := m.view.Traits(p[col])
+		text, _ := col.of(p)
+		t := m.view.Traits(text)
 		switch trait {
 		case "sarcasm":
 			return t.Sarcasm
@@ -264,11 +275,11 @@ func traitChannel(k nlq.AugKind) string {
 // renderTargets formats the target column of the rows as the paper's
 // answer list, applying the list-manipulation slip channel.
 func (m *SimLM) renderTargets(spec *nlq.Spec, rows []DataPoint, question string) (string, error) {
-	col := bareCol(spec.Target)
+	col := columnNamed(bareCol(spec.Target))
 	var values []string
 	var quoted []bool
 	for _, r := range rows {
-		v, ok := r[col]
+		v, ok := col.of(r)
 		if !ok {
 			continue
 		}
@@ -292,12 +303,13 @@ func (m *SimLM) rerank(prompt string) (string, error) {
 		return "0.5", nil
 	}
 	p := points[0]
+	flat := flattenPoint(p)
 	score := 0.2 // base prior
 	spec, err := nlq.Parse(question)
 	if err == nil {
 		matched, checked := 0, 0
 		for _, f := range spec.Filters {
-			v, okc := p[bareCol(f.Column)]
+			v, okc := p.get(bareCol(f.Column))
 			if !okc {
 				continue
 			}
@@ -309,14 +321,17 @@ func (m *SimLM) rerank(prompt string) (string, error) {
 		if checked > 0 {
 			score = 0.15 + 0.7*float64(matched)/float64(checked)
 		}
-		if spec.Aug != nil && m.augMatches(spec.Aug, p) {
-			score += 0.15
+		if spec.Aug != nil {
+			// An augment column that is not in context counts as matched.
+			if val, okc := p.get(bareCol(spec.Aug.Column)); !okc || m.augMatches(spec.Aug, val) {
+				score += 0.15
+			}
 		}
 	} else {
 		// Lexical overlap fallback.
-		score = lexicalOverlap(question, flattenPoint(p))
+		score = lexicalOverlap(question, flat)
 	}
-	score += m.profile.signedNoise("rerank", question, flattenPoint(p)) * m.profile.ScoreNoise
+	score += m.profile.signedNoise("rerank", question, flat) * m.profile.ScoreNoise
 	if score < 0 {
 		score = 0
 	}
@@ -375,18 +390,47 @@ func bareCol(qcol string) string {
 	return qcol
 }
 
-// flattenPoint renders a data point on one line for hashing and overlap.
+// flattenPoint renders a data point on one line for hashing and overlap:
+// "col=val; " per distinct column name in sorted name order.
 func flattenPoint(p DataPoint) string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
+	cols, vals := p.Cols, p.Vals
+	for i := 1; i < len(cols); i++ {
+		if cols[i-1] >= cols[i] {
+			cols, vals = sortedDistinct(p)
+			break
+		}
 	}
-	sort.Strings(keys)
+	n := len("=; ") * len(cols)
+	for i, c := range cols {
+		n += len(c) + len(vals[i])
+	}
 	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s; ", k, p[k])
+	b.Grow(n)
+	for i, c := range cols {
+		b.WriteString(c)
+		b.WriteByte('=')
+		b.WriteString(vals[i])
+		b.WriteString("; ")
 	}
 	return b.String()
+}
+
+// sortedDistinct reorders a point's fields by column name, keeping of a
+// repeated name its last occurrence.
+func sortedDistinct(p DataPoint) (cols, vals []string) {
+	idx := make([]int, len(p.Cols))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return p.Cols[idx[a]] < p.Cols[idx[b]] })
+	cols, vals = make([]string, 0, len(idx)), make([]string, 0, len(idx))
+	for k, i := range idx {
+		if k+1 < len(idx) && p.Cols[idx[k+1]] == p.Cols[i] {
+			continue
+		}
+		cols, vals = append(cols, p.Cols[i]), append(vals, p.Vals[i])
+	}
+	return cols, vals
 }
 
 // dataPointStrings flattens points for the summariser.

@@ -33,12 +33,12 @@ func TestText2SQLRetrievalVariant(t *testing.T) {
 func TestAnswerHeadRanking(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	points := []DataPoint{
-		{"Title": "which laptop should I buy for studying", "ViewCount": "500"},
-		{"Title": "eigenvalue decomposition of the covariance matrix", "ViewCount": "400"},
-		{"Title": "what music do you listen to while working", "ViewCount": "300"},
+		pt("Title", "which laptop should I buy for studying", "ViewCount", "500"),
+		pt("Title", "eigenvalue decomposition of the covariance matrix", "ViewCount", "400"),
+		pt("Title", "what music do you listen to while working", "ViewCount", "300"),
 	}
 	q := "Of the 3 posts with the highest view count, list their title in order of most technical to least technical."
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestAnswerHeadRanking(t *testing.T) {
 func TestAnswerHeadAggregationSummary(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	points := []DataPoint{
-		{"Text": "an absolute masterpiece from start to finish"},
-		{"Text": "still the best thing I have ever watched"},
+		pt("Text", "an absolute masterpiece from start to finish"),
+		pt("Text", "still the best thing I have ever watched"),
 	}
 	q := "Summarize the text of the comments whose comment score is over 0."
-	out, err := m.Complete(context.Background(), AggAnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AggAnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestCountSlipChangesAnswer(t *testing.T) {
 	m := newTestLM(p)
 	var points []DataPoint
 	for i := 0; i < 30; i++ {
-		points = append(points, DataPoint{"height": "190", "player_name": "P" + strconv.Itoa(i)})
+		points = append(points, pt("height", "190", "player_name", "P"+strconv.Itoa(i)))
 	}
 	q := "Among the players whose height is over 180, how many of them are taller than Stephen Curry?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +128,15 @@ func TestRankingSlipSwapsEntries(t *testing.T) {
 	p.ArithBase = 1
 	m := newTestLM(p)
 	points := []DataPoint{
-		{"School": "A", "Longitude": "-120"},
-		{"School": "B", "Longitude": "-121"},
-		{"School": "C", "Longitude": "-122"},
+		pt("Longitude", "-120", "School", "A"),
+		pt("Longitude", "-121", "School", "B"),
+		pt("Longitude", "-122", "School", "C"),
 	}
 	q := "List the school name of the 3 schools with the highest longitude located in a city that is part of the 'Bay Area' region?"
 	// The grammar needs a period for List frames; keep the question as the
 	// paper's style by using the match list form directly.
 	q = strings.TrimSuffix(q, "?") + "."
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}

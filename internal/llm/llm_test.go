@@ -164,15 +164,15 @@ func TestViewTraitsNoiseBounded(t *testing.T) {
 
 func TestAnswerPromptRoundTrip(t *testing.T) {
 	points := []DataPoint{
-		{"School": "Gunn High", "AvgScrMath": "610"},
-		{"School": "Fresno High", "AvgScrMath": "520"},
+		pt("School", "Gunn High", "AvgScrMath", "610"),
+		pt("School", "Fresno High", "AvgScrMath", "520"),
 	}
-	prompt := AnswerPrompt(points, []string{"School", "AvgScrMath"}, "How many schools?")
+	prompt := AnswerPrompt(points, "How many schools?")
 	got, q, ok := parseAnswerPrompt(prompt)
 	if !ok || q != "How many schools?" || len(got) != 2 {
 		t.Fatalf("round trip: ok=%v q=%q n=%d", ok, q, len(got))
 	}
-	if got[0]["School"] != "Gunn High" || got[1]["AvgScrMath"] != "520" {
+	if got[0].Vals[0] != "Gunn High" || got[1].Vals[1] != "520" {
 		t.Errorf("points = %+v", got)
 	}
 }
@@ -251,13 +251,13 @@ func TestText2SQLHeadEmitsUDFsWhenCapable(t *testing.T) {
 func TestAnswerHeadCounting(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	points := []DataPoint{
-		{"player_name": "A", "height": "190", "volleys": "80"},
-		{"player_name": "B", "height": "185", "volleys": "75"},
-		{"player_name": "C", "height": "200", "volleys": "60"},
-		{"player_name": "D", "height": "170", "volleys": "90"},
+		pt("height", "190", "player_name", "A", "volleys", "80"),
+		pt("height", "185", "player_name", "B", "volleys", "75"),
+		pt("height", "200", "player_name", "C", "volleys", "60"),
+		pt("height", "170", "player_name", "D", "volleys", "90"),
 	}
 	q := "Among the players whose height is over 180 and whose volley score is over 70, how many of them are taller than Stephen Curry?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestAnswerHeadCounting(t *testing.T) {
 func TestAnswerHeadMatch(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	points := []DataPoint{
-		{"School": "Fresno High", "City": "Fresno", "Longitude": "-119.8", "GSoffered": "9-12"},
-		{"School": "Gunn High", "City": "Palo Alto", "Longitude": "-122.1", "GSoffered": "K-12"},
+		pt("City", "Fresno", "GSoffered", "9-12", "Longitude", "-119.8", "School", "Fresno High"),
+		pt("City", "Palo Alto", "GSoffered", "K-12", "Longitude", "-122.1", "School", "Gunn High"),
 	}
 	q := "What is the grade span offered of the school with the highest longitude located in a city that is part of the 'Silicon Valley' region?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, nil, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +431,8 @@ func TestFreeformSepangFallback(t *testing.T) {
 func TestRerankHeadScoresRelevantHigher(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	q := "Among the players whose height is over 180, how many of them are taller than Stephen Curry?"
-	relevant := RerankPrompt(DataPoint{"player_name": "A", "height": "195"}, nil, q)
-	irrelevant := RerankPrompt(DataPoint{"player_name": "B", "height": "160"}, nil, q)
+	relevant := RerankPrompt(pt("height", "195", "player_name", "A"), q)
+	irrelevant := RerankPrompt(pt("height", "160", "player_name", "B"), q)
 	r1, _ := m.Complete(context.Background(), relevant)
 	r2, _ := m.Complete(context.Background(), irrelevant)
 	if r1 <= r2 {

@@ -1,8 +1,8 @@
 package llm
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -51,98 +51,185 @@ func questionFromText2SQL(prompt string) (string, bool) {
 }
 
 // DataPoint is one row serialised for in-context use, in the paper's
-// "- col: val" format.
-type DataPoint map[string]string
+// "- col: val" format: Vals[i] is the text of column Cols[i], and the fields
+// render in slice order. Every point of one result (or of one RAG table)
+// shares one Cols; points of different tables in one prompt each bring
+// their own.
+type DataPoint struct {
+	Cols []string
+	Vals []string
+}
 
-// renderDataPoint serialises a data point with deterministic column order.
-func renderDataPoint(b *strings.Builder, idx int, dp DataPoint, order []string) {
-	fmt.Fprintf(b, "Data Point %d:\n", idx)
-	if order == nil {
-		order = make([]string, 0, len(dp))
-		for k := range dp {
-			order = append(order, k)
-		}
-		sort.Strings(order)
+// get reads the named column. Where a name repeats, the last occurrence is
+// the one read — what the map this type used to be kept.
+func (p DataPoint) get(name string) (string, bool) {
+	if i := lastIndex(p.Cols, name); i >= 0 {
+		return p.Vals[i], true
 	}
-	for _, k := range order {
-		if v, ok := dp[k]; ok {
-			fmt.Fprintf(b, "- %s: %s\n", k, v)
+	return "", false
+}
+
+func lastIndex(cols []string, name string) int {
+	for i := len(cols) - 1; i >= 0; i-- {
+		if cols[i] == name {
+			return i
 		}
 	}
+	return -1
+}
+
+// sameHeader reports whether two points share one Cols (identity, not
+// content: producers hand every point of a result the same slice).
+func sameHeader(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// column reads one named column across a list of points, resolving the
+// name to an index once per header instead of once per point.
+type column struct {
+	name string
+	cols []string
+	idx  int
+}
+
+// columnNamed starts unresolved: idx -1 is also the right answer for the
+// one header a nil cols is "the same" as, a point with no fields.
+func columnNamed(name string) column { return column{name: name, idx: -1} }
+
+func (c *column) of(p DataPoint) (string, bool) {
+	if !sameHeader(c.cols, p.Cols) {
+		c.cols, c.idx = p.Cols, lastIndex(p.Cols, c.name)
+	}
+	if c.idx < 0 {
+		return "", false
+	}
+	return p.Vals[c.idx], true
+}
+
+const (
+	answerListHead = markAnswerList + " that is evaluatable in Python. Respond in the format [value1, value2, ..., valueN]. If you are unable to answer the question, respond with []. Respond with only the list of values and nothing else. If a value is a string, it must be enclosed in double quotes.\n\n"
+	answerAggHead  = markAnswerAgg + ", it must be enclosed in double quotes.\n\n"
+	rerankHead     = markRerank + " on a scale from 0 to 1. Respond with only a number.\n\n"
+	questionTail   = "\nQuestion: "
+)
+
+// dataPrompt is the one writer behind the three in-context prompts: head,
+// the points as "Data Point n:" blocks of "- col: val" lines, and the
+// question. The prompt's length is a sum of lengths, so it is sized before
+// the first byte is written. A line break inside a value is written as a
+// space: it would otherwise read back as prompt structure (a new field or
+// a new point).
+func dataPrompt(head string, points []DataPoint, question string) string {
+	n := len(head) + len(questionTail) + len(question)
+	for i, p := range points {
+		n += len("Data Point :\n") + decimalLen(i+1) + len("- : \n")*len(p.Cols)
+		for j, c := range p.Cols {
+			n += len(c) + len(p.Vals[j])
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	var num [20]byte
+	for i, p := range points {
+		b.WriteString("Data Point ")
+		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
+		b.WriteString(":\n")
+		for j, c := range p.Cols {
+			b.WriteString("- ")
+			b.WriteString(c)
+			b.WriteString(": ")
+			v := p.Vals[j]
+			for k := strings.IndexAny(v, "\n\r"); k >= 0; k = strings.IndexAny(v, "\n\r") {
+				b.WriteString(v[:k])
+				b.WriteByte(' ')
+				v = v[k+1:]
+			}
+			b.WriteString(v)
+			b.WriteByte('\n')
+		}
+	}
+	b.WriteString(questionTail)
+	b.WriteString(question)
+	return b.String()
+}
+
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // AnswerPrompt renders the answer-generation prompt for match-based,
 // comparison and ranking queries (Appendix B.2, list-format variant).
-// order fixes the column rendering order (nil = sorted).
-func AnswerPrompt(points []DataPoint, order []string, question string) string {
-	var b strings.Builder
-	b.WriteString(markAnswerList)
-	b.WriteString(" that is evaluatable in Python. Respond in the format [value1, value2, ..., valueN]. If you are unable to answer the question, respond with []. Respond with only the list of values and nothing else. If a value is a string, it must be enclosed in double quotes.\n\n")
-	for i, dp := range points {
-		renderDataPoint(&b, i+1, dp, order)
-	}
-	b.WriteString("\nQuestion: ")
-	b.WriteString(question)
-	return b.String()
+func AnswerPrompt(points []DataPoint, question string) string {
+	return dataPrompt(answerListHead, points, question)
 }
 
 // AggAnswerPrompt renders the aggregation-variant answer prompt (free-form
 // answer, Appendix B.2 second template).
-func AggAnswerPrompt(points []DataPoint, order []string, question string) string {
-	var b strings.Builder
-	b.WriteString(markAnswerAgg)
-	b.WriteString(", it must be enclosed in double quotes.\n\n")
-	for i, dp := range points {
-		renderDataPoint(&b, i+1, dp, order)
-	}
-	b.WriteString("\nQuestion: ")
-	b.WriteString(question)
-	return b.String()
-}
-
-// parseAnswerPrompt recovers the data points and question from an answer
-// prompt (either variant).
-func parseAnswerPrompt(prompt string) (points []DataPoint, question string, ok bool) {
-	qi := strings.LastIndex(prompt, "\nQuestion: ")
-	if qi < 0 {
-		return nil, "", false
-	}
-	question = strings.TrimSpace(prompt[qi+len("\nQuestion: "):])
-	body := prompt[:qi]
-	var cur DataPoint
-	for _, line := range strings.Split(body, "\n") {
-		line = strings.TrimRight(line, "\r")
-		if strings.HasPrefix(line, "Data Point ") {
-			if cur != nil {
-				points = append(points, cur)
-			}
-			cur = DataPoint{}
-			continue
-		}
-		if cur != nil && strings.HasPrefix(line, "- ") {
-			kv := line[2:]
-			k, v, found := strings.Cut(kv, ": ")
-			if found {
-				cur[k] = v
-			}
-		}
-	}
-	if cur != nil {
-		points = append(points, cur)
-	}
-	return points, question, true
+func AggAnswerPrompt(points []DataPoint, question string) string {
+	return dataPrompt(answerAggHead, points, question)
 }
 
 // RerankPrompt renders the 0–1 relevance-scoring prompt used by the
 // Retrieval + LM Rank baseline (after STaRK).
-func RerankPrompt(point DataPoint, order []string, question string) string {
-	var b strings.Builder
-	b.WriteString(markRerank)
-	b.WriteString(" on a scale from 0 to 1. Respond with only a number.\n\n")
-	renderDataPoint(&b, 1, point, order)
-	b.WriteString("\nQuestion: ")
-	b.WriteString(question)
-	return b.String()
+func RerankPrompt(point DataPoint, question string) string {
+	return dataPrompt(rerankHead, []DataPoint{point}, question)
+}
+
+// parseAnswerPrompt recovers the data points and question from an answer
+// prompt (either variant). Values are substrings of the prompt; all points
+// cut theirs from one backing array, and a point whose column names equal
+// the previous point's shares its Cols.
+func parseAnswerPrompt(prompt string) (points []DataPoint, question string, ok bool) {
+	qi := strings.LastIndex(prompt, questionTail)
+	if qi < 0 {
+		return nil, "", false
+	}
+	question = strings.TrimSpace(prompt[qi+len(questionTail):])
+	body := prompt[:qi]
+	nPoints, nFields := strings.Count(body, "Data Point "), strings.Count(body, "\n- ")+1
+	points = make([]DataPoint, 0, nPoints)
+	vals := make([]string, 0, nFields)
+	var cols, header []string // the names of the point being read, and of the one before it
+	open, first := false, 0   // a point is being read; its values start at vals[first]
+	closePoint := func() {
+		if !open {
+			return
+		}
+		if !slices.Equal(cols, header) {
+			header, cols = cols, nil
+		}
+		points = append(points, DataPoint{Cols: header, Vals: vals[first:len(vals):len(vals)]})
+		cols, first = cols[:0], len(vals)
+	}
+	for len(body) > 0 {
+		line := body
+		if i := strings.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = ""
+		}
+		line = strings.TrimRight(line, "\r")
+		if strings.HasPrefix(line, "Data Point ") {
+			closePoint()
+			open = true
+			continue
+		}
+		if open && strings.HasPrefix(line, "- ") {
+			if k, v, found := strings.Cut(line[2:], ": "); found {
+				if cols == nil {
+					cols = make([]string, 0, (nFields+nPoints-1)/nPoints)
+				}
+				cols, vals = append(cols, k), append(vals, v)
+			}
+		}
+	}
+	closePoint()
+	return points, question, true
 }
 
 // SemFilterPrompt renders a LOTUS-style per-row boolean claim. The claim

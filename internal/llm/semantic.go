@@ -99,15 +99,14 @@ func (m *SimLM) judgeClaim(claim string) (verdict, recognised bool) {
 	return false, false
 }
 
+// cutSuffix cuts suffix (one of the claim constants, none of which ends in
+// a period) off s, allowing s a trailing period.
 func cutSuffix(s, suffix string) (string, bool) {
-	if strings.HasSuffix(s, suffix) {
-		return strings.TrimSpace(strings.TrimSuffix(s, suffix)), true
+	rest, ok := strings.CutSuffix(strings.TrimSuffix(s, "."), suffix)
+	if !ok {
+		return "", false
 	}
-	// Also allow trailing period.
-	if strings.HasSuffix(s, suffix+".") {
-		return strings.TrimSpace(strings.TrimSuffix(s, suffix+".")), true
-	}
-	return "", false
+	return strings.TrimSpace(rest), true
 }
 
 func unq(s string) string { return strings.Trim(strings.TrimSpace(s), "'\"") }

@@ -149,22 +149,26 @@ func columnForLabel(domain, label string) (string, bool) {
 
 // domainLabels returns the labels of a domain sorted longest-first, used by
 // Parse to find the longest label occurring at a position.
-func domainLabels(domain string) []string {
-	prefix := domain + "/"
-	var out []string
+func domainLabels(domain string) []string { return labelsByDomain[domain] }
+
+// labelsByDomain is colLabels regrouped once: Parse asks for a domain's
+// list at every filter and target it reads.
+var labelsByDomain = func() map[string][]string {
+	byDomain := make(map[string][]string)
 	for key, l := range colLabels {
-		if strings.HasPrefix(key, prefix) {
-			out = append(out, l)
-		}
+		domain, _, _ := strings.Cut(key, "/")
+		byDomain[domain] = append(byDomain[domain], l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) > len(out[j])
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
+	for _, out := range byDomain {
+		sort.Slice(out, func(i, j int) bool {
+			if len(out[i]) != len(out[j]) {
+				return len(out[i]) > len(out[j])
+			}
+			return out[i] < out[j]
+		})
+	}
+	return byDomain
+}()
 
 // foreignKeys lists the joins the schema makes available per domain. The
 // simulated LM consults this when a parsed question references columns from

@@ -165,7 +165,7 @@ func parseFilters(domain, table, s string) ([]Filter, error) {
 		// so the label alone identifies the (possibly joined) column.
 		var label, col string
 		for _, l := range domainLabels(domain) {
-			if strings.HasPrefix(s, l+" is ") {
+			if strings.HasPrefix(s, l) && strings.HasPrefix(s[len(l):], " is ") {
 				col, _ = columnForLabel(domain, l)
 				label = l
 				break

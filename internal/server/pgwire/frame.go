@@ -205,8 +205,7 @@ func (w *msgWriter) finish() {
 	binary.BigEndian.PutUint32(w.buf[w.frame+1:], uint32(len(w.buf)-w.frame-1))
 }
 
-func (w *msgWriter) byte1(b byte)      { w.buf = append(w.buf, b) }
-func (w *msgWriter) int16(v int)       { w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(v)) }
-func (w *msgWriter) int32(v int32)     { w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(v)) }
-func (w *msgWriter) cstring(s string)  { w.buf = append(append(w.buf, s...), 0) }
-func (w *msgWriter) rawBytes(b []byte) { w.buf = append(w.buf, b...) }
+func (w *msgWriter) byte1(b byte)     { w.buf = append(w.buf, b) }
+func (w *msgWriter) int16(v int)      { w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(v)) }
+func (w *msgWriter) int32(v int32)    { w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(v)) }
+func (w *msgWriter) cstring(s string) { w.buf = append(append(w.buf, s...), 0) }

@@ -2,6 +2,7 @@ package pgwire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"net"
 
 	"tag/internal/sqldb"
@@ -103,7 +104,8 @@ func (b *backend) rowDescription(cols []string) error {
 }
 
 // dataRow renders one engine row: NULL as length -1, everything else as
-// its AsText bytes.
+// its AsText bytes, appended straight into the frame with the length
+// back-patched once they are there.
 func (b *backend) dataRow(row sqldb.Row) error {
 	b.w.start('D')
 	b.w.int16(len(row))
@@ -112,9 +114,10 @@ func (b *backend) dataRow(row sqldb.Row) error {
 			b.w.int32(-1)
 			continue
 		}
-		s := v.AsText()
-		b.w.int32(int32(len(s)))
-		b.w.rawBytes([]byte(s))
+		at := len(b.w.buf)
+		b.w.int32(0)
+		b.w.buf = v.AppendText(b.w.buf)
+		binary.BigEndian.PutUint32(b.w.buf[at:], uint32(len(b.w.buf)-at-4))
 	}
 	return b.send()
 }

@@ -120,10 +120,11 @@ func TestKeyEqualIffEqual(t *testing.T) {
 	}
 }
 
-// FuzzKeyClasses holds arbitrary pairs to the same rule; the corpus seeds it.
+// FuzzKeyClasses holds arbitrary pairs to the same rule, and each value of
+// the pair to textAgrees; the two corpora seed it.
 func FuzzKeyClasses(f *testing.F) {
 	parts := func(v Value) (uint8, uint64, string) { return uint8(v.kind), v.n, v.s }
-	vals := keyCorpus()
+	vals := append(keyCorpus(), textCorpus()...)
 	for i, a := range vals {
 		ka, na, sa := parts(a)
 		kb, nb, sb := parts(vals[(i+1)%len(vals)])
@@ -144,8 +145,14 @@ func FuzzKeyClasses(f *testing.F) {
 		return Null
 	}
 	f.Fuzz(func(t *testing.T, ka uint8, na uint64, sa string, kb uint8, nb uint64, sb string) {
-		if err := keyClassesAgree(build(ka, na, sa), build(kb, nb, sb)); err != nil {
+		a, b := build(ka, na, sa), build(kb, nb, sb)
+		if err := keyClassesAgree(a, b); err != nil {
 			t.Fatal(err)
+		}
+		for _, v := range []Value{a, b} {
+			if err := textAgrees(v); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

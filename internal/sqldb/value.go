@@ -173,17 +173,34 @@ func (v Value) AsText() string {
 	case KindText:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i64(), 10)
-	case KindFloat:
-		return formatFloat(v.f64())
-	case KindBool:
-		if v.n != 0 {
-			return "true"
-		}
-		return "false"
-	default:
-		return ""
+		return strconv.FormatInt(v.i64(), 10) // allocates nothing below 100
 	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends AsText's rendering to dst and returns the extended
+// slice. A REAL prints the way SQLite prints it: integral values get a
+// trailing ".0" so that REAL and INTEGER remain visually distinct.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.kind {
+	case KindText:
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i64(), 10)
+	case KindBool:
+		return strconv.AppendBool(dst, v.n != 0)
+	case KindFloat:
+		f := v.f64()
+		if math.IsInf(f, 1) {
+			return append(dst, "Inf"...)
+		}
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.AppendFloat(dst, f, 'f', 1, 64)
+		}
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	return dst
 }
 
 // AsBool returns SQL truthiness: non-zero numbers and the literal TRUE are
@@ -215,21 +232,6 @@ func (v Value) String() string {
 	default:
 		return v.AsText()
 	}
-}
-
-// formatFloat renders a float the way SQLite prints it: integral values get
-// a trailing ".0" so that REAL and INTEGER remain visually distinct.
-func formatFloat(f float64) string {
-	if math.IsInf(f, 1) {
-		return "Inf"
-	}
-	if math.IsInf(f, -1) {
-		return "-Inf"
-	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 1, 64)
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // Compare defines a total order over non-NULL values and a partial order
@@ -341,9 +343,7 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 // values that compare equal produce identical keys, and distinct int64s
 // always produce distinct keys (no float64 round-trip). Hot paths should
 // use appendValueKey with a reused scratch buffer instead.
-func (v Value) Key() string {
-	return string(appendValueKey(nil, v))
-}
+func (v Value) Key() string { return string(appendValueKey(nil, v)) }
 
 // GoValue converts a Go value into a Value. Supported inputs: nil, bool,
 // all int/uint widths, float32/64, string, and Value itself. Anything else

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -320,6 +321,85 @@ func TestValueEncodingsPinned(t *testing.T) {
 	}
 	if got := strings.Join(text, "|"); got != layoutTextPin {
 		t.Errorf("AsText drifted:\n got %s\nwant %s", got, layoutTextPin)
+	}
+}
+
+// asTextReference is AsText as it was written before it folded onto
+// AppendText: strconv's Format functions and the SQLite-style float rule,
+// kept as the reference the append form is held to.
+func asTextReference(v Value) string {
+	switch v.Kind() {
+	case KindText:
+		return v.s
+	case KindInt:
+		return strconv.FormatInt(v.AsInt(), 10)
+	case KindFloat:
+		f := v.AsFloat()
+		if math.IsInf(f, 1) {
+			return "Inf"
+		}
+		if math.IsInf(f, -1) {
+			return "-Inf"
+		}
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
+		}
+		return strconv.FormatFloat(f, 'g', -1, 64)
+	case KindBool:
+		if v.AsBool() {
+			return "true"
+		}
+		return "false"
+	}
+	return ""
+}
+
+// textAgrees holds AsText and AppendText (onto an empty and onto a used
+// slice, which must keep what it held) to the reference.
+func textAgrees(v Value) error {
+	want := asTextReference(v)
+	if got := v.AsText(); got != want {
+		return fmt.Errorf("%v (%v): AsText = %q, reference %q", v, v.Kind(), got, want)
+	}
+	if got := string(v.AppendText(nil)); got != want {
+		return fmt.Errorf("%v (%v): AppendText(nil) = %q, reference %q", v, v.Kind(), got, want)
+	}
+	if got := string(v.AppendText([]byte("- col: "))); got != "- col: "+want {
+		return fmt.Errorf("%v (%v): AppendText onto a prefix = %q, reference %q", v, v.Kind(), got, "- col: "+want)
+	}
+	return nil
+}
+
+// textCorpus is what the key corpus lacks for text rendering: both sides of
+// the 1e15 switch from "%.1f" to "%g", the largest exact integers, the
+// shortest-round-trip cases and the longest renderings.
+func textCorpus() []Value {
+	var vals []Value
+	for _, f := range []float64{1e15, -1e15, 1e15 - 1, 1 - 1e15, math.Nextafter(1e15, 0), math.Nextafter(1e15, math.Inf(1)),
+		999999999999999.9, 1e16, 1e21, 1e-7, 0.1, 1.0 / 3, 123456.789, -2.5e-300, math.MaxFloat64, -math.MaxFloat64} {
+		vals = append(vals, Float(f))
+	}
+	for _, i := range []int64{9, 10, 99, 100, -99, 1e15, -1e15} {
+		vals = append(vals, Int(i))
+	}
+	return append(vals, Text("tab\tand\nnewline"), Text(strings.Repeat("x", 40)))
+}
+
+// TestAppendTextMatchesAsText: every renderer of a cell — AsText, the
+// wire's dataRow and the prompt writer's arena, both through AppendText —
+// prints what AsText printed before the fold.
+func TestAppendTextMatchesAsText(t *testing.T) {
+	for _, v := range append(keyCorpus(), textCorpus()...) {
+		if err := textAgrees(v); err != nil {
+			t.Error(err)
+		}
+	}
+	for v, want := range map[Value]string{Float(math.Inf(1)): "Inf", Float(math.Inf(-1)): "-Inf", Float(math.NaN()): "NaN",
+		Float(math.Copysign(0, -1)): "-0.0", Float(1e15 - 1): "999999999999999.0", Float(1e15): "1e+15",
+		Int(math.MinInt64): "-9223372036854775808", Null: "", Bool(true): "true", Float(2.5): "2.5", Float(5): "5.0"} {
+		if got := string(v.AppendText(nil)); got != want {
+			t.Errorf("AppendText(%v %v) = %q, want %q", v.Kind(), v, got, want)
+		}
 	}
 }
 
