@@ -260,7 +260,7 @@ func (s *session) handleQuery(payload []byte) error {
 		}
 		return s.be.readyForQuery(s.txStatus())
 	}
-	stmts, err := sqldb.ParseAll(sql)
+	stmts, err := s.db.ParseCached(sql)
 	if err != nil {
 		if err := s.reportError(err); err != nil {
 			return err
@@ -435,7 +435,7 @@ func (s *session) handleParse(payload []byte) error {
 	}
 	ps := &preparedStmt{sql: query, paramOIDs: oids}
 	if !emptyQuery(query) {
-		stmts, err := sqldb.ParseAll(query)
+		stmts, err := s.db.ParseCached(query)
 		if err != nil {
 			return s.extErr(err)
 		}

@@ -239,7 +239,7 @@ func (a *AnalyzedQuery) rootRows() uint64 {
 // execution's would be. Instrumentation is attached per call, so ordinary
 // queries pay nothing for it.
 func (db *Database) ExplainAnalyze(ctx context.Context, sql string, params ...any) (*AnalyzedQuery, error) {
-	sel, err := db.plans.lookup(sql, "ExplainAnalyze")
+	sel, err := db.plans.selectStmt(sql, "ExplainAnalyze")
 	if err != nil {
 		return nil, err
 	}

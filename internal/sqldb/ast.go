@@ -596,7 +596,7 @@ func quoteIdent(s string) string {
 	if s == "*" || s == "" {
 		return s
 	}
-	needs := keywords[strings.ToUpper(s)]
+	_, needs := keyword(s)
 	if !needs {
 		for i := 0; i < len(s); {
 			var w int

@@ -286,18 +286,22 @@ func BenchmarkVectorGroupBy(b *testing.B) {
 // name strings, both indexes and the sealed segments. It is `perf`'s
 // analytics_scan live_heap_mb, per row and without the benchmark's oracle.
 func liveHeapPerRow(tb testing.TB, n int) float64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	db := benchDB(tb, n)
 	db.vacWG.Wait() // the background sealer's pass over the bulk load
 	db.Seal()
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := liveHeap()
 	runtime.KeepAlive(db)
-	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n+n/10)
+	return (float64(after) - float64(before)) / float64(n+n/10)
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // liveHeapCeiling is the most a held row may cost at 32,768 + 3,276 rows:

@@ -124,10 +124,10 @@ func (db *Database) ExecContext(ctx context.Context, sql string, params ...any) 
 	return db.execSQL(ctx, sql, params, nil, true)
 }
 
-// execSQL parses sql and runs its statements: the text form of every Exec,
-// Database's and Txn's.
+// execSQL runs the statements of sql, parsed through the statement cache:
+// the text form of every Exec, Database's and Txn's.
 func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *Txn, session bool) (int, error) {
-	stmts, err := ParseAll(sql)
+	stmts, err := db.plans.statements(sql)
 	if err != nil {
 		return 0, err
 	}

@@ -16,14 +16,18 @@ import (
 // evaluating the same WHERE/SET expressions with a read-only statement on
 // an untouched copy is exactly snapshot semantics.
 
+// dmlTestSchema is the indexed side's DDL (the plain side has no key and no index).
+var dmlTestSchema = []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)", "CREATE INDEX idx_t_k ON t (k)"}
+
 // dmlTestDBs builds the same table into an indexed and an unindexed
 // database so both the stale-index and half-mutated-heap variants of the
 // hazard are exercised.
 func dmlTestDBs() (indexed, plain *Database) {
 	indexed = NewDatabase()
 	plain = NewDatabase()
-	indexed.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
-	indexed.MustExec("CREATE INDEX idx_t_k ON t (k)")
+	for _, ddl := range dmlTestSchema {
+		indexed.MustExec(ddl)
+	}
 	plain.MustExec("CREATE TABLE t (id INTEGER, k INTEGER)")
 	return indexed, plain
 }
@@ -194,6 +198,13 @@ type dmlShape struct {
 // engine, and the SELECT-over-pristine-clone reference must agree
 // exactly, and the indexed engine must have taken the index where marked.
 func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
+	dmlSubqueryProperty(t, func(string, []any) {})
+}
+
+// dmlSubqueryProperty is the property above with every DML it issues — text
+// and bindings, in order — shown to tap: the second corpus of the
+// statement-cache differential (statement_cache_test.go).
+func dmlSubqueryProperty(t *testing.T, tap func(sql string, params []any)) {
 	r := rand.New(rand.NewSource(117))
 	indexed, plain := dmlTestDBs()
 	nextID := 0
@@ -290,6 +301,7 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 		if ni != np {
 			t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", i, sql, ni, np)
 		}
+		tap(sql, sh.params)
 		if sh.index && (after.IndexScans+after.IndexRangeScans == before.IndexScans+before.IndexRangeScans ||
 			after.FullScans != before.FullScans) {
 			t.Fatalf("step %d: %q %v did not take the index on the indexed engine: IndexScans %+d IndexRangeScans %+d FullScans %+d",
@@ -315,6 +327,7 @@ func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
 			for _, db := range []*Database{indexed, plain} {
 				db.MustExec("INSERT INTO t VALUES (?, ?)", nextID, k)
 			}
+			tap("INSERT INTO t VALUES (?, ?)", []any{nextID, k})
 			nextID++
 		case op < 8:
 			sh := updates[r.Intn(len(updates))](r)

@@ -1,8 +1,8 @@
 package sqldb
 
 import (
-	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -25,11 +25,27 @@ func (db *Database) Dump(w io.Writer) error {
 // are bit-identical (the crash harness and checkpointing rely on this).
 func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 	tables := db.tableMap()
-	if _, err := io.WriteString(w, dumpSchemaSQL(tables)); err != nil {
+	names := make([]string, 0, len(tables))
+	for _, t := range tables {
+		names = append(names, t.Name)
+	}
+	sort.Strings(names)
+	var buf []byte // one statement, rendered in place and reused
+	for _, name := range names {
+		t := tables[strings.ToLower(name)]
+		ct := CreateTableStmt{Name: t.Name}
+		for _, c := range t.Columns {
+			ct.Columns = append(ct.Columns, ColumnDef{Name: c.Name, Type: c.DeclType, PrimaryKey: c.PrimaryKey,
+				NotNull: c.NotNull && !c.PrimaryKey, Unique: c.Unique && !c.PrimaryKey})
+		}
+		buf = append(append(buf, ct.String()...), ";\n"...)
+	}
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	for _, name := range sortedTableNames(tables) {
+	for _, name := range names {
 		t := tables[strings.ToLower(name)]
+		insert := "INSERT INTO " + quoteIdent(t.Name) + " VALUES ("
 		arr, n := t.loadSlots()
 		for id := 0; id < n; id++ {
 			head := arr[id].head.Load()
@@ -40,16 +56,15 @@ func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 			if row == nil {
 				continue
 			}
-			var b strings.Builder
-			b.WriteString("INSERT INTO " + quoteIdent(t.Name) + " VALUES (")
+			buf = append(buf[:0], insert...)
 			for i, v := range row {
 				if i > 0 {
-					b.WriteString(", ")
+					buf = append(buf, ", "...)
 				}
-				b.WriteString(v.String())
+				buf = v.appendSQL(buf)
 			}
-			b.WriteString(");\n")
-			if _, err := io.WriteString(w, b.String()); err != nil {
+			buf = append(buf, ");\n"...)
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}
@@ -60,15 +75,10 @@ func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 			if strings.HasPrefix(idx.Name, "auto_") {
 				continue
 			}
-			unique := ""
-			if idx.Unique {
-				unique = "UNIQUE "
-			}
-			stmts = append(stmts, fmt.Sprintf("CREATE %sINDEX %s ON %s (%s);\n",
-				unique, quoteIdent(idx.Name), quoteIdent(t.Name),
-				quoteIdent(t.Columns[idx.Column].Name)))
+			ci := CreateIndexStmt{Name: idx.Name, Table: t.Name, Column: t.Columns[idx.Column].Name, Unique: idx.Unique}
+			stmts = append(stmts, ci.String()+";\n")
 		}
-		sortStrings(stmts)
+		sort.Strings(stmts)
 		for _, stmt := range stmts {
 			if _, err := io.WriteString(w, stmt); err != nil {
 				return err
@@ -89,50 +99,4 @@ func (db *Database) LoadScript(src string) error {
 		return err
 	}
 	return tx.Commit()
-}
-
-// dumpSchemaSQL renders Dump's compact one-line CREATE TABLE form for a
-// catalog snapshot.
-func dumpSchemaSQL(tables map[string]*Table) string {
-	names := sortedTableNames(tables)
-	var b strings.Builder
-	for _, n := range names {
-		t := tables[strings.ToLower(n)]
-		b.WriteString("CREATE TABLE " + quoteIdent(t.Name) + " (")
-		for i, c := range t.Columns {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(quoteIdent(c.Name) + " " + c.DeclType)
-			if c.PrimaryKey {
-				b.WriteString(" PRIMARY KEY")
-			}
-			if c.NotNull && !c.PrimaryKey {
-				b.WriteString(" NOT NULL")
-			}
-			if c.Unique && !c.PrimaryKey {
-				b.WriteString(" UNIQUE")
-			}
-		}
-		b.WriteString(");\n")
-	}
-	return b.String()
-}
-
-func sortedTableNames(tables map[string]*Table) []string {
-	names := make([]string, 0, len(tables))
-	for _, t := range tables {
-		names = append(names, t.Name)
-	}
-	sortStrings(names)
-	return names
-}
-
-// sortStrings is a tiny insertion sort to avoid re-importing sort here.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -957,14 +957,10 @@ func estimateRows(op operator) int {
 // indexForJoinKey returns the table's equality index covering key, when key
 // is a bare reference to a column of the scanned table.
 func indexForJoinKey(sc *scanOp, key Expr) *Index {
-	cr, ok := key.(*ColumnRef)
-	if !ok {
-		return nil
+	if cr, ok := key.(*ColumnRef); ok {
+		return indexFor(sc.table, sc.qual, cr)
 	}
-	if cr.Table != "" && !strings.EqualFold(cr.Table, sc.qual) {
-		return nil
-	}
-	return sc.table.idxs()[strings.ToLower(cr.Column)]
+	return nil
 }
 
 // buildFrom constructs the operator tree for the FROM clause (including
@@ -1260,47 +1256,20 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, ke
 	if stmt.Where == nil {
 		return pushed, nil
 	}
-	// Per-input name sets for classification.
-	type nameSet struct {
-		qual string
-		cols map[string]bool
-	}
-	sets := make([]nameSet, len(inputs))
-	bareCount := make(map[string]int)
-	for i, in := range inputs {
-		cols := make(map[string]bool)
-		qual := ""
-		for _, c := range in.columns() {
-			lower := strings.ToLower(c.name)
-			if !cols[lower] {
-				cols[lower] = true
-				bareCount[lower]++
-			}
-			if c.qual != "" {
-				qual = c.qual
-			}
-		}
-		sets[i] = nameSet{qual: qual, cols: cols}
-	}
+	// The one input with a column the reference names; -1 when none has
+	// (an outer reference, or an error surfaced later) or two have. A name
+	// repeated inside one input has an owner: the filter pushed there reports it.
 	ownerOf := func(ref *ColumnRef) int {
-		if ref.Table != "" {
-			for i, s := range sets {
-				if strings.EqualFold(s.qual, ref.Table) {
-					return i
+		owner := -1
+		for i, in := range inputs {
+			if _, n := findCol(in.columns(), ref.Table, ref.Column); n > 0 {
+				if owner >= 0 {
+					return -1
 				}
-			}
-			return -1 // outer reference (or error surfaced later)
-		}
-		lower := strings.ToLower(ref.Column)
-		if bareCount[lower] != 1 {
-			return -1 // unknown or ambiguous across inputs
-		}
-		for i, s := range sets {
-			if s.cols[lower] {
-				return i
+				owner = i
 			}
 		}
-		return -1
+		return owner
 	}
 	for _, c := range splitConjuncts(stmt.Where) {
 		owner, pushable := -1, true
@@ -1437,15 +1406,9 @@ func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) {
 // otherwise a transient hash of the column is built on first pull —
 // once per statement, amortised across every outer-row probe.
 func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, []Expr, error) {
-	local := make(map[string]bool, len(sc.cols))
-	for _, c := range sc.cols {
-		local[strings.ToLower(c.name)] = true
-	}
 	localCol := func(cr *ColumnRef) bool {
-		if cr.Table != "" && !strings.EqualFold(cr.Table, sc.qual) {
-			return false
-		}
-		return local[strings.ToLower(cr.Column)]
+		_, n := findCol(sc.cols, cr.Table, cr.Column)
+		return n > 0
 	}
 	// outerOnly: the expression references at least one column and every
 	// reference resolves outside this scan (bare names resolve innermost
@@ -1460,11 +1423,7 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 			}
 			if cr, isRef := x.(*ColumnRef); isRef {
 				hasRef = true
-				if cr.Table == "" {
-					if local[strings.ToLower(cr.Column)] {
-						ok = false
-					}
-				} else if strings.EqualFold(cr.Table, sc.qual) {
+				if cr.Table == "" && localCol(cr) || cr.Table != "" && nameEq(cr.Table, sc.qual) {
 					ok = false
 				}
 			}
@@ -1621,15 +1580,13 @@ func splitEquiJoin(on Expr, leftCols, rightCols []colInfo) (Expr, Expr, Expr) {
 	if on == nil {
 		return nil, nil, nil
 	}
-	leftSet := sideSet(leftCols)
-	rightSet := sideSet(rightCols)
 	conjuncts := splitConjuncts(on)
 	for i, c := range conjuncts {
 		b, ok := c.(*BinaryOp)
 		if !ok || b.Op != "=" {
 			continue
 		}
-		ls, rs := exprSide(b.Left, leftSet, rightSet), exprSide(b.Right, leftSet, rightSet)
+		ls, rs := exprSide(b.Left, leftCols, rightCols), exprSide(b.Right, leftCols, rightCols)
 		var lk, rk Expr
 		switch {
 		case ls == sideLeft && rs == sideRight:
@@ -1654,41 +1611,23 @@ const (
 	sideBoth
 )
 
-func sideSet(cols []colInfo) map[string]bool {
-	m := make(map[string]bool, len(cols)*2)
-	for _, c := range cols {
-		m[strings.ToLower(c.name)] = true
-		if c.qual != "" {
-			m[strings.ToLower(c.qual)+"."+strings.ToLower(c.name)] = true
-		}
-	}
-	return m
-}
-
 // exprSide classifies which join side an expression's column references
 // belong to.
-func exprSide(e Expr, leftSet, rightSet map[string]bool) side {
+func exprSide(e Expr, leftCols, rightCols []colInfo) side {
 	s := sideNone
 	walkExpr(e, func(x Expr) bool {
 		cr, ok := x.(*ColumnRef)
 		if !ok {
 			return true
 		}
-		key := strings.ToLower(cr.Column)
-		if cr.Table != "" {
-			key = strings.ToLower(cr.Table) + "." + key
-		}
-		inL, inR := leftSet[key], rightSet[key]
-		var cs side
+		_, inL := findCol(leftCols, cr.Table, cr.Column)
+		_, inR := findCol(rightCols, cr.Table, cr.Column)
+		cs := sideBoth // in both, or in neither (an outer reference): be conservative
 		switch {
-		case inL && inR:
-			cs = sideBoth
-		case inL:
+		case inL > 0 && inR == 0:
 			cs = sideLeft
-		case inR:
+		case inR > 0 && inL == 0:
 			cs = sideRight
-		default:
-			cs = sideBoth // unknown (outer reference): be conservative
 		}
 		switch {
 		case s == sideNone:

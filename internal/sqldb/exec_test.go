@@ -454,6 +454,73 @@ func TestAmbiguousColumn(t *testing.T) {
 	}
 }
 
+// TestColumnNamesCompareStructurally: a reference meets a schema by comparing
+// qualifier and name apart (findCol), never through a "qual.name" key — so a
+// dot inside a quoted name is not a qualifier: with x(y) and t("x.y") in one
+// FROM, x.y and "x.y" each name their one column (the parent called both
+// ambiguous). What must not move is pinned beside it: a bare name two inputs
+// have is ambiguous, a name repeated inside one input is still pushed down to
+// that input (whose filter reports it), and names are equal exactly when
+// strings.ToLower makes them so — S is s, the long s is not.
+func TestColumnNamesCompareStructurally(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec(`CREATE TABLE x (y INTEGER)`)
+	db.MustExec(`CREATE TABLE t ("x.y" INTEGER, z INTEGER)`)
+	db.MustExec(`CREATE TABLE u (y INTEGER)`)
+	db.MustExec(`CREATE TABLE w (s INTEGER, ſ INTEGER)`)
+	db.MustExec(`INSERT INTO x VALUES (1)`)
+	db.MustExec(`INSERT INTO t VALUES (2, 3)`)
+	db.MustExec(`INSERT INTO u VALUES (4)`)
+	db.MustExec(`INSERT INTO w VALUES (5, 6)`)
+	for sql, want := range map[string]string{
+		`SELECT x.y FROM x CROSS JOIN t`:                             "[[1]]",
+		`SELECT "x.y" FROM x CROSS JOIN t`:                           "[[2]]",
+		`SELECT X.Y, t."x.y", "X.Y" FROM x CROSS JOIN t`:             "[[1 2 2]]",
+		`SELECT z FROM x JOIN t ON x.y + 1 = "x.y" WHERE "x.y" = 2`:  "[[3]]",
+		`SELECT z FROM x CROSS JOIN t WHERE x.y = 1 AND t."x.y" = 2`: "[[3]]",
+		`SELECT S, s, ſ, w.ſ FROM w WHERE ſ = 6 AND S = 5`:           "[[5 5 6 6]]",
+	} {
+		if got := fmt.Sprint(queryStrings(t, db, sql)); got != want {
+			t.Errorf("%s = %s, want %s", sql, got, want)
+		}
+	}
+	for _, sql := range []string{
+		`SELECT y FROM x CROSS JOIN u`,
+		`SELECT 1 FROM x CROSS JOIN u WHERE y = 1`,
+		`SELECT 1 FROM (SELECT y, y FROM x) d CROSS JOIN t WHERE d.y = 1`,
+		`SELECT 1 FROM (SELECT y, y FROM x) d CROSS JOIN t WHERE y = 1`,
+	} {
+		if _, err := db.Query(sql); CodeOf(err) != ErrAmbiguous {
+			t.Errorf("%s: %v, want an ambiguous-column error", sql, err)
+		}
+	}
+
+	stmt, err := Parse(`SELECT 1 FROM d CROSS JOIN t WHERE d.y = 1 AND y = 2 AND "x.y" = 3 AND Z = 4 AND k = 5 AND t.k = 6 AND ſ = 7 AND q.y = 8`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed, kept := pushdownConjuncts(stmt.(*SelectStmt), []operator{
+		&valuesOp{cols: []colInfo{{"d", "y"}, {"d", "y"}, {"d", "k"}, {"d", "s"}}},
+		&valuesOp{cols: []colInfo{{"t", "x.y"}, {"t", "z"}, {"t", "k"}}},
+	})
+	render := func(es []Expr) string {
+		var parts []string
+		for _, e := range es {
+			parts = append(parts, e.String())
+		}
+		return strings.Join(parts, " & ")
+	}
+	if got, want := render(pushed[0]), `(d.y = 1) & (y = 2)`; got != want {
+		t.Errorf("pushed to d: %s, want %s", got, want)
+	}
+	if got, want := render(pushed[1]), `("x.y" = 3) & (Z = 4) & (t.k = 6)`; got != want {
+		t.Errorf("pushed to t: %s, want %s", got, want)
+	}
+	if got, want := render(kept), `(k = 5) & (ſ = 7) & (q.y = 8)`; got != want {
+		t.Errorf("kept above the join: %s, want %s", got, want)
+	}
+}
+
 // TestIndexScanEquivalence is the core planner property: for random
 // equality predicates, an indexed scan returns exactly what a full scan
 // returns.

@@ -21,13 +21,9 @@ import (
 // ExplainAnalyze (analyze.go) runs the statement for real and renders the
 // same tree annotated with per-operator counts.
 func (db *Database) Explain(sql string, params ...any) ([]string, error) {
-	stmt, err := Parse(sql)
+	sel, err := db.plans.selectStmt(sql, "Explain")
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		return nil, errf(ErrMisuse, "sql: EXPLAIN supports SELECT statements, got %T", stmt)
 	}
 	// The plan Query would run, opened by the opener Query uses — pool
 	// eligibility and every other planner decision read the same query

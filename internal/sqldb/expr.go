@@ -3,6 +3,7 @@ package sqldb
 import (
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // colInfo names one column of an intermediate result: an optional table
@@ -25,7 +26,6 @@ func (c colInfo) String() string {
 // aggregation — the per-group context compiled expressions read from.
 type evalEnv struct {
 	cols   []colInfo
-	lookup map[string]int // "qual.col" and bare "col" -> ordinal; ambiguous = -2
 	row    Row
 	params []Value
 	db     *Database
@@ -46,44 +46,62 @@ func newEvalEnv(cols []colInfo, db *Database, params []Value, outer *evalEnv, qc
 	if qc == nil && outer != nil {
 		qc = outer.qc
 	}
-	env := &evalEnv{cols: cols, db: db, params: params, outer: outer, qc: qc}
-	env.lookup = buildLookup(cols)
-	return env
+	return &evalEnv{cols: cols, db: db, params: params, outer: outer, qc: qc}
 }
 
-func buildLookup(cols []colInfo) map[string]int {
-	m := make(map[string]int, len(cols)*2)
-	for i, c := range cols {
-		bare := strings.ToLower(c.name)
-		if prev, ok := m[bare]; ok && prev != i {
-			m[bare] = -2 // ambiguous
-		} else {
-			m[bare] = i
+// nameEq is the engine's identifier equivalence: a and b are the same name
+// when strings.ToLower maps them to the same string. ASCII bytes fold in
+// place and the first non-ASCII byte hands the rest to ToLower itself —
+// not strings.EqualFold, whose simple folding also makes ſ equal to s.
+func nameEq(a, b string) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			return strings.ToLower(a[i:]) == strings.ToLower(b[i:])
 		}
-		if c.qual != "" {
-			q := strings.ToLower(c.qual) + "." + bare
-			if prev, ok := m[q]; ok && prev != i {
-				m[q] = -2
-			} else {
-				m[q] = i
+		if ca != cb {
+			if 'A' <= ca && ca <= 'Z' {
+				ca += 'a' - 'A'
+			}
+			if 'A' <= cb && cb <= 'Z' {
+				cb += 'a' - 'A'
+			}
+			if ca != cb {
+				return false
 			}
 		}
 	}
-	return m
+	return len(a) == len(b)
+}
+
+// findCol is how every column reference meets a schema: it reports how many
+// of cols the reference names and the ordinal of the first. A bare reference
+// (qual "") goes by name alone; a qualified one also needs the column's own
+// qualifier to match — compared apart, so a dot inside a quoted name is never
+// read as a qualifier. Nothing is built: schemas run to a few dozen columns
+// and references are resolved once, at plan time.
+func findCol(cols []colInfo, qual, name string) (ord, n int) {
+	ord = -1
+	for i, c := range cols {
+		if !nameEq(c.name, name) || qual != "" && (c.qual == "" || !nameEq(c.qual, qual)) {
+			continue
+		}
+		if n == 0 {
+			ord = i
+		}
+		n++
+	}
+	return ord, n
 }
 
 // resolve finds the ordinal for a column reference, walking outer scopes for
 // correlated subqueries. The second result reports which env owned it.
 func (env *evalEnv) resolve(ref *ColumnRef) (int, *evalEnv, error) {
-	key := strings.ToLower(ref.Column)
-	if ref.Table != "" {
-		key = strings.ToLower(ref.Table) + "." + key
-	}
 	for e := env; e != nil; e = e.outer {
-		if i, ok := e.lookup[key]; ok {
-			if i == -2 {
-				return 0, nil, errf(ErrAmbiguous, "sql: ambiguous column name: %s", ref)
-			}
+		switch i, n := findCol(e.cols, ref.Table, ref.Column); {
+		case n > 1:
+			return 0, nil, errf(ErrAmbiguous, "sql: ambiguous column name: %s", ref)
+		case n == 1:
 			return i, e, nil
 		}
 	}

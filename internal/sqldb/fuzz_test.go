@@ -38,6 +38,9 @@ var fuzzSeedSQL = []string{
 	"CREATE UNIQUE INDEX idx ON t (a)",
 	"DROP TABLE IF EXISTS t",
 	"SELECT \"quoted col\" FROM \"quoted table\"",
+	// Identifiers Unicode upper-casing would turn into SET and IN.
+	"CREATE TABLE t (ſet INTEGER, ın INTEGER)",
+	"SELECT ſet, ın FROM t WHERE ın IN (1, 2)",
 }
 
 // FuzzParse: parsing arbitrary input must never panic, must only report

@@ -29,21 +29,38 @@ type token struct {
 	pos  int
 }
 
-// keywords is the set of reserved words recognised by the parser. Words not
-// listed here lex as identifiers even if they look special.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true, "AS": true,
-	"AND": true, "OR": true, "NOT": true, "NULL": true, "IS": true, "IN": true,
-	"LIKE": true, "BETWEEN": true, "DISTINCT": true, "ASC": true, "DESC": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "OUTER": true,
-	"CROSS": true, "ON": true, "CREATE": true, "TABLE": true, "INDEX": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "DROP": true, "PRIMARY": true, "KEY": true, "UNIQUE": true,
-	"TRUE": true, "FALSE": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "EXISTS": true, "CAST": true, "UNION": true,
-	"ALL": true, "IF": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true,
+// keywords maps each reserved word to itself — the one canonical string every
+// token of that keyword carries. Words not listed here lex as identifiers
+// even if they look special.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, w := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET AS
+		AND OR NOT NULL IS IN LIKE BETWEEN DISTINCT ASC DESC JOIN INNER LEFT RIGHT OUTER
+		CROSS ON CREATE TABLE INDEX INSERT INTO VALUES UPDATE SET DELETE DROP PRIMARY KEY
+		UNIQUE TRUE FALSE CASE WHEN THEN ELSE END EXISTS CAST UNION ALL IF
+		BEGIN COMMIT ROLLBACK TRANSACTION`) {
+		m[w] = w
+	}
+	return m
+}()
+
+// keyword returns the canonical spelling of word when it is reserved. Only
+// ASCII letters fold: Unicode upper-casing would read the identifiers ſet
+// and ın as SET and IN. The folded copy lives on the stack and the map hands
+// back its own string, so classifying a word allocates nothing.
+func keyword(word string) (string, bool) {
+	var buf [len("TRANSACTION")]byte // the longest keyword
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		buf[i] = word[i]
+		if 'a' <= buf[i] && buf[i] <= 'z' {
+			buf[i] -= 'a' - 'A'
+		}
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // lexError reports a lexical error with byte position context.
@@ -57,9 +74,12 @@ func (e *lexError) Error() string {
 }
 
 // lex tokenises a SQL string. It never panics; malformed input yields an
-// error identifying the offending offset.
+// error identifying the offending offset. The token slice is sized once
+// from the source and every token's text is a slice of the source, a
+// keyword's canonical string or a constant — only a quoted literal holding
+// a doubled quote is built — so a statement costs one allocation.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/3+4)
 	i := 0
 	n := len(src)
 	for i < n {
@@ -88,7 +108,7 @@ func lex(src string) ([]token, error) {
 		case c == '"' || c == '`':
 			// Quoted identifier. An empty one is rejected: nothing can be
 			// named "", and it cannot round-trip through rendering.
-			s, next, err := lexString(src, i, rune(c))
+			s, next, err := lexString(src, i, c)
 			if err != nil {
 				return nil, err
 			}
@@ -150,9 +170,8 @@ func lex(src string) ([]token, error) {
 				i += w
 			}
 			word := src[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{typ: tokKeyword, text: up, pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{typ: tokKeyword, text: kw, pos: start})
 			} else {
 				toks = append(toks, token{typ: tokIdent, text: word, pos: start})
 			}
@@ -174,23 +193,26 @@ func lex(src string) ([]token, error) {
 
 // lexString scans a quoted literal starting at src[start] (which must be the
 // opening quote). Doubled quotes escape themselves. It returns the unescaped
-// contents and the index just past the closing quote.
-func lexString(src string, start int, quote rune) (string, int, error) {
-	var b strings.Builder
-	i := start + 1
-	n := len(src)
-	for i < n {
-		c := rune(src[i])
-		if c == quote {
-			if i+1 < n && rune(src[i+1]) == quote {
-				b.WriteRune(quote)
-				i += 2
-				continue
-			}
-			return b.String(), i + 1, nil
+// contents — a slice of src unless a doubled quote has to be collapsed —
+// and the index just past the closing quote.
+func lexString(src string, start int, quote byte) (string, int, error) {
+	var b strings.Builder // written only once a doubled quote is seen
+	run := start + 1      // start of the text not yet copied to b
+	for i := run; i < len(src); i++ {
+		if src[i] != quote {
+			continue
 		}
-		b.WriteByte(src[i])
-		i++
+		if i+1 < len(src) && src[i+1] == quote {
+			b.WriteString(src[run : i+1])
+			i++
+			run = i + 1
+			continue
+		}
+		if run == start+1 {
+			return src[run:i], i + 1, nil
+		}
+		b.WriteString(src[run:i])
+		return b.String(), i + 1, nil
 	}
 	return "", 0, &lexError{pos: start, msg: "unterminated string literal"}
 }
@@ -207,7 +229,7 @@ func lexOp(src string, i int) (string, int, error) {
 	}
 	switch src[i] {
 	case '(', ')', ',', ';', '.', '=', '<', '>', '+', '-', '*', '/', '%':
-		return string(src[i]), 1, nil
+		return src[i : i+1], 1, nil
 	}
 	return "", 0, &lexError{pos: i, msg: fmt.Sprintf("unexpected character %q", src[i])}
 }

@@ -102,13 +102,17 @@ func TestRangeScanReadsOnlyMatchingRows(t *testing.T) {
 	}
 }
 
+// dmlPropSchema is the indexed side's DDL (the plain side has no key and no index).
+var dmlPropSchema = []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)", "CREATE INDEX idx_t_k ON t (k)"}
+
 // dmlPropDBs builds the same mutable table into an indexed and an
 // unindexed database for the interleaved DML property test.
 func dmlPropDBs() (indexed, plain *Database) {
 	indexed = NewDatabase()
 	plain = NewDatabase()
-	indexed.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)")
-	indexed.MustExec("CREATE INDEX idx_t_k ON t (k)")
+	for _, ddl := range dmlPropSchema {
+		indexed.MustExec(ddl)
+	}
 	plain.MustExec("CREATE TABLE t (id INTEGER, k INTEGER, s TEXT)")
 	return indexed, plain
 }
@@ -157,7 +161,18 @@ var orderedSuiteQueries = []func(*rand.Rand) string{
 // rolled-back leg must leave both engines exactly where they were, which
 // the step's queries (and the naive-reference comparison) then verify.
 func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
+	return interleavedDMLStream(r, steps, txnLegs, nil)
+}
+
+// interleavedDMLStream is interleavedDMLProperty with its statement stream
+// shown to tap (when set): every DML and every query, text and bindings, in
+// order — the corpus the statement-cache differential replays on its own
+// databases (statement_cache_test.go). A tap error ends the run.
+func interleavedDMLStream(r *rand.Rand, steps int, txnLegs bool, tap func(sql string, params []any) error) error {
 	indexed, plain := dmlPropDBs()
+	if tap == nil {
+		tap = func(string, []any) error { return nil }
+	}
 	words := []string{"ant", "bee", "cat", "dog"}
 	nextID := 0
 
@@ -198,7 +213,7 @@ func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
 		if (erri == nil) != (errp == nil) || ni != np {
 			return fmt.Errorf("DML diverged on %q: indexed (%d, %v) vs plain (%d, %v)", sql, ni, erri, np, errp)
 		}
-		return nil
+		return tap(sql, params)
 	}
 
 	for step := 0; step < steps; step++ {
@@ -233,6 +248,9 @@ func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
 			err = exec(fmt.Sprintf("DELETE FROM t WHERE k BETWEEN %d AND %d", r.Intn(40), 5+r.Intn(40)))
 		default: // query
 			sql := orderedSuiteQueries[r.Intn(len(orderedSuiteQueries))](r)
+			if err := tap(sql, nil); err != nil {
+				return err
+			}
 			ri, err := indexed.Query(sql)
 			if err != nil {
 				return fmt.Errorf("indexed Query(%q): %v", sql, err)

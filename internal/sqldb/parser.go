@@ -34,6 +34,11 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return oneStatement(stmts, src)
+}
+
+// oneStatement is Parse's rule over a parsed text: exactly one statement.
+func oneStatement(stmts []Statement, src string) (Statement, error) {
 	if len(stmts) != 1 {
 		return nil, wrapErr(ErrParse, &ParseError{Pos: 0, Msg: fmt.Sprintf("expected exactly one statement, got %d", len(stmts)), Src: src})
 	}

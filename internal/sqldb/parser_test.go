@@ -65,6 +65,46 @@ func TestLexQuotedIdentifiers(t *testing.T) {
 	}
 }
 
+// TestKeywordsAreASCII: a keyword is an ASCII word in any case, and only
+// that. The long s and the dotless i upper-case to S and I under Unicode
+// rules, so a lexer that classifies strings.ToUpper(word) reads the
+// identifiers ſet and ın as SET and IN ("expected identifier, found SET").
+func TestKeywordsAreASCII(t *testing.T) {
+	for _, sql := range []string{
+		"CREATE TABLE t (ſet INTEGER, ın INTEGER)",
+		"SELECT ſet, ın FROM t WHERE ın IN (1, 2)",
+		"UPDATE t SET ſet = 1 WHERE ın = 2",
+	} {
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", sql, err)
+			continue
+		}
+		if got := stmt.String(); !strings.Contains(got, "ſet") || strings.ContainsAny(got, "\"`") {
+			t.Errorf("%q renders as %q: want the identifiers kept and unquoted", sql, got)
+		}
+		again, err := Parse(stmt.String())
+		if err != nil || again.String() != stmt.String() {
+			t.Errorf("%q does not round-trip: %q, %v", sql, stmt, err)
+		}
+	}
+	toks, err := lex("SeLeCt sElEcT_ FrOm ſELECT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []token{{tokKeyword, "SELECT", 0}, {tokIdent, "sElEcT_", 7}, {tokKeyword, "FROM", 15}, {tokIdent, "ſELECT", 20}} {
+		if toks[i] != want {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want)
+		}
+	}
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (ſet INTEGER, \"set\" INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1, 2)")
+	if got := queryStrings(t, db, "SELECT ſet, \"set\" FROM t"); got[0][0] != "1" || got[0][1] != "2" {
+		t.Errorf("ſet and \"set\" read %v, want [1 2]", got)
+	}
+}
+
 func TestParseSelectShapes(t *testing.T) {
 	// Each input must parse; print; and re-parse to the same string.
 	inputs := []string{

@@ -1,22 +1,25 @@
 package sqldb
 
 import (
-	"container/list"
 	"context"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements prepared statements and the database's plan cache.
+// This file implements the database's statement cache and prepared
+// statements. The rule: work that depends only on a statement's text
+// happens once per text. Lexing and parsing are that work; everything after
+// them reads the schema, the bound values and the snapshot (join build sides
+// materialise during planning, the access path is picked from the bound
+// values), so it runs per execution. Every entry point that is handed text
+// reaches the parser through one cache of text -> []Statement: Exec and
+// Txn.Exec of any statement kind (execSQL), Query*/Prepare/Explain*
+// (selectStmt) and the wire server's Query and Parse messages (ParseCached).
 //
-// Parsing is by far the most expensive statement-independent step of
-// Query (planning proper is data-dependent — join build sides materialise
-// during it — so it runs per execution). A Stmt pins the parsed AST so
-// repeated executions skip the parser, and Database.Query consults an LRU
-// cache keyed by SQL text so even callers that re-submit raw strings —
-// the TAG benchmark harness re-runs its 80 queries every pass — parse each
-// statement once. Parsed ASTs are never mutated by execution, so a single
-// Stmt is safe for concurrent use.
+// Execution never mutates a parsed statement — statement_cache_test.go runs
+// cached against fresh-parsed step by step and renders every cached
+// statement before and after — so one AST serves any number of concurrent
+// executions and a Stmt is safe for concurrent use.
 
 // Stmt is a prepared SELECT statement: parsed once, executable many times
 // with different parameters.
@@ -28,7 +31,7 @@ type Stmt struct {
 
 // Prepare parses a SELECT statement for repeated execution.
 func (db *Database) Prepare(sql string) (*Stmt, error) {
-	sel, err := db.plans.lookup(sql, "Prepare")
+	sel, err := db.plans.selectStmt(sql, "Prepare")
 	if err != nil {
 		return nil, err
 	}
@@ -59,51 +62,101 @@ func (s *Stmt) QueryRows(ctx context.Context, params ...any) (*Rows, error) {
 // SQL returns the statement's original text.
 func (s *Stmt) SQL() string { return s.sql }
 
-// planCacheCap bounds the number of parsed statements a database retains.
-// TAG-Bench's full workload (80 queries plus truth/table probes) fits with
-// room to spare; busier callers recycle via LRU.
-const planCacheCap = 512
+// What the cache retains is bounded by constants, however long a text is
+// and however many arrive: an entry is charged its text plus planEntryCost
+// (a short statement's AST and the entry) and the least recently used go
+// once the charges pass planCacheBudget. A text over planCacheMaxText — a
+// script for LoadScript, a recovered snapshot, a bulk INSERT — is parsed and
+// not kept: its AST, some twenty times its text, must not outlive the call.
+const (
+	planCacheBudget  = 1 << 17
+	planCacheMaxText = 1 << 12
+	planEntryCost    = 128
+)
 
-// planCache is an LRU of SQL text -> parsed SELECT. Only successful SELECT
-// parses are cached; parse errors are re-reported by the parser each time,
-// and non-SELECT statements do not come through here at all — every Exec
-// runs ParseAll (execSQL, db.go), which on a write-heavy workload (perf's
-// oltp_durable is 45 % DML) is a parse per statement still to be saved
-// (ROADMAP, perf ledger: "DML through the plan cache").
+// planCache is an LRU of SQL text -> the statements ParseAll returns for it.
+// Only successful parses are kept; the parser re-reports an error each time.
+// The entries form a ring through lru: next is the most recently used.
 type planCache struct {
 	mu     sync.Mutex
-	m      map[string]*list.Element
-	lru    *list.List // front = most recently used
+	m      map[string]*planEntry
+	lru    planEntry
+	held   int // sum of the entries' charges
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 type planEntry struct {
-	sql string
-	sel *SelectStmt
+	sql        string
+	stmts      []Statement
+	prev, next *planEntry
 }
 
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[string]*list.Element), lru: list.New()}
+	c := &planCache{m: make(map[string]*planEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
-// lookup returns the cached parse of sql, parsing and inserting on miss.
-// verb names the calling API in the non-SELECT error message.
-func (c *planCache) lookup(sql, verb string) (*SelectStmt, error) {
+func (e *planEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
+
+// statements returns the parse of sql, from the cache or into it. The
+// result is shared: callers read it and never write.
+func (c *planCache) statements(sql string) ([]Statement, error) {
 	c.mu.Lock()
-	if el, ok := c.m[sql]; ok {
-		c.lru.MoveToFront(el)
-		sel := el.Value.(*planEntry).sel
+	if e := c.m[sql]; e != nil {
+		e.unlink()
+		c.link(e)
+		stmts := e.stmts // read under mu: an evicted entry is reused
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return sel, nil
+		return stmts, nil
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
+	// Parse outside the lock; of two misses on one text the first in stays.
+	stmts, err := ParseAll(sql)
+	if err != nil || len(sql) > planCacheMaxText {
+		return stmts, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.m[sql]; e != nil {
+		return e.stmts, nil
+	}
+	// Make room; the last entry evicted carries the new statements, so a
+	// stream of never-repeated texts inserts without allocating.
+	var e *planEntry
+	for c.held += len(sql) + planEntryCost; c.held > planCacheBudget; {
+		e = c.lru.prev
+		e.unlink()
+		delete(c.m, e.sql)
+		c.held -= len(e.sql) + planEntryCost
+	}
+	if e == nil {
+		e = new(planEntry)
+	}
+	e.sql, e.stmts = sql, stmts
+	c.link(e)
+	c.m[sql] = e
+	return stmts, nil
+}
 
-	// Parse outside the lock; concurrent misses on the same text just
-	// parse twice and the second insert wins the front slot.
-	stmt, err := Parse(sql)
+// link makes e, which is in no ring, the most recently used entry.
+func (c *planCache) link(e *planEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// selectStmt is statements for the callers that run one SELECT: Parse's
+// single-statement rule, then the kind. verb names the calling API in the
+// non-SELECT error message.
+func (c *planCache) selectStmt(sql, verb string) (*SelectStmt, error) {
+	stmts, err := c.statements(sql)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := oneStatement(stmts, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -111,30 +164,5 @@ func (c *planCache) lookup(sql, verb string) (*SelectStmt, error) {
 	if !ok {
 		return nil, errf(ErrMisuse, "sql: %s requires a SELECT statement, got %T", verb, stmt)
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[sql]; ok { // lost the race: keep the incumbent
-		c.lru.MoveToFront(el)
-		return el.Value.(*planEntry).sel, nil
-	}
-	c.m[sql] = c.lru.PushFront(&planEntry{sql: sql, sel: sel})
-	for c.lru.Len() > planCacheCap {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.m, last.Value.(*planEntry).sql)
-	}
 	return sel, nil
-}
-
-// counters reports the cache's cumulative hit/miss counts (Stats).
-func (c *planCache) counters() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// len reports the number of cached plans (for tests).
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

@@ -47,6 +47,7 @@ func TestPrepareBasics(t *testing.T) {
 func TestPlanCacheReusesParses(t *testing.T) {
 	db := testDB(t)
 	const sql = "SELECT COUNT(*) FROM movies"
+	held := len(db.plans.m) // the fixture's own DDL and INSERTs
 	s1, err := db.Prepare(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +62,8 @@ func TestPlanCacheReusesParses(t *testing.T) {
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.plans.len(); got != 1 {
-		t.Errorf("plan cache holds %d entries, want 1", got)
+	if got := len(db.plans.m); got != held+1 {
+		t.Errorf("statement cache holds %d entries, want %d", got, held+1)
 	}
 	// Executions through the cache must stay correct after DDL touching
 	// unrelated tables (the cache stores parses, not bound plans).
@@ -78,18 +79,29 @@ func TestPlanCacheReusesParses(t *testing.T) {
 
 func TestPlanCacheEvicts(t *testing.T) {
 	db := testDB(t)
-	for i := 0; i < planCacheCap+10; i++ {
-		if _, err := db.Query(fmt.Sprintf("SELECT %d FROM movies LIMIT 1", i)); err != nil {
+	const texts = 2 * planCacheBudget / planEntryCost // more than can ever fit
+	text := func(i int) string { return fmt.Sprintf("SELECT %d FROM movies LIMIT 1", i) }
+	for i := 0; i < texts; i++ {
+		if _, err := db.Query(text(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := db.plans.len(); got != planCacheCap {
-		t.Errorf("plan cache holds %d entries, want cap %d", got, planCacheCap)
+	entries, charge := len(db.plans.m), db.plans.held
+	if charge > planCacheBudget || entries == 0 || entries >= texts {
+		t.Errorf("statement cache holds %d entries charged %d, want some and at most %d", entries, charge, planCacheBudget)
 	}
-	// The most recent statements are retained and still executable.
-	sql := fmt.Sprintf("SELECT %d FROM movies LIMIT 1", planCacheCap+9)
-	if _, err := db.Query(sql); err != nil {
+	// The most recent statement is retained (a hit) and still executable;
+	// the oldest went (a miss).
+	before := db.Stats()
+	if _, err := db.Query(text(texts - 1)); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := db.Query(text(0)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Stats()
+	if hits, misses := s.PlanCacheHits-before.PlanCacheHits, s.PlanCacheMisses-before.PlanCacheMisses; hits != 1 || misses != 1 {
+		t.Errorf("newest then oldest text: %d hits, %d misses; want 1 and 1", hits, misses)
 	}
 }
 

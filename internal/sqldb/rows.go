@@ -37,7 +37,7 @@ type Rows struct {
 // QueryRows executes a SELECT and returns a streaming cursor positioned
 // before the first row. Parses are served from the LRU plan cache.
 func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*Rows, error) {
-	sel, err := db.plans.lookup(sql, "QueryRows")
+	sel, err := db.plans.selectStmt(sql, "QueryRows")
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Stats struct {
 	Queries uint64
 	// Execs counts non-SELECT statements executed (DDL and DML).
 	Execs uint64
-	// PlanCacheHits / PlanCacheMisses count lookups in the LRU plan cache.
+	// PlanCacheHits / PlanCacheMisses count lookups in the statement cache.
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
 	// RowsScanned counts base-table rows read (heap or index) by any
@@ -158,12 +158,11 @@ type dbStats struct {
 
 // Stats returns a snapshot of the database's counters.
 func (db *Database) Stats() Stats {
-	hits, misses := db.plans.counters()
 	return Stats{
 		Queries:            db.stats.queries.Load(),
 		Execs:              db.stats.execs.Load(),
-		PlanCacheHits:      hits,
-		PlanCacheMisses:    misses,
+		PlanCacheHits:      db.plans.hits.Load(),
+		PlanCacheMisses:    db.plans.misses.Load(),
 		RowsScanned:        db.stats.rowsScanned.Load(),
 		RowsEmitted:        db.stats.rowsEmitted.Load(),
 		IndexScans:         db.stats.indexScans.Load(),

@@ -774,14 +774,16 @@ func lendRows(op operator) {
 // expression or (possibly) a subquery, or is an ambiguous or out-of-range
 // reference whose error the row path reports.
 func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
-	lookup := buildLookup(outCols)
 	outCol := func(e Expr) (int, bool) { // the output column a bare reference names
 		cr, ok := e.(*ColumnRef)
 		if !ok || cr.Table != "" {
 			return 0, false
 		}
-		j, named := lookup[strings.ToLower(cr.Column)]
-		return j, named
+		j, n := findCol(outCols, "", cr.Column)
+		if n > 1 {
+			j = -1 // ambiguous
+		}
+		return j, n > 0
 	}
 	keys := make([]scanKey, len(orderBy))
 	for i, ob := range orderBy {

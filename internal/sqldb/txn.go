@@ -433,7 +433,7 @@ func (tx *Txn) QueryContext(ctx context.Context, sql string, params ...any) (*Re
 // holds its own snapshot reference and stays valid (and consistent) even
 // if the transaction commits before the cursor is drained.
 func (tx *Txn) QueryRows(ctx context.Context, sql string, params ...any) (*Rows, error) {
-	sel, err := tx.db.plans.lookup(sql, "QueryRows")
+	sel, err := tx.db.plans.selectStmt(sql, "QueryRows")
 	if err != nil {
 		return nil, err
 	}

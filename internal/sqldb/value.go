@@ -224,14 +224,27 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 
 // String implements fmt.Stringer with SQL literal syntax.
 func (v Value) String() string {
+	var buf [64]byte
+	return string(v.appendSQL(buf[:0]))
+}
+
+// appendSQL appends String's rendering to dst: NULL, a quoted text with
+// every ' doubled, or AppendText's number.
+func (v Value) appendSQL(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindText:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
-	default:
-		return v.AsText()
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.s[i])
+		}
+		return append(dst, '\'')
 	}
+	return v.AppendText(dst)
 }
 
 // Compare defines a total order over non-NULL values and a partial order

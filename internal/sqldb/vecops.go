@@ -264,8 +264,8 @@ func (s *vecScanOp) resetFold() {
 // and source. Owner goroutine only: compilation reads planner state.
 func (s *vecScanOp) workerCopy() (*vecScanOp, error) {
 	w := &vecScanOp{batchPlan: s.batchPlan, src: s.src}
-	// A private row slot over the planner's (immutable) name lookup.
-	w.env = &evalEnv{cols: s.cols, lookup: s.env.lookup, params: s.params, db: s.db}
+	// A private row slot over the planner's (immutable) schema.
+	w.env = &evalEnv{cols: s.cols, params: s.params, db: s.db}
 	return w, w.compile()
 }
 

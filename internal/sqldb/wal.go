@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -695,7 +696,9 @@ func (w *walWriter) checkpoint() error {
 		}
 		return wrapIOErr(err)
 	}
-	// 1. Write the full committed state to a temp snapshot and fsync it.
+	// 1. Stream the full committed state to a temp snapshot — rows rendered
+	// one at a time, 64 KiB a write, so a smaller snapshot is still written
+	// in one piece — and fsync it.
 	// The snapshot is captured fresh (not via beginRead, which would join
 	// an open session transaction and see its uncommitted writes).
 	f, err := w.fs.Create(snapTmp)
@@ -703,11 +706,11 @@ func (w *walWriter) checkpoint() error {
 		return wrapIOErr(err)
 	}
 	snap := db.tm.capture(0)
-	var sb strings.Builder
-	err = db.dumpSnapshot(&sb, snap)
+	bw := bufio.NewWriterSize(f, 1<<16)
+	err = db.dumpSnapshot(bw, snap)
 	db.tm.release(snap)
 	if err == nil {
-		_, err = f.Write([]byte(sb.String()))
+		err = bw.Flush()
 	}
 	if err == nil {
 		err = f.Sync()

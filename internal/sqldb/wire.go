@@ -3,10 +3,10 @@ package sqldb
 import "context"
 
 // This file is the engine's surface for the wire-protocol server
-// (internal/server/pgwire). A wire session parses each statement once
-// (Parse message or simple-query split), dispatches BEGIN/COMMIT/ROLLBACK
-// onto its own *Txn handle, and runs everything else through the two
-// entry points below — so extended-protocol portals never re-parse. Both
+// (internal/server/pgwire). A wire session gets each text's statements from
+// ParseCached (Parse message or simple-query split), dispatches
+// BEGIN/COMMIT/ROLLBACK onto its own *Txn handle, and runs everything else
+// through the two entry points below — so portals never re-parse. Both
 // run in exactly the tx they are handed, nil meaning autocommit: the
 // database's SQL-level session transaction (db.Exec("BEGIN")) belongs to
 // single-connection embedded use and is never resolved, joined or opened
@@ -14,6 +14,13 @@ import "context"
 // probes at the bottom are what the wire test layer pins leak-freedom
 // with: after every disconnect, at every protocol state, live snapshots,
 // open cursors, and parallel workers must all return to zero.
+
+// ParseCached is ParseAll through the database's statement cache
+// (prepare.go): a text any session or embedded caller has sent before is
+// not parsed again. The statements are shared — read, never written.
+func (db *Database) ParseCached(sql string) ([]Statement, error) {
+	return db.plans.statements(sql)
+}
 
 // ExecStmtTx executes one already-parsed statement inside tx; a nil tx
 // runs it as an autocommit statement. It is the exec loop Txn.Exec runs,
