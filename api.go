@@ -227,7 +227,7 @@ func New(name string, db *Database, opts ...Option) *System {
 		},
 	}
 	if o.lmUDFs {
-		core.RegisterLMUDFs(context.Background(), db, lm)
+		core.RegisterLMUDFs(db, lm)
 	}
 	return sys
 }

@@ -2,7 +2,10 @@ package tag
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,5 +122,52 @@ func TestFigure2Exposed(t *testing.T) {
 	fig, err := Figure2(context.Background(), DefaultProfile())
 	if err != nil || !strings.Contains(fig, "Sepang") {
 		t.Errorf("Figure2: err=%v", err)
+	}
+}
+
+// TestConcurrentAsksOnOneSystem: Asks that run LM functions inside exec share
+// a System — one database, one model — without sharing anything of a
+// request: one of each pair is cancelled while in flight, and the other must
+// still come back with the answer it gets alone. (Run under -race: Ask used
+// to write its dialect onto the shared model and re-register the LM
+// functions, closed over its own context, on the shared database.)
+func TestConcurrentAsksOnOneSystem(t *testing.T) {
+	sys, err := Open("movies", WithLMUDFs(), WithProfile(OracleProfile()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "Among the movies whose genre is 'Romance', how many of them are considered a 'classic'?"
+	alone, err := sys.Ask(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 25; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		var cancelled, kept error
+		var resp *Response
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, cancelled = sys.Ask(ctx, q)
+		}()
+		go func() {
+			defer wg.Done()
+			resp, kept = sys.Ask(context.Background(), q)
+		}()
+		if round%2 == 1 {
+			runtime.Gosched() // let the requests get somewhere first, every other round
+		}
+		cancel()
+		wg.Wait()
+		if cancelled != nil && !errors.Is(cancelled, context.Canceled) {
+			t.Fatalf("round %d: the cancelled Ask failed with %v", round, cancelled)
+		}
+		if kept != nil || resp.SQL != alone.SQL || resp.Answer != alone.Answer {
+			t.Fatalf("round %d: the other Ask: err %v, answer %v; alone %q", round, kept, resp, alone.Answer)
+		}
+	}
+	if n := sys.DB().LiveSnapshots(); n != 0 {
+		t.Errorf("LiveSnapshots = %d, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 // Command tagbench regenerates the TAG paper's evaluation artefacts:
 //
-//	tagbench -table 1      Table 1 (accuracy + ET, overall and per type)
+//	tagbench -table 1      Table 1 (accuracy + ET, overall and per type), then
+//	                       the same cells for the two automatic TAG pipelines
 //	tagbench -table 2      Table 2 (accuracy + ET, knowledge vs reasoning)
 //	tagbench -figure 2     Figure 2 (qualitative aggregation comparison)
 //	tagbench -coverage     aggregation fact-coverage extension
@@ -69,7 +70,14 @@ func main() {
 		return
 	}
 
-	rep, err := core.RunBenchmark(ctx, envs, core.NewDefaultMethods(profile), nil)
+	methods := core.NewDefaultMethods(profile)
+	if *table == 1 {
+		// Under the paper's five rows: automatic TAG without and with LM
+		// functions inside exec, per query type — where the gap to the
+		// hand-written pipelines is.
+		methods = append(methods, core.NewAutomaticMethods(profile)...)
+	}
+	rep, err := core.RunBenchmark(ctx, envs, methods, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -38,7 +38,7 @@ import (
 
 func main() {
 	domain := flag.String("domain", "movies", "built-in domain to load (see .domains)")
-	udf := flag.Bool("udf", false, "register LM UDFs (LLM_FILTER/LLM_SCORE/LLM_MAP)")
+	udf := flag.Bool("udf", false, "open the database with the LM UDFs (LLM_FILTER/LLM_SCORE/LLM_MAP)")
 	execSQL := flag.String("e", "", "execute one statement and exit")
 	flag.Parse()
 
@@ -49,7 +49,7 @@ func main() {
 	}
 	if *udf {
 		model := llm.NewSimLM(world.Default(), llm.DefaultProfile(), llm.NewClock(), llm.DefaultCostModel())
-		core.RegisterLMUDFs(context.Background(), db, model)
+		core.RegisterLMUDFs(db, model)
 	}
 
 	if *execSQL != "" {
@@ -186,6 +186,7 @@ func printCounters(qs sqldb.QueryStats) {
 	fmt.Printf("tombstones       %d invisible versions stepped over (SELECT and DML)\n", qs.TombstonesSkipped)
 	fmt.Printf("segments         %d scans / %d blocks decoded\n", qs.SegmentScans, qs.DecodedBlocks)
 	fmt.Printf("vectorized       %d batches / %d row fallbacks\n", qs.VectorBatches, qs.RowFallbacks)
+	fmt.Printf("lm functions     %d calls / %d batches / %d deduplicated\n", qs.LMCalls, qs.LMBatches, qs.LMDedup)
 	fmt.Printf("reclaimed        %d versions\n", qs.VersionsReclaimed)
 }
 
@@ -255,6 +256,7 @@ func printStats(db *sqldb.Database) {
 		OrdMaintains: s.OrdMaintains, TombstonesSkipped: s.TombstonesSkipped,
 		SegmentScans: s.SegmentScans, DecodedBlocks: s.DecodedBlocks,
 		VectorBatches: s.VectorBatches, RowFallbacks: s.RowFallbacks,
+		LMCalls: s.LMCalls, LMBatches: s.LMBatches, LMDedup: s.LMDedup,
 		VersionsReclaimed: s.VersionsReclaimed,
 	})
 	fmt.Printf("transactions     %d begun / %d committed / %d rolled back / %d active\n",

@@ -1,3 +1,3 @@
 module tag
 
-go 1.22
+go 1.24

@@ -8,6 +8,7 @@ import (
 
 	"tag/internal/llm"
 	"tag/internal/nlq"
+	"tag/internal/sqldb"
 	"tag/internal/tagbench"
 	"tag/internal/world"
 )
@@ -319,8 +320,8 @@ func TestPipelineRunStepArtifacts(t *testing.T) {
 func TestLMUDFsInsideSQL(t *testing.T) {
 	env := envsForTest(t)["debit_card_specializing"]
 	model := oracleLM()
-	RegisterLMUDFs(context.Background(), env.DB, model)
-	res, err := env.DB.Query("SELECT COUNT(*) FROM products WHERE LLM_FILTER('premium', Description)")
+	ctx := sqldb.WithFuncs(context.Background(), LMFuncs(model))
+	res, err := env.DB.QueryContext(ctx, "SELECT COUNT(*) FROM products WHERE LLM_FILTER('premium', Description)")
 	if err != nil {
 		t.Fatal(err)
 	}

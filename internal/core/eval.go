@@ -58,6 +58,19 @@ func NewDefaultMethods(profile llm.Profile) []Method {
 	}
 }
 
+// NewAutomaticMethods constructs the two automatic TAG pipelines — syn
+// written by the LM, without and with LM functions inside exec — as
+// System.Ask runs them: behind the retry decorator. They are not rows of the
+// paper's Table 1; cmd/tagbench prints them under it.
+func NewAutomaticMethods(profile llm.Profile) []Method {
+	var ms []Method
+	for _, udfs := range []bool{false, true} {
+		sim := llm.NewSimLM(world.Default(), profile, llm.NewClock(), llm.DefaultCostModel())
+		ms = append(ms, &TAGPipelineMethod{Pipeline: Pipeline{Model: llm.WithRetry(sim, llm.DefaultRetryOptions()), UseLMUDFs: udfs}})
+	}
+	return ms
+}
+
 // modelOf extracts the method's simulated model (for clock access).
 func modelOf(m Method) *llm.SimLM {
 	switch t := m.(type) {
@@ -72,7 +85,7 @@ func modelOf(m Method) *llm.SimLM {
 	case *HandwrittenTAG:
 		return t.Model.(*llm.SimLM)
 	case *TAGPipelineMethod:
-		return t.Pipeline.Model.(*llm.SimLM)
+		return llm.AsSimLM(t.Pipeline.Model) // under the retry decorator, as Ask runs it
 	case *AgenticTAG:
 		if sim, ok := t.Model.(*llm.SimLM); ok {
 			return sim

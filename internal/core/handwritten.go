@@ -74,30 +74,12 @@ func (m *HandwrittenTAG) run(ctx context.Context, env *Env, spec *nlq.Spec) (*An
 		})
 	} else if claim := filterClaim(spec); claim != "" {
 		if dedupableAug(spec.Aug.Kind) {
-			uniq, derr := df.Distinct("__aug")
-			if derr != nil {
-				return nil, derr
-			}
-			kept, ferr := uniq.SemFilter(ctx, m.Model, claim)
-			if ferr != nil {
-				return nil, ferr
-			}
-			allowed := make(map[string]bool, kept.Len())
-			keptVals, verr := kept.Strings("__aug")
-			if verr != nil {
-				return nil, verr
-			}
-			for _, v := range keptVals {
-				allowed[v] = true
-			}
-			df = df.Filter(func(get func(string) sqldb.Value) bool {
-				return allowed[get("__aug").AsText()]
-			})
+			df, err = df.SemFilterDistinct(ctx, m.Model, claim, "__aug")
 		} else {
 			df, err = df.SemFilter(ctx, m.Model, claim)
-			if err != nil {
-				return nil, err
-			}
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 

@@ -22,8 +22,8 @@ import (
 //	Answer Generation: gen(R, T) -> A  (LM over the computed table)
 type Pipeline struct {
 	Model llm.Model
-	// UseLMUDFs registers LLM_FILTER/LLM_SCORE with the database so that
-	// synthesised SQL can call the model per row.
+	// UseLMUDFs lets synthesised SQL call LLM_FILTER/LLM_SCORE/LLM_MAP,
+	// answered by Model.
 	UseLMUDFs bool
 }
 
@@ -38,21 +38,23 @@ type Result struct {
 
 // Run executes one TAG iteration over the environment.
 func (p *Pipeline) Run(ctx context.Context, env *Env, question string) (*Result, error) {
-	// syn(R) -> Q. AsSimLM looks through decorators (llm.WithRetry), so
-	// capability flags reach the simulated model even when wrapped.
-	sim := llm.AsSimLM(p.Model)
-	if sim != nil {
-		sim.SQLCapabilities.LMUDFs = p.UseLMUDFs
+	// What this request's engine can do travels with the request, on its
+	// context: the dialect syn may write in, and the functions — bound to
+	// this pipeline's model — its statements may call. Nothing is written
+	// to the shared model or registered on the shared database, so requests
+	// running side by side keep their own model, dialect and cancellation.
+	if p.UseLMUDFs {
+		ctx = llm.WithSQLCapabilities(ctx, llm.SQLCapabilities{LMUDFs: true})
+		ctx = sqldb.WithFuncs(ctx, LMFuncs(p.Model))
 	}
+	// syn(R) -> Q
 	sql, err := p.Model.Complete(ctx, llm.Text2SQLPrompt(env.Schema, question))
 	if err != nil {
 		return nil, fmt.Errorf("tag: query synthesis: %w", err)
 	}
-	// exec(Q) -> T. The caller's context flows into the engine, so a
-	// cancelled request stops the scan mid-flight.
-	if p.UseLMUDFs {
-		RegisterLMUDFs(ctx, env.DB, p.Model)
-	}
+	// exec(Q) -> T. The caller's context flows into the engine — and from
+	// there into every LM call a statement makes — so a cancelled request
+	// stops its scan mid-flight.
 	table, err := env.DB.QueryContext(ctx, sql)
 	if err != nil {
 		return &Result{Question: question, SQL: sql},
@@ -76,75 +78,105 @@ func (p *Pipeline) generate(ctx context.Context, question string, table *sqldb.R
 	return p.Model.Complete(ctx, llm.AnswerPrompt(points, question))
 }
 
-// RegisterLMUDFs installs the LM user-defined functions on a database:
+// LMFuncs is the LM user-defined functions over a model, as the set a
+// request binds to its context (sqldb.WithFuncs) or a database is opened
+// with (RegisterLMUDFs):
 //
-//	LLM_FILTER('task', value) -> BOOLEAN  per-row semantic predicate
-//	LLM_SCORE('task', value)  -> REAL     per-row semantic score
-//	LLM_MAP('task', value)    -> TEXT     per-row transformation
+//	LLM_FILTER('task', value) -> BOOLEAN  semantic predicate
+//	LLM_SCORE('task', value)  -> REAL     semantic score
+//	LLM_MAP('task', value)    -> TEXT     transformation
 //
 // They let exec() evaluate semantic predicates inside SQL, turning the
-// engine into the LM-aware database API of §2.1.
-func RegisterLMUDFs(ctx context.Context, db *sqldb.Database, model llm.Model) {
-	db.Funcs().Register("LLM_FILTER", func(args []sqldb.Value) (sqldb.Value, error) {
-		if len(args) != 2 {
-			return sqldb.Null, fmt.Errorf("LLM_FILTER(task, value) takes 2 arguments")
-		}
-		claim := udfClaim(args[0].AsText(), args[1].AsText())
-		out, err := model.Complete(ctx, llm.SemFilterPrompt(claim))
-		if err != nil {
-			return sqldb.Null, err
-		}
-		return sqldb.Bool(strings.EqualFold(strings.TrimSpace(out), "true")), nil
-	})
-	db.Funcs().Register("LLM_SCORE", func(args []sqldb.Value) (sqldb.Value, error) {
-		if len(args) != 2 {
-			return sqldb.Null, fmt.Errorf("LLM_SCORE(task, value) takes 2 arguments")
-		}
-		// Scores route through the comparison head's trait channel by
-		// asking for a map-style transformation and falling back to a
-		// filter verdict: 1.0 for true, 0.0 for false.
-		claim := udfClaim(args[0].AsText(), args[1].AsText())
-		out, err := model.Complete(ctx, llm.SemFilterPrompt(claim))
-		if err != nil {
-			return sqldb.Null, err
-		}
+// engine into the LM-aware database API of §2.1. Each exists in batch form
+// only: the engine hands over the distinct (task, value) pairs of a window
+// of rows, and they go to the model as one CompleteBatch under the calling
+// statement's context.
+func LMFuncs(model llm.Model) sqldb.FuncSet { return lmFuncs{model} }
+
+type lmFuncs struct{ model llm.Model }
+
+// LookupFunc implements sqldb.FuncSet.
+func (f lmFuncs) LookupFunc(name string) (sqldb.Func, bool) {
+	fn := sqldb.Func{MinArgs: 2, MaxArgs: 2}
+	switch name {
+	case "LLM_FILTER":
+		fn.Batch = f.filter
+	case "LLM_SCORE":
+		fn.Batch = f.score
+	case "LLM_MAP":
+		fn.Batch = f.transform
+	default:
+		return sqldb.Func{}, false
+	}
+	return fn, true
+}
+
+// RegisterLMUDFs installs the LM functions on a database, for whoever
+// opens one whose every statement should find them (the shell, a System).
+// A Pipeline needs no registration: Run binds its own.
+func RegisterLMUDFs(db *sqldb.Database, model llm.Model) { db.SetFuncs(LMFuncs(model)) }
+
+func (f lmFuncs) filter(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
+	return f.judge(ctx, args, sqldb.Bool(true), sqldb.Bool(false))
+}
+
+// score routes through the filter head: 1.0 for a true verdict, 0.0 for a
+// false one.
+func (f lmFuncs) score(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
+	return f.judge(ctx, args, sqldb.Float(1), sqldb.Float(0))
+}
+
+// judge asks the model whether each (task, value) claim holds.
+func (f lmFuncs) judge(ctx context.Context, args [][]sqldb.Value, yes, no sqldb.Value) ([]sqldb.Value, []error) {
+	prompts := make([]string, len(args))
+	for i, a := range args {
+		before, after := udfClaim(a[0].AsText())
+		prompts[i] = llm.SemFilterPromptAround(before, a[1].AsText(), after)
+	}
+	outs, errs := f.model.CompleteBatch(ctx, prompts)
+	vals := make([]sqldb.Value, len(outs))
+	for i, out := range outs {
+		vals[i] = no
 		if strings.EqualFold(strings.TrimSpace(out), "true") {
-			return sqldb.Float(1), nil
+			vals[i] = yes
 		}
-		return sqldb.Float(0), nil
-	})
-	db.Funcs().Register("LLM_MAP", func(args []sqldb.Value) (sqldb.Value, error) {
-		if len(args) != 2 {
-			return sqldb.Null, fmt.Errorf("LLM_MAP(task, value) takes 2 arguments")
-		}
-		out, err := model.Complete(ctx, llm.SemMapPrompt(args[0].AsText(), args[1].AsText()))
-		if err != nil {
-			return sqldb.Null, err
-		}
-		return sqldb.Text(out), nil
-	})
+	}
+	return vals, errs
+}
+
+func (f lmFuncs) transform(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
+	prompts := make([]string, len(args))
+	for i, a := range args {
+		prompts[i] = llm.SemMapPrompt(a[0].AsText(), a[1].AsText())
+	}
+	outs, errs := f.model.CompleteBatch(ctx, prompts)
+	vals := make([]sqldb.Value, len(outs))
+	for i, out := range outs {
+		vals[i] = sqldb.Text(out)
+	}
+	return vals, errs
 }
 
 // udfClaim renders an LM UDF task name into the claim grammar of
-// internal/llm/semantic.go.
-func udfClaim(task, value string) string {
+// internal/llm/semantic.go: the claim is before + value + after.
+func udfClaim(task string) (before, after string) {
 	switch strings.ToLower(strings.TrimSpace(task)) {
 	case "classic movie", "classic":
-		return value + " is a movie widely considered a classic"
+		return "", " is a movie widely considered a classic"
 	case "positive":
-		return "the following text is positive: " + value
+		return "the following text is positive: ", ""
 	case "negative":
-		return "the following text is negative: " + value
+		return "the following text is negative: ", ""
 	case "sarcastic":
-		return "the following text is sarcastic: " + value
+		return "the following text is sarcastic: ", ""
 	case "technical":
-		return "the following text is technical: " + value
+		return "the following text is technical: ", ""
 	case "named after a person":
-		return value + " is a school named after a person"
+		return "", " is a school named after a person"
 	case "premium":
-		return value + " sounds like a premium product"
+		return "", " sounds like a premium product"
 	default:
-		return value + " satisfies: " + task
+		return "", " satisfies: " + task
 	}
 }
 
@@ -156,7 +188,12 @@ type TAGPipelineMethod struct {
 }
 
 // Name implements Method.
-func (m *TAGPipelineMethod) Name() string { return "TAG (auto-syn)" }
+func (m *TAGPipelineMethod) Name() string {
+	if m.Pipeline.UseLMUDFs {
+		return "TAG (auto-syn, UDFs)"
+	}
+	return "TAG (auto-syn)"
+}
 
 // Answer implements Method.
 func (m *TAGPipelineMethod) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*Answer, error) {

@@ -237,9 +237,9 @@ func TestText2SQLHeadDropsReasoningClause(t *testing.T) {
 
 func TestText2SQLHeadEmitsUDFsWhenCapable(t *testing.T) {
 	m := newTestLM(OracleProfile())
-	m.SQLCapabilities.LMUDFs = true
+	ctx := WithSQLCapabilities(context.Background(), SQLCapabilities{LMUDFs: true})
 	q := "Among the comments whose title is 'Choosing k in k means without overfitting', how many of them are sarcastic in tone?"
-	sql, err := m.Complete(context.Background(), Text2SQLPrompt("", q))
+	sql, err := m.Complete(ctx, Text2SQLPrompt("", q))
 	if err != nil {
 		t.Fatal(err)
 	}

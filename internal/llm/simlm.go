@@ -27,14 +27,29 @@ type SimLM struct {
 	view    *View
 	clock   *Clock
 	cost    CostModel
+}
 
-	// SQLCapabilities controls whether query synthesis may emit LM UDFs
-	// (LLM_FILTER/LLM_SCORE) for reasoning clauses — the "database API
-	// executes LM UDFs within SQL" design point of §2.1. Off for the plain
-	// Text2SQL baselines.
-	SQLCapabilities struct {
-		LMUDFs bool
-	}
+// SQLCapabilities says what the engine a synthesised query will run on can
+// do. LMUDFs lets query synthesis emit LM UDFs (LLM_FILTER/LLM_SCORE) for
+// reasoning clauses — the "database API executes LM UDFs within SQL" design
+// point of §2.1; off for the plain Text2SQL baselines. It is a property of
+// the request, not of the model — one model serves requests against
+// different engines at once — so it travels on the request's context.
+type SQLCapabilities struct {
+	LMUDFs bool
+}
+
+type sqlCapabilitiesKey struct{}
+
+// WithSQLCapabilities returns a context whose synthesis calls may write
+// for an engine with the given capabilities.
+func WithSQLCapabilities(ctx context.Context, c SQLCapabilities) context.Context {
+	return context.WithValue(ctx, sqlCapabilitiesKey{}, c)
+}
+
+func sqlCapabilities(ctx context.Context) SQLCapabilities {
+	c, _ := ctx.Value(sqlCapabilitiesKey{}).(SQLCapabilities)
+	return c
 }
 
 // NewSimLM builds a simulated model over a world with the given
@@ -71,7 +86,7 @@ func (m *SimLM) View() *View { return m.view }
 func (m *SimLM) Profile() Profile { return m.profile }
 
 // Complete implements Model: route, generate, charge the clock.
-func (m *SimLM) Complete(_ context.Context, prompt string) (string, error) {
+func (m *SimLM) Complete(ctx context.Context, prompt string) (string, error) {
 	pt := CountTokens(prompt)
 	if pt > m.profile.ContextWindow {
 		// The serving engine processes (and bills) a full window of prompt
@@ -80,7 +95,7 @@ func (m *SimLM) Complete(_ context.Context, prompt string) (string, error) {
 		m.clock.Advance(m.cost.Overhead + float64(m.profile.ContextWindow)/m.cost.PrefillTPS)
 		return "", ErrContextLength
 	}
-	out, err := m.route(prompt)
+	out, err := m.route(ctx, prompt)
 	ot := CountTokens(out)
 	if ot > m.profile.MaxOutputTokens {
 		out = TruncateToTokens(out, m.profile.MaxOutputTokens)
@@ -92,7 +107,7 @@ func (m *SimLM) Complete(_ context.Context, prompt string) (string, error) {
 }
 
 // CompleteBatch implements Model with vLLM-style batch amortisation.
-func (m *SimLM) CompleteBatch(_ context.Context, prompts []string) ([]string, []error) {
+func (m *SimLM) CompleteBatch(ctx context.Context, prompts []string) ([]string, []error) {
 	outs := make([]string, len(prompts))
 	var errs []error
 	promptToks := make([]int, 0, len(prompts))
@@ -109,7 +124,7 @@ func (m *SimLM) CompleteBatch(_ context.Context, prompts []string) ([]string, []
 			outToks = append(outToks, 0)
 			continue
 		}
-		out, err := m.route(p)
+		out, err := m.route(ctx, p)
 		if err != nil {
 			if errs == nil {
 				errs = make([]error, len(prompts))
@@ -133,10 +148,10 @@ func (m *SimLM) CompleteBatch(_ context.Context, prompts []string) ([]string, []
 }
 
 // route dispatches a prompt to its task head.
-func (m *SimLM) route(prompt string) (string, error) {
+func (m *SimLM) route(ctx context.Context, prompt string) (string, error) {
 	switch {
 	case strings.Contains(prompt, markText2SQL), strings.Contains(prompt, markText2SQLRetrieve):
-		return m.text2SQL(prompt)
+		return m.text2SQL(prompt, sqlCapabilities(ctx))
 	case strings.HasPrefix(prompt, markAnswerList):
 		return m.answerList(prompt)
 	case strings.HasPrefix(prompt, markAnswerAgg):

@@ -16,8 +16,9 @@ import (
 //     parametric knowledge (missing and hallucinated members included);
 //   - semantic-reasoning clauses are *inexpressible* in plain SQL, so the
 //     model drops them or substitutes a crude lexical proxy — unless the
-//     engine advertises LM UDFs (SQLCapabilities.LMUDFs), in which case it
-//     emits LLM_FILTER / LLM_SCORE calls (§2.1's movie example);
+//     request says its engine runs LM UDFs (SQLCapabilities.LMUDFs), in
+//     which case it emits LLM_FILTER / LLM_SCORE calls (§2.1's movie
+//     example);
 //   - with probability Profile.SQLSkillError the relational skeleton
 //     itself is subtly wrong (dropped filter or flipped sort).
 
@@ -39,7 +40,7 @@ func Text2SQLRetrievalPrompt(schemaSQL, question string) string {
 	return b.String()
 }
 
-func (m *SimLM) text2SQL(prompt string) (string, error) {
+func (m *SimLM) text2SQL(prompt string, caps SQLCapabilities) (string, error) {
 	retrieval := strings.Contains(prompt, markText2SQLRetrieve)
 	var question string
 	var ok bool
@@ -63,18 +64,18 @@ func (m *SimLM) text2SQL(prompt string) (string, error) {
 	if retrieval {
 		return m.compileRetrievalSQL(spec), nil
 	}
-	return m.compileAnswerSQL(spec, question), nil
+	return m.compileAnswerSQL(spec, question, caps), nil
 }
 
 // compileAnswerSQL produces SQL whose result *is* the answer (the vanilla
 // Text2SQL baseline contract).
-func (m *SimLM) compileAnswerSQL(spec *nlq.Spec, question string) string {
+func (m *SimLM) compileAnswerSQL(spec *nlq.Spec, question string, caps SQLCapabilities) string {
 	var sel, orderBy string
 	limit := spec.Limit
 	desc := spec.OrderDesc
 
 	where := m.filterClauses(spec)
-	augSQL, augOrder := m.compileAugment(spec)
+	augSQL, augOrder := m.compileAugment(spec, caps)
 	if augSQL != "" {
 		where = append(where, augSQL)
 	}
@@ -154,7 +155,7 @@ func (m *SimLM) filterClauses(spec *nlq.Spec) []string {
 
 // compileAugment translates the augment into SQL. It returns a WHERE
 // clause and/or an ORDER BY expression ("" when not applicable).
-func (m *SimLM) compileAugment(spec *nlq.Spec) (whereSQL, orderSQL string) {
+func (m *SimLM) compileAugment(spec *nlq.Spec, caps SQLCapabilities) (whereSQL, orderSQL string) {
 	a := spec.Aug
 	if a == nil {
 		return "", ""
@@ -181,19 +182,19 @@ func (m *SimLM) compileAugment(spec *nlq.Spec) (whereSQL, orderSQL string) {
 				believed = append(believed, t)
 			}
 		}
-		if m.SQLCapabilities.LMUDFs {
+		if caps.LMUDFs {
 			return "LLM_FILTER('classic movie', " + a.Column + ")", ""
 		}
 		return inListFold(a.Column, believed), ""
 	case nlq.AugPositive, nlq.AugNegative, nlq.AugSarcastic, nlq.AugTechnical,
 		nlq.AugNamedAfterPerson, nlq.AugPremium:
-		if m.SQLCapabilities.LMUDFs {
+		if caps.LMUDFs {
 			return "LLM_FILTER('" + udfTask(a.Kind) + "', " + a.Column + ")", ""
 		}
 		// Inexpressible in plain SQL: the model silently drops the clause.
 		return "", ""
 	case nlq.AugTopSarcastic, nlq.AugTopTechnical, nlq.AugTopPositive:
-		if m.SQLCapabilities.LMUDFs {
+		if caps.LMUDFs {
 			return "", "LLM_SCORE('" + udfTask(a.Kind) + "', " + a.Column + ")"
 		}
 		// Crude lexical proxy: longer text ~ more content. Usually wrong,

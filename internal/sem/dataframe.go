@@ -238,21 +238,20 @@ func (d *DataFrame) Join(other *DataFrame, leftCol, rightCol string) (*DataFrame
 	return &DataFrame{cols: cols, rows: rows}, nil
 }
 
-// Distinct keeps the first row for each distinct value of the column.
+// Distinct keeps the first row for each distinct value of the column —
+// distinct as the engine's indexes and its batched calls tell values apart
+// (sqldb.TupleSet), keyed on the value itself.
 func (d *DataFrame) Distinct(col string) (*DataFrame, error) {
 	ci := d.colIndex(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("sem: no column %q", col)
 	}
-	seen := make(map[string]bool)
+	var seen sqldb.TupleSet
 	var rows []sqldb.Row
 	for _, r := range d.rows {
-		k := r[ci].Key()
-		if seen[k] {
-			continue
+		if _, first := seen.Add(r[ci : ci+1]); first {
+			rows = append(rows, r)
 		}
-		seen[k] = true
-		rows = append(rows, r)
 	}
 	return &DataFrame{cols: d.cols, rows: rows}, nil
 }

@@ -3,7 +3,9 @@ package sem
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tag/internal/llm"
@@ -276,5 +278,98 @@ func TestChunkByTokensCoversAllItems(t *testing.T) {
 	}
 	if len(chunks) < 2 {
 		t.Fatal("small budget should force multiple chunks")
+	}
+}
+
+// mixedFrame generates a frame whose key column mixes every kind, with the
+// values Compare calls equal across kinds (5, 5.0, true/1), NULLs, NaN, and
+// texts that merely look like numbers.
+func mixedFrame(r *rand.Rand, n int) *DataFrame {
+	pool := []sqldb.Value{
+		sqldb.Null, sqldb.Int(5), sqldb.Float(5), sqldb.Float(5.5), sqldb.Int(1), sqldb.Bool(true), sqldb.Bool(false),
+		sqldb.Int(0), sqldb.Text("5"), sqldb.Text("5.0"), sqldb.Text(""), sqldb.Text("Palo Alto"), sqldb.Text("palo alto"),
+		sqldb.Float(math.NaN()), sqldb.Int(1 << 60), sqldb.Float(1 << 60), sqldb.Int(1<<60 + 1),
+	}
+	rows := make([]sqldb.Row, n)
+	for i := range rows {
+		rows[i] = sqldb.Row{pool[r.Intn(len(pool))], sqldb.Int(int64(i))}
+	}
+	d, _ := New([]string{"k", "i"}, rows)
+	return d
+}
+
+// TestDistinctKeysOnTheValue: Distinct, keyed on the value itself, keeps
+// exactly the rows the Value.Key()-string version it replaced kept.
+func TestDistinctKeysOnTheValue(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 200; trial++ {
+		d := mixedFrame(r, 1+r.Intn(60))
+		got, err := d.Distinct("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[string]bool)
+		var want []sqldb.Row
+		for _, row := range d.rows {
+			if k := row[0].Key(); !seen[k] {
+				seen[k] = true
+				want = append(want, row)
+			}
+		}
+		if !reflect.DeepEqual(got.rows, want) {
+			t.Fatalf("trial %d: Distinct kept %v, the Key() version %v", trial, got.rows, want)
+		}
+	}
+}
+
+// promptLog records the prompts a model is sent, batch by batch.
+type promptLog struct {
+	llm.Model
+	batches [][]string
+}
+
+func (p *promptLog) CompleteBatch(ctx context.Context, prompts []string) ([]string, []error) {
+	p.batches = append(p.batches, append([]string(nil), prompts...))
+	return p.Model.CompleteBatch(ctx, prompts)
+}
+
+// TestSemFilterDistinctIsUniqueFilterSemiJoin: SemFilterDistinct sends the
+// prompts, in the order, of the sequence it replaced in the hand-written
+// pipelines — Distinct, SemFilter over the unique rows, a set of the kept
+// values, Filter back — and keeps the same rows.
+func TestSemFilterDistinctIsUniqueFilterSemiJoin(t *testing.T) {
+	d := schoolsFrame(t)
+	const claim = "{City} is a city in the Silicon Valley region"
+	newLog := func() *promptLog { return &promptLog{Model: oracle()} }
+	ctx := context.Background()
+
+	old := newLog()
+	uniq, err := d.Distinct("City")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := uniq.SemFilter(ctx, old, claim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := make(map[string]bool)
+	for i := 0; i < kept.Len(); i++ {
+		allowed[kept.Value(i, "City").AsText()] = true
+	}
+	want := d.Filter(func(get func(string) sqldb.Value) bool { return allowed[get("City").AsText()] })
+
+	now := newLog()
+	got, err := d.SemFilterDistinct(ctx, now, claim, "city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.rows, want.rows) || got.Len() == 0 || got.Len() == d.Len() {
+		t.Errorf("SemFilterDistinct kept %d of %d rows, the old sequence %d", got.Len(), d.Len(), want.Len())
+	}
+	if !reflect.DeepEqual(now.batches, old.batches) || len(now.batches) != 1 || len(now.batches[0]) != uniq.Len() {
+		t.Errorf("prompts differ from the old sequence's: %d batches, %d unique values", len(now.batches), uniq.Len())
+	}
+	if _, err := d.SemFilterDistinct(ctx, now, claim, "nope"); err == nil {
+		t.Error("no error for a missing column")
 	}
 }

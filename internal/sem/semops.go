@@ -37,6 +37,49 @@ func (d *DataFrame) SemFilter(ctx context.Context, m llm.Model, instruction stri
 	return &DataFrame{cols: d.cols, rows: rows}, nil
 }
 
+// SemFilterDistinct is SemFilter for a claim about one column's value: the
+// paper's Appendix C pipeline (`df["City"].unique().sem_filter(...)`, then a
+// semi-join back). The instruction's "{col}" placeholder is instantiated
+// once per distinct value, in first-seen order, the claims go to the model
+// as one batch, and every row whose value was judged true is kept — through
+// the same gather / distinct / scatter layer (sqldb.CallMemo) the engine
+// puts under LLM_FILTER inside SQL.
+func (d *DataFrame) SemFilterDistinct(ctx context.Context, m llm.Model, instruction, col string) (*DataFrame, error) {
+	ci := d.colIndex(col)
+	if ci < 0 {
+		return nil, fmt.Errorf("sem: no column %q", col)
+	}
+	placeholder := "{" + d.cols[ci] + "}"
+	memo := sqldb.NewCallMemo(func(ctx context.Context, values [][]sqldb.Value) ([]sqldb.Value, []error) {
+		prompts := make([]string, len(values))
+		for i, v := range values {
+			prompts[i] = llm.SemFilterPrompt(strings.ReplaceAll(instruction, placeholder, v[0].AsText()))
+		}
+		outs, errs := m.CompleteBatch(ctx, prompts)
+		verdicts := make([]sqldb.Value, len(outs))
+		for i, out := range outs {
+			verdicts[i] = sqldb.Bool(strings.EqualFold(strings.TrimSpace(out), "true"))
+		}
+		return verdicts, errs
+	})
+	classes := make([]int, len(d.rows))
+	for i, r := range d.rows {
+		classes[i] = memo.Add(r[ci : ci+1])
+	}
+	memo.Flush(ctx)
+	var rows []sqldb.Row
+	for i, r := range d.rows {
+		v, err := memo.At(classes[i])
+		if err != nil {
+			return nil, fmt.Errorf("sem: filter row %d: %w", i, err)
+		}
+		if v.AsBool() {
+			rows = append(rows, r)
+		}
+	}
+	return &DataFrame{cols: d.cols, rows: rows}, nil
+}
+
 // SemTopK ranks rows by how well the named column's text satisfies the
 // criterion and returns the best k, ordered best-first. It runs a batched
 // quicksort: every recursion level partitions all active segments against

@@ -122,7 +122,7 @@ func (s *groupSlab) newState(fc *FuncCall) (aggState, error) {
 		return nil, errf(ErrNoFunction, "sql: unknown aggregate %s()", fc.Name)
 	}
 	if fc.Distinct {
-		return &distinctState{inner: base, seen: make(map[string]bool)}, nil
+		return &distinctState{inner: base, seen: make(map[Value]bool)}, nil
 	}
 	return base, nil
 }
@@ -299,25 +299,21 @@ func (s *concatState) result() Value {
 	return Text(s.b.String())
 }
 
-// distinctState deduplicates inputs before delegating to the wrapped state.
-// Keys encode into a reused scratch buffer, so only the first sighting of
-// each distinct value allocates.
+// distinctState deduplicates inputs before delegating to the wrapped state:
+// by Compare class, keyed on the value itself (indexKey).
 type distinctState struct {
 	inner aggState
-	seen  map[string]bool
-	buf   []byte
+	seen  map[Value]bool
 }
 
 func (s *distinctState) add(v Value) {
-	if v.IsNull() {
-		s.inner.add(v) // inner decides whether NULL counts
-		return
+	if !v.IsNull() { // of a NULL, inner decides whether it counts
+		k := indexKey(v)
+		if s.seen[k] {
+			return
+		}
+		s.seen[k] = true
 	}
-	s.buf = appendValueKey(s.buf[:0], v)
-	if s.seen[string(s.buf)] {
-		return
-	}
-	s.seen[string(s.buf)] = true
 	s.inner.add(v)
 }
 

@@ -101,7 +101,7 @@ func liveChild(op operator) *operator {
 	case *indexJoinOp:
 		return &t.probe
 	case *nestedLoopJoinOp:
-		return &t.left
+		return &t.probe
 	}
 	return nil
 }

@@ -163,22 +163,6 @@ func BenchmarkInterleavedReadWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoinBuild runs the partitioned hash-join build against
-// its serial twin. On a single-CPU host the pooled numbers show
-// coordination overhead, not speedup; with real cores they show the
-// fan-out win. (Pooled scans and aggregation are measured where their
-// storage is pinned down: the sealed rows of BenchmarkVector*.)
-func BenchmarkParallelJoinBuild(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db := benchDB(b, 50000, WithMaxWorkers(w))
-			// Right side (items, 50k rows) is the hash-join build side and
-			// sits above the parallel-build threshold.
-			benchQuery(b, db, "SELECT items.name, cats.label FROM cats JOIN items ON cats.id = items.cat_id")
-		})
-	}
-}
-
 // BenchmarkPreparedVsParsed quantifies what the plan cache and Prepare
 // save: sub-benchmark "parsed" clears the cache every iteration, "cached"
 // uses Database.Query's LRU, "prepared" holds a *Stmt.

@@ -120,7 +120,7 @@ type Index struct {
 // on writeMu.
 type Database struct {
 	tables atomic.Pointer[map[string]*Table] // COW: replaced wholesale by DDL
-	funcs  *FuncRegistry
+	funcs  FuncSet                           // set once, by whoever opens the database (SetFuncs)
 	plans  *planCache
 	stats  dbStats // observability counters; snapshot via Stats()
 
@@ -154,8 +154,8 @@ type Database struct {
 type Option func(*Database)
 
 // WithMaxWorkers sets the upper bound on worker goroutines a single query
-// may use for parallel scans, aggregation, and hash-join builds. The
-// default is GOMAXPROCS capped at 8; 1 forces fully serial execution.
+// may use for parallel scans and aggregation. The default is GOMAXPROCS
+// capped at 8; 1 forces fully serial execution.
 func WithMaxWorkers(n int) Option {
 	return func(db *Database) {
 		if n < 1 {
@@ -165,10 +165,9 @@ func WithMaxWorkers(n int) Option {
 	}
 }
 
-// NewDatabase returns an empty database with the built-in function registry.
+// NewDatabase returns an empty database.
 func NewDatabase(opts ...Option) *Database {
 	db := &Database{
-		funcs:      NewFuncRegistry(),
 		plans:      newPlanCache(),
 		maxWorkers: defaultMaxWorkers(),
 		tm:         newTxnManager(),
@@ -197,9 +196,10 @@ func (db *Database) Close() error {
 	return nil
 }
 
-// Funcs exposes the database's function registry so callers can register
-// UDFs (notably the TAG layer's LM UDFs).
-func (db *Database) Funcs() *FuncRegistry { return db.funcs }
+// SetFuncs gives the database the functions its statements may call beyond
+// the built-ins (the TAG layer's LM functions) when their context binds
+// none. It is for whoever opens the database, before statements run.
+func (db *Database) SetFuncs(fs FuncSet) { db.funcs = fs }
 
 // tableMap returns the current published catalog. The map is immutable;
 // DDL publishes a replacement.
@@ -416,9 +416,6 @@ func (t *Table) ColumnIndex(name string) int {
 	}
 	return -1
 }
-
-// RowCount reports the number of rows a fresh snapshot would see.
-func (t *Table) RowCount() int { return t.liveCount() }
 
 // liveCount is the number of rows a fresh snapshot's scan will emit.
 func (t *Table) liveCount() int { return int(t.liveRows.Load()) }

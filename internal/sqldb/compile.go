@@ -253,62 +253,49 @@ type subplanSource func() (operator, error)
 func compileSubplan(sel *SelectStmt, env *evalEnv) (subplanSource, error) {
 	qc := env.qc
 	var rec *execRecorder
-	if qc != nil {
-		rec = qc.rec // non-nil only under EXPLAIN ANALYZE
+	var sp *subplanRec
+	if qc != nil && qc.rec != nil { // under EXPLAIN ANALYZE
+		rec, sp = qc.rec, qc.rec.subplanFor(sel)
 	}
-	if subplanCacheable(sel) {
-		root, _, err := buildSelectPlan(sel, env.db, env.params, env, false, env.qc)
-		if err != nil {
-			return nil, err
-		}
-		var sp *subplanRec
-		if rec != nil {
+	build := func() (operator, error) {
+		root, _, err := buildSelectPlan(sel, env.db, env.params, env, false, qc)
+		if err == nil && sp != nil {
 			root = instrument(root, rec)
-			sp = rec.subplanFor(sel)
 			sp.replaceRoot(rec, root)
 		}
-		first := true
-		return func() (operator, error) {
-			if sp != nil {
-				sp.probes++
-			}
-			if first {
-				first = false
-				if qc != nil {
-					qc.SubplanCacheMisses++
-				}
-				if sp != nil {
-					sp.misses++
-				}
-				return root, nil
-			}
-			if qc != nil {
-				qc.SubplanCacheHits++
-			}
-			if sp != nil {
-				sp.hits++
-			}
-			root.reset()
-			return root, nil
-		}, nil
+		return root, err
 	}
-	var sp *subplanRec
-	if rec != nil {
-		sp = rec.subplanFor(sel)
-	}
-	return func() (operator, error) {
-		if qc != nil {
+	// count bills one evaluation: served by re-pulling the plan (hit), or
+	// by building it.
+	count := func(hit bool) {
+		if qc != nil && hit {
+			qc.SubplanCacheHits++
+		} else if qc != nil {
 			qc.SubplanCacheMisses++
 		}
-		root, _, err := buildSelectPlan(sel, env.db, env.params, env, false, env.qc)
-		if err != nil {
-			return nil, err
+		if sp != nil && hit {
+			sp.probes, sp.hits = sp.probes+1, sp.hits+1
+		} else if sp != nil {
+			sp.probes, sp.misses = sp.probes+1, sp.misses+1
 		}
-		if sp != nil {
-			sp.probes++
-			sp.misses++
-			root = instrument(root, rec)
-			sp.replaceRoot(rec, root)
+	}
+	if !subplanCacheable(sel) {
+		return func() (operator, error) {
+			count(false)
+			return build()
+		}, nil
+	}
+	root, err := build()
+	if err != nil {
+		return nil, err
+	}
+	first := true
+	return func() (operator, error) {
+		count(!first)
+		if first {
+			first = false
+		} else {
+			root.reset()
 		}
 		return root, nil
 	}, nil
@@ -368,64 +355,32 @@ func compileBinary(b *BinaryOp, env *evalEnv) (compiledExpr, error) {
 		return nil, err
 	}
 	switch b.Op {
-	case "AND":
+	case "AND", "OR":
+		// Three-valued: an operand equal to settles (false for AND, true
+		// for OR) decides the result whatever the other is, NULL included.
+		settles := b.Op == "OR"
 		return func() (Value, error) {
 			lv, err := l()
 			if err != nil {
 				return Null, err
 			}
-			if !lv.IsNull() && !lv.AsBool() {
-				return Bool(false), nil
+			if !lv.IsNull() && lv.AsBool() == settles {
+				return Bool(settles), nil
 			}
 			rv, err := r()
 			if err != nil {
 				return Null, err
 			}
-			if !rv.IsNull() && !rv.AsBool() {
-				return Bool(false), nil
+			if !rv.IsNull() && rv.AsBool() == settles {
+				return Bool(settles), nil
 			}
 			if lv.IsNull() || rv.IsNull() {
 				return Null, nil
 			}
-			return Bool(true), nil
-		}, nil
-	case "OR":
-		return func() (Value, error) {
-			lv, err := l()
-			if err != nil {
-				return Null, err
-			}
-			if !lv.IsNull() && lv.AsBool() {
-				return Bool(true), nil
-			}
-			rv, err := r()
-			if err != nil {
-				return Null, err
-			}
-			if !rv.IsNull() && rv.AsBool() {
-				return Bool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			return Bool(false), nil
+			return Bool(!settles), nil
 		}, nil
 	case "=", "!=", "<", "<=", ">", ">=":
-		var test func(int) bool
-		switch b.Op {
-		case "=":
-			test = func(c int) bool { return c == 0 }
-		case "!=":
-			test = func(c int) bool { return c != 0 }
-		case "<":
-			test = func(c int) bool { return c < 0 }
-		case "<=":
-			test = func(c int) bool { return c <= 0 }
-		case ">":
-			test = func(c int) bool { return c > 0 }
-		default:
-			test = func(c int) bool { return c >= 0 }
-		}
+		test := cmpTest(b.Op)
 		return func() (Value, error) {
 			lv, err := l()
 			if err != nil {
@@ -585,12 +540,14 @@ func compileFunc(fc *FuncCall, env *evalEnv) (compiledExpr, error) {
 	if isAggregateName(fc.Name) {
 		return nil, errf(ErrMisuse, "sql: misuse of aggregate function %s()", fc.Name)
 	}
-	var fn ScalarFunc
-	if env.db != nil {
-		fn = env.db.funcs.Lookup(fc.Name)
-	}
-	if fn == nil {
+	f, ok := env.qc.lookupFunc(fc.Name)
+	if !ok {
 		return nil, errf(ErrNoFunction, "sql: no such function: %s", fc.Name)
+	}
+	if n := len(fc.Args); n < f.MinArgs || f.MaxArgs >= 0 && n > f.MaxArgs {
+		// Raised where the call is evaluated: a statement that reads no row runs.
+		err := errf(ErrMisuse, "sql: wrong number of arguments to function %s()", fc.Name)
+		return func() (Value, error) { return Null, err }, nil
 	}
 	cargs := make([]compiledExpr, len(fc.Args))
 	for i, a := range fc.Args {
@@ -603,16 +560,80 @@ func compileFunc(fc *FuncCall, env *evalEnv) (compiledExpr, error) {
 	// Expression trees evaluate strictly sequentially within one execution,
 	// so a single argument buffer per call site is safe to reuse.
 	args := make([]Value, len(cargs))
+	if f.Batch != nil {
+		s := &batchSite{name: fc.Name, memo: NewCallMemo(f.Batch), cargs: cargs, args: args, qc: env.qc}
+		env.qc.lent.memos = append(env.qc.lent.memos, s.memo)
+		if env.sites != nil {
+			*env.sites = append(*env.sites, s) // after its arguments' sites: inner calls first
+		}
+		return s.eval, nil
+	}
+	fn, strict := f.Scalar, f.Strict
 	return func() (Value, error) {
+		null := false
 		for i, c := range cargs {
 			v, err := c()
 			if err != nil {
 				return Null, err
 			}
-			args[i] = v
+			args[i], null = v, null || v.IsNull()
+		}
+		if strict && null {
+			return Null, nil
 		}
 		return fn(args)
 	}, nil
+}
+
+// batchSite is one call of a batch-form function in a compiled expression.
+// Evaluated on its own it asks about one tuple at a time — still each
+// distinct tuple once a statement (CallMemo). Under an operator that holds
+// a window of rows (filterOp, exec.go; vecScanOp.fill, vecops.go) it is
+// gathered ahead: the operator files every row's arguments, sends what is
+// new in one call, and leaves each row's class in ahead, where eval finds
+// it while *pos names the window row being evaluated.
+type batchSite struct {
+	name  string
+	memo  *CallMemo
+	cargs []compiledExpr
+	args  []Value
+	qc    *queryCtx
+	ahead []int32 // per window row: the tuple's class, -1 where an argument failed
+	pos   *int
+}
+
+// gather files the current row's arguments and returns their class.
+func (s *batchSite) gather() (int32, error) {
+	for i, c := range s.cargs {
+		v, err := c()
+		if err != nil {
+			return -1, err
+		}
+		s.args[i] = v
+	}
+	return int32(s.memo.Add(s.args)), nil
+}
+
+// eval is the call's compiled form. A failed element surfaces here, on the
+// row that asked for it — so in row order, and never for a row a LIMIT
+// stopped short of — as an ErrExternal wrapping the function's error.
+func (s *batchSite) eval() (Value, error) {
+	class := int32(-1)
+	if s.pos != nil {
+		class = s.ahead[*s.pos]
+	}
+	if class < 0 { // not gathered, or an argument failed: evaluate here
+		var err error
+		if class, err = s.gather(); err != nil {
+			return Null, err
+		}
+		s.memo.Flush(s.qc.ctx)
+	}
+	v, err := s.memo.At(int(class))
+	if err != nil {
+		return Null, &Error{Code: ErrExternal, Msg: "sql: function " + s.name + "(): " + err.Error(), Cause: err}
+	}
+	return v, nil
 }
 
 func compileCase(c *CaseExpr, env *evalEnv) (compiledExpr, error) {

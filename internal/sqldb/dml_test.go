@@ -353,13 +353,13 @@ func TestDeleteCancellationMidLoopInvariant(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const total, cancelAt = 1000, 300
-	db.Funcs().Register("CANCEL_AT", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"CANCEL_AT": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		v := args[0].AsInt()
 		if v == cancelAt {
 			cancel()
 		}
 		return Bool(v%3 == 0), nil
-	})
+	}}})
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
 	rows := make([][]any, total)
 	for i := range rows {
@@ -436,12 +436,12 @@ func TestDMLSnapshotCancellationAtomic(t *testing.T) {
 	db := NewDatabase()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	db.Funcs().Register("CANCEL_AT2", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"CANCEL_AT2": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		if args[0].AsInt() == 100 {
 			cancel()
 		}
 		return Bool(true), nil
-	})
+	}}})
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
 	rows := make([][]any, 500)
 	for i := range rows {

@@ -61,6 +61,10 @@ const (
 	// persistence is compromised. The wrapped cause is the underlying
 	// filesystem error.
 	ErrIO ErrorCode = "io"
+	// ErrExternal marks a failed element of a batch call into a function the
+	// caller lent the statement (FuncSet). The wrapped cause is its error, so
+	// errors.Is still finds a context-length overflow or a cancellation.
+	ErrExternal ErrorCode = "external_routine"
 )
 
 // sqlStates maps every classified ErrorCode to the SQLSTATE the wire
@@ -85,6 +89,7 @@ var sqlStates = map[ErrorCode]string{
 	ErrCursor:     "24000", // invalid_cursor_state
 	ErrInternal:   "XX000", // internal_error
 	ErrIO:         "58030", // io_error
+	ErrExternal:   "38000", // external_routine_exception
 }
 
 // SQLState returns the five-character SQLSTATE the wire protocol reports

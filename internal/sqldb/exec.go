@@ -206,8 +206,7 @@ type corrProbeScanOp struct {
 	scanTally
 
 	snap   *snapshot
-	memo   map[string][]int
-	keyBuf []byte
+	memo   map[Value][]int // by indexKey
 	ids    []int
 	idsSet bool
 	pos    int
@@ -231,15 +230,12 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 			// Build the transient memo from the statement snapshot's view
 			// of the table — once per statement.
 			arr, n := s.table.loadSlots()
-			s.memo = make(map[string][]int, s.table.liveCount())
-			var kb []byte
+			s.memo = make(map[Value][]int, s.table.liveCount())
 			for id := 0; id < n; id++ {
-				r := visible(arr[id].head.Load(), s.snap)
-				if r == nil {
-					continue
+				if r := visible(arr[id].head.Load(), s.snap); r != nil {
+					k := indexKey(r[s.column])
+					s.memo[k] = append(s.memo[k], id)
 				}
-				kb = appendValueKey(kb[:0], r[s.column])
-				s.memo[string(kb)] = append(s.memo[string(kb)], id)
 			}
 		}
 		k, err := s.keyC()
@@ -253,8 +249,7 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 				// against the snapshot per probe.
 				s.ids = visibleEqIDs(s.table, s.idx, k, s.snap)
 			} else {
-				s.keyBuf = appendValueKey(s.keyBuf[:0], k)
-				s.ids = s.memo[string(s.keyBuf)]
+				s.ids = s.memo[indexKey(k)]
 			}
 		}
 		s.idsSet = true
@@ -281,31 +276,62 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 // ---------------------------------------------------------------------------
 // Filter
 
-// filterOp passes through rows satisfying the predicate (NULL = drop).
+// filterOp passes through rows satisfying the predicate (NULL = drop), one
+// at a time — unless the predicate calls batch-form functions (BatchFunc,
+// func.go). Then it pulls a window of child rows, files every row's argument
+// tuples with the calls' memos, has each memo send the tuples no earlier row
+// of the statement asked about — one call of the function per call site per
+// window — and only then evaluates the rows, in child order. The planner
+// gives every such conjunct a filter of its own, above the filter of the
+// conjuncts that make no such call, so those shrink the window first; a
+// filter with no predicate gathers for a projection whose items or sort
+// keys make the calls. The window doubles from first — what a LIMIT asks
+// for, where the consumer will stop early — up to one morsel (morselSize),
+// the unit the batch scan gathers such calls over (vecops.go).
 type filterOp struct {
 	child operator
-	pred  Expr // retained for EXPLAIN
+	pred  Expr // retained for EXPLAIN; nil passes every row
 	cpred compiledExpr
-	env   *evalEnv
+	env   *evalEnv    // where pred — and the gathered calls — read their row from
+	win   *callWindow // nil: no batch-form call, no window
+}
+
+// callWindow is the window of child rows a filterOp gathers calls over.
+type callWindow struct {
+	sites []*batchSite // the batch-form calls, inner first
+	first int          // rows the first window pulls
+	size  int          // rows the next one does; 0 before the first
+	rows  []Row
+	pos   int // the window row being evaluated: where the sites read their class
+	eof   bool
 }
 
 func newFilterOp(child operator, pred Expr, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*filterOp, error) {
-	env := newEvalEnv(child.columns(), db, params, outer, qc)
-	cpred, err := compileExpr(pred, env)
-	if err != nil {
-		return nil, err
+	f := &filterOp{child: child, pred: pred, env: newEvalEnv(child.columns(), db, params, outer, qc)}
+	if qc.callsBatchFunc(pred) {
+		f.win = &callWindow{}
+		f.env.sites = &f.win.sites
 	}
-	return &filterOp{child: child, pred: pred, cpred: cpred, env: env}, nil
+	var err error
+	f.cpred, err = compileExpr(pred, f.env)
+	return f, err
 }
 
 func (f *filterOp) columns() []colInfo { return f.child.columns() }
-func (f *filterOp) reset()             { f.child.reset() }
+
+// reset rewinds the window; what the calls have learnt stays.
+func (f *filterOp) reset() {
+	if w := f.win; w != nil {
+		w.rows, w.pos, w.eof, w.size = w.rows[:0], 0, false, 0
+	}
+	f.child.reset()
+}
 
 func (f *filterOp) next() (Row, bool, error) {
 	for {
-		r, ok, err := f.child.next()
-		if err != nil || !ok {
-			return nil, false, err
+		r, ok, err := f.pull()
+		if err != nil || !ok || f.cpred == nil {
+			return r, ok, err
 		}
 		f.env.row = r
 		v, err := f.cpred()
@@ -318,15 +344,60 @@ func (f *filterOp) next() (Row, bool, error) {
 	}
 }
 
+// pull returns the next row to test: the child's, or the window's.
+func (f *filterOp) pull() (Row, bool, error) {
+	w := f.win
+	if w == nil {
+		return f.child.next()
+	}
+	for w.pos+1 >= len(w.rows) {
+		if w.eof {
+			return nil, false, nil
+		}
+		if err := f.fill(w); err != nil {
+			return nil, false, err
+		}
+	}
+	w.pos++
+	return w.rows[w.pos], true, nil
+}
+
+// fill pulls the next window and gathers every call site over it.
+func (f *filterOp) fill(w *callWindow) error {
+	w.rows, w.size = w.rows[:0], max(w.size, w.first)
+	for len(w.rows) < w.size {
+		r, ok, err := f.child.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			w.eof = true
+			break
+		}
+		w.rows = append(w.rows, r)
+	}
+	w.size = min(2*w.size, morselSize)
+	for _, s := range w.sites {
+		s.pos, s.ahead = &w.pos, s.ahead[:0]
+		for i, r := range w.rows {
+			f.env.row, w.pos = r, i
+			class, _ := s.gather() // a failed argument is raised when the row is evaluated
+			s.ahead = append(s.ahead, class)
+		}
+		s.memo.Flush(s.qc.ctx)
+	}
+	w.pos = -1
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Joins
 
-// probeJoinCore is the probe loop shared by hash and index joins: stream
+// probeJoinCore is the probe loop every join but the merge join runs: stream
 // probe rows, evaluate the key, fetch matches through the owner's
-// lookup/matchRow hooks (a hash join encodes the key into keyBuf there),
-// assemble output rows (the probe side keeps its syntactic position),
-// apply the residual predicate, and pad unmatched LEFT-JOIN probe rows
-// with NULLs.
+// lookup/matchRow hooks, assemble output rows (the probe side keeps its
+// syntactic position), apply the residual predicate, and pad unmatched
+// LEFT-JOIN probe rows with NULLs.
 type probeJoinCore struct {
 	probe       operator
 	cols        []colInfo // output schema: left columns then right columns
@@ -337,7 +408,6 @@ type probeJoinCore struct {
 	pairEnv     *evalEnv
 	leftOuter   bool // only when probeIsLeft
 	arena       rowArena
-	keyBuf      []byte
 
 	// lookup records the matches for a non-NULL probe key and returns
 	// their count; matchRow returns the i-th match of the latest lookup.
@@ -351,22 +421,26 @@ type probeJoinCore struct {
 	haveCur  bool
 }
 
-// initProbeJoin fills the core's environments and compiles the key and
-// residual expressions. cols must already be set.
-func (c *probeJoinCore) initProbeJoin(probeKeyE, residual Expr,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) error {
-	var err error
-	c.probeEnv = newEvalEnv(c.probe.columns(), db, params, outer, qc)
+// initProbeJoin names the probe input and the columns of the other side,
+// derives the output schema (left columns, then right), and compiles the key
+// and residual expressions against it.
+func (c *probeJoinCore) initProbeJoin(probe operator, other []colInfo, probeIsLeft, leftOuter bool,
+	probeKeyE, residual Expr, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (err error) {
+	c.probe, c.probeIsLeft, c.leftOuter = probe, probeIsLeft, leftOuter
+	if probeIsLeft {
+		c.cols = append(append([]colInfo{}, probe.columns()...), other...)
+	} else {
+		c.cols = append(append([]colInfo{}, other...), probe.columns()...)
+	}
+	c.probeEnv = newEvalEnv(probe.columns(), db, params, outer, qc)
 	if c.probeKey, err = compileExpr(probeKeyE, c.probeEnv); err != nil {
 		return err
 	}
 	c.pairEnv = newEvalEnv(c.cols, db, params, outer, qc)
 	if residual != nil {
-		if c.residual, err = compileExpr(residual, c.pairEnv); err != nil {
-			return err
-		}
+		c.residual, err = compileExpr(residual, c.pairEnv)
 	}
-	return nil
+	return err
 }
 
 func (c *probeJoinCore) columns() []colInfo { return c.cols }
@@ -451,22 +525,8 @@ type hashJoinOp struct {
 	rightKey    Expr     // retained for EXPLAIN
 	residualE   Expr     // retained for EXPLAIN
 	buckets     [][]Row
-	keyIndex    map[string]int
+	keyIndex    map[Value]int // by indexKey, as an index keys its postings
 	curBucket   []Row
-
-	// Parallel build (parallel.go): when the build side is large enough the
-	// table is split into shards keyed by a partition hash; workers encode
-	// keys concurrently and each shard is then built by one worker in global
-	// row order, so every bucket's contents match the serial build exactly.
-	shards       []hashJoinShard
-	nKeys        int // distinct keys across the table (both paths)
-	buildWorkers int // workers used for a parallel build; 0 = serial
-}
-
-// hashJoinShard is one partition of a parallel hash-join build.
-type hashJoinShard struct {
-	keyIndex map[string]int
-	buckets  [][]Row
 }
 
 func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
@@ -474,85 +534,47 @@ func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
 	buildIsLeft, leftOuter bool,
 	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*hashJoinOp, error) {
 
-	var cols []colInfo
-	if buildIsLeft {
-		cols = append(append([]colInfo{}, buildCols...), probe.columns()...)
-	} else {
-		cols = append(append([]colInfo{}, probe.columns()...), buildCols...)
-	}
 	h := &hashJoinOp{
 		buildCols:   buildCols,
 		buildIsLeft: buildIsLeft,
 		leftKey:     leftKey,
 		rightKey:    rightKey,
 		residualE:   residual,
-		keyIndex:    make(map[string]int),
+		keyIndex:    make(map[Value]int),
 	}
-	h.probe = probe
-	h.cols = cols
-	h.probeIsLeft = !buildIsLeft
-	h.leftOuter = leftOuter
 	h.matchRow = func(i int) Row { return h.curBucket[i] }
-
-	// Build phase: partitioned-parallel when the build side is large enough
-	// and the key expression is safe to evaluate concurrently; serial
-	// otherwise. Both paths produce identical buckets (parallel shards keep
-	// global row order), so probe results are bit-identical.
-	if db != nil && qc != nil && db.maxWorkers > 1 &&
-		len(buildRows) >= morselMinRows && parallelSafe(buildKeyE) {
-		if err := h.buildParallel(buildRows, buildKeyE, db, params, outer); err != nil {
-			return nil, err
+	h.lookup = func(k Value) int {
+		h.curBucket = nil
+		if i, ok := h.keyIndex[indexKey(k)]; ok {
+			h.curBucket = h.buckets[i]
 		}
-	} else {
-		if err := h.buildSerial(buildRows, buildKeyE, db, params, outer, qc); err != nil {
-			return nil, err
-		}
+		return len(h.curBucket)
 	}
-	if err := h.initProbeJoin(probeKeyE, residual, db, params, outer, qc); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// buildSerial hashes the build rows on the owner goroutine.
-func (h *hashJoinOp) buildSerial(buildRows []Row, buildKeyE Expr,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) error {
-	buildEnv := newEvalEnv(h.buildCols, db, params, outer, qc)
+	// Build phase: hash the build rows, on the statement's own goroutine.
+	buildEnv := newEvalEnv(buildCols, db, params, outer, qc)
 	buildKey, err := compileExpr(buildKeyE, buildEnv)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h.keyIndex = make(map[string]int)
-	var kb []byte
 	for _, r := range buildRows {
 		buildEnv.row = r
 		k, err := buildKey()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if k.IsNull() {
 			continue // NULL keys never join
 		}
-		kb = appendValueKey(kb[:0], k)
-		i, ok := h.keyIndex[string(kb)]
+		k = indexKey(k)
+		i, ok := h.keyIndex[k]
 		if !ok {
 			i = len(h.buckets)
 			h.buckets = append(h.buckets, nil)
-			h.keyIndex[string(kb)] = i // allocates once per distinct key
+			h.keyIndex[k] = i
 		}
 		h.buckets[i] = append(h.buckets[i], r)
 	}
-	h.nKeys = len(h.keyIndex)
-	h.lookup = func(k Value) int {
-		h.keyBuf = appendValueKey(h.keyBuf[:0], k)
-		if i, ok := h.keyIndex[string(h.keyBuf)]; ok {
-			h.curBucket = h.buckets[i]
-			return len(h.curBucket)
-		}
-		h.curBucket = nil
-		return 0
-	}
-	return nil
+	return h, h.initProbeJoin(probe, buildCols, !buildIsLeft, leftOuter, probeKeyE, residual, db, params, outer, qc)
 }
 
 // indexJoinOp performs an equi-join by probing an equality index on a base
@@ -573,12 +595,6 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	probeKeyE, idxKeyE Expr, residual Expr, probeIsLeft, leftOuter bool,
 	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*indexJoinOp, error) {
 
-	var cols []colInfo
-	if probeIsLeft {
-		cols = append(append([]colInfo{}, probe.columns()...), idxCols...)
-	} else {
-		cols = append(append([]colInfo{}, idxCols...), probe.columns()...)
-	}
 	j := &indexJoinOp{
 		table:     table,
 		idx:       idx,
@@ -587,10 +603,6 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 		idxKeyE:   idxKeyE,
 		residualE: residual,
 	}
-	j.probe = probe
-	j.cols = cols
-	j.probeIsLeft = probeIsLeft
-	j.leftOuter = leftOuter
 	// Per-probe: copy the posting list under the index latch (into ids,
 	// which every probe reuses), then filter it against the statement
 	// snapshot (the posting is a superset under MVCC — superseded versions
@@ -612,102 +624,26 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 		return len(j.curRows)
 	}
 	j.matchRow = func(i int) Row { return j.curRows[i] }
-	if err := j.initProbeJoin(probeKeyE, residual, db, params, outer, qc); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return j, j.initProbeJoin(probe, idxCols, probeIsLeft, leftOuter, probeKeyE, residual, db, params, outer, qc)
 }
 
 // nestedLoopJoinOp is the fallback join for non-equi ON conditions and
-// CROSS joins. The right side is materialised.
+// CROSS joins: the probe loop with every row of the materialised right side
+// a match and the whole ON condition its residual.
 type nestedLoopJoinOp struct {
-	left      operator
-	rightCols []colInfo
+	probeJoinCore
 	rightRows []Row
 	rightSrc  operator // retained for EXPLAIN (rows already drained)
-	cols      []colInfo
-	on        Expr // retained for EXPLAIN; nil for CROSS
-	con       compiledExpr
-	leftOuter bool
-	env       *evalEnv
-	arena     rowArena
-
-	cur      Row
-	haveCur  bool
-	emitted  bool
-	rightPos int
+	on        Expr     // retained for EXPLAIN; nil for CROSS
 }
 
 func newNestedLoopJoinOp(left operator, rightCols []colInfo, rightRows []Row,
 	on Expr, leftOuter bool, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*nestedLoopJoinOp, error) {
-	cols := append(append([]colInfo{}, left.columns()...), rightCols...)
-	n := &nestedLoopJoinOp{
-		left:      left,
-		rightCols: rightCols,
-		rightRows: rightRows,
-		cols:      cols,
-		on:        on,
-		leftOuter: leftOuter,
-		env:       newEvalEnv(cols, db, params, outer, qc),
-	}
-	if on != nil {
-		var err error
-		if n.con, err = compileExpr(on, n.env); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-func (n *nestedLoopJoinOp) columns() []colInfo { return n.cols }
-func (n *nestedLoopJoinOp) reset() {
-	n.left.reset()
-	n.haveCur = false
-	n.rightPos = 0
-}
-
-func (n *nestedLoopJoinOp) next() (Row, bool, error) {
-	for {
-		if !n.haveCur {
-			r, ok, err := n.left.next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.cur = r
-			n.haveCur = true
-			n.emitted = false
-			n.rightPos = 0
-		}
-		for n.rightPos < len(n.rightRows) {
-			rr := n.rightRows[n.rightPos]
-			n.rightPos++
-			out := n.arena.alloc(len(n.cols))
-			c := copy(out, n.cur)
-			copy(out[c:], rr)
-			if n.con != nil {
-				n.env.row = out
-				v, err := n.con()
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
-			}
-			n.emitted = true
-			return out, true, nil
-		}
-		if n.leftOuter && !n.emitted {
-			n.haveCur = false
-			out := n.arena.alloc(len(n.cols))
-			c := copy(out, n.cur)
-			for i := c; i < len(out); i++ {
-				out[i] = Null
-			}
-			return out, true, nil
-		}
-		n.haveCur = false
-	}
+	n := &nestedLoopJoinOp{rightRows: rightRows, on: on}
+	n.lookup = func(Value) int { return len(n.rightRows) }
+	n.matchRow = func(i int) Row { return n.rightRows[i] }
+	// The probe key is a constant: no row has a NULL one.
+	return n, n.initProbeJoin(left, rightCols, true, leftOuter, &Literal{Val: Int(1)}, on, db, params, outer, qc)
 }
 
 // ---------------------------------------------------------------------------
@@ -999,7 +935,7 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		}
 	}
 
-	pushed, kept := pushdownConjuncts(stmt, inputs)
+	pushed, kept := pushdownConjuncts(stmt, inputs, qc)
 	for i, cs := range pushed {
 		if len(cs) == 0 {
 			continue
@@ -1048,22 +984,9 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 	for ji, jc := range stmt.Joins {
 		rightOp := inputs[ji+1]
 		rightCols := rightOp.columns()
-		if jc.Kind == JoinCross {
-			rightRows, err := drain(rightOp)
-			if err != nil {
-				return nil, nil, err
-			}
-			nl, err := newNestedLoopJoinOp(left, rightCols, rightRows, nil, false, db, params, outer, qc)
-			if err != nil {
-				return nil, nil, err
-			}
-			nl.rightSrc = rightOp
-			left = nl
-			continue
-		}
 		leftOuter := jc.Kind == JoinLeft
 		leftKey, rightKey, residual := splitEquiJoin(jc.On, left.columns(), rightCols)
-		if leftKey == nil {
+		if leftKey == nil { // a CROSS join (no ON at all), or no equality to hash or probe on
 			rightRows, err := drain(rightOp)
 			if err != nil {
 				return nil, nil, err
@@ -1250,8 +1173,11 @@ func unrestrictedScan(sc *scanOp) bool { return sc.ids == nil && sc.rangeIdx == 
 // correlated to anything), or an aggregate — and, regardless of what it
 // references, when its target input is the nullable right side of a
 // LEFT JOIN (it must see NULL-extended rows, not filter them away
-// before they are produced).
-func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, kept []Expr) {
+// before they are produced). A conjunct that calls a batch-form function
+// stays above too, to run over the rows every cheaper conjunct and the
+// joins kept — it asks about each distinct value once, so a join that
+// repeats rows costs it nothing.
+func pushdownConjuncts(stmt *SelectStmt, inputs []operator, qc *queryCtx) (pushed [][]Expr, kept []Expr) {
 	pushed = make([][]Expr, len(inputs))
 	if stmt.Where == nil {
 		return pushed, nil
@@ -1272,7 +1198,7 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator) (pushed [][]Expr, ke
 		return owner
 	}
 	for _, c := range splitConjuncts(stmt.Where) {
-		owner, pushable := -1, true
+		owner, pushable := -1, !qc.callsBatchFunc(c)
 		walkExpr(c, func(x Expr) bool {
 			if exprBlocksRewrite(x) {
 				pushable = false

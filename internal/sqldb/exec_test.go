@@ -404,12 +404,12 @@ func TestStrftime(t *testing.T) {
 
 func TestCustomUDF(t *testing.T) {
 	db := testDB(t)
-	db.Funcs().Register("SHOUT", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"SHOUT": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		if len(args) != 1 {
 			return Null, fmt.Errorf("SHOUT wants 1 arg")
 		}
 		return Text(strings.ToUpper(args[0].AsText()) + "!"), nil
-	})
+	}}})
 	got := queryStrings(t, db, "SELECT SHOUT(title) FROM movies WHERE id = 1")
 	if got[0][0] != "TITANIC!" {
 		t.Errorf("udf = %v", got)
@@ -502,7 +502,7 @@ func TestColumnNamesCompareStructurally(t *testing.T) {
 	pushed, kept := pushdownConjuncts(stmt.(*SelectStmt), []operator{
 		&valuesOp{cols: []colInfo{{"d", "y"}, {"d", "y"}, {"d", "k"}, {"d", "s"}}},
 		&valuesOp{cols: []colInfo{{"t", "x.y"}, {"t", "z"}, {"t", "k"}}},
-	})
+	}, nil)
 	render := func(es []Expr) string {
 		var parts []string
 		for _, e := range es {

@@ -148,27 +148,14 @@ func (p *planPrinter) describe(op operator, depth int) {
 		}
 		p.describe(t.child, depth+1)
 	case *scanOp:
-		switch {
-		case t.rangeIdx != nil:
-			p.emit(depth, "index range scan %s (as %s): %s", t.table.Name, t.qual,
-				t.spec.describe(t.table.Columns[t.rangeIdx.Column].Name))
-		case t.ids != nil:
-			p.emit(depth, "index scan %s (as %s): %d candidate row(s)", t.table.Name, t.qual, len(t.ids))
-		default:
-			p.emit(depth, "seq scan %s (as %s): %d row(s)", t.table.Name, t.qual, t.table.liveCount())
-		}
+		kind, detail := t.describe(t.table)
+		p.emit(depth, "%s scan %s (as %s): %s", kind, t.table.Name, t.qual, detail)
 	case *parScanOp:
 		p.describe(t.scan, depth)
 	case *vecScanOp:
 		// One node kind for every large scan: the pool (workers=N) and the
 		// kernels (k of the pipeline's m expressions compiled) annotate it.
-		kind, detail := "seq", fmt.Sprintf("%d row(s)", t.table.liveCount())
-		switch {
-		case t.rangeIdx != nil:
-			kind, detail = "index range", t.spec.describe(t.table.Columns[t.rangeIdx.Column].Name)
-		case t.ids != nil:
-			kind, detail = "index", fmt.Sprintf("%d candidate row(s)", len(t.ids))
-		}
+		kind, detail := t.describe(t.table)
 		notes := ""
 		if t.workers > 1 {
 			notes = fmt.Sprintf(" workers=%d", t.workers)
@@ -182,10 +169,21 @@ func (p *planPrinter) describe(op operator, depth int) {
 				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.src.segs), t.cnt.decoded)
 			}
 		}
+		var sites []*batchSite
+		for _, g := range t.gather {
+			sites = append(sites, g...)
+		}
+		if analyzed && sites != nil {
+			p.extra += " " + lmNote(sites)
+		}
 		p.emit(depth, "batch %s scan %s (as %s)%s vectorized %d/%d: %s",
 			kind, t.table.Name, t.qual, notes, t.kernels, t.exprs, detail)
-		for _, pred := range t.preds {
-			p.emit(depth+1, "fused filter %s", pred.String())
+		for i, pred := range t.preds {
+			if t.gather[i] != nil {
+				p.emit(depth+1, "fused batch-call filter %s", pred.String())
+			} else {
+				p.emit(depth+1, "fused filter %s", pred.String())
+			}
 		}
 	case *ordScanOp:
 		col := t.table.Columns[t.idx.Column].Name
@@ -212,20 +210,28 @@ func (p *planPrinter) describe(op operator, depth int) {
 			p.describe(t.src, depth+1)
 		}
 	case *filterOp:
-		p.emit(depth, "filter %s", t.pred.String())
-		p.describeSubplans(t.pred, depth+1, t.env)
+		if analyzed && t.win != nil {
+			p.extra = lmNote(t.win.sites)
+		}
+		switch {
+		case t.pred == nil:
+			p.emit(depth, "batch-call gather: %d call site(s)", len(t.win.sites))
+		case t.win != nil:
+			p.emit(depth, "batch-call filter %s", t.pred.String())
+		default:
+			p.emit(depth, "filter %s", t.pred.String())
+		}
+		if t.pred != nil {
+			p.describeSubplans(t.pred, depth+1, t.env)
+		}
 		p.describe(t.child, depth+1)
 	case *hashJoinOp:
 		side := "right"
 		if t.buildIsLeft {
 			side = "left"
 		}
-		buildNote := ""
-		if t.buildWorkers > 0 {
-			buildNote = fmt.Sprintf(", parallel build workers=%d", t.buildWorkers)
-		}
-		p.emit(depth, "hash join on %s = %s (build %s: %d key(s)%s)%s",
-			t.leftKey.String(), t.rightKey.String(), side, t.nKeys, buildNote, residualNote(t.residualE))
+		p.emit(depth, "hash join on %s = %s (build %s: %d key(s))%s",
+			t.leftKey.String(), t.rightKey.String(), side, len(t.keyIndex), residualNote(t.residualE))
 		p.describe(t.probe, depth+1)
 		p.emit(depth+1, "build side: %d column(s)", len(t.buildCols))
 		if t.buildSrc != nil {
@@ -253,7 +259,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 			kind = "cross join"
 		}
 		p.emit(depth, "%s (right side: %d row(s))", kind, len(t.rightRows))
-		p.describe(t.left, depth+1)
+		p.describe(t.probe, depth+1)
 		if t.rightSrc != nil {
 			p.describe(t.rightSrc, depth+2)
 		}
@@ -314,6 +320,27 @@ func (p *planPrinter) describeSubplans(e Expr, depth int, env *evalEnv) {
 		p.describe(root, depth+1)
 		return false
 	})
+}
+
+// describe names an access path for EXPLAIN: its kind, and what it reads.
+func (a *indexAccess) describe(t *Table) (kind, detail string) {
+	switch {
+	case a.rangeIdx != nil:
+		return "index range", a.spec.describe(t.Columns[a.rangeIdx.Column].Name)
+	case a.ids != nil:
+		return "index", fmt.Sprintf("%d candidate row(s)", len(a.ids))
+	}
+	return "seq", fmt.Sprintf("%d row(s)", t.liveCount())
+}
+
+// lmNote renders what a node's batch-form calls did, under the names
+// QueryStats counts it by.
+func lmNote(sites []*batchSite) string {
+	var calls, batches, dedup uint64
+	for _, s := range sites {
+		s.memo.tally(&calls, &batches, &dedup)
+	}
+	return fmt.Sprintf("lm_calls=%d lm_batches=%d lm_dedup=%d", calls, batches, dedup)
 }
 
 // scanAnnotation renders an access path's EXPLAIN ANALYZE extras: rows

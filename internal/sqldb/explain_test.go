@@ -1,6 +1,9 @@
 package sqldb
 
 import (
+	"context"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -167,5 +170,41 @@ func TestExplainErrors(t *testing.T) {
 	}
 	if _, err := db.Explain("SELECT nope FROM nowhere"); err == nil {
 		t.Error("EXPLAIN of invalid query must fail")
+	}
+}
+
+// TestExplainAnalyzeBatchCalls pins how batch-form function calls show in
+// an analyzed plan: the filter a conjunct with such calls gets, above the
+// filter of the cheaper conjuncts, and the gather under a projection whose
+// sort key makes one, each with what its calls did — evaluations, calls of
+// the function, evaluations an earlier row had already asked for — and the
+// same three summed in the statement's QueryStats.
+func TestExplainAnalyzeBatchCalls(t *testing.T) {
+	db := udfDB(t, 600)
+	_, batch, _ := udfSets()
+	aq, err := db.ExplainAnalyze(WithFuncs(context.Background(), batch),
+		"SELECT id FROM t WHERE PICK('a', v) AND g = 3 ORDER BY SCORE(w) DESC LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing := regexp.MustCompile(` time=[^\]]*`)
+	var got []string
+	for _, l := range aq.Plan {
+		got = append(got, timing.ReplaceAllString(l, ""))
+	}
+	want := []string{
+		"limit/offset [rows=5]",
+		"  sort by SCORE(w) DESC (top 5) [rows=5 in=21 kept=5]",
+		"    project 1 column(s) [rows=21]",
+		"      batch-call gather: 1 call site(s) [rows=21 lm_calls=21 lm_batches=1 lm_dedup=8]",
+		"        batch-call filter PICK('a', v) [rows=21 lm_calls=86 lm_batches=1 lm_dedup=45]",
+		"          filter (g = 3) [rows=86]",
+		"            seq scan t (as t): 600 row(s) [rows=600 scanned=600]",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if s := aq.Stats; s.LMCalls != 107 || s.LMBatches != 2 || s.LMDedup != 53 {
+		t.Errorf("QueryStats LMCalls/LMBatches/LMDedup = %d/%d/%d, want 107/2/53", s.LMCalls, s.LMBatches, s.LMDedup)
 	}
 }

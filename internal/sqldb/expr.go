@@ -37,6 +37,10 @@ type evalEnv struct {
 	// carried here so compiled subquery closures can hand it to their
 	// subplans. nil for internal evaluations.
 	qc *queryCtx
+	// sites, when an operator that gathers batch-form calls ahead is
+	// compiling its expressions, collects the calls compiled against this
+	// environment (compileFunc). Nested SELECTs get environments of their own.
+	sites *[]*batchSite
 }
 
 // newEvalEnv builds an environment over the given schema. A nil qc

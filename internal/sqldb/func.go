@@ -1,98 +1,98 @@
 package sqldb
 
 import (
+	"context"
 	"math"
 	"strings"
-	"sync"
 )
 
-// ScalarFunc is the implementation of a SQL scalar function. Args arrive
+// ScalarFunc is the row-at-a-time form of a SQL function. Args arrive
 // already evaluated; implementations must be pure with respect to their
 // arguments (the planner may cache or reorder calls).
 type ScalarFunc func(args []Value) (Value, error)
 
-// FuncRegistry maps function names to implementations. It is safe for
-// concurrent use. The TAG layer registers LM UDFs (LLM_FILTER, LLM_SCORE,
-// LLM_MAP) here, which is how semantic predicates run inside exec().
-type FuncRegistry struct {
-	mu      sync.RWMutex
-	scalars map[string]ScalarFunc
+// BatchFunc is the batch form: one call answers many argument tuples.
+// Results align with args; errs is nil when every element succeeded, and a
+// non-nil element fails the statement when the row that asked for it is
+// evaluated. ctx is the context of the statement making the call, so a
+// cancelled request stops its own calls and nobody else's. The engine
+// hands a BatchFunc each distinct tuple of a statement at most once
+// (CallMemo, batchcall.go).
+type BatchFunc func(ctx context.Context, args [][]Value) ([]Value, []error)
+
+// Func is one SQL function: its arity and exactly one of the two forms.
+// A call with fewer than MinArgs or more than MaxArgs arguments (MaxArgs <
+// 0: no upper bound) is an ErrMisuse, whichever form would have run. A
+// Strict scalar function is NULL of a NULL argument without being called.
+type Func struct {
+	MinArgs, MaxArgs int
+	Strict           bool
+	Scalar           ScalarFunc
+	Batch            BatchFunc
 }
 
-// NewFuncRegistry returns a registry preloaded with the built-in functions.
-func NewFuncRegistry() *FuncRegistry {
-	r := &FuncRegistry{scalars: make(map[string]ScalarFunc)}
-	registerBuiltins(r)
-	return r
+// FuncSet is a set of functions lent to statements on top of the
+// built-ins: the TAG layer's LM functions (LLM_FILTER, LLM_SCORE, LLM_MAP),
+// which is how semantic predicates run inside exec(). name arrives
+// upper-cased. A statement sees one FuncSet: the one its context carries
+// (WithFuncs) — a request's own binding, which concurrent requests can
+// neither see nor replace — else the one its database was opened with
+// (SetFuncs). Built-in names are resolved first and cannot be shadowed.
+type FuncSet interface {
+	LookupFunc(name string) (Func, bool)
 }
 
-// Register installs (or replaces) a scalar function under the given name.
-// Names are case-insensitive.
-func (r *FuncRegistry) Register(name string, fn ScalarFunc) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.scalars[strings.ToUpper(name)] = fn
+type funcSetKey struct{}
+
+// WithFuncs returns a context whose statements call fs's functions.
+func WithFuncs(ctx context.Context, fs FuncSet) context.Context {
+	return context.WithValue(ctx, funcSetKey{}, fs)
 }
 
-// Lookup returns the named function, or nil if unregistered.
-func (r *FuncRegistry) Lookup(name string) ScalarFunc {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.scalars[strings.ToUpper(name)]
-}
-
-// Names returns the registered function names (unsorted).
-func (r *FuncRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.scalars))
-	for n := range r.scalars {
-		out = append(out, n)
+// lookupFunc resolves a call for one statement: the immutable built-ins,
+// then the statement's FuncSet.
+func (qc *queryCtx) lookupFunc(name string) (Func, bool) {
+	if f, ok := builtins[name]; ok {
+		return f, true
 	}
-	return out
-}
-
-// argCheck returns an error when the argument count is outside [min,max]
-// (max < 0 means unbounded).
-func argCheck(name string, args []Value, min, max int) error {
-	if len(args) < min || (max >= 0 && len(args) > max) {
-		return errf(ErrMisuse, "sql: wrong number of arguments to function %s()", name)
+	if qc == nil || qc.lent == nil {
+		return Func{}, false
 	}
-	return nil
+	return qc.lent.set.LookupFunc(name)
 }
 
-func registerBuiltins(r *FuncRegistry) {
-	r.Register("UPPER", func(args []Value) (Value, error) {
-		if err := argCheck("UPPER", args, 1, 1); err != nil {
-			return Null, err
+// callsBatchFunc reports whether e calls a function in batch form — the
+// calls the planner gathers a window of rows for (filterOp, exec.go). Nested
+// SELECTs are not entered: they plan their own. A statement with no FuncSet
+// makes no such call, and is not walked.
+func (qc *queryCtx) callsBatchFunc(e Expr) bool {
+	if qc == nil || qc.lent == nil {
+		return false
+	}
+	found := false
+	walkExpr(e, func(x Expr) bool {
+		if fc, ok := x.(*FuncCall); ok && !isAggregateName(fc.Name) {
+			f, _ := qc.lookupFunc(fc.Name)
+			found = found || f.Batch != nil
 		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
+		return !found
+	})
+	return found
+}
+
+// builtins are the functions every statement can call. The table is built
+// once and never written to.
+var builtins = map[string]Func{
+	"UPPER": {MinArgs: 1, MaxArgs: 1, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Text(strings.ToUpper(args[0].AsText())), nil
-	})
-	r.Register("LOWER", func(args []Value) (Value, error) {
-		if err := argCheck("LOWER", args, 1, 1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
+	}},
+	"LOWER": {MinArgs: 1, MaxArgs: 1, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Text(strings.ToLower(args[0].AsText())), nil
-	})
-	r.Register("LENGTH", func(args []Value) (Value, error) {
-		if err := argCheck("LENGTH", args, 1, 1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
+	}},
+	"LENGTH": {MinArgs: 1, MaxArgs: 1, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Int(int64(len([]rune(args[0].AsText())))), nil
-	})
-	r.Register("SUBSTR", func(args []Value) (Value, error) {
-		if err := argCheck("SUBSTR", args, 2, 3); err != nil {
-			return Null, err
-		}
+	}},
+	"SUBSTR": {MinArgs: 2, MaxArgs: 3, Scalar: func(args []Value) (Value, error) {
 		if args[0].IsNull() {
 			return Null, nil
 		}
@@ -121,11 +121,8 @@ func registerBuiltins(r *FuncRegistry) {
 			}
 		}
 		return Text(string(runes[start:end])), nil
-	})
-	r.Register("TRIM", func(args []Value) (Value, error) {
-		if err := argCheck("TRIM", args, 1, 2); err != nil {
-			return Null, err
-		}
+	}},
+	"TRIM": {MinArgs: 1, MaxArgs: 2, Scalar: func(args []Value) (Value, error) {
 		if args[0].IsNull() {
 			return Null, nil
 		}
@@ -134,33 +131,15 @@ func registerBuiltins(r *FuncRegistry) {
 			cut = args[1].AsText()
 		}
 		return Text(strings.Trim(args[0].AsText(), cut)), nil
-	})
-	r.Register("REPLACE", func(args []Value) (Value, error) {
-		if err := argCheck("REPLACE", args, 3, 3); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
-			return Null, nil
-		}
+	}},
+	"REPLACE": {MinArgs: 3, MaxArgs: 3, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Text(strings.ReplaceAll(args[0].AsText(), args[1].AsText(), args[2].AsText())), nil
-	})
-	r.Register("INSTR", func(args []Value) (Value, error) {
-		if err := argCheck("INSTR", args, 2, 2); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null, nil
-		}
+	}},
+	"INSTR": {MinArgs: 2, MaxArgs: 2, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Int(int64(strings.Index(args[0].AsText(), args[1].AsText()) + 1)), nil
-	})
-	r.Register("ABS", func(args []Value) (Value, error) {
-		if err := argCheck("ABS", args, 1, 1); err != nil {
-			return Null, err
-		}
+	}},
+	"ABS": {MinArgs: 1, MaxArgs: 1, Strict: true, Scalar: func(args []Value) (Value, error) {
 		v := args[0]
-		if v.IsNull() {
-			return Null, nil
-		}
 		if v.Kind() == KindInt {
 			n := v.AsInt()
 			if n < 0 {
@@ -169,11 +148,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return Int(n), nil
 		}
 		return Float(math.Abs(v.AsFloat())), nil
-	})
-	r.Register("ROUND", func(args []Value) (Value, error) {
-		if err := argCheck("ROUND", args, 1, 2); err != nil {
-			return Null, err
-		}
+	}},
+	"ROUND": {MinArgs: 1, MaxArgs: 2, Scalar: func(args []Value) (Value, error) {
 		if args[0].IsNull() {
 			return Null, nil
 		}
@@ -183,74 +159,44 @@ func registerBuiltins(r *FuncRegistry) {
 		}
 		scale := math.Pow10(digits)
 		return Float(math.Round(args[0].AsFloat()*scale) / scale), nil
-	})
-	r.Register("COALESCE", func(args []Value) (Value, error) {
-		if err := argCheck("COALESCE", args, 1, -1); err != nil {
-			return Null, err
-		}
+	}},
+	"COALESCE": {MinArgs: 1, MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
 			}
 		}
 		return Null, nil
-	})
-	r.Register("IFNULL", func(args []Value) (Value, error) {
-		if err := argCheck("IFNULL", args, 2, 2); err != nil {
-			return Null, err
-		}
+	}},
+	"IFNULL": {MinArgs: 2, MaxArgs: 2, Scalar: func(args []Value) (Value, error) {
 		if !args[0].IsNull() {
 			return args[0], nil
 		}
 		return args[1], nil
-	})
-	r.Register("NULLIF", func(args []Value) (Value, error) {
-		if err := argCheck("NULLIF", args, 2, 2); err != nil {
-			return Null, err
-		}
+	}},
+	"NULLIF": {MinArgs: 2, MaxArgs: 2, Scalar: func(args []Value) (Value, error) {
 		if !args[0].IsNull() && !args[1].IsNull() && args[0].Compare(args[1]) == 0 {
 			return Null, nil
 		}
 		return args[0], nil
-	})
-	r.Register("TYPEOF", func(args []Value) (Value, error) {
-		if err := argCheck("TYPEOF", args, 1, 1); err != nil {
-			return Null, err
-		}
+	}},
+	"TYPEOF": {MinArgs: 1, MaxArgs: 1, Scalar: func(args []Value) (Value, error) {
 		return Text(strings.ToLower(args[0].Kind().String())), nil
-	})
-	r.Register("SQRT", func(args []Value) (Value, error) {
-		if err := argCheck("SQRT", args, 1, 1); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
+	}},
+	"SQRT": {MinArgs: 1, MaxArgs: 1, Strict: true, Scalar: func(args []Value) (Value, error) {
 		f := args[0].AsFloat()
 		if f < 0 {
 			return Null, nil
 		}
 		return Float(math.Sqrt(f)), nil
-	})
-	r.Register("POW", func(args []Value) (Value, error) {
-		if err := argCheck("POW", args, 2, 2); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null, nil
-		}
+	}},
+	"POW": {MinArgs: 2, MaxArgs: 2, Strict: true, Scalar: func(args []Value) (Value, error) {
 		return Float(math.Pow(args[0].AsFloat(), args[1].AsFloat())), nil
-	})
+	}},
 	// STRFTIME over ISO 'YYYY-MM-DD[ HH:MM:SS]' strings: supports the %Y /
 	// %m / %d specifiers the benchmark schemas need without a time package
 	// dependency on column storage.
-	r.Register("STRFTIME", func(args []Value) (Value, error) {
-		if err := argCheck("STRFTIME", args, 2, 2); err != nil {
-			return Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null, nil
-		}
+	"STRFTIME": {MinArgs: 2, MaxArgs: 2, Strict: true, Scalar: func(args []Value) (Value, error) {
 		format, date := args[0].AsText(), args[1].AsText()
 		if len(date) < 10 {
 			return Null, nil
@@ -260,5 +206,5 @@ func registerBuiltins(r *FuncRegistry) {
 		out = strings.ReplaceAll(out, "%m", date[5:7])
 		out = strings.ReplaceAll(out, "%d", date[8:10])
 		return Text(out), nil
-	})
+	}},
 }

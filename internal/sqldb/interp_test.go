@@ -285,20 +285,25 @@ func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
 	if isAggregateName(fc.Name) {
 		return Null, errf(ErrMisuse, "sql: misuse of aggregate function %s()", fc.Name)
 	}
-	var fn ScalarFunc
-	if env.db != nil {
-		fn = env.db.funcs.Lookup(fc.Name)
-	}
-	if fn == nil {
+	f, ok := env.qc.lookupFunc(fc.Name)
+	if !ok {
 		return Null, errf(ErrNoFunction, "sql: no such function: %s", fc.Name)
 	}
+	if n := len(fc.Args); n < f.MinArgs || f.MaxArgs >= 0 && n > f.MaxArgs {
+		return Null, errf(ErrMisuse, "sql: wrong number of arguments to function %s()", fc.Name)
+	}
+	fn := f.Scalar
 	args := make([]Value, len(fc.Args))
+	null := false
 	for i, a := range fc.Args {
 		v, err := evalExpr(a, env)
 		if err != nil {
 			return Null, err
 		}
-		args[i] = v
+		args[i], null = v, null || v.IsNull()
+	}
+	if f.Strict && null {
+		return Null, nil
 	}
 	return fn(args)
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // This file implements the engine's hash-key encoding: a compact binary
-// form of a Value (or a whole Row) that can be appended into a reusable
-// []byte scratch buffer. Hash join, GROUP BY, DISTINCT, DISTINCT
-// aggregates key their maps with it; a secondary index, whose key is one
-// value, keys its map with indexKey's Value directly and copies nothing.
+// form of a Value that can be appended into a reusable []byte scratch
+// buffer. GROUP BY and DISTINCT aggregates key their maps with it; a
+// secondary index and a hash join, whose key is one value, key theirs with
+// indexKey's Value directly, as DISTINCT and batched calls do a tuple at a
+// time (TupleSet, batchcall.go), and copy nothing.
 //
 // Both respect Compare's equivalence classes: values that compare equal
 // key identically. Numerics that hold a mathematical integer (INTEGER,
@@ -68,20 +69,4 @@ func appendValueKey(dst []byte, v Value) []byte {
 		dst = append(dst, keyTagFloat)
 	}
 	return binary.BigEndian.AppendUint64(dst, v.n)
-}
-
-// appendRowKey appends the concatenated key encodings of every value in r.
-// Self-delimiting fields make the concatenation injective over rows of
-// equal arity.
-func appendRowKey(dst []byte, r Row) []byte {
-	for _, v := range r {
-		dst = appendValueKey(dst, v)
-	}
-	return dst
-}
-
-// rowKey builds a hashable identity for a row (used by DISTINCT, GROUP BY).
-// Hot paths should prefer appendRowKey with a reused scratch buffer.
-func rowKey(r Row) string {
-	return string(appendRowKey(nil, r))
 }

@@ -11,6 +11,18 @@ import (
 // GROUP BY / DISTINCT / join results. These tests pin the binary encoder's
 // exactness and its agreement with Compare.
 
+// appendRowKey appends the concatenated key encodings of every value in r:
+// the tests' reference identity for a row (self-delimiting fields make the
+// concatenation injective over rows of equal arity).
+func appendRowKey(dst []byte, r Row) []byte {
+	for _, v := range r {
+		dst = appendValueKey(dst, v)
+	}
+	return dst
+}
+
+func rowKey(r Row) string { return string(appendRowKey(nil, r)) }
+
 func TestKeyExactForLargeInt64(t *testing.T) {
 	const base = int64(1) << 53 // beyond here float64 loses integer precision
 	pairs := [][2]int64{

@@ -26,15 +26,11 @@ import (
 //     first-seen group order from the scan ordinal at which each group
 //     appeared) or private top-K heaps (sortOp.drainTopK). One worker is
 //     the serial fold.
-//   - hash-join build (hashJoinOp.buildParallel): workers evaluate and
-//     encode build keys per morsel, then one worker per partition builds
-//     its shard's buckets in global build-row order.
 //
 // Whether a scan runs here is the planner's call (planScanDriver,
 // vecops.go): only top-level, single-table paths whose expressions are
-// free of subqueries and function calls (the registry cannot distinguish
-// builtins from user/LM UDFs, so all calls stay serial), and only above
-// the size gate so small scans never pay pool overhead. Ordered
+// free of subqueries and function calls (parallelSafe says why), and only
+// above the size gate so small scans never pay pool overhead. Ordered
 // (sort-eliding) scans, merge joins, and correlated probes stay serial.
 //
 // Accounting: workers never touch the shared queryCtx. Each morsel result
@@ -53,10 +49,9 @@ const morselSize = 1024
 const parallelMaxWorkers = 8
 
 // morselMinRows is the one size gate: the minimum estimated input before
-// the planner works a morsel at a time (batch scans, pooled or not;
-// partitioned join builds). Below it statements keep the row iterator
-// and serial builds. Package variable so property tests can lower it to
-// push their small corpora through the batch paths.
+// the planner works a morsel at a time (batch scans, pooled or not); below
+// it statements keep the row iterator. Package variable so property tests
+// can lower it to push their small corpora through the batch paths.
 var morselMinRows = 4096
 
 // parallelWorkersActive counts live worker goroutines engine-wide. Test
@@ -80,10 +75,12 @@ func defaultMaxWorkers() int {
 
 // parallelSafe reports whether every expression may be evaluated on a
 // worker goroutine: no subqueries (they execute subplans against shared
-// planner state) and no function calls (the registry cannot tell builtins
-// from registered UDFs — including LM UDFs — so every call stays on the
-// owner goroutine). Plain column refs, parameters, literals, arithmetic,
-// comparisons, CASE, BETWEEN, IN (value list), LIKE and IS NULL are safe.
+// planner state) and no function calls: a function a caller lent the
+// statement (FuncSet, func.go) is the caller's code, and a batch-form one
+// answers through a memo and counters that belong to the owner goroutine.
+// (The built-ins are pure and could run anywhere; one rule covers every
+// call.) Plain column refs, parameters, literals, arithmetic, comparisons,
+// CASE, BETWEEN, IN (value list), LIKE and IS NULL are safe.
 func parallelSafe(es ...Expr) bool {
 	safe := true
 	for _, e := range es {
@@ -559,170 +556,4 @@ func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 		groups = append(groups, g)
 	}
 	return groups, nil
-}
-
-// keyPartition assigns an encoded join key to one of n build partitions
-// (FNV-1a).
-func keyPartition(b []byte, n int) int {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// ---------------------------------------------------------------------------
-// Parallel hash-join build
-
-// nullPart marks a build row whose key evaluated to NULL (never joins).
-const nullPart = 255
-
-// buildParallel hashes the build side with a two-phase partitioned build.
-// Phase 1: workers claim morsels of the build rows and evaluate + encode
-// each row's key into per-row slots of shared arrays — disjoint indices,
-// so no synchronisation beyond the morsel claim. Phase 2: one worker per
-// partition walks the arrays in global row order inserting its
-// partition's rows, so within every bucket the row order — and therefore
-// every probe result — is identical to the serial build. Fork-join: all
-// workers are joined before this returns.
-func (h *hashJoinOp) buildParallel(buildRows []Row, buildKeyE Expr,
-	db *Database, params []Value, outer *evalEnv) error {
-
-	n := len(buildRows)
-	nMorsels := (n + morselSize - 1) / morselSize
-	nw := db.maxWorkers
-	if nw > nMorsels {
-		nw = nMorsels
-	}
-	if nw < 2 {
-		nw = 2
-	}
-	if nw > nullPart-1 {
-		nw = nullPart - 1 // partition ids must fit uint8 below the NULL mark
-	}
-	nParts := nw
-
-	keys := make([][]byte, n)
-	parts := make([]uint8, n)
-
-	// Phase 1: key evaluation. Each worker compiles its own copy of the
-	// key expression (here, on the owner goroutine) and writes only the
-	// row indices it claimed. Key bytes go into a per-worker append
-	// buffer; grown buffers reallocate, which leaves previously taken
-	// subslices pointing at the old backing array — still valid.
-	type keyErr struct {
-		idx int
-		err error
-	}
-	preds := make([]compiledExpr, nw)
-	envs := make([]*evalEnv, nw)
-	for w := 0; w < nw; w++ {
-		env := newEvalEnv(h.buildCols, db, params, outer, nil)
-		p, err := compileExpr(buildKeyE, env)
-		if err != nil {
-			return err
-		}
-		envs[w], preds[w] = env, p
-	}
-	errSlots := make([]keyErr, nw)
-	var claim atomic.Int64
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go func(w int) {
-			defer func() {
-				parallelWorkersActive.Add(-1)
-				wg.Done()
-			}()
-			env, key := envs[w], preds[w]
-			errSlots[w].idx = -1
-			var buf []byte
-			for {
-				m := int(claim.Add(1)) - 1
-				if m >= nMorsels || abort.Load() {
-					return
-				}
-				lo, hi := m*morselSize, (m+1)*morselSize
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					env.row = buildRows[i]
-					k, err := key()
-					if err != nil {
-						errSlots[w] = keyErr{idx: i, err: err}
-						abort.Store(true)
-						return
-					}
-					if k.IsNull() {
-						parts[i] = nullPart
-						continue
-					}
-					start := len(buf)
-					buf = appendValueKey(buf, k)
-					keys[i] = buf[start:len(buf):len(buf)]
-					parts[i] = uint8(keyPartition(keys[i], nParts))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	firstErr, firstIdx := error(nil), -1
-	for w := range errSlots {
-		if errSlots[w].err != nil && (firstIdx < 0 || errSlots[w].idx < firstIdx) {
-			firstErr, firstIdx = errSlots[w].err, errSlots[w].idx
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-
-	// Phase 2: per-partition builds. Each worker owns one shard and scans
-	// the full parts array — a cheap sequential byte read — inserting its
-	// rows in global order.
-	h.shards = make([]hashJoinShard, nParts)
-	wg = sync.WaitGroup{}
-	for p := 0; p < nParts; p++ {
-		wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go func(p int) {
-			defer func() {
-				parallelWorkersActive.Add(-1)
-				wg.Done()
-			}()
-			sh := &h.shards[p]
-			sh.keyIndex = make(map[string]int)
-			for i := 0; i < n; i++ {
-				if parts[i] != uint8(p) {
-					continue
-				}
-				b, ok := sh.keyIndex[string(keys[i])]
-				if !ok {
-					b = len(sh.buckets)
-					sh.buckets = append(sh.buckets, nil)
-					sh.keyIndex[string(keys[i])] = b
-				}
-				sh.buckets[b] = append(sh.buckets[b], buildRows[i])
-			}
-		}(p)
-	}
-	wg.Wait()
-	for p := range h.shards {
-		h.nKeys += len(h.shards[p].keyIndex)
-	}
-	h.buildWorkers = nw
-	h.lookup = func(k Value) int {
-		h.keyBuf = appendValueKey(h.keyBuf[:0], k)
-		sh := &h.shards[keyPartition(h.keyBuf, nParts)]
-		if i, ok := sh.keyIndex[string(h.keyBuf)]; ok {
-			h.curBucket = sh.buckets[i]
-			return len(h.curBucket)
-		}
-		h.curBucket = nil
-		return 0
-	}
-	return nil
 }

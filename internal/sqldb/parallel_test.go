@@ -342,11 +342,12 @@ func TestParallelAggEquivalence(t *testing.T) {
 	assertNoWorkerLeak(t)
 }
 
-// TestParallelJoinBuildEquivalence pins the partitioned parallel
-// hash-join build: identical join output (values and order) to the
-// serial build, NULL build keys dropped, and the plan annotated with the
-// build worker count.
-func TestParallelJoinBuildEquivalence(t *testing.T) {
+// TestPooledJoinMatchesSerial: a database with a worker pool joins exactly
+// as one without — identical output (values and order) over a build side
+// above the size gate, NULL build keys dropped, computed build keys. (The
+// hash table is built on the owner goroutine either way; the partitioned
+// parallel build this test was written for is gone.)
+func TestPooledJoinMatchesSerial(t *testing.T) {
 	lowerMorselMinRows(t, 64)
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
@@ -375,13 +376,6 @@ func TestParallelJoinBuildEquivalence(t *testing.T) {
 		"SELECT o.id, o.cust, c.region FROM orders o JOIN custs c ON o.cust = c.cid",
 		"SELECT o.id, c.region FROM orders o LEFT JOIN custs c ON o.cust = c.cid",
 		"SELECT o.id, c.region FROM orders o JOIN custs c ON o.cust = c.cid + 0", // computed build key
-	}
-	plan, err := par.Explain(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(plan, "\n"), "parallel build workers=") {
-		t.Fatalf("pooled db did not plan a parallel join build:\n%s", strings.Join(plan, "\n"))
 	}
 	for _, q := range queries {
 		want := queryStrings(t, ser, q)

@@ -527,12 +527,12 @@ func TestStatsCounters(t *testing.T) {
 
 func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 	db := NewDatabase()
-	db.Funcs().Register("BOOM_IF", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"BOOM_IF": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		if args[0].AsInt() == args[1].AsInt() {
 			return Null, errf(ErrMisuse, "boom")
 		}
 		return Bool(true), nil
-	})
+	}}})
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
 	rows := make([][]any, 10)
 	for i := range rows {
@@ -560,13 +560,13 @@ func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 
 func TestDeleteErrorMidLoopKeepsHeapConsistent(t *testing.T) {
 	db := NewDatabase()
-	db.Funcs().Register("DEL_OR_BOOM", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"DEL_OR_BOOM": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		v := args[0].AsInt()
 		if v == 6 {
 			return Null, errf(ErrMisuse, "boom")
 		}
 		return Bool(v < 3), nil
-	})
+	}}})
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
 	rows := make([][]any, 10)
 	for i := range rows {

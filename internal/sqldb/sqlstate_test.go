@@ -81,6 +81,7 @@ func TestSQLStateMappingComplete(t *testing.T) {
 		"ErrCursor":     "24000",
 		"ErrInternal":   "XX000",
 		"ErrIO":         "58030",
+		"ErrExternal":   "38000",
 	}
 	stateShape := regexp.MustCompile(`^[0-9A-Z]{5}$`)
 

@@ -117,6 +117,13 @@ type Stats struct {
 	// expressions).
 	VectorBatches uint64
 	RowFallbacks  uint64
+	// LMCalls counts evaluations of batch-form functions (LLM_FILTER and
+	// its kin): one per row that reached the call. LMBatches counts the calls
+	// of the functions themselves those took, LMDedup the evaluations that
+	// sent nothing because an earlier row had asked with the same arguments.
+	LMCalls   uint64
+	LMBatches uint64
+	LMDedup   uint64
 }
 
 // dbStats is the database-wide aggregate, updated with atomics.
@@ -154,6 +161,10 @@ type dbStats struct {
 	decodedBlocks  atomic.Uint64
 	vectorBatches  atomic.Uint64
 	rowFallbacks   atomic.Uint64
+
+	lmCalls   atomic.Uint64
+	lmBatches atomic.Uint64
+	lmDedup   atomic.Uint64
 }
 
 // Stats returns a snapshot of the database's counters.
@@ -191,6 +202,9 @@ func (db *Database) Stats() Stats {
 		DecodedBlocks:      db.stats.decodedBlocks.Load(),
 		VectorBatches:      db.stats.vectorBatches.Load(),
 		RowFallbacks:       db.stats.rowFallbacks.Load(),
+		LMCalls:            db.stats.lmCalls.Load(),
+		LMBatches:          db.stats.lmBatches.Load(),
+		LMDedup:            db.stats.lmDedup.Load(),
 	}
 }
 
@@ -216,6 +230,11 @@ type QueryStats struct {
 	DecodedBlocks uint64
 	VectorBatches uint64
 	RowFallbacks  uint64
+	// LMCalls / LMBatches / LMDedup measure this execution's batch-form
+	// function calls; meanings match Stats.
+	LMCalls   uint64
+	LMBatches uint64
+	LMDedup   uint64
 	// VersionsReclaimed counts row versions a synchronous Vacuum pass
 	// initiated by this execution removed (zero for ordinary statements —
 	// reclamation is a background concern).
@@ -232,8 +251,9 @@ type QueryStats struct {
 // the end of Query/Exec). A nil queryCtx is valid everywhere and means
 // "no context, no accounting" (EXPLAIN, internal helpers, tests).
 type queryCtx struct {
-	ctx context.Context
-	db  *Database
+	ctx  context.Context
+	db   *Database
+	lent *lentFuncs // nil for most statements, which are lent nothing
 
 	// QueryStats is the execution's own slice of Stats, the one tally every
 	// operator bills; queries and execs are the two Stats counters that
@@ -268,7 +288,7 @@ type queryCtx struct {
 	// because workers read table data under that lock.
 	finalizers []func()
 
-	tick    uint
+	tick    uint32 // with flushed in one word: the struct stays in the 320-byte size class
 	flushed bool
 }
 
@@ -294,7 +314,25 @@ func (qc *queryCtx) stopWorkers() {
 }
 
 func newQueryCtx(ctx context.Context, db *Database) *queryCtx {
-	return &queryCtx{ctx: ctx, db: db, start: time.Now()}
+	qc := &queryCtx{ctx: ctx, db: db, start: time.Now()}
+	fs := db.funcs
+	if ctx != nil {
+		if bound, ok := ctx.Value(funcSetKey{}).(FuncSet); ok {
+			fs = bound
+		}
+	}
+	if fs != nil {
+		qc.lent = &lentFuncs{set: fs}
+	}
+	return qc
+}
+
+// lentFuncs is a statement's FuncSet — the one its caller bound to ctx
+// (WithFuncs), else the database's — and the memos of the batch-form calls
+// it compiled, which keep the LM* counters (tallyLM).
+type lentFuncs struct {
+	set   FuncSet
+	memos []*CallMemo
 }
 
 // snapshot returns the execution's counters as a QueryStats. Safe on a nil
@@ -303,11 +341,23 @@ func (qc *queryCtx) snapshot() QueryStats {
 	if qc == nil {
 		return QueryStats{}
 	}
+	qc.tallyLM()
 	qs := qc.QueryStats
 	if !qc.flushed {
 		qs.Elapsed = time.Since(qc.start)
 	}
 	return qs
+}
+
+// tallyLM brings the LM* counters up to what the memos have done so far.
+func (qc *queryCtx) tallyLM() {
+	if qc.lent == nil {
+		return
+	}
+	qc.LMCalls, qc.LMBatches, qc.LMDedup = 0, 0, 0
+	for _, m := range qc.lent.memos {
+		m.tally(&qc.LMCalls, &qc.LMBatches, &qc.LMDedup)
+	}
 }
 
 // cancelled reports a typed ErrCanceled when the execution's context is
@@ -364,6 +414,7 @@ func (qc *queryCtx) flush() {
 		qc.snap = nil
 	}
 	qc.Elapsed = time.Since(qc.start)
+	qc.tallyLM()
 	s := &qc.db.stats
 	fold(&s.queries, qc.queries)
 	fold(&s.execs, qc.execs)
@@ -381,6 +432,9 @@ func (qc *queryCtx) flush() {
 	fold(&s.decodedBlocks, qc.DecodedBlocks)
 	fold(&s.vectorBatches, qc.VectorBatches)
 	fold(&s.rowFallbacks, qc.RowFallbacks)
+	fold(&s.lmCalls, qc.LMCalls)
+	fold(&s.lmBatches, qc.LMBatches)
+	fold(&s.lmDedup, qc.LMDedup)
 }
 
 // fold adds one execution's count to its engine-wide atomic; most are zero

@@ -22,45 +22,29 @@ import (
 // and sort strips the keys as it emits. Without ORDER BY rows are exactly
 // the output width everywhere.
 
-// projectOp evaluates the select items (and ORDER BY keys) per input row.
-type projectOp struct {
-	child     operator
-	outCols   []colInfo
-	items     []SelectItem // retained for EXPLAIN (subplans in projections)
-	env       *evalEnv     // row environment the items read from
+// rowBuilder evaluates a select list, and the ORDER BY keys after it, into
+// one output row: what a projection does per input row and an aggregation
+// per group.
+type rowBuilder struct {
 	citems    []compiledExpr
 	orderKeys []compiledExpr // nil without ORDER BY
 	oenv      *evalEnv       // output-row environment the keys read from
-	// fused: the batch scan below evaluated the items itself (vecops.go) and
-	// hands up finished output rows.
-	fused bool
-	arena rowArena
+	arena     rowArena
 }
 
-func (p *projectOp) columns() []colInfo { return p.outCols }
-func (p *projectOp) reset()             { p.child.reset() }
-
-func (p *projectOp) next() (Row, bool, error) {
-	if p.fused {
-		return p.child.next()
-	}
-	r, ok, err := p.child.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	p.env.row = r
-	nout := len(p.citems)
-	out := p.arena.alloc(nout + len(p.orderKeys))
-	for i, c := range p.citems {
+func (b *rowBuilder) build() (Row, bool, error) {
+	nout := len(b.citems)
+	out := b.arena.alloc(nout + len(b.orderKeys))
+	for i, c := range b.citems {
 		v, err := c()
 		if err != nil {
 			return nil, false, err
 		}
 		out[i] = v
 	}
-	if p.orderKeys != nil {
-		p.oenv.row = out
-		for i, k := range p.orderKeys {
+	if b.orderKeys != nil {
+		b.oenv.row = out
+		for i, k := range b.orderKeys {
 			v, err := k()
 			if err != nil {
 				return nil, false, err
@@ -71,24 +55,46 @@ func (p *projectOp) next() (Row, bool, error) {
 	return out, true, nil
 }
 
+// projectOp evaluates the select items (and ORDER BY keys) per input row.
+type projectOp struct {
+	child   operator
+	outCols []colInfo
+	items   []SelectItem // retained for EXPLAIN (subplans in projections)
+	env     *evalEnv     // row environment the items read from
+	rowBuilder
+	// fused: the batch scan below evaluated the items itself (vecops.go) and
+	// hands up finished output rows.
+	fused bool
+}
+
+func (p *projectOp) columns() []colInfo { return p.outCols }
+func (p *projectOp) reset()             { p.child.reset() }
+
+func (p *projectOp) next() (Row, bool, error) {
+	r, ok, err := p.child.next()
+	if err != nil || !ok || p.fused {
+		return r, ok, err
+	}
+	p.env.row = r
+	return p.build()
+}
+
 // groupOp is the aggregation pipeline breaker: on first pull it drains its
 // child into GROUP BY partitions (runAggregation), then streams one output
 // row per group that passes HAVING.
 type groupOp struct {
-	stmt      *SelectStmt
-	child     operator
-	aggs      []*FuncCall
-	actx      *aggCtx
-	env       *evalEnv
-	citems    []compiledExpr
-	having    compiledExpr
-	orderKeys []compiledExpr
-	oenv      *evalEnv
-	outCols   []colInfo
-	db        *Database
-	params    []Value
-	outer     *evalEnv
-	qc        *queryCtx
+	stmt   *SelectStmt
+	child  operator
+	aggs   []*FuncCall
+	actx   *aggCtx
+	env    *evalEnv
+	having compiledExpr
+	rowBuilder
+	outCols []colInfo
+	db      *Database
+	params  []Value
+	outer   *evalEnv
+	qc      *queryCtx
 	// bat, when set, is the batch scan that folds the aggregation itself,
 	// morsel by morsel (runAggregationBatch); child is then only displayed.
 	bat *vecScanOp
@@ -97,7 +103,6 @@ type groupOp struct {
 	groups  []*aggGroup
 	aggVals []Value
 	pos     int
-	arena   rowArena
 }
 
 func (g *groupOp) columns() []colInfo { return g.outCols }
@@ -142,26 +147,7 @@ func (g *groupOp) next() (Row, bool, error) {
 				continue
 			}
 		}
-		nout := len(g.citems)
-		out := g.arena.alloc(nout + len(g.orderKeys))
-		for i, c := range g.citems {
-			v, err := c()
-			if err != nil {
-				return nil, false, err
-			}
-			out[i] = v
-		}
-		if g.orderKeys != nil {
-			g.oenv.row = out
-			for i, k := range g.orderKeys {
-				v, err := k()
-				if err != nil {
-					return nil, false, err
-				}
-				out[nout+i] = v
-			}
-		}
-		return out, true, nil
+		return g.build()
 	}
 	return nil, false, nil
 }
@@ -171,31 +157,24 @@ func (g *groupOp) next() (Row, bool, error) {
 type distinctOp struct {
 	child operator
 	width int
-	seen  map[string]bool
-	kb    []byte
+	seen  TupleSet
 }
 
 func (d *distinctOp) columns() []colInfo { return d.child.columns() }
 func (d *distinctOp) reset() {
-	d.seen = nil
+	d.seen = TupleSet{}
 	d.child.reset()
 }
 
 func (d *distinctOp) next() (Row, bool, error) {
-	if d.seen == nil {
-		d.seen = make(map[string]bool)
-	}
 	for {
 		r, ok, err := d.child.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		d.kb = appendRowKey(d.kb[:0], r[:d.width])
-		if d.seen[string(d.kb)] {
-			continue
+		if _, first := d.seen.Add(r[:d.width]); first {
+			return r, true, nil
 		}
-		d.seen[string(d.kb)] = true
-		return r, true, nil
 	}
 }
 
@@ -530,12 +509,35 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	if err != nil {
 		return nil, nil, err
 	}
+	// The WHERE above the joins: one filter for the conjuncts that call no
+	// batch-form function, then one for each conjunct that does, so those see
+	// only the rows every cheaper conjunct kept, however the text ordered them.
+	var batch []Expr
+	if qc.callsBatchFunc(where) {
+		var cheap []Expr
+		for _, c := range splitConjuncts(where) {
+			if qc.callsBatchFunc(c) {
+				batch = append(batch, c)
+			} else {
+				cheap = append(cheap, c)
+			}
+		}
+		where = joinConjuncts(cheap)
+	}
 	if where != nil {
 		f, err := newFilterOp(src, where, db, params, outer, qc)
 		if err != nil {
 			return nil, nil, err
 		}
 		src = f
+	}
+	var lms []*filterOp // the filters that gather batch-form calls
+	for _, c := range batch {
+		f, err := newFilterOp(src, c, db, params, outer, qc)
+		if err != nil {
+			return nil, nil, err
+		}
+		src, lms = f, append(lms, f)
 	}
 
 	aggregate := len(stmt.GroupBy) > 0
@@ -630,15 +632,45 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	if topK >= 0 && !aggregate && !stmt.Distinct {
 		shape.order = scanOrderKeys(stmt.OrderBy, outCols)
 	}
-	src, bscan, err := planScanDriver(src, shape, db, params, outer, qc)
-	if err != nil {
+	// Batch-form calls in the select list or the sort keys are gathered by a
+	// filter under the projection that passes every row. It holds a window of
+	// input rows, so the input stays the row iterator, whose rows outlive it.
+	var gather *filterOp
+	var bscan *vecScanOp
+	gathers := false
+	if qc != nil && qc.lent != nil && !aggregate {
+		for _, it := range items {
+			gathers = gathers || qc.callsBatchFunc(it.Expr)
+		}
+		for _, ob := range stmt.OrderBy {
+			gathers = gathers || qc.callsBatchFunc(ob.Expr)
+		}
+	}
+	if gathers {
+		gather = &filterOp{child: src, win: &callWindow{}}
+		src, lms = gather, append(lms, gather)
+	} else if src, bscan, err = planScanDriver(src, shape, db, params, outer, qc); err != nil {
 		return nil, nil, err
+	}
+	// A consumer that will stop early — a LIMIT nothing sorts or groups
+	// under, or whatever pulls a subquery — starts the windows at what it
+	// asks for; one that drains its input takes them whole.
+	for _, b := range lms {
+		b.win.first = morselSize
+		if limit >= 0 && !needSort && !aggregate {
+			b.win.first = max(1, min(start+limit, morselSize))
+		} else if !topLevel {
+			b.win.first = 1
+		}
 	}
 
 	// env is the row environment the projection (and HAVING, and the input
 	// side of ORDER BY) evaluates in. Under aggregation its row is the
 	// group's representative row and env.agg carries the group context.
 	env := newEvalEnv(src.columns(), db, params, outer, qc)
+	if gather != nil {
+		gather.env, env.sites = env, &gather.win.sites
+	}
 
 	var oenv *evalEnv
 	var orderKeys []compiledExpr
@@ -651,7 +683,14 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		oenv.agg = env.agg
 		orderKeys = make([]compiledExpr, len(stmt.OrderBy))
 		for i, ob := range stmt.OrderBy {
-			k, err := compileOrderKey(ob.Expr, oenv, len(outCols))
+			// A key whose batch-form calls are gathered ahead reads the input
+			// row alone (the output row is not built yet): it is compiled
+			// against the input where that cannot change what its names mean.
+			kenv := oenv
+			if gather != nil && qc.callsBatchFunc(ob.Expr) && readsInputOnly(ob.Expr, items, outCols) {
+				kenv = env
+			}
+			k, err := compileOrderKey(ob.Expr, kenv, len(outCols))
 			if err != nil {
 				return err
 			}
@@ -685,9 +724,9 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		root = &groupOp{
-			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env,
-			citems: citems, having: having, orderKeys: orderKeys, oenv: oenv,
-			outCols: outCols, db: db, params: params, outer: outer, qc: qc,
+			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env, having: having,
+			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
+			outCols:    outCols, db: db, params: params, outer: outer, qc: qc,
 		}
 		if bscan != nil && bscan.folds {
 			root.(*groupOp).bat = bscan
@@ -707,8 +746,8 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		root = &projectOp{
-			child: src, outCols: outCols, items: items, env: env,
-			citems: citems, orderKeys: orderKeys, oenv: oenv, fused: fused,
+			child: src, outCols: outCols, items: items, env: env, fused: fused,
+			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
 		}
 	}
 	lendRows(src) // both read each input row and drop it
@@ -736,6 +775,25 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	return root, outCols, nil
 }
 
+// readsInputOnly reports whether ORDER BY key e means the same resolved
+// against the projection's input as against its output, which ORDER BY tries
+// first: every bare name an output column answers to is that column's own
+// plain, bare reference to the input, and no subquery hides a name.
+func readsInputOnly(e Expr, items []SelectItem, outCols []colInfo) bool {
+	same := true
+	walkExpr(e, func(x Expr) bool {
+		if cr, ok := x.(*ColumnRef); ok && cr.Table == "" {
+			if j, n := findCol(outCols, "", cr.Column); n > 0 {
+				src, plain := items[j].Expr.(*ColumnRef)
+				same = same && n == 1 && plain && src.Table == "" && nameEq(src.Column, cr.Column)
+			}
+		}
+		same = same && !isSubqueryNode(x)
+		return same
+	})
+	return same
+}
+
 // lendRows tells the producers at the head of a chain that their consumer
 // reads each row and drops it (the row-lifetime rule, exec.go) — a
 // projection, an aggregation, a top-K sort, the probe side of a join — so
@@ -747,6 +805,9 @@ func lendRows(op operator) {
 	for {
 		switch t := op.(type) {
 		case *filterOp:
+			if t.win != nil {
+				return // holds a window of the rows it is handed
+			}
 			op = t.child
 		case *distinctOp:
 			op = t.child
@@ -822,16 +883,15 @@ func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
 // (possibly new) chain root plus true are returned.
 func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *queryCtx) (operator, bool) {
 	// Find the scan under any stack of filters.
-	var parent *filterOp
-	cur := src
+	slot := &src
 	for {
-		if f, ok := cur.(*filterOp); ok {
-			parent, cur = f, f.child
-			continue
+		f, ok := (*slot).(*filterOp)
+		if !ok {
+			break
 		}
-		break
+		slot = &f.child
 	}
-	sc, ok := cur.(*scanOp)
+	sc, ok := (*slot).(*scanOp)
 	if !ok || sc.ids != nil {
 		return src, false
 	}
@@ -903,9 +963,6 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 	if sc.rangeIdx == idx {
 		oss.spec = sc.spec
 	}
-	if parent == nil {
-		return oss, true
-	}
-	parent.child = oss
+	*slot = oss
 	return src, true
 }

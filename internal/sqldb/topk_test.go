@@ -22,12 +22,12 @@ import (
 func topkDB(t testing.TB, n int, opts ...Option) *Database {
 	t.Helper()
 	db := NewDatabase(opts...)
-	db.Funcs().Register("BOOM_IF", func(args []Value) (Value, error) {
+	db.SetFuncs(funcMap{"BOOM_IF": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		if args[0].AsInt() == args[1].AsInt() {
 			return Null, errf(ErrMisuse, "boom at %d", args[0].AsInt())
 		}
 		return Bool(true), nil
-	})
+	}}})
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, f REAL, n INTEGER, c TEXT)")
 	r := rand.New(rand.NewSource(11))
 	rows := make([][]any, n)
@@ -179,12 +179,13 @@ func TestTopKFoldCancellation(t *testing.T) {
 	n := 3 * morselMinRows
 	db := topkDB(t, n, WithMaxWorkers(4))
 	ctx, cancel := context.WithCancel(context.Background())
-	db.Funcs().Register("CANCEL_AT", func(args []Value) (Value, error) {
+	// Bound to the statement's context, over the database's own BOOM_IF.
+	ctx = WithFuncs(ctx, funcMap{"CANCEL_AT": {MaxArgs: -1, Scalar: func(args []Value) (Value, error) {
 		if args[0].AsInt() == int64(n/2) {
 			cancel()
 		}
 		return Bool(true), nil
-	})
+	}}})
 	rows, err := db.QueryRows(ctx, "SELECT id FROM t WHERE CANCEL_AT(id) ORDER BY k, id LIMIT 5")
 	if err != nil {
 		t.Fatal(err)

@@ -145,6 +145,8 @@ type vecScanOp struct {
 	env      *evalEnv
 	vpreds   []vecPredFn    // per conjunct; nil where it did not compile
 	cpreds   []compiledExpr // the closure for those
+	gather   [][]*batchSite // ... and the batch-form calls a closure makes, gathered a morsel ahead
+	at       int            // the batch position a closure is evaluating: where those calls read their class
 	proj     []batchExpr
 	fold     *batchFold
 	need     []bool // column ordinals anything reads
@@ -179,6 +181,7 @@ func (s *vecScanOp) compile() error {
 	}
 	s.vpreds = make([]vecPredFn, len(s.preds))
 	s.cpreds = make([]compiledExpr, len(s.preds))
+	s.gather = make([][]*batchSite, len(s.preds))
 	for i, p := range s.preds {
 		s.exprs++
 		var ok bool
@@ -187,7 +190,10 @@ func (s *vecScanOp) compile() error {
 			continue
 		}
 		var err error
-		if s.cpreds[i], err = closure(p); err != nil {
+		s.env.sites = &s.gather[i] // the conjunct's batch-form calls, if it makes any
+		s.cpreds[i], err = closure(p)
+		s.env.sites = nil
+		if err != nil {
 			return err
 		}
 	}
@@ -335,11 +341,25 @@ func (s *vecScanOp) fill(idx int) error {
 			}
 			continue
 		}
+		// The third kind of conjunct: its batch-form calls are asked about
+		// the rows the conjuncts before it kept, in one call each.
+		for _, st := range s.gather[i] {
+			if st.pos = &s.at; st.ahead == nil {
+				st.ahead = make([]int32, morselSize)
+			}
+			for j := 0; j < b.n; j++ {
+				if b.sel.get(j) {
+					s.env.row, s.at = b.rows[j], j
+					st.ahead[j], _ = st.gather() // a failed argument is raised by the closure below
+				}
+			}
+			st.memo.Flush(s.qc.ctx)
+		}
 		for j := 0; j < b.n; j++ {
 			if !b.sel.get(j) {
 				continue
 			}
-			s.env.row = b.rows[j]
+			s.env.row, s.at = b.rows[j], j
 			v, err := s.cpreds[i]()
 			if err != nil {
 				return err
@@ -672,9 +692,17 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 		return src, nil, nil
 	}
 	var preds []Expr
+	// A conjunct with batch-form calls (a filter of its own, on top) is a
+	// closure the scan gathers a morsel ahead for, after the others.
+	var gathered []Expr
 	for _, f := range filters {
-		preds = append(preds, splitConjuncts(f.pred)...)
+		if f.win != nil {
+			gathered = append([]Expr{f.pred}, gathered...)
+		} else {
+			preds = append(preds, splitConjuncts(f.pred)...)
+		}
 	}
+	preds = append(preds, gathered...)
 	bs := &vecScanOp{
 		batchPlan: batchPlan{
 			table: sc.table, qual: sc.qual, cols: sc.cols,
