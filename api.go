@@ -95,8 +95,16 @@ type (
 	// SyncPolicy selects when the write-ahead log is fsynced
 	// (SyncAlways, SyncInterval, SyncOff).
 	SyncPolicy = sqldb.SyncPolicy
-	// DataFrame is the semantic-operator frame (LOTUS substitute).
+	// DataFrame carries a query result through the semantic operators
+	// (LOTUS substitute): SemFilter, SemFilterDistinct, SemTopK, SemAgg and
+	// SemAggRows, plus Head and cell access. Relational steps — filters,
+	// joins, ordering, projection — go in the SQL a frame is loaded with
+	// (System.FrameQuery).
 	DataFrame = sem.DataFrame
+	// Claim is one sentence of the claim grammar semantic filters speak and
+	// the simulated LM recognises (TaskClaim); Claim.About writes it as a
+	// SemFilter instruction about a column.
+	Claim = llm.Claim
 	// Model is the language-model inference interface.
 	Model = llm.Model
 	// Profile configures the simulated LM's fallibility.
@@ -310,11 +318,17 @@ func (s *System) FrameQuery(sql string, params ...any) (*DataFrame, error) {
 	return sem.FromRows(rows)
 }
 
-// SemFilter, SemTopK, SemAgg entry points are methods on DataFrame; the
-// System provides the model to pass in:
+// TaskClaim finds a sentence of the claim grammar by name — "city in
+// region", "bay area county", "eu country", "classic movie", "named after a
+// person", "premium", "taller than", "positive", "negative", "sarcastic",
+// "technical", the names LLM_FILTER takes as its task; any other task reads
+// as a free-form condition the simulated LM can only guess at. The semantic
+// operators are methods on DataFrame; the System provides the model:
 //
 //	df, _ := sys.Frame("schools")
-//	sv, _ := df.SemFilter(ctx, sys.Model(), "{City} is a city in the Silicon Valley region")
+//	inRegion := tag.TaskClaim("city in region").About("{City}", "Silicon Valley")
+//	sv, _ := df.SemFilterDistinct(ctx, sys.Model(), inRegion, "City")
+func TaskClaim(task string) Claim { return llm.TaskClaim(task) }
 
 // RunBenchmark evaluates the paper's five methods on TAG-Bench and returns
 // the report (Table1/Table2/SpeedupLine printers).

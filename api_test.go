@@ -96,9 +96,33 @@ func TestBenchmarkQueriesExposed(t *testing.T) {
 }
 
 func TestExplainPipeline(t *testing.T) {
-	out, err := ExplainPipeline("RR-01")
-	if err != nil || !strings.Contains(out, "sem_topk") {
-		t.Errorf("ExplainPipeline: %q err=%v", out, err)
+	for id, want := range map[string][]string{
+		"RR-01": {"df = sql(", `df.head(5)`, `df.sem_topk("more technical", "__aug", 5)`},
+		"RR-06": {`df.head(4)`, `"__aug", 4)`},
+		// One fact lookup, then the relational filter it parameterises.
+		"MK-05": {`height = lm_lookup("State the height of Stephen Curry`, `WHERE Player.height > ? ORDER BY Player.volleys DESC", height)`, "df.head(1)"},
+		"MK-01": {`df.sem_filter_distinct("{__aug} is a city in the Silicon Valley region", "__aug")`},
+		"CR-09": {`df.sem_filter("the following text is positive: {__aug}")`, "answer = len(df)"},
+		"AK-01": {`WHERE circuits.name = 'Sepang International Circuit'`, `df[["year", "round", "name", "date"]].sem_agg(`},
+		"AK-05": {`df[df.columns[1:5]].sem_agg("Summarize the rows")`},
+		"AR-01": {`df.sem_agg("Summarize the Text", "__target")`},
+	} {
+		out, err := ExplainPipeline(id)
+		if err != nil {
+			t.Errorf("ExplainPipeline(%s): %v", id, err)
+		}
+		at := 0
+		for _, frag := range want {
+			i := strings.Index(out[at:], frag)
+			if i < 0 {
+				t.Errorf("ExplainPipeline(%s): no %q (in that order) in\n%s", id, frag, out)
+				break
+			}
+			at += i
+		}
+		if id == "MK-05" && strings.Contains(out, "sem_filter") {
+			t.Errorf("ExplainPipeline(MK-05) prints a semantic filter the pipeline does not run:\n%s", out)
+		}
 	}
 	if _, err := ExplainPipeline("ZZ-99"); err == nil {
 		t.Error("unknown query id must fail")

@@ -37,7 +37,7 @@ func main() {
 
 	// Stage 2 (semantic filter): keep widely-acknowledged classics. One
 	// batched LM call over the candidate titles.
-	classics, err := df.SemFilter(ctx, model, "{title} is a movie widely considered a classic")
+	classics, err := df.SemFilter(ctx, model, tag.TaskClaim("classic movie").About("{title}", ""))
 	if err != nil {
 		log.Fatal(err)
 	}

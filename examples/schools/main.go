@@ -2,8 +2,8 @@
 // "What is the grade span offered in the school with the highest longitude
 // in cities that are part of the 'Silicon Valley' region?" (Appendix A) —
 // contrasting vanilla Text2SQL (enumerating region members inside SQL,
-// from lossy parametric knowledge) with the TAG pipeline (per-city
-// recognition claims through a semantic filter).
+// from lossy parametric knowledge) with the TAG pipeline (one recognition
+// claim per distinct city through a semantic filter).
 //
 //	go run ./examples/schools
 package main
@@ -34,34 +34,27 @@ func main() {
 	fmt.Println(" ", resp.SQL)
 	fmt.Println("  answer:", resp.Answer)
 
-	// Hand-written TAG path: dedupe the city column, ask one recognition
-	// claim per distinct city, semi-join back, then take the relational
-	// argmax. (This mirrors the paper's Appendix C pipeline.)
+	// Hand-written TAG path, the shape of the paper's Appendix C pipeline:
+	// the relational steps (projection, ordering) are SQL; one recognition
+	// claim is asked per distinct city and semi-joined back; the argmax is
+	// the head of the ordered frame.
 	df, err := sys.FrameQuery(
 		"SELECT School, City, Longitude, GSoffered FROM schools ORDER BY Longitude DESC")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cities, err := df.Distinct("City")
+	cities, err := sys.FrameQuery("SELECT COUNT(DISTINCT City) AS n FROM schools")
 	if err != nil {
 		log.Fatal(err)
 	}
-	svCities, err := cities.SemFilter(ctx, sys.Model(),
-		"{City} is a city in the Silicon Valley region")
+	inRegion := tag.TaskClaim("city in region").About("{City}", "Silicon Valley")
+	sv, err := df.SemFilterDistinct(ctx, sys.Model(), inRegion, "City")
 	if err != nil {
 		log.Fatal(err)
 	}
-	allowed := map[string]bool{}
-	names, _ := svCities.Strings("City")
-	for _, c := range names {
-		allowed[c] = true
-	}
-	sv := df.Filter(func(get func(string) tag.Value) bool {
-		return allowed[get("City").AsText()]
-	})
 	fmt.Println("\nHand-written TAG pipeline:")
-	fmt.Printf("  %d schools -> %d distinct cities -> %d believed Silicon Valley cities -> %d schools\n",
-		df.Len(), cities.Len(), svCities.Len(), sv.Len())
+	fmt.Printf("  %d schools -> %s distinct cities, one claim each -> %d schools in believed Silicon Valley cities\n",
+		df.Len(), cities.Value(0, "n").AsText(), sv.Len())
 	if sv.Len() == 0 {
 		log.Fatal("no Silicon Valley schools found")
 	}

@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tag/internal/llm"
 	"tag/internal/nlq"
+	"tag/internal/sem"
 	"tag/internal/sqldb"
 	"tag/internal/tagbench"
 	"tag/internal/world"
@@ -280,6 +284,14 @@ func TestHandwrittenTAGSepang(t *testing.T) {
 	if cov := tagbench.Coverage(ans.Text, truth.Facts); cov < 0.9 {
 		t.Errorf("TAG Sepang coverage = %.2f, want >= 0.9", cov)
 	}
+	// The summary's projection is part of the pipeline: where its columns
+	// are missing (the same augment over a table that is not races) the
+	// caller gets the error, not a summary of whatever rows there were.
+	misfit := q.Spec.Clone()
+	misfit.Table, misfit.Join, misfit.Aug.Column = "circuits", nil, "circuits.name"
+	if ans, err := m.run(context.Background(), env, misfit); err == nil || !strings.Contains(err.Error(), `no column "year"`) {
+		t.Errorf("summary over a frame without the projected columns: answer %v, err %v", ans, err)
+	}
 }
 
 func TestFigure2Panels(t *testing.T) {
@@ -339,11 +351,155 @@ func TestLMUDFsInsideSQL(t *testing.T) {
 	}
 }
 
+// promptLog records the prompts a model is sent: single calls, and batch by
+// batch.
+type promptLog struct {
+	llm.Model
+	singles []string
+	batches [][]string
+}
+
+func (p *promptLog) Complete(ctx context.Context, prompt string) (string, error) {
+	p.singles = append(p.singles, prompt)
+	return p.Model.Complete(ctx, prompt)
+}
+
+func (p *promptLog) CompleteBatch(ctx context.Context, prompts []string) ([]string, []error) {
+	p.batches = append(p.batches, slices.Clone(prompts))
+	return p.Model.CompleteBatch(ctx, prompts)
+}
+
+// sent reports whether any prompt sent starts the way this one does up to
+// its first argument.
+func (p *promptLog) sent(head string) bool {
+	for _, b := range append(slices.Clone(p.batches), p.singles) {
+		if slices.ContainsFunc(b, func(prompt string) bool { return strings.HasPrefix(prompt, head) }) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPipelineForDescribesOperators: the printed pipeline is the executed
+// one. For each of the 80 questions PipelineFor names a semantic operator or
+// a fact lookup exactly when HandwrittenTAG.Answer sent that kind of prompt.
 func TestPipelineForDescribesOperators(t *testing.T) {
-	q := queryByID(t, "RR-01")
-	desc := PipelineFor(q.Spec)
-	if !strings.Contains(desc, "sem_topk") || !strings.Contains(desc, "df = sql(") {
-		t.Errorf("PipelineFor output:\n%s", desc)
+	envs := envsForTest(t)
+	kinds := []struct{ printed, promptHead string }{
+		{"lm_lookup(", llm.HeightPrompt("")[:len("State the height of ")]},
+		{".sem_filter", llm.SemFilterPrompt("")},
+		{".sem_topk(", llm.SemComparePrompt("", "", "")[:len(llm.SemComparePrompt("", "", ""))-len("\nItem A: \nItem B: ")]},
+		{".sem_agg(", llm.SemAggPrompt("", nil)[:len(llm.SemAggPrompt("", nil))-len("\nItems:\n")]},
+	}
+	seen := make(map[string]int)
+	for _, q := range tagbench.Queries() {
+		log := &promptLog{Model: llm.NewSimLM(world.Default(), llm.DefaultProfile(), llm.NewClock(), llm.DefaultCostModel())}
+		if _, err := (&HandwrittenTAG{Model: log}).Answer(context.Background(), envs[q.Spec.Domain], q); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		desc := PipelineFor(q.Spec)
+		if !strings.HasPrefix(desc, "df = sql(") && !strings.HasPrefix(desc, "height = lm_lookup(") {
+			t.Errorf("%s: pipeline starts with neither the SQL nor a lookup:\n%s", q.ID, desc)
+		}
+		for _, k := range kinds {
+			printed, sent := strings.Contains(desc, k.printed), log.sent(k.promptHead)
+			if printed != sent {
+				t.Errorf("%s: %q printed = %v, but such a prompt sent = %v:\n%s", q.ID, k.printed, printed, sent, desc)
+			}
+			if printed {
+				seen[k.printed]++
+			}
+		}
+	}
+	for _, k := range kinds {
+		if seen[k.printed] == 0 {
+			t.Errorf("no question's pipeline has %q", k.printed)
+		}
+	}
+}
+
+// TestOneFilterKernelSameBytes: LLM_FILTER inside SQL, SemFilterDistinct
+// over a frame, and SemFilter over the frame's distinct values are three
+// adapters of sem.Filter. Over generated tables and every sentence of the
+// claim grammar they send the same prompts in the same batches and keep the
+// same rows.
+func TestOneFilterKernelSameBytes(t *testing.T) {
+	pool := []sqldb.Value{sqldb.Null, sqldb.Int(5), sqldb.Float(5), sqldb.Text("5"), sqldb.Float(172.5), sqldb.Text("")}
+	for _, s := range []string{"Palo Alto", "Fresno", "Santa Clara", "France", "Titanic", "Casablanca", "Premium Unleaded",
+		"Lincoln High School", "an absolute masterpiece from start to finish", "the gradient boosting residuals are reweighted per iteration"} {
+		pool = append(pool, sqldb.Text(s))
+	}
+	r := rand.New(rand.NewSource(22))
+	ctx := context.Background()
+	for trial, claim := range llm.Claims {
+		db := sqldb.NewDatabase()
+		db.MustExec("CREATE TABLE t (id INTEGER, v TEXT)")
+		var vals []sqldb.Value
+		for i, n := 0, 1+r.Intn(120); i < n; i++ {
+			vals = append(vals, pool[r.Intn(len(pool))])
+			if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", i, vals[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := func(d *sem.DataFrame) string {
+			out, _ := d.Strings("id")
+			return strings.Join(out, ",")
+		}
+
+		inSQL := &promptLog{Model: oracleLM()}
+		rows, err := db.QueryRows(sqldb.WithFuncs(ctx, LMFuncs(inSQL)), "SELECT id, v FROM t WHERE LLM_FILTER(?, v)", claim.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromSQL, err := sem.FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		frame, err := sem.FromTable(db, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := &promptLog{Model: oracleLM()}
+		fromDistinct, err := frame.SemFilterDistinct(ctx, distinct, claim.About("{v}", ""), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var seen sqldb.TupleSet
+		var first []sqldb.Row
+		classes := make([]int, len(vals))
+		for i, v := range vals {
+			var fresh bool
+			if classes[i], fresh = seen.Add([]sqldb.Value{v}); fresh {
+				first = append(first, sqldb.Row{sqldb.Int(int64(classes[i])), v})
+			}
+		}
+		uniq, _ := sem.New([]string{"id", "v"}, first)
+		perValue := &promptLog{Model: oracleLM()}
+		kept, err := uniq.SemFilter(ctx, perValue, claim.About("{v}", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keptClass := "," + ids(kept) + ","
+		var semiJoin []string
+		for i, c := range classes {
+			if strings.Contains(keptClass, ","+strconv.Itoa(c)+",") {
+				semiJoin = append(semiJoin, strconv.Itoa(i))
+			}
+		}
+
+		if len(inSQL.batches) != 1 || !reflect.DeepEqual(inSQL.batches, distinct.batches) || !reflect.DeepEqual(inSQL.batches, perValue.batches) {
+			t.Errorf("trial %d (%s): prompts differ:\n SQL %q\n SemFilterDistinct %q\n SemFilter over distinct values %q",
+				trial, claim.Name, inSQL.batches, distinct.batches, perValue.batches)
+		}
+		if want := strings.Join(semiJoin, ","); ids(fromSQL) != want || ids(fromDistinct) != want {
+			t.Errorf("trial %d (%s): rows kept differ: SQL %s, SemFilterDistinct %s, SemFilter over distinct values %s",
+				trial, claim.Name, ids(fromSQL), ids(fromDistinct), want)
+		}
+		if want := llm.SemFilterPrompt(claim.About(first[0][1].AsText(), "")); inSQL.batches[0][0] != want {
+			t.Errorf("trial %d (%s): first prompt %q, want %q", trial, claim.Name, inSQL.batches[0][0], want)
+		}
 	}
 }
 

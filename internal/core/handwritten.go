@@ -9,14 +9,13 @@ import (
 	"tag/internal/llm"
 	"tag/internal/nlq"
 	"tag/internal/sem"
-	"tag/internal/sqldb"
 	"tag/internal/tagbench"
 )
 
 // HandwrittenTAG runs the paper's strongest method: expert-written TAG
 // pipelines over the LOTUS-style semantic-operator runtime (§4.2,
 // Appendix C). Exact computation (filters, joins, ordering, counting)
-// stays in the database/DataFrame; the LM is invoked only for scoped
+// stays in the database; the LM is invoked only for scoped
 // semantic work (region membership claims, trait ranking, summarisation),
 // always through batched operators.
 //
@@ -36,130 +35,63 @@ func (m *HandwrittenTAG) Answer(ctx context.Context, env *Env, q *tagbench.Query
 	return m.run(ctx, env, q.Spec)
 }
 
-// run executes the expert pipeline for a spec.
-func (m *HandwrittenTAG) run(ctx context.Context, env *Env, spec *nlq.Spec) (*Answer, error) {
-	// The circuit-info augment is relational in disguise: the circuit name
-	// is stored in the database, so the expert pushes it down as a filter
-	// and keeps the LM for the summary only.
-	if spec.Aug != nil && spec.Aug.Kind == nlq.AugCircuitInfo {
-		spec = spec.Clone()
-		spec.Filters = append(spec.Filters, nlq.Filter{
-			Column: spec.Aug.Column, Op: "=", Value: spec.Aug.Arg,
-		})
-	}
-	df, err := m.load(ctx, env, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// Knowledge / reasoning filters run as semantic operators. For
-	// entity-valued augments the expert dedupes first — exactly the
-	// paper's Appendix C pipeline (`unique_cities = df["City"].unique();
-	// sv = unique_cities.sem_filter(...)`): one LM claim per distinct
-	// entity instead of one per row, then a relational semi-join back.
-	if spec.Aug != nil && spec.Aug.Kind == nlq.AugTallerThan {
-		// One fact lookup, then exact relational filtering — cheaper and
-		// more reliable than per-row height claims.
-		out, herr := m.Model.Complete(ctx, llm.HeightPrompt(spec.Aug.Arg))
-		if herr != nil {
-			return nil, herr
-		}
-		threshold, perr := strconv.ParseFloat(strings.TrimSpace(out), 64)
-		if perr != nil {
-			return nil, fmt.Errorf("handwritten: height lookup returned %q", out)
-		}
-		df = df.Filter(func(get func(string) sqldb.Value) bool {
-			v := get("__aug")
-			return !v.IsNull() && v.AsFloat() > threshold
-		})
-	} else if claim := filterClaim(spec); claim != "" {
-		if dedupableAug(spec.Aug.Kind) {
-			df, err = df.SemFilterDistinct(ctx, m.Model, claim, "__aug")
-		} else {
-			df, err = df.SemFilter(ctx, m.Model, claim)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	switch spec.Type {
-	case nlq.Comparison:
-		// Exact computation stays in the data system.
-		return countAnswer(df.Len()), nil
-
-	case nlq.Match:
-		limit := spec.Limit
-		if limit <= 0 {
-			limit = 1
-		}
-		return valuesAnswer(df.Head(limit), "__target")
-
-	case nlq.Ranking:
-		if spec.Aug != nil && isTraitKind(spec.Aug.Kind) {
-			// Optional relational pre-selection, then semantic top-k.
-			if spec.OrderBy != "" && spec.Limit > 0 {
-				df = df.Head(spec.Limit)
-			}
-			k := spec.Aug.K
-			if k <= 0 {
-				k = spec.Limit
-			}
-			df, err = df.SemTopK(ctx, m.Model, "more "+traitWord(spec.Aug.Kind), "__aug", k)
-			if err != nil {
-				return nil, err
-			}
-			return valuesAnswer(df, "__target")
-		}
-		return valuesAnswer(df.Head(spec.Limit), "__target")
-
-	case nlq.Aggregation:
-		if spec.Aug != nil && spec.Aug.Kind == nlq.AugCircuitInfo {
-			// The expert projects to the fields the summary needs — less
-			// prompt, same answer.
-			slim, perr := df.Select("year", "round", "name", "date")
-			if perr == nil {
-				df = slim
-			}
-			text, err := df.SemAggRows(ctx, m.Model, "Summarize the races held on "+spec.Aug.Arg)
-			if err != nil {
-				return nil, err
-			}
-			return &Answer{Text: text}, nil
-		}
-		if spec.Target != "" {
-			text, err := df.SemAgg(ctx, m.Model, "Summarize the "+bareName(spec.Target), "__target")
-			if err != nil {
-				return nil, err
-			}
-			return &Answer{Text: text}, nil
-		}
-		// Provide-information frames: summarise a handful of identifying
-		// columns rather than full rows.
-		cols := df.Columns()
-		keep := cols
-		if len(keep) > 4 {
-			keep = keep[1:5] // skip the synthetic key column, keep names
-		}
-		if slim, perr := df.Select(keep...); perr == nil {
-			df = slim
-		}
-		text, err := df.SemAggRows(ctx, m.Model, "Summarize the rows")
-		if err != nil {
-			return nil, err
-		}
-		return &Answer{Text: text}, nil
-
-	default:
-		return nil, fmt.Errorf("handwritten: unsupported query type %v", spec.Type)
-	}
+// step is one operator of an expert pipeline. pipelineSteps writes a
+// spec's steps once; run executes them and PipelineFor prints them, so what
+// is shown is what ran.
+type step struct {
+	op   stepOp
+	text string   // the SQL, instruction or criterion; the person a lookup asks about
+	cols []string // the columns the operator reads
+	n    int      // rows kept by head / sem_topk; columns kept by a sem_agg_rows that names none
 }
 
-// load runs the relational stage: filters, join and ordering execute on
-// the SQL engine; salient columns come back under reserved aliases
-// (__target, __aug) alongside the full primary row.
-func (m *HandwrittenTAG) load(ctx context.Context, env *Env, spec *nlq.Spec) (*sem.DataFrame, error) {
-	sql := tagbench.RelationalSQL(spec, true)
+type stepOp int
+
+const (
+	opLookup            stepOp = iota // ask the model one fact; it binds the SQL's parameter
+	opSQL                             // the relational stage, on the engine
+	opSemFilter                       // one claim per row
+	opSemFilterDistinct               // one claim per distinct value, semi-joined back
+	opHead
+	opSemTopK
+	opCount      // answer: the row count
+	opValues     // answer: a column
+	opSemAgg     // answer: a summary of a column
+	opSemAggRows // answer: a summary of rows projected to cols, or to columns [1, 1+n)
+)
+
+// pipelineSteps compiles a spec to the operator sequence an expert would
+// write: exact computation (filters, joins, ordering, thresholds) in the
+// SQL, the LM for scoped semantic work only.
+func pipelineSteps(spec *nlq.Spec) []step {
+	var steps []step
+	rel, claim := spec, ""
+	pushDown := func(f nlq.Filter) {
+		rel = spec.Clone()
+		rel.Filters = append(rel.Filters, f)
+	}
+	if a := spec.Aug; a != nil {
+		switch a.Kind {
+		case nlq.AugCircuitInfo:
+			// Relational in disguise: the circuit name is stored in the
+			// database, so it is pushed down as a filter and the LM keeps
+			// the summary only.
+			pushDown(nlq.Filter{Column: a.Column, Op: "=", Value: a.Arg})
+		case nlq.AugTallerThan:
+			// One fact lookup, then exact filtering on the engine — cheaper
+			// and more reliable than per-row height claims. The unquoted
+			// "?" is the statement's parameter.
+			steps = append(steps, step{op: opLookup, text: a.Arg})
+			pushDown(nlq.Filter{Column: a.Column, Op: ">", Value: "?", Num: true})
+		default:
+			if c, ok := llm.ClaimFor(a.Kind); ok {
+				claim = c.About("{__aug}", a.Arg)
+			}
+		}
+	}
+	// Salient columns come back under reserved aliases (__target, __aug)
+	// alongside the full primary row.
+	sql := tagbench.RelationalSQL(rel, true)
 	extra := ""
 	if spec.Aug != nil && spec.Aug.Column != "" {
 		extra += ", " + spec.Aug.Column + " AS __aug"
@@ -167,53 +99,112 @@ func (m *HandwrittenTAG) load(ctx context.Context, env *Env, spec *nlq.Spec) (*s
 	if spec.Target != "" {
 		extra += ", " + spec.Target + " AS __target"
 	}
-	if extra != "" {
-		sql = strings.Replace(sql, " FROM ", extra+" FROM ", 1)
+	steps = append(steps, step{op: opSQL, text: strings.Replace(sql, " FROM ", extra+" FROM ", 1)})
+
+	// Knowledge / reasoning filters run as semantic operators. For
+	// entity-valued augments the expert dedupes first — exactly the
+	// paper's Appendix C pipeline (`unique_cities = df["City"].unique();
+	// sv = unique_cities.sem_filter(...)`): one LM claim per distinct
+	// entity instead of one per row, then a relational semi-join back.
+	switch {
+	case claim == "":
+	case dedupableAug(spec.Aug.Kind):
+		steps = append(steps, step{op: opSemFilterDistinct, text: claim, cols: []string{"__aug"}})
+	default:
+		steps = append(steps, step{op: opSemFilter, text: claim})
 	}
-	rows, err := env.DB.QueryRows(ctx, sql)
-	if err != nil {
-		return nil, err
+
+	target := []string{"__target"}
+	switch spec.Type {
+	case nlq.Comparison:
+		return append(steps, step{op: opCount})
+	case nlq.Match:
+		return append(steps, step{op: opHead, n: max(spec.Limit, 1)}, step{op: opValues, cols: target})
+	case nlq.Ranking:
+		if spec.Aug == nil || !isTraitKind(spec.Aug.Kind) {
+			return append(steps, step{op: opHead, n: spec.Limit}, step{op: opValues, cols: target})
+		}
+		// Optional relational pre-selection, then semantic top-k.
+		if spec.OrderBy != "" && spec.Limit > 0 {
+			steps = append(steps, step{op: opHead, n: spec.Limit})
+		}
+		k := spec.Aug.K
+		if k <= 0 {
+			k = spec.Limit
+		}
+		return append(steps,
+			step{op: opSemTopK, text: "more " + llm.TaskFor(spec.Aug.Kind), cols: []string{"__aug"}, n: k},
+			step{op: opValues, cols: target})
+	case nlq.Aggregation:
+		switch {
+		case spec.Aug != nil && spec.Aug.Kind == nlq.AugCircuitInfo:
+			// The expert projects to the fields the summary needs — less
+			// prompt, same answer.
+			return append(steps, step{op: opSemAggRows, text: "Summarize the races held on " + spec.Aug.Arg,
+				cols: []string{"year", "round", "name", "date"}})
+		case spec.Target != "":
+			return append(steps, step{op: opSemAgg, text: "Summarize the " + bareName(spec.Target), cols: target})
+		}
+		// Provide-information frames: summarise a handful of identifying
+		// columns (the ones after the synthetic key) rather than full rows.
+		return append(steps, step{op: opSemAggRows, text: "Summarize the rows", n: 4})
 	}
-	return sem.FromRows(rows)
+	return steps
 }
 
-// filterClaim renders the LOTUS-style instruction template for filter
-// augments ("" when the augment is not a per-row filter). The claim shapes
-// match the instruction contract in internal/llm/semantic.go.
-func filterClaim(spec *nlq.Spec) string {
-	a := spec.Aug
-	if a == nil {
-		return ""
+// run executes the expert pipeline for a spec.
+func (m *HandwrittenTAG) run(ctx context.Context, env *Env, spec *nlq.Spec) (*Answer, error) {
+	var (
+		df     *sem.DataFrame
+		params []any
+		err    error
+	)
+	for _, s := range pipelineSteps(spec) {
+		switch s.op {
+		case opLookup:
+			out, lerr := m.Model.Complete(ctx, llm.HeightPrompt(s.text))
+			if lerr != nil {
+				return nil, lerr
+			}
+			threshold, perr := strconv.ParseFloat(strings.TrimSpace(out), 64)
+			if perr != nil {
+				return nil, fmt.Errorf("handwritten: height lookup returned %q", out)
+			}
+			params = append(params, threshold)
+		case opSQL:
+			rows, qerr := env.DB.QueryRows(ctx, s.text, params...)
+			if qerr != nil {
+				return nil, qerr
+			}
+			df, err = sem.FromRows(rows)
+		case opSemFilter:
+			df, err = df.SemFilter(ctx, m.Model, s.text)
+		case opSemFilterDistinct:
+			df, err = df.SemFilterDistinct(ctx, m.Model, s.text, s.cols[0])
+		case opHead:
+			df = df.Head(s.n)
+		case opSemTopK:
+			df, err = df.SemTopK(ctx, m.Model, s.text, s.cols[0], s.n)
+		case opCount:
+			// Exact computation stays in the data system.
+			return countAnswer(df.Len()), nil
+		case opValues:
+			return valuesAnswer(df, s.cols[0])
+		case opSemAgg:
+			return textAnswer(df.SemAgg(ctx, m.Model, s.text, s.cols[0]))
+		case opSemAggRows:
+			cols := s.cols
+			if cols == nil {
+				all := df.Columns()
+				cols = all[min(1, len(all)):min(1+s.n, len(all))]
+			}
+			return textAnswer(df.SemAggRows(ctx, m.Model, s.text, cols...))
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	switch a.Kind {
-	case nlq.AugCityRegion:
-		return "{__aug} is a city in the " + a.Arg + " region"
-	case nlq.AugCountyRegion:
-		return "{__aug} is a county in the Bay Area"
-	case nlq.AugEUCountry:
-		return "{__aug} is a country that is a member of the European Union"
-	case nlq.AugTallerThan:
-		return "height {__aug} is greater than the height of " + a.Arg + " in centimeters"
-	case nlq.AugClassic:
-		return "{__aug} is a movie widely considered a classic"
-	case nlq.AugNamedAfterPerson:
-		return "{__aug} is a school named after a person"
-	case nlq.AugPremium:
-		return "{__aug} sounds like a premium product"
-	case nlq.AugPositive:
-		return "the following text is positive: {__aug}"
-	case nlq.AugNegative:
-		return "the following text is negative: {__aug}"
-	case nlq.AugSarcastic:
-		return "the following text is sarcastic: {__aug}"
-	case nlq.AugTechnical:
-		return "the following text is technical: {__aug}"
-	case nlq.AugCircuitInfo:
-		// Relational, not semantic: the circuit name is in the database.
-		return ""
-	default:
-		return ""
-	}
+	return nil, fmt.Errorf("handwritten: unsupported query type %v", spec.Type)
 }
 
 // PipelineFor describes, in LOTUS-like pseudocode, the expert pipeline the
@@ -221,29 +212,44 @@ func filterClaim(spec *nlq.Spec) string {
 // -explain flag.
 func PipelineFor(spec *nlq.Spec) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "df = sql(%q)\n", tagbench.RelationalSQL(spec, false))
-	if claim := filterClaim(spec); claim != "" {
-		fmt.Fprintf(&b, "df = df.sem_filter(%q)\n", claim)
-	}
-	switch spec.Type {
-	case nlq.Comparison:
-		b.WriteString("answer = len(df)\n")
-	case nlq.Match:
-		b.WriteString("answer = df.head(1)[target]\n")
-	case nlq.Ranking:
-		if spec.Aug != nil && isTraitKind(spec.Aug.Kind) {
-			if spec.OrderBy != "" && spec.Limit > 0 {
-				fmt.Fprintf(&b, "df = df.head(%d)\n", spec.Limit)
+	bound := ""
+	for _, s := range pipelineSteps(spec) {
+		switch s.op {
+		case opLookup:
+			fmt.Fprintf(&b, "height = lm_lookup(%q)\n", llm.HeightPrompt(s.text))
+			bound = ", height"
+		case opSQL:
+			fmt.Fprintf(&b, "df = sql(%q%s)\n", s.text, bound)
+		case opSemFilter:
+			fmt.Fprintf(&b, "df = df.sem_filter(%q)\n", s.text)
+		case opSemFilterDistinct:
+			fmt.Fprintf(&b, "df = df.sem_filter_distinct(%q, %q)\n", s.text, s.cols[0])
+		case opHead:
+			fmt.Fprintf(&b, "df = df.head(%d)\n", s.n)
+		case opSemTopK:
+			fmt.Fprintf(&b, "df = df.sem_topk(%q, %q, %d)\n", s.text, s.cols[0], s.n)
+		case opCount:
+			b.WriteString("answer = len(df)\n")
+		case opValues:
+			fmt.Fprintf(&b, "answer = df[%q]\n", s.cols[0])
+		case opSemAgg:
+			fmt.Fprintf(&b, "answer = df.sem_agg(%q, %q)\n", s.text, s.cols[0])
+		case opSemAggRows:
+			if s.cols != nil {
+				fmt.Fprintf(&b, "answer = df[[\"%s\"]].sem_agg(%q)\n", strings.Join(s.cols, `", "`), s.text)
+			} else {
+				fmt.Fprintf(&b, "answer = df[df.columns[1:%d]].sem_agg(%q)\n", 1+s.n, s.text)
 			}
-			fmt.Fprintf(&b, "df = df.sem_topk(%q, %d)\n", "more "+traitWord(spec.Aug.Kind), spec.Aug.K)
-		} else {
-			fmt.Fprintf(&b, "df = df.head(%d)\n", spec.Limit)
 		}
-		b.WriteString("answer = df[target]\n")
-	case nlq.Aggregation:
-		b.WriteString("answer = df.sem_agg(\"Summarize ...\")\n")
 	}
 	return b.String()
+}
+
+func textAnswer(text string, err error) (*Answer, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{Text: text}, nil
 }
 
 func valuesAnswer(df *sem.DataFrame, col string) (*Answer, error) {
@@ -263,7 +269,7 @@ func valuesAnswer(df *sem.DataFrame, col string) (*Answer, error) {
 // the augments worth deduplicating before the semantic filter.
 func dedupableAug(k nlq.AugKind) bool {
 	switch k {
-	case nlq.AugCityRegion, nlq.AugCountyRegion, nlq.AugEUCountry, nlq.AugClassic, nlq.AugTallerThan:
+	case nlq.AugCityRegion, nlq.AugCountyRegion, nlq.AugEUCountry, nlq.AugClassic:
 		return true
 	default:
 		return false
@@ -272,17 +278,6 @@ func dedupableAug(k nlq.AugKind) bool {
 
 func isTraitKind(k nlq.AugKind) bool {
 	return k == nlq.AugTopSarcastic || k == nlq.AugTopTechnical || k == nlq.AugTopPositive
-}
-
-func traitWord(k nlq.AugKind) string {
-	switch k {
-	case nlq.AugTopSarcastic:
-		return "sarcastic"
-	case nlq.AugTopTechnical:
-		return "technical"
-	default:
-		return "positive"
-	}
 }
 
 func bareName(qcol string) string {

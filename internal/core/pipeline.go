@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"tag/internal/llm"
 	"tag/internal/nlq"
+	"tag/internal/sem"
 	"tag/internal/sqldb"
 	"tag/internal/tagbench"
 )
@@ -89,26 +89,25 @@ func (p *Pipeline) generate(ctx context.Context, question string, table *sqldb.R
 // They let exec() evaluate semantic predicates inside SQL, turning the
 // engine into the LM-aware database API of §2.1. Each exists in batch form
 // only: the engine hands over the distinct (task, value) pairs of a window
-// of rows, and they go to the model as one CompleteBatch under the calling
-// statement's context.
-func LMFuncs(model llm.Model) sqldb.FuncSet { return lmFuncs{model} }
+// of rows, and they go to the model through the sem kernels the
+// hand-written pipelines call, under the calling statement's context.
+func LMFuncs(model llm.Model) sqldb.FuncSet {
+	batch := func(fn sqldb.BatchFunc) sqldb.Func { return sqldb.Func{MinArgs: 2, MaxArgs: 2, Batch: fn} }
+	return lmFuncs{
+		"LLM_FILTER": batch(judge(model, sqldb.Bool(true), sqldb.Bool(false))),
+		// LLM_SCORE routes through the filter head: 1.0 for a true verdict,
+		// 0.0 for a false one.
+		"LLM_SCORE": batch(judge(model, sqldb.Float(1), sqldb.Float(0))),
+		"LLM_MAP":   batch(transform(model)),
+	}
+}
 
-type lmFuncs struct{ model llm.Model }
+type lmFuncs map[string]sqldb.Func
 
 // LookupFunc implements sqldb.FuncSet.
 func (f lmFuncs) LookupFunc(name string) (sqldb.Func, bool) {
-	fn := sqldb.Func{MinArgs: 2, MaxArgs: 2}
-	switch name {
-	case "LLM_FILTER":
-		fn.Batch = f.filter
-	case "LLM_SCORE":
-		fn.Batch = f.score
-	case "LLM_MAP":
-		fn.Batch = f.transform
-	default:
-		return sqldb.Func{}, false
-	}
-	return fn, true
+	fn, ok := f[name]
+	return fn, ok
 }
 
 // RegisterLMUDFs installs the LM functions on a database, for whoever
@@ -116,67 +115,49 @@ func (f lmFuncs) LookupFunc(name string) (sqldb.Func, bool) {
 // A Pipeline needs no registration: Run binds its own.
 func RegisterLMUDFs(db *sqldb.Database, model llm.Model) { db.SetFuncs(LMFuncs(model)) }
 
-func (f lmFuncs) filter(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
-	return f.judge(ctx, args, sqldb.Bool(true), sqldb.Bool(false))
-}
-
-// score routes through the filter head: 1.0 for a true verdict, 0.0 for a
-// false one.
-func (f lmFuncs) score(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
-	return f.judge(ctx, args, sqldb.Float(1), sqldb.Float(0))
-}
-
 // judge asks the model whether each (task, value) claim holds.
-func (f lmFuncs) judge(ctx context.Context, args [][]sqldb.Value, yes, no sqldb.Value) ([]sqldb.Value, []error) {
-	prompts := make([]string, len(args))
-	for i, a := range args {
-		before, after := udfClaim(a[0].AsText())
-		prompts[i] = llm.SemFilterPromptAround(before, a[1].AsText(), after)
-	}
-	outs, errs := f.model.CompleteBatch(ctx, prompts)
-	vals := make([]sqldb.Value, len(outs))
-	for i, out := range outs {
-		vals[i] = no
-		if strings.EqualFold(strings.TrimSpace(out), "true") {
-			vals[i] = yes
+func judge(model llm.Model, yes, no sqldb.Value) sqldb.BatchFunc {
+	return func(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
+		claims := make([]string, len(args))
+		for i, a := range args {
+			claims[i] = llm.TaskClaim(a[0].AsText()).About(a[1].AsText(), "")
 		}
+		verdicts, errs := sem.Filter(ctx, model, claims)
+		vals := make([]sqldb.Value, len(verdicts))
+		for i, v := range verdicts {
+			vals[i] = no
+			if v {
+				vals[i] = yes
+			}
+		}
+		return vals, errs
 	}
-	return vals, errs
 }
 
-func (f lmFuncs) transform(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
-	prompts := make([]string, len(args))
-	for i, a := range args {
-		prompts[i] = llm.SemMapPrompt(a[0].AsText(), a[1].AsText())
-	}
-	outs, errs := f.model.CompleteBatch(ctx, prompts)
-	vals := make([]sqldb.Value, len(outs))
-	for i, out := range outs {
-		vals[i] = sqldb.Text(out)
-	}
-	return vals, errs
-}
-
-// udfClaim renders an LM UDF task name into the claim grammar of
-// internal/llm/semantic.go: the claim is before + value + after.
-func udfClaim(task string) (before, after string) {
-	switch strings.ToLower(strings.TrimSpace(task)) {
-	case "classic movie", "classic":
-		return "", " is a movie widely considered a classic"
-	case "positive":
-		return "the following text is positive: ", ""
-	case "negative":
-		return "the following text is negative: ", ""
-	case "sarcastic":
-		return "the following text is sarcastic: ", ""
-	case "technical":
-		return "the following text is technical: ", ""
-	case "named after a person":
-		return "", " is a school named after a person"
-	case "premium":
-		return "", " sounds like a premium product"
-	default:
-		return "", " satisfies: " + task
+// transform applies each tuple's task to its value: one sem.Map per run of
+// tuples with the same task (one, where the task is a literal).
+func transform(model llm.Model) sqldb.BatchFunc {
+	return func(ctx context.Context, args [][]sqldb.Value) ([]sqldb.Value, []error) {
+		vals := make([]sqldb.Value, len(args))
+		var errs []error
+		for lo, hi := 0, 0; lo < len(args); lo = hi {
+			task := args[lo][0].AsText()
+			var items []string
+			for ; hi < len(args) && args[hi][0].AsText() == task; hi++ {
+				items = append(items, args[hi][1].AsText())
+			}
+			outs, runErrs := sem.Map(ctx, model, task, items)
+			for i, out := range outs {
+				vals[lo+i] = sqldb.Text(out)
+			}
+			if runErrs != nil {
+				if errs == nil {
+					errs = make([]error, len(args))
+				}
+				copy(errs[lo:], runErrs)
+			}
+		}
+		return vals, errs
 	}
 }
 

@@ -161,6 +161,7 @@ func TestAnswerListTwoCountColumnsDeterministic(t *testing.T) {
 }
 
 func TestCutSuffix(t *testing.T) {
+	claimClassic := TaskClaim("classic movie").After
 	for _, c := range []struct {
 		in, rest string
 		ok       bool

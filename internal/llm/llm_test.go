@@ -306,6 +306,34 @@ func TestSemFilterHead(t *testing.T) {
 	if out != "True" {
 		t.Errorf("sentiment claim = %q", out)
 	}
+	// The claim table round-trips: every sentence of the grammar, written
+	// about a sample value, is one the head recognises as that sentence —
+	// by its name, by its augment, with or without an argument.
+	if len(Claims) != 11 {
+		t.Errorf("%d claims in the grammar, want 11", len(Claims))
+	}
+	for _, c := range Claims {
+		if byAug, ok := ClaimFor(c.Aug); !ok || byAug != c || TaskClaim(" "+strings.ToUpper(c.Name)+" ") != c {
+			t.Errorf("claim %q is not found by its name and augment", c.Name)
+		}
+		for _, arg := range []string{"", "Bay Area"} {
+			sentence := c.About("181.5", arg)
+			if _, recognised := m.judgeClaim(sentence); !recognised {
+				t.Errorf("claim %q: %q is not recognised", c.Name, sentence)
+			}
+			for _, other := range Claims {
+				if _, _, ok := other.cut(sentence); ok {
+					if other != c {
+						t.Errorf("%q reads as claim %q before %q", sentence, other.Name, c.Name)
+					}
+					break
+				}
+			}
+		}
+	}
+	if _, recognised := m.judgeClaim(TaskClaim("rhymes with orange").About("door hinge", "")); recognised {
+		t.Error("a task outside the grammar is recognised")
+	}
 }
 
 func TestSemCompareHead(t *testing.T) {

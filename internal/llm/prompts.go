@@ -238,13 +238,6 @@ func SemFilterPrompt(claim string) string {
 	return markSemFilter + "\nClaim: " + claim
 }
 
-// SemFilterPromptAround is SemFilterPrompt for a claim that is a value
-// between two fixed pieces of text, written without building the claim
-// first.
-func SemFilterPromptAround(before, value, after string) string {
-	return markSemFilter + "\nClaim: " + before + value + after
-}
-
 // SemComparePrompt renders a pairwise comparison used by semantic top-k.
 func SemComparePrompt(criterion, itemA, itemB string) string {
 	return markSemCompare + "\nCriterion: " + criterion +

@@ -8,28 +8,8 @@ import (
 )
 
 // This file implements SimLM's semantic-operator heads: the per-row claim
-// judgements, pairwise comparisons and hierarchical summaries that the
-// LOTUS-style sem package issues. Claims arrive with row values already
-// substituted (e.g. "Palo Alto is a city in the Silicon Valley region"),
-// mirroring how LOTUS renders {Column} placeholders into per-row prompts.
-
-// Claim surface forms recognised by the judgement head. The sem pipelines
-// (tagbench, examples) phrase their instructions with these shapes — the
-// same contract a prompt-engineered production pipeline relies on.
-const (
-	claimCityRegion   = " is a city in the " // "<city> is a city in the <region> region"
-	claimCounty       = " is a county in the Bay Area"
-	claimEU           = " is a country that is a member of the European Union"
-	claimClassic      = " is a movie widely considered a classic"
-	claimNamedPerson  = " is a school named after a person"
-	claimPremium      = " sounds like a premium product"
-	claimTallerPrefix = "height " // "height <cm> is greater than the height of <person>"
-	claimTallerMid    = " is greater than the height of "
-	claimPositive     = "the following text is positive: "
-	claimNegative     = "the following text is negative: "
-	claimSarcastic    = "the following text is sarcastic: "
-	claimTechnical    = "the following text is technical: "
-)
+// judgements (over the grammar in claims.go), pairwise comparisons and
+// hierarchical summaries that the sem package's kernels issue.
 
 func (m *SimLM) semFilter(prompt string) (string, error) {
 	claim, ok := strings.CutPrefix(strings.TrimPrefix(prompt, markSemFilter), "\nClaim: ")
@@ -46,70 +26,6 @@ func (m *SimLM) semFilter(prompt string) (string, error) {
 	}
 	return "False", nil
 }
-
-// judgeClaim pattern-matches a claim and answers it from the model's noisy
-// knowledge or trait estimation.
-func (m *SimLM) judgeClaim(claim string) (verdict, recognised bool) {
-	if entity, rest, ok := strings.Cut(claim, claimCityRegion); ok {
-		region := strings.TrimSuffix(strings.Trim(rest, "'\""), " region")
-		region = strings.Trim(region, "'\"")
-		return m.view.InRegion(entity, region), true
-	}
-	if entity, ok := cutSuffix(claim, claimCounty); ok {
-		return m.view.CountyInBayArea(entity), true
-	}
-	if entity, ok := cutSuffix(claim, claimEU); ok {
-		return m.view.IsEUCountry(entity), true
-	}
-	if entity, ok := cutSuffix(claim, claimClassic); ok {
-		return m.view.IsClassicMovie(entity), true
-	}
-	if entity, ok := cutSuffix(claim, claimNamedPerson); ok {
-		return m.view.IsNamedAfterPerson(entity), true
-	}
-	if entity, ok := cutSuffix(claim, claimPremium); ok {
-		return m.view.IsPremiumProduct(entity), true
-	}
-	if strings.HasPrefix(claim, claimTallerPrefix) && strings.Contains(claim, claimTallerMid) {
-		body := strings.TrimPrefix(claim, claimTallerPrefix)
-		hs, person, _ := strings.Cut(body, claimTallerMid)
-		person = strings.TrimSuffix(person, " in centimeters")
-		h, err := strconv.ParseFloat(strings.TrimSpace(hs), 64)
-		if err != nil {
-			return false, true
-		}
-		ph, ok := m.view.AthleteHeightCM(person)
-		if !ok {
-			ph = 165 + float64(int(m.profile.noise("height_guess", person)*25))
-		}
-		return h > ph, true
-	}
-	if text, ok := strings.CutPrefix(claim, claimPositive); ok {
-		return m.view.Traits(unq(text)).Sentiment > 0.5, true
-	}
-	if text, ok := strings.CutPrefix(claim, claimNegative); ok {
-		return m.view.Traits(unq(text)).Sentiment < 0.5, true
-	}
-	if text, ok := strings.CutPrefix(claim, claimSarcastic); ok {
-		return m.view.Traits(unq(text)).Sarcasm > 0.5, true
-	}
-	if text, ok := strings.CutPrefix(claim, claimTechnical); ok {
-		return m.view.Traits(unq(text)).Technicality > 0.5, true
-	}
-	return false, false
-}
-
-// cutSuffix cuts suffix (one of the claim constants, none of which ends in
-// a period) off s, allowing s a trailing period.
-func cutSuffix(s, suffix string) (string, bool) {
-	rest, ok := strings.CutSuffix(strings.TrimSuffix(s, "."), suffix)
-	if !ok {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
-}
-
-func unq(s string) string { return strings.Trim(strings.TrimSpace(s), "'\"") }
 
 // semCompare answers "which item satisfies the criterion more" for the
 // pairwise ranking operator.

@@ -173,17 +173,21 @@ func (m *SimLM) route(ctx context.Context, prompt string) (string, error) {
 	}
 }
 
-// factHeight answers a direct height lookup from parametric knowledge,
-// hallucinating a plausible value when the athlete is not recalled (the
-// model never says "I don't know" to a direct numeric question).
+// factHeight answers a direct height lookup from parametric knowledge.
 func (m *SimLM) factHeight(prompt string) (string, error) {
 	person := strings.TrimPrefix(prompt, markFactHeight)
 	person, _, _ = strings.Cut(person, " in centimeters")
-	h, ok := m.view.AthleteHeightCM(person)
-	if !ok {
-		h = 165 + float64(int(m.profile.noise("height_guess", person)*25))
+	return fmtFloat(m.heightCM(person)), nil
+}
+
+// heightCM is the height the model believes an athlete has: the recalled
+// one, else a plausible hallucination (the model never says "I don't know"
+// to a direct numeric question).
+func (m *SimLM) heightCM(person string) float64 {
+	if h, ok := m.view.AthleteHeightCM(person); ok {
+		return h
 	}
-	return fmtFloat(h), nil
+	return 165 + float64(int(m.profile.noise("height_guess", person)*25))
 }
 
 // fmtFloat renders a height without exponent noise.

@@ -168,13 +168,7 @@ func (m *SimLM) compileAugment(spec *nlq.Spec, caps SQLCapabilities) (whereSQL, 
 	case nlq.AugEUCountry:
 		return inList(a.Column, m.view.EUCountriesBelieved()), ""
 	case nlq.AugTallerThan:
-		h, ok := m.view.AthleteHeightCM(a.Arg)
-		if !ok {
-			// The model hallucinates a plausible height rather than
-			// admitting ignorance.
-			h = 165 + float64(int(m.profile.noise("height_guess", a.Arg)*25))
-		}
-		return fmt.Sprintf("%s > %g", a.Column, h), ""
+		return fmt.Sprintf("%s > %g", a.Column, m.heightCM(a.Arg)), ""
 	case nlq.AugClassic:
 		var believed []string
 		for _, t := range m.view.World().Entities("classic_movie") {
@@ -183,19 +177,19 @@ func (m *SimLM) compileAugment(spec *nlq.Spec, caps SQLCapabilities) (whereSQL, 
 			}
 		}
 		if caps.LMUDFs {
-			return "LLM_FILTER('classic movie', " + a.Column + ")", ""
+			return "LLM_FILTER('" + TaskFor(a.Kind) + "', " + a.Column + ")", ""
 		}
 		return inListFold(a.Column, believed), ""
 	case nlq.AugPositive, nlq.AugNegative, nlq.AugSarcastic, nlq.AugTechnical,
 		nlq.AugNamedAfterPerson, nlq.AugPremium:
 		if caps.LMUDFs {
-			return "LLM_FILTER('" + udfTask(a.Kind) + "', " + a.Column + ")", ""
+			return "LLM_FILTER('" + TaskFor(a.Kind) + "', " + a.Column + ")", ""
 		}
 		// Inexpressible in plain SQL: the model silently drops the clause.
 		return "", ""
 	case nlq.AugTopSarcastic, nlq.AugTopTechnical, nlq.AugTopPositive:
 		if caps.LMUDFs {
-			return "", "LLM_SCORE('" + udfTask(a.Kind) + "', " + a.Column + ")"
+			return "", "LLM_SCORE('" + TaskFor(a.Kind) + "', " + a.Column + ")"
 		}
 		// Crude lexical proxy: longer text ~ more content. Usually wrong,
 		// which is the point (10% ranking accuracy in Table 1).
@@ -205,26 +199,19 @@ func (m *SimLM) compileAugment(spec *nlq.Spec, caps SQLCapabilities) (whereSQL, 
 	}
 }
 
-// udfTask names the LM UDF task for an augment kind.
-func udfTask(k nlq.AugKind) string {
+// TaskFor names the LM task for an augment kind: the name of the claim that
+// judges it, a ranking augment's being its filter's.
+func TaskFor(k nlq.AugKind) string {
 	switch k {
-	case nlq.AugPositive, nlq.AugTopPositive:
-		return "positive"
-	case nlq.AugNegative:
-		return "negative"
-	case nlq.AugSarcastic, nlq.AugTopSarcastic:
-		return "sarcastic"
-	case nlq.AugTechnical, nlq.AugTopTechnical:
-		return "technical"
-	case nlq.AugNamedAfterPerson:
-		return "named after a person"
-	case nlq.AugPremium:
-		return "premium"
-	case nlq.AugClassic:
-		return "classic movie"
-	default:
-		return "judge"
+	case nlq.AugTopPositive:
+		k = nlq.AugPositive
+	case nlq.AugTopSarcastic:
+		k = nlq.AugSarcastic
+	case nlq.AugTopTechnical:
+		k = nlq.AugTechnical
 	}
+	c, _ := ClaimFor(k)
+	return c.Name
 }
 
 // buildSelect assembles the final statement.

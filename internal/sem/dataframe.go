@@ -1,25 +1,28 @@
-// Package sem is the LOTUS-style semantic-operator runtime the TAG paper's
-// hand-written pipelines are built on: a typed DataFrame with standard
-// relational operators plus LM-backed semantic operators (SemFilter,
-// SemTopK, SemAgg, SemMap, SemJoin).
+// Package sem is the semantic-operator layer of the TAG paper's hand-written
+// pipelines (§4.2, Appendix C): four kernels over plain values — Filter,
+// TopK, Agg, Map (semops.go) — that are the one place a LOTUS-style operator
+// turns into LM calls, and DataFrame, which carries a query result between
+// them. SQL's LLM_FILTER / LLM_SCORE / LLM_MAP (core.LMFuncs) call the same
+// kernels. Relational work is not done here: it belongs in the SQL a frame
+// is loaded with.
 //
-// All semantic operators batch their LM calls through Model.CompleteBatch,
-// which — under the cost model in internal/llm — is the mechanism behind
-// the paper's observation that an efficient TAG system "exploits efficient
+// Every kernel batches its LM calls through Model.CompleteBatch, which —
+// under the cost model in internal/llm — is the mechanism behind the
+// paper's observation that an efficient TAG system "exploits efficient
 // batched inference" (§4.3).
 package sem
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
+	"tag/internal/llm"
 	"tag/internal/sqldb"
 )
 
-// DataFrame is an immutable, column-ordered table. Operations return new
-// frames; the receiver is never mutated.
+// DataFrame is an immutable, column-ordered query result. The semantic
+// operators return new frames; the receiver is never mutated.
 type DataFrame struct {
 	cols []string
 	rows []sqldb.Row
@@ -72,94 +75,37 @@ func (d *DataFrame) Len() int { return len(d.rows) }
 // Columns returns the column names.
 func (d *DataFrame) Columns() []string { return append([]string(nil), d.cols...) }
 
-// colIndex locates a column (case-insensitive), or -1.
-func (d *DataFrame) colIndex(name string) int {
+// column locates a column (case-insensitive, the first of a repeated
+// name); an unknown one is an error.
+func (d *DataFrame) column(name string) (int, error) {
 	for i, c := range d.cols {
 		if strings.EqualFold(c, name) {
-			return i
+			return i, nil
 		}
 	}
-	return -1
+	return -1, fmt.Errorf("sem: no column %q", name)
 }
 
 // Value returns the cell at (row, col); NULL when out of range.
 func (d *DataFrame) Value(row int, col string) sqldb.Value {
-	ci := d.colIndex(col)
-	if ci < 0 || row < 0 || row >= len(d.rows) {
+	ci, err := d.column(col)
+	if err != nil || row < 0 || row >= len(d.rows) {
 		return sqldb.Null
 	}
 	return d.rows[row][ci]
 }
 
-// Col returns a column as a value slice.
-func (d *DataFrame) Col(name string) ([]sqldb.Value, error) {
-	ci := d.colIndex(name)
-	if ci < 0 {
-		return nil, fmt.Errorf("sem: no column %q", name)
-	}
-	out := make([]sqldb.Value, len(d.rows))
-	for i, r := range d.rows {
-		out[i] = r[ci]
-	}
-	return out, nil
-}
-
 // Strings returns a column rendered as strings.
 func (d *DataFrame) Strings(name string) ([]string, error) {
-	vals, err := d.Col(name)
+	ci, err := d.column(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = v.AsText()
+	out := make([]string, len(d.rows))
+	for i, r := range d.rows {
+		out[i] = r[ci].AsText()
 	}
 	return out, nil
-}
-
-// Filter keeps rows where pred is true. The predicate receives an accessor
-// for the current row.
-func (d *DataFrame) Filter(pred func(get func(col string) sqldb.Value) bool) *DataFrame {
-	var rows []sqldb.Row
-	for _, r := range d.rows {
-		row := r
-		get := func(col string) sqldb.Value {
-			ci := d.colIndex(col)
-			if ci < 0 {
-				return sqldb.Null
-			}
-			return row[ci]
-		}
-		if pred(get) {
-			rows = append(rows, r)
-		}
-	}
-	return &DataFrame{cols: d.cols, rows: rows}
-}
-
-// FilterEq keeps rows whose column equals the value.
-func (d *DataFrame) FilterEq(col string, v sqldb.Value) *DataFrame {
-	return d.Filter(func(get func(string) sqldb.Value) bool {
-		c := get(col)
-		return !c.IsNull() && !v.IsNull() && c.Compare(v) == 0
-	})
-}
-
-// Sort orders rows by a column (stable). NULLs sort first.
-func (d *DataFrame) Sort(col string, desc bool) (*DataFrame, error) {
-	ci := d.colIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sem: no column %q", col)
-	}
-	rows := append([]sqldb.Row(nil), d.rows...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		c := rows[i][ci].Compare(rows[j][ci])
-		if desc {
-			return c > 0
-		}
-		return c < 0
-	})
-	return &DataFrame{cols: d.cols, rows: rows}, nil
 }
 
 // Head keeps the first n rows.
@@ -173,114 +119,31 @@ func (d *DataFrame) Head(n int) *DataFrame {
 	return &DataFrame{cols: d.cols, rows: d.rows[:n]}
 }
 
-// Select projects a subset of columns.
-func (d *DataFrame) Select(cols ...string) (*DataFrame, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		ci := d.colIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("sem: no column %q", c)
-		}
-		idx[i] = ci
-	}
-	rows := make([]sqldb.Row, len(d.rows))
-	for ri, r := range d.rows {
-		nr := make(sqldb.Row, len(idx))
-		for i, ci := range idx {
-			nr[i] = r[ci]
-		}
-		rows[ri] = nr
-	}
-	return &DataFrame{cols: append([]string(nil), cols...), rows: rows}, nil
-}
-
-// Join performs an inner hash equi-join with another frame. Column-name
-// collisions on the right are prefixed "right_".
-func (d *DataFrame) Join(other *DataFrame, leftCol, rightCol string) (*DataFrame, error) {
-	li := d.colIndex(leftCol)
-	ri := other.colIndex(rightCol)
-	if li < 0 {
-		return nil, fmt.Errorf("sem: no left column %q", leftCol)
-	}
-	if ri < 0 {
-		return nil, fmt.Errorf("sem: no right column %q", rightCol)
-	}
-	cols := append([]string(nil), d.cols...)
-	taken := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		taken[strings.ToLower(c)] = true
-	}
-	for _, c := range other.cols {
-		name := c
-		if taken[strings.ToLower(name)] {
-			name = "right_" + name
-		}
-		taken[strings.ToLower(name)] = true
-		cols = append(cols, name)
-	}
-	build := make(map[string][]sqldb.Row)
-	for _, r := range other.rows {
-		k := r[ri].Key()
-		build[k] = append(build[k], r)
-	}
-	var rows []sqldb.Row
-	for _, l := range d.rows {
-		if l[li].IsNull() {
-			continue
-		}
-		for _, r := range build[l[li].Key()] {
-			nr := make(sqldb.Row, 0, len(cols))
-			nr = append(nr, l...)
-			nr = append(nr, r...)
-			rows = append(rows, nr)
-		}
-	}
-	return &DataFrame{cols: cols, rows: rows}, nil
-}
-
-// Distinct keeps the first row for each distinct value of the column —
-// distinct as the engine's indexes and its batched calls tell values apart
-// (sqldb.TupleSet), keyed on the value itself.
-func (d *DataFrame) Distinct(col string) (*DataFrame, error) {
-	ci := d.colIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sem: no column %q", col)
-	}
-	var seen sqldb.TupleSet
-	var rows []sqldb.Row
-	for _, r := range d.rows {
-		if _, first := seen.Add(r[ci : ci+1]); first {
-			rows = append(rows, r)
-		}
-	}
-	return &DataFrame{cols: d.cols, rows: rows}, nil
-}
-
-// WithColumn appends a computed column.
-func (d *DataFrame) WithColumn(name string, vals []sqldb.Value) (*DataFrame, error) {
-	if len(vals) != len(d.rows) {
-		return nil, fmt.Errorf("sem: column %q has %d values for %d rows", name, len(vals), len(d.rows))
-	}
-	cols := append(append([]string(nil), d.cols...), name)
-	rows := make([]sqldb.Row, len(d.rows))
-	for i, r := range d.rows {
-		rows[i] = append(append(sqldb.Row(nil), r...), vals[i])
-	}
-	return &DataFrame{cols: cols, rows: rows}, nil
-}
-
 // RowString flattens one row as "col=val; col=val" (the serialisation the
 // summariser consumes).
 func (d *DataFrame) RowString(i int) string {
 	if i < 0 || i >= len(d.rows) {
 		return ""
 	}
+	return d.rowString(i, d.allColumns())
+}
+
+func (d *DataFrame) allColumns() []int {
+	all := make([]int, len(d.cols))
+	for ci := range all {
+		all[ci] = ci
+	}
+	return all
+}
+
+// rowString is RowString over the columns at idx.
+func (d *DataFrame) rowString(i int, idx []int) string {
 	var b strings.Builder
-	for ci, c := range d.cols {
-		if ci > 0 {
+	for n, ci := range idx {
+		if n > 0 {
 			b.WriteString("; ")
 		}
-		b.WriteString(c)
+		b.WriteString(d.cols[ci])
 		b.WriteString("=")
 		b.WriteString(d.rows[i][ci].AsText())
 	}
@@ -299,4 +162,110 @@ func (d *DataFrame) substitute(tmpl string, i int) string {
 		}
 	}
 	return out
+}
+
+// filter judges the claims as one batch and keeps the rows whose claim —
+// claims[classes[i]] for row i, claims[i] under nil classes — holds.
+func (d *DataFrame) filter(ctx context.Context, m llm.Model, claims []string, classes []int) (*DataFrame, error) {
+	verdicts, errs := Filter(ctx, m, claims)
+	var rows []sqldb.Row
+	for i, r := range d.rows {
+		c := i
+		if classes != nil {
+			c = classes[i]
+		}
+		if errs != nil && errs[c] != nil {
+			return nil, fmt.Errorf("sem: filter row %d: %w", i, errs[c])
+		}
+		if verdicts[c] {
+			rows = append(rows, r)
+		}
+	}
+	return &DataFrame{cols: d.cols, rows: rows}, nil
+}
+
+// SemFilter keeps the rows for which the instantiated claim is judged
+// true. The instruction is a template with "{Column}" placeholders, such as
+// llm.Claim.About writes.
+func (d *DataFrame) SemFilter(ctx context.Context, m llm.Model, instruction string) (*DataFrame, error) {
+	claims := make([]string, len(d.rows))
+	for i := range d.rows {
+		claims[i] = d.substitute(instruction, i)
+	}
+	return d.filter(ctx, m, claims, nil)
+}
+
+// SemFilterDistinct is SemFilter for a claim about one column's value: the
+// paper's Appendix C pipeline (`df["City"].unique().sem_filter(...)`, then a
+// semi-join back). The instruction's "{col}" placeholder is instantiated
+// once per distinct value, in first-seen order, the claims go to the model
+// as one batch, and every row whose value was judged true is kept. Values
+// are distinct as they are to LLM_FILTER inside SQL (sqldb.TupleSet).
+func (d *DataFrame) SemFilterDistinct(ctx context.Context, m llm.Model, instruction, col string) (*DataFrame, error) {
+	ci, err := d.column(col)
+	if err != nil {
+		return nil, err
+	}
+	placeholder := "{" + d.cols[ci] + "}"
+	var (
+		distinct sqldb.TupleSet
+		claims   []string
+	)
+	classes := make([]int, len(d.rows))
+	for i, r := range d.rows {
+		var fresh bool
+		if classes[i], fresh = distinct.Add(r[ci : ci+1]); fresh {
+			claims = append(claims, strings.ReplaceAll(instruction, placeholder, r[ci].AsText()))
+		}
+	}
+	return d.filter(ctx, m, claims, classes)
+}
+
+// SemTopK ranks rows by how well the named column's text satisfies the
+// criterion and returns the best k, ordered best-first (TopK).
+func (d *DataFrame) SemTopK(ctx context.Context, m llm.Model, criterion, col string, k int) (*DataFrame, error) {
+	texts, err := d.Strings(col)
+	if err != nil {
+		return nil, err
+	}
+	order, err := TopK(ctx, m, criterion, texts, k)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]sqldb.Row, len(order))
+	for i, ri := range order {
+		rows[i] = d.rows[ri]
+	}
+	return &DataFrame{cols: d.cols, rows: rows}, nil
+}
+
+// SemAgg summarises the named column under the instruction (Agg).
+func (d *DataFrame) SemAgg(ctx context.Context, m llm.Model, instruction, col string) (string, error) {
+	items, err := d.Strings(col)
+	if err != nil {
+		return "", err
+	}
+	return Agg(ctx, m, instruction, items)
+}
+
+// SemAggRows summarises rows: each item is the "col=val; col=val"
+// serialisation of the named columns, or of the whole row when none is
+// named ("all_cols=True" in LOTUS terms).
+func (d *DataFrame) SemAggRows(ctx context.Context, m llm.Model, instruction string, cols ...string) (string, error) {
+	var idx []int
+	if len(cols) == 0 {
+		idx = d.allColumns()
+	}
+	for _, c := range cols {
+		ci, err := d.column(c)
+		if err != nil {
+			return "", err
+		}
+		idx = append(idx, ci)
+	}
+	items := make([]string, len(d.rows))
+	for i := range d.rows {
+		items[i] = d.rowString(i, idx)
+	}
+	return Agg(ctx, m, instruction, items)
 }

@@ -13,8 +13,7 @@ import (
 	"tag/internal/world"
 )
 
-// Property tests over the DataFrame's relational-algebra laws and the
-// semantic operators' invariants.
+// Property tests over the semantic operators' invariants.
 
 func randomFrame(r *rand.Rand, n int) *DataFrame {
 	rows := make([]sqldb.Row, n)
@@ -29,21 +28,36 @@ func randomFrame(r *rand.Rand, n int) *DataFrame {
 	return d
 }
 
+// phraseFrame is n rows of world phrases, repeats included.
+func phraseFrame(r *rand.Rand, n int) *DataFrame {
+	rows := make([]sqldb.Row, n)
+	for i := range rows {
+		rows[i] = sqldb.Row{sqldb.Int(int64(i)), sqldb.Text(world.Phrases[r.Intn(24)].Text)}
+	}
+	d, _ := New([]string{"i", "t"}, rows)
+	return d
+}
+
 func TestFilterConjunctionCommutes(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 100; trial++ {
-		d := randomFrame(r, 50)
-		p1 := func(get func(string) sqldb.Value) bool { return get("k").AsInt() > 5 }
-		p2 := func(get func(string) sqldb.Value) bool { return get("score").AsFloat() < 60 }
-		a := d.Filter(p1).Filter(p2)
-		b := d.Filter(p2).Filter(p1)
-		if a.Len() != b.Len() {
-			t.Fatalf("filter order changed cardinality: %d vs %d", a.Len(), b.Len())
+	m := oracle()
+	ctx := context.Background()
+	const p1, p2 = "the following text is positive: {t}", "the following text is technical: {t}"
+	for trial := 0; trial < 20; trial++ {
+		d := phraseFrame(r, 50)
+		a, err := d.SemFilter(ctx, m, p1)
+		if err == nil {
+			a, err = a.SemFilter(ctx, m, p2)
 		}
-		for i := 0; i < a.Len(); i++ {
-			if a.Value(i, "name").AsText() != b.Value(i, "name").AsText() {
-				t.Fatal("filter order changed row order")
-			}
+		b, err2 := d.SemFilter(ctx, m, p2)
+		if err2 == nil {
+			b, err2 = b.SemFilter(ctx, m, p1)
+		}
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		if !reflect.DeepEqual(a.rows, b.rows) {
+			t.Fatalf("filter order changed the rows kept: %d vs %d", a.Len(), b.Len())
 		}
 	}
 }
@@ -59,85 +73,54 @@ func TestHeadOfHead(t *testing.T) {
 	}
 }
 
+// TestSortIsPermutation: SemTopK with k = n is a sort under the model's
+// comparator — every row once, best first.
 func TestSortIsPermutation(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	d := randomFrame(r, 60)
-	sorted, err := d.Sort("score", true)
+	d := phraseFrame(r, 40)
+	sorted, err := d.SemTopK(context.Background(), oracle(), "more positive", "t", d.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sorted.Len() != d.Len() {
 		t.Fatal("sort changed cardinality")
 	}
-	// Multiset of names preserved.
-	counts := map[string]int{}
-	for i := 0; i < d.Len(); i++ {
-		counts[d.Value(i, "name").AsText()]++
-	}
+	seen := map[int64]bool{}
 	for i := 0; i < sorted.Len(); i++ {
-		counts[sorted.Value(i, "name").AsText()]--
-	}
-	for k, v := range counts {
-		if v != 0 {
-			t.Fatalf("sort lost/duplicated rows for %q", k)
+		seen[sorted.Value(i, "i").AsInt()] = true
+		if i > 0 && world.TextTraits(sorted.Value(i, "t").AsText()).Sentiment > world.TextTraits(sorted.Value(i-1, "t").AsText()).Sentiment {
+			t.Fatalf("position %d outranks position %d", i, i-1)
 		}
 	}
-	// Non-increasing scores.
-	for i := 1; i < sorted.Len(); i++ {
-		if sorted.Value(i, "score").AsFloat() > sorted.Value(i-1, "score").AsFloat() {
-			t.Fatal("descending sort violated")
-		}
+	if len(seen) != d.Len() {
+		t.Fatalf("sort lost or duplicated rows: %d distinct of %d", len(seen), d.Len())
 	}
 }
 
+// TestDistinctThenFilterVsFilterThenDistinct: for a claim about one
+// column, judging the distinct values and semi-joining back keeps the rows
+// judging every row keeps, for fewer claims.
 func TestDistinctThenFilterVsFilterThenDistinct(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
-	for trial := 0; trial < 50; trial++ {
-		d := randomFrame(r, 40)
-		pred := func(get func(string) sqldb.Value) bool { return get("k").AsInt()%2 == 0 }
-		a, _ := d.Filter(pred).Distinct("name")
-		b, _ := d.Distinct("name")
-		b = b.Filter(pred)
-		// Filter-then-distinct can keep more names (a name whose first
-		// occurrence fails the filter may still survive via another row),
-		// so only the subset relation holds. Check it.
-		namesB := map[string]bool{}
-		for i := 0; i < b.Len(); i++ {
-			namesB[b.Value(i, "name").AsText()] = true
+	ctx := context.Background()
+	const claim = "the following text is positive: {t}"
+	for trial := 0; trial < 20; trial++ {
+		d := phraseFrame(r, 40)
+		perRow, perValue := &promptLog{Model: oracle()}, &promptLog{Model: oracle()}
+		a, err := d.SemFilter(ctx, perRow, claim)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < a.Len(); i++ {
-			_ = namesB // b ⊆ a as name sets
+		b, err := d.SemFilterDistinct(ctx, perValue, claim, "t")
+		if err != nil {
+			t.Fatal(err)
 		}
-		namesA := map[string]bool{}
-		for i := 0; i < a.Len(); i++ {
-			namesA[a.Value(i, "name").AsText()] = true
+		if !reflect.DeepEqual(a.rows, b.rows) {
+			t.Fatalf("per-value filter kept %d rows, per-row %d", b.Len(), a.Len())
 		}
-		for n := range namesB {
-			if !namesA[n] {
-				t.Fatalf("distinct-then-filter produced name %q missing from filter-then-distinct", n)
-			}
+		if len(perValue.batches[0]) >= len(perRow.batches[0]) {
+			t.Fatalf("%d claims for distinct values, %d for rows", len(perValue.batches[0]), len(perRow.batches[0]))
 		}
-	}
-}
-
-func TestJoinWithSelfOnKey(t *testing.T) {
-	r := rand.New(rand.NewSource(35))
-	d := randomFrame(r, 30)
-	j, err := d.Join(d, "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Self equi-join row count equals sum over keys of count^2.
-	counts := map[int64]int{}
-	for i := 0; i < d.Len(); i++ {
-		counts[d.Value(i, "k").AsInt()]++
-	}
-	want := 0
-	for _, c := range counts {
-		want += c * c
-	}
-	if j.Len() != want {
-		t.Fatalf("self join rows = %d, want %d", j.Len(), want)
 	}
 }
 
@@ -252,11 +235,14 @@ func TestSemOpsPropagateModelErrors(t *testing.T) {
 	if _, err := d.SemAgg(ctx, m, "Summarize", "t"); err == nil {
 		t.Error("SemAgg should propagate model errors")
 	}
-	if _, err := d.SemMap(ctx, m, "label the sentiment", "t"); err == nil {
-		t.Error("SemMap should propagate model errors")
+	if _, err := d.SemFilterDistinct(ctx, m, "{t} is fine", "t"); err == nil {
+		t.Error("SemFilterDistinct should propagate model errors")
 	}
-	if _, err := d.SemJoin(ctx, m, d, "{t} matches {right:t}"); err == nil {
-		t.Error("SemJoin should propagate model errors")
+	if _, err := d.SemAggRows(ctx, m, "Summarize"); err == nil {
+		t.Error("SemAggRows should propagate model errors")
+	}
+	if _, errs := Map(ctx, m, "label the sentiment", []string{"a", "b"}); errs == nil || errs[1] == nil {
+		t.Error("Map should propagate model errors")
 	}
 }
 
@@ -298,26 +284,27 @@ func mixedFrame(r *rand.Rand, n int) *DataFrame {
 	return d
 }
 
-// TestDistinctKeysOnTheValue: Distinct, keyed on the value itself, keeps
-// exactly the rows the Value.Key()-string version it replaced kept.
+// TestDistinctKeysOnTheValue: SemFilterDistinct asks one claim per distinct
+// value, distinct as Value.Key() tells values apart, about the first row's
+// rendering of it.
 func TestDistinctKeysOnTheValue(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 200; trial++ {
 		d := mixedFrame(r, 1+r.Intn(60))
-		got, err := d.Distinct("k")
-		if err != nil {
+		m := &promptLog{Model: oracle()}
+		if _, err := d.SemFilterDistinct(context.Background(), m, "{k} satisfies: is small", "k"); err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[string]bool)
-		var want []sqldb.Row
+		var want []string
 		for _, row := range d.rows {
 			if k := row[0].Key(); !seen[k] {
 				seen[k] = true
-				want = append(want, row)
+				want = append(want, llm.SemFilterPrompt(row[0].AsText()+" satisfies: is small"))
 			}
 		}
-		if !reflect.DeepEqual(got.rows, want) {
-			t.Fatalf("trial %d: Distinct kept %v, the Key() version %v", trial, got.rows, want)
+		if len(m.batches) != 1 || !reflect.DeepEqual(m.batches[0], want) {
+			t.Fatalf("trial %d: SemFilterDistinct asked %q, the Key() classes are %q", trial, m.batches, want)
 		}
 	}
 }
@@ -335,8 +322,8 @@ func (p *promptLog) CompleteBatch(ctx context.Context, prompts []string) ([]stri
 
 // TestSemFilterDistinctIsUniqueFilterSemiJoin: SemFilterDistinct sends the
 // prompts, in the order, of the sequence it replaced in the hand-written
-// pipelines — Distinct, SemFilter over the unique rows, a set of the kept
-// values, Filter back — and keeps the same rows.
+// pipelines — the distinct values, SemFilter over them, a set of the kept
+// values, a filter back — and keeps the same rows.
 func TestSemFilterDistinctIsUniqueFilterSemiJoin(t *testing.T) {
 	d := schoolsFrame(t)
 	const claim = "{City} is a city in the Silicon Valley region"
@@ -344,10 +331,15 @@ func TestSemFilterDistinctIsUniqueFilterSemiJoin(t *testing.T) {
 	ctx := context.Background()
 
 	old := newLog()
-	uniq, err := d.Distinct("City")
-	if err != nil {
-		t.Fatal(err)
+	seen := make(map[string]bool)
+	var first []sqldb.Row
+	for _, row := range d.rows {
+		if c := row[1].AsText(); !seen[c] {
+			seen[c] = true
+			first = append(first, row)
+		}
 	}
+	uniq, _ := New(d.cols, first)
 	kept, err := uniq.SemFilter(ctx, old, claim)
 	if err != nil {
 		t.Fatal(err)
@@ -356,15 +348,20 @@ func TestSemFilterDistinctIsUniqueFilterSemiJoin(t *testing.T) {
 	for i := 0; i < kept.Len(); i++ {
 		allowed[kept.Value(i, "City").AsText()] = true
 	}
-	want := d.Filter(func(get func(string) sqldb.Value) bool { return allowed[get("City").AsText()] })
+	var want []sqldb.Row
+	for _, row := range d.rows {
+		if allowed[row[1].AsText()] {
+			want = append(want, row)
+		}
+	}
 
 	now := newLog()
 	got, err := d.SemFilterDistinct(ctx, now, claim, "city")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.rows, want.rows) || got.Len() == 0 || got.Len() == d.Len() {
-		t.Errorf("SemFilterDistinct kept %d of %d rows, the old sequence %d", got.Len(), d.Len(), want.Len())
+	if !reflect.DeepEqual(got.rows, want) || got.Len() == 0 || got.Len() == d.Len() {
+		t.Errorf("SemFilterDistinct kept %d of %d rows, the old sequence %d", got.Len(), d.Len(), len(want))
 	}
 	if !reflect.DeepEqual(now.batches, old.batches) || len(now.batches) != 1 || len(now.batches[0]) != uniq.Len() {
 		t.Errorf("prompts differ from the old sequence's: %d batches, %d unique values", len(now.batches), uniq.Len())

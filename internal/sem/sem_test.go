@@ -42,70 +42,74 @@ func TestDataFrameBasics(t *testing.T) {
 	if !d.Value(99, "City").IsNull() {
 		t.Error("out-of-range must be NULL")
 	}
-	sorted, err := d.Sort("Longitude", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sorted.Value(0, "School").AsText() != "Oakland Tech" {
-		t.Errorf("sort asc first = %s", sorted.Value(0, "School").AsText())
+	head := d.Head(2)
+	if head.Len() != 2 || head.Value(1, "School").AsText() != "Fresno High" {
+		t.Error("Head")
 	}
 	// The receiver is unchanged.
-	if d.Value(0, "School").AsText() != "Gunn High" {
-		t.Error("Sort mutated the receiver")
-	}
-	head := sorted.Head(2)
-	if head.Len() != 2 {
-		t.Error("Head")
+	if d.Len() != 4 || d.Value(0, "School").AsText() != "Gunn High" {
+		t.Error("Head mutated the receiver")
 	}
 	if d.Head(-1).Len() != 0 || d.Head(100).Len() != 4 {
 		t.Error("Head bounds")
 	}
 }
 
+// TestDataFrameFilterSelectDistinct: what is left on the frame of filter,
+// projection and distinct is their semantic forms — a claim per row, the
+// column list a row summary is projected to, a claim per distinct value.
 func TestDataFrameFilterSelectDistinct(t *testing.T) {
 	d := schoolsFrame(t)
-	nine12 := d.FilterEq("GSoffered", sqldb.Text("9-12"))
-	if nine12.Len() != 3 {
-		t.Errorf("FilterEq = %d rows", nine12.Len())
+	ctx := context.Background()
+	m := &promptLog{Model: oracle()}
+	nine12, err := d.SemFilter(ctx, m, "{GSoffered} satisfies: spans grades 9 to 12")
+	if err != nil || len(m.batches) != 1 || len(m.batches[0]) != d.Len() || nine12.Len() > d.Len() {
+		t.Errorf("SemFilter: %d rows, batches %v, err %v", nine12.Len(), m.batches, err)
 	}
-	proj, err := d.Select("School", "City")
-	if err != nil || len(proj.Columns()) != 2 {
-		t.Fatalf("Select: %v", err)
+	m.batches = nil
+	out, err := d.SemAggRows(ctx, m, "Summarize the rows", "school", "City")
+	if err != nil || len(m.batches) != 1 {
+		t.Fatalf("SemAggRows: %q, err %v", out, err)
 	}
-	if _, err := d.Select("nosuch"); err == nil {
-		t.Error("Select unknown column should fail")
+	if p := m.batches[0][0]; !strings.Contains(p, "- School=Gunn High; City=Palo Alto\n") || strings.Contains(p, "Longitude") {
+		t.Errorf("SemAggRows over two columns sent %q", p)
 	}
-	dist, err := d.Distinct("GSoffered")
-	if err != nil || dist.Len() != 2 {
-		t.Fatalf("Distinct = %d rows, err %v", dist.Len(), err)
+	if _, err := d.SemAggRows(ctx, m, "Summarize the rows", "School", "nosuch"); err == nil {
+		t.Error("SemAggRows over an unknown column should fail")
+	}
+	m.batches = nil
+	if _, err := d.SemFilterDistinct(ctx, m, "{GSoffered} satisfies: spans grades 9 to 12", "GSoffered"); err != nil || len(m.batches[0]) != 2 {
+		t.Fatalf("SemFilterDistinct over 2 distinct values: batches %v, err %v", m.batches, err)
 	}
 }
 
+// TestDataFrameJoin: a join is SQL. The frame carries its result, repeated
+// column names included: a name reads its first occurrence (what the
+// hand-written pipelines' `races.*, circuits.*` frames rely on), and a row
+// summary over no named columns prints every column by position.
 func TestDataFrameJoin(t *testing.T) {
-	left := schoolsFrame(t)
-	right, err := New(
-		[]string{"City", "County"},
-		[]sqldb.Row{
-			{sqldb.Text("Palo Alto"), sqldb.Text("Santa Clara")},
-			{sqldb.Text("Oakland"), sqldb.Text("Alameda")},
-		},
-	)
+	db := sqldb.NewDatabase()
+	db.MustExec("CREATE TABLE schools (School TEXT, City TEXT)")
+	db.MustExec("CREATE TABLE cities (City TEXT, County TEXT)")
+	db.MustExec("INSERT INTO schools VALUES ('Gunn High', 'Palo Alto'), ('Fresno High', 'Fresno'), ('Oakland Tech', 'Oakland')")
+	db.MustExec("INSERT INTO cities VALUES ('PALO ALTO', 'Santa Clara'), ('OAKLAND', 'Alameda')")
+	rows, err := db.QueryRows(context.Background(),
+		"SELECT schools.*, cities.* FROM schools JOIN cities ON UPPER(schools.City) = cities.City ORDER BY School")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := left.Join(right, "City", "City")
+	j, err := FromRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 2 {
-		t.Fatalf("join rows = %d", j.Len())
+	if j.Len() != 2 || len(j.Columns()) != 4 {
+		t.Fatalf("join frame = %d x %v", j.Len(), j.Columns())
 	}
-	// Collided column gets prefixed.
-	if j.colIndex("right_City") < 0 {
-		t.Errorf("columns = %v", j.Columns())
+	if j.Value(0, "County").AsText() != "Santa Clara" || j.Value(0, "city").AsText() != "Palo Alto" {
+		t.Errorf("joined row = %s", j.RowString(0))
 	}
-	if j.Value(0, "County").AsText() != "Santa Clara" {
-		t.Errorf("joined county = %s", j.Value(0, "County").AsText())
+	if rs := j.RowString(1); rs != "School=Oakland Tech; City=Oakland; City=OAKLAND; County=Alameda" {
+		t.Errorf("RowString = %s", rs)
 	}
 }
 
@@ -231,36 +235,37 @@ func TestSemAggEmpty(t *testing.T) {
 }
 
 func TestSemMapSentiment(t *testing.T) {
-	rows := []sqldb.Row{
-		{sqldb.Text("an absolute masterpiece from start to finish")},
-		{sqldb.Text("astonishingly bad on every level")},
+	items := []string{"an absolute masterpiece from start to finish", "astonishingly bad on every level"}
+	m := oracle()
+	outs, errs := Map(context.Background(), m, "label the sentiment", items)
+	if errs != nil {
+		t.Fatal(errs)
 	}
-	d, _ := New([]string{"body"}, rows)
-	vals, err := d.SemMap(context.Background(), oracle(), "label the sentiment", "body")
-	if err != nil {
-		t.Fatal(err)
+	if outs[0] != "positive" || outs[1] != "negative" {
+		t.Errorf("map = %v", outs)
 	}
-	if vals[0].AsText() != "positive" || vals[1].AsText() != "negative" {
-		t.Errorf("map = %v, %v", vals[0], vals[1])
-	}
-	d2, err := d.WithColumn("sentiment", vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Value(0, "sentiment").AsText() != "positive" {
-		t.Error("WithColumn")
+	if m.Stats().BatchCalls != 1 || m.Stats().Calls != 0 {
+		t.Errorf("stats = %+v", m.Stats())
 	}
 }
 
+// TestSemJoin: a semantic join is a SemFilter over the SQL cross product,
+// its instruction naming columns of both sides.
 func TestSemJoin(t *testing.T) {
-	left, _ := New([]string{"City"}, []sqldb.Row{
-		{sqldb.Text("Palo Alto")}, {sqldb.Text("Fresno")},
-	})
-	right, _ := New([]string{"Region"}, []sqldb.Row{
-		{sqldb.Text("Silicon Valley")}, {sqldb.Text("Bay Area")},
-	})
-	got, err := left.SemJoin(context.Background(), oracle(), right,
-		"{City} is a city in the {right:Region} region")
+	db := sqldb.NewDatabase()
+	db.MustExec("CREATE TABLE l (City TEXT)")
+	db.MustExec("CREATE TABLE r (Region TEXT)")
+	db.MustExec("INSERT INTO l VALUES ('Palo Alto'), ('Fresno')")
+	db.MustExec("INSERT INTO r VALUES ('Silicon Valley'), ('Bay Area')")
+	rows, err := db.QueryRows(context.Background(), "SELECT City, Region FROM l CROSS JOIN r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := FromRows(rows)
+	if err != nil || pairs.Len() != 4 {
+		t.Fatalf("cross product: %v", err)
+	}
+	got, err := pairs.SemFilter(context.Background(), oracle(), "{City} is a city in the {Region} region")
 	if err != nil {
 		t.Fatal(err)
 	}

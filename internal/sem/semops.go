@@ -6,95 +6,50 @@ import (
 	"strings"
 
 	"tag/internal/llm"
-	"tag/internal/sqldb"
 )
 
-// This file implements the semantic operators. Each issues its LM calls
-// through CompleteBatch so one logical operator over N rows costs one (or
-// a few) batched inference rounds.
+// The four kernels. Each takes plain values and is the one place its
+// operator becomes CompleteBatch calls; errs, where returned, is
+// CompleteBatch's (nil, or one entry per input).
 
-// SemFilter keeps the rows for which the instantiated claim is judged
-// true. The instruction is a template with "{Column}" placeholders, e.g.
-// "{City} is a city in the Silicon Valley region".
-func (d *DataFrame) SemFilter(ctx context.Context, m llm.Model, instruction string) (*DataFrame, error) {
-	if len(d.rows) == 0 {
-		return d, nil
+// Filter asks the model whether each claim holds, as one batch. A claim is
+// a finished sentence (llm.Claim.About): placeholders are the caller's.
+func Filter(ctx context.Context, m llm.Model, claims []string) (verdicts []bool, errs []error) {
+	if len(claims) == 0 {
+		return nil, nil
 	}
-	prompts := make([]string, len(d.rows))
-	for i := range d.rows {
-		prompts[i] = llm.SemFilterPrompt(d.substitute(instruction, i))
+	prompts := make([]string, len(claims))
+	for i, c := range claims {
+		prompts[i] = llm.SemFilterPrompt(c)
 	}
 	outs, errs := m.CompleteBatch(ctx, prompts)
-	var rows []sqldb.Row
+	verdicts = make([]bool, len(outs))
 	for i, out := range outs {
-		if errs != nil && errs[i] != nil {
-			return nil, fmt.Errorf("sem: filter row %d: %w", i, errs[i])
-		}
-		if strings.EqualFold(strings.TrimSpace(out), "true") {
-			rows = append(rows, d.rows[i])
-		}
+		verdicts[i] = strings.EqualFold(strings.TrimSpace(out), "true")
 	}
-	return &DataFrame{cols: d.cols, rows: rows}, nil
+	return verdicts, errs
 }
 
-// SemFilterDistinct is SemFilter for a claim about one column's value: the
-// paper's Appendix C pipeline (`df["City"].unique().sem_filter(...)`, then a
-// semi-join back). The instruction's "{col}" placeholder is instantiated
-// once per distinct value, in first-seen order, the claims go to the model
-// as one batch, and every row whose value was judged true is kept — through
-// the same gather / distinct / scatter layer (sqldb.CallMemo) the engine
-// puts under LLM_FILTER inside SQL.
-func (d *DataFrame) SemFilterDistinct(ctx context.Context, m llm.Model, instruction, col string) (*DataFrame, error) {
-	ci := d.colIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sem: no column %q", col)
+// Map applies the instruction to each item, as one batch.
+func Map(ctx context.Context, m llm.Model, instruction string, items []string) (outs []string, errs []error) {
+	prompts := make([]string, len(items))
+	for i, it := range items {
+		prompts[i] = llm.SemMapPrompt(instruction, it)
 	}
-	placeholder := "{" + d.cols[ci] + "}"
-	memo := sqldb.NewCallMemo(func(ctx context.Context, values [][]sqldb.Value) ([]sqldb.Value, []error) {
-		prompts := make([]string, len(values))
-		for i, v := range values {
-			prompts[i] = llm.SemFilterPrompt(strings.ReplaceAll(instruction, placeholder, v[0].AsText()))
-		}
-		outs, errs := m.CompleteBatch(ctx, prompts)
-		verdicts := make([]sqldb.Value, len(outs))
-		for i, out := range outs {
-			verdicts[i] = sqldb.Bool(strings.EqualFold(strings.TrimSpace(out), "true"))
-		}
-		return verdicts, errs
-	})
-	classes := make([]int, len(d.rows))
-	for i, r := range d.rows {
-		classes[i] = memo.Add(r[ci : ci+1])
-	}
-	memo.Flush(ctx)
-	var rows []sqldb.Row
-	for i, r := range d.rows {
-		v, err := memo.At(classes[i])
-		if err != nil {
-			return nil, fmt.Errorf("sem: filter row %d: %w", i, err)
-		}
-		if v.AsBool() {
-			rows = append(rows, r)
-		}
-	}
-	return &DataFrame{cols: d.cols, rows: rows}, nil
+	return m.CompleteBatch(ctx, prompts)
 }
 
-// SemTopK ranks rows by how well the named column's text satisfies the
-// criterion and returns the best k, ordered best-first. It runs a batched
-// quicksort: every recursion level partitions all active segments against
-// their pivots in a single CompleteBatch, and only segments overlapping
-// the top-k prefix recurse — LOTUS's sem_topk uses the same pivot-based
-// strategy. Expected O(log n) batched LM rounds.
-func (d *DataFrame) SemTopK(ctx context.Context, m llm.Model, criterion, col string, k int) (*DataFrame, error) {
-	ci := d.colIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("sem: no column %q", col)
-	}
+// TopK ranks texts by how well they satisfy the criterion and returns the
+// indexes of the best k, best first. It runs a batched quicksort: every
+// recursion level partitions all active segments against their pivots in a
+// single CompleteBatch, and only segments overlapping the top-k prefix
+// recurse — LOTUS's sem_topk uses the same pivot-based strategy. Expected
+// O(log n) batched LM rounds.
+func TopK(ctx context.Context, m llm.Model, criterion string, texts []string, k int) ([]int, error) {
 	if k <= 0 {
-		return &DataFrame{cols: d.cols}, nil
+		return nil, nil
 	}
-	order := make([]int, len(d.rows))
+	order := make([]int, len(texts))
 	for i := range order {
 		order[i] = i
 	}
@@ -103,42 +58,33 @@ func (d *DataFrame) SemTopK(ctx context.Context, m llm.Model, criterion, col str
 	active := []seg{{0, len(order)}}
 	for len(active) > 0 {
 		// One batch: compare every non-pivot element of every active
-		// segment against its segment's pivot.
-		type probe struct {
-			segIdx int
-			pos    int
-		}
+		// segment against its segment's pivot, in position order.
 		var prompts []string
-		var probes []probe
-		for si, s := range active {
-			pivot := order[s.lo]
+		for _, s := range active {
 			for pos := s.lo + 1; pos < s.hi; pos++ {
-				prompts = append(prompts, llm.SemComparePrompt(criterion,
-					d.rows[order[pos]][ci].AsText(), d.rows[pivot][ci].AsText()))
-				probes = append(probes, probe{segIdx: si, pos: pos})
+				prompts = append(prompts, llm.SemComparePrompt(criterion, texts[order[pos]], texts[order[s.lo]]))
 			}
 		}
 		if len(prompts) == 0 {
 			break
 		}
 		outs, errs := m.CompleteBatch(ctx, prompts)
-		beats := make(map[int]bool, len(outs)) // order-position -> beats pivot
-		for i, out := range outs {
-			if errs != nil && errs[i] != nil {
-				return nil, fmt.Errorf("sem: topk comparison: %w", errs[i])
+		for _, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("sem: topk comparison: %w", err)
 			}
-			beats[probes[i].pos] = strings.EqualFold(strings.TrimSpace(out), "a")
 		}
 		var next []seg
 		for _, s := range active {
 			pivot := order[s.lo]
 			var better, worse []int
 			for pos := s.lo + 1; pos < s.hi; pos++ {
-				if beats[pos] {
+				if strings.EqualFold(strings.TrimSpace(outs[0]), "a") {
 					better = append(better, order[pos])
 				} else {
 					worse = append(worse, order[pos])
 				}
+				outs = outs[1:]
 			}
 			copy(order[s.lo:], better)
 			mid := s.lo + len(better)
@@ -153,65 +99,33 @@ func (d *DataFrame) SemTopK(ctx context.Context, m llm.Model, criterion, col str
 		}
 		active = next
 	}
-	if k > len(order) {
-		k = len(order)
-	}
-	rows := make([]sqldb.Row, k)
-	for i := 0; i < k; i++ {
-		rows[i] = d.rows[order[i]]
-	}
-	return &DataFrame{cols: d.cols, rows: rows}, nil
+	return order[:min(k, len(order))], nil
 }
 
-// SemAgg summarises the named column under the instruction, folding
-// hierarchically when the items do not fit the model's context window.
-func (d *DataFrame) SemAgg(ctx context.Context, m llm.Model, instruction, col string) (string, error) {
-	items, err := d.Strings(col)
-	if err != nil {
-		return "", err
-	}
-	return foldSummaries(ctx, m, instruction, items)
-}
-
-// SemAggRows summarises whole rows ("all_cols=True" in LOTUS terms): each
-// item is the full row serialisation.
-func (d *DataFrame) SemAggRows(ctx context.Context, m llm.Model, instruction string) (string, error) {
-	items := make([]string, len(d.rows))
-	for i := range d.rows {
-		items[i] = d.RowString(i)
-	}
-	return foldSummaries(ctx, m, instruction, items)
-}
-
-// foldSummaries runs the hierarchical reduction: chunk items to fit the
-// context window, summarise each chunk, recurse over the summaries.
-func foldSummaries(ctx context.Context, m llm.Model, instruction string, items []string) (string, error) {
+// Agg summarises items under the instruction, hierarchically when they do
+// not fit the model's context window: chunk the items to fit, summarise
+// each chunk in one batch, recurse over the summaries.
+func Agg(ctx context.Context, m llm.Model, instruction string, items []string) (string, error) {
 	if len(items) == 0 {
 		return "Nothing to summarize.", nil
 	}
 	budget := m.ContextWindow() * 3 / 4
 	for {
 		chunks := chunkByTokens(instruction, items, budget)
-		if len(chunks) == 1 {
-			outs, errs := m.CompleteBatch(ctx, []string{llm.SemAggPrompt(instruction, chunks[0])})
-			if errs != nil && errs[0] != nil {
-				return "", errs[0]
-			}
-			return outs[0], nil
-		}
 		prompts := make([]string, len(chunks))
 		for i, ch := range chunks {
 			prompts[i] = llm.SemAggPrompt(instruction, ch)
 		}
 		outs, errs := m.CompleteBatch(ctx, prompts)
-		next := make([]string, 0, len(outs))
-		for i, out := range outs {
-			if errs != nil && errs[i] != nil {
-				return "", errs[i]
+		for _, err := range errs {
+			if err != nil {
+				return "", err
 			}
-			next = append(next, out)
 		}
-		items = next
+		if len(outs) == 1 {
+			return outs[0], nil
+		}
+		items = outs
 	}
 }
 
@@ -237,63 +151,4 @@ func chunkByTokens(instruction string, items []string, budget int) [][]string {
 		chunks = append(chunks, cur)
 	}
 	return chunks
-}
-
-// SemMap applies a per-row transformation instruction to the named column
-// and returns the outputs as a new column of TEXT values.
-func (d *DataFrame) SemMap(ctx context.Context, m llm.Model, instruction, col string) ([]sqldb.Value, error) {
-	items, err := d.Strings(col)
-	if err != nil {
-		return nil, err
-	}
-	prompts := make([]string, len(items))
-	for i, it := range items {
-		prompts[i] = llm.SemMapPrompt(instruction, it)
-	}
-	outs, errs := m.CompleteBatch(ctx, prompts)
-	vals := make([]sqldb.Value, len(outs))
-	for i, out := range outs {
-		if errs != nil && errs[i] != nil {
-			return nil, fmt.Errorf("sem: map row %d: %w", i, errs[i])
-		}
-		vals[i] = sqldb.Text(out)
-	}
-	return vals, nil
-}
-
-// SemJoin keeps pairs (l, r) of the cross product for which the
-// instantiated claim is true. The instruction may reference left columns
-// as "{Col}" and right columns as "{right:Col}".
-func (d *DataFrame) SemJoin(ctx context.Context, m llm.Model, other *DataFrame, instruction string) (*DataFrame, error) {
-	cols := append([]string(nil), d.cols...)
-	for _, c := range other.cols {
-		cols = append(cols, "right_"+c)
-	}
-	var prompts []string
-	type pair struct{ l, r int }
-	var pairs []pair
-	for li := range d.rows {
-		for ri := range other.rows {
-			claim := d.substitute(instruction, li)
-			for ci, c := range other.cols {
-				claim = strings.ReplaceAll(claim, "{right:"+c+"}", other.rows[ri][ci].AsText())
-			}
-			prompts = append(prompts, llm.SemFilterPrompt(claim))
-			pairs = append(pairs, pair{l: li, r: ri})
-		}
-	}
-	outs, errs := m.CompleteBatch(ctx, prompts)
-	var rows []sqldb.Row
-	for i, out := range outs {
-		if errs != nil && errs[i] != nil {
-			return nil, fmt.Errorf("sem: join pair %d: %w", i, errs[i])
-		}
-		if strings.EqualFold(strings.TrimSpace(out), "true") {
-			nr := make(sqldb.Row, 0, len(cols))
-			nr = append(nr, d.rows[pairs[i].l]...)
-			nr = append(nr, other.rows[pairs[i].r]...)
-			rows = append(rows, nr)
-		}
-	}
-	return &DataFrame{cols: cols, rows: rows}, nil
 }
