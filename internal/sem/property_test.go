@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tag/internal/llm"
@@ -285,7 +286,8 @@ func mixedFrame(r *rand.Rand, n int) *DataFrame {
 }
 
 // TestDistinctKeysOnTheValue: SemFilterDistinct asks one claim per distinct
-// value, distinct as Value.Key() tells values apart, about the first row's
+// value, distinct as Compare tells values apart (a NaN, which Compare calls
+// equal to every number, only from what is not a NaN), about the first row's
 // rendering of it.
 func TestDistinctKeysOnTheValue(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
@@ -295,16 +297,19 @@ func TestDistinctKeysOnTheValue(t *testing.T) {
 		if _, err := d.SemFilterDistinct(context.Background(), m, "{k} satisfies: is small", "k"); err != nil {
 			t.Fatal(err)
 		}
-		seen := make(map[string]bool)
+		isNaN := func(v sqldb.Value) bool { return v.Kind() == sqldb.KindFloat && math.IsNaN(v.AsFloat()) }
+		var seen []sqldb.Value
 		var want []string
 		for _, row := range d.rows {
-			if k := row[0].Key(); !seen[k] {
-				seen[k] = true
+			if !slices.ContainsFunc(seen, func(v sqldb.Value) bool {
+				return isNaN(v) == isNaN(row[0]) && v.Equal(row[0])
+			}) {
+				seen = append(seen, row[0])
 				want = append(want, llm.SemFilterPrompt(row[0].AsText()+" satisfies: is small"))
 			}
 		}
 		if len(m.batches) != 1 || !reflect.DeepEqual(m.batches[0], want) {
-			t.Fatalf("trial %d: SemFilterDistinct asked %q, the Key() classes are %q", trial, m.batches, want)
+			t.Fatalf("trial %d: SemFilterDistinct asked %q, the Compare classes are %q", trial, m.batches, want)
 		}
 	}
 }

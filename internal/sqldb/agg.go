@@ -96,7 +96,7 @@ func foldParts(f float64, parts []sumPart) float64 {
 
 // newState builds the accumulator for the named aggregate, off the slab
 // for the kinds a many-group fold makes by the thousand.
-func (s *groupSlab) newState(fc *FuncCall) (aggState, error) {
+func (s *groupTable) newState(fc *FuncCall) (aggState, error) {
 	var base aggState
 	switch fc.Name {
 	case "COUNT":

@@ -1,6 +1,10 @@
 package sqldb
 
-import "context"
+import (
+	"context"
+	"hash/maphash"
+	"math/bits"
+)
 
 // This file is the one gather → distinct → scatter layer under every
 // batched call, the engine's (a BatchFunc inside a statement) and the
@@ -10,50 +14,105 @@ import "context"
 // and every row reads its answer back through the class its tuple fell in.
 
 // TupleSet numbers the distinct tuples it is shown 0, 1, 2, … in first-seen
-// order. Tuples are distinct as an index would key them — by Compare class
-// (indexKey), so NULLs share a class and so do Int(5) and Float(5.0) — and
-// are keyed by the values themselves: a trie over (prefix node, value)
-// pairs, with no encoded copy of a tuple. Tuples of one set have one length.
+// order: the engine's one group table, under GROUP BY, DISTINCT, batched
+// calls and the semantic operators. Tuples are distinct as an index would key
+// them — by Compare class (indexKey), so NULLs share a class and so do Int(5)
+// and Float(5.0) — and are hashed and compared as values, never encoded: an
+// open-addressed slot array, probed linearly, over the first-seen tuples,
+// which the set keeps as they were shown. Tuples of one set have one length.
 type TupleSet struct {
-	nodes   map[tupleNode]int32
-	inner   int32 // prefix nodes handed out; 0 is the root
-	classes int
+	slots  []tupleSlot // a power of two of them, at most three quarters taken
+	blocks [][]Value   // the tuples by class, 1, 1, 2, 4, … tupleBlock, tupleBlock, … to a block
+	width  int
+	n      int
 }
 
-// tupleNode is one trie edge: the node a tuple's prefix reached, and its
-// next value. The last value's edge holds the class, the others a node.
-type tupleNode struct {
-	prefix int32
-	v      Value
+// tupleSlot is a class and the hash that placed it, so that a probe compares
+// values only on a match and growing the array hashes nothing again.
+type tupleSlot struct {
+	hash uint32
+	ref  uint32 // class + 1; 0 marks an empty slot
 }
 
-// Add files tuple under its class and reports whether it founded it.
+// Blocks double up to tupleBlock tuples — a set of one or two classes does
+// not pay for a thousand — and stay that size from there on.
+const tupleBlockBits, tupleBlock = 10, 1 << 10
+
+var tupleSeed = maphash.MakeSeed()
+
+// Add files tuple under its class and reports whether it founded it. A
+// founding tuple is copied; the caller may reuse its buffer.
 func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
-	if len(tuple) == 0 {
-		fresh, s.classes = s.classes == 0, 1
-		return 0, fresh
+	if (s.n+1)*4 > len(s.slots)*3 {
+		s.grow()
 	}
-	if s.nodes == nil {
-		s.nodes = make(map[tupleNode]int32)
-	}
-	var at int32
-	for i, v := range tuple {
-		k := tupleNode{at, indexKey(v)}
-		next, ok := s.nodes[k]
-		switch {
-		case ok:
-		case i < len(tuple)-1:
-			s.inner++
-			next = s.inner
-			s.nodes[k] = next
-		default:
-			next, fresh = int32(s.classes), true
-			s.classes++
-			s.nodes[k] = next
+	var h64 uint64
+	for _, v := range tuple {
+		k := indexKey(v)
+		x := k.n ^ uint64(k.kind)<<56
+		if k.kind == KindText {
+			x = maphash.String(tupleSeed, k.s)
 		}
-		at = next
+		h64 = (h64 ^ x) * 0x9E3779B97F4A7C15
 	}
-	return int(at), fresh
+	h, mask := uint32(h64>>32), uint32(len(s.slots)-1)
+	i := h & mask
+probe:
+	for ; s.slots[i].ref != 0; i = (i + 1) & mask {
+		if s.slots[i].hash != h {
+			continue
+		}
+		class = int(s.slots[i].ref - 1)
+		for j, v := range s.Tuple(class) {
+			if indexKey(v) != indexKey(tuple[j]) {
+				continue probe
+			}
+		}
+		return class, false
+	}
+	class, s.width = s.n, len(tuple)
+	s.n++
+	s.slots[i] = tupleSlot{h, uint32(s.n)}
+	b, off := s.locate(class)
+	if off == 0 { // the first class of a block: 0, 1, 2, 4, … tupleBlock, 2·tupleBlock, …
+		s.blocks = append(s.blocks, make([]Value, min(max(class, 1), tupleBlock)*s.width))
+	}
+	copy(s.blocks[b][off*s.width:], tuple)
+	return class, true
+}
+
+// grow doubles the slot array and places every class again by its kept hash.
+func (s *TupleSet) grow() {
+	old := s.slots
+	s.slots = make([]tupleSlot, max(8, 2*len(old)))
+	mask := uint32(len(s.slots) - 1)
+	for _, sl := range old {
+		if sl.ref == 0 {
+			continue
+		}
+		i := sl.hash & mask
+		for s.slots[i].ref != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// locate returns the block a class's tuple is kept in and its place there.
+func (s *TupleSet) locate(class int) (block, off int) {
+	if class < tupleBlock {
+		block = bits.Len(uint(class))
+		return block, class - 1<<block>>1
+	}
+	return tupleBlockBits + class>>tupleBlockBits, class & (tupleBlock - 1)
+}
+
+// Tuple returns the tuple that founded class as it was shown to Add — the
+// original values, not their canonical forms — in the set's own copy: read
+// it, and keep it as long as the set.
+func (s *TupleSet) Tuple(class int) []Value {
+	b, off := s.locate(class)
+	return s.blocks[b][off*s.width : (off+1)*s.width : (off+1)*s.width]
 }
 
 // CallMemo answers argument tuples through one BatchFunc, each distinct
@@ -62,12 +121,11 @@ func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
 // for the memo's lifetime (a statement's, for the engine), so a later window
 // of rows pays only for the tuples no earlier one asked about.
 type CallMemo struct {
-	fn     BatchFunc
-	set    TupleSet
-	queue  [][]Value // first-seen tuples not yet sent (private copies)
-	tuples slab[Value]
-	vals   []Value // per class, for the classes already answered
-	errs   []error // per class, as far as the last call that failed an element
+	fn    BatchFunc
+	set   TupleSet
+	queue [][]Value // first-seen tuples not yet sent (the set's copies)
+	vals  []Value   // per class, for the classes already answered
+	errs  []error   // per class, as far as the last call that failed an element
 	// Asked counts the tuples filed, Sent the ones no earlier tuple had
 	// answered for, Calls the calls of the function that took.
 	Asked, Sent, Calls uint64
@@ -77,16 +135,13 @@ type CallMemo struct {
 func NewCallMemo(fn BatchFunc) *CallMemo { return &CallMemo{fn: fn} }
 
 // Add files tuple under its class, queueing it for the next Flush when no
-// earlier tuple shared the class. The tuple is copied; the caller may reuse
-// its buffer.
+// earlier tuple shared the class. The caller may reuse its buffer.
 func (m *CallMemo) Add(tuple []Value) (class int) {
 	class, fresh := m.set.Add(tuple)
 	m.Asked++
 	if fresh {
 		m.Sent++
-		own := m.tuples.take(len(tuple))
-		copy(own, tuple)
-		m.queue = append(m.queue, own)
+		m.queue = append(m.queue, m.set.Tuple(class))
 	}
 	return class
 }

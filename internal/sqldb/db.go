@@ -606,17 +606,17 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 			}
 			continue
 		}
-		var removed, added map[string]int
+		var removed, added map[Value]int // by indexKey, as the index keys its entries
 		for _, p := range pend {
 			if p.old[idx.Column].Equal(p.row[idx.Column]) {
 				continue
 			}
 			if removed == nil {
-				removed, added = make(map[string]int), make(map[string]int)
+				removed, added = make(map[Value]int), make(map[Value]int)
 			}
-			removed[p.old[idx.Column].Key()]++
+			removed[indexKey(p.old[idx.Column])]++
 			if !p.row[idx.Column].IsNull() {
-				added[p.row[idx.Column].Key()]++
+				added[indexKey(p.row[idx.Column])]++
 			}
 		}
 		if added == nil {
@@ -624,7 +624,7 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 		}
 		for _, p := range pend {
 			v := p.row[idx.Column]
-			key := v.Key()
+			key := indexKey(v)
 			if add := added[key]; add > 0 && t.liveKeyCount(idx, v)-removed[key]+add > 1 {
 				return violation(idx, v)
 			}

@@ -26,7 +26,7 @@ import (
 // whose instances offer each survivor to a k-bounded heap that copies the
 // few it keeps (vecops.go); a join, projection or aggregation whose consumer
 // reads a row and drops it builds every row in one buffer (lendRows,
-// stream.go); and GROUP BY takes its groups from slabs (groupSlab).
+// stream.go); and GROUP BY takes its groups from slabs (groupTable).
 
 // operator is a pull-based row iterator.
 type operator interface {
@@ -718,9 +718,10 @@ func expandItems(items []SelectItem, in []colInfo) ([]SelectItem, []colInfo, err
 	return out, cols, nil
 }
 
-// aggGroup is one GROUP BY partition: its key values, its accumulator
-// states (one per collected aggregate), and a representative input row for
-// non-grouped column references.
+// aggGroup is one GROUP BY partition: its key values (the group table's
+// copy of the founding row's), its accumulator states (one per collected
+// aggregate), and — when something reads it (readsRepRow) — a representative
+// input row for non-grouped column references.
 type aggGroup struct {
 	keys   []Value
 	states []aggState
@@ -731,12 +732,15 @@ type aggGroup struct {
 	firstID int
 }
 
-// groupSlab is where one aggregation (or one instance of a folded one)
-// takes its groups, their key values and their accumulator states from, so
-// allocations grow with the group count in blocks, not six to a group.
-type groupSlab struct {
-	groups slab[aggGroup]
-	vals   slab[Value]
+// groupTable is the partitions of one aggregation (or of one instance of a
+// folded one), numbered by the value of their keys: groups is indexed by the
+// keys' class in set, which is first-seen order. Groups and their
+// accumulator states come off slabs, so allocations grow with the group
+// count in blocks, not five to a group.
+type groupTable struct {
+	set    TupleSet
+	groups []*aggGroup
+	slab   slab[aggGroup]
 	states slab[aggState]
 	counts slab[countState]
 	sums   slab[sumState]
@@ -744,42 +748,35 @@ type groupSlab struct {
 	minMax slab[minMaxState]
 }
 
-// newGroup builds a group over a private copy of keys, with one fresh
-// accumulator per collected aggregate.
-func (s *groupSlab) newGroup(aggs []*FuncCall, keys []Value) (*aggGroup, error) {
-	g := &s.groups.take(1)[0]
-	g.keys = s.vals.take(len(keys))
-	copy(g.keys, keys)
-	g.states = s.states.take(len(aggs))
-	for i, fc := range aggs {
-		st, err := s.newState(fc)
-		if err != nil {
-			return nil, err
+// group returns the group keys fall in and whether this call founded it —
+// the one find-or-found step of every GROUP BY: the row loop
+// (runAggregation), the batch fold (vecScanOp.foldBatch) and the merge of
+// partial groups (runAggregationBatch). A founded group is partial when the
+// merge brings one to adopt, and otherwise new: one fresh accumulator per
+// collected aggregate, over the set's copy of keys.
+func (t *groupTable) group(aggs []*FuncCall, keys []Value, partial *aggGroup) (g *aggGroup, fresh bool, err error) {
+	class, fresh := t.set.Add(keys)
+	if !fresh {
+		return t.groups[class], false, nil
+	}
+	if g = partial; g == nil {
+		g = &t.slab.take(1)[0]
+		g.keys, g.states = t.set.Tuple(class), t.states.take(len(aggs))
+		for i, fc := range aggs {
+			if g.states[i], err = t.newState(fc); err != nil {
+				return nil, false, err
+			}
 		}
-		g.states[i] = st
 	}
-	return g, nil
+	t.groups = append(t.groups, g)
+	return g, true, nil
 }
 
-// emptyAggGroup is the one group a query with aggregates but no GROUP BY
-// yields over empty input: fresh accumulators over an all-NULL
-// representative row.
-func emptyAggGroup(aggs []*FuncCall, width int) (*aggGroup, error) {
-	g, err := new(groupSlab).newGroup(aggs, nil)
-	if err != nil {
-		return nil, err
-	}
-	g.repRow = make(Row, width)
-	for i := range g.repRow {
-		g.repRow[i] = Null
-	}
-	return g, nil
-}
-
-// runAggregation materialises the child, partitions rows by the binary
-// encoding of their GROUP BY keys, and accumulates every aggregate the
-// query references. Groups come back in first-seen order.
-func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
+// runAggregation drains the child, partitions rows by the value of their
+// GROUP BY keys (groupTable), and accumulates every aggregate the query
+// references. Groups come back in first-seen order, each with the row that
+// founded it when the post-aggregation phase reads one (repRows).
+func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall, repRows bool,
 	db *Database, params []Value, outer *evalEnv, qc *queryCtx) ([]*aggGroup, error) {
 
 	env := newEvalEnv(src.columns(), db, params, outer, qc)
@@ -804,11 +801,8 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		argExprs[i] = c
 	}
 
-	index := make(map[string]int)
-	var groups []*aggGroup
-	var gs groupSlab
+	var tab groupTable
 	keyVals := make([]Value, len(stmt.GroupBy)) // reused per row
-	var kb []byte
 	for {
 		r, ok, err := src.next()
 		if err != nil {
@@ -818,27 +812,18 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 			break
 		}
 		env.row = r
-		kb = kb[:0]
 		for i, ge := range groupExprs {
-			v, err := ge()
-			if err != nil {
+			if keyVals[i], err = ge(); err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
-			kb = appendValueKey(kb, v)
 		}
-		gi, ok := index[string(kb)]
-		if !ok {
-			g, err := gs.newGroup(aggs, keyVals)
-			if err != nil {
-				return nil, err
-			}
+		g, fresh, err := tab.group(aggs, keyVals, nil)
+		if err != nil {
+			return nil, err
+		}
+		if fresh && repRows {
 			g.repRow = r.Clone()
-			gi = len(groups)
-			groups = append(groups, g)
-			index[string(kb)] = gi // allocates once per distinct group
 		}
-		g := groups[gi]
 		for i, fc := range aggs {
 			if fc.Star {
 				g.states[i].add(Int(1))
@@ -855,14 +840,7 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall,
 		}
 	}
 
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		g, err := emptyAggGroup(aggs, len(src.columns()))
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
+	return tab.groups, nil
 }
 
 // ---------------------------------------------------------------------------

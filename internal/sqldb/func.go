@@ -17,7 +17,7 @@ type ScalarFunc func(args []Value) (Value, error)
 // evaluated. ctx is the context of the statement making the call, so a
 // cancelled request stops its own calls and nobody else's. The engine
 // hands a BatchFunc each distinct tuple of a statement at most once
-// (CallMemo, batchcall.go).
+// (CallMemo, batchcall.go), and the tuples stay the engine's: read them.
 type BatchFunc func(ctx context.Context, args [][]Value) ([]Value, []error)
 
 // Func is one SQL function: its arity and exactly one of the two forms.

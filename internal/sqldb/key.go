@@ -1,31 +1,20 @@
 package sqldb
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
-// This file implements the engine's hash-key encoding: a compact binary
-// form of a Value that can be appended into a reusable []byte scratch
-// buffer. GROUP BY and DISTINCT aggregates key their maps with it; a
-// secondary index and a hash join, whose key is one value, key theirs with
-// indexKey's Value directly, as DISTINCT and batched calls do a tuple at a
-// time (TupleSet, batchcall.go), and copy nothing.
+// This file is the engine's one rule of value identity: indexKey, the
+// canonical member of a value's Compare class. A secondary index, a hash
+// join, a DISTINCT aggregate and the deferred UNIQUE check, whose key is one
+// value, key their Go maps with it directly; GROUP BY, DISTINCT, batched
+// calls and the semantic operators, whose key is a tuple, hash and compare
+// it a tuple at a time (TupleSet, batchcall.go). Nobody encodes a value to
+// key it: the byte encoding in key_test.go is the tests' independent
+// statement of the same classes, which indexKey and TupleSet are held to.
 //
-// Both respect Compare's equivalence classes: values that compare equal
-// key identically. Numerics that hold a mathematical integer (INTEGER,
-// BOOLEAN, and integral REAL within int64 range) share an exact int64
-// form, so int64 keys beyond 2^53 never collapse through float64 rounding
-// the way the old strconv.FormatFloat encoding did. Every encoded field is
-// self-delimiting (fixed width or length-prefixed), so concatenated row
-// keys are unambiguous.
-
-const (
-	keyTagNull  = 0x00
-	keyTagInt   = 0x01
-	keyTagFloat = 0x02
-	keyTagText  = 0x03
-)
+// Values that compare equal key identically. Numerics that hold a
+// mathematical integer (INTEGER, BOOLEAN, and integral REAL within int64
+// range) share an exact int64 form, so int64 keys beyond 2^53 never collapse
+// through float64 rounding the way a strconv.FormatFloat key would.
 
 // indexKey returns the canonical member of v's Compare class, usable as a
 // Go map key: two values compare equal exactly when their indexKeys are ==
@@ -50,23 +39,4 @@ func indexKey(v Value) Value {
 		}
 	}
 	return v
-}
-
-// appendValueKey appends the encoding of v's indexKey to dst and returns
-// the extended slice — the same classes as indexKey by construction. It
-// never allocates beyond growing dst.
-func appendValueKey(dst []byte, v Value) []byte {
-	switch v = indexKey(v); v.kind {
-	case KindNull:
-		return append(dst, keyTagNull)
-	case KindText:
-		dst = append(dst, keyTagText)
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		return append(dst, v.s...)
-	case KindInt:
-		dst = append(dst, keyTagInt)
-	default: // KindFloat
-		dst = append(dst, keyTagFloat)
-	}
-	return binary.BigEndian.AppendUint64(dst, v.n)
 }

@@ -1,15 +1,53 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
-// The old string-based Value.Key() routed integers through float64, so
-// int64s beyond 2^53 that differ could share a key and silently corrupt
-// GROUP BY / DISTINCT / join results. These tests pin the binary encoder's
+// The reference encoding of a value's key: a compact, self-delimiting binary
+// form (fixed width or length-prefixed, so concatenated row keys are
+// unambiguous). Nothing in production calls it — every operator keys on the
+// values themselves — and it stays here as the independent statement of the
+// classes that indexKey and TupleSet are compared against
+// (TestKeyEqualIffEqual, FuzzKeyClasses). A key that routes integers through
+// float64 lets int64s beyond 2^53 that differ share a key and silently
+// corrupt GROUP BY / DISTINCT / join results; these tests pin the encoder's
 // exactness and its agreement with Compare.
+
+const (
+	keyTagNull  = 0x00
+	keyTagInt   = 0x01
+	keyTagFloat = 0x02
+	keyTagText  = 0x03
+)
+
+// appendValueKey appends the encoding of v's indexKey to dst and returns
+// the extended slice — the same classes as indexKey by construction. It
+// never allocates beyond growing dst.
+func appendValueKey(dst []byte, v Value) []byte {
+	switch v = indexKey(v); v.kind {
+	case KindNull:
+		return append(dst, keyTagNull)
+	case KindText:
+		dst = append(dst, keyTagText)
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+		return append(dst, v.s...)
+	case KindInt:
+		dst = append(dst, keyTagInt)
+	default: // KindFloat
+		dst = append(dst, keyTagFloat)
+	}
+	return binary.BigEndian.AppendUint64(dst, v.n)
+}
+
+// Key returns v's reference key as a string: values that compare equal
+// produce identical keys, and distinct int64s always produce distinct keys
+// (no float64 round-trip).
+func (v Value) Key() string { return string(appendValueKey(nil, v)) }
 
 // appendRowKey appends the concatenated key encodings of every value in r:
 // the tests' reference identity for a row (self-delimiting fields make the
@@ -88,7 +126,7 @@ func keyCorpus() []Value {
 		math.SmallestNonzeroFloat64, math.NaN(), layoutNaN} {
 		vals = append(vals, Float(f))
 	}
-	for _, s := range []string{"", "0", "1", "5", "2.5", "a", "ab", "a\x00", "\x00a"} {
+	for _, s := range []string{"", "0", "1", "5", "2.5", "a", "ab", "bc", "c", "a\x00", "\x00a"} {
 		vals = append(vals, Text(s))
 	}
 	return vals
@@ -114,10 +152,69 @@ func keyClassesAgree(a, b Value) error {
 	return nil
 }
 
+// tupleSetAgrees holds a TupleSet to the reference encoding over tuples of
+// one width, filed in order and then once more: two tuples land in one class
+// exactly when their concatenated reference keys are equal, classes count up
+// in first-seen order, a tuple founds its class the first time and no other,
+// and — after every growth of the slot array and every new block —
+// Tuple(class) is still the first-seen original, bit for bit. Tuples reach
+// Add through one scratch buffer, which the set must not keep.
+func tupleSetAgrees(tuples [][]Value) error {
+	var set TupleSet
+	ref := make(map[string]int)
+	var firsts [][]Value
+	var buf []Value
+	for pass := 0; pass < 2; pass++ {
+		for _, tup := range tuples {
+			key := rowKey(tup)
+			want, seen := ref[key]
+			if !seen {
+				want, ref[key] = len(firsts), len(firsts)
+				firsts = append(firsts, tup)
+			}
+			buf = append(buf[:0], tup...)
+			class, fresh := set.Add(buf)
+			clear(buf)
+			if class != want || fresh == seen {
+				return fmt.Errorf("pass %d: Add(%v) = class %d, fresh %v; the reference keys say class %d, fresh %v",
+					pass, tup, class, fresh, want, !seen)
+			}
+		}
+	}
+	for class, first := range firsts {
+		if got := set.Tuple(class); !slices.Equal(got, first) {
+			return fmt.Errorf("Tuple(%d) = %v, want the first-seen original %v", class, got, first)
+		}
+	}
+	return nil
+}
+
+// tuplesOver returns every tuple of the given width over vals, the last
+// value varying fastest.
+func tuplesOver(vals []Value, width int) [][]Value {
+	tuples := [][]Value{nil}
+	for ; width > 0; width-- {
+		var next [][]Value
+		for _, t := range tuples {
+			for _, v := range vals {
+				next = append(next, append(t[:len(t):len(t)], v))
+			}
+		}
+		tuples = next
+	}
+	return tuples
+}
+
 // TestKeyEqualIffEqual pins the substitution the index and its rechecks
-// rely on, over every pair of the corpus: the index's map key, the hash
-// operators' byte key and Compare draw the same classes, so
-// `row[col].Equal(probe)` decides what comparing two keys would.
+// rely on, over every pair of the corpus: the index's map key, the
+// reference byte key and Compare draw the same classes, so
+// `row[col].Equal(probe)` decides what comparing two keys would. TupleSet —
+// the group table of GROUP BY, DISTINCT and batched calls — is held to the
+// same classes a tuple at a time, over every tuple of width 1 to 3 of the
+// two corpora: ("a","bc") apart from ("ab","c"), NULLs together, NaN
+// payloads together, Int(1<<53+1) apart from Float(1<<53), through 157,464
+// classes at width 3 (the slot array grows 16 times, the tuples fill 164
+// blocks).
 func TestKeyEqualIffEqual(t *testing.T) {
 	vals := keyCorpus()
 	for _, a := range vals {
@@ -130,9 +227,23 @@ func TestKeyEqualIffEqual(t *testing.T) {
 	if a, b := indexKey(Float(math.NaN())), indexKey(Float(layoutNaN)); a != b {
 		t.Errorf("NaN payloads key apart: %x vs %x", a.n, b.n)
 	}
+	vals = append(vals, textCorpus()...)
+	for width := 1; width <= 3; width++ {
+		if err := tupleSetAgrees(tuplesOver(vals, width)); err != nil {
+			t.Errorf("width %d: %v", width, err)
+		}
+	}
+	var set TupleSet
+	if c, fresh := set.Add(nil); c != 0 || !fresh || len(set.Tuple(0)) != 0 {
+		t.Errorf("the empty tuple founded class %d (fresh %v)", c, fresh)
+	}
+	if c, fresh := set.Add(nil); c != 0 || fresh {
+		t.Errorf("the empty tuple came back as class %d (fresh %v)", c, fresh)
+	}
 }
 
-// FuzzKeyClasses holds arbitrary pairs to the same rule, and each value of
+// FuzzKeyClasses holds arbitrary pairs to the same rule — as values, and as
+// the tuples of width 1 to 3 over the pair in a TupleSet — and each value of
 // the pair to textAgrees; the two corpora seed it.
 func FuzzKeyClasses(f *testing.F) {
 	parts := func(v Value) (uint8, uint64, string) { return uint8(v.kind), v.n, v.s }
@@ -164,6 +275,17 @@ func FuzzKeyClasses(f *testing.F) {
 		for _, v := range []Value{a, b} {
 			if err := textAgrees(v); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// The pair as tuples, among enough others that the set grows and
+		// starts new blocks between their first filing and their second.
+		for width := 1; width <= 3; width++ {
+			tuples := tuplesOver([]Value{a, b}, width)
+			for i := int64(0); i < 40; i++ {
+				tuples = append(tuples, tuplesOver([]Value{Int(i)}, width)...)
+			}
+			if err := tupleSetAgrees(tuples); err != nil {
+				t.Fatalf("width %d: %v", width, err)
 			}
 		}
 	})
@@ -298,15 +420,4 @@ func TestAppendValueKeyNoSideAllocScratchReuse(t *testing.T) {
 			t.Errorf("scratch encoding of %v differs from Key()", v)
 		}
 	}
-}
-
-func BenchmarkAppendRowKey(b *testing.B) {
-	row := Row{Int(12345678901234), Text("some text value"), Float(3.25), Null}
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = appendRowKey(buf[:0], row)
-	}
-	_ = fmt.Sprint(len(buf))
 }

@@ -2,7 +2,7 @@ package sqldb
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -345,9 +345,9 @@ func (s *parScanOp) stopPool() {
 // order would leak scheduling), no ORDER BY, aggregates whose folds are
 // commutative for every value kind (COUNT/MIN/MAX, DISTINCT included since
 // the dedup set is order-free), and nothing reading the group's
-// representative row (readsRepRow), which is arrival-order-dependent.
-func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall) bool {
-	if len(stmt.GroupBy) != 0 || len(stmt.OrderBy) != 0 {
+// representative row (repRows), which is arrival-order-dependent.
+func aggOrderInsensitive(stmt *SelectStmt, aggs []*FuncCall, repRows bool) bool {
+	if len(stmt.GroupBy) != 0 || len(stmt.OrderBy) != 0 || repRows {
 		return false
 	}
 	for _, fc := range aggs {
@@ -359,7 +359,7 @@ func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall)
 			return false
 		}
 	}
-	return !readsRepRow(stmt, items)
+	return true
 }
 
 // readsRepRow reports whether an aggregate statement's post-aggregation
@@ -368,13 +368,16 @@ func aggOrderInsensitive(stmt *SelectStmt, items []SelectItem, aggs []*FuncCall)
 // expression (those resolve to the group key, compile.go). With a single
 // group that row is whichever matching row arrived first. Subqueries
 // count: walkExpr does not descend into their statements, so correlated
-// refs inside them would go unseen.
-func readsRepRow(stmt *SelectStmt, items []SelectItem) bool {
+// refs inside them would go unseen. An unqualified name in ORDER BY that an
+// output column answers to does not: ORDER BY resolves output aliases
+// first (compileOrder, stream.go), so `SUM(x) AS s … ORDER BY s` reads the
+// row being built, and only a qualified or non-alias name reads the input.
+func readsRepRow(stmt *SelectStmt, items []SelectItem, outCols []colInfo) bool {
 	keys := make(map[string]bool, len(stmt.GroupBy))
 	for _, g := range stmt.GroupBy {
 		keys[g.String()] = true
 	}
-	reads := false
+	reads, orderKey := false, false // orderKey: the walk is inside ORDER BY
 	visit := func(x Expr) bool {
 		if len(keys) > 0 && keys[x.String()] {
 			return false // prune: resolves to the group key
@@ -385,7 +388,8 @@ func readsRepRow(stmt *SelectStmt, items []SelectItem) bool {
 				return false // prune: refs inside aggregate args are fine
 			}
 		case *ColumnRef:
-			reads = true
+			_, n := findCol(outCols, "", t.Column)
+			reads = reads || !orderKey || t.Table != "" || n == 0
 		default:
 			reads = reads || isSubqueryNode(x)
 		}
@@ -395,6 +399,7 @@ func readsRepRow(stmt *SelectStmt, items []SelectItem) bool {
 		walkExpr(it.Expr, visit)
 	}
 	walkExpr(stmt.Having, visit)
+	orderKey = true
 	for _, ob := range stmt.OrderBy {
 		walkExpr(ob.Expr, visit)
 	}
@@ -515,24 +520,23 @@ func runFold(sc *vecScanOp, step func(*vecScanOp, int) error) ([]*vecScanOp, err
 
 // runAggregationBatch is the batch pipeline's counterpart of
 // runAggregation: instances fold their morsels (vecScanOp.foldBatch) into
-// private group maps; the owner merges the partial states and returns groups
-// in exactly the serial first-seen order.
+// private group tables; the owner merges the partial states and returns
+// groups in exactly the serial first-seen order.
 func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 	insts, err := runFold(sc, (*vecScanOp).foldBatch)
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge the partial states keyed by group, keeping per group the
-	// identity (keys, repRow) of its smallest scan ordinal — the row the
-	// serial fold would have seen first — then restore first-seen order
-	// (ordinals are unique: one row founds one group).
-	merged := insts[0].fold.groups
+	// Merge the partial groups into the first instance's table, keeping per
+	// group the identity (keys, repRow) of its smallest scan ordinal — the
+	// row the serial fold would have seen first — then restore first-seen
+	// order (ordinals are unique: one row founds one group).
+	merged := &insts[0].fold.groupTable
 	for _, inst := range insts[1:] {
-		for key, g := range inst.fold.groups {
-			m, ok := merged[key]
-			if !ok {
-				merged[key] = g
+		for _, g := range inst.fold.groups {
+			m, fresh, _ := merged.group(sc.aggs, g.keys, g)
+			if fresh {
 				continue
 			}
 			if g.firstID < m.firstID {
@@ -543,17 +547,6 @@ func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
 			}
 		}
 	}
-	groups := make([]*aggGroup, 0, len(merged))
-	for _, g := range merged {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].firstID < groups[b].firstID })
-	if len(sc.groupBy) == 0 && len(groups) == 0 {
-		g, err := emptyAggGroup(sc.aggs, len(sc.cols))
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
+	slices.SortFunc(merged.groups, func(a, b *aggGroup) int { return a.firstID - b.firstID })
+	return merged.groups, nil
 }

@@ -290,16 +290,22 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 }
 
 // TestParallelAggEquivalence pins the partial-aggregation merge against
-// the serial fold on a corpus with many groups, NULLs, and every
-// mergeable aggregate — identical values AND identical first-seen group
-// order.
+// the serial fold, and both against the row loop, on a corpus with many
+// groups, NULLs, and every mergeable aggregate — identical values AND
+// identical first-seen group order AND identical printed keys: the three
+// aggregation loops found their groups through one group table.
 func TestParallelAggEquivalence(t *testing.T) {
 	lowerMorselMinRows(t, 8)
+	forceVector(t, true) // restored when the test ends; the row-loop leg turns it off
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(11))
 	for _, db := range []*Database{par, ser} {
 		db.MustExec("CREATE TABLE g (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER, w TEXT)")
+		db.MustExec("CREATE TABLE dim (id INTEGER, name TEXT)") // unindexed: a hash join
+		for k := 0; k < 400; k += 2 {
+			db.MustExec("INSERT INTO dim VALUES (?, ?)", k, fmt.Sprintf("n%02d", k%60))
+		}
 	}
 	words := []string{"ant", "bee", "cat", "dge", "eel"}
 	for i := 0; i < 5000; i++ {
@@ -320,11 +326,28 @@ func TestParallelAggEquivalence(t *testing.T) {
 		"SELECT COUNT(*) FROM g WHERE v > 2000", // empty single group
 		"SELECT k, COUNT(*) FROM g WHERE v > 500 GROUP BY k HAVING COUNT(*) > 3",
 		"SELECT k, SUM(v) FROM g GROUP BY k ORDER BY SUM(v) DESC LIMIT 5",
+		// INTEGER and REAL keys of one class: the group prints as the row
+		// that founded it wrote it, 5 or 5.0, whichever instance saw it.
+		"SELECT CASE WHEN id % 3 = 0 THEN k * 1.0 ELSE k END, COUNT(*), SUM(v) FROM g GROUP BY CASE WHEN id % 3 = 0 THEN k * 1.0 ELSE k END",
+		"SELECT k % 9, CASE WHEN id % 2 = 0 THEN v / 100 ELSE v / 100 * 1.0 END, COUNT(*) FROM g GROUP BY k % 9, CASE WHEN id % 2 = 0 THEN v / 100 ELSE v / 100 * 1.0 END",
+		// An output alias that shadows an input column is the sort key, and
+		// nothing reads the representative row; the qualified name is the
+		// input column, read off the row that founded each group.
+		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY v",
+		"SELECT k AS v, COUNT(*) AS n FROM g GROUP BY k ORDER BY n DESC, v LIMIT 7",
+		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY g.v",
+		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY g.v DESC, g.w LIMIT 9",
+		// A join under GROUP BY takes the row loop on every database.
+		"SELECT dim.name, SUM(g.v) AS s FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name ORDER BY s DESC, dim.name LIMIT 10",
+		"SELECT dim.name, COUNT(*), MIN(g.w) FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name",
 	} {
-		want := queryStrings(t, ser, q)
-		got := queryStrings(t, par, q)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("parallel aggregation diverged on %q:\n got %v\nwant %v", q, got, want)
+		vectorEnabled = false
+		want := queryStrings(t, ser, q) // the row loop
+		vectorEnabled = true
+		for name, db := range map[string]*Database{"serial batch": ser, "pooled batch": par} {
+			if got := queryStrings(t, db, q); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s aggregation diverged from the row loop on %q:\n got %v\nwant %v", name, q, got, want)
+			}
 		}
 	}
 	// GROUP_CONCAT and DISTINCT aggregates must refuse the parallel path

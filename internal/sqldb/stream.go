@@ -91,6 +91,7 @@ type groupOp struct {
 	having compiledExpr
 	rowBuilder
 	outCols []colInfo
+	repRows bool // something reads the row that founded a group (readsRepRow)
 	db      *Database
 	params  []Value
 	outer   *evalEnv
@@ -120,10 +121,20 @@ func (g *groupOp) next() (Row, bool, error) {
 		if g.bat != nil {
 			groups, err = runAggregationBatch(g.bat)
 		} else {
-			groups, err = runAggregation(g.stmt, g.child, g.aggs, g.db, g.params, g.outer, g.qc)
+			groups, err = runAggregation(g.stmt, g.child, g.aggs, g.repRows, g.db, g.params, g.outer, g.qc)
 		}
 		if err != nil {
 			return nil, false, err
+		}
+		if len(g.stmt.GroupBy) == 0 && len(groups) == 0 {
+			// Aggregates without GROUP BY yield one group over empty input:
+			// fresh accumulators over an all-NULL representative row.
+			empty, _, err := new(groupTable).group(g.aggs, nil, nil)
+			if err != nil {
+				return nil, false, err
+			}
+			empty.repRow = make(Row, len(g.env.cols))
+			groups = []*aggGroup{empty}
 		}
 		g.groups = groups
 		g.aggVals = make([]Value, len(g.aggs))
@@ -627,6 +638,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// its ordered scan — the streaming is the point.)
 	shape := scanShape{
 		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
+		repRows:  aggregate && readsRepRow(stmt, items, outCols),
 		needSort: needSort, poolable: topLevel && outer == nil, topK: topK,
 	}
 	if topK >= 0 && !aggregate && !stmt.Distinct {
@@ -724,7 +736,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		root = &groupOp{
-			stmt: stmt, child: src, aggs: aggs, actx: actx, env: env, having: having,
+			stmt: stmt, child: src, aggs: aggs, repRows: shape.repRows, actx: actx, env: env, having: having,
 			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
 			outCols:    outCols, db: db, params: params, outer: outer, qc: qc,
 		}

@@ -13,7 +13,8 @@
 //	expr.go / func.go / agg.go      what it stands on: scopes and name
 //	                                resolution, arithmetic/CAST/LIKE,
 //	                                scalar functions, aggregate states
-//	key.go                          allocation-free binary row/value keys
+//	key.go                          value identity: the canonical key of a
+//	                                Compare class
 //	exec.go                         planning (the one index chooser) and
 //	                                volcano-style execution
 //	db.go                           the public Database API; INSERT, and the
@@ -351,12 +352,6 @@ func (v Value) numericRank() bool {
 // Equal reports whether two values compare equal under Compare. NULL equals
 // NULL here; use SQL three-valued logic in predicates instead.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
-
-// Key returns a string usable as a hash-map key that respects Equal:
-// values that compare equal produce identical keys, and distinct int64s
-// always produce distinct keys (no float64 round-trip). Hot paths should
-// use appendValueKey with a reused scratch buffer instead.
-func (v Value) Key() string { return string(appendValueKey(nil, v)) }
 
 // GoValue converts a Go value into a Value. Supported inputs: nil, bool,
 // all int/uint widths, float32/64, string, and Value itself. Anything else

@@ -122,12 +122,10 @@ type scanKey struct {
 // batchFold is one instance's partial state under a pipeline breaker folded
 // into the scan: GROUP BY partitions, or the top-K heap.
 type batchFold struct {
+	groupTable
 	keys    []batchExpr // group keys, or sort keys (zero where order names an output column)
 	args    []batchExpr // indexed like aggs; zero for COUNT(*) / no-arg
-	groups  map[string]*aggGroup
-	slab    groupSlab
 	keyVals []Value
-	kb      []byte
 	top     *topKHeap
 	errAt   int // scan ordinal of the row a fold error was raised on
 }
@@ -263,7 +261,7 @@ func (s *vecScanOp) resetFold() {
 		s.fold.top = &top
 		return
 	}
-	s.fold.groups, s.fold.slab = make(map[string]*aggGroup), groupSlab{}
+	s.fold.groupTable = groupTable{}
 }
 
 // workerCopy builds a pool worker's private instance over the same plan
@@ -500,8 +498,8 @@ func (s *vecScanOp) batchRows(idx int) ([]Row, error) {
 
 // foldBatch runs morsel idx and folds its surviving rows into the
 // instance's groups: the one aggregation loop of the batch pipeline,
-// shared by the serial and the pooled driver (runAggregationBatch). Key
-// encoding, representative rows and accumulator folds match the row drain
+// shared by the serial and the pooled driver (runAggregationBatch). Group
+// classes, representative rows and accumulator folds match the row drain
 // (runAggregation) exactly.
 func (s *vecScanOp) foldBatch(idx int) error {
 	f := s.fold
@@ -515,26 +513,21 @@ func (s *vecScanOp) foldBatch(idx int) error {
 			continue
 		}
 		f.errAt = idx*morselSize + i
-		f.kb = f.kb[:0]
 		for gi := range f.keys {
-			v, err := f.keys[gi].at(s, i)
-			if err != nil {
-				return err
-			}
-			f.keyVals[gi] = v
-			f.kb = appendValueKey(f.kb, v)
-		}
-		g, seen := f.groups[string(f.kb)]
-		if !seen {
 			var err error
-			if g, err = f.slab.newGroup(s.aggs, f.keyVals); err != nil {
+			if f.keyVals[gi], err = f.keys[gi].at(s, i); err != nil {
 				return err
 			}
+		}
+		g, fresh, err := f.group(s.aggs, f.keyVals, nil)
+		if err != nil {
+			return err
+		}
+		if fresh {
 			g.firstID = f.errAt
 			if s.repRows {
 				g.repRow = s.materializeRow(i)
 			}
-			f.groups[string(f.kb)] = g
 		}
 		for ai, fc := range s.aggs {
 			if fc.Star {
@@ -647,6 +640,7 @@ type scanShape struct {
 	items     []SelectItem
 	aggregate bool
 	aggs      []*FuncCall
+	repRows   bool // the post-aggregation phase reads representative rows (readsRepRow)
 	needSort  bool // a sortOp will read ORDER BY keys off the input rows
 	poolable  bool // top-level, uncorrelated: the gather can preserve it
 	// order, when set: an ORDER BY … LIMIT window of topK rows whose keys
@@ -720,7 +714,7 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 	switch {
 	case sh.aggregate && pool && parallelSafe(stmt.GroupBy...) && mergeableAggregates(sh.aggs):
 		bs.folds, bs.workers = true, db.maxWorkers
-	case sh.aggregate && pool && aggOrderInsensitive(stmt, sh.items, sh.aggs):
+	case sh.aggregate && pool && aggOrderInsensitive(stmt, sh.aggs, sh.repRows):
 		// Partial states do not merge (e.g. DISTINCT aggregates), but the
 		// scan itself can still run on the pool, gathered in completion
 		// order, under the row aggregation.
@@ -747,7 +741,7 @@ func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
 		}
 	}
 	if bs.folds {
-		bs.groupBy, bs.aggs, bs.repRows = stmt.GroupBy, sh.aggs, readsRepRow(stmt, sh.items)
+		bs.groupBy, bs.aggs, bs.repRows = stmt.GroupBy, sh.aggs, sh.repRows
 	} else if bs.items == nil {
 		bs.above = append(append(itemExprs, stmt.GroupBy...), stmt.Having)
 		for _, ob := range stmt.OrderBy {

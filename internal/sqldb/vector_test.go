@@ -65,7 +65,9 @@ func vecPred(r *rand.Rand) string {
 
 // vecShapes is the plan corpus: bare scans, kernel-heavy projections,
 // plain and grouped aggregation, LIMIT/OFFSET early stops (the lazy
-// accounting), sorts and DISTINCT above the vectorized scan.
+// accounting), sorts and DISTINCT above the vectorized scan, and grouped
+// aggregation by mixed-kind keys and under sorts that do and do not read
+// the group's representative row.
 var vecShapes = []func(r *rand.Rand, pred string) string{
 	func(r *rand.Rand, pred string) string {
 		return "SELECT id, a, c FROM v WHERE " + pred
@@ -91,6 +93,21 @@ var vecShapes = []func(r *rand.Rand, pred string) string{
 	},
 	func(r *rand.Rand, pred string) string {
 		return "SELECT DISTINCT ok, c FROM v WHERE " + pred
+	},
+	// Group keys of one class in two kinds: the group prints as its
+	// founding row wrote it (7 or 7.0).
+	func(r *rand.Rand, pred string) string {
+		key := "CASE WHEN id % 2 = 0 THEN a ELSE a * 1.0 END"
+		return "SELECT " + key + ", c, COUNT(*), SUM(id) FROM v WHERE " + pred + " GROUP BY " + key + ", c"
+	},
+	// ORDER BY an output alias that shadows an input column (no
+	// representative row is read), and by the column itself, qualified
+	// (one is, the row that founded the group).
+	func(r *rand.Rand, pred string) string {
+		return "SELECT a AS f, COUNT(*) FROM v WHERE " + pred + " GROUP BY a ORDER BY f"
+	},
+	func(r *rand.Rand, pred string) string {
+		return fmt.Sprintf("SELECT a AS f, COUNT(*) FROM v WHERE %s GROUP BY a ORDER BY v.f DESC, v.id LIMIT %d", pred, 1+r.Intn(30))
 	},
 }
 
@@ -456,6 +473,53 @@ func TestSealedPoolScanStaysColumnar(t *testing.T) {
 		})
 		if allocs >= rows/8 {
 			t.Fatalf("%q: %.0f allocs per query over %d sealed rows, want < %d", q, allocs, rows, rows/8)
+		}
+	}
+	assertNoWorkerLeak(t)
+}
+
+// TestGroupByAllocatesPerSlab: a GROUP BY allocates with the blocks its
+// group table, its accumulators and its slot array grow by, not with its
+// groups — no encoded key, no map entry and, when only an output alias
+// sorts the result, no representative row per group. All three aggregation
+// loops found their groups through the one table (groupTable), so all three
+// hold the line: the row loop, the serial batch fold, and the pooled fold
+// with its merge.
+func TestGroupByAllocatesPerSlab(t *testing.T) {
+	lowerMorselMinRows(t, 8)
+	forceVector(t, true)
+	const groups = 20000
+	load := func(workers int) *Database {
+		db := NewDatabase(WithMaxWorkers(workers))
+		db.MustExec("CREATE TABLE t (id INTEGER, k INTEGER, w TEXT, v INTEGER)")
+		data := make([][]any, 2*groups)
+		for i := range data {
+			data[i] = []any{i, i % groups, []string{"ant", "bee", "cat"}[i%groups%3], i % 97}
+		}
+		if err := db.InsertRows("t", data); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	pooled, serial := load(4), load(1)
+	for _, q := range []string{
+		"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 10",
+		"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10",
+	} {
+		for _, leg := range []struct {
+			name   string
+			db     *Database
+			vector bool
+		}{{"row loop", serial, false}, {"serial batch fold", serial, true}, {"pooled batch fold", pooled, true}} {
+			vectorEnabled = leg.vector
+			allocs := testing.AllocsPerRun(3, func() {
+				if res, err := leg.db.Query(q); err != nil || len(res.Rows) != 10 {
+					t.Fatalf("%q: %d rows, %v", q, len(res.Rows), err)
+				}
+			})
+			if allocs >= groups/8 {
+				t.Errorf("%s: %q founded %d groups with %.0f allocations, want < %d", leg.name, q, groups, allocs, groups/8)
+			}
 		}
 	}
 	assertNoWorkerLeak(t)
