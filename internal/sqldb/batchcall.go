@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"context"
-	"hash/maphash"
 	"math/bits"
 )
 
@@ -38,8 +37,6 @@ type tupleSlot struct {
 // not pay for a thousand — and stay that size from there on.
 const tupleBlockBits, tupleBlock = 10, 1 << 10
 
-var tupleSeed = maphash.MakeSeed()
-
 // Add files tuple under its class and reports whether it founded it. A
 // founding tuple is copied; the caller may reuse its buffer.
 func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
@@ -48,12 +45,7 @@ func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
 	}
 	var h64 uint64
 	for _, v := range tuple {
-		k := indexKey(v)
-		x := k.n ^ uint64(k.kind)<<56
-		if k.kind == KindText {
-			x = maphash.String(tupleSeed, k.s)
-		}
-		h64 = (h64 ^ x) * 0x9E3779B97F4A7C15
+		h64 = (h64 ^ keyHash(indexKey(v))) * hashFold
 	}
 	h, mask := uint32(h64>>32), uint32(len(s.slots)-1)
 	i := h & mask

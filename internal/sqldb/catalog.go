@@ -1,6 +1,9 @@
 package sqldb
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -72,26 +75,27 @@ type Table struct {
 }
 
 // Index is a dual-structure secondary index over one column, maintained
-// as a *superset* of every row version still reachable:
+// as a *superset* of every row version still reachable. It holds row ids and
+// no keys: the rows are the only copy of a key.
 //
-//   - The hash map m (indexKey of the value -> its row ids, ascending)
-//     serves equality lookups and join probes. The key is the canonical
-//     Value of the column value's Compare class (key.go): a slot is a
-//     Value and a slice header, and nothing is copied per key. DML only
-//     ever ADDS entries — INSERT adds the new id under its key, UPDATE
-//     adds the id under the new key and leaves it under the old one,
-//     DELETE leaves the posting untouched — so an id may appear under
-//     every key any of its reachable versions carries. Only the vacuum and
-//     rollback remove entries, and they remove exactly what they unlinked:
-//     the (value, id) pairs of the versions they cut off a chain that no
-//     surviving version of that slot still carries (Table.unindex).
+//   - The postings serve equality lookups and join probes. They file row ids
+//     by *hash class* — hashKey of the indexKey of the column value (key.go)
+//     — in two Go maps: first holds a class's lowest id, rest its others,
+//     ascending (on a UNIQUE column nearly no class has any: 19 bytes a key).
+//     Keys that differ share a class once in 2^32 pairs, so a class lists
+//     every id that may carry the key and now and then one that does not.
+//     DML only ever ADDS ids — INSERT adds the new id to its key's class,
+//     UPDATE adds the id to the new key's class and leaves it in the old
+//     one, DELETE leaves the postings untouched. Only the vacuum and
+//     rollback remove ids, and exactly what they unlinked: an id leaves a
+//     class when no surviving version of its slot hashes there (unindex).
 //   - The ordered view ord (ordidx.go) — one entry per distinct value,
 //     sorted by Value.Compare, in a copy-on-write directory of fixed-
 //     capacity chunks — serves range scans, index-ordered ORDER BY and
-//     merge joins. It is built from the hash map on first ordered access
-//     and from then on receives every add and every remove the postings
-//     do, so it is never rebuilt; each change publishes a fresh root, and
-//     a reader that loaded the view keeps a consistent one for its scan.
+//     merge joins. It is built from the table's reachable versions on first
+//     ordered access and from then on maintained by the calls that maintain
+//     the postings, so it is never rebuilt; each change publishes a fresh
+//     root, and a reader that loaded the view keeps a consistent one.
 //
 // There is one way to add an entry (addEntry) and one way to remove one
 // (removeEntry); CREATE INDEX is the only bulk builder. Maintenance costs
@@ -99,20 +103,25 @@ type Table struct {
 //
 // Because both structures are supersets, every consumer re-checks each
 // candidate: it fetches the row version visible to its snapshot and emits
-// the id only if that version's indexed value equals the probed key (or
-// the entry's value, for ordered scans). The recheck makes lookups exact
-// per snapshot — an id listed under both its old and new key matches
-// exactly one of them — and lets readers run entirely without locks: mu
-// latches only the momentary posting copy-out and the first view build,
-// never a cursor iteration.
+// the id only if that version's indexed value has the probed key (or equals
+// the entry's value, for ordered scans). The recheck makes lookups exact per
+// snapshot — an id listed under its old and its new key, or beside a key
+// that collides with its own, matches exactly one — and lets readers run
+// without locks: mu latches only the momentary copy-out of a class and the
+// first view build, never a cursor iteration.
 type Index struct {
 	Name   string
 	Column int
 	Unique bool
 
-	mu  sync.Mutex // latches m and every ord transition
-	m   map[Value][]int
-	ord atomic.Pointer[ordView] // nil until first ordered access, never after
+	mu    sync.Mutex              // latches the postings and every ord transition
+	first map[uint32]uint32       // hash class -> its lowest row id
+	rest  map[uint32][]uint32     // the other ids of a class that has more, ascending
+	ord   atomic.Pointer[ordView] // nil until first ordered access, never after
+}
+
+func newIndex(name string, col int, unique bool) *Index {
+	return &Index{Name: name, Column: col, Unique: unique, first: map[uint32]uint32{}, rest: map[uint32][]uint32{}}
 }
 
 // Database is an embedded in-memory SQL database, safe for concurrent
@@ -244,13 +253,8 @@ func (db *Database) TableNames() []string {
 // order — the BIRD-style schema prompt fed to the LM during query synthesis.
 func (db *Database) SchemaSQL() string {
 	tabs := db.tableMap()
-	names := make([]string, 0, len(tabs))
-	for n := range tabs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(tabs)) {
 		t := tabs[n]
 		b.WriteString("CREATE TABLE " + quoteIdent(t.Name) + " (\n")
 		for i, c := range t.Columns {
@@ -375,12 +379,7 @@ func newTable(stmt *CreateTableStmt) (*Table, error) {
 	idxs := make(map[string]*Index)
 	for i, c := range t.Columns {
 		if c.PrimaryKey || c.Unique {
-			idxs[strings.ToLower(c.Name)] = &Index{
-				Name:   "auto_" + t.Name + "_" + c.Name,
-				Column: i,
-				Unique: true,
-				m:      make(map[Value][]int),
-			}
+			idxs[strings.ToLower(c.Name)] = newIndex("auto_"+t.Name+"_"+c.Name, i, true)
 		}
 	}
 	t.indexes.Store(&idxs)
@@ -510,6 +509,9 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 			return errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
 		}
 	}
+	if t.n.Load() >= math.MaxUint32 {
+		return errf(ErrInternal, "sql: table %s is full: an index holds row ids in 32 bits", t.Name)
+	}
 	idxs := t.idxs()
 	for _, idx := range idxs {
 		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCount(idx, r[idx.Column]) > 0 {
@@ -573,109 +575,137 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 // column carries exactly v. Under writeMu every chain head is committed or
 // the running writer's, so "latest" is unambiguous.
 func (t *Table) liveKeyCount(idx *Index, v Value) int {
-	var ids [8]int // a unique key's posting fits; a longer one spills to the heap
-	n := 0
-	for _, id := range idx.appendIDs(ids[:0], v) {
-		if r := latestRow(t.head(id)); r != nil && r[idx.Column].Equal(v) {
-			n++
-		}
-	}
-	return n
+	var ids [8]int // a unique key's class fits; a longer one spills to the heap
+	return len(visibleEqIDs(ids[:0], t, idx, v, nil))
 }
 
 // ---------------------------------------------------------------------------
 // Index maintenance and lookups
 
-// appendIDs appends a private copy of the posting list (ascending) of v's
-// key to dst — the caller's buffer, so a probe loop reuses one. The latch
-// is momentary: never held across iteration.
+// appendIDs appends a private copy of the ids (ascending) of v's hash class
+// to dst — the caller's buffer, so a probe loop reuses one. The latch is
+// momentary: never held across iteration.
 func (idx *Index) appendIDs(dst []int, v Value) []int {
+	h := hashKey(indexKey(v))
 	idx.mu.Lock()
-	dst = append(dst, idx.m[indexKey(v)]...)
+	if id, ok := idx.first[h]; ok {
+		dst = append(dst, int(id))
+		for _, id := range idx.rest[h] {
+			dst = append(dst, int(id))
+		}
+	}
 	idx.mu.Unlock()
 	return dst
 }
 
-// addEntry adds id under v's key in the hash map and, when an ordered
-// view is live, in the view. Reports whether ordered maintenance happened
-// (the ordMaintains counter).
+// addEntry adds id to the class of v's key and, when an ordered view is
+// live, to the view. Reports whether ordered maintenance happened (the
+// ordMaintains counter).
 func (idx *Index) addEntry(v Value, id int) bool {
+	key, nid := indexKey(v), uint32(id)
+	h := hashKey(key)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	key := indexKey(v)
-	idx.m[key] = spliceID(idx.m[key], id)
+	switch low, ok := idx.first[h]; {
+	case !ok:
+		idx.first[h] = nid
+	case nid != low:
+		if nid < low {
+			idx.first[h], nid = nid, low
+		}
+		if pos, found := slices.BinarySearch(idx.rest[h], nid); !found {
+			idx.rest[h] = slices.Insert(idx.rest[h], pos, nid)
+		}
+	}
 	return idx.ordAdd(key, id)
 }
 
-// removeEntry takes id out of v's posting — in place: readers only ever
-// see copies made under the latch — and out of a live ordered view, and
-// drops a posting with its last id. An absent pair is a no-op.
-func (idx *Index) removeEntry(v Value, id int) {
+// removeEntry takes id out of v's entry in a live ordered view and — unless
+// keepClass: another key a surviving version of the slot carries hashes
+// where v's does — out of v's class, in place: readers only ever see copies
+// made under the latch. An absent id is a no-op either side.
+func (idx *Index) removeEntry(v Value, id int, keepClass bool) {
+	key, nid := indexKey(v), uint32(id)
+	h := hashKey(key)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	key := indexKey(v)
-	ids := idx.m[key]
-	pos := sort.SearchInts(ids, id)
-	if pos == len(ids) || ids[pos] != id {
+	idx.ordRemove(key, id)
+	low, ok := idx.first[h]
+	if keepClass || !ok {
 		return
 	}
-	if len(ids) == 1 {
-		delete(idx.m, key)
-	} else {
-		idx.m[key] = append(ids[:pos], ids[pos+1:]...)
+	others, pos := idx.rest[h], 0
+	switch {
+	case low != nid:
+		if pos, ok = slices.BinarySearch(others, nid); !ok {
+			return
+		}
+	case len(others) == 0: // the class's last id
+		delete(idx.first, h)
+		return
+	default: // the next lowest takes its place
+		idx.first[h] = others[0]
 	}
-	idx.ordRemove(key, id)
+	if others = slices.Delete(others, pos, pos+1); len(others) == 0 {
+		delete(idx.rest, h)
+	} else {
+		idx.rest[h] = others
+	}
+}
+
+// reachable calls fn with the value column col has in every version still
+// reachable from a slot's head, slots ascending: what an index over col
+// lists — the one walk under its bulk build, its ordered view and the
+// tests' oracle, safe beside the writer.
+func (t *Table) reachable(col int, fn func(v Value, id int)) {
+	arr, n := t.loadSlots()
+	for id := 0; id < n; id++ {
+		for v := arr[id].head.Load(); v != nil; v = v.next.Load() {
+			fn(v.row[col], id)
+		}
+	}
 }
 
 // unindex removes from every index what the versions [dead, end) of slot
-// id put there: each (value, id) pair that no surviving version of the
-// slot — whatever its head still reaches — carries. Vacuum and rollback
-// call it right after unlinking those versions (writeMu held), which is
-// what keeps the indexes supersets of the reachable versions and nothing
-// more.
+// id put there and no surviving version of the slot — whatever its head
+// still reaches — keeps there: the id leaves a dead version's hash class
+// when no survivor hashes to it, and the value's ordered entry when none
+// carries the value (an update between two colliding keys leaves the class
+// to the new one). Vacuum and rollback call it right after unlinking those
+// versions (writeMu held): the indexes stay supersets of the reachable
+// versions and nothing more.
 func (t *Table) unindex(id int, dead, end *rowVersion) {
 	live := t.head(id)
 	for _, idx := range t.idxs() {
 		for w := dead; w != end; w = w.next.Load() {
-			val := w.row[idx.Column]
-			kept := false
-			for s := live; s != nil && !kept; s = s.next.Load() {
-				kept = s.row[idx.Column].Equal(val) && !debugBreakOrdMaintain
+			key := indexKey(w.row[idx.Column])
+			h, carried, hashed := hashKey(key), false, false
+			for s := live; s != nil && !carried && !debugBreakOrdMaintain; s = s.next.Load() {
+				sk := indexKey(s.row[idx.Column])
+				carried = sk == key
+				hashed = hashed || hashKey(sk) == h
 			}
-			if !kept {
-				idx.removeEntry(val, id)
+			if !carried {
+				idx.removeEntry(key, id, hashed)
 			}
 		}
 	}
 }
 
-// visibleEqIDs returns, ascending, the row ids whose version visible to
-// snap carries exactly value v in the indexed column. The posting list is
-// a superset (superseded versions linger until vacuum); the visibility +
-// key recheck filters it exactly. Never nil: as a scan restriction, no
-// ids means no rows, not a full scan.
-func visibleEqIDs(t *Table, idx *Index, v Value, snap *snapshot) []int {
-	ids := idx.appendIDs([]int{}, v)
+// visibleEqIDs is the one probe and recheck under the equality lookups: it
+// returns, ascending and in dst's storage, the row ids whose version visible
+// to snap (nil: the latest, under writeMu) carries exactly value v in the
+// indexed column. The class is a superset (superseded versions linger until
+// vacuum, a colliding key shares it); visibility and the row's own key filter
+// it exactly. Nil only if dst is: to a scan, no ids means no rows.
+func visibleEqIDs(dst []int, t *Table, idx *Index, v Value, snap *snapshot) []int {
+	key := indexKey(v)
+	ids := idx.appendIDs(dst[:0], key)
 	out := ids[:0]
 	for _, id := range ids {
-		r := t.visibleRow(id, snap)
-		if r != nil && r[idx.Column].Equal(v) {
+		if r := t.visibleRow(id, snap); r != nil && indexKey(r[idx.Column]) == key {
 			out = append(out, id)
 		}
 	}
 	return out
-}
-
-// spliceID inserts id into an ascending id list at its sorted position
-// (no-op when already present). Shared by the hash map's posting lists
-// and the ordered view's entry lists so the two cannot drift.
-func spliceID(ids []int, id int) []int {
-	pos := sort.SearchInts(ids, id)
-	if pos < len(ids) && ids[pos] == id {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = id
-	return ids
 }

@@ -291,34 +291,14 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 	if _, exists := t.idxs()[key]; exists {
 		return nil // idempotent: one index per column is all we support
 	}
-	idx := &Index{Name: stmt.Name, Column: ci, Unique: stmt.Unique, m: make(map[Value][]int)}
+	idx := newIndex(stmt.Name, ci, stmt.Unique)
 	// Index every surviving version of every chain (the superset contract:
 	// snapshots older than the statement must find their rows through the
 	// new index too). The UNIQUE duplicate check runs on latest rows only.
-	arr, n := t.loadSlots()
-	var seen map[Value]bool
-	if stmt.Unique {
-		seen = make(map[Value]bool, n)
-	}
-	for id := 0; id < n; id++ {
-		head := arr[id].head.Load()
-		if head == nil {
-			continue
-		}
-		if stmt.Unique {
-			if r := latestRow(head); r != nil && !r[ci].IsNull() {
-				k := indexKey(r[ci])
-				if seen[k] {
-					return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, r[ci])
-				}
-				seen[k] = true
-			}
-		}
-		for v := head; v != nil; v = v.next.Load() {
-			if v.xmin == invalidXID || v.row == nil {
-				continue
-			}
-			idx.addEntry(v.row[ci], id)
+	t.reachable(ci, func(v Value, id int) { idx.addEntry(v, id) })
+	for id := 0; stmt.Unique && id < int(t.n.Load()); id++ {
+		if r := t.visibleRow(id, nil); r != nil && !r[ci].IsNull() && t.liveKeyCount(idx, r[ci]) > 1 {
+			return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, r[ci])
 		}
 	}
 	t.publishIndexes(func(m map[string]*Index) { m[key] = idx })
@@ -583,7 +563,7 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 // checkUnique enforces UNIQUE over the state the pending updates leave,
 // before any of them is applied — so a violation aborts with none of them
 // made: for each unique index, a key's final occupancy is its current
-// posting list minus the pending rows vacating it plus the pending rows
+// rows minus the pending rows vacating it plus the pending rows
 // moving in. For one pending row that is insertRow's check (is the new
 // key held by another current row?); for a whole statement's it is what
 // keeps the statement atomic and admits key rotations only the final

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -632,6 +633,49 @@ func TestIndexDoesNotChangeCrossKindAnswer(t *testing.T) {
 		if n, err := db.Exec("DELETE FROM t WHERE id = ?", 5.0); err != nil || n != 1 {
 			t.Errorf("%s: DELETE WHERE id = 5.0 = (%d, %v), want 1", name, n, err)
 		}
+	}
+}
+
+// TestNaNIsStoredAsNull: a NaN — bound as a parameter, or made by arithmetic
+// — is NULL by the time it is a Value (Float), as in SQLite, so the answer
+// does not depend on who compares: under Compare a stored NaN equalled every
+// number, so `v + 0 = 5` found the NaN row where the index on v did not, and
+// `v >= 5` differed again between the row path and the vector kernels. Four
+// cells — indexed or plain, row iterator or batch pipeline — one answer.
+func TestNaNIsStoredAsNull(t *testing.T) {
+	lowerMorselMinRows(t, 1)
+	cases := []struct{ sql, want string }{
+		{"SELECT id FROM x WHERE v = 5 ORDER BY id", "[[1]]"},
+		{"SELECT id FROM x WHERE v + 0 = 5 ORDER BY id", "[[1]]"},
+		{"SELECT id FROM x WHERE v >= 5 ORDER BY id", "[[1] [3]]"},
+		{"SELECT id FROM x WHERE v + 0 >= 5 ORDER BY id", "[[1] [3]]"},
+		{"SELECT id FROM x WHERE v < 5 OR v + 0 != 7.5 ORDER BY id", "[[1]]"},
+		{"SELECT id FROM x WHERE v IS NULL", "[[2]]"},
+		{"SELECT id FROM x ORDER BY v, id", "[[2] [1] [3]]"},
+		{"SELECT COUNT(v), typeof(MIN(v)) FROM x", "[[2 real]]"},
+		{"SELECT typeof(v), typeof(1e308 * 10 - 1e308 * 10) FROM x WHERE id = 2", "[[null null]]"},
+	}
+	for _, indexed := range []bool{true, false} {
+		db := NewDatabase()
+		db.MustExec("CREATE TABLE x (id INTEGER PRIMARY KEY, v REAL)")
+		if indexed {
+			db.MustExec("CREATE INDEX idx_x_v ON x (v)")
+		}
+		db.MustExec("INSERT INTO x VALUES (1, 5.0), (2, ?), (3, 7.5)", math.NaN())
+		for _, vec := range []bool{false, true} {
+			forceVector(t, vec)
+			for _, c := range cases {
+				if got := fmt.Sprint(queryStrings(t, db, c.sql)); got != c.want {
+					t.Errorf("indexed=%v vectorized=%v: %s = %s, want %s", indexed, vec, c.sql, got, c.want)
+				}
+			}
+		}
+		if indexed {
+			if err := checkIndexesExact(db, "x"); err != nil {
+				t.Error(err)
+			}
+		}
+		db.Close()
 	}
 }
 

@@ -186,27 +186,25 @@ func (v *valuesOp) next() (Row, bool, error) {
 
 // corrProbeScanOp serves a correlated equality — `col = <outer expr>`,
 // the backbone of EXISTS/IN/scalar subqueries — as a per-probe hash
-// lookup instead of a per-probe table scan. The memo (column value key ->
-// row ids, heap order) is the table's real equality index when one
-// exists, or is built lazily exactly once per statement; every reset()
+// lookup instead of a per-probe table scan. The memo is the table's real
+// equality index when one exists, or an index of the statement's own over
+// the rows its snapshot sees, built lazily exactly once; every reset()
 // — one per outer row under the subplan cache — re-evaluates only the
-// outer key expression and serves the matching bucket. Output (matching
+// outer key expression and serves the matching ids. Output (matching
 // rows, ascending heap order) is identical to scan+filter, so the
 // rewrite is invisible to result semantics.
 type corrProbeScanOp struct {
-	table   *Table
-	qual    string
-	cols    []colInfo
-	column  int
-	keyC    compiledExpr // outer-row key, compiled once
-	colE    Expr         // retained for EXPLAIN
-	keyE    Expr         // retained for EXPLAIN
-	idx     *Index       // real equality index, when one covers the column
-	fromIdx bool
+	table  *Table
+	qual   string
+	cols   []colInfo
+	column int
+	keyC   compiledExpr // outer-row key, compiled once
+	colE   Expr         // retained for EXPLAIN
+	keyE   Expr         // retained for EXPLAIN
+	idx    *Index       // the column's equality index, or the statement's own, which has no name
 	scanTally
 
 	snap   *snapshot
-	memo   map[Value][]int // by indexKey
 	ids    []int
 	idsSet bool
 	pos    int
@@ -226,15 +224,13 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		if s.memo == nil && !s.fromIdx {
-			// Build the transient memo from the statement snapshot's view
-			// of the table — once per statement.
-			arr, n := s.table.loadSlots()
-			s.memo = make(map[Value][]int, s.table.liveCount())
-			for id := 0; id < n; id++ {
-				if r := visible(arr[id].head.Load(), s.snap); r != nil {
-					k := indexKey(r[s.column])
-					s.memo[k] = append(s.memo[k], id)
+		if s.idx == nil {
+			// No index covers the column: file the rows the statement's
+			// snapshot sees in one of the statement's own — once.
+			s.idx = newIndex("", s.column, false)
+			for id, n := 0, int(s.table.n.Load()); id < n; id++ {
+				if r := s.table.visibleRow(id, s.snap); r != nil {
+					s.idx.addEntry(r[s.column], id)
 				}
 			}
 		}
@@ -242,15 +238,10 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		s.ids = nil
+		s.ids = s.ids[:0]
 		if !k.IsNull() { // col = NULL is never true
-			if s.fromIdx {
-				// The real index is a superset under MVCC; filter it
-				// against the snapshot per probe.
-				s.ids = visibleEqIDs(s.table, s.idx, k, s.snap)
-			} else {
-				s.ids = s.memo[indexKey(k)]
-			}
+			// Either index lists by hash class, a real one old versions too.
+			s.ids = visibleEqIDs(s.ids, s.table, s.idx, k, s.snap)
 		}
 		s.idsSet = true
 		if s.firstOpen() {
@@ -525,7 +516,7 @@ type hashJoinOp struct {
 	rightKey    Expr     // retained for EXPLAIN
 	residualE   Expr     // retained for EXPLAIN
 	buckets     [][]Row
-	keyIndex    map[Value]int // by indexKey, as an index keys its postings
+	keyIndex    map[Value]int // by indexKey
 	curBucket   []Row
 }
 
@@ -603,10 +594,10 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 		idxKeyE:   idxKeyE,
 		residualE: residual,
 	}
-	// Per-probe: copy the posting list under the index latch (into ids,
+	// Per-probe: copy the key's hash class under the index latch (into ids,
 	// which every probe reuses), then filter it against the statement
-	// snapshot (the posting is a superset under MVCC — superseded versions
-	// linger until vacuum).
+	// snapshot and the key (the class is a superset — superseded versions
+	// linger until vacuum, a colliding key shares it).
 	var ids []int
 	j.lookup = func(k Value) int {
 		var snap *snapshot
@@ -1253,7 +1244,7 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 		// filtered count must match the per-row count.
 		ids := []int{}
 		if !v.IsNull() {
-			ids = visibleEqIDs(t, idx, v, snap)
+			ids = visibleEqIDs(ids, t, idx, v, snap)
 		}
 		return indexAccess{ids: ids}, append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
 	}
@@ -1273,8 +1264,8 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 			}
 			if idx != nil && (acc.rangeIdx == nil || idx == acc.rangeIdx) {
 				acc.rangeIdx = idx
-				acc.spec.lo = tightenLo(acc.spec.lo, cs.lo)
-				acc.spec.hi = tightenHi(acc.spec.hi, cs.hi)
+				acc.spec.lo = tighten(acc.spec.lo, cs.lo, +1)
+				acc.spec.hi = tighten(acc.spec.hi, cs.hi, -1)
 				continue
 			}
 		}
@@ -1362,10 +1353,7 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 			table: sc.table, qual: sc.qual, cols: sc.cols, column: ci,
 			keyC: keyC, colE: colRef, keyE: keyE, scanTally: scanTally{qc: qc},
 		}
-		if idx, ok := sc.table.idxs()[strings.ToLower(colRef.Column)]; ok {
-			op.idx = idx
-			op.fromIdx = true
-		}
+		op.idx = sc.table.idxs()[strings.ToLower(colRef.Column)] // nil: next builds one
 		rest := append(append([]Expr{}, kept[:i]...), kept[i+1:]...)
 		return op, rest, nil
 	}

@@ -199,7 +199,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 		}
 	case *corrProbeScanOp:
 		via := "transient hash memo"
-		if t.fromIdx {
+		if t.idx != nil && t.idx.Name != "" {
 			via = "index"
 		}
 		p.emit(depth, "correlated probe %s (as %s) on %s = %s (via %s)",

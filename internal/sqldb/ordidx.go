@@ -1,21 +1,26 @@
 package sqldb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 )
 
 // This file implements the ordered half of the dual-structure Index
-// (catalog.go) and the operators that exploit it. The hash map's postings
-// are the source of truth; the ordered view — distinct values sorted by
-// Value.Compare, each with its row ids ascending — is derived from them on
-// first ordered access and from then on kept exactly in step with them:
-// addEntry splices into both, removeEntry (vacuum and rollback only)
-// removes from both. Under MVCC both structures are supersets of what any
-// one snapshot can see, so every consumer here re-checks each candidate id:
-// fetch the version visible to the scan's snapshot, emit only if its
-// indexed value equals the entry's value. On top of the view sit:
+// (catalog.go) and the operators that exploit it. The rows are the source of
+// truth — the postings hold ids by hash class and no keys, so they cannot say
+// what order the keys come in. The ordered view — distinct values sorted by
+// Value.Compare, each with its row ids ascending — is derived from the
+// table's reachable versions on first ordered access and from then on kept
+// exactly in step with them: addEntry splices into postings and view,
+// removeEntry (vacuum and rollback only) takes an id out of a value's entry
+// when no surviving version of its slot carries the value. Under MVCC both
+// structures are supersets of what any one snapshot can see, so every
+// consumer here re-checks each candidate id: fetch the version visible to the
+// scan's snapshot, emit only if its indexed value equals the entry's value.
+// On top of the view sit:
 //
 //	ordScanOp     streams a table in index order (optionally bounded),
 //	              letting ORDER BY ... LIMIT k read exactly O(k) rows
@@ -138,11 +143,15 @@ func (v ordView) withChunk(ci int, repl ...[]*ordEntry) ordView {
 // suites must notice. Never set outside tests.
 var debugBreakOrdMaintain bool
 
-// orderedView returns the index's ordered view, building it from the hash
-// map under the index latch on first ordered access. The double-checked
-// fast path is a single atomic load. Entry id slices are copied at build —
-// they are never shared with the postings.
-func (idx *Index) orderedView() ordView {
+// orderedView returns the index's ordered view over t, the table it
+// indexes, building it under the index latch on first ordered access from
+// the versions t's slots still reach. The double-checked fast path is a
+// single atomic load. The build needs no writer latch: a writer publishes a
+// version before addEntry files it and unlinks one before removeEntry takes
+// it out, and both wait for the latch — whatever the walk saw of a change in
+// flight, the call that follows adds a pair already present or removes one
+// already absent, which ordAdd and ordRemove take as no-ops.
+func (idx *Index) orderedView(t *Table) ordView {
 	if vp := idx.ord.Load(); vp != nil {
 		return *vp
 	}
@@ -151,20 +160,27 @@ func (idx *Index) orderedView() ordView {
 	if vp := idx.ord.Load(); vp != nil {
 		return *vp
 	}
-	entries := make([]*ordEntry, 0, len(idx.m))
-	for key, ids := range idx.m {
-		entries = append(entries, newOrdEntry(key, append([]int(nil), ids...)))
+	type pair struct {
+		key Value
+		id  int
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		return entries[a].val.Compare(entries[b].val) < 0
-	})
-	v := make(ordView, 0, (len(entries)+ordChunkCap-1)/ordChunkCap)
-	for ; len(entries) > ordChunkCap; entries = entries[ordChunkCap:] {
-		v = append(v, entries[:ordChunkCap:ordChunkCap])
+	pairs := make([]pair, 0, t.n.Load())
+	t.reachable(idx.Column, func(v Value, id int) { pairs = append(pairs, pair{indexKey(v), id}) })
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(a.key.Compare(b.key), a.id-b.id) })
+	// An entry per run of a key, their id lists cut from one array
+	// (maintenance replaces a list, never writes into one).
+	ids := make([]int, 0, len(pairs))
+	var entries []*ordEntry
+	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		run := len(ids)
+		for ; hi < len(pairs) && pairs[hi].key == pairs[lo].key; hi++ {
+			if hi == lo || pairs[hi].id != pairs[hi-1].id { // a slot carries a key once, in however many versions
+				ids = append(ids, pairs[hi].id)
+			}
+		}
+		entries = append(entries, newOrdEntry(pairs[lo].key, ids[run:len(ids):len(ids)]))
 	}
-	if len(entries) > 0 {
-		v = append(v, entries)
-	}
+	v := ordView(slices.Collect(slices.Chunk(entries, ordChunkCap)))
 	idx.ord.Store(&v)
 	return v
 }
@@ -175,8 +191,8 @@ func (idx *Index) orderedView() ordView {
 // (two halves when the chunk was full; a key past a full last chunk opens
 // a chunk of its own, so ascending keys leave packed chunks behind).
 // Caller holds idx.mu. A view not yet built stays unbuilt — the first
-// ordered access builds it from the hash map for free. Reports whether a
-// live view was maintained.
+// ordered access builds it from the rows, this one included. Reports whether
+// a live view was maintained.
 func (idx *Index) ordAdd(v Value, id int) bool {
 	vp := idx.ord.Load()
 	if vp == nil || debugBreakOrdMaintain {
@@ -186,10 +202,10 @@ func (idx *Index) ordAdd(v Value, id int) bool {
 	c := view.seek(v, false)
 	if e := c.entry(); e != nil && e.val.Compare(v) == 0 {
 		ids := e.entryIDs()
-		cp := make([]int, len(ids), len(ids)+1)
-		copy(cp, ids)
-		cp = spliceID(cp, id)
-		e.ids.Store(&cp)
+		if pos, found := slices.BinarySearch(ids, id); !found {
+			cp := slices.Concat(ids[:pos], []int{id}, ids[pos:])
+			e.ids.Store(&cp)
+		}
 		return true
 	}
 	e := newOrdEntry(v, []int{id})
@@ -202,10 +218,7 @@ func (idx *Index) ordAdd(v Value, id int) bool {
 			ci, at = ci-1, len(view[ci-1])
 		}
 		old := view[ci]
-		chunk := make([]*ordEntry, len(old)+1)
-		copy(chunk, old[:at])
-		chunk[at] = e
-		copy(chunk[at+1:], old[at:])
+		chunk := slices.Concat(old[:at], []*ordEntry{e}, old[at:])
 		if len(chunk) <= ordChunkCap {
 			grown = view.withChunk(ci, chunk)
 		} else {
@@ -234,26 +247,21 @@ func (idx *Index) ordRemove(v Value, id int) {
 		return
 	}
 	ids := e.entryIDs()
-	pos := sort.SearchInts(ids, id)
-	if pos == len(ids) || ids[pos] != id {
+	pos, found := slices.BinarySearch(ids, id)
+	if !found {
 		return
 	}
 	if len(ids) > 1 {
-		cp := make([]int, 0, len(ids)-1)
-		cp = append(append(cp, ids[:pos]...), ids[pos+1:]...)
+		cp := slices.Concat(ids[:pos], ids[pos+1:])
 		e.ids.Store(&cp)
 		return
 	}
 	ci, at := c.pos.chunk, c.pos.slot
-	old := view[ci]
-	var shrunk ordView
-	if len(old) == 1 {
-		shrunk = view.withChunk(ci)
-	} else {
-		chunk := make([]*ordEntry, 0, len(old)-1)
-		chunk = append(append(chunk, old[:at]...), old[at+1:]...)
-		shrunk = view.withChunk(ci, chunk)
+	var repl [][]*ordEntry // none: a chunk leaves the directory with its last entry
+	if old := view[ci]; len(old) > 1 {
+		repl = [][]*ordEntry{slices.Concat(old[:at], old[at+1:])}
 	}
+	shrunk := view.withChunk(ci, repl...)
 	idx.ord.Store(&shrunk)
 }
 
@@ -275,19 +283,15 @@ func (s rangeSpec) bounded() bool { return s.lo != nil || s.hi != nil }
 // describe renders the range as SQL-ish text for EXPLAIN.
 func (s rangeSpec) describe(col string) string {
 	var parts []string
-	if s.lo != nil {
-		op := ">"
-		if s.lo.incl {
-			op = ">="
+	for i, b := range []*rangeBound{s.lo, s.hi} {
+		if b == nil {
+			continue
 		}
-		parts = append(parts, col+" "+op+" "+s.lo.val.String())
-	}
-	if s.hi != nil {
-		op := "<"
-		if s.hi.incl {
-			op = "<="
+		op := "><"[i : i+1]
+		if b.incl {
+			op += "="
 		}
-		parts = append(parts, col+" "+op+" "+s.hi.val.String())
+		parts = append(parts, col+" "+op+" "+b.val.String())
 	}
 	if parts == nil {
 		return col + " unbounded"
@@ -295,32 +299,16 @@ func (s rangeSpec) describe(col string) string {
 	return strings.Join(parts, " AND ")
 }
 
-// tightenLo returns the stricter of two lower bounds (nil = unbounded).
-// On equal values the exclusive bound is tighter.
-func tightenLo(cur, nb *rangeBound) *rangeBound {
+// tighten returns the stricter of two lower (side +1) or upper (side -1)
+// bounds; nil is unbounded, and on equal values the exclusive bound is tighter.
+func tighten(cur, nb *rangeBound, side int) *rangeBound {
 	if cur == nil {
 		return nb
 	}
 	if nb == nil {
 		return cur
 	}
-	c := nb.val.Compare(cur.val)
-	if c > 0 || (c == 0 && !nb.incl) {
-		return nb
-	}
-	return cur
-}
-
-// tightenHi returns the stricter of two upper bounds.
-func tightenHi(cur, nb *rangeBound) *rangeBound {
-	if cur == nil {
-		return nb
-	}
-	if nb == nil {
-		return cur
-	}
-	c := nb.val.Compare(cur.val)
-	if c < 0 || (c == 0 && !nb.incl) {
+	if c := side * nb.val.Compare(cur.val); c > 0 || (c == 0 && !nb.incl) {
 		return nb
 	}
 	return cur
@@ -352,7 +340,7 @@ func (v ordView) rangeEnd(hi *rangeBound) ordCursor {
 // not-yet-visible rows — are skipped and counted in the second return.
 // Always returns a non-nil slice.
 func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]int, uint64) {
-	v := idx.orderedView()
+	v := idx.orderedView(t)
 	ids := make([]int, 0, 16)
 	var skipped uint64
 	for c, end := v.rangeStart(spec.lo), v.rangeEnd(spec.hi).pos; c.pos.before(end); c.next() {
@@ -448,7 +436,7 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		v := s.idx.orderedView()
+		v := s.idx.orderedView(s.table)
 		lo, hi := ordCursor{view: v}, v.rangeEnd(nil)
 		if s.spec.bounded() {
 			lo, hi = v.rangeStart(s.spec.lo), v.rangeEnd(s.spec.hi)
@@ -554,8 +542,8 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 			m.snap = m.qc.snap
 		}
 		// Skip NULL entries: NULL keys never join.
-		m.lc = m.leftIdx.orderedView().rangeStart(nil)
-		m.rc = m.rightIdx.orderedView().rangeStart(nil)
+		m.lc = m.leftIdx.orderedView(m.leftTable).rangeStart(nil)
+		m.rc = m.rightIdx.orderedView(m.rightTable).rangeStart(nil)
 		m.inBlock = false
 		m.built = true
 		if m.firstOpen() {

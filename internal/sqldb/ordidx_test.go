@@ -848,7 +848,7 @@ func TestPureUpdateWorkloadBoundsOrderedView(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("ordered scan returned %d rows, want 8", len(got))
 	}
-	if n := len(viewEntries(idx)); n > 8 {
+	if n := len(viewEntries(tbl, idx)); n > 8 {
 		t.Fatalf("ordered view holds %d entries after vacuum, want <= 8 live values", n)
 	}
 }

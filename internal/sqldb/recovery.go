@@ -422,7 +422,7 @@ func rowsExactEqual(a, b Row) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] { // struct identity is kind + bits: a NaN matches itself
+		if a[i] != b[i] { // struct identity is kind + bits: -0.0 is not 0.0
 			return false
 		}
 	}

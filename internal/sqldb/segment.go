@@ -236,8 +236,7 @@ func sealBlock(arr []*rowSlot, lo, width int, h uint64) *segBlock {
 		if head == nil {
 			continue // permanently empty slot
 		}
-		if head.next.Load() != nil || head.xmax.Load() != 0 ||
-			head.xmin == invalidXID || head.xmin >= h || head.row == nil {
+		if head.next.Load() != nil || head.xmax.Load() != 0 || head.xmin >= h || head.row == nil {
 			return nil
 		}
 		rows = append(rows, head.row)

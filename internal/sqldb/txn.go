@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"context"
-	"math"
 	"sort"
 	"sync"
 )
@@ -43,9 +42,6 @@ import (
 // any store the reader might miss belongs to a transaction its snapshot
 // treats as in-progress or future — invisible either way.
 
-// invalidXID marks a version as never-visible (used transiently).
-const invalidXID = math.MaxUint64
-
 // snapshot is a point in transaction-id space: it sees every transaction
 // that committed before it was captured, plus its own.
 type snapshot struct {
@@ -82,7 +78,7 @@ func (s *snapshot) sees(x uint64) bool {
 // atomic, xmin is immutable after publication.
 func visibleVersion(head *rowVersion, s *snapshot) Row {
 	for v := head; v != nil; v = v.next.Load() {
-		if v.xmin == invalidXID || !s.sees(v.xmin) {
+		if !s.sees(v.xmin) {
 			continue
 		}
 		if xmax := v.xmax.Load(); xmax != 0 && s.sees(xmax) {
@@ -100,7 +96,7 @@ func visibleVersion(head *rowVersion, s *snapshot) Row {
 // or belongs to the running writer) and for best-effort contexts that
 // carry no snapshot (plain EXPLAIN).
 func latestRow(head *rowVersion) Row {
-	if head == nil || head.xmin == invalidXID || head.xmax.Load() != 0 {
+	if head == nil || head.xmax.Load() != 0 {
 		return nil
 	}
 	return head.row

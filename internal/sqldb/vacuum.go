@@ -19,9 +19,9 @@ import "context"
 // The vacuum runs under the single-writer latch (writers pause, readers
 // do not). Only the vacuum and rollback remove index entries, and they
 // remove exactly what they unlinked: for each chain it truncates, the
-// vacuum takes out of every index the (value, id) pairs the cut-off
-// versions carried and no surviving version of that slot does
-// (Table.unindex) — hash postings in place, the live ordered view
+// vacuum takes out of every index what the cut-off versions put there
+// and no surviving version of that slot keeps there (Table.unindex) —
+// ids out of hash classes in place, out of the live ordered view
 // copy-on-write. The pass costs a pointer walk over the slots plus work in
 // proportion to what it reclaims; no index is rebuilt and no view is
 // invalidated. Readers holding an older view or posting copy keep working

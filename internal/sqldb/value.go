@@ -40,7 +40,7 @@
 // A Value is 32 bytes: the kind, one payload word and one string header. At
 // most one payload is ever live, so the scalar kinds share the word — an
 // INTEGER stores its two's-complement bits in it, a REAL its
-// math.Float64bits (every NaN payload and -0.0 survive), a BOOLEAN 0 or 1 —
+// math.Float64bits (-0.0 survives; a NaN is NULL, see Float), a BOOLEAN 0 or 1 —
 // while TEXT lives in the string and NULL is the zero Value. Rows, batch
 // buffers, result sets, group keys and index keys are all arrays of this
 // struct, so its size is the unit the live heap and every statement's bytes
@@ -102,8 +102,15 @@ var Null = Value{}
 // Int returns an INTEGER value.
 func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
-// Float returns a REAL value.
-func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
+// Float returns a REAL value — for a NaN, NULL, as SQLite has it: whatever
+// arithmetic, a bound parameter or a decoder hands in, no Value is a NaN, so
+// Compare orders every pair and an index and a filter cannot disagree on one.
+func Float(v float64) Value {
+	if v != v {
+		return Null
+	}
+	return Value{kind: KindFloat, n: math.Float64bits(v)}
+}
 
 // Text returns a TEXT value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
@@ -310,13 +317,9 @@ func (v Value) Compare(o Value) int {
 	return strings.Compare(v.s, o.s)
 }
 
-// compareIntFloat compares an int64 with a float64 exactly, without
-// rounding the integer through float64. NaN compares equal (mirroring the
-// float/float branch, where all NaN comparisons are false).
+// compareIntFloat compares an int64 with a float64 (never a NaN: Float)
+// exactly, without rounding the integer through float64.
 func compareIntFloat(i int64, f float64) int {
-	if math.IsNaN(f) {
-		return 0
-	}
 	// math.MaxInt64 rounds to 2^63 as a float64 constant; anything at or
 	// above it exceeds every int64, and anything below -2^63 undercuts
 	// every int64. Inside that range Trunc(f) is exactly representable.

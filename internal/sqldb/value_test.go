@@ -200,8 +200,10 @@ func TestRowClone(t *testing.T) {
 // width the encoders use.
 var layoutBigText = strings.Repeat("0123456789abcdefghijklmnopqrstuvwxyz", 2000)[:70*1024]
 
-// layoutNaN is a quiet NaN carrying a payload: it must survive every
-// encoding bit for bit (only index/hash keys canonicalise NaN).
+// layoutNaN is a quiet NaN carrying a payload. Float makes NULL of it, so
+// the corpora that list it hold a NULL in its place: no encoding and no key
+// ever sees a NaN (the float and raw pins below carry 00 where, before Float
+// did that, they carried 03efbe0000addef87f).
 var layoutNaN = math.Float64frombits(0x7ff8dead0000beef)
 
 // layoutColumns is the corpus, one slice per sealed-column encoding.
@@ -260,7 +262,10 @@ func TestValueLayout(t *testing.T) {
 			t.Errorf("Int(%d) round trip = %v %d", i, v.Kind(), v.AsInt())
 		}
 	}
-	for _, f := range []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), layoutNaN, math.SmallestNonzeroFloat64, math.MaxFloat64} {
+	if v := Float(layoutNaN); v != Null || Float(math.NaN()) != Null {
+		t.Errorf("Float(NaN) = %v (%v), want NULL: a stored NaN equals every number under Compare", v, v.Kind())
+	}
+	for _, f := range []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64} {
 		if v := Float(f); v.Kind() != KindFloat || math.Float64bits(v.AsFloat()) != math.Float64bits(f) {
 			t.Errorf("Float(%x) round trip = %v %x", math.Float64bits(f), v.Kind(), math.Float64bits(v.AsFloat()))
 		}
@@ -394,7 +399,7 @@ func TestAppendTextMatchesAsText(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	for v, want := range map[Value]string{Float(math.Inf(1)): "Inf", Float(math.Inf(-1)): "-Inf", Float(math.NaN()): "NaN",
+	for v, want := range map[Value]string{Float(math.Inf(1)): "Inf", Float(math.Inf(-1)): "-Inf", Float(math.NaN()): "",
 		Float(math.Copysign(0, -1)): "-0.0", Float(1e15 - 1): "999999999999999.0", Float(1e15): "1e+15",
 		Int(math.MinInt64): "-9223372036854775808", Null: "", Bool(true): "true", Float(2.5): "2.5", Float(5): "5.0"} {
 		if got := string(v.AppendText(nil)); got != want {
@@ -405,22 +410,22 @@ func TestAppendTextMatchesAsText(t *testing.T) {
 
 var layoutWalPins = map[string]string{
 	"int":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
-	"float":   "03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f0003000000000000f83f",
+	"float":   "03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f",
 	"text":    "0400000000040100000061000400000000040600000068c3a96c6c6f",
 	"bool":    "01010100000101",
-	"raw":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f0003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
+	"raw":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
 	"bigtext": "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
 	"bigraw":  "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
 }
 
 var layoutSealPins = map[string]string{
 	"int":     "08ffffffffffffffffff0101fdffffffffffffffff0101",
-	"float":   "10018002f0ff018008efbe0000adde088008efbe0000adde0040",
+	"float":   "18018002f0ff01800208c0",
 	"text":    "04030001610668c3a96c6c6f00010002",
 	"bool":    "0405",
-	"raw":     "08220402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03efbe0000addef87f03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
+	"raw":     "08230402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
 	"bigtext": "sha256:ebc89b53c23b6d7568aca84ea693f774d4b491822ff231e204dc3046b92b7e05/71687",
 	"bigraw":  "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
 }
 
-const layoutTextPin = "-9223372036854775808|9223372036854775807|0||-1|-0.0|Inf|-Inf|NaN||1.5||a|||héllo|true|false||true"
+const layoutTextPin = "-9223372036854775808|9223372036854775807|0||-1|-0.0|Inf|-Inf|||1.5||a|||héllo|true|false||true"
