@@ -208,18 +208,24 @@ func BenchmarkPreparedVsParsed(b *testing.B) {
 // workers=1 against the host's default, because sealed blocks on the
 // default pool is the configuration real traffic runs. heap/row is the
 // reference engine.
-// unsealAll drops every published segment so the "heap" variants measure
+// unsealAll rehydrates every sealed block so the "heap" variants measure
 // pure heap scans. The bulk load is big enough to wake the background
-// sealer, so it is waited out first — otherwise it could republish
-// segments mid-benchmark.
+// sealer, so it is waited out first — otherwise it could seal blocks
+// mid-benchmark.
 func unsealAll(db *Database) {
 	for db.sealing.Load() {
 		time.Sleep(time.Millisecond)
 	}
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	for _, t := range db.tableMap() {
-		empty := []*segment{}
-		t.segs.Store(&empty)
-		t.sealedRows.Store(0)
+		for m, blk := range t.blocks() {
+			if blk != nil {
+				if err := t.rehydrate(m); err != nil {
+					panic(err)
+				}
+			}
+		}
 	}
 }
 
@@ -266,8 +272,8 @@ func BenchmarkVectorGroupBy(b *testing.B) {
 
 // liveHeapPerRow loads the benchDB shape (n five-column items, n/10
 // two-column cats, a primary-key index on each), seals it, collects twice
-// and returns the heap still held per row: row arrays, versions, slots,
-// name strings, both indexes and the sealed segments. It is `perf`'s
+// and returns the heap still held per row: slots, both indexes and the
+// sealed blocks, which are the rows' only copy. It is `perf`'s
 // analytics_scan live_heap_mb, per row and without the benchmark's oracle.
 func liveHeapPerRow(tb testing.TB, n int) float64 {
 	before := liveHeap()
@@ -289,19 +295,21 @@ func liveHeap() uint64 {
 }
 
 // liveHeapCeiling is the most a held row may cost at 32,768 + 3,276 rows:
-// 279.1 B measured with the indexes holding row ids by hash class and no
-// keys (392.8 B with the Value-keyed index map of ids; 554.3 B with the
-// 48-byte Value and string-keyed postings before that), plus ~10 %. The
-// index maps sit at a different load factor than at perf's 262,144 + 26,214
-// rows (≈ 283 B there, 393 and 555 before), so the ceiling is this size's
-// own.
-const liveHeapCeiling = 308
+// 67.4 B measured with a sealed block the only copy of its rows — slots,
+// index postings and the compressed blocks with their rank and offset
+// tables (279.1 B while the heap kept every sealed row as well, with the
+// indexes holding row ids by hash class and no keys; 392.8 B with the
+// Value-keyed index map of ids; 554.3 B with the 48-byte Value and
+// string-keyed postings before that), plus ~10 %. The index maps sit at a
+// different load factor than at perf's 262,144 + 26,214 rows (≈ 101 B
+// there; 283, 393 and 555 before), so the ceiling is this size's own.
+const liveHeapCeiling = 74
 
 func TestLiveHeapPerRow(t *testing.T) {
 	per := liveHeapPerRow(t, 32768)
 	t.Logf("%.1f B of live heap per row (ceiling %d)", per, liveHeapCeiling)
 	if per > liveHeapCeiling {
-		t.Errorf("a sealed row holds %.1f B of live heap, ceiling %d: Value, the index postings or the version store grew", per, liveHeapCeiling)
+		t.Errorf("a sealed row holds %.1f B of live heap, ceiling %d: the blocks, the index postings or the slots grew", per, liveHeapCeiling)
 	}
 }
 

@@ -66,12 +66,12 @@ type Table struct {
 
 	indexes atomic.Pointer[map[string]*Index] // lower-cased column name -> index; COW on CREATE INDEX
 
-	// segs is the published list of immutable compressed column segments
-	// sealed off cold full blocks of the heap (segment.go), sorted by lo.
-	// Segments are redundant with the heap: DML on a covered slot drops
-	// the covering segment before the change publishes.
-	segs       atomic.Pointer[[]*segment]
-	sealedRows atomic.Int64 // rows currently covered by segments
+	// segs holds the sealed blocks by morsel number, nil where the morsel is
+	// in the heap (segment.go): the only copy of their rows, replaced
+	// copy-on-write. touched holds the latest xid that wrote each morsel by
+	// UPDATE, DELETE or rehydration.
+	segs    atomic.Pointer[[]*segBlock]
+	touched []uint64 // writeMu
 }
 
 // Index is a dual-structure secondary index over one column, maintained
@@ -147,6 +147,7 @@ type Database struct {
 	vacuuming atomic.Bool    // single-flight latch for the background vacuum
 	sealDebt  atomic.Int64   // rows inserted since the last sealing pass
 	sealing   atomic.Bool    // single-flight latch for the background sealer
+	sealH     uint64         // the horizon of the previous background sealing pass (writeMu)
 	vacWG     sync.WaitGroup // joins background maintenance: vacuum + checkpoint
 	closed    atomic.Bool
 
@@ -478,15 +479,35 @@ func (t *Table) appendSlot(v *rowVersion) int {
 	return n
 }
 
-// visibleRow returns the version of row id visible to snap, or nil. A nil
-// snapshot means "latest committed" — valid only under writeMu or for
-// best-effort display paths (plain EXPLAIN).
-func (t *Table) visibleRow(id int, snap *snapshot) Row {
-	arrp := t.slots.Load()
-	if arrp == nil || id < 0 || id >= len(*arrp) {
-		return nil
+// slot returns row id's slot: a row id an index or a scan names is below n.
+func (t *Table) slot(id int) *rowSlot { return (*t.slots.Load())[id] }
+
+// visibleRow returns the row of slot id visible to snap, or nil: the heap
+// version's own, or the sealed row decoded into a row a gives (s: where a
+// reader walking ids upward stands). A nil snapshot means "latest
+// committed" — valid only under writeMu or for best-effort display paths
+// (plain EXPLAIN).
+func (t *Table) visibleRow(id int, snap *snapshot, a *rowArena, s *blockSeek) (Row, error) {
+	head, blk := t.resolve(t.slot(id), id)
+	if blk == nil {
+		return visible(head, snap), nil
 	}
-	return visible((*arrp)[id].head.Load(), snap)
+	r := a.alloc(len(t.Columns))
+	return r, blk.row(id, r, s)
+}
+
+// visibleValue returns column col of the row of slot id visible to snap — a
+// sealed row's read off its block alone — and whether there is such a row.
+func (t *Table) visibleValue(id int, snap *snapshot, col int, s *blockSeek) (Value, bool, error) {
+	head, blk := t.resolve(t.slot(id), id)
+	if blk != nil {
+		v, err := blk.value(id, col, s)
+		return v, err == nil, err
+	}
+	if r := visible(head, snap); r != nil {
+		return r[col], true, nil
+	}
+	return Null, false, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -514,7 +535,12 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	}
 	idxs := t.idxs()
 	for _, idx := range idxs {
-		if idx.Unique && !r[idx.Column].IsNull() && t.liveKeyCount(idx, r[idx.Column]) > 0 {
+		if !idx.Unique || r[idx.Column].IsNull() {
+			continue
+		}
+		if held, err := t.liveKeyCount(idx, r[idx.Column]); err != nil {
+			return err
+		} else if held > 0 {
 			return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
 				t.Name, t.Columns[idx.Column].Name, r[idx.Column])
 		}
@@ -534,24 +560,31 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 
 // deleteRow stamps the current head with the deleting transaction. The
 // slot, its versions and every index entry stay for older snapshots; the
-// vacuum reclaims them once invisible to all.
-func (t *Table) deleteRow(id int, tx *Txn) {
-	t.dropSegFor(id) // unseal before the delete can publish
-	head := t.head(id)
+// vacuum reclaims them once invisible to all. A sealed slot's block is
+// rehydrated before the delete can publish.
+func (t *Table) deleteRow(id int, tx *Txn) error {
+	head, err := t.thaw(id, tx)
+	if err != nil {
+		return err
+	}
 	tx.logWALOp(walOp{kind: 'D', table: t.Name, row: head.row})
 	head.xmax.Store(tx.xid)
 	t.liveRows.Add(-1)
 	tx.record(undoDelete, t, id)
 	tx.db.garbage.Add(1)
+	return nil
 }
 
 // updateRow prepends a new version at the same slot (row ids are stable;
 // scan order without ORDER BY is preserved) and adds superset index
-// entries for every key that changed. Constraint checks happen in the
-// caller (mutate, db.go), so this is pure mechanism.
-func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
-	t.dropSegFor(id) // unseal before the update can publish
-	head := t.head(id)
+// entries for every key that changed, rehydrating a sealed slot's block
+// first. Constraint checks happen in the caller (mutate, db.go), so this is
+// pure mechanism.
+func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) error {
+	head, err := t.thaw(id, tx)
+	if err != nil {
+		return err
+	}
 	old := head.row
 	tx.logWALOp(walOp{kind: 'U', table: t.Name, row: old, row2: updated})
 	nv := &rowVersion{xmin: tx.xid, row: updated}
@@ -569,14 +602,16 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) {
 			qc.OrdMaintains++
 		}
 	}
+	return nil
 }
 
 // liveKeyCount counts current (latest-committed-or-own) rows whose indexed
 // column carries exactly v. Under writeMu every chain head is committed or
 // the running writer's, so "latest" is unambiguous.
-func (t *Table) liveKeyCount(idx *Index, v Value) int {
+func (t *Table) liveKeyCount(idx *Index, v Value) (int, error) {
 	var ids [8]int // a unique key's class fits; a longer one spills to the heap
-	return len(visibleEqIDs(ids[:0], t, idx, v, nil))
+	held, err := visibleEqIDs(ids[:0], t, idx, v, nil)
+	return len(held), err
 }
 
 // ---------------------------------------------------------------------------
@@ -654,16 +689,28 @@ func (idx *Index) removeEntry(v Value, id int, keepClass bool) {
 }
 
 // reachable calls fn with the value column col has in every version still
-// reachable from a slot's head, slots ascending: what an index over col
-// lists — the one walk under its bulk build, its ordered view and the
-// tests' oracle, safe beside the writer.
-func (t *Table) reachable(col int, fn func(v Value, id int)) {
+// reachable from a slot's head — a sealed slot's one version read off its
+// block — slots ascending: what an index over col lists — the one walk
+// under its bulk build, its ordered view and the tests' oracle, safe beside
+// the writer.
+func (t *Table) reachable(col int, fn func(v Value, id int)) error {
 	arr, n := t.loadSlots()
+	var seek blockSeek
 	for id := 0; id < n; id++ {
-		for v := arr[id].head.Load(); v != nil; v = v.next.Load() {
+		head, blk := t.resolve(arr[id], id)
+		if blk != nil {
+			v, err := blk.value(id, col, &seek)
+			if err != nil {
+				return err
+			}
+			fn(v, id)
+			continue
+		}
+		for v := head; v != nil; v = v.next.Load() {
 			fn(v.row[col], id)
 		}
 	}
+	return nil
 }
 
 // unindex removes from every index what the versions [dead, end) of slot
@@ -673,7 +720,9 @@ func (t *Table) reachable(col int, fn func(v Value, id int)) {
 // carries the value (an update between two colliding keys leaves the class
 // to the new one). Vacuum and rollback call it right after unlinking those
 // versions (writeMu held): the indexes stay supersets of the reachable
-// versions and nothing more.
+// versions and nothing more. Neither unlinks below a frozen head — the
+// vacuum passes sealed slots by, and a rollback's heads were rehydrated by
+// the writer it unwinds — so every version here is in the heap.
 func (t *Table) unindex(id int, dead, end *rowVersion) {
 	live := t.head(id)
 	for _, idx := range t.idxs() {
@@ -697,15 +746,20 @@ func (t *Table) unindex(id int, dead, end *rowVersion) {
 // to snap (nil: the latest, under writeMu) carries exactly value v in the
 // indexed column. The class is a superset (superseded versions linger until
 // vacuum, a colliding key shares it); visibility and the row's own key filter
-// it exactly. Nil only if dst is: to a scan, no ids means no rows.
-func visibleEqIDs(dst []int, t *Table, idx *Index, v Value, snap *snapshot) []int {
+// it exactly — a sealed row's key read off its block alone. Nil only if dst
+// is, or on error: to a scan, no ids means no rows.
+func visibleEqIDs(dst []int, t *Table, idx *Index, v Value, snap *snapshot) ([]int, error) {
 	key := indexKey(v)
 	ids := idx.appendIDs(dst[:0], key)
 	out := ids[:0]
 	for _, id := range ids {
-		if r := t.visibleRow(id, snap); r != nil && indexKey(r[idx.Column]) == key {
+		kv, ok, err := t.visibleValue(id, snap, idx.Column, nil)
+		if err != nil {
+			return nil, err
+		}
+		if ok && indexKey(kv) == key {
 			out = append(out, id)
 		}
 	}
-	return out
+	return out, nil
 }

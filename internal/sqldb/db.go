@@ -295,10 +295,21 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 	// Index every surviving version of every chain (the superset contract:
 	// snapshots older than the statement must find their rows through the
 	// new index too). The UNIQUE duplicate check runs on latest rows only.
-	t.reachable(ci, func(v Value, id int) { idx.addEntry(v, id) })
+	if err := t.reachable(ci, func(v Value, id int) { idx.addEntry(v, id) }); err != nil {
+		return err
+	}
+	var seek blockSeek
 	for id := 0; stmt.Unique && id < int(t.n.Load()); id++ {
-		if r := t.visibleRow(id, nil); r != nil && !r[ci].IsNull() && t.liveKeyCount(idx, r[ci]) > 1 {
-			return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, r[ci])
+		v, ok, err := t.visibleValue(id, nil, ci, &seek)
+		held := 0
+		if err == nil && ok && !v.IsNull() {
+			held, err = t.liveKeyCount(idx, v)
+		}
+		if err != nil {
+			return err
+		}
+		if held > 1 {
+			return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, v)
 		}
 	}
 	t.publishIndexes(func(m map[string]*Index) { m[key] = idx })
@@ -469,7 +480,10 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 	if where != nil {
 		conjuncts := splitConjuncts(where)
 		var rest []Expr
-		if acc, rest = chooseIndexAccess(t, t.Name, conjuncts, params, qc.snap); len(rest) < len(conjuncts) {
+		if acc, rest, err = chooseIndexAccess(t, t.Name, conjuncts, params, qc.snap); err != nil {
+			return 0, err
+		}
+		if len(rest) < len(conjuncts) {
 			residual = joinConjuncts(rest)
 		}
 	}
@@ -500,13 +514,17 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 			}
 		}
 		for _, p := range targets {
+			var err error
 			if p.row == nil {
-				t.deleteRow(p.id, wtx)
+				err = t.deleteRow(p.id, wtx)
 			} else {
-				t.updateRow(p.id, p.row, qc, wtx)
+				err = t.updateRow(p.id, p.row, qc, wtx)
 			}
+			if err != nil {
+				return err
+			}
+			n++
 		}
-		n += len(targets)
 		return nil
 	}
 	// Under the writer latch the statement snapshot sees exactly the latest
@@ -571,9 +589,14 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 // application would spuriously reject. Application is then unchecked:
 // transient duplicates mid-application are fine.
 func (t *Table) checkUnique(pend []dmlTarget) error {
-	violation := func(idx *Index, v Value) error {
-		return errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
-			t.Name, t.Columns[idx.Column].Name, v)
+	// check fails when v's current rows, moved by delta, would be more than one.
+	check := func(idx *Index, v Value, delta int) error {
+		held, err := t.liveKeyCount(idx, v)
+		if err == nil && held+delta > 1 {
+			err = errf(ErrConstraint, "sql: UNIQUE constraint failed: %s.%s = %s",
+				t.Name, t.Columns[idx.Column].Name, v)
+		}
+		return err
 	}
 	for _, idx := range t.idxs() {
 		if !idx.Unique {
@@ -581,8 +604,10 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 		}
 		if len(pend) == 1 { // the as-you-go loop's call: no tallies to keep
 			old, v := pend[0].old[idx.Column], pend[0].row[idx.Column]
-			if !v.IsNull() && !v.Equal(old) && t.liveKeyCount(idx, v) > 0 {
-				return violation(idx, v)
+			if !v.IsNull() && !v.Equal(old) {
+				if err := check(idx, v, 1); err != nil {
+					return err
+				}
 			}
 			continue
 		}
@@ -605,8 +630,10 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 		for _, p := range pend {
 			v := p.row[idx.Column]
 			key := indexKey(v)
-			if add := added[key]; add > 0 && t.liveKeyCount(idx, v)-removed[key]+add > 1 {
-				return violation(idx, v)
+			if add := added[key]; add > 0 {
+				if err := check(idx, v, add-removed[key]); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -113,9 +113,8 @@ func cloneTableT(t *testing.T, src *Database) *Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, n := st.loadSlots()
-	for id := 0; id < n; id++ {
-		r := latestRow(arr[id].head.Load())
+	for id := 0; id < int(st.n.Load()); id++ {
+		r := latestRowOf(st, id)
 		if r == nil {
 			continue
 		}

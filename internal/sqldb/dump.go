@@ -46,13 +46,12 @@ func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 	for _, name := range names {
 		t := tables[strings.ToLower(name)]
 		insert := "INSERT INTO " + quoteIdent(t.Name) + " VALUES ("
-		arr, n := t.loadSlots()
-		for id := 0; id < n; id++ {
-			head := arr[id].head.Load()
-			if head == nil {
-				continue
+		sealed, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, written out and dropped
+		for id, n := 0, int(t.n.Load()); id < n; id++ {
+			row, err := t.visibleRow(id, snap, &sealed, &seek)
+			if err != nil {
+				return err
 			}
-			row := visibleVersion(head, snap)
 			if row == nil {
 				continue
 			}

@@ -65,6 +65,10 @@ const (
 	// caller lent the statement (FuncSet). The wrapped cause is its error, so
 	// errors.Is still finds a context-length overflow or a cancellation.
 	ErrExternal ErrorCode = "external_routine"
+	// ErrCorrupt marks stored data that does not decode: a sealed block —
+	// the only copy of its rows — whose bytes are damaged. The statement
+	// fails; the database and the session stay up.
+	ErrCorrupt ErrorCode = "data_corrupted"
 )
 
 // sqlStates maps every classified ErrorCode to the SQLSTATE the wire
@@ -90,6 +94,7 @@ var sqlStates = map[ErrorCode]string{
 	ErrInternal:   "XX000", // internal_error
 	ErrIO:         "58030", // io_error
 	ErrExternal:   "38000", // external_routine_exception
+	ErrCorrupt:    "XX001", // data_corrupted
 }
 
 // SQLState returns the five-character SQLSTATE the wire protocol reports

@@ -61,27 +61,35 @@ func (a *slab[T]) take(n int) []T {
 	return r
 }
 
-// rowArena is where joins, projections and aggregations build their output
-// rows: fresh slab storage for a consumer that keeps them, one reused buffer
-// once the planner has found that it drops them (lendRows, stream.go).
+// rowArena is where operators build their output rows, and where scans
+// decode sealed ones: fresh slab storage for a consumer that keeps them; one
+// reused buffer once the planner has found that it drops them (lendRows,
+// stream.go); or, scoped, one buffer rows are carved from until the owner
+// rewinds it (used = 0) — a probe's matches, a batch's rows.
 type rowArena struct {
 	slab[Value]
-	reuse bool
+	reuse, scoped bool
+	used          int32
 }
 
 func (a *rowArena) alloc(n int) Row {
 	switch {
 	case n == 0:
 		return Row{}
-	case !a.reuse:
+	case !a.reuse && !a.scoped:
 		if a.size == 0 {
 			a.size = 2 * n // the first block holds four rows
 		}
 		return a.take(n)
-	case len(a.buf) < n:
-		a.buf = make([]Value, n)
+	case !a.scoped:
+		a.used = 0
 	}
-	return a.buf[:n:n]
+	at := int(a.used)
+	if len(a.buf) < at+n { // rows carved before keep the old buffer
+		a.buf, at = make([]Value, max(2*len(a.buf), n)), 0
+	}
+	a.used = int32(at + n)
+	return a.buf[at : at+n : at+n]
 }
 
 // ---------------------------------------------------------------------------
@@ -102,12 +110,14 @@ type scanOp struct {
 	cols  []colInfo
 	indexAccess
 	scanTally
+	dec    *vecBatch // sealed rows: a full scan's block, an id's row
 	pos    int
 	id     int // slot of the row last returned
 	snap   *snapshot
 	arr    []*rowSlot
 	n      int
 	inited bool
+	lent   bool // the consumer drops rows (lendRows): sealed ones are not copied out
 }
 
 func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
@@ -132,7 +142,9 @@ func (s *scanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		s.open(s.table, s.snap, &s.scanTally)
+		if err := s.open(s.table, s.snap, &s.scanTally); err != nil {
+			return nil, false, err
+		}
 		if s.arr, s.n = s.table.loadSlots(); s.ids != nil {
 			s.n = len(s.ids)
 		}
@@ -146,20 +158,61 @@ func (s *scanOp) next() (Row, bool, error) {
 			s.id = s.ids[s.pos]
 		}
 		s.pos++
-		head := s.arr[s.id].head.Load()
-		if head == nil && s.ids == nil {
+		head, blk := s.table.resolve(s.arr[s.id], s.id)
+		var r Row
+		switch {
+		case blk != nil:
+			var err error
+			if r, err = s.sealedRow(blk); err != nil {
+				return nil, false, err
+			}
+		case head == nil && s.ids == nil:
 			continue // vacuumed-away slot: no versions at all
-		}
-		// An index id naming a vacuumed slot is a stale entry: a tombstone.
-		r := visible(head, s.snap)
-		if r == nil {
-			s.account(scanCounts{tombs: 1})
-			continue
+		default:
+			// An index id naming a vacuumed slot is a stale entry: a tombstone.
+			if r = visible(head, s.snap); r == nil {
+				s.account(scanCounts{tombs: 1})
+				continue
+			}
 		}
 		s.account(scanCounts{scanned: 1})
 		return r, true, nil
 	}
+	if s.dec != nil {
+		batchPool.Put(s.dec)
+		s.dec = nil
+	}
 	return nil, false, nil
+}
+
+// sealedRow reads the row of sealed slot s.id off its block — a full scan
+// decodes each block whole, once; an id list decodes each row alone — into a
+// pooled batch: a consumer that drops rows reads it there, one that keeps
+// them gets a copy from the batch's slab.
+func (s *scanOp) sealedRow(blk *segBlock) (Row, error) {
+	width := len(s.table.Columns)
+	if s.dec == nil {
+		s.dec = getBatch(width)
+	}
+	var r Row
+	if s.ids == nil {
+		if s.dec.blk != blk {
+			if err := s.dec.fillSealed(blk, nil, true); err != nil {
+				return nil, err
+			}
+		}
+		r = s.dec.rows[blk.pos(s.id)]
+	} else {
+		s.dec.arena.used = 0
+		r = s.dec.arena.alloc(width)
+		if err := blk.row(s.id, r, &s.dec.seek); err != nil {
+			return nil, err
+		}
+	}
+	if !s.lent {
+		r = append(s.dec.keep.alloc(width)[:0], r...)
+	}
+	return r, nil
 }
 
 // valuesOp replays pre-materialised rows (derived tables, join builds).
@@ -203,6 +256,7 @@ type corrProbeScanOp struct {
 	keyE   Expr         // retained for EXPLAIN
 	idx    *Index       // the column's equality index, or the statement's own, which has no name
 	scanTally
+	arena rowArena // sealed rows
 
 	snap   *snapshot
 	ids    []int
@@ -228,9 +282,12 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 			// No index covers the column: file the rows the statement's
 			// snapshot sees in one of the statement's own — once.
 			s.idx = newIndex("", s.column, false)
+			var seek blockSeek
 			for id, n := 0, int(s.table.n.Load()); id < n; id++ {
-				if r := s.table.visibleRow(id, s.snap); r != nil {
-					s.idx.addEntry(r[s.column], id)
+				if v, ok, err := s.table.visibleValue(id, s.snap, s.column, &seek); err != nil {
+					return nil, false, err
+				} else if ok {
+					s.idx.addEntry(v, id)
 				}
 			}
 		}
@@ -241,7 +298,9 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 		s.ids = s.ids[:0]
 		if !k.IsNull() { // col = NULL is never true
 			// Either index lists by hash class, a real one old versions too.
-			s.ids = visibleEqIDs(s.ids, s.table, s.idx, k, s.snap)
+			if s.ids, err = visibleEqIDs(s.ids, s.table, s.idx, k, s.snap); err != nil {
+				return nil, false, err
+			}
 		}
 		s.idsSet = true
 		if s.firstOpen() {
@@ -254,7 +313,10 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 	for s.pos < len(s.ids) {
 		id := s.ids[s.pos]
 		s.pos++
-		r := s.table.visibleRow(id, s.snap)
+		r, err := s.table.visibleRow(id, s.snap, &s.arena, nil)
+		if err != nil {
+			return nil, false, err
+		}
 		if r == nil {
 			continue // cannot happen for same-snapshot ids; defensive
 		}
@@ -402,7 +464,7 @@ type probeJoinCore struct {
 
 	// lookup records the matches for a non-NULL probe key and returns
 	// their count; matchRow returns the i-th match of the latest lookup.
-	lookup   func(k Value) int
+	lookup   func(k Value) (int, error)
 	matchRow func(i int) Row
 
 	cur      Row // current probe row
@@ -460,7 +522,9 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 			}
 			c.matches = 0
 			if !k.IsNull() { // NULL keys never join
-				c.matches = c.lookup(k)
+				if c.matches, err = c.lookup(k); err != nil {
+					return nil, false, err
+				}
 			}
 		}
 		for c.matchPos < c.matches {
@@ -534,12 +598,12 @@ func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
 		keyIndex:    make(map[Value]int),
 	}
 	h.matchRow = func(i int) Row { return h.curBucket[i] }
-	h.lookup = func(k Value) int {
+	h.lookup = func(k Value) (int, error) {
 		h.curBucket = nil
 		if i, ok := h.keyIndex[indexKey(k)]; ok {
 			h.curBucket = h.buckets[i]
 		}
-		return len(h.curBucket)
+		return len(h.curBucket), nil
 	}
 	// Build phase: hash the build rows, on the statement's own goroutine.
 	buildEnv := newEvalEnv(buildCols, db, params, outer, qc)
@@ -580,6 +644,7 @@ type indexJoinOp struct {
 	idxKeyE   Expr // retained for EXPLAIN
 	residualE Expr // retained for EXPLAIN
 	curRows   []Row
+	matches   rowArena // scoped: the sealed rows of the latest lookup
 }
 
 func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
@@ -593,26 +658,32 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 		probeKeyE: probeKeyE,
 		idxKeyE:   idxKeyE,
 		residualE: residual,
+		matches:   rowArena{scoped: true},
 	}
 	// Per-probe: copy the key's hash class under the index latch (into ids,
 	// which every probe reuses), then filter it against the statement
 	// snapshot and the key (the class is a superset — superseded versions
-	// linger until vacuum, a colliding key shares it).
+	// linger until vacuum, a colliding key shares it). Sealed matches are
+	// decoded into one buffer every probe reuses.
 	var ids []int
-	j.lookup = func(k Value) int {
+	j.lookup = func(k Value) (int, error) {
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
-		j.curRows = j.curRows[:0]
+		j.curRows, j.matches.used = j.curRows[:0], 0
 		ids = j.idx.appendIDs(ids[:0], k)
 		key := indexKey(k)
 		for _, id := range ids {
-			if r := j.table.visibleRow(id, snap); r != nil && indexKey(r[j.idx.Column]) == key {
+			r, err := j.table.visibleRow(id, snap, &j.matches, nil)
+			if err != nil {
+				return 0, err
+			}
+			if r != nil && indexKey(r[j.idx.Column]) == key {
 				j.curRows = append(j.curRows, r)
 			}
 		}
-		return len(j.curRows)
+		return len(j.curRows), nil
 	}
 	j.matchRow = func(i int) Row { return j.curRows[i] }
 	return j, j.initProbeJoin(probe, idxCols, probeIsLeft, leftOuter, probeKeyE, residual, db, params, outer, qc)
@@ -631,7 +702,7 @@ type nestedLoopJoinOp struct {
 func newNestedLoopJoinOp(left operator, rightCols []colInfo, rightRows []Row,
 	on Expr, leftOuter bool, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*nestedLoopJoinOp, error) {
 	n := &nestedLoopJoinOp{rightRows: rightRows, on: on}
-	n.lookup = func(Value) int { return len(n.rightRows) }
+	n.lookup = func(Value) (int, error) { return len(n.rightRows), nil }
 	n.matchRow = func(i int) Row { return n.rightRows[i] }
 	// The probe key is a constant: no row has a NULL one.
 	return n, n.initProbeJoin(left, rightCols, true, leftOuter, &Literal{Val: Int(1)}, on, db, params, outer, qc)
@@ -914,7 +985,9 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			if qc != nil {
 				snap = qc.snap
 			}
-			sc.indexAccess, cs = chooseIndexAccess(sc.table, sc.qual, cs, params, snap)
+			if sc.indexAccess, cs, err = chooseIndexAccess(sc.table, sc.qual, cs, params, snap); err != nil {
+				return nil, nil, err
+			}
 		}
 		if rest := joinConjuncts(cs); rest != nil {
 			f, err := newFilterOp(inputs[i], rest, db, params, outer, qc)
@@ -1224,7 +1297,7 @@ type indexAccess struct {
 // key encoding and the ordered view follow Value.Compare, which is what
 // the filter evaluates, so `id = '5'` over an INTEGER column finds what
 // the unindexed filter finds — nothing.
-func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, snap *snapshot) (indexAccess, []Expr) {
+func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, snap *snapshot) (indexAccess, []Expr, error) {
 	for i, c := range conjuncts {
 		b, ok := c.(*BinaryOp)
 		if !ok || b.Op != "=" {
@@ -1242,11 +1315,12 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 		// wrongly return the NULL-valued rows (the conjunct is removed from
 		// the filter). Found by the NoREC metamorphic property: the
 		// filtered count must match the per-row count.
-		ids := []int{}
+		acc := indexAccess{ids: []int{}}
+		var err error
 		if !v.IsNull() {
-			ids = visibleEqIDs(ids, t, idx, v, snap)
+			acc.ids, err = visibleEqIDs(acc.ids, t, idx, v, snap)
 		}
-		return indexAccess{ids: ids}, append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+		return acc, append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...), err
 	}
 
 	// Range: the first indexed column with a range conjunct absorbs every
@@ -1260,7 +1334,7 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 		if col, cs, null, ok := rangeConjunct(c, params); ok {
 			idx := indexFor(t, qual, col)
 			if idx != nil && null {
-				return indexAccess{ids: []int{}}, conjuncts
+				return indexAccess{ids: []int{}}, conjuncts, nil
 			}
 			if idx != nil && (acc.rangeIdx == nil || idx == acc.rangeIdx) {
 				acc.rangeIdx = idx
@@ -1271,16 +1345,19 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 		}
 		rest = append(rest, c)
 	}
-	return acc, rest
+	return acc, rest, nil
 }
 
 // open readies the access for iteration — a range restriction
 // materialises its ids — and bills the leaf, once, with the path taken
 // and the entries the range walk stepped over.
-func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) {
+func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) error {
 	if a.rangeIdx != nil && a.ids == nil {
-		var skipped uint64
-		a.ids, skipped = collectRangeIDs(t, a.rangeIdx, a.spec, snap)
+		ids, skipped, err := collectRangeIDs(t, a.rangeIdx, a.spec, snap)
+		if err != nil {
+			return err
+		}
+		a.ids = ids
 		leaf.account(scanCounts{tombs: skipped})
 	}
 	if qc := leaf.qc; qc != nil {
@@ -1293,6 +1370,7 @@ func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) {
 			qc.FullScans++
 		}
 	}
+	return nil
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape

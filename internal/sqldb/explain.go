@@ -166,7 +166,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if analyzed {
 			p.extra += fmt.Sprintf(" batches=%d", t.cnt.batches)
 			if t.cnt.decoded > 0 {
-				p.extra += fmt.Sprintf(" segments=%d decoded_blocks=%d", len(t.src.segs), t.cnt.decoded)
+				p.extra += fmt.Sprintf(" decoded_blocks=%d", t.cnt.decoded)
 			}
 		}
 		var sites []*batchSite

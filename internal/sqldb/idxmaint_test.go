@@ -22,8 +22,12 @@ import (
 // viewEntries flattens the ordered view of an index of t (building it if
 // needed).
 func viewEntries(t *Table, idx *Index) []*ordEntry {
+	v, err := idx.orderedView(t)
+	if err != nil {
+		panic(err)
+	}
 	var out []*ordEntry
-	for _, chunk := range idx.orderedView(t) {
+	for _, chunk := range v {
 		out = append(out, chunk...)
 	}
 	return out
@@ -47,7 +51,7 @@ func checkIndexesExact(db *Database, name string) error {
 	for col, idx := range t.idxs() {
 		want := make(map[string][]int)      // by value, for the view
 		wantClass := make(map[uint32][]int) // by hash class, for the postings
-		t.reachable(idx.Column, func(v Value, id int) {
+		if err := t.reachable(idx.Column, func(v Value, id int) {
 			k, h := v.Key(), hashKey(indexKey(v))
 			if ids := want[k]; len(ids) == 0 || ids[len(ids)-1] != id {
 				want[k] = append(ids, id)
@@ -55,7 +59,9 @@ func checkIndexesExact(db *Database, name string) error {
 			if ids := wantClass[h]; len(ids) == 0 || ids[len(ids)-1] != id {
 				wantClass[h] = append(ids, id)
 			}
-		})
+		}); err != nil {
+			return err
+		}
 		idx.mu.Lock()
 		got := make(map[uint32][]int, len(idx.first))
 		var malformed error

@@ -151,21 +151,23 @@ var debugBreakOrdMaintain bool
 // it out, and both wait for the latch — whatever the walk saw of a change in
 // flight, the call that follows adds a pair already present or removes one
 // already absent, which ordAdd and ordRemove take as no-ops.
-func (idx *Index) orderedView(t *Table) ordView {
+func (idx *Index) orderedView(t *Table) (ordView, error) {
 	if vp := idx.ord.Load(); vp != nil {
-		return *vp
+		return *vp, nil
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	if vp := idx.ord.Load(); vp != nil {
-		return *vp
+		return *vp, nil
 	}
 	type pair struct {
 		key Value
 		id  int
 	}
 	pairs := make([]pair, 0, t.n.Load())
-	t.reachable(idx.Column, func(v Value, id int) { pairs = append(pairs, pair{indexKey(v), id}) })
+	if err := t.reachable(idx.Column, func(v Value, id int) { pairs = append(pairs, pair{indexKey(v), id}) }); err != nil {
+		return nil, err
+	}
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(a.key.Compare(b.key), a.id-b.id) })
 	// An entry per run of a key, their id lists cut from one array
 	// (maintenance replaces a list, never writes into one).
@@ -182,7 +184,7 @@ func (idx *Index) orderedView(t *Table) ordView {
 	}
 	v := ordView(slices.Collect(slices.Chunk(entries, ordChunkCap)))
 	idx.ord.Store(&v)
-	return v
+	return v, nil
 }
 
 // ordAdd maintains a live ordered view for one added (id, value) pair:
@@ -337,17 +339,25 @@ func (v ordView) rangeEnd(hi *rangeBound) ordCursor {
 // exactly as a filtered full scan would (the property plan-equivalence
 // tests rely on this under LIMIT truncation). Ids whose visible version
 // no longer carries the entry's value — superset leftovers, deleted or
-// not-yet-visible rows — are skipped and counted in the second return.
-// Always returns a non-nil slice.
-func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]int, uint64) {
-	v := idx.orderedView(t)
+// not-yet-visible rows — are skipped and counted in the second return. A
+// sealed row's value is read off its block alone. Returns a non-nil slice
+// unless it fails.
+func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]int, uint64, error) {
+	v, err := idx.orderedView(t)
+	if err != nil {
+		return nil, 0, err
+	}
 	ids := make([]int, 0, 16)
 	var skipped uint64
+	var seek blockSeek
 	for c, end := v.rangeStart(spec.lo), v.rangeEnd(spec.hi).pos; c.pos.before(end); c.next() {
 		e := c.entry()
 		for _, id := range e.entryIDs() {
-			r := t.visibleRow(id, snap)
-			if r == nil || !r[idx.Column].Equal(e.val) {
+			kv, ok, err := t.visibleValue(id, snap, idx.Column, &seek)
+			if err != nil {
+				return nil, 0, err
+			}
+			if !ok || !kv.Equal(e.val) {
 				skipped++
 				continue
 			}
@@ -355,24 +365,28 @@ func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]in
 		}
 	}
 	sort.Ints(ids)
-	return ids, skipped
+	return ids, skipped, nil
 }
 
 // entryRows materialises the rows of one ordered-view entry visible to
-// snap (superset recheck applied); the second return counts skipped ids.
-func entryRows(t *Table, col int, e *ordEntry, snap *snapshot) ([]Row, uint64) {
+// snap (superset recheck applied), sealed ones decoded into a; the second
+// return counts skipped ids.
+func entryRows(t *Table, col int, e *ordEntry, snap *snapshot, a *rowArena) ([]Row, uint64, error) {
 	ids := e.entryIDs()
 	rows := make([]Row, 0, len(ids))
 	var skipped uint64
 	for _, id := range ids {
-		r := t.visibleRow(id, snap)
+		r, err := t.visibleRow(id, snap, a, nil)
+		if err != nil {
+			return nil, 0, err
+		}
 		if r == nil || !r[col].Equal(e.val) {
 			skipped++
 			continue
 		}
 		rows = append(rows, r)
 	}
-	return rows, skipped
+	return rows, skipped, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -397,6 +411,7 @@ type ordScanOp struct {
 	spec  rangeSpec
 	desc  bool
 	scanTally
+	arena rowArena // sealed rows
 
 	built  bool
 	snap   *snapshot
@@ -436,7 +451,10 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		if s.qc != nil {
 			s.snap = s.qc.snap
 		}
-		v := s.idx.orderedView(s.table)
+		v, err := s.idx.orderedView(s.table)
+		if err != nil {
+			return nil, false, err
+		}
 		lo, hi := ordCursor{view: v}, v.rangeEnd(nil)
 		if s.spec.bounded() {
 			lo, hi = v.rangeStart(s.spec.lo), v.rangeEnd(s.spec.hi)
@@ -463,7 +481,10 @@ func (s *ordScanOp) next() (Row, bool, error) {
 		for s.ipos < len(s.eids) {
 			id := s.eids[s.ipos]
 			s.ipos++
-			r := s.table.visibleRow(id, s.snap)
+			r, err := s.table.visibleRow(id, s.snap, &s.arena, nil)
+			if err != nil {
+				return nil, false, err
+			}
 			if r == nil || !r[s.idx.Column].Equal(s.eval) {
 				s.account(scanCounts{tombs: 1})
 				continue
@@ -497,8 +518,8 @@ type mergeJoinOp struct {
 	residualE             Expr // retained for EXPLAIN
 	residual              compiledExpr
 	pairEnv               *evalEnv
-	arena                 rowArena
-	scanTally             // rows read off, and ids stepped over on, both ordered views
+	arena                 rowArena // output rows, and the sealed rows of match blocks
+	scanTally                      // rows read off, and ids stepped over on, both ordered views
 
 	built  bool
 	snap   *snapshot
@@ -542,8 +563,15 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 			m.snap = m.qc.snap
 		}
 		// Skip NULL entries: NULL keys never join.
-		m.lc = m.leftIdx.orderedView(m.leftTable).rangeStart(nil)
-		m.rc = m.rightIdx.orderedView(m.rightTable).rangeStart(nil)
+		lv, err := m.leftIdx.orderedView(m.leftTable)
+		if err != nil {
+			return nil, false, err
+		}
+		rv, err := m.rightIdx.orderedView(m.rightTable)
+		if err != nil {
+			return nil, false, err
+		}
+		m.lc, m.rc = lv.rangeStart(nil), rv.rangeStart(nil)
 		m.inBlock = false
 		m.built = true
 		if m.firstOpen() {
@@ -594,8 +622,13 @@ func (m *mergeJoinOp) next() (Row, bool, error) {
 			m.rc.next()
 		default:
 			var lskip, rskip uint64
-			m.lrows, lskip = entryRows(m.leftTable, m.leftIdx.Column, le, m.snap)
-			m.rrows, rskip = entryRows(m.rightTable, m.rightIdx.Column, re, m.snap)
+			var err error
+			if m.lrows, lskip, err = entryRows(m.leftTable, m.leftIdx.Column, le, m.snap, &m.arena); err != nil {
+				return nil, false, err
+			}
+			if m.rrows, rskip, err = entryRows(m.rightTable, m.rightIdx.Column, re, m.snap, &m.arena); err != nil {
+				return nil, false, err
+			}
 			m.lp, m.rp = 0, 0
 			m.inBlock = true
 			m.account(scanCounts{scanned: uint64(len(m.lrows) + len(m.rrows)), tombs: lskip + rskip})

@@ -166,8 +166,10 @@ func (s *parScanOp) reset() {
 // workers inherit the statement's snapshot through the shared source and
 // never take a lock.
 func (s *parScanOp) start() {
+	if s.pendErr = s.scan.open(); s.pendErr != nil {
+		return
+	}
 	s.started = true
-	s.scan.open()
 	s.nMorsels = s.scan.src.batches()
 	s.claim = &atomic.Int64{}
 	s.abort = &atomic.Bool{}
@@ -450,7 +452,9 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 // call — no pool outlives it. Every morsel runs unless one fails or the
 // statement is cancelled.
 func runFold(sc *vecScanOp, step func(*vecScanOp, int) error) ([]*vecScanOp, error) {
-	sc.open()
+	if err := sc.open(); err != nil {
+		return nil, err
+	}
 	qc := sc.qc
 	nMorsels := sc.src.batches()
 	insts := []*vecScanOp{sc}

@@ -76,9 +76,10 @@ func equivPred(r *rand.Rand) string {
 // TestSerialParallelEquivalence is the PR's core property: with the
 // parallel threshold lowered so every eligible statement actually fans
 // out, a pooled database, a serial database, and an unindexed pooled
-// database execute identical interleaved DML and must return row-for-row
-// identical results — same rows, same order — across scans, parallel
-// aggregation, elided orders, and LIMIT truncation.
+// database execute identical interleaved DML — over sealed blocks it
+// rehydrates and seals again — and must return row-for-row identical
+// results — same rows, same order — across scans, parallel aggregation,
+// elided orders, and LIMIT truncation.
 func TestSerialParallelEquivalence(t *testing.T) {
 	lowerMorselMinRows(t, 8)
 	par, ser, plain := equivDBs()
@@ -97,9 +98,23 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		}
 		nextID++
 	}
-	for i := 0; i < 300; i++ {
+	// A sealed block under a heap tail, thinned by a delete that rehydrates
+	// it and sealed again with holes; the interleaved DML rehydrates it, and
+	// the corpus seals whatever went cold again as it goes.
+	for i := 0; i < segBlockSlots+300; i++ {
 		insert()
 	}
+	seal := func() {
+		for _, db := range all {
+			db.Vacuum()
+			db.Seal()
+		}
+	}
+	seal()
+	for _, db := range all {
+		db.MustExec("DELETE FROM m WHERE id < ? AND id % 8 != 0", segBlockSlots)
+	}
+	seal()
 
 	// Sanity: the pooled database must actually plan parallel operators,
 	// or the whole property tests nothing.
@@ -149,6 +164,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				}
 			}
 		}
+		if step%40 == 39 {
+			seal()
+		}
 		pred := equivPred(r)
 		for _, q := range queries(pred, r) {
 			want := queryStrings(t, ser, q)
@@ -164,6 +182,12 @@ func TestSerialParallelEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	for name, db := range map[string]*Database{"parallel": par, "serial": ser, "plain": plain} {
+		if st := db.Stats(); st.SegmentsSealed <= 1 || st.DecodedBlocks == 0 || rehydrations(db) == 0 {
+			t.Errorf("%s: sealed %d blocks, decoded %d and rehydrated %d: the corpus must do all three",
+				name, st.SegmentsSealed, st.DecodedBlocks, rehydrations(db))
 		}
 	}
 	assertNoWorkerLeak(t)

@@ -309,9 +309,8 @@ func refSelect(db *Database, stmt *SelectStmt) ([]Row, error) {
 		keys []Value
 	}
 	var rows []keyed
-	arr, n := tbl.loadSlots()
-	for id := 0; id < n; id++ {
-		r := latestRow(arr[id].head.Load())
+	for id := 0; id < int(tbl.n.Load()); id++ {
+		r := latestRowOf(tbl, id)
 		if r == nil {
 			continue
 		}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"hash/crc32"
 	"path/filepath"
@@ -335,23 +336,21 @@ func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 		if err != nil {
 			return recoveryCorrupt(err.Error())
 		}
-		id, ok := findRowByImage(t, op.row)
-		if !ok {
-			return recoveryCorrupt("no row matches logged DELETE image in " + op.table)
+		id, ok, err := findRowByImage(t, op.row)
+		if err != nil || !ok {
+			return cmp.Or(err, recoveryCorrupt("no row matches logged DELETE image in "+op.table))
 		}
-		t.deleteRow(id, tx)
-		return nil
+		return t.deleteRow(id, tx)
 	case 'U':
 		t, err := db.lookupTable(op.table)
 		if err != nil {
 			return recoveryCorrupt(err.Error())
 		}
-		id, ok := findRowByImage(t, op.row)
-		if !ok {
-			return recoveryCorrupt("no row matches logged UPDATE image in " + op.table)
+		id, ok, err := findRowByImage(t, op.row)
+		if err != nil || !ok {
+			return cmp.Or(err, recoveryCorrupt("no row matches logged UPDATE image in "+op.table))
 		}
-		t.updateRow(id, op.row2, nil, tx)
-		return nil
+		return t.updateRow(id, op.row2, nil, tx)
 	default:
 		return recoveryCorrupt("unknown op kind")
 	}
@@ -389,7 +388,12 @@ func (db *Database) applyRecoveredDDL(sql string, tx *Txn) error {
 // findRowByImage returns the lowest row id whose current row is exactly
 // (kind- and bit-level) equal to img. Under writeMu, so "current" is
 // unambiguous.
-func findRowByImage(t *Table, img Row) (int, bool) {
+func findRowByImage(t *Table, img Row) (int, bool, error) {
+	buf, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, read and dropped
+	match := func(id int) (bool, error) {
+		r, err := t.visibleRow(id, nil, &buf, &seek)
+		return r != nil && rowsExactEqual(r, img), err
+	}
 	// An indexed column can narrow the scan; correctness only needs
 	// ascending ids, which both paths provide.
 	for _, idx := range t.idxs() {
@@ -397,21 +401,18 @@ func findRowByImage(t *Table, img Row) (int, bool) {
 			continue
 		}
 		for _, id := range idx.appendIDs(nil, img[idx.Column]) {
-			r := latestRow(t.head(id))
-			if r != nil && rowsExactEqual(r, img) {
-				return id, true
+			if ok, err := match(id); ok || err != nil {
+				return id, ok, err
 			}
 		}
-		return 0, false
+		return 0, false, nil
 	}
-	arr, n := t.loadSlots()
-	for id := 0; id < n; id++ {
-		r := latestRow(arr[id].head.Load())
-		if r != nil && rowsExactEqual(r, img) {
-			return id, true
+	for id, n := 0, int(t.n.Load()); id < n; id++ {
+		if ok, err := match(id); ok || err != nil {
+			return id, ok, err
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
 // rowsExactEqual compares rows for exact (kind-sensitive, bit-level)

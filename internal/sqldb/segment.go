@@ -1,54 +1,63 @@
 package sqldb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // This file implements the cold half of the hybrid storage layout:
-// immutable compressed column segments sealed off the MVCC row heap.
+// immutable compressed column blocks sealed off the MVCC row heap, each the
+// only copy of its rows.
 //
-// The row heap (catalog.go) stays the hot store and the single source of
-// truth — every version chain, index, DML path and the WAL are untouched.
-// A background sealer freezes *cold* rows — slots whose single committed
-// version lies below the vacuum horizon, i.e. is visible to every current
-// and future snapshot — into column-major blocks of segBlockSlots slots,
-// compressed per column (zigzag-delta varints for ints, byte-aligned XOR
-// for floats, dictionary coding for strings, bitmaps for bools, and a raw
-// fallback for mixed-kind columns). Large scans (source.go) decode a block
-// at a time instead of chasing version pointers; everything else keeps
-// reading the heap.
+// A background sealer freezes *cold* blocks — segBlockSlots consecutive
+// slots, each empty or holding one committed version visible to every
+// current and future snapshot — into column-major blocks compressed per
+// column (zigzag-delta varints for ints, byte-aligned XOR for floats, a
+// dictionary for strings, a bitmap for bools, a raw fallback for mixed
+// kinds). Sealing publishes the block in Table.segs at its morsel number,
+// then stores the one frozen version — visible to every snapshot, no row —
+// in every slot the block covers, and the heap versions become garbage.
 //
-// Because segments are redundant with the heap, correctness never depends
-// on them: DML that touches a covered slot simply drops the covering
-// segment (the "unseal" — the heap already holds the truth) *before* the
-// change is published at tm.finish, so any snapshot that can see the
-// change can no longer observe the stale segment. Slot ids are never
-// reused and appends only land past the sealed range, so a published
-// segment stays bit-identical to what every snapshot sees until it is
-// dropped.
+// Any value of a block is read without decoding the rest (valueAt): the null
+// bitmap is ranked a 64-row word at a time, the delta and XOR streams
+// restart every segRestart values, dictionary codes have a fixed width.
+// Large scans (source.go) decode a block at a time; every other reader
+// starts at resolve: the head, then — if it is frozen — the current block.
+//
+// DML on a sealed slot rehydrates that block (writeMu held): it decodes the
+// block into one slab of versions and one of values, installs them as heads
+// visible to every snapshot, and only then unpublishes the block, before the
+// change publishes. A reader whose frozen head lost its block therefore
+// finds a real head when it reads again — and a block is not sealed anew
+// while a snapshot older than its rehydration lives (touched), so that head
+// is never frozen again under it. The background sealer also leaves alone a
+// block DML wrote since its previous pass: a hot block stays in the heap
+// rather than being rehydrated after every pass. Slot ids are never reused
+// and appends land past the sealed range, so a published block stays what
+// every snapshot sees until it is unpublished.
 
 // segBlockSlots is the number of heap slots one sealed block spans. It
 // equals morselSize so a morsel is always either fully sealed or fully
 // heap-resident.
 const segBlockSlots = morselSize
 
-// segMaxBlocks bounds the blocks per segment so unsealing on DML drops a
-// bounded range.
-const segMaxBlocks = 64
-
 // sealThreshold is the number of newly inserted rows that wakes the
 // background sealer.
 const sealThreshold = 4 * segBlockSlots
+
+// segRestart is how many non-null values of a stream (int, float, raw
+// column) lie between restart points: reading one decodes at most this many.
+const segRestart = 64
 
 // Column encodings. Chosen per (block, column) by the kinds present.
 const (
 	segEncRaw   byte = iota // mixed kinds: appendWalValue stream
 	segEncInt               // all-int: zigzag delta varints
 	segEncFloat             // all-float: byte-aligned XOR vs previous
-	segEncText              // all-text: dictionary + varint indexes
+	segEncText              // all-text: dictionary + fixed-width codes
 	segEncBool              // all-bool: bitmap
 )
 
@@ -61,80 +70,125 @@ const (
 	kmText  = 1 << uint16(KindText)
 )
 
-// segCol is one compressed column of one block: a null bitmap over the
-// block's rows followed by the encoded non-null values.
+// segCol is one compressed column of one block.
 type segCol struct {
 	enc   byte
-	kinds uint16 // mask of kinds present (incl. kmNull), for kernel dispatch
-	data  []byte
+	kinds uint16   // mask of kinds present (incl. kmNull), for kernel dispatch
+	data  []byte   // null bitmap over the rows, then the non-null values (a text column's codes)
+	dict  string   // a text column's entries back to back: a value is a substring
+	rank  []uint16 // non-null values before each 64-row bitmap word, and in all; nil: no NULL
+	offs  []uint32 // a stream's restart points in data; the bounds of each dict entry
 }
 
-// segBlock holds segBlockSlots consecutive heap slots' live rows in slot
-// order. Empty slots contribute nothing (exactly like the heap scan, which
-// passes them silently), and sealability guarantees zero tombstones.
+// segBlock holds segBlockSlots consecutive heap slots' rows in slot order.
+// Empty slots contribute nothing (exactly like the heap scan, which passes
+// them silently), and sealability guarantees zero tombstones.
 type segBlock struct {
 	nrows int
 	cols  []segCol
+	holes *[segBlockSlots / 64]uint64 // the slots that hold no row; nil when none
 }
 
-// segment is a run of consecutive sealed blocks covering slot ids
-// [lo, hi). Immutable once published.
-type segment struct {
-	lo, hi int
-	blocks []*segBlock
+// pos returns where slot id's row sits among the block's rows.
+func (b *segBlock) pos(id int) int {
+	i := id % segBlockSlots
+	if b.holes == nil {
+		return i
+	}
+	p := i - bits.OnesCount64(b.holes[i/64]&(1<<(i%64)-1))
+	for _, w := range b.holes[:i/64] {
+		p -= bits.OnesCount64(w)
+	}
+	return p
 }
 
-// block returns the sealed block covering slot lo (a multiple of
-// segBlockSlots inside [s.lo, s.hi)).
-func (s *segment) block(lo int) *segBlock {
-	return s.blocks[(lo-s.lo)/segBlockSlots]
+// value returns column col of slot id's row.
+func (b *segBlock) value(id, col int, s *blockSeek) (Value, error) {
+	return b.cols[col].valueAt(b.pos(id), b.nrows, s.at(b, col))
 }
 
-// loadSegs returns the table's published segment list (sorted by lo,
-// non-overlapping), or nil.
-func (t *Table) loadSegs() []*segment {
+// row decodes slot id's row into dst.
+func (b *segBlock) row(id int, dst Row, s *blockSeek) (err error) {
+	for c := range b.cols {
+		if dst[c], err = b.value(id, c, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blockSeek is where a reader walking a block's rows in ascending order
+// stands in each column, so that a value after the last one read in the
+// same restart group decodes from there, not from the restart point. The
+// zero value stands nowhere; a nil one always restarts.
+type blockSeek struct {
+	blk *segBlock
+	pos []segPos
+}
+
+// segPos is where value j of a stream column ends in data, and its bits.
+type segPos struct {
+	j, off int
+	prev   uint64
+}
+
+// at returns column c's position in blk, starting afresh in a new block.
+func (s *blockSeek) at(blk *segBlock, c int) *segPos {
+	if s == nil {
+		return nil
+	}
+	if s.blk != blk {
+		s.blk, s.pos = blk, slices.Grow(s.pos[:0], len(blk.cols))[:len(blk.cols)]
+		clear(s.pos)
+	}
+	return &s.pos[c]
+}
+
+func errCorrupt(what string) error {
+	return errf(ErrCorrupt, "sql: sealed block corrupt: %s", what)
+}
+
+// frozen is the head of every slot a published block covers: visible to
+// every snapshot (xmin 0 precedes them all), never deleted or superseded,
+// and rowless — the row is in the block.
+var frozen = &rowVersion{}
+
+// blocks returns the table's sealed blocks by morsel (nil: in the heap).
+func (t *Table) blocks() []*segBlock {
 	if p := t.segs.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// findSeg returns the segment covering slot id, or nil.
-func findSeg(segs []*segment, id int) *segment {
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].hi > id })
-	if i < len(segs) && segs[i].lo <= id {
-		return segs[i]
+// block returns the published block of morsel m, or nil.
+func (t *Table) block(m int) *segBlock {
+	if segs := t.blocks(); m < len(segs) {
+		return segs[m]
 	}
 	return nil
 }
 
-// dropSegFor unseals the segment covering slot id, if any: the covering
-// segment is removed copy-on-write (writeMu held — DML is the only
-// caller) and readers atomically stop seeing it. The heap never stopped
-// holding the rows, so no data moves.
-func (t *Table) dropSegFor(id int) {
-	segs := t.loadSegs()
-	if segs == nil {
-		return
+// resolve is where every reader of a slot starts: the head and, when it is
+// frozen, the block holding the row. A frozen head whose block is gone was
+// rehydrated after it was read, so the head read again is real; a slot no
+// reader can place resolves to no version at all.
+func (t *Table) resolve(slot *rowSlot, id int) (*rowVersion, *segBlock) {
+	head := slot.head.Load()
+	if head != frozen {
+		return head, nil
 	}
-	s := findSeg(segs, id)
-	if s == nil {
-		return
+	if blk := t.block(id / segBlockSlots); blk != nil {
+		return head, blk
 	}
-	kept := make([]*segment, 0, len(segs)-1)
-	for _, o := range segs {
-		if o != s {
-			kept = append(kept, o)
-		}
+	if head = slot.head.Load(); head == frozen {
+		return nil, nil
 	}
-	t.segs.Store(&kept)
-	for _, b := range s.blocks {
-		t.sealedRows.Add(-int64(b.nrows))
-	}
+	return head, nil
 }
 
 // ---------------------------------------------------------------------------
-// Sealing
+// Sealing and rehydration
 
 // maybeSeal wakes the background sealer when enough rows have been
 // inserted since the last pass. Single-flight, like maybeVacuum.
@@ -149,92 +203,83 @@ func (db *Database) maybeSeal() {
 	go func() {
 		defer db.vacWG.Done()
 		defer db.sealing.Store(false)
-		db.seal()
+		db.seal(true)
 	}()
 }
 
-// Seal synchronously freezes every currently cold full block into
-// compressed column segments and returns how many rows were newly sealed.
+// Seal synchronously freezes every currently cold full block into a
+// compressed column block and returns how many rows were newly sealed.
 // The background sealer runs the same pass; this entry point exists for
 // tests, benchmarks, and embedders that want deterministic sealing.
 func (db *Database) Seal() int {
-	return db.seal()
+	return db.seal(false)
 }
 
 // seal runs one sealing pass over every table under the single-writer
-// latch (writers pause; lock-free readers do not).
-func (db *Database) seal() int {
+// latch (writers pause; lock-free readers do not); a background pass skips
+// the blocks written since the previous one.
+func (db *Database) seal(background bool) int {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.sealDebt.Store(0)
 	h := db.tm.horizon()
-	rows, nsegs := 0, 0
+	since := h
+	if background {
+		since, db.sealH = min(h, db.sealH), h
+	}
+	rows, nblk := 0, 0
 	for _, t := range db.tableMap() {
-		r, s := t.seal(h)
-		rows, nsegs = rows+r, nsegs+s
+		r, b := t.seal(h, since)
+		rows, nblk = rows+r, nblk+b
 	}
-	if nsegs > 0 {
-		db.stats.segmentsSealed.Add(uint64(nsegs))
-	}
+	db.stats.segmentsSealed.Add(uint64(nblk))
 	return rows
 }
 
-// seal freezes this table's cold full blocks. A block is sealable when
-// every slot in its range either holds no versions at all or holds exactly
-// one committed version with no deleter and xmin below the horizon — such
-// a block reads identically for every current and future snapshot, with
-// zero tombstones, until DML drops it. Only full blocks are sealed:
-// appends land past n, so a full block's slot population is final.
-// Returns (rows sealed, segments created).
-func (t *Table) seal(h uint64) (int, int) {
+// seal freezes this table's cold full blocks — none written at or after
+// since — publishing the new blocks first and freezing their slots after.
+// Only full blocks are sealed: appends land past n, so a full block's slot
+// population is final. Returns (rows sealed, blocks sealed).
+func (t *Table) seal(h, since uint64) (int, int) {
 	arr, n := t.loadSlots()
-	nb := n / segBlockSlots
-	if nb == 0 {
+	old := t.blocks()
+	segs := make([]*segBlock, n/segBlockSlots)
+	copy(segs, old)
+	rows, nblk := 0, 0
+	for m := range segs {
+		if segs[m] == nil && (m >= len(t.touched) || t.touched[m] == 0 || t.touched[m] < since) {
+			if segs[m] = sealBlock(arr, m*segBlockSlots, len(t.Columns), h); segs[m] != nil {
+				rows, nblk = rows+segs[m].nrows, nblk+1
+			}
+		}
+	}
+	if nblk == 0 {
 		return 0, 0
 	}
-	old := t.loadSegs()
-	var created []*segment
-	var cur *segment
-	rows := 0
-	for b := 0; b < nb; b++ {
-		lo := b * segBlockSlots
-		if findSeg(old, lo) != nil {
-			cur = nil
-			continue
+	t.segs.Store(&segs)
+	for m, blk := range segs {
+		if blk != nil && (m >= len(old) || old[m] == nil) {
+			for _, slot := range arr[m*segBlockSlots : (m+1)*segBlockSlots] {
+				if slot.head.Load() != nil {
+					slot.head.Store(frozen)
+				}
+			}
 		}
-		blk := sealBlock(arr, lo, len(t.Columns), h)
-		if blk == nil {
-			cur = nil
-			continue
-		}
-		if cur == nil || len(cur.blocks) >= segMaxBlocks {
-			cur = &segment{lo: lo, hi: lo}
-			created = append(created, cur)
-		}
-		cur.blocks = append(cur.blocks, blk)
-		cur.hi = lo + segBlockSlots
-		rows += blk.nrows
 	}
-	if len(created) == 0 {
-		return 0, 0
-	}
-	merged := make([]*segment, 0, len(old)+len(created))
-	merged = append(merged, old...)
-	merged = append(merged, created...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].lo < merged[j].lo })
-	t.segs.Store(&merged)
-	t.sealedRows.Add(int64(rows))
-	return rows, len(created)
+	return rows, nblk
 }
 
-// sealBlock encodes the live rows of slots [lo, lo+segBlockSlots), or
-// returns nil when the block is not sealable.
+// sealBlock encodes the rows of slots [lo, lo+segBlockSlots), or returns nil
+// when one holds a version that is not committed below the horizon, alone
+// and undeleted.
 func sealBlock(arr []*rowSlot, lo, width int, h uint64) *segBlock {
 	rows := make([]Row, 0, segBlockSlots)
+	var holes [segBlockSlots / 64]uint64
 	for id := lo; id < lo+segBlockSlots; id++ {
 		head := arr[id].head.Load()
 		if head == nil {
-			continue // permanently empty slot
+			holes[(id-lo)/64] |= 1 << ((id - lo) % 64) // permanently empty slot
+			continue
 		}
 		if head.next.Load() != nil || head.xmax.Load() != 0 || head.xmin >= h || head.row == nil {
 			return nil
@@ -242,6 +287,9 @@ func sealBlock(arr []*rowSlot, lo, width int, h uint64) *segBlock {
 		rows = append(rows, head.row)
 	}
 	blk := &segBlock{nrows: len(rows), cols: make([]segCol, width)}
+	if len(rows) < segBlockSlots {
+		blk.holes = &holes
+	}
 	vals := make([]Value, len(rows))
 	for c := 0; c < width; c++ {
 		for i, r := range rows {
@@ -252,104 +300,143 @@ func sealBlock(arr []*rowSlot, lo, width int, h uint64) *segBlock {
 	return blk
 }
 
-// sealColumn picks the tightest encoding the column's kinds allow and
-// encodes: null bitmap first, then the non-null values.
-func sealColumn(vals []Value) segCol {
-	n := len(vals)
-	var kinds uint16
-	for _, v := range vals {
-		kinds |= 1 << uint16(v.kind)
+// thaw returns slot id's head for a change (writeMu held): the slot's block
+// is stamped written by tx and, when it is sealed, rehydrated first — under
+// a transaction id of its own, which every earlier snapshot precedes.
+func (t *Table) thaw(id int, tx *Txn) (*rowVersion, error) {
+	m := id / segBlockSlots
+	if len(t.touched) <= m {
+		t.touched = append(t.touched, make([]uint64, m+1-len(t.touched))...)
 	}
-	data := make([]byte, (n+7)/8)
+	if t.touched[m] = max(t.touched[m], tx.xid); t.head(id) == frozen {
+		t.touched[m] = tx.db.tm.begin()
+		tx.db.tm.finish(t.touched[m])
+		if err := t.rehydrate(m); err != nil {
+			return nil, err
+		}
+	}
+	return t.head(id), nil
+}
+
+// rehydrate turns block m back into heap versions (writeMu held): one slab
+// of versions, visible to every snapshot, and one of values (TEXT values
+// stay substrings of the dictionary) become the heads of the block's slots,
+// and only then is the block unpublished.
+func (t *Table) rehydrate(m int) error {
+	blk, w := t.block(m), len(t.Columns)
+	b := getBatch(w)
+	defer batchPool.Put(b)
+	if err := b.fillSealed(blk, nil, false); err != nil {
+		return err
+	}
+	vals, vers := make([]Value, blk.nrows*w), make([]rowVersion, blk.nrows)
+	arr, _ := t.loadSlots()
+	j := 0
+	for _, slot := range arr[m*segBlockSlots : (m+1)*segBlockSlots] {
+		if slot.head.Load() == nil {
+			continue
+		}
+		vers[j].row = vals[j*w : (j+1)*w : (j+1)*w]
+		for c := range vers[j].row {
+			vers[j].row[c] = b.cols[c].vals[j]
+		}
+		slot.head.Store(&vers[j])
+		j++
+	}
+	segs := slices.Clone(t.blocks())
+	segs[m] = nil
+	t.segs.Store(&segs)
+	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Encoding
+
+// sealColumn picks the tightest encoding the column's kinds allow and
+// encodes: null bitmap first, then the non-null values — with the rank and
+// offset tables that make each one addressable.
+func sealColumn(vals []Value) segCol {
+	n, c := len(vals), segCol{enc: segEncRaw}
+	for _, v := range vals {
+		c.kinds |= 1 << uint16(v.kind)
+	}
+	c.data = make([]byte, (n+7)/8)
+	if c.kinds&kmNull != 0 {
+		c.rank = make([]uint16, 1, (n+63)/64+1)
+	}
 	nonNull := 0
 	for i, v := range vals {
 		if v.kind == KindNull {
-			data[i/8] |= 1 << (i % 8)
+			c.data[i/8] |= 1 << (i % 8)
 		} else {
 			nonNull++
 		}
-	}
-	enc := segEncRaw
-	if nonNull > 0 {
-		switch kinds &^ kmNull {
-		case kmInt:
-			enc = segEncInt
-		case kmFloat:
-			enc = segEncFloat
-		case kmText:
-			enc = segEncText
-		case kmBool:
-			enc = segEncBool
+		if c.rank != nil && (i%64 == 63 || i == n-1) {
+			c.rank = append(c.rank, uint16(nonNull))
 		}
 	}
-	switch enc {
-	case segEncInt:
-		prev := int64(0)
-		for _, v := range vals {
-			if v.kind == KindNull {
-				continue
+	switch c.kinds &^ kmNull {
+	case kmInt:
+		c.enc = segEncInt
+	case kmFloat:
+		c.enc = segEncFloat
+	case kmText:
+		c.enc = segEncText
+	case kmBool:
+		c.enc = segEncBool
+	}
+	var bools, codes []int
+	var dict []byte
+	var index map[string]int // a text column's entries, by value
+	if c.enc == segEncText {
+		index = make(map[string]int)
+	}
+	prev, j := uint64(0), 0
+	for _, v := range vals {
+		switch {
+		case v.kind == KindNull:
+			continue
+		case c.enc == segEncText:
+			di, ok := index[v.s]
+			if !ok {
+				di, index[v.s] = len(c.offs), len(c.offs)
+				c.offs, dict = append(c.offs, uint32(len(dict))), append(dict, v.s...)
 			}
+			codes = append(codes, di)
+			continue
+		case c.enc == segEncBool:
+			bools = append(bools, int(v.n))
+			continue
+		case j%segRestart == 0:
+			c.offs, prev = append(c.offs, uint32(len(c.data))), 0
+		}
+		switch c.enc {
+		case segEncInt:
 			// Delta in mod-2^64 arithmetic, zigzagged: exact for the full
 			// int64 range including wraparound-sized gaps.
-			d := v.n - uint64(prev)
-			data = binary.AppendUvarint(data, zigzag(int64(d)))
-			prev = int64(v.n)
+			c.data = binary.AppendUvarint(c.data, zigzag(int64(v.n-prev)))
+		case segEncFloat:
+			c.data = appendXORFloat(c.data, v.n^prev)
+		default:
+			c.data = appendWalValue(c.data, v)
 		}
-	case segEncFloat:
-		prev := uint64(0)
-		for _, v := range vals {
-			if v.kind == KindNull {
-				continue
+		prev, j = v.n, j+1
+	}
+	if c.enc == segEncText {
+		c.offs, c.dict = append(c.offs, uint32(len(dict))), string(dict)
+		for _, di := range codes {
+			c.data = append(c.data, byte(di))
+			if c.codeWidth() == 2 {
+				c.data = append(c.data, byte(di>>8))
 			}
-			data = appendXORFloat(data, v.n^prev)
-			prev = v.n
-		}
-	case segEncText:
-		dict := make(map[string]int)
-		var order []string
-		idxs := make([]int, 0, nonNull)
-		for _, v := range vals {
-			if v.kind == KindNull {
-				continue
-			}
-			di, ok := dict[v.s]
-			if !ok {
-				di = len(order)
-				dict[v.s] = di
-				order = append(order, v.s)
-			}
-			idxs = append(idxs, di)
-		}
-		data = binary.AppendUvarint(data, uint64(len(order)))
-		for _, s := range order {
-			data = binary.AppendUvarint(data, uint64(len(s)))
-			data = append(data, s...)
-		}
-		for _, di := range idxs {
-			data = binary.AppendUvarint(data, uint64(di))
-		}
-	case segEncBool:
-		bm := make([]byte, (nonNull+7)/8)
-		j := 0
-		for _, v := range vals {
-			if v.kind == KindNull {
-				continue
-			}
-			if v.n != 0 {
-				bm[j/8] |= 1 << (j % 8)
-			}
-			j++
-		}
-		data = append(data, bm...)
-	default:
-		for _, v := range vals {
-			if v.kind == KindNull {
-				continue
-			}
-			data = appendWalValue(data, v)
 		}
 	}
-	return segCol{enc: enc, kinds: kinds, data: data}
+	at := len(c.data)
+	c.data = append(c.data, make([]byte, (len(bools)+7)/8)...)
+	for k, b := range bools {
+		c.data[at+k/8] |= byte(b) << (k % 8)
+	}
+	return c
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -376,118 +463,174 @@ func appendXORFloat(data []byte, x uint64) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding
+// Decoding: bytes that do not decode to exactly the sealed values are
+// ErrCorrupt — the block is the only copy.
+
+// codeWidth is the byte width of a text column's dictionary codes.
+func (c *segCol) codeWidth() int {
+	if len(c.offs) > 257 {
+		return 2
+	}
+	return 1
+}
 
 // decode reconstructs the column's n row values into dst (len >= n),
-// bit-identical to the values sealed. Errors indicate corruption and are
-// impossible for blocks this process sealed; they exist for the fuzz
-// harness, which feeds arbitrary bytes.
-func (c *segCol) decode(n int, dst []Value) error {
-	d := c.data
-	bmLen := (n + 7) / 8
-	if len(d) < bmLen {
-		return errf(ErrInternal, "sql: segment column truncated")
+// bit-identical to the values sealed; a TEXT value is a substring of the
+// dictionary. The non-null values are decoded to the front of dst, then
+// spread over the NULLs from the back.
+func (c *segCol) decode(n int, dst []Value) (err error) {
+	d, bmLen, nn := c.data, (n+7)/8, n
+	if len(d) < bmLen || c.enc > segEncBool || (n%8 != 0 && d[bmLen-1]>>(n%8) != 0) {
+		return errCorrupt("bitmap truncated or encoding unknown")
 	}
-	bm, body := d[:bmLen], d[bmLen:]
-	isNull := func(i int) bool { return bm[i/8]&(1<<(i%8)) != 0 }
+	for _, b := range d[:bmLen] {
+		nn -= bits.OnesCount8(b)
+	}
+	off := bmLen
 	switch c.enc {
-	case segEncInt:
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				dst[i] = Null
-				continue
-			}
-			u, sz := binary.Uvarint(body)
-			if sz <= 0 {
-				return errf(ErrInternal, "sql: segment int column truncated")
-			}
-			body = body[sz:]
-			prev = int64(uint64(prev) + uint64(unzigzag(u)))
-			dst[i] = Int(prev)
+	case segEncText:
+		for j := 0; j < nn && err == nil; j++ {
+			dst[j], err = c.text(bmLen + j*c.codeWidth())
 		}
-	case segEncFloat:
-		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				dst[i] = Null
-				continue
+		off += max(nn, 0) * c.codeWidth()
+	case segEncBool:
+		for j := 0; j < nn && err == nil; j++ {
+			dst[j], err = c.bool(bmLen, j)
+		}
+		off += (max(nn, 0) + 7) / 8
+	default:
+		for lo := 0; lo < nn && off >= 0; lo += segRestart {
+			off, _ = c.steps(off, 0, min(segRestart, nn-lo), dst[lo:])
+		}
+	}
+	if err != nil || nn < 0 || off != len(d) {
+		return cmp.Or(err, errCorrupt("values do not fill the column"))
+	}
+	for i, j := n-1, nn-1; i > j; i-- {
+		if d[i/8]&(1<<(i%8)) != 0 {
+			dst[i] = Null
+		} else {
+			dst[i], j = dst[j], j-1
+		}
+	}
+	return nil
+}
+
+// valueAt returns value i of the column's n without decoding the others:
+// the bitmap word's rank says which non-null value it is, a code or a bool
+// is found at once, a stream decodes from the restart point before it — or
+// from at, the value last read, when that is earlier in the same group.
+func (c *segCol) valueAt(i, n int, at *segPos) (Value, error) {
+	j, null, err := c.locate(i, n)
+	switch {
+	case err != nil || null:
+		return Null, err
+	case c.enc == segEncText:
+		return c.text((n+7)/8 + j*c.codeWidth())
+	case c.enc == segEncBool:
+		return c.bool((n+7)/8, j)
+	case j/segRestart >= len(c.offs):
+		return Null, errCorrupt("no restart point")
+	}
+	k, prev, off := j/segRestart*segRestart, uint64(0), int(c.offs[j/segRestart])
+	if at != nil && at.off > 0 && at.j >= k && at.j < j {
+		k, prev, off = at.j+1, at.prev, at.off
+	}
+	var v [1]Value
+	if off, prev = c.steps(off, prev, j-k+1, v[:]); off < 0 {
+		return Null, errCorrupt("value stream")
+	}
+	if at != nil {
+		*at = segPos{j, off, prev}
+	}
+	return v[0], nil
+}
+
+// locate ranks row i of n: its index among the non-null values, or null.
+// The bitmap word is checked against the rank table, so a bit lost or
+// gained is corruption, not a NULL.
+func (c *segCol) locate(i, n int) (int, bool, error) {
+	bmLen, w := (n+7)/8, i/64
+	if i >= n || len(c.data) < bmLen {
+		return 0, false, errCorrupt("bitmap truncated")
+	}
+	var word uint64
+	for k := 8 * w; k < min(8*w+8, bmLen); k++ {
+		word |= uint64(c.data[k]) << (8 * (k - 8*w))
+	}
+	switch {
+	case c.rank == nil && word == 0:
+		return i, false, nil
+	case c.rank == nil || w+1 >= len(c.rank) || int(c.rank[w+1]-c.rank[w]) != min(64, n-64*w)-bits.OnesCount64(word):
+		return 0, false, errCorrupt("bitmap disagrees with its rank")
+	}
+	below := bits.OnesCount64(word & (1<<(i%64) - 1))
+	return int(c.rank[w]) + i%64 - below, word>>(i%64)&1 != 0, nil
+}
+
+// text reads the dictionary entry the code at data[at:] names.
+func (c *segCol) text(at int) (Value, error) {
+	width := c.codeWidth()
+	if at+width > len(c.data) {
+		return Null, errCorrupt("text codes truncated")
+	}
+	code := int(c.data[at])
+	if width == 2 {
+		code |= int(c.data[at+1]) << 8
+	}
+	if code >= len(c.offs)-1 {
+		return Null, errCorrupt("code outside the dictionary")
+	}
+	return Text(c.dict[c.offs[code]:c.offs[code+1]]), nil
+}
+
+// bool reads bool j of the bitmap at data[at:].
+func (c *segCol) bool(at, j int) (Value, error) {
+	if at+j/8 >= len(c.data) {
+		return Null, errCorrupt("bool column truncated")
+	}
+	return Bool(c.data[at+j/8]&(1<<(j%8)) != 0), nil
+}
+
+// steps decodes count stream values from data[off:], the first following
+// the value whose bits are prev, into dst — value k at dst[min(k,
+// len(dst)-1)], so a one-value dst ends holding the last — and returns the
+// offset past them (negative when the bytes do not decode) and the last
+// one's bits.
+func (c *segCol) steps(off int, prev uint64, count int, dst []Value) (int, uint64) {
+	d, last, enc := c.data, len(dst)-1, c.enc
+	for k := 0; k < count; k++ {
+		if off >= len(d) {
+			return -1, 0
+		}
+		switch enc {
+		case segEncInt:
+			u, sz := binary.Uvarint(d[off:])
+			if sz <= 0 {
+				return -1, 0
 			}
-			if len(body) == 0 {
-				return errf(ErrInternal, "sql: segment float column truncated")
-			}
-			ctl := body[0]
-			body = body[1:]
-			lz, sig := int(ctl>>4), int(ctl&0xF)
-			if lz > 8 || sig > 8 || lz+sig > 8 || len(body) < sig {
-				return errf(ErrInternal, "sql: segment float column corrupt")
+			prev, off = prev+uint64(unzigzag(u)), off+sz
+			dst[min(k, last)] = Int(int64(prev))
+		case segEncFloat:
+			lz, sig := int(d[off]>>4), int(d[off]&0xF)
+			if lz+sig > 8 || off+1+sig > len(d) {
+				return -1, 0
 			}
 			var x uint64
-			for j := 0; j < sig; j++ {
-				x |= uint64(body[j]) << (8 * j)
+			for b, by := range d[off+1 : off+1+sig] {
+				x |= uint64(by) << (8 * b)
 			}
-			body = body[sig:]
 			if sig > 0 {
 				x <<= uint(8-lz-sig) * 8
 			}
-			prev ^= x
-			dst[i] = Float(math.Float64frombits(prev))
-		}
-	case segEncText:
-		nd, sz := binary.Uvarint(body)
-		if sz <= 0 || nd > uint64(len(body)) {
-			return errf(ErrInternal, "sql: segment dictionary corrupt")
-		}
-		body = body[sz:]
-		dictVals := make([]Value, nd)
-		for j := range dictVals {
-			l, sz := binary.Uvarint(body)
-			if sz <= 0 || l > uint64(len(body)-sz) {
-				return errf(ErrInternal, "sql: segment dictionary corrupt")
-			}
-			body = body[sz:]
-			dictVals[j] = Text(string(body[:l]))
-			body = body[l:]
-		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				dst[i] = Null
-				continue
-			}
-			di, sz := binary.Uvarint(body)
-			if sz <= 0 || di >= nd {
-				return errf(ErrInternal, "sql: segment text column corrupt")
-			}
-			body = body[sz:]
-			dst[i] = dictVals[di]
-		}
-	case segEncBool:
-		j := 0
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				dst[i] = Null
-				continue
-			}
-			if j/8 >= len(body) {
-				return errf(ErrInternal, "sql: segment bool column truncated")
-			}
-			dst[i] = Bool(body[j/8]&(1<<(j%8)) != 0)
-			j++
-		}
-	case segEncRaw:
-		dec := walDecoder{b: body}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				dst[i] = Null
-				continue
-			}
-			dst[i] = dec.value()
-			if dec.err != nil {
-				return errf(ErrInternal, "sql: segment raw column corrupt")
+			prev, off = prev^x, off+1+sig
+			dst[min(k, last)] = Float(math.Float64frombits(prev))
+		default:
+			dec := walDecoder{b: d, off: off}
+			if dst[min(k, last)], off = dec.value(), dec.off; dec.err != nil {
+				return -1, 0
 			}
 		}
-	default:
-		return errf(ErrInternal, "sql: unknown segment encoding %d", c.enc)
 	}
-	return nil
+	return off, prev
 }

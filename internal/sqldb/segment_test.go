@@ -2,32 +2,50 @@ package sqldb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// Tests for the compressed column segments (segment.go): per-encoding
-// codec round-trips (including the adversarial int64 extremes the
-// mod-2^64 delta arithmetic exists for), the seal/unseal lifecycle
-// against DML, and the fuzz target that feeds both random column data
-// through seal->decode and arbitrary bytes through decode alone.
+// Tests for the compressed column blocks (segment.go): per-encoding codec
+// round-trips, whole and by random access (including the adversarial int64
+// extremes the mod-2^64 delta arithmetic exists for), the seal / rehydrate
+// lifecycle against DML, and the fuzz target that feeds both random column
+// data through seal->decode and arbitrary bytes through both decoders.
 
-// sealRoundTrip seals one column and decodes it back, asserting exact
-// value equality (bit-exact for floats).
+// sealRoundTrip seals one column and decodes it back, whole and value by
+// value, asserting exact value equality (bit-exact for floats).
 func sealRoundTrip(t *testing.T, vals []Value) {
 	t.Helper()
-	c := sealColumn(vals)
+	if err := roundTrips(sealColumn(vals), vals); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// roundTrips reports the first value c does not give back as vals holds it,
+// through decode or through valueAt — from the restart point, and walking
+// up and down with a seek position.
+func roundTrips(c segCol, vals []Value) error {
 	dst := make([]Value, len(vals))
 	if err := c.decode(len(vals), dst); err != nil {
-		t.Fatalf("decode(enc=%d): %v", c.enc, err)
+		return fmt.Errorf("decode(enc=%d): %v", c.enc, err)
 	}
+	var up, down segPos
 	for i := range vals {
-		if !segValuesEqual(vals[i], dst[i]) {
-			t.Fatalf("enc=%d: value %d round-tripped %v -> %v", c.enc, i, vals[i], dst[i])
+		d := len(vals) - 1 - i
+		v, err := c.valueAt(i, len(vals), nil)
+		vu, erru := c.valueAt(i, len(vals), &up)
+		vd, errd := c.valueAt(d, len(vals), &down)
+		if err = errors.Join(err, erru, errd); err != nil || !segValuesEqual(vals[i], dst[i]) ||
+			!segValuesEqual(vals[i], v) || !segValuesEqual(vals[i], vu) || !segValuesEqual(vals[d], vd) {
+			return fmt.Errorf("enc=%d: value %d round-tripped %v -> %v, at random %v, walking up %v (%v)",
+				c.enc, i, vals[i], dst[i], v, vu, err)
 		}
 	}
+	return nil
 }
 
 // segValuesEqual is kind-and-bits identity, so NaN and negative zero
@@ -129,8 +147,10 @@ func TestSegmentCodecBoolAndRawRoundTrip(t *testing.T) {
 }
 
 // TestSegmentDecodeCorruptionSafe feeds truncations of every encoding's
-// valid stream through decode: each must return a typed error or decode
-// cleanly, never panic — the same contract the fuzz target enforces.
+// valid stream, with and without its rank and offset tables, through both
+// decoders: each must return ErrCorrupt or decode cleanly, never panic — the
+// same contract the fuzz target enforces. A truncation that drops a value is
+// never clean.
 func TestSegmentDecodeCorruptionSafe(t *testing.T) {
 	cols := []segCol{
 		sealColumn([]Value{Int(1), Int(math.MinInt64), Null}),
@@ -141,16 +161,23 @@ func TestSegmentDecodeCorruptionSafe(t *testing.T) {
 	}
 	dst := make([]Value, 3)
 	for _, c := range cols {
-		for cut := 0; cut <= len(c.data); cut++ {
-			trunc := segCol{enc: c.enc, kinds: c.kinds, data: c.data[:cut]}
-			if err := trunc.decode(3, dst); err != nil && CodeOf(err) != ErrInternal {
-				t.Fatalf("enc=%d cut=%d: error %v, want ErrInternal", c.enc, cut, err)
+		for cut := 0; cut < len(c.data); cut++ {
+			for _, trunc := range []segCol{{enc: c.enc, kinds: c.kinds, data: c.data[:cut]}, c} {
+				trunc.data = c.data[:cut]
+				if err := trunc.decode(3, dst); CodeOf(err) != ErrCorrupt {
+					t.Fatalf("enc=%d cut=%d: decode error %v, want ErrCorrupt", c.enc, cut, err)
+				}
+				for i := 0; i < 3; i++ {
+					if _, err := trunc.valueAt(i, 3, nil); err != nil && CodeOf(err) != ErrCorrupt {
+						t.Fatalf("enc=%d cut=%d: valueAt(%d) error %v, want ErrCorrupt", c.enc, cut, i, err)
+					}
+				}
 			}
 		}
 	}
 	bad := segCol{enc: 99, data: make([]byte, 8)}
-	if err := bad.decode(3, dst); CodeOf(err) != ErrInternal {
-		t.Fatalf("unknown encoding error = %v, want ErrInternal", err)
+	if err := bad.decode(3, dst); CodeOf(err) != ErrCorrupt {
+		t.Fatalf("unknown encoding error = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -175,18 +202,54 @@ func sealedTestDB(t testing.TB, blocks int) *Database {
 	return db
 }
 
+// latestRowOf is the tests' own read of slot id's latest committed row, a
+// sealed one decoded off its block: no visibility fault reaches it.
+func latestRowOf(t *Table, id int) Row {
+	head, blk := t.resolve(t.slot(id), id)
+	if blk == nil {
+		return latestRow(head)
+	}
+	r := make(Row, len(t.Columns))
+	if err := blk.row(id, r, nil); err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// sealedBlocks counts the table's published blocks.
+func sealedBlocks(t *Table) int {
+	n := 0
+	for _, blk := range t.blocks() {
+		if blk != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// rehydrations counts the blocks DML turned back into heap versions: every
+// block sealed that is no longer published.
+func rehydrations(db *Database) int {
+	n := int(db.Stats().SegmentsSealed)
+	for _, t := range db.tableMap() {
+		n -= sealedBlocks(t)
+	}
+	return n
+}
+
 // TestSealUnsealDMLInterplay pins the hybrid-storage lifecycle: sealing
-// covers cold full blocks, scans read sealed data identically, DML on a
-// covered slot unseals exactly the covering segment before the change is
-// visible, and a later Seal pass re-freezes the region.
+// covers cold full blocks and leaves their slots frozen, scans read sealed
+// data identically, DML on a covered slot rehydrates exactly the covering
+// block before the change is visible, and a later Seal pass re-freezes the
+// region.
 func TestSealUnsealDMLInterplay(t *testing.T) {
 	db := sealedTestDB(t, 2)
-	if got := db.Stats().SegmentsSealed; got == 0 {
-		t.Fatal("Stats().SegmentsSealed = 0 after Seal")
+	if got := db.Stats().SegmentsSealed; got != 2 {
+		t.Fatalf("Stats().SegmentsSealed = %d after Seal, want 2 blocks", got)
 	}
 	tbl := db.tableMap()["s"]
-	if len(tbl.loadSegs()) == 0 {
-		t.Fatal("no segments published after Seal")
+	if sealedBlocks(tbl) != 2 || tbl.head(5) != frozen {
+		t.Fatal("Seal did not publish both blocks and freeze their slots")
 	}
 
 	before := db.Stats()
@@ -200,9 +263,12 @@ func TestSealUnsealDMLInterplay(t *testing.T) {
 			before.SegmentScans, after.SegmentScans)
 	}
 
-	// DML into block 0 must unseal its covering segment; rows stay served
-	// by the heap, so the update is immediately visible.
+	// DML into block 0 must rehydrate that block and no other; its rows are
+	// served by the heap again, so the update is immediately visible.
 	db.MustExec("UPDATE s SET a = 1000 WHERE id = 10")
+	if sealedBlocks(tbl) != 1 || tbl.block(1) == nil || rehydrations(db) != 1 || tbl.head(5) == frozen {
+		t.Fatal("the UPDATE did not rehydrate exactly block 0")
+	}
 	rows = queryStrings(t, db, "SELECT a FROM s WHERE id = 10")
 	if rows[0][0] != "1000" {
 		t.Fatalf("post-unseal read = %q, want 1000", rows[0][0])
@@ -225,7 +291,8 @@ func TestSealUnsealDMLInterplay(t *testing.T) {
 
 // TestSealSkipsHotBlocks: a block with an uncommitted or multi-version
 // slot must not seal; after vacuum clears the dead version it becomes
-// sealable again.
+// sealable again — to the background sealer once a pass has gone by with
+// no write to it.
 func TestSealSkipsHotBlocks(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE h (id INTEGER, v INTEGER)")
@@ -240,6 +307,17 @@ func TestSealSkipsHotBlocks(t *testing.T) {
 	db.Vacuum()
 	if sealed := db.Seal(); sealed != segBlockSlots {
 		t.Fatalf("Seal() after vacuum sealed %d rows, want %d", sealed, segBlockSlots)
+	}
+	// A background pass leaves a block written since the previous pass in
+	// the heap — a hot block is not rehydrated after every pass — and takes
+	// it once a pass has gone by without a write.
+	db.MustExec("UPDATE h SET v = -2 WHERE id = 7")
+	db.Vacuum()
+	if sealed := db.seal(true); sealed != 0 {
+		t.Fatalf("a background pass sealed %d rows of a block written since the last, want 0", sealed)
+	}
+	if sealed := db.seal(true); sealed != segBlockSlots {
+		t.Fatalf("the next background pass sealed %d rows, want %d", sealed, segBlockSlots)
 	}
 }
 
@@ -275,9 +353,9 @@ func TestSealedSnapshotIsolation(t *testing.T) {
 }
 
 // FuzzSegmentCodec drives the segment codecs from two directions: random
-// column data must round-trip seal->decode bit-exactly, and arbitrary
-// bytes fed straight into every decoder must fail with a typed error or
-// succeed — never panic, never over-read.
+// column data must round-trip seal->decode bit-exactly, whole and value by
+// value, and arbitrary bytes fed straight into every decoder must fail with
+// ErrCorrupt or succeed — never panic, never over-read.
 func FuzzSegmentCodec(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 255}, uint8(0), uint8(4))
 	f.Add([]byte("hello world dictionary"), uint8(3), uint8(8))
@@ -291,8 +369,13 @@ func FuzzSegmentCodec(f *testing.F) {
 		dst := make([]Value, n)
 		for e := byte(0); e <= segEncBool+1; e++ {
 			c := segCol{enc: e, kinds: kmInt | kmNull, data: data}
-			if err := c.decode(n, dst); err != nil && CodeOf(err) != ErrInternal {
-				t.Fatalf("enc=%d: decode error %v, want ErrInternal or nil", e, err)
+			if err := c.decode(n, dst); err != nil && CodeOf(err) != ErrCorrupt {
+				t.Fatalf("enc=%d: decode error %v, want ErrCorrupt or nil", e, err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := c.valueAt(i, n, nil); err != nil && CodeOf(err) != ErrCorrupt {
+					t.Fatalf("enc=%d: valueAt(%d) error %v, want ErrCorrupt or nil", e, i, err)
+				}
 			}
 		}
 
@@ -322,15 +405,115 @@ func FuzzSegmentCodec(f *testing.F) {
 				vals[i] = Int(int64(b)*2654435761 - int64(i)<<40)
 			}
 		}
-		c := sealColumn(vals)
-		got := make([]Value, n)
-		if err := c.decode(n, got); err != nil {
-			t.Fatalf("round-trip decode failed (enc=%d): %v", c.enc, err)
-		}
-		for i := range vals {
-			if !segValuesEqual(vals[i], got[i]) {
-				t.Fatalf("enc=%d: value %d round-tripped %v -> %v", c.enc, i, vals[i], got[i])
-			}
+		if err := roundTrips(sealColumn(vals), vals); err != nil {
+			t.Fatal(err)
 		}
 	})
+}
+
+// TestSealedReadsAllocateNothingPerRow: a read that reaches sealed rows by
+// id — a point read, the index-nested-loop probe of a join, an index range
+// fetch — allocates per statement, never per row it decodes: a point read
+// no more than over heap rows, the 8,192-probe join and the 1,000-row fetch
+// a handful more, and a TEXT block decodes with no string per dictionary
+// entry.
+func TestSealedReadsAllocateNothingPerRow(t *testing.T) {
+	const n = 8 * segBlockSlots
+	heap, sealed := benchDB(t, n, WithMaxWorkers(1)), benchDB(t, n, WithMaxWorkers(1))
+	unsealAll(heap)
+	sealed.vacWG.Wait()
+	sealed.Seal()
+	if got := sealedBlocks(sealed.tableMap()["items"]); got != n/segBlockSlots || sealedBlocks(heap.tableMap()["items"]) != 0 {
+		t.Fatalf("%d items blocks sealed, want %d (and none on the heap side)", got, n/segBlockSlots)
+	}
+	allocs := func(db *Database, q string, args []any) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.Query(q, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, c := range []struct {
+		q     string
+		args  []any
+		slack float64 // allocations a sealed read may add, whatever the rows
+	}{
+		{"SELECT name, price FROM items WHERE id = ?", []any{4321}, 0},
+		{"SELECT cats.label, SUM(items.qty) AS s FROM items JOIN cats ON items.cat_id = cats.id GROUP BY cats.label ORDER BY s DESC, cats.label LIMIT 10", nil, 4},
+		{"SELECT id, name, price FROM items WHERE id BETWEEN ? AND ?", []any{2000, 2999}, 4},
+	} {
+		if lines, err := sealed.Explain(c.q, c.args...); err != nil {
+			t.Fatal(err)
+		} else if plan := strings.Join(lines, "\n"); strings.Contains(c.q, "JOIN") && !strings.Contains(plan, "index nested loop join") {
+			t.Fatalf("%q does not probe an index:\n%s", c.q, plan)
+		}
+		h, s := allocs(heap, c.q, c.args), allocs(sealed, c.q, c.args)
+		t.Logf("%.0f allocations over heap rows, %.0f over sealed ones: %s", h, s, c.q)
+		if raceDetector { // the pooled batches a sealed read decodes into are dropped now and then
+			c.slack += 4
+		}
+		if s > h+c.slack {
+			t.Errorf("%q: %.0f allocations over sealed rows, %.0f over heap rows: more than %.0f added", c.q, s, h, c.slack)
+		}
+	}
+	vals := make([]Value, segBlockSlots)
+	for i := range vals {
+		vals[i] = Text(fmt.Sprintf("entry-%d", i))
+	}
+	col, dst := sealColumn(vals), make([]Value, segBlockSlots)
+	if a := testing.AllocsPerRun(20, func() { _ = col.decode(segBlockSlots, dst) }); a != 0 {
+		t.Errorf("a TEXT block of %d entries decodes with %.0f allocations, want 0", segBlockSlots, a)
+	}
+}
+
+// scribble overwrites every byte of table name's first sealed block with
+// 0xFF: a block damaged in memory, the only copy of its rows.
+func scribble(db *Database, name string) {
+	for _, c := range db.tableMap()[name].block(0).cols {
+		for i := range c.data {
+			c.data[i] = 0xFF
+		}
+	}
+}
+
+// TestCorruptBlockIsAnError: once the block is the only copy of its rows,
+// bytes that do not decode fail the statement with ErrCorrupt on every path
+// that reads a sealed row — the whole-block decode of the batch pipeline
+// and of the row iterator, random access by an index probe, rehydration
+// for DML, the dump — and never read as NULLs or as no rows.
+func TestCorruptBlockIsAnError(t *testing.T) {
+	db := sealedTestDB(t, 2)
+	db.MustExec("CREATE INDEX idx_s_id ON s (id)")
+	scribble(db, "s")
+	for _, c := range []struct {
+		vector bool
+		q      string
+	}{
+		{true, "SELECT COUNT(*), SUM(a) FROM s"},
+		{false, "SELECT COUNT(*), SUM(a) FROM s"},
+		{false, "SELECT a FROM s WHERE id = 5"},
+		{true, "SELECT a FROM s WHERE id BETWEEN 1 AND 9"},
+	} {
+		forceVector(t, c.vector)
+		if _, err := db.Query(c.q); CodeOf(err) != ErrCorrupt || SQLStateFor(err) != "XX001" {
+			t.Errorf("vector=%v %q: error %v, want ErrCorrupt (XX001)", c.vector, c.q, err)
+		}
+	}
+	if _, err := db.Exec("UPDATE s SET a = 1 WHERE id = 5"); CodeOf(err) != ErrCorrupt {
+		t.Errorf("UPDATE of a corrupt row: error %v, want ErrCorrupt", err)
+	}
+	tbl := db.tableMap()["s"]
+	db.writeMu.Lock()
+	err := tbl.rehydrate(0)
+	db.writeMu.Unlock()
+	if CodeOf(err) != ErrCorrupt || tbl.block(0) == nil {
+		t.Errorf("rehydrating a corrupt block: error %v, block still published %v; want ErrCorrupt and the block kept", err, tbl.block(0) != nil)
+	}
+	if err := db.Dump(&strings.Builder{}); CodeOf(err) != ErrCorrupt {
+		t.Errorf("Dump over a corrupt block: error %v, want ErrCorrupt", err)
+	}
+	// The healthy block still answers.
+	if got := queryStrings(t, db, "SELECT a FROM s WHERE id = 1500"); len(got) != 1 || got[0][0] != fmt.Sprint(1500%97) {
+		t.Errorf("a read of the healthy block = %v, want [[%d]]", got, 1500%97)
+	}
 }

@@ -3,13 +3,13 @@ package sqldb
 // This file is the one place large scans read table storage. The
 // 1024-slot morsel — which is also one sealed block and one vector batch —
 // is the unit: a batchSource captures the table, its slot array, the
-// statement snapshot, the published segment list and (for index and range
-// access) the id list once, on the owner goroutine, and load fills batch
-// idx from whichever storage backs those positions. Every consumer — the
-// serial batch pipeline and each pool worker (vecops.go, parallel.go) —
-// calls load on the shared source with a private vecBatch, under no lock.
-// Visibility is decided by the single function below, for these scans and
-// (through Table.visibleRow) for every other snapshot read.
+// statement snapshot, the sealed blocks and (for index and range access)
+// the id list once, on the owner goroutine, and load fills batch idx from
+// whichever storage backs those positions. Every consumer — the serial batch
+// pipeline and each pool worker (vecops.go, parallel.go) — calls load on the
+// shared source with a private vecBatch, under no lock. Visibility is
+// decided by the single function below, for these scans and (through
+// Table.resolve and Table.visibleRow) for every other snapshot read.
 
 // debugDisableTombstoneSkip is a fault-injection switch for the
 // metamorphic/property test layer: scans ignore visibility, so deleted
@@ -44,20 +44,21 @@ type batchSource struct {
 	arr   []*rowSlot
 	n     int
 	snap  *snapshot
-	segs  []*segment // sealed column segments (segment.go); nil = none
+	segs  []*segBlock // the sealed blocks by morsel (segment.go); nil = none
 }
 
 // newBatchSource captures the scan's iteration space. Full scans also
-// capture the published segment list, so a fully sealed morsel decodes its
-// block instead of chasing version pointers — except under the visibility
-// fault, where sealed blocks (which hold live rows only) would hide the
-// deleted rows the fault is meant to expose.
+// capture the sealed blocks, so a sealed morsel decodes its block instead of
+// reading it row by row — except under the visibility fault, where blocks
+// (which hold live rows only) would hide the deleted rows the fault is meant
+// to expose. The snapshot is taken first, so a block captured here stays
+// what it sees even once rehydrated: a change to its rows publishes later.
 func newBatchSource(t *Table, ids []int, snap *snapshot) *batchSource {
 	m := &batchSource{table: t, ids: ids, snap: snap}
 	if ids == nil {
 		m.arr, m.n = t.loadSlots()
 		if !debugDisableTombstoneSkip {
-			m.segs = t.loadSegs()
+			m.segs = t.blocks()
 		}
 	}
 	return m
@@ -75,20 +76,37 @@ func (m *batchSource) batches() int {
 // load fills b with the visible rows of morsel idx, in position order.
 // need marks the columns the consumer reads; needRows asks for b.rows even
 // when the morsel is a sealed block (heap and id-list morsels always carry
-// their rows: the heap row is the cheapest form there is). b.pre and
-// b.tail record the invisible versions stepped over, so consumers can bill
-// tombstones exactly where the row iterator would. b.sel is left to the
-// caller.
+// their rows: a heap row is the cheapest form there is, and a sealed row an
+// id list names — or one of a morsel sealed since the capture — is decoded
+// whole into the batch). b.pre and b.tail record the invisible versions
+// stepped over, so consumers can bill tombstones exactly where the row
+// iterator would. b.sel is left to the caller.
 func (m *batchSource) load(idx int, need []bool, needRows bool, b *vecBatch) error {
 	lo := idx * morselSize
 	b.blk = nil
-	if m.ids == nil {
-		if seg := findSeg(m.segs, lo); seg != nil {
-			return b.fillSealed(seg.block(lo), need, needRows)
-		}
+	if m.ids == nil && idx < len(m.segs) && m.segs[idx] != nil {
+		return b.fillSealed(m.segs[idx], need, needRows)
 	}
 	n, carry := 0, int32(0)
-	gather := func(r Row) {
+	b.arena.used = 0
+	var err error
+	gather := func(slot *rowSlot, id int) {
+		head, blk := m.table.resolve(slot, id)
+		var r Row
+		switch {
+		case blk != nil:
+			r = b.arena.alloc(len(m.table.Columns))
+			if e := blk.row(id, r, &b.seek); e != nil {
+				err = e
+			}
+		case head == nil && m.ids == nil:
+			// A slot with no versions at all (vacuumed, or a rolled-back
+			// insert) is stepped over silently; one holding only invisible
+			// versions, or an index id naming such a slot, is a tombstone.
+			return
+		default:
+			r = visible(head, m.snap)
+		}
 		if r == nil {
 			carry++
 			return
@@ -98,20 +116,16 @@ func (m *batchSource) load(idx int, need []bool, needRows bool, b *vecBatch) err
 		n++
 	}
 	if m.ids != nil {
-		hi := min(lo+morselSize, len(m.ids))
-		for _, id := range m.ids[lo:hi] {
-			gather(m.table.visibleRow(id, m.snap)) // any miss is a tombstone
+		for _, id := range m.ids[lo:min(lo+morselSize, len(m.ids))] {
+			gather(m.table.slot(id), id)
 		}
 	} else {
-		hi := min(lo+morselSize, m.n)
-		for _, slot := range m.arr[lo:hi] {
-			// A slot with no versions at all (vacuumed, or a rolled-back
-			// insert) is stepped over silently; one holding only
-			// invisible versions is a tombstone.
-			if head := slot.head.Load(); head != nil {
-				gather(visible(head, m.snap))
-			}
+		for i, slot := range m.arr[lo:min(lo+morselSize, m.n)] {
+			gather(slot, lo+i)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	b.n, b.tail, b.rows = n, carry, b.rowBuf[:n]
 	for c, needed := range need {
@@ -128,18 +142,17 @@ func (m *batchSource) load(idx int, need []bool, needRows bool, b *vecBatch) err
 	return nil
 }
 
-// fillSealed decodes the needed columns of one sealed block. Sealed blocks
-// hold no tombstones by construction. With needRows the batch also gets a
-// row view over the decoded columns — full width, but only the needed
-// ordinals are populated — carved from a buffer the next load overwrites.
+// fillSealed decodes the needed columns of one sealed block (nil need: every
+// column). Sealed blocks hold no tombstones by construction. With needRows
+// the batch also gets a row view over the decoded columns — full width, but
+// only the needed ordinals are populated — carved from storage the next load
+// overwrites.
 func (b *vecBatch) fillSealed(blk *segBlock, need []bool, needRows bool) error {
 	nr := blk.nrows
-	b.blk, b.n, b.tail, b.rows = blk, nr, 0, nil
-	for j := 0; j < nr; j++ {
-		b.pre[j] = 0
-	}
-	for c, needed := range need {
-		if !needed {
+	b.blk, b.n, b.tail, b.rows, b.arena.used = nil, nr, 0, nil, 0
+	clear(b.pre[:nr])
+	for c := range blk.cols {
+		if need != nil && !need[c] {
 			b.cols[c] = vecCol{}
 			continue
 		}
@@ -149,22 +162,20 @@ func (b *vecBatch) fillSealed(blk *segBlock, need []bool, needRows bool) error {
 		}
 		b.cols[c] = vecCol{vals: buf, kinds: blk.cols[c].kinds}
 	}
+	b.blk = blk
 	if !needRows {
 		return nil
 	}
-	width := len(need)
-	if len(b.rowVals) < vecBatchRows*width {
-		b.rowVals = make([]Value, vecBatchRows*width)
+	width := len(blk.cols)
+	if len(b.arena.buf) < nr*width {
+		b.arena.buf = make([]Value, vecBatchRows*width)
 	}
 	for j := 0; j < nr; j++ {
-		b.rowBuf[j] = b.rowVals[j*width : (j+1)*width : (j+1)*width]
+		b.rowBuf[j] = b.arena.alloc(width)
 	}
-	for c, needed := range need {
-		if !needed {
-			continue
-		}
-		for j, v := range b.cols[c].vals {
-			b.rowVals[j*width+c] = v
+	for c, col := range b.cols {
+		for j, v := range col.vals {
+			b.rowBuf[j][c] = v
 		}
 	}
 	b.rows = b.rowBuf[:nr]

@@ -82,6 +82,7 @@ func TestSQLStateMappingComplete(t *testing.T) {
 		"ErrInternal":   "XX000",
 		"ErrIO":         "58030",
 		"ErrExternal":   "38000",
+		"ErrCorrupt":    "XX001",
 	}
 	stateShape := regexp.MustCompile(`^[0-9A-Z]{5}$`)
 

@@ -103,7 +103,7 @@ type Stats struct {
 	// already synced, or waited on a sync another commit was leading,
 	// instead of issuing its own fsync.
 	WALGroupCommits uint64
-	// SegmentsSealed counts compressed column segments the background
+	// SegmentsSealed counts the compressed column blocks the background
 	// sealer (or an explicit Seal) froze off cold regions of row heaps.
 	SegmentsSealed uint64
 	// SegmentScans counts scans that read at least one sealed segment;

@@ -809,10 +809,11 @@ func readsInputOnly(e Expr, items []SelectItem, outCols []colInfo) bool {
 // lendRows tells the producers at the head of a chain that their consumer
 // reads each row and drops it (the row-lifetime rule, exec.go) — a
 // projection, an aggregation, a top-K sort, the probe side of a join — so
-// they build every row in one buffer. Filters and DISTINCT pass rows
-// through; a join's probe input feeds such a consumer in turn. Everything
-// else keeps the default: a drained build side or derived table, a full
-// sort and the caller's cursor own the rows they are handed.
+// they build, or decode from sealed blocks, every row in one buffer. Filters
+// and DISTINCT pass rows through; a join's probe input feeds such a consumer
+// in turn. Everything else keeps the default: a drained build side or
+// derived table, a full sort and the caller's cursor own the rows they are
+// handed.
 func lendRows(op operator) {
 	for {
 		switch t := op.(type) {
@@ -831,6 +832,15 @@ func lendRows(op operator) {
 			t.arena.reuse = true
 			return
 		case *groupOp:
+			t.arena.reuse = true
+			return
+		case *scanOp: // the scans decode sealed rows in one buffer
+			t.lent = true
+			return
+		case *ordScanOp:
+			t.arena.reuse = true
+			return
+		case *corrProbeScanOp:
 			t.arena.reuse = true
 			return
 		default:

@@ -105,8 +105,8 @@ func (t *Table) vacuum(h uint64) int {
 	reclaimed := 0
 	for id := 0; id < n; id++ {
 		head := arr[id].head.Load()
-		if head == nil {
-			continue
+		if head == nil || head == frozen {
+			continue // empty, or sealed: one version, visible to every snapshot
 		}
 		// Find the newest version whose committed xmax precedes the
 		// horizon. Under writeMu no writer is active, so every nonzero

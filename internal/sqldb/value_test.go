@@ -217,8 +217,20 @@ func layoutColumns() map[string][]Value {
 	for _, c := range [][]Value{ints, floats, texts, bools} {
 		raw = append(raw, c...)
 	}
+	// Past one restart point of the streams, and past one-byte dictionary codes.
+	var intrun, textwide []Value
+	for i := int64(0); i < 3*segRestart; i++ {
+		intrun = append(intrun, Int(i*i-7*i))
+		if i%5 == 0 {
+			intrun = append(intrun, Null)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		textwide = append(textwide, Text(strconv.Itoa(i%257)))
+	}
 	return map[string][]Value{"int": ints, "float": floats, "text": texts, "bool": bools, "raw": raw,
-		"bigtext": {Text(layoutBigText), Null, Text(layoutBigText)}, "bigraw": {Int(1), Text(layoutBigText)}}
+		"bigtext": {Text(layoutBigText), Null, Text(layoutBigText)}, "bigraw": {Int(1), Text(layoutBigText)},
+		"intrun": intrun, "textwide": textwide}
 }
 
 // sameBits is kind- and bit-level identity through the accessors alone, so
@@ -283,11 +295,14 @@ func TestValueLayout(t *testing.T) {
 }
 
 // TestValueEncodingsPinned round-trips the corpus through the WAL value
-// codec and all five sealed-column encodings and compares the bytes with
-// pins taken on the 48-byte layout.
+// codec and all five sealed-column encodings — whole and value by value —
+// and compares the bytes with pins: the WAL's taken on the 48-byte layout,
+// the sealed columns' when they became addressable (restart points, the
+// dictionary's lengths ahead of its bytes, fixed-width codes).
 func TestValueEncodingsPinned(t *testing.T) {
 	wantEnc := map[string]byte{"int": segEncInt, "float": segEncFloat, "text": segEncText,
-		"bool": segEncBool, "raw": segEncRaw, "bigtext": segEncText, "bigraw": segEncRaw}
+		"bool": segEncBool, "raw": segEncRaw, "bigtext": segEncText, "bigraw": segEncRaw,
+		"intrun": segEncInt, "textwide": segEncText}
 	for name, vals := range layoutColumns() {
 		var wal []byte
 		for _, v := range vals {
@@ -306,7 +321,7 @@ func TestValueEncodingsPinned(t *testing.T) {
 		if col.enc != wantEnc[name] {
 			t.Errorf("sealColumn(%s) chose encoding %d, want %d", name, col.enc, wantEnc[name])
 		}
-		if got := pinBytes(col.data); got != layoutSealPins[name] {
+		if got := pinBytes(append([]byte(col.dict), col.data...)); got != layoutSealPins[name] {
 			t.Errorf("sealColumn(%s) drifted:\n got %s\nwant %s", name, got, layoutSealPins[name])
 		}
 		out := make([]Value, len(vals))
@@ -314,8 +329,8 @@ func TestValueEncodingsPinned(t *testing.T) {
 			t.Fatalf("decode %s: %v", name, err)
 		}
 		for i, v := range vals {
-			if !sameBits(out[i], v) {
-				t.Errorf("seal %s[%d]: decoded %v, want %v", name, i, out[i], v)
+			if at, err := col.valueAt(i, len(vals), nil); !sameBits(out[i], v) || err != nil || !sameBits(at, v) {
+				t.Errorf("seal %s[%d]: decoded %v, at random %v (%v), want %v", name, i, out[i], at, err, v)
 			}
 		}
 	}
@@ -409,23 +424,27 @@ func TestAppendTextMatchesAsText(t *testing.T) {
 }
 
 var layoutWalPins = map[string]string{
-	"int":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
-	"float":   "03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f",
-	"text":    "0400000000040100000061000400000000040600000068c3a96c6c6f",
-	"bool":    "01010100000101",
-	"raw":     "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
-	"bigtext": "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
-	"bigraw":  "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
+	"int":      "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
+	"float":    "03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f",
+	"text":     "0400000000040100000061000400000000040600000068c3a96c6c6f",
+	"bool":     "01010100000101",
+	"raw":      "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
+	"bigtext":  "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
+	"bigraw":   "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
+	"intrun":   "sha256:3cd69eedf59ddb9784b6d7f69438bcb6107870f16a45078d1264e5c79384fe35/1767",
+	"textwide": "sha256:d15b552fd30313fa22e4d293d6f2b7ab0822fe2665c712c5e7154197de3bf8f0/2237",
 }
 
 var layoutSealPins = map[string]string{
-	"int":     "08ffffffffffffffffff0101fdffffffffffffffff0101",
-	"float":   "18018002f0ff01800208c0",
-	"text":    "04030001610668c3a96c6c6f00010002",
-	"bool":    "0405",
-	"raw":     "08230402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
-	"bigtext": "sha256:ebc89b53c23b6d7568aca84ea693f774d4b491822ff231e204dc3046b92b7e05/71687",
-	"bigraw":  "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
+	"int":      "08ffffffffffffffffff0101fdffffffffffffffff0101",
+	"float":    "18018002f0ff01800208c0",
+	"text":     "6168c3a96c6c6f0400010002",
+	"bool":     "0405",
+	"raw":      "08230402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
+	"bigtext":  "sha256:264b828ab9056a3ede0923cd8610a53a1c16af698147bb397f8ba7c8b69de155/71683",
+	"bigraw":   "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
+	"intrun":   "sha256:8aa081ae2351486d4a4248ea0580b8da380d9a3a7f8b682585ecb62807e0fb68/378",
+	"textwide": "sha256:77e2da3a34d0125fa5095da94cace3a5a749edc1044c24237236262b46ead60e/1299",
 }
 
 const layoutTextPin = "-9223372036854775808|9223372036854775807|0||-1|-0.0|Inf|-Inf|||1.5||a|||héllo|true|false||true"

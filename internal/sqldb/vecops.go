@@ -161,8 +161,7 @@ type vecScanOp struct {
 	emitPos int
 	carry   int32
 
-	arena  rowArena
-	matBuf [][]Value // columns of the current sealed block decoded on demand
+	arena rowArena
 }
 
 // compile builds this instance's kernels and closures and derives which
@@ -296,16 +295,19 @@ func (s *vecScanOp) release() {
 // open captures the iteration space on first use: range ids are
 // materialised, the source snapshots the table, and the access path is
 // recorded once. Owner goroutine only.
-func (s *vecScanOp) open() {
+func (s *vecScanOp) open() error {
 	if s.src != nil {
-		return
+		return nil
 	}
 	var snap *snapshot
 	if s.qc != nil {
 		snap = s.qc.snap
 	}
-	s.indexAccess.open(s.table, snap, &s.scanTally)
+	if err := s.indexAccess.open(s.table, snap, &s.scanTally); err != nil {
+		return err
+	}
 	s.src = newBatchSource(s.table, s.ids, snap)
+	return nil
 }
 
 // fill loads morsel idx and runs the filter over it, leaving the
@@ -316,7 +318,6 @@ func (s *vecScanOp) fill(idx int) error {
 	if s.b == nil {
 		s.b = getBatch(len(s.cols))
 	}
-	clear(s.matBuf) // on-demand decodes belonged to the previous batch
 	b := s.b
 	if err := s.src.load(idx, s.need, s.needRows, b); err != nil {
 		return err
@@ -400,7 +401,9 @@ func (e *batchExpr) at(s *vecScanOp, i int) (Value, error) {
 }
 
 func (s *vecScanOp) next() (Row, bool, error) {
-	s.open()
+	if err := s.open(); err != nil {
+		return nil, false, err
+	}
 	if s.qc != nil {
 		if err := s.qc.tickCancelled(); err != nil {
 			return nil, false, err
@@ -472,8 +475,8 @@ func (s *vecScanOp) eager() {
 }
 
 // batchRows runs morsel idx and returns its surviving output rows. Rows
-// outlive the batch here (the gather holds several morsels), so a sealed
-// block's row views are copied out of the reusable buffer.
+// outlive the batch here (the gather holds several morsels), so rows decoded
+// from sealed blocks are copied out of the batch's storage.
 func (s *vecScanOp) batchRows(idx int) ([]Row, error) {
 	if err := s.fill(idx); err != nil {
 		return nil, err
@@ -488,7 +491,7 @@ func (s *vecScanOp) batchRows(idx int) ([]Row, error) {
 		if err != nil {
 			return out, err
 		}
-		if s.proj == nil && s.b.blk != nil {
+		if s.proj == nil && s.b.arena.used > 0 {
 			r = append(s.arena.alloc(len(r))[:0], r...)
 		}
 		out = append(out, r)
@@ -526,7 +529,9 @@ func (s *vecScanOp) foldBatch(idx int) error {
 		if fresh {
 			g.firstID = f.errAt
 			if s.repRows {
-				g.repRow = s.materializeRow(i)
+				if g.repRow, err = s.materializeRow(i); err != nil {
+					return err
+				}
 			}
 		}
 		for ai, fc := range s.aggs {
@@ -589,45 +594,23 @@ func (s *vecScanOp) topBatch(idx int) error {
 
 // materializeRow builds a full-width row for a batch position: heap
 // batches hand back a copy of the original row; sealed batches read the
-// decoded columns and decode the rest on demand, once per batch —
-// aggregation pays for columns outside its expressions only when a batch
-// actually discovers a new group.
-func (s *vecScanOp) materializeRow(i int) Row {
+// decoded columns and the rest off the block, value by value — aggregation
+// pays for columns outside its expressions only when a batch actually
+// discovers a new group.
+func (s *vecScanOp) materializeRow(i int) (r Row, err error) {
 	b := s.b
 	if b.blk == nil {
-		return b.rows[i].Clone()
+		return b.rows[i].Clone(), nil
 	}
-	r := make(Row, len(s.cols))
-	for c := range r {
+	r = make(Row, len(s.cols))
+	for c := 0; c < len(r) && err == nil; c++ {
 		if col := &b.cols[c]; col.vals != nil {
 			r[c] = col.vals[i]
-			continue
+		} else {
+			r[c], err = b.blk.cols[c].valueAt(i, b.n, nil)
 		}
-		r[c] = s.lazyCol(c)[i]
 	}
-	return r
-}
-
-// lazyCol decodes one column nothing asked for from the current sealed
-// block, caching it for the batch's lifetime. Decode failures are
-// impossible for blocks this process sealed (segment_test.go fuzzes the
-// corruption paths); a hypothetical one degrades to NULLs rather than a
-// panic, since the heap still holds the truth for every covered row.
-func (s *vecScanOp) lazyCol(c int) []Value {
-	b := s.b
-	if s.matBuf == nil {
-		s.matBuf = make([][]Value, len(s.cols))
-	}
-	if s.matBuf[c] == nil {
-		buf := make([]Value, b.n)
-		if b.blk.cols[c].decode(b.n, buf) != nil {
-			for i := range buf {
-				buf[i] = Null
-			}
-		}
-		s.matBuf[c] = buf
-	}
-	return s.matBuf[c]
+	return r, err
 }
 
 // ---------------------------------------------------------------------------

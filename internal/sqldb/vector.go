@@ -115,7 +115,9 @@ type vecBatch struct {
 	colBufs [][]Value // per column ordinal, allocated on first use
 	t, nl   vecBitset // a predicate kernel's (true, null) result
 	rowBuf  []Row
-	rowVals []Value // backing of a sealed block's row views
+	arena   rowArena  // scoped: where the rows decoded from sealed blocks live
+	seek    blockSeek // where the last of them was read
+	keep    rowArena  // slab storage for sealed rows a consumer keeps (scanOp)
 }
 
 // batchPool recycles batches, scratch and all, across scans: a batch's
@@ -138,7 +140,7 @@ func getBatch(width int) *vecBatch {
 		b.pre = make([]int32, vecBatchRows)
 		b.rowBuf = make([]Row, vecBatchRows)
 	}
-	b.n, b.blk = 0, nil
+	b.n, b.blk, b.arena.scoped = 0, nil, true
 	return b
 }
 

@@ -131,8 +131,9 @@ func vecQueryStrings(db *Database, q string) ([][]string, error) {
 }
 
 // vectorRowProperty is the tentpole's core guarantee: over a randomized
-// corpus of plans, with DML interleaved and cold blocks force-sealed
-// mid-run, the vectorized executor and the row engine return
+// corpus of plans, with DML interleaved — rehydrating sealed blocks — and
+// cold blocks force-sealed mid-run, the vectorized executor and the row
+// engine return
 // row-for-row identical results and bit-identical accounting
 // (RowsScanned, RowsEmitted, TombstonesSkipped — including under LIMIT
 // early stops), and the per-operator EXPLAIN ANALYZE sums reconcile
@@ -246,6 +247,12 @@ func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
 				vecStats.RowsScanned, vecStats.RowsEmitted, vecStats.TombstonesSkipped, vecStats.FullScans, vecRoot,
 				rowStats.RowsScanned, rowStats.RowsEmitted, rowStats.TombstonesSkipped, rowStats.FullScans, rowRoot)
 		}
+	}
+	// The property is about sealed storage only if it read sealed blocks
+	// and rehydrated them under DML.
+	if st := db.Stats(); st.SegmentsSealed == 0 || st.DecodedBlocks == 0 || rehydrations(db) == 0 {
+		return fmt.Errorf("the corpus sealed %d blocks, decoded %d and rehydrated %d: it must do all three",
+			st.SegmentsSealed, st.DecodedBlocks, rehydrations(db))
 	}
 	return nil
 }
@@ -438,8 +445,8 @@ func TestSealedPoolScanStaysColumnar(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.Seal() // whatever the background sealer has not frozen already
-		if sealed := db.tableMap()["s"].sealedRows.Load(); sealed != rows {
-			t.Fatalf("%d rows sealed, want %d", sealed, rows)
+		if sealed := sealedBlocks(db.tableMap()["s"]); sealed != blocks {
+			t.Fatalf("%d blocks sealed, want %d", sealed, blocks)
 		}
 		return db
 	}
