@@ -49,41 +49,61 @@ func TestExplainAnalyzeAnnotatesPlan(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeSubplanAnnotations: a subquery renders its plan under
+// the conjunct or item that runs it, with its probe and cache counts — also
+// where the conjunct is one the scan evaluates itself, at any table size.
 func TestExplainAnalyzeSubplanAnnotations(t *testing.T) {
-	db := NewDatabase()
-	db.MustExec("CREATE TABLE o (id INTEGER PRIMARY KEY)")
-	db.MustExec("CREATE TABLE i (oid INTEGER, v INTEGER)")
-	for k := 0; k < 20; k++ {
-		db.MustExec("INSERT INTO o VALUES (?)", k)
-		if k%2 == 0 {
-			db.MustExec("INSERT INTO i VALUES (?, ?)", k, k*3)
+	for _, n := range []int{20, 5000} {
+		db := NewDatabase()
+		db.MustExec("CREATE TABLE o (id INTEGER PRIMARY KEY)")
+		db.MustExec("CREATE TABLE i (oid INTEGER, v INTEGER)")
+		var orows, irows [][]any
+		for k := 0; k < n; k++ {
+			orows = append(orows, []any{k})
+			if k%2 == 0 {
+				irows = append(irows, []any{k, k * 3})
+			}
 		}
-	}
-	aq, err := db.ExplainAnalyze(context.Background(),
-		"SELECT id FROM o WHERE EXISTS (SELECT 1 FROM i WHERE i.oid = o.id)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := strings.Join(aq.Plan, "\n")
-	if !strings.Contains(out, "subplan (compiled once, outer row rebound per probe) [probes=20 hits=19 misses=1]:") {
-		t.Errorf("cached subplan should report probe and cache counts:\n%s", out)
-	}
-	if !strings.Contains(out, "correlated probe i (as i)") {
-		t.Errorf("the executed correlated probe should render:\n%s", out)
-	}
-	if aq.Stats.SubplanCacheHits != 19 || aq.Stats.SubplanCacheMisses != 1 {
-		t.Errorf("subplan totals = %+v, want 19/1", aq.Stats)
-	}
+		if err := db.InsertRows("o", orows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("i", irows); err != nil {
+			t.Fatal(err)
+		}
+		const exists = "SELECT id FROM o WHERE EXISTS (SELECT 1 FROM i WHERE i.oid = o.id)"
+		aq, err := db.ExplainAnalyze(context.Background(), exists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := strings.Join(aq.Plan, "\n")
+		if want := fmt.Sprintf("subplan (compiled once, outer row rebound per probe) [probes=%d hits=%d misses=1]:", n, n-1); !strings.Contains(out, want) {
+			t.Errorf("n=%d: cached subplan should report probe and cache counts %q:\n%s", n, want, out)
+		}
+		if !strings.Contains(out, "correlated probe i (as i)") {
+			t.Errorf("n=%d: the executed correlated probe should render:\n%s", n, out)
+		}
+		if aq.Stats.SubplanCacheHits != uint64(n-1) || aq.Stats.SubplanCacheMisses != 1 {
+			t.Errorf("n=%d: subplan totals = %+v, want %d/1", n, aq.Stats, n-1)
+		}
+		// Plain EXPLAIN describes the subplan too.
+		lines, err := db.Explain(exists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := strings.Join(lines, "\n"); !strings.Contains(out, "correlated probe i (as i)") {
+			t.Errorf("n=%d: EXPLAIN should render the subplan's correlated probe:\n%s", n, out)
+		}
 
-	// A scalar subquery in the projection renders with its counts too.
-	aq, err = db.ExplainAnalyze(context.Background(),
-		"SELECT id, (SELECT MAX(v) FROM i WHERE i.oid = o.id) FROM o")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = strings.Join(aq.Plan, "\n")
-	if !strings.Contains(out, "subplan") || !strings.Contains(out, "probes=20") {
-		t.Errorf("projection subplan should render with probe counts:\n%s", out)
+		// A scalar subquery in the projection renders with its counts too.
+		aq, err = db.ExplainAnalyze(context.Background(),
+			"SELECT id, (SELECT MAX(v) FROM i WHERE i.oid = o.id) FROM o")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = strings.Join(aq.Plan, "\n")
+		if !strings.Contains(out, "subplan") || !strings.Contains(out, fmt.Sprintf("probes=%d", n)) {
+			t.Errorf("n=%d: projection subplan should render with probe counts:\n%s", n, out)
+		}
 	}
 }
 
@@ -231,15 +251,13 @@ func TestExplainAnalyzeCountsMatchEngineStats(t *testing.T) {
 		check("big", big, fmt.Sprintf("SELECT id, v FROM big WHERE v > %d ORDER BY v DESC, id LIMIT 100", r.Intn(900)))
 	}
 	// A sort folded into its scan still reports what it drained and kept, and
-	// the scan bills exactly what it billed when the sort sat above it.
+	// the scan bills exactly what it bills under a full sort above it.
 	const topK = "SELECT id, v FROM big WHERE v > 500 ORDER BY v DESC, id LIMIT 100"
 	folded, err := big.ExplainAnalyze(ctx, topK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceVector(t, false)
-	rowPath, err := big.ExplainAnalyze(ctx, topK)
-	forceVector(t, true)
+	rowPath, err := big.ExplainAnalyze(ctx, strings.TrimSuffix(topK, " LIMIT 100"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +271,7 @@ func TestExplainAnalyzeCountsMatchEngineStats(t *testing.T) {
 	}
 	if f, r := folded.Stats, rowPath.Stats; f.RowsScanned != r.RowsScanned || f.TombstonesSkipped != r.TombstonesSkipped ||
 		f.TombstonesSkipped == 0 || f.VectorBatches != uint64(3*morselMinRows/morselSize) {
-		t.Errorf("folded top-K billed scanned/tombstones/batches %d/%d/%d, the row path %d/%d",
+		t.Errorf("folded top-K billed scanned/tombstones/batches %d/%d/%d, the full sort %d/%d",
 			f.RowsScanned, f.TombstonesSkipped, f.VectorBatches, r.RowsScanned, r.TombstonesSkipped)
 	}
 	for leaf, seen := range leaves {

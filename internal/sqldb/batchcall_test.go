@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// Batch-form functions (func.go, batchcall.go, filterOp in exec.go, the
-// third conjunct kind of vecScanOp.fill): a statement that calls one must
-// answer exactly as the same statement over the function's scalar form does
-// — row for row, in order, on both scan paths — while asking about each
-// distinct argument tuple once, a window at a time, after every cheaper
-// conjunct, and no further ahead than its consumer needs.
+// Batch-form functions (func.go, batchcall.go, filterOp in exec.go): a
+// statement that calls one must answer exactly as the same statement over
+// the function's scalar form does — row for row, in order, at every table
+// size — while asking about each distinct argument tuple once, a window at a
+// time, after every cheaper conjunct, and no further ahead than its consumer
+// needs.
 
 // funcMap is the FuncSet of the tests: a map from upper-cased name.
 type funcMap map[string]Func
@@ -166,8 +166,8 @@ func udfRun(db *Database, fs FuncSet, sql string) ([][]string, QueryStats, error
 
 // TestBatchFormMatchesScalarForm is the differential: every statement of the
 // corpus returns the same rows in the same order whichever form its
-// functions were lent in, below the size gate (the row iterator) and above it
-// (the batch scan, whose plan must show the conjunct gathered there).
+// functions were lent in, below the pool's size gate and above it, and the
+// plan shows the conjunct gathered in a filter of its own at both sizes.
 func TestBatchFormMatchesScalarForm(t *testing.T) {
 	for _, n := range []int{600, 5000} {
 		db := udfDB(t, n)
@@ -212,11 +212,7 @@ func TestBatchFormMatchesScalarForm(t *testing.T) {
 		p.describe(plan.root, 0)
 		plan.Close()
 		out := strings.Join(p.lines, "\n")
-		wantNode := "batch-call filter PICK('a', v)"
-		if n >= morselMinRows {
-			wantNode = "fused batch-call filter PICK('a', v)"
-		}
-		if !strings.Contains(out, wantNode) {
+		if wantNode := "  batch-call filter PICK('a', v)"; !strings.Contains(out, wantNode) {
 			t.Errorf("n=%d: plan has no %q:\n%s", n, wantNode, out)
 		}
 		if db.LiveSnapshots() != 0 {
@@ -254,9 +250,6 @@ func TestBatchCallsStopWithTheirConsumer(t *testing.T) {
 			{"SELECT id FROM t WHERE PICK('a', v) AND id < 10 AND PICK('ab', w)", 20},
 			{"SELECT id FROM t WHERE EXISTS (SELECT 1 FROM d WHERE PICK('a', d.g)) AND id < 3", 4},
 		} {
-			if n >= morselMinRows && strings.Contains(c.sql, "LIMIT") {
-				continue // over the gate a window is a morsel of the batch scan
-			}
 			seen.calls = nil
 			if _, _, err := udfRun(db, batch, c.sql); err != nil {
 				t.Fatalf("%q: %v", c.sql, err)
@@ -303,9 +296,6 @@ func TestBatchElementFailure(t *testing.T) {
 			{"SELECT id FROM t WHERE FRAGILE(id, 1)", ErrMisuse, nil},
 			{"SELECT id FROM t WHERE FRAGILE()", ErrMisuse, nil},
 		} {
-			if n >= morselMinRows && strings.Contains(c.sql, "LIMIT") {
-				continue // the batch scan runs a whole morsel's filter before it emits, whatever the function's form
-			}
 			_, err := db.QueryContext(ctx, c.sql)
 			if CodeOf(err) != c.code || c.is != nil && !errors.Is(err, c.is) {
 				t.Errorf("n=%d %q: err = %v (code %s), want code %s wrapping %v", n, c.sql, err, CodeOf(err), c.code, c.is)

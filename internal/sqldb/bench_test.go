@@ -199,15 +199,12 @@ func BenchmarkPreparedVsParsed(b *testing.B) {
 	})
 }
 
-// Batch-pipeline benchmarks: each statement runs on the same data over
-// heap and over sealed column segments, on the row iterator and on the
-// batch pipeline. The heap rows and sealed/row pin a single-worker pool,
-// isolating batch execution from the pool (the row iterator never uses
-// one); the sealed/vec rows — sealed explicitly, so the storage is not
-// left to the background sealer's timing — add the pool dimension,
-// workers=1 against the host's default, because sealed blocks on the
-// default pool is the configuration real traffic runs. heap/row is the
-// reference engine.
+// Scan benchmarks: each statement runs on the same data over heap and over
+// sealed column segments. The heap leg pins a single-worker pool; the sealed
+// legs — sealed explicitly, so the storage is not left to the background
+// sealer's timing — add the pool dimension, workers=1 against the host's
+// default, because sealed blocks on the default pool is the configuration
+// real traffic runs.
 // unsealAll rehydrates every sealed block so the "heap" variants measure
 // pure heap scans. The bulk load is big enough to wake the background
 // sealer, so it is waited out first — otherwise it could seal blocks
@@ -231,24 +228,19 @@ func unsealAll(db *Database) {
 
 func benchVector(b *testing.B, sql string) {
 	b.Helper()
-	run := func(name string, sealed, vec bool, opts ...Option) {
+	run := func(name string, sealed bool, opts ...Option) {
 		b.Run(name, func(b *testing.B) {
 			db := benchDB(b, 64*1024, opts...)
 			unsealAll(db)
 			if sealed && db.Seal() == 0 {
 				b.Fatal("Seal() froze nothing")
 			}
-			old := vectorEnabled
-			vectorEnabled = vec
-			defer func() { vectorEnabled = old }()
 			benchQuery(b, db, sql)
 		})
 	}
-	run("heap/row", false, false, WithMaxWorkers(1))
-	run("heap/vec", false, true, WithMaxWorkers(1))
-	run("sealed/row", true, false, WithMaxWorkers(1))
-	run("sealed/vec/workers=1", true, true, WithMaxWorkers(1))
-	run("sealed/vec/workers=default", true, true)
+	run("heap", false, WithMaxWorkers(1))
+	run("sealed/workers=1", true, WithMaxWorkers(1))
+	run("sealed/workers=default", true)
 }
 
 func BenchmarkVectorScan(b *testing.B) {
@@ -263,8 +255,7 @@ func BenchmarkVectorAgg(b *testing.B) {
 	benchVector(b, "SELECT COUNT(*), SUM(price), AVG(qty), MIN(price), MAX(price) FROM items WHERE qty < 40")
 }
 
-// BenchmarkVectorGroupBy is the vectorized executor's worst case on
-// sealed storage: cat_id has n/10 distinct values, so nearly every batch
+// BenchmarkVectorGroupBy is the scan's worst case on sealed storage: cat_id has n/10 distinct values, so nearly every batch
 // discovers new groups and pays the lazy representative-row decode.
 func BenchmarkVectorGroupBy(b *testing.B) {
 	benchVector(b, "SELECT cat_id, COUNT(*), SUM(qty), MIN(price), MAX(price) FROM items GROUP BY cat_id")

@@ -58,6 +58,7 @@ type Table struct {
 	Name     string
 	Columns  []Column
 	colIndex map[string]int // lower-cased column name -> ordinal
+	cols     []colInfo      // the schema under the table's own name (tableCols)
 
 	slots atomic.Pointer[[]*rowSlot] // slot array; len == capacity, grown by COW
 	n     atomic.Int64               // published slot count (ids < n are valid)
@@ -376,6 +377,7 @@ func newTable(stmt *CreateTableStmt) (*Table, error) {
 		})
 		t.colIndex[lower] = i
 	}
+	t.cols = tableCols(t, t.Name)
 	// Primary keys and UNIQUE columns get an index automatically.
 	idxs := make(map[string]*Index)
 	for i, c := range t.Columns {

@@ -587,11 +587,11 @@ func compileFunc(fc *FuncCall, env *evalEnv) (compiledExpr, error) {
 
 // batchSite is one call of a batch-form function in a compiled expression.
 // Evaluated on its own it asks about one tuple at a time — still each
-// distinct tuple once a statement (CallMemo). Under an operator that holds
-// a window of rows (filterOp, exec.go; vecScanOp.fill, vecops.go) it is
-// gathered ahead: the operator files every row's arguments, sends what is
-// new in one call, and leaves each row's class in ahead, where eval finds
-// it while *pos names the window row being evaluated.
+// distinct tuple once a statement (CallMemo). Under the operator that holds
+// a window of rows (filterOp, exec.go) it is gathered ahead: the operator
+// files every row's arguments, sends what is new in one call, and leaves
+// each row's class in ahead, where eval finds it while *pos names the
+// window row being evaluated.
 type batchSite struct {
 	name  string
 	memo  *CallMemo

@@ -475,30 +475,23 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 		}
 	}
 
-	var acc indexAccess
-	residual := where
+	// Under the writer latch the statement snapshot sees exactly the latest
+	// versions, so the scan SELECT runs is the scan DML runs: access path,
+	// the rest of WHERE, counters and cancellation included. Names bind
+	// here, once, whether or not any row qualifies.
+	scan := scanOp{batchPlan: batchPlan{table: t, qual: t.Name, cols: t.cols}, scanPipe: tableRows, scanTally: scanTally{qc: qc}}
 	if where != nil {
-		conjuncts := splitConjuncts(where)
-		var rest []Expr
-		if acc, rest, err = chooseIndexAccess(t, t.Name, conjuncts, params, qc.snap); err != nil {
+		if scan.indexAccess, scan.preds, err = chooseIndexAccess(t, t.Name, splitConjuncts(where), params, qc.snap); err != nil {
 			return 0, err
 		}
-		if len(rest) < len(conjuncts) {
-			residual = joinConjuncts(rest)
-		}
 	}
-	// Names bind here, once, whether or not any row qualifies; the schema
-	// environment is built only when something is left to compile.
-	atEnd := hasSubquery(residual)
+	if err := scan.compile(db, params, nil); err != nil {
+		return 0, err
+	}
+	atEnd := hasSubquery(where)
 	var env *evalEnv
-	var pred compiledExpr
-	if residual != nil || len(set) > 0 {
-		env = newEvalEnv(tableCols(t, t.Name), db, params, nil, qc)
-		if residual != nil {
-			if pred, err = compileExpr(residual, env); err != nil {
-				return 0, err
-			}
-		}
+	if len(set) > 0 {
+		env = newEvalEnv(scan.cols, db, params, nil, qc)
 		for i, sc := range set {
 			if sets[i].val, err = compileExpr(sc.Expr, env); err != nil {
 				return 0, err
@@ -527,10 +520,6 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 		}
 		return nil
 	}
-	// Under the writer latch the statement snapshot sees exactly the latest
-	// versions, so the scan SELECT runs is the scan DML runs, counters and
-	// cancellation included.
-	scan := scanOp{table: t, indexAccess: acc, scanTally: scanTally{qc: qc}}
 	var pend []dmlTarget
 	for {
 		r, ok, err := scan.next()
@@ -541,21 +530,9 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 			err = apply(pend) // before n is read: apply counts what it changes
 			return n, err
 		}
-		if env != nil {
-			env.row = r
-		}
-		if pred != nil {
-			v, err := pred()
-			if err != nil {
-				return n, err
-			}
-			if v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
 		var updated Row
-		if len(set) > 0 {
-			updated = r.Clone()
+		if env != nil {
+			env.row, updated = r, r.Clone()
 			for _, s := range sets {
 				v, err := s.val()
 				if err != nil {

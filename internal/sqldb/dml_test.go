@@ -639,8 +639,8 @@ func TestIndexDoesNotChangeCrossKindAnswer(t *testing.T) {
 // — is NULL by the time it is a Value (Float), as in SQLite, so the answer
 // does not depend on who compares: under Compare a stored NaN equalled every
 // number, so `v + 0 = 5` found the NaN row where the index on v did not, and
-// `v >= 5` differed again between the row path and the vector kernels. Four
-// cells — indexed or plain, row iterator or batch pipeline — one answer.
+// `v >= 5` differed again between the row closures and the vector kernels.
+// Both cells — indexed or plain — one answer.
 func TestNaNIsStoredAsNull(t *testing.T) {
 	lowerMorselMinRows(t, 1)
 	cases := []struct{ sql, want string }{
@@ -661,12 +661,9 @@ func TestNaNIsStoredAsNull(t *testing.T) {
 			db.MustExec("CREATE INDEX idx_x_v ON x (v)")
 		}
 		db.MustExec("INSERT INTO x VALUES (1, 5.0), (2, ?), (3, 7.5)", math.NaN())
-		for _, vec := range []bool{false, true} {
-			forceVector(t, vec)
-			for _, c := range cases {
-				if got := fmt.Sprint(queryStrings(t, db, c.sql)); got != c.want {
-					t.Errorf("indexed=%v vectorized=%v: %s = %s, want %s", indexed, vec, c.sql, got, c.want)
-				}
+		for _, c := range cases {
+			if got := fmt.Sprint(queryStrings(t, db, c.sql)); got != c.want {
+				t.Errorf("indexed=%v: %s = %s, want %s", indexed, c.sql, got, c.want)
 			}
 		}
 		if indexed {

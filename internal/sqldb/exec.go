@@ -5,16 +5,19 @@ import (
 )
 
 // This file implements the FROM/WHERE stages of SELECT execution: a
-// volcano-style iterator tree of scans, index lookups, hash,
-// index-nested-loop and nested-loop joins. The projection/DISTINCT/
-// ORDER BY/LIMIT tail is composed on top by buildSelectPlan (stream.go),
-// so the whole statement runs as one pull pipeline; only aggregation and
-// sort materialise. Planning compiles every expression into a closure
-// (compile.go) and chooses access paths; the per-row path then performs
-// no name resolution, no map lookups by column name, and no string
-// formatting (row identities use the binary keys of key.go with reused
-// scratch buffers). Scans carry the execution's queryCtx, counting rows
-// for Database.Stats and sampling context cancellation mid-scan.
+// volcano-style iterator tree of base-table scans (one leaf, vecops.go),
+// correlated probes, filters, and hash, index-nested-loop and nested-loop
+// joins, and the planning that builds it — which conjuncts go down to which
+// input, which access path each scan takes, which join serves an equality.
+// The projection/DISTINCT/ORDER BY/LIMIT tail is composed on top by
+// buildSelectPlan (stream.go), so the whole statement runs as one pull
+// pipeline; only aggregation and sort materialise. Planning compiles every
+// expression into a closure (compile.go) or a kernel (vector.go); the
+// per-row path then performs no name resolution, no map lookups by column
+// name, and no string formatting (row identities use the binary keys of
+// key.go with reused scratch buffers). Leaves carry the execution's
+// queryCtx, counting rows for Database.Stats and sampling context
+// cancellation mid-scan.
 //
 // Rows have one lifetime rule: a row returned by next() is the producer's
 // until the next next(), and a consumer that keeps it copies it. The planner
@@ -22,7 +25,7 @@ import (
 // that it does — drain (join builds, derived tables, subquery results), the
 // full sort, the pooled gather and the caller's cursor are handed rows
 // nothing will touch again. Three plans spend the rule, each building rows
-// only for whoever keeps them: ORDER BY … LIMIT k folds into the batch scan,
+// only for whoever keeps them: ORDER BY … LIMIT k folds into the scan,
 // whose instances offer each survivor to a k-bounded heap that copies the
 // few it keeps (vecops.go); a join, projection or aggregation whose consumer
 // reads a row and drops it builds every row in one buffer (lendRows,
@@ -92,129 +95,6 @@ func (a *rowArena) alloc(n int) Row {
 	return a.buf[at : at+n : at+n]
 }
 
-// ---------------------------------------------------------------------------
-// Scan
-
-// scanOp iterates a base table's version store, optionally restricted to
-// the row ids an index access produced (a range's ids materialise on first
-// pull, ascending, so emission order matches a filtered full scan — the
-// planner may instead replace the whole operator with an ordScanOp when
-// the statement's ORDER BY matches the range column, stream.go). Every
-// fetch resolves through the scan's snapshot; the slot array and snapshot
-// are captured once on first pull, so the cursor iterates with no lock
-// held and later commits stay invisible. It is also the loop UPDATE and
-// DELETE find their rows with (db.go), which is why it reports the slot.
-type scanOp struct {
-	table *Table
-	qual  string // alias the table is addressable by
-	cols  []colInfo
-	indexAccess
-	scanTally
-	dec    *vecBatch // sealed rows: a full scan's block, an id's row
-	pos    int
-	id     int // slot of the row last returned
-	snap   *snapshot
-	arr    []*rowSlot
-	n      int
-	inited bool
-	lent   bool // the consumer drops rows (lendRows): sealed ones are not copied out
-}
-
-func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
-	return &scanOp{table: t, qual: qual, cols: tableCols(t, qual), scanTally: scanTally{qc: qc}}
-}
-
-// tableCols is a base table's schema as seen under the name qual.
-func tableCols(t *Table, qual string) []colInfo {
-	cols := make([]colInfo, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = colInfo{qual: qual, name: c.Name}
-	}
-	return cols
-}
-
-func (s *scanOp) columns() []colInfo { return s.cols }
-func (s *scanOp) reset()             { s.pos = 0 }
-
-func (s *scanOp) next() (Row, bool, error) {
-	if !s.inited {
-		s.inited = true
-		if s.qc != nil {
-			s.snap = s.qc.snap
-		}
-		if err := s.open(s.table, s.snap, &s.scanTally); err != nil {
-			return nil, false, err
-		}
-		if s.arr, s.n = s.table.loadSlots(); s.ids != nil {
-			s.n = len(s.ids)
-		}
-	}
-	if err := s.qc.tickCancelled(); err != nil {
-		return nil, false, err
-	}
-	for s.pos < s.n {
-		s.id = s.pos
-		if s.ids != nil {
-			s.id = s.ids[s.pos]
-		}
-		s.pos++
-		head, blk := s.table.resolve(s.arr[s.id], s.id)
-		var r Row
-		switch {
-		case blk != nil:
-			var err error
-			if r, err = s.sealedRow(blk); err != nil {
-				return nil, false, err
-			}
-		case head == nil && s.ids == nil:
-			continue // vacuumed-away slot: no versions at all
-		default:
-			// An index id naming a vacuumed slot is a stale entry: a tombstone.
-			if r = visible(head, s.snap); r == nil {
-				s.account(scanCounts{tombs: 1})
-				continue
-			}
-		}
-		s.account(scanCounts{scanned: 1})
-		return r, true, nil
-	}
-	if s.dec != nil {
-		batchPool.Put(s.dec)
-		s.dec = nil
-	}
-	return nil, false, nil
-}
-
-// sealedRow reads the row of sealed slot s.id off its block — a full scan
-// decodes each block whole, once; an id list decodes each row alone — into a
-// pooled batch: a consumer that drops rows reads it there, one that keeps
-// them gets a copy from the batch's slab.
-func (s *scanOp) sealedRow(blk *segBlock) (Row, error) {
-	width := len(s.table.Columns)
-	if s.dec == nil {
-		s.dec = getBatch(width)
-	}
-	var r Row
-	if s.ids == nil {
-		if s.dec.blk != blk {
-			if err := s.dec.fillSealed(blk, nil, true); err != nil {
-				return nil, err
-			}
-		}
-		r = s.dec.rows[blk.pos(s.id)]
-	} else {
-		s.dec.arena.used = 0
-		r = s.dec.arena.alloc(width)
-		if err := blk.row(s.id, r, &s.dec.seek); err != nil {
-			return nil, err
-		}
-	}
-	if !s.lent {
-		r = append(s.dec.keep.alloc(width)[:0], r...)
-	}
-	return r, nil
-}
-
 // valuesOp replays pre-materialised rows (derived tables, join builds).
 // src, when set, is the operator the rows were drained from — dead for
 // execution, retained so EXPLAIN can show the materialised subtree
@@ -237,93 +117,50 @@ func (v *valuesOp) next() (Row, bool, error) {
 	return r, true, nil
 }
 
-// corrProbeScanOp serves a correlated equality — `col = <outer expr>`,
-// the backbone of EXISTS/IN/scalar subqueries — as a per-probe hash
-// lookup instead of a per-probe table scan. The memo is the table's real
+// corrProbe makes a scan a correlated equality probe — `col = <outer
+// expr>`, the backbone of EXISTS/IN/scalar subqueries — a per-probe hash
+// lookup instead of a per-probe table scan: every reset of the scan — one
+// per outer row under the subplan cache — re-evaluates only the outer key,
+// and the scan reads the ids filed under it. The memo is the table's real
 // equality index when one exists, or an index of the statement's own over
-// the rows its snapshot sees, built lazily exactly once; every reset()
-// — one per outer row under the subplan cache — re-evaluates only the
-// outer key expression and serves the matching ids. Output (matching
-// rows, ascending heap order) is identical to scan+filter, so the
-// rewrite is invisible to result semantics.
-type corrProbeScanOp struct {
-	table  *Table
-	qual   string
-	cols   []colInfo
+// the rows its snapshot sees, built lazily exactly once. Rows come in
+// ascending heap order, as scan+filter emits them, so the rewrite is
+// invisible to result semantics.
+type corrProbe struct {
 	column int
 	keyC   compiledExpr // outer-row key, compiled once
 	colE   Expr         // retained for EXPLAIN
 	keyE   Expr         // retained for EXPLAIN
 	idx    *Index       // the column's equality index, or the statement's own, which has no name
-	scanTally
-	arena rowArena // sealed rows
-
-	snap   *snapshot
 	ids    []int
-	idsSet bool
-	pos    int
 }
 
-func (s *corrProbeScanOp) columns() []colInfo { return s.cols }
-
-// reset drops the probe's id window but keeps the memo: the next pull
-// re-evaluates the outer key against the new outer row.
-func (s *corrProbeScanOp) reset() {
-	s.idsSet = false
-	s.pos = 0
-}
-
-func (s *corrProbeScanOp) next() (Row, bool, error) {
-	if !s.idsSet {
-		if s.qc != nil {
-			s.snap = s.qc.snap
-		}
-		if s.idx == nil {
-			// No index covers the column: file the rows the statement's
-			// snapshot sees in one of the statement's own — once.
-			s.idx = newIndex("", s.column, false)
-			var seek blockSeek
-			for id, n := 0, int(s.table.n.Load()); id < n; id++ {
-				if v, ok, err := s.table.visibleValue(id, s.snap, s.column, &seek); err != nil {
-					return nil, false, err
-				} else if ok {
-					s.idx.addEntry(v, id)
-				}
+// lookup returns the ids of the rows snap sees that hold the outer row's key.
+func (p *corrProbe) lookup(t *Table, snap *snapshot) ([]int, error) {
+	if p.idx == nil {
+		// No index covers the column: file the rows the statement's
+		// snapshot sees in one of the statement's own — once.
+		p.idx = newIndex("", p.column, false)
+		var seek blockSeek
+		for id, n := 0, int(t.n.Load()); id < n; id++ {
+			if v, ok, err := t.visibleValue(id, snap, p.column, &seek); err != nil {
+				return nil, err
+			} else if ok {
+				p.idx.addEntry(v, id)
 			}
 		}
-		k, err := s.keyC()
-		if err != nil {
-			return nil, false, err
-		}
-		s.ids = s.ids[:0]
-		if !k.IsNull() { // col = NULL is never true
-			// Either index lists by hash class, a real one old versions too.
-			if s.ids, err = visibleEqIDs(s.ids, s.table, s.idx, k, s.snap); err != nil {
-				return nil, false, err
-			}
-		}
-		s.idsSet = true
-		if s.firstOpen() {
-			s.qc.IndexScans++
-		}
 	}
-	if err := s.qc.tickCancelled(); err != nil {
-		return nil, false, err
+	k, err := p.keyC()
+	if err != nil {
+		return nil, err
 	}
-	for s.pos < len(s.ids) {
-		id := s.ids[s.pos]
-		s.pos++
-		r, err := s.table.visibleRow(id, s.snap, &s.arena, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		if r == nil {
-			continue // cannot happen for same-snapshot ids; defensive
-		}
-		s.account(scanCounts{scanned: 1})
-		return r, true, nil
+	p.ids = p.ids[:0] // never nil: no row, not the whole table
+	if !k.IsNull() {
+		// col = NULL is never true. Either index lists by hash class, a
+		// real one old versions too.
+		p.ids, err = visibleEqIDs(p.ids, t, p.idx, k, snap)
 	}
-	return nil, false, nil
+	return p.ids, err
 }
 
 // ---------------------------------------------------------------------------
@@ -335,12 +172,12 @@ func (s *corrProbeScanOp) next() (Row, bool, error) {
 // tuples with the calls' memos, has each memo send the tuples no earlier row
 // of the statement asked about — one call of the function per call site per
 // window — and only then evaluates the rows, in child order. The planner
-// gives every such conjunct a filter of its own, above the filter of the
-// conjuncts that make no such call, so those shrink the window first; a
-// filter with no predicate gathers for a projection whose items or sort
-// keys make the calls. The window doubles from first — what a LIMIT asks
-// for, where the consumer will stop early — up to one morsel (morselSize),
-// the unit the batch scan gathers such calls over (vecops.go).
+// gives every such conjunct a filter of its own, above the scan or join that
+// evaluates the conjuncts making no such call, so those shrink the window
+// first; a filter with no predicate gathers for a projection whose items or
+// sort keys make the calls. This is the one place such calls are gathered.
+// The window doubles from first — what a LIMIT asks for, where the consumer
+// will stop early — up to one morsel (morselSize).
 type filterOp struct {
 	child operator
 	pred  Expr // retained for EXPLAIN; nil passes every row
@@ -812,7 +649,7 @@ type groupTable struct {
 
 // group returns the group keys fall in and whether this call founded it —
 // the one find-or-found step of every GROUP BY: the row loop
-// (runAggregation), the batch fold (vecScanOp.foldBatch) and the merge of
+// (runAggregation), the scan's fold (scanOp.foldBatch) and the merge of
 // partial groups (runAggregationBatch). A founded group is partial when the
 // merge brings one to adopt, and otherwise new: one fresh accumulator per
 // collected aggregate, over the set's copy of keys.
@@ -980,34 +817,38 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		if len(cs) == 0 {
 			continue
 		}
-		if sc, ok := inputs[i].(*scanOp); ok {
-			var snap *snapshot
-			if qc != nil {
-				snap = qc.snap
-			}
-			if sc.indexAccess, cs, err = chooseIndexAccess(sc.table, sc.qual, cs, params, snap); err != nil {
+		sc, ok := inputs[i].(*scanOp)
+		if !ok { // a derived table
+			if inputs[i], err = newFilterOp(inputs[i], joinConjuncts(cs), db, params, outer, qc); err != nil {
 				return nil, nil, err
 			}
+			continue
 		}
-		if rest := joinConjuncts(cs); rest != nil {
-			f, err := newFilterOp(inputs[i], rest, db, params, outer, qc)
-			if err != nil {
+		var snap *snapshot
+		if qc != nil {
+			snap = qc.snap
+		}
+		if sc.indexAccess, sc.preds, err = chooseIndexAccess(sc.table, sc.qual, cs, params, snap); err != nil {
+			return nil, nil, err
+		}
+		// A join's inputs evaluate what was pushed to them and emit table
+		// rows; a single table's scan takes the rest of the WHERE too, and
+		// may absorb more (buildSelectPlan).
+		if len(inputs) > 1 {
+			if err := sc.compile(db, params, outer); err != nil {
 				return nil, nil, err
 			}
-			inputs[i] = f
 		}
 	}
 	// Correlated probe rewrite: inside a subquery — the only plan that is
 	// pulled repeatedly, once per outer row under the subplan cache — a
 	// remaining conjunct `col = <outer expr>` over the single scanned
-	// table turns the per-probe scan into a hash lookup (corrProbeScanOp).
+	// table turns the per-probe scan into a hash lookup (corrProbe).
 	if !topLevel && outer != nil && len(stmt.Joins) == 0 {
 		if sc, ok := inputs[0].(*scanOp); ok && unrestrictedScan(sc) {
-			op, rest, err := tryCorrelatedProbe(sc, kept, db, params, outer, qc)
-			if err != nil {
+			if kept, err = tryCorrelatedProbe(sc, kept, db, params, outer, qc); err != nil {
 				return nil, nil, err
 			}
-			inputs[0], kept = op, rest
 		}
 	}
 	left := inputs[0]
@@ -1203,9 +1044,10 @@ func exprBlocksRewrite(x Expr) bool {
 
 // unrestrictedScan reports whether a scan reads its whole table — the
 // precondition for serving it through a different access path (index
-// join probes, merge join): any id or range restriction must be honoured
-// and therefore disqualifies the scan.
-func unrestrictedScan(sc *scanOp) bool { return sc.ids == nil && sc.rangeIdx == nil }
+// join probes, merge join, a correlated probe): any id or range
+// restriction, and any conjunct of its own, must be honoured and therefore
+// disqualifies the scan.
+func unrestrictedScan(sc *scanOp) bool { return sc.ids == nil && sc.rangeIdx == nil && sc.preds == nil }
 
 // pushdownConjuncts splits the statement's WHERE into conjuncts and
 // assigns each to the single FROM input it references, returning the
@@ -1286,12 +1128,12 @@ type indexAccess struct {
 // chooseIndexAccess is the one place a statement's access path is chosen
 // — SELECT planning calls it per scanned table with the conjuncts pushed
 // down to it, UPDATE and DELETE with their WHERE's. It serves what it can
-// of the conjuncts from t's indexes and returns the remainder, which the
-// caller filters by. Preference order: a single `col = comparand` equality
-// over an indexed column (hash lookup), then the combined range bounds (>,
-// >=, <, <=, BETWEEN) of the first indexed column that has any — a
-// comparand being a literal or a ? parameter, resolved against this
-// execution's bindings. Equality ids are ascending and range ids
+// of the conjuncts from t's indexes and returns the remainder (nil when
+// none), which the caller filters by. Preference order: a single `col =
+// comparand` equality over an indexed column (hash lookup), then the
+// combined range bounds (>, >=, <, <=, BETWEEN) of the first indexed
+// column that has any — a comparand being a literal or a ? parameter,
+// resolved against this execution's bindings. Equality ids are ascending and range ids
 // materialise in heap order (ordidx.go), so either path yields rows
 // exactly as a filtered heap walk would. Comparands probe uncoerced: the
 // key encoding and the ordered view follow Value.Compare, which is what
@@ -1320,7 +1162,8 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 		if !v.IsNull() {
 			acc.ids, err = visibleEqIDs(acc.ids, t, idx, v, snap)
 		}
-		return acc, append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...), err
+		var rest []Expr
+		return acc, append(append(rest, conjuncts[:i]...), conjuncts[i+1:]...), err
 	}
 
 	// Range: the first indexed column with a range conjunct absorbs every
@@ -1329,7 +1172,7 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 	// statement reads no row at all; the conjuncts all stay with the caller
 	// so their names still bind.
 	var acc indexAccess
-	rest := conjuncts[:0:0]
+	var rest []Expr
 	for _, c := range conjuncts {
 		if col, cs, null, ok := rangeConjunct(c, params); ok {
 			idx := indexFor(t, qual, col)
@@ -1374,11 +1217,11 @@ func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) error {
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape
-// `col = <expression over outer scopes only>` into a corrProbeScanOp.
-// The memo is the column's real equality index when it has one;
-// otherwise a transient hash of the column is built on first pull —
-// once per statement, amortised across every outer-row probe.
-func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, []Expr, error) {
+// `col = <expression over outer scopes only>` into the scan's corrProbe
+// and returns the other conjuncts. The memo is the column's real equality
+// index when it has one; otherwise a transient hash of the column is built
+// on first pull — once per statement, amortised across every outer-row probe.
+func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, outer *evalEnv, qc *queryCtx) ([]Expr, error) {
 	localCol := func(cr *ColumnRef) bool {
 		_, n := findCol(sc.cols, cr.Table, cr.Column)
 		return n > 0
@@ -1425,17 +1268,13 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 		env := newEvalEnv(sc.cols, db, params, outer, qc)
 		keyC, err := compileExpr(keyE, env)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		op := &corrProbeScanOp{
-			table: sc.table, qual: sc.qual, cols: sc.cols, column: ci,
-			keyC: keyC, colE: colRef, keyE: keyE, scanTally: scanTally{qc: qc},
-		}
-		op.idx = sc.table.idxs()[strings.ToLower(colRef.Column)] // nil: next builds one
-		rest := append(append([]Expr{}, kept[:i]...), kept[i+1:]...)
-		return op, rest, nil
+		sc.probe = &corrProbe{column: ci, keyC: keyC, colE: colRef, keyE: keyE, ids: []int{},
+			idx: sc.table.idxs()[strings.ToLower(colRef.Column)]} // nil idx: the first probe builds one
+		return append(append([]Expr{}, kept[:i]...), kept[i+1:]...), nil
 	}
-	return sc, kept, nil
+	return kept, nil
 }
 
 // indexFor returns t's index over the referenced column when the

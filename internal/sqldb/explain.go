@@ -147,15 +147,11 @@ func (p *planPrinter) describe(op operator, depth int) {
 			p.describeSubplans(it.Expr, depth+1, t.env)
 		}
 		p.describe(t.child, depth+1)
-	case *scanOp:
-		kind, detail := t.describe(t.table)
-		p.emit(depth, "%s scan %s (as %s): %s", kind, t.table.Name, t.qual, detail)
 	case *parScanOp:
 		p.describe(t.scan, depth)
-	case *vecScanOp:
-		// One node kind for every large scan: the pool (workers=N) and the
-		// kernels (k of the pipeline's m expressions compiled) annotate it.
-		kind, detail := t.describe(t.table)
+	case *scanOp:
+		// One node kind for every base-table scan: the pool (workers=N) and
+		// the kernels (k of the pipeline's m expressions compiled) annotate it.
 		notes := ""
 		if t.workers > 1 {
 			notes = fmt.Sprintf(" workers=%d", t.workers)
@@ -163,27 +159,29 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if t.unordered {
 			notes += " (unordered gather)"
 		}
+		if t.exprs > 0 {
+			notes += fmt.Sprintf(" vectorized %d/%d", t.kernels, t.exprs)
+		}
 		if analyzed {
 			p.extra += fmt.Sprintf(" batches=%d", t.cnt.batches)
 			if t.cnt.decoded > 0 {
 				p.extra += fmt.Sprintf(" decoded_blocks=%d", t.cnt.decoded)
 			}
 		}
-		var sites []*batchSite
-		for _, g := range t.gather {
-			sites = append(sites, g...)
-		}
-		if analyzed && sites != nil {
-			p.extra += " " + lmNote(sites)
-		}
-		p.emit(depth, "batch %s scan %s (as %s)%s vectorized %d/%d: %s",
-			kind, t.table.Name, t.qual, notes, t.kernels, t.exprs, detail)
-		for i, pred := range t.preds {
-			if t.gather[i] != nil {
-				p.emit(depth+1, "fused batch-call filter %s", pred.String())
-			} else {
-				p.emit(depth+1, "fused filter %s", pred.String())
+		if c := t.probe; c != nil {
+			via := "transient hash memo"
+			if c.idx != nil && c.idx.Name != "" {
+				via = "index"
 			}
+			p.emit(depth, "correlated probe %s (as %s) on %s = %s (via %s)%s",
+				t.table.Name, t.qual, c.colE.String(), c.keyE.String(), via, notes)
+		} else {
+			kind, detail := t.describe(t.table)
+			p.emit(depth, "batch %s scan %s (as %s)%s: %s", kind, t.table.Name, t.qual, notes, detail)
+		}
+		for _, pred := range t.preds {
+			p.emit(depth+1, "fused filter %s", pred.String())
+			p.describeSubplans(pred, depth+2, &t.env)
 		}
 	case *ordScanOp:
 		col := t.table.Columns[t.idx.Column].Name
@@ -197,13 +195,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		} else {
 			p.emit(depth, "ordered index scan %s (as %s) by %s%s", t.table.Name, t.qual, col, dir)
 		}
-	case *corrProbeScanOp:
-		via := "transient hash memo"
-		if t.idx != nil && t.idx.Name != "" {
-			via = "index"
-		}
-		p.emit(depth, "correlated probe %s (as %s) on %s = %s (via %s)",
-			t.table.Name, t.qual, t.colE.String(), t.keyE.String(), via)
 	case *valuesOp:
 		p.emit(depth, "materialised rows: %d", len(t.rows))
 		if t.src != nil {

@@ -175,7 +175,7 @@ func TestExplainErrors(t *testing.T) {
 
 // TestExplainAnalyzeBatchCalls pins how batch-form function calls show in
 // an analyzed plan: the filter a conjunct with such calls gets, above the
-// filter of the cheaper conjuncts, and the gather under a projection whose
+// scan that evaluates the cheaper conjuncts, and the gather under a projection whose
 // sort key makes one, each with what its calls did — evaluations, calls of
 // the function, evaluations an earlier row had already asked for — and the
 // same three summed in the statement's QueryStats.
@@ -198,8 +198,8 @@ func TestExplainAnalyzeBatchCalls(t *testing.T) {
 		"    project 1 column(s) [rows=21]",
 		"      batch-call gather: 1 call site(s) [rows=21 lm_calls=21 lm_batches=1 lm_dedup=8]",
 		"        batch-call filter PICK('a', v) [rows=21 lm_calls=86 lm_batches=1 lm_dedup=45]",
-		"          filter (g = 3) [rows=86]",
-		"            seq scan t (as t): 600 row(s) [rows=600 scanned=600]",
+		"          batch seq scan t (as t) vectorized 1/1: 600 row(s) [rows=86 scanned=600 batches=1]",
+		"            fused filter (g = 3)",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

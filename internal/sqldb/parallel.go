@@ -13,8 +13,7 @@ import (
 // through an atomic counter, so fast workers steal work from slow ones
 // without any static partitioning. What a worker does with a morsel is
 // not decided here: each one owns a private instance of the statement's
-// batch pipeline (vecScanOp, vecops.go) and runs it on the morsels it
-// claims. This file keeps only what a pool adds:
+// scan (scanOp, vecops.go) and runs it on the morsels it claims. This file keeps only what a pool adds:
 //
 //   - parScanOp: claiming, the ticket throttle, and the gather — in morsel
 //     order, so the output is bit-identical to the serial scan (safe under
@@ -27,11 +26,11 @@ import (
 //     appeared) or private top-K heaps (sortOp.drainTopK). One worker is
 //     the serial fold.
 //
-// Whether a scan runs here is the planner's call (planScanDriver,
-// vecops.go): only top-level, single-table paths whose expressions are
-// free of subqueries and function calls (parallelSafe says why), and only
-// above the size gate so small scans never pay pool overhead. Ordered
-// (sort-eliding) scans, merge joins, and correlated probes stay serial.
+// Whether a scan runs here is the planner's call (planScan, vecops.go):
+// only top-level, single-table paths whose expressions are free of
+// subqueries and function calls (parallelSafe says why), and only above the
+// size gate so small scans never pay pool overhead. Ordered (sort-eliding)
+// scans, merge joins, and correlated probes stay serial.
 //
 // Accounting: workers never touch the shared queryCtx. Each morsel result
 // carries its own counters, which the gather — always the query's owner
@@ -49,9 +48,9 @@ const morselSize = 1024
 const parallelMaxWorkers = 8
 
 // morselMinRows is the one size gate: the minimum estimated input before
-// the planner works a morsel at a time (batch scans, pooled or not); below
-// it statements keep the row iterator. Package variable so property tests
-// can lower it to push their small corpora through the batch paths.
+// the planner puts a scan on the worker pool; below it the scan runs on the
+// statement's own goroutine. Package variable so property tests can lower
+// it to push their small corpora through the pool.
 var morselMinRows = 4096
 
 // parallelWorkersActive counts live worker goroutines engine-wide. Test
@@ -105,7 +104,7 @@ type parMorsel struct {
 	err  error
 }
 
-// parScanOp runs a batch scan on a pool of workers. The gather emits
+// parScanOp runs a scan on a pool of workers. The gather emits
 // morsel results strictly in morsel order, so downstream operators see
 // exactly the serial scan's stream — parallelism changes wall-clock, never
 // semantics — unless the plan is marked unordered: then the consumer is
@@ -119,7 +118,7 @@ type parMorsel struct {
 type parScanOp struct {
 	// scan is the plan the workers copy, the node EXPLAIN shows, and the
 	// sink their counters merge into. It is never pulled itself.
-	scan *vecScanOp
+	scan *scanOp
 
 	started bool
 	stopped bool
@@ -210,7 +209,7 @@ func (s *parScanOp) start() {
 	}()
 }
 
-func (s *parScanOp) worker(inst *vecScanOp) {
+func (s *parScanOp) worker(inst *scanOp) {
 	defer func() {
 		inst.release()
 		parallelWorkersActive.Add(-1)
@@ -444,23 +443,23 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 // ---------------------------------------------------------------------------
 // Partial aggregation
 
-// runFold drives a batch scan whose consumer is folded into it — GROUP BY
+// runFold drives a scan whose consumer is folded into it — GROUP BY
 // partitions (foldBatch) or a top-K heap (topBatch): instances of the scan
 // claim morsels and run step on each, into private state the caller then
 // merges. A serial scan is the one-instance case and runs inline on the
 // owner goroutine; a pooled one spawns and joins its workers inside this
 // call — no pool outlives it. Every morsel runs unless one fails or the
 // statement is cancelled.
-func runFold(sc *vecScanOp, step func(*vecScanOp, int) error) ([]*vecScanOp, error) {
+func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 	if err := sc.open(); err != nil {
 		return nil, err
 	}
 	qc := sc.qc
 	nMorsels := sc.src.batches()
-	insts := []*vecScanOp{sc}
+	insts := []*scanOp{sc}
 	if nw := min(sc.workers, nMorsels); nw > 1 {
 		// Compile every worker's pipeline on the owner goroutine.
-		insts = make([]*vecScanOp, nw)
+		insts = make([]*scanOp, nw)
 		for w := range insts {
 			var err error
 			if insts[w], err = sc.workerCopy(); err != nil {
@@ -515,19 +514,19 @@ func runFold(sc *vecScanOp, step func(*vecScanOp, int) error) ([]*vecScanOp, err
 	var firstErr error
 	firstErrAt := -1
 	for w, err := range errs {
-		if at := insts[w].fold.errAt; err != nil && (firstErr == nil || at < firstErrAt) {
+		if at := insts[w].at; err != nil && (firstErr == nil || at < firstErrAt) {
 			firstErr, firstErrAt = err, at
 		}
 	}
 	return insts, firstErr
 }
 
-// runAggregationBatch is the batch pipeline's counterpart of
-// runAggregation: instances fold their morsels (vecScanOp.foldBatch) into
+// runAggregationBatch is the folded scan's counterpart of
+// runAggregation: instances fold their morsels (scanOp.foldBatch) into
 // private group tables; the owner merges the partial states and returns
 // groups in exactly the serial first-seen order.
-func runAggregationBatch(sc *vecScanOp) ([]*aggGroup, error) {
-	insts, err := runFold(sc, (*vecScanOp).foldBatch)
+func runAggregationBatch(sc *scanOp) ([]*aggGroup, error) {
+	insts, err := runFold(sc, (*scanOp).foldBatch)
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,7 @@ import (
 // along (range-shaped DML WHERE, index-served multi-key ORDER BY).
 
 // lowerMorselMinRows drops the one size gate so small test corpora take
-// the batch pipeline (and, on a pooled database, the worker pool),
-// restoring it afterwards.
+// the worker pool on a pooled database, restoring it afterwards.
 func lowerMorselMinRows(t testing.TB, n int) {
 	t.Helper()
 	old := morselMinRows
@@ -314,19 +313,21 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 }
 
 // TestParallelAggEquivalence pins the partial-aggregation merge against
-// the serial fold, and both against the row loop, on a corpus with many
-// groups, NULLs, and every mergeable aggregate — identical values AND
-// identical first-seen group order AND identical printed keys: the three
-// aggregation loops found their groups through one group table.
+// the serial fold, and both against the row loop — the same statement over
+// a one-row table joined in front — on a corpus with many groups, NULLs, and
+// every mergeable aggregate: identical values AND identical first-seen group
+// order AND identical printed keys, because the three aggregation loops
+// found their groups through one group table.
 func TestParallelAggEquivalence(t *testing.T) {
 	lowerMorselMinRows(t, 8)
-	forceVector(t, true) // restored when the test ends; the row-loop leg turns it off
 	par := NewDatabase(WithMaxWorkers(4))
 	ser := NewDatabase(WithMaxWorkers(1))
 	r := rand.New(rand.NewSource(11))
 	for _, db := range []*Database{par, ser} {
 		db.MustExec("CREATE TABLE g (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER, w TEXT)")
 		db.MustExec("CREATE TABLE dim (id INTEGER, name TEXT)") // unindexed: a hash join
+		db.MustExec("CREATE TABLE one (one_id INTEGER)")
+		db.MustExec("INSERT INTO one VALUES (1)")
 		for k := 0; k < 400; k += 2 {
 			db.MustExec("INSERT INTO dim VALUES (?, ?)", k, fmt.Sprintf("n%02d", k%60))
 		}
@@ -365,12 +366,10 @@ func TestParallelAggEquivalence(t *testing.T) {
 		"SELECT dim.name, SUM(g.v) AS s FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name ORDER BY s DESC, dim.name LIMIT 10",
 		"SELECT dim.name, COUNT(*), MIN(g.w) FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name",
 	} {
-		vectorEnabled = false
-		want := queryStrings(t, ser, q) // the row loop
-		vectorEnabled = true
-		for name, db := range map[string]*Database{"serial batch": ser, "pooled batch": par} {
+		want := queryStrings(t, ser, strings.Replace(q, " FROM g", " FROM one, g", 1)) // the row loop
+		for name, db := range map[string]*Database{"serial fold": ser, "pooled fold": par} {
 			if got := queryStrings(t, db, q); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s aggregation diverged from the row loop on %q:\n got %v\nwant %v", name, q, got, want)
+				t.Fatalf("%s diverged from the row loop on %q:\n got %v\nwant %v", name, q, got, want)
 			}
 		}
 	}

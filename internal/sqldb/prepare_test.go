@@ -172,7 +172,7 @@ func TestPreparedParamsTakeIndexPerExecution(t *testing.T) {
 		{"SELECT id FROM movies WHERE id > ?", "SELECT id FROM movies WHERE id + 0 > 4", []any{4}, "index range scan movies"},
 		{"SELECT id FROM movies WHERE ? >= id", "SELECT id FROM movies WHERE id + 0 <= 2", []any{2}, "index range scan movies"},
 		{"SELECT id FROM movies WHERE id BETWEEN ? AND ?", "SELECT id FROM movies WHERE id + 0 BETWEEN 2 AND 4", []any{2, 4}, "index range scan movies"},
-		{"SELECT id FROM movies WHERE id BETWEEN ? AND ?", "SELECT id FROM movies WHERE id + 0 BETWEEN 2 AND NULL", []any{2, nil}, "index scan movies (as movies): 0 candidate row(s)"},
+		{"SELECT id FROM movies WHERE id BETWEEN ? AND ?", "SELECT id FROM movies WHERE id + 0 BETWEEN 2 AND NULL", []any{2, nil}, "index scan movies (as movies) vectorized 1/1: 0 candidate row(s)"},
 	} {
 		if got, want := queryStrings(t, db, c.sql, c.params...), queryStrings(t, db, c.plain); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s %v = %v, want %v", c.sql, c.params, got, want)

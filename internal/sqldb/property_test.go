@@ -282,14 +282,19 @@ func TestLeftJoinRowCountInvariant(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Old-executor equivalence
 //
-// The engine's per-row path is compiled (compile.go); the interpreted
-// evaluator that powered the old executor survives in expr.go for DML.
-// refSelect below reconstructs the old executor for single-table queries —
-// interpreted predicates, no index selection, per-row projection — and the
-// property tests assert the two pipelines agree over generated queries.
+// The engine's per-row path is compiled (compile.go) and its scans run
+// kernels (vector.go); the interpreted evaluator that powered the old
+// executor survives in interp_test.go. refSelect below reconstructs the old
+// executor for single-table queries — interpreted predicates, no index
+// selection, per-row projection and aggregation — and the property tests
+// assert the engine agrees with it over generated queries.
 
-// refSelect is a miniature interpreted executor: full scan, interpreted
-// WHERE, interpreted projection, stable sort on interpreted ORDER BY keys.
+// refSelect is a miniature interpreted executor: full scan in slot order,
+// interpreted WHERE, GROUP BY partitions in first-seen order (each with the
+// row that founded it) and the aggregates COUNT/SUM/AVG/MIN/MAX, interpreted
+// projection, DISTINCT, a stable sort on ORDER BY keys resolved as the engine
+// resolves them (an output ordinal or name first, then the input), and
+// LIMIT/OFFSET.
 func refSelect(db *Database, stmt *SelectStmt) ([]Row, error) {
 	tbl, err := db.lookupTable(stmt.From.Name)
 	if err != nil {
@@ -299,16 +304,12 @@ func refSelect(db *Database, stmt *SelectStmt) ([]Row, error) {
 	for i, c := range tbl.Columns {
 		cols[i] = colInfo{qual: stmt.From.effectiveName(), name: c.Name}
 	}
-	items, _, err := expandItems(stmt.Items, cols)
+	items, outCols, err := expandItems(stmt.Items, cols)
 	if err != nil {
 		return nil, err
 	}
 	env := newEvalEnv(cols, db, nil, nil, nil)
-	type keyed struct {
-		out  Row
-		keys []Value
-	}
-	var rows []keyed
+	var in []Row
 	for id := 0; id < int(tbl.n.Load()); id++ {
 		r := latestRowOf(tbl, id)
 		if r == nil {
@@ -324,19 +325,117 @@ func refSelect(db *Database, stmt *SelectStmt) ([]Row, error) {
 				continue
 			}
 		}
+		in = append(in, r)
+	}
+	// eval evaluates e for one output row: over its input row, or — under
+	// aggregation — over its group, whose founding row answers the rest.
+	aggregate := len(stmt.GroupBy) > 0 || stmt.Having != nil
+	for _, it := range items {
+		aggregate = aggregate || exprContainsAggregate(it.Expr)
+	}
+	type group struct {
+		keys []Value
+		rows []Row
+	}
+	eval := func(e Expr, g *group) (Value, error) {
+		if g == nil {
+			return evalExpr(e, env)
+		}
+		for i, ge := range stmt.GroupBy {
+			if ge.String() == e.String() {
+				return g.keys[i], nil
+			}
+		}
+		if fc, ok := e.(*FuncCall); ok && isAggregateName(fc.Name) {
+			return refAggregate(fc, g.rows, env)
+		}
+		return evalExpr(e, env)
+	}
+	var groups []*group
+	if aggregate {
+		for _, r := range in {
+			env.row = r
+			keys := make([]Value, len(stmt.GroupBy))
+			for i, ge := range stmt.GroupBy {
+				if keys[i], err = evalExpr(ge, env); err != nil {
+					return nil, err
+				}
+			}
+			var g *group
+			for _, h := range groups {
+				if sameKeys(h.keys, keys) {
+					g = h
+					break
+				}
+			}
+			if g == nil {
+				g = &group{keys: keys}
+				groups = append(groups, g)
+			}
+			g.rows = append(g.rows, r)
+		}
+		if len(groups) == 0 && len(stmt.GroupBy) == 0 {
+			groups = []*group{{}}
+		}
+	}
+	type keyed struct {
+		out  Row
+		keys []Value
+	}
+	var rows []keyed
+	emit := func(g *group) error {
+		if stmt.Having != nil {
+			if v, err := eval(stmt.Having, g); err != nil || v.IsNull() || !v.AsBool() {
+				return err
+			}
+		}
 		out := make(Row, len(items))
 		for i, it := range items {
-			if out[i], err = evalExpr(it.Expr, env); err != nil {
-				return nil, err
+			if out[i], err = eval(it.Expr, g); err != nil {
+				return err
 			}
 		}
 		keys := make([]Value, len(stmt.OrderBy))
 		for i, ob := range stmt.OrderBy {
-			if keys[i], err = evalExpr(ob.Expr, env); err != nil {
-				return nil, err
+			if j := refOutputOrdinal(ob.Expr, outCols); j >= 0 {
+				keys[i] = out[j]
+			} else if keys[i], err = eval(ob.Expr, g); err != nil {
+				return err
 			}
 		}
 		rows = append(rows, keyed{out: out, keys: keys})
+		return nil
+	}
+	if aggregate {
+		for _, g := range groups {
+			env.row = make(Row, len(cols)) // an empty input's group reads NULLs
+			if len(g.rows) > 0 {
+				env.row = g.rows[0]
+			}
+			if err := emit(g); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		for _, r := range in {
+			env.row = r
+			if err := emit(nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if stmt.Distinct {
+		var kept []keyed
+		for _, r := range rows {
+			dup := false
+			for _, k := range kept {
+				dup = dup || sameKeys(k.out, r.out)
+			}
+			if !dup {
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
 	}
 	sort.SliceStable(rows, func(a, b int) bool {
 		for j, ob := range stmt.OrderBy {
@@ -350,11 +449,97 @@ func refSelect(db *Database, stmt *SelectStmt) ([]Row, error) {
 		}
 		return false
 	})
-	out := make([]Row, len(rows))
-	for i, kr := range rows {
-		out[i] = kr.out
+	lo, hi := 0, len(rows)
+	if stmt.Offset != nil {
+		v, err := evalExpr(stmt.Offset, env)
+		if err != nil {
+			return nil, err
+		}
+		lo = min(int(v.AsInt()), hi)
+	}
+	if stmt.Limit != nil {
+		v, err := evalExpr(stmt.Limit, env)
+		if err != nil {
+			return nil, err
+		}
+		hi = min(lo+int(v.AsInt()), hi)
+	}
+	out := make([]Row, 0, hi-lo)
+	for _, kr := range rows[lo:hi] {
+		out = append(out, kr.out)
 	}
 	return out, nil
+}
+
+// sameKeys reports whether two tuples fall in one GROUP BY or DISTINCT
+// class: NULL with NULL, and values that compare equal (7 with 7.0).
+func sameKeys(a, b []Value) bool {
+	for i := range a {
+		if a[i].IsNull() != b[i].IsNull() || !a[i].IsNull() && a[i].Compare(b[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// refOutputOrdinal is the output column an ORDER BY key names — by ordinal,
+// or as a bare name exactly one output column answers to — or -1.
+func refOutputOrdinal(e Expr, outCols []colInfo) int {
+	switch t := e.(type) {
+	case *Literal:
+		if t.Val.Kind() == KindInt {
+			return int(t.Val.AsInt()) - 1
+		}
+	case *ColumnRef:
+		if j, n := findCol(outCols, "", t.Column); t.Table == "" && n == 1 {
+			return j
+		}
+	}
+	return -1
+}
+
+// refAggregate folds one aggregate over a group's rows, left to right.
+func refAggregate(fc *FuncCall, rows []Row, env *evalEnv) (Value, error) {
+	var n, isum int64
+	var fsum float64
+	floats := false
+	best := Null
+	for _, r := range rows {
+		if fc.Star {
+			n++
+			continue
+		}
+		env.row = r
+		v, err := evalExpr(fc.Args[0], env)
+		if err != nil || v.IsNull() {
+			if err != nil {
+				return Null, err
+			}
+			continue
+		}
+		n++
+		if v.Kind() == KindInt {
+			isum += v.AsInt()
+		} else {
+			fsum, floats = fsum+v.AsFloat(), true
+		}
+		if c := v.Compare(best); best.IsNull() || fc.Name == "MIN" && c < 0 || fc.Name == "MAX" && c > 0 {
+			best = v
+		}
+	}
+	switch {
+	case fc.Name == "COUNT":
+		return Int(n), nil
+	case n == 0:
+		return Null, nil
+	case fc.Name == "AVG":
+		return Float((float64(isum) + fsum) / float64(n)), nil
+	case fc.Name == "SUM" && floats:
+		return Float(float64(isum) + fsum), nil
+	case fc.Name == "SUM":
+		return Int(isum), nil
+	}
+	return best, nil
 }
 
 func rowsToStrings(rows []Row) [][]string {

@@ -15,9 +15,10 @@ import (
 // copies it, and the planner (lendRows, stream.go) lets a producer reuse one
 // output row only under a consumer that drops what it reads. Every producer
 // that can be lent — hash join, index join, projection, aggregation, and the
-// batch scan a top-K is folded into — is put under every consumer that can
-// sit above it, and the results must match the same statement with batch
-// scans and pooling off, and for the core shapes an oracle computed in Go.
+// scan a top-K is folded into — is put under every consumer that can
+// sit above it, and the results must match the same statement on a serial
+// database that keeps every row it is handed, and for the core shapes an
+// oracle computed in Go.
 
 // rowlifeData is the corpus as plain Go columns, so the oracles never ask
 // the engine what the right answer is.
@@ -79,9 +80,9 @@ func (d *rowlifeData) load(t testing.TB, indexed bool, opts ...Option) *Database
 }
 
 // rowlifeCorpus is producer × consumer. Joins hash on the plain database and
-// probe b's index on the indexed one; single-table statements over a fold
-// into its batch scan (the size gate is lowered below a) unless their shape
-// keeps the row path, and c stays under the gate either way.
+// probe b's index on the indexed one; single-table statements fold into their
+// scan unless their shape keeps the sort above it, and only a is over the
+// pool's size gate.
 var rowlifeCorpus = []string{
 	// A lent join under: project, filter, group without and with a
 	// representative row, DISTINCT, full sort, top-K sort, LIMIT.
@@ -111,8 +112,8 @@ var rowlifeCorpus = []string{
 	"SELECT c.id, (SELECT a.id FROM a WHERE a.v > c.v ORDER BY a.v, a.id DESC LIMIT 1) FROM c",
 	"SELECT c.id, (SELECT b.id FROM a JOIN b ON a.k = b.k WHERE a.k = c.k ORDER BY b.v DESC, a.id, b.id LIMIT 1) FROM c",
 
-	// A lent projection or aggregation under a row-path top-K sort: a key the
-	// scan cannot resolve, DISTINCT, GROUP BY, a table under the gate.
+	// A lent projection or aggregation under a top-K sort the scan does not
+	// take: a key the scan cannot resolve, DISTINCT, GROUP BY.
 	"SELECT id, v * 2 AS vv FROM a ORDER BY vv + 1 DESC, id LIMIT 6",
 	"SELECT DISTINCT k, v % 3 FROM a ORDER BY k DESC, 2 LIMIT 5",
 	"SELECT k, COUNT(*) AS n, SUM(v) FROM a GROUP BY k ORDER BY n DESC, k LIMIT 4 OFFSET 1",
@@ -121,7 +122,7 @@ var rowlifeCorpus = []string{
 	"SELECT x.id, b.id FROM (SELECT id, k FROM c ORDER BY v DESC, id LIMIT 6) x JOIN b ON b.k = x.k",
 	"SELECT id FROM a WHERE id IN (SELECT id FROM c ORDER BY v, id LIMIT 10)",
 
-	// The batch scan with the top-K folded in: top level, drained into a
+	// The scan with the top-K folded in: top level, drained into a
 	// derived table, and re-pulled under a correlated subquery.
 	"SELECT id, v FROM a ORDER BY v DESC, id LIMIT 8",
 	"SELECT id, k + v AS kv, s FROM a WHERE v > 20 ORDER BY 2, s DESC, id LIMIT 10 OFFSET 4",
@@ -160,7 +161,6 @@ func rowlifeProperty(t *testing.T, breakCopy bool) error {
 	for _, indexed := range []bool{false, true} {
 		ref := d.load(t, indexed, WithMaxWorkers(1))
 		want := make(map[string][]string)
-		forceVector(t, false)
 		debugBreakRowCopy = false
 		for _, sql := range rowlifeCorpus {
 			rows, err := rowlifeRows(ref, sql)
@@ -169,7 +169,6 @@ func rowlifeProperty(t *testing.T, breakCopy bool) error {
 			}
 			want[sql] = rows
 		}
-		forceVector(t, true)
 		debugBreakRowCopy = breakCopy
 		for _, workers := range []int{1, 4} {
 			db := d.load(t, indexed, WithMaxWorkers(workers))

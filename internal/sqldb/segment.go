@@ -326,7 +326,7 @@ func (t *Table) rehydrate(m int) error {
 	blk, w := t.block(m), len(t.Columns)
 	b := getBatch(w)
 	defer batchPool.Put(b)
-	if err := b.fillSealed(blk, nil, false); err != nil {
+	if err := b.fillSealed(blk, m*segBlockSlots, nil, false); err != nil {
 		return err
 	}
 	vals, vers := make([]Value, blk.nrows*w), make([]rowVersion, blk.nrows)

@@ -185,8 +185,8 @@ func TestSegmentDecodeCorruptionSafe(t *testing.T) {
 // for `blocks` full sealable blocks, then seals synchronously.
 func sealedTestDB(t testing.TB, blocks int) *Database {
 	t.Helper()
-	// A few blocks sit far below the production size gate; lower it so
-	// scans of this table take the batch pipeline and read the segments.
+	// A few blocks sit far below the pool's size gate; lower it so a pooled
+	// database's scans of this table take the pool too.
 	lowerMorselMinRows(t, 1)
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE s (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
@@ -478,25 +478,21 @@ func scribble(db *Database, name string) {
 
 // TestCorruptBlockIsAnError: once the block is the only copy of its rows,
 // bytes that do not decode fail the statement with ErrCorrupt on every path
-// that reads a sealed row — the whole-block decode of the batch pipeline
-// and of the row iterator, random access by an index probe, rehydration
+// that reads a sealed row — the whole-block decode of a scan that folds and
+// of one that emits table rows, random access by an index probe, rehydration
 // for DML, the dump — and never read as NULLs or as no rows.
 func TestCorruptBlockIsAnError(t *testing.T) {
 	db := sealedTestDB(t, 2)
 	db.MustExec("CREATE INDEX idx_s_id ON s (id)")
 	scribble(db, "s")
-	for _, c := range []struct {
-		vector bool
-		q      string
-	}{
-		{true, "SELECT COUNT(*), SUM(a) FROM s"},
-		{false, "SELECT COUNT(*), SUM(a) FROM s"},
-		{false, "SELECT a FROM s WHERE id = 5"},
-		{true, "SELECT a FROM s WHERE id BETWEEN 1 AND 9"},
+	for _, q := range []string{
+		"SELECT COUNT(*), SUM(a) FROM s",
+		"SELECT id, a FROM s ORDER BY a",
+		"SELECT a FROM s WHERE id = 5",
+		"SELECT a FROM s WHERE id BETWEEN 1 AND 9",
 	} {
-		forceVector(t, c.vector)
-		if _, err := db.Query(c.q); CodeOf(err) != ErrCorrupt || SQLStateFor(err) != "XX001" {
-			t.Errorf("vector=%v %q: error %v, want ErrCorrupt (XX001)", c.vector, c.q, err)
+		if _, err := db.Query(q); CodeOf(err) != ErrCorrupt || SQLStateFor(err) != "XX001" {
+			t.Errorf("%q: error %v, want ErrCorrupt (XX001)", q, err)
 		}
 	}
 	if _, err := db.Exec("UPDATE s SET a = 1 WHERE id = 5"); CodeOf(err) != ErrCorrupt {

@@ -1,20 +1,20 @@
 package sqldb
 
-// This file is the one place large scans read table storage. The
-// 1024-slot morsel — which is also one sealed block and one vector batch —
-// is the unit: a batchSource captures the table, its slot array, the
-// statement snapshot, the sealed blocks and (for index and range access)
-// the id list once, on the owner goroutine, and load fills batch idx from
-// whichever storage backs those positions. Every consumer — the serial batch
-// pipeline and each pool worker (vecops.go, parallel.go) — calls load on the
-// shared source with a private vecBatch, under no lock. Visibility is
+// This file is the one place a scan reads table storage. The 1024-slot
+// morsel — which is also one sealed block and one vector batch — is the
+// unit: a batchSource captures the table, its slot array, the statement
+// snapshot, the sealed blocks and (for index and range access) the id list
+// once, on the owner goroutine, and load fills batch idx from whichever
+// storage backs those positions. Every consumer — the serial scan, each pool
+// worker (vecops.go, parallel.go) and UPDATE/DELETE's walk over their victims
+// (db.go) — calls load with a private vecBatch, under no lock. Visibility is
 // decided by the single function below, for these scans and (through
 // Table.resolve and Table.visibleRow) for every other snapshot read.
 
 // debugDisableTombstoneSkip is a fault-injection switch for the
 // metamorphic/property test layer: scans ignore visibility, so deleted
 // rows reappear, and the suites must notice. Never set outside tests; read
-// only by visible and newBatchSource.
+// only by visible and batchSource.capture.
 var debugDisableTombstoneSkip bool
 
 // visible returns the row of a version chain a reader holding snap should
@@ -35,9 +35,9 @@ func visible(head *rowVersion, snap *snapshot) Row {
 	}
 }
 
-// batchSource is the position space of one large scan: an explicit id
-// list (equality/range index access) or the slot array [0, n). Immutable
-// once built, so workers share it freely.
+// batchSource is the position space of one scan: an explicit id list
+// (equality/range index access) or the slot array [0, n). Immutable once
+// captured, so workers share it freely.
 type batchSource struct {
 	table *Table
 	ids   []int // nil = the whole slot array
@@ -47,21 +47,20 @@ type batchSource struct {
 	segs  []*segBlock // the sealed blocks by morsel (segment.go); nil = none
 }
 
-// newBatchSource captures the scan's iteration space. Full scans also
-// capture the sealed blocks, so a sealed morsel decodes its block instead of
-// reading it row by row — except under the visibility fault, where blocks
-// (which hold live rows only) would hide the deleted rows the fault is meant
-// to expose. The snapshot is taken first, so a block captured here stays
-// what it sees even once rehydrated: a change to its rows publishes later.
-func newBatchSource(t *Table, ids []int, snap *snapshot) *batchSource {
-	m := &batchSource{table: t, ids: ids, snap: snap}
+// capture takes the scan's iteration space. Full scans also capture the
+// sealed blocks, so a sealed morsel decodes its block instead of reading it
+// row by row — except under the visibility fault, where blocks (which hold
+// live rows only) would hide the deleted rows the fault is meant to expose.
+// The snapshot is taken first, so a block captured here stays what it sees
+// even once rehydrated: a change to its rows publishes later.
+func (m *batchSource) capture(t *Table, ids []int, snap *snapshot) {
+	*m = batchSource{table: t, ids: ids, snap: snap}
 	if ids == nil {
 		m.arr, m.n = t.loadSlots()
 		if !debugDisableTombstoneSkip {
 			m.segs = t.blocks()
 		}
 	}
-	return m
 }
 
 // batches is the number of morsels the source spans.
@@ -73,102 +72,108 @@ func (m *batchSource) batches() int {
 	return (total + morselSize - 1) / morselSize
 }
 
-// load fills b with the visible rows of morsel idx, in position order.
-// need marks the columns the consumer reads; needRows asks for b.rows even
-// when the morsel is a sealed block (heap and id-list morsels always carry
-// their rows: a heap row is the cheapest form there is, and a sealed row an
-// id list names — or one of a morsel sealed since the capture — is decoded
-// whole into the batch). b.pre and b.tail record the invisible versions
-// stepped over, so consumers can bill tombstones exactly where the row
-// iterator would. b.sel is left to the caller.
-func (m *batchSource) load(idx int, need []bool, needRows bool, b *vecBatch) error {
+// load fills b with the visible rows of morsel idx, in position order, and
+// their slot ids. vec marks the columns the consumer's kernels read, which
+// load gathers into column vectors; a sealed block decodes dec (nil: every
+// column) and builds a row view over them only when rows asks for one (heap
+// and id-list morsels always carry their rows: a heap row is the cheapest
+// form there is, and a sealed row an id list names — or one of a morsel
+// sealed since the capture — is decoded whole into the batch). b.pre and
+// b.tail record the invisible versions stepped over, so consumers can bill
+// tombstones where each row is consumed. b.sel is left to the caller.
+func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) error {
 	lo := idx * morselSize
 	b.blk = nil
 	if m.ids == nil && idx < len(m.segs) && m.segs[idx] != nil {
-		return b.fillSealed(m.segs[idx], need, needRows)
+		return b.fillSealed(m.segs[idx], lo, dec, rows)
 	}
+	end := min(lo+morselSize, m.n)
+	if m.ids != nil {
+		end = min(lo+morselSize, len(m.ids))
+	}
+	b.reserve(end - lo)
 	n, carry := 0, int32(0)
 	b.arena.used = 0
-	var err error
-	gather := func(slot *rowSlot, id int) {
+	for pos := lo; pos < end; pos++ {
+		id, slot := pos, (*rowSlot)(nil)
+		if m.ids != nil {
+			id = m.ids[pos]
+			slot = m.table.slot(id)
+		} else {
+			slot = m.arr[pos]
+		}
 		head, blk := m.table.resolve(slot, id)
 		var r Row
 		switch {
 		case blk != nil:
 			r = b.arena.alloc(len(m.table.Columns))
-			if e := blk.row(id, r, &b.seek); e != nil {
-				err = e
+			if err := blk.row(id, r, &b.seek); err != nil {
+				return err
 			}
 		case head == nil && m.ids == nil:
 			// A slot with no versions at all (vacuumed, or a rolled-back
 			// insert) is stepped over silently; one holding only invisible
 			// versions, or an index id naming such a slot, is a tombstone.
-			return
+			continue
 		default:
 			r = visible(head, m.snap)
 		}
 		if r == nil {
 			carry++
-			return
+			continue
 		}
-		b.pre[n], carry = carry, 0
+		b.pre[n], b.ids[n], carry = carry, id, 0
 		b.rowBuf[n] = r
 		n++
 	}
-	if m.ids != nil {
-		for _, id := range m.ids[lo:min(lo+morselSize, len(m.ids))] {
-			gather(m.table.slot(id), id)
-		}
-	} else {
-		for i, slot := range m.arr[lo:min(lo+morselSize, m.n)] {
-			gather(slot, lo+i)
-		}
-	}
-	if err != nil {
-		return err
-	}
 	b.n, b.tail, b.rows = n, carry, b.rowBuf[:n]
-	for c, needed := range need {
-		if !needed {
+	for c := range b.cols {
+		if vec == nil || !vec[c] {
 			b.cols[c] = vecCol{}
 			continue
 		}
-		buf := b.colBuf(c)
+		buf := b.colBuf(c, n)
 		for j, r := range b.rows {
 			buf[j] = r[c]
 		}
-		b.cols[c].setVals(buf[:n])
+		b.cols[c].setVals(buf)
 	}
 	return nil
 }
 
-// fillSealed decodes the needed columns of one sealed block (nil need: every
-// column). Sealed blocks hold no tombstones by construction. With needRows
-// the batch also gets a row view over the decoded columns — full width, but
-// only the needed ordinals are populated — carved from storage the next load
-// overwrites.
-func (b *vecBatch) fillSealed(blk *segBlock, need []bool, needRows bool) error {
+// fillSealed decodes the dec columns of the sealed block of morsel base /
+// morselSize (nil dec: every column). Sealed blocks hold no tombstones by
+// construction. With rows the batch also gets a row view over the decoded
+// columns — full width, but only the decoded ordinals are populated —
+// carved from storage the next load overwrites.
+func (b *vecBatch) fillSealed(blk *segBlock, base int, dec []bool, rows bool) error {
 	nr := blk.nrows
+	b.reserve(nr)
 	b.blk, b.n, b.tail, b.rows, b.arena.used = nil, nr, 0, nil, 0
 	clear(b.pre[:nr])
+	for i, j := 0, 0; j < nr; i++ { // the slots the block's rows sit in
+		if blk.holes == nil || blk.holes[i/64]&(1<<(i%64)) == 0 {
+			b.ids[j], j = base+i, j+1
+		}
+	}
 	for c := range blk.cols {
-		if need != nil && !need[c] {
+		if dec != nil && !dec[c] {
 			b.cols[c] = vecCol{}
 			continue
 		}
-		buf := b.colBuf(c)[:nr]
+		buf := b.colBuf(c, nr)
 		if err := blk.cols[c].decode(nr, buf); err != nil {
 			return err
 		}
 		b.cols[c] = vecCol{vals: buf, kinds: blk.cols[c].kinds}
 	}
 	b.blk = blk
-	if !needRows {
+	if !rows {
 		return nil
 	}
 	width := len(blk.cols)
 	if len(b.arena.buf) < nr*width {
-		b.arena.buf = make([]Value, vecBatchRows*width)
+		b.arena.buf = make([]Value, nr*width)
 	}
 	for j := 0; j < nr; j++ {
 		b.rowBuf[j] = b.arena.alloc(width)

@@ -62,7 +62,7 @@ type projectOp struct {
 	items   []SelectItem // retained for EXPLAIN (subplans in projections)
 	env     *evalEnv     // row environment the items read from
 	rowBuilder
-	// fused: the batch scan below evaluated the items itself (vecops.go) and
+	// fused: the scan below evaluated the items itself (vecops.go) and
 	// hands up finished output rows.
 	fused bool
 }
@@ -96,9 +96,9 @@ type groupOp struct {
 	params  []Value
 	outer   *evalEnv
 	qc      *queryCtx
-	// bat, when set, is the batch scan that folds the aggregation itself,
-	// morsel by morsel (runAggregationBatch); child is then only displayed.
-	bat *vecScanOp
+	// bat, when set, is the scan that folds the aggregation itself, morsel
+	// by morsel (runAggregationBatch); child is then only displayed.
+	bat *scanOp
 
 	built   bool
 	groups  []*aggGroup
@@ -201,9 +201,9 @@ type sortOp struct {
 	width   int
 	orderBy []OrderItem
 	topK    int // -1 = keep everything
-	// bat, when set, is the batch scan that keeps the top-K itself, morsel
-	// by morsel (drainTopK); child is then only displayed.
-	bat *vecScanOp
+	// bat, when set, is the scan that keeps the top-K itself, morsel by
+	// morsel (drainTopK); child is then only displayed.
+	bat *scanOp
 	// presorted is the count of leading sort keys the input order already
 	// satisfies (an elided index order). When positive the operator is no
 	// longer a full pipeline breaker: it streams runs of rows equal on
@@ -354,7 +354,7 @@ type topkRow struct {
 // a total order, so the root, the retained row sorting last, is well
 // defined. An offered row stays its producer's: one that enters is copied,
 // into the storage of the row it evicts once the heap is full. The row-path
-// sortOp keeps one heap; a batch scan the sort is folded into, one per
+// sortOp keeps one heap; a scan the sort is folded into, one per
 // instance (vecops.go).
 type topKHeap struct {
 	k       int
@@ -432,13 +432,13 @@ func sortedTopK(heaps ...*topKHeap) []Row {
 
 // drainTopK retains the first topK rows of the sorted order. The input is
 // consumed fully even when topK is 0, so that execution errors surface
-// exactly as they would from a full sort. A sort folded into its batch scan
+// exactly as they would from a full sort. A sort folded into its scan
 // has every instance keep the first rows among the morsels it ran (topBatch)
 // and merges at most workers×topK of them.
 func (s *sortOp) drainTopK() ([]Row, error) {
 	var heaps []*topKHeap
 	if s.bat != nil {
-		insts, err := runFold(s.bat, (*vecScanOp).topBatch)
+		insts, err := runFold(s.bat, (*scanOp).topBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -520,9 +520,10 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	if err != nil {
 		return nil, nil, err
 	}
-	// The WHERE above the joins: one filter for the conjuncts that call no
-	// batch-form function, then one for each conjunct that does, so those see
-	// only the rows every cheaper conjunct kept, however the text ordered them.
+	// The rest of the WHERE: the conjuncts that call no batch-form function
+	// go to a single table's scan, or a filter above the joins; then each
+	// conjunct that does gets a filter of its own, so those see only the rows
+	// every cheaper conjunct kept, however the text ordered them.
 	var batch []Expr
 	if qc.callsBatchFunc(where) {
 		var cheap []Expr
@@ -535,12 +536,12 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		}
 		where = joinConjuncts(cheap)
 	}
-	if where != nil {
-		f, err := newFilterOp(src, where, db, params, outer, qc)
-		if err != nil {
+	if sc, ok := src.(*scanOp); ok && where != nil {
+		sc.preds = append(sc.preds, splitConjuncts(where)...)
+	} else if where != nil {
+		if src, err = newFilterOp(src, where, db, params, outer, qc); err != nil {
 			return nil, nil, err
 		}
-		src = f
 	}
 	var lms []*filterOp // the filters that gather batch-form calls
 	for _, c := range batch {
@@ -582,7 +583,9 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	orderElided := false
 	if !aggregate && len(stmt.OrderBy) >= 1 && len(stmt.Joins) == 0 &&
 		(len(stmt.OrderBy) == 1 || !stmt.Distinct) {
-		src, orderElided = tryOrderedScan(stmt, items, src, qc)
+		if src, orderElided, err = tryOrderedScan(stmt, items, src, db, params, outer, qc); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// needSort: an ORDER BY the index order does not already satisfy. A
@@ -632,10 +635,12 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		topK = start + limit
 	}
 
-	// The scan driver (vecops.go): a large single-table input runs through
-	// the batch pipeline, on the worker pool when the shape allows. (An
-	// elided index order no longer bottoms out in a plain scan, so it keeps
-	// its ordered scan — the streaming is the point.)
+	// Batch-form calls in the select list or the sort keys are gathered by a
+	// filter under the projection that passes every row; it holds a window of
+	// input rows, so the scan below emits table rows. Otherwise the scan may
+	// absorb what sits above it (vecops.go). (An elided index order no longer
+	// bottoms out in a scan, so it keeps its ordered scan — the streaming is
+	// the point.)
 	shape := scanShape{
 		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
 		repRows:  aggregate && readsRepRow(stmt, items, outCols),
@@ -644,25 +649,22 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	if topK >= 0 && !aggregate && !stmt.Distinct {
 		shape.order = scanOrderKeys(stmt.OrderBy, outCols)
 	}
-	// Batch-form calls in the select list or the sort keys are gathered by a
-	// filter under the projection that passes every row. It holds a window of
-	// input rows, so the input stays the row iterator, whose rows outlive it.
-	var gather *filterOp
-	var bscan *vecScanOp
-	gathers := false
 	if qc != nil && qc.lent != nil && !aggregate {
 		for _, it := range items {
-			gathers = gathers || qc.callsBatchFunc(it.Expr)
+			shape.windowed = shape.windowed || qc.callsBatchFunc(it.Expr)
 		}
 		for _, ob := range stmt.OrderBy {
-			gathers = gathers || qc.callsBatchFunc(ob.Expr)
+			shape.windowed = shape.windowed || qc.callsBatchFunc(ob.Expr)
 		}
 	}
-	if gathers {
+	var bscan *scanOp
+	if src, bscan, err = planScan(src, shape, db, params, outer, qc); err != nil {
+		return nil, nil, err
+	}
+	var gather *filterOp
+	if shape.windowed {
 		gather = &filterOp{child: src, win: &callWindow{}}
 		src, lms = gather, append(lms, gather)
-	} else if src, bscan, err = planScanDriver(src, shape, db, params, outer, qc); err != nil {
-		return nil, nil, err
 	}
 	// A consumer that will stop early — a LIMIT nothing sorts or groups
 	// under, or whatever pulls a subquery — starts the windows at what it
@@ -840,9 +842,6 @@ func lendRows(op operator) {
 		case *ordScanOp:
 			t.arena.reuse = true
 			return
-		case *corrProbeScanOp:
-			t.arena.reuse = true
-			return
 		default:
 			return
 		}
@@ -850,7 +849,7 @@ func lendRows(op operator) {
 }
 
 // scanOrderKeys resolves ORDER BY keys for a sort that may fold into its
-// batch scan (vecops.go): a key naming an output column — by ordinal or bare
+// scan (vecops.go): a key naming an output column — by ordinal or bare
 // name, which ORDER BY resolves against the output first — reads that column
 // of the row being built; any other must read the scan's columns alone. nil
 // when some key does neither: it reaches the output row from inside a larger
@@ -901,9 +900,11 @@ func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
 // that collides with an output column is only safe when that output
 // column is the very same table column. If the scan carries a range
 // restriction it must be on the same column, and becomes the ordered
-// scan's bounds. On success the scan is replaced in place and the
-// (possibly new) chain root plus true are returned.
-func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *queryCtx) (operator, bool) {
+// scan's bounds. On success the scan is replaced in place — under a filter
+// of its conjuncts, when it had any — and the (possibly new) chain root
+// plus true are returned.
+func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator,
+	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, bool, error) {
 	// Find the scan under any stack of filters.
 	slot := &src
 	for {
@@ -914,20 +915,20 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 		slot = &f.child
 	}
 	sc, ok := (*slot).(*scanOp)
-	if !ok || sc.ids != nil {
-		return src, false
+	if !ok || sc.ids != nil || sc.probe != nil {
+		return src, false, nil
 	}
 	ob := stmt.OrderBy[0]
 	cr, ok := ob.Expr.(*ColumnRef)
 	if !ok {
-		return src, false
+		return src, false, nil
 	}
 	idx := indexFor(sc.table, sc.qual, cr)
 	if idx == nil {
-		return src, false
+		return src, false, nil
 	}
 	if sc.rangeIdx != nil && sc.rangeIdx != idx {
-		return src, false
+		return src, false, nil
 	}
 	if stmt.Distinct {
 		// DISTINCT keeps each group's first-arriving row, and the sort
@@ -945,7 +946,7 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 			}
 		}
 		if !keyInOutput {
-			return src, false
+			return src, false, nil
 		}
 	}
 	if cr.Table == "" {
@@ -969,13 +970,13 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 			c, ok := it.Expr.(*ColumnRef)
 			if !ok || !strings.EqualFold(c.Column, cr.Column) ||
 				(c.Table != "" && !strings.EqualFold(c.Table, sc.qual)) {
-				return src, false
+				return src, false, nil
 			}
 		}
 		if matches > 1 {
 			// Ambiguous output reference: keep the sort path so the
 			// resolution error (or tie-breaking) behaves as before.
-			return src, false
+			return src, false, nil
 		}
 	}
 	oss := &ordScanOp{
@@ -986,5 +987,12 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator, qc *quer
 		oss.spec = sc.spec
 	}
 	*slot = oss
-	return src, true
+	if sc.preds != nil {
+		f, err := newFilterOp(oss, joinConjuncts(sc.preds), db, params, outer, qc)
+		if err != nil {
+			return nil, false, err
+		}
+		*slot = f
+	}
+	return src, true, nil
 }

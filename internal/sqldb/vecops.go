@@ -1,32 +1,28 @@
 package sqldb
 
-// This file implements the batch pipeline every large single-table scan
-// runs through, and the planner's one decision about it. Above the size
-// gate a filter-stack-over-scan chain becomes a vecScanOp: morsels of
-// visible rows come from the shared batchSource (source.go), each WHERE
-// conjunct runs as a predicate kernel (vector.go) where it compiles and as
-// the row engine's closure over the batch's rows where it does not, and
-// the survivors are emitted as rows, projected in place, folded into GROUP
-// BY partitions, or offered to a top-K heap that keeps ORDER BY … LIMIT k's
-// rows and builds no other. The same pipeline is driven two ways: by a counter
-// on the owner goroutine, or by pool workers (parallel.go) that each own a
-// private instance and claim morsel ordinals from a shared atomic — so
-// "vectorized" and "parallel" are properties of one scan, not two
-// executors. Below the gate, under an index-served ORDER BY, and wherever
-// vectorEnabled is off, the row iterator (scanOp + filterOp, exec.go)
-// runs instead; it is also the reference the equivalence suites compare
-// this pipeline against.
-//
-// Serial emission accounts lazily so it stays bit-identical to the row
-// iterator even when a LIMIT stops the plan early: gathered rows and the
-// tombstones stepped over before them are billed only when the emission
-// cursor passes them, exactly where the row engine's pull would have.
-// Pool workers and folds never stop early and bill whole batches.
+import "math/bits"
 
-// vectorEnabled switches the batch pipeline on. Package-level so the
-// equivalence and metamorphic suites can force the row iterator and
-// compare the two row for row.
-var vectorEnabled = true
+// This file implements the one leaf every base-table read goes through — a
+// single-table SELECT, each join input, UPDATE and DELETE's walk over their
+// victims — and the planner's decisions about it. A scanOp reads morsels of
+// visible rows from the shared batchSource (source.go), whatever the table's
+// size: a short table is one short batch. Each WHERE conjunct the scan owns
+// runs as a predicate kernel (vector.go) over the whole batch while every
+// conjunct before it compiled to one; from the first that did not on, the
+// conjuncts run as the row engine's closures, row by row, when a row is
+// consumed — so a LIMIT that stops the plan stops them too, and an error is
+// the one of the first row that raises one. Survivors are emitted as table
+// rows, projected in place, folded into GROUP BY partitions, or offered to a
+// top-K heap that keeps ORDER BY … LIMIT k's rows and builds no other. The
+// same scan is driven two ways: by a counter on the owner goroutine, or by
+// pool workers (parallel.go) that each own a private instance and claim
+// morsel ordinals from a shared atomic — so "vectorized" and "parallel" are
+// properties of one scan, not two executors.
+//
+// Serial emission accounts lazily: a row and the tombstones stepped over
+// before it are billed only when the emission cursor passes them, so a LIMIT
+// that stops the plan early bills what it read and no more. Pool workers and
+// folds never stop early and bill whole batches.
 
 // scanCounts is the work one scan (or one batch of it) did.
 type scanCounts struct {
@@ -37,10 +33,10 @@ type scanCounts struct {
 }
 
 // scanTally is the accounting every base-table leaf embeds — scanOp,
-// ordScanOp, corrProbeScanOp, mergeJoinOp and vecScanOp: the operator's
-// own work (what EXPLAIN ANALYZE prints and treeScanned sums) beside the
-// execution it bills. qc is nil where there is nothing to bill (a pool
-// worker's private copy, a plan built only for display).
+// ordScanOp and mergeJoinOp: the operator's own work (what
+// EXPLAIN ANALYZE prints and treeScanned sums) beside the execution it
+// bills. qc is nil where there is nothing to bill (a pool worker's private
+// copy, a plan built only for display).
 type scanTally struct {
 	qc     *queryCtx
 	cnt    scanCounts
@@ -75,14 +71,19 @@ func (s *scanTally) firstOpen() bool {
 	return first
 }
 
-// batchPlan is what one batch scan does, fixed at plan time and shared by
-// every instance of it.
+// batchPlan is what every instance of one scan shares: the table under
+// its name in the statement, the access path, and the scan's own conjuncts.
 type batchPlan struct {
 	table *Table
 	qual  string
 	cols  []colInfo
 	indexAccess
-	preds   []Expr       // fused WHERE conjuncts
+	preds []Expr // the WHERE conjuncts the scan evaluates
+}
+
+// scanFusion is what the planner folded into a scan (planScan), shared by
+// every instance of it.
+type scanFusion struct {
 	items   []SelectItem // projection fused into the scan; nil = emit table rows
 	folds   bool         // the aggregation is folded batch by batch: over
 	groupBy []Expr       // ... these keys,
@@ -91,16 +92,39 @@ type batchPlan struct {
 	// order, when set, folds ORDER BY … LIMIT into the scan: every instance
 	// keeps the first rows of the order — items extended with the keys order
 	// names — in its own copy of top, the empty pattern heap.
-	order  []scanKey
-	top    *topKHeap
-	above  []Expr // what the operators above read from emitted table rows
-	db     *Database
-	params []Value
+	order []scanKey
+	top   *topKHeap
+	// above is what the operators above read from emitted table rows; nil when
+	// the scan cannot know (a join, a window of rows, DML), and then a sealed
+	// batch decodes every column.
+	above []Expr
 	// workers > 1 runs the scan on the pool; unordered lets its gather
 	// take morsels in completion order (parallel.go).
 	workers   int
 	unordered bool
 }
+
+// scanPipe is one instance's pipeline: the fusion it runs and what compile
+// built for it.
+type scanPipe struct {
+	scanFusion
+	env      evalEnv
+	vpreds   []vecPredFn    // the leading conjuncts that compiled to kernels
+	rest     []compiledExpr // the first that did not and every one after it
+	proj     []batchExpr
+	fold     *batchFold
+	vec      []bool // column ordinals the kernels read
+	dec      []bool // ... and those a sealed batch decodes; nil = every one
+	colsOnly bool   // nothing reads b.rows: a sealed batch builds none
+	kernels  int    // expressions compiled to kernels ...
+	exprs    int    // ... of this many in the pipeline
+	arena    rowArena
+	at       int // the scan ordinal of the row a whole-batch consumer is at (each)
+}
+
+// tableRows is the pipe of every scan with nothing to evaluate, which emits
+// whole table rows. Shared, so never written.
+var tableRows = &scanPipe{}
 
 // batchExpr is one expression of the pipeline: a kernel evaluated once
 // per batch when the vector compiler accepts it, else the row engine's
@@ -127,72 +151,84 @@ type batchFold struct {
 	args    []batchExpr // indexed like aggs; zero for COUNT(*) / no-arg
 	keyVals []Value
 	top     *topKHeap
-	errAt   int // scan ordinal of the row a fold error was raised on
 }
 
-// vecScanOp is one instance of a batch scan. The planner's instance is
+// scanOp is one instance of a base-table scan. The planner's instance is
 // the plan's display node and counter sink, and runs the scan itself when
-// it is serial; pooled scans give every worker a private copy
-// (workerCopy), because kernels, closures and the batch own scratch
-// state.
-type vecScanOp struct {
+// it is serial; pooled scans give every worker a private copy (workerCopy),
+// because kernels, closures and the batch own scratch state.
+type scanOp struct {
 	batchPlan
-	outer     *evalEnv // owner's instance only
-	scanTally          // qc on the owner's instance only: workers never touch it
+	*scanPipe
+	scanTally // qc on the owner's instance only: workers never touch it
+	// probe, when set, makes the scan a correlated probe: each reset reads
+	// the ids of a new key.
+	probe *corrProbe
 
-	env      *evalEnv
-	vpreds   []vecPredFn    // per conjunct; nil where it did not compile
-	cpreds   []compiledExpr // the closure for those
-	gather   [][]*batchSite // ... and the batch-form calls a closure makes, gathered a morsel ahead
-	at       int            // the batch position a closure is evaluating: where those calls read their class
-	proj     []batchExpr
-	fold     *batchFold
-	need     []bool // column ordinals anything reads
-	needRows bool   // something reads b.rows
-	kernels  int    // expressions compiled to kernels ...
-	exprs    int    // ... of this many in the pipeline
+	src batchSource // captured by open, copied into worker instances
+	b   *vecBatch   // from batchPool; nil between scans
 
-	src *batchSource // captured by open, shared with worker copies
-	b   *vecBatch    // from batchPool; nil between scans
+	// Serial driver: next morsel, emission cursor, the tombstones seen
+	// since the last gathered row, and the slot of the row last emitted.
+	idx, emitPos int
+	carry        int32
+	lent         bool // the consumer drops rows (lendRows): sealed ones are not copied out
+	id           int
+}
 
-	// Serial driver: next morsel, emission cursor, and the tombstones seen
-	// since the last gathered row.
-	idx     int
-	emitPos int
-	carry   int32
+func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
+	return &scanOp{
+		batchPlan: batchPlan{table: t, qual: qual, cols: tableCols(t, qual)},
+		scanPipe:  tableRows, scanTally: scanTally{qc: qc},
+	}
+}
 
-	arena rowArena
+// tableCols is a base table's schema as seen under the name qual — under
+// its own name, the one the table keeps.
+func tableCols(t *Table, qual string) []colInfo {
+	if qual == t.Name && t.cols != nil {
+		return t.cols
+	}
+	cols := make([]colInfo, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = colInfo{qual: qual, name: c.Name}
+	}
+	return cols
 }
 
 // compile builds this instance's kernels and closures and derives which
-// columns (and whether rows) the batches must carry.
-func (s *vecScanOp) compile() error {
-	if s.env == nil {
-		s.env = newEvalEnv(s.cols, s.db, s.params, s.outer, s.qc)
+// columns (and whether rows) the batches must carry. A scan with nothing to
+// evaluate keeps the shared pipe that emits whole table rows.
+func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
+	if s.preds == nil && s.items == nil && !s.folds && s.above == nil {
+		return nil
 	}
-	vc := newVecCompiler(s.env)
+	if s.scanPipe == tableRows {
+		s.scanPipe = &scanPipe{}
+	}
+	s.env = *newEvalEnv(s.cols, db, params, outer, s.qc)
+	env := &s.env
+	vc := newVecCompiler(env)
+	rows := false
 	closure := func(e Expr) (compiledExpr, error) {
 		vc.markRefs(e)
-		s.needRows = true
-		return compileExpr(e, s.env)
+		rows = true
+		return compileExpr(e, env)
 	}
-	s.vpreds = make([]vecPredFn, len(s.preds))
-	s.cpreds = make([]compiledExpr, len(s.preds))
-	s.gather = make([][]*batchSite, len(s.preds))
-	for i, p := range s.preds {
+	for _, p := range s.preds {
 		s.exprs++
-		var ok bool
-		if s.vpreds[i], ok = vc.compilePred(p); ok {
-			s.kernels++
-			continue
+		if s.rest == nil {
+			if k, ok := vc.compilePred(p); ok {
+				s.vpreds = append(s.vpreds, k)
+				s.kernels++
+				continue
+			}
 		}
-		var err error
-		s.env.sites = &s.gather[i] // the conjunct's batch-form calls, if it makes any
-		s.cpreds[i], err = closure(p)
-		s.env.sites = nil
+		c, err := closure(p)
 		if err != nil {
 			return err
 		}
+		s.rest = append(s.rest, c)
 	}
 	expr := func(e Expr) (batchExpr, error) {
 		s.exprs++
@@ -242,19 +278,26 @@ func (s *vecScanOp) compile() error {
 		s.resetFold()
 		s.arena.reuse = true // nothing keeps a row a folding scan builds but the heap's copy
 	}
+	s.vec, s.dec = vc.need, vc.dec
 	if s.items == nil && !s.folds {
-		s.needRows = true // table rows are the output
+		rows = true // table rows are the output
+		if s.above == nil {
+			s.dec = nil
+		}
 		for _, e := range s.above {
 			vc.markRefs(e)
 		}
 	}
-	s.need = vc.need
+	s.colsOnly = !rows
+	if s.kernels < s.exprs && s.qc != nil {
+		s.qc.RowFallbacks++
+	}
 	return nil
 }
 
 // resetFold empties the instance's fold state: a re-pulled plan folds
 // afresh.
-func (s *vecScanOp) resetFold() {
+func (s *scanOp) resetFold() {
 	if s.top != nil {
 		top := *s.top
 		s.fold.top = &top
@@ -265,27 +308,29 @@ func (s *vecScanOp) resetFold() {
 
 // workerCopy builds a pool worker's private instance over the same plan
 // and source. Owner goroutine only: compilation reads planner state.
-func (s *vecScanOp) workerCopy() (*vecScanOp, error) {
-	w := &vecScanOp{batchPlan: s.batchPlan, src: s.src}
-	// A private row slot over the planner's (immutable) schema.
-	w.env = &evalEnv{cols: s.cols, params: s.params, db: s.db}
-	return w, w.compile()
+func (s *scanOp) workerCopy() (*scanOp, error) {
+	w := &scanOp{batchPlan: s.batchPlan, scanPipe: &scanPipe{scanFusion: s.scanFusion}, src: s.src}
+	return w, w.compile(s.env.db, s.env.params, nil)
 }
 
-func (s *vecScanOp) columns() []colInfo { return s.cols }
+func (s *scanOp) columns() []colInfo { return s.cols }
 
 // reset rewinds the serial driver. The source and the access-path record
-// persist, as scanOp's do.
-func (s *vecScanOp) reset() {
+// persist — a scan re-pulled per outer row reads what it read the first
+// time — except under a probe, which looks its key up afresh.
+func (s *scanOp) reset() {
 	s.idx, s.emitPos, s.carry = 0, 0, 0
 	s.release()
+	if s.probe != nil {
+		s.src.table = nil
+	}
 }
 
 // release hands the batch back to the pool once nothing will read it
 // again: at the end of a scan or fold, and when a pool worker exits.
 // Anything emitted from it has been consumed by then — operators above a
 // scan copy what they keep.
-func (s *vecScanOp) release() {
+func (s *scanOp) release() {
 	if s.b != nil {
 		batchPool.Put(s.b)
 		s.b = nil
@@ -293,79 +338,58 @@ func (s *vecScanOp) release() {
 }
 
 // open captures the iteration space on first use: range ids are
-// materialised, the source snapshots the table, and the access path is
-// recorded once. Owner goroutine only.
-func (s *vecScanOp) open() error {
-	if s.src != nil {
+// materialised or a probe's looked up, the source snapshots the table, and
+// the access path is recorded once. Owner goroutine only.
+func (s *scanOp) open() error {
+	if s.src.table != nil {
 		return nil
 	}
 	var snap *snapshot
 	if s.qc != nil {
 		snap = s.qc.snap
 	}
-	if err := s.indexAccess.open(s.table, snap, &s.scanTally); err != nil {
-		return err
+	if s.probe == nil {
+		if err := s.indexAccess.open(s.table, snap, &s.scanTally); err != nil {
+			return err
+		}
+	} else {
+		var err error
+		if s.ids, err = s.probe.lookup(s.table, snap); err != nil {
+			return err
+		}
+		if s.firstOpen() {
+			s.qc.IndexScans++
+		}
 	}
-	s.src = newBatchSource(s.table, s.ids, snap)
+	s.src.capture(s.table, s.ids, snap)
 	return nil
 }
 
-// fill loads morsel idx and runs the filter over it, leaving the
-// survivors in b.sel and the kernel-backed output expressions evaluated.
-// Only batch-level work is billed here; rows and tombstones are billed by
-// whoever consumes the batch.
-func (s *vecScanOp) fill(idx int) error {
+// fill loads morsel idx and runs the kernels over it, leaving their
+// survivors in b.sel and the kernel-backed output expressions evaluated;
+// the closures of rest are left to whoever consumes a row (passes). Only
+// batch-level work is billed here; rows and tombstones are billed by the
+// consumer too.
+func (s *scanOp) fill(idx int) error {
 	if s.b == nil {
-		s.b = getBatch(len(s.cols))
+		s.b = getBatch(len(s.table.Columns))
 	}
 	b := s.b
-	if err := s.src.load(idx, s.need, s.needRows, b); err != nil {
+	if err := s.src.load(idx, s.vec, s.dec, !s.colsOnly, b); err != nil {
 		return err
 	}
-	var d scanCounts
 	if b.blk != nil {
-		d.decoded = 1
+		s.account(scanCounts{decoded: 1})
 	}
 	if b.n > 0 {
-		d.batches = 1
+		s.account(scanCounts{batches: 1})
 	}
-	s.account(d)
 	b.sel = maskTo(b.n)
-	for i, p := range s.vpreds {
-		if p != nil {
-			b.t, b.nl = vecBitset{}, vecBitset{}
-			p(b, &b.t, &b.nl)
-			for w := range b.sel {
-				b.sel[w] &= b.t[w] // false and NULL both drop, as filterOp
-			}
-			continue
-		}
-		// The third kind of conjunct: its batch-form calls are asked about
-		// the rows the conjuncts before it kept, in one call each.
-		for _, st := range s.gather[i] {
-			if st.pos = &s.at; st.ahead == nil {
-				st.ahead = make([]int32, morselSize)
-			}
-			for j := 0; j < b.n; j++ {
-				if b.sel.get(j) {
-					s.env.row, s.at = b.rows[j], j
-					st.ahead[j], _ = st.gather() // a failed argument is raised by the closure below
-				}
-			}
-			st.memo.Flush(s.qc.ctx)
-		}
-		for j := 0; j < b.n; j++ {
-			if !b.sel.get(j) {
-				continue
-			}
-			s.env.row, s.at = b.rows[j], j
-			v, err := s.cpreds[i]()
-			if err != nil {
-				return err
-			}
-			if v.IsNull() || !v.AsBool() {
-				b.sel.unset(j)
-			}
+	for _, p := range s.vpreds {
+		b.t, b.nl = vecBitset{}, vecBitset{}
+		p(b, &b.t, &b.nl)
+		for w := range b.sel {
+			b.sel[w] &= b.t[w] // false and NULL both drop, as filterOp
 		}
 	}
 	if b.sel == (vecBitset{}) {
@@ -385,6 +409,22 @@ func (s *vecScanOp) fill(idx int) error {
 	return nil
 }
 
+// passes reports whether row i of the current batch survives the filter:
+// the kernels' verdict, then the closures, in conjunct order.
+func (s *scanOp) passes(i int) (bool, error) {
+	if !s.b.sel.get(i) {
+		return false, nil
+	}
+	for _, c := range s.rest {
+		s.env.row = s.b.rows[i]
+		v, err := c()
+		if err != nil || v.IsNull() || !v.AsBool() {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 func (e *batchExpr) eval(b *vecBatch) {
 	if e.kern != nil {
 		e.col = e.kern(b)
@@ -392,7 +432,7 @@ func (e *batchExpr) eval(b *vecBatch) {
 }
 
 // at returns the expression's value for row i of the current batch.
-func (e *batchExpr) at(s *vecScanOp, i int) (Value, error) {
+func (e *batchExpr) at(s *scanOp, i int) (Value, error) {
 	if e.kern != nil {
 		return e.col.at(i), nil
 	}
@@ -400,33 +440,34 @@ func (e *batchExpr) at(s *vecScanOp, i int) (Value, error) {
 	return e.row()
 }
 
-func (s *vecScanOp) next() (Row, bool, error) {
+func (s *scanOp) next() (Row, bool, error) {
 	if err := s.open(); err != nil {
 		return nil, false, err
 	}
-	if s.qc != nil {
-		if err := s.qc.tickCancelled(); err != nil {
-			return nil, false, err
-		}
+	if err := s.qc.tickCancelled(); err != nil {
+		return nil, false, err
 	}
 	nb := s.src.batches()
 	for {
 		// Advance the emission cursor to the next survivor, billing every
-		// row and tombstone it passes — the lazy walk that keeps totals
-		// identical to the row engine under early stops.
+		// row and tombstone it passes.
 		for s.b != nil && s.emitPos < s.b.n {
 			i := s.emitPos
 			s.emitPos++
 			s.account(scanCounts{scanned: 1, tombs: uint64(s.b.pre[i])})
-			if s.b.sel.get(i) {
-				r, err := s.rowAt(i)
-				return r, err == nil, err
+			if ok, err := s.passes(i); err != nil || !ok {
+				if err != nil {
+					return nil, false, err
+				}
+				continue
 			}
+			s.id = s.b.ids[i]
+			r, err := s.rowAt(i)
+			return r, err == nil, err
 		}
 		if s.idx >= nb {
 			// Trailing tombstones are billed only when the consumer
-			// drained the scan this far — exactly when the row engine
-			// would have walked them.
+			// drained the scan this far.
 			s.account(scanCounts{tombs: uint64(s.carry)})
 			s.carry = 0
 			s.release()
@@ -447,11 +488,15 @@ func (s *vecScanOp) next() (Row, bool, error) {
 
 // rowAt is the output row for position i of the current batch: the fused
 // projection's values when there is one (with room after them for the sort
-// keys of a folded top-K), else the table row (valid until the next fill
-// when the batch is a sealed block's view).
-func (s *vecScanOp) rowAt(i int) (Row, error) {
+// keys of a folded top-K), else the table row — copied out of the batch's
+// storage, which the next fill overwrites, unless the consumer drops it.
+func (s *scanOp) rowAt(i int) (Row, error) {
 	if s.proj == nil {
-		return s.b.rows[i], nil
+		r := s.b.rows[i]
+		if !s.lent && s.b.arena.used > 0 {
+			r = append(s.b.keep.alloc(len(r))[:0], r...)
+		}
+		return r, nil
 	}
 	out := s.arena.alloc(len(s.proj) + len(s.order))
 	for j := range s.proj {
@@ -464,60 +509,58 @@ func (s *vecScanOp) rowAt(i int) (Row, error) {
 	return out, nil
 }
 
-// eager bills the whole current batch at once, for consumers that never
-// stop inside one (pool workers, folds).
-func (s *vecScanOp) eager() {
+// each runs morsel idx and calls fn on every surviving position, billing
+// the whole batch: the loop of every consumer that never stops inside one
+// (pool workers, folds). at follows the scan ordinal at hand.
+func (s *scanOp) each(idx int, fn func(i int) error) error {
+	s.at = idx * morselSize
+	if err := s.fill(idx); err != nil {
+		return err
+	}
 	d := scanCounts{scanned: uint64(s.b.n), tombs: uint64(s.b.tail)}
 	for _, p := range s.b.pre[:s.b.n] {
 		d.tombs += uint64(p)
 	}
 	s.account(d)
+	for i := 0; i < s.b.n; i++ {
+		s.at = idx*morselSize + i
+		ok, err := s.passes(i)
+		if err == nil && ok {
+			err = fn(i)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// batchRows runs morsel idx and returns its surviving output rows. Rows
-// outlive the batch here (the gather holds several morsels), so rows decoded
-// from sealed blocks are copied out of the batch's storage.
-func (s *vecScanOp) batchRows(idx int) ([]Row, error) {
-	if err := s.fill(idx); err != nil {
-		return nil, err
-	}
-	s.eager()
-	out := make([]Row, 0, s.b.sel.count(s.b.n))
-	for i := 0; i < s.b.n; i++ {
-		if !s.b.sel.get(i) {
-			continue
+// batchRows runs morsel idx and returns its surviving output rows, which
+// outlive the batch (the gather holds several morsels).
+func (s *scanOp) batchRows(idx int) (out []Row, err error) {
+	err = s.each(idx, func(i int) error {
+		if out == nil { // room for every row the kernels kept
+			n := 0
+			for _, w := range s.b.sel {
+				n += bits.OnesCount64(w)
+			}
+			out = make([]Row, 0, n)
 		}
 		r, err := s.rowAt(i)
-		if err != nil {
-			return out, err
-		}
-		if s.proj == nil && s.b.arena.used > 0 {
-			r = append(s.arena.alloc(len(r))[:0], r...)
-		}
 		out = append(out, r)
-	}
-	return out, nil
+		return err
+	})
+	return out, err
 }
 
 // foldBatch runs morsel idx and folds its surviving rows into the
-// instance's groups: the one aggregation loop of the batch pipeline,
-// shared by the serial and the pooled driver (runAggregationBatch). Group
-// classes, representative rows and accumulator folds match the row drain
-// (runAggregation) exactly.
-func (s *vecScanOp) foldBatch(idx int) error {
+// instance's groups: the aggregation loop of the scan, shared by the serial
+// and the pooled driver (runAggregationBatch). Group classes, representative
+// rows and accumulator folds match the row loop (runAggregation) exactly.
+func (s *scanOp) foldBatch(idx int) error {
 	f := s.fold
-	f.errAt = idx * morselSize
-	if err := s.fill(idx); err != nil {
-		return err
-	}
-	s.eager()
-	for i := 0; i < s.b.n; i++ {
-		if !s.b.sel.get(i) {
-			continue
-		}
-		f.errAt = idx*morselSize + i
+	return s.each(idx, func(i int) (err error) {
 		for gi := range f.keys {
-			var err error
 			if f.keyVals[gi], err = f.keys[gi].at(s, i); err != nil {
 				return err
 			}
@@ -527,7 +570,7 @@ func (s *vecScanOp) foldBatch(idx int) error {
 			return err
 		}
 		if fresh {
-			g.firstID = f.errAt
+			g.firstID = s.at
 			if s.repRows {
 				if g.repRow, err = s.materializeRow(i); err != nil {
 					return err
@@ -548,15 +591,15 @@ func (s *vecScanOp) foldBatch(idx int) error {
 			}
 			// Partial float sums are kept per morsel so merged results do
 			// not depend on which worker ran which morsel (agg.go); a
-			// single instance just adds left to right, as the row drain.
+			// single instance just adds left to right, as the row loop.
 			if ma, ok := g.states[ai].(morselAdder); ok && s.workers > 1 {
 				ma.addMorsel(v, idx)
 			} else {
 				g.states[ai].add(v)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // topBatch runs morsel idx and offers every surviving row — the fused
@@ -564,18 +607,9 @@ func (s *vecScanOp) foldBatch(idx int) error {
 // the first error is the one the row path would raise — to the instance's
 // top-K heap, ties broken by scan ordinal as the stable sort breaks them by
 // arrival. Rows are built in one buffer; the heap copies the few it keeps.
-func (s *vecScanOp) topBatch(idx int) error {
+func (s *scanOp) topBatch(idx int) error {
 	f := s.fold
-	f.errAt = idx * morselSize
-	if err := s.fill(idx); err != nil {
-		return err
-	}
-	s.eager()
-	for i := 0; i < s.b.n; i++ {
-		if !s.b.sel.get(i) {
-			continue
-		}
-		f.errAt = idx*morselSize + i
+	return s.each(idx, func(i int) error {
 		row, err := s.rowAt(i)
 		for ki := 0; err == nil && ki < len(s.order); ki++ {
 			if k := s.order[ki]; k.out >= 0 {
@@ -584,12 +618,11 @@ func (s *vecScanOp) topBatch(idx int) error {
 				row[len(s.proj)+ki], err = f.keys[ki].at(s, i)
 			}
 		}
-		if err != nil {
-			return err
+		if err == nil {
+			f.top.offer(row, s.at)
 		}
-		f.top.offer(row, f.errAt)
-	}
-	return nil
+		return err
+	})
 }
 
 // materializeRow builds a full-width row for a batch position: heap
@@ -597,7 +630,7 @@ func (s *vecScanOp) topBatch(idx int) error {
 // decoded columns and the rest off the block, value by value — aggregation
 // pays for columns outside its expressions only when a batch actually
 // discovers a new group.
-func (s *vecScanOp) materializeRow(i int) (r Row, err error) {
+func (s *scanOp) materializeRow(i int) (r Row, err error) {
 	b := s.b
 	if b.blk == nil {
 		return b.rows[i].Clone(), nil
@@ -616,8 +649,8 @@ func (s *vecScanOp) materializeRow(i int) (r Row, err error) {
 // ---------------------------------------------------------------------------
 // The planner's decision
 
-// scanShape is what planScanDriver needs to know about the statement
-// around the scan.
+// scanShape is what planScan needs to know about the statement around the
+// scan.
 type scanShape struct {
 	stmt      *SelectStmt
 	items     []SelectItem
@@ -626,116 +659,99 @@ type scanShape struct {
 	repRows   bool // the post-aggregation phase reads representative rows (readsRepRow)
 	needSort  bool // a sortOp will read ORDER BY keys off the input rows
 	poolable  bool // top-level, uncorrelated: the gather can preserve it
+	windowed  bool // a filter that holds a window of rows will sit above the scan
 	// order, when set: an ORDER BY … LIMIT window of topK rows whose keys
 	// the scan can evaluate itself (scanOrderKeys).
 	order []scanKey
 	topK  int
 }
 
-// planScanDriver is the planner's one decision about how a statement's
-// FROM input is driven. A filter stack over one base-table scan whose
-// input is over the morselMinRows gate becomes a batch scan — with the
-// projection fused in when nothing above needs the input rows, or the
-// aggregation or the ORDER BY … LIMIT folded in, so that only groups or the
-// window's rows are ever built — and the batch scan runs on the worker pool when
-// the database has one and the statement's shape lets the gather keep the
-// serial result: every expression the workers would evaluate is
-// parallel-safe, partial aggregates merge exactly (or the consumer
-// provably cannot observe arrival order, which licenses the unordered
-// gather), and no bare LIMIT window would make scan-ahead read rows the
-// window never emits. Everything else keeps the row iterator it came
-// with. The returned scan is nil when none was planned.
-func planScanDriver(src operator, sh scanShape, db *Database, params []Value,
-	outer *evalEnv, qc *queryCtx) (operator, *vecScanOp, error) {
-
-	// Walk the filter stack down to its scan; each conjunct on the way
-	// becomes a kernel or a closure of its own.
-	var filters []*filterOp
-	bottom := src
+// planScan is the planner's one decision about a single-table statement's
+// scan, which it then compiles. With nothing between the scan and the
+// statement's consumer but the scan's own conjuncts, the scan fuses the
+// projection when nothing above needs the input rows, or folds in the
+// aggregation or the ORDER BY … LIMIT, so that only groups or the window's
+// rows are ever built. Under a filter that holds a window of rows (a
+// conjunct or a select list that calls batch-form functions) the scan
+// emits table rows. The scan runs on the worker pool when the database has
+// one, the table is over the morselMinRows gate, and the statement's shape
+// lets the gather keep the serial result: every expression the workers would
+// evaluate is parallel-safe, partial aggregates merge exactly (or the
+// consumer provably cannot observe arrival order, which licenses the
+// unordered gather), and no bare LIMIT window would make scan-ahead read rows
+// the window never emits. It returns the scan only when it pooled or fused it.
+func planScan(src operator, sh scanShape, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, *scanOp, error) {
+	bottom, windowed := src, sh.windowed
 	for f, ok := bottom.(*filterOp); ok; f, ok = bottom.(*filterOp) {
-		filters, bottom = append(filters, f), f.child
+		bottom, windowed = f.child, true
 	}
-	sc, ok := bottom.(*scanOp)
-	if !vectorEnabled || !ok {
+	bs, ok := bottom.(*scanOp)
+	if !ok {
 		return src, nil, nil
 	}
-	// Range scans estimate by table size: bounds are not yet
-	// materialised, and a small range costs one morsel anyway.
-	est := sc.table.liveCount()
-	if sc.ids != nil {
-		est = len(sc.ids)
-	}
-	if est < morselMinRows {
-		return src, nil, nil
-	}
-	var preds []Expr
-	// A conjunct with batch-form calls (a filter of its own, on top) is a
-	// closure the scan gathers a morsel ahead for, after the others.
-	var gathered []Expr
-	for _, f := range filters {
-		if f.win != nil {
-			gathered = append([]Expr{f.pred}, gathered...)
-		} else {
-			preds = append(preds, splitConjuncts(f.pred)...)
-		}
-	}
-	preds = append(preds, gathered...)
-	bs := &vecScanOp{
-		batchPlan: batchPlan{
-			table: sc.table, qual: sc.qual, cols: sc.cols,
-			indexAccess: sc.indexAccess,
-			preds:       preds, db: db, params: params, workers: 1,
-		},
-		outer: outer, scanTally: scanTally{qc: qc},
+	if windowed {
+		return src, nil, bs.compile(db, params, outer)
 	}
 	stmt := sh.stmt
-	itemExprs := make([]Expr, len(sh.items))
-	for i, it := range sh.items {
-		itemExprs[i] = it.Expr
+	itemExprs := func() []Expr {
+		es := make([]Expr, len(sh.items))
+		for i, it := range sh.items {
+			es[i] = it.Expr
+		}
+		return es
 	}
-	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && parallelSafe(preds...)
+	// Range scans estimate by table size: bounds are not yet materialised.
+	est := bs.table.liveCount()
+	if bs.ids != nil {
+		est = len(bs.ids)
+	}
+	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && est >= morselMinRows && parallelSafe(bs.preds...)
+	var f scanFusion
 	switch {
 	case sh.aggregate && pool && parallelSafe(stmt.GroupBy...) && mergeableAggregates(sh.aggs):
-		bs.folds, bs.workers = true, db.maxWorkers
+		f.folds, f.workers = true, db.maxWorkers
 	case sh.aggregate && pool && aggOrderInsensitive(stmt, sh.aggs, sh.repRows):
 		// Partial states do not merge (e.g. DISTINCT aggregates), but the
 		// scan itself can still run on the pool, gathered in completion
 		// order, under the row aggregation.
-		bs.workers, bs.unordered = db.maxWorkers, true
+		f.workers, f.unordered = db.maxWorkers, true
 	case sh.aggregate:
-		bs.folds = true
+		f.folds = true
 	case sh.order != nil:
-		bs.items, bs.order = sh.items, sh.order
-		bs.top = &topKHeap{k: sh.topK, width: len(sh.items), orderBy: stmt.OrderBy}
+		f.items, f.order = sh.items, sh.order
+		f.top = &topKHeap{k: sh.topK, width: len(sh.items), orderBy: stmt.OrderBy}
 		for _, k := range sh.order {
 			pool = pool && (k.out >= 0 || parallelSafe(k.expr))
 		}
-		if pool && parallelSafe(itemExprs...) {
-			bs.workers = db.maxWorkers
+		if pool && parallelSafe(itemExprs()...) {
+			f.workers = db.maxWorkers
 		}
 	default:
 		window := (stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0
 		pool = pool && !window
-		if !sh.needSort && (!pool || parallelSafe(itemExprs...)) {
-			bs.items = sh.items
+		// Rows read by id come whole: they are projected above the scan,
+		// which spares a point read a pipeline to compile.
+		if !sh.needSort && bs.ids == nil && bs.rangeIdx == nil && (!pool || parallelSafe(itemExprs()...)) {
+			f.items = sh.items
 		}
 		if pool {
-			bs.workers = db.maxWorkers
+			f.workers = db.maxWorkers
 		}
 	}
-	if bs.folds {
-		bs.groupBy, bs.aggs, bs.repRows = stmt.GroupBy, sh.aggs, sh.repRows
-	} else if bs.items == nil {
-		bs.above = append(append(itemExprs, stmt.GroupBy...), stmt.Having)
+	if f.items == nil && !f.folds && f.workers <= 1 && bs.preds == nil && (bs.ids != nil || bs.rangeIdx != nil) {
+		return bs, nil, nil // whole rows by id: nothing to fuse, compile or narrow
+	}
+	if f.folds {
+		f.groupBy, f.aggs, f.repRows = stmt.GroupBy, sh.aggs, sh.repRows
+	} else if f.items == nil {
+		f.above = append(append(itemExprs(), stmt.GroupBy...), stmt.Having)
 		for _, ob := range stmt.OrderBy {
-			bs.above = append(bs.above, ob.Expr)
+			f.above = append(f.above, ob.Expr)
 		}
 	}
-	if err := bs.compile(); err != nil {
+	bs.scanPipe = &scanPipe{scanFusion: f}
+	if err := bs.compile(db, params, outer); err != nil {
 		return nil, nil, err
-	}
-	if bs.kernels < bs.exprs && qc != nil {
-		qc.RowFallbacks++
 	}
 	if bs.workers > 1 && !bs.folds && bs.order == nil {
 		return &parScanOp{scan: bs}, bs, nil

@@ -15,7 +15,7 @@ import (
 // functions per element (the generic paths) — so row-vs-vector
 // equivalence holds by construction and is pinned by the property suites.
 // Shapes the compiler cannot specialize (subqueries, UDFs, CASE, grouped
-// references) report not-compilable, and the batch pipeline runs the row
+// references) report not-compilable, and the scan runs the row
 // engine's closure for that one expression over the batch's rows
 // (vecops.go).
 
@@ -33,7 +33,6 @@ var debugBreakVectorKernel = false
 type vecBitset [vecBatchRows / 64]uint64
 
 func (s *vecBitset) set(i int)      { s[i>>6] |= 1 << uint(i&63) }
-func (s *vecBitset) unset(i int)    { s[i>>6] &^= 1 << uint(i&63) }
 func (s *vecBitset) get(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
 
 // maskTo returns a bitset with bits [0, n) set.
@@ -46,17 +45,6 @@ func maskTo(n int) vecBitset {
 		m[n>>6] = 1<<uint(r) - 1
 	}
 	return m
-}
-
-// count returns the number of set bits among [0, n).
-func (s *vecBitset) count(n int) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if s.get(i) {
-			c++
-		}
-	}
-	return c
 }
 
 // vecCol is one column of one batch: either a broadcast constant or a
@@ -94,36 +82,38 @@ func constCol(val Value) vecCol {
 
 // vecBatch is one morsel's visible rows in column-major form, filled by
 // batchSource.load (source.go). Heap and id-list batches keep the source
-// rows and populate only the columns the consumer reads; sealed-block
-// batches decode those columns and carry rows only on request.
+// rows and populate only the columns the consumer's kernels read;
+// sealed-block batches decode the columns the consumer reads and carry rows
+// only on request.
 type vecBatch struct {
 	n    int
 	cols []vecCol
 	rows []Row
+	ids  []int     // the slot each row was read from
 	sel  vecBitset // rows surviving the filter
 	// pre[i] counts the invisible versions stepped over immediately before
-	// row i, and tail those after the last row — replayed at emission time
-	// so tombstone accounting is bit-identical to the row scan's lazy walk.
+	// row i, and tail those after the last row — replayed where each row is
+	// consumed, so tombstones are billed with the rows that pass them.
 	pre  []int32
 	tail int32
 	// blk is the sealed block behind the batch (nil for heap and id-list
 	// batches), kept so columns nobody asked for can still be decoded on
-	// demand (vecScanOp.materializeRow).
+	// demand (scanOp.materializeRow).
 	blk *segBlock
 
-	// Scratch owned by the batch and overwritten by the next load.
+	// Scratch owned by the batch and overwritten by the next load, each
+	// buffer as long as the longest morsel it has held.
 	colBufs [][]Value // per column ordinal, allocated on first use
 	t, nl   vecBitset // a predicate kernel's (true, null) result
 	rowBuf  []Row
 	arena   rowArena  // scoped: where the rows decoded from sealed blocks live
 	seek    blockSeek // where the last of them was read
-	keep    rowArena  // slab storage for sealed rows a consumer keeps (scanOp)
+	keep    rowArena  // slab storage for sealed rows a consumer keeps (scanOp.rowAt)
 }
 
-// batchPool recycles batches, scratch and all, across scans: a batch's
-// buffers are a fixed 32 KB per column touched, which a point lookup or a
-// short range over a big table would otherwise pay afresh in every worker
-// of every statement.
+// batchPool recycles batches, scratch and all, across scans, so a point
+// lookup or a short range over a big table does not allocate its buffers
+// afresh in every worker of every statement.
 var batchPool = sync.Pool{New: func() any { return new(vecBatch) }}
 
 // getBatch returns a batch for a table of the given width. Buffers keep
@@ -131,26 +121,33 @@ var batchPool = sync.Pool{New: func() any { return new(vecBatch) }}
 // hands out.
 func getBatch(width int) *vecBatch {
 	b := batchPool.Get().(*vecBatch)
-	if len(b.colBufs) < width {
+	if cap(b.cols) < width {
 		b.cols = make([]vecCol, width)
-		b.colBufs = append(b.colBufs, make([][]Value, width-len(b.colBufs))...)
 	}
 	b.cols = b.cols[:width]
-	if b.pre == nil {
-		b.pre = make([]int32, vecBatchRows)
-		b.rowBuf = make([]Row, vecBatchRows)
-	}
 	b.n, b.blk, b.arena.scoped = 0, nil, true
 	return b
 }
 
-// colBuf returns column c's value buffer, allocated on first use so a
-// batch pays only for the columns its consumer reads.
-func (b *vecBatch) colBuf(c int) []Value {
-	if b.colBufs[c] == nil {
-		b.colBufs[c] = make([]Value, vecBatchRows)
+// reserve makes room for a morsel of n positions.
+func (b *vecBatch) reserve(n int) {
+	if len(b.pre) < n {
+		b.pre, b.ids, b.rowBuf = make([]int32, n), make([]int, n), make([]Row, n)
 	}
-	return b.colBufs[c]
+}
+
+// colBuf returns value buffer c for n rows — column c's, or past the
+// table's width a kernel's result (vecCompiler.slot) — allocated on first
+// use, so a batch pays only for the columns its consumer reads, and pooled
+// with it, so a statement's kernels allocate no scratch.
+func (b *vecBatch) colBuf(c, n int) []Value {
+	for len(b.colBufs) <= c {
+		b.colBufs = append(b.colBufs, nil)
+	}
+	if len(b.colBufs[c]) < n {
+		b.colBufs[c] = make([]Value, n)
+	}
+	return b.colBufs[c][:n]
 }
 
 // ---------------------------------------------------------------------------
@@ -165,22 +162,32 @@ type vecExprFn func(b *vecBatch) *vecCol
 type vecPredFn func(b *vecBatch, t, nl *vecBitset)
 
 // vecCompiler compiles expressions against one base table's schema. It
-// records which column ordinals the compiled kernels read, so the scan
-// gathers only those.
+// records which column ordinals the compiled kernels read (need), so the
+// scan gathers only those into vectors, and which any expression reads
+// (dec), so a sealed batch decodes only those.
 type vecCompiler struct {
-	env  *evalEnv // resolution scope: the scan's columns, then any outer scopes
-	need []bool
+	env       *evalEnv // resolution scope: the scan's columns, then any outer scopes
+	need, dec []bool
+	slots     int // buffers the kernels claimed past the table's columns (vecBatch.colBuf)
 }
 
 func newVecCompiler(env *evalEnv) *vecCompiler {
-	return &vecCompiler{env: env, need: make([]bool, len(env.cols))}
+	n := len(env.cols)
+	m := make([]bool, 2*n)
+	return &vecCompiler{env: env, need: m[:n:n], dec: m[n:]}
+}
+
+// slot claims a buffer of the batch for one kernel's result.
+func (vc *vecCompiler) slot() int {
+	vc.slots++
+	return len(vc.need) + vc.slots - 1
 }
 
 // markRefs marks every scan column e reads, for expressions that run
-// row-at-a-time over the batch's rows (closure fallbacks, operators above
-// the scan). A subquery can reach any column through the environment
-// chain, and a reference that does not resolve here is somebody else's to
-// report, so both mark them all.
+// row-at-a-time over the batch's rows (closures, operators above the scan).
+// A subquery can reach any column through the environment chain, and a
+// reference that does not resolve here is somebody else's to report, so
+// both mark them all.
 func (vc *vecCompiler) markRefs(e Expr) {
 	walkExpr(e, func(x Expr) bool {
 		all := isSubqueryNode(x)
@@ -188,12 +195,12 @@ func (vc *vecCompiler) markRefs(e Expr) {
 			if i, owner, err := vc.env.resolve(cr); err != nil {
 				all = true
 			} else if owner == vc.env {
-				vc.need[i] = true
+				vc.dec[i] = true
 			}
 		}
 		if all {
-			for i := range vc.need {
-				vc.need[i] = true
+			for i := range vc.dec {
+				vc.dec[i] = true
 			}
 		}
 		return !all
@@ -220,7 +227,7 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 		if err != nil || owner != vc.env {
 			return nil, false
 		}
-		vc.need[i] = true
+		vc.need[i], vc.dec[i] = true, true
 		return func(b *vecBatch) *vecCol { return &b.cols[i] }, true
 	case *BinaryOp:
 		switch t.Op {
@@ -235,8 +242,9 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 			}
 			op := t.Op
 			var out vecCol
-			scratch := make([]Value, vecBatchRows)
+			slot := vc.slot()
 			return func(b *vecBatch) *vecCol {
+				scratch := b.colBuf(slot, b.n)
 				arithVec(op, l(b), r(b), b.n, scratch)
 				out.setVals(scratch[:b.n])
 				return &out
@@ -251,9 +259,10 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 				return nil, false
 			}
 			var out vecCol
-			scratch := make([]Value, vecBatchRows)
+			slot := vc.slot()
 			return func(b *vecBatch) *vecCol {
 				lv, rv := l(b), r(b)
+				scratch := b.colBuf(slot, b.n)
 				for i := 0; i < b.n; i++ {
 					a, c := lv.at(i), rv.at(i)
 					if a.kind == KindNull || c.kind == KindNull {
@@ -279,9 +288,10 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 				return nil, false
 			}
 			var out vecCol
-			scratch := make([]Value, vecBatchRows)
+			slot := vc.slot()
 			return func(b *vecBatch) *vecCol {
 				v := sub(b)
+				scratch := b.colBuf(slot, b.n)
 				for i := 0; i < b.n; i++ {
 					sv := v.at(i)
 					switch {
@@ -310,9 +320,10 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 		}
 		typ := t.Type
 		var out vecCol
-		scratch := make([]Value, vecBatchRows)
+		slot := vc.slot()
 		return func(b *vecBatch) *vecCol {
 			v := sub(b)
+			scratch := b.colBuf(slot, b.n)
 			for i := 0; i < b.n; i++ {
 				scratch[i] = castValue(v.at(i), typ)
 			}
@@ -334,10 +345,11 @@ func (vc *vecCompiler) predAsExpr(e Expr) (vecExprFn, bool) {
 		return nil, false
 	}
 	var out vecCol
-	scratch := make([]Value, vecBatchRows)
+	slot := vc.slot()
 	return func(b *vecBatch) *vecCol {
 		var t, nl vecBitset
 		p(b, &t, &nl)
+		scratch := b.colBuf(slot, b.n)
 		for i := 0; i < b.n; i++ {
 			switch {
 			case nl.get(i):

@@ -8,20 +8,12 @@ import (
 	"testing"
 )
 
-// Tests for the batch pipeline (source.go, vector.go, vecops.go): the
-// row-vs-batch equivalence property over a randomized plan corpus with
-// interleaved DML and forced sealing — serial and on the worker pool —
-// the EXPLAIN / EXPLAIN ANALYZE surface, the accounting property through
-// vecScanOp, the broken-kernel and broken-visibility fault proofs, the
-// sealed × pool cost pin, and the unordered-gather aggregation path.
-
-// forceVector pins the vectorized executor on or off for one test.
-func forceVector(t testing.TB, v bool) {
-	t.Helper()
-	old := vectorEnabled
-	vectorEnabled = v
-	t.Cleanup(func() { vectorEnabled = old })
-}
+// Tests for the one scan leaf (source.go, vector.go, vecops.go): its
+// equivalence with the interpreted reference executor over a randomized plan
+// corpus with interleaved DML and forced sealing — serial and on the worker
+// pool — the EXPLAIN / EXPLAIN ANALYZE surface, the accounting property, the
+// broken-kernel and broken-visibility fault proofs, the sealed × pool cost
+// pin, and the unordered-gather aggregation path.
 
 // vecPred generates a random single-table predicate over v's columns,
 // mixing shapes the kernel compiler accepts (comparisons, arithmetic,
@@ -65,9 +57,9 @@ func vecPred(r *rand.Rand) string {
 
 // vecShapes is the plan corpus: bare scans, kernel-heavy projections,
 // plain and grouped aggregation, LIMIT/OFFSET early stops (the lazy
-// accounting), sorts and DISTINCT above the vectorized scan, and grouped
-// aggregation by mixed-kind keys and under sorts that do and do not read
-// the group's representative row.
+// accounting), sorts and DISTINCT above the scan, and grouped aggregation by
+// mixed-kind keys and under sorts that do and do not read the group's
+// representative row — every shape refSelect answers too.
 var vecShapes = []func(r *rand.Rand, pred string) string{
 	func(r *rand.Rand, pred string) string {
 		return "SELECT id, a, c FROM v WHERE " + pred
@@ -130,16 +122,12 @@ func vecQueryStrings(db *Database, q string) ([][]string, error) {
 	return out, nil
 }
 
-// vectorRowProperty is the tentpole's core guarantee: over a randomized
-// corpus of plans, with DML interleaved — rehydrating sealed blocks — and
-// cold blocks force-sealed mid-run, the vectorized executor and the row
-// engine return
-// row-for-row identical results and bit-identical accounting
-// (RowsScanned, RowsEmitted, TombstonesSkipped — including under LIMIT
-// early stops), and the per-operator EXPLAIN ANALYZE sums reconcile
-// with the per-query totals on both engines.
+// vectorRowProperty: over a randomized corpus of plans, with DML
+// interleaved — rehydrating sealed blocks — and cold blocks force-sealed
+// mid-run, the scan returns row-for-row what the interpreted reference
+// executor (refSelect) computes from the latest rows, and the per-operator
+// EXPLAIN ANALYZE sums reconcile with the per-query totals.
 func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
-	defer func(v bool) { vectorEnabled = v }(vectorEnabled)
 	db := NewDatabase(opts...)
 	db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
 	words := []string{"ant", "bee", "cat", "dge", "eel"}
@@ -166,22 +154,6 @@ func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
 	}
 	db.Seal() // the corpus starts against two sealed blocks plus a heap tail
 
-	run := func(q string) ([][]string, QueryStats, uint64, error) {
-		rows, err := vecQueryStrings(db, q)
-		if err != nil {
-			return nil, QueryStats{}, 0, err
-		}
-		a, err := db.ExplainAnalyze(context.Background(), q)
-		if err != nil {
-			return nil, QueryStats{}, 0, err
-		}
-		if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
-			return nil, QueryStats{}, 0, fmt.Errorf(
-				"accounting property violated for %q: per-operator scans %d != RowsScanned %d\n%s",
-				q, got, want, strings.Join(a.Plan, "\n"))
-		}
-		return rows, a.Stats, a.rootRows(), nil
-	}
 	for step := 0; step < steps; step++ {
 		switch r.Intn(6) {
 		case 0, 1:
@@ -199,53 +171,34 @@ func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
 			db.Seal() // re-freeze whatever went cold since the last pass
 		}
 		q := vecShapes[step%len(vecShapes)](r, vecPred(r))
-
-		vectorEnabled = false
-		rowRes, rowStats, rowRoot, err := run(q)
+		got, err := vecQueryStrings(db, q)
 		if err != nil {
-			return fmt.Errorf("step %d (row engine): %v", step, err)
+			return fmt.Errorf("step %d: %q: %v", step, q, err)
 		}
-		vectorEnabled = true
-		vecRes, vecStats, vecRoot, err := run(q)
+		stmt, err := Parse(q)
 		if err != nil {
-			return fmt.Errorf("step %d (vectorized): %v", step, err)
+			return err
 		}
-
-		// Result rows are MVCC-stable, so they must match unconditionally.
-		if len(rowRes) != len(vecRes) {
-			return fmt.Errorf("step %d: %q returned %d rows vectorized, %d rows row-engine",
-				step, q, len(vecRes), len(rowRes))
+		ref, err := refSelect(db, stmt.(*SelectStmt))
+		if err != nil {
+			return fmt.Errorf("step %d (reference): %q: %v", step, q, err)
 		}
-		for i := range rowRes {
-			if strings.Join(rowRes[i], "|") != strings.Join(vecRes[i], "|") {
-				return fmt.Errorf("step %d: %q row %d diverged: vec %v vs row %v",
-					step, q, i, vecRes[i], rowRes[i])
+		want := rowsToStrings(ref)
+		if len(got) != len(want) {
+			return fmt.Errorf("step %d: %q returned %d rows, the reference %d", step, q, len(got), len(want))
+		}
+		for i := range want {
+			if strings.Join(got[i], "|") != strings.Join(want[i], "|") {
+				return fmt.Errorf("step %d: %q row %d diverged: %v vs reference %v", step, q, i, got[i], want[i])
 			}
 		}
-		// Accounting can legitimately shift while a background vacuum pass
-		// clears dead versions (a reclaimed slot stops counting as a
-		// tombstone). Bracket the vectorized run with a second row-engine
-		// run: when the environment was stable across the window, the
-		// vectorized counters must be bit-identical to the row engine's.
-		vectorEnabled = false
-		_, rowStats2, rowRoot2, err := run(q)
+		a, err := db.ExplainAnalyze(context.Background(), q)
 		if err != nil {
-			return fmt.Errorf("step %d (row engine, bracket): %v", step, err)
+			return err
 		}
-		vectorEnabled = true
-		if rowStats != rowStats2 || rowRoot != rowRoot2 {
-			continue // vacuum moved under us; skip the counter comparison
-		}
-		if rowStats.RowsScanned != vecStats.RowsScanned ||
-			rowStats.RowsEmitted != vecStats.RowsEmitted ||
-			rowStats.TombstonesSkipped != vecStats.TombstonesSkipped ||
-			rowStats.FullScans != vecStats.FullScans ||
-			rowRoot != vecRoot {
-			return fmt.Errorf(
-				"step %d: %q accounting diverged: vec {scanned %d emitted %d tomb %d full %d root %d} vs row {scanned %d emitted %d tomb %d full %d root %d}",
-				step, q,
-				vecStats.RowsScanned, vecStats.RowsEmitted, vecStats.TombstonesSkipped, vecStats.FullScans, vecRoot,
-				rowStats.RowsScanned, rowStats.RowsEmitted, rowStats.TombstonesSkipped, rowStats.FullScans, rowRoot)
+		if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
+			return fmt.Errorf("accounting property violated for %q: per-operator scans %d != RowsScanned %d\n%s",
+				q, got, want, strings.Join(a.Plan, "\n"))
 		}
 	}
 	// The property is about sealed storage only if it read sealed blocks
@@ -257,7 +210,7 @@ func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
 	return nil
 }
 
-// batchDrivers are the two ways the one pipeline is driven: by a counter
+// batchDrivers are the two ways the one scan is driven: by a counter
 // on the owner goroutine, and by pool workers claiming morsels. Sealed
 // blocks are the pool's everyday traffic (the sealer and the gate share a
 // threshold), so every property and fault proof below runs in both cells.
@@ -270,7 +223,7 @@ var batchDrivers = []struct {
 }
 
 func TestVectorRowEquivalence(t *testing.T) {
-	lowerMorselMinRows(t, 1) // DML can drain every segment; keep the pipeline live on the heap tail
+	lowerMorselMinRows(t, 1) // the pooled cell pools the corpus's ~2,100-row table too
 	for _, d := range batchDrivers {
 		t.Run(d.name, func(t *testing.T) {
 			if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160, d.opts...); err != nil {
@@ -282,9 +235,9 @@ func TestVectorRowEquivalence(t *testing.T) {
 }
 
 // TestVectorEquivalenceCatchesBrokenKernel proves the property has
-// teeth: with the comparison kernels deliberately inverted, the batch
-// pipeline must diverge from the row engine and the property must report
-// it — whichever way the pipeline is driven.
+// teeth: with the comparison kernels deliberately inverted, the scan must
+// diverge from the interpreted reference and the property must report it —
+// whichever way the scan is driven.
 func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
 	lowerMorselMinRows(t, 1)
 	debugBreakVectorKernel = true
@@ -298,33 +251,25 @@ func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
 	}
 }
 
-// TestMetamorphicNoRECAndTLPVectorized / ...RowEngine run the SQLancer
-// metamorphic suite (NoREC + TLP with interleaved DML) with the
-// vectorized executor forced on and forced off: the properties must hold
-// on whichever engine serves each access path.
+// TestMetamorphicNoRECAndTLPVectorized runs the SQLancer metamorphic suite
+// (NoREC + TLP with interleaved DML) with the pool's gate lowered under the
+// corpus, so every statement the default pool may take runs there and the
+// rest on the scan's own goroutine: the properties must hold on whichever
+// driver serves each access path.
 func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
-	forceVector(t, true)
 	lowerMorselMinRows(t, 1) // the metamorphic corpus uses small tables
 	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMetamorphicNoRECAndTLPRowEngine(t *testing.T) {
-	forceVector(t, false)
-	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVectorExplainShapes pins the plan surface: every large scan is one
-// node kind, `batch <access> scan`, annotated on the same line with how
-// many of the pipeline's expressions compiled to kernels (and, on a pooled
+// TestVectorExplainShapes pins the plan surface: every scan is one node
+// kind, `batch <access> scan`, annotated on the same line with how many of
+// the pipeline's expressions compiled to kernels (and, on a pooled
 // database, workers=N); projections and aggregations the scan absorbed
 // say so instead of claiming an executor of their own; EXPLAIN ANALYZE
 // adds batch and segment-decode counts once blocks are sealed.
 func TestVectorExplainShapes(t *testing.T) {
-	forceVector(t, true)
 	db := sealedTestDB(t, 2)
 
 	plan := func(q string) string {
@@ -362,22 +307,14 @@ func TestVectorExplainShapes(t *testing.T) {
 		t.Errorf("aggregate node still claims an executor:\n%s", got)
 	}
 
-	// DISTINCT, a key that reads an output column from inside an expression,
-	// and a table under the size gate keep the plan they had.
-	for _, c := range []struct {
-		q    string
-		gate int
-	}{
-		{"SELECT DISTINCT a, c FROM s ORDER BY a DESC, c LIMIT 5", 1},
-		{"SELECT id, a * 2 AS aa FROM s ORDER BY aa + f, id LIMIT 5", 1},
-		{"SELECT id, f FROM s ORDER BY f DESC, id LIMIT 5", 2*segBlockSlots + 1},
+	// DISTINCT and a key that reads an output column from inside an
+	// expression keep the sort and the projection above the scan.
+	for _, q := range []string{
+		"SELECT DISTINCT a, c FROM s ORDER BY a DESC, c LIMIT 5",
+		"SELECT id, a * 2 AS aa FROM s ORDER BY aa + f, id LIMIT 5",
 	} {
-		gate := morselMinRows
-		morselMinRows = c.gate
-		got := plan(c.q)
-		morselMinRows = gate
-		if !strings.Contains(got, "(top 5)") || strings.Contains(got, "folded") || strings.Contains(got, "fused") {
-			t.Errorf("plan of %q should keep its sort and projection above the scan:\n%s", c.q, got)
+		if got := plan(q); !strings.Contains(got, "(top 5)") || strings.Contains(got, "folded") || strings.Contains(got, "fused") {
+			t.Errorf("plan of %q should keep its sort and projection above the scan:\n%s", q, got)
 		}
 	}
 
@@ -399,19 +336,12 @@ func TestVectorExplainShapes(t *testing.T) {
 		t.Fatalf("scannedTotal %d != RowsScanned %d", got, want)
 	}
 
-	// The row engine must leave no batch markers behind.
-	forceVector(t, false)
-	rowPlan := plan("SELECT id, a FROM s WHERE a > 10")
-	if strings.Contains(rowPlan, "vectorized") || strings.Contains(rowPlan, "batch") {
-		t.Fatalf("row-engine plan mentions the batch pipeline:\n%s", rowPlan)
-	}
 }
 
-// TestVectorRowFallbackCounter: a batch scan whose expressions cannot all
+// TestVectorRowFallbackCounter: a scan whose expressions cannot all
 // compile to kernels runs the rest as row closures and counts the
 // fallback.
 func TestVectorRowFallbackCounter(t *testing.T) {
-	forceVector(t, true)
 	db := sealedTestDB(t, 1)
 	before := db.Stats().RowFallbacks
 	rows := queryStrings(t, db, "SELECT COUNT(*) FROM s WHERE LENGTH(c) > 2")
@@ -490,15 +420,16 @@ func TestSealedPoolScanStaysColumnar(t *testing.T) {
 // groups — no encoded key, no map entry and, when only an output alias
 // sorts the result, no representative row per group. All three aggregation
 // loops found their groups through the one table (groupTable), so all three
-// hold the line: the row loop, the serial batch fold, and the pooled fold
-// with its merge.
+// hold the line: the row loop (under a join with a one-row table), the
+// serial fold, and the pooled fold with its merge.
 func TestGroupByAllocatesPerSlab(t *testing.T) {
 	lowerMorselMinRows(t, 8)
-	forceVector(t, true)
 	const groups = 20000
 	load := func(workers int) *Database {
 		db := NewDatabase(WithMaxWorkers(workers))
 		db.MustExec("CREATE TABLE t (id INTEGER, k INTEGER, w TEXT, v INTEGER)")
+		db.MustExec("CREATE TABLE one (one_id INTEGER)")
+		db.MustExec("INSERT INTO one VALUES (1)")
 		data := make([][]any, 2*groups)
 		for i := range data {
 			data[i] = []any{i, i % groups, []string{"ant", "bee", "cat"}[i%groups%3], i % 97}
@@ -514,18 +445,21 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 		"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10",
 	} {
 		for _, leg := range []struct {
-			name   string
-			db     *Database
-			vector bool
-		}{{"row loop", serial, false}, {"serial batch fold", serial, true}, {"pooled batch fold", pooled, true}} {
-			vectorEnabled = leg.vector
+			name string
+			db   *Database
+			q    string
+		}{
+			{"row loop", serial, strings.Replace(q, " FROM t", " FROM one, t", 1)},
+			{"serial fold", serial, q},
+			{"pooled fold", pooled, q},
+		} {
 			allocs := testing.AllocsPerRun(3, func() {
-				if res, err := leg.db.Query(q); err != nil || len(res.Rows) != 10 {
-					t.Fatalf("%q: %d rows, %v", q, len(res.Rows), err)
+				if res, err := leg.db.Query(leg.q); err != nil || len(res.Rows) != 10 {
+					t.Fatalf("%q: %d rows, %v", leg.q, len(res.Rows), err)
 				}
 			})
 			if allocs >= groups/8 {
-				t.Errorf("%s: %q founded %d groups with %.0f allocations, want < %d", leg.name, q, groups, allocs, groups/8)
+				t.Errorf("%s: %q founded %d groups with %.0f allocations, want < %d", leg.name, leg.q, groups, allocs, groups/8)
 			}
 		}
 	}
