@@ -263,6 +263,16 @@ func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
 	}
 }
 
+// TestMetamorphicNoRECAndTLPRowEngine runs the same corpus where the row
+// engine used to serve it: the default gate and one worker, so every
+// statement reads through the batch source on the scan's own goroutine,
+// with no pool to hide a serial-driver bug behind.
+func TestMetamorphicNoRECAndTLPRowEngine(t *testing.T) {
+	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250, WithMaxWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVectorExplainShapes pins the plan surface: every scan is one node
 // kind, `batch <access> scan`, annotated on the same line with how many of
 // the pipeline's expressions compiled to kernels (and, on a pooled
