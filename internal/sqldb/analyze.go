@@ -175,8 +175,8 @@ func instrument(op operator, rec *execRecorder) operator {
 func treeScanned(op operator) uint64 {
 	var n uint64
 	switch t := op.(type) {
-	case interface{ counts() scanCounts }: // the five leaves (scanTally)
-		return t.counts().scanned
+	case *scanOp: // the one base-table leaf
+		return t.cnt.scanned
 	case *parScanOp:
 		return t.scan.cnt.scanned
 	case *valuesOp:

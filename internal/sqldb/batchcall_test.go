@@ -249,6 +249,14 @@ func TestBatchCallsStopWithTheirConsumer(t *testing.T) {
 			{"SELECT id FROM t WHERE PICK('a', v) AND id < 10", 10},
 			{"SELECT id FROM t WHERE PICK('a', v) AND id < 10 AND PICK('ab', w)", 20},
 			{"SELECT id FROM t WHERE EXISTS (SELECT 1 FROM d WHERE PICK('a', d.g)) AND id < 3", 4},
+			// Over a scan that walks the key in order: the walk reads ahead
+			// what the LIMIT asks for, the window asks about as much.
+			{"SELECT id FROM t WHERE SCORE(w) = 0 ORDER BY id LIMIT 1", 1},
+			{"SELECT id FROM t WHERE SCORE(w) = 1 ORDER BY id LIMIT 1", 1 + 2 + 4},
+			// ... and under the tie-sort of a trailing key, which streams: the
+			// windows too start at what the LIMIT asks for, and the sort reads
+			// on to the next passing row (row 4) to close row 0's run.
+			{"SELECT id FROM t WHERE SCORE(w) = 0 ORDER BY id, w LIMIT 1", 1 + 2 + 4},
 		} {
 			seen.calls = nil
 			if _, _, err := udfRun(db, batch, c.sql); err != nil {

@@ -92,8 +92,8 @@ type Table struct {
 //     class when no surviving version of its slot hashes there (unindex).
 //   - The ordered view ord (ordidx.go) — one entry per distinct value,
 //     sorted by Value.Compare, in a copy-on-write directory of fixed-
-//     capacity chunks — serves range scans, index-ordered ORDER BY and
-//     merge joins. It is built from the table's reachable versions on first
+//     capacity chunks — serves range scans and index-ordered ORDER BY.
+//     It is built from the table's reachable versions on first
 //     ordered access and from then on maintained by the calls that maintain
 //     the postings, so it is never rebuilt; each change publishes a fresh
 //     root, and a reader that loaded the view keeps a consistent one.

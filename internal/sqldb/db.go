@@ -479,7 +479,7 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 	// versions, so the scan SELECT runs is the scan DML runs: access path,
 	// the rest of WHERE, counters and cancellation included. Names bind
 	// here, once, whether or not any row qualifies.
-	scan := scanOp{batchPlan: batchPlan{table: t, qual: t.Name, cols: t.cols}, scanPipe: tableRows, scanTally: scanTally{qc: qc}}
+	scan := scanOp{batchPlan: batchPlan{table: t, qual: t.Name, cols: t.cols}, scanPipe: tableRows, qc: qc}
 	if where != nil {
 		if scan.indexAccess, scan.preds, err = chooseIndexAccess(t, t.Name, splitConjuncts(where), params, qc.snap); err != nil {
 			return 0, err
@@ -546,7 +546,7 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 				}
 			}
 		}
-		target := dmlTarget{id: scan.id, old: r, row: updated}
+		target := dmlTarget{id: scan.rowID(), old: r, row: updated}
 		if atEnd {
 			pend = append(pend, target)
 		} else if err := apply([]dmlTarget{target}); err != nil {

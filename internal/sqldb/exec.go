@@ -176,8 +176,7 @@ func (p *corrProbe) lookup(t *Table, snap *snapshot) ([]int, error) {
 // evaluates the conjuncts making no such call, so those shrink the window
 // first; a filter with no predicate gathers for a projection whose items or
 // sort keys make the calls. This is the one place such calls are gathered.
-// The window doubles from first — what a LIMIT asks for, where the consumer
-// will stop early — up to one morsel (morselSize).
+// The windows follow runSizes.
 type filterOp struct {
 	child operator
 	pred  Expr // retained for EXPLAIN; nil passes every row
@@ -186,11 +185,24 @@ type filterOp struct {
 	win   *callWindow // nil: no batch-form call, no window
 }
 
+// runSizes is how far ahead a consumer's input is read — a callWindow's
+// windows, an ordWalk's runs: the first run is what the consumer asks for
+// (buildSelectPlan sets first), each later one doubles, up to a morsel.
+type runSizes struct {
+	first, size int // the first run; the next one (0 before the first)
+}
+
+// next returns the size of the next run.
+func (r *runSizes) next() int {
+	n := max(r.size, r.first, 1)
+	r.size = min(2*n, morselSize)
+	return n
+}
+
 // callWindow is the window of child rows a filterOp gathers calls over.
 type callWindow struct {
+	runSizes
 	sites []*batchSite // the batch-form calls, inner first
-	first int          // rows the first window pulls
-	size  int          // rows the next one does; 0 before the first
 	rows  []Row
 	pos   int // the window row being evaluated: where the sites read their class
 	eof   bool
@@ -254,8 +266,9 @@ func (f *filterOp) pull() (Row, bool, error) {
 
 // fill pulls the next window and gathers every call site over it.
 func (f *filterOp) fill(w *callWindow) error {
-	w.rows, w.size = w.rows[:0], max(w.size, w.first)
-	for len(w.rows) < w.size {
+	n := w.next()
+	w.rows = w.rows[:0]
+	for len(w.rows) < n {
 		r, ok, err := f.child.next()
 		if err != nil {
 			return err
@@ -266,7 +279,6 @@ func (f *filterOp) fill(w *callWindow) error {
 		}
 		w.rows = append(w.rows, r)
 	}
-	w.size = min(2*w.size, morselSize)
 	for _, s := range w.sites {
 		s.pos, s.ahead = &w.pos, s.ahead[:0]
 		for i, r := range w.rows {
@@ -283,11 +295,10 @@ func (f *filterOp) fill(w *callWindow) error {
 // ---------------------------------------------------------------------------
 // Joins
 
-// probeJoinCore is the probe loop every join but the merge join runs: stream
-// probe rows, evaluate the key, fetch matches through the owner's
-// lookup/matchRow hooks, assemble output rows (the probe side keeps its
-// syntactic position), apply the residual predicate, and pad unmatched
-// LEFT-JOIN probe rows with NULLs.
+// probeJoinCore is the probe loop every join runs: stream probe rows,
+// evaluate the key, fetch matches through the owner's lookup/matchRow hooks,
+// assemble output rows (the probe side keeps its syntactic position), apply
+// the residual predicate, and pad unmatched LEFT-JOIN probe rows with NULLs.
 type probeJoinCore struct {
 	probe       operator
 	cols        []colInfo // output schema: left columns then right columns
@@ -785,9 +796,7 @@ func indexForJoinKey(sc *scanOp, key Expr) *Index {
 // — they must see the NULL-extended rows — and neither are conjuncts
 // containing subqueries, ambiguous bare names, or outer references.
 //
-// Equi-joins are planned in preference order: sort-merge when both inputs
-// are unfiltered base tables with indexes on their join keys (and a
-// top-level ORDER BY makes reordering safe), index-nested-loop when an
+// Equi-joins are planned in preference order: index-nested-loop when an
 // equality index covers the inner side's key (no build phase at all), then
 // hash join with the smaller input as the build side, then hash join with
 // the right side built. Plans that change output row order (streaming the
@@ -883,27 +892,6 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			continue
 		}
 
-		// Sort-merge join: both inputs are unfiltered base tables whose
-		// join keys are indexed, so both ordered index views stream in key
-		// order with no build and no hashing. Output arrives in key order,
-		// so this is gated like every order-changing plan.
-		if allowReorder && !leftOuter {
-			lsc, lok := left.(*scanOp)
-			rsc, rok := rightOp.(*scanOp)
-			if lok && rok && unrestrictedScan(lsc) && unrestrictedScan(rsc) {
-				lidx, ridx := indexForJoinKey(lsc, leftKey), indexForJoinKey(rsc, rightKey)
-				if lidx != nil && ridx != nil {
-					mj, err := newMergeJoinOp(lsc.table, rsc.table, lidx, ridx,
-						left.columns(), rightCols, leftKey, rightKey, residual,
-						db, params, outer, qc)
-					if err != nil {
-						return nil, nil, err
-					}
-					left = mj
-					continue
-				}
-			}
-		}
 		// Index-nested-loop: the right side is an unfiltered base table
 		// whose join column has an equality index.
 		if rsc, ok := rightOp.(*scanOp); ok && unrestrictedScan(rsc) {
@@ -1043,10 +1031,9 @@ func exprBlocksRewrite(x Expr) bool {
 }
 
 // unrestrictedScan reports whether a scan reads its whole table — the
-// precondition for serving it through a different access path (index
-// join probes, merge join, a correlated probe): any id or range
-// restriction, and any conjunct of its own, must be honoured and therefore
-// disqualifies the scan.
+// precondition for serving it through a different access path (index join
+// probes, a correlated probe): any id or range restriction, and any conjunct
+// of its own, must be honoured and therefore disqualifies the scan.
 func unrestrictedScan(sc *scanOp) bool { return sc.ids == nil && sc.rangeIdx == nil && sc.preds == nil }
 
 // pushdownConjuncts splits the statement's WHERE into conjuncts and
@@ -1115,14 +1102,19 @@ func pushdownConjuncts(stmt *SelectStmt, inputs []operator, qc *queryCtx) (pushe
 	return pushed, kept
 }
 
-// indexAccess is how a statement reaches a table's rows when its WHERE
-// lets an index serve them: an exact id list from an equality probe, or a
-// key range over an index's ordered view whose ids materialise on first
-// use. The zero value is the whole heap.
+// indexAccess is how a statement reaches a table's rows when its WHERE or
+// its ORDER BY lets an index serve them: an exact id list from an equality
+// probe, a key range over an index's ordered view whose ids materialise on
+// first use, or — ordered — a walk of that view in key order (ordWalk),
+// which the planner sets when the index serves the ORDER BY. The zero value
+// is the whole heap.
 type indexAccess struct {
 	ids      []int // ascending; nil = unrestricted (unless rangeIdx is set)
 	rangeIdx *Index
 	spec     rangeSpec
+	ordered  bool  // walk rangeIdx in key order over spec (unbounded: every entry)
+	desc     bool  // ... backwards
+	first    int32 // ids the walk's first run reads: what the consumer asks for
 }
 
 // chooseIndexAccess is the one place a statement's access path is chosen
@@ -1192,28 +1184,39 @@ func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, 
 }
 
 // open readies the access for iteration — a range restriction
-// materialises its ids — and bills the leaf, once, with the path taken
-// and the entries the range walk stepped over.
-func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanTally) error {
-	if a.rangeIdx != nil && a.ids == nil {
+// materialises its ids, an ordered walk starts on the view — and bills the
+// leaf, once, with the path taken and the entries the range walk stepped
+// over.
+func (a *indexAccess) open(t *Table, snap *snapshot, leaf *scanOp) (*ordWalk, error) {
+	var walk *ordWalk
+	var err error
+	switch {
+	case a.ordered:
+		if walk, err = newOrdWalk(t, a.rangeIdx, a.spec, a.desc, a.first); err != nil {
+			return nil, err
+		}
+	case a.rangeIdx != nil && a.ids == nil:
 		ids, skipped, err := collectRangeIDs(t, a.rangeIdx, a.spec, snap)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		a.ids = ids
 		leaf.account(scanCounts{tombs: skipped})
 	}
 	if qc := leaf.qc; qc != nil {
+		if a.ordered {
+			qc.OrderedIndexOrders++
+		}
 		switch {
-		case a.rangeIdx != nil:
+		case a.spec.bounded():
 			qc.IndexRangeScans++
-		case a.ids != nil:
+		case a.rangeIdx != nil || a.ids != nil:
 			qc.IndexScans++
 		default:
 			qc.FullScans++
 		}
 	}
-	return nil
+	return walk, nil
 }
 
 // tryCorrelatedProbe rewrites the first conjunct of shape

@@ -12,7 +12,7 @@ import (
 // run (same planner, same access-path and join choices) and renders one
 // line per operator: which scans use indexes, range bounds and ordered
 // (sort-eliding) index scans, predicates pushed below joins, which joins
-// hash, merge, index-probe or fall back to nested loops, and the
+// hash, index-probe or fall back to nested loops, and the
 // post-processing stages (aggregate, distinct, sort — including bounded
 // top-k — and limit). Join build sides are materialised during planning
 // (they are part of plan construction in this engine), so Explain's cost
@@ -89,9 +89,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		op = s.child
 	}
 	analyzed := p.rec != nil
-	if leaf, ok := op.(interface{ counts() scanCounts }); ok && analyzed {
-		p.extra = scanAnnotation(leaf.counts())
-	}
 	switch t := op.(type) {
 	case *limitOp:
 		p.emit(depth, "limit/offset")
@@ -163,7 +160,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 			notes += fmt.Sprintf(" vectorized %d/%d", t.kernels, t.exprs)
 		}
 		if analyzed {
-			p.extra += fmt.Sprintf(" batches=%d", t.cnt.batches)
+			p.extra = scanAnnotation(t.cnt) + fmt.Sprintf(" batches=%d", t.cnt.batches)
 			if t.cnt.decoded > 0 {
 				p.extra += fmt.Sprintf(" decoded_blocks=%d", t.cnt.decoded)
 			}
@@ -182,18 +179,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		for _, pred := range t.preds {
 			p.emit(depth+1, "fused filter %s", pred.String())
 			p.describeSubplans(pred, depth+2, &t.env)
-		}
-	case *ordScanOp:
-		col := t.table.Columns[t.idx.Column].Name
-		dir := ""
-		if t.desc {
-			dir = " desc"
-		}
-		if t.spec.bounded() {
-			p.emit(depth, "ordered index range scan %s (as %s) by %s%s: %s",
-				t.table.Name, t.qual, col, dir, t.spec.describe(col))
-		} else {
-			p.emit(depth, "ordered index scan %s (as %s) by %s%s", t.table.Name, t.qual, col, dir)
 		}
 	case *valuesOp:
 		p.emit(depth, "materialised rows: %d", len(t.rows))
@@ -228,13 +213,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		if t.buildSrc != nil {
 			p.describe(t.buildSrc, depth+2)
 		}
-	case *mergeJoinOp:
-		p.emit(depth, "merge join on %s = %s%s",
-			t.leftKeyE.String(), t.rightKeyE.String(), residualNote(t.residualE))
-		p.emit(depth+1, "ordered index scan %s by %s", t.leftTable.Name,
-			t.leftTable.Columns[t.leftIdx.Column].Name)
-		p.emit(depth+1, "ordered index scan %s by %s", t.rightTable.Name,
-			t.rightTable.Columns[t.rightIdx.Column].Name)
 	case *indexJoinOp:
 		sideNote := ""
 		if !t.probeIsLeft {
@@ -316,6 +294,16 @@ func (p *planPrinter) describeSubplans(e Expr, depth int, env *evalEnv) {
 // describe names an access path for EXPLAIN: its kind, and what it reads.
 func (a *indexAccess) describe(t *Table) (kind, detail string) {
 	switch {
+	case a.ordered:
+		col := t.Columns[a.rangeIdx.Column].Name
+		by := "by " + col
+		if a.desc {
+			by += " desc"
+		}
+		if a.spec.bounded() {
+			return "ordered index range", a.spec.describe(col) + ", " + by
+		}
+		return "ordered index", by
 	case a.rangeIdx != nil:
 		return "index range", a.spec.describe(t.Columns[a.rangeIdx.Column].Name)
 	case a.ids != nil:

@@ -20,15 +20,12 @@ import (
 // structures are supersets of what any one snapshot can see, so every
 // consumer here re-checks each candidate id: fetch the version visible to the
 // scan's snapshot, emit only if its indexed value equals the entry's value.
-// On top of the view sit:
+// The view serves two access paths of the one scan (vecops.go):
 //
-//	ordScanOp     streams a table in index order (optionally bounded),
-//	              letting ORDER BY ... LIMIT k read exactly O(k) rows
-//	              and range predicates skip the heap entirely
 //	collectRangeIDs  materialises a range as heap-ordered row ids for
 //	              plans that need scan order preserved (no ORDER BY)
-//	mergeJoinOp   equi-joins two tables by walking both ordered views
-//	              in lockstep, with no build phase and no hashing
+//	ordWalk       hands the scan a range's ids in key order, a run at a
+//	              time, letting ORDER BY ... LIMIT k read O(k) rows
 //
 // Order equivalence is exact, not approximate: within one entry the ids
 // are ascending heap positions, so "walk entries in Compare order, ids
@@ -368,270 +365,80 @@ func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]in
 	return ids, skipped, nil
 }
 
-// entryRows materialises the rows of one ordered-view entry visible to
-// snap (superset recheck applied), sealed ones decoded into a; the second
-// return counts skipped ids.
-func entryRows(t *Table, col int, e *ordEntry, snap *snapshot, a *rowArena) ([]Row, uint64, error) {
-	ids := e.entryIDs()
-	rows := make([]Row, 0, len(ids))
-	var skipped uint64
-	for _, id := range ids {
-		r, err := t.visibleRow(id, snap, a, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		if r == nil || !r[col].Equal(e.val) {
-			skipped++
-			continue
-		}
-		rows = append(rows, r)
+// ordWalk is a scan's ordered access path (indexAccess.ordered): the
+// entries of a range of an index's ordered view in key order, ids ascending
+// within each, handed to the batch source in runSizes runs (ORDER BY …
+// LIMIT k reads O(k) ids), each id with the value it is filed under so load
+// can recheck it against the row the snapshot sees. Serial scans only: the
+// walk is the one mutable part of a batchSource.
+type ordWalk struct {
+	runSizes
+	start, cur ordCursor // ascending: the next entry; descending: one past it
+	lo, hi     ordPos    // [lo, hi) window of entries inside the range
+	col        int       // the indexed column, which load rechecks
+	desc       bool
+	runs       int // runs started since the walk (re)started
+
+	eids []int // the current entry's ids not yet handed out
+	eval Value // ... and its value
+}
+
+// newOrdWalk walks the entries of idx's ordered view of t inside spec —
+// every entry, NULLs included, when spec is unbounded: they sort first
+// ascending, last descending, exactly as sortOp places them.
+func newOrdWalk(t *Table, idx *Index, spec rangeSpec, desc bool, first int32) (*ordWalk, error) {
+	v, err := idx.orderedView(t)
+	if err != nil {
+		return nil, err
 	}
-	return rows, skipped, nil
+	lo, hi := ordCursor{view: v}, v.rangeEnd(nil)
+	if spec.bounded() {
+		lo, hi = v.rangeStart(spec.lo), v.rangeEnd(spec.hi)
+	}
+	w := &ordWalk{runSizes: runSizes{first: int(first)}, start: lo, lo: lo.pos, hi: hi.pos, col: idx.Column, desc: desc}
+	if desc {
+		w.start = hi
+	}
+	w.rewind()
+	return w, nil
 }
 
-// ---------------------------------------------------------------------------
-// Ordered index scan
-
-// ordScanOp streams a base table in the order of one of its indexes,
-// optionally restricted to a key range. Because entries stream lazily in
-// Compare order with heap-ordered ids inside each entry, the output is
-// bit-identical to "heap scan, then stable sort on the column" — which is
-// what lets the planner drop sortOp and makes ORDER BY col LIMIT k read
-// exactly k rows. With bounds it is also the range access path for
-// ordered queries. NULLs participate in a pure ordered scan (they sort
-// first ascending, last descending, exactly as sortOp places them) but
-// are excluded by any range. The view pointer is loaded once per scan and
-// every id is rechecked against the scan's snapshot — no lock is held
-// while the cursor iterates.
-type ordScanOp struct {
-	table *Table
-	idx   *Index
-	qual  string
-	cols  []colInfo
-	spec  rangeSpec
-	desc  bool
-	scanTally
-	arena rowArena // sealed rows
-
-	built  bool
-	snap   *snapshot
-	cur    ordCursor // ascending: the next entry; descending: one past it
-	lo, hi ordPos    // [lo, hi) window of entries inside the range
-	eids   []int     // current entry's id list
-	eval   Value     // current entry's value
-	ipos   int       // current position within the entry's ids
+// rewind restarts the walk: a scan re-pulled per outer row reads the view it
+// captured the first time.
+func (w *ordWalk) rewind() {
+	w.cur, w.size, w.runs, w.eids = w.start, 0, 0, nil
 }
 
-func (s *ordScanOp) columns() []colInfo { return s.cols }
-
-func (s *ordScanOp) reset() { s.built = false }
-
-// loadEntry steps the cursor to the next entry of the window in scan
-// direction and caches its id list and value; false once the window is
-// exhausted.
-func (s *ordScanOp) loadEntry() bool {
-	if s.desc {
-		if !s.lo.before(s.cur.pos) {
-			return false
-		}
-		s.cur.prev()
-	} else if !s.cur.pos.before(s.hi) {
+// done reports whether the walk has handed out every id.
+func (w *ordWalk) done() bool {
+	if len(w.eids) > 0 {
 		return false
 	}
-	e := s.cur.entry()
-	if !s.desc {
-		s.cur.next()
+	if w.desc {
+		return !w.lo.before(w.cur.pos)
 	}
-	s.eids, s.eval, s.ipos = e.entryIDs(), e.val, 0
-	return true
+	return !w.cur.pos.before(w.hi)
 }
 
-func (s *ordScanOp) next() (Row, bool, error) {
-	if !s.built {
-		if s.qc != nil {
-			s.snap = s.qc.snap
-		}
-		v, err := s.idx.orderedView(s.table)
-		if err != nil {
-			return nil, false, err
-		}
-		lo, hi := ordCursor{view: v}, v.rangeEnd(nil)
-		if s.spec.bounded() {
-			lo, hi = v.rangeStart(s.spec.lo), v.rangeEnd(s.spec.hi)
-		}
-		s.lo, s.hi, s.cur = lo.pos, hi.pos, lo
-		if s.desc {
-			s.cur = hi
-		}
-		s.eids, s.ipos = nil, 0
-		s.built = true
-		if s.firstOpen() {
-			s.qc.OrderedIndexOrders++
-			if s.spec.bounded() {
-				s.qc.IndexRangeScans++
-			} else {
-				s.qc.IndexScans++
-			}
-		}
-	}
-	if err := s.qc.tickCancelled(); err != nil {
-		return nil, false, err
-	}
-	for {
-		for s.ipos < len(s.eids) {
-			id := s.eids[s.ipos]
-			s.ipos++
-			r, err := s.table.visibleRow(id, s.snap, &s.arena, nil)
-			if err != nil {
-				return nil, false, err
-			}
-			if r == nil || !r[s.idx.Column].Equal(s.eval) {
-				s.account(scanCounts{tombs: 1})
-				continue
-			}
-			s.account(scanCounts{scanned: 1})
-			return r, true, nil
-		}
-		if !s.loadEntry() {
-			return nil, false, nil
-		}
-	}
+// run starts the next run and returns how many ids it may hand out.
+func (w *ordWalk) run() int {
+	w.runs++
+	return w.next()
 }
 
-// ---------------------------------------------------------------------------
-// Sort-merge join
-
-// mergeJoinOp equi-joins two base tables by walking both join columns'
-// ordered index views in lockstep: no build phase, no hashing, O(left +
-// right + output). Each ordered view has one entry per distinct value, so
-// a key match is a single cross product of the two entries' visible rows
-// (left-major, heap order inside). Output therefore arrives in join-key
-// order — the planner only picks this operator when a top-level ORDER BY
-// re-sorts the untruncated result, the same safety condition as flipping
-// hash-join build sides. NULL keys never join and their entries are
-// skipped via the range helpers.
-type mergeJoinOp struct {
-	leftTable, rightTable *Table
-	leftIdx, rightIdx     *Index
-	cols                  []colInfo
-	leftKeyE, rightKeyE   Expr // retained for EXPLAIN
-	residualE             Expr // retained for EXPLAIN
-	residual              compiledExpr
-	pairEnv               *evalEnv
-	arena                 rowArena // output rows, and the sealed rows of match blocks
-	scanTally                      // rows read off, and ids stepped over on, both ordered views
-
-	built  bool
-	snap   *snapshot
-	lc, rc ordCursor
-	// current match block: the visible rows of an equal key
-	lrows, rrows []Row
-	lp, rp       int
-	inBlock      bool
-}
-
-func newMergeJoinOp(lt, rt *Table, lidx, ridx *Index, leftCols, rightCols []colInfo,
-	leftKeyE, rightKeyE, residual Expr,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*mergeJoinOp, error) {
-
-	cols := append(append([]colInfo{}, leftCols...), rightCols...)
-	m := &mergeJoinOp{
-		leftTable: lt, rightTable: rt, leftIdx: lidx, rightIdx: ridx,
-		cols: cols, leftKeyE: leftKeyE, rightKeyE: rightKeyE, residualE: residual,
-		scanTally: scanTally{qc: qc},
+// pop hands out the next id in key order and its value; the walk is not done.
+func (w *ordWalk) pop() (int, Value) {
+	if len(w.eids) == 0 {
+		if w.desc {
+			w.cur.prev()
+		}
+		e := w.cur.entry()
+		if !w.desc {
+			w.cur.next()
+		}
+		w.eids, w.eval = e.entryIDs(), e.val
 	}
-	m.pairEnv = newEvalEnv(cols, db, params, outer, qc)
-	if residual != nil {
-		var err error
-		if m.residual, err = compileExpr(residual, m.pairEnv); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-func (m *mergeJoinOp) columns() []colInfo { return m.cols }
-
-func (m *mergeJoinOp) reset() {
-	m.built = false
-	m.inBlock = false
-}
-
-func (m *mergeJoinOp) next() (Row, bool, error) {
-	if !m.built {
-		if m.qc != nil {
-			m.snap = m.qc.snap
-		}
-		// Skip NULL entries: NULL keys never join.
-		lv, err := m.leftIdx.orderedView(m.leftTable)
-		if err != nil {
-			return nil, false, err
-		}
-		rv, err := m.rightIdx.orderedView(m.rightTable)
-		if err != nil {
-			return nil, false, err
-		}
-		m.lc, m.rc = lv.rangeStart(nil), rv.rangeStart(nil)
-		m.inBlock = false
-		m.built = true
-		if m.firstOpen() {
-			m.qc.IndexScans += 2
-		}
-	}
-	if err := m.qc.tickCancelled(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if m.inBlock {
-			for m.lp < len(m.lrows) {
-				lrow := m.lrows[m.lp]
-				if m.rp < len(m.rrows) {
-					rrow := m.rrows[m.rp]
-					m.rp++
-					out := m.arena.alloc(len(m.cols))
-					n := copy(out, lrow)
-					copy(out[n:], rrow)
-					if m.residual != nil {
-						m.pairEnv.row = out
-						v, err := m.residual()
-						if err != nil {
-							return nil, false, err
-						}
-						if v.IsNull() || !v.AsBool() {
-							continue
-						}
-					}
-					return out, true, nil
-				}
-				m.rp = 0
-				m.lp++
-			}
-			m.inBlock = false
-			m.lc.next()
-			m.rc.next()
-		}
-		le, re := m.lc.entry(), m.rc.entry()
-		if le == nil || re == nil {
-			return nil, false, nil
-		}
-		c := le.val.Compare(re.val)
-		switch {
-		case c < 0:
-			m.lc.next()
-		case c > 0:
-			m.rc.next()
-		default:
-			var lskip, rskip uint64
-			var err error
-			if m.lrows, lskip, err = entryRows(m.leftTable, m.leftIdx.Column, le, m.snap, &m.arena); err != nil {
-				return nil, false, err
-			}
-			if m.rrows, rskip, err = entryRows(m.rightTable, m.rightIdx.Column, re, m.snap, &m.arena); err != nil {
-				return nil, false, err
-			}
-			m.lp, m.rp = 0, 0
-			m.inBlock = true
-			m.account(scanCounts{scanned: uint64(len(m.lrows) + len(m.rrows)), tombs: lskip + rskip})
-		}
-	}
+	id := w.eids[0]
+	w.eids = w.eids[1:]
+	return id, w.eval
 }

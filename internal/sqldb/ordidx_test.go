@@ -9,17 +9,19 @@ import (
 )
 
 // Tests for the order-aware planner: ordered/range index scans, sort
-// elision, predicate pushdown, merge join, and the correlated-subplan
+// elision, predicate pushdown, index joins, and the correlated-subplan
 // cache. The property tests interleave DML with ordered queries and
-// cross-check three executors: the indexed engine (ordered scans, range
-// scans, merge joins), a plain engine with no indexes (seq scans, full
+// cross-check three executors: the indexed engine (ordered walks, range
+// scans, index joins), a plain engine with no indexes (seq scans, full
 // sorts), and the force-naive interpreted reference (refSelect,
 // property_test.go).
 
 // TestOrderByIndexedLimitScansExactlyK is the acceptance regression: an
 // ORDER BY over an indexed column under LIMIT k must stream from index
 // order and read exactly the rows it returns — no full sort, no full
-// scan. Asserted through the Stats rows-scanned counter.
+// scan. Asserted through the Stats rows-scanned counter, and — the scan
+// reading the walk a run at a time — through its batches: the first run is
+// the window the LIMIT asks for.
 func TestOrderByIndexedLimitScansExactlyK(t *testing.T) {
 	db := bigDB(t, 100000)
 
@@ -34,6 +36,9 @@ func TestOrderByIndexedLimitScansExactlyK(t *testing.T) {
 	}
 	if scanned := db.Stats().RowsScanned - before.RowsScanned; scanned != 5 {
 		t.Errorf("ORDER BY indexed LIMIT 5 scanned %d rows, want exactly 5", scanned)
+	}
+	if batches := db.Stats().VectorBatches - before.VectorBatches; batches != 1 {
+		t.Errorf("ORDER BY indexed LIMIT 5 read %d runs of the walk, want 1", batches)
 	}
 
 	// Range + ORDER BY on the same indexed column: still O(k).
@@ -71,6 +76,19 @@ func TestOrderByIndexedLimitScansExactlyK(t *testing.T) {
 	}
 	if scanned := db.Stats().RowsScanned - before.RowsScanned; scanned != 12 {
 		t.Errorf("ORDER BY LIMIT 5 OFFSET 7 scanned %d rows, want 12", scanned)
+	}
+	if batches := db.Stats().VectorBatches - before.VectorBatches; batches != 1 {
+		t.Errorf("ORDER BY LIMIT 5 OFFSET 7 read %d runs of the walk, want 1", batches)
+	}
+
+	// Under a conjunct the runs double until the window fills: ids 0..4,
+	// then 5..14, hold the even ids 0 to 8.
+	before = db.Stats()
+	if got := queryStrings(t, db, "SELECT id FROM big WHERE id % 2 = 0 ORDER BY id LIMIT 5"); len(got) != 5 || got[4][0] != "8" {
+		t.Fatalf("filtered ordered limit rows = %v, want 0, 2, 4, 6, 8", got)
+	}
+	if batches := db.Stats().VectorBatches - before.VectorBatches; batches != 2 {
+		t.Errorf("filtered ORDER BY LIMIT 5 read %d runs of the walk, want 2 (5 then 10 ids)", batches)
 	}
 
 	s := db.Stats()
@@ -565,10 +583,10 @@ func TestPushdownBelowJoins(t *testing.T) {
 	}
 }
 
-// TestMergeJoinMatchesHashJoin: with both join keys indexed and a
-// top-level ORDER BY, the planner merge-joins the two ordered views; the
+// TestIndexJoinMatchesHashJoin: with both join keys indexed and a top-level
+// ORDER BY, the planner probes the right input's index row by row; the
 // result set must match the unindexed hash-join plan.
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
+func TestIndexJoinMatchesHashJoin(t *testing.T) {
 	build := func(withIndexes bool) *Database {
 		db := NewDatabase()
 		ddlA, ddlB := "CREATE TABLE a (k INTEGER, v INTEGER)", "CREATE TABLE b (k INTEGER, w INTEGER)"
@@ -602,8 +620,8 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := strings.Join(lines, "\n"); !strings.Contains(out, "merge join") {
-		t.Fatalf("both-indexed equi-join under ORDER BY should merge join:\n%s", out)
+	if out := strings.Join(lines, "\n"); !strings.Contains(out, "index nested loop join on a.k = b.k (index idx_b_k on b)") {
+		t.Fatalf("both-indexed equi-join under ORDER BY should probe b's index:\n%s", out)
 	}
 	ri, err := indexed.Query(sql)
 	if err != nil {
@@ -614,7 +632,7 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rowsToStrings(ri.Rows), rowsToStrings(rp.Rows)) {
-		t.Fatalf("merge join disagrees with hash join:\nmerge %v\nhash  %v",
+		t.Fatalf("index join disagrees with hash join:\nindex %v\nhash  %v",
 			rowsToStrings(ri.Rows), rowsToStrings(rp.Rows))
 	}
 }

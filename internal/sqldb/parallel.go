@@ -30,7 +30,7 @@ import (
 // only top-level, single-table paths whose expressions are free of
 // subqueries and function calls (parallelSafe says why), and only above the
 // size gate so small scans never pay pool overhead. Ordered (sort-eliding)
-// scans, merge joins, and correlated probes stay serial.
+// walks and correlated probes stay serial.
 //
 // Accounting: workers never touch the shared queryCtx. Each morsel result
 // carries its own counters, which the gather — always the query's owner

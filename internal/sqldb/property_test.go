@@ -696,7 +696,7 @@ func TestPlanChoicesAgree(t *testing.T) {
 				1+r.Intn(6))
 		},
 		func(r *rand.Rand) string {
-			// Both join keys indexed on the indexed db: merge join there,
+			// Both join keys indexed on the indexed db: index join there,
 			// hash join on the plain one.
 			return fmt.Sprintf(
 				"SELECT t1.id, t2.d FROM t1 JOIN t2 ON t1.id = t2.id WHERE %s ORDER BY t1.id",
@@ -716,6 +716,13 @@ func TestPlanChoicesAgree(t *testing.T) {
 			return fmt.Sprintf(
 				"SELECT id, a, b FROM t1 WHERE %s ORDER BY id DESC LIMIT %d",
 				randPred(r), 1+r.Intn(10))
+		},
+		func(r *rand.Rand) string {
+			// A subquery re-pulled per outer row whose scan walks t2's key
+			// in order on the indexed db: the walk restarts on every reset.
+			return fmt.Sprintf(
+				"SELECT id, (SELECT t2.d FROM t2 WHERE t2.d > t1.a + %d ORDER BY t2.id DESC LIMIT 1) FROM t1 ORDER BY id",
+				r.Intn(25))
 		},
 	}
 	for i := 0; i < 240; i++ {

@@ -180,10 +180,11 @@ func (r *Rows) Stats() QueryStats { return r.qc.snapshot() }
 
 // Close releases the cursor: any parallel-scan workers are stopped and
 // joined (they read table data through the cursor's snapshot, so this
-// must happen first), then the snapshot reference is released — letting
-// the vacuum horizon advance past it — and the execution's counters are
-// folded into Database.Stats. Idempotent; safe to defer alongside an
-// exhaustive Next loop.
+// must happen first), the scan a LIMIT stopped pulling hands its batch
+// back, then the snapshot reference is released — letting the vacuum
+// horizon advance past it — and the execution's counters are folded into
+// Database.Stats. Idempotent; safe to defer alongside an exhaustive Next
+// loop.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
@@ -191,6 +192,11 @@ func (r *Rows) Close() error {
 	r.closed = true
 	r.cur = nil
 	r.qc.stopWorkers()
+	for c := &r.root; c != nil; c = liveChild(*c) {
+		if s, ok := (*c).(*scanOp); ok {
+			s.release()
+		}
+	}
 	r.db.stats.openCursors.Add(-1)
 	r.qc.flush() // releases the cursor's snapshot reference
 	return nil

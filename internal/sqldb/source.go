@@ -36,13 +36,14 @@ func visible(head *rowVersion, snap *snapshot) Row {
 }
 
 // batchSource is the position space of one scan: an explicit id list
-// (equality/range index access) or the slot array [0, n). Immutable once
-// captured, so workers share it freely.
+// (equality/range index access), the runs of an ordered walk, or the slot
+// array. Immutable once captured but for the walk, which only serial scans
+// take, so workers share it freely.
 type batchSource struct {
 	table *Table
-	ids   []int // nil = the whole slot array
-	arr   []*rowSlot
-	n     int
+	ids   []int // nil = the whole slot array (or the walk's)
+	walk  *ordWalk
+	arr   []*rowSlot // the slots the scan's snapshot can see
 	snap  *snapshot
 	segs  []*segBlock // the sealed blocks by morsel (segment.go); nil = none
 }
@@ -53,19 +54,28 @@ type batchSource struct {
 // live rows only) would hide the deleted rows the fault is meant to expose.
 // The snapshot is taken first, so a block captured here stays what it sees
 // even once rehydrated: a change to its rows publishes later.
-func (m *batchSource) capture(t *Table, ids []int, snap *snapshot) {
-	*m = batchSource{table: t, ids: ids, snap: snap}
-	if ids == nil {
-		m.arr, m.n = t.loadSlots()
+func (m *batchSource) capture(t *Table, ids []int, walk *ordWalk, snap *snapshot) {
+	*m = batchSource{table: t, ids: ids, walk: walk, snap: snap}
+	if ids == nil && walk == nil {
+		arr, n := t.loadSlots()
+		m.arr = arr[:n]
 		if !debugDisableTombstoneSkip {
 			m.segs = t.blocks()
 		}
 	}
 }
 
-// batches is the number of morsels the source spans.
+// batches is the number of morsels the source spans — for a walk, the runs
+// handed out so far and the next one while it has ids left: consumers load
+// morsels in order, so the count is known one run ahead.
 func (m *batchSource) batches() int {
-	total := m.n
+	if w := m.walk; w != nil {
+		if w.done() {
+			return w.runs
+		}
+		return w.runs + 1
+	}
+	total := len(m.arr)
 	if m.ids != nil {
 		total = len(m.ids)
 	}
@@ -73,33 +83,40 @@ func (m *batchSource) batches() int {
 }
 
 // load fills b with the visible rows of morsel idx, in position order, and
-// their slot ids. vec marks the columns the consumer's kernels read, which
-// load gathers into column vectors; a sealed block decodes dec (nil: every
-// column) and builds a row view over them only when rows asks for one (heap
-// and id-list morsels always carry their rows: a heap row is the cheapest
-// form there is, and a sealed row an id list names — or one of a morsel
-// sealed since the capture — is decoded whole into the batch). b.pre and
-// b.tail record the invisible versions stepped over, so consumers can bill
-// tombstones where each row is consumed. b.sel is left to the caller.
+// their slot ids; under an ordered walk the morsel is the walk's next run.
+// vec marks the columns the consumer's kernels read, which load gathers into
+// column vectors; a sealed block decodes dec (nil: every column) and builds a
+// row view over them only when rows asks for one (heap and id-list morsels
+// always carry their rows: a heap row is the cheapest form there is, and a
+// sealed row an id list names — or one of a morsel sealed since the capture —
+// is decoded whole into the batch). b.pre and b.tail record the invisible
+// versions stepped over, so consumers can bill tombstones where each row is
+// consumed. b.sel is left to the caller.
 func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) error {
-	lo := idx * morselSize
+	lo, w := idx*morselSize, m.walk
+	end := min(lo+morselSize, len(m.arr))
 	b.blk = nil
-	if m.ids == nil && idx < len(m.segs) && m.segs[idx] != nil {
-		return b.fillSealed(m.segs[idx], lo, dec, rows)
-	}
-	end := min(lo+morselSize, m.n)
-	if m.ids != nil {
+	switch {
+	case w != nil:
+		lo, end = 0, w.run()
+	case m.ids != nil:
 		end = min(lo+morselSize, len(m.ids))
+	case idx < len(m.segs) && m.segs[idx] != nil:
+		return b.fillSealed(m.segs[idx], lo, dec, rows)
 	}
 	b.reserve(end - lo)
 	n, carry := 0, int32(0)
 	b.arena.used = 0
-	for pos := lo; pos < end; pos++ {
-		id, slot := pos, (*rowSlot)(nil)
-		if m.ids != nil {
+	for pos := lo; pos < end && (w == nil || !w.done()); pos++ {
+		id, slot, key := pos, (*rowSlot)(nil), Null
+		switch {
+		case w != nil:
+			id, key = w.pop()
+			slot = m.table.slot(id)
+		case m.ids != nil:
 			id = m.ids[pos]
 			slot = m.table.slot(id)
-		} else {
+		default:
 			slot = m.arr[pos]
 		}
 		head, blk := m.table.resolve(slot, id)
@@ -110,7 +127,7 @@ func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) err
 			if err := blk.row(id, r, &b.seek); err != nil {
 				return err
 			}
-		case head == nil && m.ids == nil:
+		case head == nil && m.ids == nil && w == nil:
 			// A slot with no versions at all (vacuumed, or a rolled-back
 			// insert) is stepped over silently; one holding only invisible
 			// versions, or an index id naming such a slot, is a tombstone.
@@ -118,7 +135,7 @@ func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) err
 		default:
 			r = visible(head, m.snap)
 		}
-		if r == nil {
+		if r == nil || w != nil && !r[w.col].Equal(key) { // not the value the walk filed it under
 			carry++
 			continue
 		}

@@ -373,6 +373,10 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 	db := acctDB(t)
 	db.MustExec("CREATE TABLE branch (id INTEGER PRIMARY KEY, city TEXT)")
 	db.MustExec("INSERT INTO branch VALUES (7, 'x'), (8, 'y')")
+	// One P, as AllocsPerRun runs: a scan's batch goes back to the pool slot
+	// of the P it ran on, and a run moved to another P would grow a batch
+	// of some other size into its 1,000-row one (+190 B a run).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct {
 		sql     string
 		ceiling float64
@@ -380,6 +384,9 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 	}{
 		{"SELECT bal FROM acct WHERE id = ?", 21, 1600},
 		{"SELECT a.bal, b.city FROM acct a JOIN branch b ON a.id = b.id WHERE b.id = ?", 49, 4150},
+		// An ordered walk the LIMIT stops after one row: the run it read is
+		// the row, and the batch goes back to the pool at Close.
+		{"SELECT bal FROM acct WHERE id > ? ORDER BY id LIMIT 1", 23, 1850},
 	} {
 		sel, err := db.plans.selectStmt(c.sql, "test")
 		if err != nil {

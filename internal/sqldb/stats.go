@@ -39,8 +39,8 @@ type Stats struct {
 	RowsEmitted uint64
 	// IndexScans / FullScans count base-table access paths by kind, for
 	// UPDATE and DELETE exactly as for a SELECT with the same WHERE.
-	// IndexScans includes ordered (sort-eliding) index scans and both
-	// sides of a merge join; IndexRangeScans counts access paths served
+	// IndexScans includes unbounded ordered (sort-eliding) index walks;
+	// IndexRangeScans counts access paths served
 	// from an index's ordered view by a range predicate (col > x,
 	// BETWEEN) instead of a heap scan.
 	IndexScans      uint64

@@ -571,8 +571,8 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	}
 
 	// Order-aware access path: when the leading ORDER BY key is an indexed
-	// column of the statement's one base table, replace the scan with an
-	// ordered index scan — the index's ordered view yields exactly what the
+	// column of the statement's one base table, the scan walks the index in
+	// key order (ordWalk) — the index's ordered view yields exactly what the
 	// stable sort would, so this is safe for subqueries and truncated
 	// results too, and it is what makes `ORDER BY col LIMIT k` read O(k)
 	// rows. A single key drops the sort entirely; trailing keys keep a
@@ -580,13 +580,12 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// equal leading-key rows. Multi-key elision is skipped under DISTINCT:
 	// dedup keeps first-arriving representatives, and index order changes
 	// which row arrives first.
-	orderElided := false
+	var walk *scanOp
 	if !aggregate && len(stmt.OrderBy) >= 1 && len(stmt.Joins) == 0 &&
 		(len(stmt.OrderBy) == 1 || !stmt.Distinct) {
-		if src, orderElided, err = tryOrderedScan(stmt, items, src, db, params, outer, qc); err != nil {
-			return nil, nil, err
-		}
+		walk = tryOrderedScan(stmt, items, src)
 	}
+	orderElided := walk != nil
 
 	// needSort: an ORDER BY the index order does not already satisfy. A
 	// fully elided single-key order stacks no sortOp at all (rows carry no
@@ -628,19 +627,27 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	}
 
 	// The limit window is all a full sort must keep (topK). The grouped
-	// tie-sort ignores it: it already streams, and the limitOp above stops
-	// pulling once the window fills.
-	topK := -1
+	// tie-sort ignores it: it streams, and the limitOp above stops pulling
+	// once the window fills — so, as under a LIMIT nothing sorts or groups
+	// under, an ordered walk and the call windows start at what it asks
+	// for, and a subquery's, pulled a row at a time, at one (runSizes).
+	topK, first := -1, morselSize
 	if needSort && !orderElided && limit >= 0 {
 		topK = start + limit
+	}
+	if limit >= 0 && !aggregate && (!needSort || orderElided) {
+		first = max(1, min(start+limit, morselSize))
+	} else if !topLevel {
+		first = 1
+	}
+	if walk != nil {
+		walk.first = int32(first)
 	}
 
 	// Batch-form calls in the select list or the sort keys are gathered by a
 	// filter under the projection that passes every row; it holds a window of
 	// input rows, so the scan below emits table rows. Otherwise the scan may
-	// absorb what sits above it (vecops.go). (An elided index order no longer
-	// bottoms out in a scan, so it keeps its ordered scan — the streaming is
-	// the point.)
+	// absorb what sits above it (vecops.go).
 	shape := scanShape{
 		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
 		repRows:  aggregate && readsRepRow(stmt, items, outCols),
@@ -666,16 +673,8 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		gather = &filterOp{child: src, win: &callWindow{}}
 		src, lms = gather, append(lms, gather)
 	}
-	// A consumer that will stop early — a LIMIT nothing sorts or groups
-	// under, or whatever pulls a subquery — starts the windows at what it
-	// asks for; one that drains its input takes them whole.
 	for _, b := range lms {
-		b.win.first = morselSize
-		if limit >= 0 && !needSort && !aggregate {
-			b.win.first = max(1, min(start+limit, morselSize))
-		} else if !topLevel {
-			b.win.first = 1
-		}
+		b.win.first = first
 	}
 
 	// env is the row environment the projection (and HAVING, and the input
@@ -839,9 +838,6 @@ func lendRows(op operator) {
 		case *scanOp: // the scans decode sealed rows in one buffer
 			t.lent = true
 			return
-		case *ordScanOp:
-			t.arena.reuse = true
-			return
 		default:
 			return
 		}
@@ -893,42 +889,34 @@ func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
 }
 
 // tryOrderedScan decides whether the statement's single ORDER BY key can
-// be served by streaming the base table in index order. The source chain
+// be served by walking the base table in index order. The source chain
 // must bottom out in a scanOp (filters pass order through); the key must
 // be a bare or correctly-qualified reference to an indexed column of that
 // scan; and — because ORDER BY resolves output names first — a bare key
 // that collides with an output column is only safe when that output
 // column is the very same table column. If the scan carries a range
-// restriction it must be on the same column, and becomes the ordered
-// scan's bounds. On success the scan is replaced in place — under a filter
-// of its conjuncts, when it had any — and the (possibly new) chain root
-// plus true are returned.
-func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, bool, error) {
-	// Find the scan under any stack of filters.
-	slot := &src
-	for {
-		f, ok := (*slot).(*filterOp)
-		if !ok {
-			break
-		}
-		slot = &f.child
+// restriction it must be on the same column, and bounds the walk. On
+// success the scan's access path becomes the ordered walk (its conjuncts
+// stay its own) and the scan is returned; nil otherwise.
+func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator) *scanOp {
+	for f, ok := src.(*filterOp); ok; f, ok = src.(*filterOp) {
+		src = f.child
 	}
-	sc, ok := (*slot).(*scanOp)
+	sc, ok := src.(*scanOp)
 	if !ok || sc.ids != nil || sc.probe != nil {
-		return src, false, nil
+		return nil
 	}
 	ob := stmt.OrderBy[0]
 	cr, ok := ob.Expr.(*ColumnRef)
 	if !ok {
-		return src, false, nil
+		return nil
 	}
 	idx := indexFor(sc.table, sc.qual, cr)
 	if idx == nil {
-		return src, false, nil
+		return nil
 	}
 	if sc.rangeIdx != nil && sc.rangeIdx != idx {
-		return src, false, nil
+		return nil
 	}
 	if stmt.Distinct {
 		// DISTINCT keeps each group's first-arriving row, and the sort
@@ -946,7 +934,7 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator,
 			}
 		}
 		if !keyInOutput {
-			return src, false, nil
+			return nil
 		}
 	}
 	if cr.Table == "" {
@@ -970,29 +958,15 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator,
 			c, ok := it.Expr.(*ColumnRef)
 			if !ok || !strings.EqualFold(c.Column, cr.Column) ||
 				(c.Table != "" && !strings.EqualFold(c.Table, sc.qual)) {
-				return src, false, nil
+				return nil
 			}
 		}
 		if matches > 1 {
 			// Ambiguous output reference: keep the sort path so the
 			// resolution error (or tie-breaking) behaves as before.
-			return src, false, nil
+			return nil
 		}
 	}
-	oss := &ordScanOp{
-		table: sc.table, idx: idx, qual: sc.qual, cols: sc.cols,
-		desc: ob.Desc, scanTally: scanTally{qc: qc},
-	}
-	if sc.rangeIdx == idx {
-		oss.spec = sc.spec
-	}
-	*slot = oss
-	if sc.preds != nil {
-		f, err := newFilterOp(oss, joinConjuncts(sc.preds), db, params, outer, qc)
-		if err != nil {
-			return nil, false, err
-		}
-		*slot = f
-	}
-	return src, true, nil
+	sc.rangeIdx, sc.ordered, sc.desc = idx, true, ob.Desc
+	return sc
 }

@@ -6,10 +6,12 @@ import "math/bits"
 // single-table SELECT, each join input, UPDATE and DELETE's walk over their
 // victims — and the planner's decisions about it. A scanOp reads morsels of
 // visible rows from the shared batchSource (source.go), whatever the table's
-// size: a short table is one short batch. Each WHERE conjunct the scan owns
-// runs as a predicate kernel (vector.go) over the whole batch while every
-// conjunct before it compiled to one; from the first that did not on, the
-// conjuncts run as the row engine's closures, row by row, when a row is
+// size and whatever its access path (indexAccess, exec.go: the slot array, an
+// equality's ids, a range's, or an ordered walk of an index that serves the
+// ORDER BY): a short table is one short batch. Each WHERE conjunct the scan
+// owns runs as a predicate kernel (vector.go) over the whole batch while
+// every conjunct before it compiled to one; from the first that did not on,
+// the conjuncts run as the row engine's closures, row by row, when a row is
 // consumed — so a LIMIT that stops the plan stops them too, and an error is
 // the one of the first row that raises one. Survivors are emitted as table
 // rows, projected in place, folded into GROUP BY partitions, or offered to a
@@ -32,22 +34,9 @@ type scanCounts struct {
 	batches uint64 // non-empty batches run
 }
 
-// scanTally is the accounting every base-table leaf embeds — scanOp,
-// ordScanOp and mergeJoinOp: the operator's own work (what
-// EXPLAIN ANALYZE prints and treeScanned sums) beside the execution it
-// bills. qc is nil where there is nothing to bill (a pool worker's private
-// copy, a plan built only for display).
-type scanTally struct {
-	qc     *queryCtx
-	cnt    scanCounts
-	opened bool
-}
-
-func (s *scanTally) counts() scanCounts { return s.cnt }
-
 // account adds work done to the operator's counters and to the per-query
 // recorder.
-func (s *scanTally) account(d scanCounts) {
+func (s *scanOp) account(d scanCounts) {
 	if s.qc != nil {
 		s.qc.RowsScanned += d.scanned
 		s.qc.TombstonesSkipped += d.tombs
@@ -65,7 +54,7 @@ func (s *scanTally) account(d scanCounts) {
 
 // firstOpen reports whether the execution has yet to be billed this leaf's
 // access path: a leaf re-pulled per outer row (reset) took one path, once.
-func (s *scanTally) firstOpen() bool {
+func (s *scanOp) firstOpen() bool {
 	first := s.qc != nil && !s.opened
 	s.opened = true
 	return first
@@ -160,7 +149,13 @@ type batchFold struct {
 type scanOp struct {
 	batchPlan
 	*scanPipe
-	scanTally // qc on the owner's instance only: workers never touch it
+	// The scan's accounting: its own work (what EXPLAIN ANALYZE prints and
+	// treeScanned sums) beside the execution it bills. qc is nil where there
+	// is nothing to bill: a pool worker's private copy, a plan built only for
+	// display.
+	qc     *queryCtx
+	cnt    scanCounts
+	opened bool // the access path is billed (firstOpen)
 	// probe, when set, makes the scan a correlated probe: each reset reads
 	// the ids of a new key.
 	probe *corrProbe
@@ -168,18 +163,17 @@ type scanOp struct {
 	src batchSource // captured by open, copied into worker instances
 	b   *vecBatch   // from batchPool; nil between scans
 
-	// Serial driver: next morsel, emission cursor, the tombstones seen
-	// since the last gathered row, and the slot of the row last emitted.
+	// Serial driver: next morsel, emission cursor, and the tombstones seen
+	// since the last gathered row.
 	idx, emitPos int
 	carry        int32
 	lent         bool // the consumer drops rows (lendRows): sealed ones are not copied out
-	id           int
 }
 
 func newScanOp(t *Table, qual string, qc *queryCtx) *scanOp {
 	return &scanOp{
 		batchPlan: batchPlan{table: t, qual: qual, cols: tableCols(t, qual)},
-		scanPipe:  tableRows, scanTally: scanTally{qc: qc},
+		scanPipe:  tableRows, qc: qc,
 	}
 }
 
@@ -317,12 +311,16 @@ func (s *scanOp) columns() []colInfo { return s.cols }
 
 // reset rewinds the serial driver. The source and the access-path record
 // persist — a scan re-pulled per outer row reads what it read the first
-// time — except under a probe, which looks its key up afresh.
+// time, an ordered walk from its start — except under a probe, which looks
+// its key up afresh.
 func (s *scanOp) reset() {
 	s.idx, s.emitPos, s.carry = 0, 0, 0
 	s.release()
 	if s.probe != nil {
 		s.src.table = nil
+	}
+	if s.src.walk != nil {
+		s.src.walk.rewind()
 	}
 }
 
@@ -338,8 +336,9 @@ func (s *scanOp) release() {
 }
 
 // open captures the iteration space on first use: range ids are
-// materialised or a probe's looked up, the source snapshots the table, and
-// the access path is recorded once. Owner goroutine only.
+// materialised, an ordered walk started or a probe's ids looked up, the
+// source snapshots the table, and the access path is recorded once. Owner
+// goroutine only.
 func (s *scanOp) open() error {
 	if s.src.table != nil {
 		return nil
@@ -348,12 +347,13 @@ func (s *scanOp) open() error {
 	if s.qc != nil {
 		snap = s.qc.snap
 	}
+	var walk *ordWalk
+	var err error
 	if s.probe == nil {
-		if err := s.indexAccess.open(s.table, snap, &s.scanTally); err != nil {
+		if walk, err = s.indexAccess.open(s.table, snap, s); err != nil {
 			return err
 		}
 	} else {
-		var err error
 		if s.ids, err = s.probe.lookup(s.table, snap); err != nil {
 			return err
 		}
@@ -361,7 +361,7 @@ func (s *scanOp) open() error {
 			s.qc.IndexScans++
 		}
 	}
-	s.src.capture(s.table, s.ids, snap)
+	s.src.capture(s.table, s.ids, walk, snap)
 	return nil
 }
 
@@ -447,7 +447,6 @@ func (s *scanOp) next() (Row, bool, error) {
 	if err := s.qc.tickCancelled(); err != nil {
 		return nil, false, err
 	}
-	nb := s.src.batches()
 	for {
 		// Advance the emission cursor to the next survivor, billing every
 		// row and tombstone it passes.
@@ -461,11 +460,10 @@ func (s *scanOp) next() (Row, bool, error) {
 				}
 				continue
 			}
-			s.id = s.b.ids[i]
 			r, err := s.rowAt(i)
 			return r, err == nil, err
 		}
-		if s.idx >= nb {
+		if s.idx >= s.src.batches() {
 			// Trailing tombstones are billed only when the consumer
 			// drained the scan this far.
 			s.account(scanCounts{tombs: uint64(s.carry)})
@@ -485,6 +483,9 @@ func (s *scanOp) next() (Row, bool, error) {
 		s.carry += s.b.tail
 	}
 }
+
+// rowID is the slot of the row the serial driver returned last.
+func (s *scanOp) rowID() int { return s.b.ids[s.emitPos-1] }
 
 // rowAt is the output row for position i of the current batch: the fused
 // projection's values when there is one (with room after them for the sort
@@ -705,7 +706,7 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 	if bs.ids != nil {
 		est = len(bs.ids)
 	}
-	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && est >= morselMinRows && parallelSafe(bs.preds...)
+	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && est >= morselMinRows && !bs.ordered && parallelSafe(bs.preds...)
 	var f scanFusion
 	switch {
 	case sh.aggregate && pool && parallelSafe(stmt.GroupBy...) && mergeableAggregates(sh.aggs):
