@@ -286,15 +286,16 @@ func liveHeap() uint64 {
 }
 
 // liveHeapCeiling is the most a held row may cost at 32,768 + 3,276 rows:
-// 67.4 B measured with a sealed block the only copy of its rows — slots,
-// index postings and the compressed blocks with their rank and offset
-// tables (279.1 B while the heap kept every sealed row as well, with the
-// indexes holding row ids by hash class and no keys; 392.8 B with the
-// Value-keyed index map of ids; 554.3 B with the 48-byte Value and
-// string-keyed postings before that), plus ~10 %. The index maps sit at a
-// different load factor than at perf's 262,144 + 26,214 rows (≈ 101 B
-// there; 283, 393 and 555 before), so the ceiling is this size's own.
-const liveHeapCeiling = 74
+// 51.4 B measured with a sealed morsel holding no slots — index postings
+// and the compressed blocks with their rank and offset tables, plus the
+// heap tail's run (67.4 B while every sealed row kept a 16-byte slot;
+// 279.1 B while the heap kept every sealed row as well, with the indexes
+// holding row ids by hash class and no keys; 392.8 B with the Value-keyed
+// index map of ids; 554.3 B with the 48-byte Value and string-keyed
+// postings before that), plus ~10 %. The index maps sit at a different
+// load factor than at perf's 262,144 + 26,214 rows (≈ 85 B there; 101,
+// 283, 393 and 555 before), so the ceiling is this size's own.
+const liveHeapCeiling = 57
 
 func TestLiveHeapPerRow(t *testing.T) {
 	per := liveHeapPerRow(t, 32768)

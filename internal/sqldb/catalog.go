@@ -33,13 +33,11 @@ type rowVersion struct {
 	row  Row
 }
 
-// rowSlot is one stable row id's chain head. Slot structs are shared
-// between successive published slot arrays, so a reader holding a stale
-// array still observes head replacements and xmax stamps through the same
-// struct.
-type rowSlot struct {
-	head atomic.Pointer[rowVersion]
-}
+// slotRun holds the chain heads of one morsel's segBlockSlots row ids in
+// one allocation. Runs are shared between successive published
+// directories, so a reader holding a stale directory still observes head
+// replacements and xmax stamps through the same run.
+type slotRun [segBlockSlots]atomic.Pointer[rowVersion]
 
 // Table is an in-memory versioned heap of rows plus secondary indexes.
 //
@@ -50,8 +48,8 @@ type rowSlot struct {
 // are all invisible are skipped by scans; the background vacuum
 // (vacuum.go) empties them once no live snapshot can see any version.
 //
-// Readers never lock the table: the slot array pointer, the published
-// slot count and every chain link are atomic, and all visibility
+// Readers never lock the table: the directory of runs, every head, the
+// published slot count and every chain link are atomic, and all visibility
 // decisions are made against the statement's snapshot (txn.go). Writers
 // mutate only under the database's single-writer latch.
 type Table struct {
@@ -60,7 +58,7 @@ type Table struct {
 	colIndex map[string]int // lower-cased column name -> ordinal
 	cols     []colInfo      // the schema under the table's own name (tableCols)
 
-	slots atomic.Pointer[[]*rowSlot] // slot array; len == capacity, grown by COW
+	slots atomic.Pointer[[]*slotRun] // directory: run by morsel, nil where the block is the only copy; COW
 	n     atomic.Int64               // published slot count (ids < n are valid)
 
 	liveRows atomic.Int64 // rows visible to a fresh snapshot
@@ -425,64 +423,51 @@ func (t *Table) liveCount() int { return int(t.liveRows.Load()) }
 // ---------------------------------------------------------------------------
 // Version store
 
-// loadSlots returns the published slot array and valid slot count. Both
-// are stable for a scan's lifetime: later appends land past n (invisible
-// to the scan's snapshot anyway), and slot structs are shared across
-// array growth.
-func (t *Table) loadSlots() ([]*rowSlot, int) {
-	arrp := t.slots.Load()
-	if arrp == nil {
-		return nil, 0
-	}
-	arr := *arrp
-	n := int(t.n.Load())
-	if n > len(arr) {
-		n = len(arr)
-	}
-	return arr, n
+// loadSlots returns the published directory of runs and the valid slot
+// count. Both are stable for a scan's lifetime: later appends land past n
+// (invisible to the scan's snapshot anyway), and runs are shared across
+// directories.
+func (t *Table) loadSlots() ([]*slotRun, int) {
+	dir := t.dir()
+	return dir, min(int(t.n.Load()), len(dir)*segBlockSlots)
 }
 
-// head returns slot id's chain head (writeMu held, id < n).
+// dir returns the published directory of runs.
+func (t *Table) dir() []*slotRun {
+	if p := t.slots.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// run returns the published run of morsel m: nil when it is sealed.
+func (t *Table) run(m int) *slotRun { return t.dir()[m] }
+
+// head returns slot id's chain head (writeMu held, id < n, not sealed).
 func (t *Table) head(id int) *rowVersion {
-	arr := *t.slots.Load()
-	return arr[id].head.Load()
+	return t.run(id / segBlockSlots)[id%segBlockSlots].Load()
 }
 
-// setHead replaces slot id's chain head (writeMu held).
+// setHead replaces slot id's chain head (writeMu held, not sealed).
 func (t *Table) setHead(id int, v *rowVersion) {
-	arr := *t.slots.Load()
-	arr[id].head.Store(v)
+	t.run(id / segBlockSlots)[id%segBlockSlots].Store(v)
 }
 
 // appendSlot publishes a new slot holding v and returns its row id
-// (writeMu held). The store lands before the count moves, so a reader
-// that observes the new count observes the version too.
+// (writeMu held). A new morsel's run is published first and the head is
+// stored before the count moves, so a reader that observes the new count
+// observes the version too. Appending never writes an element a published
+// directory covers.
 func (t *Table) appendSlot(v *rowVersion) int {
-	n := int(t.n.Load())
-	var arr []*rowSlot
-	if arrp := t.slots.Load(); arrp != nil {
-		arr = *arrp
+	n, dir := int(t.n.Load()), t.dir()
+	if n == len(dir)*segBlockSlots {
+		dir = append(dir, new(slotRun))
+		t.slots.Store(&dir)
 	}
-	if n == len(arr) {
-		newCap := 2 * len(arr)
-		if newCap < 64 {
-			newCap = 64
-		}
-		grown := make([]*rowSlot, newCap)
-		copy(grown, arr)
-		for i := len(arr); i < newCap; i++ {
-			grown[i] = &rowSlot{}
-		}
-		arr = grown
-		t.slots.Store(&grown)
-	}
-	arr[n].head.Store(v)
+	dir[n/segBlockSlots][n%segBlockSlots].Store(v)
 	t.n.Add(1)
 	return n
 }
-
-// slot returns row id's slot: a row id an index or a scan names is below n.
-func (t *Table) slot(id int) *rowSlot { return (*t.slots.Load())[id] }
 
 // visibleRow returns the row of slot id visible to snap, or nil: the heap
 // version's own, or the sealed row decoded into a row a gives (s: where a
@@ -490,7 +475,7 @@ func (t *Table) slot(id int) *rowSlot { return (*t.slots.Load())[id] }
 // committed" — valid only under writeMu or for best-effort display paths
 // (plain EXPLAIN).
 func (t *Table) visibleRow(id int, snap *snapshot, a *rowArena, s *blockSeek) (Row, error) {
-	head, blk := t.resolve(t.slot(id), id)
+	head, blk := t.resolve(t.run(id/segBlockSlots), id)
 	if blk == nil {
 		return visible(head, snap), nil
 	}
@@ -501,7 +486,7 @@ func (t *Table) visibleRow(id int, snap *snapshot, a *rowArena, s *blockSeek) (R
 // visibleValue returns column col of the row of slot id visible to snap — a
 // sealed row's read off its block alone — and whether there is such a row.
 func (t *Table) visibleValue(id int, snap *snapshot, col int, s *blockSeek) (Value, bool, error) {
-	head, blk := t.resolve(t.slot(id), id)
+	head, blk := t.resolve(t.run(id/segBlockSlots), id)
 	if blk != nil {
 		v, err := blk.value(id, col, s)
 		return v, err == nil, err
@@ -696,10 +681,10 @@ func (idx *Index) removeEntry(v Value, id int, keepClass bool) {
 // under its bulk build, its ordered view and the tests' oracle, safe beside
 // the writer.
 func (t *Table) reachable(col int, fn func(v Value, id int)) error {
-	arr, n := t.loadSlots()
+	dir, n := t.loadSlots()
 	var seek blockSeek
 	for id := 0; id < n; id++ {
-		head, blk := t.resolve(arr[id], id)
+		head, blk := t.resolve(dir[id/segBlockSlots], id)
 		if blk != nil {
 			v, err := blk.value(id, col, &seek)
 			if err != nil {
@@ -722,9 +707,9 @@ func (t *Table) reachable(col int, fn func(v Value, id int)) error {
 // carries the value (an update between two colliding keys leaves the class
 // to the new one). Vacuum and rollback call it right after unlinking those
 // versions (writeMu held): the indexes stay supersets of the reachable
-// versions and nothing more. Neither unlinks below a frozen head — the
-// vacuum passes sealed slots by, and a rollback's heads were rehydrated by
-// the writer it unwinds — so every version here is in the heap.
+// versions and nothing more. Neither reaches a sealed morsel — the vacuum
+// passes nil runs by, and a rollback's heads were rehydrated by the writer
+// it unwinds — so every version here is in the heap.
 func (t *Table) unindex(id int, dead, end *rowVersion) {
 	live := t.head(id)
 	for _, idx := range t.idxs() {

@@ -396,10 +396,10 @@ func TestOrderedViewMaintainedAcrossDML(t *testing.T) {
 	if got := s.TombstonesSkipped - before.TombstonesSkipped; got == 0 {
 		t.Error("TombstonesSkipped did not move across the post-delete ordered scan")
 	}
-	arr, n := tbl.loadSlots()
+	_, n := tbl.loadSlots()
 	dead := 0
 	for id := 0; id < n; id++ {
-		if latestRow(arr[id].head.Load()) == nil {
+		if latestRow(tbl.head(id)) == nil {
 			dead++
 		}
 	}
@@ -443,13 +443,13 @@ func TestVacuumReclaimsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr, n := tbl.loadSlots()
+	_, n := tbl.loadSlots()
 	if n != 400 {
 		t.Errorf("slot count = %d after vacuum, want 400 (stable row ids)", n)
 	}
 	empty := 0
 	for id := 0; id < n; id++ {
-		if arr[id].head.Load() == nil {
+		if tbl.head(id) == nil {
 			empty++
 		}
 	}

@@ -133,7 +133,10 @@ func TestConcurrentCursorsAndStats(t *testing.T) {
 // transfers conserve, one row per id, a range's every row, and a join's
 // every match; the indexes end exact. Its proof (recorded with the change):
 // unpublishing a block before its rehydrated heads are installed fails it.
+// The subtests pin the directory's publish orders one step at a time.
 func TestSealedReadersAcrossSealAndRehydrate(t *testing.T) {
+	t.Run("cursor captured before the seal", sealedCursorKeepsSnapshot)
+	t.Run("sealed morsels hold no run", sealDropsRuns)
 	const rows, each = 4 * segBlockSlots, 10
 	db := NewDatabase(WithMaxWorkers(2))
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, s TEXT)")
@@ -240,5 +243,93 @@ func TestSealedReadersAcrossSealAndRehydrate(t *testing.T) {
 	}
 	if err := checkIndexesExact(db, "t"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sealedCursorKeepsSnapshot: a serial scan captures the directory — a run
+// for every morsel — and reads one row; then every morsel is sealed, one
+// is rehydrated by an UPDATE, one by a DELETE, one by a transaction that
+// rolls back, and the heap tail loses a row. The scan reads on through the
+// runs it captured and must see exactly its snapshot: every id once, in
+// order, with its first value; a fresh read sees every committed change.
+func sealedCursorKeepsSnapshot(t *testing.T) {
+	const rows, each = 3*segBlockSlots + 100, 10
+	db := NewDatabase(WithMaxWorkers(1))
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+	data := make([][]any, rows)
+	for i := range data {
+		data[i] = []any{i, each}
+	}
+	if err := db.InsertRows("t", data); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := db.QueryRows(context.Background(), "SELECT id, v FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if !cur.Next() {
+		t.Fatal("the cursor read no first row")
+	}
+	n, sum := 1, cur.Row()[1].AsInt()
+	if sealed := db.Seal(); sealed != 3*segBlockSlots {
+		t.Fatalf("Seal() sealed %d rows under the open cursor, want %d", sealed, 3*segBlockSlots)
+	}
+	db.MustExec("UPDATE t SET v = v + 5 WHERE id = ?", segBlockSlots+1)
+	db.MustExec("DELETE FROM t WHERE id = ?", 2*segBlockSlots+7)
+	tx := db.Begin()
+	if _, err := tx.Exec("UPDATE t SET v = 0 WHERE id < 100"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("DELETE FROM t WHERE id = ?", rows-1)
+	if rehydrations(db) != 3 {
+		t.Fatalf("rehydrated %d blocks, want 3", rehydrations(db))
+	}
+	for cur.Next() {
+		if id := cur.Row()[0].AsInt(); id != int64(n) {
+			t.Fatalf("the cursor read id %d as its row %d", id, n)
+		}
+		n, sum = n+1, sum+cur.Row()[1].AsInt()
+	}
+	if err := cur.Err(); err != nil || n != rows || sum != rows*each {
+		t.Fatalf("the cursor read %d rows summing %d (%v), want %d summing %d", n, sum, err, rows, rows*each)
+	}
+	got := queryStrings(t, db, "SELECT COUNT(*), SUM(v) FROM t")
+	if want := fmt.Sprint(rows-2, " ", (rows-2)*each+5); got[0][0]+" "+got[0][1] != want {
+		t.Fatalf("a fresh read = %v, want %s", got, want)
+	}
+}
+
+// sealDropsRuns: after Seal() every full morsel's run is nil and the heap
+// tail keeps its own; one UPDATE gives exactly its morsel a run again.
+func sealDropsRuns(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+	data := make([][]any, 3*segBlockSlots+10)
+	for i := range data {
+		data[i] = []any{i, i}
+	}
+	if err := db.InsertRows("t", data); err != nil {
+		t.Fatal(err)
+	}
+	db.Seal()
+	tbl := db.tableMap()["t"]
+	runs := func(want ...bool) {
+		t.Helper()
+		dir, _ := tbl.loadSlots()
+		for m, run := range dir {
+			if (run != nil) != want[m] {
+				t.Fatalf("morsel %d has a run: %v, want %v", m, run != nil, want[m])
+			}
+		}
+	}
+	runs(false, false, false, true)
+	db.MustExec("UPDATE t SET v = -1 WHERE id = ?", segBlockSlots+3)
+	runs(false, true, false, true)
+	if sealedBlocks(tbl) != 2 || tbl.block(1) != nil {
+		t.Fatal("the UPDATE did not unpublish exactly block 1")
 	}
 }

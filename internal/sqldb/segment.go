@@ -18,26 +18,31 @@ import (
 // column (zigzag-delta varints for ints, byte-aligned XOR for floats, a
 // dictionary for strings, a bitmap for bools, a raw fallback for mixed
 // kinds). Sealing publishes the block in Table.segs at its morsel number,
-// then stores the one frozen version — visible to every snapshot, no row —
-// in every slot the block covers, and the heap versions become garbage.
+// then a directory (Table.slots) whose entry for that morsel is nil rather
+// than a run of heads: the run and its heap versions become garbage, and a
+// sealed row costs the table nothing beyond its share of the block.
 //
 // Any value of a block is read without decoding the rest (valueAt): the null
 // bitmap is ranked a 64-row word at a time, the delta and XOR streams
 // restart every segRestart values, dictionary codes have a fixed width.
 // Large scans (source.go) decode a block at a time; every other reader
-// starts at resolve: the head, then — if it is frozen — the current block.
+// starts at resolve: the run's head or — if the run is nil — the current
+// block.
 //
 // DML on a sealed slot rehydrates that block (writeMu held): it decodes the
-// block into one slab of versions and one of values, installs them as heads
-// visible to every snapshot, and only then unpublishes the block, before the
-// change publishes. A reader whose frozen head lost its block therefore
-// finds a real head when it reads again — and a block is not sealed anew
-// while a snapshot older than its rehydration lives (touched), so that head
-// is never frozen again under it. The background sealer also leaves alone a
-// block DML wrote since its previous pass: a hot block stays in the heap
-// rather than being rehydrated after every pass. Slot ids are never reused
-// and appends land past the sealed range, so a published block stays what
-// every snapshot sees until it is unpublished.
+// block into one slab of versions and one of values, installs them as the
+// heads of a new run visible to every snapshot, publishes the directory
+// holding the run, and only then unpublishes the block, before the change
+// publishes. A reader whose nil run lost its block therefore finds the run
+// when it reads the directory again — and a block is not sealed anew while
+// a snapshot older than its rehydration lives (touched), so that run is
+// never dropped again under it. A reader still holding a run sealing
+// dropped reads the versions it held, which every snapshot sees. The
+// background sealer also leaves alone a block DML wrote since its previous
+// pass: a hot block stays in the heap rather than being rehydrated after
+// every pass. Slot ids are never reused and appends land past the sealed
+// range, so a published block stays what every snapshot sees until it is
+// unpublished.
 
 // segBlockSlots is the number of heap slots one sealed block spans. It
 // equals morselSize so a morsel is always either fully sealed or fully
@@ -148,11 +153,6 @@ func errCorrupt(what string) error {
 	return errf(ErrCorrupt, "sql: sealed block corrupt: %s", what)
 }
 
-// frozen is the head of every slot a published block covers: visible to
-// every snapshot (xmin 0 precedes them all), never deleted or superseded,
-// and rowless — the row is in the block.
-var frozen = &rowVersion{}
-
 // blocks returns the table's sealed blocks by morsel (nil: in the heap).
 func (t *Table) blocks() []*segBlock {
 	if p := t.segs.Load(); p != nil {
@@ -169,22 +169,31 @@ func (t *Table) block(m int) *segBlock {
 	return nil
 }
 
-// resolve is where every reader of a slot starts: the head and, when it is
-// frozen, the block holding the row. A frozen head whose block is gone was
-// rehydrated after it was read, so the head read again is real; a slot no
-// reader can place resolves to no version at all.
-func (t *Table) resolve(slot *rowSlot, id int) (*rowVersion, *segBlock) {
-	head := slot.head.Load()
-	if head != frozen {
-		return head, nil
+// hole reports whether slot id holds no row of the block.
+func (b *segBlock) hole(id int) bool {
+	i := id % segBlockSlots
+	return b.holes != nil && b.holes[i/64]&(1<<(i%64)) != 0
+}
+
+// resolve is where every reader of a slot starts, with the run of slot id's
+// morsel it read: the head or, when the run is nil, the block holding the
+// row. A nil run whose block is gone was rehydrated after it was read, so
+// the run read again is real; a slot no reader can place — or a hole in
+// its block — resolves to no version at all.
+func (t *Table) resolve(run *slotRun, id int) (*rowVersion, *segBlock) {
+	if run == nil {
+		m := id / segBlockSlots
+		if blk := t.block(m); blk != nil {
+			if blk.hole(id) {
+				return nil, nil
+			}
+			return nil, blk
+		}
+		if run = t.run(m); run == nil {
+			return nil, nil
+		}
 	}
-	if blk := t.block(id / segBlockSlots); blk != nil {
-		return head, blk
-	}
-	if head = slot.head.Load(); head == frozen {
-		return nil, nil
-	}
-	return head, nil
+	return run[id%segBlockSlots].Load(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -237,19 +246,19 @@ func (db *Database) seal(background bool) int {
 }
 
 // seal freezes this table's cold full blocks — none written at or after
-// since — publishing the new blocks first and freezing their slots after.
-// Only full blocks are sealed: appends land past n, so a full block's slot
-// population is final. Returns (rows sealed, blocks sealed).
+// since — publishing the new blocks first and then a directory without
+// their runs. Only full blocks are sealed: appends land past n, so a full
+// block's slot population is final. Returns (rows sealed, blocks sealed).
 func (t *Table) seal(h, since uint64) (int, int) {
-	arr, n := t.loadSlots()
-	old := t.blocks()
+	dir, n := t.loadSlots()
 	segs := make([]*segBlock, n/segBlockSlots)
-	copy(segs, old)
+	copy(segs, t.blocks())
+	next := slices.Clone(dir)
 	rows, nblk := 0, 0
 	for m := range segs {
-		if segs[m] == nil && (m >= len(t.touched) || t.touched[m] == 0 || t.touched[m] < since) {
-			if segs[m] = sealBlock(arr, m*segBlockSlots, len(t.Columns), h); segs[m] != nil {
-				rows, nblk = rows+segs[m].nrows, nblk+1
+		if dir[m] != nil && (m >= len(t.touched) || t.touched[m] == 0 || t.touched[m] < since) {
+			if segs[m] = sealBlock(dir[m], len(t.Columns), h); segs[m] != nil {
+				rows, nblk, next[m] = rows+segs[m].nrows, nblk+1, nil
 			}
 		}
 	}
@@ -257,28 +266,19 @@ func (t *Table) seal(h, since uint64) (int, int) {
 		return 0, 0
 	}
 	t.segs.Store(&segs)
-	for m, blk := range segs {
-		if blk != nil && (m >= len(old) || old[m] == nil) {
-			for _, slot := range arr[m*segBlockSlots : (m+1)*segBlockSlots] {
-				if slot.head.Load() != nil {
-					slot.head.Store(frozen)
-				}
-			}
-		}
-	}
+	t.slots.Store(&next)
 	return rows, nblk
 }
 
-// sealBlock encodes the rows of slots [lo, lo+segBlockSlots), or returns nil
-// when one holds a version that is not committed below the horizon, alone
-// and undeleted.
-func sealBlock(arr []*rowSlot, lo, width int, h uint64) *segBlock {
+// sealBlock encodes the rows of a run, or returns nil when one holds a
+// version that is not committed below the horizon, alone and undeleted.
+func sealBlock(run *slotRun, width int, h uint64) *segBlock {
 	rows := make([]Row, 0, segBlockSlots)
 	var holes [segBlockSlots / 64]uint64
-	for id := lo; id < lo+segBlockSlots; id++ {
-		head := arr[id].head.Load()
+	for i := range run {
+		head := run[i].Load()
 		if head == nil {
-			holes[(id-lo)/64] |= 1 << ((id - lo) % 64) // permanently empty slot
+			holes[i/64] |= 1 << (i % 64) // permanently empty slot
 			continue
 		}
 		if head.next.Load() != nil || head.xmax.Load() != 0 || head.xmin >= h || head.row == nil {
@@ -308,7 +308,7 @@ func (t *Table) thaw(id int, tx *Txn) (*rowVersion, error) {
 	if len(t.touched) <= m {
 		t.touched = append(t.touched, make([]uint64, m+1-len(t.touched))...)
 	}
-	if t.touched[m] = max(t.touched[m], tx.xid); t.head(id) == frozen {
+	if t.touched[m] = max(t.touched[m], tx.xid); t.run(m) == nil {
 		t.touched[m] = tx.db.tm.begin()
 		tx.db.tm.finish(t.touched[m])
 		if err := t.rehydrate(m); err != nil {
@@ -320,29 +320,27 @@ func (t *Table) thaw(id int, tx *Txn) (*rowVersion, error) {
 
 // rehydrate turns block m back into heap versions (writeMu held): one slab
 // of versions, visible to every snapshot, and one of values (TEXT values
-// stay substrings of the dictionary) become the heads of the block's slots,
-// and only then is the block unpublished.
+// stay substrings of the dictionary) become the heads of a new run, the
+// directory holding it is published, and only then is the block
+// unpublished.
 func (t *Table) rehydrate(m int) error {
-	blk, w := t.block(m), len(t.Columns)
+	blk, w, base := t.block(m), len(t.Columns), m*segBlockSlots
 	b := getBatch(w)
 	defer batchPool.Put(b)
-	if err := b.fillSealed(blk, m*segBlockSlots, nil, false); err != nil {
+	if err := b.fillSealed(blk, base, nil, false); err != nil {
 		return err
 	}
-	vals, vers := make([]Value, blk.nrows*w), make([]rowVersion, blk.nrows)
-	arr, _ := t.loadSlots()
-	j := 0
-	for _, slot := range arr[m*segBlockSlots : (m+1)*segBlockSlots] {
-		if slot.head.Load() == nil {
-			continue
-		}
+	vals, vers, run := make([]Value, blk.nrows*w), make([]rowVersion, blk.nrows), new(slotRun)
+	for j := range vers {
 		vers[j].row = vals[j*w : (j+1)*w : (j+1)*w]
 		for c := range vers[j].row {
 			vers[j].row[c] = b.cols[c].vals[j]
 		}
-		slot.head.Store(&vers[j])
-		j++
+		run[b.ids[j]-base].Store(&vers[j])
 	}
+	dir := slices.Clone(t.dir())
+	dir[m] = run
+	t.slots.Store(&dir)
 	segs := slices.Clone(t.blocks())
 	segs[m] = nil
 	t.segs.Store(&segs)

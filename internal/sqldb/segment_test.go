@@ -205,7 +205,7 @@ func sealedTestDB(t testing.TB, blocks int) *Database {
 // latestRowOf is the tests' own read of slot id's latest committed row, a
 // sealed one decoded off its block: no visibility fault reaches it.
 func latestRowOf(t *Table, id int) Row {
-	head, blk := t.resolve(t.slot(id), id)
+	head, blk := t.resolve(t.run(id/segBlockSlots), id)
 	if blk == nil {
 		return latestRow(head)
 	}
@@ -238,7 +238,7 @@ func rehydrations(db *Database) int {
 }
 
 // TestSealUnsealDMLInterplay pins the hybrid-storage lifecycle: sealing
-// covers cold full blocks and leaves their slots frozen, scans read sealed
+// covers cold full blocks and drops their runs, scans read sealed
 // data identically, DML on a covered slot rehydrates exactly the covering
 // block before the change is visible, and a later Seal pass re-freezes the
 // region.
@@ -248,8 +248,8 @@ func TestSealUnsealDMLInterplay(t *testing.T) {
 		t.Fatalf("Stats().SegmentsSealed = %d after Seal, want 2 blocks", got)
 	}
 	tbl := db.tableMap()["s"]
-	if sealedBlocks(tbl) != 2 || tbl.head(5) != frozen {
-		t.Fatal("Seal did not publish both blocks and freeze their slots")
+	if sealedBlocks(tbl) != 2 || tbl.run(0) != nil || tbl.run(1) != nil {
+		t.Fatal("Seal did not publish both blocks and drop their runs")
 	}
 
 	before := db.Stats()
@@ -266,7 +266,7 @@ func TestSealUnsealDMLInterplay(t *testing.T) {
 	// DML into block 0 must rehydrate that block and no other; its rows are
 	// served by the heap again, so the update is immediately visible.
 	db.MustExec("UPDATE s SET a = 1000 WHERE id = 10")
-	if sealedBlocks(tbl) != 1 || tbl.block(1) == nil || rehydrations(db) != 1 || tbl.head(5) == frozen {
+	if sealedBlocks(tbl) != 1 || tbl.block(1) == nil || rehydrations(db) != 1 || tbl.run(0) == nil || tbl.run(1) != nil {
 		t.Fatal("the UPDATE did not rehydrate exactly block 0")
 	}
 	rows = queryStrings(t, db, "SELECT a FROM s WHERE id = 10")
@@ -286,6 +286,27 @@ func TestSealUnsealDMLInterplay(t *testing.T) {
 	rows = queryStrings(t, db, "SELECT COUNT(*) FROM s")
 	if want := fmt.Sprint(2*segBlockSlots - 1); rows[0][0] != want {
 		t.Fatalf("post-reseal count = %q, want %s", rows[0][0], want)
+	}
+}
+
+// TestVacuumPassesSealedMorsels: a vacuum walks the heap's runs only — over
+// a fully sealed table it visits no slot and reclaims nothing, and after one
+// UPDATE it walks exactly the rehydrated morsel's run and reclaims the
+// superseded version.
+func TestVacuumPassesSealedMorsels(t *testing.T) {
+	db := sealedTestDB(t, 2)
+	tbl := db.tableMap()["s"]
+	vacuum := func() (int, int) {
+		db.writeMu.Lock()
+		defer db.writeMu.Unlock()
+		return tbl.vacuum(db.tm.horizon())
+	}
+	if reclaimed, visited := vacuum(); reclaimed != 0 || visited != 0 {
+		t.Fatalf("vacuum over a sealed table reclaimed %d, visited %d slots: want 0, 0", reclaimed, visited)
+	}
+	db.MustExec("UPDATE s SET a = a + 1 WHERE id = ?", segBlockSlots+5)
+	if reclaimed, visited := vacuum(); reclaimed != 1 || visited != segBlockSlots {
+		t.Fatalf("vacuum after one UPDATE reclaimed %d, visited %d slots: want 1, %d", reclaimed, visited, segBlockSlots)
 	}
 }
 

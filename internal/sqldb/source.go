@@ -2,9 +2,9 @@ package sqldb
 
 // This file is the one place a scan reads table storage. The 1024-slot
 // morsel — which is also one sealed block and one vector batch — is the
-// unit: a batchSource captures the table, its slot array, the statement
-// snapshot, the sealed blocks and (for index and range access) the id list
-// once, on the owner goroutine, and load fills batch idx from whichever
+// unit: a batchSource captures the table, its directory of runs, the
+// statement snapshot, the sealed blocks and (for index and range access) the
+// id list once, on the owner goroutine, and load fills batch idx from whichever
 // storage backs those positions. Every consumer — the serial scan, each pool
 // worker (vecops.go, parallel.go) and UPDATE/DELETE's walk over their victims
 // (db.go) — calls load with a private vecBatch, under no lock. Visibility is
@@ -36,14 +36,15 @@ func visible(head *rowVersion, snap *snapshot) Row {
 }
 
 // batchSource is the position space of one scan: an explicit id list
-// (equality/range index access), the runs of an ordered walk, or the slot
-// array. Immutable once captured but for the walk, which only serial scans
-// take, so workers share it freely.
+// (equality/range index access), the runs of an ordered walk, or every
+// slot of the table. Immutable once captured but for the walk, which only
+// serial scans take, so workers share it freely.
 type batchSource struct {
 	table *Table
-	ids   []int // nil = the whole slot array (or the walk's)
+	ids   []int // nil = every slot (or the walk's)
 	walk  *ordWalk
-	arr   []*rowSlot // the slots the scan's snapshot can see
+	dir   []*slotRun // the runs by morsel (nil: sealed) of the n slots the scan's snapshot can see
+	n     int
 	snap  *snapshot
 	segs  []*segBlock // the sealed blocks by morsel (segment.go); nil = none
 }
@@ -57,8 +58,7 @@ type batchSource struct {
 func (m *batchSource) capture(t *Table, ids []int, walk *ordWalk, snap *snapshot) {
 	*m = batchSource{table: t, ids: ids, walk: walk, snap: snap}
 	if ids == nil && walk == nil {
-		arr, n := t.loadSlots()
-		m.arr = arr[:n]
+		m.dir, m.n = t.loadSlots()
 		if !debugDisableTombstoneSkip {
 			m.segs = t.blocks()
 		}
@@ -75,7 +75,7 @@ func (m *batchSource) batches() int {
 		}
 		return w.runs + 1
 	}
-	total := len(m.arr)
+	total := m.n
 	if m.ids != nil {
 		total = len(m.ids)
 	}
@@ -94,7 +94,7 @@ func (m *batchSource) batches() int {
 // consumed. b.sel is left to the caller.
 func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) error {
 	lo, w := idx*morselSize, m.walk
-	end := min(lo+morselSize, len(m.arr))
+	end := min(lo+morselSize, m.n)
 	b.blk = nil
 	switch {
 	case w != nil:
@@ -108,18 +108,18 @@ func (m *batchSource) load(idx int, vec, dec []bool, rows bool, b *vecBatch) err
 	n, carry := 0, int32(0)
 	b.arena.used = 0
 	for pos := lo; pos < end && (w == nil || !w.done()); pos++ {
-		id, slot, key := pos, (*rowSlot)(nil), Null
+		id, run, key := pos, (*slotRun)(nil), Null
 		switch {
 		case w != nil:
 			id, key = w.pop()
-			slot = m.table.slot(id)
+			run = m.table.run(id / segBlockSlots)
 		case m.ids != nil:
 			id = m.ids[pos]
-			slot = m.table.slot(id)
+			run = m.table.run(id / segBlockSlots)
 		default:
-			slot = m.arr[pos]
+			run = m.dir[idx]
 		}
-		head, blk := m.table.resolve(slot, id)
+		head, blk := m.table.resolve(run, id)
 		var r Row
 		switch {
 		case blk != nil:
@@ -169,7 +169,7 @@ func (b *vecBatch) fillSealed(blk *segBlock, base int, dec []bool, rows bool) er
 	b.blk, b.n, b.tail, b.rows, b.arena.used = nil, nr, 0, nil, 0
 	clear(b.pre[:nr])
 	for i, j := 0, 0; j < nr; i++ { // the slots the block's rows sit in
-		if blk.holes == nil || blk.holes[i/64]&(1<<(i%64)) == 0 {
+		if !blk.hole(i) {
 			b.ids[j], j = base+i, j+1
 		}
 	}

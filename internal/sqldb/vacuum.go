@@ -22,8 +22,8 @@ import "context"
 // vacuum takes out of every index what the cut-off versions put there
 // and no surviving version of that slot keeps there (Table.unindex) —
 // ids out of hash classes in place, out of the live ordered view
-// copy-on-write. The pass costs a pointer walk over the slots plus work in
-// proportion to what it reclaims; no index is rebuilt and no view is
+// copy-on-write. The pass costs a pointer walk over the heap's slots — a
+// sealed morsel has none — plus work in proportion to what it reclaims; no index is rebuilt and no view is
 // invalidated. Readers holding an older view or posting copy keep working
 // — their recheck already skips reclaimed ids.
 
@@ -86,7 +86,8 @@ func (db *Database) vacuum(qc *queryCtx) int {
 	h := db.tm.horizon()
 	total := 0
 	for _, t := range db.tableMap() {
-		total += t.vacuum(h)
+		r, _ := t.vacuum(h)
+		total += r
 	}
 	db.stats.vacuumRuns.Add(1)
 	if total > 0 {
@@ -99,38 +100,46 @@ func (db *Database) vacuum(qc *queryCtx) int {
 }
 
 // vacuum truncates this table's version chains at the horizon and takes
-// the index entries of each cut-off suffix out with it.
-func (t *Table) vacuum(h uint64) int {
-	arr, n := t.loadSlots()
-	reclaimed := 0
-	for id := 0; id < n; id++ {
-		head := arr[id].head.Load()
-		if head == nil || head == frozen {
-			continue // empty, or sealed: one version, visible to every snapshot
+// the index entries of each cut-off suffix out with it. It walks the runs
+// of the heap's morsels and passes a sealed one — one version a row,
+// visible to every snapshot — by in one step. Returns the versions
+// reclaimed and the slots visited.
+func (t *Table) vacuum(h uint64) (reclaimed, visited int) {
+	dir, n := t.loadSlots()
+	for m, run := range dir {
+		if run == nil {
+			continue // sealed
 		}
-		// Find the newest version whose committed xmax precedes the
-		// horizon. Under writeMu no writer is active, so every nonzero
-		// xmax is committed (rollback clears the ones it unwinds).
-		var prev *rowVersion
-		v := head
-		for v != nil {
-			if xmax := v.xmax.Load(); xmax != 0 && xmax < h {
-				break
+		for i := range min(segBlockSlots, n-m*segBlockSlots) {
+			id, head := m*segBlockSlots+i, run[i].Load()
+			visited++
+			if head == nil {
+				continue
 			}
-			prev, v = v, v.next.Load()
+			// Find the newest version whose committed xmax precedes the
+			// horizon. Under writeMu no writer is active, so every nonzero
+			// xmax is committed (rollback clears the ones it unwinds).
+			var prev *rowVersion
+			v := head
+			for v != nil {
+				if xmax := v.xmax.Load(); xmax != 0 && xmax < h {
+					break
+				}
+				prev, v = v, v.next.Load()
+			}
+			if v == nil {
+				continue
+			}
+			for w := v; w != nil; w = w.next.Load() {
+				reclaimed++
+			}
+			if prev == nil {
+				run[i].Store(nil)
+			} else {
+				prev.next.Store(nil)
+			}
+			t.unindex(id, v, nil)
 		}
-		if v == nil {
-			continue
-		}
-		for w := v; w != nil; w = w.next.Load() {
-			reclaimed++
-		}
-		if prev == nil {
-			arr[id].head.Store(nil)
-		} else {
-			prev.next.Store(nil)
-		}
-		t.unindex(id, v, nil)
 	}
-	return reclaimed
+	return reclaimed, visited
 }

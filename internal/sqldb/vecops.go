@@ -6,7 +6,7 @@ import "math/bits"
 // single-table SELECT, each join input, UPDATE and DELETE's walk over their
 // victims — and the planner's decisions about it. A scanOp reads morsels of
 // visible rows from the shared batchSource (source.go), whatever the table's
-// size and whatever its access path (indexAccess, exec.go: the slot array, an
+// size and whatever its access path (indexAccess, exec.go: every slot, an
 // equality's ids, a range's, or an ordered walk of an index that serves the
 // ORDER BY): a short table is one short batch. Each WHERE conjunct the scan
 // owns runs as a predicate kernel (vector.go) over the whole batch while
