@@ -65,7 +65,7 @@ probe:
 	class, s.width = s.n, len(tuple)
 	s.n++
 	s.slots[i] = tupleSlot{h, uint32(s.n)}
-	b, off := s.locate(class)
+	b, off := locate(class)
 	if off == 0 { // the first class of a block: 0, 1, 2, 4, … tupleBlock, 2·tupleBlock, …
 		s.blocks = append(s.blocks, make([]Value, min(max(class, 1), tupleBlock)*s.width))
 	}
@@ -90,8 +90,9 @@ func (s *TupleSet) grow() {
 	}
 }
 
-// locate returns the block a class's tuple is kept in and its place there.
-func (s *TupleSet) locate(class int) (block, off int) {
+// locate returns the block a class's tuple (or state, column) is kept in
+// and its place there.
+func locate(class int) (block, off int) {
 	if class < tupleBlock {
 		block = bits.Len(uint(class))
 		return block, class - 1<<block>>1
@@ -103,7 +104,7 @@ func (s *TupleSet) locate(class int) (block, off int) {
 // original values, not their canonical forms — in the set's own copy: read
 // it, and keep it as long as the set.
 func (s *TupleSet) Tuple(class int) []Value {
-	b, off := s.locate(class)
+	b, off := locate(class)
 	return s.blocks[b][off*s.width : (off+1)*s.width : (off+1)*s.width]
 }
 

@@ -29,7 +29,8 @@ import (
 // whose instances offer each survivor to a k-bounded heap that copies the
 // few it keeps (vecops.go); a join, projection or aggregation whose consumer
 // reads a row and drops it builds every row in one buffer (lendRows,
-// stream.go); and GROUP BY takes its groups from slabs (groupTable).
+// stream.go); and GROUP BY keeps one column of state per aggregate, indexed
+// by the group's class, and no object per group (groupTable).
 
 // operator is a pull-based row iterator.
 type operator interface {
@@ -42,11 +43,11 @@ type operator interface {
 }
 
 // slab hands out runs of T carved from larger blocks, amortising the
-// one-allocation-per-object cost of rows and group state. The first block
-// holds one run (a handful of rows, for rowArena) and each later one
-// doubles, up to rowArenaBlock elements, so a one-row or one-group result
-// does not pay for a thousand; capacities are clamped so an append on a
-// handed-out run can never clobber a neighbour.
+// one-allocation-per-object cost of rows. The first block holds one run (a
+// handful of rows, for rowArena) and each later one doubles, up to
+// rowArenaBlock elements, so a one-row result does not pay for a thousand;
+// capacities are clamped so an append on a handed-out run can never clobber
+// a neighbour.
 type slab[T any] struct {
 	buf  []T
 	size int // elements in the last block allocated
@@ -628,66 +629,69 @@ func expandItems(items []SelectItem, in []colInfo) ([]SelectItem, []colInfo, err
 	return out, cols, nil
 }
 
-// aggGroup is one GROUP BY partition: its key values (the group table's
-// copy of the founding row's), its accumulator states (one per collected
-// aggregate), and — when something reads it (readsRepRow) — a representative
-// input row for non-grouped column references.
-type aggGroup struct {
-	keys   []Value
-	states []aggState
-	repRow Row
-	// firstID is the scan ordinal of the row that founded the group, kept
-	// by the batch fold so partial groups merged across workers can be
-	// restored to serial first-seen order (runAggregationBatch).
-	firstID int
-}
-
-// groupTable is the partitions of one aggregation (or of one instance of a
-// folded one), numbered by the value of their keys: groups is indexed by the
-// keys' class in set, which is first-seen order. Groups and their
-// accumulator states come off slabs, so allocations grow with the group
-// count in blocks, not five to a group.
+// groupTable is the groups of one aggregation (or of one instance of a
+// folded one), numbered by the value of their keys: a group is its keys'
+// class in set, which is first-seen order, and its state is that class's
+// cell in every accumulator, in the representative rows (kept only when
+// something reads them, readsRepRow) and in the founding scan ordinals
+// (kept only by the instances of a pooled fold, whose merge restores
+// first-seen order from them). Nothing is allocated per group.
 type groupTable struct {
-	set    TupleSet
-	groups []*aggGroup
-	slab   slab[aggGroup]
-	states slab[aggState]
-	counts slab[countState]
-	sums   slab[sumState]
-	avgs   slab[avgState]
-	minMax slab[minMaxState]
+	set      TupleSet
+	accs     []accumulator // one per collected aggregate
+	rep      column[Row]
+	first    column[int]
+	ordinals bool    // first is kept
+	order    []int32 // the classes in first-seen order after a merge; nil = class order
 }
 
-// group returns the group keys fall in and whether this call founded it —
-// the one find-or-found step of every GROUP BY: the row loop
-// (runAggregation), the scan's fold (scanOp.foldBatch) and the merge of
-// partial groups (runAggregationBatch). A founded group is partial when the
-// merge brings one to adopt, and otherwise new: one fresh accumulator per
-// collected aggregate, over the set's copy of keys.
-func (t *groupTable) group(aggs []*FuncCall, keys []Value, partial *aggGroup) (g *aggGroup, fresh bool, err error) {
-	class, fresh := t.set.Add(keys)
-	if !fresh {
-		return t.groups[class], false, nil
+func newGroupTable(specs []aggSpec) groupTable {
+	t := groupTable{accs: make([]accumulator, len(specs))}
+	for i, s := range specs {
+		t.accs[i].aggSpec = s
 	}
-	if g = partial; g == nil {
-		g = &t.slab.take(1)[0]
-		g.keys, g.states = t.set.Tuple(class), t.states.take(len(aggs))
-		for i, fc := range aggs {
-			if g.states[i], err = t.newState(fc); err != nil {
-				return nil, false, err
+	return t
+}
+
+// len is the number of groups.
+func (t *groupTable) len() int { return t.set.n }
+
+// absorb folds o — the table of another instance of the same pooled fold —
+// into t: each class of o into the class its keys have here, founding it
+// where no row of t's had them. A class keeps the keys and representative
+// row of its smallest scan ordinal, the row the serial fold would have seen
+// first. absorb leaves the order to the caller (runAggregationBatch).
+func (t *groupTable) absorb(o *groupTable) {
+	to := make([]int32, o.len()) // o's classes in t
+	for c := range to {
+		keys := o.set.Tuple(c)
+		class, fresh := t.set.Add(keys)
+		to[c] = int32(class)
+		if first := o.first.get(c); fresh || first < t.first.get(class) {
+			copy(t.set.Tuple(class), keys) // one class: the same hash, other values
+			*t.first.at(class) = first
+			if o.rep.len() > 0 {
+				*t.rep.at(class) = o.rep.get(c)
 			}
 		}
+		for i := range t.accs {
+			t.accs[i].merge(class, &o.accs[i], c)
+		}
 	}
-	t.groups = append(t.groups, g)
-	return g, true, nil
+	for i := range t.accs {
+		for _, p := range o.accs[i].spill {
+			p.class = to[p.class]
+			t.accs[i].spill = appendDoubling(t.accs[i].spill, p)
+		}
+	}
 }
 
 // runAggregation drains the child, partitions rows by the value of their
 // GROUP BY keys (groupTable), and accumulates every aggregate the query
-// references. Groups come back in first-seen order, each with the row that
-// founded it when the post-aggregation phase reads one (repRows).
-func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall, repRows bool,
-	db *Database, params []Value, outer *evalEnv, qc *queryCtx) ([]*aggGroup, error) {
+// references, with the row that founded each group when the
+// post-aggregation phase reads one (repRows).
+func runAggregation(stmt *SelectStmt, src operator, specs []aggSpec, repRows bool,
+	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*groupTable, error) {
 
 	env := newEvalEnv(src.columns(), db, params, outer, qc)
 	groupExprs := make([]compiledExpr, len(stmt.GroupBy))
@@ -699,19 +703,19 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall, repRows bo
 		groupExprs[i] = c
 	}
 	// Compile each aggregate's argument once; COUNT(*) needs none.
-	argExprs := make([]compiledExpr, len(aggs))
-	for i, fc := range aggs {
-		if fc.Star || len(fc.Args) == 0 {
+	argExprs := make([]compiledExpr, len(specs))
+	for i, a := range specs {
+		if a.arg == nil {
 			continue
 		}
-		c, err := compileExpr(fc.Args[0], env)
+		c, err := compileExpr(a.arg, env)
 		if err != nil {
 			return nil, err
 		}
 		argExprs[i] = c
 	}
 
-	var tab groupTable
+	tab := newGroupTable(specs)
 	keyVals := make([]Value, len(stmt.GroupBy)) // reused per row
 	for {
 		r, ok, err := src.next()
@@ -727,30 +731,21 @@ func runAggregation(stmt *SelectStmt, src operator, aggs []*FuncCall, repRows bo
 				return nil, err
 			}
 		}
-		g, fresh, err := tab.group(aggs, keyVals, nil)
-		if err != nil {
-			return nil, err
-		}
+		class, fresh := tab.set.Add(keyVals)
 		if fresh && repRows {
-			g.repRow = r.Clone()
+			*tab.rep.at(class) = r.Clone()
 		}
-		for i, fc := range aggs {
-			if fc.Star {
-				g.states[i].add(Int(1))
-				continue
+		for i, arg := range argExprs {
+			var v Value
+			if arg != nil {
+				if v, err = arg(); err != nil {
+					return nil, err
+				}
 			}
-			if argExprs[i] == nil {
-				continue
-			}
-			v, err := argExprs[i]()
-			if err != nil {
-				return nil, err
-			}
-			g.states[i].add(v)
+			tab.accs[i].add(class, v, 0)
 		}
 	}
-
-	return tab.groups, nil
+	return &tab, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -998,8 +993,20 @@ func drain(op operator) ([]Row, error) {
 		if !ok {
 			return rows, nil
 		}
-		rows = append(rows, r)
+		rows = appendDoubling(rows, r)
 	}
+}
+
+// appendDoubling appends v, doubling s's capacity where append would grow a
+// large slice by a quarter: a slice of n elements allocates about 2n of
+// them on the way, not 5n. Below 256 elements append already doubles, and
+// keeps doing so. Materialised results (drain, Rows.Collect) and the float
+// parts of a pooled fold (agg.go) grow through it.
+func appendDoubling[T any](s []T, v T) []T {
+	if n := len(s); n == cap(s) && n >= 256 {
+		s = append(make([]T, 0, 2*n), s...)
+	}
+	return append(s, v)
 }
 
 // isSubqueryNode reports whether x itself embeds a nested SELECT: a

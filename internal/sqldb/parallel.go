@@ -414,7 +414,7 @@ func readsRepRow(stmt *SelectStmt, items []SelectItem, outCols []colInfo) bool {
 //   - COUNT, MIN, MAX: always order-insensitive.
 //   - SUM / AVG / TOTAL: integer partial sums merge exactly; float sums
 //     are kept per-morsel and folded in ascending morsel order (agg.go
-//     morselAdder), so the result is left-to-right within each morsel,
+//     accumulator), so the result is left-to-right within each morsel,
 //     then morsel by morsel — a deterministic function of the data and
 //     morselSize, independent of worker count and scheduling.
 //   - GROUP_CONCAT: order-sensitive across workers — never parallel.
@@ -466,8 +466,9 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 				return nil, err
 			}
 		}
-	} else {
-		sc.resetFold()
+	}
+	for _, inst := range insts {
+		inst.resetFold(len(insts) > 1)
 	}
 	var claim atomic.Int64
 	var abort atomic.Bool
@@ -523,33 +524,29 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 
 // runAggregationBatch is the folded scan's counterpart of
 // runAggregation: instances fold their morsels (scanOp.foldBatch) into
-// private group tables; the owner merges the partial states and returns
-// groups in exactly the serial first-seen order.
-func runAggregationBatch(sc *scanOp) ([]*aggGroup, error) {
+// private group tables; the owner merges them into one and returns it with
+// its groups in exactly the serial first-seen order.
+func runAggregationBatch(sc *scanOp) (*groupTable, error) {
 	insts, err := runFold(sc, (*scanOp).foldBatch)
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge the partial groups into the first instance's table, keeping per
-	// group the identity (keys, repRow) of its smallest scan ordinal — the
-	// row the serial fold would have seen first — then restore first-seen
-	// order (ordinals are unique: one row founds one group).
+	// Merge into the largest table, which then grows the least.
+	slices.SortFunc(insts, func(a, b *scanOp) int { return b.fold.len() - a.fold.len() })
 	merged := &insts[0].fold.groupTable
-	for _, inst := range insts[1:] {
-		for _, g := range inst.fold.groups {
-			m, fresh, _ := merged.group(sc.aggs, g.keys, g)
-			if fresh {
-				continue
-			}
-			if g.firstID < m.firstID {
-				m.keys, m.repRow, m.firstID = g.keys, g.repRow, g.firstID
-			}
-			for i := range m.states {
-				m.states[i].(mergeableAggState).merge(g.states[i])
-			}
-		}
+	if len(insts) == 1 {
+		return merged, nil
 	}
-	slices.SortFunc(merged.groups, func(a, b *aggGroup) int { return a.firstID - b.firstID })
-	return merged.groups, nil
+	for _, inst := range insts[1:] {
+		merged.absorb(&inst.fold.groupTable)
+	}
+	// Ordinals are unique (one row founds one group): sort classes by them.
+	merged.order = make([]int32, merged.len())
+	for c := range merged.order {
+		merged.order[c] = int32(c)
+	}
+	slices.SortFunc(merged.order, func(a, b int32) int {
+		return merged.first.get(int(a)) - merged.first.get(int(b))
+	})
+	return merged, nil
 }

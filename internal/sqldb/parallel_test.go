@@ -365,6 +365,16 @@ func TestParallelAggEquivalence(t *testing.T) {
 		// A join under GROUP BY takes the row loop on every database.
 		"SELECT dim.name, SUM(g.v) AS s FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name ORDER BY s DESC, dim.name LIMIT 10",
 		"SELECT dim.name, COUNT(*), MIN(g.w) FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name",
+		// 3,000 groups: past the first 1,024-class block of every column,
+		// with a NULL key and a SUM over integers and (exact) reals, so the
+		// merge meets classes every instance founded in its own order.
+		"SELECT CASE WHEN id % 97 = 0 THEN NULL ELSE id % 3000 END, COUNT(*), COUNT(v), SUM(v), " +
+			"SUM(CASE WHEN id % 3 = 0 THEN v / 4.0 ELSE v END), TOTAL(v), AVG(v), MIN(w), MAX(v) " +
+			"FROM g GROUP BY CASE WHEN id % 97 = 0 THEN NULL ELSE id % 3000 END",
+		// ... and every kind at once, DISTINCT and GROUP_CONCAT included,
+		// which keep every database on the serial fold.
+		"SELECT id % 3000, COUNT(DISTINCT v), SUM(DISTINCT v), GROUP_CONCAT(w), COUNT(*), " +
+			"SUM(CASE WHEN id % 3 = 0 THEN v / 4.0 ELSE v END), TOTAL(v), AVG(v), MIN(v), MAX(w) FROM g GROUP BY id % 3000",
 	} {
 		want := queryStrings(t, ser, strings.Replace(q, " FROM g", " FROM one, g", 1)) // the row loop
 		for name, db := range map[string]*Database{"serial fold": ser, "pooled fold": par} {

@@ -210,6 +210,107 @@ func TestAggregatesMatchManualComputation(t *testing.T) {
 	}
 }
 
+// TestAggregateArity: an aggregate's arguments are checked when its
+// accumulator is built, before a row is read — over an empty table as over
+// a full one. COUNT() counts rows as COUNT(*) does (SQLite's zero-argument
+// form); every other wrong count is ErrMisuse, never a dropped argument.
+func TestAggregateArity(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (g INTEGER, w INTEGER)")
+	db.MustExec("CREATE TABLE e (g INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1, 10), (NULL, 20), (3, NULL)")
+	for _, c := range []struct {
+		q    string
+		want string // "" = ErrMisuse
+	}{
+		{"SELECT COUNT() FROM t", "[3]"},
+		{"SELECT COUNT(*), COUNT(), COUNT(g), COUNT(w) FROM t", "[3 3 2 2]"},
+		{"SELECT COUNT() FROM e", "[0]"},
+		{"SELECT w, COUNT() FROM t GROUP BY w ORDER BY w", "[ 1][10 1][20 1]"},
+		{"SELECT MIN(g, 0) FROM t", ""},
+		{"SELECT MAX(g, w) FROM t", ""},
+		{"SELECT COUNT(g, w) FROM t", ""},
+		{"SELECT SUM() FROM t", ""},
+		{"SELECT AVG() FROM t", ""},
+		{"SELECT TOTAL(g, w) FROM t", ""},
+		{"SELECT SUM(*) FROM t", ""},
+		{"SELECT GROUP_CONCAT() FROM t", ""},
+		{"SELECT GROUP_CONCAT(g, ',', ',') FROM t", ""},
+		{"SELECT MIN(g, 0) FROM e", ""},
+		{"SELECT g, SUM() FROM e GROUP BY g", ""},
+		{"SELECT g FROM t GROUP BY g HAVING AVG(g, w) > 0", ""},
+	} {
+		res, err := db.Query(c.q)
+		if c.want == "" {
+			if CodeOf(err) != ErrMisuse {
+				t.Errorf("%q: err = %v, want ErrMisuse", c.q, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.q, err)
+			continue
+		}
+		var got strings.Builder
+		for _, row := range res.Rows {
+			texts := make([]string, len(row))
+			for i, v := range row {
+				texts[i] = v.AsText()
+			}
+			fmt.Fprint(&got, texts)
+		}
+		if got.String() != c.want {
+			t.Errorf("%q = %s, want %s", c.q, got.String(), c.want)
+		}
+	}
+}
+
+// TestGroupConcatSeparator: GROUP_CONCAT's separator is any constant — a
+// literal, a bound parameter, an expression — evaluated once per execution;
+// one that reads a column is ErrMisuse, not a silent comma.
+func TestGroupConcatSeparator(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER, w TEXT)")
+	db.MustExec("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, NULL), (4, 'c')")
+	for _, c := range []struct {
+		q      string
+		params []any
+		want   string
+	}{
+		{"SELECT GROUP_CONCAT(w) FROM t", nil, "a,b,c"},
+		{"SELECT GROUP_CONCAT(w, ';') FROM t", nil, "a;b;c"},
+		{"SELECT GROUP_CONCAT(w, ?) FROM t", []any{"-"}, "a-b-c"},
+		{"SELECT GROUP_CONCAT(w, ?) FROM t", []any{" + "}, "a + b + c"},
+		{"SELECT GROUP_CONCAT(w, '|' || '|') FROM t", nil, "a||b||c"},
+		{"SELECT id % 2, GROUP_CONCAT(DISTINCT w, ?) FROM t GROUP BY id % 2", []any{"/"}, "1 a; 0 b/c"},
+	} {
+		res, err := db.Query(c.q, c.params...)
+		if err != nil {
+			t.Fatalf("%q: %v", c.q, err)
+		}
+		rows := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			texts := make([]string, len(row))
+			for j, v := range row {
+				texts[j] = v.AsText()
+			}
+			rows[i] = strings.Join(texts, " ")
+		}
+		if got := strings.Join(rows, "; "); got != c.want {
+			t.Errorf("%q %v = %q, want %q", c.q, c.params, got, c.want)
+		}
+	}
+	for _, q := range []string{
+		"SELECT GROUP_CONCAT(w, w) FROM t",
+		"SELECT GROUP_CONCAT(w, CAST(id AS TEXT) || ',') FROM t",
+		"SELECT id, GROUP_CONCAT(w, t.w) FROM t GROUP BY id",
+	} {
+		if _, err := db.Query(q); CodeOf(err) != ErrMisuse {
+			t.Errorf("%q: err = %v, want ErrMisuse", q, err)
+		}
+	}
+}
+
 func TestGroupByPartitionsExactly(t *testing.T) {
 	// Sum of group counts equals the table size; groups are disjoint.
 	db := NewDatabase()

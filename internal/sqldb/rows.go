@@ -209,7 +209,7 @@ func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	var rows []Row
 	for r.Next() {
-		rows = append(rows, r.cur)
+		rows = appendDoubling(rows, r.cur)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -85,7 +85,7 @@ func (p *projectOp) next() (Row, bool, error) {
 type groupOp struct {
 	stmt   *SelectStmt
 	child  operator
-	aggs   []*FuncCall
+	specs  []aggSpec // the collected aggregates
 	actx   *aggCtx
 	env    *evalEnv
 	having compiledExpr
@@ -100,53 +100,52 @@ type groupOp struct {
 	// by morsel (runAggregationBatch); child is then only displayed.
 	bat *scanOp
 
-	built   bool
-	groups  []*aggGroup
+	tab     *groupTable // nil until built
 	aggVals []Value
 	pos     int
 }
 
 func (g *groupOp) columns() []colInfo { return g.outCols }
 func (g *groupOp) reset() {
-	g.built = false
-	g.groups = nil
+	g.tab = nil
 	g.pos = 0
 	g.child.reset()
 }
 
 func (g *groupOp) next() (Row, bool, error) {
-	if !g.built {
-		var groups []*aggGroup
+	if g.tab == nil {
+		var tab *groupTable
 		var err error
 		if g.bat != nil {
-			groups, err = runAggregationBatch(g.bat)
+			tab, err = runAggregationBatch(g.bat)
 		} else {
-			groups, err = runAggregation(g.stmt, g.child, g.aggs, g.repRows, g.db, g.params, g.outer, g.qc)
+			tab, err = runAggregation(g.stmt, g.child, g.specs, g.repRows, g.db, g.params, g.outer, g.qc)
 		}
 		if err != nil {
 			return nil, false, err
 		}
-		if len(g.stmt.GroupBy) == 0 && len(groups) == 0 {
+		if len(g.stmt.GroupBy) == 0 && tab.len() == 0 {
 			// Aggregates without GROUP BY yield one group over empty input:
-			// fresh accumulators over an all-NULL representative row.
-			empty, _, err := new(groupTable).group(g.aggs, nil, nil)
-			if err != nil {
-				return nil, false, err
-			}
-			empty.repRow = make(Row, len(g.env.cols))
-			groups = []*aggGroup{empty}
+			// untouched accumulators over an all-NULL representative row.
+			tab.set.Add(nil)
+			*tab.rep.at(0), tab.order = make(Row, len(g.env.cols)), nil
 		}
-		g.groups = groups
-		g.aggVals = make([]Value, len(g.aggs))
-		g.built = true
+		for i := range tab.accs {
+			tab.accs[i].finish()
+		}
+		g.tab = tab
+		g.aggVals = make([]Value, len(tab.accs))
 	}
-	for g.pos < len(g.groups) {
-		grp := g.groups[g.pos]
+	for g.pos < g.tab.len() {
+		class := g.pos
+		if g.tab.order != nil {
+			class = int(g.tab.order[g.pos])
+		}
 		g.pos++
-		g.env.row = grp.repRow
-		g.actx.groupKeys = grp.keys
-		for i, st := range grp.states {
-			g.aggVals[i] = st.result()
+		g.env.row = g.tab.rep.get(class)
+		g.actx.groupKeys = g.tab.set.Tuple(class)
+		for i := range g.tab.accs {
+			g.aggVals[i] = g.tab.accs[i].result(class)
 		}
 		g.actx.aggVals = g.aggVals
 		if g.having != nil {
@@ -595,6 +594,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 
 	// Collect the aggregate calls the query references anywhere.
 	var aggs []*FuncCall
+	var specs []aggSpec
 	if aggregate {
 		for _, it := range items {
 			aggs = collectAggregates(it.Expr, aggs)
@@ -604,6 +604,9 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		}
 		for _, ob := range stmt.OrderBy {
 			aggs = collectAggregates(ob.Expr, aggs)
+		}
+		if specs, err = newAggSpecs(aggs, db, params, qc); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -649,7 +652,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// input rows, so the scan below emits table rows. Otherwise the scan may
 	// absorb what sits above it (vecops.go).
 	shape := scanShape{
-		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs,
+		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs, specs: specs,
 		repRows:  aggregate && readsRepRow(stmt, items, outCols),
 		needSort: needSort, poolable: topLevel && outer == nil, topK: topK,
 	}
@@ -737,7 +740,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		root = &groupOp{
-			stmt: stmt, child: src, aggs: aggs, repRows: shape.repRows, actx: actx, env: env, having: having,
+			stmt: stmt, child: src, specs: specs, repRows: shape.repRows, actx: actx, env: env, having: having,
 			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
 			outCols:    outCols, db: db, params: params, outer: outer, qc: qc,
 		}

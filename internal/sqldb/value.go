@@ -12,7 +12,7 @@
 //	                                the one expression evaluator
 //	expr.go / func.go / agg.go      what it stands on: scopes and name
 //	                                resolution, arithmetic/CAST/LIKE,
-//	                                scalar functions, aggregate states
+//	                                scalar functions, aggregate accumulators
 //	key.go                          value identity: the canonical key of a
 //	                                Compare class
 //	exec.go                         planning (the one index chooser) and

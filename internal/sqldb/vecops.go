@@ -76,7 +76,7 @@ type scanFusion struct {
 	items   []SelectItem // projection fused into the scan; nil = emit table rows
 	folds   bool         // the aggregation is folded batch by batch: over
 	groupBy []Expr       // ... these keys,
-	aggs    []*FuncCall  // ... these aggregates
+	specs   []aggSpec    // ... these aggregates
 	repRows bool         // the post-aggregation phase reads representative rows
 	// order, when set, folds ORDER BY … LIMIT into the scan: every instance
 	// keeps the first rows of the order — items extended with the keys order
@@ -137,7 +137,7 @@ type scanKey struct {
 type batchFold struct {
 	groupTable
 	keys    []batchExpr // group keys, or sort keys (zero where order names an output column)
-	args    []batchExpr // indexed like aggs; zero for COUNT(*) / no-arg
+	args    []batchExpr // indexed like specs; zero where the aggregate has no argument
 	keyVals []Value
 	top     *topKHeap
 }
@@ -245,7 +245,7 @@ func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
 	if s.folds || s.order != nil {
 		f := &batchFold{
 			keys:    make([]batchExpr, len(s.groupBy)+len(s.order)),
-			args:    make([]batchExpr, len(s.aggs)),
+			args:    make([]batchExpr, len(s.specs)),
 			keyVals: make([]Value, len(s.groupBy)),
 		}
 		for i, ge := range s.groupBy {
@@ -260,16 +260,15 @@ func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
 				}
 			}
 		}
-		for i, fc := range s.aggs {
-			if fc.Star || len(fc.Args) == 0 {
+		for i, a := range s.specs {
+			if a.arg == nil {
 				continue
 			}
-			if f.args[i], err = expr(fc.Args[0]); err != nil {
+			if f.args[i], err = expr(a.arg); err != nil {
 				return err
 			}
 		}
 		s.fold = f
-		s.resetFold()
 		s.arena.reuse = true // nothing keeps a row a folding scan builds but the heap's copy
 	}
 	s.vec, s.dec = vc.need, vc.dec
@@ -290,14 +289,16 @@ func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
 }
 
 // resetFold empties the instance's fold state: a re-pulled plan folds
-// afresh.
-func (s *scanOp) resetFold() {
+// afresh. merged says other instances fold beside this one, and a merge
+// will order the groups by the ordinals that founded them.
+func (s *scanOp) resetFold(merged bool) {
 	if s.top != nil {
 		top := *s.top
 		s.fold.top = &top
 		return
 	}
-	s.fold.groupTable = groupTable{}
+	s.fold.groupTable = newGroupTable(s.specs)
+	s.fold.ordinals = merged
 }
 
 // workerCopy builds a pool worker's private instance over the same plan
@@ -557,47 +558,38 @@ func (s *scanOp) batchRows(idx int) (out []Row, err error) {
 // foldBatch runs morsel idx and folds its surviving rows into the
 // instance's groups: the aggregation loop of the scan, shared by the serial
 // and the pooled driver (runAggregationBatch). Group classes, representative
-// rows and accumulator folds match the row loop (runAggregation) exactly.
+// rows and accumulator folds match the row loop (runAggregation) exactly,
+// but that an instance the merge reads keeps each group's founding ordinal,
+// and a pooled scan its float parts per morsel so merged results do not
+// depend on which worker ran which morsel (agg.go).
 func (s *scanOp) foldBatch(idx int) error {
-	f := s.fold
+	f, morsel := s.fold, 0
+	if s.workers > 1 {
+		morsel = idx
+	}
 	return s.each(idx, func(i int) (err error) {
 		for gi := range f.keys {
 			if f.keyVals[gi], err = f.keys[gi].at(s, i); err != nil {
 				return err
 			}
 		}
-		g, fresh, err := f.group(s.aggs, f.keyVals, nil)
-		if err != nil {
-			return err
+		class, fresh := f.set.Add(f.keyVals)
+		if fresh && f.ordinals {
+			*f.first.at(class) = s.at
 		}
-		if fresh {
-			g.firstID = s.at
-			if s.repRows {
-				if g.repRow, err = s.materializeRow(i); err != nil {
+		if fresh && s.repRows {
+			if *f.rep.at(class), err = s.materializeRow(i); err != nil {
+				return err
+			}
+		}
+		for ai := range f.accs {
+			var v Value
+			if f.accs[ai].arg != nil {
+				if v, err = f.args[ai].at(s, i); err != nil {
 					return err
 				}
 			}
-		}
-		for ai, fc := range s.aggs {
-			if fc.Star {
-				g.states[ai].add(Int(1))
-				continue
-			}
-			if len(fc.Args) == 0 {
-				continue
-			}
-			v, err := f.args[ai].at(s, i)
-			if err != nil {
-				return err
-			}
-			// Partial float sums are kept per morsel so merged results do
-			// not depend on which worker ran which morsel (agg.go); a
-			// single instance just adds left to right, as the row loop.
-			if ma, ok := g.states[ai].(morselAdder); ok && s.workers > 1 {
-				ma.addMorsel(v, idx)
-			} else {
-				g.states[ai].add(v)
-			}
+			f.accs[ai].add(class, v, morsel)
 		}
 		return nil
 	})
@@ -657,10 +649,11 @@ type scanShape struct {
 	items     []SelectItem
 	aggregate bool
 	aggs      []*FuncCall
-	repRows   bool // the post-aggregation phase reads representative rows (readsRepRow)
-	needSort  bool // a sortOp will read ORDER BY keys off the input rows
-	poolable  bool // top-level, uncorrelated: the gather can preserve it
-	windowed  bool // a filter that holds a window of rows will sit above the scan
+	specs     []aggSpec // aggs as their accumulators start
+	repRows   bool      // the post-aggregation phase reads representative rows (readsRepRow)
+	needSort  bool      // a sortOp will read ORDER BY keys off the input rows
+	poolable  bool      // top-level, uncorrelated: the gather can preserve it
+	windowed  bool      // a filter that holds a window of rows will sit above the scan
 	// order, when set: an ORDER BY … LIMIT window of topK rows whose keys
 	// the scan can evaluate itself (scanOrderKeys).
 	order []scanKey
@@ -743,7 +736,7 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 		return bs, nil, nil // whole rows by id: nothing to fuse, compile or narrow
 	}
 	if f.folds {
-		f.groupBy, f.aggs, f.repRows = stmt.GroupBy, sh.aggs, sh.repRows
+		f.groupBy, f.specs, f.repRows = stmt.GroupBy, sh.specs, sh.repRows
 	} else if f.items == nil {
 		f.above = append(append(itemExprs(), stmt.GroupBy...), stmt.Having)
 		for _, ob := range stmt.OrderBy {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -426,12 +428,16 @@ func TestSealedPoolScanStaysColumnar(t *testing.T) {
 }
 
 // TestGroupByAllocatesPerSlab: a GROUP BY allocates with the blocks its
-// group table, its accumulators and its slot array grow by, not with its
-// groups — no encoded key, no map entry and, when only an output alias
-// sorts the result, no representative row per group. All three aggregation
-// loops found their groups through the one table (groupTable), so all three
-// hold the line: the row loop (under a join with a one-row table), the
-// serial fold, and the pooled fold with its merge.
+// group table, its accumulator columns and its slot array grow by, not with
+// its groups — no encoded key, no map entry, no state object and, when only
+// an output alias sorts the result, no representative row per group. All
+// three aggregation loops found their groups through the one table
+// (groupTable), so all three hold the line: the row loop (under a join with
+// a one-row table), the serial fold, and the pooled fold with its merge.
+// Bytes per founded group are held too, each loop at what it measured when
+// the accumulators became columns plus 10 %: the most over 36 runs at 1, 2
+// and 4 procs and, for the pooled fold, whose merge costs what the claim
+// order makes it, over runs where one worker claimed a single morsel.
 func TestGroupByAllocatesPerSlab(t *testing.T) {
 	lowerMorselMinRows(t, 8)
 	const groups = 20000
@@ -450,26 +456,49 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 		return db
 	}
 	pooled, serial := load(4), load(1)
-	for _, q := range []string{
-		"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 10",
-		"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10",
+	for _, c := range []struct {
+		q        string
+		maxBytes [3]float64 // per founded group: row loop, serial fold, pooled fold
+	}{
+		{"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 10", [3]float64{846, 83, 235}},
+		{"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10", [3]float64{919, 157, 418}},
+		// AVG keeps a float part per group and morsel: in a column, with the
+		// earlier morsels' parts in one list per aggregate.
+		{"SELECT k, COUNT(*), SUM(v), AVG(v) AS a, MIN(v), MAX(v) FROM t GROUP BY k ORDER BY a DESC, k LIMIT 10", [3]float64{960, 197, 609}},
 	} {
-		for _, leg := range []struct {
+		for li, leg := range []struct {
 			name string
 			db   *Database
 			q    string
 		}{
-			{"row loop", serial, strings.Replace(q, " FROM t", " FROM one, t", 1)},
-			{"serial fold", serial, q},
-			{"pooled fold", pooled, q},
+			{"row loop", serial, strings.Replace(c.q, " FROM t", " FROM one, t", 1)},
+			{"serial fold", serial, c.q},
+			{"pooled fold", pooled, c.q},
 		} {
-			allocs := testing.AllocsPerRun(3, func() {
+			run := func() {
 				if res, err := leg.db.Query(leg.q); err != nil || len(res.Rows) != 10 {
 					t.Fatalf("%q: %d rows, %v", leg.q, len(res.Rows), err)
 				}
-			})
+			}
+			allocs := testing.AllocsPerRun(3, run)
 			if allocs >= groups/8 {
 				t.Errorf("%s: %q founded %d groups with %.0f allocations, want < %d", leg.name, leg.q, groups, allocs, groups/8)
+			}
+			// The median run: the pooled fold's merge costs what the workers'
+			// share of the morsels makes it.
+			runs := make([]uint64, 5)
+			for i := range runs {
+				var a, b runtime.MemStats
+				runtime.ReadMemStats(&a)
+				run()
+				runtime.ReadMemStats(&b)
+				runs[i] = b.TotalAlloc - a.TotalAlloc
+			}
+			slices.Sort(runs)
+			perGroup := float64(runs[len(runs)/2]) / groups
+			t.Logf("%s: %q: %.0f allocations, %.0f B per group", leg.name, c.q, allocs, perGroup)
+			if limit := c.maxBytes[li]; perGroup > limit && !raceDetector {
+				t.Errorf("%s: %q allocates %.0f B per founded group, want <= %.0f", leg.name, leg.q, perGroup, limit)
 			}
 		}
 	}
