@@ -550,6 +550,86 @@ func TestExtendedProtocol(t *testing.T) {
 	}
 }
 
+// TestDescribeOpensThePortalCursor: Describe of a bound portal opens the
+// cursor Execute then streams, so a Parse/Bind/Describe/Execute/Sync cycle
+// plans and runs one query, not a probe beside it.
+func TestDescribeOpensThePortalCursor(t *testing.T) {
+	_, db, addr := startServer(t, Options{})
+	seedPlayers(t, db)
+	c := dial(t, addr)
+	const sql, cycles = `SELECT id, name FROM players WHERE score >= ?`, 5
+	want := engineRows(t, db, sql, "4.5")
+	before := db.Stats().Queries
+	for i := 0; i < cycles; i++ {
+		res, err := c.ExtQuery(sql, pgwiretest.Str("4.5"))
+		if err != nil || res.Err != nil {
+			t.Fatalf("cycle %d: %v / %v", i, err, res.Err)
+		}
+		if got := wireRows(res); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(res.Cols, []string{"id", "name"}) {
+			t.Fatalf("cycle %d: cols %v rows %q, want %q", i, res.Cols, got, want)
+		}
+	}
+	if n := db.Stats().Queries - before; n != cycles {
+		t.Errorf("%d ext cycles ran %d queries, want one each", cycles, n)
+	}
+}
+
+// TestSuspendedPortalStreamsLentRows: a portal's cursor builds each row in
+// one reused buffer, which the session encodes before it pulls the next.
+// Fetched a row an Execute, over a sealed table above the pool's size gate,
+// every shape a lent cursor builds that way returns the in-process rows,
+// each distinct.
+func TestSuspendedPortalStreamsLentRows(t *testing.T) {
+	_, db, addr := startServer(t, Options{}, sqldb.WithMaxWorkers(4))
+	db.MustExec("CREATE TABLE items (id INTEGER PRIMARY KEY, cat INTEGER, name TEXT, qty INTEGER)")
+	db.MustExec("CREATE TABLE tags (cat INTEGER, tag TEXT)")
+	items := make([][]any, 6000)
+	for i := range items {
+		items[i] = []any{i, i % 97, fmt.Sprint("item-", i), i * 7919 % 50}
+	}
+	if err := db.InsertRows("items", items); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		db.MustExec("INSERT INTO tags VALUES (?, ?)", i*7%97, fmt.Sprint("tag-", i))
+	}
+	db.Seal()
+	c := dial(t, addr)
+	for _, sql := range []string{
+		"SELECT id, name, qty * 2 FROM items WHERE id BETWEEN 1000 AND 1299",
+		"SELECT items.id, tags.tag FROM items JOIN tags ON items.cat = tags.cat WHERE items.qty < 3",
+		"SELECT cat, COUNT(*), SUM(qty), MIN(name) FROM items GROUP BY cat",
+		"SELECT DISTINCT cat, qty % 3 FROM items WHERE qty > 45",
+		"SELECT id, name FROM items WHERE qty <> 7 LIMIT 80 OFFSET 5",
+	} {
+		want := engineRows(t, db, sql)
+		c.SendParse("", sql, nil)
+		c.SendBind("cur", "", nil)
+		for i := 0; i <= len(want); i++ { // the last finds the portal drained
+			c.SendExecute("cur", 1)
+		}
+		c.SendSync()
+		res, err := c.Collect()
+		if err != nil || res.Err != nil {
+			t.Fatalf("%s: %v / %v", sql, err, res.Err)
+		}
+		got := wireRows(res)
+		seen := make(map[string]bool, len(got))
+		for _, r := range got {
+			if seen[r] {
+				t.Errorf("%s: row %q arrived twice", sql, r)
+			}
+			seen[r] = true
+		}
+		if len(want) < 20 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d rows a row at a time, %d in process; wire %q", sql, len(got), len(want), got)
+		}
+		if tag := fmt.Sprint("SELECT ", len(want)); len(res.Tags) != 1 || res.Tags[0] != tag {
+			t.Errorf("%s: tags %v, want [%s]", sql, res.Tags, tag)
+		}
+	}
+}
+
 // TestExtendedProtocolErrors covers the extended-specific error states
 // and the skip-to-Sync discipline.
 func TestExtendedProtocolErrors(t *testing.T) {

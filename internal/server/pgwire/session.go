@@ -53,16 +53,34 @@ type preparedStmt struct {
 	paramOIDs []int32 // as declared by Parse; missing entries bind as text
 }
 
-// portal is a bound statement. For a SELECT the cursor opens lazily at
-// the first Execute and stays open (holding its snapshot reference, with
-// its context still cancel-registered) across PortalSuspended until the
-// portal completes, is closed, or Sync destroys it.
+// portal is a bound statement. For a SELECT the cursor opens lazily, at
+// Describe or the first Execute, whichever comes first — so the snapshot is
+// taken then, still after Bind, as PostgreSQL takes it at Bind — and stays
+// open (holding its snapshot reference, with its context still
+// cancel-registered) across PortalSuspended until the portal completes, is
+// closed, or Sync destroys it. Describe and Execute share the one plan.
 type portal struct {
 	ps     *preparedStmt
 	params []any
 	rows   *sqldb.Rows
 	unreg  func() // releases the cursor's cancel registration
 	total  int    // rows streamed so far, for the final SELECT tag
+}
+
+// openCursor opens the portal's cursor, registered for cancellation, unless
+// it is open already.
+func (s *session) openCursor(p *portal, sel *sqldb.SelectStmt) error {
+	if p.rows != nil {
+		return nil
+	}
+	ctx, release := s.trackCtx()
+	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, p.params...)
+	if err != nil {
+		release()
+		return err
+	}
+	p.rows, p.unreg = rows, release
+	return nil
 }
 
 // closeCursor releases the portal's cursor and cancel registration, if
@@ -595,39 +613,39 @@ func (s *session) handleDescribe(payload []byte) error {
 		if err := s.be.parameterDescription(oids); err != nil {
 			return err
 		}
-		return s.describeResult(ps, nil)
+		return s.describeResult(ps)
 	case 'P':
 		p, ok := s.portals[name]
 		if !ok {
 			return s.extErr(wireErrf(stateUndefinedCursor,
 				fmt.Sprintf("portal %q does not exist", name)))
 		}
-		if p.rows != nil {
-			return s.be.rowDescription(p.rows.Columns())
+		sel, isSel := p.ps.stmt.(*sqldb.SelectStmt)
+		if !isSel {
+			return s.be.noData()
 		}
-		return s.describeResult(p.ps, p.params)
+		if err := s.openCursor(p, sel); err != nil {
+			return s.extErr(err)
+		}
+		return s.be.rowDescription(p.rows.Columns())
 	default:
 		return protoErrf("invalid Describe kind %q", kind)
 	}
 }
 
-// describeResult reports the result shape of a statement that has not
-// executed yet. For a SELECT the shape comes from a probe plan: the
-// statement is planned against NULL placeholders (params, when the caller
-// is a bound portal, else all-NULL) and the cursor closed before reading
-// a row — plans are cheap, and this keeps column naming in one place
-// (the planner) instead of duplicating it here.
-func (s *session) describeResult(ps *preparedStmt, params []any) error {
+// describeResult reports the result shape of a prepared statement. For a
+// SELECT the shape comes from a probe plan: the statement is planned
+// against all-NULL placeholders and the cursor closed before reading a row
+// — plans are cheap, and this keeps column naming in one place (the
+// planner) instead of duplicating it here.
+func (s *session) describeResult(ps *preparedStmt) error {
 	sel, isSel := ps.stmt.(*sqldb.SelectStmt)
 	if !isSel {
 		return s.be.noData()
 	}
-	if params == nil {
-		params = make([]any, ps.numParams)
-	}
 	ctx, release := s.trackCtx()
 	defer release()
-	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, params...)
+	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, make([]any, ps.numParams)...)
 	if err != nil {
 		return s.extErr(err)
 	}
@@ -663,14 +681,8 @@ func (s *session) handleExecute(payload []byte) error {
 		}
 		return s.be.commandComplete(tag)
 	}
-	if p.rows == nil {
-		ctx, release := s.trackCtx()
-		rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, p.params...)
-		if err != nil {
-			release()
-			return s.extErr(err)
-		}
-		p.rows, p.unreg = rows, release
+	if err := s.openCursor(p, sel); err != nil {
+		return s.extErr(err)
 	}
 	sent := 0
 	for maxRows <= 0 || sent < maxRows {

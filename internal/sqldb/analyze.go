@@ -244,7 +244,7 @@ func (db *Database) ExplainAnalyze(ctx context.Context, sql string, params ...an
 		return nil, err
 	}
 	rec := newExecRecorder()
-	rows, err := db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), rec)
+	rows, err := db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), rec, true)
 	if err != nil {
 		return nil, err
 	}

@@ -204,7 +204,7 @@ func TestBatchFormMatchesScalarForm(t *testing.T) {
 				}
 			}
 		}
-		plan, err := db.queryRows(WithFuncs(context.Background(), batch), mustSelect(t, db, udfCorpus[2]), nil, nil, nil)
+		plan, err := db.queryRows(WithFuncs(context.Background(), batch), mustSelect(t, db, udfCorpus[2]), nil, nil, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

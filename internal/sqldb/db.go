@@ -185,9 +185,10 @@ func bindParams(params []any) []Value {
 // transaction answers to: BEGIN opens it, COMMIT and ROLLBACK detach it.
 func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn, session bool) (int, error) {
 	if sel, ok := stmt.(*SelectStmt); ok {
-		// Count the cursor's rows: none is materialised, a LIMIT stops the
-		// scan early, and the cursor bills itself when Next closes it.
-		rows, err := db.queryRows(qc.ctx, sel, params, tx, nil)
+		// Count the cursor's rows: each is built in a reused buffer and
+		// dropped, a LIMIT stops the scan early, and the cursor bills itself
+		// when Next closes it.
+		rows, err := db.queryRows(qc.ctx, sel, params, tx, nil, true)
 		if err != nil {
 			return 0, err
 		}

@@ -24,7 +24,9 @@ import (
 // tells each producer whether its consumer keeps rows, and the default is
 // that it does — drain (join builds, derived tables, subquery results), the
 // full sort, the pooled gather and the caller's cursor are handed rows
-// nothing will touch again. Three plans spend the rule, each building rows
+// nothing will touch again. The caller's cursor keeps rows except under the
+// wire session, Exec's row count and EXPLAIN ANALYZE, which read each row
+// and drop it (queryRows). Three plans spend the rule, each building rows
 // only for whoever keeps them: ORDER BY … LIMIT k folds into the scan,
 // whose instances offer each survivor to a k-bounded heap that copies the
 // few it keeps (vecops.go); a join, projection or aggregation whose consumer

@@ -30,7 +30,7 @@ func (db *Database) Explain(sql string, params ...any) ([]string, error) {
 	// context — and closed without a pull. EXPLAIN does not bill the
 	// engine-wide stats: what planning counted is dropped before the close
 	// would fold it.
-	rows, err := db.queryRows(context.Background(), sel, bindParams(params), db.currentTxn(), nil)
+	rows, err := db.queryRows(context.Background(), sel, bindParams(params), db.currentTxn(), nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -344,7 +345,7 @@ func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]in
 	if err != nil {
 		return nil, 0, err
 	}
-	ids := make([]int, 0, 16)
+	ids := make([]int, 0, rangeIDCount(v, spec, math.MaxInt))
 	var skipped uint64
 	var seek blockSeek
 	for c, end := v.rangeStart(spec.lo), v.rangeEnd(spec.hi).pos; c.pos.before(end); c.next() {
@@ -363,6 +364,17 @@ func collectRangeIDs(t *Table, idx *Index, spec rangeSpec, snap *snapshot) ([]in
 	}
 	sort.Ints(ids)
 	return ids, skipped, nil
+}
+
+// rangeIDCount counts the ids the entries of v inside spec file, stopping
+// once the count reaches limit: an upper bound on what any snapshot sees in
+// the range, and the planner's estimate of an unordered range scan's size.
+func rangeIDCount(v ordView, spec rangeSpec, limit int) int {
+	n := 0
+	for c, end := v.rangeStart(spec.lo), v.rangeEnd(spec.hi).pos; c.pos.before(end) && n < limit; c.next() {
+		n += len(c.entry().entryIDs())
+	}
+	return n
 }
 
 // ordWalk is a scan's ordered access path (indexAccess.ordered): the

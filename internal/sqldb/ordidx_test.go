@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,74 @@ func TestRangeScanReadsOnlyMatchingRows(t *testing.T) {
 	}
 	if got := db.Stats().IndexRangeScans - before.IndexRangeScans; got != 1 {
 		t.Errorf("IndexRangeScans moved by %d, want 1", got)
+	}
+}
+
+// TestRangeIDsSizedByRange: a range's ids are collected into one slice
+// sized by the ids its entries file, so a sealed 1,000-id range makes that
+// allocation of 8,000 B (the 8 KiB size class) and the block's seek
+// position. The parent grew the slice from 16 by append: 9 allocations,
+// 25 KB.
+func TestRangeIDsSizedByRange(t *testing.T) {
+	db := bigDB(t, 20000)
+	db.Seal()
+	db.vacWG.Wait()
+	tab := db.tableMap()["big"]
+	idx := tab.idxs()["id"]
+	spec := rangeSpec{lo: &rangeBound{val: Int(5000), incl: true}, hi: &rangeBound{val: Int(5999), incl: true}}
+	collect := func() {
+		ids, _, err := collectRangeIDs(tab, idx, spec, nil)
+		if err != nil || len(ids) != 1000 {
+			t.Fatalf("collected %d ids (%v), want 1000", len(ids), err)
+		}
+	}
+	collect() // builds the ordered view
+	if raceDetector {
+		t.Skip("the race detector's runtime books allocations of its own")
+	}
+	if n := testing.AllocsPerRun(20, collect); n != 2 {
+		t.Errorf("a 1,000-id range allocates %.0f times, want twice", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	collect()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 8<<10+128 {
+		t.Errorf("a 1,000-id range allocates %d B, want at most 8 KiB and a seek position", b)
+	}
+}
+
+// TestRangeScanPoolGateCountsIDs: an unordered index range is sized by the
+// ids its entries file, not by its table, so a range under the morselMinRows
+// gate on a 20,000-row table runs serial and one above it on the pool. Both
+// return the unindexed filter's rows, in its order.
+func TestRangeScanPoolGateCountsIDs(t *testing.T) {
+	db := bigDB(t, 20000)
+	db.maxWorkers = 4
+	for _, c := range []struct {
+		hi     int
+		pooled bool
+	}{{1099, false}, {100 + morselMinRows + 100, true}} {
+		sql := fmt.Sprintf("SELECT id, v FROM big WHERE id BETWEEN 100 AND %d", c.hi)
+		lines, err := db.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := strings.Join(lines, "\n")
+		if !strings.Contains(plan, "index range scan") || strings.Contains(plan, "workers=") != c.pooled {
+			t.Errorf("%s: pooled=%v wanted, plan:\n%s", sql, c.pooled, plan)
+		}
+		got, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Query(fmt.Sprintf("SELECT id, v FROM big WHERE id + 0 BETWEEN 100 AND %d", c.hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != c.hi-99 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s: %d rows differ from the unindexed filter's %d", sql, len(got.Rows), len(want.Rows))
+		}
 	}
 }
 

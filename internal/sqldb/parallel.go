@@ -62,14 +62,7 @@ var parallelWorkersActive atomic.Int64
 // capped at parallelMaxWorkers. Under GOMAXPROCS=1 every plan stays
 // serial, which is what keeps single-core executions bit-identical.
 func defaultMaxWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > parallelMaxWorkers {
-		n = parallelMaxWorkers
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(runtime.GOMAXPROCS(0), parallelMaxWorkers)
 }
 
 // parallelSafe reports whether every expression may be evaluated on a

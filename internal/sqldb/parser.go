@@ -168,42 +168,19 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case "DROP":
 		return p.parseDrop()
-	case "BEGIN":
-		return p.parseBegin()
-	case "COMMIT":
-		return p.parseCommit()
-	case "ROLLBACK":
-		return p.parseRollback()
+	case "BEGIN", "COMMIT", "ROLLBACK":
+		p.next()
+		p.acceptKeyword("TRANSACTION")
+		switch t.text {
+		case "BEGIN":
+			return &BeginStmt{}, nil
+		case "COMMIT":
+			return &CommitStmt{}, nil
+		}
+		return &RollbackStmt{}, nil
 	default:
 		return nil, p.errorf(t, "unsupported statement %q", t.text)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Transaction control
-
-func (p *parser) parseBegin() (*BeginStmt, error) {
-	if err := p.expectKeyword("BEGIN"); err != nil {
-		return nil, err
-	}
-	p.acceptKeyword("TRANSACTION")
-	return &BeginStmt{}, nil
-}
-
-func (p *parser) parseCommit() (*CommitStmt, error) {
-	if err := p.expectKeyword("COMMIT"); err != nil {
-		return nil, err
-	}
-	p.acceptKeyword("TRANSACTION")
-	return &CommitStmt{}, nil
-}
-
-func (p *parser) parseRollback() (*RollbackStmt, error) {
-	if err := p.expectKeyword("ROLLBACK"); err != nil {
-		return nil, err
-	}
-	p.acceptKeyword("TRANSACTION")
-	return &RollbackStmt{}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -323,5 +324,134 @@ func TestRowLifetimeOracles(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLentCursorCollectCopies: a lent cursor (QueryRowsStmt) builds its rows
+// in reused buffers, and Collect copies each, so its result is Query's — for
+// each head a lent cursor builds every row in one buffer for (a projection
+// over a range, a hash join's probe, a GROUP BY, a DISTINCT, a LIMIT), over
+// 20,000 sealed rows, above the pool's size gate.
+func TestLentCursorCollectCopies(t *testing.T) {
+	db := benchDB(t, 20000, WithMaxWorkers(4))
+	db.MustExec("CREATE TABLE tags (cat INTEGER, tag TEXT)") // unindexed: a hash join builds on it
+	for i := 0; i < 60; i++ {
+		db.MustExec("INSERT INTO tags VALUES (?, ?)", i*7%50, fmt.Sprint("tag-", i))
+	}
+	db.Seal()
+	join := "SELECT items.id, tags.tag, items.qty FROM items JOIN tags ON items.cat_id = tags.cat WHERE items.qty < 10"
+	if lines, err := db.Explain(join); err != nil || !strings.Contains(strings.Join(lines, "\n"), "hash join") {
+		t.Fatalf("%q does not plan a hash join: %v %v", join, lines, err)
+	}
+	for _, sql := range []string{
+		"SELECT id, name, price * 2 FROM items WHERE id BETWEEN 5000 AND 5999",
+		join,
+		"SELECT cat_id, COUNT(*), SUM(qty), MIN(name) FROM items GROUP BY cat_id",
+		"SELECT DISTINCT cat_id, qty % 4 FROM items WHERE qty > 40",
+		"SELECT id, name, qty FROM items WHERE qty <> 7 LIMIT 60 OFFSET 3",
+	} {
+		want, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.QueryRowsStmt(context.Background(), mustSelect(t, db, sql), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rows.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) < 20 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%q: lent Collect differs from Query (%d rows, want %d)", sql, len(got.Rows), len(want.Rows))
+		}
+	}
+}
+
+// bytesPerRun runs run once to warm up (an ordered view, the batch pool),
+// then returns the bytes each of 20 more runs allocates.
+func bytesPerRun(run func()) uint64 {
+	run()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestLentCursorBytes pins where a wire cursor's saving sits, over benchDB's
+// 20,000 sealed items with a pool of four. Before the cursor lent its rows
+// and an index range was sized by its ids, a 1,000-id range cost 342 B a
+// row, a 4,000-id one 325, and a 2,000-group GROUP BY 338 KB a run; since,
+// 18, 9 and 203 KB. The ranges' ceiling is 32 B a row.
+func TestLentCursorBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops batches, which then allocate afresh")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db := benchDB(t, 20000, WithMaxWorkers(4))
+	db.Seal()
+	for _, c := range []struct {
+		sql     string
+		rows    int
+		ceiling uint64 // B a run
+	}{
+		{"SELECT id, name, price FROM items WHERE id BETWEEN 5000 AND 5999", 1000, 32 * 1000},
+		{"SELECT id, name, price FROM items WHERE id BETWEEN 5000 AND 8999", 4000, 32 * 4000},
+		{"SELECT cat_id, COUNT(*) FROM items GROUP BY cat_id", 2000, 300_000},
+	} {
+		sel, n := mustSelect(t, db, c.sql), 0
+		b := bytesPerRun(func() {
+			rows, err := db.QueryRowsStmt(context.Background(), sel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n = 0; rows.Next(); n++ {
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.sql, n, c.rows)
+		}
+		if b > c.ceiling {
+			t.Errorf("%s: %d B a run (%.1f B a row), ceiling %d", c.sql, b, float64(b)/float64(n), c.ceiling)
+		}
+	}
+}
+
+// TestExecSelectBuildsNoRow: Exec of a SELECT counts the rows of a lent
+// cursor, so four times the rows allocate the same. The parent built each
+// in fresh storage: 72 KB at 1,000 sealed rows, 269 KB at 4,000.
+func TestExecSelectBuildsNoRow(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops batches, which then allocate afresh")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytes := func(n int) uint64 {
+		db := NewDatabase()
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{i, fmt.Sprint("name-", i)}
+		}
+		if err := db.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		db.Seal()
+		db.vacWG.Wait()
+		return bytesPerRun(func() {
+			if got, err := db.Exec("SELECT id, name FROM t"); err != nil || got != n {
+				t.Fatalf("Exec counted %d rows (%v), want %d", got, err, n)
+			}
+		})
+	}
+	small, large := bytes(1000), bytes(4000)
+	if large > small && (large-small)/3000 >= 8 {
+		t.Errorf("Exec(SELECT) allocates %d B at 1,000 rows and %d at 4,000: %d B an extra row, want < 8", small, large, (large-small)/3000)
 	}
 }

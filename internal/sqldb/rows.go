@@ -32,6 +32,7 @@ type Rows struct {
 	cur    Row
 	err    error
 	closed bool
+	lent   bool // rows are built in reused buffers: Collect copies them
 }
 
 // QueryRows executes a SELECT and returns a streaming cursor positioned
@@ -41,7 +42,7 @@ func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*
 	if err != nil {
 		return nil, err
 	}
-	return db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), nil)
+	return db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), nil, false)
 }
 
 // queryRows is the one place a SELECT is opened — every Query and
@@ -50,8 +51,10 @@ func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*
 // operators report to): the statement is admitted, reads the snapshot of
 // the transaction its entry point resolved (nil = a fresh one of its own),
 // is planned, and owns its snapshot reference until Close bills it. On
-// error everything is released here.
-func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn, rec *execRecorder) (*Rows, error) {
+// error everything is released here. lend says the entry point reads each
+// row and drops it before the next Next, so the plan's head builds every
+// row in one reused buffer (lendRows).
+func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn, rec *execRecorder, lend bool) (*Rows, error) {
 	qc := newQueryCtx(ctx, db)
 	qc.queries = 1 // counted into Database.Stats when the recorder flushes
 	qc.rec = rec
@@ -66,6 +69,9 @@ func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value
 		qc.flush() // flush releases the snapshot reference
 		return nil, err
 	}
+	if lend {
+		lendRows(root)
+	}
 	if rec != nil {
 		root = instrument(root, rec)
 	}
@@ -74,7 +80,7 @@ func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value
 		names[i] = c.name
 	}
 	db.stats.openCursors.Add(1)
-	return &Rows{db: db, qc: qc, root: root, cols: names}, nil
+	return &Rows{db: db, qc: qc, root: root, cols: names, lent: lend}, nil
 }
 
 // Columns returns the result column names.
@@ -113,7 +119,8 @@ func (r *Rows) fail(err error) {
 }
 
 // Row returns the current row (valid after a true Next). The returned
-// slice is owned by the result and must not be mutated.
+// slice is owned by the result and must not be mutated. A lent cursor's row
+// (QueryRowsStmt) is valid until the next Next; copy what you keep.
 func (r *Rows) Row() Row { return r.cur }
 
 // Scan copies the current row into the destinations: one per column, each
@@ -204,11 +211,14 @@ func (r *Rows) Close() error {
 
 // Collect drains the cursor into a materialised Result and closes it —
 // the bridge from the streaming API to the old eager one (Database.Query
-// is QueryRows + Collect).
+// is QueryRows + Collect). A lent cursor's rows are copied.
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	var rows []Row
 	for r.Next() {
+		if r.lent {
+			r.cur = r.cur.Clone()
+		}
 		rows = appendDoubling(rows, r.cur)
 	}
 	if r.err != nil {

@@ -812,12 +812,13 @@ func readsInputOnly(e Expr, items []SelectItem, outCols []colInfo) bool {
 
 // lendRows tells the producers at the head of a chain that their consumer
 // reads each row and drops it (the row-lifetime rule, exec.go) — a
-// projection, an aggregation, a top-K sort, the probe side of a join — so
-// they build, or decode from sealed blocks, every row in one buffer. Filters
-// and DISTINCT pass rows through; a join's probe input feeds such a consumer
-// in turn. Everything else keeps the default: a drained build side or
-// derived table, a full sort and the caller's cursor own the rows they are
-// handed.
+// projection, an aggregation, a top-K sort, the probe side of a join, a
+// cursor whose caller drops each row (queryRows) — so they build, or decode
+// from sealed blocks, every row in one buffer. Filters, DISTINCT and LIMIT
+// pass rows through; a join's probe input feeds such a consumer in turn.
+// Everything else keeps the default: a drained build side or derived table,
+// a full sort and a cursor that hands its rows to the caller own the rows
+// they are handed.
 func lendRows(op operator) {
 	for {
 		switch t := op.(type) {
@@ -828,12 +829,17 @@ func lendRows(op operator) {
 			op = t.child
 		case *distinctOp:
 			op = t.child
+		case *limitOp:
+			op = t.child
 		case *hashJoinOp:
 			t.arena.reuse, op = true, t.probe
 		case *indexJoinOp:
 			t.arena.reuse, op = true, t.probe
 		case *projectOp:
 			t.arena.reuse = true
+			if s, ok := t.child.(*scanOp); ok && t.fused {
+				s.arena.reuse = true // the scan builds the projection's rows
+			}
 			return
 		case *groupOp:
 			t.arena.reuse = true

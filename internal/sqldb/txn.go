@@ -433,7 +433,7 @@ func (tx *Txn) QueryRows(ctx context.Context, sql string, params ...any) (*Rows,
 	if err != nil {
 		return nil, err
 	}
-	return tx.db.queryRows(ctx, sel, bindParams(params), tx, nil)
+	return tx.db.queryRows(ctx, sel, bindParams(params), tx, nil, false)
 }
 
 // ---------------------------------------------------------------------------

@@ -668,12 +668,13 @@ type scanShape struct {
 // rows are ever built. Under a filter that holds a window of rows (a
 // conjunct or a select list that calls batch-form functions) the scan
 // emits table rows. The scan runs on the worker pool when the database has
-// one, the table is over the morselMinRows gate, and the statement's shape
-// lets the gather keep the serial result: every expression the workers would
-// evaluate is parallel-safe, partial aggregates merge exactly (or the
-// consumer provably cannot observe arrival order, which licenses the
-// unordered gather), and no bare LIMIT window would make scan-ahead read rows
-// the window never emits. It returns the scan only when it pooled or fused it.
+// one, its input — the table, an equality's ids or a range's — is over the
+// morselMinRows gate, and the statement's shape lets the gather keep the
+// serial result: every expression the workers would evaluate is
+// parallel-safe, partial aggregates merge exactly (or the consumer provably
+// cannot observe arrival order, which licenses the unordered gather), and no
+// bare LIMIT window would make scan-ahead read rows the window never emits.
+// It returns the scan only when it pooled or fused it.
 func planScan(src operator, sh scanShape, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, *scanOp, error) {
 	bottom, windowed := src, sh.windowed
 	for f, ok := bottom.(*filterOp); ok; f, ok = bottom.(*filterOp) {
@@ -694,10 +695,17 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 		}
 		return es
 	}
-	// Range scans estimate by table size: bounds are not yet materialised.
+	// An unordered range estimates by the ids its entries file, counted as
+	// far as the gate: its ids are not yet materialised.
 	est := bs.table.liveCount()
 	if bs.ids != nil {
 		est = len(bs.ids)
+	} else if bs.rangeIdx != nil && !bs.ordered {
+		v, err := bs.rangeIdx.orderedView(bs.table)
+		if err != nil {
+			return nil, nil, err
+		}
+		est = rangeIDCount(v, bs.spec, morselMinRows)
 	}
 	pool := db != nil && db.maxWorkers > 1 && qc != nil && sh.poolable && est >= morselMinRows && !bs.ordered && parallelSafe(bs.preds...)
 	var f scanFusion

@@ -215,20 +215,8 @@ type walOp struct {
 	row2  Row    // U: new image
 }
 
-func appendU16(b []byte, v uint16) []byte {
-	return binary.LittleEndian.AppendUint16(b, v)
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
 func appendWalString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
 }
 
@@ -240,7 +228,7 @@ func appendWalValue(b []byte, v Value) []byte {
 	case KindBool:
 		b = append(b, byte(v.n))
 	case KindInt, KindFloat:
-		b = appendU64(b, v.n)
+		b = binary.LittleEndian.AppendUint64(b, v.n)
 	case KindText:
 		b = appendWalString(b, v.s)
 	}
@@ -248,7 +236,7 @@ func appendWalValue(b []byte, v Value) []byte {
 }
 
 func appendWalRow(b []byte, r Row) []byte {
-	b = appendU16(b, uint16(len(r)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(r)))
 	for _, v := range r {
 		b = appendWalValue(b, v)
 	}
@@ -275,8 +263,8 @@ func appendWalOp(b []byte, op walOp) []byte {
 
 // appendWalRecord frames a payload as one checksummed record.
 func appendWalRecord(b []byte, payload []byte) []byte {
-	b = appendU32(b, uint32(len(payload)))
-	b = appendU32(b, crc32.ChecksumIEEE(payload))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
 	return append(b, payload...)
 }
 
@@ -556,19 +544,19 @@ func (w *walWriter) appendCommit(ops []walOp, auto bool) (uint64, int64, error) 
 	var buf []byte
 	if auto {
 		payload := []byte{'T'}
-		payload = appendU64(payload, w.seq)
-		payload = appendU32(payload, uint32(len(ops)))
+		payload = binary.LittleEndian.AppendUint64(payload, w.seq)
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops)))
 		for _, op := range ops {
 			payload = appendWalOp(payload, op)
 		}
 		buf = appendWalRecord(nil, payload)
 	} else {
-		begin := appendU64([]byte{'B'}, w.seq)
+		begin := binary.LittleEndian.AppendUint64([]byte{'B'}, w.seq)
 		buf = appendWalRecord(nil, begin)
 		for _, op := range ops {
 			buf = appendWalRecord(buf, appendWalOp([]byte{'O'}, op))
 		}
-		commit := appendU64([]byte{'C'}, w.seq)
+		commit := binary.LittleEndian.AppendUint64([]byte{'C'}, w.seq)
 		buf = appendWalRecord(buf, commit)
 	}
 	err := w.appendLocked(buf)

@@ -37,9 +37,10 @@ func (db *Database) ExecStmtTx(ctx context.Context, stmt Statement, tx *Txn, par
 // cursor holds its own snapshot reference; Close releases it — a wire
 // portal maps one-to-one onto this cursor and must Close it on every
 // exit path (Execute completion, portal close, Sync teardown, session
-// death).
+// death). The cursor lends its rows: each is built in a reused buffer and
+// valid until the next Next, so a caller encodes it first (Collect copies).
 func (db *Database) QueryRowsStmt(ctx context.Context, sel *SelectStmt, tx *Txn, params ...any) (*Rows, error) {
-	return db.queryRows(ctx, sel, bindParams(params), tx, nil)
+	return db.queryRows(ctx, sel, bindParams(params), tx, nil, true)
 }
 
 // LiveSnapshots reports the number of registered MVCC snapshots currently
