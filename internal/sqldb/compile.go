@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -38,25 +39,7 @@ func (a *aggCtx) groupIndex(e Expr) int {
 	if len(a.groupStrs) == 0 {
 		return -1
 	}
-	s := e.String()
-	for i, g := range a.groupStrs {
-		if g == s {
-			return i
-		}
-	}
-	return -1
-}
-
-// aggIndex returns the ordinal of fc among the collected aggregates
-// (pointer identity, as collectAggregates gathers the very nodes that
-// appear in the projection/HAVING/ORDER BY trees), or -1.
-func (a *aggCtx) aggIndex(fc *FuncCall) int {
-	for i, c := range a.aggs {
-		if c == fc {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(a.groupStrs, e.String())
 }
 
 // compileExpr compiles e against env's scope chain. Resolution errors (no
@@ -71,7 +54,9 @@ func compileExpr(e Expr, env *evalEnv) (compiledExpr, error) {
 			return func() (Value, error) { return a.groupKeys[i], nil }, nil
 		}
 		if fc, ok := e.(*FuncCall); ok && isAggregateName(fc.Name) {
-			if i := a.aggIndex(fc); i >= 0 {
+			// By pointer: collectAggregates gathers the very nodes the
+			// projection, HAVING and ORDER BY trees hold.
+			if i := slices.Index(a.aggs, fc); i >= 0 {
 				return func() (Value, error) { return a.aggVals[i], nil }, nil
 			}
 			return nil, errf(ErrMisuse, "sql: misuse of aggregate function %s()", fc.Name)

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -17,12 +18,7 @@ type Result struct {
 // ColumnIndex returns the ordinal of the named result column
 // (case-insensitive), or -1.
 func (r *Result) ColumnIndex(name string) int {
-	for i, c := range r.Columns {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(r.Columns, func(c string) bool { return strings.EqualFold(c, name) })
 }
 
 // Value returns the value at (row, named column). Missing columns or

@@ -2,6 +2,6 @@
 
 package sqldb
 
-// raceDetector reports a -race build, whose sync.Pool drops a share of what
-// it is handed: an allocation count that relies on a pool reads higher.
+// raceDetector reports a -race build, whose runtime allocates and schedules
+// differently: an allocation count that depends on either reads higher.
 const raceDetector = true

@@ -6,6 +6,7 @@ import (
 	"context"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -419,13 +420,5 @@ func findRowByImage(t *Table, img Row) (int, bool, error) {
 // equality — stricter than Value.Compare, which treats 1 and 1.0 as
 // equal. Replay must match the very row the original statement touched.
 func rowsExactEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] { // struct identity is kind + bits: -0.0 is not 0.0
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a, b) // struct identity is kind + bits: -0.0 is not 0.0
 }

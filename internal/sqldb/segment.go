@@ -326,7 +326,7 @@ func (t *Table) thaw(id int, tx *Txn) (*rowVersion, error) {
 func (t *Table) rehydrate(m int) error {
 	blk, w, base := t.block(m), len(t.Columns), m*segBlockSlots
 	b := getBatch(w)
-	defer batchPool.Put(b)
+	defer putBatch(b)
 	if err := b.fillSealed(blk, base, nil, false); err != nil {
 		return err
 	}

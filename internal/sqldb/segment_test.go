@@ -470,9 +470,6 @@ func TestSealedReadsAllocateNothingPerRow(t *testing.T) {
 		}
 		h, s := allocs(heap, c.q, c.args), allocs(sealed, c.q, c.args)
 		t.Logf("%.0f allocations over heap rows, %.0f over sealed ones: %s", h, s, c.q)
-		if raceDetector { // the pooled batches a sealed read decodes into are dropped now and then
-			c.slack += 4
-		}
 		if s > h+c.slack {
 			t.Errorf("%q: %.0f allocations over sealed rows, %.0f over heap rows: more than %.0f added", c.q, s, h, c.slack)
 		}

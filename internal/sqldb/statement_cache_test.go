@@ -413,9 +413,7 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		// The race detector's sync.Pool drops a share of the batches scans
-		// read into, which then allocate afresh.
-		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > c.bytes && !raceDetector {
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > c.bytes {
 			t.Errorf("%s: %d B a run, ceiling %d B", c.sql, b, c.bytes)
 		}
 	}

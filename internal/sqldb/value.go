@@ -51,6 +51,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -288,7 +289,7 @@ func (v Value) Compare(o Value) int {
 		// encoding in key.go — equality must not depend on whether a plan
 		// uses hashing (keys) or direct comparison.
 		if v.kind == KindInt && o.kind == KindInt {
-			return compareInts(v.i64(), o.i64())
+			return cmp.Compare(v.i64(), o.i64())
 		}
 		if v.kind == KindInt && o.kind == KindFloat {
 			return compareIntFloat(v.i64(), o.f64())
@@ -296,15 +297,7 @@ func (v Value) Compare(o Value) int {
 		if v.kind == KindFloat && o.kind == KindInt {
 			return -compareIntFloat(o.i64(), v.f64())
 		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(v.AsFloat(), o.AsFloat()) // never a NaN: Float
 	}
 	if vn != on {
 		// Mixed numeric/text: numbers sort before text, unconditionally.
@@ -329,22 +322,10 @@ func compareIntFloat(i int64, f float64) int {
 	if f < math.MinInt64 {
 		return 1
 	}
-	t := int64(math.Trunc(f))
-	switch {
-	case i < t:
-		return -1
-	case i > t:
-		return 1
+	if c := cmp.Compare(i, int64(math.Trunc(f))); c != 0 {
+		return c
 	}
-	frac := f - math.Trunc(f)
-	switch {
-	case frac > 0:
-		return -1
-	case frac < 0:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(0, f-math.Trunc(f))
 }
 
 // numericRank reports whether the kind participates in numeric comparison.

@@ -161,7 +161,7 @@ type scanOp struct {
 	probe *corrProbe
 
 	src batchSource // captured by open, copied into worker instances
-	b   *vecBatch   // from batchPool; nil between scans
+	b   *vecBatch   // from getBatch; nil between scans
 
 	// Serial driver: next morsel, emission cursor, and the tombstones seen
 	// since the last gathered row.
@@ -325,13 +325,13 @@ func (s *scanOp) reset() {
 	}
 }
 
-// release hands the batch back to the pool once nothing will read it
+// release hands the batch back (putBatch) once nothing will read it
 // again: at the end of a scan or fold, and when a pool worker exits.
 // Anything emitted from it has been consumed by then — operators above a
 // scan copy what they keep.
 func (s *scanOp) release() {
 	if s.b != nil {
-		batchPool.Put(s.b)
+		putBatch(s.b)
 		s.b = nil
 	}
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"strings"
 	"sync"
 )
@@ -111,22 +112,47 @@ type vecBatch struct {
 	keep    rowArena  // slab storage for sealed rows a consumer keeps (scanOp.rowAt)
 }
 
-// batchPool recycles batches, scratch and all, across scans, so a point
+// freeBatches recycles batches, scratch and all, across scans, so a point
 // lookup or a short range over a big table does not allocate its buffers
-// afresh in every worker of every statement.
-var batchPool = sync.Pool{New: func() any { return new(vecBatch) }}
+// afresh in every worker of every statement. A free list rather than a
+// sync.Pool, which drops what it holds at a GC and under -race a quarter of
+// what it is handed: a scan allocates the same whatever the GC has done. It
+// keeps two full worker pools' worth, and hands out the batch handed back
+// last, whose buffers the scans of the moment have sized.
+var freeBatches struct {
+	sync.Mutex
+	list []*vecBatch
+}
 
 // getBatch returns a batch for a table of the given width. Buffers keep
 // whatever a previous scan left in them; every load overwrites what it
 // hands out.
 func getBatch(width int) *vecBatch {
-	b := batchPool.Get().(*vecBatch)
+	var b *vecBatch
+	freeBatches.Lock()
+	if n := len(freeBatches.list); n > 0 {
+		b, freeBatches.list = freeBatches.list[n-1], freeBatches.list[:n-1]
+	}
+	freeBatches.Unlock()
+	if b == nil {
+		b = new(vecBatch)
+	}
 	if cap(b.cols) < width {
 		b.cols = make([]vecCol, width)
 	}
 	b.cols = b.cols[:width]
-	b.n, b.blk, b.arena.scoped = 0, nil, true
+	b.n, b.arena.scoped = 0, true
 	return b
+}
+
+// putBatch hands a batch back once nothing will read it again.
+func putBatch(b *vecBatch) {
+	b.blk, b.seek.blk = nil, nil // a parked batch pins no block
+	freeBatches.Lock()
+	if len(freeBatches.list) < 2*parallelMaxWorkers {
+		freeBatches.list = append(freeBatches.list, b)
+	}
+	freeBatches.Unlock()
 }
 
 // reserve makes room for a morsel of n positions.
@@ -631,7 +657,7 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 			// Deliberately inverted kernel for suite-sensitivity tests.
 			test := cmpTest(op)
 			for i := 0; i < n; i++ {
-				if !test(compareInts(l.at(i).i64(), r.at(i).i64())) {
+				if !test(cmp.Compare(l.at(i).i64(), r.at(i).i64())) {
 					t.set(i)
 				}
 			}
@@ -681,15 +707,7 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 	}
 	if l.kinds == kmFloat && r.kinds == kmFloat {
 		for i := 0; i < n; i++ {
-			a, b := l.at(i).f64(), r.at(i).f64()
-			c := 0
-			switch {
-			case a < b:
-				c = -1
-			case a > b:
-				c = 1
-			}
-			if test(c) {
+			if test(cmp.Compare(l.at(i).f64(), r.at(i).f64())) {
 				t.set(i)
 			}
 		}
@@ -713,16 +731,6 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 			t.set(i)
 		}
 	}
-}
-
-func compareInts(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // arithVec evaluates l op r into out[:n]. The all-int fast path

@@ -497,7 +497,7 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 			slices.Sort(runs)
 			perGroup := float64(runs[len(runs)/2]) / groups
 			t.Logf("%s: %q: %.0f allocations, %.0f B per group", leg.name, c.q, allocs, perGroup)
-			if limit := c.maxBytes[li]; perGroup > limit && !raceDetector {
+			if limit := c.maxBytes[li]; perGroup > limit {
 				t.Errorf("%s: %q allocates %.0f B per founded group, want <= %.0f", leg.name, leg.q, perGroup, limit)
 			}
 		}

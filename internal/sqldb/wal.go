@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"path/filepath"
@@ -181,11 +180,11 @@ func wrapIOErr(err error) error {
 
 // walSnapName / walLogName name generation g's files inside dir.
 func walSnapName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%d.sql", gen))
+	return filepath.Join(dir, "snap-"+strconv.FormatUint(gen, 10)+".sql")
 }
 
 func walLogName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", gen))
+	return filepath.Join(dir, "wal-"+strconv.FormatUint(gen, 10)+".log")
 }
 
 // parseGen extracts the generation from a snap-/wal- file name; ok=false
