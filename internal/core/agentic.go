@@ -78,7 +78,7 @@ func (m *AgenticTAG) AnswerTraced(ctx context.Context, env *Env, q *tagbench.Que
 	}
 
 	if err == nil && res != nil {
-		ans := pipelineAnswer(q, res)
+		ans := toAnswer(q, res.Answer)
 		if !answerLooksEmpty(q, ans) {
 			return ans, trace, nil
 		}
@@ -97,14 +97,6 @@ func (m *AgenticTAG) AnswerTraced(ctx context.Context, env *Env, q *tagbench.Que
 		}
 	}
 	return nil, trace, err
-}
-
-// pipelineAnswer converts a pipeline result into a benchmark Answer.
-func pipelineAnswer(q *tagbench.Query, res *Result) *Answer {
-	if q.Spec.Type == nlq.Aggregation {
-		return &Answer{Text: res.Answer}
-	}
-	return parseListAnswer(res.Answer)
 }
 
 // answerLooksEmpty reports whether the pipeline produced nothing useful.

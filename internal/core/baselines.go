@@ -56,33 +56,39 @@ func (m *RAG) Name() string { return "RAG" }
 
 // Answer implements Method.
 func (m *RAG) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*Answer, error) {
-	k := m.TopK
-	if k <= 0 {
-		k = 10
-	}
-	points, err := env.retrieve(q.NL, k)
+	points, err := env.retrieve(q.NL, positiveOr(m.TopK, 10))
 	if err != nil {
 		return nil, err
 	}
-	return generateFromPoints(ctx, m.Model, points, q)
+	return generateFromPoints(ctx, m.Model, llm.DataPoints(points), q)
 }
 
 // generateFromPoints runs the answer-generation step shared by the
-// retrieval baselines: the aggregation prompt for aggregation queries, the
-// list-format prompt otherwise.
-func generateFromPoints(ctx context.Context, model llm.Model, points []llm.DataPoint, q *tagbench.Query) (*Answer, error) {
-	if q.Spec.Type == nlq.Aggregation {
-		out, err := model.Complete(ctx, llm.AggAnswerPrompt(points, q.NL))
-		if err != nil {
-			return nil, err
-		}
-		return &Answer{Text: out}, nil
-	}
-	out, err := model.Complete(ctx, llm.AnswerPrompt(points, q.NL))
+// baselines that answer from rows in context.
+func generateFromPoints(ctx context.Context, model llm.Model, points llm.Points, q *tagbench.Query) (*Answer, error) {
+	out, err := genAnswer(ctx, model, points, q.NL, q.Spec.Type == nlq.Aggregation)
 	if err != nil {
 		return nil, err
 	}
-	return parseListAnswer(out), nil
+	return toAnswer(q, out), nil
+}
+
+// positiveOr is n, or def where n is not positive: a method's default size.
+func positiveOr(n, def int) int {
+	if n > 0 {
+		return n
+	}
+	return def
+}
+
+// genAnswer is gen(R, T): the aggregation prompt for an aggregation
+// question, the list-format prompt otherwise, over the points in context.
+func genAnswer(ctx context.Context, model llm.Model, points llm.Points, question string, agg bool) (string, error) {
+	prompt := llm.AnswerPrompt
+	if agg {
+		prompt = llm.AggAnswerPrompt
+	}
+	return model.Complete(ctx, prompt(points, question))
 }
 
 // ---------------------------------------------------------------------------
@@ -104,45 +110,29 @@ func (m *RetrievalLMRank) Name() string { return "Retrieval + LM Rank" }
 
 // Answer implements Method.
 func (m *RetrievalLMRank) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*Answer, error) {
-	cand := m.Candidates
-	if cand <= 0 {
-		cand = 30
-	}
-	k := m.TopK
-	if k <= 0 {
-		k = 10
-	}
-	points, err := env.retrieve(q.NL, cand)
+	points, err := env.retrieve(q.NL, positiveOr(m.Candidates, 30))
 	if err != nil {
 		return nil, err
 	}
 	prompts := make([]string, len(points))
-	for i, p := range points {
-		prompts[i] = llm.RerankPrompt(p, q.NL)
+	for i := range points {
+		prompts[i] = llm.RerankPrompt(&points[i], q.NL)
 	}
 	outs, errs := m.Model.CompleteBatch(ctx, prompts)
-	type scored struct {
-		p llm.DataPoint
-		s float64
-	}
-	ranked := make([]scored, 0, len(points))
+	ranked, scores := make([]int, 0, len(points)), make([]float64, len(points))
 	for i, out := range outs {
 		if errs != nil && errs[i] != nil {
-			continue
+			continue // a failed call drops the row
 		}
-		s, err := strconv.ParseFloat(strings.TrimSpace(out), 64)
-		if err != nil {
-			s = 0
+		if s, err := strconv.ParseFloat(strings.TrimSpace(out), 64); err == nil {
+			scores[i] = s // an unreadable score stays 0
 		}
-		ranked = append(ranked, scored{p: points[i], s: s})
+		ranked = append(ranked, i)
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].s > ranked[j].s })
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	kept := make([]llm.DataPoint, len(ranked))
-	for i, r := range ranked {
-		kept[i] = r.p
+	sort.SliceStable(ranked, func(a, b int) bool { return scores[ranked[a]] > scores[ranked[b]] })
+	kept := make(llm.DataPoints, min(len(ranked), positiveOr(m.TopK, 10)))
+	for i := range kept {
+		kept[i] = points[ranked[i]]
 	}
 	return generateFromPoints(ctx, m.Model, kept, q)
 }
@@ -171,19 +161,14 @@ func (m *Text2SQLLM) Answer(ctx context.Context, env *Env, q *tagbench.Query) (*
 	if err != nil {
 		return nil, fmt.Errorf("text2sql+lm: retrieval SQL failed: %w", err)
 	}
-	a, err := generateFromPoints(ctx, m.Model, dataPoints(res, true), q)
-	if err != nil {
+	a, err := generateFromPoints(ctx, m.Model, newResultPoints(res, true), q)
+	if err != nil && q.Spec.Type == nlq.Aggregation {
 		// Context-length failures degrade to a parametric-knowledge-only
 		// answer for aggregation queries (Figure 2's middle panel); for
 		// exact-match queries they are simply wrong.
-		if q.Spec.Type == nlq.Aggregation {
-			out, ferr := m.Model.Complete(ctx, q.NL)
-			if ferr != nil {
-				return nil, err
-			}
+		if out, ferr := m.Model.Complete(ctx, q.NL); ferr == nil {
 			return &Answer{Text: out}, nil
 		}
-		return nil, err
 	}
-	return a, nil
+	return a, err
 }

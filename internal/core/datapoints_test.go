@@ -66,3 +66,69 @@ func TestDataPointsAllocsPerResult(t *testing.T) {
 		}
 	}
 }
+
+// The prompt rendered from a result in place is the prompt rendered from
+// the points dataPoints builds of it, byte for byte, in both renderings and
+// both answer formats, over the shapes a result comes in.
+func TestResultPointsMatchDataPoints(t *testing.T) {
+	results := map[string]*sqldb.Result{
+		"repeated names": {
+			Columns: []string{"name", "Id", "lat", "name", "Id"},
+			Rows: []sqldb.Row{
+				{sqldb.Text("Monza"), sqldb.Int(1), sqldb.Float(45.5), sqldb.Text("Italian GP"), sqldb.Int(70)},
+				{sqldb.Text("Spa"), sqldb.Int(2), sqldb.Null, sqldb.Text("Belgian GP"), sqldb.Bool(true)},
+			},
+		},
+		"line breaks": {
+			Columns: []string{"body", "n"},
+			Rows: []sqldb.Row{
+				{sqldb.Text("two\nlines"), sqldb.Int(-3)},
+				{sqldb.Text("cr\r\nlf\r"), sqldb.Null},
+				{sqldb.Text(""), sqldb.Int(1 << 40)},
+			},
+		},
+		"floats and bools": {
+			Columns: []string{"f", "ok", "g"},
+			Rows: []sqldb.Row{
+				{sqldb.Float(3), sqldb.Bool(false), sqldb.Float(0.1 + 0.2)},
+				{sqldb.Float(-1e21), sqldb.Bool(true), sqldb.Float(1.0 / 3)},
+				{sqldb.Null, sqldb.Null, sqldb.Float(2.5e-9)},
+			},
+		},
+		"empty": {Columns: []string{"a", "b"}},
+	}
+	for name, res := range results {
+		for _, sorted := range []bool{true, false} {
+			points := llm.DataPoints(dataPoints(res, sorted))
+			for format, render := range map[string]func(llm.Points, string) string{
+				"AnswerPrompt": llm.AnswerPrompt, "AggAnswerPrompt": llm.AggAnswerPrompt,
+			} {
+				if got, want := render(newResultPoints(res, sorted), "q?"), render(points, "q?"); got != want {
+					t.Errorf("%s, sorted=%v, %s:\n got %q\nwant %q", name, sorted, format, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Rendering a result in place builds no point: a 1,000-row prompt costs the
+// allocations a 100-row one does — the header and source map, the view, the
+// prompt.
+func TestResultPointsAllocsConstant(t *testing.T) {
+	build := func(rows int) *sqldb.Result {
+		res := &sqldb.Result{Columns: []string{"id", "School", "score", "ratio", "charter", "note"}}
+		for i := 0; i < rows; i++ {
+			res.Rows = append(res.Rows, sqldb.Row{sqldb.Int(int64(1000 + i)), sqldb.Text(strings.Repeat("s", 40)),
+				sqldb.Float(float64(i) + 0.5), sqldb.Float(float64(i)), sqldb.Bool(i%2 == 0), sqldb.Null})
+		}
+		return res
+	}
+	small, large := build(100), build(1000)
+	for _, sorted := range []bool{true, false} {
+		a100 := testing.AllocsPerRun(20, func() { _ = llm.AnswerPrompt(newResultPoints(small, sorted), "How many?") })
+		a1000 := testing.AllocsPerRun(20, func() { _ = llm.AnswerPrompt(newResultPoints(large, sorted), "How many?") })
+		if a1000 != a100 || a100 > 4 {
+			t.Errorf("sorted=%v: %v allocations for 100 rows, %v for 1000; want the same handful", sorted, a100, a1000)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 
 	"tag/internal/embed"
 	"tag/internal/llm"
+	"tag/internal/nlq"
 	"tag/internal/sqldb"
 	"tag/internal/tagbench"
 	"tag/internal/tagbench/domains"
@@ -134,18 +135,20 @@ func (e *Env) retrieve(question string, k int) ([]llm.DataPoint, error) {
 	return out, nil
 }
 
-// dataPoints serialises an executed result for in-context use: one
-// llm.DataPoint per row, all sharing one header. sorted is the baselines'
-// rendering, each distinct column name once in name order; otherwise every
-// column renders, in result order (gen over exec's table). Pinned wart, kept
-// from when a point was a map keyed by column name: where a join under
-// SELECT * repeats a name, every rendering of it shows the value of the
-// *last* column so named.
-//
-// Rendering order and source column are resolved once per result. A TEXT
-// cell shares the row's string; every other cell's text is cut from one
-// arena, so the allocations are per result, not per cell.
-func dataPoints(res *sqldb.Result, sorted bool) []llm.DataPoint {
+// resultPoints reads an executed result as prompt points (llm.Points) in
+// place, with rendering order and source columns resolved once. sorted is
+// the baselines' rendering, each distinct column name once in name order;
+// otherwise every column renders, in result order (gen over exec's table).
+// Pinned wart, kept from when a point was a map keyed by column name: where
+// a join under SELECT * repeats a name, every rendering of it shows the
+// value of the *last* column so named.
+type resultPoints struct {
+	rows   []sqldb.Row
+	header []string
+	src    []int // header[j] renders column src[j]
+}
+
+func newResultPoints(res *sqldb.Result, sorted bool) resultPoints {
 	cols := res.Columns
 	lastNamed := func(name string) int {
 		i := len(cols) - 1
@@ -168,35 +171,53 @@ func dataPoints(res *sqldb.Result, sorted bool) []llm.DataPoint {
 	for i, c := range header {
 		src[i] = lastNamed(c)
 	}
+	return resultPoints{rows: res.Rows, header: header, src: src}
+}
 
-	n := len(header)
-	points := make([]llm.DataPoint, len(res.Rows))
-	vals := make([]string, len(res.Rows)*n)
-	var arena strings.Builder
-	if len(res.Rows) > 0 {
-		// Most non-TEXT cells print in under eight bytes; a result that
-		// needs more grows the arena like any append.
-		nonText := 0
-		for _, s := range src {
-			if res.Rows[0][s].Kind() != sqldb.KindText {
-				nonText++
-			}
-		}
-		arena.Grow(8 * nonText * len(res.Rows))
+func (p resultPoints) Len() int           { return len(p.rows) }
+func (p resultPoints) Names(int) []string { return p.header }
+
+func (p resultPoints) ValLen(i, j int) int {
+	if v := p.rows[i][p.src[j]]; v.Kind() == sqldb.KindText {
+		return len(v.AsText())
 	}
 	var cell [32]byte
-	for r, row := range res.Rows {
-		pv := vals[r*n : (r+1)*n : (r+1)*n]
-		for i, s := range src {
+	return len(p.AppendVal(cell[:0], i, j))
+}
+
+func (p resultPoints) AppendVal(dst []byte, i, j int) []byte {
+	return p.rows[i][p.src[j]].AppendText(dst)
+}
+
+// dataPoints builds the points resultPoints reads, for RAG's index, which
+// keeps them. A TEXT cell shares the row's string; every other cell's text
+// is cut from one arena, sized up front, so the allocations are per result,
+// not per cell.
+func dataPoints(res *sqldb.Result, sorted bool) []llm.DataPoint {
+	view, size := newResultPoints(res, sorted), 0
+	for i, row := range res.Rows {
+		for j, s := range view.src {
+			if row[s].Kind() != sqldb.KindText {
+				size += view.ValLen(i, j)
+			}
+		}
+	}
+	var arena strings.Builder
+	arena.Grow(size)
+	n, cell := len(view.header), [32]byte{}
+	points, vals := make([]llm.DataPoint, len(res.Rows)), make([]string, len(res.Rows)*n)
+	for i, row := range res.Rows {
+		pv := vals[i*n : (i+1)*n : (i+1)*n]
+		for j, s := range view.src {
 			if v := row[s]; v.Kind() == sqldb.KindText {
-				pv[i] = v.AsText()
+				pv[j] = v.AsText()
 			} else {
 				at := arena.Len()
 				arena.Write(v.AppendText(cell[:0]))
-				pv[i] = arena.String()[at:]
+				pv[j] = arena.String()[at:]
 			}
 		}
-		points[r] = llm.DataPoint{Cols: header, Vals: pv}
+		points[i] = llm.DataPoint{Cols: view.header, Vals: pv}
 	}
 	return points
 }
@@ -214,8 +235,12 @@ func resultToAnswer(res *sqldb.Result) *Answer {
 	return a
 }
 
-// parseListAnswer converts an LM's "[v1, v2]" output to an Answer.
-func parseListAnswer(raw string) *Answer {
+// toAnswer reads generated text as an Answer: free text for an aggregation
+// question, else the LM's "[v1, v2]" list.
+func toAnswer(q *tagbench.Query, raw string) *Answer {
+	if q.Spec.Type == nlq.Aggregation {
+		return &Answer{Text: raw}
+	}
 	return &Answer{Values: llm.ParseAnswerList(raw), Text: raw}
 }
 

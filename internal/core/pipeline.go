@@ -70,12 +70,8 @@ func (p *Pipeline) Run(ctx context.Context, env *Env, question string) (*Result,
 
 // generate runs the answer-generation step over the computed table.
 func (p *Pipeline) generate(ctx context.Context, question string, table *sqldb.Result) (string, error) {
-	points := dataPoints(table, false)
 	spec, err := nlq.Parse(question)
-	if err == nil && spec.Type == nlq.Aggregation {
-		return p.Model.Complete(ctx, llm.AggAnswerPrompt(points, question))
-	}
-	return p.Model.Complete(ctx, llm.AnswerPrompt(points, question))
+	return genAnswer(ctx, p.Model, newResultPoints(table, false), question, err == nil && spec.Type == nlq.Aggregation)
 }
 
 // LMFuncs is the LM user-defined functions over a model, as the set a
@@ -182,8 +178,5 @@ func (m *TAGPipelineMethod) Answer(ctx context.Context, env *Env, q *tagbench.Qu
 	if err != nil {
 		return nil, err
 	}
-	if q.Spec.Type == nlq.Aggregation {
-		return &Answer{Text: res.Answer}, nil
-	}
-	return parseListAnswer(res.Answer), nil
+	return toAnswer(q, res.Answer), nil
 }

@@ -38,7 +38,7 @@ func TestAnswerHeadRanking(t *testing.T) {
 		pt("Title", "what music do you listen to while working", "ViewCount", "300"),
 	}
 	q := "Of the 3 posts with the highest view count, list their title in order of most technical to least technical."
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAnswerHeadAggregationSummary(t *testing.T) {
 		pt("Text", "still the best thing I have ever watched"),
 	}
 	q := "Summarize the text of the comments whose comment score is over 0."
-	out, err := m.Complete(context.Background(), AggAnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AggAnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCountSlipChangesAnswer(t *testing.T) {
 		points = append(points, pt("height", "190", "player_name", "P"+strconv.Itoa(i)))
 	}
 	q := "Among the players whose height is over 180, how many of them are taller than Stephen Curry?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRankingSlipSwapsEntries(t *testing.T) {
 	// The grammar needs a period for List frames; keep the question as the
 	// paper's style by using the match list form directly.
 	q = strings.TrimSuffix(q, "?") + "."
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestAnswerPromptRoundTrip(t *testing.T) {
 		pt("School", "Gunn High", "AvgScrMath", "610"),
 		pt("School", "Fresno High", "AvgScrMath", "520"),
 	}
-	prompt := AnswerPrompt(points, "How many schools?")
+	prompt := AnswerPrompt(DataPoints(points), "How many schools?")
 	got, q, ok := parseAnswerPrompt(prompt)
 	if !ok || q != "How many schools?" || len(got) != 2 {
 		t.Fatalf("round trip: ok=%v q=%q n=%d", ok, q, len(got))
@@ -257,7 +257,7 @@ func TestAnswerHeadCounting(t *testing.T) {
 		pt("height", "170", "player_name", "D", "volleys", "90"),
 	}
 	q := "Among the players whose height is over 180 and whose volley score is over 70, how many of them are taller than Stephen Curry?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAnswerHeadMatch(t *testing.T) {
 		pt("City", "Palo Alto", "GSoffered", "K-12", "Longitude", "-122.1", "School", "Gunn High"),
 	}
 	q := "What is the grade span offered of the school with the highest longitude located in a city that is part of the 'Silicon Valley' region?"
-	out, err := m.Complete(context.Background(), AnswerPrompt(points, q))
+	out, err := m.Complete(context.Background(), AnswerPrompt(DataPoints(points), q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +459,8 @@ func TestFreeformSepangFallback(t *testing.T) {
 func TestRerankHeadScoresRelevantHigher(t *testing.T) {
 	m := newTestLM(OracleProfile())
 	q := "Among the players whose height is over 180, how many of them are taller than Stephen Curry?"
-	relevant := RerankPrompt(pt("height", "195", "player_name", "A"), q)
-	irrelevant := RerankPrompt(pt("height", "160", "player_name", "B"), q)
+	a, b := pt("height", "195", "player_name", "A"), pt("height", "160", "player_name", "B")
+	relevant, irrelevant := RerankPrompt(&a, q), RerankPrompt(&b, q)
 	r1, _ := m.Complete(context.Background(), relevant)
 	r2, _ := m.Complete(context.Background(), irrelevant)
 	if r1 <= r2 {

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // This file defines the prompt formats shared between the pipelines (which
@@ -60,13 +61,35 @@ type DataPoint struct {
 	Vals []string
 }
 
+// Points is what an in-context prompt reads: Len points, point i with the
+// fields named Names(i), the text of field j ValLen bytes long and appended
+// by AppendVal. A list of points (DataPoints) is one, a single *DataPoint
+// another, and a query result read in place a third (internal/core).
+type Points interface {
+	Len() int
+	Names(i int) []string
+	ValLen(i, j int) int
+	AppendVal(dst []byte, i, j int) []byte
+}
+
+// DataPoints reads a list of points as Points.
+type DataPoints []DataPoint
+
+func (d DataPoints) Len() int                              { return len(d) }
+func (d DataPoints) Names(i int) []string                  { return d[i].Cols }
+func (d DataPoints) ValLen(i, j int) int                   { return len(d[i].Vals[j]) }
+func (d DataPoints) AppendVal(dst []byte, i, j int) []byte { return append(dst, d[i].Vals[j]...) }
+
+func (p *DataPoint) Len() int                              { return 1 }
+func (p *DataPoint) Names(int) []string                    { return p.Cols }
+func (p *DataPoint) ValLen(_, j int) int                   { return len(p.Vals[j]) }
+func (p *DataPoint) AppendVal(dst []byte, _, j int) []byte { return append(dst, p.Vals[j]...) }
+
 // get reads the named column. Where a name repeats, the last occurrence is
 // the one read — what the map this type used to be kept.
 func (p DataPoint) get(name string) (string, bool) {
-	if i := lastIndex(p.Cols, name); i >= 0 {
-		return p.Vals[i], true
-	}
-	return "", false
+	c := columnNamed(name)
+	return c.of(p)
 }
 
 func lastIndex(cols []string, name string) int {
@@ -116,68 +139,54 @@ const (
 // dataPrompt is the one writer behind the three in-context prompts: head,
 // the points as "Data Point n:" blocks of "- col: val" lines, and the
 // question. The prompt's length is a sum of lengths, so it is sized before
-// the first byte is written. A line break inside a value is written as a
-// space: it would otherwise read back as prompt structure (a new field or
-// a new point).
-func dataPrompt(head string, points []DataPoint, question string) string {
+// the first byte is written (and, as strings.Builder's, never written after
+// it is the string). A line break inside a value is written as a space: it
+// would otherwise read back as prompt structure (a new field or a new point).
+func dataPrompt(head string, points Points, question string) string {
 	n := len(head) + len(questionTail) + len(question)
-	for i, p := range points {
-		n += len("Data Point :\n") + decimalLen(i+1) + len("- : \n")*len(p.Cols)
-		for j, c := range p.Cols {
-			n += len(c) + len(p.Vals[j])
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(head)
 	var num [20]byte
-	for i, p := range points {
-		b.WriteString("Data Point ")
-		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
-		b.WriteString(":\n")
-		for j, c := range p.Cols {
-			b.WriteString("- ")
-			b.WriteString(c)
-			b.WriteString(": ")
-			v := p.Vals[j]
-			for k := strings.IndexAny(v, "\n\r"); k >= 0; k = strings.IndexAny(v, "\n\r") {
-				b.WriteString(v[:k])
-				b.WriteByte(' ')
-				v = v[k+1:]
-			}
-			b.WriteString(v)
-			b.WriteByte('\n')
+	for i := range points.Len() {
+		names := points.Names(i)
+		n += len("Data Point :\n") + len(strconv.AppendInt(num[:0], int64(i+1), 10)) + len("- : \n")*len(names)
+		for j, c := range names {
+			n += len(c) + points.ValLen(i, j)
 		}
 	}
-	b.WriteString(questionTail)
-	b.WriteString(question)
-	return b.String()
-}
-
-func decimalLen(n int) int {
-	d := 1
-	for ; n >= 10; n /= 10 {
-		d++
+	b := append(make([]byte, 0, n), head...)
+	for i := range points.Len() {
+		b = append(strconv.AppendInt(append(b, "Data Point "...), int64(i+1), 10), ":\n"...)
+		for j, c := range points.Names(i) {
+			b = append(append(append(b, "- "...), c...), ": "...)
+			at := len(b)
+			b = points.AppendVal(b, i, j)
+			for k := at; k < len(b); k++ {
+				if b[k] == '\n' || b[k] == '\r' {
+					b[k] = ' '
+				}
+			}
+			b = append(b, '\n')
+		}
 	}
-	return d
+	b = append(append(b, questionTail...), question...)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // AnswerPrompt renders the answer-generation prompt for match-based,
 // comparison and ranking queries (Appendix B.2, list-format variant).
-func AnswerPrompt(points []DataPoint, question string) string {
+func AnswerPrompt(points Points, question string) string {
 	return dataPrompt(answerListHead, points, question)
 }
 
 // AggAnswerPrompt renders the aggregation-variant answer prompt (free-form
 // answer, Appendix B.2 second template).
-func AggAnswerPrompt(points []DataPoint, question string) string {
+func AggAnswerPrompt(points Points, question string) string {
 	return dataPrompt(answerAggHead, points, question)
 }
 
 // RerankPrompt renders the 0–1 relevance-scoring prompt used by the
 // Retrieval + LM Rank baseline (after STaRK).
-func RerankPrompt(point DataPoint, question string) string {
-	return dataPrompt(rerankHead, []DataPoint{point}, question)
+func RerankPrompt(point *DataPoint, question string) string {
+	return dataPrompt(rerankHead, point, question)
 }
 
 // parseAnswerPrompt recovers the data points and question from an answer

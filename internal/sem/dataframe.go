@@ -44,20 +44,14 @@ func FromResult(res *sqldb.Result) *DataFrame {
 	return &DataFrame{cols: append([]string(nil), res.Columns...), rows: res.Rows}
 }
 
-// FromRows drains a streaming cursor into a DataFrame and closes it: the
-// frame is built row by row as the engine produces them, without an
-// intermediate Result. The cursor's error, if any, is returned.
+// FromRows drains a streaming cursor into a DataFrame and closes it
+// (Rows.Collect). The cursor's error, if any, is returned.
 func FromRows(rows *sqldb.Rows) (*DataFrame, error) {
-	defer rows.Close()
-	cols := rows.Columns()
-	var out []sqldb.Row
-	for rows.Next() {
-		out = append(out, rows.Row())
-	}
-	if err := rows.Err(); err != nil {
+	res, err := rows.Collect()
+	if err != nil {
 		return nil, err
 	}
-	return &DataFrame{cols: cols, rows: out}, nil
+	return &DataFrame{cols: res.Columns, rows: res.Rows}, nil
 }
 
 // FromTable loads an entire table (SELECT *) through the streaming API.

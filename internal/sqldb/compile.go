@@ -687,17 +687,3 @@ func compileCase(c *CaseExpr, env *evalEnv) (compiledExpr, error) {
 		return Null, nil
 	}, nil
 }
-
-// compileOrderKey compiles one ORDER BY key against the output environment
-// (whose outer scope is the input-row environment). Integer literals are
-// 1-based output ordinals, as in SQLite.
-func compileOrderKey(e Expr, oenv *evalEnv, outWidth int) (compiledExpr, error) {
-	if lit, ok := e.(*Literal); ok && lit.Val.Kind() == KindInt {
-		i := int(lit.Val.AsInt())
-		if i < 1 || i > outWidth {
-			return nil, errf(ErrMisuse, "sql: ORDER BY ordinal %d out of range", i)
-		}
-		return func() (Value, error) { return oenv.row[i-1], nil }, nil
-	}
-	return compileExpr(e, oenv)
-}

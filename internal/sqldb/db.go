@@ -9,7 +9,8 @@ import (
 
 // Result is a fully materialised query result — what Rows.Collect
 // returns. Callers that consume rows incrementally (or stop early) should
-// prefer Database.QueryRows.
+// prefer Database.QueryRows. Its rows are read-only: a row may be the
+// table's own storage, and Rows may be a full sort's own slice.
 type Result struct {
 	Columns []string
 	Rows    []Row

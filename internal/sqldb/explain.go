@@ -94,8 +94,8 @@ func (p *planPrinter) describe(op operator, depth int) {
 		p.emit(depth, "limit/offset")
 		p.describe(t.child, depth+1)
 	case *sortOp:
-		keys := make([]string, len(t.orderBy))
-		for i, ob := range t.orderBy {
+		keys := make([]string, len(t.keys.orderBy))
+		for i, ob := range t.keys.orderBy {
 			keys[i] = ob.String()
 		}
 		note := ""

@@ -118,9 +118,10 @@ func (r *Rows) fail(err error) {
 	r.Close()
 }
 
-// Row returns the current row (valid after a true Next). The returned
-// slice is owned by the result and must not be mutated. A lent cursor's row
-// (QueryRowsStmt) is valid until the next Next; copy what you keep.
+// Row returns the current row (valid after a true Next). It is read-only:
+// it may be the table's own storage, which SELECT * hands up unbuilt. A lent
+// cursor's row (QueryRowsStmt) is valid until the next Next; copy what you
+// keep.
 func (r *Rows) Row() Row { return r.cur }
 
 // Scan copies the current row into the destinations: one per column, each
@@ -211,11 +212,20 @@ func (r *Rows) Close() error {
 
 // Collect drains the cursor into a materialised Result and closes it —
 // the bridge from the streaming API to the old eager one (Database.Query
-// is QueryRows + Collect). A lent cursor's rows are copied.
+// is QueryRows + Collect). A lent cursor's rows are copied; a full sort's
+// slice is adopted, not copied. The rows are read-only, as Row's are.
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	var rows []Row
 	for r.Next() {
+		if s, ok := r.root.(*sortOp); ok && s.presorted == 0 {
+			rows, s.pos = s.rows, len(s.rows) // the first Next built it
+			for i, row := range rows {
+				rows[i] = row[:s.keys.width:s.keys.width]
+			}
+			r.qc.RowsEmitted += uint64(len(rows) - 1)
+			break
+		}
 		if r.lent {
 			r.cur = r.cur.Clone()
 		}

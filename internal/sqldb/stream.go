@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"sort"
-	"strings"
 )
 
 // This file implements the streaming tail of a SELECT plan. Where the
@@ -15,19 +14,20 @@ import (
 // aggregation) buffer rows. EXISTS and scalar subqueries pull a single
 // row from their subplan instead of materialising it (compile.go).
 //
-// Internally, when the statement has an ORDER BY, each projected row is
-// extended with its eagerly evaluated sort keys (they may reference input
-// columns that do not survive projection): project emits
-// [out₀..outₙ₋₁, key₀..keyₘ₋₁], distinct deduplicates on the out prefix,
-// and sort strips the keys as it emits. Without ORDER BY rows are exactly
-// the output width everywhere.
+// Internally, a sort key that is an output column is read where it sits in
+// the row (sortKeys); only the other ORDER BY keys, which may reference input
+// columns that do not survive projection, are evaluated eagerly and appended
+// after the output width: project emits [out₀..outₙ₋₁, key…], distinct
+// deduplicates on the out prefix, and sort strips the appended keys as it
+// emits. Without them rows are exactly the output width everywhere, and a
+// projection of exactly its input's columns hands its input rows up unbuilt.
 
-// rowBuilder evaluates a select list, and the ORDER BY keys after it, into
-// one output row: what a projection does per input row and an aggregation
-// per group.
+// rowBuilder evaluates a select list, and the appended ORDER BY keys after
+// it, into one output row: what a projection does per input row and an
+// aggregation per group.
 type rowBuilder struct {
 	citems    []compiledExpr
-	orderKeys []compiledExpr // nil without ORDER BY
+	orderKeys []compiledExpr // the keys not read in place (sortKeys)
 	oenv      *evalEnv       // output-row environment the keys read from
 	arena     rowArena
 }
@@ -65,6 +65,9 @@ type projectOp struct {
 	// fused: the scan below evaluated the items itself (vecops.go) and
 	// hands up finished output rows.
 	fused bool
+	// pass: an identity projection with no sort key appended hands its
+	// input rows up as they are.
+	pass bool
 }
 
 func (p *projectOp) columns() []colInfo { return p.outCols }
@@ -72,7 +75,7 @@ func (p *projectOp) reset()             { p.child.reset() }
 
 func (p *projectOp) next() (Row, bool, error) {
 	r, ok, err := p.child.next()
-	if err != nil || !ok || p.fused {
+	if err != nil || !ok || p.fused || p.pass {
 		return r, ok, err
 	}
 	p.env.row = r
@@ -189,17 +192,16 @@ func (d *distinctOp) next() (Row, bool, error) {
 }
 
 // sortOp is the ORDER BY pipeline breaker: it drains its child on first
-// pull, stable-sorts on the trailing key columns, and emits rows stripped
-// back to the output width. When the statement has a LIMIT (and the
+// pull, stable-sorts on the keys where they sit (sortKeys), and emits rows
+// stripped back to the output width. When the statement has a LIMIT (and the
 // planner could not serve the order from an index), topK bounds the sort:
 // only the first topK rows of the sorted order are retained in a max-heap
 // (topKHeap) while draining — O(n log k) with k live rows instead of sorting
 // and slicing the whole input.
 type sortOp struct {
-	child   operator
-	width   int
-	orderBy []OrderItem
-	topK    int // -1 = keep everything
+	child operator
+	keys  *sortKeys
+	topK  int // -1 = keep everything
 	// bat, when set, is the scan that keeps the top-K itself, morsel by
 	// morsel (drainTopK); child is then only displayed.
 	bat *scanOp
@@ -251,7 +253,7 @@ func (s *sortOp) next() (Row, bool, error) {
 			if err == nil {
 				s.drained += uint64(len(rows))
 				sort.SliceStable(rows, func(a, b int) bool {
-					return compareSortKeys(s.orderBy, rows[a][s.width:], rows[b][s.width:]) < 0
+					return s.keys.compare(rows[a], rows[b], 0, len(s.keys.at)) < 0
 				})
 			}
 		}
@@ -266,7 +268,7 @@ func (s *sortOp) next() (Row, bool, error) {
 	}
 	r := s.rows[s.pos]
 	s.pos++
-	return r[:s.width:s.width], true, nil
+	return r[:s.keys.width:s.keys.width], true, nil
 }
 
 // nextGrouped is the presorted streaming mode: buffer one run of rows
@@ -280,7 +282,7 @@ func (s *sortOp) nextGrouped() (Row, bool, error) {
 		if s.runPos < len(s.run) {
 			r := s.run[s.runPos]
 			s.runPos++
-			return r[:s.width:s.width], true, nil
+			return r[:s.keys.width:s.keys.width], true, nil
 		}
 		if s.eof {
 			return nil, false, nil
@@ -301,7 +303,7 @@ func (s *sortOp) nextGrouped() (Row, bool, error) {
 				break
 			}
 			s.drained++
-			if len(s.run) > 0 && !s.sameRun(s.run[0], r) {
+			if len(s.run) > 0 && s.keys.compare(s.run[0], r, 0, s.presorted) != 0 {
 				s.pendRow, s.pendOK = r, true
 				break
 			}
@@ -311,29 +313,79 @@ func (s *sortOp) nextGrouped() (Row, bool, error) {
 			return nil, false, nil
 		}
 		sort.SliceStable(s.run, func(a, b int) bool {
-			from := s.width + s.presorted
-			return compareSortKeys(s.orderBy[s.presorted:], s.run[a][from:], s.run[b][from:]) < 0
+			return s.keys.compare(s.run[a], s.run[b], s.presorted, len(s.keys.at)) < 0
 		})
 	}
 }
 
-// sameRun reports whether two extended rows agree on the leading
-// presorted keys.
-func (s *sortOp) sameRun(a, b Row) bool {
-	return compareSortKeys(s.orderBy[:s.presorted], a[s.width:], b[s.width:]) == 0
+// sortKeys says where each ORDER BY key sits in the rows a sort is offered:
+// at the output column it reads in place (outColumn), or appended after the
+// output width, in key order — rows are [out…, appended keys…] and wide
+// long.
+type sortKeys struct {
+	orderBy     []OrderItem
+	at          []int
+	width, wide int
 }
 
-// compareSortKeys orders two rows' evaluated sort keys: <0, 0, >0.
-func compareSortKeys(orderBy []OrderItem, a, b []Value) int {
-	for j, ob := range orderBy {
-		if c := a[j].Compare(b[j]); c != 0 {
-			if ob.Desc {
+// newSortKeys places each key of orderBy over the select list.
+func newSortKeys(orderBy []OrderItem, items []SelectItem, outCols, in []colInfo) *sortKeys {
+	k := &sortKeys{orderBy: orderBy, at: make([]int, len(orderBy)), width: len(outCols), wide: len(outCols)}
+	for i, ob := range orderBy {
+		if k.at[i] = outColumn(ob.Expr, items, outCols, in); k.at[i] < 0 {
+			k.at[i], k.wide = k.wide, k.wide+1
+		}
+	}
+	return k
+}
+
+// compare orders two rows on keys [from, to): <0, 0, >0.
+func (k *sortKeys) compare(a, b Row, from, to int) int {
+	for j := from; j < to; j++ {
+		if c := a[k.at[j]].Compare(b[k.at[j]]); c != 0 {
+			if k.orderBy[j].Desc {
 				return -c
 			}
 			return c
 		}
 	}
 	return 0
+}
+
+// outColumn is the output column ORDER BY key e reads in place, or -1: an
+// ordinal in range, a bare name exactly one output column answers to (ORDER
+// BY resolves the output first), or a column of the input, named by no
+// output column, that an item projects plainly.
+func outColumn(e Expr, items []SelectItem, outCols, in []colInfo) int {
+	switch t := e.(type) {
+	case *Literal:
+		if t.Val.Kind() == KindInt && t.Val.AsInt() >= 1 && t.Val.AsInt() <= int64(len(outCols)) {
+			return int(t.Val.AsInt()) - 1
+		}
+	case *ColumnRef:
+		switch j, n := findCol(outCols, t.Table, t.Column); {
+		case n == 1:
+			return j
+		case n > 1:
+			return -1 // ambiguous: the compiled key reports it
+		}
+		if k := inputColumn(t, in); k >= 0 {
+			for j, it := range items {
+				if c, ok := it.Expr.(*ColumnRef); ok && inputColumn(c, in) == k {
+					return j
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// inputColumn is the one input column c names, or -1.
+func inputColumn(c *ColumnRef, in []colInfo) int {
+	if k, n := findCol(in, c.Table, c.Column); n == 1 {
+		return k
+	}
+	return -1
 }
 
 // debugBreakRowCopy makes the top-K heap retain the rows it is offered
@@ -349,7 +401,7 @@ type topkRow struct {
 }
 
 // topKHeap retains the first k rows of a sort order out of the extended rows
-// [out…, keys…] it is offered: a max-heap by (sort keys, arrival ordinal) —
+// [out…, appended keys…] it is offered: a max-heap by (sort keys, arrival ordinal) —
 // a total order, so the root, the retained row sorting last, is well
 // defined. An offered row stays its producer's: one that enters is copied,
 // into the storage of the row it evicts once the heap is full. The row-path
@@ -357,15 +409,14 @@ type topkRow struct {
 // instance (vecops.go).
 type topKHeap struct {
 	k       int
-	width   int // output width: the keys follow it
-	orderBy []OrderItem
+	keys    *sortKeys
 	h       []topkRow
 	offered uint64
 }
 
 // after reports whether a sorts after b in the output order.
 func (t *topKHeap) after(a, b topkRow) bool {
-	if c := compareSortKeys(t.orderBy, a.row[t.width:], b.row[t.width:]); c != 0 {
+	if c := t.keys.compare(a.row, b.row, 0, len(t.keys.at)); c != 0 {
 		return c > 0
 	}
 	return a.seq > b.seq
@@ -445,7 +496,7 @@ func (s *sortOp) drainTopK() ([]Row, error) {
 			heaps = append(heaps, inst.fold.top)
 		}
 	} else {
-		t := &topKHeap{k: s.topK, width: s.width, orderBy: s.orderBy}
+		t := &topKHeap{k: s.topK, keys: s.keys}
 		heaps = append(heaps, t)
 		for seq := 0; ; seq++ {
 			r, ok, err := s.child.next()
@@ -582,7 +633,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	var walk *scanOp
 	if !aggregate && len(stmt.OrderBy) >= 1 && len(stmt.Joins) == 0 &&
 		(len(stmt.OrderBy) == 1 || !stmt.Distinct) {
-		walk = tryOrderedScan(stmt, items, src)
+		walk = tryOrderedScan(stmt, items, outCols, src)
 	}
 	orderElided := walk != nil
 
@@ -591,6 +642,18 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	// key extension); an elided leading key with trailing keys keeps a
 	// streaming tie-sort over all the keys.
 	needSort := len(stmt.OrderBy) > 0 && (!orderElided || len(stmt.OrderBy) > 1)
+	var keys *sortKeys
+	if needSort {
+		keys = newSortKeys(stmt.OrderBy, items, outCols, src.columns())
+	}
+	// An identity projection: the items are exactly the input's columns in
+	// order, as star expansion stamps them (expandItems) — SELECT * or t.*
+	// over one table, a.*, b.* over a join in FROM order.
+	pass := !aggregate && (keys == nil || keys.wide == keys.width) && len(items) == len(src.columns())
+	for i, it := range items {
+		c, ok := it.Expr.(*ColumnRef)
+		pass = pass && ok && c.index == i
+	}
 
 	// Collect the aggregate calls the query references anywhere.
 	var aggs []*FuncCall
@@ -654,10 +717,10 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	shape := scanShape{
 		stmt: stmt, items: items, aggregate: aggregate, aggs: aggs, specs: specs,
 		repRows:  aggregate && readsRepRow(stmt, items, outCols),
-		needSort: needSort, poolable: topLevel && outer == nil, topK: topK,
+		needSort: needSort, pass: pass, poolable: topLevel && outer == nil, topK: topK,
 	}
-	if topK >= 0 && !aggregate && !stmt.Distinct {
-		shape.order = scanOrderKeys(stmt.OrderBy, outCols)
+	if topK >= 0 && !aggregate && !stmt.Distinct && keys.foldable(items, outCols) {
+		shape.order = keys
 	}
 	if qc != nil && qc.lent != nil && !aggregate {
 		for _, it := range items {
@@ -697,8 +760,10 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		// ORDER BY resolves output aliases first, then input columns.
 		oenv = newEvalEnv(outCols, db, params, env, qc)
 		oenv.agg = env.agg
-		orderKeys = make([]compiledExpr, len(stmt.OrderBy))
 		for i, ob := range stmt.OrderBy {
+			if keys.at[i] < keys.width {
+				continue // read in place
+			}
 			// A key whose batch-form calls are gathered ahead reads the input
 			// row alone (the output row is not built yet): it is compiled
 			// against the input where that cannot change what its names mean.
@@ -706,11 +771,14 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			if gather != nil && qc.callsBatchFunc(ob.Expr) && readsInputOnly(ob.Expr, items, outCols) {
 				kenv = env
 			}
-			k, err := compileOrderKey(ob.Expr, kenv, len(outCols))
+			if lit, ok := ob.Expr.(*Literal); ok && lit.Val.Kind() == KindInt {
+				return errf(ErrMisuse, "sql: ORDER BY ordinal %d out of range", lit.Val.AsInt())
+			}
+			k, err := compileExpr(ob.Expr, kenv)
 			if err != nil {
 				return err
 			}
-			orderKeys[i] = k
+			orderKeys = append(orderKeys, k)
 		}
 		return nil
 	}
@@ -750,7 +818,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 	} else {
 		fused := bscan != nil && bscan.proj != nil
 		var citems []compiledExpr
-		if !fused { // a fused scan compiled the items into its own pipeline
+		if !fused && !pass { // a fused scan compiled the items into its own pipeline
 			citems = make([]compiledExpr, len(items))
 			for i, it := range items {
 				if citems[i], err = compileExpr(it.Expr, env); err != nil {
@@ -762,11 +830,13 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 			return nil, nil, err
 		}
 		root = &projectOp{
-			child: src, outCols: outCols, items: items, env: env, fused: fused,
+			child: src, outCols: outCols, items: items, env: env, fused: fused, pass: pass,
 			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
 		}
 	}
-	lendRows(src) // both read each input row and drop it
+	if !pass {
+		lendRows(src) // both read each input row and drop it
+	}
 
 	if stmt.Distinct {
 		root = &distinctOp{child: root, width: len(outCols)}
@@ -779,7 +849,7 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		if topK >= 0 {
 			lendRows(root) // the heap copies the rows it keeps
 		}
-		so := &sortOp{child: root, width: len(outCols), orderBy: stmt.OrderBy, topK: topK, presorted: presorted}
+		so := &sortOp{child: root, keys: keys, topK: topK, presorted: presorted}
 		if bscan != nil && bscan.order != nil {
 			so.bat = bscan
 		}
@@ -814,8 +884,9 @@ func readsInputOnly(e Expr, items []SelectItem, outCols []colInfo) bool {
 // reads each row and drops it (the row-lifetime rule, exec.go) — a
 // projection, an aggregation, a top-K sort, the probe side of a join, a
 // cursor whose caller drops each row (queryRows) — so they build, or decode
-// from sealed blocks, every row in one buffer. Filters, DISTINCT and LIMIT
-// pass rows through; a join's probe input feeds such a consumer in turn.
+// from sealed blocks, every row in one buffer. Filters, DISTINCT, LIMIT and
+// an identity projection pass rows through; a join's probe input feeds such
+// a consumer in turn.
 // Everything else keeps the default: a drained build side or derived table,
 // a full sort and a cursor that hands its rows to the caller own the rows
 // they are handed.
@@ -836,6 +907,10 @@ func lendRows(op operator) {
 		case *indexJoinOp:
 			t.arena.reuse, op = true, t.probe
 		case *projectOp:
+			if t.pass {
+				op = t.child
+				continue
+			}
 			t.arena.reuse = true
 			if s, ok := t.child.(*scanOp); ok && t.fused {
 				s.arena.reuse = true // the scan builds the projection's rows
@@ -853,61 +928,34 @@ func lendRows(op operator) {
 	}
 }
 
-// scanOrderKeys resolves ORDER BY keys for a sort that may fold into its
-// scan (vecops.go): a key naming an output column — by ordinal or bare
-// name, which ORDER BY resolves against the output first — reads that column
-// of the row being built; any other must read the scan's columns alone. nil
-// when some key does neither: it reaches the output row from inside a larger
-// expression or (possibly) a subquery, or is an ambiguous or out-of-range
-// reference whose error the row path reports.
-func scanOrderKeys(orderBy []OrderItem, outCols []colInfo) []scanKey {
-	outCol := func(e Expr) (int, bool) { // the output column a bare reference names
-		cr, ok := e.(*ColumnRef)
-		if !ok || cr.Table != "" {
-			return 0, false
-		}
-		j, n := findCol(outCols, "", cr.Column)
-		if n > 1 {
-			j = -1 // ambiguous
-		}
-		return j, n > 0
-	}
-	keys := make([]scanKey, len(orderBy))
-	for i, ob := range orderBy {
-		keys[i] = scanKey{out: -1, expr: ob.Expr}
-		if lit, ok := ob.Expr.(*Literal); ok && lit.Val.Kind() == KindInt {
-			keys[i].out = int(lit.Val.AsInt()) - 1
-		} else if j, named := outCol(ob.Expr); named {
-			keys[i].out = j
-		} else {
-			scanOnly := true
-			walkExpr(ob.Expr, func(x Expr) bool {
-				_, named := outCol(x)
-				scanOnly = scanOnly && !named && !isSubqueryNode(x)
-				return scanOnly
-			})
-			if scanOnly {
-				continue
-			}
-		}
-		if keys[i].out < 0 || keys[i].out >= len(outCols) {
-			return nil
+// foldable reports whether a scan can evaluate the keys of a sort folded
+// into it (vecops.go): each key not read in place reads the scan's columns
+// alone (readsInputOnly) and is no ordinal, which would be out of range, an
+// error the row path reports first.
+func (k *sortKeys) foldable(items []SelectItem, outCols []colInfo) bool {
+	for i, ob := range k.orderBy {
+		lit, ordinal := ob.Expr.(*Literal)
+		if k.at[i] >= k.width && (ordinal && lit.Val.Kind() == KindInt || !readsInputOnly(ob.Expr, items, outCols)) {
+			return false
 		}
 	}
-	return keys
+	return true
 }
 
 // tryOrderedScan decides whether the statement's single ORDER BY key can
 // be served by walking the base table in index order. The source chain
 // must bottom out in a scanOp (filters pass order through); the key must
 // be a bare or correctly-qualified reference to an indexed column of that
-// scan; and — because ORDER BY resolves output names first — a bare key
-// that collides with an output column is only safe when that output
-// column is the very same table column. If the scan carries a range
-// restriction it must be on the same column, and bounds the walk. On
-// success the scan's access path becomes the ordered walk (its conjuncts
-// stay its own) and the scan is returned; nil otherwise.
-func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator) *scanOp {
+// scan; and — because ORDER BY resolves output names first — it must read
+// that very column: as an output column that projects it plainly or, with
+// no output column of its name, as the input. DISTINCT keeps each group's
+// first-arriving row and orders groups by that representative's key, which
+// index order reproduces only when the key is part of the deduplicated row.
+// If the scan carries a range restriction it must be on the same column,
+// and bounds the walk. On success the scan's access path becomes the
+// ordered walk (its conjuncts stay its own) and the scan is returned; nil
+// otherwise.
+func tryOrderedScan(stmt *SelectStmt, items []SelectItem, outCols []colInfo, src operator) *scanOp {
 	for f, ok := src.(*filterOp); ok; f, ok = src.(*filterOp) {
 		src = f.child
 	}
@@ -921,60 +969,15 @@ func tryOrderedScan(stmt *SelectStmt, items []SelectItem, src operator) *scanOp 
 		return nil
 	}
 	idx := indexFor(sc.table, sc.qual, cr)
-	if idx == nil {
+	if idx == nil || sc.rangeIdx != nil && sc.rangeIdx != idx {
 		return nil
 	}
-	if sc.rangeIdx != nil && sc.rangeIdx != idx {
+	if j := outColumn(cr, items, outCols, sc.cols); j >= 0 {
+		if c, plain := items[j].Expr.(*ColumnRef); !plain || inputColumn(c, sc.cols) != idx.Column {
+			return nil
+		}
+	} else if _, n := findCol(outCols, cr.Table, cr.Column); n > 0 || stmt.Distinct {
 		return nil
-	}
-	if stmt.Distinct {
-		// DISTINCT keeps each group's first-arriving row, and the sort
-		// orders groups by that representative's key. Index order only
-		// reproduces this when the key is part of the deduplicated
-		// output row (then all of a group's rows share it); a key
-		// outside the output would make group order depend on which
-		// representative arrived first — i.e. on the access path.
-		keyInOutput := false
-		for _, it := range items {
-			if c, ok := it.Expr.(*ColumnRef); ok && strings.EqualFold(c.Column, cr.Column) &&
-				(c.Table == "" || strings.EqualFold(c.Table, sc.qual)) {
-				keyInOutput = true
-				break
-			}
-		}
-		if !keyInOutput {
-			return nil
-		}
-	}
-	if cr.Table == "" {
-		// A bare ORDER BY name resolves against the output columns first
-		// (compileOrderKey); index order only matches when every output
-		// column of that name is the same plain table column.
-		matches := 0
-		for _, it := range items {
-			name := it.Alias
-			if name == "" {
-				if c, ok := it.Expr.(*ColumnRef); ok {
-					name = c.Column
-				} else {
-					name = it.Expr.String()
-				}
-			}
-			if !strings.EqualFold(name, cr.Column) {
-				continue
-			}
-			matches++
-			c, ok := it.Expr.(*ColumnRef)
-			if !ok || !strings.EqualFold(c.Column, cr.Column) ||
-				(c.Table != "" && !strings.EqualFold(c.Table, sc.qual)) {
-				return nil
-			}
-		}
-		if matches > 1 {
-			// Ambiguous output reference: keep the sort path so the
-			// resolution error (or tie-breaking) behaves as before.
-			return nil
-		}
 	}
 	sc.rangeIdx, sc.ordered, sc.desc = idx, true, ob.Desc
 	return sc

@@ -79,9 +79,9 @@ type scanFusion struct {
 	specs   []aggSpec    // ... these aggregates
 	repRows bool         // the post-aggregation phase reads representative rows
 	// order, when set, folds ORDER BY … LIMIT into the scan: every instance
-	// keeps the first rows of the order — items extended with the keys order
-	// names — in its own copy of top, the empty pattern heap.
-	order []scanKey
+	// keeps the first rows of the order — items extended with the keys not
+	// read in place — in its own copy of top, the empty pattern heap.
+	order *sortKeys
 	top   *topKHeap
 	// above is what the operators above read from emitted table rows; nil when
 	// the scan cannot know (a join, a window of rows, DML), and then a sealed
@@ -124,19 +124,11 @@ type batchExpr struct {
 	col  *vecCol // kern's result over the current batch
 }
 
-// scanKey is one sort key of a top-K folded into the scan: output column
-// out of the row being built or, when out is negative, an expression over
-// the scan's columns.
-type scanKey struct {
-	out  int
-	expr Expr
-}
-
 // batchFold is one instance's partial state under a pipeline breaker folded
 // into the scan: GROUP BY partitions, or the top-K heap.
 type batchFold struct {
 	groupTable
-	keys    []batchExpr // group keys, or sort keys (zero where order names an output column)
+	keys    []batchExpr // group keys, or sort keys (zero where one is read in place)
 	args    []batchExpr // indexed like specs; zero where the aggregate has no argument
 	keyVals []Value
 	top     *topKHeap
@@ -244,7 +236,7 @@ func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
 	}
 	if s.folds || s.order != nil {
 		f := &batchFold{
-			keys:    make([]batchExpr, len(s.groupBy)+len(s.order)),
+			keys:    make([]batchExpr, len(s.groupBy)),
 			args:    make([]batchExpr, len(s.specs)),
 			keyVals: make([]Value, len(s.groupBy)),
 		}
@@ -253,10 +245,13 @@ func (s *scanOp) compile(db *Database, params []Value, outer *evalEnv) error {
 				return err
 			}
 		}
-		for i, k := range s.order {
-			if k.out < 0 {
-				if f.keys[i], err = expr(k.expr); err != nil {
-					return err
+		if s.order != nil {
+			f.keys = make([]batchExpr, len(s.order.at))
+			for i, at := range s.order.at {
+				if at >= s.order.width {
+					if f.keys[i], err = expr(s.order.orderBy[i].Expr); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -489,9 +484,10 @@ func (s *scanOp) next() (Row, bool, error) {
 func (s *scanOp) rowID() int { return s.b.ids[s.emitPos-1] }
 
 // rowAt is the output row for position i of the current batch: the fused
-// projection's values when there is one (with room after them for the sort
-// keys of a folded top-K), else the table row — copied out of the batch's
-// storage, which the next fill overwrites, unless the consumer drops it.
+// projection's values when there is one (with room after them for the
+// appended sort keys of a folded top-K), else the table row — copied out of
+// the batch's storage, which the next fill overwrites, unless the consumer
+// drops it.
 func (s *scanOp) rowAt(i int) (Row, error) {
 	if s.proj == nil {
 		r := s.b.rows[i]
@@ -500,7 +496,11 @@ func (s *scanOp) rowAt(i int) (Row, error) {
 		}
 		return r, nil
 	}
-	out := s.arena.alloc(len(s.proj) + len(s.order))
+	n := len(s.proj)
+	if s.order != nil {
+		n = s.order.wide
+	}
+	out := s.arena.alloc(n)
 	for j := range s.proj {
 		v, err := s.proj[j].at(s, i)
 		if err != nil {
@@ -596,19 +596,17 @@ func (s *scanOp) foldBatch(idx int) error {
 }
 
 // topBatch runs morsel idx and offers every surviving row — the fused
-// projection extended with its sort keys, evaluated in projectOp's order so
-// the first error is the one the row path would raise — to the instance's
+// projection extended with its appended sort keys, evaluated in projectOp's
+// order so the first error is the one the row path would raise — to the instance's
 // top-K heap, ties broken by scan ordinal as the stable sort breaks them by
 // arrival. Rows are built in one buffer; the heap copies the few it keeps.
 func (s *scanOp) topBatch(idx int) error {
 	f := s.fold
 	return s.each(idx, func(i int) error {
 		row, err := s.rowAt(i)
-		for ki := 0; err == nil && ki < len(s.order); ki++ {
-			if k := s.order[ki]; k.out >= 0 {
-				row[len(s.proj)+ki] = row[k.out]
-			} else {
-				row[len(s.proj)+ki], err = f.keys[ki].at(s, i)
+		for ki, at := range s.order.at {
+			if err == nil && at >= s.order.width {
+				row[at], err = f.keys[ki].at(s, i)
 			}
 		}
 		if err == nil {
@@ -652,11 +650,12 @@ type scanShape struct {
 	specs     []aggSpec // aggs as their accumulators start
 	repRows   bool      // the post-aggregation phase reads representative rows (readsRepRow)
 	needSort  bool      // a sortOp will read ORDER BY keys off the input rows
+	pass      bool      // the projection hands its input rows up (identity)
 	poolable  bool      // top-level, uncorrelated: the gather can preserve it
 	windowed  bool      // a filter that holds a window of rows will sit above the scan
 	// order, when set: an ORDER BY … LIMIT window of topK rows whose keys
-	// the scan can evaluate itself (scanOrderKeys).
-	order []scanKey
+	// the scan can evaluate itself (sortKeys.foldable).
+	order *sortKeys
 	topK  int
 }
 
@@ -721,9 +720,9 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 		f.folds = true
 	case sh.order != nil:
 		f.items, f.order = sh.items, sh.order
-		f.top = &topKHeap{k: sh.topK, width: len(sh.items), orderBy: stmt.OrderBy}
-		for _, k := range sh.order {
-			pool = pool && (k.out >= 0 || parallelSafe(k.expr))
+		f.top = &topKHeap{k: sh.topK, keys: sh.order}
+		for i, at := range sh.order.at {
+			pool = pool && (at < sh.order.width || parallelSafe(stmt.OrderBy[i].Expr))
 		}
 		if pool && parallelSafe(itemExprs()...) {
 			f.workers = db.maxWorkers
@@ -732,8 +731,9 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 		window := (stmt.Limit != nil || stmt.Offset != nil) && len(stmt.OrderBy) == 0
 		pool = pool && !window
 		// Rows read by id come whole: they are projected above the scan,
-		// which spares a point read a pipeline to compile.
-		if !sh.needSort && bs.ids == nil && bs.rangeIdx == nil && (!pool || parallelSafe(itemExprs()...)) {
+		// which spares a point read a pipeline to compile; an identity
+		// projection hands the table rows up as they are.
+		if !sh.needSort && !sh.pass && bs.ids == nil && bs.rangeIdx == nil && (!pool || parallelSafe(itemExprs()...)) {
 			f.items = sh.items
 		}
 		if pool {

@@ -103,6 +103,110 @@ var vecShapes = []func(r *rand.Rand, pred string) string{
 	func(r *rand.Rand, pred string) string {
 		return fmt.Sprintf("SELECT a AS f, COUNT(*) FROM v WHERE %s GROUP BY a ORDER BY v.f DESC, v.id LIMIT %d", pred, 1+r.Intn(30))
 	},
+	vecOrderShape,
+	vecOrderShape,
+}
+
+// vecOrderLists are select lists over v — identity projections among them —
+// each with ORDER BY keys of every kind a sort reads: an ordinal, an output
+// alias, a bare output name, an input column the list projects plainly and
+// one it does not project, and an expression over the input.
+var vecOrderLists = []struct {
+	sel  string
+	keys []string
+}{
+	{"*", []string{"3", "f", "c", "v.a", "id", "a * 2 + id"}},
+	{"v.*", []string{"2", "ok", "v.f", "a", "LENGTH(c) - id"}},
+	{"a AS x, c, ok", []string{"1", "3", "x", "c", "a", "v.a", "v.f", "v.id", "f * 2 - a"}},
+	{"id, a AS x, f", []string{"2", "x", "f", "v.a", "v.c", "c", "a + f"}},
+}
+
+// vecOrderShape orders one of vecOrderLists by one to three of its keys,
+// with and without DISTINCT, LIMIT and OFFSET.
+func vecOrderShape(r *rand.Rand, pred string) string {
+	l := vecOrderLists[r.Intn(len(vecOrderLists))]
+	q := "SELECT "
+	if r.Intn(3) == 0 {
+		q += "DISTINCT "
+	}
+	q += l.sel + " FROM v WHERE " + pred + " ORDER BY "
+	for i, n := 0, 1+r.Intn(3); i < n; i++ {
+		if i > 0 {
+			q += ", "
+		}
+		q += l.keys[r.Intn(len(l.keys))]
+		if r.Intn(2) == 0 {
+			q += " DESC"
+		}
+	}
+	if r.Intn(2) == 0 {
+		q += fmt.Sprintf(" LIMIT %d", 1+r.Intn(40))
+		if r.Intn(2) == 0 {
+			q += fmt.Sprintf(" OFFSET %d", r.Intn(10))
+		}
+	}
+	return q
+}
+
+// TestOrderKeyKindsMatchReference runs every key of vecOrderLists with and
+// without DISTINCT, LIMIT and OFFSET, and ahead of the list's next key,
+// serial and pooled, over a heap table and over one sealed block and its heap
+// tail: the engine returns what the interpreted reference (refSelect) does.
+func TestOrderKeyKindsMatchReference(t *testing.T) {
+	lowerMorselMinRows(t, 1)
+	r := rand.New(rand.NewSource(5))
+	words := []string{"ant", "bee", "cat", "dge", "eel"}
+	rows := make([][]any, segBlockSlots+100)
+	for i := range rows {
+		var a, f any = r.Intn(40), float64(r.Intn(400)) / 4
+		if r.Intn(9) == 0 {
+			a = nil
+		}
+		if r.Intn(11) == 0 {
+			f = nil
+		}
+		rows[i] = []any{i, a, f, words[r.Intn(len(words))], r.Intn(2) == 1}
+	}
+	var queries []string
+	for _, l := range vecOrderLists {
+		for i, key := range l.keys {
+			for _, distinct := range []string{"", "DISTINCT "} {
+				for _, window := range []string{"", " LIMIT 25", " LIMIT 25 OFFSET 7"} {
+					queries = append(queries, "SELECT "+distinct+l.sel+" FROM v WHERE id % 4 = 1 ORDER BY "+key+window)
+				}
+			}
+			queries = append(queries, "SELECT "+l.sel+" FROM v ORDER BY "+key+" DESC, "+l.keys[(i+1)%len(l.keys)])
+		}
+	}
+	for _, d := range batchDrivers {
+		for _, sealed := range []bool{false, true} {
+			db := NewDatabase(d.opts...)
+			db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
+			if err := db.InsertRows("v", rows); err != nil {
+				t.Fatal(err)
+			}
+			if sealed && db.Seal() == 0 {
+				t.Fatal("nothing sealed")
+			}
+			for _, q := range queries {
+				got, err := vecQueryStrings(db, q)
+				if err != nil {
+					t.Fatalf("%s sealed=%v %q: %v", d.name, sealed, q, err)
+				}
+				stmt, err := Parse(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := refSelect(db, stmt.(*SelectStmt))
+				if err != nil {
+					t.Fatalf("reference %q: %v", q, err)
+				}
+				if want := rowsToStrings(ref); !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("%s sealed=%v %q:\n got %v\nwant %v", d.name, sealed, q, got, want)
+				}
+			}
+		}
+	}
 }
 
 func vecQueryStrings(db *Database, q string) ([][]string, error) {
