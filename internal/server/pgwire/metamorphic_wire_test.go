@@ -12,8 +12,8 @@ import (
 	"tag/internal/sqldb"
 )
 
-// The engine's SQLancer-style metamorphic suite (NoREC, TLP, interleaved
-// DML — internal/sqldb/metamorphic_test.go), re-run through a wire
+// The engine's SQLancer-style metamorphic oracles (NoREC, TLP, interleaved
+// DML — TestDifferential in internal/sqldb), re-run through a wire
 // connection against the same database, with two additional demands:
 //
 //   - Every query's wire result is bit-identical to in-process execution
@@ -24,7 +24,8 @@ import (
 //     writes (compared wire-vs-wire), and after COMMIT the in-process
 //     view converges.
 
-// wirePred mirrors metamorphicPred over the same column shapes.
+// wirePred draws a predicate over m's columns: NULL-prone comparisons,
+// range shapes over the indexed column, IS NULL, LIKE, IN and modulo.
 func wirePred(r *rand.Rand) string {
 	atoms := []string{
 		fmt.Sprintf("a = %d", r.Intn(30)),

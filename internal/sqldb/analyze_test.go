@@ -152,20 +152,20 @@ func TestExplainAnalyzeRequiresSelect(t *testing.T) {
 // indexed, ordered and range scans, and correlated probes.
 func analyzeCorpus(r *rand.Rand) []string {
 	return []string{
-		fmt.Sprintf("SELECT id, a, c FROM t1 WHERE %s ORDER BY id", randPred(r)),
-		fmt.Sprintf("SELECT t1.id, t1.a, t2.d FROM t1 JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id", randPred(r)),
-		fmt.Sprintf("SELECT t1.id, t2.d FROM t1 LEFT JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id", randPred(r)),
-		fmt.Sprintf("SELECT a, COUNT(*), SUM(c) FROM t1 WHERE %s GROUP BY a HAVING COUNT(*) > 1 ORDER BY a", randPred(r)),
+		fmt.Sprintf("SELECT id, a, c FROM t1 WHERE %s ORDER BY id", diffPred(r, 80)),
+		fmt.Sprintf("SELECT t1.id, t1.a, t2.d FROM t1 JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id", diffPred(r, 80)),
+		fmt.Sprintf("SELECT t1.id, t2.d FROM t1 LEFT JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id", diffPred(r, 80)),
+		fmt.Sprintf("SELECT a, COUNT(*), SUM(f) FROM t1 WHERE %s GROUP BY a HAVING COUNT(*) > 1 ORDER BY a", diffPred(r, 80)),
 		fmt.Sprintf("SELECT DISTINCT t1.a FROM t1 JOIN t2 ON t1.id = t2.t1_id ORDER BY t1.a LIMIT %d", 1+r.Intn(6)),
 		fmt.Sprintf("SELECT id FROM t1 WHERE EXISTS (SELECT 1 FROM t2 WHERE t2.t1_id = t1.id AND t2.d > %d) ORDER BY id", r.Intn(20)),
-		fmt.Sprintf("SELECT id, b FROM t1 WHERE %s LIMIT %d OFFSET %d", randPred(r), r.Intn(10), r.Intn(5)),
-		fmt.Sprintf("SELECT id, a, b FROM t1 WHERE %s ORDER BY id DESC LIMIT %d", randPred(r), 1+r.Intn(10)),
-		fmt.Sprintf("SELECT t1.id, t2.d FROM t1 JOIN t2 ON t1.id = t2.id WHERE %s ORDER BY t1.id", randPred(r)),
-		fmt.Sprintf("SELECT id, (SELECT MAX(d) FROM t2 WHERE t2.t1_id = t1.id) FROM t1 WHERE %s ORDER BY id", randPred(r)),
-		fmt.Sprintf("SELECT id FROM t1 WHERE a IN (SELECT d FROM t2 WHERE t2.t1_id = t1.id) OR %s ORDER BY id", randPred(r)),
+		fmt.Sprintf("SELECT id, b FROM t1 WHERE %s LIMIT %d OFFSET %d", diffPred(r, 80), r.Intn(10), r.Intn(5)),
+		fmt.Sprintf("SELECT id, a, b FROM t1 WHERE %s ORDER BY id DESC LIMIT %d", diffPred(r, 80), 1+r.Intn(10)),
+		fmt.Sprintf("SELECT t1.id, t2.d FROM t1 JOIN t2 ON t1.id = t2.id WHERE %s ORDER BY t1.id", diffPred(r, 80)),
+		fmt.Sprintf("SELECT id, (SELECT MAX(d) FROM t2 WHERE t2.t1_id = t1.id) FROM t1 WHERE %s ORDER BY id", diffPred(r, 80)),
+		fmt.Sprintf("SELECT id FROM t1 WHERE a IN (SELECT d FROM t2 WHERE t2.t1_id = t1.id) OR %s ORDER BY id", diffPred(r, 80)),
 		// Derived tables: in FROM (materialised during planning) and in a
 		// subquery (forces the rebuilt-per-probe path and its carry logic).
-		fmt.Sprintf("SELECT x.id FROM (SELECT id, a FROM t1 WHERE %s) x WHERE x.a > %d ORDER BY x.id", randPred(r), r.Intn(4)),
+		fmt.Sprintf("SELECT x.id FROM (SELECT id, a FROM t1 WHERE %s) x WHERE x.a > %d ORDER BY x.id", diffPred(r, 80), r.Intn(4)),
 		fmt.Sprintf("SELECT id FROM t1 WHERE EXISTS (SELECT 1 FROM (SELECT t1_id FROM t2 WHERE d > %d) dd WHERE dd.t1_id = t1.id) ORDER BY id", r.Intn(15)),
 		"SELECT COUNT(*) FROM t1 a JOIN t1 b ON a.a > b.a",
 		// Both join keys indexed, nothing filtered, an ORDER BY that re-sorts:
@@ -188,7 +188,7 @@ func analyzeCorpus(r *rand.Rand) []string {
 // access path of the one base-table leaf.
 func TestExplainAnalyzeCountsMatchEngineStats(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	indexed, plain := propTables(t, r)
+	indexed, plain := diffLoad(t, r, 80)
 	big := bigDB(t, 3*morselMinRows)
 	for _, db := range []*Database{indexed, plain, big} {
 		defer db.Begin().Rollback() // pins the vacuum horizon below the deletes

@@ -716,7 +716,7 @@ func (t *Table) unindex(id int, dead, end *rowVersion) {
 		for w := dead; w != end; w = w.next.Load() {
 			key := indexKey(w.row[idx.Column])
 			h, carried, hashed := hashKey(key), false, false
-			for s := live; s != nil && !carried && !debugBreakOrdMaintain; s = s.next.Load() {
+			for s := live; s != nil && !carried && debugFault != faultOrdMaintain; s = s.next.Load() {
 				sk := indexKey(s.row[idx.Column])
 				carried = sk == key
 				hashed = hashed || hashKey(sk) == h

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -13,12 +12,6 @@ import (
 // DELETE whose WHERE/SET contains a subquery over the mutating table must
 // evaluate every row against the pre-statement state — not against stale
 // index keys, a half-mutated heap, or an ordered view built mid-loop.
-// The reference executor for these tests is SELECT over a pristine clone:
-// evaluating the same WHERE/SET expressions with a read-only statement on
-// an untouched copy is exactly snapshot semantics.
-
-// dmlTestSchema is the indexed side's DDL (the plain side has no key and no index).
-var dmlTestSchema = []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)", "CREATE INDEX idx_t_k ON t (k)"}
 
 // dmlTestDBs builds the same table into an indexed and an unindexed
 // database so both the stale-index and half-mutated-heap variants of the
@@ -26,9 +19,8 @@ var dmlTestSchema = []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)
 func dmlTestDBs() (indexed, plain *Database) {
 	indexed = NewDatabase()
 	plain = NewDatabase()
-	for _, ddl := range dmlTestSchema {
-		indexed.MustExec(ddl)
-	}
+	indexed.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+	indexed.MustExec("CREATE INDEX idx_t_k ON t (k)")
 	plain.MustExec("CREATE TABLE t (id INTEGER, k INTEGER)")
 	return indexed, plain
 }
@@ -99,245 +91,6 @@ func TestDeleteSelfSubquerySeesSnapshot(t *testing.T) {
 		want := [][]string{{"2", "1"}, {"3", "2"}}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: rows = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// cloneTableT copies table t of src into a fresh unindexed database — the
-// pristine snapshot the reference executor evaluates against.
-func cloneTableT(t *testing.T, src *Database) *Database {
-	t.Helper()
-	ref := NewDatabase()
-	ref.MustExec("CREATE TABLE t (id INTEGER, k INTEGER)")
-	st, err := src.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < int(st.n.Load()); id++ {
-		r := latestRowOf(st, id)
-		if r == nil {
-			continue
-		}
-		ref.MustExec("INSERT INTO t VALUES (?, ?)", r[0], r[1])
-	}
-	return ref
-}
-
-// refUpdate computes the snapshot-semantics outcome of
-// `UPDATE t SET k = <setExpr> WHERE <where>` by running a SELECT over the
-// pristine clone, and returns the expected (id, k) rows in heap order.
-func refUpdate(t *testing.T, ref *Database, where, setExpr string, params ...any) [][]string {
-	t.Helper()
-	upd, err := ref.Query("SELECT id, "+setExpr+" FROM t WHERE "+where, params...)
-	if err != nil {
-		t.Fatalf("reference SELECT for UPDATE: %v", err)
-	}
-	newK := make(map[int64]Value)
-	for _, r := range upd.Rows {
-		newK[r[0].AsInt()] = r[1]
-	}
-	all, err := ref.Query("SELECT id, k FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Row, len(all.Rows))
-	for i, r := range all.Rows {
-		row := r.Clone()
-		if v, ok := newK[r[0].AsInt()]; ok {
-			row[1] = coerce(v, KindInt)
-		}
-		out[i] = row
-	}
-	return rowsToStrings(out)
-}
-
-// refDelete computes the snapshot-semantics outcome of
-// `DELETE FROM t WHERE <where>` the same way.
-func refDelete(t *testing.T, ref *Database, where string, params ...any) [][]string {
-	t.Helper()
-	del, err := ref.Query("SELECT id FROM t WHERE "+where, params...)
-	if err != nil {
-		t.Fatalf("reference SELECT for DELETE: %v", err)
-	}
-	gone := make(map[int64]bool)
-	for _, r := range del.Rows {
-		gone[r[0].AsInt()] = true
-	}
-	all, err := ref.Query("SELECT id, k FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []Row
-	for _, r := range all.Rows {
-		if !gone[r[0].AsInt()] {
-			out = append(out, r)
-		}
-	}
-	return rowsToStrings(out)
-}
-
-// dmlShape is one WHERE (and, for UPDATE, SET) of the differential below.
-// index marks the shapes whose WHERE the indexed database must serve from
-// an index — alone, or ahead of a residual the loop then filters by.
-type dmlShape struct {
-	where, set string
-	params     []any
-	index      bool
-}
-
-// TestDMLWithSubqueriesMatchesSnapshotReference is the interleaved
-// property test: random inserts mix with UPDATEs and DELETEs that take
-// every access path and both apply modes. The self-referential ones carry
-// subqueries over the mutating table — equality-index probes, correlated
-// probes (corrProbeScanOp), aggregates, and ordered/range subqueries that
-// lazily build the ordered index view mid-statement; the rest are the
-// subquery-free and mixed shapes the shared chooser serves — equality or
-// BETWEEN on an indexed column, alone or ahead of a residual, with
-// literals or ? parameters, ahead of an EXISTS, and with a text comparand
-// no INTEGER row equals. After every DML the indexed engine, the plain
-// engine, and the SELECT-over-pristine-clone reference must agree
-// exactly, and the indexed engine must have taken the index where marked.
-func TestDMLWithSubqueriesMatchesSnapshotReference(t *testing.T) {
-	dmlSubqueryProperty(t, func(string, []any) {})
-}
-
-// dmlSubqueryProperty is the property above with every DML it issues — text
-// and bindings, in order — shown to tap: the second corpus of the
-// statement-cache differential (statement_cache_test.go).
-func dmlSubqueryProperty(t *testing.T, tap func(sql string, params []any)) {
-	r := rand.New(rand.NewSource(117))
-	indexed, plain := dmlTestDBs()
-	nextID := 0
-
-	// wheres serve UPDATE (paired with a SET below) and DELETE alike.
-	wheres := []func(*rand.Rand) dmlShape{
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("k = %d", r.Intn(40)), index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("k = %d AND id %% 2 = %d", r.Intn(40), r.Intn(2)), index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			lo := r.Intn(30)
-			return dmlShape{where: fmt.Sprintf("k BETWEEN %d AND %d AND id %% 3 != %d", lo, lo+r.Intn(12), r.Intn(3)), index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: "id = ? AND k >= ?", params: []any{r.Intn(nextID + 1), r.Intn(20)}, index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			lo := r.Intn(30)
-			return dmlShape{where: "k BETWEEN ? AND ? AND id % 3 != ?", params: []any{lo, lo + r.Intn(12), r.Intn(3)}, index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("k = %d AND EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id)", r.Intn(40)), index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			// A text comparand equals no INTEGER row, index or not.
-			return dmlShape{where: fmt.Sprintf("k = '%d'", r.Intn(40)), index: true}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: "id = ?", params: []any{fmt.Sprint(r.Intn(nextID + 1))}, index: true}
-		},
-	}
-	updates := []func(*rand.Rand) dmlShape{
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("k < (SELECT MAX(k) FROM t WHERE k < %d)", 10+r.Intn(40)), set: "k + 1"}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("id IN (SELECT k FROM t WHERE k = %d)", r.Intn(20)), set: "k + 10"}
-		},
-		func(r *rand.Rand) dmlShape {
-			// Correlated equality over the mutating table: corrProbeScanOp.
-			return dmlShape{where: "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id)", set: "k - 1"}
-		},
-		func(r *rand.Rand) dmlShape {
-			// Ordered subquery: lazily builds the ordered view mid-DML.
-			return dmlShape{where: fmt.Sprintf(
-				"k >= (SELECT t2.k FROM t t2 WHERE t2.k IS NOT NULL ORDER BY t2.k DESC LIMIT 1) - %d",
-				r.Intn(6)), set: "k + 2"}
-		},
-		func(r *rand.Rand) dmlShape {
-			// Correlated scalar subquery in SET.
-			return dmlShape{where: fmt.Sprintf("id %% 5 = %d", r.Intn(5)),
-				set: "(SELECT MIN(t2.k) FROM t t2 WHERE t2.k > t.k)"}
-		},
-		func(r *rand.Rand) dmlShape {
-			// Range subquery over the indexed column.
-			return dmlShape{where: fmt.Sprintf("k IN (SELECT t2.k FROM t t2 WHERE t2.k BETWEEN %d AND %d)",
-				r.Intn(15), 15+r.Intn(15)), set: "k + 3"}
-		},
-	}
-	deletes := []func(*rand.Rand) dmlShape{
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: "k > (SELECT AVG(k) FROM t)"}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: fmt.Sprintf("id IN (SELECT t2.id FROM t t2 WHERE t2.k = %d) AND k < (SELECT MAX(k) FROM t)", r.Intn(20))}
-		},
-		func(r *rand.Rand) dmlShape {
-			return dmlShape{where: "EXISTS (SELECT 1 FROM t t2 WHERE t2.k = t.id AND t2.id != t.id)"}
-		},
-	}
-	for _, w := range wheres {
-		w := w
-		updates = append(updates, func(r *rand.Rand) dmlShape {
-			sh := w(r)
-			sh.set = []string{"k + 5", "k * 2 - id"}[r.Intn(2)]
-			return sh
-		})
-		deletes = append(deletes, w)
-	}
-
-	// step runs one DML on both engines and holds them to the reference.
-	step := func(i int, sql string, sh dmlShape, want [][]string) {
-		t.Helper()
-		before := indexed.Stats()
-		ni, erri := indexed.Exec(sql, sh.params...)
-		after := indexed.Stats()
-		np, errp := plain.Exec(sql, sh.params...)
-		if erri != nil || errp != nil {
-			t.Fatalf("step %d: %q: indexed err %v, plain err %v", i, sql, erri, errp)
-		}
-		if ni != np {
-			t.Fatalf("step %d: %q affected %d (indexed) vs %d (plain)", i, sql, ni, np)
-		}
-		tap(sql, sh.params)
-		if sh.index && (after.IndexScans+after.IndexRangeScans == before.IndexScans+before.IndexRangeScans ||
-			after.FullScans != before.FullScans) {
-			t.Fatalf("step %d: %q %v did not take the index on the indexed engine: IndexScans %+d IndexRangeScans %+d FullScans %+d",
-				i, sql, sh.params, after.IndexScans-before.IndexScans,
-				after.IndexRangeScans-before.IndexRangeScans, after.FullScans-before.FullScans)
-		}
-		for name, db := range map[string]*Database{"indexed": indexed, "plain": plain} {
-			got := queryStrings(t, db, "SELECT id, k FROM t")
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: %s engine disagrees with snapshot reference after %q %v:\ngot  %v\nwant %v",
-					i, name, sql, sh.params, got, want)
-			}
-		}
-	}
-
-	for i := 0; i < 600; i++ {
-		switch op := r.Intn(10); {
-		case op < 5 || nextID == 0: // insert (NULL k sometimes)
-			var k any = r.Intn(40)
-			if r.Intn(7) == 0 {
-				k = nil
-			}
-			for _, db := range []*Database{indexed, plain} {
-				db.MustExec("INSERT INTO t VALUES (?, ?)", nextID, k)
-			}
-			tap("INSERT INTO t VALUES (?, ?)", []any{nextID, k})
-			nextID++
-		case op < 8:
-			sh := updates[r.Intn(len(updates))](r)
-			ref := cloneTableT(t, indexed)
-			step(i, fmt.Sprintf("UPDATE t SET k = %s WHERE %s", sh.set, sh.where), sh,
-				refUpdate(t, ref, sh.where, sh.set, sh.params...))
-		default:
-			sh := deletes[r.Intn(len(deletes))](r)
-			ref := cloneTableT(t, indexed)
-			step(i, "DELETE FROM t WHERE "+sh.where, sh, refDelete(t, ref, sh.where, sh.params...))
 		}
 	}
 }

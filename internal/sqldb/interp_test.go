@@ -3,9 +3,8 @@ package sqldb
 // This file is the interpreted expression evaluator the engine shipped
 // before every statement ran compiled closures (compile.go). It is kept,
 // line for line, as the reference implementation refSelect evaluates
-// through: TestCompiledMatchesInterpretedExecutor and the ordidx_test.go
-// three-way property compare the compiled engine against it. No non-test
-// file may call into it (CI greps for that).
+// through: TestDifferential compares the compiled engine against it. No
+// non-test file may call into it (CI greps for that).
 
 // evalExpr evaluates e in env with SQL three-valued-logic semantics: the
 // interpreted twin of compileExpr, a tree walk with no plan-time binding.

@@ -180,12 +180,6 @@ func (idx *Index) publish(c ordCursor, i, j int, tail bool, repl ...*ordEntry) {
 	idx.ord.Store(&v)
 }
 
-// debugBreakOrdMaintain is a fault-injection switch for the property test
-// layer: index maintenance is wrong — DML leaves live ordered views stale
-// and removal drops keys a surviving version still carries — and the
-// suites must notice. Never set outside tests.
-var debugBreakOrdMaintain bool
-
 // orderedView returns the index's ordered view over t, the table it
 // indexes, building it under the index latch on first ordered access from
 // the versions t's slots still reach. The double-checked fast path is a
@@ -247,7 +241,7 @@ func (idx *Index) orderedView(t *Table) (ordView, error) {
 // view was maintained.
 func (idx *Index) ordAdd(v Value, id int) bool {
 	vp := idx.ord.Load()
-	if vp == nil || debugBreakOrdMaintain {
+	if vp == nil || debugFault == faultOrdMaintain {
 		return false
 	}
 	view := *vp

@@ -11,11 +11,8 @@ import (
 
 // Tests for the order-aware planner: ordered/range index scans, sort
 // elision, predicate pushdown, index joins, and the correlated-subplan
-// cache. The property tests interleave DML with ordered queries and
-// cross-check three executors: the indexed engine (ordered walks, range
-// scans, index joins), a plain engine with no indexes (seq scans, full
-// sorts), and the force-naive interpreted reference (refSelect,
-// property_test.go).
+// cache. Their equivalence under interleaved DML — indexed vs plain vs the
+// interpreted reference — is TestDifferential's.
 
 // TestOrderByIndexedLimitScansExactlyK is the acceptance regression: an
 // ORDER BY over an indexed column under LIMIT k must stream from index
@@ -189,231 +186,9 @@ func TestRangeScanPoolGateCountsIDs(t *testing.T) {
 	}
 }
 
-// dmlPropSchema is the indexed side's DDL (the plain side has no key and no index).
-var dmlPropSchema = []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)", "CREATE INDEX idx_t_k ON t (k)"}
-
-// dmlPropDBs builds the same mutable table into an indexed and an
-// unindexed database for the interleaved DML property test.
-func dmlPropDBs() (indexed, plain *Database) {
-	indexed = NewDatabase()
-	plain = NewDatabase()
-	for _, ddl := range dmlPropSchema {
-		indexed.MustExec(ddl)
-	}
-	plain.MustExec("CREATE TABLE t (id INTEGER, k INTEGER, s TEXT)")
-	return indexed, plain
-}
-
-// orderedSuiteQueries is the indexed-vs-plain query suite: range, equality
-// and ORDER BY shapes over t(id, k, s) that an indexed database serves
-// from its ordered views and a plain one from heap scans and sorts.
-var orderedSuiteQueries = []func(*rand.Rand) string{
-	func(r *rand.Rand) string {
-		return fmt.Sprintf("SELECT id, k, s FROM t WHERE k > %d ORDER BY id", r.Intn(40))
-	},
-	func(r *rand.Rand) string {
-		return fmt.Sprintf("SELECT id, k FROM t WHERE k BETWEEN %d AND %d ORDER BY id", r.Intn(20), 20+r.Intn(20))
-	},
-	func(r *rand.Rand) string {
-		return "SELECT id, k FROM t ORDER BY k" // ties + NULLs: must match stable sort
-	},
-	func(r *rand.Rand) string {
-		return "SELECT id, k FROM t ORDER BY k DESC"
-	},
-	func(r *rand.Rand) string {
-		return fmt.Sprintf("SELECT id, k FROM t ORDER BY k LIMIT %d", 1+r.Intn(8))
-	},
-	func(r *rand.Rand) string {
-		return fmt.Sprintf("SELECT id, k FROM t WHERE k >= %d AND k < %d ORDER BY k LIMIT %d",
-			r.Intn(25), 25+r.Intn(25), 1+r.Intn(6))
-	},
-	func(r *rand.Rand) string {
-		return fmt.Sprintf("SELECT id, s FROM t WHERE k = %d ORDER BY id", r.Intn(50))
-	},
-}
-
-// interleavedDMLProperty is the DML-vs-ordered-index property engine:
-// random INSERT/UPDATE/DELETE — including UPDATEs that move rows between
-// an indexed column's entries, equality-shaped DML that takes the index
-// fast path, and multi-row range DELETEs — interleave with range and
-// ORDER BY queries, and after every step the indexed engine (ordered and
-// range index scans, incrementally maintained across each mutation) must
-// agree with the plain engine and — for the no-LIMIT shapes — with the
-// force-naive interpreted executor (refSelect). It returns an error
-// instead of failing a *testing.T so the fault-injection tests can prove
-// the suite catches broken tombstone skipping or in-place maintenance.
-//
-// With txnLegs set, every mutation runs inside an explicit transaction:
-// usually BEGIN…COMMIT, and on a random subset BEGIN…ROLLBACK — the
-// rolled-back leg must leave both engines exactly where they were, which
-// the step's queries (and the naive-reference comparison) then verify.
-func interleavedDMLProperty(r *rand.Rand, steps int, txnLegs bool) error {
-	return interleavedDMLStream(r, steps, txnLegs, nil)
-}
-
-// interleavedDMLStream is interleavedDMLProperty with its statement stream
-// shown to tap (when set): every DML and every query, text and bindings, in
-// order — the corpus the statement-cache differential replays on its own
-// databases (statement_cache_test.go). A tap error ends the run.
-func interleavedDMLStream(r *rand.Rand, steps int, txnLegs bool, tap func(sql string, params []any) error) error {
-	indexed, plain := dmlPropDBs()
-	if tap == nil {
-		tap = func(string, []any) error { return nil }
-	}
-	words := []string{"ant", "bee", "cat", "dog"}
-	nextID := 0
-
-	exec := func(sql string, params ...any) error {
-		if txnLegs && r.Intn(4) == 0 {
-			// Rollback leg: apply the mutation inside a transaction and
-			// abort it on both engines. Nothing may stick.
-			for _, db := range []*Database{indexed, plain} {
-				if _, err := db.Exec("BEGIN"); err != nil {
-					return err
-				}
-				_, _ = db.Exec(sql, params...)
-				if _, err := db.Exec("ROLLBACK"); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		run := func(db *Database) (int, error) {
-			if txnLegs {
-				if _, err := db.Exec("BEGIN"); err != nil {
-					return 0, err
-				}
-				n, err := db.Exec(sql, params...)
-				if err != nil {
-					_, _ = db.Exec("ROLLBACK")
-					return n, err
-				}
-				if _, err := db.Exec("COMMIT"); err != nil {
-					return n, err
-				}
-				return n, nil
-			}
-			return db.Exec(sql, params...)
-		}
-		ni, erri := run(indexed)
-		np, errp := run(plain)
-		if (erri == nil) != (errp == nil) || ni != np {
-			return fmt.Errorf("DML diverged on %q: indexed (%d, %v) vs plain (%d, %v)", sql, ni, erri, np, errp)
-		}
-		return tap(sql, params)
-	}
-
-	for step := 0; step < steps; step++ {
-		var err error
-		switch op := r.Intn(14); {
-		case op < 5: // insert (NULL k sometimes)
-			var k any = r.Intn(50)
-			if r.Intn(6) == 0 {
-				k = nil
-			}
-			err = exec("INSERT INTO t VALUES (?, ?, ?)", nextID, k, words[r.Intn(len(words))])
-			nextID++
-		case op < 6: // update keys (occasionally to NULL)
-			if r.Intn(5) == 0 {
-				err = exec(fmt.Sprintf("UPDATE t SET k = NULL WHERE id %% 11 = %d", r.Intn(11)))
-			} else {
-				err = exec(fmt.Sprintf("UPDATE t SET k = %d WHERE k < %d", r.Intn(50), r.Intn(20)))
-			}
-		case op < 7: // multi-row update moving rows between indexed entries
-			err = exec(fmt.Sprintf("UPDATE t SET k = k + %d WHERE k BETWEEN %d AND %d",
-				1+r.Intn(9), r.Intn(25), 25+r.Intn(25)))
-		case op < 8: // equality-shaped DML: the index fast path on the indexed db
-			if r.Intn(2) == 0 {
-				err = exec("DELETE FROM t WHERE id = ?", r.Intn(nextID+1))
-			} else {
-				err = exec(fmt.Sprintf("UPDATE t SET s = 'upd%d', k = %d WHERE id = %d",
-					step, r.Intn(50), r.Intn(nextID+1)))
-			}
-		case op < 9: // delete a stripe
-			err = exec(fmt.Sprintf("DELETE FROM t WHERE id %% 13 = %d", r.Intn(13)))
-		case op < 10: // multi-row delete over the indexed column's range
-			err = exec(fmt.Sprintf("DELETE FROM t WHERE k BETWEEN %d AND %d", r.Intn(40), 5+r.Intn(40)))
-		default: // query
-			sql := orderedSuiteQueries[r.Intn(len(orderedSuiteQueries))](r)
-			if err := tap(sql, nil); err != nil {
-				return err
-			}
-			ri, err := indexed.Query(sql)
-			if err != nil {
-				return fmt.Errorf("indexed Query(%q): %v", sql, err)
-			}
-			rp, err := plain.Query(sql)
-			if err != nil {
-				return fmt.Errorf("plain Query(%q): %v", sql, err)
-			}
-			gi, gp := rowsToStrings(ri.Rows), rowsToStrings(rp.Rows)
-			if !reflect.DeepEqual(gi, gp) {
-				return fmt.Errorf("step %d: plans disagree on %q:\nindexed %v\nplain   %v", step, sql, gi, gp)
-			}
-			// Force-naive reference for the untruncated shapes.
-			if !strings.Contains(sql, "LIMIT") {
-				stmt, perr := Parse(sql)
-				if perr != nil {
-					return perr
-				}
-				want, rerr := refSelect(indexed, stmt.(*SelectStmt))
-				if rerr != nil {
-					return fmt.Errorf("refSelect(%q): %v", sql, rerr)
-				}
-				if !reflect.DeepEqual(gi, rowsToStrings(want)) {
-					return fmt.Errorf("step %d: indexed engine disagrees with naive reference on %q:\ngot  %v\nwant %v",
-						step, sql, gi, rowsToStrings(want))
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func TestDMLInterleavedWithOrderedQueries(t *testing.T) {
-	if err := interleavedDMLProperty(rand.New(rand.NewSource(31)), 600, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDMLInterleavedWithOrderedQueriesInTransactions is the same property
-// with every mutation wrapped in an explicit transaction — committed on
-// most steps, rolled back on a random quarter. Rolled-back DML (including
-// index superset entries it left behind) must be invisible to every
-// subsequent query on all three executors.
-func TestDMLInterleavedWithOrderedQueriesInTransactions(t *testing.T) {
-	if err := interleavedDMLProperty(rand.New(rand.NewSource(31)), 600, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Fault injection: the property suite must demonstrably fail when the
 // incremental-maintenance invariants are broken — otherwise it is not
 // actually pinning them (coverage of behaviors under mutation, not lines).
-
-// TestPropertySuiteCatchesBrokenTombstoneSkip disables tombstone
-// skipping, so scans emit deleted rows; the suite must notice.
-func TestPropertySuiteCatchesBrokenTombstoneSkip(t *testing.T) {
-	debugDisableTombstoneSkip = true
-	defer func() { debugDisableTombstoneSkip = false }()
-	if err := interleavedDMLProperty(rand.New(rand.NewSource(31)), 600, false); err == nil {
-		t.Fatal("property suite did not detect scans emitting tombstoned rows")
-	}
-}
-
-// TestPropertySuiteCatchesBrokenOrdMaintenance makes DML leave live
-// ordered views stale (no splice, no invalidation); the suite must catch
-// the stale index order.
-func TestPropertySuiteCatchesBrokenOrdMaintenance(t *testing.T) {
-	debugBreakOrdMaintain = true
-	defer func() { debugBreakOrdMaintain = false }()
-	if err := interleavedDMLProperty(rand.New(rand.NewSource(31)), 600, false); err == nil {
-		t.Fatal("property suite did not detect stale ordered views")
-	}
-}
 
 // TestOrderedViewMaintainedAcrossDML: index-order results always reflect
 // the heap after each kind of mutation — and the ordered view is

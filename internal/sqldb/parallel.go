@@ -17,7 +17,7 @@ import (
 //
 //   - parScanOp: claiming, the ticket throttle, and the gather — in morsel
 //     order, so the output is bit-identical to the serial scan (safe under
-//     LIMIT truncation and for the plan-equivalence property tests), or in
+//     LIMIT truncation and for the differential tests), or in
 //     completion order when the consumer provably cannot tell.
 //   - runFold: the fork-join loop under a consumer folded into the scan —
 //     workers fold their morsels into private GROUP BY states
@@ -49,7 +49,7 @@ const parallelMaxWorkers = 8
 
 // morselMinRows is the one size gate: the minimum estimated input before
 // the planner puts a scan on the worker pool; below it the scan runs on the
-// statement's own goroutine. Package variable so property tests can lower
+// statement's own goroutine. Package variable so tests can lower
 // it to push their small corpora through the pool.
 var morselMinRows = 4096
 
@@ -526,6 +526,13 @@ func runAggregationBatch(sc *scanOp) (*groupTable, error) {
 	}
 	// Merge into the largest table, which then grows the least.
 	slices.SortFunc(insts, func(a, b *scanOp) int { return b.fold.len() - a.fold.len() })
+	if qc := sc.qc; qc != nil {
+		for _, inst := range insts {
+			if inst.fold.len() > 0 {
+				qc.founders++
+			}
+		}
+	}
 	merged := &insts[0].fold.groupTable
 	if len(insts) == 1 {
 		return merged, nil

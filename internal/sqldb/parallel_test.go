@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// Tests for morsel-driven parallel execution (parallel.go): the serial vs
-// parallel plan-equivalence property, cancellation and cursor-abandonment
-// worker hygiene, EXPLAIN ANALYZE worker annotations and the accounting
-// property under parallelism, plus the satellite fast paths that rode
-// along (range-shaped DML WHERE, index-served multi-key ORDER BY).
+// Tests for morsel-driven parallel execution (parallel.go): cancellation
+// and cursor-abandonment worker hygiene, EXPLAIN ANALYZE worker annotations
+// and the accounting property under parallelism, plus the satellite fast
+// paths that rode along (range-shaped DML WHERE, index-served multi-key
+// ORDER BY).
 
 // lowerMorselMinRows drops the one size gate so small test corpora take
 // the worker pool on a pooled database, restoring it afterwards.
@@ -32,164 +32,6 @@ func assertNoWorkerLeak(t *testing.T) {
 	if n := parallelWorkersActive.Load(); n != 0 {
 		t.Fatalf("parallelWorkersActive = %d, want 0 (worker goroutines leaked)", n)
 	}
-}
-
-// equivDBs builds the property corpus three ways: indexed with a worker
-// pool, indexed serial, and unindexed with a worker pool (so heap scans
-// parallelize too).
-func equivDBs() (par, ser, plain *Database) {
-	par = NewDatabase(WithMaxWorkers(4))
-	ser = NewDatabase(WithMaxWorkers(1))
-	plain = NewDatabase(WithMaxWorkers(4))
-	for _, db := range []*Database{par, ser} {
-		db.MustExec("CREATE TABLE m (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)")
-		db.MustExec("CREATE INDEX idx_m_a ON m (a)")
-	}
-	plain.MustExec("CREATE TABLE m (id INTEGER, a INTEGER, b INTEGER, c TEXT)")
-	return par, ser, plain
-}
-
-func equivPred(r *rand.Rand) string {
-	atoms := []string{
-		fmt.Sprintf("a = %d", r.Intn(30)),
-		fmt.Sprintf("a > %d", r.Intn(30)),
-		fmt.Sprintf("a BETWEEN %d AND %d", r.Intn(15), 15+r.Intn(15)),
-		fmt.Sprintf("b > %d", r.Intn(50)),
-		fmt.Sprintf("b * 2 < %d", r.Intn(60)),
-		"a IS NULL",
-		"a IS NOT NULL",
-		fmt.Sprintf("c LIKE '%%%c%%'", 'a'+rune(r.Intn(5))),
-		fmt.Sprintf("id %% %d = %d", 2+r.Intn(5), r.Intn(3)),
-	}
-	p := atoms[r.Intn(len(atoms))]
-	for r.Intn(3) == 0 {
-		op := "AND"
-		if r.Intn(2) == 0 {
-			op = "OR"
-		}
-		p = fmt.Sprintf("(%s %s %s)", p, op, atoms[r.Intn(len(atoms))])
-	}
-	return p
-}
-
-// TestSerialParallelEquivalence is the PR's core property: with the
-// parallel threshold lowered so every eligible statement actually fans
-// out, a pooled database, a serial database, and an unindexed pooled
-// database execute identical interleaved DML — over sealed blocks it
-// rehydrates and seals again — and must return row-for-row identical
-// results — same rows, same order — across scans, parallel aggregation,
-// elided orders, and LIMIT truncation.
-func TestSerialParallelEquivalence(t *testing.T) {
-	lowerMorselMinRows(t, 8)
-	par, ser, plain := equivDBs()
-	all := []*Database{par, ser, plain}
-	r := rand.New(rand.NewSource(2025))
-	words := []string{"ant", "bee", "cat", "dge", "eel"}
-	nextID := 0
-	insert := func() {
-		var a any = r.Intn(30)
-		if r.Intn(7) == 0 {
-			a = nil
-		}
-		b, c := r.Intn(50), words[r.Intn(len(words))]
-		for _, db := range all {
-			db.MustExec("INSERT INTO m VALUES (?, ?, ?, ?)", nextID, a, b, c)
-		}
-		nextID++
-	}
-	// A sealed block under a heap tail, thinned by a delete that rehydrates
-	// it and sealed again with holes; the interleaved DML rehydrates it, and
-	// the corpus seals whatever went cold again as it goes.
-	for i := 0; i < segBlockSlots+300; i++ {
-		insert()
-	}
-	seal := func() {
-		for _, db := range all {
-			db.Vacuum()
-			db.Seal()
-		}
-	}
-	seal()
-	for _, db := range all {
-		db.MustExec("DELETE FROM m WHERE id < ? AND id % 8 != 0", segBlockSlots)
-	}
-	seal()
-
-	// Sanity: the pooled database must actually plan parallel operators,
-	// or the whole property tests nothing.
-	plan, err := par.Explain("SELECT id FROM m WHERE b > 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(plan, "\n"), "batch seq scan m (as m) workers=4") {
-		t.Fatalf("pooled db did not plan a pooled batch scan:\n%s", strings.Join(plan, "\n"))
-	}
-
-	queries := func(pred string, r *rand.Rand) []string {
-		return []string{
-			"SELECT id, a, b, c FROM m WHERE " + pred,
-			"SELECT a, COUNT(*), SUM(b), MIN(b), MAX(c), AVG(b) FROM m WHERE " + pred + " GROUP BY a",
-			"SELECT COUNT(*), SUM(b), MIN(a), MAX(b) FROM m WHERE " + pred,
-			"SELECT COUNT(*), SUM(a + b) FROM m WHERE " + pred, // non-mergeable SUM arg: stays serial
-			fmt.Sprintf("SELECT id, a FROM m WHERE %s ORDER BY a LIMIT %d", pred, 1+r.Intn(9)),
-			"SELECT id, a, b FROM m ORDER BY a, id LIMIT 12", // grouped tie-sort on the indexed dbs
-			"SELECT DISTINCT a, b FROM m WHERE " + pred,
-		}
-	}
-	for step := 0; step < 320; step++ {
-		var dml string
-		var params []any
-		switch r.Intn(6) {
-		case 0, 1:
-			insert()
-		case 2:
-			dml = fmt.Sprintf("UPDATE m SET a = %d WHERE id %% 7 = %d", r.Intn(30), r.Intn(7))
-		case 3:
-			// Range-shaped DML: the indexed dbs serve it from the ordered
-			// view (chooseIndexAccess), plain walks the heap — results must agree.
-			dml, params = "UPDATE m SET b = b + 1 WHERE a > ?", []any{r.Intn(30)}
-		case 4:
-			dml, params = "DELETE FROM m WHERE id = ?", []any{r.Intn(nextID + 1)}
-		default:
-			dml = fmt.Sprintf("DELETE FROM m WHERE a BETWEEN %d AND %d", r.Intn(28), r.Intn(6))
-		}
-		if dml != "" {
-			n0, err0 := all[0].Exec(dml, params...)
-			for _, db := range all[1:] {
-				n, err := db.Exec(dml, params...)
-				if (err == nil) != (err0 == nil) || n != n0 {
-					t.Fatalf("step %d: DML diverged on %q: (%d, %v) vs (%d, %v)",
-						step, dml, n0, err0, n, err)
-				}
-			}
-		}
-		if step%40 == 39 {
-			seal()
-		}
-		pred := equivPred(r)
-		for _, q := range queries(pred, r) {
-			want := queryStrings(t, ser, q)
-			for name, db := range map[string]*Database{"parallel": par, "plain": plain} {
-				got := queryStrings(t, db, q)
-				if len(got) != len(want) {
-					t.Fatalf("step %d: %s diverged on %q: %d rows vs %d", step, name, q, len(got), len(want))
-				}
-				for i := range want {
-					if strings.Join(got[i], "|") != strings.Join(want[i], "|") {
-						t.Fatalf("step %d: %s diverged on %q at row %d: %v vs %v",
-							step, name, q, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-	for name, db := range map[string]*Database{"parallel": par, "serial": ser, "plain": plain} {
-		if st := db.Stats(); st.SegmentsSealed <= 1 || st.DecodedBlocks == 0 || rehydrations(db) == 0 {
-			t.Errorf("%s: sealed %d blocks, decoded %d and rehydrated %d: the corpus must do all three",
-				name, st.SegmentsSealed, st.DecodedBlocks, rehydrations(db))
-		}
-	}
-	assertNoWorkerLeak(t)
 }
 
 // bigParallelDB builds a table large enough to parallelize at the default
@@ -308,92 +150,6 @@ func TestParallelExplainAnalyzeWorkersAndAccounting(t *testing.T) {
 	}
 	if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
 		t.Fatalf("agg: per-operator scanned %d != per-query RowsScanned %d", got, want)
-	}
-	assertNoWorkerLeak(t)
-}
-
-// TestParallelAggEquivalence pins the partial-aggregation merge against
-// the serial fold, and both against the row loop — the same statement over
-// a one-row table joined in front — on a corpus with many groups, NULLs, and
-// every mergeable aggregate: identical values AND identical first-seen group
-// order AND identical printed keys, because the three aggregation loops
-// found their groups through one group table.
-func TestParallelAggEquivalence(t *testing.T) {
-	lowerMorselMinRows(t, 8)
-	par := NewDatabase(WithMaxWorkers(4))
-	ser := NewDatabase(WithMaxWorkers(1))
-	r := rand.New(rand.NewSource(11))
-	for _, db := range []*Database{par, ser} {
-		db.MustExec("CREATE TABLE g (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER, w TEXT)")
-		db.MustExec("CREATE TABLE dim (id INTEGER, name TEXT)") // unindexed: a hash join
-		db.MustExec("CREATE TABLE one (one_id INTEGER)")
-		db.MustExec("INSERT INTO one VALUES (1)")
-		for k := 0; k < 400; k += 2 {
-			db.MustExec("INSERT INTO dim VALUES (?, ?)", k, fmt.Sprintf("n%02d", k%60))
-		}
-	}
-	words := []string{"ant", "bee", "cat", "dge", "eel"}
-	for i := 0; i < 5000; i++ {
-		var k any = r.Intn(400)
-		var v any = r.Intn(1000)
-		if r.Intn(11) == 0 {
-			v = nil
-		}
-		w := words[r.Intn(len(words))]
-		for _, db := range []*Database{par, ser} {
-			db.MustExec("INSERT INTO g VALUES (?, ?, ?, ?)", i, k, v, w)
-		}
-	}
-	for _, q := range []string{
-		"SELECT k, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v), MAX(w) FROM g GROUP BY k",
-		"SELECT k % 7, COUNT(*), SUM(v) FROM g GROUP BY k % 7",
-		"SELECT COUNT(*), SUM(v), TOTAL(v), MIN(w), MAX(v) FROM g",
-		"SELECT COUNT(*) FROM g WHERE v > 2000", // empty single group
-		"SELECT k, COUNT(*) FROM g WHERE v > 500 GROUP BY k HAVING COUNT(*) > 3",
-		"SELECT k, SUM(v) FROM g GROUP BY k ORDER BY SUM(v) DESC LIMIT 5",
-		// INTEGER and REAL keys of one class: the group prints as the row
-		// that founded it wrote it, 5 or 5.0, whichever instance saw it.
-		"SELECT CASE WHEN id % 3 = 0 THEN k * 1.0 ELSE k END, COUNT(*), SUM(v) FROM g GROUP BY CASE WHEN id % 3 = 0 THEN k * 1.0 ELSE k END",
-		"SELECT k % 9, CASE WHEN id % 2 = 0 THEN v / 100 ELSE v / 100 * 1.0 END, COUNT(*) FROM g GROUP BY k % 9, CASE WHEN id % 2 = 0 THEN v / 100 ELSE v / 100 * 1.0 END",
-		// An output alias that shadows an input column is the sort key, and
-		// nothing reads the representative row; the qualified name is the
-		// input column, read off the row that founded each group.
-		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY v",
-		"SELECT k AS v, COUNT(*) AS n FROM g GROUP BY k ORDER BY n DESC, v LIMIT 7",
-		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY g.v",
-		"SELECT k AS v, COUNT(*) FROM g GROUP BY k ORDER BY g.v DESC, g.w LIMIT 9",
-		// A join under GROUP BY takes the row loop on every database.
-		"SELECT dim.name, SUM(g.v) AS s FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name ORDER BY s DESC, dim.name LIMIT 10",
-		"SELECT dim.name, COUNT(*), MIN(g.w) FROM g JOIN dim ON g.k = dim.id GROUP BY dim.name",
-		// 3,000 groups: past the first 1,024-class block of every column,
-		// with a NULL key and a SUM over integers and (exact) reals, so the
-		// merge meets classes every instance founded in its own order.
-		"SELECT CASE WHEN id % 97 = 0 THEN NULL ELSE id % 3000 END, COUNT(*), COUNT(v), SUM(v), " +
-			"SUM(CASE WHEN id % 3 = 0 THEN v / 4.0 ELSE v END), TOTAL(v), AVG(v), MIN(w), MAX(v) " +
-			"FROM g GROUP BY CASE WHEN id % 97 = 0 THEN NULL ELSE id % 3000 END",
-		// ... and every kind at once, DISTINCT and GROUP_CONCAT included,
-		// which keep every database on the serial fold.
-		"SELECT id % 3000, COUNT(DISTINCT v), SUM(DISTINCT v), GROUP_CONCAT(w), COUNT(*), " +
-			"SUM(CASE WHEN id % 3 = 0 THEN v / 4.0 ELSE v END), TOTAL(v), AVG(v), MIN(v), MAX(w) FROM g GROUP BY id % 3000",
-	} {
-		want := queryStrings(t, ser, strings.Replace(q, " FROM g", " FROM one, g", 1)) // the row loop
-		for name, db := range map[string]*Database{"serial fold": ser, "pooled fold": par} {
-			if got := queryStrings(t, db, q); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s diverged from the row loop on %q:\n got %v\nwant %v", name, q, got, want)
-			}
-		}
-	}
-	// GROUP_CONCAT and DISTINCT aggregates must refuse the parallel path
-	// and still agree (order-sensitive / unmergeable).
-	for _, q := range []string{
-		"SELECT k % 5, GROUP_CONCAT(w) FROM g GROUP BY k % 5",
-		"SELECT COUNT(DISTINCT w), SUM(DISTINCT v) FROM g",
-	} {
-		want := queryStrings(t, ser, q)
-		got := queryStrings(t, par, q)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("serial-only aggregate diverged on %q", q)
-		}
 	}
 	assertNoWorkerLeak(t)
 }

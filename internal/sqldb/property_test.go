@@ -387,8 +387,8 @@ func TestLeftJoinRowCountInvariant(t *testing.T) {
 // kernels (vector.go); the interpreted evaluator that powered the old
 // executor survives in interp_test.go. refSelect below reconstructs the old
 // executor for single-table queries — interpreted predicates, no index
-// selection, per-row projection and aggregation — and the property tests
-// assert the engine agrees with it over generated queries.
+// selection, per-row projection and aggregation — and TestDifferential
+// holds the engine to it over generated queries.
 
 // refSelect is a miniature interpreted executor: full scan in slot order,
 // interpreted WHERE, GROUP BY partitions in first-seen order (each with the
@@ -656,191 +656,6 @@ func rowsToStrings(rows []Row) [][]string {
 		}
 	}
 	return out
-}
-
-// propTables loads the same rows into two databases: one with primary keys
-// and secondary indexes (index scans, index joins), one with neither (seq
-// scans, hash joins). withIndexes also differs in join build-side choices
-// because the optimiser sees different table metadata.
-func propTables(t *testing.T, r *rand.Rand) (indexed, plain *Database) {
-	t.Helper()
-	indexed = NewDatabase()
-	plain = NewDatabase()
-	indexed.MustExec("CREATE TABLE t1 (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c REAL)")
-	indexed.MustExec("CREATE TABLE t2 (id INTEGER PRIMARY KEY, t1_id INTEGER, d INTEGER)")
-	indexed.MustExec("CREATE INDEX idx_t2_fk ON t2 (t1_id)")
-	plain.MustExec("CREATE TABLE t1 (id INTEGER, a INTEGER, b TEXT, c REAL)")
-	plain.MustExec("CREATE TABLE t2 (id INTEGER, t1_id INTEGER, d INTEGER)")
-
-	words := []string{"ant", "bee", "cat", "dog", "elk", "fox"}
-	var rows1, rows2 [][]any
-	for i := 0; i < 80; i++ {
-		var c any = float64(r.Intn(400)) / 4
-		if r.Intn(8) == 0 {
-			c = nil
-		}
-		rows1 = append(rows1, []any{i, r.Intn(6), words[r.Intn(len(words))], c})
-	}
-	for i := 0; i < 200; i++ {
-		rows2 = append(rows2, []any{i, r.Intn(100), r.Intn(30)}) // some t1_ids dangle
-	}
-	for _, db := range []*Database{indexed, plain} {
-		if err := db.InsertRows("t1", rows1); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.InsertRows("t2", rows2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return indexed, plain
-}
-
-// randPred builds a random WHERE predicate over t1's columns (qualified,
-// so the same predicate works in single-table and join queries).
-func randPred(r *rand.Rand) string {
-	atoms := []string{
-		fmt.Sprintf("t1.a = %d", r.Intn(6)),
-		fmt.Sprintf("t1.a != %d", r.Intn(6)),
-		fmt.Sprintf("t1.c > %d", r.Intn(100)),
-		fmt.Sprintf("t1.c <= %d", r.Intn(100)),
-		"t1.c IS NULL",
-		"t1.c IS NOT NULL",
-		fmt.Sprintf("t1.b LIKE '%%%c%%'", 'a'+rune(r.Intn(6))),
-		fmt.Sprintf("t1.a BETWEEN %d AND %d", r.Intn(3), 3+r.Intn(3)),
-		fmt.Sprintf("t1.a IN (%d, %d)", r.Intn(6), r.Intn(6)),
-		fmt.Sprintf("t1.id = %d", r.Intn(80)),
-		// Range shapes over the indexed primary key: on the indexed
-		// database these become index range scans (or bounded ordered
-		// scans under ORDER BY id); on the plain database they filter.
-		fmt.Sprintf("t1.id > %d", r.Intn(80)),
-		fmt.Sprintf("t1.id BETWEEN %d AND %d", r.Intn(40), 40+r.Intn(40)),
-		fmt.Sprintf("%d <= t1.id", r.Intn(80)),
-		fmt.Sprintf("t1.id >= %d AND t1.id < %d", r.Intn(40), 40+r.Intn(40)),
-	}
-	p := atoms[r.Intn(len(atoms))]
-	for r.Intn(2) == 0 {
-		op := "AND"
-		if r.Intn(2) == 0 {
-			op = "OR"
-		}
-		p = fmt.Sprintf("(%s %s %s)", p, op, atoms[r.Intn(len(atoms))])
-	}
-	return p
-}
-
-func TestCompiledMatchesInterpretedExecutor(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	indexed, _ := propTables(t, r)
-	projections := []string{
-		"id, a, b, c",
-		"*",
-		"a * 2 + 1, UPPER(b)",
-		"CASE WHEN a < 3 THEN 'lo' ELSE 'hi' END, c",
-		"COALESCE(c, -1), LENGTH(b)",
-	}
-	for i := 0; i < 300; i++ {
-		sql := fmt.Sprintf("SELECT %s FROM t1 WHERE %s ORDER BY id",
-			projections[r.Intn(len(projections))], randPred(r))
-		stmt, err := Parse(sql)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", sql, err)
-		}
-		sel := stmt.(*SelectStmt)
-		want, err := refSelect(indexed, sel)
-		if err != nil {
-			t.Fatalf("refSelect(%q): %v", sql, err)
-		}
-		res, err := indexed.Query(sql)
-		if err != nil {
-			t.Fatalf("Query(%q): %v", sql, err)
-		}
-		if !reflect.DeepEqual(rowsToStrings(res.Rows), rowsToStrings(want)) {
-			t.Fatalf("compiled executor disagrees with interpreted reference on %q:\ngot  %v\nwant %v",
-				sql, rowsToStrings(res.Rows), rowsToStrings(want))
-		}
-	}
-}
-
-func TestPlanChoicesAgree(t *testing.T) {
-	// The same query must return identical rows whether the planner picks
-	// index scans / index joins / flipped build sides (indexed db) or seq
-	// scans / right-build hash joins (plain db). ORDER BY keys end with a
-	// unique column so every ordering is total and comparison is exact.
-	r := rand.New(rand.NewSource(7))
-	indexed, plain := propTables(t, r)
-	shapes := []func(*rand.Rand) string{
-		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, a, c FROM t1 WHERE %s ORDER BY id", randPred(r))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf(
-				"SELECT t1.id, t1.a, t2.d FROM t1 JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id",
-				randPred(r))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf(
-				"SELECT t2.id, t1.b FROM t2 JOIN t1 ON t2.t1_id = t1.id WHERE %s ORDER BY t2.id",
-				randPred(r))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf(
-				"SELECT t1.id, t2.d FROM t1 LEFT JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id",
-				randPred(r))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf(
-				"SELECT a, COUNT(*), SUM(c) FROM t1 WHERE %s GROUP BY a ORDER BY a", randPred(r))
-		},
-		func(r *rand.Rand) string {
-			return fmt.Sprintf(
-				"SELECT DISTINCT t1.a FROM t1 JOIN t2 ON t1.id = t2.t1_id ORDER BY t1.a LIMIT %d",
-				1+r.Intn(6))
-		},
-		func(r *rand.Rand) string {
-			// Both join keys indexed on the indexed db: index join there,
-			// hash join on the plain one.
-			return fmt.Sprintf(
-				"SELECT t1.id, t2.d FROM t1 JOIN t2 ON t1.id = t2.id WHERE %s ORDER BY t1.id",
-				randPred(r))
-		},
-		func(r *rand.Rand) string {
-			// Predicate on the nullable side of a LEFT JOIN: must stay
-			// above the join on both databases.
-			return fmt.Sprintf(
-				"SELECT t1.id, t2.d FROM t1 LEFT JOIN t2 ON t1.id = t2.t1_id WHERE t2.d > %d OR t2.d IS NULL ORDER BY t1.id, t2.id",
-				r.Intn(30))
-		},
-		func(r *rand.Rand) string {
-			// ORDER BY an indexed column under LIMIT: ordered index scan
-			// on the indexed db, top-k sort on the plain one. id is
-			// unique, so truncation is well-defined on both.
-			return fmt.Sprintf(
-				"SELECT id, a, b FROM t1 WHERE %s ORDER BY id DESC LIMIT %d",
-				randPred(r), 1+r.Intn(10))
-		},
-		func(r *rand.Rand) string {
-			// A subquery re-pulled per outer row whose scan walks t2's key
-			// in order on the indexed db: the walk restarts on every reset.
-			return fmt.Sprintf(
-				"SELECT id, (SELECT t2.d FROM t2 WHERE t2.d > t1.a + %d ORDER BY t2.id DESC LIMIT 1) FROM t1 ORDER BY id",
-				r.Intn(25))
-		},
-	}
-	for i := 0; i < 240; i++ {
-		sql := shapes[i%len(shapes)](r)
-		ri, err := indexed.Query(sql)
-		if err != nil {
-			t.Fatalf("indexed Query(%q): %v", sql, err)
-		}
-		rp, err := plain.Query(sql)
-		if err != nil {
-			t.Fatalf("plain Query(%q): %v", sql, err)
-		}
-		if !reflect.DeepEqual(rowsToStrings(ri.Rows), rowsToStrings(rp.Rows)) {
-			t.Fatalf("plans disagree on %q:\nindexed %v\nplain   %v",
-				sql, rowsToStrings(ri.Rows), rowsToStrings(rp.Rows))
-		}
-	}
 }
 
 func TestTiedOrderByLimitKeepsProbeOrder(t *testing.T) {

@@ -18,22 +18,6 @@ import (
 // matrix in wal_crash_test.go drives every step of this code through
 // every failure point a crashFS can inject.
 
-// Debug switches that deliberately break recovery, so the fault-injection
-// harness can prove it would catch a real bug (the PR 5 pattern: a
-// property harness is only trusted once it has been seen to fail).
-// Never set outside tests.
-var (
-	// debugWALApplyDanglingFrame applies a transaction frame that has a
-	// begin record but no commit record — exactly the torn-tail case
-	// recovery exists to drop. With this set, a crash mid-frame makes the
-	// partial transaction visible after reopen.
-	debugWALApplyDanglingFrame = false
-	// debugWALSkipSync makes every WAL fsync a no-op, silently breaking
-	// the SyncAlways contract: commits acknowledged as durable are lost
-	// by a power-loss (faultCrashLose) crash.
-	debugWALSkipSync = false
-)
-
 // openWAL opens the durability layer on a freshly constructed database:
 // recovery first (unarmed, so replay is not re-logged), then the writer
 // is armed. Called from OpenContext with db.durPath/db.durOpts set.
@@ -281,7 +265,7 @@ func (db *Database) replayWAL(ctx context.Context, data []byte) (validOff int64,
 		// The file ends inside a frame — at a clean EOF or at a torn
 		// record, either way the transaction never committed. Drop it —
 		// unless the test harness deliberately broke us.
-		if debugWALApplyDanglingFrame {
+		if debugFault == faultWALDanglingFrame {
 			if err := db.applyRecoveredUnit(ctx, pending); err != nil {
 				return validOff, false, err
 			}

@@ -3,10 +3,8 @@ package sqldb
 import "testing"
 
 // Benchmarks for early-terminating query shapes — the workloads the
-// streaming executor redesign targets. They intentionally use only the
-// materialising Query API so the same file runs against the pre-streaming
-// engine for before/after comparison (BENCH_2.json); the streaming-cursor
-// benchmarks live in stream_bench_test.go.
+// streaming executor targets. They use only the materialising Query API;
+// the streaming-cursor benchmarks live in stream_bench_test.go.
 
 // BenchmarkLimitQuery: without ORDER BY the plan stops at the window.
 func BenchmarkLimitQuery(b *testing.B) {

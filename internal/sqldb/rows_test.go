@@ -37,24 +37,24 @@ func collectViaRows(t *testing.T, db *Database, sql string) ([]string, [][]strin
 // the plain database alike.
 func TestRowsMatchesResultOverPlanCorpus(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	indexed, plain := propTables(t, r)
+	indexed, plain := diffLoad(t, r, 80)
 	shapes := []func(*rand.Rand) string{
 		func(r *rand.Rand) string {
-			return fmt.Sprintf("SELECT id, a, c FROM t1 WHERE %s ORDER BY id", randPred(r))
+			return fmt.Sprintf("SELECT id, a, c FROM t1 WHERE %s ORDER BY id", diffPred(r, 80))
 		},
 		func(r *rand.Rand) string {
 			return fmt.Sprintf(
 				"SELECT t1.id, t1.a, t2.d FROM t1 JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id",
-				randPred(r))
+				diffPred(r, 80))
 		},
 		func(r *rand.Rand) string {
 			return fmt.Sprintf(
 				"SELECT t1.id, t2.d FROM t1 LEFT JOIN t2 ON t1.id = t2.t1_id WHERE %s ORDER BY t1.id, t2.id",
-				randPred(r))
+				diffPred(r, 80))
 		},
 		func(r *rand.Rand) string {
 			return fmt.Sprintf(
-				"SELECT a, COUNT(*), SUM(c) FROM t1 WHERE %s GROUP BY a HAVING COUNT(*) > 1 ORDER BY a", randPred(r))
+				"SELECT a, COUNT(*), SUM(f) FROM t1 WHERE %s GROUP BY a HAVING COUNT(*) > 1 ORDER BY a", diffPred(r, 80))
 		},
 		func(r *rand.Rand) string {
 			return fmt.Sprintf(
@@ -68,7 +68,7 @@ func TestRowsMatchesResultOverPlanCorpus(t *testing.T) {
 		},
 		func(r *rand.Rand) string {
 			return fmt.Sprintf("SELECT id, b FROM t1 WHERE %s LIMIT %d OFFSET %d",
-				randPred(r), r.Intn(10), r.Intn(5))
+				diffPred(r, 80), r.Intn(10), r.Intn(5))
 		},
 	}
 	for i := 0; i < 210; i++ {

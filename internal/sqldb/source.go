@@ -11,22 +11,32 @@ package sqldb
 // decided by the single function below, for these scans and (through
 // Table.resolve and Table.visibleRow) for every other snapshot read.
 
-// debugDisableTombstoneSkip is a fault-injection switch for the
-// metamorphic/property test layer: scans ignore visibility, so deleted
-// rows reappear, and the suites must notice. Never set outside tests; read
-// only by visible and batchSource.capture.
-var debugDisableTombstoneSkip bool
+// debugFault deliberately breaks one invariant, so that the test layer can
+// prove it notices (the mutation table of TestDifferential, the crash
+// matrix's detection tests). Never set outside tests.
+var debugFault fault
+
+type fault uint8
+
+const (
+	noFault               fault = iota
+	faultTombstoneSkip          // scans ignore visibility: deleted rows reappear
+	faultOrdMaintain            // DML leaves ordered views stale; removal drops keys a survivor carries
+	faultRowCopy                // the top-K heap retains the rows it is offered instead of copying them
+	faultVectorKernel           // the comparison kernels answer inverted
+	faultWALDanglingFrame       // recovery applies a frame with no commit record
+	faultWALSkipSync            // every WAL fsync is a no-op
+)
 
 // visible returns the row of a version chain a reader holding snap should
 // see, or nil. A nil snapshot means "latest committed" (valid only under
 // writeMu or for best-effort display paths such as plain EXPLAIN). Under
-// the debugDisableTombstoneSkip fault it is the newest version whatever
-// its visibility.
+// faultTombstoneSkip it is the newest version whatever its visibility.
 func visible(head *rowVersion, snap *snapshot) Row {
 	switch {
 	case head == nil:
 		return nil
-	case debugDisableTombstoneSkip:
+	case debugFault == faultTombstoneSkip:
 		return head.row
 	case snap == nil:
 		return latestRow(head)
@@ -59,7 +69,7 @@ func (m *batchSource) capture(t *Table, ids []int, walk *ordWalk, snap *snapshot
 	*m = batchSource{table: t, ids: ids, walk: walk, snap: snap}
 	if ids == nil && walk == nil {
 		m.dir, m.n = t.loadSlots()
-		if !debugDisableTombstoneSkip {
+		if debugFault != faultTombstoneSkip {
 			m.segs = t.blocks()
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -14,12 +13,11 @@ import (
 )
 
 // The statement cache (prepare.go) hands one parsed AST to every execution
-// of a text, so its contract is that nothing downstream writes to one. The
-// tests here hold it to that the way the other "A must equal B" suites do —
-// by what the layer covers, not by a unit test of the map: the existing DML
-// corpora replayed cached against fresh-parsed, a proof that the replay fails
-// when a statement is mutated, concurrent executions of shared ASTs under
-// -race, the retention bound, and the allocation ceilings that say the
+// of a text, so its contract is that nothing downstream writes to one.
+// TestDifferential holds it to that — cached against fresh-parsed, every
+// cached statement rendered after each execution, and mutation rows that
+// must fail it; the tests here run shared ASTs concurrently under -race and
+// pin the retention bound and the allocation ceilings that say the
 // text-dependent work is really gone from a repeated statement.
 
 // renderAll is the statements' String() forms, one a line.
@@ -29,154 +27,6 @@ func renderAll(stmts []Statement) string {
 		b.WriteString(s.String() + "\n")
 	}
 	return b.String()
-}
-
-// execFresh is Exec without the cache: sql is parsed anew and every
-// statement handed over already parsed, as the wire's portals do.
-func execFresh(db *Database, sql string, params []any) (int, error) {
-	stmts, err := ParseAll(sql)
-	total := 0
-	for _, st := range stmts {
-		n, err := db.ExecStmtTx(context.Background(), st, nil, params...)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, err
-}
-
-// cacheDiff feeds one statement stream to two databases — cached takes each
-// text through Exec, fresh through execFresh — and compares affected counts,
-// errors and the full Dump after every step. It also keeps every cached
-// text's statements as they rendered before their first execution; finish
-// renders them again after the last.
-type cacheDiff struct {
-	cached, fresh *Database
-	stmts         map[string][]Statement
-	rendered      map[string]string
-	steps         int
-}
-
-func newCacheDiff(schema ...string) *cacheDiff {
-	d := &cacheDiff{cached: NewDatabase(), fresh: NewDatabase(),
-		stmts: map[string][]Statement{}, rendered: map[string]string{}}
-	for _, ddl := range schema {
-		d.cached.MustExec(ddl)
-		d.fresh.MustExec(ddl)
-	}
-	return d
-}
-
-func (d *cacheDiff) step(sql string, params []any) error {
-	d.steps++
-	if _, seen := d.stmts[sql]; !seen {
-		if stmts, err := d.cached.ParseCached(sql); err == nil {
-			d.stmts[sql], d.rendered[sql] = stmts, renderAll(stmts)
-		}
-	}
-	before := d.cached.Stats().PlanCacheHits
-	nc, errc := d.cached.Exec(sql, params...)
-	if _, parsed := d.stmts[sql]; parsed && d.cached.Stats().PlanCacheHits != before+1 {
-		return fmt.Errorf("step %d: Exec(%q) did not hit the statement cache", d.steps, sql)
-	}
-	nf, errf := execFresh(d.fresh, sql, params)
-	if nc != nf || fmt.Sprint(errc) != fmt.Sprint(errf) {
-		return fmt.Errorf("step %d: %q %v: cached (%d, %v) vs fresh (%d, %v)", d.steps, sql, params, nc, errc, nf, errf)
-	}
-	var dc, df bytes.Buffer
-	if err := d.cached.Dump(&dc); err != nil {
-		return err
-	}
-	if err := d.fresh.Dump(&df); err != nil {
-		return err
-	}
-	if !bytes.Equal(dc.Bytes(), df.Bytes()) {
-		return fmt.Errorf("step %d: dumps differ after %q %v:\n--- cached ---\n%s--- fresh ---\n%s", d.steps, sql, params, &dc, &df)
-	}
-	return nil
-}
-
-func (d *cacheDiff) finish() error {
-	for sql, stmts := range d.stmts {
-		if got := renderAll(stmts); got != d.rendered[sql] {
-			return fmt.Errorf("cached statement changed under execution:\ntext   %s\nbefore %safter  %s", sql, d.rendered[sql], got)
-		}
-	}
-	return nil
-}
-
-// TestStatementCacheMatchesFreshParse replays the two DML corpora — the
-// interleaved DML-and-ordered-query property's stream and the
-// DML-with-subqueries property's — through the differential: 1,200 steps of
-// parameterised texts that repeat (and so execute one shared AST hundreds of
-// times), literal texts that never do, self-referencing subqueries, and
-// statements that fail a constraint.
-func TestStatementCacheMatchesFreshParse(t *testing.T) {
-	d := newCacheDiff(dmlPropSchema...)
-	if err := interleavedDMLStream(rand.New(rand.NewSource(31)), 600, false, d.step); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.finish(); err != nil {
-		t.Fatal(err)
-	}
-	repeated := d.steps - len(d.stmts)
-
-	d2 := newCacheDiff(dmlTestSchema...)
-	dmlSubqueryProperty(t, func(sql string, params []any) {
-		if err := d2.step(sql, params); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := d2.finish(); err != nil {
-		t.Fatal(err)
-	}
-	repeated += d2.steps - len(d2.stmts)
-	if d.steps < 500 || d2.steps < 500 || repeated < 400 {
-		t.Errorf("corpora ran %d + %d steps, %d on an already-executed AST; want >= 500 each and >= 400", d.steps, d2.steps, repeated)
-	}
-}
-
-// TestStatementCacheDifferentialCatchesMutation proves the differential can
-// fail: after a cached statement's first execution it is changed the way a
-// careless executor would change it, and the run must notice — a bound
-// parameter folded into the shared INSERT (a semantic change: the step
-// comparison fails on the next execution), and a column reference rewritten
-// to its canonical spelling (no result changes: only finish's render does).
-func TestStatementCacheDifferentialCatchesMutation(t *testing.T) {
-	const ins, del = "INSERT INTO t VALUES (?, ?, ?)", "DELETE FROM t WHERE id = ?"
-	mutations := map[string]struct {
-		text   string
-		mutate func(Statement, []any)
-		where  string // what must report it
-	}{
-		"folded parameter": {ins, func(s Statement, params []any) {
-			s.(*InsertStmt).Rows[0][0] = &Literal{Val: GoValue(params[0])}
-		}, "cached ("},
-		"respelled column": {del, func(s Statement, _ []any) {
-			s.(*DeleteStmt).Where.(*BinaryOp).Left.(*ColumnRef).Column = "ID"
-		}, "changed under execution"},
-	}
-	for name, m := range mutations {
-		d := newCacheDiff(dmlPropSchema...)
-		done := false
-		err := interleavedDMLStream(rand.New(rand.NewSource(31)), 600, false, func(sql string, params []any) error {
-			if err := d.step(sql, params); err != nil {
-				return err
-			}
-			if sql == m.text && !done {
-				m.mutate(d.stmts[sql][0], params)
-				done = true
-			}
-			return nil
-		})
-		if err == nil {
-			err = d.finish()
-		}
-		if !done || err == nil || !strings.Contains(err.Error(), m.where) {
-			t.Errorf("%s: mutated=%v, differential reported %v; want an error holding %q", name, done, err, m.where)
-		}
-	}
 }
 
 // TestStatementCacheConcurrent runs the same cached UPDATE / INSERT / SELECT

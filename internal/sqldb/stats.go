@@ -288,8 +288,12 @@ type queryCtx struct {
 	// because workers read table data under that lock.
 	finalizers []func()
 
-	tick    uint32 // with flushed in one word: the struct stays in the 320-byte size class
+	tick    uint32 // with flushed and founders in one word: the struct stays in the 288-byte size class
 	flushed bool
+	// founders counts the pool instances that founded groups in the
+	// execution's folded GROUP BYs (runAggregationBatch): what a pooled
+	// fold's merge costs in proportion to.
+	founders uint16
 }
 
 // addFinalizer registers a cleanup to run at stopWorkers. Owner goroutine

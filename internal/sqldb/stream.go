@@ -388,11 +388,6 @@ func inputColumn(c *ColumnRef, in []colInfo) int {
 	return -1
 }
 
-// debugBreakRowCopy makes the top-K heap retain the rows it is offered
-// instead of copying them (tests only). The row-lifetime suite must fail
-// when it is set — proof that producers below it do reuse their rows.
-var debugBreakRowCopy bool
-
 // topkRow pairs a row with its arrival ordinal so ties break exactly as
 // the stable sort would: earlier input first.
 type topkRow struct {
@@ -429,7 +424,7 @@ func (t *topKHeap) offer(r Row, seq int) {
 	i := len(t.h)
 	switch {
 	case i < t.k:
-		if !debugBreakRowCopy {
+		if debugFault != faultRowCopy {
 			e.row = r.Clone()
 		}
 		t.h = append(t.h, e)
@@ -442,7 +437,7 @@ func (t *topKHeap) offer(r Row, seq int) {
 			i = p
 		}
 	case t.k > 0 && t.after(t.h[0], e):
-		if !debugBreakRowCopy {
+		if debugFault != faultRowCopy {
 			e.row = t.h[0].row
 			copy(e.row, r)
 		}

@@ -359,6 +359,9 @@ func GoValue(x any) Value {
 	case int64:
 		return Int(t)
 	case uint:
+		if uint64(t) > math.MaxInt64 { // the REAL an integer literal this large gets
+			return Float(float64(t))
+		}
 		return Int(int64(t))
 	case uint8:
 		return Int(int64(t))
@@ -367,6 +370,9 @@ func GoValue(x any) Value {
 	case uint32:
 		return Int(int64(t))
 	case uint64:
+		if t > math.MaxInt64 {
+			return Float(float64(t))
+		}
 		return Int(int64(t))
 	case float32:
 		return Float(float64(t))

@@ -167,6 +167,22 @@ func TestGoValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnsignedParamAboveMaxInt64: a uint or uint64 parameter too large for
+// an INTEGER binds as the REAL the same literal parses to, never as a
+// wrapped negative.
+func TestUnsignedParamAboveMaxInt64(t *testing.T) {
+	db := NewDatabase()
+	for _, p := range []any{uint64(math.MaxUint64), uint(math.MaxUint64)} {
+		got := queryStrings(t, db, "SELECT 18446744073709551615, ?, ? = 18446744073709551615", p, p)
+		if want := "[[1.8446744073709552e+19 1.8446744073709552e+19 true]]"; fmt.Sprint(got) != want {
+			t.Errorf("%T parameter: %v, want %s", p, got, want)
+		}
+	}
+	if got := GoValue(uint64(math.MaxInt64)); got != Int(math.MaxInt64) {
+		t.Errorf("GoValue(uint64(MaxInt64)) = %v, want the INTEGER", got)
+	}
+}
+
 func TestValueStringSQLLiterals(t *testing.T) {
 	if got := Text("it's").String(); got != "'it''s'" {
 		t.Errorf("Text escape = %q", got)

@@ -14,7 +14,7 @@ import (
 // branches (the type-specialized int/int paths mirror Value.Compare and
 // evalArith case by case) or simply calls the row engine's own scalar
 // functions per element (the generic paths) — so row-vs-vector
-// equivalence holds by construction and is pinned by the property suites.
+// equivalence holds by construction and is pinned by TestDifferential.
 // Shapes the compiler cannot specialize (subqueries, UDFs, CASE, grouped
 // references) report not-compilable, and the scan runs the row
 // engine's closure for that one expression over the batch's rows
@@ -24,11 +24,6 @@ import (
 // segBlockSlots (and morselSize) so one sealed block decodes into exactly
 // one batch.
 const vecBatchRows = segBlockSlots
-
-// debugBreakVectorKernel deliberately corrupts the specialized comparison
-// kernels (tests only). The metamorphic and equivalence suites must fail
-// when it is set — proof that they exercise the vectorized path.
-var debugBreakVectorKernel = false
 
 // vecBitset is a bitmap over one batch's rows.
 type vecBitset [vecBatchRows / 64]uint64
@@ -651,16 +646,11 @@ func cmpTest(op string) func(int) bool {
 // (exact int compare; float compare by < / >); every other kind mix calls
 // Value.Compare itself.
 func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
+	if debugFault == faultVectorKernel { // every kernel answers the negated comparison
+		op = map[string]string{"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}[op]
+	}
 	if l.kinds == kmInt && r.kinds == kmInt {
 		switch {
-		case debugBreakVectorKernel:
-			// Deliberately inverted kernel for suite-sensitivity tests.
-			test := cmpTest(op)
-			for i := 0; i < n; i++ {
-				if !test(cmp.Compare(l.at(i).i64(), r.at(i).i64())) {
-					t.set(i)
-				}
-			}
 		case op == "=":
 			for i := 0; i < n; i++ {
 				if l.at(i).i64() == r.at(i).i64() {
@@ -701,10 +691,6 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 		return
 	}
 	test := cmpTest(op)
-	if debugBreakVectorKernel {
-		orig := test
-		test = func(c int) bool { return !orig(c) }
-	}
 	if l.kinds == kmFloat && r.kinds == kmFloat {
 		for i := 0; i < n; i++ {
 			if test(cmp.Compare(l.at(i).f64(), r.at(i).f64())) {

@@ -10,104 +10,13 @@ import (
 	"testing"
 )
 
-// Tests for the one scan leaf (source.go, vector.go, vecops.go): its
-// equivalence with the interpreted reference executor over a randomized plan
-// corpus with interleaved DML and forced sealing — serial and on the worker
-// pool — the EXPLAIN / EXPLAIN ANALYZE surface, the accounting property, the
-// broken-kernel and broken-visibility fault proofs, the sealed × pool cost
-// pin, and the unordered-gather aggregation path.
+// Tests for the one scan leaf (source.go, vector.go, vecops.go): sort keys of
+// every kind against the interpreted reference, the EXPLAIN / EXPLAIN ANALYZE
+// surface, the row-fallback counter, the sealed × pool cost pin, GROUP BY's
+// allocation ceilings and the unordered gather's gate. The scan's
+// equivalence under churn, and its fault proofs, are TestDifferential's.
 
-// vecPred generates a random single-table predicate over v's columns,
-// mixing shapes the kernel compiler accepts (comparisons, arithmetic,
-// IS NULL, column-column) with shapes it must reject (modulo, LIKE) so
-// the corpus exercises the row fallback alongside the kernels.
-func vecPred(r *rand.Rand) string {
-	atoms := []string{
-		fmt.Sprintf("a > %d", r.Intn(40)),
-		fmt.Sprintf("a = %d", r.Intn(40)),
-		fmt.Sprintf("a <= %d", r.Intn(40)),
-		fmt.Sprintf("f < %d.5", r.Intn(100)),
-		fmt.Sprintf("f >= %d.25", r.Intn(100)),
-		"f > a",
-		"a IS NULL",
-		"a IS NOT NULL",
-		"f IS NULL",
-		"ok",
-		"NOT ok",
-		fmt.Sprintf("a + 3 < %d", r.Intn(45)),
-		fmt.Sprintf("a * 2 >= %d", r.Intn(80)),
-		fmt.Sprintf("c = '%s'", []string{"ant", "bee", "cat"}[r.Intn(3)]),
-		fmt.Sprintf("c < '%c'", 'b'+rune(r.Intn(3))),
-		fmt.Sprintf("id %% %d = %d", 2+r.Intn(4), r.Intn(2)),
-		fmt.Sprintf("c LIKE '%%%c%%'", 'a'+rune(r.Intn(5))),
-		fmt.Sprintf("LENGTH(c) > %d", r.Intn(4)), // FuncCall: forces the row fallback
-	}
-	p := atoms[r.Intn(len(atoms))]
-	for r.Intn(3) == 0 {
-		op := "AND"
-		if r.Intn(2) == 0 {
-			op = "OR"
-		}
-		next := atoms[r.Intn(len(atoms))]
-		if r.Intn(4) == 0 {
-			next = "NOT (" + next + ")"
-		}
-		p = fmt.Sprintf("(%s %s %s)", p, op, next)
-	}
-	return p
-}
-
-// vecShapes is the plan corpus: bare scans, kernel-heavy projections,
-// plain and grouped aggregation, LIMIT/OFFSET early stops (the lazy
-// accounting), sorts and DISTINCT above the scan, and grouped aggregation by
-// mixed-kind keys and under sorts that do and do not read the group's
-// representative row — every shape refSelect answers too.
-var vecShapes = []func(r *rand.Rand, pred string) string{
-	func(r *rand.Rand, pred string) string {
-		return "SELECT id, a, c FROM v WHERE " + pred
-	},
-	func(r *rand.Rand, pred string) string {
-		return "SELECT a + id * 2, f, c FROM v WHERE " + pred
-	},
-	func(r *rand.Rand, pred string) string {
-		return "SELECT COUNT(*), MIN(a), MAX(id), SUM(a), AVG(f) FROM v WHERE " + pred
-	},
-	func(r *rand.Rand, pred string) string {
-		return "SELECT c, COUNT(*), SUM(id), MIN(f) FROM v WHERE " + pred + " GROUP BY c"
-	},
-	func(r *rand.Rand, pred string) string {
-		return fmt.Sprintf("SELECT id, a FROM v WHERE %s LIMIT %d", pred, 1+r.Intn(30))
-	},
-	func(r *rand.Rand, pred string) string {
-		return fmt.Sprintf("SELECT f * 2, c FROM v WHERE %s LIMIT %d OFFSET %d",
-			pred, 1+r.Intn(20), r.Intn(10))
-	},
-	func(r *rand.Rand, pred string) string {
-		return fmt.Sprintf("SELECT id, c FROM v WHERE %s ORDER BY id LIMIT %d", pred, 1+r.Intn(15))
-	},
-	func(r *rand.Rand, pred string) string {
-		return "SELECT DISTINCT ok, c FROM v WHERE " + pred
-	},
-	// Group keys of one class in two kinds: the group prints as its
-	// founding row wrote it (7 or 7.0).
-	func(r *rand.Rand, pred string) string {
-		key := "CASE WHEN id % 2 = 0 THEN a ELSE a * 1.0 END"
-		return "SELECT " + key + ", c, COUNT(*), SUM(id) FROM v WHERE " + pred + " GROUP BY " + key + ", c"
-	},
-	// ORDER BY an output alias that shadows an input column (no
-	// representative row is read), and by the column itself, qualified
-	// (one is, the row that founded the group).
-	func(r *rand.Rand, pred string) string {
-		return "SELECT a AS f, COUNT(*) FROM v WHERE " + pred + " GROUP BY a ORDER BY f"
-	},
-	func(r *rand.Rand, pred string) string {
-		return fmt.Sprintf("SELECT a AS f, COUNT(*) FROM v WHERE %s GROUP BY a ORDER BY v.f DESC, v.id LIMIT %d", pred, 1+r.Intn(30))
-	},
-	vecOrderShape,
-	vecOrderShape,
-}
-
-// vecOrderLists are select lists over v — identity projections among them —
+// vecOrderLists are select lists over t1 — identity projections among them —
 // each with ORDER BY keys of every kind a sort reads: an ordinal, an output
 // alias, a bare output name, an input column the list projects plainly and
 // one it does not project, and an expression over the input.
@@ -115,10 +24,10 @@ var vecOrderLists = []struct {
 	sel  string
 	keys []string
 }{
-	{"*", []string{"3", "f", "c", "v.a", "id", "a * 2 + id"}},
-	{"v.*", []string{"2", "ok", "v.f", "a", "LENGTH(c) - id"}},
-	{"a AS x, c, ok", []string{"1", "3", "x", "c", "a", "v.a", "v.f", "v.id", "f * 2 - a"}},
-	{"id, a AS x, f", []string{"2", "x", "f", "v.a", "v.c", "c", "a + f"}},
+	{"*", []string{"3", "f", "c", "t1.a", "id", "a * 2 + id"}},
+	{"t1.*", []string{"2", "ok", "t1.f", "a", "LENGTH(c) - id"}},
+	{"a AS x, c, ok", []string{"1", "3", "x", "c", "a", "t1.a", "t1.f", "t1.id", "f * 2 - a"}},
+	{"id, a AS x, f", []string{"2", "x", "f", "t1.a", "t1.c", "c", "a + f"}},
 }
 
 // vecOrderShape orders one of vecOrderLists by one to three of its keys,
@@ -129,7 +38,7 @@ func vecOrderShape(r *rand.Rand, pred string) string {
 	if r.Intn(3) == 0 {
 		q += "DISTINCT "
 	}
-	q += l.sel + " FROM v WHERE " + pred + " ORDER BY "
+	q += l.sel + " FROM t1 WHERE " + pred + " ORDER BY "
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
 		if i > 0 {
 			q += ", "
@@ -172,17 +81,17 @@ func TestOrderKeyKindsMatchReference(t *testing.T) {
 		for i, key := range l.keys {
 			for _, distinct := range []string{"", "DISTINCT "} {
 				for _, window := range []string{"", " LIMIT 25", " LIMIT 25 OFFSET 7"} {
-					queries = append(queries, "SELECT "+distinct+l.sel+" FROM v WHERE id % 4 = 1 ORDER BY "+key+window)
+					queries = append(queries, "SELECT "+distinct+l.sel+" FROM t1 WHERE id % 4 = 1 ORDER BY "+key+window)
 				}
 			}
-			queries = append(queries, "SELECT "+l.sel+" FROM v ORDER BY "+key+" DESC, "+l.keys[(i+1)%len(l.keys)])
+			queries = append(queries, "SELECT "+l.sel+" FROM t1 ORDER BY "+key+" DESC, "+l.keys[(i+1)%len(l.keys)])
 		}
 	}
 	for _, d := range batchDrivers {
 		for _, sealed := range []bool{false, true} {
 			db := NewDatabase(d.opts...)
-			db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
-			if err := db.InsertRows("v", rows); err != nil {
+			db.MustExec("CREATE TABLE t1 (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
+			if err := db.InsertRows("t1", rows); err != nil {
 				t.Fatal(err)
 			}
 			if sealed && db.Seal() == 0 {
@@ -228,94 +137,6 @@ func vecQueryStrings(db *Database, q string) ([][]string, error) {
 	return out, nil
 }
 
-// vectorRowProperty: over a randomized corpus of plans, with DML
-// interleaved — rehydrating sealed blocks — and cold blocks force-sealed
-// mid-run, the scan returns row-for-row what the interpreted reference
-// executor (refSelect) computes from the latest rows, and the per-operator
-// EXPLAIN ANALYZE sums reconcile with the per-query totals.
-func vectorRowProperty(r *rand.Rand, steps int, opts ...Option) error {
-	db := NewDatabase(opts...)
-	db.MustExec("CREATE TABLE v (id INTEGER, a INTEGER, f FLOAT, c TEXT, ok BOOL)")
-	words := []string{"ant", "bee", "cat", "dge", "eel"}
-	nextID := 0
-	mkRow := func() []any {
-		var a any = r.Intn(40)
-		if r.Intn(9) == 0 {
-			a = nil
-		}
-		var fv any = float64(r.Intn(400)) / 4
-		if r.Intn(11) == 0 {
-			fv = nil
-		}
-		row := []any{nextID, a, fv, words[r.Intn(len(words))], r.Intn(2) == 1}
-		nextID++
-		return row
-	}
-	seed := make([][]any, 0, 2*segBlockSlots+100)
-	for i := 0; i < 2*segBlockSlots+100; i++ {
-		seed = append(seed, mkRow())
-	}
-	if err := db.InsertRows("v", seed); err != nil {
-		return err
-	}
-	db.Seal() // the corpus starts against two sealed blocks plus a heap tail
-
-	for step := 0; step < steps; step++ {
-		switch r.Intn(6) {
-		case 0, 1:
-			if err := db.InsertRows("v", [][]any{mkRow(), mkRow()}); err != nil {
-				return err
-			}
-		case 2:
-			db.MustExec(fmt.Sprintf("UPDATE v SET a = %d WHERE id %% 13 = %d", r.Intn(40), r.Intn(13)))
-		case 3:
-			db.MustExec("DELETE FROM v WHERE id = ?", r.Intn(nextID))
-		case 4:
-			db.MustExec(fmt.Sprintf("UPDATE v SET f = f + 1 WHERE a = %d", r.Intn(40)))
-		}
-		if step%37 == 17 {
-			db.Seal() // re-freeze whatever went cold since the last pass
-		}
-		q := vecShapes[step%len(vecShapes)](r, vecPred(r))
-		got, err := vecQueryStrings(db, q)
-		if err != nil {
-			return fmt.Errorf("step %d: %q: %v", step, q, err)
-		}
-		stmt, err := Parse(q)
-		if err != nil {
-			return err
-		}
-		ref, err := refSelect(db, stmt.(*SelectStmt))
-		if err != nil {
-			return fmt.Errorf("step %d (reference): %q: %v", step, q, err)
-		}
-		want := rowsToStrings(ref)
-		if len(got) != len(want) {
-			return fmt.Errorf("step %d: %q returned %d rows, the reference %d", step, q, len(got), len(want))
-		}
-		for i := range want {
-			if strings.Join(got[i], "|") != strings.Join(want[i], "|") {
-				return fmt.Errorf("step %d: %q row %d diverged: %v vs reference %v", step, q, i, got[i], want[i])
-			}
-		}
-		a, err := db.ExplainAnalyze(context.Background(), q)
-		if err != nil {
-			return err
-		}
-		if got, want := a.scannedTotal(), a.Stats.RowsScanned; got != want {
-			return fmt.Errorf("accounting property violated for %q: per-operator scans %d != RowsScanned %d\n%s",
-				q, got, want, strings.Join(a.Plan, "\n"))
-		}
-	}
-	// The property is about sealed storage only if it read sealed blocks
-	// and rehydrated them under DML.
-	if st := db.Stats(); st.SegmentsSealed == 0 || st.DecodedBlocks == 0 || rehydrations(db) == 0 {
-		return fmt.Errorf("the corpus sealed %d blocks, decoded %d and rehydrated %d: it must do all three",
-			st.SegmentsSealed, st.DecodedBlocks, rehydrations(db))
-	}
-	return nil
-}
-
 // batchDrivers are the two ways the one scan is driven: by a counter
 // on the owner goroutine, and by pool workers claiming morsels. Sealed
 // blocks are the pool's everyday traffic (the sealer and the gate share a
@@ -326,57 +147,6 @@ var batchDrivers = []struct {
 }{
 	{"serial", []Option{WithMaxWorkers(1)}},
 	{"pooled", []Option{WithMaxWorkers(4)}},
-}
-
-func TestVectorRowEquivalence(t *testing.T) {
-	lowerMorselMinRows(t, 1) // the pooled cell pools the corpus's ~2,100-row table too
-	for _, d := range batchDrivers {
-		t.Run(d.name, func(t *testing.T) {
-			if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160, d.opts...); err != nil {
-				t.Fatal(err)
-			}
-			assertNoWorkerLeak(t)
-		})
-	}
-}
-
-// TestVectorEquivalenceCatchesBrokenKernel proves the property has
-// teeth: with the comparison kernels deliberately inverted, the scan must
-// diverge from the interpreted reference and the property must report it —
-// whichever way the scan is driven.
-func TestVectorEquivalenceCatchesBrokenKernel(t *testing.T) {
-	lowerMorselMinRows(t, 1)
-	debugBreakVectorKernel = true
-	defer func() { debugBreakVectorKernel = false }()
-	for _, d := range batchDrivers {
-		t.Run(d.name, func(t *testing.T) {
-			if err := vectorRowProperty(rand.New(rand.NewSource(21)), 160, d.opts...); err == nil {
-				t.Fatal("equivalence property did not detect inverted comparison kernels")
-			}
-		})
-	}
-}
-
-// TestMetamorphicNoRECAndTLPVectorized runs the SQLancer metamorphic suite
-// (NoREC + TLP with interleaved DML) with the pool's gate lowered under the
-// corpus, so every statement the default pool may take runs there and the
-// rest on the scan's own goroutine: the properties must hold on whichever
-// driver serves each access path.
-func TestMetamorphicNoRECAndTLPVectorized(t *testing.T) {
-	lowerMorselMinRows(t, 1) // the metamorphic corpus uses small tables
-	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMetamorphicNoRECAndTLPRowEngine runs the same corpus where the row
-// engine used to serve it: the default gate and one worker, so every
-// statement reads through the batch source on the scan's own goroutine,
-// with no pool to hide a serial-driver bug behind.
-func TestMetamorphicNoRECAndTLPRowEngine(t *testing.T) {
-	if err := metamorphicProperty(rand.New(rand.NewSource(61)), 250, WithMaxWorkers(1)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestVectorExplainShapes pins the plan surface: every scan is one node
@@ -611,60 +381,6 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Unordered gather
-
-// TestUnorderedGatherAggEquivalence: a DISTINCT aggregate cannot merge
-// partial states (so partial aggregation bows out), but COUNT/MIN/MAX
-// consumers are order-insensitive, so the scan still parallelizes with
-// morsels gathered in completion order. The results must equal the
-// serial engine's on every run regardless of worker scheduling.
-func TestUnorderedGatherAggEquivalence(t *testing.T) {
-	lowerMorselMinRows(t, 8)
-	par := NewDatabase(WithMaxWorkers(4))
-	ser := NewDatabase(WithMaxWorkers(1))
-	r := rand.New(rand.NewSource(31))
-	words := []string{"ant", "bee", "cat", "dge", "eel"}
-	rows := make([][]any, 0, 3000)
-	for i := 0; i < 3000; i++ {
-		var a any = r.Intn(50)
-		if r.Intn(8) == 0 {
-			a = nil
-		}
-		rows = append(rows, []any{i, a, words[r.Intn(len(words))], r.Intn(2) == 1})
-	}
-	for _, db := range []*Database{par, ser} {
-		db.MustExec("CREATE TABLE u (id INTEGER, a INTEGER, c TEXT, ok BOOL)")
-		if err := db.InsertRows("u", rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := []string{
-		"SELECT COUNT(DISTINCT a) FROM u",
-		"SELECT COUNT(DISTINCT c), MIN(a), MAX(a) FROM u WHERE a < 40",
-		"SELECT COUNT(DISTINCT a), MAX(DISTINCT c) FROM u WHERE ok",
-		"SELECT MIN(DISTINCT a), COUNT(DISTINCT id) FROM u WHERE a IS NOT NULL",
-	}
-	plan, err := par.Explain(queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text := strings.Join(plan, "\n"); !strings.Contains(text, "unordered gather") {
-		t.Fatalf("parallel DISTINCT-aggregate plan missing unordered gather:\n%s", text)
-	}
-	for round := 0; round < 8; round++ {
-		for _, q := range queries {
-			want := strings.Join(queryStrings(t, ser, q)[0], "|")
-			got := strings.Join(queryStrings(t, par, q)[0], "|")
-			if got != want {
-				t.Fatalf("round %d: %q diverged: parallel %q vs serial %q", round, q, got, want)
-			}
-		}
-		// Churn between rounds so later rounds see tombstones and fresh rows.
-		dml := fmt.Sprintf("UPDATE u SET a = %d WHERE id %% 17 = %d", r.Intn(50), r.Intn(17))
-		par.MustExec(dml)
-		ser.MustExec(dml)
-	}
-	assertNoWorkerLeak(t)
-}
 
 // TestUnorderedGatherGate pins the refusals: GROUP BY, ORDER BY,
 // order-sensitive aggregates and bare column refs outside aggregates

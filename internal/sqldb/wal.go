@@ -461,7 +461,7 @@ func (w *walWriter) appendLocked(buf []byte) error {
 // behind it; a commit released by someone else's fsync (or by a
 // checkpoint retiring its generation) counts as a group commit.
 func (w *walWriter) waitSync(gen uint64, target int64) error {
-	if w.opts.Sync != SyncAlways || debugWALSkipSync {
+	if w.opts.Sync != SyncAlways || debugFault == faultWALSkipSync {
 		return nil
 	}
 	led := false

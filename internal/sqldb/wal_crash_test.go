@@ -17,7 +17,7 @@ import (
 // partial transaction.
 //
 // The harness is only trusted because TestCrashMatrixDetects* prove it
-// fails when recovery is deliberately broken (the debugWAL* switches).
+// fails when recovery is deliberately broken (the faultWAL* values of debugFault).
 //
 // Determinism: the workload runs under SyncAlways with automatic
 // checkpoints disabled and explicit Checkpoint units, so every filesystem
@@ -349,8 +349,8 @@ func TestCrashMatrixSealed(t *testing.T) {
 // switch set, a crash that tears a frame mid-record surfaces a partial
 // transaction after reopen, and the matrix must notice.
 func TestCrashMatrixDetectsDanglingFrameBug(t *testing.T) {
-	debugWALApplyDanglingFrame = true
-	defer func() { debugWALApplyDanglingFrame = false }()
+	debugFault = faultWALDanglingFrame
+	defer func() { debugFault = noFault }()
 	if err := crashMatrix(faultCrashTear); err == nil {
 		t.Fatal("crash matrix passed while recovery applies dangling frames; the harness cannot detect broken recovery")
 	} else {
@@ -362,8 +362,8 @@ func TestCrashMatrixDetectsDanglingFrameBug(t *testing.T) {
 // SyncAlways contract: with fsync silently skipped, a power loss drops
 // commits that were acknowledged as durable.
 func TestCrashMatrixDetectsSkipSyncBug(t *testing.T) {
-	debugWALSkipSync = true
-	defer func() { debugWALSkipSync = false }()
+	debugFault = faultWALSkipSync
+	defer func() { debugFault = noFault }()
 	if err := crashMatrix(faultCrashLose); err == nil {
 		t.Fatal("crash matrix passed while fsync is skipped; the harness cannot detect lost durability")
 	} else {
