@@ -99,11 +99,7 @@ func (db *Database) Query(sql string, params ...any) (*Result, error) {
 // QueryContext is Query under a context: cancellation or deadline expiry
 // stops the scan mid-flight with an ErrCanceled error.
 func (db *Database) QueryContext(ctx context.Context, sql string, params ...any) (*Result, error) {
-	rows, err := db.QueryRows(ctx, sql, params...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
+	return collect(db.QueryRows(ctx, sql, params...))
 }
 
 // Exec parses and executes any statement. For SELECT it streams rows to
@@ -375,11 +371,9 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 	// the pre-statement state.
 	var sourceRows []Row
 	if stmt.Select != nil {
-		rows, _, err := execSelect(stmt.Select, db, params, nil, qc)
-		if err != nil {
+		if _, sourceRows, _, err = execSelect(stmt.Select, db, params, nil, qc); err != nil {
 			return 0, err
 		}
-		sourceRows = rows
 	} else {
 		for _, exprs := range stmt.Rows {
 			row := make(Row, len(exprs))

@@ -424,7 +424,6 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 // remainder of the ON clause) is applied to candidate pairs.
 type hashJoinOp struct {
 	probeJoinCore
-	buildCols   []colInfo
 	buildIsLeft bool     // build side is the syntactic left input
 	buildSrc    operator // retained for EXPLAIN (rows already drained)
 	leftKey     Expr     // retained for EXPLAIN
@@ -435,13 +434,14 @@ type hashJoinOp struct {
 	curBucket   []Row
 }
 
-func newHashJoinOp(probe operator, buildCols []colInfo, buildRows []Row,
+func newHashJoinOp(probe, build operator, buildRows []Row,
 	probeKeyE, buildKeyE Expr, leftKey, rightKey Expr, residual Expr,
 	buildIsLeft, leftOuter bool,
 	db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*hashJoinOp, error) {
 
+	buildCols := build.columns()
 	h := &hashJoinOp{
-		buildCols:   buildCols,
+		buildSrc:    build,
 		buildIsLeft: buildIsLeft,
 		leftKey:     leftKey,
 		rightKey:    rightKey,
@@ -550,33 +550,30 @@ type nestedLoopJoinOp struct {
 	on        Expr     // retained for EXPLAIN; nil for CROSS
 }
 
-func newNestedLoopJoinOp(left operator, rightCols []colInfo, rightRows []Row,
+func newNestedLoopJoinOp(left, right operator, rightRows []Row,
 	on Expr, leftOuter bool, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*nestedLoopJoinOp, error) {
-	n := &nestedLoopJoinOp{rightRows: rightRows, on: on}
+	n := &nestedLoopJoinOp{rightRows: rightRows, rightSrc: right, on: on}
 	n.lookup = func(Value) (int, error) { return len(n.rightRows), nil }
 	n.matchRow = func(i int) Row { return n.rightRows[i] }
 	// The probe key is a constant: no row has a NULL one.
-	return n, n.initProbeJoin(left, rightCols, true, leftOuter, &Literal{Val: Int(1)}, on, db, params, outer, qc)
+	return n, n.initProbeJoin(left, right.columns(), true, leftOuter, &Literal{Val: Int(1)}, on, db, params, outer, qc)
 }
 
 // ---------------------------------------------------------------------------
 // SELECT driver
 
-// execSelect plans and runs a nested or subsidiary SELECT, materialising
-// its result. Join reordering stays off: the caller may truncate the
-// result (a scalar subquery keeps one row, a derived table may feed an
-// outer LIMIT), which would make plan choice observable under tied or
-// absent orderings.
-func execSelect(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, qc *queryCtx) ([]Row, []colInfo, error) {
+// execSelect plans and runs a nested or subsidiary SELECT (a derived table,
+// INSERT ... SELECT), materialising its result; the drained plan is
+// returned with it. Join reordering stays off: the caller may truncate the
+// result (a derived table may feed an outer LIMIT), which would make plan
+// choice observable under tied or absent orderings.
+func execSelect(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, []Row, []colInfo, error) {
 	root, cols, err := buildSelectPlan(stmt, db, params, outer, false, qc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rows, err := drain(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows, cols, nil
+	return root, rows, cols, err
 }
 
 // evalConst evaluates an expression that must not reference any columns
@@ -880,11 +877,10 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 			if err != nil {
 				return nil, nil, err
 			}
-			nl, err := newNestedLoopJoinOp(left, rightCols, rightRows, jc.On, leftOuter, db, params, outer, qc)
+			nl, err := newNestedLoopJoinOp(left, rightOp, rightRows, jc.On, leftOuter, db, params, outer, qc)
 			if err != nil {
 				return nil, nil, err
 			}
-			nl.rightSrc = rightOp
 			left = nl
 			continue
 		}
@@ -932,24 +928,18 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 		}
 		var h *hashJoinOp
 		if buildLeft {
-			leftRows, err := drain(left)
-			if err != nil {
-				return nil, nil, err
+			var leftRows []Row
+			if leftRows, err = drain(left); err == nil {
+				probe := &valuesOp{cols: rightCols, rows: rightRows, src: rightOp}
+				h, err = newHashJoinOp(probe, left, leftRows,
+					rightKey, leftKey, leftKey, rightKey, residual, true, false, db, params, outer, qc)
 			}
-			probe := &valuesOp{cols: rightCols, rows: rightRows, src: rightOp}
-			h, err = newHashJoinOp(probe, left.columns(), leftRows,
-				rightKey, leftKey, leftKey, rightKey, residual, true, false, db, params, outer, qc)
-			if err != nil {
-				return nil, nil, err
-			}
-			h.buildSrc = left
 		} else {
-			h, err = newHashJoinOp(left, rightCols, rightRows,
+			h, err = newHashJoinOp(left, rightOp, rightRows,
 				leftKey, rightKey, leftKey, rightKey, residual, false, leftOuter, db, params, outer, qc)
-			if err != nil {
-				return nil, nil, err
-			}
-			h.buildSrc = rightOp
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		left = h
 	}
@@ -958,15 +948,10 @@ func buildFrom(stmt *SelectStmt, db *Database, params []Value, outer *evalEnv, t
 
 func buildTableRef(tr TableRef, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, error) {
 	if tr.Sub != nil {
-		// Derived tables materialise during planning (execSelect semantics,
-		// reordering off); the drained plan is retained as the valuesOp's
-		// src so EXPLAIN can show the subtree and EXPLAIN ANALYZE can
-		// attribute the rows its scans read.
-		root, cols, err := buildSelectPlan(tr.Sub, db, params, outer, false, qc)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := drain(root)
+		// Derived tables materialise during planning; the drained plan is
+		// retained as the valuesOp's src so EXPLAIN can show the subtree and
+		// EXPLAIN ANALYZE can attribute the rows its scans read.
+		root, rows, cols, err := execSelect(tr.Sub, db, params, outer, qc)
 		if err != nil {
 			return nil, err
 		}
@@ -984,16 +969,29 @@ func buildTableRef(tr TableRef, db *Database, params []Value, outer *evalEnv, qc
 	return newScanOp(t, tr.effectiveName(), qc), nil
 }
 
-// drain materialises an operator's full output.
+// holder is an operator that already holds the rows it has yet to emit (a
+// full sort, a GROUP BY, the pooled scan) or forwards to one (a projection
+// that builds no rows): rest hands drain what next has not yet returned.
+type holder interface{ rest() ([]Row, error) }
+
+// drain materialises what an operator has yet to emit — the one
+// materialiser, under Rows.Collect, the full sort, join build sides and
+// execSelect. A holder's rows are allocated once, at their final size;
+// every other root grows them through appendDoubling. With an error come
+// the rows a Next loop would have returned before it.
 func drain(op operator) ([]Row, error) {
-	var rows []Row
+	if h, ok := op.(holder); ok {
+		return h.rest()
+	}
+	return pull(op, nil)
+}
+
+// pull appends op's remaining rows to rows, one next at a time.
+func pull(op operator, rows []Row) ([]Row, error) {
 	for {
 		r, ok, err := op.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rows, nil
+		if err != nil || !ok {
+			return rows, err
 		}
 		rows = appendDoubling(rows, r)
 	}
@@ -1002,8 +1000,9 @@ func drain(op operator) ([]Row, error) {
 // appendDoubling appends v, doubling s's capacity where append would grow a
 // large slice by a quarter: a slice of n elements allocates about 2n of
 // them on the way, not 5n. Below 256 elements append already doubles, and
-// keeps doing so. Materialised results (drain, Rows.Collect) and the float
-// parts of a pooled fold (agg.go) grow through it.
+// keeps doing so. What drain pulls from an operator that is not a holder
+// (and a lent cursor's copies in Rows.Collect) and the float parts of a
+// pooled fold (agg.go) grow through it.
 func appendDoubling[T any](s []T, v T) []T {
 	if n := len(s); n == cap(s) && n >= 256 {
 		s = append(make([]T, 0, 2*n), s...)

@@ -209,10 +209,8 @@ func (p *planPrinter) describe(op operator, depth int) {
 		p.emit(depth, "hash join on %s = %s (build %s: %d key(s))%s",
 			t.leftKey.String(), t.rightKey.String(), side, len(t.keyIndex), residualNote(t.residualE))
 		p.describe(t.probe, depth+1)
-		p.emit(depth+1, "build side: %d column(s)", len(t.buildCols))
-		if t.buildSrc != nil {
-			p.describe(t.buildSrc, depth+2)
-		}
+		p.emit(depth+1, "build side: %d column(s)", len(t.buildSrc.columns()))
+		p.describe(t.buildSrc, depth+2)
 	case *indexJoinOp:
 		sideNote := ""
 		if !t.probeIsLeft {
@@ -229,9 +227,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 		}
 		p.emit(depth, "%s (right side: %d row(s))", kind, len(t.rightRows))
 		p.describe(t.probe, depth+1)
-		if t.rightSrc != nil {
-			p.describe(t.rightSrc, depth+2)
-		}
+		p.describe(t.rightSrc, depth+2)
 	default:
 		p.emit(depth, "%T", op)
 	}

@@ -312,5 +312,6 @@ func evalFunc(fc *FuncCall, env *evalEnv) (Value, error) {
 // subqueries need the full set for NULL semantics; EXISTS and scalar
 // subqueries stream through buildSelectPlan instead, see compile.go).
 func execSubquery(stmt *SelectStmt, outer *evalEnv) ([]Row, []colInfo, error) {
-	return execSelect(stmt, outer.db, outer.params, outer, outer.qc)
+	_, rows, cols, err := execSelect(stmt, outer.db, outer.params, outer, outer.qc)
+	return rows, cols, err
 }

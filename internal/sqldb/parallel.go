@@ -129,29 +129,13 @@ type parScanOp struct {
 	pos      int
 	curErr   error // error carried by the current morsel, surfaced after its rows
 	pendErr  error // sticky terminal error
-
-	// Workers that abort record their error here too: a worker that
-	// claimed a morsel and then saw the abort flag exits without
-	// delivering it, so the gather may never reach the erroring morsel
-	// through the ordered stream — it recovers the error from this slot
-	// when the results channel closes.
-	errMu       sync.Mutex
-	workerErr   error
-	workerErrID int
 }
 
 func (s *parScanOp) columns() []colInfo { return s.scan.cols }
 
 func (s *parScanOp) reset() {
 	s.stopPool()
-	s.started = false
-	s.stopped = false
-	s.nextIdx = 0
-	s.stash = nil
-	s.cur = nil
-	s.pos = 0
-	s.curErr = nil
-	s.pendErr = nil
+	*s = parScanOp{scan: s.scan}
 }
 
 // start opens the scan and spawns the pool. Runs on the owner goroutine;
@@ -214,21 +198,21 @@ func (s *parScanOp) worker(inst *scanOp) {
 		case <-s.stopCh:
 			return
 		}
+		// A worker stops before it claims, never after: every claimed morsel
+		// is delivered, so the gather reaches each one below an erroring
+		// morsel, and that morsel. cancelled() reads only the immutable
+		// context — safe off the owner goroutine, unlike tickCancelled.
+		if s.abort.Load() || s.scan.qc.cancelled() != nil {
+			return
+		}
 		idx := int(s.claim.Add(1)) - 1
-		// cancelled() reads only the immutable context — safe off the
-		// owner goroutine, unlike tickCancelled.
-		if idx >= s.nMorsels || s.abort.Load() || s.scan.qc.cancelled() != nil {
+		if idx >= s.nMorsels {
 			return
 		}
 		inst.cnt = scanCounts{}
 		rows, err := inst.batchRows(idx)
 		res := parMorsel{idx: idx, rows: rows, cnt: inst.cnt, err: err}
 		if err != nil {
-			s.errMu.Lock()
-			if s.workerErr == nil || idx < s.workerErrID {
-				s.workerErr, s.workerErrID = err, idx
-			}
-			s.errMu.Unlock()
 			s.abort.Store(true)
 		}
 		select {
@@ -243,71 +227,69 @@ func (s *parScanOp) worker(inst *scanOp) {
 }
 
 func (s *parScanOp) next() (Row, bool, error) {
-	if s.pendErr != nil {
-		return nil, false, s.pendErr
-	}
-	if !s.started {
-		s.start()
-		if s.pendErr != nil {
-			return nil, false, s.pendErr
-		}
-	}
-	qc := s.scan.qc
-	for {
-		if s.pos < len(s.cur) {
-			r := s.cur[s.pos]
-			s.pos++
-			return r, true, nil
-		}
-		if s.curErr != nil {
-			s.pendErr = s.curErr
-			return nil, false, s.pendErr
-		}
-		if s.nextIdx >= s.nMorsels {
-			return nil, false, nil
-		}
-		if err := qc.tickCancelled(); err != nil {
-			s.pendErr = err
+	for s.pos >= len(s.cur) {
+		if ok, err := s.advance(); !ok {
 			return nil, false, err
 		}
-		m, ok := s.stash[s.nextIdx]
-		if ok {
-			delete(s.stash, s.nextIdx)
-		} else {
-			res, open := <-s.results
-			if !open {
-				// Workers exited without delivering the next morsel:
-				// cancellation, or an abort whose erroring morsel the
-				// ordered stream will never reach.
-				if err := qc.cancelled(); err != nil {
-					s.pendErr = err
-					return nil, false, err
-				}
-				s.errMu.Lock()
-				err := s.workerErr
-				s.errMu.Unlock()
-				if err != nil {
-					s.pendErr = err
-					return nil, false, err
-				}
-				return nil, false, nil
-			}
-			// The ordered gather stashes out-of-order morsels until their
-			// turn; the unordered gather consumes completion order directly
-			// (nextIdx then just counts consumed morsels).
-			if !s.scan.unordered && res.idx != s.nextIdx {
-				s.stash[res.idx] = res
-				continue
-			}
-			m = res
-		}
-		s.scan.account(m.cnt)
-		s.tickets <- struct{}{}
-		s.nextIdx++
-		s.cur = m.rows
-		s.pos = 0
-		s.curErr = m.err // emitted rows first, then the error — as serial would
 	}
+	s.pos++
+	return s.cur[s.pos-1], true, nil
+}
+
+// rest hands drain the rows the gather has not yet returned: the morsel
+// slices the workers built, joined in one allocation of their total size
+// (clipped to it) — with the rows before the error when one stops it.
+func (s *parScanOp) rest() ([]Row, error) {
+	parts := [][]Row{s.cur[s.pos:]}
+	ok, err := s.advance()
+	for ; ok; ok, err = s.advance() {
+		parts = append(parts, s.cur)
+	}
+	s.pos = len(s.cur)
+	return slices.Clip(slices.Concat(parts...)), err
+}
+
+// advance makes the next morsel in gather order current, reporting false
+// at the end of the scan or on an error. A morsel's error surfaces on the
+// call after its rows are current — emitted rows first, as serial would.
+func (s *parScanOp) advance() (bool, error) {
+	if !s.started && s.pendErr == nil {
+		s.start()
+	}
+	if s.pendErr == nil {
+		s.pendErr = s.curErr
+	}
+	if s.pendErr != nil || s.nextIdx >= s.nMorsels {
+		return false, s.pendErr
+	}
+	qc := s.scan.qc
+	if s.pendErr = qc.tickCancelled(); s.pendErr != nil {
+		return false, s.pendErr
+	}
+	m, ok := s.stash[s.nextIdx]
+	for !ok {
+		res, open := <-s.results
+		if !open {
+			// Every claimed morsel was delivered: the workers stopped
+			// claiming because the statement was cancelled.
+			s.pendErr = qc.cancelled()
+			return false, s.pendErr
+		}
+		// The ordered gather stashes out-of-order morsels until their
+		// turn; the unordered gather consumes completion order directly
+		// (nextIdx then just counts consumed morsels).
+		if ok = s.scan.unordered || res.idx == s.nextIdx; ok {
+			m = res
+		} else {
+			s.stash[res.idx] = res
+		}
+	}
+	delete(s.stash, s.nextIdx)
+	s.scan.account(m.cnt)
+	s.tickets <- struct{}{}
+	s.nextIdx++
+	s.cur, s.pos, s.curErr = m.rows, 0, m.err
+	return true, nil
 }
 
 // stopPool aborts and joins the worker pool, folding the counters of any

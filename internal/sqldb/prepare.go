@@ -46,11 +46,7 @@ func (s *Stmt) Query(params ...any) (*Result, error) {
 
 // QueryContext is Query under a context.
 func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error) {
-	rows, err := s.QueryRows(ctx, params...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
+	return collect(s.QueryRows(ctx, params...))
 }
 
 // QueryRows executes the prepared statement and returns a streaming

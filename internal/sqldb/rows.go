@@ -93,29 +93,19 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	if err := r.qc.cancelled(); err != nil {
-		r.fail(err)
-		return false
-	}
-	row, ok, err := r.root.next()
-	if err != nil {
-		r.fail(err)
-		return false
+	var row Row
+	ok, err := false, r.qc.cancelled()
+	if err == nil {
+		row, ok, err = r.root.next()
 	}
 	if !ok {
-		r.cur = nil
+		r.err, r.cur = err, nil
 		r.Close()
 		return false
 	}
 	r.cur = row
 	r.qc.RowsEmitted++
 	return true
-}
-
-func (r *Rows) fail(err error) {
-	r.err = err
-	r.cur = nil
-	r.Close()
 }
 
 // Row returns the current row (valid after a true Next). It is read-only:
@@ -210,26 +200,34 @@ func (r *Rows) Close() error {
 	return nil
 }
 
+// collect is Collect over the cursor an entry point just opened: the
+// materialising form of every Query.
+func collect(rows *Rows, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
+}
+
 // Collect drains the cursor into a materialised Result and closes it —
 // the bridge from the streaming API to the old eager one (Database.Query
-// is QueryRows + Collect). A lent cursor's rows are copied; a full sort's
-// slice is adopted, not copied. The rows are read-only, as Row's are.
+// is QueryRows + Collect) — with the rows Next has not yet returned. They
+// come from drain, so a full sort's slice is adopted and a GROUP BY's or
+// the pooled scan's rows are gathered in one allocation of their final
+// size; a lent cursor's rows are copied one at a time. The rows are
+// read-only, as Row's are.
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	var rows []Row
-	for r.Next() {
-		if s, ok := r.root.(*sortOp); ok && s.presorted == 0 {
-			rows, s.pos = s.rows, len(s.rows) // the first Next built it
-			for i, row := range rows {
-				rows[i] = row[:s.keys.width:s.keys.width]
-			}
-			r.qc.RowsEmitted += uint64(len(rows) - 1)
-			break
+	if r.lent {
+		for r.Next() {
+			rows = appendDoubling(rows, r.cur.Clone())
 		}
-		if r.lent {
-			r.cur = r.cur.Clone()
+	} else if !r.closed && r.err == nil {
+		if r.err = r.qc.cancelled(); r.err == nil {
+			rows, r.err = drain(r.root)
+			r.qc.RowsEmitted += uint64(len(rows))
 		}
-		rows = appendDoubling(rows, r.cur)
 	}
 	if r.err != nil {
 		return nil, r.err

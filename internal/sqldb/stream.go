@@ -82,6 +82,14 @@ func (p *projectOp) next() (Row, bool, error) {
 	return p.build()
 }
 
+// rest forwards to the child when the projection builds no rows of its own.
+func (p *projectOp) rest() ([]Row, error) {
+	if p.fused || p.pass {
+		return drain(p.child)
+	}
+	return pull(p, nil)
+}
+
 // groupOp is the aggregation pipeline breaker: on first pull it drains its
 // child into GROUP BY partitions (runAggregation), then streams one output
 // row per group that passes HAVING.
@@ -113,6 +121,17 @@ func (g *groupOp) reset() {
 	g.tab = nil
 	g.pos = 0
 	g.child.reset()
+}
+
+// rest builds the groups next has not yet returned into one slice sized
+// for all of them (HAVING may leave it short); the first pull builds the
+// table.
+func (g *groupOp) rest() ([]Row, error) {
+	r, ok, err := g.next()
+	if !ok {
+		return nil, err
+	}
+	return pull(g, append(make([]Row, 0, 1+g.tab.len()-g.pos), r))
 }
 
 func (g *groupOp) next() (Row, bool, error) {
@@ -239,29 +258,46 @@ func (s *sortOp) reset() {
 	s.child.reset()
 }
 
+// open drains the child and sorts it on first pull (a full sort).
+func (s *sortOp) open() (err error) {
+	if s.built {
+		return nil
+	}
+	if s.topK >= 0 {
+		s.rows, err = s.drainTopK()
+	} else if s.rows, err = drain(s.child); err == nil {
+		s.drained += uint64(len(s.rows))
+		sort.SliceStable(s.rows, func(a, b int) bool {
+			return s.keys.compare(s.rows[a], s.rows[b], 0, len(s.keys.at)) < 0
+		})
+	}
+	s.built = err == nil
+	return err
+}
+
+// rest hands over the rows a full sort has not yet emitted, stripped to the
+// output width in place; a presorted sort streams them.
+func (s *sortOp) rest() ([]Row, error) {
+	if s.presorted > 0 {
+		return pull(s, nil)
+	}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	rows := s.rows[s.pos:]
+	s.pos = len(s.rows)
+	for i, r := range rows {
+		rows[i] = r[:s.keys.width:s.keys.width]
+	}
+	return rows, nil
+}
+
 func (s *sortOp) next() (Row, bool, error) {
 	if s.presorted > 0 {
 		return s.nextGrouped()
 	}
-	if !s.built {
-		var rows []Row
-		var err error
-		if s.topK >= 0 {
-			rows, err = s.drainTopK()
-		} else {
-			rows, err = drain(s.child)
-			if err == nil {
-				s.drained += uint64(len(rows))
-				sort.SliceStable(rows, func(a, b int) bool {
-					return s.keys.compare(rows[a], rows[b], 0, len(s.keys.at)) < 0
-				})
-			}
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		s.rows = rows
-		s.built = true
+	if err := s.open(); err != nil {
+		return nil, false, err
 	}
 	if s.pos >= len(s.rows) {
 		return nil, false, nil

@@ -418,11 +418,7 @@ func (tx *Txn) Query(sql string, params ...any) (*Result, error) {
 
 // QueryContext is Query with a cancellation context.
 func (tx *Txn) QueryContext(ctx context.Context, sql string, params ...any) (*Result, error) {
-	rows, err := tx.QueryRows(ctx, sql, params...)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
+	return collect(tx.QueryRows(ctx, sql, params...))
 }
 
 // QueryRows opens a streaming cursor inside the transaction. The cursor
