@@ -10,9 +10,9 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -45,64 +45,112 @@ var stopwords = map[string]bool{
 	"be": true, "by": true, "as": true, "was": true, "were": true,
 }
 
-// tokenize lower-cases and splits text into alphanumeric word tokens.
-func tokenize(s string) []string {
-	var toks []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			w := b.String()
-			if !stopwords[w] {
-				toks = append(toks, w)
-			}
-			b.Reset()
-		}
-	}
-	for _, r := range strings.ToLower(s) {
+// tokens calls fn on each alphanumeric, non-stopword token of the
+// lower-cased text, in order. A token is a substring of the lower-cased
+// text, so tokenizing allocates nothing beyond strings.ToLower's copy.
+func tokens(text string, fn func(tok string)) {
+	s := strings.ToLower(text)
+	start := -1
+	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+			continue
 		}
+		if start >= 0 && !stopwords[s[start:i]] {
+			fn(s[start:i])
+		}
+		start = -1
 	}
-	flush()
-	return toks
+	if start >= 0 && !stopwords[s[start:]] {
+		fn(s[start:])
+	}
 }
 
-// feature hashes a feature string to (index, sign).
-func (e *Embedder) feature(f string) (int, float32) {
-	h := fnv.New64a()
-	h.Write([]byte(f))
-	v := h.Sum64()
-	idx := int(v % uint64(e.dim))
-	sign := float32(1)
-	if (v>>63)&1 == 1 {
-		sign = -1
+// FNV-1a 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvFeature is FNV-1a over a feature's text: the token, or for a bigram
+// tok+"_"+next, read in place without building the joined string.
+func fnvFeature(tok, next string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(tok); i++ {
+		h = (h ^ uint64(tok[i])) * fnvPrime64
 	}
-	return idx, sign
+	if next != "" {
+		h = (h ^ '_') * fnvPrime64
+		for i := 0; i < len(next); i++ {
+			h = (h ^ uint64(next[i])) * fnvPrime64
+		}
+	}
+	return h
 }
+
+// featKey is one feature: a unigram (next == "") or the bigram tok_next.
+// Tokens hold no '_', so the two kinds never share a text.
+type featKey struct{ tok, next string }
+
+// featureCounts counts a text's features in first-seen order; pos finds
+// a feature's place in list. One is reused across Embed calls.
+type featureCounts struct {
+	pos  map[featKey]int
+	list []featureCount
+}
+
+type featureCount struct {
+	featKey
+	n int
+}
+
+func (fc *featureCounts) add(k featKey) {
+	if i, ok := fc.pos[k]; ok {
+		fc.list[i].n++
+		return
+	}
+	fc.pos[k] = len(fc.list)
+	fc.list = append(fc.list, featureCount{featKey: k, n: 1})
+}
+
+var countsPool = sync.Pool{New: func() any {
+	return &featureCounts{pos: make(map[featKey]int)}
+}}
 
 // Embed returns the L2-normalised embedding of the text. Empty or
-// stopword-only text embeds to the zero vector.
+// stopword-only text embeds to the zero vector. Features are added in the
+// order they first appear, so the float32 sums, and the result, are the
+// same bits on every call.
 func (e *Embedder) Embed(text string) []float32 {
-	vec := make([]float32, e.dim)
-	toks := tokenize(text)
-	counts := make(map[string]int, len(toks)*2)
-	for i, t := range toks {
-		counts[t]++
-		if i+1 < len(toks) {
-			counts[t+"_"+toks[i+1]]++
+	fc := countsPool.Get().(*featureCounts)
+	prev := ""
+	tokens(text, func(t string) {
+		if prev != "" {
+			fc.add(featKey{prev, t})
 		}
-	}
-	for f, c := range counts {
-		idx, sign := e.feature(f)
+		fc.add(featKey{t, ""})
+		prev = t
+	})
+	vec := make([]float32, e.dim)
+	for _, f := range fc.list {
+		h := fnvFeature(f.tok, f.next)
+		sign := float32(1)
+		if h>>63 == 1 {
+			sign = -1
+		}
 		// Sublinear TF; bigrams get extra weight (they are more specific).
-		w := float32(1 + math.Log(float64(c)))
-		if strings.Contains(f, "_") {
+		w := float32(1 + math.Log(float64(f.n)))
+		if f.next != "" {
 			w *= 1.5
 		}
-		vec[idx] += sign * w
+		vec[h%uint64(e.dim)] += sign * w
 	}
+	clear(fc.pos)
+	clear(fc.list) // drop the tokens' references to text
+	fc.list = fc.list[:0]
+	countsPool.Put(fc)
 	normalize(vec)
 	return vec
 }

@@ -1,15 +1,20 @@
 // Package vector implements the vector store that stands in for FAISS in
 // the TAG paper's RAG baseline: an exact flat index and an IVF-style
-// partitioned approximate index, both over float32 vectors with cosine,
-// dot-product or Euclidean metrics.
+// partitioned approximate index, with cosine, dot-product or Euclidean
+// metrics. Queries are dense float32 vectors; a stored vector is kept as
+// its nonzeros only (ascending coordinates and their values in one arena
+// per index, with its squared norm), about a quarter of the dense size
+// for the RAG baseline's hashed text embeddings. For a finite query,
+// scores equal the dense computation's bit for bit: a skipped
+// coordinate's product is ±0 and leaves the float64 sum unchanged.
 package vector
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Metric selects the similarity function.
@@ -36,7 +41,8 @@ type Hit struct {
 
 // Index is the common interface of the flat and IVF indexes.
 type Index interface {
-	// Add stores a vector under id. Ids need not be dense or ordered.
+	// Add stores a copy of vec under id, so the caller may reuse vec.
+	// Ids need not be dense or ordered.
 	Add(id int, vec []float32) error
 	// Search returns the k nearest stored vectors, best first.
 	Search(query []float32, k int) ([]Hit, error)
@@ -44,34 +50,135 @@ type Index interface {
 	Len() int
 }
 
-// score computes the (higher-is-better) similarity under a metric.
-func score(m Metric, a, b []float32) float32 {
-	switch m {
-	case L2:
+// ---------------------------------------------------------------------------
+// Nonzero store and its scoring kernel
+
+// store holds vectors as their nonzeros in one arena: vector i's
+// coordinates, ascending, are coords[offs[i]:offs[i+1]], their values are
+// vals at the same positions, and its squared norm is norms[i].
+type store struct {
+	offs   []int // one more entry than vectors; offs[0] == 0
+	coords []uint32
+	vals   []float32
+	norms  []float64
+}
+
+// add appends a copy of vec's nonzeros.
+func (s *store) add(vec []float32) {
+	if len(s.offs) == 0 {
+		s.offs = append(s.offs, 0)
+	}
+	var norm float64
+	for c, x := range vec {
+		if x != 0 {
+			s.coords = append(s.coords, uint32(c))
+			s.vals = append(s.vals, x)
+			norm += float64(x) * float64(x)
+		}
+	}
+	s.offs = append(s.offs, len(s.coords))
+	s.norms = append(s.norms, norm)
+}
+
+func (s *store) len() int { return len(s.norms) }
+
+// sqNorm is a dense vector's squared norm, summed in coordinate order.
+func sqNorm(v []float32) float64 {
+	var n float64
+	for _, x := range v {
+		n += float64(x) * float64(x)
+	}
+	return n
+}
+
+// score is the (higher-is-better) similarity under m of the dense query q,
+// whose squared norm is qn, to stored vector i. Cosine and Dot sum the
+// products over i's nonzeros in ascending coordinate order; L2 walks every
+// dimension, reading 0 where i has no coordinate.
+func (s *store) score(m Metric, q []float32, qn float64, i int) float32 {
+	lo, hi := s.offs[i], s.offs[i+1]
+	coords, vals := s.coords[lo:hi], s.vals[lo:hi]
+	if m == L2 {
 		var d float64
-		for i := range a {
-			diff := float64(a[i]) - float64(b[i])
+		j := 0
+		for c, x := range q {
+			var y float32
+			if j < len(coords) && int(coords[j]) == c {
+				y = vals[j]
+				j++
+			}
+			diff := float64(x) - float64(y)
 			d += diff * diff
 		}
 		return float32(-d)
-	default: // Cosine over unit vectors == Dot; compute dot with fallback norm.
-		var dot float64
-		for i := range a {
-			dot += float64(a[i]) * float64(b[i])
-		}
-		if m == Dot {
-			return float32(dot)
-		}
-		var na, nb float64
-		for i := range a {
-			na += float64(a[i]) * float64(a[i])
-			nb += float64(b[i]) * float64(b[i])
-		}
-		if na == 0 || nb == 0 {
-			return 0
-		}
-		return float32(dot / math.Sqrt(na*nb))
 	}
+	var dot float64
+	for j, c := range coords {
+		dot += float64(q[c]) * float64(vals[j])
+	}
+	if m == Dot {
+		return float32(dot)
+	}
+	if qn == 0 || s.norms[i] == 0 {
+		return 0
+	}
+	return float32(dot / math.Sqrt(qn*s.norms[i]))
+}
+
+// ---------------------------------------------------------------------------
+// Top-k selection
+
+// topK keeps the best cap(h) hits offered to it in a min-heap on score.
+// Of several hits tied at the k-th score it must keep the ones
+// container/heap kept (TestTopKMatchesContainerHeap), so it orders by
+// score alone, sifts exactly as heap.Push and heap.Fix do, and admits a
+// hit only when it beats the worst kept.
+type topK []Hit
+
+func (h *topK) offer(id int, s float32) {
+	t := *h
+	if len(t) < cap(t) {
+		t = append(t, Hit{ID: id, Score: s})
+		for j := len(t) - 1; j > 0; {
+			p := (j - 1) / 2
+			if !(t[j].Score < t[p].Score) {
+				break
+			}
+			t[p], t[j] = t[j], t[p]
+			j = p
+		}
+		*h = t
+		return
+	}
+	if !(s > t[0].Score) {
+		return
+	}
+	t[0] = Hit{ID: id, Score: s}
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(t) {
+			break
+		}
+		if j+1 < len(t) && t[j+1].Score < t[j].Score {
+			j++
+		}
+		if !(t[j].Score < t[i].Score) {
+			break
+		}
+		t[i], t[j] = t[j], t[i]
+		i = j
+	}
+}
+
+// sorted orders the kept hits by score descending, then id ascending.
+func (h topK) sorted() []Hit {
+	slices.SortFunc(h, func(a, b Hit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return h
 }
 
 // ---------------------------------------------------------------------------
@@ -83,7 +190,7 @@ type Flat struct {
 	dim    int
 	metric Metric
 	ids    []int
-	vecs   [][]float32
+	rows   store
 }
 
 // NewFlat creates an exact index of the given dimension.
@@ -91,28 +198,26 @@ func NewFlat(dim int, metric Metric) *Flat {
 	return &Flat{dim: dim, metric: metric}
 }
 
-// Add implements Index.
+// Add implements Index: it copies vec's nonzeros, so the caller may reuse
+// vec.
 func (f *Flat) Add(id int, vec []float32) error {
 	if len(vec) != f.dim {
 		return fmt.Errorf("%w: got %d, index dim %d", ErrDimension, len(vec), f.dim)
 	}
 	f.ids = append(f.ids, id)
-	f.vecs = append(f.vecs, vec)
+	f.rows.add(vec)
 	return nil
 }
 
 // Len implements Index.
 func (f *Flat) Len() int { return len(f.ids) }
 
-// hitHeap is a min-heap on score (so the worst of the current top-k is on
-// top and can be evicted cheaply).
-type hitHeap []Hit
-
-func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)        { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// scan offers every stored vector's score against q to t.
+func (f *Flat) scan(q []float32, qn float64, t *topK) {
+	for i, id := range f.ids {
+		t.offer(id, f.rows.score(f.metric, q, qn, i))
+	}
+}
 
 // Search implements Index.
 func (f *Flat) Search(query []float32, k int) ([]Hit, error) {
@@ -122,25 +227,9 @@ func (f *Flat) Search(query []float32, k int) ([]Hit, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	h := make(hitHeap, 0, k)
-	for i, v := range f.vecs {
-		s := score(f.metric, query, v)
-		if len(h) < k {
-			heap.Push(&h, Hit{ID: f.ids[i], Score: s})
-		} else if s > h[0].Score {
-			h[0] = Hit{ID: f.ids[i], Score: s}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]Hit, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
+	t := make(topK, 0, k)
+	f.scan(query, sqNorm(query), &t)
+	return t.sorted(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -149,16 +238,14 @@ func (f *Flat) Search(query []float32, k int) ([]Hit, error) {
 // IVF partitions vectors into nlist clusters by k-means and searches only
 // the nprobe closest clusters — the classic FAISS IVF design. It trades
 // recall for speed; the benchmark uses Flat, IVF backs the ablation bench.
+// Each cluster's vectors are a Flat index; the centroids are one more store.
 type IVF struct {
-	dim     int
-	metric  Metric
-	nlist   int
-	nprobe  int
-	trained bool
-	cents   [][]float32
-	lists   [][]int // cluster -> positions in ids/vecs
-	ids     []int
-	vecs    [][]float32
+	dim    int
+	metric Metric
+	nlist  int
+	nprobe int
+	cents  store
+	lists  []Flat // one per centroid; nil until trained
 }
 
 // NewIVF creates an IVF index with nlist partitions, probing nprobe of
@@ -191,20 +278,27 @@ func (ivf *IVF) Train(sample [][]float32) error {
 	if n > len(sample) {
 		n = len(sample)
 	}
-	// Deterministic init: evenly strided picks.
+	// Deterministic init: evenly strided picks. cents is the dense working
+	// copy k-means updates; packed is what assignment scores against,
+	// repacked after every round.
 	cents := make([][]float32, n)
-	stride := len(sample) / n
-	if stride == 0 {
-		stride = 1
-	}
+	stride := len(sample) / n // n <= len(sample), so stride >= 1
 	for i := 0; i < n; i++ {
 		src := sample[(i*stride)%len(sample)]
 		cents[i] = append([]float32(nil), src...)
 	}
+	pack := func() store {
+		var s store
+		for _, c := range cents {
+			s.add(c)
+		}
+		return s
+	}
+	packed := pack()
 	assign := make([]int, len(sample))
 	for iter := 0; iter < 8; iter++ {
 		for i, v := range sample {
-			assign[i] = nearestCentroid(ivf.metric, cents, v)
+			assign[i] = nearest(ivf.metric, &packed, v)
 		}
 		sums := make([][]float64, n)
 		counts := make([]int, n)
@@ -226,78 +320,72 @@ func (ivf *IVF) Train(sample [][]float32) error {
 				cents[c][j] = float32(sums[c][j] / float64(counts[c]))
 			}
 		}
+		packed = pack()
 	}
-	ivf.cents = cents
-	ivf.lists = make([][]int, n)
-	ivf.trained = true
+	ivf.cents = packed
+	ivf.lists = make([]Flat, n)
+	for i := range ivf.lists {
+		ivf.lists[i] = Flat{dim: ivf.dim, metric: ivf.metric}
+	}
 	return nil
 }
 
-func nearestCentroid(m Metric, cents [][]float32, v []float32) int {
+// nearest is the position of the stored vector in s most similar to v.
+func nearest(m Metric, s *store, v []float32) int {
+	qn := sqNorm(v)
 	best, bestScore := 0, float32(math.Inf(-1))
-	for i, c := range cents {
-		if s := score(m, v, c); s > bestScore {
-			best, bestScore = i, s
+	for i := 0; i < s.len(); i++ {
+		if sc := s.score(m, v, qn, i); sc > bestScore {
+			best, bestScore = i, sc
 		}
 	}
 	return best
 }
 
-// Add implements Index. The index must be trained first.
+// Add implements Index: it copies vec's nonzeros into the list of its
+// nearest centroid. The index must be trained first.
 func (ivf *IVF) Add(id int, vec []float32) error {
-	if !ivf.trained {
+	if ivf.lists == nil {
 		return errors.New("vector: IVF index is untrained")
 	}
 	if len(vec) != ivf.dim {
 		return ErrDimension
 	}
-	pos := len(ivf.ids)
-	ivf.ids = append(ivf.ids, id)
-	ivf.vecs = append(ivf.vecs, vec)
-	c := nearestCentroid(ivf.metric, ivf.cents, vec)
-	ivf.lists[c] = append(ivf.lists[c], pos)
+	l := &ivf.lists[nearest(ivf.metric, &ivf.cents, vec)]
+	l.ids = append(l.ids, id)
+	l.rows.add(vec)
 	return nil
 }
 
 // Len implements Index.
-func (ivf *IVF) Len() int { return len(ivf.ids) }
+func (ivf *IVF) Len() int {
+	n := 0
+	for _, l := range ivf.lists {
+		n += l.Len()
+	}
+	return n
+}
 
-// Search implements Index: probe the nprobe nearest clusters.
+// Search implements Index: probe the nprobe nearest clusters, nearest
+// first. Clusters are ranked like hits, by the same top-k.
 func (ivf *IVF) Search(query []float32, k int) ([]Hit, error) {
-	if !ivf.trained {
+	if ivf.lists == nil {
 		return nil, errors.New("vector: IVF index is untrained")
 	}
 	if len(query) != ivf.dim {
 		return nil, ErrDimension
 	}
-	type cscore struct {
-		c int
-		s float32
+	if k <= 0 {
+		return nil, nil
 	}
-	cs := make([]cscore, len(ivf.cents))
-	for i, c := range ivf.cents {
-		cs[i] = cscore{c: i, s: score(ivf.metric, query, c)}
+	qn := sqNorm(query)
+	probe := make(topK, 0, ivf.nprobe)
+	for c := 0; c < ivf.cents.len(); c++ {
+		probe.offer(c, ivf.cents.score(ivf.metric, query, qn, c))
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].s > cs[j].s })
-	h := make(hitHeap, 0, k)
-	for p := 0; p < ivf.nprobe && p < len(cs); p++ {
-		for _, pos := range ivf.lists[cs[p].c] {
-			s := score(ivf.metric, query, ivf.vecs[pos])
-			if len(h) < k {
-				heap.Push(&h, Hit{ID: ivf.ids[pos], Score: s})
-			} else if s > h[0].Score {
-				h[0] = Hit{ID: ivf.ids[pos], Score: s}
-				heap.Fix(&h, 0)
-			}
-		}
+	t := make(topK, 0, k)
+	for _, c := range probe.sorted() {
+		ivf.lists[c.ID].scan(query, qn, &t)
 	}
-	out := make([]Hit, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
+	return t.sorted(), nil
 }
