@@ -367,16 +367,9 @@ func compileBinary(b *BinaryOp, env *evalEnv) (compiledExpr, error) {
 	case "=", "!=", "<", "<=", ">", ">=":
 		test := cmpTest(b.Op)
 		return func() (Value, error) {
-			lv, err := l()
-			if err != nil {
+			lv, rv, err := operands(l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
 				return Null, err
-			}
-			rv, err := r()
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
 			}
 			return Bool(test(lv.Compare(rv))), nil
 		}, nil
@@ -393,42 +386,24 @@ func compileBinary(b *BinaryOp, env *evalEnv) (compiledExpr, error) {
 			}, nil
 		}
 		return func() (Value, error) {
-			lv, err := l()
-			if err != nil {
+			lv, rv, err := operands(l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
 				return Null, err
-			}
-			rv, err := r()
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
 			}
 			return Bool(likeMatch(rv.AsText(), lv.AsText())), nil
 		}, nil
 	case "||":
 		return func() (Value, error) {
-			lv, err := l()
-			if err != nil {
+			lv, rv, err := operands(l, r)
+			if err != nil || lv.IsNull() || rv.IsNull() {
 				return Null, err
-			}
-			rv, err := r()
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
 			}
 			return Text(lv.AsText() + rv.AsText()), nil
 		}, nil
 	case "+", "-", "*", "/", "%":
 		op := b.Op
 		return func() (Value, error) {
-			lv, err := l()
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r()
+			lv, rv, err := operands(l, r)
 			if err != nil {
 				return Null, err
 			}
@@ -437,6 +412,17 @@ func compileBinary(b *BinaryOp, env *evalEnv) (compiledExpr, error) {
 	default:
 		return nil, errf(ErrMisuse, "sql: unknown operator %q", b.Op)
 	}
+}
+
+// operands evaluates both sides of a binary operator, the right one only
+// when the left one did not fail.
+func operands(l, r compiledExpr) (Value, Value, error) {
+	lv, err := l()
+	if err != nil {
+		return Null, Null, err
+	}
+	rv, err := r()
+	return lv, rv, err
 }
 
 func compileIn(in *InList, env *evalEnv) (compiledExpr, error) {

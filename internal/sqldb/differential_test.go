@@ -111,6 +111,11 @@ func diffCreate(db *Database, indexed bool) {
 }
 
 // diffRow is t1's row id: NULL-prone integers, a text, quarters and a flag.
+// Some floats are a quarter plus 2^-10, which no decimal scale up to six
+// places holds but every sum still adds exactly: row 1's, so that the first
+// block seals raw on one value until setUp's delete takes row 1 and it seals
+// as a decimal stream, and every third row's past the first block. The id
+// picks them, so the rows draw from r as they would without them.
 func diffRow(r *rand.Rand, id int) []any {
 	var b, f any = r.Intn(50), float64(r.Intn(400)) / 4
 	if r.Intn(9) == 0 {
@@ -118,6 +123,12 @@ func diffRow(r *rand.Rand, id int) []any {
 	}
 	if r.Intn(11) == 0 {
 		f = nil
+	}
+	switch x, ok := f.(float64); {
+	case id == 1:
+		f = 0.25 + 1.0/1024
+	case ok && id >= segBlockSlots && id%3 == 0:
+		f = x + 1.0/1024
 	}
 	return []any{id, diffA(r), b, diffWords[r.Intn(len(diffWords))], f, r.Intn(2) == 1}
 }
@@ -419,6 +430,7 @@ type diffRun struct {
 	nextID   int // t1's next id: the generated DML never reuses one
 	nextT2   int
 	reopens  int
+	fEncs    map[byte]bool  // the encodings t1.f's sealed blocks took
 	compared map[string]int // comparisons made, by oracle
 	cached   map[*Database]map[string]*cachedText
 	touched  []*cachedText // the cached texts the step executed
@@ -450,7 +462,7 @@ func (h *diffRun) fail(oracle string, a, b any, format string, args ...any) erro
 // focus's configurations and returns the comparisons made by oracle and the
 // first failure.
 func runDifferential(seed int64, steps int, f diffFocus) (map[string]int, error) {
-	h := &diffRun{r: rand.New(rand.NewSource(seed)), compared: map[string]int{},
+	h := &diffRun{r: rand.New(rand.NewSource(seed)), compared: map[string]int{}, fEncs: map[byte]bool{},
 		cached: map[*Database]map[string]*cachedText{}, configs: f.configs, mutate: f.mutate}
 	if h.configs == nil {
 		h.configs = diffConfigs
@@ -1082,13 +1094,20 @@ func (h *diffRun) release() {
 	}
 }
 
-// seal vacuums and seals the sealed configurations; under a held snapshot
-// the blocks whose versions it keeps stay in the heap.
+// seal vacuums and seals the sealed configurations, noting the encodings
+// t1.f's blocks take; under a held snapshot the blocks whose versions it
+// keeps stay in the heap.
 func (h *diffRun) seal() {
 	for _, d := range h.dbs {
 		if d.cfg[axSealed] {
 			d.db.Vacuum()
 			d.db.Seal()
+			t1 := d.db.tableMap()["t1"]
+			for _, blk := range t1.blocks() {
+				if blk != nil {
+					h.fEncs[blk.cols[t1.ColumnIndex("f")].enc] = true
+				}
+			}
 		}
 	}
 }
@@ -1142,6 +1161,10 @@ func (h *diffRun) finish() error {
 	}
 	if h.reopens == 0 && slices.ContainsFunc(h.configs, func(c diffConfig) bool { return c[axDurable] }) {
 		return h.fail("setup", "the recovered configurations", "the workload", "no step closed and recovered them")
+	}
+	if slices.ContainsFunc(h.configs, func(c diffConfig) bool { return c[axSealed] }) && !(h.fEncs[segEncFloat] && h.fEncs[segEncRaw]) {
+		return h.fail("setup", "the sealed configurations", "the workload", "t1.f sealed as a decimal stream %v, raw %v: it must seal both",
+			h.fEncs[segEncFloat], h.fEncs[segEncRaw])
 	}
 	for _, d := range h.dbs {
 		if st := d.db.Stats(); d.cfg[axSealed] && !d.cfg[axDurable] && (st.SegmentsSealed == 0 || st.DecodedBlocks == 0 || rehydrations(d.db) == 0) {

@@ -304,33 +304,26 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 // rows in ascending id order, and compaction preserves relative live-row
 // order — see wal.go).
 func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
-	switch op.kind {
-	case 'S':
+	if op.kind == 'S' {
 		return db.applyRecoveredDDL(op.sql, tx)
+	}
+	t, err := db.lookupTable(op.table)
+	if err != nil {
+		return recoveryCorrupt(err.Error())
+	}
+	switch op.kind {
 	case 'I':
-		t, err := db.lookupTable(op.table)
-		if err != nil {
-			return recoveryCorrupt(err.Error())
-		}
 		if err := t.insertRow(op.row, nil, tx); err != nil {
 			return recoveryCorrupt("replayed INSERT rejected: " + err.Error())
 		}
 		return nil
 	case 'D':
-		t, err := db.lookupTable(op.table)
-		if err != nil {
-			return recoveryCorrupt(err.Error())
-		}
 		id, ok, err := findRowByImage(t, op.row)
 		if err != nil || !ok {
 			return cmp.Or(err, recoveryCorrupt("no row matches logged DELETE image in "+op.table))
 		}
 		return t.deleteRow(id, tx)
 	case 'U':
-		t, err := db.lookupTable(op.table)
-		if err != nil {
-			return recoveryCorrupt(err.Error())
-		}
 		id, ok, err := findRowByImage(t, op.row)
 		if err != nil || !ok {
 			return cmp.Or(err, recoveryCorrupt("no row matches logged UPDATE image in "+op.table))

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 )
 
 // This file implements the cold half of the hybrid storage layout:
@@ -15,16 +16,18 @@ import (
 // A background sealer freezes *cold* blocks — segBlockSlots consecutive
 // slots, each empty or holding one committed version visible to every
 // current and future snapshot — into column-major blocks compressed per
-// column (zigzag-delta varints for ints, byte-aligned XOR for floats, a
-// dictionary for strings, a bitmap for bools, a raw fallback for mixed
-// kinds). Sealing publishes the block in Table.segs at its morsel number,
+// column (zigzag-delta varints for ints and for a decimal float's scaled
+// integers, a dictionary for strings, a bitmap for bools, a raw fallback for
+// mixed kinds and other floats), each buffer allocated once at its final
+// size. Sealing publishes the block in Table.segs at its morsel number,
 // then a directory (Table.slots) whose entry for that morsel is nil rather
 // than a run of heads: the run and its heap versions become garbage, and a
 // sealed row costs the table nothing beyond its share of the block.
 //
 // Any value of a block is read without decoding the rest (valueAt): the null
-// bitmap is ranked a 64-row word at a time, the delta and XOR streams
-// restart every segRestart values, dictionary codes have a fixed width.
+// bitmap is ranked a 64-row word at a time, the delta and raw streams
+// restart every segRestart values, dictionary codes have a fixed width — or
+// none, when every value is its own entry.
 // Large scans (source.go) decode a block at a time; every other reader
 // starts at resolve: the run's head or — if the run is nil — the current
 // block.
@@ -59,12 +62,15 @@ const segRestart = 64
 
 // Column encodings. Chosen per (block, column) by the kinds present.
 const (
-	segEncRaw   byte = iota // mixed kinds: appendWalValue stream
+	segEncRaw   byte = iota // mixed kinds, or floats not all decimal: appendWalValue stream
 	segEncInt               // all-int: zigzag delta varints
-	segEncFloat             // all-float: byte-aligned XOR vs previous
-	segEncText              // all-text: dictionary + fixed-width codes
+	segEncFloat             // all-float, each m/10^exp: segEncInt's stream of the m's
+	segEncText              // all-text: dictionary + fixed-width codes, none if all distinct
 	segEncBool              // all-bool: bitmap
 )
+
+// segPow10 holds the scales a decimal float column may take: 10^exp, exact.
+var segPow10 = [...]float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
 
 // Kind masks, shared with the vector engine (vector.go).
 const (
@@ -78,6 +84,7 @@ const (
 // segCol is one compressed column of one block.
 type segCol struct {
 	enc   byte
+	exp   byte     // a segEncFloat column's scale: a value is its stream's integer / 10^exp
 	kinds uint16   // mask of kinds present (incl. kmNull), for kernel dispatch
 	data  []byte   // null bitmap over the rows, then the non-null values (a text column's codes)
 	dict  string   // a text column's entries back to back: a value is a substring
@@ -131,7 +138,8 @@ type blockSeek struct {
 	pos []segPos
 }
 
-// segPos is where value j of a stream column ends in data, and its bits.
+// segPos is where value j of a stream column ends in data, and its bits (a
+// decimal float's: its scaled integer).
 type segPos struct {
 	j, off int
 	prev   uint64
@@ -352,121 +360,151 @@ func (t *Table) rehydrate(m int) error {
 
 // sealColumn picks the tightest encoding the column's kinds allow and
 // encodes: null bitmap first, then the non-null values — with the rank and
-// offset tables that make each one addressable.
+// offset tables that make each one addressable. Every buffer is sized before
+// it is written, so each is allocated once, at its final length.
 func sealColumn(vals []Value) segCol {
-	n, c := len(vals), segCol{enc: segEncRaw}
+	n, nn, c := len(vals), 0, segCol{enc: segEncRaw}
 	for _, v := range vals {
 		c.kinds |= 1 << uint16(v.kind)
-	}
-	c.data = make([]byte, (n+7)/8)
-	if c.kinds&kmNull != 0 {
-		c.rank = make([]uint16, 1, (n+63)/64+1)
-	}
-	nonNull := 0
-	for i, v := range vals {
-		if v.kind == KindNull {
-			c.data[i/8] |= 1 << (i % 8)
-		} else {
-			nonNull++
-		}
-		if c.rank != nil && (i%64 == 63 || i == n-1) {
-			c.rank = append(c.rank, uint16(nonNull))
+		if v.kind != KindNull {
+			nn++
 		}
 	}
 	switch c.kinds &^ kmNull {
 	case kmInt:
 		c.enc = segEncInt
 	case kmFloat:
-		c.enc = segEncFloat
+		if exp := decimalScale(vals); int(exp) < len(segPow10) {
+			c.enc, c.exp = segEncFloat, exp
+		}
 	case kmText:
 		c.enc = segEncText
 	case kmBool:
 		c.enc = segEncBool
 	}
-	var bools, codes []int
-	var dict []byte
-	var index map[string]int // a text column's entries, by value
-	if c.enc == segEncText {
-		index = make(map[string]int)
+	bmLen, index, dictLen := (n+7)/8, map[string]int{}, 0 // index: a text column's entries, by value
+	size := bmLen
+	switch c.enc {
+	case segEncText:
+		for _, v := range vals {
+			if _, ok := index[v.s]; !ok && v.kind == KindText {
+				index[v.s], dictLen = len(index), dictLen+len(v.s)
+			}
+		}
+		c.offs = make([]uint32, len(index)+1)
+		size += nn * c.codeWidth(nn)
+	case segEncBool:
+		size += (nn + 7) / 8
+	default:
+		c.offs = make([]uint32, (nn+segRestart-1)/segRestart)
+		size = c.stream(vals, nil, size)
 	}
-	prev, j := uint64(0), 0
-	for _, v := range vals {
+	c.data = make([]byte, size)
+	if nn < n {
+		c.rank = make([]uint16, 1, (n+63)/64+1)
+	}
+	var dict strings.Builder
+	dict.Grow(dictLen)
+	w, j, next := c.codeWidth(nn), 0, 0
+	for i, v := range vals {
 		switch {
 		case v.kind == KindNull:
-			continue
+			c.data[i/8] |= 1 << (i % 8)
 		case c.enc == segEncText:
-			di, ok := index[v.s]
-			if !ok {
-				di, index[v.s] = len(c.offs), len(c.offs)
-				c.offs, dict = append(c.offs, uint32(len(dict))), append(dict, v.s...)
+			di := next // with no codes, value j is entry j
+			if w > 0 {
+				di = index[v.s]
 			}
-			codes = append(codes, di)
-			continue
+			if di == next {
+				c.offs[di], next = uint32(dict.Len()), next+1
+				dict.WriteString(v.s)
+			}
+			for b := range w {
+				c.data[bmLen+j*w+b] = byte(di >> (8 * b))
+			}
 		case c.enc == segEncBool:
-			bools = append(bools, int(v.n))
-			continue
-		case j%segRestart == 0:
-			c.offs, prev = append(c.offs, uint32(len(c.data))), 0
+			c.data[bmLen+j/8] |= byte(v.n) << (j % 8)
 		}
-		switch c.enc {
-		case segEncInt:
-			// Delta in mod-2^64 arithmetic, zigzagged: exact for the full
-			// int64 range including wraparound-sized gaps.
-			c.data = binary.AppendUvarint(c.data, zigzag(int64(v.n-prev)))
-		case segEncFloat:
-			c.data = appendXORFloat(c.data, v.n^prev)
-		default:
-			c.data = appendWalValue(c.data, v)
+		if v.kind != KindNull {
+			j++
 		}
-		prev, j = v.n, j+1
-	}
-	if c.enc == segEncText {
-		c.offs, c.dict = append(c.offs, uint32(len(dict))), string(dict)
-		for _, di := range codes {
-			c.data = append(c.data, byte(di))
-			if c.codeWidth() == 2 {
-				c.data = append(c.data, byte(di>>8))
-			}
+		if c.rank != nil && (i%64 == 63 || i == n-1) {
+			c.rank = append(c.rank, uint16(j))
 		}
 	}
-	at := len(c.data)
-	c.data = append(c.data, make([]byte, (len(bools)+7)/8)...)
-	for k, b := range bools {
-		c.data[at+k/8] |= byte(b) << (k % 8)
+	switch c.enc {
+	case segEncText:
+		c.offs[next], c.dict = uint32(dict.Len()), dict.String()
+	case segEncInt, segEncFloat, segEncRaw:
+		c.stream(vals, c.data, bmLen)
 	}
 	return c
+}
+
+// stream writes the non-null values of an int, float or raw column to data
+// from off — or only measures them, when data is nil — recording each
+// restart point in offs, and returns the offset past them. An int, or a
+// decimal float's scaled integer, is a zigzag delta from the value before it
+// in mod-2^64 arithmetic (exact for the full int64 range, wraparound gaps
+// included); any other value is appendWalValue's bytes.
+func (c *segCol) stream(vals []Value, data []byte, off int) int {
+	prev, j := uint64(0), 0
+	for _, v := range vals {
+		if v.kind == KindNull {
+			continue
+		}
+		if j%segRestart == 0 {
+			c.offs[j/segRestart], prev = uint32(off), 0
+		}
+		u := v.n
+		if c.enc == segEncFloat {
+			u = uint64(int64(math.Round(v.AsFloat() * segPow10[c.exp])))
+		}
+		z := zigzag(int64(u - prev))
+		switch {
+		case c.enc == segEncRaw && data == nil:
+			off += walValueLen(v)
+		case c.enc == segEncRaw:
+			off = len(appendWalValue(data[:off], v))
+		case data == nil:
+			off += (bits.Len64(z|1) + 6) / 7 // PutUvarint's length
+		default:
+			off += binary.PutUvarint(data[off:], z)
+		}
+		prev, j = u, j+1
+	}
+	return off
+}
+
+// decimalScale is the least exp at which every float x of vals is
+// float64(m)/10^exp bit for bit, where m = round(x·10^exp) — the integer the
+// stream stores — has |m| < 2^52; len(segPow10) when there is none (±Inf,
+// -0, more than six places). One exp is tried on the whole block at a time.
+func decimalScale(vals []Value) byte {
+	exp := byte(0)
+	for i := 0; i < len(vals) && int(exp) < len(segPow10); i++ {
+		v, p := vals[i], segPow10[exp]
+		if m := math.Round(v.AsFloat() * p); v.kind == KindFloat && (math.Abs(m) >= 1<<52 || math.Float64bits(float64(int64(m))/p) != v.n) {
+			exp, i = exp+1, -1 // every value again, at the next scale
+		}
+	}
+	return exp
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendXORFloat writes one XOR'd float64 bit pattern byte-aligned: a
-// control byte (leadingZeroBytes<<4 | significantBytes) followed by the
-// significant middle bytes, little-endian. Similar consecutive floats
-// share sign/exponent/leading-mantissa bits (high bytes) and often have
-// zero mantissa tails (low bytes), so x is usually a short middle run.
-func appendXORFloat(data []byte, x uint64) []byte {
-	if x == 0 {
-		return append(data, 0x80) // lz=8, sig=0
-	}
-	lz := bits.LeadingZeros64(x) / 8
-	tz := bits.TrailingZeros64(x) / 8
-	sig := 8 - lz - tz
-	data = append(data, byte(lz<<4|sig))
-	v := x >> (tz * 8)
-	for i := 0; i < sig; i++ {
-		data = append(data, byte(v>>(8*i)))
-	}
-	return data
-}
-
 // ---------------------------------------------------------------------------
 // Decoding: bytes that do not decode to exactly the sealed values are
 // ErrCorrupt — the block is the only copy.
 
-// codeWidth is the byte width of a text column's dictionary codes.
-func (c *segCol) codeWidth() int {
-	if len(c.offs) > 257 {
+// codeWidth is the byte width of the dictionary codes of a text column with
+// nn non-null values: none when each is its own entry, in order.
+func (c *segCol) codeWidth(nn int) int {
+	switch {
+	case len(c.offs) == nn+1:
+		return 0
+	case len(c.offs) > 257:
 		return 2
 	}
 	return 1
@@ -487,10 +525,11 @@ func (c *segCol) decode(n int, dst []Value) (err error) {
 	off := bmLen
 	switch c.enc {
 	case segEncText:
+		w := c.codeWidth(nn)
 		for j := 0; j < nn && err == nil; j++ {
-			dst[j], err = c.text(bmLen + j*c.codeWidth())
+			dst[j], err = c.text(bmLen, j, w)
 		}
-		off += max(nn, 0) * c.codeWidth()
+		off += max(nn, 0) * w
 	case segEncBool:
 		for j := 0; j < nn && err == nil; j++ {
 			dst[j], err = c.bool(bmLen, j)
@@ -524,7 +563,18 @@ func (c *segCol) valueAt(i, n int, at *segPos) (Value, error) {
 	case err != nil || null:
 		return Null, err
 	case c.enc == segEncText:
-		return c.text((n+7)/8 + j*c.codeWidth())
+		// The code width follows from the non-null count, which the rank
+		// table ends on: the codes must then fill the column, as decode,
+		// which counts the bitmap instead, requires.
+		nn := n
+		if len(c.rank) > 0 {
+			nn = int(c.rank[len(c.rank)-1])
+		}
+		w := c.codeWidth(nn)
+		if len(c.data) != (n+7)/8+nn*w {
+			return Null, errCorrupt("text codes do not fill the column")
+		}
+		return c.text((n+7)/8, j, w)
 	case c.enc == segEncBool:
 		return c.bool((n+7)/8, j)
 	case j/segRestart >= len(c.offs):
@@ -566,13 +616,16 @@ func (c *segCol) locate(i, n int) (int, bool, error) {
 	return int(c.rank[w]) + i%64 - below, word>>(i%64)&1 != 0, nil
 }
 
-// text reads the dictionary entry the code at data[at:] names.
-func (c *segCol) text(at int) (Value, error) {
-	width := c.codeWidth()
+// text reads non-null value j's dictionary entry: entry j when width is
+// 0, else the one its width-byte code in the codes at data[at:] names.
+func (c *segCol) text(at, j, width int) (Value, error) {
+	code, at := j, at+j*width
 	if at+width > len(c.data) {
 		return Null, errCorrupt("text codes truncated")
 	}
-	code := int(c.data[at])
+	if width > 0 {
+		code = int(c.data[at])
+	}
 	if width == 2 {
 		code |= int(c.data[at+1]) << 8
 	}
@@ -591,38 +644,31 @@ func (c *segCol) bool(at, j int) (Value, error) {
 }
 
 // steps decodes count stream values from data[off:], the first following
-// the value whose bits are prev, into dst — value k at dst[min(k,
+// the value whose bits (as segPos holds them) are prev, into dst — value k at dst[min(k,
 // len(dst)-1)], so a one-value dst ends holding the last — and returns the
 // offset past them (negative when the bytes do not decode) and the last
 // one's bits.
 func (c *segCol) steps(off int, prev uint64, count int, dst []Value) (int, uint64) {
 	d, last, enc := c.data, len(dst)-1, c.enc
+	if enc == segEncFloat && int(c.exp) >= len(segPow10) {
+		return -1, 0
+	}
 	for k := 0; k < count; k++ {
 		if off >= len(d) {
 			return -1, 0
 		}
 		switch enc {
-		case segEncInt:
+		case segEncInt, segEncFloat:
 			u, sz := binary.Uvarint(d[off:])
 			if sz <= 0 {
 				return -1, 0
 			}
 			prev, off = prev+uint64(unzigzag(u)), off+sz
-			dst[min(k, last)] = Int(int64(prev))
-		case segEncFloat:
-			lz, sig := int(d[off]>>4), int(d[off]&0xF)
-			if lz+sig > 8 || off+1+sig > len(d) {
-				return -1, 0
+			v := Int(int64(prev))
+			if enc == segEncFloat {
+				v = Float(float64(int64(prev)) / segPow10[c.exp])
 			}
-			var x uint64
-			for b, by := range d[off+1 : off+1+sig] {
-				x |= uint64(by) << (8 * b)
-			}
-			if sig > 0 {
-				x <<= uint(8-lz-sig) * 8
-			}
-			prev, off = prev^x, off+1+sig
-			dst[min(k, last)] = Float(math.Float64frombits(prev))
+			dst[min(k, last)] = v
 		default:
 			dec := walDecoder{b: d, off: off}
 			if dst[min(k, last)], off = dec.value(), dec.off; dec.err != nil {

@@ -244,9 +244,20 @@ func layoutColumns() map[string][]Value {
 	for i := 0; i < 300; i++ {
 		textwide = append(textwide, Text(strconv.Itoa(i%257)))
 	}
+	// Cents, negatives among them, past one restart point: a float column
+	// sealed as its scaled integers (exp 2). Each distinct text is its own
+	// dictionary entry, so the column writes no codes.
+	var decimal []Value
+	for i := int64(0); i < 3*segRestart; i++ {
+		decimal = append(decimal, Float(float64(i*i*37%20011-10000)/100))
+		if i%7 == 0 {
+			decimal = append(decimal, Null)
+		}
+	}
+	textdistinct := []Value{Text("item-0"), Text(""), Null, Text("héllo"), Text("item-10"), Null, Text("x")}
 	return map[string][]Value{"int": ints, "float": floats, "text": texts, "bool": bools, "raw": raw,
 		"bigtext": {Text(layoutBigText), Null, Text(layoutBigText)}, "bigraw": {Int(1), Text(layoutBigText)},
-		"intrun": intrun, "textwide": textwide}
+		"intrun": intrun, "textwide": textwide, "decimal": decimal, "textdistinct": textdistinct}
 }
 
 // sameBits is kind- and bit-level identity through the accessors alone, so
@@ -313,12 +324,13 @@ func TestValueLayout(t *testing.T) {
 // TestValueEncodingsPinned round-trips the corpus through the WAL value
 // codec and all five sealed-column encodings — whole and value by value —
 // and compares the bytes with pins: the WAL's taken on the 48-byte layout,
-// the sealed columns' when they became addressable (restart points, the
-// dictionary's lengths ahead of its bytes, fixed-width codes).
+// the sealed columns' when a float column became its scaled integers (or,
+// holding -0 and ±Inf as "float" does, the raw stream) and an all-distinct
+// dictionary stopped writing codes.
 func TestValueEncodingsPinned(t *testing.T) {
-	wantEnc := map[string]byte{"int": segEncInt, "float": segEncFloat, "text": segEncText,
+	wantEnc := map[string]byte{"int": segEncInt, "float": segEncRaw, "text": segEncText,
 		"bool": segEncBool, "raw": segEncRaw, "bigtext": segEncText, "bigraw": segEncRaw,
-		"intrun": segEncInt, "textwide": segEncText}
+		"intrun": segEncInt, "textwide": segEncText, "decimal": segEncFloat, "textdistinct": segEncText}
 	for name, vals := range layoutColumns() {
 		var wal []byte
 		for _, v := range vals {
@@ -334,8 +346,11 @@ func TestValueEncodingsPinned(t *testing.T) {
 			}
 		}
 		col := sealColumn(vals)
-		if col.enc != wantEnc[name] {
-			t.Errorf("sealColumn(%s) chose encoding %d, want %d", name, col.enc, wantEnc[name])
+		if col.enc != wantEnc[name] || name == "decimal" && col.exp != 2 {
+			t.Errorf("sealColumn(%s) chose encoding %d (exp %d), want %d", name, col.enc, col.exp, wantEnc[name])
+		}
+		if bmLen := (len(vals) + 7) / 8; name == "textdistinct" && len(col.data) != bmLen {
+			t.Errorf("sealColumn(textdistinct) wrote %d bytes of codes, want none", len(col.data)-bmLen)
 		}
 		if got := pinBytes(append([]byte(col.dict), col.data...)); got != layoutSealPins[name] {
 			t.Errorf("sealColumn(%s) drifted:\n got %s\nwant %s", name, got, layoutSealPins[name])
@@ -440,27 +455,31 @@ func TestAppendTextMatchesAsText(t *testing.T) {
 }
 
 var layoutWalPins = map[string]string{
-	"int":      "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
-	"float":    "03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f",
-	"text":     "0400000000040100000061000400000000040600000068c3a96c6c6f",
-	"bool":     "01010100000101",
-	"raw":      "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
-	"bigtext":  "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
-	"bigraw":   "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
-	"intrun":   "sha256:3cd69eedf59ddb9784b6d7f69438bcb6107870f16a45078d1264e5c79384fe35/1767",
-	"textwide": "sha256:d15b552fd30313fa22e4d293d6f2b7ab0822fe2665c712c5e7154197de3bf8f0/2237",
+	"int":          "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff",
+	"float":        "03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f",
+	"text":         "0400000000040100000061000400000000040600000068c3a96c6c6f",
+	"bool":         "01010100000101",
+	"raw":          "02000000000000008002ffffffffffffff7f0200000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff000003000000000000f83f0400000000040100000061000400000000040600000068c3a96c6c6f01010100000101",
+	"bigtext":      "sha256:e19dcabee73defd0477bd53e2474d01f4e37ba7026e56411f6fb26b3667d1032/143371",
+	"bigraw":       "sha256:e9c38af14c32984a4769062cc0f9fc2f04453c0a56eea515cb1b7b03d6e2c945/71694",
+	"intrun":       "sha256:3cd69eedf59ddb9784b6d7f69438bcb6107870f16a45078d1264e5c79384fe35/1767",
+	"textwide":     "sha256:d15b552fd30313fa22e4d293d6f2b7ab0822fe2665c712c5e7154197de3bf8f0/2237",
+	"decimal":      "sha256:2ed8549b201fa8ccc28b1bd56e45dd999a59a4ed6ae0f33596b023047175a28f/1756",
+	"textdistinct": "04060000006974656d2d30040000000000040600000068c3a96c6c6f04070000006974656d2d313000040100000078",
 }
 
 var layoutSealPins = map[string]string{
-	"int":      "08ffffffffffffffffff0101fdffffffffffffffff0101",
-	"float":    "18018002f0ff01800208c0",
-	"text":     "6168c3a96c6c6f0400010002",
-	"bool":     "0405",
-	"raw":      "08230402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
-	"bigtext":  "sha256:264b828ab9056a3ede0923cd8610a53a1c16af698147bb397f8ba7c8b69de155/71683",
-	"bigraw":   "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
-	"intrun":   "sha256:8aa081ae2351486d4a4248ea0580b8da380d9a3a7f8b682585ecb62807e0fb68/378",
-	"textwide": "sha256:77e2da3a34d0125fa5095da94cace3a5a749edc1044c24237236262b46ead60e/1299",
+	"int":          "08ffffffffffffffffff0101fdffffffffffffffff0101",
+	"float":        "1803000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f",
+	"text":         "6168c3a96c6c6f0400010002",
+	"bool":         "0405",
+	"raw":          "08230402000000000000008002ffffffffffffff7f02000000000000000002ffffffffffffffff03000000000000008003000000000000f07f03000000000000f0ff03000000000000f83f04000000000401000000610400000000040600000068c3a96c6c6f010101000101",
+	"bigtext":      "sha256:264b828ab9056a3ede0923cd8610a53a1c16af698147bb397f8ba7c8b69de155/71683",
+	"bigraw":       "sha256:a7e2b723fb60673589764f14ca3c720c0e847fc91686f5d9a194c593520e882d/71695",
+	"intrun":       "sha256:8aa081ae2351486d4a4248ea0580b8da380d9a3a7f8b682585ecb62807e0fb68/378",
+	"textwide":     "sha256:77e2da3a34d0125fa5095da94cace3a5a749edc1044c24237236262b46ead60e/1299",
+	"decimal":      "sha256:92e3e45482f18069b5db004e81ddb14f9d04b552b1f096a860b02ddf50c6923f/493",
+	"textdistinct": "6974656d2d3068c3a96c6c6f6974656d2d31307824",
 }
 
 const layoutTextPin = "-9223372036854775808|9223372036854775807|0||-1|-0.0|Inf|-Inf|||1.5||a|||héllo|true|false||true"

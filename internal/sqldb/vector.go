@@ -389,7 +389,7 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 	switch t := e.(type) {
 	case *BinaryOp:
 		switch t.Op {
-		case "AND":
+		case "AND", "OR":
 			l, ok := vc.compilePred(t.Left)
 			if !ok {
 				return nil, false
@@ -398,35 +398,21 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 			if !ok {
 				return nil, false
 			}
+			or := t.Op == "OR"
 			return func(b *vecBatch, t0, nl *vecBitset) {
 				var t1, n1, t2, n2 vecBitset
 				l(b, &t1, &n1)
 				r(b, &t2, &n2)
 				m := maskTo(b.n)
 				for w := range t0 {
-					f := (m[w] &^ t1[w] &^ n1[w]) | (m[w] &^ t2[w] &^ n2[w])
-					t0[w] = t1[w] & t2[w]
-					nl[w] = m[w] &^ t0[w] &^ f
-				}
-			}, true
-		case "OR":
-			l, ok := vc.compilePred(t.Left)
-			if !ok {
-				return nil, false
-			}
-			r, ok := vc.compilePred(t.Right)
-			if !ok {
-				return nil, false
-			}
-			return func(b *vecBatch, t0, nl *vecBitset) {
-				var t1, n1, t2, n2 vecBitset
-				l(b, &t1, &n1)
-				r(b, &t2, &n2)
-				m := maskTo(b.n)
-				for w := range t0 {
-					f := (m[w] &^ t1[w] &^ n1[w]) & (m[w] &^ t2[w] &^ n2[w])
-					t0[w] = t1[w] | t2[w]
-					nl[w] = m[w] &^ t0[w] &^ f
+					// AND is true where both sides are, false where either
+					// is; OR the other way round. The rest is NULL.
+					f1, f2 := m[w]&^t1[w]&^n1[w], m[w]&^t2[w]&^n2[w]
+					tw, f := t1[w]&t2[w], f1|f2
+					if or {
+						tw, f = t1[w]|t2[w], f1&f2
+					}
+					t0[w], nl[w] = tw, m[w]&^tw&^f
 				}
 			}, true
 		case "=", "!=", "<", "<=", ">", ">=":

@@ -234,6 +234,11 @@ func appendWalValue(b []byte, v Value) []byte {
 	return b
 }
 
+// walValueLen is the length of appendWalValue's encoding of v.
+func walValueLen(v Value) int {
+	return 1 + [...]int{KindBool: 1, KindInt: 8, KindFloat: 8, KindText: 4}[v.kind] + len(v.s)
+}
+
 func appendWalRow(b []byte, r Row) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r)))
 	for _, v := range r {
@@ -249,12 +254,11 @@ func appendWalOp(b []byte, op walOp) []byte {
 	switch op.kind {
 	case 'S':
 		b = appendWalString(b, op.sql)
-	case 'I', 'D':
+	case 'I', 'D', 'U':
 		b = appendWalString(b, op.table)
 		b = appendWalRow(b, op.row)
-	case 'U':
-		b = appendWalString(b, op.table)
-		b = appendWalRow(b, op.row)
+	}
+	if op.kind == 'U' {
 		b = appendWalRow(b, op.row2)
 	}
 	return b
@@ -280,55 +284,40 @@ func (d *walDecoder) fail() {
 	}
 }
 
-func (d *walDecoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.b) {
+// uintN reads an n-byte (1, 2, 4 or 8) little-endian integer, 0 — setting
+// the sticky error — once it is not all there.
+func (d *walDecoder) uintN(n int) uint64 {
+	if d.err != nil || n > len(d.b)-d.off {
 		d.fail()
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
+	b := d.b[d.off:][:n]
+	d.off += n
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	default:
+		return uint64(b[0])
+	}
 }
 
-func (d *walDecoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *walDecoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *walDecoder) byte() byte {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
+func (d *walDecoder) byte() byte  { return byte(d.uintN(1)) }
+func (d *walDecoder) u16() uint16 { return uint16(d.uintN(2)) }
+func (d *walDecoder) u32() uint32 { return uint32(d.uintN(4)) }
+func (d *walDecoder) u64() uint64 { return d.uintN(8) }
 
 func (d *walDecoder) str() string {
 	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) {
+	if d.err != nil || n > len(d.b)-d.off {
 		d.fail()
 		return ""
 	}
-	s := string(d.b[d.off : d.off+n])
 	d.off += n
-	return s
+	return string(d.b[d.off-n : d.off])
 }
 
 func (d *walDecoder) value() Value {
@@ -370,15 +359,14 @@ func (d *walDecoder) op() walOp {
 	switch op.kind {
 	case 'S':
 		op.sql = d.str()
-	case 'I', 'D':
+	case 'I', 'D', 'U':
 		op.table = d.str()
 		op.row = d.row()
-	case 'U':
-		op.table = d.str()
-		op.row = d.row()
-		op.row2 = d.row()
 	default:
 		d.fail()
+	}
+	if op.kind == 'U' {
+		op.row2 = d.row()
 	}
 	return op
 }
