@@ -177,7 +177,7 @@ func treeScanned(op operator) uint64 {
 	switch t := op.(type) {
 	case *scanOp: // the one base-table leaf
 		return t.cnt.scanned
-	case *parScanOp:
+	case *gatherOp:
 		return t.scan.cnt.scanned
 	case *valuesOp:
 		return treeScanned(t.src)

@@ -363,7 +363,7 @@ var diffJoinShapes = []func(r *rand.Rand, p string) string{
 // sorts by an alias that shadows a column and by the column, groups every
 // pool instance founds in its own order (with a NULL key, and float parts
 // to merge), and the DISTINCT and GROUP_CONCAT aggregates that keep to the
-// serial fold or an unordered gather.
+// serial fold.
 var diffAggQueries = []string{
 	"SELECT a, COUNT(*), COUNT(b), SUM(b), AVG(b), MIN(b), MAX(b), MAX(c) FROM t1 GROUP BY a",
 	"SELECT a % 7, COUNT(*), SUM(b) FROM t1 GROUP BY a % 7",
@@ -1382,8 +1382,8 @@ func TestStatementCacheMatchesFreshParse(t *testing.T) {
 	diffFocused(t, 31, diffFocus{configs: []diffConfig{diffCfg(), diffCfg(axFresh)}, oracles: []string{"agreement", "cached AST"}})
 }
 
-// DISTINCT aggregates gathered from the pool in completion order against
-// the serial fold.
+// A lent cursor over a pooled scan — rows gathered in morsel order, and
+// DISTINCT aggregates folded on one instance — against the serial fold.
 func TestUnorderedGatherAggEquivalence(t *testing.T) {
 	lowerMorselMinRows(t, 8)
 	diffFocused(t, 13, diffFocus{configs: []diffConfig{diffCfg(axPooled, axLent), diffCfg()}, oracles: []string{"agreement", "row loop"}})

@@ -144,7 +144,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 			p.describeSubplans(it.Expr, depth+1, t.env)
 		}
 		p.describe(t.child, depth+1)
-	case *parScanOp:
+	case *gatherOp:
 		p.describe(t.scan, depth)
 	case *scanOp:
 		// One node kind for every base-table scan: the pool (workers=N) and
@@ -152,9 +152,6 @@ func (p *planPrinter) describe(op operator, depth int) {
 		notes := ""
 		if t.workers > 1 {
 			notes = fmt.Sprintf(" workers=%d", t.workers)
-		}
-		if t.unordered {
-			notes += " (unordered gather)"
 		}
 		if t.exprs > 0 {
 			notes += fmt.Sprintf(" vectorized %d/%d", t.kernels, t.exprs)

@@ -13,34 +13,34 @@ import (
 // through an atomic counter, so fast workers steal work from slow ones
 // without any static partitioning. What a worker does with a morsel is
 // not decided here: each one owns a private instance of the statement's
-// scan (scanOp, vecops.go) and runs it on the morsels it claims. This file keeps only what a pool adds:
+// scan (scanOp, vecops.go) and runs it on the morsels it claims. The pool
+// is one fork-join loop, runFold, which spawns its workers and joins them
+// before it returns, so no worker outlives the pull that started it. Three
+// consumers run on it:
 //
-//   - parScanOp: claiming, the ticket throttle, and the gather — in morsel
-//     order, so the output is bit-identical to the serial scan (safe under
-//     LIMIT truncation and for the differential tests), or in
-//     completion order when the consumer provably cannot tell.
-//   - runFold: the fork-join loop under a consumer folded into the scan —
-//     workers fold their morsels into private GROUP BY states
-//     (runAggregationBatch: the owner merges them and restores serial
-//     first-seen group order from the scan ordinal at which each group
-//     appeared) or private top-K heaps (sortOp.drainTopK). One worker is
-//     the serial fold.
+//   - gatherOp: the scan's own rows, built morsel by morsel and joined in
+//     morsel order, so the output is bit-identical to the serial scan.
+//   - runAggregationBatch: workers fold their morsels into private GROUP BY
+//     states; the owner merges them and restores serial first-seen group
+//     order from the scan ordinal at which each group appeared.
+//   - sortOp.drainTopK: workers keep private top-K heaps.
 //
+// One instance is the serial case, run inline on the owner goroutine.
 // Whether a scan runs here is the planner's call (planScan, vecops.go):
 // only top-level, single-table paths whose expressions are free of
 // subqueries and function calls (parallelSafe says why), and only above the
 // size gate so small scans never pay pool overhead. Ordered (sort-eliding)
 // walks and correlated probes stay serial.
 //
-// Accounting: workers never touch the shared queryCtx. Each morsel result
-// carries its own counters, which the gather — always the query's owner
-// goroutine — folds into the per-query recorder, so the EXPLAIN ANALYZE
-// accounting property (per-operator sums == per-query totals) holds
-// unchanged under parallel execution.
+// Accounting: workers never touch the shared queryCtx. Each instance counts
+// its own work, which runFold folds, after the join and on the owner
+// goroutine, into the planner's instance and through it into the per-query
+// recorder, so the EXPLAIN ANALYZE accounting property (per-operator sums ==
+// per-query totals) holds unchanged under parallel execution.
 
 // morselSize is the number of positions one worker claims at a time — and
 // one sealed block, and one vector batch. Large enough to amortise the
-// claim + channel handoff, small enough to load-balance skewed filters.
+// claim, small enough to load-balance skewed filters.
 const morselSize = 1024
 
 // parallelMaxWorkers caps the default pool size; WithMaxWorkers can raise
@@ -54,8 +54,8 @@ const parallelMaxWorkers = 8
 var morselMinRows = 4096
 
 // parallelWorkersActive counts live worker goroutines engine-wide. Test
-// instrumentation: the cancellation/leak tests assert it returns to zero
-// after Rows.Close.
+// instrumentation: runFold joins every worker it spawns, so the tests
+// assert it is zero whenever no statement is inside a pull.
 var parallelWorkersActive atomic.Int64
 
 // defaultMaxWorkers sizes a database's pool from the runtime: GOMAXPROCS
@@ -87,256 +87,7 @@ func parallelSafe(es ...Expr) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Pooled scan with ordered gather
-
-// parMorsel is one worker's result for one morsel.
-type parMorsel struct {
-	idx  int
-	rows []Row
-	cnt  scanCounts
-	err  error
-}
-
-// parScanOp runs a scan on a pool of workers. The gather emits
-// morsel results strictly in morsel order, so downstream operators see
-// exactly the serial scan's stream — parallelism changes wall-clock, never
-// semantics — unless the plan is marked unordered: then the consumer is
-// provably order-insensitive (aggregation gated by aggOrderInsensitive),
-// and morsels are consumed in completion order so slow ones never stall
-// fast ones. Workers are throttled by a ticket semaphore to at most a few
-// morsels ahead of the gather, so an abandoned or LIMIT-stopped cursor
-// buffers O(workers) morsels, not the table. qc.stopWorkers (registered at
-// start) stops and joins the pool before the cursor's snapshot reference
-// is released.
-type parScanOp struct {
-	// scan is the plan the workers copy, the node EXPLAIN shows, and the
-	// sink their counters merge into. It is never pulled itself.
-	scan *scanOp
-
-	started bool
-	stopped bool
-	claim   *atomic.Int64
-	abort   *atomic.Bool
-	stopCh  chan struct{}
-	tickets chan struct{}
-	results chan parMorsel
-	wg      sync.WaitGroup
-
-	nextIdx  int
-	nMorsels int
-	stash    map[int]parMorsel
-	cur      []Row
-	pos      int
-	curErr   error // error carried by the current morsel, surfaced after its rows
-	pendErr  error // sticky terminal error
-}
-
-func (s *parScanOp) columns() []colInfo { return s.scan.cols }
-
-func (s *parScanOp) reset() {
-	s.stopPool()
-	*s = parScanOp{scan: s.scan}
-}
-
-// start opens the scan and spawns the pool. Runs on the owner goroutine;
-// workers inherit the statement's snapshot through the shared source and
-// never take a lock.
-func (s *parScanOp) start() {
-	if s.pendErr = s.scan.open(); s.pendErr != nil {
-		return
-	}
-	s.started = true
-	s.nMorsels = s.scan.src.batches()
-	s.claim = &atomic.Int64{}
-	s.abort = &atomic.Bool{}
-	s.stopCh = make(chan struct{})
-	s.stash = make(map[int]parMorsel)
-	nw := max(min(s.scan.workers, s.nMorsels), 1)
-	// Tickets bound how far claims may run ahead of the gather. Claims
-	// are monotonic, so the outstanding morsels are always the smallest
-	// unconsumed indices and the gather's next morsel is among them — no
-	// deadlock.
-	maxAhead := nw * 4
-	s.tickets = make(chan struct{}, maxAhead)
-	for i := 0; i < maxAhead; i++ {
-		s.tickets <- struct{}{}
-	}
-	s.results = make(chan parMorsel, maxAhead)
-	if qc := s.scan.qc; qc != nil {
-		qc.addFinalizer(s.stopPool)
-	}
-	// Every worker's pipeline is compiled here, on the owner goroutine, so
-	// workers never touch shared planner state.
-	for w := 0; w < nw; w++ {
-		inst, err := s.scan.workerCopy()
-		if err != nil {
-			// The planner compiled this same pipeline already; failure
-			// here is unreachable, but fail closed.
-			s.pendErr = err
-			s.nMorsels = 0
-			break
-		}
-		s.wg.Add(1)
-		parallelWorkersActive.Add(1)
-		go s.worker(inst)
-	}
-	go func() {
-		s.wg.Wait()
-		close(s.results)
-	}()
-}
-
-func (s *parScanOp) worker(inst *scanOp) {
-	defer func() {
-		inst.release()
-		parallelWorkersActive.Add(-1)
-		s.wg.Done()
-	}()
-	for {
-		select {
-		case <-s.tickets:
-		case <-s.stopCh:
-			return
-		}
-		// A worker stops before it claims, never after: every claimed morsel
-		// is delivered, so the gather reaches each one below an erroring
-		// morsel, and that morsel. cancelled() reads only the immutable
-		// context — safe off the owner goroutine, unlike tickCancelled.
-		if s.abort.Load() || s.scan.qc.cancelled() != nil {
-			return
-		}
-		idx := int(s.claim.Add(1)) - 1
-		if idx >= s.nMorsels {
-			return
-		}
-		inst.cnt = scanCounts{}
-		rows, err := inst.batchRows(idx)
-		res := parMorsel{idx: idx, rows: rows, cnt: inst.cnt, err: err}
-		if err != nil {
-			s.abort.Store(true)
-		}
-		select {
-		case s.results <- res:
-		case <-s.stopCh:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-func (s *parScanOp) next() (Row, bool, error) {
-	for s.pos >= len(s.cur) {
-		if ok, err := s.advance(); !ok {
-			return nil, false, err
-		}
-	}
-	s.pos++
-	return s.cur[s.pos-1], true, nil
-}
-
-// rest hands drain the rows the gather has not yet returned: the morsel
-// slices the workers built, joined in one allocation of their total size
-// (clipped to it) — with the rows before the error when one stops it.
-func (s *parScanOp) rest() ([]Row, error) {
-	parts := [][]Row{s.cur[s.pos:]}
-	ok, err := s.advance()
-	for ; ok; ok, err = s.advance() {
-		parts = append(parts, s.cur)
-	}
-	s.pos = len(s.cur)
-	return slices.Clip(slices.Concat(parts...)), err
-}
-
-// advance makes the next morsel in gather order current, reporting false
-// at the end of the scan or on an error. A morsel's error surfaces on the
-// call after its rows are current — emitted rows first, as serial would.
-func (s *parScanOp) advance() (bool, error) {
-	if !s.started && s.pendErr == nil {
-		s.start()
-	}
-	if s.pendErr == nil {
-		s.pendErr = s.curErr
-	}
-	if s.pendErr != nil || s.nextIdx >= s.nMorsels {
-		return false, s.pendErr
-	}
-	qc := s.scan.qc
-	if s.pendErr = qc.tickCancelled(); s.pendErr != nil {
-		return false, s.pendErr
-	}
-	m, ok := s.stash[s.nextIdx]
-	for !ok {
-		res, open := <-s.results
-		if !open {
-			// Every claimed morsel was delivered: the workers stopped
-			// claiming because the statement was cancelled.
-			s.pendErr = qc.cancelled()
-			return false, s.pendErr
-		}
-		// The ordered gather stashes out-of-order morsels until their
-		// turn; the unordered gather consumes completion order directly
-		// (nextIdx then just counts consumed morsels).
-		if ok = s.scan.unordered || res.idx == s.nextIdx; ok {
-			m = res
-		} else {
-			s.stash[res.idx] = res
-		}
-	}
-	delete(s.stash, s.nextIdx)
-	s.scan.account(m.cnt)
-	s.tickets <- struct{}{}
-	s.nextIdx++
-	s.cur, s.pos, s.curErr = m.rows, 0, m.err
-	return true, nil
-}
-
-// stopPool aborts and joins the worker pool, folding the counters of any
-// undelivered-but-completed morsels so Stats reflects work actually done.
-// Idempotent; owner goroutine only. Registered as a qc finalizer so it
-// runs before the statement's read lock is released.
-func (s *parScanOp) stopPool() {
-	if !s.started || s.stopped {
-		return
-	}
-	s.stopped = true
-	s.abort.Store(true)
-	close(s.stopCh)
-	for res := range s.results { // drains until the closer closes it
-		s.scan.account(res.cnt)
-	}
-	for _, res := range s.stash {
-		s.scan.account(res.cnt)
-	}
-	s.stash = nil
-}
-
-// ---------------------------------------------------------------------------
-// What the gather can preserve
-
-// aggOrderInsensitive reports whether an aggregate statement's result is
-// invariant under any permutation of its input rows — the licence for the
-// unordered gather: a single output group (no GROUP BY — first-seen group
-// order would leak scheduling), no ORDER BY, aggregates whose folds are
-// commutative for every value kind (COUNT/MIN/MAX, DISTINCT included since
-// the dedup set is order-free), and nothing reading the group's
-// representative row (repRows), which is arrival-order-dependent.
-func aggOrderInsensitive(stmt *SelectStmt, aggs []*FuncCall, repRows bool) bool {
-	if len(stmt.GroupBy) != 0 || len(stmt.OrderBy) != 0 || repRows {
-		return false
-	}
-	for _, fc := range aggs {
-		switch fc.Name {
-		case "COUNT", "MIN", "MAX":
-		default:
-			// SUM/AVG/TOTAL float folds and GROUP_CONCAT are defined in
-			// scan order; the ordered gather keeps them deterministic.
-			return false
-		}
-	}
-	return true
-}
+// What the pool can preserve
 
 // readsRepRow reports whether an aggregate statement's post-aggregation
 // expressions read the group's representative row: a column reference
@@ -416,15 +167,15 @@ func mergeableAggregates(aggs []*FuncCall) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Partial aggregation
+// The pool
 
-// runFold drives a scan whose consumer is folded into it — GROUP BY
-// partitions (foldBatch) or a top-K heap (topBatch): instances of the scan
-// claim morsels and run step on each, into private state the caller then
-// merges. A serial scan is the one-instance case and runs inline on the
-// owner goroutine; a pooled one spawns and joins its workers inside this
-// call — no pool outlives it. Every morsel runs unless one fails or the
-// statement is cancelled.
+// runFold drives a scan whose consumer runs inside it: instances of the
+// scan claim morsels and run step on each, into private state the caller
+// then merges — GROUP BY partitions (foldBatch), a top-K heap (topBatch) or
+// the morsel's rows (gatherOp). A serial scan is the one-instance case and
+// runs inline on the owner goroutine; a pooled one spawns and joins its
+// workers inside this call — no pool outlives it. Every morsel runs unless
+// one fails or the statement is cancelled.
 func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 	if err := sc.open(); err != nil {
 		return nil, err
@@ -443,16 +194,22 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 		}
 	}
 	for _, inst := range insts {
-		inst.resetFold(len(insts) > 1)
+		if inst.fold != nil {
+			inst.resetFold(len(insts) > 1)
+		}
 	}
 	var claim atomic.Int64
 	var abort atomic.Bool
 	errs := make([]error, len(insts))
 	run := func(w int) {
 		defer insts[w].release()
-		for {
+		// A worker stops before it claims, never after: every claimed
+		// morsel runs, so each one below a failing morsel has run and the
+		// first error is the one the serial scan meets. cancelled() reads
+		// only the immutable context — safe off the owner goroutine.
+		for !abort.Load() && qc.cancelled() == nil {
 			idx := int(claim.Add(1)) - 1
-			if idx >= nMorsels || abort.Load() || qc.cancelled() != nil {
+			if idx >= nMorsels {
 				return
 			}
 			if errs[w] = step(insts[w], idx); errs[w] != nil {
@@ -496,6 +253,72 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 	}
 	return insts, firstErr
 }
+
+// gatherOp is a pooled scan whose rows go up as they are, neither folded
+// nor kept in a top-K heap. At its first pull runFold runs the scan over
+// every morsel, each instance keeping its morsels' rows, and the parts are
+// joined in morsel order: the serial scan's stream, cut after the first
+// morsel that failed, whose error follows its rows. A cursor over it thus
+// computes the whole scan at its first Next, as Query does; a bare LIMIT
+// never pools (planScan), so LIMIT k still reads O(k) rows.
+type gatherOp struct {
+	// scan is the plan the workers copy, the node EXPLAIN shows, and the
+	// sink their counters merge into.
+	scan *scanOp
+	ran  bool
+	rows []Row
+	pos  int
+	err  error // follows the rows
+}
+
+func (g *gatherOp) columns() []colInfo { return g.scan.cols }
+
+func (g *gatherOp) reset() { *g = gatherOp{scan: g.scan} }
+
+func (g *gatherOp) next() (Row, bool, error) {
+	g.run()
+	if err := g.scan.qc.tickCancelled(); err != nil {
+		return nil, false, err
+	}
+	if g.pos == len(g.rows) {
+		return nil, false, g.err
+	}
+	g.pos++
+	return g.rows[g.pos-1], true, nil
+}
+
+// rest hands drain the rows not yet returned, whole.
+func (g *gatherOp) rest() ([]Row, error) {
+	g.run()
+	rows := g.rows[g.pos:]
+	g.pos = len(g.rows)
+	return rows, g.err
+}
+
+// run gathers the scan once: one allocation of the rows' total size (clipped
+// to it) joins the morsels' parts.
+func (g *gatherOp) run() {
+	if g.ran {
+		return
+	}
+	g.ran = true
+	if g.err = g.scan.open(); g.err != nil {
+		return
+	}
+	n := g.scan.src.batches()
+	parts, errs := make([][]Row, n), make([]error, n)
+	_, g.err = runFold(g.scan, func(inst *scanOp, idx int) error {
+		parts[idx], errs[idx] = inst.batchRows(idx)
+		return errs[idx]
+	})
+	if cut := slices.IndexFunc(errs, func(err error) bool { return err != nil }); cut >= 0 {
+		parts = parts[:cut+1]
+	}
+	g.rows = slices.Clip(slices.Concat(parts...))
+}
+
+// ---------------------------------------------------------------------------
+// Partial aggregation
 
 // runAggregationBatch is the folded scan's counterpart of
 // runAggregation: instances fold their morsels (scanOp.foldBatch) into

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // Tests for morsel-driven parallel execution (parallel.go): cancellation
@@ -97,6 +98,47 @@ func TestParallelScanAbandonedCursor(t *testing.T) {
 	db.MustExec("DELETE FROM big WHERE id = 0")
 	if got := db.Stats().OpenCursors; got != 0 {
 		t.Fatalf("OpenCursors = %d, want 0", got)
+	}
+}
+
+// TestPooledCursorHoldsNoWorkers: a cursor over a pooled scan gathers the
+// whole scan at its first Next, and the pool is joined inside that call, so
+// no worker lives while the cursor stays open.
+func TestPooledCursorHoldsNoWorkers(t *testing.T) {
+	db := bigParallelDB(t, 8192)
+	const q = "SELECT id, a FROM big WHERE b >= 0"
+	lines, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := strings.Join(lines, "\n"); !strings.Contains(text, "workers=4") {
+		t.Fatalf("%q must run on the pool:\n%s", q, text)
+	}
+	rows, err := db.QueryRows(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	for i := 0; i < 100; i++ {
+		if !rows.Next() {
+			t.Fatalf("Next() = false at row %d: %v", i, rows.Err())
+		}
+		if n := LiveParallelWorkers(); n != 0 {
+			t.Fatalf("LiveParallelWorkers() = %d after Next %d, want 0", n, i+1)
+		}
+	}
+}
+
+// TestHotStructsStayInSizeClass: scanOp and queryCtx are allocated once per
+// statement, so a field that moves either into the next allocation size
+// class shows in the per-statement bytes of a point-read workload
+// (oltp_durable bytes_per_op). 352 and 288 bytes are the classes they fill.
+func TestHotStructsStayInSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(scanOp{}); n > 352 {
+		t.Errorf("scanOp is %d B, above the 352-byte size class: oltp_durable bytes_per_op grows with it", n)
+	}
+	if n := unsafe.Sizeof(queryCtx{}); n > 288 {
+		t.Errorf("queryCtx is %d B, above the 288-byte size class: oltp_durable bytes_per_op grows with it", n)
 	}
 }
 

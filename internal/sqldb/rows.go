@@ -65,7 +65,6 @@ func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value
 	qc.snap, qc.releaseSnap = db.beginRead(tx)
 	root, cols, err := buildSelectPlan(sel, db, vals, nil, true, qc)
 	if err != nil {
-		qc.stopWorkers()
 		qc.flush() // flush releases the snapshot reference
 		return nil, err
 	}
@@ -176,20 +175,18 @@ func (r *Rows) Err() error { return r.err }
 // the cursor itself, it is not safe for concurrent use with Next.
 func (r *Rows) Stats() QueryStats { return r.qc.snapshot() }
 
-// Close releases the cursor: any parallel-scan workers are stopped and
-// joined (they read table data through the cursor's snapshot, so this
-// must happen first), the scan a LIMIT stopped pulling hands its batch
-// back, then the snapshot reference is released — letting the vacuum
+// Close releases the cursor: the scan a LIMIT stopped pulling hands its
+// batch back, then the snapshot reference is released — letting the vacuum
 // horizon advance past it — and the execution's counters are folded into
-// Database.Stats. Idempotent; safe to defer alongside an exhaustive Next
-// loop.
+// Database.Stats. No worker is left to stop: a pooled scan joins its
+// workers inside the pull that spawned them (runFold). Idempotent; safe to
+// defer alongside an exhaustive Next loop.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	r.cur = nil
-	r.qc.stopWorkers()
 	for c := &r.root; c != nil; c = liveChild(*c) {
 		if s, ok := (*c).(*scanOp); ok {
 			s.release()

@@ -282,39 +282,12 @@ type queryCtx struct {
 	// ExplainAnalyze so ordinary executions skip all per-operator work.
 	rec *execRecorder
 
-	// finalizers stop any worker pools a streaming parallel operator
-	// spawned for this execution (parallel.go). They must run — on the
-	// owner goroutine — before the statement's read lock is released,
-	// because workers read table data under that lock.
-	finalizers []func()
-
 	tick    uint32 // with flushed and founders in one word: the struct stays in the 288-byte size class
 	flushed bool
 	// founders counts the pool instances that founded groups in the
 	// execution's folded GROUP BYs (runAggregationBatch): what a pooled
 	// fold's merge costs in proportion to.
 	founders uint16
-}
-
-// addFinalizer registers a cleanup to run at stopWorkers. Owner goroutine
-// only.
-func (qc *queryCtx) addFinalizer(f func()) {
-	qc.finalizers = append(qc.finalizers, f)
-}
-
-// stopWorkers runs (and clears) the registered pool finalizers: every
-// worker goroutine is stopped and joined before this returns. Idempotent;
-// safe on a nil receiver. Must be called before releasing the read lock
-// the execution holds.
-func (qc *queryCtx) stopWorkers() {
-	if qc == nil || len(qc.finalizers) == 0 {
-		return
-	}
-	fins := qc.finalizers
-	qc.finalizers = nil
-	for _, f := range fins {
-		f()
-	}
 }
 
 func newQueryCtx(ctx context.Context, db *Database) *queryCtx {

@@ -87,10 +87,8 @@ type scanFusion struct {
 	// the scan cannot know (a join, a window of rows, DML), and then a sealed
 	// batch decodes every column.
 	above []Expr
-	// workers > 1 runs the scan on the pool; unordered lets its gather
-	// take morsels in completion order (parallel.go).
-	workers   int
-	unordered bool
+	// workers > 1 runs the scan on the pool (parallel.go).
+	workers int
 }
 
 // scanPipe is one instance's pipeline: the fusion it runs and what compile
@@ -538,7 +536,7 @@ func (s *scanOp) each(idx int, fn func(i int) error) error {
 }
 
 // batchRows runs morsel idx and returns its surviving output rows, which
-// outlive the batch (the gather holds several morsels).
+// outlive the batch (the gather joins every morsel's).
 func (s *scanOp) batchRows(idx int) (out []Row, err error) {
 	err = s.each(idx, func(i int) error {
 		if out == nil { // room for every row the kernels kept
@@ -668,12 +666,13 @@ type scanShape struct {
 // conjunct or a select list that calls batch-form functions) the scan
 // emits table rows. The scan runs on the worker pool when the database has
 // one, its input — the table, an equality's ids or a range's — is over the
-// morselMinRows gate, and the statement's shape lets the gather keep the
+// morselMinRows gate, and the statement's shape lets the pool keep the
 // serial result: every expression the workers would evaluate is
-// parallel-safe, partial aggregates merge exactly (or the consumer provably
-// cannot observe arrival order, which licenses the unordered gather), and no
-// bare LIMIT window would make scan-ahead read rows the window never emits.
-// It returns the scan only when it pooled or fused it.
+// parallel-safe, partial aggregates merge exactly (DISTINCT and
+// GROUP_CONCAT fold on one instance), and no bare LIMIT window would make
+// the pool read rows the window never emits. A pooled scan that neither
+// folds nor keeps a top-K heap is gathered (gatherOp, parallel.go). It
+// returns the scan only when it pooled or fused it.
 func planScan(src operator, sh scanShape, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (operator, *scanOp, error) {
 	bottom, windowed := src, sh.windowed
 	for f, ok := bottom.(*filterOp); ok; f, ok = bottom.(*filterOp) {
@@ -711,11 +710,6 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 	switch {
 	case sh.aggregate && pool && parallelSafe(stmt.GroupBy...) && mergeableAggregates(sh.aggs):
 		f.folds, f.workers = true, db.maxWorkers
-	case sh.aggregate && pool && aggOrderInsensitive(stmt, sh.aggs, sh.repRows):
-		// Partial states do not merge (e.g. DISTINCT aggregates), but the
-		// scan itself can still run on the pool, gathered in completion
-		// order, under the row aggregation.
-		f.workers, f.unordered = db.maxWorkers, true
 	case sh.aggregate:
 		f.folds = true
 	case sh.order != nil:
@@ -756,7 +750,7 @@ func planScan(src operator, sh scanShape, db *Database, params []Value, outer *e
 		return nil, nil, err
 	}
 	if bs.workers > 1 && !bs.folds && bs.order == nil {
-		return &parScanOp{scan: bs}, bs, nil
+		return &gatherOp{scan: bs}, bs, nil
 	}
 	return bs, bs, nil
 }

@@ -13,7 +13,7 @@ import (
 // Tests for the one scan leaf (source.go, vector.go, vecops.go): sort keys of
 // every kind against the interpreted reference, the EXPLAIN / EXPLAIN ANALYZE
 // surface, the row-fallback counter, the sealed × pool cost pin, GROUP BY's
-// allocation ceilings and the unordered gather's gate. The scan's
+// allocation ceilings and the serial fold of aggregates that do not merge. The scan's
 // equivalence under churn, and its fault proofs, are TestDifferential's.
 
 // vecOrderLists are select lists over t1 — identity projections among them —
@@ -392,34 +392,41 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Unordered gather
+// Aggregates that do not merge
 
-// TestUnorderedGatherGate pins the refusals: GROUP BY, ORDER BY,
-// order-sensitive aggregates and bare column refs outside aggregates
-// must all keep the ordered gather (or stay serial).
-func TestUnorderedGatherGate(t *testing.T) {
+// TestNonMergeableAggregatesFoldSerially pins that DISTINCT and GROUP_CONCAT
+// aggregates, whose partial states do not merge, never run on the pool: on
+// a pooled database they plan without workers= and return what a database
+// with no pool returns.
+func TestNonMergeableAggregatesFoldSerially(t *testing.T) {
 	lowerMorselMinRows(t, 8)
-	db := NewDatabase(WithMaxWorkers(4))
-	db.MustExec("CREATE TABLE u (id INTEGER, a INTEGER, c TEXT, ok BOOL)")
+	par, ser := NewDatabase(WithMaxWorkers(4)), NewDatabase(WithMaxWorkers(1))
 	rows := make([][]any, 0, 600)
 	for i := 0; i < 600; i++ {
-		rows = append(rows, []any{i, i % 40, "w", i%2 == 0})
+		rows = append(rows, []any{i, i % 40, fmt.Sprint("w", i%7), i%2 == 0})
 	}
-	if err := db.InsertRows("u", rows); err != nil {
-		t.Fatal(err)
+	for _, db := range []*Database{par, ser} {
+		db.MustExec("CREATE TABLE u (id INTEGER, a INTEGER, c TEXT, ok BOOL)")
+		if err := db.InsertRows("u", rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, q := range []string{
+		"SELECT COUNT(DISTINCT a) FROM u",
 		"SELECT ok, COUNT(DISTINCT a) FROM u GROUP BY ok",
 		"SELECT COUNT(DISTINCT a) FROM u ORDER BY 1",
 		"SELECT SUM(DISTINCT a) FROM u",
 		"SELECT GROUP_CONCAT(c) FROM u",
 	} {
-		lines, err := db.Explain(q)
+		lines, err := par.Explain(q)
 		if err != nil {
 			t.Fatalf("Explain(%q): %v", q, err)
 		}
-		if text := strings.Join(lines, "\n"); strings.Contains(text, "unordered gather") {
-			t.Fatalf("%q must not take the unordered gather:\n%s", q, text)
+		if text := strings.Join(lines, "\n"); strings.Contains(text, "workers=") {
+			t.Fatalf("%q must fold on one instance:\n%s", q, text)
+		}
+		if got, want := queryStrings(t, par, q), queryStrings(t, ser, q); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%q: pooled database returned %v, serial %v", q, got, want)
 		}
 	}
 	assertNoWorkerLeak(t)

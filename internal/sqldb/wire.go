@@ -50,9 +50,10 @@ func (db *Database) QueryRowsStmt(ctx context.Context, sel *SelectStmt, tx *Txn,
 func (db *Database) LiveSnapshots() int { return db.tm.liveSnapshots() }
 
 // LiveParallelWorkers reports engine-wide live parallel-scan worker
-// goroutines (zero when no query is mid-flight). Like LiveSnapshots it
-// exists for leak assertions: workers must be stopped and joined before a
-// cursor's snapshot is released, no matter how the connection died.
+// goroutines. A pool is spawned and joined inside one pull (runFold), so
+// it is zero whenever no statement is inside Next, Collect or Query — an
+// open cursor included. Like LiveSnapshots it exists for leak assertions,
+// however the connection died.
 func LiveParallelWorkers() int64 { return parallelWorkersActive.Load() }
 
 // NumParams reports the number of positional ? parameters stmt references
