@@ -89,12 +89,6 @@ type (
 	AnalyzedQuery = sqldb.AnalyzedQuery
 	// Value is a dynamically typed SQL value.
 	Value = sqldb.Value
-	// DurabilityOptions configures the embedded engine's durability layer
-	// (fsync policy, checkpoint threshold) for OpenDatabase.
-	DurabilityOptions = sqldb.DurabilityOptions
-	// SyncPolicy selects when the write-ahead log is fsynced
-	// (SyncAlways, SyncInterval, SyncOff).
-	SyncPolicy = sqldb.SyncPolicy
 	// DataFrame carries a query result through the semantic operators
 	// (LOTUS substitute): SemFilter, SemFilterDistinct, SemTopK, SemAgg and
 	// SemAggRows, plus Head and cell access. Relational steps — filters,
@@ -124,16 +118,6 @@ type (
 	WireServerOptions = pgwire.Options
 )
 
-// Sync policies for DurabilityOptions.Sync.
-const (
-	// SyncAlways fsyncs the WAL on every commit (full durability).
-	SyncAlways = sqldb.SyncAlways
-	// SyncInterval fsyncs on a background ticker (bounded data loss).
-	SyncInterval = sqldb.SyncInterval
-	// SyncOff never fsyncs explicitly (durability up to the OS).
-	SyncOff = sqldb.SyncOff
-)
-
 // NewDatabase returns an empty embedded database.
 func NewDatabase() *Database { return sqldb.NewDatabase() }
 
@@ -146,16 +130,11 @@ func NewWireServer(db *Database, opts WireServerOptions) *WireServer {
 
 // OpenDatabase opens a durable embedded database backed by a write-ahead
 // log in dir, replaying any committed work a previous process left there.
-// With no options it uses sqldb.DefaultDurabilityOptions (fsync on every
-// commit). In-memory use is NewDatabase; this constructor is the crash-safe
-// variant.
-func OpenDatabase(dir string, opts ...DurabilityOptions) (*Database, error) {
-	o := sqldb.DefaultDurabilityOptions()
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return sqldb.Open(dir, sqldb.WithDurability("", o))
-}
+// Every commit is fsynced before it returns (concurrent commits share one
+// fsync), and the log is checkpointed into a snapshot after each 1 MiB.
+// Close the database to sync and release the log. In-memory use is
+// NewDatabase; this constructor is the crash-safe variant.
+func OpenDatabase(dir string) (*Database, error) { return sqldb.Open(dir) }
 
 // DefaultProfile is the calibrated 70B-like model profile used by the
 // benchmark.

@@ -88,6 +88,33 @@ func TestNewWithCustomDatabase(t *testing.T) {
 	}
 }
 
+// TestOpenDatabaseRecovers: a row committed through OpenDatabase is read
+// back after the database is closed and the directory reopened.
+func TestOpenDatabaseRecovers(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDatabase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT)")
+	db.MustExec("INSERT INTO notes VALUES (1, 'kept across a reopen')")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenDatabase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.Query("SELECT body FROM notes WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].AsText() != "kept across a reopen" {
+		t.Fatalf("rows after reopen = %v, want the committed row", res.Rows)
+	}
+}
+
 func TestBenchmarkQueriesExposed(t *testing.T) {
 	qs := BenchmarkQueries()
 	if len(qs) != 80 {

@@ -99,7 +99,7 @@ func run(addr, domain, dataDir, initScript, password string, maxConns int, drain
 // domain seeds an empty directory), or a bare in-memory database.
 func openDatabase(domain, dataDir string) (*sqldb.Database, error) {
 	if dataDir != "" {
-		db, err := sqldb.Open(dataDir, sqldb.WithDurability("", sqldb.DefaultDurabilityOptions()))
+		db, err := sqldb.Open(dataDir)
 		if err != nil {
 			return nil, err
 		}

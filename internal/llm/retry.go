@@ -9,102 +9,42 @@ import (
 )
 
 // This file adds bounded, jittered retry around any Model. Real serving
-// stacks fail transiently — connection resets, pod restarts, per-call
-// timeouts — and a pipeline step that surfaces every blip as a hard error
-// makes long benchmark runs flaky. WithRetry wraps a Model so that
-// transient failures are retried with exponential backoff (and an
-// optional per-attempt timeout), while deterministic failures — a prompt
-// that exceeds the context window, or the caller's own context being
-// cancelled — are returned immediately.
+// stacks fail transiently — connection resets, pod restarts — and a
+// pipeline step that surfaces every blip as a hard error makes long
+// benchmark runs flaky. WithRetry wraps a Model so that transient
+// failures are retried with exponential backoff, while deterministic
+// failures — a prompt that exceeds the context window, or the caller's
+// own context being cancelled — are returned immediately.
 
-// TransientError marks an inference failure as retry-worthy. Model
-// implementations (or transport layers) wrap flaky-path errors in it;
-// WithRetry also treats any unclassified error as transient, since the
-// deterministic failures are a known closed set.
-type TransientError struct {
-	Err error
-}
+// The retry policy: at most retryAttempts attempts per call (the first
+// included), the backoff before the second retryBaseDelay, doubling per
+// attempt up to retryMaxDelay.
+const (
+	retryAttempts  = 3
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
 
-func (e *TransientError) Error() string { return "llm: transient: " + e.Err.Error() }
-
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient wraps err as a TransientError (nil stays nil).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err is worth retrying on its own merits:
-// not a context-window overflow (deterministic — the same prompt fails
-// the same way every time) and not a context cancellation. Whether a
-// cancellation came from the caller or from a per-attempt timeout is the
-// retry loop's job to distinguish; IsTransient alone treats both as
-// non-transient.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrContextLength) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
-
-// RetryOptions configures WithRetry.
+// RetryOptions configures WithRetry. Its only fields are test hooks: the
+// policy itself is fixed (retryAttempts, retryBaseDelay, retryMaxDelay).
 type RetryOptions struct {
-	// MaxAttempts bounds the total attempts per call (first try included);
-	// 0 means 3.
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt; it doubles per
-	// attempt. 0 means 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. 0 means 2s.
-	MaxDelay time.Duration
-	// CallTimeout bounds each individual attempt (a hung call is abandoned
-	// and retried while the caller's context is still alive). 0 disables
-	// the per-attempt timeout.
-	CallTimeout time.Duration
-
-	// sleep and jitter are test hooks: sleep replaces the real backoff
-	// wait, jitter replaces the randomised delay spread.
+	// sleep replaces the real backoff wait, jitter the randomised delay
+	// spread.
 	sleep  func(time.Duration)
 	jitter func(time.Duration) time.Duration
 }
 
 // DefaultRetryOptions is the production configuration: three attempts,
-// 50ms→2s jittered exponential backoff, no per-attempt timeout.
+// 50ms→2s jittered exponential backoff.
 func DefaultRetryOptions() RetryOptions { return RetryOptions{} }
-
-func (o RetryOptions) attempts() int {
-	if o.MaxAttempts <= 0 {
-		return 3
-	}
-	return o.MaxAttempts
-}
 
 // delay computes the jittered backoff before attempt n+1 (n >= 1).
 func (o RetryOptions) delay(n int) time.Duration {
-	base := o.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	max := o.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 1; i < n && d < max; i++ {
+	d := retryBaseDelay
+	for i := 1; i < n && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, retryMaxDelay)
 	if o.jitter != nil {
 		return o.jitter(d)
 	}
@@ -175,28 +115,13 @@ func (m *RetryModel) noteGiveUp() {
 	m.mu.Unlock()
 }
 
-// attemptCtx derives the per-attempt context.
-func (m *RetryModel) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if m.opts.CallTimeout > 0 {
-		return context.WithTimeout(ctx, m.opts.CallTimeout)
-	}
-	return ctx, func() {}
-}
-
 // retryable decides whether err from one attempt warrants another, given
-// the caller's context: the caller cancelling always wins; a per-attempt
-// timeout expiring while the caller is alive is transient (the attempt
-// hung, not the request).
-func (m *RetryModel) retryable(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	if errors.Is(err, ErrContextLength) {
-		return false
-	}
-	// context.Canceled/DeadlineExceeded with a live parent can only come
-	// from the per-attempt timeout — transient by definition.
-	return true
+// the caller's context: the caller cancelling always wins, and a prompt
+// that exceeds the context window fails the same way every time. Every
+// other failure is transient, since the deterministic ones are a known
+// closed set.
+func retryable(ctx context.Context, err error) bool {
+	return ctx.Err() == nil && !errors.Is(err, ErrContextLength)
 }
 
 // backoff waits the jittered delay before the next attempt, honouring the
@@ -219,18 +144,15 @@ func (m *RetryModel) backoff(ctx context.Context, attempt int) bool {
 
 // Complete implements Model with the retry loop.
 func (m *RetryModel) Complete(ctx context.Context, prompt string) (string, error) {
-	attempts := m.opts.attempts()
 	for a := 1; ; a++ {
-		actx, cancel := m.attemptCtx(ctx)
-		out, err := m.inner.Complete(actx, prompt)
-		cancel()
+		out, err := m.inner.Complete(ctx, prompt)
 		if err == nil {
 			return out, nil
 		}
-		if !m.retryable(ctx, err) {
+		if !retryable(ctx, err) {
 			return "", err
 		}
-		if a >= attempts {
+		if a >= retryAttempts {
 			m.noteGiveUp()
 			return "", err
 		}
@@ -249,11 +171,10 @@ func (m *RetryModel) CompleteBatch(ctx context.Context, prompts []string) ([]str
 	if errs == nil {
 		return outs, nil
 	}
-	attempts := m.opts.attempts()
-	for a := 1; a < attempts; a++ {
+	for a := 1; a < retryAttempts; a++ {
 		var retryIdx []int
 		for i, err := range errs {
-			if err != nil && m.retryable(ctx, err) {
+			if err != nil && retryable(ctx, err) {
 				retryIdx = append(retryIdx, i)
 			}
 		}
@@ -268,9 +189,7 @@ func (m *RetryModel) CompleteBatch(ctx context.Context, prompts []string) ([]str
 		for j, i := range retryIdx {
 			sub[j] = prompts[i]
 		}
-		actx, cancel := m.attemptCtx(ctx)
-		subOuts, subErrs := m.inner.CompleteBatch(actx, sub)
-		cancel()
+		subOuts, subErrs := m.inner.CompleteBatch(ctx, sub)
 		for j, i := range retryIdx {
 			outs[i] = subOuts[j]
 			if subErrs == nil {
@@ -285,7 +204,7 @@ func (m *RetryModel) CompleteBatch(ctx context.Context, prompts []string) ([]str
 	for _, err := range errs {
 		if err != nil {
 			clean = false
-			if m.retryable(ctx, err) {
+			if retryable(ctx, err) {
 				m.noteGiveUp()
 			}
 		}

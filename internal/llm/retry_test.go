@@ -3,21 +3,19 @@ package llm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
 
 // flakyModel fails the first failN calls of each kind with failErr, then
-// succeeds. It records per-attempt contexts so tests can assert timeout
-// wiring.
+// succeeds.
 type flakyModel struct {
 	failN   int
 	failErr error
 
 	calls      int
 	batchCalls int
-	sawTimeout bool
-	block      bool // when set, Complete blocks until the attempt ctx dies
 }
 
 func (f *flakyModel) Name() string       { return "flaky" }
@@ -25,13 +23,6 @@ func (f *flakyModel) ContextWindow() int { return 1 << 20 }
 
 func (f *flakyModel) Complete(ctx context.Context, prompt string) (string, error) {
 	f.calls++
-	if _, ok := ctx.Deadline(); ok {
-		f.sawTimeout = true
-	}
-	if f.block {
-		<-ctx.Done()
-		return "", ctx.Err()
-	}
 	if f.calls <= f.failN {
 		return "", f.failErr
 	}
@@ -63,8 +54,8 @@ func noSleep(delays *[]time.Duration) func(time.Duration) {
 
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	var delays []time.Duration
-	inner := &flakyModel{failN: 2, failErr: Transient(errors.New("conn reset"))}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 3, sleep: noSleep(&delays), jitter: func(d time.Duration) time.Duration { return d }})
+	inner := &flakyModel{failN: 2, failErr: errors.New("conn reset")}
+	m := WithRetry(inner, RetryOptions{sleep: noSleep(&delays), jitter: func(d time.Duration) time.Duration { return d }})
 	out, err := m.Complete(context.Background(), "hello")
 	if err != nil || out != "ok:hello" {
 		t.Fatalf("Complete = %q, %v", out, err)
@@ -84,8 +75,8 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	var delays []time.Duration
 	cause := errors.New("still down")
-	inner := &flakyModel{failN: 99, failErr: Transient(cause)}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 3, sleep: noSleep(&delays)})
+	inner := &flakyModel{failN: 99, failErr: cause}
+	m := WithRetry(inner, RetryOptions{sleep: noSleep(&delays)})
 	_, err := m.Complete(context.Background(), "x")
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want wrapped %v", err, cause)
@@ -100,7 +91,7 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 
 func TestRetryDoesNotRetryContextLength(t *testing.T) {
 	inner := &flakyModel{failN: 99, failErr: ErrContextLength}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 5, sleep: func(time.Duration) {}})
+	m := WithRetry(inner, RetryOptions{sleep: func(time.Duration) {}})
 	_, err := m.Complete(context.Background(), "x")
 	if !errors.Is(err, ErrContextLength) {
 		t.Fatalf("err = %v, want ErrContextLength", err)
@@ -112,8 +103,8 @@ func TestRetryDoesNotRetryContextLength(t *testing.T) {
 
 func TestRetryHonorsCallerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	inner := &flakyModel{failN: 99, failErr: Transient(errors.New("down"))}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 10, sleep: func(time.Duration) { cancel() }})
+	inner := &flakyModel{failN: 99, failErr: errors.New("down")}
+	m := WithRetry(inner, RetryOptions{sleep: func(time.Duration) { cancel() }})
 	_, err := m.Complete(ctx, "x")
 	if err == nil {
 		t.Fatal("expected error after cancellation")
@@ -123,33 +114,9 @@ func TestRetryHonorsCallerCancellation(t *testing.T) {
 	}
 }
 
-func TestRetryPerCallTimeoutIsTransient(t *testing.T) {
-	// The inner model hangs; the per-attempt timeout abandons each attempt
-	// and the loop retries while the caller's context stays alive.
-	inner := &flakyModel{block: true}
-	m := WithRetry(inner, RetryOptions{
-		MaxAttempts: 3,
-		CallTimeout: time.Millisecond,
-		sleep:       func(time.Duration) {},
-	})
-	_, err := m.Complete(context.Background(), "x")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded after exhausted retries", err)
-	}
-	if inner.calls != 3 {
-		t.Errorf("inner calls = %d, want 3 (each attempt timed out, then retried)", inner.calls)
-	}
-	if !inner.sawTimeout {
-		t.Error("inner never saw a per-attempt deadline")
-	}
-	if s := m.Stats(); s.Retries != 2 || s.GiveUps != 1 {
-		t.Errorf("stats = %+v, want 2 retries, 1 give-up", s)
-	}
-}
-
 func TestRetryBatchRetriesOnlyFailedItems(t *testing.T) {
-	inner := &flakyModel{failN: 1, failErr: Transient(errors.New("blip"))}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 3, sleep: func(time.Duration) {}})
+	inner := &flakyModel{failN: 1, failErr: errors.New("blip")}
+	m := WithRetry(inner, RetryOptions{sleep: func(time.Duration) {}})
 	outs, errs := m.CompleteBatch(context.Background(), []string{"a", "bad", "c"})
 	if errs != nil {
 		t.Fatalf("errs = %v, want all recovered", errs)
@@ -167,7 +134,7 @@ func TestRetryBatchRetriesOnlyFailedItems(t *testing.T) {
 
 func TestRetryBatchDoesNotRetryContextLength(t *testing.T) {
 	inner := &flakyModel{failN: 99, failErr: ErrContextLength}
-	m := WithRetry(inner, RetryOptions{MaxAttempts: 5, sleep: func(time.Duration) {}})
+	m := WithRetry(inner, RetryOptions{sleep: func(time.Duration) {}})
 	_, errs := m.CompleteBatch(context.Background(), []string{"a", "bad"})
 	if errs == nil || !errors.Is(errs[1], ErrContextLength) {
 		t.Fatalf("errs = %v, want ErrContextLength at index 1", errs)
@@ -177,21 +144,26 @@ func TestRetryBatchDoesNotRetryContextLength(t *testing.T) {
 	}
 }
 
+// TestIsTransientClassification: retryable retries every failure but a
+// context-window overflow, and nothing once the caller's context is done.
 func TestIsTransientClassification(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
+		ctx  context.Context
 		err  error
 		want bool
 	}{
-		{nil, false},
-		{ErrContextLength, false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-		{errors.New("conn reset"), true},
-		{Transient(errors.New("x")), true},
+		{context.Background(), ErrContextLength, false},
+		{context.Background(), fmt.Errorf("batch item: %w", ErrContextLength), false},
+		{context.Background(), errors.New("conn reset"), true},
+		{context.Background(), context.DeadlineExceeded, true},
+		{cancelled, errors.New("conn reset"), false},
+		{cancelled, context.Canceled, false},
 	}
 	for _, c := range cases {
-		if got := IsTransient(c.err); got != c.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
+		if got := retryable(c.ctx, c.err); got != c.want {
+			t.Errorf("retryable(ctx err %v, %v) = %v, want %v", c.ctx.Err(), c.err, got, c.want)
 		}
 	}
 }

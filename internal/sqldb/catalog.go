@@ -147,16 +147,19 @@ type Database struct {
 	sealDebt  atomic.Int64   // rows inserted since the last sealing pass
 	sealing   atomic.Bool    // single-flight latch for the background sealer
 	sealH     uint64         // the horizon of the previous background sealing pass (writeMu)
-	vacWG     sync.WaitGroup // joins background maintenance: vacuum + checkpoint
-	closed    atomic.Bool
+	vacWG     sync.WaitGroup // joins background maintenance: vacuum, seal, checkpoint
+	closeMu   sync.Mutex     // orders Close against a maintenance start (spawn)
+	closed    bool           // set once, by Close (closeMu)
 
 	// Durability (wal.go / recovery.go). wal is nil for an in-memory
 	// database; set once by openWAL before the database is shared.
 	wal           *walWriter
-	durPath       string
-	durOpts       DurabilityOptions
-	durSet        bool
 	checkpointing atomic.Bool // single-flight latch for background checkpoints
+	// Test seams, set by an Option in the package's tests: walFS replaces
+	// the OS filesystem under the WAL, ckptBytes the automatic checkpoint
+	// threshold (0 = defaultCheckpointBytes, -1 = checkpoint on demand).
+	walFS     walFS
+	ckptBytes int64
 }
 
 // Option configures a Database at construction time.
@@ -189,13 +192,16 @@ func NewDatabase(opts ...Option) *Database {
 	return db
 }
 
-// Close waits for in-flight background maintenance (vacuum, checkpoint)
-// to finish and stops new runs from starting. On a durable database it
-// then syncs and closes the WAL — a clean Close makes every committed
-// transaction durable regardless of fsync policy — returning a typed
-// ErrIO if that final sync fails. The database remains readable.
+// Close stops new background maintenance (vacuum, seal, checkpoint) from
+// starting and waits for the runs in flight to finish. On a durable
+// database it then syncs and closes the WAL, returning a typed ErrIO if
+// that final sync fails. The database remains readable.
 func (db *Database) Close() error {
-	if !db.closed.CompareAndSwap(false, true) {
+	db.closeMu.Lock()
+	was := db.closed
+	db.closed = true
+	db.closeMu.Unlock()
+	if was {
 		return nil
 	}
 	db.vacWG.Wait()

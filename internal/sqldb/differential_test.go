@@ -544,7 +544,7 @@ func (h *diffRun) open(d *diffDB) error {
 		d.db = NewDatabase(opts...)
 		return nil
 	}
-	db, err := Open("db", append(opts, WithDurability("", DurabilityOptions{fs: d.fs, CheckpointBytes: -1}))...)
+	db, err := Open("db", append(opts, withWAL(d.fs, -1))...)
 	if err != nil {
 		return h.fail("recovery", d.cfg, "its log", "%v", err)
 	}

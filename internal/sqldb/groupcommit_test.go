@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Tests and a contention benchmark for WAL group commit (wal.go): under
-// SyncAlways, concurrent committers elect one fsync leader per round and
+// Tests and a contention benchmark for WAL group commit (wal.go):
+// concurrent committers elect one fsync leader per round and
 // everyone whose record the leader's fsync covered returns without
 // issuing its own — one fsync makes a whole convoy durable.
 
@@ -51,13 +51,12 @@ func (f *slowSyncFile) Sync() error {
 	return f.walFile.Sync()
 }
 
-// TestWALGroupCommit: N concurrent committers under SyncAlways must
+// TestWALGroupCommit: N concurrent committers must
 // finish with fewer fsyncs than commits and a non-zero WALGroupCommits
 // count — and every commit must still be durable across reopen.
 func TestWALGroupCommit(t *testing.T) {
 	fs := &slowSyncFS{walFS: newMemFS(), delay: time.Millisecond}
-	opts := DurabilityOptions{fs: fs, Sync: SyncAlways, CheckpointBytes: -1}
-	db, err := Open("db", WithDurability("", opts))
+	db, err := Open("db", withWAL(fs, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestWALGroupCommit(t *testing.T) {
 	closeDB(t, db)
 
 	// Durability: every commit that returned must survive reopen.
-	db2, err := Open("db", WithDurability("", opts))
+	db2, err := Open("db", withWAL(fs, -1))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -113,7 +112,7 @@ func TestWALGroupCommit(t *testing.T) {
 // the counter must not claim group commits that never happened.
 func TestWALGroupCommitSerial(t *testing.T) {
 	fs := &slowSyncFS{walFS: newMemFS()}
-	db, err := Open("db", WithDurability("", DurabilityOptions{fs: fs, Sync: SyncAlways, CheckpointBytes: -1}))
+	db, err := Open("db", withWAL(fs, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	for _, clients := range []int{1, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			fs := &slowSyncFS{walFS: newMemFS(), delay: 50 * time.Microsecond}
-			db, err := Open("db", WithDurability("", DurabilityOptions{fs: fs, Sync: SyncAlways, CheckpointBytes: -1}))
+			db, err := Open("db", withWAL(fs, -1))
 			if err != nil {
 				b.Fatal(err)
 			}

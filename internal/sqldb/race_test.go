@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,5 +334,76 @@ func sealDropsRuns(t *testing.T) {
 	runs(false, true, false, true)
 	if sealedBlocks(tbl) != 2 || tbl.block(1) != nil {
 		t.Fatal("the UPDATE did not unpublish exactly block 1")
+	}
+}
+
+// TestCloseRacesMaintenance: writers cross the vacuum, seal and checkpoint
+// thresholds while Close runs, and no background run starts after it.
+// Once Close returns no single-flight latch is set, and the WAL directory
+// keeps the generations it had then, however long the writers go on.
+func TestCloseRacesMaintenance(t *testing.T) {
+	const writers, batch = 4, 64
+	ins := "INSERT INTO t VALUES " + strings.TrimSuffix(strings.Repeat("(1), ", batch), ", ")
+	var ran Stats
+	for round := 0; round < 8; round++ {
+		fs := newMemFS()
+		db := openWalDB(t, fs, 1) // every commit wants a checkpoint
+		// t only grows, so its full blocks are cold for the sealer; each
+		// update of g's rows leaves batch dead versions for the vacuum.
+		db.MustExec("CREATE TABLE t (a INTEGER)")
+		db.MustExec("CREATE TABLE g (a INTEGER)")
+		db.MustExec(strings.Replace(ins, "INTO t", "INTO g", 1))
+		var inserted atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if _, err := db.Exec(ins); err != nil {
+						t.Error(err)
+						return
+					}
+					inserted.Add(batch)
+					if _, err := db.Exec("UPDATE g SET a = a + 1"); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		// Close near the seal threshold, a little later each round.
+		for inserted.Load() < int64(sealThreshold-writers*batch+round*batch) && !t.Failed() {
+			runtime.Gosched()
+		}
+		closeDB(t, db)
+		latches := func(when string) {
+			if db.vacuuming.Load() || db.sealing.Load() || db.checkpointing.Load() {
+				t.Fatalf("round %d, %s: latch set (vacuum %v, seal %v, checkpoint %v)", round, when,
+					db.vacuuming.Load(), db.sealing.Load(), db.checkpointing.Load())
+			}
+		}
+		latches("as Close returned")
+		s := db.Stats()
+		ran.VacuumRuns += s.VacuumRuns
+		ran.SegmentsSealed += s.SegmentsSealed
+		ran.Checkpoints += s.Checkpoints
+		files, _ := fs.ReadDir("db")
+		// Let every writer commit again after Close before stopping them.
+		for n := inserted.Load(); inserted.Load() < n+writers*batch && !t.Failed(); {
+			runtime.Gosched()
+		}
+		stop.Store(true)
+		wg.Wait()
+		latches("after the writers stopped")
+		if after, _ := fs.ReadDir("db"); !slices.Equal(after, files) {
+			t.Fatalf("round %d: WAL directory changed after Close: %v, then %v", round, files, after)
+		}
+	}
+	// The stress is only worth its name if every kind of run did start.
+	if ran.VacuumRuns == 0 || ran.SegmentsSealed == 0 || ran.Checkpoints == 0 {
+		t.Errorf("maintenance that ran before Close: %d vacuums, %d sealed blocks, %d checkpoints; want each > 0",
+			ran.VacuumRuns, ran.SegmentsSealed, ran.Checkpoints)
 	}
 }

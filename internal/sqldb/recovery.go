@@ -20,14 +20,12 @@ import (
 
 // openWAL opens the durability layer on a freshly constructed database:
 // recovery first (unarmed, so replay is not re-logged), then the writer
-// is armed. Called from OpenContext with db.durPath/db.durOpts set.
-func (db *Database) openWAL(ctx context.Context) error {
-	opts := db.durOpts
-	fs := opts.fs
+// is armed. The WAL lives in the directory dir.
+func (db *Database) openWAL(ctx context.Context, dir string) error {
+	fs := db.walFS
 	if fs == nil {
 		fs = osFS{}
 	}
-	dir := db.durPath
 	if err := fs.MkdirAll(dir); err != nil {
 		return wrapIOErr(err)
 	}
@@ -93,7 +91,7 @@ func (db *Database) openWAL(ctx context.Context) error {
 
 	// Open (or create) the active log for appending, dropping any torn
 	// tail so the next append lands on a record boundary.
-	w := &walWriter{db: db, fs: fs, dir: dir, opts: opts}
+	w := &walWriter{db: db, fs: fs, dir: dir}
 	w.syncCond = sync.NewCond(&w.syncMu)
 	if haveActive {
 		f, size, err := fs.OpenAppend(walLogName(dir, activeGen))
@@ -137,11 +135,6 @@ func (db *Database) openWAL(ctx context.Context) error {
 		return wrapIOErr(err)
 	}
 	w.sGen, w.synced = w.gen, w.off // the open sync made the prefix durable
-	if opts.Sync == SyncInterval {
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.syncLoop()
-	}
 	w.armed.Store(true)
 	db.wal = w
 	return nil

@@ -210,18 +210,9 @@ func (t *Table) resolve(run *slotRun, id int) (*rowVersion, *segBlock) {
 // maybeSeal wakes the background sealer when enough rows have been
 // inserted since the last pass. Single-flight, like maybeVacuum.
 func (db *Database) maybeSeal() {
-	if db.closed.Load() || db.sealDebt.Load() < sealThreshold {
-		return
+	if db.sealDebt.Load() >= sealThreshold {
+		db.spawn(&db.sealing, func(db *Database) { db.seal(true) })
 	}
-	if !db.sealing.CompareAndSwap(false, true) {
-		return
-	}
-	db.vacWG.Add(1)
-	go func() {
-		defer db.vacWG.Done()
-		defer db.sealing.Store(false)
-		db.seal(true)
-	}()
 }
 
 // Seal synchronously freezes every currently cold full block into a

@@ -1,6 +1,9 @@
 package sqldb
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // The background vacuum replaces the old synchronous threshold compaction.
 // DML never pays an O(n) rebuild inside a statement anymore: writers only
@@ -31,41 +34,45 @@ import "context"
 // the background vacuum.
 const vacuumThreshold = 256
 
-// maybeVacuum wakes the background vacuum when enough garbage has
-// accumulated. Single-flight: at most one vacuum goroutine exists.
-func (db *Database) maybeVacuum() {
-	if db.closed.Load() || db.garbage.Load() < vacuumThreshold {
+// spawn starts fn as background maintenance unless the run latch guards
+// is already in flight or the database is closed. The closed check and
+// the WaitGroup Add share closeMu with Close, so no run starts after
+// Close has begun waiting: each run Close does not wait for never starts.
+// fn takes the database rather than capturing it, so a call allocates
+// nothing until a run starts.
+func (db *Database) spawn(latch *atomic.Bool, fn func(*Database)) {
+	if latch.Load() {
 		return
 	}
-	if !db.vacuuming.CompareAndSwap(false, true) {
+	db.closeMu.Lock()
+	defer db.closeMu.Unlock()
+	if db.closed || !latch.CompareAndSwap(false, true) {
 		return
 	}
 	db.vacWG.Add(1)
 	go func() {
 		defer db.vacWG.Done()
-		defer db.vacuuming.Store(false)
-		db.vacuum(nil)
+		defer latch.Store(false)
+		fn(db)
 	}()
 }
 
+// maybeVacuum wakes the background vacuum when enough garbage has
+// accumulated. Single-flight: at most one vacuum goroutine exists.
+func (db *Database) maybeVacuum() {
+	if db.garbage.Load() >= vacuumThreshold {
+		db.spawn(&db.vacuuming, func(db *Database) { db.vacuum(nil) })
+	}
+}
+
 // maybeCheckpoint wakes the background checkpoint when the WAL has grown
-// past its configured threshold. Single-flight: at most one checkpoint
-// goroutine exists. Called after a successful append, so the goroutine's
-// writeMu acquisition simply queues behind the in-flight commit.
+// past its threshold. Single-flight: at most one checkpoint goroutine
+// exists. Called after a successful append, so the goroutine's writeMu
+// acquisition simply queues behind the in-flight commit.
 func (db *Database) maybeCheckpoint() {
-	w := db.wal
-	if w == nil || db.closed.Load() || !w.wantCheckpoint() {
-		return
+	if db.wal != nil && db.wal.wantCheckpoint() {
+		db.spawn(&db.checkpointing, func(db *Database) { _ = db.wal.checkpoint() })
 	}
-	if !db.checkpointing.CompareAndSwap(false, true) {
-		return
-	}
-	db.vacWG.Add(1)
-	go func() {
-		defer db.vacWG.Done()
-		defer db.checkpointing.Store(false)
-		_ = w.checkpoint()
-	}()
 }
 
 // Vacuum synchronously reclaims every version invisible to all live

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the durability layer's write side: a checksummed,
@@ -46,7 +46,8 @@ import (
 //   - Appends happen at commit, under the database's single-writer latch
 //     and before the transaction's publication point (tm.finish), so log
 //     order equals commit order and a transaction is never visible to new
-//     snapshots without its frame being in the log (modulo fsync policy).
+//     snapshots without its frame being in the log, and Commit returns
+//     only once that frame is fsynced.
 //   - A failed append or fsync POISONS the writer: the tail is truncated
 //     back to the last record boundary (best effort), the commit returns
 //     a typed ErrIO, and every later commit fails fast with ErrIO. The
@@ -74,77 +75,15 @@ var walMagic = []byte("TAGWAL1\n")
 // header mean corruption (or a torn length field), not a real record.
 const walMaxRecord = 1 << 30
 
-// SyncPolicy selects when the WAL is fsynced.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs after every commit append: a committed
-	// transaction is durable when Commit returns.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker: a crash can lose at
-	// most the last interval's commits (each still atomic).
-	SyncInterval
-	// SyncOff never fsyncs during operation (the OS decides); a clean
-	// Close still syncs. Fastest, weakest.
-	SyncOff
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncOff:
-		return "off"
-	default:
-		return "SyncPolicy(" + strconv.Itoa(int(p)) + ")"
-	}
-}
-
-// DurabilityOptions configures the durability layer.
-type DurabilityOptions struct {
-	// Sync is the fsync policy (default SyncAlways).
-	Sync SyncPolicy
-	// SyncInterval is the background fsync period under SyncInterval;
-	// 0 means 100ms.
-	SyncInterval time.Duration
-	// CheckpointBytes triggers a background checkpoint once this many
-	// bytes have been appended since the last one. 0 means the default
-	// (1 MiB); negative disables automatic checkpoints (Checkpoint still
-	// works).
-	CheckpointBytes int64
-
-	// fs overrides the filesystem (tests inject memFS/crashFS).
-	fs walFS
-}
-
-// defaultCheckpointBytes is the automatic checkpoint threshold.
+// defaultCheckpointBytes is the automatic checkpoint threshold: a
+// background checkpoint starts once this many bytes were appended since
+// the last one.
 const defaultCheckpointBytes = 1 << 20
-
-// DefaultDurabilityOptions returns the options Open uses: fsync on every
-// commit, automatic checkpoints.
-func DefaultDurabilityOptions() DurabilityOptions {
-	return DurabilityOptions{Sync: SyncAlways}
-}
-
-// WithDurability attaches a durability configuration to the database.
-// The WAL itself is opened (and recovery runs) in Open/OpenContext —
-// construct durable databases with those, not with NewDatabase directly.
-func WithDurability(path string, opts DurabilityOptions) Option {
-	return func(db *Database) {
-		db.durPath = path
-		db.durOpts = opts
-		db.durSet = true
-	}
-}
 
 // Open opens (creating if needed) a durable database stored in the
 // directory at path: it recovers committed state from the latest
 // snapshot plus the WAL, then arms logging so every later commit is
-// appended. Combine with WithDurability for non-default fsync or
-// checkpoint policies (an explicit non-empty path argument wins over the
-// option's).
+// appended and fsynced before it returns.
 func Open(path string, opts ...Option) (*Database, error) {
 	return OpenContext(context.Background(), path, opts...)
 }
@@ -152,16 +91,12 @@ func Open(path string, opts ...Option) (*Database, error) {
 // OpenContext is Open under a context: cancellation aborts recovery
 // replay cleanly with a typed ErrCanceled error.
 func OpenContext(ctx context.Context, path string, opts ...Option) (*Database, error) {
-	db := NewDatabase(opts...)
-	if path != "" {
-		db.durPath = path
-	}
-	if db.durPath == "" {
+	if path == "" {
 		return nil, errf(ErrMisuse, "sql: Open requires a database path")
 	}
-	db.durSet = true
-	if err := db.openWAL(ctx); err != nil {
-		db.closed.Store(true)
+	db := NewDatabase(opts...)
+	if err := db.openWAL(ctx, path); err != nil {
+		_ = db.Close() // waits for maintenance the replay started; db.wal is nil, so no log to close
 		return nil, err
 	}
 	return db, nil
@@ -378,10 +313,9 @@ func (d *walDecoder) op() walOp {
 // commit-path callers additionally hold the database's single-writer
 // latch, so log order equals commit order.
 type walWriter struct {
-	db   *Database
-	fs   walFS
-	dir  string
-	opts DurabilityOptions
+	db  *Database
+	fs  walFS
+	dir string
 
 	// armed gates op capture: recovery and snapshot loading run unarmed
 	// so replaying history does not re-log it.
@@ -391,14 +325,13 @@ type walWriter struct {
 	f         walFile
 	gen       uint64
 	off       int64 // last good record boundary (all bytes before it are whole records)
-	dirty     bool  // unsynced appends pending (SyncInterval)
 	poisoned  bool  // a commit append/fsync failed; all later commits fail fast
 	seq       uint64
 	sinceCkpt int64
 
-	// Group commit (SyncAlways). Appends happen under mu (and the
-	// single-writer latch), but the fsync that makes a commit durable is
-	// performed by waitSync AFTER the committer released both, against the
+	// Group commit. Appends happen under mu (and the single-writer
+	// latch), but the fsync that makes a commit durable is performed by
+	// waitSync AFTER the committer released both, against the
 	// (gen, off) position its record ended at. One waiter elects itself
 	// leader and fsyncs; every commit whose position the fsync covered is
 	// released together — concurrent commits batch into one fsync instead
@@ -410,13 +343,10 @@ type walWriter struct {
 	sGen     uint64 // generation synced refers to
 	synced   int64  // bytes of sGen known durable
 	syncErr  error  // sticky fsync failure (writer is also poisoned)
-
-	stop chan struct{} // closes the interval-sync loop
-	done chan struct{}
 }
 
-// appendLocked writes one buffer of whole records and applies the fsync
-// policy. w.mu held.
+// appendLocked writes one buffer of whole records; the caller makes them
+// durable with waitSync. w.mu held.
 func (w *walWriter) appendLocked(buf []byte) error {
 	if w.poisoned {
 		return errf(ErrIO, "sql: wal disabled by earlier I/O error (reopen to recover)")
@@ -433,23 +363,17 @@ func (w *walWriter) appendLocked(buf []byte) error {
 	w.sinceCkpt += int64(len(buf))
 	w.db.stats.walAppends.Add(1)
 	w.db.stats.walBytes.Add(uint64(len(buf)))
-	// Under SyncAlways durability is the caller's waitSync, outside both
-	// mu and the single-writer latch, so concurrent commits group into
-	// shared fsyncs.
-	if w.opts.Sync == SyncInterval {
-		w.dirty = true
-	}
 	return nil
 }
 
 // waitSync blocks until the log is durable through (gen, target) — the
-// position a commit's record ended at — or the writer fails. SyncAlways
-// only; the other policies accept the loss window by contract. The first
-// arriving waiter becomes the leader and fsyncs once for everyone queued
+// position a commit's record ended at — or the writer fails. It runs
+// outside both mu and the single-writer latch, so concurrent commits group
+// into shared fsyncs: the first arriving waiter becomes the leader and fsyncs once for everyone queued
 // behind it; a commit released by someone else's fsync (or by a
 // checkpoint retiring its generation) counts as a group commit.
 func (w *walWriter) waitSync(gen uint64, target int64) error {
-	if w.opts.Sync != SyncAlways || debugFault == faultWALSkipSync {
+	if debugFault == faultWALSkipSync {
 		return nil
 	}
 	led := false
@@ -577,53 +501,17 @@ func (w *walWriter) appendDDL(sql string) error {
 // checkpoint (and automatic checkpointing is enabled and the writer
 // healthy).
 func (w *walWriter) wantCheckpoint() bool {
-	threshold := w.opts.CheckpointBytes
+	threshold := cmp.Or(w.db.ckptBytes, defaultCheckpointBytes)
 	if threshold < 0 {
 		return false
-	}
-	if threshold == 0 {
-		threshold = defaultCheckpointBytes
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return !w.poisoned && w.sinceCkpt >= threshold
 }
 
-// syncLoop is the SyncInterval background fsync.
-func (w *walWriter) syncLoop() {
-	defer close(w.done)
-	iv := w.opts.SyncInterval
-	if iv <= 0 {
-		iv = 100 * time.Millisecond
-	}
-	t := time.NewTicker(iv)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if w.dirty && !w.poisoned {
-				if err := w.f.Sync(); err != nil {
-					w.poisoned = true
-				} else {
-					w.dirty = false
-				}
-			}
-			w.mu.Unlock()
-		}
-	}
-}
-
-// close stops the sync loop, syncs once more (clean shutdown persists
-// everything regardless of policy) and closes the file.
+// close syncs once more and closes the file.
 func (w *walWriter) close() error {
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
-		w.stop = nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var err error
@@ -716,7 +604,7 @@ func (w *walWriter) checkpoint() error {
 	// 4. Switch the writer; retire superseded generations (best effort —
 	// recovery ignores generations below the newest snapshot).
 	old := w.f
-	w.f, w.gen, w.off, w.dirty, w.sinceCkpt = nf, g, int64(len(walMagic)), false, 0
+	w.f, w.gen, w.off, w.sinceCkpt = nf, g, int64(len(walMagic)), 0
 	_ = old.Close()
 	// The fsynced snapshot covers every record of the retired generation,
 	// including any a group-commit leader had not fsynced yet: advance the

@@ -19,8 +19,7 @@ import (
 // The harness is only trusted because TestCrashMatrixDetects* prove it
 // fails when recovery is deliberately broken (the faultWAL* values of debugFault).
 //
-// Determinism: the workload runs under SyncAlways with automatic
-// checkpoints disabled and explicit Checkpoint units, so every filesystem
+// Determinism: the workload runs with automatic checkpoints disabled and explicit Checkpoint units, so every filesystem
 // operation is issued synchronously by the workload goroutine at a commit
 // point — the Nth operation is the same operation on every run.
 
@@ -183,7 +182,7 @@ func crashModeName(mode int) string {
 }
 
 func openOnFS(fs walFS) (*Database, error) {
-	return Open("db", WithDurability("", DurabilityOptions{fs: fs, CheckpointBytes: -1}))
+	return Open("db", withWAL(fs, -1))
 }
 
 // sealedCrashWorkload is the matrix's workload over a table of two sealed
@@ -359,7 +358,7 @@ func TestCrashMatrixDetectsDanglingFrameBug(t *testing.T) {
 }
 
 // TestCrashMatrixDetectsSkipSyncBug proves the harness catches a broken
-// SyncAlways contract: with fsync silently skipped, a power loss drops
+// fsync-per-commit contract: with fsync silently skipped, a power loss drops
 // commits that were acknowledged as durable.
 func TestCrashMatrixDetectsSkipSyncBug(t *testing.T) {
 	debugFault = faultWALSkipSync
@@ -372,24 +371,20 @@ func TestCrashMatrixDetectsSkipSyncBug(t *testing.T) {
 }
 
 func BenchmarkWALAppend(b *testing.B) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
-		b.Run(pol.String(), func(b *testing.B) {
-			fs := newMemFS()
-			db := openWalDB(b, fs, DurabilityOptions{Sync: pol, CheckpointBytes: -1})
-			db.MustExec("CREATE TABLE t (a INTEGER, b TEXT)")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				db.MustExec("INSERT INTO t VALUES (?, 'payload')", i)
-			}
-			b.StopTimer()
-			closeDB(b, db)
-		})
+	fs := newMemFS()
+	db := openWalDB(b, fs, -1)
+	db.MustExec("CREATE TABLE t (a INTEGER, b TEXT)")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db.MustExec("INSERT INTO t VALUES (?, 'payload')", i)
 	}
+	b.StopTimer()
+	closeDB(b, db)
 }
 
 func BenchmarkWALRecovery(b *testing.B) {
 	fs := newMemFS()
-	db := openWalDB(b, fs, DurabilityOptions{Sync: SyncOff, CheckpointBytes: -1})
+	db := openWalDB(b, fs, -1)
 	db.MustExec("CREATE TABLE t (a INTEGER, b TEXT)")
 	for i := 0; i < 1000; i++ {
 		db.MustExec("INSERT INTO t VALUES (?, 'payload')", i)
@@ -397,7 +392,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	closeDB(b, db)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := Open("db", WithDurability("", DurabilityOptions{fs: fs, CheckpointBytes: -1}))
+		db, err := Open("db", withWAL(fs, -1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,17 +8,23 @@ import (
 )
 
 // Tests for the durability layer's happy paths and typed-error edges:
-// encoding round-trips, reopen recovery, fsync policies (observed through
-// memFS's durable-prefix model), checkpointing, torn-tail truncation,
+// encoding round-trips, reopen recovery, fsync per commit (observed
+// through memFS's durable-prefix model), checkpointing, torn-tail truncation,
 // LoadScript atomicity, and the ErrIO surface under injected ENOSPC /
 // short-write / fsync failures. The exhaustive crash-point matrix lives
 // in wal_crash_test.go.
 
+// withWAL puts a durable database's WAL on fs and starts automatic
+// checkpoints after ckptBytes of log (0: the default threshold; -1: only
+// on demand).
+func withWAL(fs walFS, ckptBytes int64) Option {
+	return func(db *Database) { db.walFS, db.ckptBytes = fs, ckptBytes }
+}
+
 // openWalDB opens a durable database named "db" on the given filesystem.
-func openWalDB(t testing.TB, fs walFS, opts DurabilityOptions) *Database {
+func openWalDB(t testing.TB, fs walFS, ckptBytes int64) *Database {
 	t.Helper()
-	opts.fs = fs
-	db, err := Open("db", WithDurability("", opts))
+	db, err := Open("db", withWAL(fs, ckptBytes))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -93,7 +99,7 @@ func TestCheckpointWithoutDurability(t *testing.T) {
 // rolled-back transaction), a reopen reproduces the exact committed state.
 func TestReopenRecoversCommittedState(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)")
 	db.MustExec("CREATE INDEX idx_t_k ON t (k)")
 	for i := 0; i < 20; i++ {
@@ -120,7 +126,7 @@ func TestReopenRecoversCommittedState(t *testing.T) {
 	want := dumpString(t, db)
 	closeDB(t, db)
 
-	db2 := openWalDB(t, fs, DurabilityOptions{})
+	db2 := openWalDB(t, fs, 0)
 	defer closeDB(t, db2)
 	if got := dumpString(t, db2); got != want {
 		t.Errorf("recovered dump differs:\n--- want ---\n%s--- got ---\n%s", want, got)
@@ -143,7 +149,7 @@ func TestReopenRecoversCommittedState(t *testing.T) {
 // 0, one of them then deleted and one updated by its image.
 func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER UNIQUE, s TEXT)")
 	if _, _, err := db.wal.appendCommit([]walOp{
 		{kind: 'I', table: "t", row: Row{Int(0), Text("zero")}},
@@ -156,7 +162,7 @@ func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
 	}
 	closeDB(t, db)
 
-	db2 := openWalDB(t, fs, DurabilityOptions{})
+	db2 := openWalDB(t, fs, 0)
 	defer closeDB(t, db2)
 	res, err := db2.Query("SELECT typeof(a), a, s FROM t ORDER BY s")
 	if err != nil {
@@ -179,7 +185,7 @@ func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
 // TestRolledBackTxnWritesNothing: rollback must not touch the log at all.
 func TestRolledBackTxnWritesNothing(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	defer closeDB(t, db)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	before, err := fs.ReadFile("db/wal-0.log")
@@ -202,9 +208,10 @@ func TestRolledBackTxnWritesNothing(t *testing.T) {
 	}
 }
 
-func TestSyncPolicyAlways(t *testing.T) {
+// TestFsyncEveryCommit: Commit returns only once its record is fsynced.
+func TestFsyncEveryCommit(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{Sync: SyncAlways})
+	db := openWalDB(t, fs, 0)
 	defer closeDB(t, db)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	for i := 0; i < 3; i++ {
@@ -216,41 +223,9 @@ func TestSyncPolicyAlways(t *testing.T) {
 	}
 }
 
-func TestSyncPolicyOff(t *testing.T) {
-	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{Sync: SyncOff})
-	db.MustExec("CREATE TABLE t (a INTEGER)")
-	db.MustExec("INSERT INTO t VALUES (1)")
-	data, _ := fs.ReadFile("db/wal-0.log")
-	if synced := fs.syncedLen("db/wal-0.log"); synced != len(walMagic) {
-		t.Fatalf("SyncOff synced %d bytes mid-run, want only the %d-byte header", synced, len(walMagic))
-	}
-	// A clean close still makes everything durable.
-	closeDB(t, db)
-	if synced := fs.syncedLen("db/wal-0.log"); synced != len(data) {
-		t.Fatalf("after Close: synced %d of %d bytes", synced, len(data))
-	}
-}
-
-func TestSyncPolicyInterval(t *testing.T) {
-	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{Sync: SyncInterval, SyncInterval: time.Millisecond})
-	defer closeDB(t, db)
-	db.MustExec("CREATE TABLE t (a INTEGER)")
-	db.MustExec("INSERT INTO t VALUES (1)")
-	data, _ := fs.ReadFile("db/wal-0.log")
-	deadline := time.Now().Add(5 * time.Second)
-	for fs.syncedLen("db/wal-0.log") != len(data) {
-		if time.Now().After(deadline) {
-			t.Fatalf("interval sync never caught up: synced %d of %d", fs.syncedLen("db/wal-0.log"), len(data))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestCheckpointRetiresLog(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{CheckpointBytes: -1})
+	db := openWalDB(t, fs, -1)
 	db.MustExec("CREATE TABLE t (a INTEGER, b TEXT)")
 	for i := 0; i < 10; i++ {
 		db.MustExec("INSERT INTO t VALUES (?, 'x')", i)
@@ -276,7 +251,7 @@ func TestCheckpointRetiresLog(t *testing.T) {
 	want := dumpString(t, db)
 	closeDB(t, db)
 
-	db2 := openWalDB(t, fs, DurabilityOptions{})
+	db2 := openWalDB(t, fs, 0)
 	defer closeDB(t, db2)
 	if got := dumpString(t, db2); got != want {
 		t.Errorf("post-checkpoint recovery differs:\n--- want ---\n%s--- got ---\n%s", want, got)
@@ -287,7 +262,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	fs := newMemFS()
 	// Threshold of one byte: every commit qualifies; the background
 	// checkpoint is single-flight so some commits coalesce.
-	db := openWalDB(t, fs, DurabilityOptions{CheckpointBytes: 1})
+	db := openWalDB(t, fs, 1)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	for i := 0; i < 50; i++ {
 		db.MustExec("INSERT INTO t VALUES (?)", i)
@@ -301,7 +276,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	want := dumpString(t, db)
 	closeDB(t, db)
-	db2 := openWalDB(t, fs, DurabilityOptions{})
+	db2 := openWalDB(t, fs, 0)
 	defer closeDB(t, db2)
 	if got := dumpString(t, db2); got != want {
 		t.Errorf("recovery after auto-checkpoint differs:\n--- want ---\n%s--- got ---\n%s", want, got)
@@ -310,7 +285,7 @@ func TestAutoCheckpoint(t *testing.T) {
 
 func TestTornTailDropped(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	db.MustExec("INSERT INTO t VALUES (1)")
 	want := dumpString(t, db)
@@ -324,7 +299,7 @@ func TestTornTailDropped(t *testing.T) {
 	f.synced = len(f.data)
 	fs.mu.Unlock()
 
-	db2 := openWalDB(t, fs, DurabilityOptions{})
+	db2 := openWalDB(t, fs, 0)
 	if got := dumpString(t, db2); got != want {
 		t.Errorf("torn-tail recovery differs:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
@@ -336,7 +311,7 @@ func TestTornTailDropped(t *testing.T) {
 	db2.MustExec("INSERT INTO t VALUES (3)")
 	want2 := dumpString(t, db2)
 	closeDB(t, db2)
-	db3 := openWalDB(t, fs, DurabilityOptions{})
+	db3 := openWalDB(t, fs, 0)
 	defer closeDB(t, db3)
 	if got := dumpString(t, db3); got != want2 {
 		t.Errorf("post-repair recovery differs:\n--- want ---\n%s--- got ---\n%s", want2, got)
@@ -348,13 +323,13 @@ func TestTornTailDropped(t *testing.T) {
 
 func TestCorruptHeaderRejected(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	closeDB(t, db)
 	fs.mu.Lock()
 	fs.files["db/wal-0.log"].data[0] = 'X'
 	fs.mu.Unlock()
-	if _, err := Open("db", WithDurability("", DurabilityOptions{fs: fs})); CodeOf(err) != ErrIO {
+	if _, err := Open("db", withWAL(fs, 0)); CodeOf(err) != ErrIO {
 		t.Fatalf("corrupt magic: err = %v, want ErrIO", err)
 	}
 }
@@ -364,7 +339,7 @@ func TestCorruptHeaderRejected(t *testing.T) {
 // reopen recovers exactly the durable prefix.
 func TestENOSPCAtCommit(t *testing.T) {
 	fs := newCrashFS(0, faultENOSPC)
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	fs.failNext(1) // next mutating op is the INSERT's commit append
 	_, err := db.Exec("INSERT INTO t VALUES (1)")
@@ -388,7 +363,7 @@ func TestENOSPCAtCommit(t *testing.T) {
 	}
 	_ = db.Close()
 
-	db2 := openWalDB(t, fs.afterCrash(), DurabilityOptions{})
+	db2 := openWalDB(t, fs.afterCrash(), 0)
 	defer closeDB(t, db2)
 	if got := queryStrings(t, db2, "SELECT COUNT(*) FROM t"); got[0][0] != "0" {
 		t.Fatalf("reopen after ENOSPC: table has %v rows, want 0 (only DDL was durable)", got[0][0])
@@ -397,7 +372,7 @@ func TestENOSPCAtCommit(t *testing.T) {
 
 func TestShortWriteAtCommit(t *testing.T) {
 	fs := newCrashFS(0, faultShortWrite)
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	db.MustExec("INSERT INTO t VALUES (1)")
 	want := dumpString(t, db)
@@ -408,7 +383,7 @@ func TestShortWriteAtCommit(t *testing.T) {
 	_ = db.Close()
 	// The half-written record was truncated back to the last boundary, so
 	// reopen recovers the pre-fault state without even seeing a torn tail.
-	db2 := openWalDB(t, fs.afterCrash(), DurabilityOptions{})
+	db2 := openWalDB(t, fs.afterCrash(), 0)
 	defer closeDB(t, db2)
 	if got := dumpString(t, db2); got != want {
 		t.Errorf("short-write recovery differs:\n--- want ---\n%s--- got ---\n%s", want, got)
@@ -420,7 +395,7 @@ func TestShortWriteAtCommit(t *testing.T) {
 
 func TestFsyncErrorAtCommit(t *testing.T) {
 	fs := newCrashFS(0, faultENOSPC)
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	fs.failNext(2) // write succeeds, the fsync after it fails
 	if _, err := db.Exec("INSERT INTO t VALUES (1)"); CodeOf(err) != ErrIO {
@@ -436,7 +411,7 @@ func TestFsyncErrorAtCommit(t *testing.T) {
 	// The record's bytes reached the file even though their durability was
 	// unknown; in this deterministic model they survive, and recovery
 	// accepts them (they are whole and checksummed).
-	db2 := openWalDB(t, fs.afterCrash(), DurabilityOptions{})
+	db2 := openWalDB(t, fs.afterCrash(), 0)
 	defer closeDB(t, db2)
 	if got := queryStrings(t, db2, "SELECT COUNT(*) FROM t"); got[0][0] != "1" {
 		t.Fatalf("reopen after fsync failure: %v rows, want 1", got[0][0])
@@ -445,19 +420,19 @@ func TestFsyncErrorAtCommit(t *testing.T) {
 
 func TestRecoveryHonorsContextCancel(t *testing.T) {
 	fs := newMemFS()
-	db := openWalDB(t, fs, DurabilityOptions{})
+	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	db.MustExec("INSERT INTO t VALUES (1)")
 	closeDB(t, db)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := OpenContext(ctx, "db", WithDurability("", DurabilityOptions{fs: fs}))
+	_, err := OpenContext(ctx, "db", withWAL(fs, 0))
 	if CodeOf(err) != ErrCanceled {
 		t.Fatalf("canceled recovery: err = %v, want ErrCanceled", err)
 	}
 	// The same store still opens fine under a live context.
-	db2, err := Open("db", WithDurability("", DurabilityOptions{fs: fs}))
+	db2, err := Open("db", withWAL(fs, 0))
 	if err != nil {
 		t.Fatalf("reopen after canceled recovery: %v", err)
 	}

@@ -108,7 +108,7 @@ func (m *memFS) Remove(path string) error {
 }
 
 // syncedLen reports the durable prefix length of a file (test probe for
-// the fsync-policy tests).
+// the fsync-per-commit test).
 func (m *memFS) syncedLen(path string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
