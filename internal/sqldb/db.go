@@ -215,12 +215,16 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 			return 0, tx.Commit()
 		}
 		return 0, tx.Rollback()
-	case *CreateTableStmt:
-		return 0, db.createTable(t, tx)
-	case *CreateIndexStmt:
-		return 0, db.createIndex(t, tx)
-	case *DropTableStmt:
-		return 0, db.dropTable(t, tx)
+	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
+		wtx, end, err := db.beginWrite(qc, tx)
+		if err != nil {
+			return 0, err
+		}
+		err = db.ddl(stmt, wtx)
+		if e := end(); e != nil {
+			err = e
+		}
+		return 0, err
 	case *InsertStmt:
 		return db.execInsert(t, params, qc, tx)
 	case *UpdateStmt:
@@ -232,14 +236,24 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 	}
 }
 
-// DDL takes the single-writer latch for the statement (or rides an open
-// transaction's latch span) and publishes the schema change
-// copy-on-write, so lock-free readers always observe a complete table
-// map. Inside an explicit transaction DDL is transactional: rollback
-// unpublishes it, and the WAL records it inside the transaction's frame;
-// autocommit DDL is logged as a standalone self-committed record.
+// ddl applies one schema change in tx, which holds the single-writer
+// latch: a statement's (execStmt) or recovery's. The change is published
+// copy-on-write, so lock-free readers always observe a complete table map;
+// it is undone by an explicit transaction's rollback and logged as an op
+// of the unit's WAL record.
+func (db *Database) ddl(stmt Statement, tx *Txn) error {
+	switch t := stmt.(type) {
+	case *CreateTableStmt:
+		return db.createTable(t, tx)
+	case *CreateIndexStmt:
+		return db.createIndex(t, tx)
+	case *DropTableStmt:
+		return db.dropTable(t, tx)
+	}
+	return errf(ErrMisuse, "sql: %T is not a schema change", stmt)
+}
+
 func (db *Database) createTable(stmt *CreateTableStmt, tx *Txn) error {
-	defer db.acquireWrite(tx)()
 	key := strings.ToLower(stmt.Name)
 	if _, exists := db.tableMap()[key]; exists {
 		if stmt.IfNotExists {
@@ -252,27 +266,12 @@ func (db *Database) createTable(stmt *CreateTableStmt, tx *Txn) error {
 		return err
 	}
 	db.publishTables(func(m map[string]*Table) { m[key] = t })
-	if tx != nil {
-		tx.recordDDL(undoCreateTable, t, key)
-		tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
-		return nil
-	}
-	return db.logAutocommitDDL(stmt.String())
-}
-
-// logAutocommitDDL appends one standalone DDL record to the WAL (no-op
-// in memory-only mode or while recovery replays). An ErrIO here follows
-// the commit-path contract: the schema change stands in memory, the WAL
-// is poisoned.
-func (db *Database) logAutocommitDDL(sql string) error {
-	if w := db.wal; w != nil && w.armed.Load() {
-		return w.appendDDL(sql)
-	}
+	tx.recordDDL(undoCreateTable, t, key)
+	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
 
 func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
-	defer db.acquireWrite(tx)()
 	t, err := db.lookupTable(stmt.Table)
 	if err != nil {
 		return err
@@ -307,16 +306,12 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 		}
 	}
 	t.publishIndexes(func(m map[string]*Index) { m[key] = idx })
-	if tx != nil {
-		tx.recordDDL(undoCreateIndex, t, key)
-		tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
-		return nil
-	}
-	return db.logAutocommitDDL(stmt.String())
+	tx.recordDDL(undoCreateIndex, t, key)
+	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
+	return nil
 }
 
 func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
-	defer db.acquireWrite(tx)()
 	key := strings.ToLower(stmt.Name)
 	t, exists := db.tableMap()[key]
 	if !exists {
@@ -326,16 +321,16 @@ func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
 		return errf(ErrNoTable, "sql: no such table: %s", stmt.Name)
 	}
 	db.publishTables(func(m map[string]*Table) { delete(m, key) })
-	if tx != nil {
-		tx.recordDDL(undoDropTable, t, key)
-		tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
-		return nil
-	}
-	return db.logAutocommitDDL(stmt.String())
+	tx.recordDDL(undoDropTable, t, key)
+	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
+	return nil
 }
 
 func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end := db.beginWrite(qc, tx)
+	wtx, end, err := db.beginWrite(qc, tx)
+	if err != nil {
+		return 0, err
+	}
 	// end() publishes the autocommit statement; on a durable database it
 	// also appends the WAL record, whose failure must surface as the
 	// statement's error even over an engine error — an I/O failure poisons
@@ -447,7 +442,10 @@ type dmlTarget struct {
 // is anything applied — so an error or cancellation leaves the table
 // untouched.
 func (db *Database) mutate(table string, where Expr, set []SetClause, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end := db.beginWrite(qc, tx)
+	wtx, end, err := db.beginWrite(qc, tx)
+	if err != nil {
+		return 0, err
+	}
 	defer func() {
 		if e := end(); e != nil {
 			err = e
@@ -615,7 +613,10 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	qc := newQueryCtx(context.Background(), db)
 	defer qc.flush()
-	wtx, end := db.beginWrite(qc, db.currentTxn())
+	wtx, end, err := db.beginWrite(qc, db.currentTxn())
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if e := end(); e != nil {
 			err = e

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"hash/crc32"
 	"path/filepath"
 	"slices"
@@ -13,7 +14,7 @@ import (
 
 // This file implements recovery-on-open: discover the newest complete
 // snapshot generation, load it, replay every WAL generation at or above
-// it in ascending order (applying only fully-committed units), truncate
+// it in ascending order (applying every whole record), truncate
 // any torn tail off the active log, and arm the writer. The crash-point
 // matrix in wal_crash_test.go drives every step of this code through
 // every failure point a crashFS can inject.
@@ -140,12 +141,11 @@ func (db *Database) openWAL(ctx context.Context, dir string) error {
 	return nil
 }
 
-// replayWAL applies one WAL file's fully-committed units to the
-// database. It returns the byte offset of the last applied unit's end
-// (the valid truncation point), whether a torn tail was dropped, and a
-// hard error for corruption that cannot be a crash artifact (a record
-// whose checksum passes but whose content is malformed, a frame protocol
-// violation in the middle of the file) or for context cancellation.
+// replayWAL applies one WAL file's records to the database. It returns the
+// byte offset of the last applied record's end (the valid truncation
+// point), whether a torn tail was dropped, and a hard error for corruption
+// that cannot be a crash artifact (a record whose checksum passes but
+// whose content is malformed) or for context cancellation.
 func (db *Database) replayWAL(ctx context.Context, data []byte) (validOff int64, torn bool, err error) {
 	// Header.
 	if len(data) < len(walMagic) {
@@ -157,122 +157,61 @@ func (db *Database) replayWAL(ctx context.Context, data []byte) (validOff int64,
 	if !bytes.Equal(data[:len(walMagic)], walMagic) {
 		return 0, false, errf(ErrIO, "sql: wal header corrupt")
 	}
-	off := int64(len(walMagic))
-	validOff = off
-
-	var pending []walOp
-	inFrame := false
-	tornRec := false
-	for int(off) < len(data) {
+	validOff = int64(len(walMagic))
+	for int(validOff) < len(data) {
 		if err := ctx.Err(); err != nil {
 			return validOff, false, &Error{Code: ErrCanceled, Msg: "sql: recovery canceled: " + err.Error(), Cause: err}
 		}
-		rest := data[off:]
+		rest := data[validOff:]
 		if len(rest) < 8 {
-			tornRec = true // torn header
-			break
+			return validOff, true, nil // torn header
 		}
-		plen := int64(uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24)
-		crc := uint32(rest[4]) | uint32(rest[5])<<8 | uint32(rest[6])<<16 | uint32(rest[7])<<24
-		if plen > walMaxRecord || int64(len(rest)) < 8+plen {
-			tornRec = true // torn length or payload
-			break
+		plen := int64(binary.LittleEndian.Uint32(rest))
+		crc := binary.LittleEndian.Uint32(rest[4:])
+		payload := rest[8:]
+		if plen > walMaxRecord || int64(len(payload)) < plen || crc32.ChecksumIEEE(payload[:plen]) != crc {
+			// A torn or corrupt record: drop the tail — unless the test
+			// harness deliberately broke us.
+			if debugFault == faultWALApplyTorn {
+				ops, _ := decodeRecord(payload)
+				err = db.applyRecoveredUnit(ctx, ops)
+			}
+			return validOff, true, err
 		}
-		payload := rest[8 : 8+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
-			tornRec = true // torn or corrupt record: drop the tail
-			break
+		ops, err := decodeRecord(payload[:plen])
+		if err != nil {
+			return validOff, false, err
 		}
-		recEnd := off + 8 + plen
-
-		d := &walDecoder{b: payload}
-		kind := d.byte()
-		switch kind {
-		case 'S':
-			if inFrame {
-				return validOff, false, errf(ErrIO, "sql: wal frame protocol violation ('S' inside frame)")
-			}
-			sql := d.str()
-			if d.err != nil {
-				return validOff, false, d.err
-			}
-			if err := db.applyRecoveredUnit(ctx, []walOp{{kind: 'S', sql: sql}}); err != nil {
-				return validOff, false, err
-			}
-			validOff = recEnd
-		case 'T':
-			if inFrame {
-				return validOff, false, errf(ErrIO, "sql: wal frame protocol violation ('T' inside frame)")
-			}
-			d.u64() // seq
-			n := int(d.u32())
-			ops := make([]walOp, 0, n)
-			for i := 0; i < n; i++ {
-				ops = append(ops, d.op())
-			}
-			if d.err != nil {
-				return validOff, false, d.err
-			}
-			if err := db.applyRecoveredUnit(ctx, ops); err != nil {
-				return validOff, false, err
-			}
-			validOff = recEnd
-		case 'B':
-			if inFrame {
-				return validOff, false, errf(ErrIO, "sql: wal frame protocol violation (nested 'B')")
-			}
-			d.u64() // seq
-			if d.err != nil {
-				return validOff, false, d.err
-			}
-			inFrame = true
-			pending = pending[:0]
-		case 'O':
-			if !inFrame {
-				return validOff, false, errf(ErrIO, "sql: wal frame protocol violation ('O' outside frame)")
-			}
-			op := d.op()
-			if d.err != nil {
-				return validOff, false, d.err
-			}
-			pending = append(pending, op)
-		case 'C':
-			if !inFrame {
-				return validOff, false, errf(ErrIO, "sql: wal frame protocol violation ('C' outside frame)")
-			}
-			d.u64() // seq
-			if d.err != nil {
-				return validOff, false, d.err
-			}
-			if err := db.applyRecoveredUnit(ctx, pending); err != nil {
-				return validOff, false, err
-			}
-			inFrame = false
-			validOff = recEnd
-		default:
-			return validOff, false, errf(ErrIO, "sql: wal record kind %q unknown", kind)
+		if err := db.applyRecoveredUnit(ctx, ops); err != nil {
+			return validOff, false, err
 		}
-		off = recEnd
+		validOff += 8 + plen
 	}
-	if inFrame {
-		// The file ends inside a frame — at a clean EOF or at a torn
-		// record, either way the transaction never committed. Drop it —
-		// unless the test harness deliberately broke us.
-		if debugFault == faultWALDanglingFrame {
-			if err := db.applyRecoveredUnit(ctx, pending); err != nil {
-				return validOff, false, err
-			}
-			return off, tornRec, nil
-		}
-		return validOff, true, nil
-	}
-	return validOff, tornRec, nil
+	return validOff, false, nil
 }
 
-// applyRecoveredUnit applies one committed unit (autocommit statement,
-// transaction frame, or standalone DDL) under the single-writer latch,
-// as an autocommit-style transaction. The writer is not yet armed, so
-// nothing here is re-logged.
+// decodeRecord decodes one record's payload: its op count, then the ops.
+// The count is bounded by the bytes left (every op takes at least one)
+// before anything is allocated for it. On a decode error it returns the
+// ops that decoded whole before it.
+func decodeRecord(payload []byte) ([]walOp, error) {
+	d := &walDecoder{b: payload}
+	n := int(d.u32())
+	if n > len(payload)-d.off {
+		return nil, errf(ErrIO, "sql: wal record of %d bytes claims %d ops", len(payload), n)
+	}
+	ops := make([]walOp, 0, n)
+	for d.err == nil && len(ops) < n {
+		if op := d.op(); d.err == nil {
+			ops = append(ops, op)
+		}
+	}
+	return ops, d.err
+}
+
+// applyRecoveredUnit applies one committed unit (one record) under the
+// single-writer latch, as an autocommit-style transaction. The writer is
+// not yet armed, so nothing here is re-logged.
 func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -339,17 +278,7 @@ func (db *Database) applyRecoveredDDL(sql string, tx *Txn) error {
 		return recoveryCorrupt("logged DDL does not parse: " + err.Error())
 	}
 	for _, stmt := range stmts {
-		switch t := stmt.(type) {
-		case *CreateTableStmt:
-			err = db.createTable(t, tx)
-		case *CreateIndexStmt:
-			err = db.createIndex(t, tx)
-		case *DropTableStmt:
-			err = db.dropTable(t, tx)
-		default:
-			err = recoveryCorrupt("logged DDL has unexpected statement kind")
-		}
-		if err != nil {
+		if err := db.ddl(stmt, tx); err != nil {
 			return wrapErr(ErrIO, err)
 		}
 	}

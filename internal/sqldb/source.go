@@ -19,13 +19,13 @@ var debugFault fault
 type fault uint8
 
 const (
-	noFault               fault = iota
-	faultTombstoneSkip          // scans ignore visibility: deleted rows reappear
-	faultOrdMaintain            // DML leaves ordered views stale; removal drops keys a survivor carries
-	faultRowCopy                // the top-K heap retains the rows it is offered instead of copying them
-	faultVectorKernel           // the comparison kernels answer inverted
-	faultWALDanglingFrame       // recovery applies a frame with no commit record
-	faultWALSkipSync            // every WAL fsync is a no-op
+	noFault            fault = iota
+	faultTombstoneSkip       // scans ignore visibility: deleted rows reappear
+	faultOrdMaintain         // DML leaves ordered views stale; removal drops keys a survivor carries
+	faultRowCopy             // the top-K heap retains the rows it is offered instead of copying them
+	faultVectorKernel        // the comparison kernels answer inverted
+	faultWALApplyTorn        // recovery applies the ops a torn last record still decodes
+	faultWALSkipSync         // every WAL fsync is a no-op
 )
 
 // visible returns the row of a version chain a reader holding snap should

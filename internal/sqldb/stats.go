@@ -83,9 +83,8 @@ type Stats struct {
 	// vacuum horizon with its snapshot).
 	OpenCursors int64
 	// WALAppends / WALBytes count commit-time write-ahead-log appends
-	// (one per committed autocommit statement, transaction frame, or
-	// standalone DDL record) and the bytes they wrote. Zero on an
-	// in-memory database.
+	// (one record per committed transaction or autocommit statement, DDL
+	// included) and the bytes they wrote. Zero on an in-memory database.
 	WALAppends uint64
 	WALBytes   uint64
 	// Checkpoints counts completed checkpoints (explicit or automatic):

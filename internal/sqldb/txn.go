@@ -289,7 +289,7 @@ func (tx *Txn) record(kind int, t *Table, id int) {
 
 // recordDDL notes a schema-change undo step. DDL inside an explicit
 // transaction rolls back with it, keeping the WAL (which only sees
-// committed frames) and the in-memory catalog in lockstep.
+// committed records) and the in-memory catalog in lockstep.
 func (tx *Txn) recordDDL(kind int, t *Table, key string) {
 	if tx.auto {
 		return
@@ -307,11 +307,14 @@ func (tx *Txn) logWALOp(op walOp) {
 }
 
 // Commit makes the transaction's writes visible to every later snapshot.
-// On a durable database the transaction's frame is appended to the WAL
-// (and fsynced, per policy) before publication; an append failure
-// returns a typed ErrIO — the writes are still applied in memory, but
-// the WAL is poisoned and every later commit fails the same way until
-// the database is reopened (which recovers the durable prefix).
+// It is the one commit sequence, of explicit transactions and autocommit
+// statements (beginWrite) alike: the unit's record is appended to the WAL
+// under the single-writer latch, so log order equals commit order; the
+// writes are published; the latch is released; and only then does Commit
+// wait for the fsync, so concurrent commits group into one. An append or
+// fsync failure returns a typed ErrIO — the writes are still applied in
+// memory, but the WAL is poisoned and every later commit fails the same way
+// until the database is reopened (which recovers the durable prefix).
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return errf(ErrMisuse, "sql: transaction already finished")
@@ -321,16 +324,15 @@ func (tx *Txn) Commit() error {
 	var ioErr error
 	var syncGen uint64
 	var syncOff int64
-	if len(tx.walOps) > 0 {
-		// Still under writeMu here (walOps imply wrote), so log order
-		// equals commit order. The record is made durable below, after
-		// the latch is released, so concurrent commits group-fsync.
-		syncGen, syncOff, ioErr = db.wal.appendCommit(tx.walOps, false)
+	if len(tx.walOps) > 0 { // walOps imply wrote: the latch is held
+		syncGen, syncOff, ioErr = db.wal.appendCommit(tx.walOps)
 	}
 	db.tm.finish(tx.xid) // publication point
-	db.tm.release(tx.snap)
-	db.stats.commits.Add(1)
-	db.stats.activeTxns.Add(-1)
+	if !tx.auto {
+		db.tm.release(tx.snap)
+		db.stats.commits.Add(1)
+		db.stats.activeTxns.Add(-1)
+	}
 	if tx.wrote {
 		db.writeMu.Unlock()
 		if ioErr == nil && syncOff > 0 {
@@ -388,15 +390,6 @@ func (tx *Txn) Rollback() error {
 		db.maybeVacuum()
 	}
 	return nil
-}
-
-// ensureWrite acquires the single-writer latch on the transaction's first
-// writing statement.
-func (tx *Txn) ensureWrite() {
-	if !tx.wrote {
-		tx.db.writeMu.Lock()
-		tx.wrote = true
-	}
 }
 
 // Exec executes one statement inside the transaction. BEGIN is rejected;
@@ -489,63 +482,41 @@ func (db *Database) beginRead(tx *Txn) (*snapshot, func()) {
 	return s, func() { db.tm.release(s) }
 }
 
-// beginWrite pins the single-writer latch for one DML statement and
-// returns the transaction it runs in plus a statement-end callback. For
-// autocommit (tx nil) the transaction is a throwaway that commits in
-// end(), which also appends the statement's WAL record on a durable
-// database — end's error is the commit-time ErrIO surface and must be
-// propagated (the in-memory effects stand either way; see Txn.Commit).
+// beginWrite pins the single-writer latch for one writing statement — DML
+// or DDL — and returns the transaction it runs in plus a statement-end
+// callback. For autocommit (tx nil) the transaction is a throwaway that
+// commits in end(), which also appends the statement's WAL record on a
+// durable database — end's error is the commit-time ErrIO surface and must
+// be propagated (the in-memory effects stand either way; see Txn.Commit).
 // Inside an explicit transaction the latch stays held (until
-// Commit/Rollback) and end() only clears the statement snapshot.
-func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error) {
-	if tx != nil {
-		tx.ensureWrite()
-		qc.snap = db.tm.captureStmt(tx.xid)
-		qc.wtx = tx
-		return tx, func() error {
-			qc.snap = nil
-			qc.wtx = nil
-			return nil
-		}
+// Commit/Rollback) and end() only clears the statement snapshot. A closed
+// database refuses the statement with ErrMisuse before it changes a row.
+func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error) {
+	held := tx != nil && tx.wrote
+	if !held {
+		db.writeMu.Lock()
 	}
-	db.writeMu.Lock()
-	xid := db.tm.begin()
-	at := &Txn{db: db, xid: xid, auto: true, wrote: true}
-	qc.snap = db.tm.captureStmt(xid)
-	qc.wtx = at
-	return at, func() error {
+	db.closeMu.Lock()
+	closed := db.closed
+	db.closeMu.Unlock()
+	if closed {
+		if !held {
+			db.writeMu.Unlock()
+		}
+		return nil, nil, errf(ErrMisuse, "sql: database is closed")
+	}
+	if tx == nil {
+		tx = &Txn{db: db, xid: db.tm.begin(), auto: true}
+	}
+	tx.wrote = true
+	qc.snap = db.tm.captureStmt(tx.xid)
+	qc.wtx = tx
+	return tx, func() error {
 		qc.snap = nil
 		qc.wtx = nil
-		at.done = true
-		var ioErr error
-		var syncGen uint64
-		var syncOff int64
-		if len(at.walOps) > 0 {
-			// A failing statement keeps its partial work (the engine's
-			// documented non-atomic statement semantics), so whatever ops
-			// were applied are logged as this statement's record.
-			syncGen, syncOff, ioErr = db.wal.appendCommit(at.walOps, true)
+		if !tx.auto {
+			return nil
 		}
-		db.tm.finish(xid) // autocommit: publication point
-		db.writeMu.Unlock()
-		if ioErr == nil && syncOff > 0 {
-			ioErr = db.wal.waitSync(syncGen, syncOff)
-		}
-		db.maybeVacuum()
-		db.maybeSeal()
-		return ioErr
-	}
-}
-
-// acquireWrite takes the single-writer latch for a DDL statement in tx
-// (nil = autocommit DDL). Inside an open transaction DDL rides the
-// transaction's latch span and — like DML — is undone by rollback, so the
-// catalog never diverges from what the WAL will record at commit.
-func (db *Database) acquireWrite(tx *Txn) func() {
-	if tx != nil {
-		tx.ensureWrite()
-		return func() {}
-	}
-	db.writeMu.Lock()
-	return db.writeMu.Unlock
+		return tx.Commit()
+	}, nil
 }

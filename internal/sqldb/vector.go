@@ -99,6 +99,7 @@ type vecBatch struct {
 
 	// Scratch owned by the batch and overwritten by the next load, each
 	// buffer as long as the longest morsel it has held.
+	hw      int       // the most positions a load reserved since getBatch
 	colBufs [][]Value // per column ordinal, allocated on first use
 	t, nl   vecBitset // a predicate kernel's (true, null) result
 	rowBuf  []Row
@@ -140,9 +141,20 @@ func getBatch(width int) *vecBatch {
 	return b
 }
 
-// putBatch hands a batch back once nothing will read it again.
+// putBatch hands a batch back once nothing will read it again. A parked
+// batch pins no table data: what the loads since getBatch wrote — up to the
+// high-water mark, so a point read clears a few rows, not a morsel — is
+// zeroed, the capacities kept. keep is dropped instead: the head of its
+// slab may be rows a consumer still holds.
 func putBatch(b *vecBatch) {
-	b.blk, b.seek.blk = nil, nil // a parked batch pins no block
+	width := len(b.cols)
+	clear(b.cols)
+	clear(b.rowBuf[:b.hw])
+	for _, buf := range b.colBufs {
+		clear(buf[:min(b.hw, len(buf))])
+	}
+	clear(b.arena.buf[:min(b.hw*width, len(b.arena.buf))])
+	b.rows, b.blk, b.seek.blk, b.keep, b.hw = nil, nil, nil, rowArena{}, 0
 	freeBatches.Lock()
 	if len(freeBatches.list) < 2*parallelMaxWorkers {
 		freeBatches.list = append(freeBatches.list, b)
@@ -155,6 +167,7 @@ func (b *vecBatch) reserve(n int) {
 	if len(b.pre) < n {
 		b.pre, b.ids, b.rowBuf = make([]int32, n), make([]int, n), make([]Row, n)
 	}
+	b.hw = max(b.hw, n)
 }
 
 // colBuf returns value buffer c for n rows — column c's, or past the

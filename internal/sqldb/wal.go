@@ -19,20 +19,18 @@ import (
 // that snapshots committed state and retires the log. Recovery (the read
 // side) lives in recovery.go; the filesystem seam in walfs.go.
 //
-// Log format. A WAL file is a magic header followed by records:
+// Log format. A WAL file is a magic header followed by records, one per
+// committed unit — an explicit transaction, an autocommit DML statement
+// or an autocommit DDL statement:
 //
 //	record  = u32 payload-length | u32 CRC32(payload) | payload
-//	payload = kind byte + kind-specific body
+//	payload = u32 op count | ops
 //
-// Record kinds:
+// A record is whole or it is not there: recovery applies every record
+// whose checksum holds and drops a torn tail.
 //
-//	'S'  one DDL statement, stored as SQL text, self-committed
-//	'T'  one autocommit statement's ops as a single record
-//	'B'  begin frame of an explicit transaction (sequence number)
-//	'O'  one logical op inside a frame
-//	'C'  commit frame: the ops since 'B' are atomic
-//
-// Ops are logical row images, not slot ids: INSERT carries the new row,
+// An op is a DDL statement, stored as SQL text, or a row change. Row
+// changes are logical row images, not slot ids: INSERT carries the new row,
 // DELETE the deleted row's image, UPDATE both images. Recovery matches
 // images against the lowest visible row, which reproduces the original
 // slot assignment because DML always visits matching rows in ascending
@@ -46,8 +44,8 @@ import (
 //   - Appends happen at commit, under the database's single-writer latch
 //     and before the transaction's publication point (tm.finish), so log
 //     order equals commit order and a transaction is never visible to new
-//     snapshots without its frame being in the log, and Commit returns
-//     only once that frame is fsynced.
+//     snapshots without its record being in the log, and Commit returns
+//     only once that record is fsynced.
 //   - A failed append or fsync POISONS the writer: the tail is truncated
 //     back to the last record boundary (best effort), the commit returns
 //     a typed ErrIO, and every later commit fails fast with ErrIO. The
@@ -69,7 +67,7 @@ import (
 // after the rename commits the new one).
 
 // walMagic identifies a WAL file and its format version.
-var walMagic = []byte("TAGWAL1\n")
+var walMagic = []byte("TAGWAL2\n")
 
 // walMaxRecord bounds a record's payload length; longer lengths in a
 // header mean corruption (or a torn length field), not a real record.
@@ -182,8 +180,7 @@ func appendWalRow(b []byte, r Row) []byte {
 	return b
 }
 
-// appendWalOp encodes one op (as the body of an 'O' record or an element
-// of a 'T' batch).
+// appendWalOp encodes one op of a record.
 func appendWalOp(b []byte, op walOp) []byte {
 	b = append(b, op.kind)
 	switch op.kind {
@@ -286,8 +283,7 @@ func (d *walDecoder) row() Row {
 	return r
 }
 
-// op decodes one walOp (after the caller consumed the record kind that
-// introduced it, for 'O'; or positioned at an element of a 'T' batch).
+// op decodes one walOp of a record.
 func (d *walDecoder) op() walOp {
 	var op walOp
 	op.kind = d.byte()
@@ -326,7 +322,6 @@ type walWriter struct {
 	gen       uint64
 	off       int64 // last good record boundary (all bytes before it are whole records)
 	poisoned  bool  // a commit append/fsync failed; all later commits fail fast
-	seq       uint64
 	sinceCkpt int64
 
 	// Group commit. Appends happen under mu (and the single-writer
@@ -443,58 +438,23 @@ func (w *walWriter) waitSync(gen uint64, target int64) error {
 	}
 }
 
-// appendCommit logs one committed unit: a 'T' record for an autocommit
-// statement, a B/O.../C frame for an explicit transaction. Called at
-// commit time under the database's single-writer latch. Returns the
-// (generation, offset) position the record ended at; the caller makes it
-// durable with waitSync after releasing the latch, so concurrent commits
-// share fsyncs.
-func (w *walWriter) appendCommit(ops []walOp, auto bool) (uint64, int64, error) {
-	w.mu.Lock()
-	w.seq++
-	var buf []byte
-	if auto {
-		payload := []byte{'T'}
-		payload = binary.LittleEndian.AppendUint64(payload, w.seq)
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops)))
-		for _, op := range ops {
-			payload = appendWalOp(payload, op)
-		}
-		buf = appendWalRecord(nil, payload)
-	} else {
-		begin := binary.LittleEndian.AppendUint64([]byte{'B'}, w.seq)
-		buf = appendWalRecord(nil, begin)
-		for _, op := range ops {
-			buf = appendWalRecord(buf, appendWalOp([]byte{'O'}, op))
-		}
-		commit := binary.LittleEndian.AppendUint64([]byte{'C'}, w.seq)
-		buf = appendWalRecord(buf, commit)
+// appendCommit logs one committed unit as one record. Called at commit
+// time under the database's single-writer latch. Returns the (generation,
+// offset) position the record ended at; the caller makes it durable with
+// waitSync after releasing the latch, so concurrent commits share fsyncs.
+func (w *walWriter) appendCommit(ops []walOp) (uint64, int64, error) {
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
+	for _, op := range ops {
+		payload = appendWalOp(payload, op)
 	}
-	err := w.appendLocked(buf)
+	w.mu.Lock()
+	err := w.appendLocked(appendWalRecord(nil, payload))
 	gen, off := w.gen, w.off
 	w.mu.Unlock()
 	if err == nil {
 		w.db.maybeCheckpoint()
 	}
 	return gen, off, err
-}
-
-// appendDDL logs one standalone (autocommit) DDL statement, durable on
-// return (DDL is rare — it pays its own fsync rather than joining a
-// group).
-func (w *walWriter) appendDDL(sql string) error {
-	w.mu.Lock()
-	payload := appendWalString([]byte{'S'}, sql)
-	err := w.appendLocked(appendWalRecord(nil, payload))
-	gen, off := w.gen, w.off
-	w.mu.Unlock()
-	if err == nil {
-		err = w.waitSync(gen, off)
-	}
-	if err == nil {
-		w.db.maybeCheckpoint()
-	}
-	return err
 }
 
 // wantCheckpoint reports whether enough bytes accumulated since the last

@@ -36,14 +36,14 @@ type crashUnit struct {
 	sqls []string
 }
 
-// crashWorkload exercises every record kind and every recovery path:
-// standalone DDL, autocommit batches, multi-op transaction frames, a
-// rolled-back transaction (with DDL), a partially-applied statement
-// (constraint violation mid-INSERT, the engine's documented non-atomic
-// statement semantics), duplicate row images (content-addressed replay
-// must pick the lowest id), NULLs and floats (exact-equality matching),
-// and a checkpoint in the middle so later units replay on a compacted
-// snapshot base.
+// crashWorkload exercises every kind of unit and every recovery path:
+// autocommit DDL, autocommit batches, multi-op transactions (one mixing
+// DDL and DML), a rolled-back transaction (with DDL), a partially-applied
+// statement (constraint violation mid-INSERT, the engine's documented
+// non-atomic statement semantics), duplicate row images (content-addressed
+// replay must pick the lowest id), NULLs and floats (exact-equality
+// matching), and a checkpoint in the middle so later units replay on a
+// compacted snapshot base.
 func crashWorkload() []crashUnit {
 	return []crashUnit{
 		{unitSQL, []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT, f REAL)"}},
@@ -68,6 +68,11 @@ func crashWorkload() []crashUnit {
 		{unitSQL, []string{"UPDATE t SET k = k + 10 WHERE k <= 2"}},
 		{unitSQL, []string{"INSERT INTO dup VALUES (8, 'twin'), (8, 'twin')"}},
 		{unitSQL, []string{"DELETE FROM t WHERE id = 2"}},
+		{unitTxn, []string{
+			"CREATE TABLE mix (a INTEGER, b TEXT)",
+			"INSERT INTO mix VALUES (1, 'x'), (2, 'y'), (1, 'z')",
+			"CREATE INDEX idx_mix_a ON mix (a)",
+		}},
 		{unitTxn, []string{
 			"INSERT INTO dup VALUES (9, 'z')",
 			"UPDATE dup SET w = 'Z' WHERE v = 9",
@@ -187,7 +192,7 @@ func openOnFS(fs walFS) (*Database, error) {
 
 // sealedCrashWorkload is the matrix's workload over a table of two sealed
 // blocks: DML rehydrates one block in an autocommit statement and the other
-// in a transaction frame (with a deleted row, which seals again as a hole),
+// in a transaction (with a deleted row, which seals again as a hole),
 // a checkpoint is taken half sealed, both blocks seal again, a rolled-back
 // update rehydrates one, a second checkpoint follows, and full-scan and
 // range DML run over sealed and rehydrated blocks alike.
@@ -343,15 +348,15 @@ func TestCrashMatrixSealed(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixDetectsDanglingFrameBug proves the harness catches a
-// recovery that applies uncommitted transaction frames: with the debug
-// switch set, a crash that tears a frame mid-record surfaces a partial
-// transaction after reopen, and the matrix must notice.
-func TestCrashMatrixDetectsDanglingFrameBug(t *testing.T) {
-	debugFault = faultWALDanglingFrame
+// TestCrashMatrixDetectsTornApplyBug proves the harness catches a recovery
+// that applies a torn record: with the debug switch set, the ops a crash
+// left half written are applied, a partial unit surfaces after reopen, and
+// the matrix must notice.
+func TestCrashMatrixDetectsTornApplyBug(t *testing.T) {
+	debugFault = faultWALApplyTorn
 	defer func() { debugFault = noFault }()
 	if err := crashMatrix(faultCrashTear); err == nil {
-		t.Fatal("crash matrix passed while recovery applies dangling frames; the harness cannot detect broken recovery")
+		t.Fatal("crash matrix passed while recovery applies torn records; the harness cannot detect broken recovery")
 	} else {
 		t.Logf("harness correctly detected the planted bug: %v", err)
 	}

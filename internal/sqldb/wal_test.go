@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -157,7 +159,7 @@ func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
 		{kind: 'I', table: "t", row: Row{Text("+0"), Text("old")}},
 		{kind: 'D', table: "t", row: Row{Text("0.0"), Text("gone")}},
 		{kind: 'U', table: "t", row: Row{Text("+0"), Text("old")}, row2: Row{Text("+0"), Text("new")}},
-	}, true); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	closeDB(t, db)
@@ -321,16 +323,136 @@ func TestTornTailDropped(t *testing.T) {
 	}
 }
 
+// TestCorruptHeaderRejected: a log whose header is not this format's magic
+// — garbage, or the magic of the earlier frame format — is refused.
 func TestCorruptHeaderRejected(t *testing.T) {
+	for name, header := range map[string]string{"corrupt": "XAGWAL2\n", "TAGWAL1": "TAGWAL1\n"} {
+		fs := newMemFS()
+		db := openWalDB(t, fs, 0)
+		db.MustExec("CREATE TABLE t (a INTEGER)")
+		closeDB(t, db)
+		fs.mu.Lock()
+		copy(fs.files["db/wal-0.log"].data, header)
+		fs.mu.Unlock()
+		if _, err := Open("db", withWAL(fs, 0)); CodeOf(err) != ErrIO {
+			t.Fatalf("%s header: err = %v, want ErrIO", name, err)
+		}
+	}
+}
+
+// TestCommitIsOneRecord: every committed unit — autocommit DDL, autocommit
+// DML, and an explicit transaction mixing DDL and DML — grows the log by
+// exactly one record holding all its ops, and replaying those records
+// rebuilds the same database.
+func TestCommitIsOneRecord(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, -1)
+	units := []struct {
+		ops  int
+		exec func() error
+	}{
+		{1, func() error { _, err := db.Exec("CREATE TABLE t (a INTEGER, b TEXT)"); return err }},
+		{2, func() error { _, err := db.Exec("INSERT INTO t VALUES (1, 'x'), (2, 'y')"); return err }},
+		{6, func() error {
+			tx := db.Begin()
+			if _, err := tx.Exec(`CREATE TABLE u (k INTEGER); INSERT INTO u VALUES (7), (8);
+				CREATE INDEX idx_u_k ON u (k); UPDATE t SET b = 'z' WHERE a = 2; DROP TABLE u`); err != nil {
+				return err
+			}
+			return tx.Commit()
+		}},
+	}
+	for i, u := range units {
+		before, _ := fs.ReadFile("db/wal-0.log")
+		if err := u.exec(); err != nil {
+			t.Fatalf("unit %d: %v", i, err)
+		}
+		after, _ := fs.ReadFile("db/wal-0.log")
+		rec := after[len(before):]
+		if len(rec) < 8 || int(binary.LittleEndian.Uint32(rec)) != len(rec)-8 {
+			t.Fatalf("unit %d appended %d bytes, not one record", i, len(rec))
+		}
+		if ops, err := decodeRecord(rec[8:]); err != nil || len(ops) != u.ops {
+			t.Fatalf("unit %d: record holds %d ops (err %v), want %d", i, len(ops), err, u.ops)
+		}
+	}
+	want := dumpString(t, db)
+	closeDB(t, db)
+	db2 := openWalDB(t, fs, -1)
+	defer closeDB(t, db2)
+	if got := dumpString(t, db2); got != want {
+		t.Errorf("recovered dump differs:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	if n := db2.Stats().RecoveredTxns; n != uint64(len(units)) {
+		t.Errorf("RecoveredTxns = %d, want %d", n, len(units))
+	}
+}
+
+// TestRecoveryBoundsOpCount: a record whose checksum holds but whose op
+// count is more than its bytes could encode is refused as corrupt before
+// anything is allocated for the count.
+func TestRecoveryBoundsOpCount(t *testing.T) {
 	fs := newMemFS()
 	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER)")
 	closeDB(t, db)
 	fs.mu.Lock()
-	fs.files["db/wal-0.log"].data[0] = 'X'
+	f := fs.files["db/wal-0.log"]
+	f.data = appendWalRecord(f.data, binary.LittleEndian.AppendUint32(nil, 1<<20))
+	f.synced = len(f.data)
 	fs.mu.Unlock()
-	if _, err := Open("db", withWAL(fs, 0)); CodeOf(err) != ErrIO {
-		t.Fatalf("corrupt magic: err = %v, want ErrIO", err)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Open("db", withWAL(fs, 0))
+	runtime.ReadMemStats(&after)
+	if CodeOf(err) != ErrIO {
+		t.Fatalf("op count past the record's end: err = %v, want ErrIO", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("Open allocated %d bytes for a record of 4, want < 1 MiB", grew)
+	}
+}
+
+// TestWriteAfterCloseRefused: once Close has run, every kind of write —
+// autocommit DML and DDL, bulk load, a transaction's statement — fails
+// with ErrMisuse and changes nothing, in memory or on disk; reads go on.
+func TestWriteAfterCloseRefused(t *testing.T) {
+	dir := t.TempDir() + "/db"
+	durable, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*Database{"durable": durable, "memory": NewDatabase()} {
+		db.MustExec("CREATE TABLE t (a INTEGER)")
+		db.MustExec("INSERT INTO t VALUES (1)")
+		closeDB(t, db)
+		tx := db.Begin()
+		writes := map[string]func() error{
+			"insert":      func() error { _, err := db.Exec("INSERT INTO t VALUES (2)"); return err },
+			"update":      func() error { _, err := db.Exec("UPDATE t SET a = 3"); return err },
+			"create":      func() error { _, err := db.Exec("CREATE TABLE u (a INTEGER)"); return err },
+			"drop":        func() error { _, err := db.Exec("DROP TABLE t"); return err },
+			"insert rows": func() error { return db.InsertRows("t", [][]any{{4}}) },
+			"txn insert":  func() error { _, err := tx.Exec("INSERT INTO t VALUES (5)"); return err },
+		}
+		for w, write := range writes {
+			if err := write(); CodeOf(err) != ErrMisuse {
+				t.Errorf("%s: %s after Close: err = %v, want ErrMisuse", name, w, err)
+			}
+		}
+		_ = tx.Rollback()
+		if got := queryStrings(t, db, "SELECT a FROM t"); len(got) != 1 || got[0][0] != "1" {
+			t.Errorf("%s: rows after refused writes = %v, want [[1]]", name, got)
+		}
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeDB(t, db)
+	if got := queryStrings(t, db, "SELECT a FROM t"); len(got) != 1 || got[0][0] != "1" {
+		t.Errorf("rows after reopen = %v, want [[1]]", got)
 	}
 }
 
