@@ -63,7 +63,7 @@ type Table struct {
 
 	liveRows atomic.Int64 // rows visible to a fresh snapshot
 
-	indexes atomic.Pointer[map[string]*Index] // lower-cased column name -> index; COW on CREATE INDEX
+	indexes atomic.Pointer[[]*Index] // by column ordinal, nil where unindexed; COW on CREATE INDEX
 
 	// segs holds the sealed blocks by morsel number, nil where the morsel is
 	// in the heap (segment.go): the only copy of their rows, replaced
@@ -73,9 +73,10 @@ type Table struct {
 	touched []uint64 // writeMu
 }
 
-// Index is a dual-structure secondary index over one column, maintained
-// as a *superset* of every row version still reachable. It holds row ids and
-// no keys: the rows are the only copy of a key.
+// Index is a dual-structure secondary index over one column — a table holds
+// at most one a column, in a slice by column ordinal (Table.indexes) —
+// maintained as a *superset* of every row version still reachable. It holds
+// row ids and no keys: the rows are the only copy of a key.
 //
 //   - The postings serve equality lookups and join probes. They file row ids
 //     by *hash class* — hashKey of the indexKey of the column value (key.go)
@@ -209,6 +210,16 @@ func (db *Database) Close() error {
 		return db.wal.close()
 	}
 	return nil
+}
+
+// errClosed refuses a write to a closed database.
+var errClosed = errf(ErrMisuse, "sql: database is closed")
+
+// isClosed reports whether Close has begun.
+func (db *Database) isClosed() bool {
+	db.closeMu.Lock()
+	defer db.closeMu.Unlock()
+	return db.closed
 }
 
 // SetFuncs gives the database the functions its statements may call beyond
@@ -383,34 +394,25 @@ func newTable(stmt *CreateTableStmt) (*Table, error) {
 	}
 	t.cols = tableCols(t, t.Name)
 	// Primary keys and UNIQUE columns get an index automatically.
-	idxs := make(map[string]*Index)
+	idxs := make([]*Index, len(t.Columns))
 	for i, c := range t.Columns {
 		if c.PrimaryKey || c.Unique {
-			idxs[strings.ToLower(c.Name)] = newIndex("auto_"+t.Name+"_"+c.Name, i, true)
+			idxs[i] = newIndex("auto_"+t.Name+"_"+c.Name, i, true)
 		}
 	}
 	t.indexes.Store(&idxs)
 	return t, nil
 }
 
-// idxs returns the current published index map (immutable; CREATE INDEX
-// publishes a replacement).
-func (t *Table) idxs() map[string]*Index {
-	m := t.indexes.Load()
-	if m == nil {
-		return nil
-	}
-	return *m
-}
+// idxs returns the published indexes by column ordinal, nil where a column
+// has none (immutable; CREATE INDEX publishes a replacement).
+func (t *Table) idxs() []*Index { return *t.indexes.Load() }
 
-// publishIndexes applies an index-map mutation copy-on-write (writeMu held).
-func (t *Table) publishIndexes(mutate func(map[string]*Index)) {
-	old := t.idxs()
-	next := make(map[string]*Index, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	mutate(next)
+// setIndex publishes a copy of the indexes with idx on column col (writeMu
+// held).
+func (t *Table) setIndex(col int, idx *Index) {
+	next := slices.Clone(t.idxs())
+	next[col] = idx
 	t.indexes.Store(&next)
 }
 
@@ -467,8 +469,9 @@ func (t *Table) setHead(id int, v *rowVersion) {
 func (t *Table) appendSlot(v *rowVersion) int {
 	n, dir := int(t.n.Load()), t.dir()
 	if n == len(dir)*segBlockSlots {
-		dir = append(dir, new(slotRun))
-		t.slots.Store(&dir)
+		next := append(dir, new(slotRun)) // only a new run's directory escapes
+		t.slots.Store(&next)
+		dir = next
 	}
 	dir[n/segBlockSlots][n%segBlockSlots].Store(v)
 	t.n.Add(1)
@@ -506,12 +509,14 @@ func (t *Table) visibleValue(id int, snap *snapshot, col int, s *blockSeek) (Val
 // ---------------------------------------------------------------------------
 // DML primitives (all under the database's single-writer latch)
 
-// insertRow appends a row (aligned to table order) as a new version
+// insertRow appends v, its row aligned to table order, as a new version
 // chain stamped with the writing transaction, maintains every index, and
-// enforces NOT NULL and UNIQUE constraints. WAL replay installs the logged
-// row as it is: it is what coercion made of it when it was written, and the
-// UPDATE/DELETE images logged after it match it bit for bit.
-func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
+// enforces NOT NULL and UNIQUE constraints, in column order. WAL replay
+// installs the logged row as it is: it is what coercion made of it when it
+// was written, and the UPDATE/DELETE images logged after it match it bit for
+// bit.
+func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
+	r := v.row
 	if len(r) != len(t.Columns) {
 		return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(t.Columns), len(r))
 	}
@@ -528,7 +533,7 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 	}
 	idxs := t.idxs()
 	for _, idx := range idxs {
-		if !idx.Unique || r[idx.Column].IsNull() {
+		if idx == nil || !idx.Unique || r[idx.Column].IsNull() {
 			continue
 		}
 		if held, err := t.liveKeyCount(idx, r[idx.Column]); err != nil {
@@ -538,17 +543,56 @@ func (t *Table) insertRow(r Row, qc *queryCtx, tx *Txn) error {
 				t.Name, t.Columns[idx.Column].Name, r[idx.Column])
 		}
 	}
-	id := t.appendSlot(&rowVersion{xmin: tx.xid, row: r})
+	v.xmin = tx.xid
+	id := t.appendSlot(v)
 	t.liveRows.Add(1)
 	tx.record(undoInsert, t, id)
 	for _, idx := range idxs {
-		if idx.addEntry(r[idx.Column], id) && qc != nil {
+		if idx != nil && idx.addEntry(r[idx.Column], id) && qc != nil {
 			qc.OrdMaintains++
 		}
 	}
 	tx.logWALOp(walOp{kind: 'I', table: t.Name, row: r})
 	tx.db.sealDebt.Add(1)
 	return nil
+}
+
+// insertRows inserts n rows, each filled in table order by fill from all
+// NULL, and returns how many it inserted (writeMu held). The rows are built
+// in slabs, one of values and one of versions, cut at the table's block
+// boundaries so that sealing a block frees its slabs whole; the log and an
+// empty UNIQUE index's postings are sized for the n rows once.
+func (t *Table) insertRows(n int, fill func(i int, r Row) error, qc *queryCtx, tx *Txn) (int, error) {
+	if w := tx.db.wal; w != nil && w.armed.Load() {
+		tx.walOps = slices.Grow(tx.walOps, n)
+	}
+	for _, idx := range t.idxs() {
+		if idx != nil && idx.Unique && n > 1 {
+			idx.mu.Lock()
+			if len(idx.first) == 0 {
+				idx.first = make(map[uint32]uint32, n)
+			}
+			idx.mu.Unlock()
+		}
+	}
+	w := len(t.Columns)
+	var vals []Value
+	var vers []rowVersion
+	for i := range n {
+		if len(vers) == 0 {
+			k := min(n-i, segBlockSlots-int(t.n.Load())%segBlockSlots)
+			vals, vers = make([]Value, k*w), make([]rowVersion, k)
+		}
+		v := &vers[0]
+		v.row, vals, vers = vals[:w:w], vals[w:], vers[1:]
+		if err := fill(i, v.row); err != nil {
+			return i, err
+		}
+		if err := t.insertRow(v, qc, tx); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
 }
 
 // deleteRow stamps the current head with the deleting transaction. The
@@ -587,11 +631,10 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) error {
 	tx.record(undoUpdate, t, id)
 	tx.db.garbage.Add(1)
 	for _, idx := range t.idxs() {
-		newV := updated[idx.Column]
-		if old[idx.Column].Equal(newV) {
+		if idx == nil || old[idx.Column].Equal(updated[idx.Column]) {
 			continue
 		}
-		if idx.addEntry(newV, id) && qc != nil {
+		if idx.addEntry(updated[idx.Column], id) && qc != nil {
 			qc.OrdMaintains++
 		}
 	}
@@ -719,7 +762,7 @@ func (t *Table) reachable(col int, fn func(v Value, id int)) error {
 func (t *Table) unindex(id int, dead, end *rowVersion) {
 	live := t.head(id)
 	for _, idx := range t.idxs() {
-		for w := dead; w != end; w = w.next.Load() {
+		for w := dead; w != end && idx != nil; w = w.next.Load() {
 			key := indexKey(w.row[idx.Column])
 			h, carried, hashed := hashKey(key), false, false
 			for s := live; s != nil && !carried && debugFault != faultOrdMaintain; s = s.next.Load() {

@@ -85,13 +85,7 @@ func compileExpr(e Expr, env *evalEnv) (compiledExpr, error) {
 		case "-":
 			return func() (Value, error) {
 				v, err := sub()
-				if err != nil || v.IsNull() {
-					return Null, err
-				}
-				if v.Kind() == KindInt {
-					return Int(-v.AsInt()), nil
-				}
-				return Float(-v.AsFloat()), nil
+				return negate(v), err
 			}, nil
 		case "NOT":
 			return func() (Value, error) {

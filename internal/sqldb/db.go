@@ -280,8 +280,7 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 	if ci < 0 {
 		return errf(ErrNoColumn, "sql: no such column %s.%s", stmt.Table, stmt.Column)
 	}
-	key := strings.ToLower(stmt.Column)
-	if _, exists := t.idxs()[key]; exists {
+	if t.idxs()[ci] != nil {
 		return nil // idempotent: one index per column is all we support
 	}
 	idx := newIndex(stmt.Name, ci, stmt.Unique)
@@ -305,8 +304,8 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 			return errf(ErrConstraint, "sql: cannot create UNIQUE index %s: duplicate value %s", stmt.Name, v)
 		}
 	}
-	t.publishIndexes(func(m map[string]*Index) { m[key] = idx })
-	tx.recordDDL(undoCreateIndex, t, key)
+	t.setIndex(ci, idx)
+	tx.record(undoCreateIndex, t, ci)
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
@@ -381,23 +380,15 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 		}
 	}
 
-	for _, src := range sourceRows {
-		if len(src) != len(colOrder) {
-			return n, errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(colOrder), len(src))
+	return t.insertRows(len(sourceRows), func(i int, full Row) error {
+		if len(sourceRows[i]) != len(colOrder) {
+			return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(colOrder), len(sourceRows[i]))
 		}
-		full := make(Row, len(t.Columns))
-		for i := range full {
-			full[i] = Null
+		for j, ci := range colOrder {
+			full[ci] = sourceRows[i][j]
 		}
-		for i, ci := range colOrder {
-			full[ci] = src[i]
-		}
-		if err := t.insertRow(full, qc, wtx); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+		return nil
+	}, qc, wtx)
 }
 
 // hasSubquery reports whether e contains a subquery (scalar, EXISTS, or
@@ -566,7 +557,7 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 		return err
 	}
 	for _, idx := range t.idxs() {
-		if !idx.Unique {
+		if idx == nil || !idx.Unique {
 			continue
 		}
 		if len(pend) == 1 { // the as-you-go loop's call: no tallies to keep
@@ -608,8 +599,8 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 }
 
 // InsertRows bulk-loads rows (Go values, table column order) into a table
-// as one autocommit write. It is the fast path used by the benchmark data
-// generators.
+// as one autocommit write, through the path and the checks of INSERT. It is
+// the fast path used by the benchmark data generators.
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	qc := newQueryCtx(context.Background(), db)
 	defer qc.flush()
@@ -626,14 +617,14 @@ func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	if err != nil {
 		return err
 	}
-	for _, raw := range rows {
-		row := make(Row, len(raw))
-		for i, x := range raw {
-			row[i] = GoValue(x)
+	_, err = t.insertRows(len(rows), func(i int, r Row) error {
+		if len(rows[i]) != len(r) {
+			return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(r), len(rows[i]))
 		}
-		if err := t.insertRow(row, qc, wtx); err != nil {
-			return err
+		for c, x := range rows[i] {
+			r[c] = GoValue(x)
 		}
-	}
-	return nil
+		return nil
+	}, qc, wtx)
+	return err
 }

@@ -71,7 +71,7 @@ func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 		// deterministic output.
 		var stmts []string
 		for _, idx := range t.idxs() {
-			if strings.HasPrefix(idx.Name, "auto_") {
+			if idx == nil || strings.HasPrefix(idx.Name, "auto_") {
 				continue
 			}
 			ci := CreateIndexStmt{Name: idx.Name, Table: t.Name, Column: t.Columns[idx.Column].Name, Unique: idx.Unique}

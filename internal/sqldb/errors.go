@@ -162,8 +162,7 @@ func CodeOf(err error) ErrorCode {
 		if e, ok := err.(*Error); ok {
 			return e.Code
 		}
-		if e, ok := err.(*ParseError); ok {
-			_ = e
+		if _, ok := err.(*ParseError); ok {
 			return ErrParse
 		}
 		u, ok := err.(interface{ Unwrap() error })

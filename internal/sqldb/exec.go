@@ -1282,7 +1282,7 @@ func tryCorrelatedProbe(sc *scanOp, kept []Expr, db *Database, params []Value, o
 			return nil, err
 		}
 		sc.probe = &corrProbe{column: ci, keyC: keyC, colE: colRef, keyE: keyE, ids: []int{},
-			idx: sc.table.idxs()[strings.ToLower(colRef.Column)]} // nil idx: the first probe builds one
+			idx: sc.table.idxs()[ci]} // nil idx: the first probe builds one
 		return append(append([]Expr{}, kept[:i]...), kept[i+1:]...), nil
 	}
 	return kept, nil
@@ -1295,7 +1295,10 @@ func indexFor(t *Table, qual string, col *ColumnRef) *Index {
 	if col.Table != "" && !strings.EqualFold(col.Table, qual) {
 		return nil
 	}
-	return t.idxs()[strings.ToLower(col.Column)]
+	if ci := t.ColumnIndex(col.Column); ci >= 0 {
+		return t.idxs()[ci]
+	}
+	return nil
 }
 
 // rangeConjunct decomposes a conjunct into a column reference and the

@@ -112,6 +112,17 @@ func (env *evalEnv) resolve(ref *ColumnRef) (int, *evalEnv, error) {
 	return 0, nil, errf(ErrNoColumn, "sql: no such column: %s", ref)
 }
 
+// negate is unary minus: NULL stays NULL, an integer stays integral.
+func negate(v Value) Value {
+	switch v.kind {
+	case KindNull:
+		return Null
+	case KindInt:
+		return Int(-v.AsInt())
+	}
+	return Float(-v.AsFloat())
+}
+
 // evalArith implements SQLite-style arithmetic: integer op integer stays
 // integral (with truncating division); any REAL operand promotes to REAL;
 // division or modulo by zero yields NULL.

@@ -71,7 +71,11 @@ func checkIndexesExact(db *Database, name string) error {
 		}
 		return j
 	}
-	for col, idx := range t.idxs() {
+	for _, idx := range t.idxs() {
+		if idx == nil {
+			continue
+		}
+		col := t.Columns[idx.Column].Name
 		ps = ps[:0]
 		if err := t.reachable(idx.Column, func(v Value, id int) {
 			ps = append(ps, posting{v, hashKey(indexKey(v)), id})
@@ -189,7 +193,7 @@ func TestIndexMaintenanceProportionalToChange(t *testing.T) {
 		db.MustExec("SELECT id FROM t ORDER BY k LIMIT 1")
 		tbl, _ := db.Table("t")
 		views := func() (idView, kView *ordView) {
-			return tbl.idxs()["id"].ord.Load(), tbl.idxs()["k"].ord.Load()
+			return tbl.idxs()[tbl.ColumnIndex("id")].ord.Load(), tbl.idxs()[tbl.ColumnIndex("k")].ord.Load()
 		}
 		if a, b := views(); a == nil || b == nil {
 			t.Fatal("views not live before the measured section")
@@ -251,7 +255,7 @@ func TestOrdAddCopiesOneChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbl, _ := db.Table("t")
-		idx := tbl.idxs()["id"]
+		idx := tbl.idxs()[tbl.ColumnIndex("id")]
 		if n := len(viewEntries(tbl, idx)); n != tc.n {
 			t.Fatalf("view holds %d entries, want %d", n, tc.n)
 		}
@@ -309,7 +313,7 @@ func concurrentOrderedReads(t *testing.T, viewsLive bool) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.Table("t")
-	pages := func() int { return len(*tbl.idxs()["k"].ord.Load()) }
+	pages := func() int { return len(*tbl.idxs()[tbl.ColumnIndex("k")].ord.Load()) }
 	pagesBefore := 0
 	if viewsLive {
 		db.MustExec("SELECT id FROM t ORDER BY k LIMIT 1")
@@ -375,7 +379,7 @@ func concurrentOrderedReads(t *testing.T, viewsLive bool) {
 	if db.Stats().VacuumRuns == vacuumsBefore {
 		t.Error("the background vacuum never ran during the race")
 	}
-	if tbl.idxs()["k"].ord.Load() == nil {
+	if tbl.idxs()[tbl.ColumnIndex("k")].ord.Load() == nil {
 		t.Error("no reader built the ordered view of k")
 	} else if viewsLive && pages() <= pagesBefore {
 		t.Errorf("the view of k spans %d pages after the race, %d before: no page split", pages(), pagesBefore)
@@ -403,7 +407,7 @@ func TestIndexMaintenanceMixedKinds(t *testing.T) {
 				return fmt.Errorf("%s: %v", step, err)
 			}
 			tbl, _ := db.Table("x")
-			idx := tbl.idxs()["v"]
+			idx := tbl.idxs()[tbl.ColumnIndex("v")]
 			for _, probe := range []Value{Int(1), Float(1), Bool(true)} {
 				if got := idx.appendIDs(nil, probe); fmt.Sprint(got) != fmt.Sprint(one) {
 					return fmt.Errorf("%s: the class of %v (%v) lists %v, want %v", step, probe, probe.Kind(), got, one)
@@ -501,7 +505,7 @@ func TestIndexHashCollisions(t *testing.T) {
 					db.MustExec("SELECT id FROM c ORDER BY k")
 				}
 				tbl, _ := db.Table("c")
-				idx := tbl.idxs()["k"]
+				idx := tbl.idxs()[tbl.ColumnIndex("k")]
 				step := func(name string, wantA, wantB string) {
 					t.Helper()
 					before := db.Stats()

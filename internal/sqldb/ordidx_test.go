@@ -128,7 +128,7 @@ func TestRangeIDsSizedByRange(t *testing.T) {
 	db.Seal()
 	db.vacWG.Wait()
 	tab := db.tableMap()["big"]
-	idx := tab.idxs()["id"]
+	idx := tab.idxs()[tab.ColumnIndex("id")]
 	spec := rangeSpec{lo: &rangeBound{val: Int(5000), incl: true}, hi: &rangeBound{val: Int(5999), incl: true}}
 	collect := func() {
 		ids, _, err := collectRangeIDs(tab, idx, spec, nil)
@@ -212,7 +212,7 @@ func TestOrderedViewMaintainedAcrossDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := tbl.idxs()["k"]
+	idx := tbl.idxs()[tbl.ColumnIndex("k")]
 	if idx.ord.Load() == nil {
 		t.Fatal("ordered view not built by the first ordered query")
 	}
@@ -697,7 +697,7 @@ func TestPureUpdateWorkloadBoundsOrderedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := tbl.idxs()["k"]
+	idx := tbl.idxs()[tbl.ColumnIndex("k")]
 	for round := 0; round < 500; round++ {
 		// Every round moves each row to a brand-new distinct value.
 		db.MustExec("UPDATE t SET k = k + 8 WHERE id = ?", round%8)

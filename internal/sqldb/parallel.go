@@ -14,9 +14,9 @@ import (
 // without any static partitioning. What a worker does with a morsel is
 // not decided here: each one owns a private instance of the statement's
 // scan (scanOp, vecops.go) and runs it on the morsels it claims. The pool
-// is one fork-join loop, runFold, which spawns its workers and joins them
-// before it returns, so no worker outlives the pull that started it. Three
-// consumers run on it:
+// is one fork-join, fork, which spawns its workers and joins them before it
+// returns, so no worker outlives the call that started it. Four consumers
+// run on it — three scans, through runFold, and sealing:
 //
 //   - gatherOp: the scan's own rows, built morsel by morsel and joined in
 //     morsel order, so the output is bit-identical to the serial scan.
@@ -24,6 +24,9 @@ import (
 //     states; the owner merges them and restores serial first-seen group
 //     order from the scan ordinal at which each group appeared.
 //   - sortOp.drainTopK: workers keep private top-K heaps.
+//   - Table.seal (segment.go): workers claim a table's cold blocks and
+//     encode each, a pure function of its run; the blocks are published
+//     together, in block order, whichever worker encoded them.
 //
 // One instance is the serial case, run inline on the owner goroutine.
 // Whether a scan runs here is the planner's call (planScan, vecops.go):
@@ -218,22 +221,7 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 			}
 		}
 	}
-	if len(insts) == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := range insts {
-			wg.Add(1)
-			parallelWorkersActive.Add(1)
-			go func(w int) {
-				defer func() {
-					parallelWorkersActive.Add(-1)
-					wg.Done()
-				}()
-				run(w)
-			}(w)
-		}
-		wg.Wait()
+	if fork(len(insts), run); len(insts) > 1 {
 		// Workers' counters land on the planner's instance — the node
 		// EXPLAIN shows — and through it on the per-query recorder.
 		for _, inst := range insts {
@@ -252,6 +240,29 @@ func runFold(sc *scanOp, step func(*scanOp, int) error) ([]*scanOp, error) {
 		}
 	}
 	return insts, firstErr
+}
+
+// fork runs work(w) for every w below n and returns when all have: inline
+// on the caller's goroutine when n is 1, else on n workers it joins before
+// it returns — the pool's one spawn.
+func fork(n int, work func(w int)) {
+	if n == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	parallelWorkersActive.Add(int64(n))
+	for w := range n {
+		go func() {
+			defer func() {
+				parallelWorkersActive.Add(-1)
+				wg.Done()
+			}()
+			work(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // gatherOp is a pooled scan whose rows go up as they are, neither folded

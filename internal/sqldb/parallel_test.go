@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -26,10 +27,16 @@ func lowerMorselMinRows(t testing.TB, n int) {
 }
 
 // assertNoWorkerLeak asserts every spawned worker goroutine has exited.
-// The counter is engine-wide, and the suite does not run tests in
-// parallel, so zero here means no pool outlived its statement.
+// The counter is engine-wide and counts the workers of background sealing
+// passes too, so it first waits for the background runs in flight — of
+// any database, since the suite leaves some open — to end. The suite does
+// not run tests in parallel, so zero then means no pool outlived its
+// statement.
 func assertNoWorkerLeak(t *testing.T) {
 	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); maintenanceRuns.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := parallelWorkersActive.Load(); n != 0 {
 		t.Fatalf("parallelWorkersActive = %d, want 0 (worker goroutines leaked)", n)
 	}

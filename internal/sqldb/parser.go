@@ -63,8 +63,7 @@ func parseAll(src string) ([]Statement, error) {
 	p := &parser{toks: toks, src: src}
 	var stmts []Statement
 	for {
-		for p.peek().typ == tokOp && p.peek().text == ";" {
-			p.next()
+		for p.acceptOp(";") {
 		}
 		if p.peek().typ == tokEOF {
 			break
@@ -190,10 +189,8 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	s := &SelectStmt{}
-	if p.acceptKeyword("DISTINCT") {
-		s.Distinct = true
-	} else {
+	s := &SelectStmt{Distinct: p.acceptKeyword("DISTINCT")}
+	if !s.Distinct {
 		p.acceptKeyword("ALL")
 	}
 	for {
@@ -215,33 +212,22 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		for {
 			var kind JoinKind
 			switch {
-			case p.peek().typ == tokKeyword && p.peek().text == "JOIN":
-				p.next()
+			case p.acceptKeyword("JOIN"):
 				kind = JoinInner
-			case p.peek().typ == tokKeyword && p.peek().text == "INNER":
-				p.next()
-				if err := p.expectKeyword("JOIN"); err != nil {
-					return nil, err
-				}
-				kind = JoinInner
-			case p.peek().typ == tokKeyword && p.peek().text == "LEFT":
-				p.next()
+			case p.acceptKeyword("INNER"):
+				kind, err = JoinInner, p.expectKeyword("JOIN")
+			case p.acceptKeyword("LEFT"):
 				p.acceptKeyword("OUTER")
-				if err := p.expectKeyword("JOIN"); err != nil {
-					return nil, err
-				}
-				kind = JoinLeft
-			case p.peek().typ == tokKeyword && p.peek().text == "CROSS":
-				p.next()
-				if err := p.expectKeyword("JOIN"); err != nil {
-					return nil, err
-				}
-				kind = JoinCross
-			case p.peek().typ == tokOp && p.peek().text == ",":
-				p.next()
+				kind, err = JoinLeft, p.expectKeyword("JOIN")
+			case p.acceptKeyword("CROSS"):
+				kind, err = JoinCross, p.expectKeyword("JOIN")
+			case p.acceptOp(","):
 				kind = JoinCross
 			default:
 				kind = 255
+			}
+			if err != nil {
+				return nil, err
 			}
 			if kind == 255 {
 				break
@@ -342,8 +328,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	// `*` or `tbl.*`
-	if p.peek().typ == tokOp && p.peek().text == "*" {
-		p.next()
+	if p.acceptOp("*") {
 		return SelectItem{Expr: &Star{}}, nil
 	}
 	if p.peek().typ == tokIdent && p.peek2().typ == tokOp && p.peek2().text == "." {
@@ -351,8 +336,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		save := p.pos
 		tbl := p.next().text
 		p.next() // '.'
-		if p.peek().typ == tokOp && p.peek().text == "*" {
-			p.next()
+		if p.acceptOp("*") {
 			return SelectItem{Expr: &Star{Table: tbl}}, nil
 		}
 		p.pos = save
@@ -386,8 +370,7 @@ func (p *parser) parseAliasName() (string, error) {
 
 func (p *parser) parseTableRef() (TableRef, error) {
 	var tr TableRef
-	if p.peek().typ == tokOp && p.peek().text == "(" {
-		p.next()
+	if p.acceptOp("(") {
 		sub, err := p.parseSelect()
 		if err != nil {
 			return tr, err
@@ -474,6 +457,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 	for {
 		t := p.peek()
+		var right Expr
 		switch {
 		case t.typ == tokOp && (t.text == "=" || t.text == "!=" || t.text == "<>" ||
 			t.text == "<" || t.text == "<=" || t.text == ">" || t.text == ">="):
@@ -482,39 +466,18 @@ func (p *parser) parseComparison() (Expr, error) {
 			if op == "<>" {
 				op = "!="
 			}
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
+			right, err = p.parseAdditive()
 			left = &BinaryOp{Op: op, Left: left, Right: right}
-		case t.typ == tokKeyword && t.text == "IS":
-			p.next()
+		case p.acceptKeyword("IS"):
 			not := p.acceptKeyword("NOT")
-			if err := p.expectKeyword("NULL"); err != nil {
-				return nil, err
-			}
-			left = &IsNull{Expr: left, Not: not}
-		case t.typ == tokKeyword && t.text == "LIKE":
-			p.next()
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
+			left, err = &IsNull{Expr: left, Not: not}, p.expectKeyword("NULL")
+		case p.acceptKeyword("LIKE"):
+			right, err = p.parseAdditive()
 			left = &BinaryOp{Op: "LIKE", Left: left, Right: right}
-		case t.typ == tokKeyword && t.text == "IN":
-			p.next()
-			in, err := p.parseInTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-			left = in
-		case t.typ == tokKeyword && t.text == "BETWEEN":
-			p.next()
-			bt, err := p.parseBetweenTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-			left = bt
+		case p.acceptKeyword("IN"):
+			left, err = p.parseInTail(left, false)
+		case p.acceptKeyword("BETWEEN"):
+			left, err = p.parseBetweenTail(left, false)
 		case t.typ == tokKeyword && t.text == "NOT":
 			// `x NOT IN`, `x NOT LIKE`, `x NOT BETWEEN`
 			nx := p.peek2()
@@ -524,26 +487,18 @@ func (p *parser) parseComparison() (Expr, error) {
 			p.next() // NOT
 			switch p.next().text {
 			case "IN":
-				in, err := p.parseInTail(left, true)
-				if err != nil {
-					return nil, err
-				}
-				left = in
+				left, err = p.parseInTail(left, true)
 			case "LIKE":
-				right, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
+				right, err = p.parseAdditive()
 				left = &UnaryOp{Op: "NOT", Expr: &BinaryOp{Op: "LIKE", Left: left, Right: right}}
 			case "BETWEEN":
-				bt, err := p.parseBetweenTail(left, true)
-				if err != nil {
-					return nil, err
-				}
-				left = bt
+				left, err = p.parseBetweenTail(left, true)
 			}
 		default:
 			return left, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
@@ -633,24 +588,18 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	t := p.peek()
-	if t.typ == tokOp && t.text == "-" {
-		p.next()
+	if p.acceptOp("-") {
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		// Fold negative numeric literals so that -3 prints as -3, not -(3).
 		if lit, ok := e.(*Literal); ok && lit.Val.IsNumeric() {
-			if lit.Val.Kind() == KindInt {
-				return &Literal{Val: Int(-lit.Val.AsInt())}, nil
-			}
-			return &Literal{Val: Float(-lit.Val.AsFloat())}, nil
+			return &Literal{Val: negate(lit.Val)}, nil
 		}
 		return &UnaryOp{Op: "-", Expr: e}, nil
 	}
-	if t.typ == tokOp && t.text == "+" {
-		p.next()
+	if p.acceptOp("+") {
 		return p.parseUnary()
 	}
 	return p.parsePrimary()
@@ -774,8 +723,7 @@ func (p *parser) parseFuncCall() (Expr, error) {
 		return nil, err
 	}
 	fc := &FuncCall{Name: name}
-	if p.peek().typ == tokOp && p.peek().text == "*" {
-		p.next()
+	if p.acceptOp("*") {
 		fc.Star = true
 		if _, err := p.expectOp(")"); err != nil {
 			return nil, err

@@ -245,20 +245,17 @@ func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 	}
 	switch op.kind {
 	case 'I':
-		if err := t.insertRow(op.row, nil, tx); err != nil {
+		if err := t.insertRow(&rowVersion{row: op.row}, nil, tx); err != nil {
 			return recoveryCorrupt("replayed INSERT rejected: " + err.Error())
 		}
 		return nil
-	case 'D':
+	case 'D', 'U':
 		id, ok, err := findRowByImage(t, op.row)
 		if err != nil || !ok {
-			return cmp.Or(err, recoveryCorrupt("no row matches logged DELETE image in "+op.table))
+			return cmp.Or(err, recoveryCorrupt("no row matches logged "+map[byte]string{'D': "DELETE", 'U': "UPDATE"}[op.kind]+" image in "+op.table))
 		}
-		return t.deleteRow(id, tx)
-	case 'U':
-		id, ok, err := findRowByImage(t, op.row)
-		if err != nil || !ok {
-			return cmp.Or(err, recoveryCorrupt("no row matches logged UPDATE image in "+op.table))
+		if op.kind == 'D' {
+			return t.deleteRow(id, tx)
 		}
 		return t.updateRow(id, op.row2, nil, tx)
 	default:
@@ -297,7 +294,7 @@ func findRowByImage(t *Table, img Row) (int, bool, error) {
 	// An indexed column can narrow the scan; correctness only needs
 	// ascending ids, which both paths provide.
 	for _, idx := range t.idxs() {
-		if idx.Column >= len(img) {
+		if idx == nil || idx.Column >= len(img) {
 			continue
 		}
 		for _, id := range idx.appendIDs(nil, img[idx.Column]) {

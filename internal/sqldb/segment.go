@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // This file implements the cold half of the hybrid storage layout:
@@ -224,8 +225,9 @@ func (db *Database) Seal() int {
 }
 
 // seal runs one sealing pass over every table under the single-writer
-// latch (writers pause; lock-free readers do not); a background pass skips
-// the blocks written since the previous one.
+// latch (writers pause; lock-free readers do not), each table's blocks
+// encoded on the worker pool; a background pass skips the blocks written
+// since the previous one.
 func (db *Database) seal(background bool) int {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -237,7 +239,7 @@ func (db *Database) seal(background bool) int {
 	}
 	rows, nblk := 0, 0
 	for _, t := range db.tableMap() {
-		r, b := t.seal(h, since)
+		r, b := t.seal(h, since, db.maxWorkers)
 		rows, nblk = rows+r, nblk+b
 	}
 	db.stats.segmentsSealed.Add(uint64(nblk))
@@ -247,18 +249,29 @@ func (db *Database) seal(background bool) int {
 // seal freezes this table's cold full blocks — none written at or after
 // since — publishing the new blocks first and then a directory without
 // their runs. Only full blocks are sealed: appends land past n, so a full
-// block's slot population is final. Returns (rows sealed, blocks sealed).
-func (t *Table) seal(h, since uint64) (int, int) {
+// block's slot population is final. Up to workers workers claim the blocks
+// and encode them (fork, parallel.go). Returns (rows sealed, blocks sealed).
+func (t *Table) seal(h, since uint64, workers int) (int, int) {
 	dir, n := t.loadSlots()
 	segs := make([]*segBlock, n/segBlockSlots)
 	copy(segs, t.blocks())
-	next := slices.Clone(dir)
-	rows, nblk := 0, 0
+	var cold []int
 	for m := range segs {
 		if dir[m] != nil && (m >= len(t.touched) || t.touched[m] == 0 || t.touched[m] < since) {
-			if segs[m] = sealBlock(dir[m], len(t.Columns), h); segs[m] != nil {
-				rows, nblk, next[m] = rows+segs[m].nrows, nblk+1, nil
-			}
+			cold = append(cold, m)
+		}
+	}
+	var claim atomic.Int64
+	fork(min(workers, len(cold)), func(int) {
+		for i := int(claim.Add(1)) - 1; i < len(cold); i = int(claim.Add(1)) - 1 {
+			segs[cold[i]] = sealBlock(dir[cold[i]], len(t.Columns), h)
+		}
+	})
+	next := slices.Clone(dir)
+	rows, nblk := 0, 0
+	for _, m := range cold {
+		if segs[m] != nil {
+			rows, nblk, next[m] = rows+segs[m].nrows, nblk+1, nil
 		}
 	}
 	if nblk == 0 {
@@ -373,10 +386,11 @@ func sealColumn(vals []Value) segCol {
 	case kmBool:
 		c.enc = segEncBool
 	}
-	bmLen, index, dictLen := (n+7)/8, map[string]int{}, 0 // index: a text column's entries, by value
+	bmLen, index, dictLen := (n+7)/8, map[string]int(nil), 0 // index: a text column's entries, by value
 	size := bmLen
 	switch c.enc {
 	case segEncText:
+		index = make(map[string]int, nn)
 		for _, v := range vals {
 			if _, ok := index[v.s]; !ok && v.kind == KindText {
 				index[v.s], dictLen = len(index), dictLen+len(v.s)

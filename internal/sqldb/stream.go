@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -633,18 +634,8 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		src, lms = f, append(lms, f)
 	}
 
-	aggregate := len(stmt.GroupBy) > 0
-	if !aggregate {
-		for _, it := range stmt.Items {
-			if exprContainsAggregate(it.Expr) {
-				aggregate = true
-				break
-			}
-		}
-		if stmt.Having != nil && !aggregate {
-			aggregate = true
-		}
-	}
+	aggregate := len(stmt.GroupBy) > 0 || stmt.Having != nil ||
+		slices.ContainsFunc(stmt.Items, func(it SelectItem) bool { return exprContainsAggregate(it.Expr) })
 
 	items, outCols, err := expandItems(stmt.Items, src.columns())
 	if err != nil {
@@ -814,56 +805,47 @@ func buildSelectPlan(stmt *SelectStmt, db *Database, params []Value, outer *eval
 		return nil
 	}
 
-	var root operator
+	var actx *aggCtx
 	if aggregate {
 		groupStrs := make([]string, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			groupStrs[i] = g.String()
 		}
-		actx := &aggCtx{groupStrs: groupStrs, aggs: aggs}
+		actx = &aggCtx{groupStrs: groupStrs, aggs: aggs}
 		env.agg = actx
-
-		citems := make([]compiledExpr, len(items))
+	}
+	fused := !aggregate && bscan != nil && bscan.proj != nil
+	var citems []compiledExpr
+	if !fused && !pass { // a fused scan compiled the items into its own pipeline
+		citems = make([]compiledExpr, len(items))
 		for i, it := range items {
 			if citems[i], err = compileExpr(it.Expr, env); err != nil {
 				return nil, nil, err
 			}
 		}
-		var having compiledExpr
-		if stmt.Having != nil {
-			if having, err = compileExpr(stmt.Having, env); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := compileOrder(); err != nil {
+	}
+	var having compiledExpr
+	if stmt.Having != nil {
+		if having, err = compileExpr(stmt.Having, env); err != nil {
 			return nil, nil, err
 		}
-		root = &groupOp{
+	}
+	if err := compileOrder(); err != nil {
+		return nil, nil, err
+	}
+	var root operator
+	rb := rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv}
+	if aggregate {
+		g := &groupOp{
 			stmt: stmt, child: src, specs: specs, repRows: shape.repRows, actx: actx, env: env, having: having,
-			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
-			outCols:    outCols, db: db, params: params, outer: outer, qc: qc,
+			rowBuilder: rb, outCols: outCols, db: db, params: params, outer: outer, qc: qc,
 		}
 		if bscan != nil && bscan.folds {
-			root.(*groupOp).bat = bscan
+			g.bat = bscan
 		}
+		root = g
 	} else {
-		fused := bscan != nil && bscan.proj != nil
-		var citems []compiledExpr
-		if !fused && !pass { // a fused scan compiled the items into its own pipeline
-			citems = make([]compiledExpr, len(items))
-			for i, it := range items {
-				if citems[i], err = compileExpr(it.Expr, env); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if err := compileOrder(); err != nil {
-			return nil, nil, err
-		}
-		root = &projectOp{
-			child: src, outCols: outCols, items: items, env: env, fused: fused, pass: pass,
-			rowBuilder: rowBuilder{citems: citems, orderKeys: orderKeys, oenv: oenv},
-		}
+		root = &projectOp{child: src, outCols: outCols, items: items, env: env, fused: fused, pass: pass, rowBuilder: rb}
 	}
 	if !pass {
 		lendRows(src) // both read each input row and drop it

@@ -236,8 +236,8 @@ const (
 type undoRec struct {
 	kind  int
 	table *Table
-	id    int
-	// key is the catalog (or index-map) key for the DDL undo kinds.
+	id    int // the slot; for undoCreateIndex, the indexed column
+	// key is the catalog key for the table undo kinds.
 	key string
 }
 
@@ -314,13 +314,19 @@ func (tx *Txn) logWALOp(op walOp) {
 // wait for the fsync, so concurrent commits group into one. An append or
 // fsync failure returns a typed ErrIO — the writes are still applied in
 // memory, but the WAL is poisoned and every later commit fails the same way
-// until the database is reopened (which recovers the durable prefix).
+// until the database is reopened (which recovers the durable prefix). An
+// explicit transaction that wrote is refused once the database is closed:
+// it is rolled back, publishing nothing, and Commit returns ErrMisuse.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return errf(ErrMisuse, "sql: transaction already finished")
 	}
-	tx.done = true
 	db := tx.db
+	if tx.wrote && !tx.auto && db.isClosed() {
+		_ = tx.Rollback()
+		return errClosed
+	}
+	tx.done = true
 	var ioErr error
 	var syncGen uint64
 	var syncOff int64
@@ -377,7 +383,7 @@ func (tx *Txn) Rollback() error {
 				t := u.table
 				db.publishTables(func(m map[string]*Table) { m[u.key] = t })
 			case undoCreateIndex:
-				u.table.publishIndexes(func(m map[string]*Index) { delete(m, u.key) })
+				u.table.setIndex(u.id, nil)
 			}
 		}
 	}
@@ -496,14 +502,11 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 	if !held {
 		db.writeMu.Lock()
 	}
-	db.closeMu.Lock()
-	closed := db.closed
-	db.closeMu.Unlock()
-	if closed {
+	if db.isClosed() {
 		if !held {
 			db.writeMu.Unlock()
 		}
-		return nil, nil, errf(ErrMisuse, "sql: database is closed")
+		return nil, nil, errClosed
 	}
 	if tx == nil {
 		tx = &Txn{db: db, xid: db.tm.begin(), auto: true}

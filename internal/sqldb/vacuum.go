@@ -50,12 +50,19 @@ func (db *Database) spawn(latch *atomic.Bool, fn func(*Database)) {
 		return
 	}
 	db.vacWG.Add(1)
+	maintenanceRuns.Add(1)
 	go func() {
 		defer db.vacWG.Done()
+		defer maintenanceRuns.Add(-1)
 		defer latch.Store(false)
 		fn(db)
 	}()
 }
+
+// maintenanceRuns counts the background runs started and not finished,
+// engine-wide: test instrumentation, as parallelWorkersActive is, whose
+// count includes a sealing pass's workers.
+var maintenanceRuns atomic.Int64
 
 // maybeVacuum wakes the background vacuum when enough garbage has
 // accumulated. Single-flight: at most one vacuum goroutine exists.

@@ -317,29 +317,7 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 	case *UnaryOp:
 		switch t.Op {
 		case "-":
-			sub, ok := vc.compileExpr(t.Expr)
-			if !ok {
-				return nil, false
-			}
-			var out vecCol
-			slot := vc.slot()
-			return func(b *vecBatch) *vecCol {
-				v := sub(b)
-				scratch := b.colBuf(slot, b.n)
-				for i := 0; i < b.n; i++ {
-					sv := v.at(i)
-					switch {
-					case sv.kind == KindNull:
-						scratch[i] = Null
-					case sv.kind == KindInt:
-						scratch[i] = Int(-sv.AsInt())
-					default:
-						scratch[i] = Float(-sv.AsFloat())
-					}
-				}
-				out.setVals(scratch[:b.n])
-				return &out
-			}, true
+			return vc.mapExpr(t.Expr, negate)
 		case "NOT":
 			return vc.predAsExpr(e)
 		default:
@@ -348,27 +326,31 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 	case *IsNull, *Between, *InList:
 		return vc.predAsExpr(e)
 	case *CastExpr:
-		sub, ok := vc.compileExpr(t.Expr)
-		if !ok {
-			return nil, false
-		}
 		typ := t.Type
-		var out vecCol
-		slot := vc.slot()
-		return func(b *vecBatch) *vecCol {
-			v := sub(b)
-			scratch := b.colBuf(slot, b.n)
-			for i := 0; i < b.n; i++ {
-				scratch[i] = castValue(v.at(i), typ)
-			}
-			out.setVals(scratch[:b.n])
-			return &out
-		}, true
+		return vc.mapExpr(t.Expr, func(v Value) Value { return castValue(v, typ) })
 	default:
 		// FuncCall (incl. UDFs), CaseExpr, Subquery, ExistsExpr, Star,
 		// aggregate contexts: row fallback.
 		return nil, false
 	}
+}
+
+// mapExpr compiles the column that is f of e's, value by value.
+func (vc *vecCompiler) mapExpr(e Expr, f func(Value) Value) (vecExprFn, bool) {
+	sub, ok := vc.compileExpr(e)
+	if !ok {
+		return nil, false
+	}
+	var out vecCol
+	slot := vc.slot()
+	return func(b *vecBatch) *vecCol {
+		v, scratch := sub(b), b.colBuf(slot, b.n)
+		for i := range b.n {
+			scratch[i] = f(v.at(i))
+		}
+		out.setVals(scratch[:b.n])
+		return &out
+	}, true
 }
 
 // predAsExpr materialises a predicate's three-valued result as a Bool/NULL

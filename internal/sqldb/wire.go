@@ -49,11 +49,11 @@ func (db *Database) QueryRowsStmt(ctx context.Context, sel *SelectStmt, tx *Txn,
 // returns to zero after killing connections at every protocol state.
 func (db *Database) LiveSnapshots() int { return db.tm.liveSnapshots() }
 
-// LiveParallelWorkers reports engine-wide live parallel-scan worker
-// goroutines. A pool is spawned and joined inside one pull (runFold), so
-// it is zero whenever no statement is inside Next, Collect or Query — an
-// open cursor included. Like LiveSnapshots it exists for leak assertions,
-// however the connection died.
+// LiveParallelWorkers reports engine-wide live worker goroutines of the
+// pool. A pool is spawned and joined inside one pull (runFold) or one
+// sealing pass, so it is zero whenever no statement is inside Next, Collect
+// or Query — an open cursor included — and no table is being sealed. Like
+// LiveSnapshots it exists for leak assertions, however the connection died.
 func LiveParallelWorkers() int64 { return parallelWorkersActive.Load() }
 
 // NumParams reports the number of positional ? parameters stmt references
