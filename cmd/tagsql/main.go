@@ -187,7 +187,6 @@ func printCounters(qs sqldb.QueryStats) {
 	fmt.Printf("segments         %d scans / %d blocks decoded\n", qs.SegmentScans, qs.DecodedBlocks)
 	fmt.Printf("vectorized       %d batches / %d row fallbacks\n", qs.VectorBatches, qs.RowFallbacks)
 	fmt.Printf("lm functions     %d calls / %d batches / %d deduplicated\n", qs.LMCalls, qs.LMBatches, qs.LMDedup)
-	fmt.Printf("reclaimed        %d versions\n", qs.VersionsReclaimed)
 }
 
 // dump writes the database as a replayable SQL script — the same format
@@ -257,11 +256,10 @@ func printStats(db *sqldb.Database) {
 		SegmentScans: s.SegmentScans, DecodedBlocks: s.DecodedBlocks,
 		VectorBatches: s.VectorBatches, RowFallbacks: s.RowFallbacks,
 		LMCalls: s.LMCalls, LMBatches: s.LMBatches, LMDedup: s.LMDedup,
-		VersionsReclaimed: s.VersionsReclaimed,
 	})
 	fmt.Printf("transactions     %d begun / %d committed / %d rolled back / %d active\n",
 		s.Begins, s.Commits, s.Rollbacks, s.ActiveTxns)
-	fmt.Printf("vacuum           %d runs\n", s.VacuumRuns)
+	fmt.Printf("vacuum           %d runs / %d versions reclaimed\n", s.VacuumRuns, s.VersionsReclaimed)
 	fmt.Printf("wal              %d appends / %d bytes / %d checkpoints / %d group commits\n",
 		s.WALAppends, s.WALBytes, s.Checkpoints, s.WALGroupCommits)
 	fmt.Printf("recovery         %d txns replayed / %d torn tails dropped\n", s.RecoveredTxns, s.TornTailsDropped)

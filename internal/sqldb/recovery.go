@@ -85,7 +85,7 @@ func (db *Database) openWAL(ctx context.Context, dir string) error {
 			return err
 		}
 		if torn {
-			db.stats.tornDropped.Add(1)
+			db.stats.add(func(s *Stats) { s.TornTailsDropped++ })
 		}
 		activeGen, activeValid, haveActive = g, validOff, true
 	}
@@ -226,7 +226,7 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 			return err
 		}
 	}
-	db.stats.recoveredTxns.Add(1)
+	db.stats.add(func(s *Stats) { s.RecoveredTxns++ })
 	return nil
 }
 

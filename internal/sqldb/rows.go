@@ -78,7 +78,7 @@ func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value
 	for i, c := range cols {
 		names[i] = c.name
 	}
-	db.stats.openCursors.Add(1)
+	db.stats.add(func(s *Stats) { s.OpenCursors++ })
 	return &Rows{db: db, qc: qc, root: root, cols: names, lent: lend}, nil
 }
 
@@ -192,7 +192,7 @@ func (r *Rows) Close() error {
 			s.release()
 		}
 	}
-	r.db.stats.openCursors.Add(-1)
+	r.db.stats.add(func(s *Stats) { s.OpenCursors-- })
 	r.qc.flush() // releases the cursor's snapshot reference
 	return nil
 }

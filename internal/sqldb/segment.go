@@ -242,7 +242,7 @@ func (db *Database) seal(background bool) int {
 		r, b := t.seal(h, since, db.maxWorkers)
 		rows, nblk = rows+r, nblk+b
 	}
-	db.stats.segmentsSealed.Add(uint64(nblk))
+	db.stats.add(func(s *Stats) { s.SegmentsSealed += uint64(nblk) })
 	return rows
 }
 

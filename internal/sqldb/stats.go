@@ -2,23 +2,24 @@ package sqldb
 
 import (
 	"context"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
 // This file implements the database's observability surface. Every
 // statement execution carries a queryCtx — the per-execution bundle of
 // context.Context (cancellation) and locally accumulated counters — and
-// folds its counters into the database-wide atomics exactly once when it
-// finishes. Database.Stats() is therefore an aggregation of per-query
-// recorders, not a set of ad-hoc global increments: concurrent cursors
-// each accumulate privately and publish atomically at Close, so no query's
-// work is ever attributed to another. The per-query slice is visible on
-// its own as a QueryStats (Rows.Stats, ExplainAnalyze); Database.Stats()
-// snapshots the aggregate, giving operators of a busy instance the numbers
-// that matter under heavy traffic: how many queries ran, how often the
-// plan cache hit, how much data scans actually touched, and whether
-// cursors are being leaked.
+// folds its counters into the database-wide aggregate exactly once when it
+// finishes. The aggregate is one Stats under one lock (dbStats): a query's
+// fold and every engine event (a Begin, a WAL append, a vacuum pass) move
+// their counters in one locked call, so concurrent cursors each accumulate
+// privately, no query's work is ever attributed to another, and
+// Database.Stats() is a consistent snapshot — never half of an event. The
+// per-query slice is visible on its own as a QueryStats (Rows.Stats,
+// ExplainAnalyze); Database.Stats() copies the aggregate, giving operators
+// of a busy instance the numbers that matter under heavy traffic: how many
+// queries ran, how often the plan cache hit, how much data scans actually
+// touched, and whether cursors are being leaked.
 
 // Stats is a point-in-time snapshot of a database's counters.
 type Stats struct {
@@ -75,7 +76,8 @@ type Stats struct {
 	ActiveTxns int64
 	// VacuumRuns counts vacuum passes (background or explicit);
 	// VersionsReclaimed counts row versions they removed once invisible
-	// to every live snapshot.
+	// to every live snapshot. Both are engine-wide only: a vacuum pass is
+	// no statement's work, so QueryStats has neither.
 	VacuumRuns        uint64
 	VersionsReclaimed uint64
 	// OpenCursors is the number of Rows cursors not yet closed. A steadily
@@ -125,86 +127,30 @@ type Stats struct {
 	LMDedup   uint64
 }
 
-// dbStats is the database-wide aggregate, updated with atomics.
+// dbStats is the database-wide aggregate: one Stats under one lock. Each
+// event moves all of its counters in one add, so no snapshot sees half of
+// one (a Begin's Begins without its ActiveTxns).
 type dbStats struct {
-	queries         atomic.Uint64
-	execs           atomic.Uint64
-	rowsScanned     atomic.Uint64
-	rowsEmitted     atomic.Uint64
-	indexScans      atomic.Uint64
-	fullScans       atomic.Uint64
-	indexRangeScans atomic.Uint64
-	orderedOrders   atomic.Uint64
-	subplanHits     atomic.Uint64
-	subplanMisses   atomic.Uint64
-	ordMaintains    atomic.Uint64
-	tombSkipped     atomic.Uint64
-	openCursors     atomic.Int64
-
-	begins            atomic.Uint64
-	commits           atomic.Uint64
-	rollbacks         atomic.Uint64
-	activeTxns        atomic.Int64
-	vacuumRuns        atomic.Uint64
-	versionsReclaimed atomic.Uint64
-
-	walAppends      atomic.Uint64
-	walBytes        atomic.Uint64
-	checkpoints     atomic.Uint64
-	recoveredTxns   atomic.Uint64
-	tornDropped     atomic.Uint64
-	walGroupCommits atomic.Uint64
-
-	segmentsSealed atomic.Uint64
-	segmentScans   atomic.Uint64
-	decodedBlocks  atomic.Uint64
-	vectorBatches  atomic.Uint64
-	rowFallbacks   atomic.Uint64
-
-	lmCalls   atomic.Uint64
-	lmBatches atomic.Uint64
-	lmDedup   atomic.Uint64
+	mu sync.Mutex
+	s  Stats
 }
 
-// Stats returns a snapshot of the database's counters.
+// add applies one event's counter moves under the lock.
+func (d *dbStats) add(f func(*Stats)) {
+	d.mu.Lock()
+	f(&d.s)
+	d.mu.Unlock()
+}
+
+// Stats returns a consistent snapshot of the database's counters: every
+// event is in it whole or not at all. The plan-cache counts are the
+// statement cache's own, bumped before a statement has a queryCtx.
 func (db *Database) Stats() Stats {
-	return Stats{
-		Queries:            db.stats.queries.Load(),
-		Execs:              db.stats.execs.Load(),
-		PlanCacheHits:      db.plans.hits.Load(),
-		PlanCacheMisses:    db.plans.misses.Load(),
-		RowsScanned:        db.stats.rowsScanned.Load(),
-		RowsEmitted:        db.stats.rowsEmitted.Load(),
-		IndexScans:         db.stats.indexScans.Load(),
-		FullScans:          db.stats.fullScans.Load(),
-		IndexRangeScans:    db.stats.indexRangeScans.Load(),
-		OrderedIndexOrders: db.stats.orderedOrders.Load(),
-		SubplanCacheHits:   db.stats.subplanHits.Load(),
-		SubplanCacheMisses: db.stats.subplanMisses.Load(),
-		OrdMaintains:       db.stats.ordMaintains.Load(),
-		TombstonesSkipped:  db.stats.tombSkipped.Load(),
-		Begins:             db.stats.begins.Load(),
-		Commits:            db.stats.commits.Load(),
-		Rollbacks:          db.stats.rollbacks.Load(),
-		ActiveTxns:         db.stats.activeTxns.Load(),
-		VacuumRuns:         db.stats.vacuumRuns.Load(),
-		VersionsReclaimed:  db.stats.versionsReclaimed.Load(),
-		OpenCursors:        db.stats.openCursors.Load(),
-		WALAppends:         db.stats.walAppends.Load(),
-		WALBytes:           db.stats.walBytes.Load(),
-		Checkpoints:        db.stats.checkpoints.Load(),
-		RecoveredTxns:      db.stats.recoveredTxns.Load(),
-		TornTailsDropped:   db.stats.tornDropped.Load(),
-		WALGroupCommits:    db.stats.walGroupCommits.Load(),
-		SegmentsSealed:     db.stats.segmentsSealed.Load(),
-		SegmentScans:       db.stats.segmentScans.Load(),
-		DecodedBlocks:      db.stats.decodedBlocks.Load(),
-		VectorBatches:      db.stats.vectorBatches.Load(),
-		RowFallbacks:       db.stats.rowFallbacks.Load(),
-		LMCalls:            db.stats.lmCalls.Load(),
-		LMBatches:          db.stats.lmBatches.Load(),
-		LMDedup:            db.stats.lmDedup.Load(),
-	}
+	db.stats.mu.Lock()
+	s := db.stats.s
+	db.stats.mu.Unlock()
+	s.PlanCacheHits, s.PlanCacheMisses = db.plans.hits.Load(), db.plans.misses.Load()
+	return s
 }
 
 // QueryStats is one statement execution's slice of Stats: what a single
@@ -234,10 +180,6 @@ type QueryStats struct {
 	LMCalls   uint64
 	LMBatches uint64
 	LMDedup   uint64
-	// VersionsReclaimed counts row versions a synchronous Vacuum pass
-	// initiated by this execution removed (zero for ordinary statements —
-	// reclamation is a background concern).
-	VersionsReclaimed uint64
 	// Elapsed is the wall time since execution began (planning included);
 	// after the execution finishes it stops advancing.
 	Elapsed time.Duration
@@ -246,7 +188,7 @@ type QueryStats struct {
 // queryCtx carries one statement execution's cancellation context and its
 // locally accumulated counters. An execution runs on a single goroutine,
 // so the counters are plain integers; flush folds them into the
-// database's atomics once, when the execution finishes (Rows.Close, or
+// database's aggregate once, when the execution finishes (Rows.Close, or
 // the end of Query/Exec). A nil queryCtx is valid everywhere and means
 // "no context, no accounting" (EXPLAIN, internal helpers, tests).
 type queryCtx struct {
@@ -281,7 +223,7 @@ type queryCtx struct {
 	// ExplainAnalyze so ordinary executions skip all per-operator work.
 	rec *execRecorder
 
-	tick    uint32 // with flushed and founders in one word: the struct stays in the 288-byte size class
+	tick    uint32 // with flushed and founders in one word: the struct stays in the 256-byte size class
 	flushed bool
 	// founders counts the pool instances that founded groups in the
 	// execution's folded GROUP BYs (runAggregationBatch): what a pooled
@@ -391,32 +333,25 @@ func (qc *queryCtx) flush() {
 	}
 	qc.Elapsed = time.Since(qc.start)
 	qc.tallyLM()
-	s := &qc.db.stats
-	fold(&s.queries, qc.queries)
-	fold(&s.execs, qc.execs)
-	fold(&s.rowsScanned, qc.RowsScanned)
-	fold(&s.rowsEmitted, qc.RowsEmitted)
-	fold(&s.indexScans, qc.IndexScans)
-	fold(&s.fullScans, qc.FullScans)
-	fold(&s.indexRangeScans, qc.IndexRangeScans)
-	fold(&s.orderedOrders, qc.OrderedIndexOrders)
-	fold(&s.subplanHits, qc.SubplanCacheHits)
-	fold(&s.subplanMisses, qc.SubplanCacheMisses)
-	fold(&s.ordMaintains, qc.OrdMaintains)
-	fold(&s.tombSkipped, qc.TombstonesSkipped)
-	fold(&s.segmentScans, qc.SegmentScans)
-	fold(&s.decodedBlocks, qc.DecodedBlocks)
-	fold(&s.vectorBatches, qc.VectorBatches)
-	fold(&s.rowFallbacks, qc.RowFallbacks)
-	fold(&s.lmCalls, qc.LMCalls)
-	fold(&s.lmBatches, qc.LMBatches)
-	fold(&s.lmDedup, qc.LMDedup)
-}
-
-// fold adds one execution's count to its engine-wide atomic; most are zero
-// for any one statement and skip the contended write.
-func fold(total *atomic.Uint64, n uint64) {
-	if n > 0 {
-		total.Add(n)
-	}
+	qc.db.stats.add(func(s *Stats) {
+		s.Queries += qc.queries
+		s.Execs += qc.execs
+		s.RowsScanned += qc.RowsScanned
+		s.RowsEmitted += qc.RowsEmitted
+		s.IndexScans += qc.IndexScans
+		s.FullScans += qc.FullScans
+		s.IndexRangeScans += qc.IndexRangeScans
+		s.OrderedIndexOrders += qc.OrderedIndexOrders
+		s.SubplanCacheHits += qc.SubplanCacheHits
+		s.SubplanCacheMisses += qc.SubplanCacheMisses
+		s.OrdMaintains += qc.OrdMaintains
+		s.TombstonesSkipped += qc.TombstonesSkipped
+		s.SegmentScans += qc.SegmentScans
+		s.DecodedBlocks += qc.DecodedBlocks
+		s.VectorBatches += qc.VectorBatches
+		s.RowFallbacks += qc.RowFallbacks
+		s.LMCalls += qc.LMCalls
+		s.LMBatches += qc.LMBatches
+		s.LMDedup += qc.LMDedup
+	})
 }

@@ -271,8 +271,7 @@ type Txn struct {
 func (db *Database) Begin() *Txn {
 	xid := db.tm.begin()
 	tx := &Txn{db: db, xid: xid, snap: db.tm.capture(xid)}
-	db.stats.begins.Add(1)
-	db.stats.activeTxns.Add(1)
+	db.stats.add(func(s *Stats) { s.Begins++; s.ActiveTxns++ })
 	return tx
 }
 
@@ -336,8 +335,7 @@ func (tx *Txn) Commit() error {
 	db.tm.finish(tx.xid) // publication point
 	if !tx.auto {
 		db.tm.release(tx.snap)
-		db.stats.commits.Add(1)
-		db.stats.activeTxns.Add(-1)
+		db.stats.add(func(s *Stats) { s.Commits++; s.ActiveTxns-- })
 	}
 	if tx.wrote {
 		db.writeMu.Unlock()
@@ -389,8 +387,7 @@ func (tx *Txn) Rollback() error {
 	}
 	db.tm.finish(tx.xid)
 	db.tm.release(tx.snap)
-	db.stats.rollbacks.Add(1)
-	db.stats.activeTxns.Add(-1)
+	db.stats.add(func(s *Stats) { s.Rollbacks++; s.ActiveTxns-- })
 	if tx.wrote {
 		db.writeMu.Unlock()
 		db.maybeVacuum()

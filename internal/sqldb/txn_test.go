@@ -303,6 +303,96 @@ func TestTxnStatsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshotConsistent: a Stats read beside live traffic is whole —
+// every event is in it entirely or not at all, so Begins always equals
+// Commits + Rollbacks + ActiveTxns — and the aggregate loses nothing: the
+// final delta is the exact count of what ran.
+func TestStatsSnapshotConsistent(t *testing.T) {
+	const (
+		writers = 2
+		txns    = 20000 // per writer, half committed and half rolled back
+		every   = 10    // an autocommit SELECT after every 10th transaction
+		rows    = 8
+	)
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER)")
+	for i := range rows {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d)", i))
+	}
+	base := db.Stats()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range txns {
+				tx := db.Begin()
+				end := tx.Commit
+				if i%2 == 1 {
+					end = tx.Rollback
+				}
+				if err := end(); err != nil {
+					errs <- err
+					return
+				}
+				if i%every == 0 {
+					if _, err := db.Query("SELECT id FROM t"); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	reads, torn := 0, 0
+	var first Stats
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s := db.Stats()
+		if s.Begins != s.Commits+s.Rollbacks+uint64(s.ActiveTxns) {
+			if torn == 0 {
+				first = s
+			}
+			torn++
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if torn > 0 {
+		t.Errorf("%d of %d snapshots torn; first: Begins %d != Commits %d + Rollbacks %d + ActiveTxns %d",
+			torn, reads, first.Begins, first.Commits, first.Rollbacks, first.ActiveTxns)
+	}
+
+	s := db.Stats()
+	queries := uint64(writers * txns / every)
+	if got := s.Begins - base.Begins; got != writers*txns {
+		t.Errorf("Begins moved by %d, want %d", got, writers*txns)
+	}
+	if got := s.Commits - base.Commits; got != writers*txns/2 {
+		t.Errorf("Commits moved by %d, want %d", got, writers*txns/2)
+	}
+	if s.ActiveTxns != base.ActiveTxns {
+		t.Errorf("ActiveTxns = %d after every transaction ended, want %d", s.ActiveTxns, base.ActiveTxns)
+	}
+	if got := s.Queries - base.Queries; got != queries {
+		t.Errorf("Queries moved by %d, want %d", got, queries)
+	}
+	if got := s.RowsScanned - base.RowsScanned; got != queries*rows {
+		t.Errorf("RowsScanned moved by %d, want %d", got, queries*rows)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot lifecycle: every path that captures a registered snapshot must
 // release it, or the vacuum horizon never advances. These mirror the PR-6

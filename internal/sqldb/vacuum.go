@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The background vacuum replaces the old synchronous threshold compaction.
 // DML never pays an O(n) rebuild inside a statement anymore: writers only
@@ -68,7 +65,7 @@ var maintenanceRuns atomic.Int64
 // accumulated. Single-flight: at most one vacuum goroutine exists.
 func (db *Database) maybeVacuum() {
 	if db.garbage.Load() >= vacuumThreshold {
-		db.spawn(&db.vacuuming, func(db *Database) { db.vacuum(nil) })
+		db.spawn(&db.vacuuming, func(db *Database) { db.Vacuum() })
 	}
 }
 
@@ -83,17 +80,10 @@ func (db *Database) maybeCheckpoint() {
 }
 
 // Vacuum synchronously reclaims every version invisible to all live
-// snapshots and returns how many versions it removed. The background
-// vacuum calls the same pass; this entry point exists for tests and for
-// embedders that want deterministic reclamation.
+// snapshots and returns how many versions it removed, in one pass over
+// every table. The background vacuum runs the same call; this entry point
+// exists for tests and for embedders that want deterministic reclamation.
 func (db *Database) Vacuum() int {
-	qc := newQueryCtx(context.Background(), db)
-	defer qc.flush()
-	return db.vacuum(qc)
-}
-
-// vacuum runs one reclamation pass over every table.
-func (db *Database) vacuum(qc *queryCtx) int {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.garbage.Store(0)
@@ -103,13 +93,7 @@ func (db *Database) vacuum(qc *queryCtx) int {
 		r, _ := t.vacuum(h)
 		total += r
 	}
-	db.stats.vacuumRuns.Add(1)
-	if total > 0 {
-		db.stats.versionsReclaimed.Add(uint64(total))
-	}
-	if qc != nil {
-		qc.VersionsReclaimed += uint64(total)
-	}
+	db.stats.add(func(s *Stats) { s.VacuumRuns++; s.VersionsReclaimed += uint64(total) })
 	return total
 }
 

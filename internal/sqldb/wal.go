@@ -356,8 +356,7 @@ func (w *walWriter) appendLocked(buf []byte) error {
 	}
 	w.off += int64(len(buf))
 	w.sinceCkpt += int64(len(buf))
-	w.db.stats.walAppends.Add(1)
-	w.db.stats.walBytes.Add(uint64(len(buf)))
+	w.db.stats.add(func(s *Stats) { s.WALAppends++; s.WALBytes += uint64(len(buf)) })
 	return nil
 }
 
@@ -378,7 +377,7 @@ func (w *walWriter) waitSync(gen uint64, target int64) error {
 			if w.sGen > gen || (w.sGen == gen && w.synced >= target) {
 				w.syncMu.Unlock()
 				if !led {
-					w.db.stats.walGroupCommits.Add(1)
+					w.db.stats.add(func(s *Stats) { s.WALGroupCommits++ })
 				}
 				return nil
 			}
@@ -576,7 +575,7 @@ func (w *walWriter) checkpoint() error {
 	w.syncCond.Broadcast()
 	w.syncMu.Unlock()
 	w.removeObsolete(g)
-	db.stats.checkpoints.Add(1)
+	db.stats.add(func(s *Stats) { s.Checkpoints++ })
 	return nil
 }
 
