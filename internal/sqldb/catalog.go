@@ -546,7 +546,7 @@ func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
 	v.xmin = tx.xid
 	id := t.appendSlot(v)
 	t.liveRows.Add(1)
-	tx.record(undoInsert, t, id)
+	tx.record(undoRec{kind: undoInsert, table: t, id: id})
 	for _, idx := range idxs {
 		if idx != nil && idx.addEntry(r[idx.Column], id) && qc != nil {
 			qc.OrdMaintains++
@@ -607,7 +607,7 @@ func (t *Table) deleteRow(id int, tx *Txn) error {
 	tx.logWALOp(walOp{kind: 'D', table: t.Name, row: head.row})
 	head.xmax.Store(tx.xid)
 	t.liveRows.Add(-1)
-	tx.record(undoDelete, t, id)
+	tx.record(undoRec{kind: undoDelete, table: t, id: id})
 	tx.db.garbage.Add(1)
 	return nil
 }
@@ -628,7 +628,7 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) error {
 	nv.next.Store(head)
 	head.xmax.Store(tx.xid)
 	t.setHead(id, nv)
-	tx.record(undoUpdate, t, id)
+	tx.record(undoRec{kind: undoUpdate, table: t, id: id})
 	tx.db.garbage.Add(1)
 	for _, idx := range t.idxs() {
 		if idx == nil || old[idx.Column].Equal(updated[idx.Column]) {

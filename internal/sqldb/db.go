@@ -33,58 +33,38 @@ func (r *Result) Value(row int, col string) Value {
 }
 
 // String renders the result as an aligned text table (for the CLI shell and
-// for debugging).
+// for debugging): the column names, a rule under each, then the rows.
 func (r *Result) String() string {
+	lines := make([][]string, 2, 2+len(r.Rows))
+	lines[0], lines[1] = r.Columns, r.Columns // lines[1] is the rule, drawn below
 	widths := make([]int, len(r.Columns))
 	for i, c := range r.Columns {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			s := v.AsText()
-			if v.IsNull() {
-				s = "NULL"
+	for _, row := range r.Rows {
+		line := make([]string, len(row))
+		for i, v := range row {
+			if line[i] = v.AsText(); v.IsNull() {
+				line[i] = "NULL"
 			}
-			cells[ri][ci] = s
-			if ci < len(widths) && len(s) > widths[ci] {
-				widths[ci] = len(s)
-			}
+			widths[i] = max(widths[i], len(line[i]))
 		}
+		lines = append(lines, line)
 	}
 	var b strings.Builder
-	for i, c := range r.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(pad(c, widths[i]))
-	}
-	b.WriteByte('\n')
-	for i := range r.Columns {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", widths[i]))
-	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		for i, s := range row {
+	for li, line := range lines {
+		for i, s := range line {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			b.WriteString(pad(s, widths[i]))
+			if li == 1 {
+				s = strings.Repeat("-", widths[i])
+			}
+			b.WriteString(s + strings.Repeat(" ", widths[i]-len(s)))
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
 }
 
 // Query executes a SELECT statement, materialising its rows. It is
@@ -135,7 +115,7 @@ func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *T
 // a BEGIN or COMMIT earlier in the same text changes it — and every
 // statement, of every kind, is admitted against it before it runs.
 func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value, tx *Txn, session bool) (int, error) {
-	qc := newQueryCtx(ctx, db)
+	qc := new(queryCtx).init(ctx, db)
 	defer qc.flush()
 	total := 0
 	for _, stmt := range stmts {
@@ -216,12 +196,12 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 		}
 		return 0, tx.Rollback()
 	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
-		wtx, end, err := db.beginWrite(qc, tx)
+		wtx, err := db.beginWrite(qc, tx)
 		if err != nil {
 			return 0, err
 		}
 		err = db.ddl(stmt, wtx)
-		if e := end(); e != nil {
+		if e := db.endWrite(qc, wtx); e != nil {
 			err = e
 		}
 		return 0, err
@@ -266,7 +246,7 @@ func (db *Database) createTable(stmt *CreateTableStmt, tx *Txn) error {
 		return err
 	}
 	db.publishTables(func(m map[string]*Table) { m[key] = t })
-	tx.recordDDL(undoCreateTable, t, key)
+	tx.record(undoRec{kind: undoCreateTable, table: t, key: key})
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
@@ -305,7 +285,7 @@ func (db *Database) createIndex(stmt *CreateIndexStmt, tx *Txn) error {
 		}
 	}
 	t.setIndex(ci, idx)
-	tx.record(undoCreateIndex, t, ci)
+	tx.record(undoRec{kind: undoCreateIndex, table: t, id: ci})
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
@@ -320,23 +300,23 @@ func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
 		return errf(ErrNoTable, "sql: no such table: %s", stmt.Name)
 	}
 	db.publishTables(func(m map[string]*Table) { delete(m, key) })
-	tx.recordDDL(undoDropTable, t, key)
+	tx.record(undoRec{kind: undoDropTable, table: t, key: key})
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
 
 func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end, err := db.beginWrite(qc, tx)
+	wtx, err := db.beginWrite(qc, tx)
 	if err != nil {
 		return 0, err
 	}
-	// end() publishes the autocommit statement; on a durable database it
+	// endWrite publishes the autocommit statement; on a durable database it
 	// also appends the WAL record, whose failure must surface as the
 	// statement's error even over an engine error — an I/O failure poisons
 	// the log, and a statement whose partial work was applied but not made
 	// durable must report that.
 	defer func() {
-		if e := end(); e != nil {
+		if e := db.endWrite(qc, wtx); e != nil {
 			err = e
 		}
 	}()
@@ -433,12 +413,12 @@ type dmlTarget struct {
 // is anything applied — so an error or cancellation leaves the table
 // untouched.
 func (db *Database) mutate(table string, where Expr, set []SetClause, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
-	wtx, end, err := db.beginWrite(qc, tx)
+	wtx, err := db.beginWrite(qc, tx)
 	if err != nil {
 		return 0, err
 	}
 	defer func() {
-		if e := end(); e != nil {
+		if e := db.endWrite(qc, wtx); e != nil {
 			err = e
 		}
 	}()
@@ -602,14 +582,14 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 // as one autocommit write, through the path and the checks of INSERT. It is
 // the fast path used by the benchmark data generators.
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
-	qc := newQueryCtx(context.Background(), db)
+	qc := new(queryCtx).init(context.Background(), db)
 	defer qc.flush()
-	wtx, end, err := db.beginWrite(qc, db.currentTxn())
+	wtx, err := db.beginWrite(qc, db.currentTxn())
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := end(); e != nil {
+		if e := db.endWrite(qc, wtx); e != nil {
 			err = e
 		}
 	}()

@@ -14,8 +14,8 @@ import (
 // the committed state as of the call, and concurrent writers are neither
 // blocked nor reflected mid-script.
 func (db *Database) Dump(w io.Writer) error {
-	snap, release := db.beginRead(db.currentTxn())
-	defer release()
+	snap := db.beginRead(db.currentTxn())
+	defer db.tm.release(snap)
 	return db.dumpSnapshot(w, snap)
 }
 

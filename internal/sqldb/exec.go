@@ -593,11 +593,15 @@ func evalConst(e Expr, db *Database, params []Value, qc *queryCtx) (Value, error
 
 // expandItems resolves `*` and `tbl.*` select items against the input
 // schema and derives output column names. Expanded references are stamped
-// with their input ordinal so compilation skips name resolution.
+// with their input ordinal so compilation skips name resolution. A list
+// with no star is returned as it is, uncopied: it is read, never written.
 func expandItems(items []SelectItem, in []colInfo) ([]SelectItem, []colInfo, error) {
-	var out []SelectItem
-	for _, it := range items {
+	out, copied := items, false
+	for i, it := range items {
 		if st, ok := it.Expr.(*Star); ok {
+			if !copied {
+				out, copied = items[:i:i], true // full: the first append copies
+			}
 			matched := false
 			for i, c := range in {
 				if st.Table == "" || strings.EqualFold(st.Table, c.qual) {
@@ -610,7 +614,9 @@ func expandItems(items []SelectItem, in []colInfo) ([]SelectItem, []colInfo, err
 			}
 			continue
 		}
-		out = append(out, it)
+		if copied {
+			out = append(out, it)
+		}
 	}
 	cols := make([]colInfo, len(out))
 	for i, it := range out {

@@ -157,8 +157,9 @@ func TestRangeIDsSizedByRange(t *testing.T) {
 // gate on a 20,000-row table runs serial and one above it on the pool. Both
 // return the unindexed filter's rows, in its order.
 func TestRangeScanPoolGateCountsIDs(t *testing.T) {
-	db := bigDB(t, 20000)
-	db.maxWorkers = 4
+	// Built with four workers, not set after: the seal the load started
+	// reads maxWorkers in the background.
+	db := bigDB(t, 20000, WithMaxWorkers(4))
 	for _, c := range []struct {
 		hi     int
 		pooled bool

@@ -26,7 +26,7 @@ import "context"
 // released. A Rows is not safe for concurrent use by multiple goroutines.
 type Rows struct {
 	db     *Database
-	qc     *queryCtx
+	qc     queryCtx // the cursor's own: one allocation holds both
 	root   operator
 	cols   []string
 	cur    Row
@@ -55,14 +55,15 @@ func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*
 // row and drops it before the next Next, so the plan's head builds every
 // row in one reused buffer (lendRows).
 func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value, tx *Txn, rec *execRecorder, lend bool) (*Rows, error) {
-	qc := newQueryCtx(ctx, db)
+	r := &Rows{db: db, lent: lend}
+	qc := r.qc.init(ctx, db)
 	qc.queries = 1 // counted into Database.Stats when the recorder flushes
 	qc.rec = rec
 	if err := qc.admit(tx); err != nil {
 		qc.flush()
 		return nil, err
 	}
-	qc.snap, qc.releaseSnap = db.beginRead(tx)
+	qc.snap, qc.ownsSnap = db.beginRead(tx), true
 	root, cols, err := buildSelectPlan(sel, db, vals, nil, true, qc)
 	if err != nil {
 		qc.flush() // flush releases the snapshot reference
@@ -74,12 +75,12 @@ func (db *Database) queryRows(ctx context.Context, sel *SelectStmt, vals []Value
 	if rec != nil {
 		root = instrument(root, rec)
 	}
-	names := make([]string, len(cols))
+	r.root, r.cols = root, make([]string, len(cols))
 	for i, c := range cols {
-		names[i] = c.name
+		r.cols[i] = c.name
 	}
 	db.stats.add(func(s *Stats) { s.OpenCursors++ })
-	return &Rows{db: db, qc: qc, root: root, cols: names, lent: lend}, nil
+	return r, nil
 }
 
 // Columns returns the result column names.
@@ -141,19 +142,17 @@ func (r *Rows) Scan(dest ...any) error {
 		case *bool:
 			*p = v.AsBool()
 		case *any:
-			if v.IsNull() {
+			switch v.Kind() {
+			case KindNull:
 				*p = nil
-			} else {
-				switch v.Kind() {
-				case KindInt:
-					*p = v.AsInt()
-				case KindFloat:
-					*p = v.AsFloat()
-				case KindBool:
-					*p = v.AsBool()
-				default:
-					*p = v.AsText()
-				}
+			case KindInt:
+				*p = v.AsInt()
+			case KindFloat:
+				*p = v.AsFloat()
+			case KindBool:
+				*p = v.AsBool()
+			default:
+				*p = v.AsText()
 			}
 		default:
 			return errf(ErrCursor, "sql: Scan destination %d has unsupported type %T", i, d)

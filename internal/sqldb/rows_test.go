@@ -93,8 +93,8 @@ func TestRowsMatchesResultOverPlanCorpus(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Early termination (the acceptance criterion: LIMIT k reads O(k) rows)
 
-func bigDB(t testing.TB, n int) *Database {
-	db := NewDatabase()
+func bigDB(t testing.TB, n int, opts ...Option) *Database {
+	db := NewDatabase(opts...)
 	db.MustExec("CREATE TABLE big (id INTEGER PRIMARY KEY, grp INTEGER, v REAL)")
 	rows := make([][]any, n)
 	for i := range rows {

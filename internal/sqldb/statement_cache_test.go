@@ -156,9 +156,9 @@ func acctDB(t testing.TB) *Database {
 // TestCachedExecAllocatesNoParse: a repeated parameterised UPDATE / INSERT /
 // DELETE through Exec(text) allocates exactly what handing ExecStmtTx the
 // already-parsed statement allocates — nothing in lex, nothing in the parser
-// — and stays under a ceiling pinned from this change: 17 / 13 / 7
-// allocations an Exec, where the parent, which re-parsed each text and built
-// name maps to plan it, spent 43 / 32 / 19.
+// — and stays under a ceiling: 14 / 11 / 6 allocations an Exec, where a
+// parser per text and name maps to plan it spent 43 / 32 / 19, and a
+// statement-end closure 15 / 12 / 7.
 func TestCachedExecAllocatesNoParse(t *testing.T) {
 	db := acctDB(t)
 	next := 1 << 20
@@ -167,9 +167,9 @@ func TestCachedExecAllocatesNoParse(t *testing.T) {
 		params  func() []any
 		ceiling float64
 	}{
-		{"UPDATE acct SET bal = bal + ? WHERE id = ?", func() []any { return []any{1, 7} }, 18},
-		{"INSERT INTO acct VALUES (?, ?, ?)", func() []any { next++; return []any{next, "o", 5} }, 14},
-		{"DELETE FROM acct WHERE id = ?", func() []any { return []any{-1} }, 8},
+		{"UPDATE acct SET bal = bal + ? WHERE id = ?", func() []any { return []any{1, 7} }, 14},
+		{"INSERT INTO acct VALUES (?, ?, ?)", func() []any { next++; return []any{next, "o", 5} }, 11},
+		{"DELETE FROM acct WHERE id = ?", func() []any { return []any{-1} }, 6},
 	} {
 		stmt, err := Parse(c.sql)
 		if err != nil {
@@ -216,9 +216,10 @@ func TestLexAllocatesOnce(t *testing.T) {
 // TestOpenAllocatesNoNameMap: planning a point lookup and a two-table join
 // resolves its handful of column references by comparison. The parent built
 // a map of lower-cased names per scope: 28 and 88 allocations to run these,
-// 20 and 47 once it did not. Their bytes are pinned too, from when every
-// scan became the one leaf (1,440 and 3,768 B before it, +10 %): a point
-// read pays for no pipeline it does not run.
+// 20 and 47 once it did not, 15 and 36 since a cursor's queryCtx is part of
+// its Rows and autocommit reads share a snapshot (19 and 41 before). Their
+// bytes are pinned too, at what they measure plus 2 %: a point read pays
+// for no pipeline it does not run.
 func TestOpenAllocatesNoNameMap(t *testing.T) {
 	db := acctDB(t)
 	db.MustExec("CREATE TABLE branch (id INTEGER PRIMARY KEY, city TEXT)")
@@ -232,11 +233,11 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 		ceiling float64
 		bytes   uint64
 	}{
-		{"SELECT bal FROM acct WHERE id = ?", 21, 1600},
-		{"SELECT a.bal, b.city FROM acct a JOIN branch b ON a.id = b.id WHERE b.id = ?", 49, 4150},
+		{"SELECT bal FROM acct WHERE id = ?", 15, 1250},
+		{"SELECT a.bal, b.city FROM acct a JOIN branch b ON a.id = b.id WHERE b.id = ?", 36, 3650},
 		// An ordered walk the LIMIT stops after one row: the run it read is
 		// the row, and the batch goes back to the pool at Close.
-		{"SELECT bal FROM acct WHERE id > ? ORDER BY id LIMIT 1", 23, 1850},
+		{"SELECT bal FROM acct WHERE id > ? ORDER BY id LIMIT 1", 17, 1600},
 	} {
 		sel, err := db.plans.selectStmt(c.sql, "test")
 		if err != nil {

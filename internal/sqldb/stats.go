@@ -210,12 +210,8 @@ type queryCtx struct {
 	// latest-committed.
 	snap *snapshot
 	// wtx is the transaction a DML statement writes under (set between
-	// beginWrite and its end callback).
+	// beginWrite and endWrite).
 	wtx *Txn
-	// releaseSnap, when set, drops the execution's snapshot reference at
-	// flush — the cursor path, where the snapshot must live exactly as
-	// long as iteration can still happen.
-	releaseSnap func()
 
 	start time.Time
 
@@ -223,16 +219,21 @@ type queryCtx struct {
 	// ExplainAnalyze so ordinary executions skip all per-operator work.
 	rec *execRecorder
 
-	tick    uint32 // with flushed and founders in one word: the struct stays in the 256-byte size class
+	tick    uint32 // with flushed, ownsSnap and founders in one word: the struct stays in the 256-byte size class
 	flushed bool
+	// ownsSnap: flush releases snap's reference, a cursor's (beginRead),
+	// which lives exactly as long as iteration can still happen.
+	ownsSnap bool
 	// founders counts the pool instances that founded groups in the
 	// execution's folded GROUP BYs (runAggregationBatch): what a pooled
 	// fold's merge costs in proportion to.
 	founders uint16
 }
 
-func newQueryCtx(ctx context.Context, db *Database) *queryCtx {
-	qc := &queryCtx{ctx: ctx, db: db, start: time.Now()}
+// init readies a zero qc — allocated alone, or inside the Rows it serves —
+// for one execution on db under ctx, and returns it.
+func (qc *queryCtx) init(ctx context.Context, db *Database) *queryCtx {
+	qc.ctx, qc.db, qc.start = ctx, db, time.Now()
 	fs := db.funcs
 	if ctx != nil {
 		if bound, ok := ctx.Value(funcSetKey{}).(FuncSet); ok {
@@ -326,10 +327,9 @@ func (qc *queryCtx) flush() {
 		return
 	}
 	qc.flushed = true
-	if qc.releaseSnap != nil {
-		qc.releaseSnap()
-		qc.releaseSnap = nil
-		qc.snap = nil
+	if qc.ownsSnap {
+		qc.db.tm.release(qc.snap)
+		qc.ownsSnap, qc.snap = false, nil
 	}
 	qc.Elapsed = time.Since(qc.start)
 	qc.tallyLM()

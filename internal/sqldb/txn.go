@@ -43,10 +43,12 @@ import (
 // treats as in-progress or future — invisible either way.
 
 // snapshot is a point in transaction-id space: it sees every transaction
-// that committed before it was captured, plus its own.
+// that committed before it was captured, plus its own. It is immutable
+// after capture, so autocommit reads between two transaction boundaries
+// share one (txnManager.shared).
 type snapshot struct {
 	// xid is the observing transaction's id; 0 for a read-only snapshot
-	// (autocommit SELECT).
+	// (autocommit SELECT, Dump, checkpoint).
 	xid uint64
 	// next: transaction ids >= next had not been allocated at capture.
 	next uint64
@@ -109,6 +111,11 @@ type txnManager struct {
 	nextXID    uint64
 	inProgress map[uint64]struct{}
 	snaps      map[*snapshot]struct{}
+	// shared is the last snapshot captured for xid 0. begin and finish —
+	// the only writers of nextXID and inProgress — clear it; until then a
+	// fresh capture would equal it, so capture(0) hands it out again, with
+	// the same visibility and the same vacuum horizon.
+	shared *snapshot
 }
 
 func newTxnManager() *txnManager {
@@ -126,6 +133,7 @@ func (tm *txnManager) begin() uint64 {
 	xid := tm.nextXID
 	tm.nextXID++
 	tm.inProgress[xid] = struct{}{}
+	tm.shared = nil
 	return xid
 }
 
@@ -135,6 +143,7 @@ func (tm *txnManager) begin() uint64 {
 func (tm *txnManager) finish(xid uint64) {
 	tm.mu.Lock()
 	delete(tm.inProgress, xid)
+	tm.shared = nil
 	tm.mu.Unlock()
 }
 
@@ -150,12 +159,18 @@ func (tm *txnManager) captureLocked(xid uint64) *snapshot {
 	return s
 }
 
-// capture builds and registers a snapshot with one reference.
+// capture registers one reference on a snapshot for xid: a fresh one for
+// a transaction, the shared one (captured if none stands) for xid 0.
 func (tm *txnManager) capture(xid uint64) *snapshot {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	s := tm.captureLocked(xid)
-	s.refs = 1
+	s := tm.shared
+	if s == nil || xid != 0 {
+		if s = tm.captureLocked(xid); xid == 0 {
+			tm.shared = s
+		}
+	}
+	s.refs++
 	tm.snaps[s] = struct{}{}
 	return s
 }
@@ -188,8 +203,8 @@ func (tm *txnManager) release(s *snapshot) {
 	tm.mu.Unlock()
 }
 
-// liveSnapshots reports the number of registered snapshots — the leak
-// test's probe, mirroring the parallel worker counter.
+// liveSnapshots reports the number of registered snapshots — distinct
+// ones, so reads sharing one count once — the leak test's probe.
 func (tm *txnManager) liveSnapshots() int {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
@@ -275,25 +290,16 @@ func (db *Database) Begin() *Txn {
 	return tx
 }
 
-// record notes an undo step for rollback. Autocommit statement
-// transactions skip it: they are never rolled back (a failing statement
-// keeps its partial work, the engine's documented non-atomic statement
-// semantics).
-func (tx *Txn) record(kind int, t *Table, id int) {
-	if tx.auto {
-		return
+// record notes an undo step for rollback — of a row or of a schema change:
+// DDL inside an explicit transaction rolls back with it, keeping the WAL
+// (which only sees committed records) and the in-memory catalog in
+// lockstep. Autocommit statement transactions skip it: they are never
+// rolled back (a failing statement keeps its partial work, the engine's
+// documented non-atomic statement semantics).
+func (tx *Txn) record(u undoRec) {
+	if !tx.auto {
+		tx.undo = append(tx.undo, u)
 	}
-	tx.undo = append(tx.undo, undoRec{kind: kind, table: t, id: id})
-}
-
-// recordDDL notes a schema-change undo step. DDL inside an explicit
-// transaction rolls back with it, keeping the WAL (which only sees
-// committed records) and the in-memory catalog in lockstep.
-func (tx *Txn) recordDDL(kind int, t *Table, key string) {
-	if tx.auto {
-		return
-	}
-	tx.undo = append(tx.undo, undoRec{kind: kind, table: t, key: key})
 }
 
 // logWALOp captures one logical change for the commit-time WAL append.
@@ -471,30 +477,24 @@ func (db *Database) currentTxn() *Txn {
 // Statement entry points
 
 // beginRead returns the snapshot a reading statement evaluates visibility
-// against, plus a release callback. An autocommit read (tx nil) captures a
-// fresh registered snapshot; a read inside a transaction shares its
-// snapshot with an extra reference (the release may come from a cursor
-// that outlives the transaction).
-func (db *Database) beginRead(tx *Txn) (*snapshot, func()) {
+// against, with one reference the caller releases (tm.release; a cursor's
+// queryCtx.flush). An autocommit read (tx nil) takes the shared snapshot
+// of xid 0; a read inside a transaction takes its snapshot (the release
+// may come from a cursor that outlives the transaction).
+func (db *Database) beginRead(tx *Txn) *snapshot {
 	if tx != nil {
 		db.tm.addRef(tx.snap)
-		snap := tx.snap
-		return snap, func() { db.tm.release(snap) }
+		return tx.snap
 	}
-	s := db.tm.capture(0)
-	return s, func() { db.tm.release(s) }
+	return db.tm.capture(0)
 }
 
 // beginWrite pins the single-writer latch for one writing statement — DML
-// or DDL — and returns the transaction it runs in plus a statement-end
-// callback. For autocommit (tx nil) the transaction is a throwaway that
-// commits in end(), which also appends the statement's WAL record on a
-// durable database — end's error is the commit-time ErrIO surface and must
-// be propagated (the in-memory effects stand either way; see Txn.Commit).
-// Inside an explicit transaction the latch stays held (until
-// Commit/Rollback) and end() only clears the statement snapshot. A closed
-// database refuses the statement with ErrMisuse before it changes a row.
-func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error) {
+// or DDL — and returns the transaction it runs in, which the statement
+// hands to endWrite when it ends. For autocommit (tx nil) the transaction
+// is a throwaway that endWrite commits. A closed database refuses the
+// statement with ErrMisuse before it changes a row.
+func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, error) {
 	held := tx != nil && tx.wrote
 	if !held {
 		db.writeMu.Lock()
@@ -503,7 +503,7 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 		if !held {
 			db.writeMu.Unlock()
 		}
-		return nil, nil, errClosed
+		return nil, errClosed
 	}
 	if tx == nil {
 		tx = &Txn{db: db, xid: db.tm.begin(), auto: true}
@@ -511,12 +511,18 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, func() error, error
 	tx.wrote = true
 	qc.snap = db.tm.captureStmt(tx.xid)
 	qc.wtx = tx
-	return tx, func() error {
-		qc.snap = nil
-		qc.wtx = nil
-		if !tx.auto {
-			return nil
-		}
-		return tx.Commit()
-	}, nil
+	return tx, nil
+}
+
+// endWrite ends a statement beginWrite began in tx: it clears the statement
+// snapshot and commits an autocommit tx, appending its WAL record on a
+// durable database — the error is the commit-time ErrIO surface and must be
+// propagated (the in-memory effects stand either way; see Txn.Commit). An
+// explicit transaction keeps the latch until Commit or Rollback.
+func (db *Database) endWrite(qc *queryCtx, tx *Txn) error {
+	qc.snap, qc.wtx = nil, nil
+	if !tx.auto {
+		return nil
+	}
+	return tx.Commit()
 }

@@ -509,6 +509,93 @@ func TestOpenCursorPinsVacuumHorizon(t *testing.T) {
 	}
 }
 
+// TestSharedReadSnapshot: autocommit reads with no transaction boundary
+// between them share one snapshot, and every boundary — an autocommit
+// write, a Begin, a Commit, a Rollback — makes the next read capture anew,
+// so sharing moves no answer and no vacuum horizon. An explicit
+// transaction's snapshot is never handed to an autocommit read.
+func TestSharedReadSnapshot(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+	open := func() *Rows {
+		t.Helper()
+		rows, err := db.QueryRows(context.Background(), "SELECT id FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	a, b := open(), open()
+	if n := db.LiveSnapshots(); n != 1 || a.qc.snap != b.qc.snap {
+		t.Errorf("two reads with no boundary between them hold %d snapshots, want 1 shared", n)
+	}
+	a.Close()
+	b.Close()
+
+	count := func() int64 {
+		t.Helper()
+		res, err := db.Query("SELECT COUNT(*) FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	want := int64(0)
+	for i := 0; i < 1000; i++ {
+		if i%3 == 0 {
+			db.MustExec("INSERT INTO t VALUES (?)", i)
+			want++
+		} else {
+			tx := db.Begin()
+			if _, err := tx.Exec("INSERT INTO t VALUES (?)", i); err != nil {
+				t.Fatal(err)
+			}
+			r := open()
+			if r.qc.snap == tx.snap || r.qc.snap.xid != 0 {
+				t.Fatalf("step %d: an autocommit read was handed the open transaction's snapshot", i)
+			}
+			r.Close()
+			if n := count(); n != want {
+				t.Fatalf("step %d: a read beside an open transaction counts %d rows, want %d", i, n, want)
+			}
+			if i%3 == 1 {
+				err := tx.Commit()
+				if want++; err != nil {
+					t.Fatal(err)
+				}
+			} else if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := count(); n != want {
+			t.Fatalf("step %d: a read counts %d rows, want %d", i, n, want)
+		}
+	}
+
+	// A shared snapshot pins the horizon while a cursor holds it, and only
+	// then: the rows deleted after it are reclaimed once both cursors close.
+	db.vacWG.Wait()
+	reclaimed := db.Stats().VersionsReclaimed
+	a, b = open(), open()
+	deleted, err := db.Exec("DELETE FROM t WHERE id < 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Vacuum(); got != 0 {
+		t.Errorf("vacuum under two cursors sharing a snapshot reclaimed %d versions, want 0", got)
+	}
+	a.Close()
+	b.Close()
+	if n := db.LiveSnapshots(); n != 0 {
+		t.Errorf("LiveSnapshots = %d after every cursor closed, want 0", n)
+	}
+	db.Vacuum()
+	db.vacWG.Wait()
+	if got := db.Stats().VersionsReclaimed - reclaimed; got != uint64(deleted) {
+		t.Errorf("vacuum after the cursors closed reclaimed %d versions, want the %d deleted", got, deleted)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent readers and writers
 

@@ -196,13 +196,6 @@ func appendWalOp(b []byte, op walOp) []byte {
 	return b
 }
 
-// appendWalRecord frames a payload as one checksummed record.
-func appendWalRecord(b []byte, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
-}
-
 // walDecoder walks an encoded buffer with a sticky error.
 type walDecoder struct {
 	b   []byte
@@ -323,6 +316,9 @@ type walWriter struct {
 	off       int64 // last good record boundary (all bytes before it are whole records)
 	poisoned  bool  // a commit append/fsync failed; all later commits fail fast
 	sinceCkpt int64
+	// buf is the record appendCommit encodes in place, kept while at most
+	// walBufKeep; the holder of the single-writer latch owns it.
+	buf []byte
 
 	// Group commit. Appends happen under mu (and the single-writer
 	// latch), but the fsync that makes a commit durable is performed by
@@ -437,17 +433,29 @@ func (w *walWriter) waitSync(gen uint64, target int64) error {
 	}
 }
 
+// walBufKeep bounds the record buffer a writer keeps between commits: a
+// bulk load's record is encoded in a buffer of its own size and dropped.
+const walBufKeep = 64 << 10
+
 // appendCommit logs one committed unit as one record. Called at commit
-// time under the database's single-writer latch. Returns the (generation,
-// offset) position the record ended at; the caller makes it durable with
-// waitSync after releasing the latch, so concurrent commits share fsyncs.
+// time under the database's single-writer latch, which owns w.buf: the
+// ops are encoded behind an 8-byte header placeholder, the length and
+// CRC32 are written into the header in place, and the one slice is
+// appended. Returns the (generation, offset) position the record ended
+// at; the caller makes it durable with waitSync after releasing the
+// latch, so concurrent commits share fsyncs.
 func (w *walWriter) appendCommit(ops []walOp) (uint64, int64, error) {
-	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
+	rec := binary.LittleEndian.AppendUint32(append(w.buf[:0], make([]byte, 8)...), uint32(len(ops)))
 	for _, op := range ops {
-		payload = appendWalOp(payload, op)
+		rec = appendWalOp(rec, op)
+	}
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-8))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+	if w.buf = rec[:0]; cap(rec) > walBufKeep {
+		w.buf = nil
 	}
 	w.mu.Lock()
-	err := w.appendLocked(appendWalRecord(nil, payload))
+	err := w.appendLocked(rec)
 	gen, off := w.gen, w.off
 	w.mu.Unlock()
 	if err == nil {
@@ -521,8 +529,8 @@ func (w *walWriter) checkpoint() error {
 	// 1. Stream the full committed state to a temp snapshot — rows rendered
 	// one at a time, 64 KiB a write, so a smaller snapshot is still written
 	// in one piece — and fsync it.
-	// The snapshot is captured fresh (not via beginRead, which would join
-	// an open session transaction and see its uncommitted writes).
+	// The snapshot is one of xid 0 (not via beginRead, which would join an
+	// open session transaction and see its uncommitted writes).
 	f, err := w.fs.Create(snapTmp)
 	if err != nil {
 		return wrapIOErr(err)

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"testing"
@@ -21,6 +23,14 @@ import (
 // on demand).
 func withWAL(fs walFS, ckptBytes int64) Option {
 	return func(db *Database) { db.walFS, db.ckptBytes = fs, ckptBytes }
+}
+
+// appendWalRecord frames a payload as one checksummed record, as
+// appendCommit frames the ops it encodes.
+func appendWalRecord(b []byte, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // openWalDB opens a durable database named "db" on the given filesystem.
@@ -139,6 +149,87 @@ func TestReopenRecoversCommittedState(t *testing.T) {
 	// The rolled-back transaction (including its DDL) must not resurface.
 	if _, err := db2.Query("SELECT * FROM gone"); CodeOf(err) != ErrNoTable {
 		t.Errorf("rolled-back CREATE TABLE visible after recovery: err=%v", err)
+	}
+}
+
+// TestCommitRecordBufferBounded: a commit encodes its record into the
+// writer's one reused buffer, which is kept only while it is at most
+// walBufKeep — a bulk load's record is not held after it — and the records
+// it framed recover every row. A durable autocommit UPDATE or INSERT
+// allocates at most one object more than the same statement in memory.
+func TestCommitRecordBufferBounded(t *testing.T) {
+	load := func(db *Database) {
+		db.MustExec("CREATE TABLE acct (id INTEGER PRIMARY KEY, owner TEXT, bal INTEGER)")
+		rows := make([][]any, 20000)
+		for i := range rows {
+			rows[i] = []any{i, fmt.Sprint("owner-", i), 1000}
+		}
+		if err := db.InsertRows("acct", rows); err != nil {
+			t.Fatal(err)
+		}
+		db.vacWG.Wait() // past the seal the load started: it allocates too
+	}
+	fs := newMemFS()
+	db := openWalDB(t, fs, -1)
+	load(db)
+	if c := cap(db.wal.buf); c > walBufKeep {
+		t.Errorf("after a 20,000-row load the writer keeps a %d B record buffer, want at most %d", c, walBufKeep)
+	}
+	for i := 0; i < 100; i++ {
+		db.MustExec("UPDATE acct SET bal = bal + ? WHERE id = ?", i, i)
+	}
+	if c := cap(db.wal.buf); c == 0 || c > walBufKeep {
+		t.Errorf("after 100 updates the writer keeps a %d B record buffer, want one of at most %d", c, walBufKeep)
+	}
+	closeDB(t, db)
+
+	db = openWalDB(t, fs, -1)
+	defer closeDB(t, db)
+	db.vacWG.Wait()
+	// No ORDER BY: an ordered view of the index would cost every later
+	// INSERT its upkeep, in this database and not in the in-memory one.
+	res, err := db.Query("SELECT id, owner, bal FROM acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, 20000)
+	for _, r := range res.Rows {
+		i := r[0].AsInt()
+		bal := int64(1000)
+		if i < 100 {
+			bal += i
+		}
+		if i < 0 || i >= 20000 || seen[i] || r[1].AsText() != fmt.Sprint("owner-", i) || r[2].AsInt() != bal {
+			t.Fatalf("reopened row %v, want (%d, owner-%d, %d) once", r, i, i, bal)
+		}
+		seen[i] = true
+	}
+	if len(res.Rows) != 20000 {
+		t.Fatalf("reopen reads %d rows, want 20000", len(res.Rows))
+	}
+
+	if raceDetector {
+		return // the race runtime allocates on its own account
+	}
+	mem := NewDatabase()
+	load(mem)
+	next := 1 << 20
+	for _, c := range []struct {
+		sql    string
+		params func() []any
+	}{
+		{"UPDATE acct SET bal = bal + ? WHERE id = ?", func() []any { return []any{1, 7} }},
+		{"INSERT INTO acct VALUES (?, ?, ?)", func() []any { next++; return []any{next, "o", 5} }},
+	} {
+		allocs := func(db *Database) float64 {
+			for i := 0; i < 100; i++ { // past the first writes' one-time set-up
+				db.MustExec(c.sql, c.params()...)
+			}
+			return testing.AllocsPerRun(50, func() { db.MustExec(c.sql, c.params()...) })
+		}
+		if m, d := allocs(mem), allocs(db); d > m+1 {
+			t.Errorf("%s: %.0f allocations durable, %.0f in memory; want at most one more", c.sql, d, m)
+		}
 	}
 }
 
