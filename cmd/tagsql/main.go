@@ -6,12 +6,18 @@
 //	tagsql -domain movies -udf
 //	sql> SELECT title FROM movies WHERE LLM_FILTER('classic movie', title);
 //
+// BEGIN opens the shell's transaction: every statement then runs in it
+// until COMMIT or ROLLBACK finishes it. A second BEGIN, or a COMMIT or
+// ROLLBACK with none open, is an error, and the shell goes on.
+//
 // Meta commands: .tables, .schema, .domains, .explain, .analyze, .stats,
 // .dump, .restore, .quit. .explain shows the plan a SELECT would run;
 // .analyze runs it and annotates the same tree with real per-operator
 // counts and the query's totals (EXPLAIN ANALYZE). .dump <file> writes the
 // database as a SQL script; .restore <file> loads one atomically (all
-// statements apply in a single transaction, or none do).
+// statements apply in a single transaction, or none do). .dump, .explain
+// and .analyze read committed state, outside the shell's transaction, and
+// .restore is refused while one is open.
 //
 // Queries run under a signal-aware context: the first Ctrl-C cancels the
 // in-flight statement mid-scan (the engine returns a typed ErrCanceled
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -52,13 +59,14 @@ func main() {
 		core.RegisterLMUDFs(db, model)
 	}
 
+	sh := &shell{db: db, out: os.Stdout}
 	if *execSQL != "" {
-		run(db, *execSQL)
+		sh.run(*execSQL)
 		return
 	}
 
 	fmt.Printf("tagsql — embedded TAG SQL shell (domain %s, LM UDFs %v)\n", *domain, *udf)
-	fmt.Println(`type SQL terminated by ';', or .tables / .schema / .domains / .explain <sql> / .analyze <sql> / .stats / .dump <file> / .restore <file> / .quit`)
+	fmt.Println(`type SQL terminated by ';' (BEGIN … COMMIT/ROLLBACK for a transaction), or .tables / .schema / .domains / .explain <sql> / .analyze <sql> / .stats / .dump <file> / .restore <file> / .quit (.dump, .explain and .analyze read committed state)`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -103,7 +111,11 @@ func main() {
 			fmt.Print("sql> ")
 			continue
 		case strings.HasPrefix(trimmed, ".restore"):
-			restore(db, strings.TrimSpace(strings.TrimPrefix(trimmed, ".restore")))
+			if sh.tx != nil {
+				fmt.Println("error: .restore runs in a transaction of its own; COMMIT or ROLLBACK first")
+			} else {
+				restore(db, strings.TrimSpace(strings.TrimPrefix(trimmed, ".restore")))
+			}
 			fmt.Print("sql> ")
 			continue
 		case trimmed == ".domains":
@@ -116,7 +128,7 @@ func main() {
 		buf.WriteString(line)
 		buf.WriteString("\n")
 		if strings.Contains(line, ";") {
-			run(db, buf.String())
+			sh.run(buf.String())
 			buf.Reset()
 			fmt.Print("sql> ")
 		} else {
@@ -125,30 +137,79 @@ func main() {
 	}
 }
 
-func run(db *sqldb.Database, src string) {
-	src = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";"))
-	if src == "" {
+// shell runs the statements typed at it, in its transaction when one is
+// open, and prints their results to out.
+type shell struct {
+	db  *sqldb.Database
+	tx  *sqldb.Txn // opened by BEGIN, nil between transactions
+	out io.Writer
+}
+
+// run executes the statements of src in order and stops at the first error.
+func (sh *shell) run(src string) {
+	if strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";")) == "" {
+		return
+	}
+	stmts, err := sh.db.ParseCached(src)
+	if err != nil {
+		printErr(sh.out, err)
 		return
 	}
 	// Ctrl-C cancels the in-flight statement; the shell survives.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if strings.HasPrefix(strings.ToUpper(src), "SELECT") {
-		res, err := db.QueryContext(ctx, src)
-		if err != nil {
-			printErr(err)
+	for _, stmt := range stmts {
+		if err := sh.exec(ctx, stmt); err != nil {
+			printErr(sh.out, err)
 			return
 		}
-		fmt.Print(res.String())
-		fmt.Printf("(%d rows)\n", len(res.Rows))
-		return
 	}
-	n, err := db.ExecContext(ctx, src)
+}
+
+// exec runs one statement in the shell's transaction. BEGIN opens it, and
+// COMMIT or ROLLBACK with one open finishes it; with none open the engine
+// refuses them.
+func (sh *shell) exec(ctx context.Context, stmt sqldb.Statement) error {
+	switch t := stmt.(type) {
+	case *sqldb.BeginStmt:
+		if sh.tx != nil {
+			return errors.New("a transaction is already open")
+		}
+		sh.tx = sh.db.Begin()
+		fmt.Fprintln(sh.out, t)
+		return nil
+	case *sqldb.CommitStmt, *sqldb.RollbackStmt:
+		if tx := sh.tx; tx != nil {
+			sh.tx = nil
+			end := tx.Rollback
+			if _, ok := t.(*sqldb.CommitStmt); ok {
+				end = tx.Commit
+			}
+			if err := end(); err != nil {
+				return err
+			}
+			fmt.Fprintln(sh.out, t)
+			return nil
+		}
+	case *sqldb.SelectStmt:
+		rows, err := sh.db.QueryRowsStmt(ctx, t, sh.tx)
+		if err != nil {
+			return err
+		}
+		res, err := rows.Collect()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(sh.out, res.String())
+		fmt.Fprintf(sh.out, "(%d rows)\n", len(res.Rows))
+		return nil
+	}
+	n, err := sh.db.ExecStmtTx(ctx, stmt, sh.tx)
 	if err != nil {
-		printErr(err)
-		return
+		return err
 	}
-	fmt.Printf("ok (%d rows affected)\n", n)
+	fmt.Fprintf(sh.out, "ok (%d rows affected)\n", n)
+	return nil
 }
 
 // analyze runs EXPLAIN ANALYZE on one statement under a signal-aware
@@ -162,7 +223,7 @@ func analyze(db *sqldb.Database, src string) {
 	defer stop()
 	aq, err := db.ExplainAnalyze(ctx, src)
 	if err != nil {
-		printErr(err)
+		printErr(os.Stdout, err)
 		return
 	}
 	for _, l := range aq.Plan {
@@ -198,7 +259,7 @@ func dump(db *sqldb.Database, path string) {
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		printErr(&sqldb.Error{Code: sqldb.ErrIO, Msg: "dump: " + err.Error(), Cause: err})
+		printErr(os.Stdout, &sqldb.Error{Code: sqldb.ErrIO, Msg: "dump: " + err.Error(), Cause: err})
 		return
 	}
 	werr := db.Dump(f)
@@ -207,7 +268,7 @@ func dump(db *sqldb.Database, path string) {
 		werr = &sqldb.Error{Code: sqldb.ErrIO, Msg: "dump: " + cerr.Error(), Cause: cerr}
 	}
 	if werr != nil {
-		printErr(werr)
+		printErr(os.Stdout, werr)
 		return
 	}
 	fmt.Printf("dumped to %s\n", path)
@@ -222,24 +283,24 @@ func restore(db *sqldb.Database, path string) {
 	}
 	src, err := os.ReadFile(path)
 	if err != nil {
-		printErr(&sqldb.Error{Code: sqldb.ErrIO, Msg: "restore: " + err.Error(), Cause: err})
+		printErr(os.Stdout, &sqldb.Error{Code: sqldb.ErrIO, Msg: "restore: " + err.Error(), Cause: err})
 		return
 	}
 	if err := db.LoadScript(string(src)); err != nil {
-		printErr(err)
+		printErr(os.Stdout, err)
 		return
 	}
 	fmt.Printf("restored from %s\n", path)
 }
 
 // printErr surfaces the engine's typed error code alongside the message.
-func printErr(err error) {
+func printErr(w io.Writer, err error) {
 	var se *sqldb.Error
 	if errors.As(err, &se) {
-		fmt.Printf("error [%s]: %v\n", se.Code, err)
+		fmt.Fprintf(w, "error [%s]: %v\n", se.Code, err)
 		return
 	}
-	fmt.Println("error:", err)
+	fmt.Fprintln(w, "error:", err)
 }
 
 func printStats(db *sqldb.Database) {

@@ -365,13 +365,15 @@ func TestExplicitTransactions(t *testing.T) {
 		t.Fatalf("rollback did not undo: %v", rows)
 	}
 
-	// An embedded caller's SQL-level session transaction is not the wire's:
-	// an autocommit statement from a socket neither joins it nor is undone
-	// by its ROLLBACK, and a wire session's own BEGIN is a Txn of its own.
-	db.MustExec(`BEGIN`)
+	// An embedded caller's transaction is not the wire's: an autocommit
+	// statement from a socket neither joins it nor is undone by its
+	// ROLLBACK, and a wire session's own BEGIN is a Txn of its own.
+	etx := db.Begin()
 	mustQuery(t, c1, `BEGIN`)
 	mustQuery(t, c2, `INSERT INTO acct VALUES (3, 7)`)
-	db.MustExec(`ROLLBACK`)
+	if _, err := etx.Exec(`ROLLBACK`); err != nil {
+		t.Fatal(err)
+	}
 	mustQuery(t, c1, `COMMIT`)
 	rows = wireRows(mustQuery(t, c1, `SELECT bal FROM acct WHERE id = 3`))
 	if !reflect.DeepEqual(rows, []string{"7"}) {

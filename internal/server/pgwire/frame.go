@@ -5,8 +5,7 @@
 // with per-session secret keys, and Terminate. One TCP connection maps to
 // one session; sessions are isolated — each owns its transaction state,
 // prepared statements, and portals, all backed by the engine's explicit
-// Txn handles and streaming Rows cursors (never the engine's shared
-// SQL-level session transaction).
+// Txn handles and streaming Rows cursors.
 //
 // Documented divergences from PostgreSQL, chosen for a tighter resource
 // contract (and pinned by the disconnect/leak tests):

@@ -365,8 +365,8 @@ func isTxnEnd(stmt sqldb.Statement) bool {
 
 // execNonSelect executes any non-SELECT statement and returns its command
 // tag. BEGIN/COMMIT/ROLLBACK are intercepted here and mapped onto the
-// session's explicit Txn handle — they never reach the engine's shared
-// SQL-level session transaction.
+// session's explicit Txn handle: the engine refuses BEGIN as a statement,
+// and a COMMIT or ROLLBACK it runs would finish only the Txn it was handed.
 func (s *session) execNonSelect(stmt sqldb.Statement, params []any) (string, error) {
 	switch stmt.(type) {
 	case *sqldb.BeginStmt:

@@ -571,8 +571,10 @@ func (s *DropTableStmt) String() string {
 	return out + quoteIdent(s.Name)
 }
 
-// BeginStmt is `BEGIN [TRANSACTION]`: it opens the session transaction
-// that subsequent bare statements join until COMMIT or ROLLBACK.
+// BeginStmt is `BEGIN [TRANSACTION]`. The engine refuses it with
+// ErrMisuse wherever it reaches execution, since Database.Begin opens every
+// transaction; a front end that keeps a transaction per connection — the
+// wire session, the shell — intercepts it and calls Database.Begin.
 type BeginStmt struct{}
 
 func (*BeginStmt) stmtNode()      {}

@@ -140,9 +140,6 @@ type Database struct {
 	tm      *txnManager
 	writeMu sync.Mutex // single-writer latch: DML, DDL, transaction write spans, vacuum
 
-	sessionMu sync.Mutex
-	session   *Txn // transaction opened by SQL BEGIN; bare statements join it
-
 	garbage   atomic.Int64   // dead versions since the last vacuum
 	vacuuming atomic.Bool    // single-flight latch for the background vacuum
 	sealDebt  atomic.Int64   // rows inserted since the last sealing pass

@@ -90,42 +90,36 @@ func (db *Database) Exec(sql string, params ...any) (int, error) {
 }
 
 // ExecContext is Exec under a context: long scans and DML loops observe
-// cancellation mid-flight. Each statement runs in the SQL session
-// transaction when one is open (BEGIN through this same entry point),
-// else as its own autocommit.
+// cancellation mid-flight. Each statement runs as its own autocommit; a
+// transaction is opened by Database.Begin, never by a statement.
 func (db *Database) ExecContext(ctx context.Context, sql string, params ...any) (int, error) {
-	return db.execSQL(ctx, sql, params, nil, true)
+	return db.execSQL(ctx, sql, params, nil)
 }
 
 // execSQL runs the statements of sql, parsed through the statement cache:
 // the text form of every Exec, Database's and Txn's.
-func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *Txn, session bool) (int, error) {
+func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *Txn) (int, error) {
 	stmts, err := db.plans.statements(sql)
 	if err != nil {
 		return 0, err
 	}
-	return db.execAll(ctx, stmts, bindParams(params), tx, session)
+	return db.execAll(ctx, stmts, bindParams(params), tx)
 }
 
 // execAll is the one exec loop: Database.ExecContext, Txn.ExecContext and
 // ExecStmtTx all run their statements here, under one query context whose
-// counters fold into Stats when the loop ends. The transaction is the one
-// the entry point resolved — tx itself (nil = autocommit), or with session
-// set the SQL session transaction as it stands before each statement, since
-// a BEGIN or COMMIT earlier in the same text changes it — and every
-// statement, of every kind, is admitted against it before it runs.
-func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value, tx *Txn, session bool) (int, error) {
+// counters fold into Stats when the loop ends. Every statement, of every
+// kind, runs in the handle the entry point was called on — tx, nil meaning
+// autocommit — and is admitted against it before it runs.
+func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value, tx *Txn) (int, error) {
 	qc := new(queryCtx).init(ctx, db)
 	defer qc.flush()
 	total := 0
 	for _, stmt := range stmts {
-		if session {
-			tx = db.currentTxn()
-		}
 		if err := qc.admit(tx); err != nil {
 			return total, err
 		}
-		n, err := db.execStmt(qc, stmt, vals, tx, session)
+		n, err := db.execStmt(qc, stmt, vals, tx)
 		// DML applies partially on a mid-loop error or cancellation (the
 		// in-place paths keep their documented early-exit invariants), so
 		// the affected-row count is accumulated even when err != nil.
@@ -153,10 +147,10 @@ func bindParams(params []any) []Value {
 	return vals
 }
 
-// execStmt executes one admitted statement in tx (nil = autocommit).
-// session marks a bare Database call, the only kind the SQL-level session
-// transaction answers to: BEGIN opens it, COMMIT and ROLLBACK detach it.
-func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn, session bool) (int, error) {
+// execStmt executes one admitted statement in tx (nil = autocommit). BEGIN
+// is refused, since a transaction is opened by Database.Begin and never by
+// a statement; COMMIT and ROLLBACK finish tx.
+func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn) (int, error) {
 	if sel, ok := stmt.(*SelectStmt); ok {
 		// Count the cursor's rows: each is built in a reused buffer and
 		// dropped, a LIMIT stops the scan early, and the cursor bills itself
@@ -174,20 +168,8 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 	qc.execs++
 	switch t := stmt.(type) {
 	case *BeginStmt:
-		if tx != nil {
-			return 0, errf(ErrMisuse, "sql: cannot start a transaction within a transaction")
-		}
-		if !session {
-			return 0, errf(ErrMisuse, "sql: BEGIN needs a session; use Database.Begin")
-		}
-		return 0, db.beginSession()
+		return 0, errf(ErrMisuse, "sql: a statement cannot begin a transaction; use Database.Begin")
 	case *CommitStmt, *RollbackStmt:
-		if session {
-			var err error
-			if tx, err = db.takeSession(); err != nil {
-				return 0, err
-			}
-		}
 		if tx == nil {
 			return 0, errf(ErrMisuse, "sql: no transaction is active")
 		}
@@ -584,7 +566,7 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	qc := new(queryCtx).init(context.Background(), db)
 	defer qc.flush()
-	wtx, err := db.beginWrite(qc, db.currentTxn())
+	wtx, err := db.beginWrite(qc, nil)
 	if err != nil {
 		return err
 	}

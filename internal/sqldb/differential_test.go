@@ -397,7 +397,7 @@ type diffDB struct {
 	cfg    diffConfig
 	db     *Database
 	fs     *memFS   // what a durable configuration recovers from
-	tx     *Txn     // the step's transaction leg: the session's on a cached configuration
+	tx     *Txn     // the step's transaction leg
 	held   *Txn     // an old snapshot held across steps
 	before []string // the tables as a leg to be rolled back found them
 }
@@ -704,13 +704,17 @@ func (h *diffRun) write(sql string, params []any) error {
 	return nil
 }
 
-// exec runs sql on d by its statement path: the text through Exec, which
-// joins the session's leg; or each statement parsed anew through
-// ExecStmtTx, in the leg's Txn.
+// exec runs sql on d by its statement path, in the leg's Txn when one is
+// open: the text through Exec, the Txn's or the Database's; or each
+// statement parsed anew through ExecStmtTx.
 func (h *diffRun) exec(d *diffDB, sql string, params []any) (int, error) {
 	if !d.cfg[axFresh] {
 		ct := h.remember(d, sql)
-		n, err := d.db.Exec(sql, params...)
+		exec := d.db.Exec
+		if d.tx != nil {
+			exec = d.tx.Exec
+		}
+		n, err := exec(sql, params...)
 		h.executed(ct, params)
 		return n, err
 	}
@@ -787,9 +791,9 @@ func (h *diffRun) query(d *diffDB, held bool, sql string) ([]Row, error) {
 		stmts, err = ParseAll(sql)
 	case !d.cfg[axLent]:
 		ct := h.remember(d, sql)
-		query := d.db.Query // joins the session's leg
-		if held {
-			query = d.held.Query
+		query := d.db.Query
+		if tx != nil {
+			query = tx.Query
 		}
 		res, err := query(sql)
 		h.executed(ct, nil)
@@ -1025,8 +1029,7 @@ func (h *diffRun) tables(d *diffDB) ([]string, error) {
 	return out, nil
 }
 
-// begin opens a transaction leg on every configuration: a cached one
-// sends BEGIN and its session is the leg; a fresh one holds a Txn. A leg
+// begin opens a transaction leg on every configuration, a Txn each. A leg
 // that will roll back first notes the tables.
 func (h *diffRun) begin(rollback bool) error {
 	for _, d := range h.dbs {
@@ -1036,14 +1039,7 @@ func (h *diffRun) begin(rollback bool) error {
 				return h.fail("rollback", d.cfg, "before BEGIN", "%v", err)
 			}
 		}
-		if d.cfg[axFresh] {
-			d.tx = d.db.Begin()
-			continue
-		}
-		if _, err := h.exec(d, "BEGIN", nil); err != nil {
-			return h.fail("agreement", d.cfg, "the session", "BEGIN: %v", err)
-		}
-		d.tx = d.db.currentTxn()
+		d.tx = d.db.Begin()
 	}
 	return nil
 }

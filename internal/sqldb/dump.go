@@ -7,23 +7,18 @@ import (
 )
 
 // Dump writes the database as a SQL script (CREATE TABLE + INSERT
-// statements) that LoadScript can replay — the engine's persistence story.
-// Tables are emitted in sorted order; rows in storage order. Indexes
-// created by CREATE INDEX are re-emitted after the data so reloads rebuild
-// them. Dump iterates under a registered MVCC snapshot: it emits exactly
-// the committed state as of the call, and concurrent writers are neither
-// blocked nor reflected mid-script.
+// statements) that LoadScript can replay — the engine's persistence story,
+// and the checkpoint's snapshot file. Indexes created by CREATE INDEX are
+// re-emitted after the data so reloads rebuild them. Dump iterates under a
+// registered autocommit snapshot: it emits exactly the committed state as
+// of the call, and concurrent writers are neither blocked nor reflected
+// mid-script. Output is deterministic for a given state — tables sorted by
+// name, rows in storage order, secondary indexes sorted by name — so two
+// dumps of identical states are bit-identical (the crash harness and
+// checkpointing rely on this).
 func (db *Database) Dump(w io.Writer) error {
-	snap := db.beginRead(db.currentTxn())
+	snap := db.beginRead(nil)
 	defer db.tm.release(snap)
-	return db.dumpSnapshot(w, snap)
-}
-
-// dumpSnapshot renders the state visible to snap as a SQL script. Output is
-// deterministic for a given snapshot: tables sorted by name, rows in storage
-// order, secondary indexes sorted by name — so two dumps of identical states
-// are bit-identical (the crash harness and checkpointing rely on this).
-func (db *Database) dumpSnapshot(w io.Writer, snap *snapshot) error {
 	tables := db.tableMap()
 	names := make([]string, 0, len(tables))
 	for _, t := range tables {

@@ -52,7 +52,7 @@ func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error)
 // QueryRows executes the prepared statement and returns a streaming
 // cursor (see Database.QueryRows).
 func (s *Stmt) QueryRows(ctx context.Context, params ...any) (*Rows, error) {
-	return s.db.queryRows(ctx, s.sel, bindParams(params), s.db.currentTxn(), nil, false)
+	return s.db.queryRows(ctx, s.sel, bindParams(params), nil, nil, false)
 }
 
 // SQL returns the statement's original text.

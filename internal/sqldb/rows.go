@@ -42,14 +42,14 @@ func (db *Database) QueryRows(ctx context.Context, sql string, params ...any) (*
 	if err != nil {
 		return nil, err
 	}
-	return db.queryRows(ctx, sel, bindParams(params), db.currentTxn(), nil, false)
+	return db.queryRows(ctx, sel, bindParams(params), nil, nil, false)
 }
 
 // queryRows is the one place a SELECT is opened — every Query and
 // QueryRows form, a SELECT handed to Exec (which counts its rows), EXPLAIN
 // (which closes it unpulled) and EXPLAIN ANALYZE (which passes the rec its
 // operators report to): the statement is admitted, reads the snapshot of
-// the transaction its entry point resolved (nil = a fresh one of its own),
+// the transaction it was called in (nil = a fresh one of its own),
 // is planned, and owns its snapshot reference until Close bills it. On
 // error everything is released here. lend says the entry point reads each
 // row and drops it before the next Next, so the plan's head builds every

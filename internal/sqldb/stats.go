@@ -66,8 +66,9 @@ type Stats struct {
 	// rows awaiting vacuum). A high rate relative to RowsScanned means
 	// vacuum lag.
 	TombstonesSkipped uint64
-	// Begins / Commits / Rollbacks count explicit transactions (SQL
-	// BEGIN/COMMIT/ROLLBACK or Database.Begin); autocommit statements are
+	// Begins / Commits / Rollbacks count explicit transactions: those
+	// Database.Begin opens, finished by Txn.Commit / Txn.Rollback or a
+	// COMMIT / ROLLBACK statement run in them. Autocommit statements are
 	// not counted here.
 	Begins    uint64
 	Commits   uint64
@@ -294,7 +295,7 @@ func (qc *queryCtx) cancelled() error {
 
 // admit is the one check every statement passes before it touches a latch
 // or a snapshot, whichever entry point carried it: its context is not
-// already done, and the transaction it was resolved into is still open.
+// already done, and the transaction it runs in is still open.
 func (qc *queryCtx) admit(tx *Txn) error {
 	if err := qc.cancelled(); err != nil {
 		return err

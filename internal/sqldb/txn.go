@@ -280,9 +280,9 @@ type Txn struct {
 	walOps []walOp
 }
 
-// Begin starts an explicit transaction. Programmatic equivalent of the
-// SQL BEGIN statement, but independent of the session transaction: many
-// goroutines may hold concurrent Txns (writers serialise on first write).
+// Begin starts an explicit transaction, the one way to open one: a bare
+// Database call never joins it, and many goroutines may hold concurrent
+// Txns (writers serialise on first write).
 func (db *Database) Begin() *Txn {
 	xid := db.tm.begin()
 	tx := &Txn{db: db, xid: xid, snap: db.tm.capture(xid)}
@@ -401,15 +401,15 @@ func (tx *Txn) Rollback() error {
 	return nil
 }
 
-// Exec executes one statement inside the transaction. BEGIN is rejected;
-// COMMIT/ROLLBACK finish the transaction.
+// Exec executes its statements inside the transaction. BEGIN is refused;
+// COMMIT/ROLLBACK finish this transaction.
 func (tx *Txn) Exec(sql string, params ...any) (int, error) {
 	return tx.ExecContext(context.Background(), sql, params...)
 }
 
 // ExecContext is Exec with a cancellation context.
 func (tx *Txn) ExecContext(ctx context.Context, sql string, params ...any) (int, error) {
-	return tx.db.execSQL(ctx, sql, params, tx, false)
+	return tx.db.execSQL(ctx, sql, params, tx)
 }
 
 // Query executes a SELECT inside the transaction, reading the
@@ -432,45 +432,6 @@ func (tx *Txn) QueryRows(ctx context.Context, sql string, params ...any) (*Rows,
 		return nil, err
 	}
 	return tx.db.queryRows(ctx, sel, bindParams(params), tx, nil, false)
-}
-
-// ---------------------------------------------------------------------------
-// Session transaction (SQL BEGIN/COMMIT/ROLLBACK through Database.Exec)
-
-// beginSession opens the database's session transaction — the one bare
-// Exec/Query calls join, giving single-connection SQL semantics.
-func (db *Database) beginSession() error {
-	db.sessionMu.Lock()
-	defer db.sessionMu.Unlock()
-	if db.session != nil {
-		return errf(ErrMisuse, "sql: cannot start a transaction within a transaction")
-	}
-	db.session = db.Begin()
-	return nil
-}
-
-// takeSession detaches and returns the session transaction for COMMIT or
-// ROLLBACK.
-func (db *Database) takeSession() (*Txn, error) {
-	db.sessionMu.Lock()
-	defer db.sessionMu.Unlock()
-	if db.session == nil {
-		return nil, errf(ErrMisuse, "sql: no transaction is active")
-	}
-	tx := db.session
-	db.session = nil
-	return tx, nil
-}
-
-// currentTxn is how a bare Database call resolves its transaction: the
-// open session transaction, or nil (autocommit). Entry points call it;
-// nothing beneath them does — a Txn method runs in its receiver, and the
-// parsed-statement entry points the wire uses (wire.go) in exactly the tx
-// they were handed.
-func (db *Database) currentTxn() *Txn {
-	db.sessionMu.Lock()
-	defer db.sessionMu.Unlock()
-	return db.session
 }
 
 // ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ func dumpString(t *testing.T, db *Database) string {
 	return b.String()
 }
 
-// TestBeginRollbackLeavesQueriesBitIdentical is the PR's acceptance
-// criterion: BEGIN → DML → ROLLBACK must leave every subsequent query —
-// and the full dump — exactly as before the transaction.
+// TestBeginRollbackLeavesQueriesBitIdentical: Begin → DML → ROLLBACK must
+// leave every subsequent query — and the full dump — exactly as before the
+// transaction.
 func TestBeginRollbackLeavesQueriesBitIdentical(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT)")
@@ -50,16 +50,27 @@ func TestBeginRollbackLeavesQueriesBitIdentical(t *testing.T) {
 	}
 	dumpBefore := dumpString(t, db)
 
-	db.MustExec("BEGIN")
-	db.MustExec("INSERT INTO t VALUES (101, 1, 'new')")
-	db.MustExec("UPDATE t SET k = k + 10 WHERE id < 20")
-	db.MustExec("DELETE FROM t WHERE id % 5 = 0")
-	// Inside the transaction the writes are visible to its own reads.
-	in := queryStrings(t, db, "SELECT COUNT(*) FROM t WHERE id = 101")
-	if !reflect.DeepEqual(in, [][]string{{"1"}}) {
-		t.Fatalf("own insert invisible inside transaction: %v", in)
+	tx := db.Begin()
+	for _, sql := range []string{
+		"INSERT INTO t VALUES (101, 1, 'new')",
+		"UPDATE t SET k = k + 10 WHERE id < 20",
+		"DELETE FROM t WHERE id % 5 = 0",
+	} {
+		if _, err := tx.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
 	}
-	db.MustExec("ROLLBACK")
+	// Inside the transaction the writes are visible to its own reads.
+	in, err := tx.Query("SELECT COUNT(*) FROM t WHERE id = 101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.Rows) != 1 || in.Rows[0][0].AsText() != "1" {
+		t.Fatalf("own insert invisible inside transaction: %v", in.Rows)
+	}
+	if _, err := tx.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
 
 	for i, q := range probes {
 		if got := queryStrings(t, db, q); !reflect.DeepEqual(got, before[i]) {
@@ -167,11 +178,9 @@ func TestTxnMisuseErrors(t *testing.T) {
 	if _, err := db.Exec("ROLLBACK"); CodeOf(err) != ErrMisuse {
 		t.Errorf("ROLLBACK without txn: %v, want ErrMisuse", err)
 	}
-	db.MustExec("BEGIN")
 	if _, err := db.Exec("BEGIN"); CodeOf(err) != ErrMisuse {
-		t.Errorf("nested BEGIN: %v, want ErrMisuse", err)
+		t.Errorf("bare BEGIN: %v, want ErrMisuse", err)
 	}
-	db.MustExec("COMMIT")
 
 	tx := db.Begin()
 	if _, err := tx.Exec("BEGIN"); CodeOf(err) != ErrMisuse {
@@ -228,55 +237,86 @@ func TestTxnMisuseErrors(t *testing.T) {
 	}
 }
 
-// TestWireAutocommitNeverJoinsSession: the parsed-statement entry points the
-// wire server uses run in exactly the tx they are handed. With nil that is
-// autocommit, whatever SQL session an embedded caller has open beside them.
-func TestWireAutocommitNeverJoinsSession(t *testing.T) {
+// TestBareCallsRunAutocommit: a bare Database call runs as its own
+// autocommit, whatever Txn is open beside it. Its reads see only committed
+// state, its write commits at once and outlives the Txn's rollback, and no
+// statement it carries opens, joins or finishes a transaction.
+func TestBareCallsRunAutocommit(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE t (id INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1)")
 	ctx := context.Background()
-	ins, err := Parse("INSERT INTO t VALUES (7)")
+
+	tx := db.Begin()
+	if err := db.InsertRows("t", [][]any{{2}}); err != nil {
+		t.Fatal(err)
+	}
+	committed := dumpString(t, db)
+	if _, err := tx.Exec("INSERT INTO t VALUES (99)"); err != nil {
+		t.Fatal(err)
+	}
+	const probe = "SELECT id FROM t ORDER BY id"
+	want := [][]string{{"1"}, {"2"}}
+	if got := queryStrings(t, db, probe); !reflect.DeepEqual(got, want) {
+		t.Errorf("Query = %v, want the committed %v", got, want)
+	}
+	rows, err := db.QueryRows(ctx, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Parse("SELECT id FROM t")
+	if res, err := rows.Collect(); err != nil || len(res.Rows) != 2 {
+		t.Errorf("QueryRows saw %v (err %v), want the 2 committed rows", res, err)
+	}
+	stmt, err := db.Prepare(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("BEGIN")
-	if _, err := db.ExecStmtTx(ctx, ins, nil); err != nil {
-		t.Fatal(err)
+	if res, err := stmt.Query(); err != nil || len(res.Rows) != 2 {
+		t.Errorf("prepared Stmt saw %v (err %v), want the 2 committed rows", res, err)
 	}
-	if res, err := db.Query("SELECT id FROM t"); err != nil || len(res.Rows) != 0 {
-		t.Errorf("session read saw %v (err %v): the autocommit INSERT joined its transaction", res, err)
+	if n, err := db.Exec(probe); err != nil || n != 2 {
+		t.Errorf("Exec(SELECT) counted %d rows (err %v), want the 2 committed", n, err)
 	}
-	rows, err := db.QueryRowsStmt(ctx, sel.(*SelectStmt), nil)
+	aq, err := db.ExplainAnalyze(ctx, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rows.Collect()
+	if aq.Stats.RowsEmitted != 2 {
+		t.Errorf("ExplainAnalyze emitted %d rows, want the 2 committed", aq.Stats.RowsEmitted)
+	}
+	if got := dumpString(t, db); got != committed {
+		t.Errorf("Dump wrote the Txn's uncommitted row:\n%s", got)
+	}
+
+	for _, sql := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
+		if _, err := db.Exec(sql); CodeOf(err) != ErrMisuse {
+			t.Errorf("bare %s: %v, want ErrMisuse", sql, err)
+		}
+	}
+	begin, err := Parse("BEGIN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
-		t.Errorf("autocommit read saw %v, want the committed row 7 the session's older snapshot cannot see", res.Rows)
-	}
-	begin, _ := Parse("BEGIN")
 	if _, err := db.ExecStmtTx(ctx, begin, nil); CodeOf(err) != ErrMisuse {
 		t.Errorf("BEGIN through ExecStmtTx(nil): %v, want ErrMisuse", err)
 	}
-	db.MustExec("ROLLBACK")
-	res, err = db.Query("SELECT id FROM t")
-	if err != nil {
+	// The bare COMMIT and ROLLBACK left the Txn open and its row its own.
+	if res, err := tx.Query("SELECT COUNT(*) FROM t WHERE id = 99"); err != nil || res.Rows[0][0].AsInt() != 1 {
+		t.Fatalf("the Txn lost its insert to a bare statement: %v (err %v)", res, err)
+	}
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
-		t.Errorf("after the session's ROLLBACK: %v, want the autocommit row 7 to survive alone", res.Rows)
+	if got := queryStrings(t, db, probe); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the Txn's rollback: %v, want %v with InsertRows' row surviving", got, want)
+	}
+	if n, active := db.LiveSnapshots(), db.Stats().ActiveTxns; n != 0 || active != 0 {
+		t.Errorf("LiveSnapshots = %d, ActiveTxns = %d, want 0/0", n, active)
 	}
 }
 
 // TestTxnStatsCounters: Begins/Commits/Rollbacks/ActiveTxns move with the
-// transaction lifecycle, through both the SQL and API surfaces.
+// transaction lifecycle, finished through the API and by statement.
 func TestTxnStatsCounters(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE t (id INTEGER)")
@@ -291,9 +331,13 @@ func TestTxnStatsCounters(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("BEGIN")
-	db.MustExec("INSERT INTO t VALUES (1)")
-	db.MustExec("ROLLBACK")
+	tx = db.Begin()
+	if _, err := tx.Exec("INSERT INTO t VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
 	s = db.Stats()
 	if s.Begins != base.Begins+2 || s.Commits != base.Commits+1 ||
 		s.Rollbacks != base.Rollbacks+1 || s.ActiveTxns != base.ActiveTxns {

@@ -529,16 +529,12 @@ func (w *walWriter) checkpoint() error {
 	// 1. Stream the full committed state to a temp snapshot — rows rendered
 	// one at a time, 64 KiB a write, so a smaller snapshot is still written
 	// in one piece — and fsync it.
-	// The snapshot is one of xid 0 (not via beginRead, which would join an
-	// open session transaction and see its uncommitted writes).
 	f, err := w.fs.Create(snapTmp)
 	if err != nil {
 		return wrapIOErr(err)
 	}
-	snap := db.tm.capture(0)
 	bw := bufio.NewWriterSize(f, 1<<16)
-	err = db.dumpSnapshot(bw, snap)
-	db.tm.release(snap)
+	err = db.Dump(bw)
 	if err == nil {
 		err = bw.Flush()
 	}

@@ -7,10 +7,8 @@ import "context"
 // ParseCached (Parse message or simple-query split), dispatches
 // BEGIN/COMMIT/ROLLBACK onto its own *Txn handle, and runs everything else
 // through the two entry points below — so portals never re-parse. Both
-// run in exactly the tx they are handed, nil meaning autocommit: the
-// database's SQL-level session transaction (db.Exec("BEGIN")) belongs to
-// single-connection embedded use and is never resolved, joined or opened
-// from here, whatever an embedded caller has open beside N sockets. The
+// run in exactly the tx they are handed, nil meaning autocommit, as every
+// engine entry point runs in the handle it was called on. The
 // probes at the bottom are what the wire test layer pins leak-freedom
 // with: after every disconnect, at every protocol state, live snapshots,
 // open cursors, and parallel workers must all return to zero.
@@ -25,11 +23,10 @@ func (db *Database) ParseCached(sql string) ([]Statement, error) {
 // ExecStmtTx executes one already-parsed statement inside tx; a nil tx
 // runs it as an autocommit statement. It is the exec loop Txn.Exec runs,
 // over one statement: COMMIT/ROLLBACK finish a live tx, and BEGIN is
-// rejected either way (inside a tx as nested, outside one because there is
-// no session to open — callers owning their own transaction state machine,
-// like the wire session, intercept those kinds and use Database.Begin).
+// refused either way — callers owning their own transaction state machine,
+// like the wire session, intercept it and use Database.Begin.
 func (db *Database) ExecStmtTx(ctx context.Context, stmt Statement, tx *Txn, params ...any) (int, error) {
-	return db.execAll(ctx, []Statement{stmt}, bindParams(params), tx, false)
+	return db.execAll(ctx, []Statement{stmt}, bindParams(params), tx)
 }
 
 // QueryRowsStmt opens a streaming cursor over an already-parsed SELECT
