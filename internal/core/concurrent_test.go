@@ -3,14 +3,23 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tag/internal/llm"
+	"tag/internal/sqldb"
 )
+
+// identicalTables reports whether two results have the same columns and
+// Identical values, place by place: a Value has no ==, and
+// reflect.DeepEqual would compare a TEXT by the address of its bytes.
+func identicalTables(a, b *sqldb.Result) bool {
+	return (a == nil) == (b == nil) && (a == nil || slices.Equal(a.Columns, b.Columns) &&
+		slices.EqualFunc(a.Rows, b.Rows, func(x, y sqldb.Row) bool { return slices.EqualFunc(x, y, sqldb.Value.Identical) }))
+}
 
 // gateModel lets a test hold a request at a chosen prompt: before is called
 // with every prompt on its way to the model (the first of a batch), and an
@@ -198,7 +207,7 @@ func TestConcurrentRunsKeepTheirOwnModelDialectAndContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.err != nil || sqlOf(r3) != alone.SQL || r3.res.Answer != alone.Answer || !reflect.DeepEqual(r3.res.Table, alone.Table) {
+	if r3.err != nil || sqlOf(r3) != alone.SQL || r3.res.Answer != alone.Answer || !identicalTables(r3.res.Table, alone.Table) {
 		t.Errorf("R3 beside a cancelled request: err %v, SQL %q, answer %q; alone: SQL %q, answer %q",
 			r3.err, sqlOf(r3), r3.res.Answer, alone.SQL, alone.Answer)
 	}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"math/bits"
+	"slices"
 )
 
 // This file is the one gather → distinct → scatter layer under every
@@ -14,9 +15,10 @@ import (
 
 // TupleSet numbers the distinct tuples it is shown 0, 1, 2, … in first-seen
 // order: the engine's one group table, under GROUP BY, DISTINCT, batched
-// calls and the semantic operators. Tuples are distinct as an index would key
-// them — by Compare class (indexKey), so NULLs share a class and so do Int(5)
-// and Float(5.0) — and are hashed and compared as values, never encoded: an
+// calls, a hash join's build side, the deferred UNIQUE check and the
+// semantic operators. Tuples are distinct as an index would key them — by
+// Compare class (sameKey), so NULLs share a class and so do Int(5) and
+// Float(5.0) — and are hashed and compared as values, never encoded: an
 // open-addressed slot array, probed linearly, over the first-seen tuples,
 // which the set keeps as they were shown. Tuples of one set have one length.
 type TupleSet struct {
@@ -43,23 +45,8 @@ func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
 	if (s.n+1)*4 > len(s.slots)*3 {
 		s.grow()
 	}
-	var h64 uint64
-	for _, v := range tuple {
-		h64 = (h64 ^ keyHash(indexKey(v))) * hashFold
-	}
-	h, mask := uint32(h64>>32), uint32(len(s.slots)-1)
-	i := h & mask
-probe:
-	for ; s.slots[i].ref != 0; i = (i + 1) & mask {
-		if s.slots[i].hash != h {
-			continue
-		}
-		class = int(s.slots[i].ref - 1)
-		for j, v := range s.Tuple(class) {
-			if indexKey(v) != indexKey(tuple[j]) {
-				continue probe
-			}
-		}
+	i, h, class := s.probe(tuple)
+	if class >= 0 {
 		return class, false
 	}
 	class, s.width = s.n, len(tuple)
@@ -71,6 +58,33 @@ probe:
 	}
 	copy(s.blocks[b][off*s.width:], tuple)
 	return class, true
+}
+
+// Find returns tuple's class, or false when no tuple of its class was
+// added. It files nothing.
+func (s *TupleSet) Find(tuple []Value) (class int, ok bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	_, _, class = s.probe(tuple)
+	return class, class >= 0
+}
+
+// probe returns the slot and hash of tuple's class and the class, or the
+// empty slot the class would take, its hash and -1.
+func (s *TupleSet) probe(tuple []Value) (slot, hash uint32, class int) {
+	var h64 uint64
+	for _, v := range tuple {
+		h64 = (h64 ^ keyHash(indexKey(v))) * hashFold
+	}
+	h, mask := uint32(h64>>32), uint32(len(s.slots)-1)
+	i := h & mask
+	for ; s.slots[i].ref != 0; i = (i + 1) & mask {
+		if class = int(s.slots[i].ref - 1); s.slots[i].hash == h && slices.EqualFunc(s.Tuple(class), tuple, sameKey) {
+			return i, h, class
+		}
+	}
+	return i, h, -1
 }
 
 // grow doubles the slot array and places every class again by its kept hash.

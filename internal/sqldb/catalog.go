@@ -138,7 +138,7 @@ type Database struct {
 	maxWorkers int
 
 	tm      *txnManager
-	writeMu sync.Mutex // single-writer latch: DML, DDL, transaction write spans, vacuum
+	writeMu latch // single-writer latch: DML, DDL, transaction write spans, vacuum
 
 	garbage   atomic.Int64   // dead versions since the last vacuum
 	vacuuming atomic.Bool    // single-flight latch for the background vacuum
@@ -181,6 +181,7 @@ func NewDatabase(opts ...Option) *Database {
 		plans:      newPlanCache(),
 		maxWorkers: defaultMaxWorkers(),
 		tm:         newTxnManager(),
+		writeMu:    make(latch, 1),
 	}
 	empty := make(map[string]*Table)
 	db.tables.Store(&empty)
@@ -764,7 +765,7 @@ func (t *Table) unindex(id int, dead, end *rowVersion) {
 			h, carried, hashed := hashKey(key), false, false
 			for s := live; s != nil && !carried && debugFault != faultOrdMaintain; s = s.next.Load() {
 				sk := indexKey(s.row[idx.Column])
-				carried = sk == key
+				carried = sk.Identical(key)
 				hashed = hashed || hashKey(sk) == h
 			}
 			if !carried {
@@ -790,7 +791,7 @@ func visibleEqIDs(dst []int, t *Table, idx *Index, v Value, snap *snapshot) ([]i
 		if err != nil {
 			return nil, err
 		}
-		if ok && indexKey(kv) == key {
+		if ok && sameKey(kv, key) {
 			out = append(out, id)
 		}
 	}

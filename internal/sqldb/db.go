@@ -531,27 +531,28 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 			}
 			continue
 		}
-		var removed, added map[Value]int // by indexKey, as the index keys its entries
-		for _, p := range pend {
-			if p.old[idx.Column].Equal(p.row[idx.Column]) {
-				continue
+		// The keys moved, by Compare class as the index files them, and by
+		// class the rows vacating it (moves[2c]) and moving in (moves[2c+1]).
+		var keys TupleSet
+		var moves []int
+		tally := func(v Value, in int) {
+			c, fresh := keys.Add([]Value{v})
+			if fresh {
+				moves = append(moves, 0, 0)
 			}
-			if removed == nil {
-				removed, added = make(map[Value]int), make(map[Value]int)
-			}
-			removed[indexKey(p.old[idx.Column])]++
-			if !p.row[idx.Column].IsNull() {
-				added[indexKey(p.row[idx.Column])]++
-			}
+			moves[2*c+in]++
 		}
-		if added == nil {
-			continue // no row changes this index's key
+		for _, p := range pend {
+			if old, v := p.old[idx.Column], p.row[idx.Column]; !old.Equal(v) {
+				if tally(old, 0); !v.IsNull() {
+					tally(v, 1)
+				}
+			}
 		}
 		for _, p := range pend {
 			v := p.row[idx.Column]
-			key := indexKey(v)
-			if add := added[key]; add > 0 {
-				if err := check(idx, v, add-removed[key]); err != nil {
+			if c, ok := keys.Find([]Value{v}); ok && moves[2*c+1] > 0 {
+				if err := check(idx, v, moves[2*c+1]-moves[2*c]); err != nil {
 					return err
 				}
 			}

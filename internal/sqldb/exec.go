@@ -14,8 +14,8 @@ import (
 // pipeline; only aggregation and sort materialise. Planning compiles every
 // expression into a closure (compile.go) or a kernel (vector.go); the
 // per-row path then performs no name resolution, no map lookups by column
-// name, and no string formatting (row identities use the binary keys of
-// key.go with reused scratch buffers). Leaves carry the execution's
+// name, and no string formatting (a key's identity is its Compare class,
+// key.go). Leaves carry the execution's
 // queryCtx, counting rows for Database.Stats and sampling context
 // cancellation mid-scan.
 //
@@ -55,7 +55,9 @@ type slab[T any] struct {
 	size int // elements in the last block allocated
 }
 
-const rowArenaBlock = 1024
+// 2,048 Values are 32 KiB, a large object: at 16 KiB its 8-byte type header
+// would round a full block up to the 18 KiB size class.
+const rowArenaBlock = 2048
 
 func (a *slab[T]) take(n int) []T {
 	if len(a.buf) < n {
@@ -313,16 +315,14 @@ type probeJoinCore struct {
 	leftOuter   bool // only when probeIsLeft
 	arena       rowArena
 
-	// lookup records the matches for a non-NULL probe key and returns
-	// their count; matchRow returns the i-th match of the latest lookup.
-	lookup   func(k Value) (int, error)
-	matchRow func(i int) Row
+	// lookup returns the matches of a non-NULL probe key, in the owner's
+	// storage: read until the next lookup.
+	lookup func(k Value) ([]Row, error)
 
-	cur      Row // current probe row
-	matches  int
-	matchPos int
-	emitted  bool // whether cur produced any output (for LEFT JOIN)
-	haveCur  bool
+	cur     Row   // current probe row
+	found   []Row // its matches not yet paired
+	emitted bool  // whether cur produced any output (for LEFT JOIN)
+	haveCur bool
 }
 
 // initProbeJoin names the probe input and the columns of the other side,
@@ -350,9 +350,7 @@ func (c *probeJoinCore) initProbeJoin(probe operator, other []colInfo, probeIsLe
 func (c *probeJoinCore) columns() []colInfo { return c.cols }
 func (c *probeJoinCore) reset() {
 	c.probe.reset()
-	c.haveCur = false
-	c.matches = 0
-	c.matchPos = 0
+	c.haveCur, c.found = false, nil
 }
 
 func (c *probeJoinCore) next() (Row, bool, error) {
@@ -365,22 +363,21 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 			c.cur = r
 			c.haveCur = true
 			c.emitted = false
-			c.matchPos = 0
 			c.probeEnv.row = r
 			k, err := c.probeKey()
 			if err != nil {
 				return nil, false, err
 			}
-			c.matches = 0
+			c.found = nil
 			if !k.IsNull() { // NULL keys never join
-				if c.matches, err = c.lookup(k); err != nil {
+				if c.found, err = c.lookup(k); err != nil {
 					return nil, false, err
 				}
 			}
 		}
-		for c.matchPos < c.matches {
-			rr := c.matchRow(c.matchPos)
-			c.matchPos++
+		for len(c.found) > 0 {
+			rr := c.found[0]
+			c.found = c.found[1:]
 			out := c.arena.alloc(len(c.cols))
 			if c.probeIsLeft {
 				n := copy(out, c.cur)
@@ -416,8 +413,8 @@ func (c *probeJoinCore) next() (Row, bool, error) {
 	}
 }
 
-// hashJoinOp performs an equi-join: the build side is hashed on its key
-// (binary encoding, exact int64 identity); probe rows stream past it. The
+// hashJoinOp performs an equi-join: the build side is filed by its key's
+// Compare class (a TupleSet); probe rows stream past it. The
 // planner picks the smaller input as the build side for inner joins when
 // reordering is safe; LEFT JOIN always builds the right input so unmatched
 // left rows can be emitted in order. A residual predicate (the non-equi
@@ -429,9 +426,8 @@ type hashJoinOp struct {
 	leftKey     Expr     // retained for EXPLAIN
 	rightKey    Expr     // retained for EXPLAIN
 	residualE   Expr     // retained for EXPLAIN
-	buckets     [][]Row
-	keyIndex    map[Value]int // by indexKey
-	curBucket   []Row
+	keys        TupleSet // the build keys by Compare class
+	buckets     [][]Row  // by class of keys
 }
 
 func newHashJoinOp(probe, build operator, buildRows []Row,
@@ -446,15 +442,12 @@ func newHashJoinOp(probe, build operator, buildRows []Row,
 		leftKey:     leftKey,
 		rightKey:    rightKey,
 		residualE:   residual,
-		keyIndex:    make(map[Value]int),
 	}
-	h.matchRow = func(i int) Row { return h.curBucket[i] }
-	h.lookup = func(k Value) (int, error) {
-		h.curBucket = nil
-		if i, ok := h.keyIndex[indexKey(k)]; ok {
-			h.curBucket = h.buckets[i]
+	h.lookup = func(k Value) ([]Row, error) {
+		if i, ok := h.keys.Find([]Value{k}); ok {
+			return h.buckets[i], nil
 		}
-		return len(h.curBucket), nil
+		return nil, nil
 	}
 	// Build phase: hash the build rows, on the statement's own goroutine.
 	buildEnv := newEvalEnv(buildCols, db, params, outer, qc)
@@ -471,12 +464,9 @@ func newHashJoinOp(probe, build operator, buildRows []Row,
 		if k.IsNull() {
 			continue // NULL keys never join
 		}
-		k = indexKey(k)
-		i, ok := h.keyIndex[k]
-		if !ok {
-			i = len(h.buckets)
+		i, fresh := h.keys.Add([]Value{k})
+		if fresh {
 			h.buckets = append(h.buckets, nil)
-			h.keyIndex[k] = i
 		}
 		h.buckets[i] = append(h.buckets[i], r)
 	}
@@ -517,26 +507,24 @@ func newIndexJoinOp(probe operator, table *Table, idx *Index, idxCols []colInfo,
 	// linger until vacuum, a colliding key shares it). Sealed matches are
 	// decoded into one buffer every probe reuses.
 	var ids []int
-	j.lookup = func(k Value) (int, error) {
+	j.lookup = func(k Value) ([]Row, error) {
 		var snap *snapshot
 		if qc != nil {
 			snap = qc.snap
 		}
 		j.curRows, j.matches.used = j.curRows[:0], 0
 		ids = j.idx.appendIDs(ids[:0], k)
-		key := indexKey(k)
 		for _, id := range ids {
 			r, err := j.table.visibleRow(id, snap, &j.matches, nil)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			if r != nil && indexKey(r[j.idx.Column]) == key {
+			if r != nil && sameKey(r[j.idx.Column], k) {
 				j.curRows = append(j.curRows, r)
 			}
 		}
-		return len(j.curRows), nil
+		return j.curRows, nil
 	}
-	j.matchRow = func(i int) Row { return j.curRows[i] }
 	return j, j.initProbeJoin(probe, idxCols, probeIsLeft, leftOuter, probeKeyE, residual, db, params, outer, qc)
 }
 
@@ -553,8 +541,7 @@ type nestedLoopJoinOp struct {
 func newNestedLoopJoinOp(left, right operator, rightRows []Row,
 	on Expr, leftOuter bool, db *Database, params []Value, outer *evalEnv, qc *queryCtx) (*nestedLoopJoinOp, error) {
 	n := &nestedLoopJoinOp{rightRows: rightRows, rightSrc: right, on: on}
-	n.lookup = func(Value) (int, error) { return len(n.rightRows), nil }
-	n.matchRow = func(i int) Row { return n.rightRows[i] }
+	n.lookup = func(Value) ([]Row, error) { return n.rightRows, nil }
 	// The probe key is a constant: no row has a NULL one.
 	return n, n.initProbeJoin(left, right.columns(), true, leftOuter, &Literal{Val: Int(1)}, on, db, params, outer, qc)
 }
@@ -1142,7 +1129,7 @@ type indexAccess struct {
 // resolved against this execution's bindings. Equality ids are ascending and range ids
 // materialise in heap order (ordidx.go), so either path yields rows
 // exactly as a filtered heap walk would. Comparands probe uncoerced: the
-// key encoding and the ordered view follow Value.Compare, which is what
+// hash classes and the ordered view follow Value.Compare, which is what
 // the filter evaluates, so `id = '5'` over an INTEGER column finds what
 // the unindexed filter finds — nothing.
 func chooseIndexAccess(t *Table, qual string, conjuncts []Expr, params []Value, snap *snapshot) (indexAccess, []Expr, error) {

@@ -204,7 +204,7 @@ func (p *planPrinter) describe(op operator, depth int) {
 			side = "left"
 		}
 		p.emit(depth, "hash join on %s = %s (build %s: %d key(s))%s",
-			t.leftKey.String(), t.rightKey.String(), side, len(t.keyIndex), residualNote(t.residualE))
+			t.leftKey.String(), t.rightKey.String(), side, len(t.buckets), residualNote(t.residualE))
 		p.describe(t.probe, depth+1)
 		p.emit(depth+1, "build side: %d column(s)", len(t.buildSrc.columns()))
 		p.describe(t.buildSrc, depth+2)

@@ -114,7 +114,7 @@ func (env *evalEnv) resolve(ref *ColumnRef) (int, *evalEnv, error) {
 
 // negate is unary minus: NULL stays NULL, an integer stays integral.
 func negate(v Value) Value {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return Null
 	case KindInt:

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // handoverDB holds t (5,000 rows, five morsels) and u (3,000 rows), sealed,
@@ -245,7 +246,7 @@ func TestCollectAllocatesOnce(t *testing.T) {
 		runs[i] = b.TotalAlloc - a.TotalAlloc
 	}
 	slices.Sort(runs)
-	const valueSize, headerSize, constant = 32, 24, 512 << 10
+	const valueSize, headerSize, constant = float64(unsafe.Sizeof(Value{})), 24, 512 << 10
 	perRow := float64(runs[len(runs)/2]) / n
 	limit := 2*valueSize + 2*headerSize + float64(constant)/n
 	t.Logf("%q: %.1f B a row (limit %.1f)", q, perRow, limit)

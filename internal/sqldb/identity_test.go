@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -130,7 +129,7 @@ func TestIdentityJoinLentMatchesQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.Rows) < 20 || !reflect.DeepEqual(got.Rows, want.Rows) {
+			if len(want.Rows) < 20 || !identical(got.Rows, want.Rows) {
 				t.Errorf("indexed=%v %s: lent Collect differs from Query (%d rows, want %d)", c.indexed, sql, len(got.Rows), len(want.Rows))
 			}
 		}

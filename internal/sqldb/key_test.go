@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -29,19 +28,19 @@ const (
 // the extended slice — the same classes as indexKey by construction. It
 // never allocates beyond growing dst.
 func appendValueKey(dst []byte, v Value) []byte {
-	switch v = indexKey(v); v.kind {
+	switch v = indexKey(v); v.Kind() {
 	case KindNull:
 		return append(dst, keyTagNull)
 	case KindText:
 		dst = append(dst, keyTagText)
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		return append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, uint64(len(v.AsText())))
+		return append(dst, v.AsText()...)
 	case KindInt:
 		dst = append(dst, keyTagInt)
 	default: // KindFloat
 		dst = append(dst, keyTagFloat)
 	}
-	return binary.BigEndian.AppendUint64(dst, v.n)
+	return binary.BigEndian.AppendUint64(dst, uint64(v.i64()))
 }
 
 // Key returns v's reference key as a string: values that compare equal
@@ -138,7 +137,7 @@ func keyCorpus() []Value {
 // exempt: a NaN handed to Float is a NULL (value.go), in the NULL class on
 // every side.
 func keyClassesAgree(a, b Value) error {
-	sameIndexKey, sameKey := indexKey(a) == indexKey(b), a.Key() == b.Key()
+	sameIndexKey, sameKey := identical(indexKey(a), indexKey(b)), a.Key() == b.Key()
 	if sameIndexKey != sameKey {
 		return fmt.Errorf("%v (%v) and %v (%v): same indexKey = %v, same Key() = %v", a, a.Kind(), b, b.Kind(), sameIndexKey, sameKey)
 	}
@@ -148,7 +147,7 @@ func keyClassesAgree(a, b Value) error {
 	if sameKey && hashKey(indexKey(a)) != hashKey(indexKey(b)) {
 		return fmt.Errorf("%v (%v) and %v (%v) share a key and hash apart", a, a.Kind(), b, b.Kind())
 	}
-	if k := indexKey(a); indexKey(k) != k || !k.Equal(a) {
+	if k := indexKey(a); !identical(indexKey(k), k) || !k.Equal(a) {
 		return fmt.Errorf("indexKey(%v) = %v is not a canonical member of its class", a, k)
 	}
 	return nil
@@ -184,7 +183,7 @@ func tupleSetAgrees(tuples [][]Value) error {
 		}
 	}
 	for class, first := range firsts {
-		if got := set.Tuple(class); !slices.Equal(got, first) {
+		if got := set.Tuple(class); !identical(got, first) {
 			return fmt.Errorf("Tuple(%d) = %v, want the first-seen original %v", class, got, first)
 		}
 	}
@@ -226,7 +225,7 @@ func TestKeyEqualIffEqual(t *testing.T) {
 			}
 		}
 	}
-	if a, b := indexKey(Float(math.NaN())), indexKey(Float(layoutNaN)); a != Null || b != Null {
+	if a, b := indexKey(Float(math.NaN())), indexKey(Float(layoutNaN)); !a.IsNull() || !b.IsNull() {
 		t.Errorf("NaN payloads key outside the NULL class: %v, %v", a, b)
 	}
 	vals = append(vals, textCorpus()...)
@@ -248,7 +247,7 @@ func TestKeyEqualIffEqual(t *testing.T) {
 // the tuples of width 1 to 3 over the pair in a TupleSet — and each value of
 // the pair to textAgrees; the two corpora seed it.
 func FuzzKeyClasses(f *testing.F) {
-	parts := func(v Value) (uint8, uint64, string) { return uint8(v.kind), v.n, v.s }
+	parts := func(v Value) (uint8, uint64, string) { return uint8(v.Kind()), uint64(v.i64()), v.str() }
 	vals := append(keyCorpus(), textCorpus()...)
 	for i, a := range vals {
 		ka, na, sa := parts(a)

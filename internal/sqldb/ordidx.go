@@ -212,7 +212,7 @@ func (idx *Index) orderedView(t *Table) (ordView, error) {
 	var entries []*ordEntry
 	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
 		run := len(ids)
-		for ; hi < len(pairs) && pairs[hi].key == pairs[lo].key; hi++ {
+		for ; hi < len(pairs) && pairs[hi].key.Identical(pairs[lo].key); hi++ {
 			if hi == lo || pairs[hi].id != pairs[hi-1].id { // a slot carries a key once, in however many versions
 				ids = append(ids, pairs[hi].id)
 			}

@@ -181,7 +181,7 @@ func TestRangeScanPoolGateCountsIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != c.hi-99 || !reflect.DeepEqual(got.Rows, want.Rows) {
+		if len(got.Rows) != c.hi-99 || !identical(got.Rows, want.Rows) {
 			t.Errorf("%s: %d rows differ from the unindexed filter's %d", sql, len(got.Rows), len(want.Rows))
 		}
 	}

@@ -566,7 +566,7 @@ func TestSumOrderOverMixedColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0]; got[0] != Float(pooled) || got[1] != Float(pooled) {
+		if got := res.Rows[0]; !identical(got[0], Float(pooled)) || !identical(got[1], Float(pooled)) {
 			t.Fatalf("pooled SUM/TOTAL over the mixed column = %v / %v, want %v (integer sum, then float parts by morsel)", got[0], got[1], pooled)
 		}
 	}
@@ -574,7 +574,7 @@ func TestSumOrderOverMixedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Rows[0], Float(float64(ints)+serial); got[0] != want || got[1] != want {
+	if got, want := res.Rows[0], Float(float64(ints)+serial); !identical(got[0], want) || !identical(got[1], want) {
 		t.Fatalf("serial SUM/TOTAL over the mixed column = %v / %v, want %v (integer sum, then the floats in scan order)", got[0], got[1], want)
 	}
 	for _, db := range []*Database{par, ser} {
@@ -582,7 +582,7 @@ func TestSumOrderOverMixedColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0]; got[2].Kind() != KindInt || got[3] != Float(float64(got[2].AsInt())) {
+		if got := res.Rows[0]; got[2].Kind() != KindInt || !identical(got[3], Float(float64(got[2].AsInt()))) {
 			t.Fatalf("all-integer SUM/TOTAL = %v / %v, want an exact INTEGER and its REAL image", got[2], got[3])
 		}
 	}

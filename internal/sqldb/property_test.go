@@ -168,7 +168,7 @@ func TestInsertSelectRoundTrip(t *testing.T) {
 		}
 		ra, _ := db.Query("SELECT v FROM a ORDER BY v")
 		rb, _ := db.Query("SELECT v FROM b ORDER BY v")
-		return reflect.DeepEqual(ra.Rows, rb.Rows)
+		return identical(ra.Rows, rb.Rows)
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}

@@ -282,14 +282,15 @@ func (db *Database) applyRecoveredDDL(sql string, tx *Txn) error {
 	return nil
 }
 
-// findRowByImage returns the lowest row id whose current row is exactly
-// (kind- and bit-level) equal to img. Under writeMu, so "current" is
-// unambiguous.
+// findRowByImage returns the lowest row id whose current row is Identical
+// to img, value by value — stricter than Compare, which takes 1 for 1.0:
+// replay must find the very row the original statement touched. Under
+// writeMu, so "current" is unambiguous.
 func findRowByImage(t *Table, img Row) (int, bool, error) {
 	buf, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, read and dropped
 	match := func(id int) (bool, error) {
 		r, err := t.visibleRow(id, nil, &buf, &seek)
-		return r != nil && rowsExactEqual(r, img), err
+		return r != nil && slices.EqualFunc(r, img, Value.Identical), err
 	}
 	// An indexed column can narrow the scan; correctness only needs
 	// ascending ids, which both paths provide.
@@ -310,11 +311,4 @@ func findRowByImage(t *Table, img Row) (int, bool, error) {
 		}
 	}
 	return 0, false, nil
-}
-
-// rowsExactEqual compares rows for exact (kind-sensitive, bit-level)
-// equality — stricter than Value.Compare, which treats 1 and 1.0 as
-// equal. Replay must match the very row the original statement touched.
-func rowsExactEqual(a, b Row) bool {
-	return slices.Equal(a, b) // struct identity is kind + bits: -0.0 is not 0.0
 }

@@ -341,7 +341,7 @@ func TestLentCursorCollectCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Rows) < 20 || !reflect.DeepEqual(got.Rows, want.Rows) {
+		if len(want.Rows) < 20 || !identical(got.Rows, want.Rows) {
 			t.Errorf("%q: lent Collect differs from Query (%d rows, want %d)", sql, len(got.Rows), len(want.Rows))
 		}
 	}

@@ -369,8 +369,8 @@ func (t *Table) rehydrate(m int) error {
 func sealColumn(vals []Value) segCol {
 	n, nn, c := len(vals), 0, segCol{enc: segEncRaw}
 	for _, v := range vals {
-		c.kinds |= 1 << uint16(v.kind)
-		if v.kind != KindNull {
+		c.kinds |= 1 << uint16(v.Kind())
+		if !v.IsNull() {
 			nn++
 		}
 	}
@@ -392,8 +392,10 @@ func sealColumn(vals []Value) segCol {
 	case segEncText:
 		index = make(map[string]int, nn)
 		for _, v := range vals {
-			if _, ok := index[v.s]; !ok && v.kind == KindText {
-				index[v.s], dictLen = len(index), dictLen+len(v.s)
+			if s := v.str(); v.Kind() == KindText {
+				if _, ok := index[s]; !ok {
+					index[s], dictLen = len(index), dictLen+len(s)
+				}
 			}
 		}
 		c.offs = make([]uint32, len(index)+1)
@@ -413,24 +415,24 @@ func sealColumn(vals []Value) segCol {
 	w, j, next := c.codeWidth(nn), 0, 0
 	for i, v := range vals {
 		switch {
-		case v.kind == KindNull:
+		case v.IsNull():
 			c.data[i/8] |= 1 << (i % 8)
 		case c.enc == segEncText:
 			di := next // with no codes, value j is entry j
 			if w > 0 {
-				di = index[v.s]
+				di = index[v.str()]
 			}
 			if di == next {
 				c.offs[di], next = uint32(dict.Len()), next+1
-				dict.WriteString(v.s)
+				dict.WriteString(v.str())
 			}
 			for b := range w {
 				c.data[bmLen+j*w+b] = byte(di >> (8 * b))
 			}
 		case c.enc == segEncBool:
-			c.data[bmLen+j/8] |= byte(v.n) << (j % 8)
+			c.data[bmLen+j/8] |= byte(v.i64()) << (j % 8)
 		}
-		if v.kind != KindNull {
+		if !v.IsNull() {
 			j++
 		}
 		if c.rank != nil && (i%64 == 63 || i == n-1) {
@@ -455,13 +457,13 @@ func sealColumn(vals []Value) segCol {
 func (c *segCol) stream(vals []Value, data []byte, off int) int {
 	prev, j := uint64(0), 0
 	for _, v := range vals {
-		if v.kind == KindNull {
+		if v.IsNull() {
 			continue
 		}
 		if j%segRestart == 0 {
 			c.offs[j/segRestart], prev = uint32(off), 0
 		}
-		u := v.n
+		u := uint64(v.i64())
 		if c.enc == segEncFloat {
 			u = uint64(int64(math.Round(v.AsFloat() * segPow10[c.exp])))
 		}
@@ -489,7 +491,7 @@ func decimalScale(vals []Value) byte {
 	exp := byte(0)
 	for i := 0; i < len(vals) && int(exp) < len(segPow10); i++ {
 		v, p := vals[i], segPow10[exp]
-		if m := math.Round(v.AsFloat() * p); v.kind == KindFloat && (math.Abs(m) >= 1<<52 || math.Float64bits(float64(int64(m))/p) != v.n) {
+		if m := math.Round(v.AsFloat() * p); v.Kind() == KindFloat && (math.Abs(m) >= 1<<52 || math.Float64bits(float64(int64(m))/p) != math.Float64bits(v.f64())) {
 			exp, i = exp+1, -1 // every value again, at the next scale
 		}
 	}

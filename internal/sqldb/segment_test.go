@@ -39,18 +39,14 @@ func roundTrips(c segCol, vals []Value) error {
 		v, err := c.valueAt(i, len(vals), nil)
 		vu, erru := c.valueAt(i, len(vals), &up)
 		vd, errd := c.valueAt(d, len(vals), &down)
-		if err = errors.Join(err, erru, errd); err != nil || !segValuesEqual(vals[i], dst[i]) ||
-			!segValuesEqual(vals[i], v) || !segValuesEqual(vals[i], vu) || !segValuesEqual(vals[d], vd) {
+		if err = errors.Join(err, erru, errd); err != nil || !identical(vals[i], dst[i]) ||
+			!identical(vals[i], v) || !identical(vals[i], vu) || !identical(vals[d], vd) {
 			return fmt.Errorf("enc=%d: value %d round-tripped %v -> %v, at random %v, walking up %v (%v)",
 				c.enc, i, vals[i], dst[i], v, vu, err)
 		}
 	}
 	return nil
 }
-
-// segValuesEqual is kind-and-bits identity, so NaN and negative zero
-// round-trips are checked exactly.
-func segValuesEqual(a, b Value) bool { return a == b }
 
 func TestSegmentCodecIntRoundTrip(t *testing.T) {
 	cases := [][]Value{
@@ -457,7 +453,7 @@ func FuzzSegmentCodec(f *testing.F) {
 			derr := c.decode(n, dst)
 			for i := 0; i < n; i++ {
 				v, err := c.valueAt(i, n, nil)
-				if err != nil && CodeOf(err) != ErrCorrupt || err == nil && derr == nil && !segValuesEqual(v, dst[i]) {
+				if err != nil && CodeOf(err) != ErrCorrupt || err == nil && derr == nil && !identical(v, dst[i]) {
 					t.Fatalf("text valueAt(%d) = %v, %v; decode gave %v, %v", i, v, err, dst[i], derr)
 				}
 			}

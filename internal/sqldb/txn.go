@@ -21,8 +21,9 @@ import (
 //     Database.writeMu — a single-writer model: an autocommit statement
 //     holds it for the statement, an explicit transaction from its first
 //     write until commit/rollback (a second concurrently writing
-//     transaction blocks until the first finishes; this engine detects no
-//     write-write conflicts because it never runs two writers at once).
+//     transaction blocks until the first finishes, or its statement's
+//     context is done; this engine detects no write-write conflicts
+//     because it never runs two writers at once).
 //   - Versions made unreachable (superseded, deleted, or rolled back) are
 //     reclaimed by a background vacuum (vacuum.go) once they are invisible
 //     to every registered snapshot — the oldest-active-snapshot horizon.
@@ -450,15 +451,54 @@ func (db *Database) beginRead(tx *Txn) *snapshot {
 	return db.tm.capture(0)
 }
 
+// latch is the single-writer latch, a one-slot channel: unlike a
+// sync.Mutex, it can be waited for under a context (lock).
+type latch chan struct{}
+
+func (l latch) Lock() { l <- struct{}{} }
+
+// Unlock frees the latch; freeing a free latch panics, as a sync.Mutex's
+// unlock does, rather than wait for a holder that will never come.
+func (l latch) Unlock() {
+	select {
+	case <-l:
+	default:
+		panic("sql: unlock of unlocked writer latch")
+	}
+}
+
+// lock takes the latch, or returns qc's ErrCanceled once its context is
+// done. A free latch is taken before the context makes its Done channel.
+func (l latch) lock(qc *queryCtx) error {
+	select {
+	case l <- struct{}{}:
+		return nil
+	default:
+	}
+	if qc.ctx == nil {
+		l.Lock()
+		return nil
+	}
+	select {
+	case l <- struct{}{}:
+		return nil
+	case <-qc.ctx.Done():
+		return qc.cancelled()
+	}
+}
+
 // beginWrite pins the single-writer latch for one writing statement — DML
 // or DDL — and returns the transaction it runs in, which the statement
 // hands to endWrite when it ends. For autocommit (tx nil) the transaction
-// is a throwaway that endWrite commits. A closed database refuses the
-// statement with ErrMisuse before it changes a row.
+// is a throwaway that endWrite commits. A statement whose context is done
+// while it waits for the latch is refused with ErrCanceled, and a closed
+// database refuses it with ErrMisuse, before it changes a row.
 func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, error) {
 	held := tx != nil && tx.wrote
 	if !held {
-		db.writeMu.Lock()
+		if err := db.writeMu.lock(qc); err != nil {
+			return nil, err
+		}
 	}
 	if db.isClosed() {
 		if !held {

@@ -315,6 +315,46 @@ func TestBareCallsRunAutocommit(t *testing.T) {
 	}
 }
 
+// TestWriteLatchWaitHonoursContext: a statement waiting for the writer latch
+// an open Txn holds gives up when its context does — ErrCanceled (57014)
+// within the deadline, not after the Txn ends — and applies nothing, then or
+// once the latch is free. Freeing a free latch panics rather than hang.
+func TestWriteLatchWaitHonoursContext(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+	db.MustExec("INSERT INTO t VALUES (1)")
+	before := dumpString(t, db)
+	tx := db.Begin()
+	if _, err := tx.Exec("INSERT INTO t VALUES (2)"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := db.ExecContext(ctx, "INSERT INTO t VALUES (3)")
+	if waited := time.Since(start); CodeOf(err) != ErrCanceled || SQLStateFor(err) != "57014" || waited > time.Second {
+		t.Fatalf("INSERT behind an open Txn under a 100 ms deadline: %v after %v, want ErrCanceled (57014) within 1 s", err, waited)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpString(t, db); got != before {
+		t.Errorf("the cancelled INSERT or the rolled-back Txn left a row:\n%s", got)
+	}
+	if n := db.LiveSnapshots(); n != 0 {
+		t.Errorf("LiveSnapshots = %d, want 0", n)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (3)"); err != nil {
+		t.Fatalf("the latch was not given back: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("freeing a free writer latch did not panic")
+		}
+	}()
+	db.writeMu.Unlock()
+}
+
 // TestTxnStatsCounters: Begins/Commits/Rollbacks/ActiveTxns move with the
 // transaction lifecycle, finished through the API and by statement.
 func TestTxnStatsCounters(t *testing.T) {

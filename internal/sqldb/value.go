@@ -37,17 +37,17 @@
 // Value of kind null, integer, real, text, or boolean, and comparisons
 // coerce across the numeric kinds.
 //
-// A Value is 32 bytes: the kind, one payload word and one string header. At
-// most one payload is ever live, so the scalar kinds share the word — an
-// INTEGER stores its two's-complement bits in it, a REAL its
-// math.Float64bits (-0.0 survives; a NaN is NULL, see Float), a BOOLEAN 0 or 1 —
-// while TEXT lives in the string and NULL is the zero Value. Rows, batch
-// buffers, result sets, group keys and index keys are all arrays of this
-// struct, so its size is the unit the live heap and every statement's bytes
-// are counted in: a field added to it grows all of them by a quarter, and
-// TestValueLayout fails first. Two Values are == exactly when they agree in
-// kind and bits, which lets an index key its map by the Value itself
-// (indexKey, key.go) instead of by an encoded copy.
+// A Value is 16 bytes, a pointer and a payload word. A nil pointer is NULL
+// (the zero Value); one of four package bytes (kindTags) marks a BOOLEAN,
+// INTEGER, REAL or the empty TEXT, the payload its bits — an INTEGER's two's
+// complement, a REAL's math.Float64bits (-0.0 survives; a NaN is NULL, see
+// Float), a BOOLEAN's 0 or 1; any other pointer is a TEXT's bytes, the
+// payload their length. Only this file knows the layout, and only it imports
+// unsafe. Rows, batch columns, results and group keys are arrays of Values,
+// so a field added here grows all of them, and TestValueLayout fails first.
+// Value has no ==, which would compare a TEXT by its address: a zero-size
+// func field makes the compiler refuse == and map[Value], and identity is
+// Identical, or sameKey by Compare class (key.go).
 package sqldb
 
 import (
@@ -56,6 +56,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types a Value can hold.
@@ -88,20 +89,26 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single dynamically-typed SQL value. The zero Value is NULL.
-// n holds an INTEGER's bits, a REAL's Float64bits or a BOOLEAN's 0/1 (the
-// package comment says why there is one word, not three).
+// Value is a single dynamically-typed SQL value. The zero Value is NULL. p
+// and n hold the kind and the payload as the package comment lays out.
 type Value struct {
-	kind Kind
-	n    uint64
-	s    string
+	_ [0]func() // no ==: see the package comment
+	p unsafe.Pointer
+	n uint64
 }
+
+// kindTags are the addresses p takes for the kinds that carry no string
+// data, in Kind order from KindBool: no string's bytes are ever one of them.
+var kindTags [KindText - KindBool + 1]byte
+
+// tag returns the pointer that marks kind k (KindBool … KindText).
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&kindTags[k-KindBool]) }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // Int returns an INTEGER value.
-func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
+func Int(v int64) Value { return Value{p: tag(KindInt), n: uint64(v)} }
 
 // Float returns a REAL value — for a NaN, NULL, as SQLite has it: whatever
 // arithmetic, a bound parameter or a decoder hands in, no Value is a NaN, so
@@ -110,42 +117,75 @@ func Float(v float64) Value {
 	if v != v {
 		return Null
 	}
-	return Value{kind: KindFloat, n: math.Float64bits(v)}
+	return Value{p: tag(KindFloat), n: math.Float64bits(v)}
 }
 
-// Text returns a TEXT value.
-func Text(v string) Value { return Value{kind: KindText, s: v} }
+// Text returns a TEXT value. The empty text takes its tag, because an empty
+// string's data pointer may be anything, nil and a tag included.
+func Text(v string) Value {
+	if v == "" {
+		return Value{p: tag(KindText)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool returns a BOOLEAN value.
 func Bool(v bool) Value {
 	if v {
-		return Value{kind: KindBool, n: 1}
+		return Value{p: tag(KindBool), n: 1}
 	}
-	return Value{kind: KindBool}
+	return Value{p: tag(KindBool)}
 }
 
 // i64 and f64 read the payload word of an INTEGER (or BOOLEAN) and a REAL.
 func (v Value) i64() int64   { return int64(v.n) }
 func (v Value) f64() float64 { return math.Float64frombits(v.n) }
 
+// str returns a TEXT's string, and "" for every other kind.
+func (v Value) str() string {
+	if v.Kind() != KindText {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
 // Kind reports the value's dynamic type.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if d := uintptr(v.p) - uintptr(tag(KindBool)); d < uintptr(len(kindTags)) {
+		return KindBool + Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindText
+}
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
+
+// Identical reports whether v and o are one value: one kind and one
+// payload, the bits of a scalar or the bytes of a TEXT, wherever they lie.
+// It is stricter than Equal, equality by Compare: 1 and 1.0, or -0.0 and
+// 0.0, are Equal and not Identical.
+func (v Value) Identical(o Value) bool {
+	if v.p == o.p && v.n == o.n {
+		return true
+	}
+	return v.n == o.n && v.Kind() == KindText && o.Kind() == KindText && v.str() == o.str()
+}
 
 // AsInt returns the value as an int64, coercing REAL and BOOLEAN.
 // NULL and TEXT that does not parse return 0.
 func (v Value) AsInt() int64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt, KindBool:
 		return v.i64()
 	case KindFloat:
 		return int64(v.f64())
 	case KindText:
-		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, ferr := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 			if ferr != nil {
 				return 0
 			}
@@ -160,13 +200,13 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the value as a float64, coercing INTEGER, BOOLEAN and
 // numeric TEXT. NULL and non-numeric TEXT return 0.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindFloat:
 		return v.f64()
 	case KindInt, KindBool:
 		return float64(v.i64())
 	case KindText:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 		if err != nil {
 			return 0
 		}
@@ -178,9 +218,9 @@ func (v Value) AsFloat() float64 {
 
 // AsText renders the value as a string. NULL renders as the empty string.
 func (v Value) AsText() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindText:
-		return v.s
+		return v.str()
 	case KindInt:
 		return strconv.FormatInt(v.i64(), 10) // allocates nothing below 100
 	}
@@ -192,9 +232,9 @@ func (v Value) AsText() string {
 // slice. A REAL prints the way SQLite prints it: integral values get a
 // trailing ".0" so that REAL and INTEGER remain visually distinct.
 func (v Value) AppendText(dst []byte) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindText:
-		return append(dst, v.s...)
+		return append(dst, v.str()...)
 	case KindInt:
 		return strconv.AppendInt(dst, v.i64(), 10)
 	case KindBool:
@@ -216,20 +256,20 @@ func (v Value) AppendText(dst []byte) []byte {
 // true. NULL is false (callers needing three-valued logic must check IsNull
 // before conversion).
 func (v Value) AsBool() bool {
-	switch v.kind {
+	switch v.Kind() {
 	case KindBool, KindInt:
 		return v.n != 0
 	case KindFloat:
 		return v.f64() != 0
 	case KindText:
-		return v.s != ""
+		return v.n != 0 // the length
 	default:
 		return false
 	}
 }
 
 // IsNumeric reports whether the value is INTEGER or REAL.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { k := v.Kind(); return k == KindInt || k == KindFloat }
 
 // String implements fmt.Stringer with SQL literal syntax.
 func (v Value) String() string {
@@ -240,16 +280,17 @@ func (v Value) String() string {
 // appendSQL appends String's rendering to dst: NULL, a quoted text with
 // every ' doubled, or AppendText's number.
 func (v Value) appendSQL(dst []byte) []byte {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(dst, "NULL"...)
 	case KindText:
 		dst = append(dst, '\'')
-		for i := 0; i < len(v.s); i++ {
-			if v.s[i] == '\'' {
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			if s[i] == '\'' {
 				dst = append(dst, '\'')
 			}
-			dst = append(dst, v.s[i])
+			dst = append(dst, s[i])
 		}
 		return append(dst, '\'')
 	}
@@ -268,46 +309,46 @@ func (v Value) appendSQL(dst []byte) []byte {
 // SQLite (affinity coercion happens at insert time, never at comparison
 // time, which keeps Compare a total order).
 func (v Value) Compare(o Value) int {
+	vk, ok := v.Kind(), o.Kind()
 	// NULLs sort first and compare equal to each other (for ORDER BY /
 	// GROUP BY purposes; WHERE-clause semantics handle NULL separately).
-	if v.kind == KindNull || o.kind == KindNull {
+	if vk == KindNull || ok == KindNull {
 		switch {
-		case v.kind == o.kind:
+		case vk == ok:
 			return 0
-		case v.kind == KindNull:
+		case vk == KindNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	vn, on := v.numericRank(), o.numericRank()
+	vn, on := vk != KindText, ok != KindText
 	if vn && on {
 		// Exact integer comparison when both sides are integers, and
 		// exact int-vs-float comparison (as in SQLite), so that large
 		// int64s never collapse through float64 rounding. This keeps
-		// Compare's equivalence classes identical to the binary key
-		// encoding in key.go — equality must not depend on whether a plan
-		// uses hashing (keys) or direct comparison.
-		if v.kind == KindInt && o.kind == KindInt {
+		// Compare's equivalence classes identical to indexKey's (key.go) —
+		// equality must not depend on whether a plan hashes or compares.
+		if vk == KindInt && ok == KindInt {
 			return cmp.Compare(v.i64(), o.i64())
 		}
-		if v.kind == KindInt && o.kind == KindFloat {
+		if vk == KindInt && ok == KindFloat {
 			return compareIntFloat(v.i64(), o.f64())
 		}
-		if v.kind == KindFloat && o.kind == KindInt {
+		if vk == KindFloat && ok == KindInt {
 			return -compareIntFloat(o.i64(), v.f64())
 		}
 		return cmp.Compare(v.AsFloat(), o.AsFloat()) // never a NaN: Float
 	}
 	if vn != on {
 		// Mixed numeric/text: numbers sort before text, unconditionally.
-		if v.kind == KindText {
+		if vk == KindText {
 			return 1
 		}
 		return -1
 	}
 	// Both text.
-	return strings.Compare(v.s, o.s)
+	return strings.Compare(v.str(), o.str())
 }
 
 // compareIntFloat compares an int64 with a float64 (never a NaN: Float)
@@ -326,11 +367,6 @@ func compareIntFloat(i int64, f float64) int {
 		return c
 	}
 	return cmp.Compare(0, f-math.Trunc(f))
-}
-
-// numericRank reports whether the kind participates in numeric comparison.
-func (v Value) numericRank() bool {
-	return v.kind == KindInt || v.kind == KindFloat || v.kind == KindBool
 }
 
 // Equal reports whether two values compare equal under Compare. NULL equals

@@ -1,11 +1,15 @@
 package sqldb
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,7 +182,7 @@ func TestUnsignedParamAboveMaxInt64(t *testing.T) {
 			t.Errorf("%T parameter: %v, want %s", p, got, want)
 		}
 	}
-	if got := GoValue(uint64(math.MaxInt64)); got != Int(math.MaxInt64) {
+	if got := GoValue(uint64(math.MaxInt64)); !identical(got, Int(math.MaxInt64)) {
 		t.Errorf("GoValue(uint64(MaxInt64)) = %v, want the INTEGER", got)
 	}
 }
@@ -289,11 +293,33 @@ func pinBytes(b []byte) string {
 	return hex.EncodeToString(b)
 }
 
-func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32: every row array, result set and index key grows with it", got)
+// identical reports whether a and b hold the same values in the same
+// places: one kind, the same bits, the same bytes (Value.Identical) — what == and
+// reflect.DeepEqual checked while a Value kept its kind and string inline,
+// and what neither checks now that a TEXT is a pointer to its bytes.
+func identical[T Value | []Value | Row | []Row | [][]Value](a, b T) bool {
+	switch a := any(a).(type) {
+	case Value:
+		return a.Identical(any(b).(Value))
+	case []Value:
+		return slices.EqualFunc(a, any(b).([]Value), Value.Identical)
+	case Row:
+		return slices.EqualFunc(a, any(b).(Row), Value.Identical)
+	case []Row:
+		return slices.EqualFunc(a, any(b).([]Row), identical[Row])
+	default:
+		return slices.EqualFunc(a.([][]Value), any(b).([][]Value), identical[[]Value])
 	}
-	if (Value{}) != Null || !(Value{}).IsNull() || Null.Kind() != KindNull {
+}
+
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16: every row array, result set and group key grows with it", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable: == would compare a TEXT by its address")
+	}
+	if !(Value{}).IsNull() || (Value{}).Kind() != KindNull || !identical(Value{}, Null) || Null.Kind() != KindNull {
 		t.Fatal("the zero Value must be NULL")
 	}
 	for _, i := range []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 53, 1<<53 + 1} {
@@ -301,7 +327,7 @@ func TestValueLayout(t *testing.T) {
 			t.Errorf("Int(%d) round trip = %v %d", i, v.Kind(), v.AsInt())
 		}
 	}
-	if v := Float(layoutNaN); v != Null || Float(math.NaN()) != Null {
+	if v := Float(layoutNaN); !v.IsNull() || !Float(math.NaN()).IsNull() {
 		t.Errorf("Float(NaN) = %v (%v), want NULL: a stored NaN equals every number under Compare", v, v.Kind())
 	}
 	for _, f := range []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64} {
@@ -317,6 +343,84 @@ func TestValueLayout(t *testing.T) {
 	for _, s := range []string{"", "a", layoutBigText} {
 		if v := Text(s); v.Kind() != KindText || v.AsText() != s {
 			t.Errorf("Text(len %d) round trip = %v len %d", len(s), v.Kind(), len(v.AsText()))
+		}
+	}
+}
+
+// heapText returns a TEXT whose bytes are a fresh heap copy of s: the Value
+// is the only reference to them.
+func heapText(s string) Value { return Text(string(append([]byte(nil), s...))) }
+
+// TestValueTextEncoding holds the 16-byte layout to its rule: a TEXT is its
+// string's data pointer and length, a scalar one of four tags and its bits.
+// Every kind round-trips over a corpus — the empty text, every one-byte text
+// (the tags' own byte among them), texts cut from the end and the middle of
+// a large string, static and heap bytes — Kind never takes a scalar for a
+// TEXT or a TEXT for a scalar, and a TEXT that alone keeps its bytes alive
+// reads them back after collections.
+func TestValueTextEncoding(t *testing.T) {
+	texts := []string{"", "a", "hello", layoutBigText, layoutBigText[len(layoutBigText)-3:],
+		layoutBigText[len(layoutBigText)-1:], layoutBigText[5:5], layoutBigText[len(layoutBigText):]}
+	for b := 0; b < 256; b++ {
+		texts = append(texts, string([]byte{byte(b)}), layoutBigText[b:b+1])
+	}
+	for _, k := range kindTags {
+		texts = append(texts, string([]byte{k}), string([]byte{k, k}))
+	}
+	for _, s := range texts {
+		for _, v := range []Value{Text(s), heapText(s)} {
+			if v.Kind() != KindText || v.IsNull() || v.AsText() != s || v.str() != s || v.AsBool() != (s != "") {
+				t.Errorf("Text(%q) read back as %v %q", s, v.Kind(), v.AsText())
+			}
+			if !v.Identical(Text(s)) || !v.Identical(heapText(s)) || v.Compare(heapText(s)) != 0 {
+				t.Errorf("Text(%q) is not the same as another copy of its bytes", s)
+			}
+		}
+	}
+	if Text("").Identical(Text("\x00")) || Text("a").Identical(Text("b")) || Text("ab").Identical(Text("a")) {
+		t.Error("two different texts are the same")
+	}
+	scalars := []Value{Null, Bool(false), Bool(true), Int(0), Int(-1), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(math.Inf(-1)), Float(math.MaxFloat64), Float(2.5)}
+	for _, v := range scalars {
+		if v.Kind() == KindText || v.str() != "" {
+			t.Errorf("%v (%v bits %x) reads as a TEXT", v, v.Kind(), uint64(v.i64()))
+		}
+		for _, w := range scalars {
+			if v.Identical(w) != (v.Kind() == w.Kind() && v.i64() == w.i64()) {
+				t.Errorf("%v same %v = %v", v, w, v.Identical(w))
+			}
+		}
+		if v.Identical(Text("")) || v.Identical(Text(v.AsText())) {
+			t.Errorf("%v is the same as a TEXT", v)
+		}
+	}
+	for k := KindBool; k <= KindText; k++ {
+		if got := (Value{p: tag(k)}).Kind(); got != k {
+			t.Errorf("the %v tag reads as %v", k, got)
+		}
+	}
+	// TEXTs held only by their Values, in a heap slice the collector scans
+	// through the pointer word alone.
+	held := make([]Value, 64)
+	want := make([]string, len(held))
+	for i := range held {
+		want[i] = strings.Repeat(strconv.Itoa(i), 1+i*37)
+		if held[i] = heapText(want[i]); i%2 == 1 { // the tail of a larger string nothing else keeps
+			held[i] = Text((strings.Repeat("x", 4096) + want[i])[4096:])
+		}
+	}
+	for round := 0; round < 3; round++ {
+		runtime.GC()
+		junk := make([][]byte, 256)
+		for i := range junk {
+			junk[i] = bytes.Repeat([]byte{0xff}, 1+i*13)
+		}
+		runtime.KeepAlive(junk)
+		for i, v := range held {
+			if v.Kind() != KindText || v.AsText() != want[i] {
+				t.Fatalf("round %d: held[%d] reads %v %.20q after a collection, want %.20q", round, i, v.Kind(), v.AsText(), want[i])
+			}
 		}
 	}
 }
@@ -381,7 +485,7 @@ func TestValueEncodingsPinned(t *testing.T) {
 func asTextReference(v Value) string {
 	switch v.Kind() {
 	case KindText:
-		return v.s
+		return v.str()
 	case KindInt:
 		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
@@ -445,11 +549,14 @@ func TestAppendTextMatchesAsText(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	for v, want := range map[Value]string{Float(math.Inf(1)): "Inf", Float(math.Inf(-1)): "-Inf", Float(math.NaN()): "",
-		Float(math.Copysign(0, -1)): "-0.0", Float(1e15 - 1): "999999999999999.0", Float(1e15): "1e+15",
-		Int(math.MinInt64): "-9223372036854775808", Null: "", Bool(true): "true", Float(2.5): "2.5", Float(5): "5.0"} {
-		if got := string(v.AppendText(nil)); got != want {
-			t.Errorf("AppendText(%v %v) = %q, want %q", v.Kind(), v, got, want)
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{{Float(math.Inf(1)), "Inf"}, {Float(math.Inf(-1)), "-Inf"}, {Float(math.NaN()), ""},
+		{Float(math.Copysign(0, -1)), "-0.0"}, {Float(1e15 - 1), "999999999999999.0"}, {Float(1e15), "1e+15"},
+		{Int(math.MinInt64), "-9223372036854775808"}, {Null, ""}, {Bool(true), "true"}, {Float(2.5), "2.5"}, {Float(5), "5.0"}} {
+		if got := string(c.v.AppendText(nil)); got != c.want {
+			t.Errorf("AppendText(%v %v) = %q, want %q", c.v.Kind(), c.v, got, c.want)
 		}
 	}
 }

@@ -67,13 +67,13 @@ func (v *vecCol) setVals(vals []Value) {
 	v.vals = vals
 	var k uint16
 	for i := range vals {
-		k |= 1 << uint16(vals[i].kind)
+		k |= 1 << uint16(vals[i].Kind())
 	}
 	v.kinds = k
 }
 
 func constCol(val Value) vecCol {
-	return vecCol{konst: true, c: val, kinds: 1 << uint16(val.kind)}
+	return vecCol{konst: true, c: val, kinds: 1 << uint16(val.Kind())}
 }
 
 // vecBatch is one morsel's visible rows in column-major form, filled by
@@ -299,7 +299,7 @@ func (vc *vecCompiler) compileExpr(e Expr) (vecExprFn, bool) {
 				scratch := b.colBuf(slot, b.n)
 				for i := 0; i < b.n; i++ {
 					a, c := lv.at(i), rv.at(i)
-					if a.kind == KindNull || c.kind == KindNull {
+					if a.IsNull() || c.IsNull() {
 						scratch[i] = Null
 					} else {
 						scratch[i] = Text(a.AsText() + c.AsText())
@@ -435,7 +435,7 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 					lv := l(b)
 					for i := 0; i < b.n; i++ {
 						v := lv.at(i)
-						if v.kind == KindNull {
+						if v.IsNull() {
 							nl.set(i)
 						} else if likeRec(pattern, strings.ToLower(v.AsText())) {
 							t0.set(i)
@@ -451,7 +451,7 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 				lv, rv := l(b), r(b)
 				for i := 0; i < b.n; i++ {
 					a, p := lv.at(i), rv.at(i)
-					if a.kind == KindNull || p.kind == KindNull {
+					if a.IsNull() || p.IsNull() {
 						nl.set(i)
 					} else if likeMatch(p.AsText(), a.AsText()) {
 						t0.set(i)
@@ -487,7 +487,7 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 		return func(b *vecBatch, t0, _ *vecBitset) {
 			v := sub(b)
 			for i := 0; i < b.n; i++ {
-				if (v.at(i).kind == KindNull) != not {
+				if v.at(i).IsNull() != not {
 					t0.set(i)
 				}
 			}
@@ -510,7 +510,7 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 			v, lo, hi := ce(b), clo(b), chi(b)
 			for i := 0; i < b.n; i++ {
 				vv, lv, hv := v.at(i), lo.at(i), hi.at(i)
-				if vv.kind == KindNull || lv.kind == KindNull || hv.kind == KindNull {
+				if vv.IsNull() || lv.IsNull() || hv.IsNull() {
 					nl.set(i)
 					continue
 				}
@@ -545,14 +545,14 @@ func (vc *vecCompiler) compilePred(e Expr) (vecPredFn, bool) {
 			}
 			for i := 0; i < b.n; i++ {
 				v := nv.at(i)
-				if v.kind == KindNull {
+				if v.IsNull() {
 					nl.set(i)
 					continue
 				}
 				match, sawNull := false, false
 				for _, el := range elems {
 					hv := el.at(i)
-					if hv.kind == KindNull {
+					if hv.IsNull() {
 						sawNull = true
 						continue
 					}
@@ -593,7 +593,7 @@ func (vc *vecCompiler) exprAsPred(e Expr) (vecPredFn, bool) {
 		for i := 0; i < b.n; i++ {
 			sv := v.at(i)
 			switch {
-			case sv.kind == KindNull:
+			case sv.IsNull():
 				nl.set(i)
 			case sv.AsBool():
 				t0.set(i)
@@ -690,7 +690,7 @@ func cmpVec(op string, l, r *vecCol, n int, t, nl *vecBitset) {
 	}
 	for i := 0; i < n; i++ {
 		lv, rv := l.at(i), r.at(i)
-		if lv.kind == KindNull || rv.kind == KindNull {
+		if lv.IsNull() || rv.IsNull() {
 			nl.set(i)
 			continue
 		}

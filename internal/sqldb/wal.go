@@ -154,22 +154,23 @@ func appendWalString(b []byte, s string) []byte {
 
 // appendWalValue encodes one Value: kind byte + fixed/length-prefixed body.
 func appendWalValue(b []byte, v Value) []byte {
-	b = append(b, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	b = append(b, byte(k))
+	switch k {
 	case KindNull:
 	case KindBool:
-		b = append(b, byte(v.n))
+		b = append(b, byte(v.i64()))
 	case KindInt, KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, v.n)
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.i64()))
 	case KindText:
-		b = appendWalString(b, v.s)
+		b = appendWalString(b, v.str())
 	}
 	return b
 }
 
 // walValueLen is the length of appendWalValue's encoding of v.
 func walValueLen(v Value) int {
-	return 1 + [...]int{KindBool: 1, KindInt: 8, KindFloat: 8, KindText: 4}[v.kind] + len(v.s)
+	return 1 + [...]int{KindBool: 1, KindInt: 8, KindFloat: 8, KindText: 4}[v.Kind()] + len(v.str())
 }
 
 func appendWalRow(b []byte, r Row) []byte {

@@ -77,7 +77,7 @@ func TestWalOpEncodingRoundTrip(t *testing.T) {
 		if got.kind != want.kind || got.table != want.table || got.sql != want.sql {
 			t.Fatalf("op %d: got %+v want %+v", i, got, want)
 		}
-		if !rowsExactEqual(got.row, want.row) || !rowsExactEqual(got.row2, want.row2) {
+		if !identical(got.row, want.row) || !identical(got.row2, want.row2) {
 			t.Fatalf("op %d: rows differ: got %v/%v want %v/%v", i, got.row, got.row2, want.row, want.row2)
 		}
 	}
