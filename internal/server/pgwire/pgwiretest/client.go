@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 )
 
 // Config carries startup options.
@@ -176,7 +177,10 @@ func (c *Conn) Terminate() error {
 }
 
 // Cancel opens a fresh connection and fires a CancelRequest carrying this
-// connection's key data.
+// connection's key data. The server closes a cancel connection once it has
+// serviced the request, so Cancel reads it to EOF (for at most 5 s): the
+// cancel has been applied when Cancel returns, and none is left in flight
+// to land on a later statement.
 func (c *Conn) Cancel() error {
 	nc, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -188,7 +192,11 @@ func (c *Conn) Cancel() error {
 	pkt = binary.BigEndian.AppendUint32(pkt, 80877102)
 	pkt = binary.BigEndian.AppendUint32(pkt, uint32(c.pid))
 	pkt = binary.BigEndian.AppendUint32(pkt, uint32(c.secret))
-	_, err = nc.Write(pkt)
+	if _, err := nc.Write(pkt); err != nil {
+		return err
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.Copy(io.Discard, nc)
 	return err
 }
 

@@ -44,8 +44,10 @@ var fuzzSeedSQL = []string{
 }
 
 // FuzzParse: parsing arbitrary input must never panic, must only report
-// typed errors, and on success the statement's String() rendering must
-// re-parse to a fixpoint (parse -> String -> parse -> String is stable).
+// typed errors, must fail with a lex error exactly when the reference lex
+// of the whole text does (the same one), and on success the statement's
+// String() rendering must re-parse to a fixpoint (parse -> String -> parse
+// -> String is stable).
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeedSQL {
 		f.Add(s)
@@ -53,6 +55,12 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 1<<12 {
 			t.Skip()
+		}
+		_, want := lex(sql)
+		_, err := ParseAll(sql)
+		var le *lexError
+		if errors.As(err, &le) != (want != nil) || want != nil && le.Error() != want.Error() {
+			t.Fatalf("ParseAll(%q) = %v, the reference lex %v", sql, err, want)
 		}
 		stmt, err := Parse(sql)
 		if err != nil {

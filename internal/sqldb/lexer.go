@@ -73,14 +73,13 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("sql: lex error at offset %d: %s", e.pos, e.msg)
 }
 
-// lex tokenises a SQL string. It never panics; malformed input yields an
-// error identifying the offending offset. The token slice is sized once
-// from the source and every token's text is a slice of the source, a
-// keyword's canonical string or a constant — only a quoted literal holding
-// a doubled quote is built — so a statement costs one allocation.
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)/3+4)
-	i := 0
+// scan returns the token at or after byte i of src (tokEOF at the end) and
+// the offset the next scan starts from. It never panics; malformed input
+// yields an error identifying the offending offset. A token's text is a
+// slice of the source, a keyword's canonical string or a constant — only a
+// quoted literal holding a doubled quote is built — so scanning allocates
+// nothing, and the parser holds no more than two tokens at a time.
+func scan(src string, i int) (token, int, error) {
 	n := len(src)
 	for i < n {
 		c := src[i]
@@ -95,39 +94,30 @@ func lex(src string) ([]token, error) {
 		case c == '/' && i+1 < n && src[i+1] == '*':
 			end := strings.Index(src[i+2:], "*/")
 			if end < 0 {
-				return nil, &lexError{pos: i, msg: "unterminated block comment"}
+				return token{}, 0, &lexError{pos: i, msg: "unterminated block comment"}
 			}
 			i += end + 4
 		case c == '\'':
 			s, next, err := lexString(src, i, '\'')
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{typ: tokString, text: s, pos: i})
-			i = next
+			return token{typ: tokString, text: s, pos: i}, next, err
 		case c == '"' || c == '`':
 			// Quoted identifier. An empty one is rejected: nothing can be
 			// named "", and it cannot round-trip through rendering.
 			s, next, err := lexString(src, i, c)
-			if err != nil {
-				return nil, err
+			if err == nil && s == "" {
+				err = &lexError{pos: i, msg: "empty quoted identifier"}
 			}
-			if s == "" {
-				return nil, &lexError{pos: i, msg: "empty quoted identifier"}
-			}
-			toks = append(toks, token{typ: tokIdent, text: s, pos: i})
-			i = next
+			return token{typ: tokIdent, text: s, pos: i}, next, err
 		case c == '[':
 			// Bracket-quoted identifier (SQLite/T-SQL style).
 			end := strings.IndexByte(src[i+1:], ']')
 			if end < 0 {
-				return nil, &lexError{pos: i, msg: "unterminated [identifier]"}
+				return token{}, 0, &lexError{pos: i, msg: "unterminated [identifier]"}
 			}
 			if end == 0 {
-				return nil, &lexError{pos: i, msg: "empty quoted identifier"}
+				return token{}, 0, &lexError{pos: i, msg: "empty quoted identifier"}
 			}
-			toks = append(toks, token{typ: tokIdent, text: src[i+1 : i+1+end], pos: i})
-			i += end + 2
+			return token{typ: tokIdent, text: src[i+1 : i+1+end], pos: i}, i + end + 2, nil
 		case c >= '0' && c <= '9' || (c == '.' && i+1 < n && src[i+1] >= '0' && src[i+1] <= '9'):
 			start := i
 			seenDot := false
@@ -153,7 +143,12 @@ func lex(src string) ([]token, error) {
 				}
 				break
 			}
-			toks = append(toks, token{typ: tokNumber, text: src[start:i], pos: start})
+			// A name glued to a number is not an alias: 0x10 would read as
+			// 0 AS x10, shadowing a column of that name.
+			if i < n && identPartWidth(src[i:]) > 0 {
+				return token{}, 0, &lexError{pos: start, msg: "trailing junk after numeric literal"}
+			}
+			return token{typ: tokNumber, text: src[start:i], pos: start}, i, nil
 		case identStartWidth(src[i:]) > 0:
 			// Identifiers decode as UTF-8 (an identifier byte sequence that
 			// is not valid UTF-8 is rejected, never smuggled through as
@@ -171,24 +166,17 @@ func lex(src string) ([]token, error) {
 			}
 			word := src[start:i]
 			if kw, ok := keyword(word); ok {
-				toks = append(toks, token{typ: tokKeyword, text: kw, pos: start})
-			} else {
-				toks = append(toks, token{typ: tokIdent, text: word, pos: start})
+				return token{typ: tokKeyword, text: kw, pos: start}, i, nil
 			}
+			return token{typ: tokIdent, text: word, pos: start}, i, nil
 		case c == '?':
-			toks = append(toks, token{typ: tokParam, text: "?", pos: i})
-			i++
+			return token{typ: tokParam, text: "?", pos: i}, i + 1, nil
 		default:
 			op, width, err := lexOp(src, i)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, token{typ: tokOp, text: op, pos: i})
-			i += width
+			return token{typ: tokOp, text: op, pos: i}, i + width, err
 		}
 	}
-	toks = append(toks, token{typ: tokEOF, text: "", pos: n})
-	return toks, nil
+	return token{typ: tokEOF, text: "", pos: n}, n, nil
 }
 
 // lexString scans a quoted literal starting at src[start] (which must be the

@@ -48,19 +48,23 @@ func oneStatement(stmts []Statement, src string) (Statement, error) {
 // ParseAll parses a semicolon-separated script into statements. Errors are
 // *Error values with code ErrParse wrapping the positioned *ParseError.
 func ParseAll(src string) ([]Statement, error) {
-	stmts, err := parseAll(src)
+	p := &parser{src: src}
+	p.cur = p.scan()
+	stmts, err := p.parseAll()
+	// A lex error anywhere in the text beats a parse error before it,
+	// wherever the parser stopped: scan the rest for one.
+	for err != nil && p.lexErr == nil && p.scan().typ != tokEOF {
+	}
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
 	if err != nil {
 		return nil, wrapErr(ErrParse, err)
 	}
 	return stmts, nil
 }
 
-func parseAll(src string) ([]Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: src}
+func (p *parser) parseAll() ([]Statement, error) {
 	var stmts []Statement
 	for {
 		for p.acceptOp(";") {
@@ -80,27 +84,54 @@ func parseAll(src string) ([]Statement, error) {
 		}
 	}
 	if len(stmts) == 0 {
-		return nil, &ParseError{Pos: 0, Msg: "empty statement", Src: src}
+		return nil, &ParseError{Pos: 0, Msg: "empty statement", Src: p.src}
 	}
 	return stmts, nil
 }
 
-// parser is a recursive-descent parser over a token slice.
+// parser is a recursive-descent parser that scans the source as it reads:
+// it holds the current token, at most one token of lookahead and the
+// offset the next scan starts from.
 type parser struct {
-	toks   []token
-	pos    int
-	src    string
-	params int // number of ? placeholders seen so far
+	cur, ahead token
+	hasAhead   bool
+	off        int
+	lexErr     error // the first lex error; the text reads as ending there
+	src        string
+	params     int // number of ? placeholders seen so far
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) peek2() token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// scan reads the token at p.off. A lex error is held in p.lexErr, and the
+// text reads as EOF from there on; parseAll reports the held error in
+// place of anything the parser made of that EOF.
+func (p *parser) scan() token {
+	if p.lexErr == nil {
+		t, next, err := scan(p.src, p.off)
+		if err == nil {
+			p.off = next
+			return t
+		}
+		p.lexErr = err
 	}
-	return p.toks[len(p.toks)-1]
+	return token{typ: tokEOF, pos: len(p.src)}
 }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *parser) peek() token { return p.cur }
+func (p *parser) peek2() token {
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.scan(), true
+	}
+	return p.ahead
+}
+func (p *parser) next() token {
+	t := p.cur
+	if p.hasAhead {
+		p.cur, p.hasAhead = p.ahead, false
+	} else {
+		p.cur = p.scan()
+	}
+	return t
+}
 
 func (p *parser) errorf(t token, format string, args ...any) error {
 	return &ParseError{Pos: t.pos, Msg: fmt.Sprintf(format, args...), Src: p.src}
@@ -333,13 +364,13 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	}
 	if p.peek().typ == tokIdent && p.peek2().typ == tokOp && p.peek2().text == "." {
 		// Lookahead for tbl.* without consuming on failure.
-		save := p.pos
+		save := *p
 		tbl := p.next().text
 		p.next() // '.'
 		if p.acceptOp("*") {
 			return SelectItem{Expr: &Star{Table: tbl}}, nil
 		}
-		p.pos = save
+		*p = save
 	}
 	e, err := p.parseExpr()
 	if err != nil {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,6 +14,24 @@ func mustParse(t *testing.T, src string) Statement {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
 	return s
+}
+
+// lex is the reference tokeniser: the whole text scanned up front. Its
+// error is the first lex error in the text, the one ParseAll must report
+// (TestLexErrorPrecedence, FuzzParse).
+func lex(src string) ([]token, error) {
+	var toks []token
+	for i := 0; ; {
+		t, next, err := scan(src, i)
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.typ == tokEOF {
+			return toks, nil
+		}
+		i = next
+	}
 }
 
 func TestLexBasics(t *testing.T) {
@@ -45,6 +64,64 @@ func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "SELECT @", "/* unclosed"} {
 		if _, err := lex(src); err == nil {
 			t.Errorf("lex(%q): expected error", src)
+		}
+	}
+}
+
+// TestLexErrorPrecedence: the parser scans as it reads, yet a lex error
+// anywhere in the text still beats a parse error before it: ParseAll
+// reports exactly the reference lex's error, message and offset.
+func TestLexErrorPrecedence(t *testing.T) {
+	for _, src := range []string{
+		"SELECT FROM 'abc",
+		"SELECT 1 2 /* x",
+		"SELECT (1; SELECT [a",
+		"SELECT 1 'abc",            // parses up to the lex error
+		"; \"",                     // no statement before it
+		"SELECT t.@",               // inside the tbl.* lookahead
+		"SELECT t. FROM u WHERE `", // after it
+		"FOO BAR 1abc",
+		"SELECT a FROM t WHERE b = @",
+	} {
+		_, want := lex(src)
+		if want == nil {
+			t.Fatalf("%q: the reference lexes it", src)
+		}
+		_, err := ParseAll(src)
+		var le *lexError
+		if !errors.As(err, &le) || le.Error() != want.Error() || CodeOf(err) != ErrParse {
+			t.Errorf("ParseAll(%q) = %v, want %v", src, err, want)
+		}
+	}
+}
+
+// TestNumberTrailingJunkRejected: a name glued to a numeric literal is a
+// lex error at the literal, as in PostgreSQL, not an alias: 0x10 read as
+// 0 AS x10 and shadowed the column x10.
+func TestNumberTrailingJunkRejected(t *testing.T) {
+	db := NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER, x10 INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1, 99)")
+	for _, c := range []struct{ sql, err string }{
+		{"SELECT 0x10 FROM t", "sql: lex error at offset 7: trailing junk after numeric literal"},
+		{"SELECT 1abc", "sql: lex error at offset 7: trailing junk after numeric literal"},
+		{"SELECT 2e3e", "sql: lex error at offset 7: trailing junk after numeric literal"},
+		{"SELECT id FROM t LIMIT 1OFFSET 0", "sql: lex error at offset 23: trailing junk after numeric literal"},
+		{"SELECT 1e", `sql: parse error at line 1 col 8: invalid number "1e"`},
+	} {
+		_, err := db.Query(c.sql)
+		if err == nil || err.Error() != c.err || CodeOf(err) != ErrParse {
+			t.Errorf("%s: %v, want %s", c.sql, err, c.err)
+		}
+	}
+	for _, c := range []struct{ sql, col, val string }{
+		{"SELECT 1.5", "1.5", "1.5"},
+		{"SELECT .5e3", "500.0", "500.0"},
+		{"SELECT 1 AS x", "x", "1"},
+	} {
+		res, err := db.Query(c.sql)
+		if err != nil || len(res.Columns) != 1 || res.Columns[0] != c.col || res.Rows[0][0].AsText() != c.val {
+			t.Errorf("%s: %v %v, want %s = %s", c.sql, res, err, c.col, c.val)
 		}
 	}
 }

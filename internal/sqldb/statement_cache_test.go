@@ -193,19 +193,39 @@ func TestCachedExecAllocatesNoParse(t *testing.T) {
 	}
 }
 
-// TestLexAllocatesOnce: tokenising an ASCII statement costs the token slice
-// and nothing per token — keywords, identifiers, numbers, operators and
-// quoted literals without a doubled quote are slices of the source or
-// constants. (The parent: 47 allocations for this text.)
-func TestLexAllocatesOnce(t *testing.T) {
+// TestParseHoldsNoTokens: the parser scans the text as it reads and holds
+// at most two tokens, so a statement's parse costs its AST and nothing per
+// byte of text: 64 KiB of trailing whitespace or comment adds not one
+// allocation or byte. The parent lexed the whole text into a token slice
+// sized at a third of its length first: 35 allocations for this text, and
+// about 700 KB more with either tail.
+func TestParseHoldsNoTokens(t *testing.T) {
 	const sql = `SELECT a.owner, "b".bal, COUNT(*) FROM acct a JOIN acct AS "b" ON a.id = b.id ` +
 		`WHERE a.owner LIKE 'own%' AND b.bal >= 10.5 OR a.id IN (1, 2, ?) GROUP BY a.owner ORDER BY 2 DESC LIMIT 5;`
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := lex(sql); err != nil {
-			t.Fatal(err)
+	cost := func(src string) (float64, uint64) {
+		parse := func() {
+			if _, err := ParseAll(src); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 1 {
-		t.Errorf("lex allocates %.0f times, want 1", n)
+		n := testing.AllocsPerRun(100, parse)
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			parse()
+		}
+		runtime.ReadMemStats(&after)
+		return n, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	n, b := cost(sql)
+	if n != 34 {
+		t.Errorf("ParseAll allocates %.0f times, want 34", n)
+	}
+	for _, tail := range []string{strings.Repeat(" ", 64<<10), "/*" + strings.Repeat("x", 64<<10) + "*/"} {
+		if tn, tb := cost(sql + tail); tn != n || tb != b {
+			t.Errorf("with a %d-byte tail: %.0f allocations and %d B, want %.0f and %d B", len(tail), tn, tb, n, b)
+		}
 	}
 	toks, err := lex(`SELECT 'it''s'`)
 	if err != nil || toks[1].text != "it's" {
