@@ -193,16 +193,6 @@ func BenchmarkAblation_AutoSynTAG(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_AgenticTAG measures the paper's §5 future-work
-// extension: the TAG pipeline wrapped in a bounded repair loop (SQL
-// repair, hand-written fallback). Compare exact_match and sim_ET_s with
-// BenchmarkAblation_AutoSynTAG to see what the retries buy and cost.
-func BenchmarkAblation_AgenticTAG(b *testing.B) {
-	runMethodOverBenchmark(b, func() core.Method {
-		return &core.AgenticTAG{Model: newModel(), MaxHops: 3, UseLMUDFs: true}
-	})
-}
-
 // BenchmarkAblation_SequentialLMCalls disables batch amortisation by
 // running each semantic claim as its own call — quantifying §4.3's
 // "efficient batched inference" claim.

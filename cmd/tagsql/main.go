@@ -6,9 +6,12 @@
 //	tagsql -domain movies -udf
 //	sql> SELECT title FROM movies WHERE LLM_FILTER('classic movie', title);
 //
-// BEGIN opens the shell's transaction: every statement then runs in it
-// until COMMIT or ROLLBACK finishes it. A second BEGIN, or a COMMIT or
-// ROLLBACK with none open, is an error, and the shell goes on.
+// Statements run in one sqldb.Session, under the rules the wire server
+// keeps: BEGIN opens the shell's transaction and every statement then runs
+// in it until COMMIT or ROLLBACK. An error inside it fails it: every
+// statement but COMMIT or ROLLBACK is then refused, and COMMIT rolls back.
+// A second BEGIN, or a COMMIT or ROLLBACK with none open, is an error.
+// Each statement prints its command tag, as psql does.
 //
 // Meta commands: .tables, .schema, .domains, .explain, .analyze, .stats,
 // .dump, .restore, .quit. .explain shows the plan a SELECT would run;
@@ -59,14 +62,15 @@ func main() {
 		core.RegisterLMUDFs(db, model)
 	}
 
-	sh := &shell{db: db, out: os.Stdout}
+	sh := &shell{db: db, sess: db.NewSession(), out: os.Stdout}
+	defer sh.sess.Close()
 	if *execSQL != "" {
 		sh.run(*execSQL)
 		return
 	}
 
 	fmt.Printf("tagsql — embedded TAG SQL shell (domain %s, LM UDFs %v)\n", *domain, *udf)
-	fmt.Println(`type SQL terminated by ';' (BEGIN … COMMIT/ROLLBACK for a transaction), or .tables / .schema / .domains / .explain <sql> / .analyze <sql> / .stats / .dump <file> / .restore <file> / .quit (.dump, .explain and .analyze read committed state)`)
+	fmt.Println(`type SQL terminated by ';' (BEGIN … COMMIT/ROLLBACK for a transaction; after an error in one, only COMMIT/ROLLBACK), or .tables / .schema / .domains / .explain <sql> / .analyze <sql> / .stats / .dump <file> / .restore <file> / .quit (.dump, .explain and .analyze read committed state)`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -111,7 +115,7 @@ func main() {
 			fmt.Print("sql> ")
 			continue
 		case strings.HasPrefix(trimmed, ".restore"):
-			if sh.tx != nil {
+			if sh.sess.Status() != 'I' {
 				fmt.Println("error: .restore runs in a transaction of its own; COMMIT or ROLLBACK first")
 			} else {
 				restore(db, strings.TrimSpace(strings.TrimPrefix(trimmed, ".restore")))
@@ -137,12 +141,12 @@ func main() {
 	}
 }
 
-// shell runs the statements typed at it, in its transaction when one is
-// open, and prints their results to out.
+// shell runs the statements typed at it in its session and prints their
+// results to out.
 type shell struct {
-	db  *sqldb.Database
-	tx  *sqldb.Txn // opened by BEGIN, nil between transactions
-	out io.Writer
+	db   *sqldb.Database
+	sess *sqldb.Session
+	out  io.Writer
 }
 
 // run executes the statements of src in order and stops at the first error.
@@ -150,65 +154,40 @@ func (sh *shell) run(src string) {
 	if strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";")) == "" {
 		return
 	}
-	stmts, err := sh.db.ParseCached(src)
-	if err != nil {
-		printErr(sh.out, err)
-		return
-	}
 	// Ctrl-C cancels the in-flight statement; the shell survives.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	stmts, err := sh.db.ParseCached(src)
 	for _, stmt := range stmts {
-		if err := sh.exec(ctx, stmt); err != nil {
-			printErr(sh.out, err)
-			return
+		if err = sh.exec(ctx, stmt); err != nil {
+			break
 		}
+	}
+	if err != nil {
+		printErr(sh.out, sh.sess.Fail(err))
 	}
 }
 
-// exec runs one statement in the shell's transaction. BEGIN opens it, and
-// COMMIT or ROLLBACK with one open finishes it; with none open the engine
-// refuses them.
+// exec runs one statement and prints its rows or its command tag.
 func (sh *shell) exec(ctx context.Context, stmt sqldb.Statement) error {
-	switch t := stmt.(type) {
-	case *sqldb.BeginStmt:
-		if sh.tx != nil {
-			return errors.New("a transaction is already open")
+	sel, ok := stmt.(*sqldb.SelectStmt)
+	if !ok {
+		tag, err := sh.sess.Exec(ctx, stmt)
+		if err == nil {
+			fmt.Fprintln(sh.out, tag)
 		}
-		sh.tx = sh.db.Begin()
-		fmt.Fprintln(sh.out, t)
-		return nil
-	case *sqldb.CommitStmt, *sqldb.RollbackStmt:
-		if tx := sh.tx; tx != nil {
-			sh.tx = nil
-			end := tx.Rollback
-			if _, ok := t.(*sqldb.CommitStmt); ok {
-				end = tx.Commit
-			}
-			if err := end(); err != nil {
-				return err
-			}
-			fmt.Fprintln(sh.out, t)
-			return nil
-		}
-	case *sqldb.SelectStmt:
-		rows, err := sh.db.QueryRowsStmt(ctx, t, sh.tx)
-		if err != nil {
-			return err
-		}
-		res, err := rows.Collect()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(sh.out, res.String())
-		fmt.Fprintf(sh.out, "(%d rows)\n", len(res.Rows))
-		return nil
+		return err
 	}
-	n, err := sh.db.ExecStmtTx(ctx, stmt, sh.tx)
+	rows, err := sh.sess.Query(ctx, sel)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(sh.out, "ok (%d rows affected)\n", n)
+	res, err := rows.Collect()
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(sh.out, res.String())
+	fmt.Fprintf(sh.out, "(%d rows)\n", len(res.Rows))
 	return nil
 }
 

@@ -9,27 +9,32 @@ import (
 	"tag/internal/sqldb"
 )
 
+func newTestShell() (*shell, *sqldb.Database, *bytes.Buffer) {
+	db := sqldb.NewDatabase()
+	db.MustExec("CREATE TABLE t (id INTEGER)")
+	var out bytes.Buffer
+	return &shell{db: db, sess: db.NewSession(), out: &out}, db, &out
+}
+
 // TestShellTransactions drives the shell's statement runner through
-// BEGIN; INSERT; SELECT; <end>; SELECT. Inside the transaction the shell
-// reads its own insert while a bare read does not; COMMIT publishes the
-// row and ROLLBACK drops it, and nothing is left open either way.
+// BEGIN; INSERT; SELECT; <end>; SELECT. Each statement prints its command
+// tag, as psql does. Inside the transaction the shell reads its own insert
+// while a bare read does not; COMMIT publishes the row and ROLLBACK drops
+// it, and nothing is left open either way.
 func TestShellTransactions(t *testing.T) {
 	for _, end := range []string{"ROLLBACK", "COMMIT"} {
 		t.Run(end, func(t *testing.T) {
-			db := sqldb.NewDatabase()
-			db.MustExec("CREATE TABLE t (id INTEGER)")
-			var out bytes.Buffer
-			sh := &shell{db: db, out: &out}
+			sh, db, out := newTestShell()
 			step := func(sql string) string {
 				out.Reset()
 				sh.run(sql + ";\n")
 				return out.String()
 			}
 
-			if got := step("BEGIN"); got != "BEGIN\n" || sh.tx == nil {
-				t.Fatalf("BEGIN printed %q, transaction open %v", got, sh.tx != nil)
+			if got := step("BEGIN"); got != "BEGIN\n" || sh.sess.Status() != 'T' {
+				t.Fatalf("BEGIN printed %q, status %c", got, sh.sess.Status())
 			}
-			if got := step("INSERT INTO t VALUES (7)"); got != "ok (1 rows affected)\n" {
+			if got := step("INSERT INTO t VALUES (7)"); got != "INSERT 0 1\n" {
 				t.Fatalf("INSERT printed %q", got)
 			}
 			if got := step("SELECT id FROM t"); !strings.Contains(got, "7") || !strings.HasSuffix(got, "(1 rows)\n") {
@@ -38,8 +43,8 @@ func TestShellTransactions(t *testing.T) {
 			if res, err := db.Query("SELECT id FROM t"); err != nil || len(res.Rows) != 0 {
 				t.Fatalf("a bare read saw %v (err %v) of the shell's open transaction", res, err)
 			}
-			if got := step(end); got != end+"\n" || sh.tx != nil {
-				t.Fatalf("%s printed %q, transaction open %v", end, got, sh.tx != nil)
+			if got := step(end); got != end+"\n" || sh.sess.Status() != 'I' {
+				t.Fatalf("%s printed %q, status %c", end, got, sh.sess.Status())
 			}
 			want := "(0 rows)\n"
 			if end == "COMMIT" {
@@ -55,33 +60,43 @@ func TestShellTransactions(t *testing.T) {
 	}
 }
 
-// TestShellTransactionMisuse: a second BEGIN, or a COMMIT or ROLLBACK with
-// no transaction open, prints an error and leaves the shell as it was; one
-// text may hold a whole transaction.
+// TestShellTransactionMisuse: the shell keeps the wire's rules. A COMMIT or
+// ROLLBACK with no transaction open is refused (25P01). A second BEGIN is
+// refused (25001) and fails the transaction, which then refuses every
+// statement (25P02) until COMMIT, which rolls back and prints ROLLBACK. One
+// text may hold a whole transaction, and a parse error fails one too.
 func TestShellTransactionMisuse(t *testing.T) {
-	db := sqldb.NewDatabase()
-	db.MustExec("CREATE TABLE t (id INTEGER)")
-	var out bytes.Buffer
-	sh := &shell{db: db, out: &out}
-	misuse := fmt.Sprintf("error [%s]", sqldb.ErrMisuse)
-
-	for _, sql := range []string{"COMMIT;", "ROLLBACK;"} {
+	sh, db, out := newTestShell()
+	printed := func(code sqldb.ErrorCode) string { return fmt.Sprintf("error [%s]", code) }
+	step := func(sql, want string, status byte) {
+		t.Helper()
 		out.Reset()
 		sh.run(sql)
-		if !strings.HasPrefix(out.String(), misuse) || sh.tx != nil {
-			t.Errorf("%s with no transaction printed %q, want %s", sql, out.String(), misuse)
+		if !strings.HasPrefix(out.String(), want) || sh.sess.Status() != status {
+			t.Errorf("%s printed %q with status %c, want %q and %c", sql, out.String(), sh.sess.Status(), want, status)
 		}
 	}
-	sh.run("BEGIN; INSERT INTO t VALUES (1);")
-	tx := sh.tx
-	out.Reset()
-	sh.run("BEGIN;")
-	if !strings.HasPrefix(out.String(), "error:") || sh.tx != tx {
-		t.Errorf("a second BEGIN printed %q and replaced the transaction: %v", out.String(), sh.tx != tx)
+
+	step("COMMIT;", printed(sqldb.ErrNoTxn), 'I')
+	step("ROLLBACK;", printed(sqldb.ErrNoTxn), 'I')
+	step("BEGIN; INSERT INTO t VALUES (1);", "BEGIN\nINSERT 0 1\n", 'T')
+	step("BEGIN;", printed(sqldb.ErrTxnActive), 'E')
+	step("INSERT INTO t VALUES (2);", printed(sqldb.ErrTxnFailed), 'E')
+	step("SELECT id FROM t;", printed(sqldb.ErrTxnFailed), 'E')
+	step("COMMIT; SELECT id FROM t;", "ROLLBACK\n", 'I')
+	if !strings.HasSuffix(out.String(), "(0 rows)\n") {
+		t.Errorf("the failed transaction's COMMIT kept its rows: %q", out.String())
 	}
-	out.Reset()
-	sh.run("INSERT INTO t VALUES (2); COMMIT; SELECT id FROM t;")
-	if got := out.String(); !strings.HasSuffix(got, "(2 rows)\n") || sh.tx != nil {
-		t.Errorf("the shell's transaction did not go on after the error: %q", got)
+
+	step("BEGIN; INSERT INTO t VALUES (3);", "BEGIN\n", 'T')
+	step("SELEC 1;", printed(sqldb.ErrParse), 'E')
+	step("ROLLBACK;", "ROLLBACK\n", 'I')
+	for code, state := range map[sqldb.ErrorCode]string{sqldb.ErrTxnActive: "25001", sqldb.ErrNoTxn: "25P01", sqldb.ErrTxnFailed: "25P02"} {
+		if code.SQLState() != state {
+			t.Errorf("%s reports SQLSTATE %s, want %s", code, code.SQLState(), state)
+		}
+	}
+	if n, active := db.LiveSnapshots(), db.Stats().ActiveTxns; n != 0 || active != 0 {
+		t.Errorf("LiveSnapshots = %d, ActiveTxns = %d, want 0/0", n, active)
 	}
 }

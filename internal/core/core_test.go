@@ -351,6 +351,80 @@ func TestLMUDFsInsideSQL(t *testing.T) {
 	}
 }
 
+// TestRegisteredLMUDFs: a database opened with the LM functions
+// (RegisterLMUDFs, as tagsql -udf opens one) runs them in a bare statement,
+// with no functions bound to the context. LLM_FILTER keeps the rows the
+// world calls premium, and LLM_MAP returns for each row what sem.Map returns
+// for its task and value, over two runs of rows with one task each. Before
+// registration the same statement has no such function.
+func TestRegisteredLMUDFs(t *testing.T) {
+	ctx := context.Background()
+	src, err := envsForTest(t)["debit_card_specializing"].DB.Query("SELECT DISTINCT Description FROM products ORDER BY Description")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four premium products and four others, interleaved.
+	var picked, premium []string
+	for _, want := range []bool{true, false} {
+		n := 0
+		for _, r := range src.Rows {
+			if d := r[0].AsText(); world.IsPremiumProduct(d) == want && n < 4 {
+				picked, n = append(picked, d), n+1
+			}
+		}
+	}
+	if len(picked) != 8 {
+		t.Fatalf("the domain has too few premium or other products: picked %q", picked)
+	}
+	db := sqldb.NewDatabase()
+	db.MustExec("CREATE TABLE p (id INTEGER, task TEXT, d TEXT)")
+	tasks := []string{"Summarise the product in one word", "Name the product's category"}
+	for i := 0; i < 4; i++ {
+		for j, d := range []string{picked[i], picked[4+i]} {
+			id := 2*i + j
+			db.MustExec("INSERT INTO p VALUES (?, ?, ?)", id, tasks[id/4], d)
+		}
+		premium = append(premium, picked[i])
+	}
+	const filter = "SELECT d FROM p WHERE LLM_FILTER('premium', d) ORDER BY id"
+	if _, err := db.Query(filter); sqldb.CodeOf(err) != sqldb.ErrNoFunction {
+		t.Fatalf("LLM_FILTER before RegisterLMUDFs: %v, want ErrNoFunction", err)
+	}
+	RegisterLMUDFs(db, oracleLM())
+
+	res, err := db.Query(filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, r := range res.Rows {
+		kept = append(kept, r[0].AsText())
+	}
+	if !slices.Equal(kept, premium) {
+		t.Errorf("LLM_FILTER kept %q, want the premium products %q", kept, premium)
+	}
+
+	res, err = db.Query("SELECT task, d, LLM_MAP(task, d) FROM p ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(picked) {
+		t.Fatalf("LLM_MAP returned %d rows, want %d", len(res.Rows), len(picked))
+	}
+	for _, r := range res.Rows {
+		want, errs := sem.Map(ctx, oracleLM(), r[0].AsText(), []string{r[1].AsText()})
+		if errs != nil || r[2].AsText() != want[0] {
+			t.Errorf("LLM_MAP(%q, %q) = %q, want sem.Map's %q (errs %v)", r[0].AsText(), r[1].AsText(), r[2].AsText(), want[0], errs)
+		}
+	}
+
+	for udfs, want := range map[bool]string{false: "TAG (auto-syn)", true: "TAG (auto-syn, UDFs)"} {
+		if got := (&TAGPipelineMethod{Pipeline: Pipeline{UseLMUDFs: udfs}}).Name(); got != want {
+			t.Errorf("TAGPipelineMethod.Name with UseLMUDFs %v = %q, want %q", udfs, got, want)
+		}
+	}
+}
+
 // promptLog records the prompts a model is sent: single calls, and batch by
 // batch.
 type promptLog struct {

@@ -86,11 +86,6 @@ func modelOf(m Method) *llm.SimLM {
 		return t.Model.(*llm.SimLM)
 	case *TAGPipelineMethod:
 		return llm.AsSimLM(t.Pipeline.Model) // under the retry decorator, as Ask runs it
-	case *AgenticTAG:
-		if sim, ok := t.Model.(*llm.SimLM); ok {
-			return sim
-		}
-		return nil
 	default:
 		return nil
 	}

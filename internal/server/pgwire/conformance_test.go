@@ -1,6 +1,7 @@
 package pgwire
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -418,6 +419,106 @@ func TestFailedTransactionDiscipline(t *testing.T) {
 	res, _ = c.Query(`COMMIT`)
 	if res.Err == nil || res.Err.Code != "25P01" {
 		t.Fatalf("COMMIT outside txn: %v, want 25P01", res.Err)
+	}
+}
+
+// TestDescribeInFailedTransaction: Describe of a SELECT, statement or
+// portal, plans through the session, so inside a failed transaction it is
+// refused with 25P02, as PostgreSQL refuses it. Parse and Bind still
+// succeed there, and after ROLLBACK the same Describe answers.
+func TestDescribeInFailedTransaction(t *testing.T) {
+	_, db, addr := startServer(t, Options{})
+	seedPlayers(t, db)
+	c := dial(t, addr)
+	mustQuery(t, c, `BEGIN`)
+	if res, _ := c.Query(`SELECT nope FROM players`); res.Err == nil || res.TxStatus != 'E' {
+		t.Fatalf("error in txn: err=%v status=%c, want status E", res.Err, res.TxStatus)
+	}
+	c.SendParse("s", `SELECT id FROM players WHERE id < ?`, nil)
+	c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
+	c.SendSync()
+	if res, err := c.Collect(); err != nil || res.Err != nil || !bytes.Equal(res.Seq, []byte("12Z")) || res.TxStatus != 'E' {
+		t.Fatalf("Parse/Bind in a failed txn: %v / %v, seq %q, status %c; want both to complete", err, res.Err, res.Seq, res.TxStatus)
+	}
+	for _, kind := range []byte{'S', 'P'} {
+		c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
+		c.SendDescribe(kind, map[byte]string{'S': "s", 'P': "p"}[kind])
+		c.SendSync()
+		res, err := c.Collect()
+		if err != nil || res.Err == nil || res.Err.Code != "25P02" || res.Cols != nil || res.TxStatus != 'E' {
+			t.Fatalf("Describe %c in a failed txn: %v / %v, cols %v, status %c; want 25P02 and no RowDescription", kind, err, res.Err, res.Cols, res.TxStatus)
+		}
+	}
+	mustQuery(t, c, `ROLLBACK`)
+	c.SendDescribe('S', "s")
+	c.SendSync()
+	if res, err := c.Collect(); err != nil || res.Err != nil || !reflect.DeepEqual(res.Cols, []string{"id"}) {
+		t.Fatalf("Describe after ROLLBACK: %v / %v, cols %v", err, res.Err, res.Cols)
+	}
+
+	// A portal suspended before the error is refused too: the error closed
+	// its cursor, and running it asks the session again.
+	mustQuery(t, c, `BEGIN`)
+	c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
+	c.SendExecute("p", 1)
+	c.SendFlush()
+	waitFor(t, c, 's')
+	if res, _ := c.Query(`SELECT nope FROM players`); res.Err == nil || res.TxStatus != 'E' {
+		t.Fatalf("error in txn: err=%v status=%c, want status E", res.Err, res.TxStatus)
+	}
+	if n := db.Stats().OpenCursors; n != 0 {
+		t.Errorf("%d cursors open after the error failed the txn, want 0", n)
+	}
+	c.SendExecute("p", 0)
+	c.SendSync()
+	if res, _ := c.Collect(); res.Err == nil || res.Err.Code != "25P02" || len(res.Rows) != 0 {
+		t.Fatalf("Execute of a suspended portal in a failed txn: %v, %d rows; want 25P02", res.Err, len(res.Rows))
+	}
+	mustQuery(t, c, `ROLLBACK`)
+}
+
+// TestCloseMessage: Close 'P' drops a portal and closes its open cursor at
+// once, and Close 'S' drops a prepared statement; closing either when it is
+// missing is no error. Any other kind is a protocol violation, which ends
+// the connection.
+func TestCloseMessage(t *testing.T) {
+	_, db, addr := startServer(t, Options{})
+	seedPlayers(t, db)
+	c := dial(t, addr)
+	c.SendParse("s", `SELECT id FROM players`, nil)
+	c.SendBind("p", "s", nil)
+	c.SendExecute("p", 1)
+	c.SendFlush()
+	waitFor(t, c, 's') // suspended: the portal's cursor is open
+	if n := db.Stats().OpenCursors; n != 1 {
+		t.Fatalf("%d open cursors behind a suspended portal, want 1", n)
+	}
+	c.SendClose('P', "p")
+	c.SendClose('P', "p")
+	c.SendClose('S', "s")
+	c.SendClose('S', "s")
+	c.SendFlush()
+	for i := 0; i < 4; i++ {
+		waitFor(t, c, '3')
+	}
+	if n := db.Stats().OpenCursors; n != 0 {
+		t.Errorf("%d open cursors after Close 'P', want 0", n)
+	}
+	c.SendExecute("p", 0)
+	c.SendSync()
+	if res, _ := c.Collect(); res.Err == nil || res.Err.Code != "34000" {
+		t.Fatalf("Execute of a closed portal: %v, want 34000", res.Err)
+	}
+	c.SendBind("p", "s", nil)
+	c.SendSync()
+	if res, _ := c.Collect(); res.Err == nil || res.Err.Code != "26000" {
+		t.Fatalf("Bind to a closed statement: %v, want 26000", res.Err)
+	}
+	if err := c.RawWrite(frameMsg('C', appendC([]byte{'X'}, "s"))); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := c.Collect(); res.Err == nil || res.Err.Severity != "FATAL" || res.Err.Code != "08P01" {
+		t.Fatalf("Close of kind X: %v, want FATAL 08P01", res.Err)
 	}
 }
 

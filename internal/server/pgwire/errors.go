@@ -36,8 +36,6 @@ const (
 	stateProtocolViolation   = "08P01"
 	stateFeatureNotSupported = "0A000"
 	stateInvalidText         = "22P02" // parameter bytes not decodable as declared type
-	stateFailedTransaction   = "25P02" // statement rejected inside a failed transaction
-	stateNoActiveTransaction = "25P01"
 	stateUndefinedPrepared   = "26000"
 	stateUndefinedCursor     = "34000"
 	stateDuplicateCursor     = "42P03"

@@ -3,9 +3,9 @@
 // (with SSL/GSS negotiation declined in the clear), simple Query, the
 // extended Parse/Bind/Describe/Execute/Close/Flush/Sync flow, CancelRequest
 // with per-session secret keys, and Terminate. One TCP connection maps to
-// one session; sessions are isolated — each owns its transaction state,
-// prepared statements, and portals, all backed by the engine's explicit
-// Txn handles and streaming Rows cursors.
+// one session; sessions are isolated — each owns its prepared statements
+// and portals, and a sqldb.Session that holds its transaction and runs its
+// statements under the same rules as the tagsql shell.
 //
 // Documented divergences from PostgreSQL, chosen for a tighter resource
 // contract (and pinned by the disconnect/leak tests):
@@ -19,6 +19,7 @@
 //     sessions; here a suspended portal counts as in-progress work).
 //   - BEGIN inside a transaction and COMMIT/ROLLBACK outside one are
 //     errors (PostgreSQL warns), matching the engine's strict semantics.
+//     BEGIN inside one fails it, as any error there does.
 package pgwire
 
 import (

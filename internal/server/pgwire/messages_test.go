@@ -93,3 +93,59 @@ func TestDataRowAllocatesNothing(t *testing.T) {
 		t.Errorf("dataRow allocated %v times a row on a warm writer, want 0", a)
 	}
 }
+
+// TestDecodeParam: each parameter OID the binder knows decodes valid text to
+// the value the engine binds and refuses anything else with 22P02; NULL
+// passes through as nil, and text, an undeclared OID or an unknown one binds
+// the bytes as they are.
+func TestDecodeParam(t *testing.T) {
+	for _, c := range []struct {
+		oid  int32
+		in   string
+		want any // nil: refused with 22P02
+	}{
+		{int8OID, "-42", int64(-42)},
+		{int8OID, "", nil},
+		{int2OID, "7", int64(7)},
+		{int2OID, "seven", nil},
+		{int4OID, "2147483647", int64(2147483647)},
+		{int4OID, "4.5", nil},
+		{float4OID, "1.5", 1.5},
+		{float4OID, "1.5.1", nil},
+		{float8OID, "-2e3", -2000.0},
+		{float8OID, "x", nil},
+		{numericOID, "12", int64(12)},
+		{numericOID, "12.25", 12.25},
+		{numericOID, "1,5", nil},
+		{boolOID, "t", true},
+		{boolOID, "TRUE", true},
+		{boolOID, "on", true},
+		{boolOID, "1", true},
+		{boolOID, "yes", true},
+		{boolOID, "f", false},
+		{boolOID, "False", false},
+		{boolOID, "off", false},
+		{boolOID, "0", false},
+		{boolOID, "no", false},
+		{boolOID, "maybe", nil},
+		{textOID, "it's", "it's"},
+		{0, "42", "42"},
+		{9999, "", ""},
+	} {
+		got, err := decodeParam([]byte(c.in), c.oid)
+		if c.want == nil {
+			if we := toWireError(err); err == nil || we.sqlState != "22P02" {
+				t.Errorf("decodeParam(%q, %d) = %v, %v; want 22P02", c.in, c.oid, got, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("decodeParam(%q, %d) = %#v, %v; want %#v", c.in, c.oid, got, err, c.want)
+		}
+	}
+	for _, oid := range []int32{0, int4OID, boolOID} {
+		if got, err := decodeParam(nil, oid); got != nil || err != nil {
+			t.Errorf("decodeParam(NULL, %d) = %v, %v; want nil, nil", oid, got, err)
+		}
+	}
+}

@@ -48,8 +48,8 @@ type Server struct {
 }
 
 // NewServer wraps db in a wire-protocol front end. The database is shared
-// with any in-process callers; each wire session holds its own explicit
-// transaction handle, which no other caller joins or observes.
+// with any in-process callers; each wire session holds its own
+// sqldb.Session, whose transaction no other caller joins or observes.
 func NewServer(db *sqldb.Database, opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{

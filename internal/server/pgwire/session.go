@@ -2,6 +2,7 @@ package pgwire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -11,23 +12,19 @@ import (
 )
 
 // session is one connection's protocol state machine. It owns the
-// connection's transaction handle, prepared statements, and portals, and
-// is driven single-threaded by run — the only cross-goroutine surface is
-// the cancel set (hit by CancelRequest connections and by shutdown).
+// connection's prepared statements and portals, runs every statement
+// through its sqldb.Session (which holds the transaction BEGIN opened and
+// its rules), and is driven single-threaded by run — the only
+// cross-goroutine surface is the cancel set (hit by CancelRequest
+// connections and by shutdown).
 type session struct {
-	srv *Server
-	be  *backend
-	db  *sqldb.Database
+	srv  *Server
+	be   *backend
+	db   *sqldb.Database
+	sess *sqldb.Session
 
 	pid    int32
 	secret int32
-
-	// tx is the explicit transaction opened by BEGIN, nil when idle.
-	// txFailed marks the Postgres aborted-transaction discipline: after
-	// any error inside an explicit transaction, every statement except
-	// COMMIT/ROLLBACK is rejected with 25P02, and COMMIT rolls back.
-	tx       *sqldb.Txn
-	txFailed bool
 
 	prepared map[string]*preparedStmt
 	portals  map[string]*portal
@@ -63,8 +60,8 @@ type portal struct {
 	ps     *preparedStmt
 	params []any
 	rows   *sqldb.Rows
-	unreg  func() // releases the cursor's cancel registration
-	total  int    // rows streamed so far, for the final SELECT tag
+	reg    int // the cursor's cancel registration, while rows is open
+	total  int // rows streamed so far, for the final SELECT tag
 }
 
 // openCursor opens the portal's cursor, registered for cancellation, unless
@@ -73,26 +70,23 @@ func (s *session) openCursor(p *portal, sel *sqldb.SelectStmt) error {
 	if p.rows != nil {
 		return nil
 	}
-	ctx, release := s.trackCtx()
-	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, p.params...)
+	ctx, reg := s.trackCtx()
+	rows, err := s.sess.Query(ctx, sel, p.params...)
 	if err != nil {
-		release()
+		s.untrack(reg)
 		return err
 	}
-	p.rows, p.unreg = rows, release
+	p.rows, p.reg = rows, reg
 	return nil
 }
 
 // closeCursor releases the portal's cursor and cancel registration, if
 // any. Idempotent.
-func (p *portal) closeCursor() {
+func (s *session) closeCursor(p *portal) {
 	if p.rows != nil {
 		p.rows.Close()
-		p.rows = nil
-	}
-	if p.unreg != nil {
-		p.unreg()
-		p.unreg = nil
+		p.rows, p.total = nil, 0
+		s.untrack(p.reg)
 	}
 }
 
@@ -101,6 +95,7 @@ func newSession(srv *Server, be *backend, pid, secret int32) *session {
 		srv:      srv,
 		be:       be,
 		db:       srv.db,
+		sess:     srv.db.NewSession(),
 		pid:      pid,
 		secret:   secret,
 		prepared: make(map[string]*preparedStmt),
@@ -110,24 +105,27 @@ func newSession(srv *Server, be *backend, pid, secret int32) *session {
 }
 
 // trackCtx derives a cancellable statement context registered in the
-// session's cancel set. The returned release is idempotent and must be
-// called on every exit path; until then a CancelRequest reaches this
-// context.
-func (s *session) trackCtx() (context.Context, func()) {
+// session's cancel set under the returned id. untrack(id) must follow on
+// every exit path; until then a CancelRequest reaches this context.
+func (s *session) trackCtx() (context.Context, int) {
 	ctx, cancel := context.WithCancel(s.srv.baseCtx)
 	s.cancelMu.Lock()
 	id := s.nextCancel
 	s.nextCancel++
 	s.cancels[id] = cancel
 	s.cancelMu.Unlock()
-	var once sync.Once
-	return ctx, func() {
-		once.Do(func() {
-			s.cancelMu.Lock()
-			delete(s.cancels, id)
-			s.cancelMu.Unlock()
-			cancel()
-		})
+	return ctx, id
+}
+
+// untrack drops registration id from the cancel set and cancels its
+// context. Idempotent.
+func (s *session) untrack(id int) {
+	s.cancelMu.Lock()
+	cancel := s.cancels[id]
+	delete(s.cancels, id)
+	s.cancelMu.Unlock()
+	if cancel != nil {
+		cancel()
 	}
 }
 
@@ -150,25 +148,10 @@ func (s *session) cancelAll() {
 func (s *session) teardown() {
 	s.cancelAll()
 	for name, p := range s.portals {
-		p.closeCursor()
+		s.closeCursor(p)
 		delete(s.portals, name)
 	}
-	if s.tx != nil {
-		s.tx.Rollback()
-		s.tx = nil
-	}
-}
-
-// txStatus is the ReadyForQuery status byte.
-func (s *session) txStatus() byte {
-	switch {
-	case s.tx == nil:
-		return 'I'
-	case s.txFailed:
-		return 'E'
-	default:
-		return 'T'
-	}
+	s.sess.Close()
 }
 
 // run drives the post-handshake message loop. It returns when the client
@@ -233,13 +216,17 @@ func (s *session) run() {
 	}
 }
 
-// reportError sends an ErrorResponse and applies the aborted-transaction
-// discipline: any error inside an explicit transaction moves it to the
-// failed state.
+// reportError sends an ErrorResponse. Any error inside a transaction fails
+// it, a protocol-level one (a bad parameter, a missing portal) included,
+// and closes the portals' open cursors, as PostgreSQL's abort does: a
+// portal the client goes on to run asks the session again, which refuses
+// it until the transaction ends.
 func (s *session) reportError(err error) error {
-	we := toWireError(err)
-	if s.tx != nil {
-		s.txFailed = true
+	we := toWireError(s.sess.Fail(err))
+	if s.sess.Status() == 'E' {
+		for _, p := range s.portals {
+			s.closeCursor(p)
+		}
 	}
 	return s.be.errorResponse(we.severity, we.sqlState, we.msg)
 }
@@ -276,62 +263,53 @@ func (s *session) handleQuery(payload []byte) error {
 		if err := s.be.emptyQueryResponse(); err != nil {
 			return err
 		}
-		return s.be.readyForQuery(s.txStatus())
+		return s.be.readyForQuery(s.sess.Status())
 	}
 	stmts, err := s.db.ParseCached(sql)
 	if err != nil {
 		if err := s.reportError(err); err != nil {
 			return err
 		}
-		return s.be.readyForQuery(s.txStatus())
+		return s.be.readyForQuery(s.sess.Status())
 	}
 	for _, stmt := range stmts {
-		if err := s.execSimple(stmt); err != nil {
-			if _, ok := err.(*execError); !ok {
-				return err // connection-level failure
-			}
-			break // statement error already reported; stop the batch
+		if err := s.execSimple(stmt); err == errReported {
+			break // the batch stops; the connection survives
+		} else if err != nil {
+			return err // connection-level failure
 		}
 	}
-	return s.be.readyForQuery(s.txStatus())
+	return s.be.readyForQuery(s.sess.Status())
 }
 
-// execError wraps a statement-level failure that has already been
-// reported to the client — the simple-query loop stops the batch, the
-// connection survives.
-type execError struct{ err error }
+// errReported is what execSimple returns for a statement error it has
+// already sent the client.
+var errReported = errors.New("pgwire: statement error reported")
 
-func (e *execError) Error() string { return e.err.Error() }
+// stmtErr reports a statement error of a simple query.
+func (s *session) stmtErr(err error) error {
+	if err := s.reportError(err); err != nil {
+		return err
+	}
+	return errReported
+}
 
 // execSimple runs one statement of a simple query, streaming its full
 // result.
 func (s *session) execSimple(stmt sqldb.Statement) error {
-	if s.txFailed && !isTxnEnd(stmt) {
-		if err := s.reportError(wireErrf(stateFailedTransaction,
-			"current transaction is aborted, commands ignored until end of transaction block")); err != nil {
-			return err
-		}
-		return &execError{err: errFailedTxn}
-	}
 	sel, isSel := stmt.(*sqldb.SelectStmt)
 	if !isSel {
 		tag, err := s.execNonSelect(stmt, nil)
 		if err != nil {
-			if err := s.reportError(err); err != nil {
-				return err
-			}
-			return &execError{err: err}
+			return s.stmtErr(err)
 		}
 		return s.be.commandComplete(tag)
 	}
-	ctx, release := s.trackCtx()
-	defer release()
-	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx)
+	ctx, reg := s.trackCtx()
+	defer s.untrack(reg)
+	rows, err := s.sess.Query(ctx, sel)
 	if err != nil {
-		if err := s.reportError(err); err != nil {
-			return err
-		}
-		return &execError{err: err}
+		return s.stmtErr(err)
 	}
 	defer rows.Close()
 	if err := s.be.rowDescription(rows.Columns()); err != nil {
@@ -345,89 +323,17 @@ func (s *session) execSimple(stmt sqldb.Statement) error {
 		n++
 	}
 	if err := rows.Err(); err != nil {
-		if err := s.reportError(err); err != nil {
-			return err
-		}
-		return &execError{err: err}
+		return s.stmtErr(err)
 	}
 	return s.be.commandComplete("SELECT " + strconv.Itoa(n))
 }
 
-var errFailedTxn = wireErrf(stateFailedTransaction, "transaction is aborted")
-
-func isTxnEnd(stmt sqldb.Statement) bool {
-	switch stmt.(type) {
-	case *sqldb.CommitStmt, *sqldb.RollbackStmt:
-		return true
-	}
-	return false
-}
-
-// execNonSelect executes any non-SELECT statement and returns its command
-// tag. BEGIN/COMMIT/ROLLBACK are intercepted here and mapped onto the
-// session's explicit Txn handle: the engine refuses BEGIN as a statement,
-// and a COMMIT or ROLLBACK it runs would finish only the Txn it was handed.
+// execNonSelect runs any non-SELECT statement, BEGIN, COMMIT and ROLLBACK
+// included, and returns its command tag.
 func (s *session) execNonSelect(stmt sqldb.Statement, params []any) (string, error) {
-	switch stmt.(type) {
-	case *sqldb.BeginStmt:
-		if s.tx != nil {
-			return "", wireErrf("25001", "there is already a transaction in progress")
-		}
-		s.tx = s.db.Begin()
-		s.txFailed = false
-		return "BEGIN", nil
-	case *sqldb.CommitStmt:
-		if s.tx == nil {
-			return "", wireErrf(stateNoActiveTransaction, "there is no transaction in progress")
-		}
-		tx := s.tx
-		s.tx = nil
-		if s.txFailed {
-			// COMMIT of a failed transaction rolls back, per Postgres.
-			s.txFailed = false
-			tx.Rollback()
-			return "ROLLBACK", nil
-		}
-		if err := tx.Commit(); err != nil {
-			return "", err
-		}
-		return "COMMIT", nil
-	case *sqldb.RollbackStmt:
-		if s.tx == nil {
-			return "", wireErrf(stateNoActiveTransaction, "there is no transaction in progress")
-		}
-		tx := s.tx
-		s.tx = nil
-		s.txFailed = false
-		tx.Rollback()
-		return "ROLLBACK", nil
-	}
-	ctx, release := s.trackCtx()
-	defer release()
-	n, err := s.db.ExecStmtTx(ctx, stmt, s.tx, params...)
-	if err != nil {
-		return "", err
-	}
-	return cmdTag(stmt, n), nil
-}
-
-func cmdTag(stmt sqldb.Statement, n int) string {
-	switch stmt.(type) {
-	case *sqldb.InsertStmt:
-		return "INSERT 0 " + strconv.Itoa(n)
-	case *sqldb.UpdateStmt:
-		return "UPDATE " + strconv.Itoa(n)
-	case *sqldb.DeleteStmt:
-		return "DELETE " + strconv.Itoa(n)
-	case *sqldb.CreateTableStmt:
-		return "CREATE TABLE"
-	case *sqldb.CreateIndexStmt:
-		return "CREATE INDEX"
-	case *sqldb.DropTableStmt:
-		return "DROP TABLE"
-	default:
-		return "OK"
-	}
+	ctx, reg := s.trackCtx()
+	defer s.untrack(reg)
+	return s.sess.Exec(ctx, stmt, params...)
 }
 
 // ---------------------------------------------------------------------------
@@ -534,7 +440,7 @@ func (s *session) handleBind(payload []byte) error {
 			return s.extErr(wireErrf(stateDuplicateCursor,
 				fmt.Sprintf("portal %q already exists", portalName)))
 		}
-		old.closeCursor() // rebinding the unnamed portal replaces it
+		s.closeCursor(old) // rebinding the unnamed portal replaces it
 	}
 	s.portals[portalName] = &portal{ps: ps, params: params}
 	return s.be.bindComplete()
@@ -643,9 +549,9 @@ func (s *session) describeResult(ps *preparedStmt) error {
 	if !isSel {
 		return s.be.noData()
 	}
-	ctx, release := s.trackCtx()
-	defer release()
-	rows, err := s.db.QueryRowsStmt(ctx, sel, s.tx, make([]any, ps.numParams)...)
+	ctx, reg := s.trackCtx()
+	defer s.untrack(reg)
+	rows, err := s.sess.Query(ctx, sel, make([]any, ps.numParams)...)
 	if err != nil {
 		return s.extErr(err)
 	}
@@ -669,10 +575,6 @@ func (s *session) handleExecute(payload []byte) error {
 	if p.ps.stmt == nil {
 		return s.be.emptyQueryResponse()
 	}
-	if s.txFailed && !isTxnEnd(p.ps.stmt) {
-		return s.extErr(wireErrf(stateFailedTransaction,
-			"current transaction is aborted, commands ignored until end of transaction block"))
-	}
 	sel, isSel := p.ps.stmt.(*sqldb.SelectStmt)
 	if !isSel {
 		tag, err := s.execNonSelect(p.ps.stmt, p.params)
@@ -690,14 +592,14 @@ func (s *session) handleExecute(payload []byte) error {
 			break
 		}
 		if err := s.be.dataRow(p.rows.Row()); err != nil {
-			p.closeCursor()
+			s.closeCursor(p)
 			return err
 		}
 		sent++
 		p.total++
 	}
 	if err := p.rows.Err(); err != nil {
-		p.closeCursor()
+		s.closeCursor(p)
 		return s.extErr(err)
 	}
 	if maxRows > 0 && sent == maxRows {
@@ -707,7 +609,7 @@ func (s *session) handleExecute(payload []byte) error {
 		return s.be.portalSuspended()
 	}
 	total := p.total
-	p.closeCursor()
+	s.closeCursor(p)
 	return s.be.commandComplete("SELECT " + strconv.Itoa(total))
 }
 
@@ -723,7 +625,7 @@ func (s *session) handleClose(payload []byte) error {
 		delete(s.prepared, name) // closing a missing statement is not an error
 	case 'P':
 		if p, ok := s.portals[name]; ok {
-			p.closeCursor()
+			s.closeCursor(p)
 			delete(s.portals, name)
 		}
 	default:
@@ -738,9 +640,9 @@ func (s *session) handleClose(payload []byte) error {
 // and ReadyForQuery reports the transaction status.
 func (s *session) handleSync() error {
 	for name, p := range s.portals {
-		p.closeCursor()
+		s.closeCursor(p)
 		delete(s.portals, name)
 	}
 	s.skipToSync = false
-	return s.be.readyForQuery(s.txStatus())
+	return s.be.readyForQuery(s.sess.Status())
 }

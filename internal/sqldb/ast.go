@@ -571,10 +571,10 @@ func (s *DropTableStmt) String() string {
 	return out + quoteIdent(s.Name)
 }
 
-// BeginStmt is `BEGIN [TRANSACTION]`. The engine refuses it with
-// ErrMisuse wherever it reaches execution, since Database.Begin opens every
-// transaction; a front end that keeps a transaction per connection — the
-// wire session, the shell — intercepts it and calls Database.Begin.
+// BeginStmt is `BEGIN [TRANSACTION]`. A Session (session.go) runs it, and
+// with it COMMIT and ROLLBACK, as the one statement stream that keeps a
+// transaction between calls; every other entry point refuses it with
+// ErrMisuse, since Database.Begin opens every other transaction.
 type BeginStmt struct{}
 
 func (*BeginStmt) stmtNode()      {}

@@ -293,7 +293,7 @@ func (db *Database) SchemaSQL() string {
 // affinityKind maps a declared SQL type name to a storage kind, following
 // SQLite's affinity rules loosely.
 func affinityKind(decl string) Kind {
-	d := strings.ToUpper(decl)
+	d := upperASCII(decl)
 	switch {
 	case strings.Contains(d, "INT"):
 		return KindInt

@@ -107,7 +107,7 @@ func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *T
 }
 
 // execAll is the one exec loop: Database.ExecContext, Txn.ExecContext and
-// ExecStmtTx all run their statements here, under one query context whose
+// Session.Exec all run their statements here, under one query context whose
 // counters fold into Stats when the loop ends. Every statement, of every
 // kind, runs in the handle the entry point was called on — tx, nil meaning
 // autocommit — and is admitted against it before it runs.

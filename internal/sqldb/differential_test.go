@@ -45,8 +45,8 @@ const (
 	axPooled  = iota // one worker, or a pool of four over a lowered size gate
 	axIndexed        // no keys, or a primary key and secondary indexes
 	axSealed         // heap only, or sealed now and then (and rehydrated by DML)
-	axFresh          // texts through the statement cache, or ParseAll + ExecStmtTx / queryRows
-	axLent           // Query's copied rows, or a lent cursor's (QueryRowsStmt + Collect)
+	axFresh          // texts through the statement cache, or ParseAll + execAll / queryRows
+	axLent           // Query's copied rows, or a lent cursor's (queryRows + Collect)
 	axDurable        // in memory, or on a memFS, closed and recovered now and then
 	diffAxes
 )
@@ -706,7 +706,7 @@ func (h *diffRun) write(sql string, params []any) error {
 
 // exec runs sql on d by its statement path, in the leg's Txn when one is
 // open: the text through Exec, the Txn's or the Database's; or each
-// statement parsed anew through ExecStmtTx.
+// statement parsed anew through execAll.
 func (h *diffRun) exec(d *diffDB, sql string, params []any) (int, error) {
 	if !d.cfg[axFresh] {
 		ct := h.remember(d, sql)
@@ -721,7 +721,7 @@ func (h *diffRun) exec(d *diffDB, sql string, params []any) (int, error) {
 	stmts, err := ParseAll(sql)
 	total := 0
 	for _, st := range stmts {
-		n, err := d.db.ExecStmtTx(context.Background(), st, d.tx, params...)
+		n, err := d.db.execAll(context.Background(), []Statement{st}, bindParams(params), d.tx)
 		total += n
 		if err != nil {
 			return total, err
@@ -813,7 +813,7 @@ func (h *diffRun) query(d *diffDB, held bool, sql string) ([]Row, error) {
 		return nil, fmt.Errorf("%q is not a SELECT", sql)
 	}
 	if d.cfg[axLent] {
-		rows, err := d.db.QueryRowsStmt(ctx, sel, tx)
+		rows, err := d.db.queryRows(ctx, sel, nil, tx, nil, true)
 		if err != nil {
 			return nil, err
 		}

@@ -69,6 +69,13 @@ const (
 	// the only copy of its rows — whose bytes are damaged. The statement
 	// fails; the database and the session stay up.
 	ErrCorrupt ErrorCode = "data_corrupted"
+	// ErrTxnActive marks a BEGIN in a Session with a transaction open.
+	ErrTxnActive ErrorCode = "active_transaction"
+	// ErrNoTxn marks a COMMIT or ROLLBACK in a Session with none open.
+	ErrNoTxn ErrorCode = "no_active_transaction"
+	// ErrTxnFailed marks a statement a Session refuses because an earlier
+	// error failed its transaction; only COMMIT or ROLLBACK ends it.
+	ErrTxnFailed ErrorCode = "failed_transaction"
 )
 
 // sqlStates maps every classified ErrorCode to the SQLSTATE the wire
@@ -95,6 +102,9 @@ var sqlStates = map[ErrorCode]string{
 	ErrIO:         "58030", // io_error
 	ErrExternal:   "38000", // external_routine_exception
 	ErrCorrupt:    "XX001", // data_corrupted
+	ErrTxnActive:  "25001", // active_sql_transaction
+	ErrNoTxn:      "25P01", // no_active_sql_transaction
+	ErrTxnFailed:  "25P02", // in_failed_sql_transaction
 }
 
 // SQLState returns the five-character SQLSTATE the wire protocol reports

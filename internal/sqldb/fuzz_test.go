@@ -41,6 +41,8 @@ var fuzzSeedSQL = []string{
 	// Identifiers Unicode upper-casing would turn into SET and IN.
 	"CREATE TABLE t (ſet INTEGER, ın INTEGER)",
 	"SELECT ſet, ın FROM t WHERE ın IN (1, 2)",
+	// A function name Unicode upper-casing would turn into IN.
+	"SELECT ıN()",
 }
 
 // FuzzParse: parsing arbitrary input must never panic, must only report

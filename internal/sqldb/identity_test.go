@@ -57,7 +57,7 @@ func explainPasses(t *testing.T, db *Database, sql string, width int) string {
 
 // TestIdentityProjectionSealedRows: over a sealed table, SELECT * through
 // Query returns each decoded row as a copy of its own, and through a lent
-// cursor (QueryRowsStmt) the scan's reused rows, which a later batch
+// cursor (queryRows with lend) the scan's reused rows, which a later batch
 // overwrites.
 func TestIdentityProjectionSealedRows(t *testing.T) {
 	const n = 3*morselSize + 100
@@ -76,7 +76,7 @@ func TestIdentityProjectionSealedRows(t *testing.T) {
 				t.Fatalf("%s: Query row %d = %s, want %s (a reused buffer reached a caller that keeps rows)", sql, i, got, identityRow(i))
 			}
 		}
-		rows, err := db.QueryRowsStmt(context.Background(), mustSelect(t, db, sql), nil)
+		rows, err := db.queryRows(context.Background(), mustSelect(t, db, sql), nil, nil, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestIdentityJoinLentMatchesQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := db.QueryRowsStmt(context.Background(), mustSelect(t, db, sql), nil)
+			rows, err := db.queryRows(context.Background(), mustSelect(t, db, sql), nil, nil, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

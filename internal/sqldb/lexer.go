@@ -63,6 +63,30 @@ func keyword(word string) (string, bool) {
 	return kw, ok
 }
 
+// upperASCII upper-cases the ASCII letters of a function or type name and
+// no others, as keyword does: a Unicode fold would turn ıN into the keyword
+// IN and ſum into the function SUM.
+func upperASCII(s string) string {
+	i := 0
+	for i < len(s) && !('a' <= s[i] && s[i] <= 'z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	b.WriteString(s[:i])
+	for ; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
 // lexError reports a lexical error with byte position context.
 type lexError struct {
 	pos int

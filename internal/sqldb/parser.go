@@ -749,7 +749,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 func (p *parser) parseFuncCall() (Expr, error) {
-	name := strings.ToUpper(p.next().text)
+	name := upperASCII(p.next().text)
 	if _, err := p.expectOp("("); err != nil {
 		return nil, err
 	}
@@ -864,7 +864,7 @@ func (p *parser) parseTypeName() (string, error) {
 			return "", err
 		}
 	}
-	return strings.ToUpper(name), nil
+	return upperASCII(name), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -182,6 +182,44 @@ func TestKeywordsAreASCII(t *testing.T) {
 	}
 }
 
+// TestNameFoldASCIIOnly: a function or type name is upper-cased in its ASCII
+// letters only, as a keyword is. Under Unicode rules ıN became the keyword
+// IN, so SELECT ıN() printed as SELECT IN(), which does not parse; ſum
+// became the aggregate SUM and ınteger the type INTEGER. Each now parses,
+// prints with its own letters and re-parses to the same statement; ſum names
+// no function, and ınteger is not an integer type.
+func TestNameFoldASCIIOnly(t *testing.T) {
+	for _, c := range []struct{ sql, kept string }{
+		{"SELECT ıN()", "ıN()"},
+		{"SELECT ſum(1)", "ſUM(1)"},
+		{"CREATE TABLE t (a ınteger)", "a ıNTEGER"},
+	} {
+		stmt, err := Parse(c.sql)
+		if err != nil {
+			if CodeOf(err) == ErrUnknown {
+				t.Errorf("Parse(%q) returned an untyped error: %v", c.sql, err)
+			}
+			continue
+		}
+		again, err := Parse(stmt.String())
+		if err != nil || again.String() != stmt.String() {
+			t.Errorf("%q prints as %q, which does not re-parse to itself: %v", c.sql, stmt, err)
+		}
+		if !strings.Contains(stmt.String(), c.kept) {
+			t.Errorf("%q prints as %q, want the name kept as %q", c.sql, stmt, c.kept)
+		}
+	}
+	db := NewDatabase()
+	if _, err := db.Query("SELECT ſum(1)"); CodeOf(err) != ErrNoFunction {
+		t.Errorf("SELECT ſum(1): %v, want ErrNoFunction", err)
+	}
+	db.MustExec("CREATE TABLE t (a ınteger)")
+	db.MustExec("INSERT INTO t VALUES ('007')")
+	if got := queryStrings(t, db, "SELECT a FROM t"); got[0][0] != "007" {
+		t.Errorf("a ınteger column stored '007' as %s, want the text kept", got[0][0])
+	}
+}
+
 func TestParseSelectShapes(t *testing.T) {
 	// Each input must parse; print; and re-parse to the same string.
 	inputs := []string{

@@ -306,7 +306,7 @@ func TestRowLifetimeOracles(t *testing.T) {
 	}
 }
 
-// TestLentCursorCollectCopies: a lent cursor (QueryRowsStmt) builds its rows
+// TestLentCursorCollectCopies: a lent cursor (queryRows with lend) builds its rows
 // in reused buffers, and Collect copies each, so its result is Query's — for
 // each head a lent cursor builds every row in one buffer for (a projection
 // over a range, a hash join's probe, a GROUP BY, a DISTINCT, a LIMIT), over
@@ -333,7 +333,7 @@ func TestLentCursorCollectCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := db.QueryRowsStmt(context.Background(), mustSelect(t, db, sql), nil)
+		rows, err := db.queryRows(context.Background(), mustSelect(t, db, sql), nil, nil, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestLentCursorBytes(t *testing.T) {
 	} {
 		sel, n, founders := mustSelect(t, db, c.sql), 0, uint64(0)
 		b := bytesPerRun(func() {
-			rows, err := db.QueryRowsStmt(context.Background(), sel, nil)
+			rows, err := db.queryRows(context.Background(), sel, nil, nil, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,7 +110,7 @@ func (r *Rows) Next() bool {
 
 // Row returns the current row (valid after a true Next). It is read-only:
 // it may be the table's own storage, which SELECT * hands up unbuilt. A lent
-// cursor's row (QueryRowsStmt) is valid until the next Next; copy what you
+// cursor's row (Session.Query) is valid until the next Next; copy what you
 // keep.
 func (r *Rows) Row() Row { return r.cur }
 

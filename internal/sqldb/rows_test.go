@@ -228,12 +228,12 @@ func TestExecContextCancelledMidUpdate(t *testing.T) {
 	}{
 		{"Database.ExecContext", func(*Txn) (int, error) { return db.ExecContext(ctx, update) }},
 		{"Txn.ExecContext", func(tx *Txn) (int, error) { return tx.ExecContext(ctx, update) }},
-		{"ExecStmtTx", func(*Txn) (int, error) {
+		{"execAll", func(*Txn) (int, error) {
 			stmt, err := Parse(update)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return db.ExecStmtTx(ctx, stmt, nil)
+			return db.execAll(ctx, []Statement{stmt}, nil, nil)
 		}},
 	}
 	for _, e := range entries {

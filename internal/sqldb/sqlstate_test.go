@@ -83,6 +83,9 @@ func TestSQLStateMappingComplete(t *testing.T) {
 		"ErrIO":         "58030",
 		"ErrExternal":   "38000",
 		"ErrCorrupt":    "XX001",
+		"ErrTxnActive":  "25001",
+		"ErrNoTxn":      "25P01",
+		"ErrTxnFailed":  "25P02",
 	}
 	stateShape := regexp.MustCompile(`^[0-9A-Z]{5}$`)
 

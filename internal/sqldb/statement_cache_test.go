@@ -154,7 +154,7 @@ func acctDB(t testing.TB) *Database {
 }
 
 // TestCachedExecAllocatesNoParse: a repeated parameterised UPDATE / INSERT /
-// DELETE through Exec(text) allocates exactly what handing ExecStmtTx the
+// DELETE through Exec(text) allocates exactly what handing execAll the
 // already-parsed statement allocates — nothing in lex, nothing in the parser
 // — and stays under a ceiling: 14 / 11 / 6 allocations an Exec, where a
 // parser per text and name maps to plan it spent 43 / 32 / 19, and a
@@ -185,7 +185,9 @@ func TestCachedExecAllocatesNoParse(t *testing.T) {
 				}
 			})
 		}
-		parsed := run(func(p []any) (int, error) { return db.ExecStmtTx(context.Background(), stmt, nil, p...) })
+		parsed := run(func(p []any) (int, error) {
+			return db.execAll(context.Background(), []Statement{stmt}, bindParams(p), nil)
+		})
 		text := run(func(p []any) (int, error) { return db.Exec(c.sql, p...) })
 		if text > parsed || text > c.ceiling {
 			t.Errorf("%s: Exec(text) allocates %.0f, the parsed statement %.0f; want no more than it and at most %.0f", c.sql, text, parsed, c.ceiling)
@@ -264,7 +266,7 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			rows, err := db.QueryRowsStmt(context.Background(), sel, nil, 7)
+			rows, err := db.queryRows(context.Background(), sel, bindParams([]any{7}), nil, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

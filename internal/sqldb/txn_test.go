@@ -297,8 +297,8 @@ func TestBareCallsRunAutocommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecStmtTx(ctx, begin, nil); CodeOf(err) != ErrMisuse {
-		t.Errorf("BEGIN through ExecStmtTx(nil): %v, want ErrMisuse", err)
+	if _, err := db.execAll(ctx, []Statement{begin}, nil, nil); CodeOf(err) != ErrMisuse {
+		t.Errorf("BEGIN through execAll(nil): %v, want ErrMisuse", err)
 	}
 	// The bare COMMIT and ROLLBACK left the Txn open and its row its own.
 	if res, err := tx.Query("SELECT COUNT(*) FROM t WHERE id = 99"); err != nil || res.Rows[0][0].AsInt() != 1 {

@@ -1,43 +1,19 @@
 package sqldb
 
-import "context"
-
 // This file is the engine's surface for the wire-protocol server
 // (internal/server/pgwire). A wire session gets each text's statements from
-// ParseCached (Parse message or simple-query split), dispatches
-// BEGIN/COMMIT/ROLLBACK onto its own *Txn handle, and runs everything else
-// through the two entry points below — so portals never re-parse. Both
-// run in exactly the tx they are handed, nil meaning autocommit, as every
-// engine entry point runs in the handle it was called on. The
-// probes at the bottom are what the wire test layer pins leak-freedom
-// with: after every disconnect, at every protocol state, live snapshots,
-// open cursors, and parallel workers must all return to zero.
+// ParseCached (Parse message or simple-query split) and runs them through
+// its Session (session.go), which holds the connection's transaction, so
+// portals never re-parse. The probes below are what the wire test layer
+// pins leak-freedom with: after every disconnect, at every protocol state,
+// live snapshots, open cursors, and parallel workers must all return to
+// zero.
 
 // ParseCached is ParseAll through the database's statement cache
 // (prepare.go): a text any session or embedded caller has sent before is
 // not parsed again. The statements are shared — read, never written.
 func (db *Database) ParseCached(sql string) ([]Statement, error) {
 	return db.plans.statements(sql)
-}
-
-// ExecStmtTx executes one already-parsed statement inside tx; a nil tx
-// runs it as an autocommit statement. It is the exec loop Txn.Exec runs,
-// over one statement: COMMIT/ROLLBACK finish a live tx, and BEGIN is
-// refused either way — callers owning their own transaction state machine,
-// like the wire session, intercept it and use Database.Begin.
-func (db *Database) ExecStmtTx(ctx context.Context, stmt Statement, tx *Txn, params ...any) (int, error) {
-	return db.execAll(ctx, []Statement{stmt}, bindParams(params), tx)
-}
-
-// QueryRowsStmt opens a streaming cursor over an already-parsed SELECT
-// inside tx (nil = autocommit read with its own fresh snapshot). The
-// cursor holds its own snapshot reference; Close releases it — a wire
-// portal maps one-to-one onto this cursor and must Close it on every
-// exit path (Execute completion, portal close, Sync teardown, session
-// death). The cursor lends its rows: each is built in a reused buffer and
-// valid until the next Next, so a caller encodes it first (Collect copies).
-func (db *Database) QueryRowsStmt(ctx context.Context, sel *SelectStmt, tx *Txn, params ...any) (*Rows, error) {
-	return db.queryRows(ctx, sel, bindParams(params), tx, nil, true)
 }
 
 // LiveSnapshots reports the number of registered MVCC snapshots currently
