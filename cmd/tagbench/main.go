@@ -1,7 +1,6 @@
 // Command tagbench regenerates the TAG paper's evaluation artefacts:
 //
-//	tagbench -table 1      Table 1 (accuracy + ET, overall and per type), then
-//	                       the same cells for the two automatic TAG pipelines
+//	tagbench -table 1      Table 1 (accuracy + ET, overall and per type)
 //	tagbench -table 2      Table 2 (accuracy + ET, knowledge vs reasoning)
 //	tagbench -figure 2     Figure 2 (qualitative aggregation comparison)
 //	tagbench -coverage     aggregation fact-coverage extension
@@ -9,7 +8,9 @@
 //	tagbench -explain ID   print the hand-written TAG pipeline for a query
 //	tagbench -outcomes     per-query per-method outcomes (CSV)
 //
-// With no flags it prints both tables, the speedup line and Figure 2.
+// A table or the coverage summary asked for alone has, under the paper's
+// five methods, a row for each of the two automatic TAG pipelines. With no
+// flags it prints both tables of the five, the speedup line and Figure 2.
 package main
 
 import (
@@ -70,14 +71,7 @@ func main() {
 		return
 	}
 
-	methods := core.NewDefaultMethods(profile)
-	if *table == 1 {
-		// Under the paper's five rows: automatic TAG without and with LM
-		// functions inside exec, per query type — where the gap to the
-		// hand-written pipelines is.
-		methods = append(methods, core.NewAutomaticMethods(profile)...)
-	}
-	rep, err := core.RunBenchmark(ctx, envs, methods, nil)
+	rep, err := core.RunBenchmark(ctx, envs, methods(profile, *table, *coverage), nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,6 +107,18 @@ func main() {
 		}
 		fmt.Println(fig)
 	}
+}
+
+// methods are the methods a run reports: the paper's five, then, where a
+// table or the coverage summary is asked for alone, automatic TAG without
+// and with LM functions inside exec — where the gap to the hand-written
+// pipelines is, and the one measure of an LM function such as LLM_AGG.
+func methods(profile llm.Profile, table int, coverage bool) []core.Method {
+	ms := core.NewDefaultMethods(profile)
+	if table != 0 || coverage {
+		ms = append(ms, core.NewAutomaticMethods(profile)...)
+	}
+	return ms
 }
 
 func fatal(err error) {

@@ -422,39 +422,59 @@ func TestFailedTransactionDiscipline(t *testing.T) {
 	}
 }
 
-// TestDescribeInFailedTransaction: Describe of a SELECT, statement or
-// portal, plans through the session, so inside a failed transaction it is
-// refused with 25P02, as PostgreSQL refuses it. Parse and Bind still
-// succeed there, and after ROLLBACK the same Describe answers.
+// TestDescribeInFailedTransaction: inside a failed transaction the session
+// refuses Parse, Bind and Describe of anything but a transaction end with
+// 25P02, as PostgreSQL does: Parse and Bind ask it first, and Describe of a
+// SELECT, statement or portal, plans through it. After ROLLBACK the same
+// Describe answers, and a ROLLBACK sent as Parse, Bind and Execute ends the
+// failed transaction.
 func TestDescribeInFailedTransaction(t *testing.T) {
 	_, db, addr := startServer(t, Options{})
 	seedPlayers(t, db)
 	c := dial(t, addr)
-	mustQuery(t, c, `BEGIN`)
-	if res, _ := c.Query(`SELECT nope FROM players`); res.Err == nil || res.TxStatus != 'E' {
-		t.Fatalf("error in txn: err=%v status=%c, want status E", res.Err, res.TxStatus)
+	fail := func() {
+		t.Helper()
+		if res, _ := c.Query(`SELECT nope FROM players`); res.Err == nil || res.TxStatus != 'E' {
+			t.Fatalf("error in txn: err=%v status=%c, want status E", res.Err, res.TxStatus)
+		}
 	}
-	c.SendParse("s", `SELECT id FROM players WHERE id < ?`, nil)
-	c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
-	c.SendSync()
-	if res, err := c.Collect(); err != nil || res.Err != nil || !bytes.Equal(res.Seq, []byte("12Z")) || res.TxStatus != 'E' {
-		t.Fatalf("Parse/Bind in a failed txn: %v / %v, seq %q, status %c; want both to complete", err, res.Err, res.Seq, res.TxStatus)
-	}
-	for _, kind := range []byte{'S', 'P'} {
-		c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
-		c.SendDescribe(kind, map[byte]string{'S': "s", 'P': "p"}[kind])
+	refused := func(what string) {
+		t.Helper()
 		c.SendSync()
 		res, err := c.Collect()
 		if err != nil || res.Err == nil || res.Err.Code != "25P02" || res.Cols != nil || res.TxStatus != 'E' {
-			t.Fatalf("Describe %c in a failed txn: %v / %v, cols %v, status %c; want 25P02 and no RowDescription", kind, err, res.Err, res.Cols, res.TxStatus)
+			t.Fatalf("%s in a failed txn: %v / %v, cols %v, status %c; want 25P02 and no RowDescription", what, err, res.Err, res.Cols, res.TxStatus)
 		}
 	}
+	c.SendParse("s", `SELECT id FROM players WHERE id < ?`, nil)
+	c.SendSync()
+	if res, err := c.Collect(); err != nil || res.Err != nil || !bytes.Equal(res.Seq, []byte("1Z")) {
+		t.Fatalf("Parse: %v / %v, seq %q", err, res.Err, res.Seq)
+	}
+	mustQuery(t, c, `BEGIN`)
+	fail()
+	c.SendParse("s2", `SELECT id FROM players`, nil)
+	refused("Parse")
+	c.SendBind("p", "s", []*string{pgwiretest.Str("3")})
+	refused("Bind")
+	c.SendDescribe('S', "s")
+	refused("Describe S")
 	mustQuery(t, c, `ROLLBACK`)
 	c.SendDescribe('S', "s")
 	c.SendSync()
 	if res, err := c.Collect(); err != nil || res.Err != nil || !reflect.DeepEqual(res.Cols, []string{"id"}) {
 		t.Fatalf("Describe after ROLLBACK: %v / %v, cols %v", err, res.Err, res.Cols)
 	}
+
+	// A portal bound before the error is refused at Describe too.
+	mustQuery(t, c, `BEGIN`)
+	c.SendBind("q", "s", []*string{pgwiretest.Str("3")})
+	c.SendFlush()
+	waitFor(t, c, '2')
+	fail()
+	c.SendDescribe('P', "q")
+	refused("Describe P")
+	mustQuery(t, c, `ROLLBACK`)
 
 	// A portal suspended before the error is refused too: the error closed
 	// its cursor, and running it asks the session again.
@@ -463,9 +483,7 @@ func TestDescribeInFailedTransaction(t *testing.T) {
 	c.SendExecute("p", 1)
 	c.SendFlush()
 	waitFor(t, c, 's')
-	if res, _ := c.Query(`SELECT nope FROM players`); res.Err == nil || res.TxStatus != 'E' {
-		t.Fatalf("error in txn: err=%v status=%c, want status E", res.Err, res.TxStatus)
-	}
+	fail()
 	if n := db.Stats().OpenCursors; n != 0 {
 		t.Errorf("%d cursors open after the error failed the txn, want 0", n)
 	}
@@ -474,7 +492,15 @@ func TestDescribeInFailedTransaction(t *testing.T) {
 	if res, _ := c.Collect(); res.Err == nil || res.Err.Code != "25P02" || len(res.Rows) != 0 {
 		t.Fatalf("Execute of a suspended portal in a failed txn: %v, %d rows; want 25P02", res.Err, len(res.Rows))
 	}
-	mustQuery(t, c, `ROLLBACK`)
+
+	// A transaction end is admitted at every step of the extended protocol.
+	c.SendParse("r", `ROLLBACK`, nil)
+	c.SendBind("", "r", nil)
+	c.SendExecute("", 0)
+	c.SendSync()
+	if res, err := c.Collect(); err != nil || res.Err != nil || !bytes.Equal(res.Seq, []byte("12CZ")) || res.TxStatus != 'I' {
+		t.Fatalf("extended ROLLBACK in a failed txn: %v / %v, seq %q, status %c; want 12CZ and status I", err, res.Err, res.Seq, res.TxStatus)
+	}
 }
 
 // TestCloseMessage: Close 'P' drops a portal and closes its open cursor at

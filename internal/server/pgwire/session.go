@@ -360,12 +360,13 @@ func (s *session) handleParse(payload []byte) error {
 	ps := &preparedStmt{sql: query, paramOIDs: oids}
 	if !emptyQuery(query) {
 		stmts, err := s.db.ParseCached(query)
+		if err == nil && len(stmts) > 1 {
+			err = wireErrf("42601", "cannot insert multiple commands into a prepared statement")
+		} else if err == nil {
+			err = s.sess.Admit(stmts[0])
+		}
 		if err != nil {
 			return s.extErr(err)
-		}
-		if len(stmts) > 1 {
-			return s.extErr(wireErrf("42601",
-				"cannot insert multiple commands into a prepared statement"))
 		}
 		ps.stmt = stmts[0]
 		ps.numParams = sqldb.NumParams(stmts[0])
@@ -426,6 +427,9 @@ func (s *session) handleBind(payload []byte) error {
 		return s.extErr(wireErrf(stateProtocolViolation, fmt.Sprintf(
 			"bind message supplies %d parameters, but prepared statement %q requires %d",
 			len(raw), stmtName, ps.numParams)))
+	}
+	if err := s.sess.Admit(ps.stmt); err != nil {
+		return s.extErr(err)
 	}
 	params := make([]any, len(raw))
 	for i, b := range raw {

@@ -267,11 +267,11 @@ func fork(n int, work func(w int)) {
 
 // gatherOp is a pooled scan whose rows go up as they are, neither folded
 // nor kept in a top-K heap. At its first pull runFold runs the scan over
-// every morsel, each instance keeping its morsels' rows, and the parts are
-// joined in morsel order: the serial scan's stream, cut after the first
-// morsel that failed, whose error follows its rows. A cursor over it thus
-// computes the whole scan at its first Next, as Query does; a bare LIMIT
-// never pools (planScan), so LIMIT k still reads O(k) rows.
+// every morsel, each handing over its rows (batchRows), joined in morsel
+// order: the serial scan's stream, cut after the first morsel that failed,
+// whose error follows the rows before it. A cursor over it thus computes
+// the whole scan at its first Next, as Query does; a bare LIMIT never pools
+// (planScan), so LIMIT k still reads O(k) rows.
 type gatherOp struct {
 	// scan is the plan the workers copy, the node EXPLAIN shows, and the
 	// sink their counters merge into.
@@ -306,8 +306,9 @@ func (g *gatherOp) rest() ([]Row, error) {
 	return rows, g.err
 }
 
-// run gathers the scan once: one allocation of the rows' total size (clipped
-// to it) joins the morsels' parts.
+// run gathers the scan once: the morsels' parts, up to the first that
+// failed, fill one slice of the result's size. A built row's header is cut
+// from its part's run, capped so that it cannot grow into the next row.
 func (g *gatherOp) run() {
 	if g.ran {
 		return
@@ -317,7 +318,7 @@ func (g *gatherOp) run() {
 		return
 	}
 	n := g.scan.src.batches()
-	parts, errs := make([][]Row, n), make([]error, n)
+	parts, errs := make([]gatherPart, n), make([]error, n)
 	_, g.err = runFold(g.scan, func(inst *scanOp, idx int) error {
 		parts[idx], errs[idx] = inst.batchRows(idx)
 		return errs[idx]
@@ -325,7 +326,19 @@ func (g *gatherOp) run() {
 	if cut := slices.IndexFunc(errs, func(err error) bool { return err != nil }); cut >= 0 {
 		parts = parts[:cut+1]
 	}
-	g.rows = slices.Clip(slices.Concat(parts...))
+	total := 0
+	for _, p := range parts {
+		total += len(p.rows) + p.n
+	}
+	if total > 0 {
+		g.rows = make([]Row, 0, total)
+	}
+	for _, p := range parts {
+		g.rows = append(g.rows, p.rows...)
+		for k := range p.n {
+			g.rows = append(g.rows, p.run[k*p.w:(k+1)*p.w:(k+1)*p.w])
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

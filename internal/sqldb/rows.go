@@ -208,10 +208,10 @@ func collect(rows *Rows, err error) (*Result, error) {
 // Collect drains the cursor into a materialised Result and closes it —
 // the bridge from the streaming API to the old eager one (Database.Query
 // is QueryRows + Collect) — with the rows Next has not yet returned. They
-// come from drain, so a full sort's slice is adopted and a GROUP BY's or
-// the pooled scan's rows are gathered in one allocation of their final
-// size; a lent cursor's rows are copied one at a time. The rows are
-// read-only, as Row's are.
+// come from drain: a full sort's slice is adopted, a GROUP BY's rows are
+// one slice of their final size, and so are the pooled scan's headers, cut
+// from its morsels' runs of values; a lent cursor's rows are copied one at
+// a time. The rows are read-only, as Row's are.
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
 	var rows []Row

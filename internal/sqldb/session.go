@@ -30,6 +30,9 @@ func (db *Database) NewSession() *Session { return &Session{db: db} }
 // Exec runs one parsed statement other than a SELECT in the session and
 // returns its command tag, as PostgreSQL names it ("INSERT 0 1", "BEGIN").
 func (s *Session) Exec(ctx context.Context, stmt Statement, params ...any) (string, error) {
+	if err := s.Admit(stmt); err != nil {
+		return "", err
+	}
 	switch stmt.(type) {
 	case *CommitStmt, *RollbackStmt:
 		tx := s.tx
@@ -42,11 +45,7 @@ func (s *Session) Exec(ctx context.Context, stmt Statement, params ...any) (stri
 			return "ROLLBACK", tx.Rollback()
 		}
 		return "COMMIT", tx.Commit()
-	}
-	if err := s.admit(); err != nil {
-		return "", err
-	}
-	if _, ok := stmt.(*BeginStmt); ok {
+	case *BeginStmt:
 		if s.tx != nil {
 			return "", s.Fail(errf(ErrTxnActive, "there is already a transaction in progress"))
 		}
@@ -66,7 +65,7 @@ func (s *Session) Exec(ctx context.Context, stmt Statement, params ...any) (stri
 // its own snapshot reference until Close, which the caller owes on every
 // path.
 func (s *Session) Query(ctx context.Context, sel *SelectStmt, params ...any) (*Rows, error) {
-	if err := s.admit(); err != nil {
+	if err := s.Admit(sel); err != nil {
 		return nil, err
 	}
 	rows, err := s.db.queryRows(ctx, sel, bindParams(params), s.tx, nil, true)
@@ -87,8 +86,14 @@ func (s *Session) Fail(err error) error {
 	return err
 }
 
-// admit refuses a statement in a failed transaction.
-func (s *Session) admit() error {
+// Admit refuses stmt in a failed transaction unless it is COMMIT or
+// ROLLBACK; a nil stmt, the empty query, is refused there too. Exec and
+// Query ask it first, and the wire at Parse and Bind, as PostgreSQL does.
+func (s *Session) Admit(stmt Statement) error {
+	switch stmt.(type) {
+	case *CommitStmt, *RollbackStmt:
+		return nil
+	}
 	if s.failed {
 		return errf(ErrTxnFailed, "current transaction is aborted, commands ignored until end of transaction block")
 	}

@@ -134,3 +134,43 @@ func TestSessionRules(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionAdmit: Admit, which the wire asks at Parse and Bind, refuses
+// every statement but COMMIT and ROLLBACK in a failed transaction, the empty
+// query (nil) included, admits everything anywhere else, and allocates
+// nothing to admit.
+func TestSessionAdmit(t *testing.T) {
+	s := NewDatabase().NewSession()
+	ctx := context.Background()
+	stmts := map[string]Statement{"": nil}
+	for _, q := range []string{"SELECT 1", "INSERT INTO t VALUES (1)", "BEGIN", "COMMIT", "ROLLBACK"} {
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[q] = stmt
+	}
+	check := func(state string, failed bool) {
+		t.Helper()
+		for q, stmt := range stmts {
+			refuse := failed && q != "COMMIT" && q != "ROLLBACK"
+			if err := s.Admit(stmt); (err != nil) != refuse || refuse && CodeOf(err) != ErrTxnFailed {
+				t.Errorf("%s: Admit(%q) = %v, want refused: %t", state, q, err, refuse)
+			}
+		}
+	}
+	check("no transaction", false)
+	if _, err := s.Exec(ctx, stmts["BEGIN"]); err != nil {
+		t.Fatal(err)
+	}
+	check("open transaction", false)
+	if n := testing.AllocsPerRun(100, func() { s.Admit(stmts["SELECT 1"]) }); n != 0 {
+		t.Errorf("Admit allocates %.0f times, want 0", n)
+	}
+	s.Fail(&Error{Code: ErrParse})
+	check("failed transaction", true)
+	if tag, err := s.Exec(ctx, stmts["ROLLBACK"]); tag != "ROLLBACK" || err != nil {
+		t.Fatalf("ROLLBACK: %q, %v", tag, err)
+	}
+	check("after ROLLBACK", false)
+}

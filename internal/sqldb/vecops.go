@@ -1,6 +1,9 @@
 package sqldb
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+)
 
 // This file implements the one leaf every base-table read goes through — a
 // single-table SELECT, each join input, UPDATE and DELETE's walk over their
@@ -499,14 +502,20 @@ func (s *scanOp) rowAt(i int) (Row, error) {
 		n = s.order.wide
 	}
 	out := s.arena.alloc(n)
-	for j := range s.proj {
-		v, err := s.proj[j].at(s, i)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = v
+	if err := s.project(i, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// project writes the fused projection's values for position i into out.
+func (s *scanOp) project(i int, out Row) (err error) {
+	for j := range s.proj {
+		if out[j], err = s.proj[j].at(s, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // each runs morsel idx and calls fn on every surviving position, billing
@@ -535,22 +544,47 @@ func (s *scanOp) each(idx int, fn func(i int) error) error {
 	return nil
 }
 
-// batchRows runs morsel idx and returns its surviving output rows, which
-// outlive the batch (the gather joins every morsel's).
-func (s *scanOp) batchRows(idx int) (out []Row, err error) {
+// gatherPart is what one morsel hands the gather (batchRows): a heap
+// morsel's rows, or the n rows the scan built, w values each, in one run.
+type gatherPart struct {
+	rows []Row
+	run  []Value
+	n, w int
+}
+
+// batchRows runs morsel idx and hands over its surviving output rows, which
+// outlive the batch. A heap morsel's are shared row versions, cheaper to
+// hand over as headers than to copy. Rows the scan builds, projecting them
+// or decoding them from a sealed block, go in one run with room for every
+// row the kernels kept; a row that fails midway is not handed over.
+func (s *scanOp) batchRows(idx int) (p gatherPart, err error) {
 	err = s.each(idx, func(i int) error {
-		if out == nil { // room for every row the kernels kept
+		if p.rows == nil && p.run == nil { // the first survivor
 			n := 0
 			for _, w := range s.b.sel {
 				n += bits.OnesCount64(w)
 			}
-			out = make([]Row, 0, n)
+			if s.proj == nil && s.b.arena.used == 0 {
+				p.rows = make([]Row, 0, n)
+			} else {
+				p.w = cmp.Or(len(s.proj), len(s.cols)) // gathered scans fold no top-K: no sort keys follow
+				p.run = make([]Value, n*p.w)
+			}
 		}
-		r, err := s.rowAt(i)
-		out = append(out, r)
-		return err
+		if p.rows != nil {
+			p.rows = append(p.rows, s.b.rows[i])
+			return nil
+		}
+		row := p.run[p.n*p.w : (p.n+1)*p.w]
+		if s.proj == nil {
+			copy(row, s.b.rows[i])
+		} else if err := s.project(i, row); err != nil {
+			return err
+		}
+		p.n++
+		return nil
 	})
-	return out, err
+	return p, err
 }
 
 // foldBatch runs morsel idx and folds its surviving rows into the
