@@ -131,7 +131,8 @@ func NewWireServer(db *Database, opts WireServerOptions) *WireServer {
 // OpenDatabase opens a durable embedded database backed by a write-ahead
 // log in dir, replaying any committed work a previous process left there.
 // Every commit is fsynced before it returns (concurrent commits share one
-// fsync), and the log is checkpointed into a snapshot after each 1 MiB.
+// fsync), and after each 1 MiB of log a checkpoint starts a new log that
+// opens with the committed state.
 // Close the database to sync and release the log. In-memory use is
 // NewDatabase; this constructor is the crash-safe variant.
 func OpenDatabase(dir string) (*Database, error) { return sqldb.Open(dir) }

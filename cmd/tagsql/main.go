@@ -229,8 +229,8 @@ func printCounters(qs sqldb.QueryStats) {
 	fmt.Printf("lm functions     %d calls / %d batches / %d deduplicated\n", qs.LMCalls, qs.LMBatches, qs.LMDedup)
 }
 
-// dump writes the database as a replayable SQL script — the same format
-// Database.Dump / .restore and the WAL checkpointer use.
+// dump writes the database as a replayable SQL script — Database.Dump's,
+// which .restore reads back.
 func dump(db *sqldb.Database, path string) {
 	if path == "" {
 		_ = db.Dump(os.Stdout)

@@ -1,22 +1,52 @@
 package sqldb
 
 import (
+	"context"
 	"io"
 	"sort"
 	"strings"
 )
 
 // Dump writes the database as a SQL script (CREATE TABLE + INSERT
-// statements) that LoadScript can replay — the engine's persistence story,
-// and the checkpoint's snapshot file. Indexes created by CREATE INDEX are
-// re-emitted after the data so reloads rebuild them. Dump iterates under a
-// registered autocommit snapshot: it emits exactly the committed state as
-// of the call, and concurrent writers are neither blocked nor reflected
-// mid-script. Output is deterministic for a given state — tables sorted by
-// name, rows in storage order, secondary indexes sorted by name — so two
-// dumps of identical states are bit-identical (the crash harness and
-// checkpointing rely on this).
+// statements) that LoadScript can replay: every value is written as an
+// expression that parses back to an Identical value. Indexes created by
+// CREATE INDEX are re-emitted after the data so reloads rebuild them. The
+// statements are walkState's ops, the ones a checkpoint logs: exactly the
+// committed state as of the call, under a registered autocommit snapshot,
+// so concurrent writers are neither blocked nor reflected mid-script.
+// Output is deterministic for a given state — tables sorted by name, rows
+// in storage order, secondary indexes sorted by name — so two dumps of
+// identical states are bit-identical (the crash harness relies on this).
 func (db *Database) Dump(w io.Writer) error {
+	var buf []byte // one statement, rendered in place and reused
+	table, insert := "", ""
+	return db.walkState(func(op walOp) error {
+		buf = append(buf[:0], op.sql...)
+		if op.kind == 'I' {
+			if op.table != table {
+				table, insert = op.table, "INSERT INTO "+quoteIdent(op.table)+" VALUES ("
+			}
+			buf = append(buf, insert...)
+			for i, v := range op.row {
+				if i > 0 {
+					buf = append(buf, ", "...)
+				}
+				buf = v.appendSQL(buf)
+			}
+			buf = append(buf, ')')
+		}
+		_, err := w.Write(append(buf, ";\n"...))
+		return err
+	})
+}
+
+// walkState hands emit the committed state as of one snapshot, as ops:
+// each table's CREATE TABLE ('S'), tables sorted by name; then, table by
+// table, an 'I' op for each live row in storage order and the table's
+// CREATE INDEX statements ('S') sorted. Dump renders these ops as SQL text;
+// a checkpoint logs them as its generation's first records. A row is
+// valid only during its emit call.
+func (db *Database) walkState(emit func(walOp) error) error {
 	snap := db.beginRead(nil)
 	defer db.tm.release(snap)
 	tables := db.tableMap()
@@ -25,7 +55,6 @@ func (db *Database) Dump(w io.Writer) error {
 		names = append(names, t.Name)
 	}
 	sort.Strings(names)
-	var buf []byte // one statement, rendered in place and reused
 	for _, name := range names {
 		t := tables[strings.ToLower(name)]
 		ct := CreateTableStmt{Name: t.Name}
@@ -33,32 +62,19 @@ func (db *Database) Dump(w io.Writer) error {
 			ct.Columns = append(ct.Columns, ColumnDef{Name: c.Name, Type: c.DeclType, PrimaryKey: c.PrimaryKey,
 				NotNull: c.NotNull && !c.PrimaryKey, Unique: c.Unique && !c.PrimaryKey})
 		}
-		buf = append(append(buf, ct.String()...), ";\n"...)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
+		if err := emit(walOp{kind: 'S', sql: ct.String()}); err != nil {
+			return err
+		}
 	}
 	for _, name := range names {
 		t := tables[strings.ToLower(name)]
-		insert := "INSERT INTO " + quoteIdent(t.Name) + " VALUES ("
-		sealed, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, written out and dropped
+		sealed, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, emitted and dropped
 		for id, n := 0, int(t.n.Load()); id < n; id++ {
 			row, err := t.visibleRow(id, snap, &sealed, &seek)
+			if err == nil && row != nil {
+				err = emit(walOp{kind: 'I', table: t.Name, row: row})
+			}
 			if err != nil {
-				return err
-			}
-			if row == nil {
-				continue
-			}
-			buf = append(buf[:0], insert...)
-			for i, v := range row {
-				if i > 0 {
-					buf = append(buf, ", "...)
-				}
-				buf = v.appendSQL(buf)
-			}
-			buf = append(buf, ");\n"...)
-			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}
@@ -70,11 +86,11 @@ func (db *Database) Dump(w io.Writer) error {
 				continue
 			}
 			ci := CreateIndexStmt{Name: idx.Name, Table: t.Name, Column: t.Columns[idx.Column].Name, Unique: idx.Unique}
-			stmts = append(stmts, ci.String()+";\n")
+			stmts = append(stmts, ci.String())
 		}
 		sort.Strings(stmts)
 		for _, stmt := range stmts {
-			if _, err := io.WriteString(w, stmt); err != nil {
+			if err := emit(walOp{kind: 'S', sql: stmt}); err != nil {
 				return err
 			}
 		}
@@ -85,12 +101,29 @@ func (db *Database) Dump(w io.Writer) error {
 // LoadScript executes a multi-statement SQL script (as produced by Dump)
 // atomically: the whole script runs inside one transaction, so a
 // mid-script error leaves the database untouched. DDL participates in the
-// transaction and is rolled back with everything else.
+// transaction and is rolled back with everything else. Each statement is
+// parsed once the one before it has run, under one query context as
+// execAll runs a parsed list, so a script's AST is never held whole; an
+// error running a statement is therefore returned even when a later
+// statement would not parse.
 func (db *Database) LoadScript(src string) error {
 	tx := db.Begin()
-	if _, err := tx.Exec(src); err != nil {
-		_ = tx.Rollback()
-		return err
+	qc := new(queryCtx).init(context.Background(), db)
+	defer qc.flush()
+	for p := newParser(src); ; {
+		stmt, err := p.statement()
+		if err == nil && stmt == nil {
+			return tx.Commit()
+		}
+		if err == nil {
+			err = qc.admit(tx)
+		}
+		if err == nil {
+			_, err = db.execStmt(qc, stmt, nil, tx)
+		}
+		if err != nil {
+			_ = tx.Rollback()
+			return err
+		}
 	}
-	return tx.Commit()
 }

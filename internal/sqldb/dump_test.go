@@ -2,14 +2,47 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// edgeValues are values whose plain text does not read back as themselves
+// (±Inf, −2⁶³), or reads back only to the last bit (−0.0, MaxInt64,
+// subnormals), and a text holding a quote and a newline.
+var edgeValues = []any{math.Inf(1), math.Inf(-1), math.Copysign(0, -1), int64(math.MaxInt64), int64(math.MinInt64),
+	1e-320, 4.9e-324, "it's\nsplit"}
+
+// loadEdgeValues puts each of edgeValues in a column of every type.
+func loadEdgeValues(db *Database) {
+	db.MustExec("CREATE TABLE edge (i INTEGER, r REAL, s TEXT, b BLOB)")
+	for _, v := range edgeValues {
+		db.MustExec("INSERT INTO edge VALUES (?, ?, ?, ?)", v, v, v, v)
+	}
+}
+
+// sameEdgeRows fails the test unless got's edge table is Identical, value
+// by value, to want's.
+func sameEdgeRows(t *testing.T, want, got *Database) {
+	t.Helper()
+	a, err := want.Query("SELECT * FROM edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := got.Query("SELECT * FROM edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identical(a.Rows, b.Rows) {
+		t.Errorf("edge values differ:\nwant %v\ngot  %v", a.Rows, b.Rows)
+	}
+}
+
 func TestDumpLoadRoundTrip(t *testing.T) {
 	db := testDB(t)
 	db.MustExec("CREATE INDEX idx_genre ON movies (genre)")
+	loadEdgeValues(db)
 
 	var buf strings.Builder
 	if err := db.Dump(&buf); err != nil {
@@ -41,6 +74,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 			t.Errorf("query %q differs after reload:\n%v\nvs\n%v", q, a, b)
 		}
 	}
+	sameEdgeRows(t, db, restored)
 }
 
 func TestDumpNullAndQuoting(t *testing.T) {

@@ -30,14 +30,6 @@ func (s *slowSyncFS) Create(path string) (walFile, error) {
 	return &slowSyncFile{walFile: f, fs: s}, nil
 }
 
-func (s *slowSyncFS) OpenAppend(path string) (walFile, int64, error) {
-	f, off, err := s.walFS.OpenAppend(path)
-	if err != nil {
-		return nil, off, err
-	}
-	return &slowSyncFile{walFile: f, fs: s}, off, nil
-}
-
 type slowSyncFile struct {
 	walFile
 	fs *slowSyncFS

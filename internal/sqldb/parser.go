@@ -48,45 +48,59 @@ func oneStatement(stmts []Statement, src string) (Statement, error) {
 // ParseAll parses a semicolon-separated script into statements. Errors are
 // *Error values with code ErrParse wrapping the positioned *ParseError.
 func ParseAll(src string) ([]Statement, error) {
+	p := newParser(src)
+	var stmts []Statement
+	for {
+		s, err := p.statement()
+		if err != nil {
+			return nil, err
+		}
+		if s == nil {
+			return stmts, nil
+		}
+		stmts = append(stmts, s)
+	}
+}
+
+func newParser(src string) *parser {
 	p := &parser{src: src}
 	p.cur = p.scan()
-	stmts, err := p.parseAll()
-	// A lex error anywhere in the text beats a parse error before it,
-	// wherever the parser stopped: scan the rest for one.
-	for err != nil && p.lexErr == nil && p.scan().typ != tokEOF {
+	return p
+}
+
+// statement parses the text's next statement and the semicolon after it,
+// which only the last may leave out; nil once the text is done. A text
+// with no statement is an error, as is a lex or parse error (see fail).
+func (p *parser) statement() (Statement, error) {
+	for p.acceptOp(";") {
+	}
+	if p.peek().typ == tokEOF {
+		if p.stmts > 0 && p.lexErr == nil {
+			return nil, nil
+		}
+		return nil, p.fail(&ParseError{Pos: 0, Msg: "empty statement", Src: p.src})
+	}
+	s, err := p.parseStatement()
+	if err == nil && p.peek().typ != tokEOF {
+		_, err = p.expectOp(";")
+	}
+	if err != nil || p.lexErr != nil {
+		return nil, p.fail(err)
+	}
+	p.stmts++
+	return s, nil
+}
+
+// fail is the error a parse that stopped at err reports: a lex error
+// anywhere in the text beats a parse error before it, wherever the parser
+// stopped, so the rest of the text is scanned for one.
+func (p *parser) fail(err error) error {
+	for p.lexErr == nil && p.scan().typ != tokEOF {
 	}
 	if p.lexErr != nil {
 		err = p.lexErr
 	}
-	if err != nil {
-		return nil, wrapErr(ErrParse, err)
-	}
-	return stmts, nil
-}
-
-func (p *parser) parseAll() ([]Statement, error) {
-	var stmts []Statement
-	for {
-		for p.acceptOp(";") {
-		}
-		if p.peek().typ == tokEOF {
-			break
-		}
-		s, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		stmts = append(stmts, s)
-		if p.peek().typ != tokEOF {
-			if _, err := p.expectOp(";"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(stmts) == 0 {
-		return nil, &ParseError{Pos: 0, Msg: "empty statement", Src: p.src}
-	}
-	return stmts, nil
+	return wrapErr(ErrParse, err)
 }
 
 // parser is a recursive-descent parser that scans the source as it reads:
@@ -99,11 +113,12 @@ type parser struct {
 	lexErr     error // the first lex error; the text reads as ending there
 	src        string
 	params     int // number of ? placeholders seen so far
+	stmts      int // statements parsed so far
 }
 
 // scan reads the token at p.off. A lex error is held in p.lexErr, and the
-// text reads as EOF from there on; parseAll reports the held error in
-// place of anything the parser made of that EOF.
+// text reads as EOF from there on; fail reports the held error in place
+// of anything the parser made of that EOF.
 func (p *parser) scan() token {
 	if p.lexErr == nil {
 		t, next, err := scan(p.src, p.off)

@@ -62,8 +62,8 @@ func (s *Stmt) SQL() string { return s.sql }
 // and however many arrive: an entry is charged its text plus planEntryCost
 // (a short statement's AST and the entry) and the least recently used go
 // once the charges pass planCacheBudget. A text over planCacheMaxText — a
-// script for LoadScript, a recovered snapshot, a bulk INSERT — is parsed and
-// not kept: its AST, some twenty times its text, must not outlive the call.
+// multi-statement script, a bulk INSERT — is parsed and not kept: its AST,
+// some twenty times its text, must not outlive the call.
 const (
 	planCacheBudget  = 1 << 17
 	planCacheMaxText = 1 << 12

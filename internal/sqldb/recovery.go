@@ -6,22 +6,22 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
-	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 )
 
-// This file implements recovery-on-open: discover the newest complete
-// snapshot generation, load it, replay every WAL generation at or above
-// it in ascending order (applying every whole record), truncate
-// any torn tail off the active log, and arm the writer. The crash-point
-// matrix in wal_crash_test.go drives every step of this code through
-// every failure point a crashFS can inject.
+// This file implements recovery-on-open: find the newest log generation,
+// replay it (applying every whole record, the generation's state records
+// first), start the next generation from the recovered state, and arm the
+// writer. Older generations and .tmp files are leftovers of a checkpoint
+// that did not finish; they are removed unread. The crash-point matrix in
+// wal_crash_test.go drives every step of this code through every failure
+// point a crashFS can inject.
 
 // openWAL opens the durability layer on a freshly constructed database:
 // recovery first (unarmed, so replay is not re-logged), then the writer
-// is armed. The WAL lives in the directory dir.
+// starts a fresh generation and is armed. The WAL lives in the directory
+// dir.
 func (db *Database) openWAL(ctx context.Context, dir string) error {
 	fs := db.walFS
 	if fs == nil {
@@ -34,137 +34,55 @@ func (db *Database) openWAL(ctx context.Context, dir string) error {
 	if err != nil {
 		return wrapIOErr(err)
 	}
-	var snapGens, walGens []uint64
+	var next uint64 // the generation to start: 0 in an empty directory
 	for _, name := range names {
-		if g, ok := parseGen(name, "snap-", ".sql"); ok {
-			snapGens = append(snapGens, g)
-		}
-		if g, ok := parseGen(name, "wal-", ".log"); ok {
-			walGens = append(walGens, g)
-		}
-		// A .tmp snapshot is an interrupted checkpoint that never reached
-		// its commit point (the rename): discard it.
-		if filepath.Ext(name) == ".tmp" {
-			_ = fs.Remove(filepath.Join(dir, name))
+		if g, ok := parseGen(name); ok && g >= next {
+			next = g + 1
 		}
 	}
-	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] < snapGens[j] })
-	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
-
-	// Load the newest snapshot. A snapshot file is complete by
-	// construction (it is renamed into place only after an fsync), so a
-	// failure to load it is corruption, not a crash artifact.
-	var base uint64
-	if len(snapGens) > 0 {
-		base = snapGens[len(snapGens)-1]
-		data, err := fs.ReadFile(walSnapName(dir, base))
+	if next > 0 {
+		// A generation is renamed into place only after an fsync, so it is
+		// whole but for a torn tail of commit records.
+		data, err := fs.ReadFile(walLogName(dir, next-1))
 		if err != nil {
 			return wrapIOErr(err)
 		}
-		if err := db.LoadScript(string(data)); err != nil {
-			return &Error{Code: ErrIO, Msg: "sql: corrupt snapshot generation " + walSnapName(dir, base) + ": " + err.Error(), Cause: err}
-		}
-	}
-
-	// Replay WAL generations >= base, ascending. Generations below base
-	// are superseded leftovers of a checkpoint whose cleanup did not
-	// finish; they are already folded into the snapshot.
-	activeGen := base
-	activeValid := int64(len(walMagic))
-	haveActive := false
-	for _, g := range walGens {
-		if g < base {
-			continue
-		}
-		data, err := fs.ReadFile(walLogName(dir, g))
-		if err != nil {
-			return wrapIOErr(err)
-		}
-		validOff, torn, err := db.replayWAL(ctx, data)
+		torn, err := db.replayWAL(ctx, data)
 		if err != nil {
 			return err
 		}
 		if torn {
 			db.stats.add(func(s *Stats) { s.TornTailsDropped++ })
 		}
-		activeGen, activeValid, haveActive = g, validOff, true
 	}
-
-	// Open (or create) the active log for appending, dropping any torn
-	// tail so the next append lands on a record boundary.
 	w := &walWriter{db: db, fs: fs, dir: dir}
 	w.syncCond = sync.NewCond(&w.syncMu)
-	if haveActive {
-		f, size, err := fs.OpenAppend(walLogName(dir, activeGen))
-		if err != nil {
-			return wrapIOErr(err)
-		}
-		if size > activeValid {
-			if err := f.Truncate(activeValid); err != nil {
-				_ = f.Close()
-				return wrapIOErr(err)
-			}
-			size = activeValid
-		}
-		if size < int64(len(walMagic)) {
-			// Created but never (fully) headed — e.g. a crash between
-			// Create and the magic write. Start it fresh.
-			if err := f.Truncate(0); err != nil {
-				_ = f.Close()
-				return wrapIOErr(err)
-			}
-			if _, err := f.Write(walMagic); err != nil {
-				_ = f.Close()
-				return wrapIOErr(err)
-			}
-			size = int64(len(walMagic))
-		}
-		w.f, w.gen, w.off = f, activeGen, size
-	} else {
-		f, err := fs.Create(walLogName(dir, activeGen))
-		if err != nil {
-			return wrapIOErr(err)
-		}
-		if _, err := f.Write(walMagic); err != nil {
-			_ = f.Close()
-			return wrapIOErr(err)
-		}
-		w.f, w.gen, w.off = f, activeGen, int64(len(walMagic))
+	db.writeMu.Lock()
+	err = w.startGen(next)
+	db.writeMu.Unlock()
+	if err != nil {
+		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		_ = w.f.Close()
-		return wrapIOErr(err)
-	}
-	w.sGen, w.synced = w.gen, w.off // the open sync made the prefix durable
 	w.armed.Store(true)
 	db.wal = w
 	return nil
 }
 
-// replayWAL applies one WAL file's records to the database. It returns the
-// byte offset of the last applied record's end (the valid truncation
-// point), whether a torn tail was dropped, and a hard error for corruption
-// that cannot be a crash artifact (a record whose checksum passes but
-// whose content is malformed) or for context cancellation.
-func (db *Database) replayWAL(ctx context.Context, data []byte) (validOff int64, torn bool, err error) {
-	// Header.
-	if len(data) < len(walMagic) {
-		if bytes.HasPrefix(walMagic, data) {
-			return 0, len(data) > 0, nil // torn magic write
-		}
-		return 0, false, errf(ErrIO, "sql: wal header corrupt")
+// replayWAL applies one log's records to the database. It reports whether
+// a torn tail was dropped, and returns a hard error for a header that is
+// not this format's, for corruption that cannot be a crash artifact (a
+// record whose checksum passes but whose content is malformed), and for
+// context cancellation.
+func (db *Database) replayWAL(ctx context.Context, data []byte) (torn bool, err error) {
+	if !bytes.HasPrefix(data, walMagic) {
+		return false, errf(ErrIO, "sql: wal header corrupt")
 	}
-	if !bytes.Equal(data[:len(walMagic)], walMagic) {
-		return 0, false, errf(ErrIO, "sql: wal header corrupt")
-	}
-	validOff = int64(len(walMagic))
-	for int(validOff) < len(data) {
+	for rest := data[len(walMagic):]; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
-			return validOff, false, &Error{Code: ErrCanceled, Msg: "sql: recovery canceled: " + err.Error(), Cause: err}
+			return false, &Error{Code: ErrCanceled, Msg: "sql: recovery canceled: " + err.Error(), Cause: err}
 		}
-		rest := data[validOff:]
 		if len(rest) < 8 {
-			return validOff, true, nil // torn header
+			return true, nil // torn header
 		}
 		plen := int64(binary.LittleEndian.Uint32(rest))
 		crc := binary.LittleEndian.Uint32(rest[4:])
@@ -176,18 +94,18 @@ func (db *Database) replayWAL(ctx context.Context, data []byte) (validOff int64,
 				ops, _ := decodeRecord(payload)
 				err = db.applyRecoveredUnit(ctx, ops)
 			}
-			return validOff, true, err
+			return true, err
 		}
 		ops, err := decodeRecord(payload[:plen])
 		if err != nil {
-			return validOff, false, err
+			return false, err
 		}
 		if err := db.applyRecoveredUnit(ctx, ops); err != nil {
-			return validOff, false, err
+			return false, err
 		}
-		validOff += 8 + plen
+		rest = payload[plen:]
 	}
-	return validOff, false, nil
+	return false, nil
 }
 
 // decodeRecord decodes one record's payload: its op count, then the ops.
@@ -233,8 +151,8 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 // applyRecoveredOp applies one logical op. Row-image ops are content-
 // addressed: the image matches the lowest-id current row equal to it,
 // which reproduces the original slot assignment (DML visits matching
-// rows in ascending id order, and compaction preserves relative live-row
-// order — see wal.go).
+// rows in ascending id order, and the state records keep relative
+// live-row order — see wal.go).
 func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 	if op.kind == 'S' {
 		return db.applyRecoveredDDL(op.sql, tx)

@@ -292,12 +292,12 @@ func TestOpenAllocatesNoNameMap(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocsIndependentOfRows: a checkpoint renders each row into
-// one reused buffer and streams it to the snapshot file, so ten times the
-// rows cost the same allocations (within 5 %). The parent built a string per
-// cell and per row: 6,971 allocations at 1,000 rows, 70,166 at 10,000; 53
-// at either size since. Both sizes hold sealed blocks, which a checkpoint
-// reads into one more reused row and seek position: two allocations more.
+// TestCheckpointAllocsIndependentOfRows: a checkpoint encodes each row as
+// an op into the writer's one buffer and writes it to the new log
+// generation a record at a time, so ten times the rows cost the same
+// allocations (within 5 %): 38 at either size. Both sizes hold sealed
+// blocks, which a checkpoint reads into one more reused row and seek
+// position: two allocations more.
 func TestCheckpointAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(n int) float64 {
 		db, err := Open(filepath.Join(t.TempDir(), fmt.Sprint("db", n)))

@@ -91,10 +91,11 @@ type Stats struct {
 	WALAppends uint64
 	WALBytes   uint64
 	// Checkpoints counts completed checkpoints (explicit or automatic):
-	// snapshot written, log truncated to a fresh generation.
+	// each started a log generation that opens with the committed state.
+	// The generation Open starts is not counted.
 	Checkpoints uint64
-	// RecoveredTxns counts the committed units recovery replayed from
-	// the WAL when the database was opened.
+	// RecoveredTxns counts the records recovery replayed when the database
+	// was opened: the log's state records and its committed units.
 	RecoveredTxns uint64
 	// TornTailsDropped counts WAL files whose tail was incomplete at
 	// recovery (a crash mid-append) and was silently dropped back to the

@@ -75,7 +75,7 @@ func (db *Database) maybeVacuum() {
 // acquisition simply queues behind the in-flight commit.
 func (db *Database) maybeCheckpoint() {
 	if db.wal != nil && db.wal.wantCheckpoint() {
-		db.spawn(&db.checkpointing, func(db *Database) { _ = db.wal.checkpoint() })
+		db.spawn(&db.checkpointing, func(db *Database) { _ = db.Checkpoint() })
 	}
 }
 

@@ -278,11 +278,22 @@ func (v Value) String() string {
 }
 
 // appendSQL appends String's rendering to dst: NULL, a quoted text with
-// every ' doubled, or AppendText's number.
+// every ' doubled, or AppendText's number — spelled, where that would not
+// parse back to the same value, as an expression that does.
 func (v Value) appendSQL(dst []byte) []byte {
 	switch v.Kind() {
 	case KindNull:
 		return append(dst, "NULL"...)
+	case KindInt:
+		if v.i64() == math.MinInt64 {
+			// Its digits alone overflow, so they would lex as a REAL.
+			return append(dst, "(-9223372036854775807-1)"...)
+		}
+	case KindFloat:
+		if math.IsInf(v.f64(), 0) {
+			// A bare Inf would parse as a column name.
+			return append(v.AppendText(append(dst, "CAST('"...)), "' AS REAL)"...)
+		}
 	case KindText:
 		dst = append(dst, '\'')
 		s := v.str()

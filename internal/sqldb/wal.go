@@ -1,13 +1,13 @@
 package sqldb
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,13 +15,17 @@ import (
 )
 
 // This file implements the durability layer's write side: a checksummed,
-// length-prefixed write-ahead log appended at COMMIT, plus checkpointing
-// that snapshots committed state and retires the log. Recovery (the read
-// side) lives in recovery.go; the filesystem seam in walfs.go.
+// length-prefixed write-ahead log appended at COMMIT, and checkpointing,
+// which starts the next log generation from the committed state. Recovery
+// (the read side) lives in recovery.go; the filesystem seam in walfs.go.
 //
-// Log format. A WAL file is a magic header followed by records, one per
-// committed unit — an explicit transaction, an autocommit DML statement
-// or an autocommit DDL statement:
+// Log format. A generation's log, wal-g.log, is a magic header followed by
+// records. Its first records hold the committed state as of the
+// generation's start — an 'S' op for each CREATE TABLE and CREATE INDEX and
+// an 'I' op for each live row, in Dump's order, cut into records of about
+// walBufKeep bytes. After them comes one record per committed unit — an
+// explicit transaction, an autocommit DML statement or an autocommit DDL
+// statement:
 //
 //	record  = u32 payload-length | u32 CRC32(payload) | payload
 //	payload = u32 op count | ops
@@ -35,9 +39,9 @@ import (
 // images against the lowest visible row, which reproduces the original
 // slot assignment because DML always visits matching rows in ascending
 // id order (index access and the heap walk both yield ascending ids) and
-// checkpoint compaction preserves the relative order of live rows. Image
-// ops survive checkpointing, where slot ids would not: reloading a
-// snapshot compacts slots.
+// a generation's state records keep the relative order of live rows.
+// Image ops survive checkpointing, where slot ids would not: replaying the
+// state records compacts slots.
 //
 // Write path invariants:
 //
@@ -55,19 +59,18 @@ import (
 //
 // Checkpoint protocol (generation g -> g+1), all under writeMu:
 //
-//	write snap-(g+1).sql.tmp, fsync     — full Dump of committed state
-//	create wal-(g+1).log + magic, fsync — fresh empty log
-//	rename snap-(g+1).sql.tmp -> snap-(g+1).sql   <- commit point
-//	switch the writer to wal-(g+1), remove older generations
+//	write wal-(g+1).log.tmp, fsync  — magic, then the committed state
+//	rename it to wal-(g+1).log      <- commit point
+//	append to it from then on, remove older generations
 //
-// Recovery picks the highest complete snapshot generation s, loads it,
-// then replays every wal generation >= s in ascending order; a crash at
-// any point of the protocol therefore recovers exactly the pre- or
-// post-checkpoint state, never a mix (older generations are only removed
-// after the rename commits the new one).
+// Recovery replays only the newest generation, and Open then starts the
+// next one by the same protocol, so no file is appended to after a crash.
+// A crash at any point of the protocol recovers exactly the pre- or
+// post-checkpoint state, never a mix: before the rename the newest
+// generation is g, after it g+1, which holds everything g did.
 
 // walMagic identifies a WAL file and its format version.
-var walMagic = []byte("TAGWAL2\n")
+var walMagic = []byte("TAGWAL3\n")
 
 // walMaxRecord bounds a record's payload length; longer lengths in a
 // header mean corruption (or a torn length field), not a real record.
@@ -79,9 +82,9 @@ const walMaxRecord = 1 << 30
 const defaultCheckpointBytes = 1 << 20
 
 // Open opens (creating if needed) a durable database stored in the
-// directory at path: it recovers committed state from the latest
-// snapshot plus the WAL, then arms logging so every later commit is
-// appended and fsynced before it returns.
+// directory at path: it recovers committed state from the newest log
+// generation, then arms logging so every later commit is appended and
+// fsynced before it returns.
 func Open(path string, opts ...Option) (*Database, error) {
 	return OpenContext(context.Background(), path, opts...)
 }
@@ -111,27 +114,18 @@ func wrapIOErr(err error) error {
 	return &Error{Code: ErrIO, Msg: "sql: wal I/O error: " + err.Error(), Cause: err}
 }
 
-// walSnapName / walLogName name generation g's files inside dir.
-func walSnapName(dir string, gen uint64) string {
-	return filepath.Join(dir, "snap-"+strconv.FormatUint(gen, 10)+".sql")
-}
-
+// walLogName names generation g's log inside dir.
 func walLogName(dir string, gen uint64) string {
 	return filepath.Join(dir, "wal-"+strconv.FormatUint(gen, 10)+".log")
 }
 
-// parseGen extracts the generation from a snap-/wal- file name; ok=false
-// for anything else (including .tmp leftovers).
-func parseGen(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
+// parseGen extracts the generation from a log's file name; ok=false for
+// anything else (including .tmp leftovers).
+func parseGen(name string) (uint64, bool) {
+	mid, pre := strings.CutPrefix(name, "wal-")
+	mid, suf := strings.CutSuffix(mid, ".log")
 	g, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return g, true
+	return g, pre && suf && err == nil
 }
 
 // ---------------------------------------------------------------------------
@@ -307,8 +301,8 @@ type walWriter struct {
 	fs  walFS
 	dir string
 
-	// armed gates op capture: recovery and snapshot loading run unarmed
-	// so replaying history does not re-log it.
+	// armed gates op capture: recovery runs unarmed so replaying history
+	// does not re-log it.
 	armed atomic.Bool
 
 	mu        sync.Mutex
@@ -403,10 +397,11 @@ func (w *walWriter) waitSync(gen uint64, target int64) error {
 			err = errf(ErrIO, "sql: wal disabled by earlier I/O error (reopen to recover)")
 		} else if err = wrapIOErr(f.Sync()); err != nil {
 			// A checkpoint may have rotated generations and closed this
-			// file mid-fsync. Its snapshot already made every record of
-			// the old generation durable, so a stale-generation failure is
-			// discarded; a same-generation failure is real and poisons the
-			// writer (bytes written, durability unknown).
+			// file mid-fsync. The new generation, fsynced before it was
+			// renamed in, holds every record of the old one, so a
+			// stale-generation failure is discarded; a same-generation
+			// failure is real and poisons the writer (bytes written,
+			// durability unknown).
 			w.mu.Lock()
 			if w.gen > fgen {
 				err = nil
@@ -438,23 +433,38 @@ func (w *walWriter) waitSync(gen uint64, target int64) error {
 // bulk load's record is encoded in a buffer of its own size and dropped.
 const walBufKeep = 64 << 10
 
+// recordHead is the room a record's encoding starts with: the 8-byte
+// frame and the op count, which frameRecord fills in once the ops follow.
+const recordHead = 12
+
+// frameRecord fills in the head of rec, a record of n ops encoded behind
+// recordHead bytes: the op count, the payload length and its CRC32.
+func frameRecord(rec []byte, n int) {
+	binary.LittleEndian.PutUint32(rec[8:], uint32(n))
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-8))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+}
+
+// keepBuf keeps buf's storage as w.buf while it is at most walBufKeep.
+func (w *walWriter) keepBuf(buf []byte) {
+	if w.buf = buf[:0]; cap(buf) > walBufKeep {
+		w.buf = nil
+	}
+}
+
 // appendCommit logs one committed unit as one record. Called at commit
 // time under the database's single-writer latch, which owns w.buf: the
-// ops are encoded behind an 8-byte header placeholder, the length and
-// CRC32 are written into the header in place, and the one slice is
-// appended. Returns the (generation, offset) position the record ended
-// at; the caller makes it durable with waitSync after releasing the
-// latch, so concurrent commits share fsyncs.
+// ops are encoded behind the record's head, the head is filled in place,
+// and the one slice is appended. Returns the (generation, offset) position
+// the record ended at; the caller makes it durable with waitSync after
+// releasing the latch, so concurrent commits share fsyncs.
 func (w *walWriter) appendCommit(ops []walOp) (uint64, int64, error) {
-	rec := binary.LittleEndian.AppendUint32(append(w.buf[:0], make([]byte, 8)...), uint32(len(ops)))
+	rec := append(w.buf[:0], make([]byte, recordHead)...)
 	for _, op := range ops {
 		rec = appendWalOp(rec, op)
 	}
-	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-8))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
-	if w.buf = rec[:0]; cap(rec) > walBufKeep {
-		w.buf = nil
-	}
+	frameRecord(rec, len(ops))
+	w.keepBuf(rec)
 	w.mu.Lock()
 	err := w.appendLocked(rec)
 	gen, off := w.gen, w.off
@@ -495,108 +505,108 @@ func (w *walWriter) close() error {
 // ---------------------------------------------------------------------------
 // Checkpointing
 
-// Checkpoint snapshots the committed state to a new generation and
-// retires the current WAL: the log is effectively truncated, so recovery
-// replays only commits since the snapshot. Runs under the single-writer
-// latch (writers pause; lock-free readers do not). Returns ErrMisuse on
-// an in-memory database and ErrIO if the WAL is poisoned or the
-// filesystem fails — in the failure cases the previous generation stays
-// intact and active.
+// Checkpoint starts a new log generation that opens with the committed
+// state and retires the current one, so recovery replays that state and
+// only the commits since. Runs under the single-writer latch (writers
+// pause; lock-free readers do not). Returns ErrMisuse on an in-memory
+// database and ErrIO if the WAL is poisoned or the filesystem fails — in
+// the failure cases the previous generation stays intact and active.
 func (db *Database) Checkpoint() error {
 	if db.wal == nil {
 		return errf(ErrMisuse, "sql: database has no durability layer")
 	}
-	return db.wal.checkpoint()
-}
-
-func (w *walWriter) checkpoint() error {
-	db := w.db
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
+	if err := db.wal.startGen(db.wal.gen + 1); err != nil {
+		return err
+	}
+	db.stats.add(func(s *Stats) { s.Checkpoints++ })
+	return nil
+}
+
+// startGen makes generation g the log, under writeMu: it writes the magic
+// and the committed state to wal-g.log.tmp, fsyncs it and renames it into
+// place — the commit point — then appends to that file and removes every
+// older generation. On failure the previous generation stays active.
+func (w *walWriter) startGen(g uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.poisoned {
 		return errf(ErrIO, "sql: wal disabled by earlier I/O error (reopen to recover)")
 	}
-	g := w.gen + 1
-	snapTmp := walSnapName(w.dir, g) + ".tmp"
-	abort := func(err error, alsoLog bool) error {
-		_ = w.fs.Remove(snapTmp)
-		if alsoLog {
-			_ = w.fs.Remove(walLogName(w.dir, g))
-		}
-		return wrapIOErr(err)
-	}
-	// 1. Stream the full committed state to a temp snapshot — rows rendered
-	// one at a time, 64 KiB a write, so a smaller snapshot is still written
-	// in one piece — and fsync it.
-	f, err := w.fs.Create(snapTmp)
+	name := walLogName(w.dir, g)
+	tmp := name + ".tmp"
+	f, err := w.fs.Create(tmp)
 	if err != nil {
 		return wrapIOErr(err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	err = db.Dump(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
+	off, err := w.writeState(f)
 	if err == nil {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = w.fs.Rename(tmp, name)
 	}
 	if err != nil {
-		return abort(err, false)
+		_ = f.Close()
+		_ = w.fs.Remove(tmp)
+		return wrapIOErr(err)
 	}
-	// 2. Create the new generation's empty log and make it durable.
-	nf, err := w.fs.Create(walLogName(w.dir, g))
-	if err != nil {
-		return abort(err, false)
+	if w.f != nil {
+		_ = w.f.Close()
 	}
-	if _, err = nf.Write(walMagic); err == nil {
-		err = nf.Sync()
-	}
-	if err != nil {
-		_ = nf.Close()
-		return abort(err, true)
-	}
-	// 3. Commit point: publish the snapshot under its final name.
-	if err := w.fs.Rename(snapTmp, walSnapName(w.dir, g)); err != nil {
-		_ = nf.Close()
-		return abort(err, true)
-	}
-	// 4. Switch the writer; retire superseded generations (best effort —
-	// recovery ignores generations below the newest snapshot).
-	old := w.f
-	w.f, w.gen, w.off, w.sinceCkpt = nf, g, int64(len(walMagic)), 0
-	_ = old.Close()
-	// The fsynced snapshot covers every record of the retired generation,
+	w.f, w.gen, w.off, w.sinceCkpt = f, g, off, 0
+	// The fsynced generation holds every record of the one it retires,
 	// including any a group-commit leader had not fsynced yet: advance the
 	// durable horizon and release those waiters.
 	w.syncMu.Lock()
-	if w.sGen < g {
-		w.sGen, w.synced = g, w.off
-	}
+	w.sGen, w.synced = g, off
 	w.syncCond.Broadcast()
 	w.syncMu.Unlock()
 	w.removeObsolete(g)
-	db.stats.add(func(s *Stats) { s.Checkpoints++ })
 	return nil
 }
 
-// removeObsolete deletes snapshot and log generations below keep.
-// Best effort: leftovers are ignored by recovery and retried by the next
-// checkpoint.
+// writeState writes the magic, then the committed state as records of 'S'
+// and 'I' ops in Dump's order, each cut once it reaches walBufKeep bytes
+// and encoded in w.buf. It returns the bytes written.
+func (w *walWriter) writeState(f walFile) (int64, error) {
+	buf := append(slices.Grow(w.buf[:0], walBufKeep), walMagic...)
+	rec, n, off := 0, 0, int64(0) // the open record's start in buf, and its op count
+	flush := func() error {
+		if n > 0 {
+			frameRecord(buf[rec:], n)
+		}
+		_, err := f.Write(buf)
+		buf, n, off = buf[:0], 0, off+int64(len(buf))
+		return err
+	}
+	err := w.db.walkState(func(op walOp) error {
+		if n == 0 {
+			rec, buf = len(buf), append(buf, make([]byte, recordHead)...)
+		}
+		if buf, n = appendWalOp(buf, op), n+1; len(buf) < walBufKeep {
+			return nil
+		}
+		return flush()
+	})
+	if err == nil && (n > 0 || off == 0) {
+		err = flush()
+	}
+	w.keepBuf(buf)
+	return off, err
+}
+
+// removeObsolete deletes log generations below keep and .tmp leftovers of
+// checkpoints that never reached their commit point. Best effort: recovery
+// reads only the newest generation, and the next checkpoint retries.
 func (w *walWriter) removeObsolete(keep uint64) {
 	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
 		return
 	}
 	for _, name := range names {
-		if g, ok := parseGen(name, "snap-", ".sql"); ok && g < keep {
-			_ = w.fs.Remove(filepath.Join(w.dir, name))
-		}
-		if g, ok := parseGen(name, "wal-", ".log"); ok && g < keep {
+		if g, ok := parseGen(name); (ok && g < keep) || filepath.Ext(name) == ".tmp" {
 			_ = w.fs.Remove(filepath.Join(w.dir, name))
 		}
 	}

@@ -1,22 +1,24 @@
 package sqldb
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
 
 // Tests for the durability layer's happy paths and typed-error edges:
 // encoding round-trips, reopen recovery, fsync per commit (observed
-// through memFS's durable-prefix model), checkpointing, torn-tail truncation,
-// LoadScript atomicity, and the ErrIO surface under injected ENOSPC /
-// short-write / fsync failures. The exhaustive crash-point matrix lives
-// in wal_crash_test.go.
+// through memFS's durable-prefix model), checkpointing, which generation
+// recovery reads, torn-tail dropping, LoadScript atomicity, and the ErrIO
+// surface under injected ENOSPC / short-write / fsync failures. The
+// exhaustive crash-point matrix lives in wal_crash_test.go.
 
 // withWAL puts a durable database's WAL on fs and starts automatic
 // checkpoints after ckptBytes of log (0: the default threshold; -1: only
@@ -329,17 +331,14 @@ func TestCheckpointRetiresLog(t *testing.T) {
 	if n := db.Stats().Checkpoints; n != 1 {
 		t.Errorf("Checkpoints = %d, want 1", n)
 	}
-	names, _ := fs.ReadDir("db")
-	var got []string
-	got = append(got, names...)
-	if len(got) != 2 || got[0] != "snap-1.sql" || got[1] != "wal-1.log" {
-		t.Fatalf("files after checkpoint = %v, want [snap-1.sql wal-1.log]", got)
+	if got, _ := fs.ReadDir("db"); !reflect.DeepEqual(got, []string{"wal-1.log"}) {
+		t.Fatalf("files after checkpoint = %v, want [wal-1.log]", got)
 	}
-	if data, _ := fs.ReadFile("db/wal-1.log"); len(data) != len(walMagic) {
-		t.Errorf("new log is %d bytes, want bare %d-byte header", len(data), len(walMagic))
+	if data, _ := fs.ReadFile("db/wal-1.log"); wholeRecords(t, data) == 0 {
+		t.Errorf("new log holds no records, want the table and its rows")
 	}
-	// Commits after the checkpoint land in the new generation; recovery
-	// stitches snapshot + new log together.
+	// Commits after the checkpoint land in the new generation, after the
+	// state records recovery replays first.
 	db.MustExec("INSERT INTO t VALUES (100, 'post-checkpoint')")
 	want := dumpString(t, db)
 	closeDB(t, db)
@@ -399,8 +398,14 @@ func TestTornTailDropped(t *testing.T) {
 	if n := db2.Stats().TornTailsDropped; n != 1 {
 		t.Errorf("TornTailsDropped = %d, want 1", n)
 	}
-	// The torn bytes were truncated away, so appends resume on a record
-	// boundary and a further reopen is clean.
+	// Reopen started a generation of whole records in place of the torn
+	// one, so appends resume on a record boundary and a further reopen is
+	// clean.
+	if names, _ := fs.ReadDir("db"); !reflect.DeepEqual(names, []string{"wal-1.log"}) {
+		t.Fatalf("files after reopen = %v, want [wal-1.log]", names)
+	}
+	data, _ := fs.ReadFile("db/wal-1.log")
+	wholeRecords(t, data)
 	db2.MustExec("INSERT INTO t VALUES (3)")
 	want2 := dumpString(t, db2)
 	closeDB(t, db2)
@@ -415,9 +420,9 @@ func TestTornTailDropped(t *testing.T) {
 }
 
 // TestCorruptHeaderRejected: a log whose header is not this format's magic
-// — garbage, or the magic of the earlier frame format — is refused.
+// — garbage, or the magic of an earlier format — is refused.
 func TestCorruptHeaderRejected(t *testing.T) {
-	for name, header := range map[string]string{"corrupt": "XAGWAL2\n", "TAGWAL1": "TAGWAL1\n"} {
+	for name, header := range map[string]string{"corrupt": "XAGWAL3\n", "TAGWAL1": "TAGWAL1\n", "TAGWAL2": "TAGWAL2\n"} {
 		fs := newMemFS()
 		db := openWalDB(t, fs, 0)
 		db.MustExec("CREATE TABLE t (a INTEGER)")
@@ -429,6 +434,74 @@ func TestCorruptHeaderRejected(t *testing.T) {
 			t.Fatalf("%s header: err = %v, want ErrIO", name, err)
 		}
 	}
+}
+
+// wholeRecords fails the test unless data is a log of whole records, and
+// returns how many it holds.
+func wholeRecords(t *testing.T, data []byte) int {
+	t.Helper()
+	if !bytes.HasPrefix(data, walMagic) {
+		t.Fatalf("log starts %q, want the magic", data[:min(len(data), len(walMagic))])
+	}
+	n := 0
+	for rest := data[len(walMagic):]; len(rest) > 0; n++ {
+		if len(rest) < 8 || int(binary.LittleEndian.Uint32(rest)) > len(rest)-8 {
+			t.Fatalf("record %d is torn: %d bytes left", n, len(rest))
+		}
+		plen := int(binary.LittleEndian.Uint32(rest))
+		if crc32.ChecksumIEEE(rest[8:8+plen]) != binary.LittleEndian.Uint32(rest[4:]) {
+			t.Fatalf("record %d fails its checksum", n)
+		}
+		rest = rest[8+plen:]
+	}
+	return n
+}
+
+// TestOpenReadsNewestGenerationOnly: beside the newest generation, an
+// older one — even one with a garbage body — and a checkpoint's leftover
+// .tmp file are not read, and the reopen removes them.
+func TestOpenReadsNewestGenerationOnly(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, -1)
+	db.MustExec("CREATE TABLE t (a INTEGER)")
+	db.MustExec("INSERT INTO t VALUES (1)")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO t VALUES (2)")
+	want := dumpString(t, db)
+	closeDB(t, db)
+	fs.mu.Lock()
+	fs.files["db/wal-0.log"] = &memFile{data: append(slices.Clone(walMagic), "garbage, not a record"...)}
+	fs.files["db/wal-2.log.tmp"] = &memFile{data: []byte("TAGW")}
+	fs.mu.Unlock()
+
+	db2 := openWalDB(t, fs, -1)
+	defer closeDB(t, db2)
+	if got := dumpString(t, db2); got != want {
+		t.Errorf("recovered dump differs:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	if names, _ := fs.ReadDir("db"); !reflect.DeepEqual(names, []string{"wal-2.log"}) {
+		t.Errorf("files after reopen = %v, want [wal-2.log]", names)
+	}
+}
+
+// TestCheckpointKeepsEdgeValues: values whose SQL text does not read back
+// as themselves — ±Inf, −2⁶³ — in a column of every type survive a
+// checkpoint and a reopen Identical.
+func TestCheckpointKeepsEdgeValues(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, -1)
+	loadEdgeValues(db)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	closeDB(t, db)
+	db2 := openWalDB(t, fs, -1)
+	defer closeDB(t, db2)
+	want := NewDatabase()
+	loadEdgeValues(want)
+	sameEdgeRows(t, want, db2)
 }
 
 // TestCommitIsOneRecord: every committed unit — autocommit DDL, autocommit
@@ -709,6 +782,21 @@ func TestLoadScriptAtomic(t *testing.T) {
 	}
 	if got := queryStrings(t, db, "SELECT x FROM ok"); len(got) != 1 {
 		t.Errorf("successful script rows: %v", got)
+	}
+
+	// A statement runs before the next is parsed: an error running one is
+	// the script's error even when a later statement would not parse, and
+	// a syntax error stops the script before the statements after it run.
+	for script, want := range map[string]ErrorCode{
+		"INSERT INTO ok VALUES (2); INSERT INTO nosuch VALUES (1); SELEC oops;": ErrNoTable,
+		"INSERT INTO ok VALUES (2); SELEC oops; INSERT INTO nosuch VALUES (1);": ErrParse,
+	} {
+		if err := db.LoadScript(script); CodeOf(err) != want {
+			t.Errorf("LoadScript(%q) error = %v, want %v", script, err, want)
+		}
+	}
+	if got := queryStrings(t, db, "SELECT x FROM ok"); len(got) != 1 {
+		t.Errorf("failed scripts left rows %v, want [[1]]", got)
 	}
 }
 

@@ -28,18 +28,15 @@ type walFS interface {
 	ReadFile(path string) ([]byte, error)
 	// Create opens path for writing, truncating any existing file.
 	Create(path string) (walFile, error)
-	// OpenAppend opens path for appending, creating it if absent, and
-	// reports its current size.
-	OpenAppend(path string) (walFile, int64, error)
 	// Rename atomically replaces newPath with oldPath's file.
 	Rename(oldPath, newPath string) error
 	// Remove deletes the file at path.
 	Remove(path string) error
 }
 
-// walFile is an open file handle. Write appends (for OpenAppend handles)
-// or extends (for Create handles); Sync makes previously written bytes
-// durable; Truncate discards bytes past size.
+// walFile is an open file handle, from Create. Write extends the file;
+// Sync makes previously written bytes durable; Truncate discards bytes
+// past size.
 type walFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -52,8 +49,8 @@ type walFile interface {
 
 // osFS implements walFS over the os package. Rename also syncs the parent
 // directory (best effort) so the rename itself survives a crash — the
-// checkpoint protocol relies on "snapshot file present" implying
-// "snapshot file complete".
+// checkpoint protocol relies on "log generation present" implying "its
+// state records complete".
 type osFS struct{}
 
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
@@ -77,23 +74,6 @@ func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 func (osFS) Create(path string) (walFile, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-}
-
-func (osFS) OpenAppend(path string) (walFile, int64, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, st.Size(), nil
 }
 
 func (osFS) Rename(oldPath, newPath string) error {

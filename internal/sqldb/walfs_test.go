@@ -74,17 +74,6 @@ func (m *memFS) Create(path string) (walFile, error) {
 	return &memHandle{fs: m, f: f}, nil
 }
 
-func (m *memFS) OpenAppend(path string) (walFile, int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[path]
-	if !ok {
-		f = &memFile{}
-		m.files[path] = f
-	}
-	return &memHandle{fs: m, f: f}, int64(len(f.data)), nil
-}
-
 func (m *memFS) Rename(oldPath, newPath string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -281,20 +270,6 @@ func (c *crashFS) Create(path string) (walFile, error) {
 		return nil, err
 	}
 	return &crashHandle{fs: c, f: f}, nil
-}
-
-func (c *crashFS) OpenAppend(path string) (walFile, int64, error) {
-	c.mu.Lock()
-	dead := c.crashed
-	c.mu.Unlock()
-	if dead {
-		return nil, 0, errSimCrash
-	}
-	f, size, err := c.inner.OpenAppend(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return &crashHandle{fs: c, f: f}, size, nil
 }
 
 func (c *crashFS) Rename(oldPath, newPath string) error {
