@@ -511,8 +511,7 @@ func (t *Table) visibleValue(id int, snap *snapshot, col int, s *blockSeek) (Val
 // chain stamped with the writing transaction, maintains every index, and
 // enforces NOT NULL and UNIQUE constraints, in column order. WAL replay
 // installs the logged row as it is: it is what coercion made of it when it
-// was written, and the UPDATE/DELETE images logged after it match it bit for
-// bit.
+// was written, under the rule of the binary that wrote it.
 func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
 	r := v.row
 	if len(r) != len(t.Columns) {
@@ -550,7 +549,7 @@ func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
 			qc.OrdMaintains++
 		}
 	}
-	tx.logWALOp(walOp{kind: 'I', table: t.Name, row: r})
+	tx.logWALOp(walOp{kind: 'I', table: t.Name, id: id, row: r})
 	tx.db.sealDebt.Add(1)
 	return nil
 }
@@ -602,7 +601,7 @@ func (t *Table) deleteRow(id int, tx *Txn) error {
 	if err != nil {
 		return err
 	}
-	tx.logWALOp(walOp{kind: 'D', table: t.Name, row: head.row})
+	tx.logWALOp(walOp{kind: 'D', table: t.Name, id: id})
 	head.xmax.Store(tx.xid)
 	t.liveRows.Add(-1)
 	tx.record(undoRec{kind: undoDelete, table: t, id: id})
@@ -621,7 +620,7 @@ func (t *Table) updateRow(id int, updated Row, qc *queryCtx, tx *Txn) error {
 		return err
 	}
 	old := head.row
-	tx.logWALOp(walOp{kind: 'U', table: t.Name, row: old, row2: updated})
+	tx.logWALOp(walOp{kind: 'U', table: t.Name, id: id, row: updated})
 	nv := &rowVersion{xmin: tx.xid, row: updated}
 	nv.next.Store(head)
 	head.xmax.Store(tx.xid)

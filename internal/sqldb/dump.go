@@ -42,10 +42,10 @@ func (db *Database) Dump(w io.Writer) error {
 
 // walkState hands emit the committed state as of one snapshot, as ops:
 // each table's CREATE TABLE ('S'), tables sorted by name; then, table by
-// table, an 'I' op for each live row in storage order and the table's
-// CREATE INDEX statements ('S') sorted. Dump renders these ops as SQL text;
-// a checkpoint logs them as its generation's first records. A row is
-// valid only during its emit call.
+// table, an 'I' op for each live row in storage order, with its slot id,
+// and the table's CREATE INDEX statements ('S') sorted. Dump renders these
+// ops as SQL text, without the ids; a checkpoint logs them as its
+// generation's first records. A row is valid only during its emit call.
 func (db *Database) walkState(emit func(walOp) error) error {
 	snap := db.beginRead(nil)
 	defer db.tm.release(snap)
@@ -72,7 +72,7 @@ func (db *Database) walkState(emit func(walOp) error) error {
 		for id, n := 0, int(t.n.Load()); id < n; id++ {
 			row, err := t.visibleRow(id, snap, &sealed, &seek)
 			if err == nil && row != nil {
-				err = emit(walOp{kind: 'I', table: t.Name, row: row})
+				err = emit(walOp{kind: 'I', table: t.Name, id: id, row: row})
 			}
 			if err != nil {
 				return err

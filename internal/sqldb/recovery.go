@@ -2,21 +2,20 @@ package sqldb
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
-	"slices"
+	"math"
 	"sync"
 )
 
 // This file implements recovery-on-open: find the newest log generation,
 // replay it (applying every whole record, the generation's state records
-// first), start the next generation from the recovered state, and arm the
-// writer. Older generations and .tmp files are leftovers of a checkpoint
-// that did not finish; they are removed unread. The crash-point matrix in
-// wal_crash_test.go drives every step of this code through every failure
-// point a crashFS can inject.
+// first, each row op at the slot id it names), start the next generation
+// from the recovered state, and arm the writer. Older generations and .tmp
+// files are leftovers of a checkpoint that did not finish; they are removed
+// unread. The crash-point matrix in wal_crash_test.go drives every step of
+// this code through every failure point a crashFS can inject.
 
 // openWAL opens the durability layer on a freshly constructed database:
 // recovery first (unarmed, so replay is not re-logged), then the writer
@@ -148,11 +147,11 @@ func (db *Database) applyRecoveredUnit(ctx context.Context, ops []walOp) error {
 	return nil
 }
 
-// applyRecoveredOp applies one logical op. Row-image ops are content-
-// addressed: the image matches the lowest-id current row equal to it,
-// which reproduces the original slot assignment (DML visits matching
-// rows in ascending id order, and the state records keep relative
-// live-row order — see wal.go).
+// applyRecoveredOp applies one logical op. A row op goes to the slot it
+// names, which is checked first, since the log comes from outside the
+// program: an INSERT's id is at or past the table's slot count, which is
+// padded up to it with empty slots, and below the 32-bit row-id limit
+// insertRow enforces; a DELETE's or UPDATE's names a live row.
 func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 	if op.kind == 'S' {
 		return db.applyRecoveredDDL(op.sql, tx)
@@ -161,24 +160,34 @@ func (db *Database) applyRecoveredOp(op walOp, tx *Txn) error {
 	if err != nil {
 		return recoveryCorrupt(err.Error())
 	}
-	switch op.kind {
-	case 'I':
+	n := int(t.n.Load())
+	if op.kind == 'I' && op.id >= n && op.id < math.MaxUint32 {
+		for ; n < op.id; n++ {
+			t.appendSlot(nil)
+		}
 		if err := t.insertRow(&rowVersion{row: op.row}, nil, tx); err != nil {
 			return recoveryCorrupt("replayed INSERT rejected: " + err.Error())
 		}
 		return nil
-	case 'D', 'U':
-		id, ok, err := findRowByImage(t, op.row)
-		if err != nil || !ok {
-			return cmp.Or(err, recoveryCorrupt("no row matches logged "+map[byte]string{'D': "DELETE", 'U': "UPDATE"}[op.kind]+" image in "+op.table))
-		}
-		if op.kind == 'D' {
-			return t.deleteRow(id, tx)
-		}
-		return t.updateRow(id, op.row2, nil, tx)
-	default:
-		return recoveryCorrupt("unknown op kind")
 	}
+	if op.kind == 'I' || op.id >= n || !t.liveSlot(op.id) {
+		return errf(ErrIO, "sql: wal recovery: logged %c names slot %d of %s, which has %d slots", op.kind, op.id, op.table, n)
+	}
+	if op.kind == 'D' {
+		return t.deleteRow(op.id, tx)
+	}
+	if len(op.row) != len(t.Columns) {
+		return recoveryCorrupt("replayed UPDATE has the wrong number of values")
+	}
+	return t.updateRow(op.id, op.row, nil, tx)
+}
+
+// liveSlot reports whether slot id holds a current row (writeMu held, id
+// below the slot count): a sealed block's row, or a chain whose head is not
+// deleted.
+func (t *Table) liveSlot(id int) bool {
+	head, blk := t.resolve(t.run(id/segBlockSlots), id)
+	return blk != nil || latestRow(head) != nil
 }
 
 func recoveryCorrupt(msg string) error {
@@ -198,35 +207,4 @@ func (db *Database) applyRecoveredDDL(sql string, tx *Txn) error {
 		}
 	}
 	return nil
-}
-
-// findRowByImage returns the lowest row id whose current row is Identical
-// to img, value by value — stricter than Compare, which takes 1 for 1.0:
-// replay must find the very row the original statement touched. Under
-// writeMu, so "current" is unambiguous.
-func findRowByImage(t *Table, img Row) (int, bool, error) {
-	buf, seek := rowArena{reuse: true}, blockSeek{} // a sealed row, read and dropped
-	match := func(id int) (bool, error) {
-		r, err := t.visibleRow(id, nil, &buf, &seek)
-		return r != nil && slices.EqualFunc(r, img, Value.Identical), err
-	}
-	// An indexed column can narrow the scan; correctness only needs
-	// ascending ids, which both paths provide.
-	for _, idx := range t.idxs() {
-		if idx == nil || idx.Column >= len(img) {
-			continue
-		}
-		for _, id := range idx.appendIDs(nil, img[idx.Column]) {
-			if ok, err := match(id); ok || err != nil {
-				return id, ok, err
-			}
-		}
-		return 0, false, nil
-	}
-	for id, n := 0, int(t.n.Load()); id < n; id++ {
-		if ok, err := match(id); ok || err != nil {
-			return id, ok, err
-		}
-	}
-	return 0, false, nil
 }

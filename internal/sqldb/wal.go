@@ -29,19 +29,21 @@ import (
 //
 //	record  = u32 payload-length | u32 CRC32(payload) | payload
 //	payload = u32 op count | ops
+//	op      = 'S' sql | 'I' table id row | 'D' table id | 'U' table id row
+//
+// An id is a u32, a string a u32 length and its bytes, a row a u16 value
+// count and the values.
 //
 // A record is whole or it is not there: recovery applies every record
 // whose checksum holds and drops a torn tail.
 //
-// An op is a DDL statement, stored as SQL text, or a row change. Row
-// changes are logical row images, not slot ids: INSERT carries the new row,
-// DELETE the deleted row's image, UPDATE both images. Recovery matches
-// images against the lowest visible row, which reproduces the original
-// slot assignment because DML always visits matching rows in ascending
-// id order (index access and the heap walk both yield ascending ids) and
-// a generation's state records keep the relative order of live rows.
-// Image ops survive checkpointing, where slot ids would not: replaying the
-// state records compacts slots.
+// An op is a DDL statement, stored as SQL text, or a row change, which
+// names its row by slot id: INSERT carries the id the heap gave the row and
+// the row, DELETE the id alone, UPDATE the id and the new row. Replay puts
+// every row at the id it had, padding with empty slots the ids that were
+// rolled back or vacuumed, so a reopened heap is the heap that was logged,
+// and a DELETE or UPDATE goes to its id directly. The state records carry
+// each live row's id as well, so a checkpoint keeps the slots too.
 //
 // Write path invariants:
 //
@@ -70,7 +72,7 @@ import (
 // generation is g, after it g+1, which holds everything g did.
 
 // walMagic identifies a WAL file and its format version.
-var walMagic = []byte("TAGWAL3\n")
+var walMagic = []byte("TAGWAL4\n")
 
 // walMaxRecord bounds a record's payload length; longer lengths in a
 // header mean corruption (or a torn length field), not a real record.
@@ -137,8 +139,8 @@ type walOp struct {
 	kind  byte   // 'I' insert, 'D' delete, 'U' update, 'S' DDL
 	table string // I/D/U
 	sql   string // S
-	row   Row    // I: new row; D: deleted image; U: old image
-	row2  Row    // U: new image
+	id    int    // I/D/U: the row's slot
+	row   Row    // I: the inserted row; U: the new row
 }
 
 func appendWalString(b []byte, s string) []byte {
@@ -178,24 +180,23 @@ func appendWalRow(b []byte, r Row) []byte {
 // appendWalOp encodes one op of a record.
 func appendWalOp(b []byte, op walOp) []byte {
 	b = append(b, op.kind)
-	switch op.kind {
-	case 'S':
-		b = appendWalString(b, op.sql)
-	case 'I', 'D', 'U':
-		b = appendWalString(b, op.table)
-		b = appendWalRow(b, op.row)
+	if op.kind == 'S' {
+		return appendWalString(b, op.sql)
 	}
-	if op.kind == 'U' {
-		b = appendWalRow(b, op.row2)
+	b = appendWalString(b, op.table)
+	b = binary.LittleEndian.AppendUint32(b, uint32(op.id))
+	if op.kind != 'D' {
+		b = appendWalRow(b, op.row)
 	}
 	return b
 }
 
 // walDecoder walks an encoded buffer with a sticky error.
 type walDecoder struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	table string // the last row op's table name, which the next one reuses
 }
 
 func (d *walDecoder) fail() {
@@ -230,14 +231,26 @@ func (d *walDecoder) u16() uint16 { return uint16(d.uintN(2)) }
 func (d *walDecoder) u32() uint32 { return uint32(d.uintN(4)) }
 func (d *walDecoder) u64() uint64 { return d.uintN(8) }
 
-func (d *walDecoder) str() string {
+// bytes reads a length-prefixed string's bytes, in place.
+func (d *walDecoder) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || n > len(d.b)-d.off {
 		d.fail()
-		return ""
+		return nil
 	}
 	d.off += n
-	return string(d.b[d.off-n : d.off])
+	return d.b[d.off-n : d.off]
+}
+
+func (d *walDecoder) str() string { return string(d.bytes()) }
+
+// name reads a row op's table name, copying it only when it is not the
+// previous row op's: a record's rows mostly belong to one table.
+func (d *walDecoder) name() string {
+	if b := d.bytes(); string(b) != d.table {
+		d.table = string(b)
+	}
+	return d.table
 }
 
 func (d *walDecoder) value() Value {
@@ -273,19 +286,17 @@ func (d *walDecoder) row() Row {
 
 // op decodes one walOp of a record.
 func (d *walDecoder) op() walOp {
-	var op walOp
-	op.kind = d.byte()
+	op := walOp{kind: d.byte()}
 	switch op.kind {
 	case 'S':
 		op.sql = d.str()
 	case 'I', 'D', 'U':
-		op.table = d.str()
-		op.row = d.row()
+		op.table, op.id = d.name(), int(d.u32())
+		if op.kind != 'D' {
+			op.row = d.row()
+		}
 	default:
 		d.fail()
-	}
-	if op.kind == 'U' {
-		op.row2 = d.row()
 	}
 	return op
 }
@@ -508,15 +519,18 @@ func (w *walWriter) close() error {
 // Checkpoint starts a new log generation that opens with the committed
 // state and retires the current one, so recovery replays that state and
 // only the commits since. Runs under the single-writer latch (writers
-// pause; lock-free readers do not). Returns ErrMisuse on an in-memory
-// database and ErrIO if the WAL is poisoned or the filesystem fails — in
-// the failure cases the previous generation stays intact and active.
+// pause; lock-free readers do not). Returns ErrMisuse on an in-memory or
+// closed database and ErrIO if the WAL is poisoned or the filesystem fails
+// — in the failure cases the previous generation stays intact and active.
 func (db *Database) Checkpoint() error {
 	if db.wal == nil {
 		return errf(ErrMisuse, "sql: database has no durability layer")
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
+	if db.isClosed() {
+		return errClosed
+	}
 	if err := db.wal.startGen(db.wal.gen + 1); err != nil {
 		return err
 	}

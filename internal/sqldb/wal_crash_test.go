@@ -40,10 +40,10 @@ type crashUnit struct {
 // autocommit DDL, autocommit batches, multi-op transactions (one mixing
 // DDL and DML), a rolled-back transaction (with DDL), a partially-applied
 // statement (constraint violation mid-INSERT, the engine's documented
-// non-atomic statement semantics), duplicate row images (content-addressed
-// replay must pick the lowest id), NULLs and floats (exact-equality
-// matching), and a checkpoint in the middle so later units replay on a
-// compacted snapshot base.
+// non-atomic statement semantics), duplicate rows (a DELETE or UPDATE of
+// one of them replays at the slot id it names), NULLs and floats, and a
+// checkpoint in the middle so later units replay on the slots its state
+// records put back.
 func crashWorkload() []crashUnit {
 	return []crashUnit{
 		{unitSQL, []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT, f REAL)"}},

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -62,9 +63,11 @@ func (c *crashFS) failNext(n int) {
 func TestWalOpEncodingRoundTrip(t *testing.T) {
 	ops := []walOp{
 		{kind: 'S', sql: "CREATE TABLE t (a INTEGER)"},
-		{kind: 'I', table: "t", row: Row{Int(-7), Float(1.5), Text("héllo"), Bool(true), Null}},
-		{kind: 'D', table: "t", row: Row{Text(""), Int(1 << 62), Bool(false)}},
-		{kind: 'U', table: "películas", row: Row{Int(1), Text("old")}, row2: Row{Int(1), Text("new\x00bytes")}},
+		{kind: 'I', table: "t", id: 0, row: Row{Int(-7), Float(1.5), Text("héllo"), Bool(true), Null}},
+		{kind: 'I', table: "t", id: 1 << 20, row: Row{Text(""), Int(1 << 62), Bool(false)}},
+		{kind: 'D', table: "t", id: 127},
+		{kind: 'U', table: "películas", id: math.MaxUint32 - 1, row: Row{Int(1), Text("new\x00bytes")}},
+		{kind: 'D', table: "t", id: math.MaxUint32},
 	}
 	var buf []byte
 	for _, op := range ops {
@@ -76,11 +79,8 @@ func TestWalOpEncodingRoundTrip(t *testing.T) {
 		if d.err != nil {
 			t.Fatalf("op %d: decode error: %v", i, d.err)
 		}
-		if got.kind != want.kind || got.table != want.table || got.sql != want.sql {
+		if !sameOp(got, want) {
 			t.Fatalf("op %d: got %+v want %+v", i, got, want)
-		}
-		if !identical(got.row, want.row) || !identical(got.row2, want.row2) {
-			t.Fatalf("op %d: rows differ: got %v/%v want %v/%v", i, got.row, got.row2, want.row, want.row2)
 		}
 	}
 	if d.off != len(buf) {
@@ -93,6 +93,12 @@ func TestWalOpEncodingRoundTrip(t *testing.T) {
 			d.op()
 		}
 	}
+}
+
+// sameOp reports whether two ops are the same change, their rows value by
+// value Identical.
+func sameOp(a, b walOp) bool {
+	return a.kind == b.kind && a.table == b.table && a.sql == b.sql && a.id == b.id && identical(a.row, b.row)
 }
 
 func TestOpenRequiresPath(t *testing.T) {
@@ -236,22 +242,21 @@ func TestCommitRecordBufferBounded(t *testing.T) {
 }
 
 // TestReplayInstallsLoggedRowsVerbatim: an INSERT in the log is the row
-// coercion produced under the rule of the binary that wrote it, and the
-// UPDATE/DELETE images behind it match it bit for bit — so replay must not
-// coerce it a second time under today's rule. The log here is hand-built
-// the way a binary from before `coerce` accepted every spelling of zero
-// wrote it: TEXT '0.0' and '+0' sitting in a UNIQUE INTEGER column next to
-// 0, one of them then deleted and one updated by its image.
+// coercion produced under the rule of the binary that wrote it, so replay
+// must not coerce it a second time under today's rule. The log here is
+// hand-built the way a binary from before `coerce` accepted every spelling
+// of zero wrote it: TEXT '0.0' and '+0' sitting in a UNIQUE INTEGER column
+// next to 0, one of them then deleted and one updated by slot id.
 func TestReplayInstallsLoggedRowsVerbatim(t *testing.T) {
 	fs := newMemFS()
 	db := openWalDB(t, fs, 0)
 	db.MustExec("CREATE TABLE t (a INTEGER UNIQUE, s TEXT)")
 	if _, _, err := db.wal.appendCommit([]walOp{
-		{kind: 'I', table: "t", row: Row{Int(0), Text("zero")}},
-		{kind: 'I', table: "t", row: Row{Text("0.0"), Text("gone")}},
-		{kind: 'I', table: "t", row: Row{Text("+0"), Text("old")}},
-		{kind: 'D', table: "t", row: Row{Text("0.0"), Text("gone")}},
-		{kind: 'U', table: "t", row: Row{Text("+0"), Text("old")}, row2: Row{Text("+0"), Text("new")}},
+		{kind: 'I', table: "t", id: 0, row: Row{Int(0), Text("zero")}},
+		{kind: 'I', table: "t", id: 1, row: Row{Text("0.0"), Text("gone")}},
+		{kind: 'I', table: "t", id: 2, row: Row{Text("+0"), Text("old")}},
+		{kind: 'D', table: "t", id: 1},
+		{kind: 'U', table: "t", id: 2, row: Row{Text("+0"), Text("new")}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +427,7 @@ func TestTornTailDropped(t *testing.T) {
 // TestCorruptHeaderRejected: a log whose header is not this format's magic
 // — garbage, or the magic of an earlier format — is refused.
 func TestCorruptHeaderRejected(t *testing.T) {
-	for name, header := range map[string]string{"corrupt": "XAGWAL3\n", "TAGWAL1": "TAGWAL1\n", "TAGWAL2": "TAGWAL2\n"} {
+	for name, header := range map[string]string{"corrupt": "XAGWAL4\n", "TAGWAL1": "TAGWAL1\n", "TAGWAL2": "TAGWAL2\n", "TAGWAL3": "TAGWAL3\n"} {
 		fs := newMemFS()
 		db := openWalDB(t, fs, 0)
 		db.MustExec("CREATE TABLE t (a INTEGER)")
@@ -822,4 +827,212 @@ func TestDDLRollback(t *testing.T) {
 	if got := queryStrings(t, db, "SELECT a FROM keep"); len(got) != 1 {
 		t.Errorf("dropped-then-rolled-back table content: %v", got)
 	}
+}
+
+// slotRows lists table name's live rows as "id: row" lines, by slot id.
+func slotRows(t *testing.T, db *Database, name string) []string {
+	t.Helper()
+	tbl, err := db.lookupTable(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for id := range int(tbl.n.Load()) {
+		if r := latestRowOf(tbl, id); r != nil {
+			out = append(out, fmt.Sprintf("%d: %v", id, r))
+		}
+	}
+	return out
+}
+
+// TestReopenKeepsSlots: a reopened heap is the heap that closed. Around a
+// vacuumed delete, a rolled-back insert, an update and three identical
+// rows, every live row comes back at the slot id it had, replayed from
+// commit records or from a checkpoint's state records, and a scan without
+// ORDER BY returns the same rows in the same order.
+func TestReopenKeepsSlots(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(map[bool]string{false: "commit records", true: "state records"}[checkpoint], func(t *testing.T) {
+			fs := newMemFS()
+			db := openWalDB(t, fs, -1)
+			db.MustExec("CREATE TABLE t (a INTEGER, s TEXT)")
+			db.MustExec("CREATE INDEX idx_t_a ON t (a)")
+			db.MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+			db.MustExec("DELETE FROM t WHERE a = 2")
+			if db.Vacuum() == 0 {
+				t.Fatal("the vacuum reclaimed nothing")
+			}
+			tx := db.Begin()
+			if _, err := tx.Exec("INSERT INTO t VALUES (9, 'ghost')"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			db.MustExec("INSERT INTO t VALUES (7, 'same'), (7, 'same'), (7, 'same')")
+			db.MustExec("UPDATE t SET s = 'THREE' WHERE a = 3")
+			db.MustExec("DELETE FROM t WHERE a = 1")
+			if checkpoint {
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			slots, scan := slotRows(t, db, "t"), queryStrings(t, db, "SELECT a, s FROM t")
+			if want := []string{"2: [3 'THREE']", "4: [7 'same']", "5: [7 'same']", "6: [7 'same']"}; !reflect.DeepEqual(slots, want) {
+				t.Fatalf("slots before Close = %q, want %q", slots, want)
+			}
+			closeDB(t, db)
+
+			db2 := openWalDB(t, fs, -1)
+			defer closeDB(t, db2)
+			if got := slotRows(t, db2, "t"); !reflect.DeepEqual(got, slots) {
+				t.Errorf("slots after reopen = %q, want %q", got, slots)
+			}
+			if got := queryStrings(t, db2, "SELECT a, s FROM t"); !reflect.DeepEqual(got, scan) {
+				t.Errorf("scan after reopen = %q, want %q", got, scan)
+			}
+			if got := queryStrings(t, db2, "SELECT s FROM t WHERE a = 7"); len(got) != 3 {
+				t.Errorf("index probe after reopen = %q, want the three identical rows", got)
+			}
+		})
+	}
+}
+
+// TestReplayRejectsBadSlots: a row op whose slot id the heap it replays
+// into could not have logged — a DELETE or UPDATE past the slots or of a
+// slot with no live row, an INSERT below the slot count or at the row-id
+// limit — is refused with ErrIO, never a panic. The log holds slots 0-4:
+// 1 deleted, 3 an empty slot left by a rolled-back insert.
+func TestReplayRejectsBadSlots(t *testing.T) {
+	cases := []struct {
+		name string
+		op   walOp
+	}{
+		{"delete past the slots", walOp{kind: 'D', id: 5}},
+		{"delete of a deleted row", walOp{kind: 'D', id: 1}},
+		{"delete of an empty slot", walOp{kind: 'D', id: 3}},
+		{"delete past every id", walOp{kind: 'D', id: math.MaxUint32}},
+		{"update past the slots", walOp{kind: 'U', id: 1 << 20, row: Row{Int(0)}}},
+		{"update of a deleted row", walOp{kind: 'U', id: 1, row: Row{Int(0)}}},
+		{"update of an empty slot", walOp{kind: 'U', id: 3, row: Row{Int(0)}}},
+		{"update with too few values", walOp{kind: 'U', id: 0, row: Row{}}},
+		{"insert into a live slot", walOp{kind: 'I', id: 4, row: Row{Int(0)}}},
+		{"insert into an empty slot", walOp{kind: 'I', id: 3, row: Row{Int(0)}}},
+		{"insert at the row-id limit", walOp{kind: 'I', id: math.MaxUint32, row: Row{Int(0)}}},
+	}
+	setup := func(t *testing.T, op walOp) *memFS {
+		fs := newMemFS()
+		db := openWalDB(t, fs, -1)
+		db.MustExec("CREATE TABLE t (a INTEGER)")
+		db.MustExec("INSERT INTO t VALUES (1), (2), (3)")
+		db.MustExec("DELETE FROM t WHERE a = 2")
+		tx := db.Begin()
+		if _, err := tx.Exec("INSERT INTO t VALUES (9)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		db.MustExec("INSERT INTO t VALUES (5)")
+		op.table = "t"
+		if _, _, err := db.wal.appendCommit([]walOp{op}); err != nil {
+			t.Fatal(err)
+		}
+		closeDB(t, db)
+		return fs
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Open("db", withWAL(setup(t, c.op), -1)); CodeOf(err) != ErrIO {
+				t.Errorf("Open = %v, want ErrIO", err)
+			}
+		})
+	}
+	// The same log with a well-formed op past the end recovers, padded.
+	db := openWalDB(t, setup(t, walOp{kind: 'I', id: 9, row: Row{Int(10)}}), -1)
+	defer closeDB(t, db)
+	if got, want := slotRows(t, db, "t"), []string{"0: [1]", "2: [3]", "4: [5]", "9: [10]"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("slots = %q, want %q", got, want)
+	}
+}
+
+// TestCheckpointAfterCloseRefused: Checkpoint on a closed database is
+// refused with ErrMisuse and writes no generation.
+func TestCheckpointAfterCloseRefused(t *testing.T) {
+	fs := newMemFS()
+	db := openWalDB(t, fs, -1)
+	db.MustExec("CREATE TABLE t (a INTEGER)")
+	closeDB(t, db)
+	before, err := fs.ReadDir("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); CodeOf(err) != ErrMisuse {
+		t.Fatalf("Checkpoint after Close = %v, want ErrMisuse", err)
+	}
+	if after, _ := fs.ReadDir("db"); !reflect.DeepEqual(after, before) {
+		t.Errorf("files after a refused Checkpoint = %v, want %v", after, before)
+	}
+}
+
+// TestDecodeSharesTableName: a record of row ops of one table copies the
+// table's name once, so decoding it allocates a row per op and a constant.
+func TestDecodeSharesTableName(t *testing.T) {
+	const n = 1000
+	payload := binary.LittleEndian.AppendUint32(nil, n)
+	for i := range n {
+		payload = appendWalOp(payload, walOp{kind: 'I', table: "films", id: i, row: Row{Int(int64(i))}})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if ops, err := decodeRecord(payload); err != nil || len(ops) != n {
+			t.Fatalf("decoded %d ops, err %v", len(ops), err)
+		}
+	})
+	if allocs > n+3 {
+		t.Errorf("decoding %d ops allocates %.0f times, want at most %d", n, allocs, n+3)
+	}
+}
+
+// FuzzWALRecord: a record's payload comes from outside the program.
+// decodeRecord never panics on one and returns its ops or ErrIO, and the
+// ops it returns re-encode to a payload that decodes to the same ops.
+func FuzzWALRecord(f *testing.F) {
+	for _, ops := range [][]walOp{
+		{{kind: 'S', sql: "CREATE TABLE t (a INTEGER, b TEXT)"}},
+		{{kind: 'I', table: "t", id: 3, row: Row{Int(-1), Text("x"), Float(2.5), Bool(true), Null}}},
+		{{kind: 'D', table: "t", id: 300}},
+		{{kind: 'U', table: "t", id: 1 << 31, row: Row{Int(7), Text("")}}},
+		{{kind: 'I', table: "t", id: 0, row: Row{Int(1)}}, {kind: 'I', table: "t", id: 1, row: Row{Int(2)}},
+			{kind: 'U', table: "u", id: 0, row: Row{Null}}, {kind: 'D', table: "t", id: 0}},
+	} {
+		f.Add(encodeRecordPayload(ops))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ops, err := decodeRecord(payload)
+		if err != nil {
+			if CodeOf(err) != ErrIO {
+				t.Fatalf("decode error %v, want ErrIO", err)
+			}
+			return
+		}
+		again, err := decodeRecord(encodeRecordPayload(ops))
+		if err != nil || len(again) != len(ops) {
+			t.Fatalf("re-encoded %d ops decode to %d, err %v", len(ops), len(again), err)
+		}
+		for i := range ops {
+			if !sameOp(again[i], ops[i]) {
+				t.Fatalf("op %d: %+v re-decodes as %+v", i, ops[i], again[i])
+			}
+		}
+	})
+}
+
+// encodeRecordPayload encodes ops as a record's payload: the count, then
+// the ops.
+func encodeRecordPayload(ops []walOp) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
+	for _, op := range ops {
+		b = appendWalOp(b, op)
+	}
+	return b
 }

@@ -12,43 +12,29 @@ import (
 	"tag/internal/embed"
 )
 
-// denseScore is the reference scorer: the similarity computed over every
-// coordinate of two dense vectors, in coordinate order.
-func denseScore(m Metric, a, b []float32) float32 {
-	switch m {
-	case L2:
-		var d float64
-		for i := range a {
-			diff := float64(a[i]) - float64(b[i])
-			d += diff * diff
-		}
-		return float32(-d)
-	default:
-		var dot float64
-		for i := range a {
-			dot += float64(a[i]) * float64(b[i])
-		}
-		if m == Dot {
-			return float32(dot)
-		}
-		var na, nb float64
-		for i := range a {
-			na += float64(a[i]) * float64(a[i])
-			nb += float64(b[i]) * float64(b[i])
-		}
-		if na == 0 || nb == 0 {
-			return 0
-		}
-		return float32(dot / math.Sqrt(na*nb))
+// denseScore is the reference scorer: the cosine similarity computed over
+// every coordinate of two dense vectors, in coordinate order.
+func denseScore(a, b []float32) float32 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += float64(a[i]) * float64(b[i])
 	}
+	for i := range a {
+		na += float64(a[i]) * float64(a[i])
+		nb += float64(b[i]) * float64(b[i])
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return float32(dot / math.Sqrt(na*nb))
 }
 
 // denseRanking scores q against every vector (id = position) with
 // denseScore and sorts best first, ties by id.
-func denseRanking(m Metric, q []float32, vecs [][]float32) []Hit {
+func denseRanking(q []float32, vecs [][]float32) []Hit {
 	out := make([]Hit, len(vecs))
 	for i, v := range vecs {
-		out[i] = Hit{ID: i, Score: denseScore(m, q, v)}
+		out[i] = Hit{ID: i, Score: denseScore(q, v)}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -135,7 +121,7 @@ func TestFlatExactTopK(t *testing.T) {
 	}
 	var all []pair
 	for i, v := range vecs {
-		all = append(all, pair{id: i * 7, s: denseScore(Cosine, q, v)})
+		all = append(all, pair{id: i * 7, s: denseScore(q, v)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].s != all[j].s {
@@ -157,20 +143,15 @@ func TestFlatExactTopK(t *testing.T) {
 }
 
 func TestFlatMetrics(t *testing.T) {
-	a := []float32{1, 0}
-	b := []float32{0, 1}
-	c := []float32{2, 0}
-	for _, m := range []Metric{Cosine, Dot, L2} {
-		idx := NewFlat(2, m)
-		idx.Add(1, b)
-		idx.Add(2, c)
-		hits, err := idx.Search(a, 1)
-		if err != nil || len(hits) != 1 {
-			t.Fatalf("metric %v: %v", m, err)
-		}
-		if hits[0].ID != 2 {
-			t.Errorf("metric %v: nearest to (1,0) should be (2,0), got id %d", m, hits[0].ID)
-		}
+	idx := NewFlat(2, Cosine)
+	idx.Add(1, []float32{0, 1})
+	idx.Add(2, []float32{2, 0})
+	hits, err := idx.Search([]float32{1, 0}, 1)
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("hits = %v err = %v", hits, err)
+	}
+	if hits[0].ID != 2 {
+		t.Errorf("nearest to (1,0) should be (2,0), got id %d", hits[0].ID)
 	}
 }
 
@@ -197,116 +178,9 @@ func TestFlatKLargerThanIndex(t *testing.T) {
 	}
 }
 
-func TestIVFRecall(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	dim := 24
-	vecs := randomVecs(r, 1000, dim)
-	flat := NewFlat(dim, Cosine)
-	ivf := NewIVF(dim, Cosine, 16, 8)
-	if err := ivf.Train(vecs[:400]); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vecs {
-		flat.Add(i, v)
-		if err := ivf.Add(i, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Probing half the lists should recover most of the true top-10.
-	totalRecall := 0.0
-	queries := randomVecs(r, 20, dim)
-	for _, q := range queries {
-		exact, _ := flat.Search(q, 10)
-		approx, _ := ivf.Search(q, 10)
-		exactIDs := make(map[int]bool)
-		for _, h := range exact {
-			exactIDs[h.ID] = true
-		}
-		found := 0
-		for _, h := range approx {
-			if exactIDs[h.ID] {
-				found++
-			}
-		}
-		totalRecall += float64(found) / 10
-	}
-	if avg := totalRecall / 20; avg < 0.5 {
-		t.Errorf("IVF recall@10 = %.2f, want >= 0.5 with nprobe=nlist/2", avg)
-	}
-}
-
-func TestIVFUntrained(t *testing.T) {
-	ivf := NewIVF(8, Cosine, 4, 2)
-	if err := ivf.Add(1, make([]float32, 8)); err == nil {
-		t.Error("Add before Train should fail")
-	}
-	if _, err := ivf.Search(make([]float32, 8), 1); err == nil {
-		t.Error("Search before Train should fail")
-	}
-	if err := ivf.Train(nil); err == nil {
-		t.Error("empty training sample should fail")
-	}
-}
-
-func TestIVFArguments(t *testing.T) {
-	ivf := NewIVF(2, L2, 0, 5) // nlist 0 means 1, nprobe is capped at nlist
-	if ivf.nlist != 1 || ivf.nprobe != 1 || NewIVF(2, L2, 3, 0).nprobe != 1 {
-		t.Fatalf("nlist %d nprobe %d", ivf.nlist, ivf.nprobe)
-	}
-	if err := ivf.Train([][]float32{{1}}); err == nil {
-		t.Error("training sample of the wrong dimension should fail")
-	}
-	big := NewIVF(2, L2, 8, 8) // more lists than sample vectors
-	if err := big.Train([][]float32{{0, 1}, {1, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := big.Add(1, []float32{1}); err == nil {
-		t.Error("dimension mismatch on Add should fail")
-	}
-	big.Add(1, []float32{0, 2})
-	big.Add(2, []float32{3, 0})
-	if big.Len() != 2 {
-		t.Errorf("len = %d", big.Len())
-	}
-	if _, err := big.Search([]float32{1}, 1); err == nil {
-		t.Error("dimension mismatch on Search should fail")
-	}
-	if hits, err := big.Search([]float32{1, 0}, 0); err != nil || hits != nil {
-		t.Error("k=0 should return nothing")
-	}
-	if hits, _ := big.Search([]float32{2, 0}, 1); len(hits) != 1 || hits[0].ID != 2 {
-		t.Errorf("hits = %v", hits)
-	}
-}
-
-func TestIVFFullProbeMatchesFlat(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	dim := 8
-	vecs := randomVecs(r, 300, dim)
-	flat := NewFlat(dim, Dot)
-	ivf := NewIVF(dim, Dot, 10, 10) // probe everything = exact
-	if err := ivf.Train(vecs); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vecs {
-		flat.Add(i, v)
-		ivf.Add(i, v)
-	}
-	for qi := 0; qi < 10; qi++ {
-		q := randomVecs(r, 1, dim)[0]
-		a, _ := flat.Search(q, 5)
-		b, _ := ivf.Search(q, 5)
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatalf("full-probe IVF must equal flat: %v vs %v", a, b)
-			}
-		}
-	}
-}
-
 // TestStoredScoresBitIdentical holds the nonzero store's kernel to the
-// dense reference: every metric, dims 1-300, vectors from all zeros to
-// fully dense with negative values, through Flat and a full-probe IVF.
+// dense reference: dims 1-300, vectors from all zeros to fully dense with
+// negative values.
 func TestStoredScoresBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	const n = 24
@@ -323,31 +197,19 @@ func TestStoredScoresBitIdentical(t *testing.T) {
 			vecs[1] = v
 			queries = append(queries, q)
 		}
-		for _, m := range []Metric{Cosine, Dot, L2} {
-			flat := NewFlat(dim, m)
-			ivf := NewIVF(dim, m, 4, 4)
-			if err := ivf.Train(vecs); err != nil {
+		flat := NewFlat(dim, Cosine)
+		for i, v := range vecs {
+			if err := flat.Add(i, v); err != nil {
 				t.Fatal(err)
 			}
-			for i, v := range vecs {
-				if err := flat.Add(i, v); err != nil {
-					t.Fatal(err)
-				}
-				if err := ivf.Add(i, v); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for qi, q := range queries {
+			got, err := flat.Search(q, n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for qi, q := range queries {
-				want := denseRanking(m, q, vecs)
-				for name, idx := range map[string]Index{"flat": flat, "ivf": ivf} {
-					got, err := idx.Search(q, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameHits(got, want) {
-						t.Fatalf("dim %d metric %d query %d %s:\n got %v\nwant %v", dim, m, qi, name, got, want)
-					}
-				}
+			if want := denseRanking(q, vecs); !sameHits(got, want) {
+				t.Fatalf("dim %d query %d:\n got %v\nwant %v", dim, qi, got, want)
 			}
 		}
 	}
@@ -407,22 +269,14 @@ func TestSearchAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	vecs := sparseVecs(r, 2000, 64, 0.8)
 	flat := NewFlat(64, Cosine)
-	ivf := NewIVF(64, Cosine, 8, 8)
-	if err := ivf.Train(vecs); err != nil {
-		t.Fatal(err)
-	}
 	for i, v := range vecs {
 		flat.Add(i, v)
-		ivf.Add(i, v)
 	}
 	q := vecs[1]
 	for _, k := range []int{10, 30} {
-		// The returned hits; IVF adds its centroid ranking.
+		// The returned hits.
 		if n := testing.AllocsPerRun(50, func() { flat.Search(q, k) }); n > 1 {
 			t.Errorf("Flat.Search k=%d: %v allocations, want 1", k, n)
-		}
-		if n := testing.AllocsPerRun(50, func() { ivf.Search(q, k) }); n > 2 {
-			t.Errorf("IVF.Search k=%d: %v allocations, want 2", k, n)
 		}
 	}
 }
@@ -465,25 +319,17 @@ func TestFlatHeapPerNonzero(t *testing.T) {
 func TestAddCopies(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	vecs := sparseVecs(r, 50, 16, 0.5)
-	flat := NewFlat(16, Dot)
-	ivf := NewIVF(16, Dot, 4, 4)
-	if err := ivf.Train(vecs); err != nil {
-		t.Fatal(err)
-	}
+	flat := NewFlat(16, Cosine)
 	buf := make([]float32, 16)
 	for i, v := range vecs {
 		copy(buf, v)
 		flat.Add(i, buf)
-		ivf.Add(i, buf)
 	}
 	for i := range buf {
 		buf[i] = 1e6
 	}
 	q := sparseVecs(r, 2, 16, 0)[1]
-	want := denseRanking(Dot, q, vecs)
-	for name, idx := range map[string]Index{"flat": flat, "ivf": ivf} {
-		if got, _ := idx.Search(q, len(vecs)); !sameHits(got, want) {
-			t.Errorf("%s: hits changed with the caller's slice:\n got %v\nwant %v", name, got, want)
-		}
+	if got, _ := flat.Search(q, len(vecs)); !sameHits(got, denseRanking(q, vecs)) {
+		t.Errorf("hits changed with the caller's slice:\n got %v\nwant %v", got, denseRanking(q, vecs))
 	}
 }
