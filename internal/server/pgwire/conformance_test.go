@@ -957,6 +957,95 @@ func TestMidQueryCancellation(t *testing.T) {
 	}
 }
 
+// blockAt is a function set whose BLOCK_AT(v, k) returns v, but first, at
+// the row where v = k, reports on reached and waits on release: a stand-in
+// for an LM call a client gives up on part-way through a statement.
+type blockAt struct{ reached, release chan struct{} }
+
+func (b blockAt) LookupFunc(name string) (sqldb.Func, bool) {
+	return sqldb.Func{MinArgs: 2, MaxArgs: 2, Scalar: func(args []sqldb.Value) (sqldb.Value, error) {
+		if args[0].AsInt() == args[1].AsInt() {
+			b.reached <- struct{}{}
+			<-b.release
+		}
+		return args[0], nil
+	}}, name == "BLOCK_AT"
+}
+
+// TestCancelledUpdateChangesNothing: a CancelRequest that lands while an
+// UPDATE is at row 2,000 of 5,000 fails it with 57014, and the statement
+// changes nothing. In autocommit a fresh query sees the table as it was
+// and no snapshot is left registered; inside BEGIN the session is failed
+// (25P02) until ROLLBACK, which leaves the table as it was before BEGIN.
+func TestCancelledUpdateChangesNothing(t *testing.T) {
+	_, db, addr := startServer(t, Options{})
+	db.MustExec(`CREATE TABLE cu (id INTEGER PRIMARY KEY, v INTEGER)`)
+	rows := make([][]any, 5000)
+	for i := range rows {
+		rows[i] = []any{i, i}
+	}
+	if err := db.InsertRows("cu", rows); err != nil {
+		t.Fatal(err)
+	}
+	b := blockAt{make(chan struct{}), make(chan struct{})}
+	db.SetFuncs(b)
+	c := dial(t, addr)
+	before := wireRows(mustQuery(t, c, `SELECT id, v FROM cu ORDER BY id`))
+
+	// cancelledUpdate runs the UPDATE, cancels it at row 2,000 and returns
+	// its response.
+	cancelledUpdate := func() *pgwiretest.Result {
+		t.Helper()
+		var res *pgwiretest.Result
+		var err error
+		done := make(chan struct{})
+		go func() {
+			res, err = c.Query(`UPDATE cu SET v = BLOCK_AT(v, 2000) + 1`)
+			close(done)
+		}()
+		<-b.reached
+		cerr := c.Cancel()
+		b.release <- struct{}{}
+		if <-done; cerr != nil || err != nil {
+			t.Fatalf("cancel: %v; UPDATE: %v", cerr, err)
+		}
+		if res.Err == nil || res.Err.Code != "57014" {
+			t.Fatalf("cancelled UPDATE: %+v, want 57014", res.Err)
+		}
+		return res
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if got := wireRows(mustQuery(t, c, `SELECT id, v FROM cu ORDER BY id`)); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: the table changed (%d rows, first %q)", when, len(got), got[:min(len(got), 3)])
+		}
+	}
+
+	if res := cancelledUpdate(); res.TxStatus != 'I' {
+		t.Fatalf("autocommit cancelled UPDATE: status %c, want I", res.TxStatus)
+	}
+	unchanged("after the cancelled autocommit UPDATE")
+	if n := db.LiveSnapshots(); n != 0 {
+		t.Errorf("LiveSnapshots() = %d after the cancelled UPDATE, want 0", n)
+	}
+
+	mustQuery(t, c, `BEGIN`)
+	mustQuery(t, c, `INSERT INTO cu VALUES (-1, -1)`)
+	if res := cancelledUpdate(); res.TxStatus != 'E' {
+		t.Fatalf("cancelled UPDATE in a transaction: status %c, want E", res.TxStatus)
+	}
+	if res, _ := c.Query(`SELECT count(*) FROM cu`); res == nil || res.Err == nil || res.Err.Code != "25P02" {
+		t.Fatalf("query after the cancelled UPDATE in a transaction: %+v, want 25P02", res)
+	}
+	if res := mustQuery(t, c, `ROLLBACK`); res.Tags[0] != "ROLLBACK" || res.TxStatus != 'I' {
+		t.Fatalf("ROLLBACK: tags %v status %c, want ROLLBACK/I", res.Tags, res.TxStatus)
+	}
+	unchanged("after ROLLBACK")
+	if n := db.LiveSnapshots(); n != 0 {
+		t.Errorf("LiveSnapshots() = %d after ROLLBACK, want 0", n)
+	}
+}
+
 // TestConnectionLimit: connections beyond MaxConns are refused with
 // 53300 after a complete handshake, and a released slot is reusable.
 func TestConnectionLimit(t *testing.T) {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -206,5 +207,61 @@ func TestInsertRowsAllocsPerRow(t *testing.T) {
 	}
 	if best > 0.05 {
 		t.Errorf("InsertRows allocates %.3f objects a row, want at most 0.05", best)
+	}
+}
+
+// TestInsertRunIsOneUndoRecord: the slots one statement inserts into one
+// table in a run are one undo record, so a bulk load's undo is a constant.
+// A 100,000-row InsertRows leaves one; the same rows inserted one statement
+// at a time inside one transaction leave one a statement, since a run never
+// merges across the start a failed statement is undone to.
+func TestInsertRunIsOneUndoRecord(t *testing.T) {
+	const n = 100_000
+	create := func() (*Database, *Table) {
+		db := NewDatabase()
+		db.MustExec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+		tbl, err := db.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, tbl
+	}
+	// InsertRows' steps, keeping hold of its transaction.
+	db, tbl := create()
+	qc := new(queryCtx).init(context.Background(), db)
+	tx, err := db.beginWrite(qc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tbl.insertRows(n, func(i int, r Row) error {
+		r[0], r[1] = Int(int64(i)), Int(int64(i))
+		return nil
+	}, qc, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tx.undo) != 1 || tx.undo[0].n != n {
+		t.Errorf("a %d-row bulk insert keeps %d undo records, want one of %d slots", n, len(tx.undo), n)
+	}
+	if err := db.endWrite(qc, tx, nil); err != nil {
+		t.Fatal(err)
+	}
+	qc.flush()
+
+	db, tbl = create()
+	tx = db.Begin()
+	for i := range n {
+		if _, err := tx.Exec("INSERT INTO t VALUES (?, ?)", i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tx.undo) != n {
+		t.Errorf("%d one-row INSERTs in a transaction keep %d undo records, want one each", n, len(tx.undo))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.liveCount(); got != n {
+		t.Errorf("%d rows live after Commit, want %d", got, n)
 	}
 }

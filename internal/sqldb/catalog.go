@@ -543,7 +543,7 @@ func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
 	v.xmin = tx.xid
 	id := t.appendSlot(v)
 	t.liveRows.Add(1)
-	tx.record(undoRec{kind: undoInsert, table: t, id: id})
+	tx.record(undoRec{kind: undoInsert, table: t, id: id, n: 1})
 	for _, idx := range idxs {
 		if idx != nil && idx.addEntry(r[idx.Column], id) && qc != nil {
 			qc.OrdMaintains++
@@ -555,11 +555,11 @@ func (t *Table) insertRow(v *rowVersion, qc *queryCtx, tx *Txn) error {
 }
 
 // insertRows inserts n rows, each filled in table order by fill from all
-// NULL, and returns how many it inserted (writeMu held). The rows are built
-// in slabs, one of values and one of versions, cut at the table's block
-// boundaries so that sealing a block frees its slabs whole; the log and an
-// empty UNIQUE index's postings are sized for the n rows once.
-func (t *Table) insertRows(n int, fill func(i int, r Row) error, qc *queryCtx, tx *Txn) (int, error) {
+// NULL (writeMu held). The rows are built in slabs, one of values and one
+// of versions, cut at the table's block boundaries so that sealing a block
+// frees its slabs whole; the log and an empty UNIQUE index's postings are
+// sized for the n rows once.
+func (t *Table) insertRows(n int, fill func(i int, r Row) error, qc *queryCtx, tx *Txn) error {
 	if w := tx.db.wal; w != nil && w.armed.Load() {
 		tx.walOps = slices.Grow(tx.walOps, n)
 	}
@@ -583,13 +583,13 @@ func (t *Table) insertRows(n int, fill func(i int, r Row) error, qc *queryCtx, t
 		v := &vers[0]
 		v.row, vals, vers = vals[:w:w], vals[w:], vers[1:]
 		if err := fill(i, v.row); err != nil {
-			return i, err
+			return err
 		}
 		if err := t.insertRow(v, qc, tx); err != nil {
-			return i, err
+			return err
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // deleteRow stamps the current head with the deleting transaction. The

@@ -110,7 +110,9 @@ func (db *Database) execSQL(ctx context.Context, sql string, params []any, tx *T
 // Session.Exec all run their statements here, under one query context whose
 // counters fold into Stats when the loop ends. Every statement, of every
 // kind, runs in the handle the entry point was called on — tx, nil meaning
-// autocommit — and is admitted against it before it runs.
+// autocommit — and is admitted against it before it runs. A statement is all
+// or nothing: one that fails is undone (endWrite) and adds nothing to the
+// count of those before it.
 func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value, tx *Txn) (int, error) {
 	qc := new(queryCtx).init(ctx, db)
 	defer qc.flush()
@@ -120,13 +122,10 @@ func (db *Database) execAll(ctx context.Context, stmts []Statement, vals []Value
 			return total, err
 		}
 		n, err := db.execStmt(qc, stmt, vals, tx)
-		// DML applies partially on a mid-loop error or cancellation (the
-		// in-place paths keep their documented early-exit invariants), so
-		// the affected-row count is accumulated even when err != nil.
-		total += n
 		if err != nil {
 			return total, err
 		}
+		total += n
 	}
 	return total, nil
 }
@@ -182,11 +181,7 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 		if err != nil {
 			return 0, err
 		}
-		err = db.ddl(stmt, wtx)
-		if e := db.endWrite(qc, wtx); e != nil {
-			err = e
-		}
-		return 0, err
+		return 0, db.endWrite(qc, wtx, db.ddl(stmt, wtx))
 	case *InsertStmt:
 		return db.execInsert(t, params, qc, tx)
 	case *UpdateStmt:
@@ -228,7 +223,7 @@ func (db *Database) createTable(stmt *CreateTableStmt, tx *Txn) error {
 		return err
 	}
 	db.publishTables(func(m map[string]*Table) { m[key] = t })
-	tx.record(undoRec{kind: undoCreateTable, table: t, key: key})
+	tx.record(undoRec{kind: undoCreateTable, table: t})
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
@@ -282,7 +277,7 @@ func (db *Database) dropTable(stmt *DropTableStmt, tx *Txn) error {
 		return errf(ErrNoTable, "sql: no such table: %s", stmt.Name)
 	}
 	db.publishTables(func(m map[string]*Table) { delete(m, key) })
-	tx.record(undoRec{kind: undoDropTable, table: t, key: key})
+	tx.record(undoRec{kind: undoDropTable, table: t})
 	tx.logWALOp(walOp{kind: 'S', sql: stmt.String()})
 	return nil
 }
@@ -292,16 +287,7 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 	if err != nil {
 		return 0, err
 	}
-	// endWrite publishes the autocommit statement; on a durable database it
-	// also appends the WAL record, whose failure must surface as the
-	// statement's error even over an engine error — an I/O failure poisons
-	// the log, and a statement whose partial work was applied but not made
-	// durable must report that.
-	defer func() {
-		if e := db.endWrite(qc, wtx); e != nil {
-			err = e
-		}
-	}()
+	defer func() { err = db.endWrite(qc, wtx, err) }()
 	t, err := db.lookupTable(stmt.Table)
 	if err != nil {
 		return 0, err
@@ -342,7 +328,7 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 		}
 	}
 
-	return t.insertRows(len(sourceRows), func(i int, full Row) error {
+	return len(sourceRows), t.insertRows(len(sourceRows), func(i int, full Row) error {
 		if len(sourceRows[i]) != len(colOrder) {
 			return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(colOrder), len(sourceRows[i]))
 		}
@@ -351,18 +337,6 @@ func (db *Database) execInsert(stmt *InsertStmt, params []Value, qc *queryCtx, t
 		}
 		return nil
 	}, qc, wtx)
-}
-
-// hasSubquery reports whether e contains a subquery (scalar, EXISTS, or
-// IN (SELECT ...)) at any depth. DML uses it to pick its apply mode: a
-// subquery may read the very table being mutated.
-func hasSubquery(e Expr) bool {
-	found := false
-	walkExpr(e, func(x Expr) bool {
-		found = found || isSubqueryNode(x)
-		return !found
-	})
-	return found
 }
 
 // dmlTarget is one row an UPDATE or DELETE is about to change: its slot,
@@ -378,32 +352,17 @@ type dmlTarget struct {
 // (chooseIndexAccess: an index serves what it can, the residual conjuncts
 // and the SET expressions compile once and run per row), the rows come
 // from SELECT's scan in ascending id order, and each qualifying row
-// becomes a target. The one mode is when targets are applied.
-//
-// As the loop goes — the default. Row ids are stable and index ids are
-// collected before the first change, so each row is checked (NOT NULL,
-// UNIQUE against the current state) and changed when the loop reaches it,
-// the indexes staying exactly current through updateRow. Any early exit —
-// an evaluation or constraint error, cancellation — keeps exactly the
-// applied prefix: the engine's documented non-atomic statement.
-//
-// Together, at the end — when WHERE or SET contains a subquery, which may
-// read the table being mutated: changing rows under it would let it probe
-// already-updated rows or build an ordered view over a half-mutated heap
-// (the Halloween problem). Every evaluation sees the pre-statement state,
-// UNIQUE is checked once over the statement's final state, and only then
-// is anything applied — so an error or cancellation leaves the table
-// untouched.
+// becomes a target, NOT NULL checked. The scan finishes before the first
+// change, so every evaluation — a subquery over the very table included —
+// sees the pre-statement state (no Halloween problem); UNIQUE is then
+// checked once over the statement's final state, and only then are the
+// targets applied. An error at any step is undone by endWrite.
 func (db *Database) mutate(table string, where Expr, set []SetClause, params []Value, qc *queryCtx, tx *Txn) (n int, err error) {
 	wtx, err := db.beginWrite(qc, tx)
 	if err != nil {
 		return 0, err
 	}
-	defer func() {
-		if e := db.endWrite(qc, wtx); e != nil {
-			err = e
-		}
-	}()
+	defer func() { err = db.endWrite(qc, wtx, err) }()
 	t, err := db.lookupTable(table)
 	if err != nil {
 		return 0, err
@@ -431,7 +390,6 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 	if err := scan.compile(db, params, nil); err != nil {
 		return 0, err
 	}
-	atEnd := hasSubquery(where)
 	var env *evalEnv
 	if len(set) > 0 {
 		env = newEvalEnv(scan.cols, db, params, nil, qc)
@@ -439,39 +397,18 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 			if sets[i].val, err = compileExpr(sc.Expr, env); err != nil {
 				return 0, err
 			}
-			atEnd = atEnd || hasSubquery(sc.Expr)
 		}
 	}
 
-	apply := func(targets []dmlTarget) error {
-		if len(set) > 0 {
-			if err := t.checkUnique(targets); err != nil {
-				return err
-			}
-		}
-		for _, p := range targets {
-			var err error
-			if p.row == nil {
-				err = t.deleteRow(p.id, wtx)
-			} else {
-				err = t.updateRow(p.id, p.row, qc, wtx)
-			}
-			if err != nil {
-				return err
-			}
-			n++
-		}
-		return nil
-	}
-	var pend []dmlTarget
+	var one [1]dmlTarget // a one-row statement's targets stay on the stack
+	targets := one[:0]
 	for {
 		r, ok, err := scan.next()
 		if err != nil {
-			return n, err
+			return 0, err
 		}
 		if !ok {
-			err = apply(pend) // before n is read: apply counts what it changes
-			return n, err
+			break
 		}
 		var updated Row
 		if env != nil {
@@ -479,35 +416,45 @@ func (db *Database) mutate(table string, where Expr, set []SetClause, params []V
 			for _, s := range sets {
 				v, err := s.val()
 				if err != nil {
-					return n, err
+					return 0, err
 				}
 				updated[s.col] = coerce(v, t.Columns[s.col].Type)
 			}
 			for i, c := range t.Columns {
 				if c.NotNull && updated[i].IsNull() {
-					return n, errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
+					return 0, errf(ErrConstraint, "sql: NOT NULL constraint failed: %s.%s", t.Name, c.Name)
 				}
 			}
 		}
-		target := dmlTarget{id: scan.rowID(), old: r, row: updated}
-		if atEnd {
-			pend = append(pend, target)
-		} else if err := apply([]dmlTarget{target}); err != nil {
-			return n, err
+		targets = append(targets, dmlTarget{id: scan.rowID(), old: r, row: updated})
+	}
+	if len(set) > 0 {
+		if err := t.checkUnique(targets); err != nil {
+			return 0, err
 		}
 	}
+	for _, p := range targets {
+		if p.row == nil {
+			err = t.deleteRow(p.id, wtx)
+		} else {
+			err = t.updateRow(p.id, p.row, qc, wtx)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return len(targets), nil
 }
 
-// checkUnique enforces UNIQUE over the state the pending updates leave,
-// before any of them is applied — so a violation aborts with none of them
-// made: for each unique index, a key's final occupancy is its current
-// rows minus the pending rows vacating it plus the pending rows
-// moving in. For one pending row that is insertRow's check (is the new
-// key held by another current row?); for a whole statement's it is what
-// keeps the statement atomic and admits key rotations only the final
-// state permits (e.g. SET id = maxid+1-id), which a per-row check during
-// application would spuriously reject. Application is then unchecked:
-// transient duplicates mid-application are fine.
+// checkUnique enforces UNIQUE over the state an UPDATE's targets leave,
+// before any of them is applied: for each unique index, a key's final
+// occupancy is its current rows minus the targets vacating it plus the
+// targets moving in. For one target that is insertRow's check (is the new
+// key held by another current row?); for many it admits the key shifts and
+// rotations only the final state permits (SET id = id + 1, SET id =
+// maxid+1-id), which a per-row check during application would reject.
+// Application is then unchecked: transient duplicates mid-application are
+// fine.
 func (t *Table) checkUnique(pend []dmlTarget) error {
 	// check fails when v's current rows, moved by delta, would be more than one.
 	check := func(idx *Index, v Value, delta int) error {
@@ -522,7 +469,7 @@ func (t *Table) checkUnique(pend []dmlTarget) error {
 		if idx == nil || !idx.Unique {
 			continue
 		}
-		if len(pend) == 1 { // the as-you-go loop's call: no tallies to keep
+		if len(pend) == 1 { // a one-row statement: no tallies to keep
 			old, v := pend[0].old[idx.Column], pend[0].row[idx.Column]
 			if !v.IsNull() && !v.Equal(old) {
 				if err := check(idx, v, 1); err != nil {
@@ -571,16 +518,12 @@ func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if e := db.endWrite(qc, wtx); e != nil {
-			err = e
-		}
-	}()
+	defer func() { err = db.endWrite(qc, wtx, err) }()
 	t, err := db.lookupTable(table)
 	if err != nil {
 		return err
 	}
-	_, err = t.insertRows(len(rows), func(i int, r Row) error {
+	return t.insertRows(len(rows), func(i int, r Row) error {
 		if len(rows[i]) != len(r) {
 			return errf(ErrMisuse, "sql: table %s expects %d values, got %d", t.Name, len(r), len(rows[i]))
 		}
@@ -589,5 +532,4 @@ func (db *Database) InsertRows(table string, rows [][]any) (err error) {
 		}
 		return nil
 	}, qc, wtx)
-	return err
 }

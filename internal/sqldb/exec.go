@@ -1004,9 +1004,7 @@ func appendDoubling[T any](s []T, v T) []T {
 }
 
 // isSubqueryNode reports whether x itself embeds a nested SELECT: a
-// scalar subquery, EXISTS, or IN (SELECT ...). Shared by the planner's
-// rewrite blockers and DML's apply-mode choice (hasSubquery, db.go) so the
-// classifiers cannot drift apart.
+// scalar subquery, EXISTS, or IN (SELECT ...).
 func isSubqueryNode(x Expr) bool {
 	switch t := x.(type) {
 	case *Subquery, *ExistsExpr:

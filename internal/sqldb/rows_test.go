@@ -523,7 +523,23 @@ func TestStatsCounters(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // DML early-exit consistency (regression: an error or cancellation
-// mid-loop must not leave stale indexes or a half-compacted heap)
+// mid-loop must leave the heap and the indexes as they were before the
+// statement)
+
+// lookupEachID fails the test unless each id's index lookup finds want
+// rows.
+func lookupEachID(t *testing.T, db *Database, ids []int, want int) {
+	t.Helper()
+	for _, id := range ids {
+		res, err := db.Query("SELECT v FROM t WHERE id = ?", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Errorf("index lookup id=%d found %d rows, want %d", id, len(res.Rows), want)
+		}
+	}
+}
 
 func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 	db := NewDatabase()
@@ -541,21 +557,18 @@ func TestUpdateErrorMidLoopKeepsIndexesConsistent(t *testing.T) {
 	if err := db.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	// Rows 0..4 update their PRIMARY KEY (indexed) before row 5 errors.
-	_, err := db.Exec("UPDATE t SET id = id + 100 WHERE BOOM_IF(v, 5)")
-	if CodeOf(err) != ErrMisuse {
-		t.Fatalf("err = %v, want the UDF error", err)
+	before := queryStrings(t, db, "SELECT id, v FROM t")
+	// Rows 0..4 would update their PRIMARY KEY (indexed) before row 5 errors.
+	n, err := db.Exec("UPDATE t SET id = id + 100 WHERE BOOM_IF(v, 5)")
+	if CodeOf(err) != ErrMisuse || n != 0 {
+		t.Fatalf("(n, err) = (%d, %v), want (0, the UDF error)", n, err)
 	}
-	// The index must serve the post-update keys for the rows that changed.
-	for _, id := range []int{100, 101, 102, 103, 104, 5, 6, 7, 8, 9} {
-		res, qerr := db.Query("SELECT v FROM t WHERE id = ?", id)
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
-		if len(res.Rows) != 1 {
-			t.Errorf("index lookup id=%d found %d rows, want 1", id, len(res.Rows))
-		}
+	if after := queryStrings(t, db, "SELECT id, v FROM t"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rows after the failed UPDATE = %v, want %v", after, before)
 	}
+	// The index serves the pre-statement keys, and none of the new ones.
+	lookupEachID(t, db, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1)
+	lookupEachID(t, db, []int{100, 101, 102, 103, 104}, 0)
 }
 
 func TestDeleteErrorMidLoopKeepsHeapConsistent(t *testing.T) {
@@ -575,31 +588,15 @@ func TestDeleteErrorMidLoopKeepsHeapConsistent(t *testing.T) {
 	if err := db.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	// v 0..2 are deleted, then v=6 errors mid-compaction.
-	_, err := db.Exec("DELETE FROM t WHERE DEL_OR_BOOM(v)")
-	if CodeOf(err) != ErrMisuse {
-		t.Fatalf("err = %v, want the UDF error", err)
+	// v 0..2 would be deleted before v=6 errors.
+	n, err := db.Exec("DELETE FROM t WHERE DEL_OR_BOOM(v)")
+	if CodeOf(err) != ErrMisuse || n != 0 {
+		t.Fatalf("(n, err) = (%d, %v), want (0, the UDF error)", n, err)
 	}
-	res, err := db.Query("SELECT v FROM t ORDER BY v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, r := range res.Rows {
-		got = append(got, r[0].AsText())
-	}
-	want := []string{"3", "4", "5", "6", "7", "8", "9"}
-	if !reflect.DeepEqual(got, want) {
+	got := queryStrings(t, db, "SELECT v FROM t ORDER BY v")
+	if want := [][]string{{"0"}, {"1"}, {"2"}, {"3"}, {"4"}, {"5"}, {"6"}, {"7"}, {"8"}, {"9"}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("heap after mid-delete error: %v, want %v", got, want)
 	}
-	// Index lookups agree with the heap (no duplicates, no stale ids).
-	for id := 3; id <= 9; id++ {
-		res, qerr := db.Query("SELECT v FROM t WHERE id = ?", id)
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
-		if len(res.Rows) != 1 {
-			t.Errorf("index lookup id=%d found %d rows, want 1", id, len(res.Rows))
-		}
-	}
+	// Index lookups agree with the heap (no duplicates, no lost ids).
+	lookupEachID(t, db, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1)
 }

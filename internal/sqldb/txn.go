@@ -3,6 +3,7 @@ package sqldb
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -239,9 +240,9 @@ func (tm *txnManager) horizon() uint64 {
 // ---------------------------------------------------------------------------
 // Transactions
 
-// undo op kinds, replayed in reverse on rollback.
+// undo op kinds, replayed in reverse by undoTo.
 const (
-	undoInsert      = iota // drop the inserted version and its index entries (slot becomes empty)
+	undoInsert      = iota // drop the n inserted versions from slot id up and their index entries (the slots become empty)
 	undoUpdate             // unlink our version and its index entries, revive the one beneath it
 	undoDelete             // clear xmax on the head we stamped
 	undoCreateTable        // unpublish the created table
@@ -253,8 +254,7 @@ type undoRec struct {
 	kind  int
 	table *Table
 	id    int // the slot; for undoCreateIndex, the indexed column
-	// key is the catalog key for the table undo kinds.
-	key string
+	n     int // undoInsert: the run of slots from id that the statement inserted
 }
 
 // Txn is an explicit transaction. It is not safe for concurrent use by
@@ -270,10 +270,14 @@ type Txn struct {
 	snap *snapshot
 
 	wrote  bool // holds db.writeMu
-	auto   bool // autocommit statement transaction: no undo, never rolled back
-	replay bool // WAL recovery: rows arrive as logged, past coercion
+	auto   bool // autocommit statement transaction: committed by endWrite
+	replay bool // WAL recovery: rows arrive as logged, past coercion; never undone
 	done   bool
 	undo   []undoRec
+	undo0  [1]undoRec // an autocommit undo's first storage: a one-row statement allocates none
+	// markUndo and markWAL are where the running statement began in undo and
+	// walOps (beginWrite): what undoTo cuts them back to if it fails.
+	markUndo, markWAL int
 
 	// walOps are the logical changes to log at commit, in application
 	// order. Captured only when the database has an armed WAL (wal.go);
@@ -291,16 +295,23 @@ func (db *Database) Begin() *Txn {
 	return tx
 }
 
-// record notes an undo step for rollback — of a row or of a schema change:
-// DDL inside an explicit transaction rolls back with it, keeping the WAL
-// (which only sees committed records) and the in-memory catalog in
-// lockstep. Autocommit statement transactions skip it: they are never
-// rolled back (a failing statement keeps its partial work, the engine's
-// documented non-atomic statement semantics).
+// record notes an undo step — of a row or of a schema change — which
+// undoTo replays if the statement fails or the transaction rolls back.
+// Every writing transaction keeps it, autocommit included, but recovery's:
+// replay never rolls back.
+// Consecutive slots one statement inserts into one table are one record, so
+// a bulk insert's undo is a constant.
 func (tx *Txn) record(u undoRec) {
-	if !tx.auto {
-		tx.undo = append(tx.undo, u)
+	if tx.replay {
+		return
 	}
+	if k := len(tx.undo) - 1; u.kind == undoInsert && k >= tx.markUndo {
+		if p := &tx.undo[k]; p.kind == undoInsert && p.table == u.table && p.id+p.n == u.id {
+			p.n++
+			return
+		}
+	}
+	tx.undo = append(tx.undo, u)
 }
 
 // logWALOp captures one logical change for the commit-time WAL append.
@@ -364,34 +375,7 @@ func (tx *Txn) Rollback() error {
 	}
 	tx.done = true
 	db := tx.db
-	if tx.wrote {
-		for i := len(tx.undo) - 1; i >= 0; i-- {
-			u := tx.undo[i]
-			switch u.kind {
-			case undoInsert:
-				ours := u.table.head(u.id)
-				u.table.setHead(u.id, nil)
-				u.table.liveRows.Add(-1)
-				u.table.unindex(u.id, ours, nil)
-			case undoUpdate:
-				ours := u.table.head(u.id)
-				old := ours.next.Load()
-				old.xmax.Store(0)
-				u.table.setHead(u.id, old)
-				u.table.unindex(u.id, ours, old)
-			case undoDelete:
-				u.table.head(u.id).xmax.Store(0)
-				u.table.liveRows.Add(1)
-			case undoCreateTable:
-				db.publishTables(func(m map[string]*Table) { delete(m, u.key) })
-			case undoDropTable:
-				t := u.table
-				db.publishTables(func(m map[string]*Table) { m[u.key] = t })
-			case undoCreateIndex:
-				u.table.setIndex(u.id, nil)
-			}
-		}
-	}
+	tx.undoTo(0, 0)
 	db.tm.finish(tx.xid)
 	db.tm.release(tx.snap)
 	db.stats.add(func(s *Stats) { s.Rollbacks++; s.ActiveTxns-- })
@@ -400,6 +384,43 @@ func (tx *Txn) Rollback() error {
 		db.maybeVacuum()
 	}
 	return nil
+}
+
+// undoTo replays the undo records from undo up in reverse and cuts undo and
+// walOps back to undo and wal records: the writes since are gone, in memory
+// and from the record the transaction will commit (writeMu held, or nothing
+// to undo).
+func (tx *Txn) undoTo(undo, wal int) {
+	for i := len(tx.undo) - 1; i >= undo; i-- {
+		u := tx.undo[i]
+		switch u.kind {
+		case undoInsert:
+			for id := u.id + u.n - 1; id >= u.id; id-- {
+				ours := u.table.head(id)
+				u.table.setHead(id, nil)
+				u.table.liveRows.Add(-1)
+				u.table.unindex(id, ours, nil)
+			}
+		case undoUpdate:
+			ours := u.table.head(u.id)
+			old := ours.next.Load()
+			old.xmax.Store(0)
+			u.table.setHead(u.id, old)
+			u.table.unindex(u.id, ours, old)
+		case undoDelete:
+			u.table.head(u.id).xmax.Store(0)
+			u.table.liveRows.Add(1)
+		case undoCreateTable:
+			tx.db.publishTables(func(m map[string]*Table) { delete(m, strings.ToLower(u.table.Name)) })
+		case undoDropTable:
+			tx.db.publishTables(func(m map[string]*Table) { m[strings.ToLower(u.table.Name)] = u.table })
+		case undoCreateIndex:
+			u.table.setIndex(u.id, nil)
+		}
+	}
+	clear(tx.undo[undo:])
+	clear(tx.walOps[wal:])
+	tx.undo, tx.walOps = tx.undo[:undo], tx.walOps[:wal]
 }
 
 // Exec executes its statements inside the transaction. BEGIN is refused;
@@ -489,10 +510,11 @@ func (l latch) lock(qc *queryCtx) error {
 
 // beginWrite pins the single-writer latch for one writing statement — DML
 // or DDL — and returns the transaction it runs in, which the statement
-// hands to endWrite when it ends. For autocommit (tx nil) the transaction
-// is a throwaway that endWrite commits. A statement whose context is done
-// while it waits for the latch is refused with ErrCanceled, and a closed
-// database refuses it with ErrMisuse, before it changes a row.
+// hands to endWrite when it ends, marking where the statement begins in it.
+// For autocommit (tx nil) the transaction is a throwaway that endWrite
+// commits. A statement whose context is done while it waits for the latch
+// is refused with ErrCanceled, and a closed database refuses it with
+// ErrMisuse, before it changes a row.
 func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, error) {
 	held := tx != nil && tx.wrote
 	if !held {
@@ -508,22 +530,33 @@ func (db *Database) beginWrite(qc *queryCtx, tx *Txn) (*Txn, error) {
 	}
 	if tx == nil {
 		tx = &Txn{db: db, xid: db.tm.begin(), auto: true}
+		tx.undo = tx.undo0[:0]
 	}
 	tx.wrote = true
+	tx.markUndo, tx.markWAL = len(tx.undo), len(tx.walOps)
 	qc.snap = db.tm.captureStmt(tx.xid)
 	qc.wtx = tx
 	return tx, nil
 }
 
-// endWrite ends a statement beginWrite began in tx: it clears the statement
-// snapshot and commits an autocommit tx, appending its WAL record on a
-// durable database — the error is the commit-time ErrIO surface and must be
-// propagated (the in-memory effects stand either way; see Txn.Commit). An
-// explicit transaction keeps the latch until Commit or Rollback.
-func (db *Database) endWrite(qc *queryCtx, tx *Txn) error {
+// endWrite ends a statement beginWrite began in tx, err being how the
+// statement ended. A statement is all or nothing: a failed one is undone to
+// its mark, so it changes no row and logs no op. endWrite then clears the
+// statement snapshot and commits an autocommit tx, appending its WAL record
+// on a durable database (none for a failed statement); an explicit
+// transaction keeps the latch, and its earlier statements, until Commit or
+// Rollback. It returns the statement's error, or else the commit's ErrIO,
+// which must be propagated (the in-memory effects stand; see Txn.Commit).
+func (db *Database) endWrite(qc *queryCtx, tx *Txn, err error) error {
 	qc.snap, qc.wtx = nil, nil
-	if !tx.auto {
-		return nil
+	if err != nil {
+		tx.undoTo(tx.markUndo, tx.markWAL)
 	}
-	return tx.Commit()
+	if !tx.auto {
+		return err
+	}
+	if e := tx.Commit(); e != nil {
+		return e
+	}
+	return err
 }

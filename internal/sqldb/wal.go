@@ -31,8 +31,12 @@ import (
 //	payload = u32 op count | ops
 //	op      = 'S' sql | 'I' table id row | 'D' table id | 'U' table id row
 //
-// An id is a u32, a string a u32 length and its bytes, a row a u16 value
-// count and the values.
+// An id is written as the zigzag varint of its distance from one past the
+// previous row op's id in the same record (from 0 for the record's first
+// row op), so a run of consecutive ids costs a byte an op and a decoder
+// needs no state beyond the record; an id outside [0, 2³²) is corrupt. A
+// string is a u32 length and its bytes, a row a u16 value count and the
+// values.
 //
 // A record is whole or it is not there: recovery applies every record
 // whose checksum holds and drops a torn tail.
@@ -72,7 +76,7 @@ import (
 // generation is g, after it g+1, which holds everything g did.
 
 // walMagic identifies a WAL file and its format version.
-var walMagic = []byte("TAGWAL4\n")
+var walMagic = []byte("TAGWAL5\n")
 
 // walMaxRecord bounds a record's payload length; longer lengths in a
 // header mean corruption (or a torn length field), not a real record.
@@ -177,14 +181,16 @@ func appendWalRow(b []byte, r Row) []byte {
 	return b
 }
 
-// appendWalOp encodes one op of a record.
-func appendWalOp(b []byte, op walOp) []byte {
+// appendWalOp encodes one op of a record; *next is one past the id of the
+// record's previous row op (0 before the first), which a row op moves.
+func appendWalOp(b []byte, op walOp, next *int) []byte {
 	b = append(b, op.kind)
 	if op.kind == 'S' {
 		return appendWalString(b, op.sql)
 	}
 	b = appendWalString(b, op.table)
-	b = binary.LittleEndian.AppendUint32(b, uint32(op.id))
+	b = binary.AppendVarint(b, int64(op.id-*next))
+	*next = op.id + 1
 	if op.kind != 'D' {
 		b = appendWalRow(b, op.row)
 	}
@@ -197,6 +203,7 @@ type walDecoder struct {
 	off   int
 	err   error
 	table string // the last row op's table name, which the next one reuses
+	next  int    // one past the last row op's id: where the next one's is counted from
 }
 
 func (d *walDecoder) fail() {
@@ -243,6 +250,23 @@ func (d *walDecoder) bytes() []byte {
 }
 
 func (d *walDecoder) str() string { return string(d.bytes()) }
+
+// id reads a row op's slot id, written as its distance from d.next; an id
+// outside [0, 2³²) sets the sticky error.
+func (d *walDecoder) id() int {
+	if d.err != nil {
+		return 0
+	}
+	delta, k := binary.Varint(d.b[d.off:])
+	if k <= 0 || delta < -int64(d.next) || delta > math.MaxUint32-int64(d.next) {
+		d.fail()
+		return 0
+	}
+	d.off += k
+	id := d.next + int(delta)
+	d.next = id + 1
+	return id
+}
 
 // name reads a row op's table name, copying it only when it is not the
 // previous row op's: a record's rows mostly belong to one table.
@@ -291,7 +315,7 @@ func (d *walDecoder) op() walOp {
 	case 'S':
 		op.sql = d.str()
 	case 'I', 'D', 'U':
-		op.table, op.id = d.name(), int(d.u32())
+		op.table, op.id = d.name(), d.id()
 		if op.kind != 'D' {
 			op.row = d.row()
 		}
@@ -470,9 +494,9 @@ func (w *walWriter) keepBuf(buf []byte) {
 // the record ended at; the caller makes it durable with waitSync after
 // releasing the latch, so concurrent commits share fsyncs.
 func (w *walWriter) appendCommit(ops []walOp) (uint64, int64, error) {
-	rec := append(w.buf[:0], make([]byte, recordHead)...)
+	rec, next := append(w.buf[:0], make([]byte, recordHead)...), 0
 	for _, op := range ops {
-		rec = appendWalOp(rec, op)
+		rec = appendWalOp(rec, op, &next)
 	}
 	frameRecord(rec, len(ops))
 	w.keepBuf(rec)
@@ -586,7 +610,7 @@ func (w *walWriter) startGen(g uint64) error {
 // and encoded in w.buf. It returns the bytes written.
 func (w *walWriter) writeState(f walFile) (int64, error) {
 	buf := append(slices.Grow(w.buf[:0], walBufKeep), walMagic...)
-	rec, n, off := 0, 0, int64(0) // the open record's start in buf, and its op count
+	rec, n, next, off := 0, 0, 0, int64(0) // the open record's start in buf, op count and id base
 	flush := func() error {
 		if n > 0 {
 			frameRecord(buf[rec:], n)
@@ -597,9 +621,9 @@ func (w *walWriter) writeState(f walFile) (int64, error) {
 	}
 	err := w.db.walkState(func(op walOp) error {
 		if n == 0 {
-			rec, buf = len(buf), append(buf, make([]byte, recordHead)...)
+			rec, buf, next = len(buf), append(buf, make([]byte, recordHead)...), 0
 		}
-		if buf, n = appendWalOp(buf, op), n+1; len(buf) < walBufKeep {
+		if buf, n = appendWalOp(buf, op, &next), n+1; len(buf) < walBufKeep {
 			return nil
 		}
 		return flush()

@@ -38,12 +38,11 @@ type crashUnit struct {
 
 // crashWorkload exercises every kind of unit and every recovery path:
 // autocommit DDL, autocommit batches, multi-op transactions (one mixing
-// DDL and DML), a rolled-back transaction (with DDL), a partially-applied
-// statement (constraint violation mid-INSERT, the engine's documented
-// non-atomic statement semantics), duplicate rows (a DELETE or UPDATE of
-// one of them replays at the slot id it names), NULLs and floats, and a
-// checkpoint in the middle so later units replay on the slots its state
-// records put back.
+// DDL and DML), a rolled-back transaction (with DDL), a failed statement
+// (a constraint violation mid-INSERT, which applies and logs nothing),
+// duplicate rows (a DELETE or UPDATE of one of them replays at the slot id
+// it names), NULLs and floats, and a checkpoint in the middle so later
+// units replay on the slots its state records put back.
 func crashWorkload() []crashUnit {
 	return []crashUnit{
 		{unitSQL, []string{"CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s TEXT, f REAL)"}},
@@ -61,8 +60,8 @@ func crashWorkload() []crashUnit {
 			"CREATE TABLE ghost (x INTEGER)",
 			"DROP TABLE dup",
 		}},
-		// Second VALUES row violates the primary key: the first row's
-		// partial work is kept and logged.
+		// Second VALUES row violates the primary key: nothing of it is
+		// applied or logged.
 		{unitSQL, []string{"INSERT INTO t VALUES (5, 5, 'five', 5.0), (1, 1, 'dup-pk', 0.0)"}},
 		{unitCheckpoint, nil},
 		{unitSQL, []string{"UPDATE t SET k = k + 10 WHERE k <= 2"}},
@@ -100,7 +99,7 @@ func isInjectedErr(err error) bool {
 
 // applyRefUnit replays one unit on the in-memory reference database,
 // mirroring runCrashUnits exactly: engine errors are deterministic and
-// leave the same partial work on both sides.
+// leave the same state on both sides.
 func applyRefUnit(db *Database, u crashUnit) {
 	switch u.kind {
 	case unitSQL:

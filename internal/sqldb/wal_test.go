@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Tests for the durability layer's happy paths and typed-error edges:
@@ -61,17 +62,23 @@ func (c *crashFS) failNext(n int) {
 }
 
 func TestWalOpEncodingRoundTrip(t *testing.T) {
+	// Each row op's id is written as its distance from one past the
+	// previous row op's (from 0 for the first): the deltas run forward,
+	// backward and to both ends of the id range.
 	ops := []walOp{
 		{kind: 'S', sql: "CREATE TABLE t (a INTEGER)"},
-		{kind: 'I', table: "t", id: 0, row: Row{Int(-7), Float(1.5), Text("héllo"), Bool(true), Null}},
-		{kind: 'I', table: "t", id: 1 << 20, row: Row{Text(""), Int(1 << 62), Bool(false)}},
-		{kind: 'D', table: "t", id: 127},
-		{kind: 'U', table: "películas", id: math.MaxUint32 - 1, row: Row{Int(1), Text("new\x00bytes")}},
-		{kind: 'D', table: "t", id: math.MaxUint32},
+		{kind: 'I', table: "t", id: 0, row: Row{Int(-7), Float(1.5), Text("héllo"), Bool(true), Null}},  // delta 0
+		{kind: 'I', table: "t", id: 1 << 20, row: Row{Text(""), Int(1 << 62), Bool(false)}},             // delta 2²⁰−1
+		{kind: 'D', table: "t", id: 127},                                                                // delta −2²⁰+126
+		{kind: 'U', table: "películas", id: math.MaxUint32 - 1, row: Row{Int(1), Text("new\x00bytes")}}, // delta 2³²−130
+		{kind: 'D', table: "t", id: math.MaxUint32},                                                     // delta 0
+		{kind: 'S', sql: "DROP TABLE t"},                                                                // no id
+		{kind: 'U', table: "t", id: 0, row: Row{Null}},                                                  // delta −2³²
 	}
 	var buf []byte
+	next := 0
 	for _, op := range ops {
-		buf = appendWalOp(buf, op)
+		buf = appendWalOp(buf, op, &next)
 	}
 	d := &walDecoder{b: buf}
 	for i, want := range ops {
@@ -91,6 +98,21 @@ func TestWalOpEncodingRoundTrip(t *testing.T) {
 		d := &walDecoder{b: buf[:cut]}
 		for d.err == nil && d.off < cut {
 			d.op()
+		}
+	}
+	for i, payload := range outOfRangeIDs() {
+		if _, err := decodeRecord(payload); CodeOf(err) != ErrIO {
+			t.Errorf("out-of-range id %d: decode error %v, want ErrIO", i, err)
+		}
+	}
+	// Consecutive ids, as a bulk insert and a checkpoint's state records
+	// log them, cost one byte each: a row op is its kind, its table name,
+	// one id byte and its row.
+	next = 0
+	for id := range 300 {
+		op := walOp{kind: 'I', table: "t", id: id, row: Row{Int(int64(id))}}
+		if got, want := len(appendWalOp(nil, op, &next)), 1+4+len("t")+1+len(appendWalRow(nil, op.row)); got != want {
+			t.Fatalf("consecutive id %d encodes in %d bytes, want %d", id, got, want)
 		}
 	}
 }
@@ -238,6 +260,57 @@ func TestCommitRecordBufferBounded(t *testing.T) {
 		if m, d := allocs(mem), allocs(db); d > m+1 {
 			t.Errorf("%s: %.0f allocations durable, %.0f in memory; want at most one more", c.sql, d, m)
 		}
+	}
+}
+
+// TestWriteStatementAllocs: every write keeps undo, and a one-row
+// autocommit statement pays no allocation for it — its undo record lands in
+// the Txn's own first slot and its target list on mutate's stack — so a
+// point UPDATE, an INSERT and a point DELETE allocate at most 14, 11 and 7
+// objects in memory and one more each on a durable database. The query
+// context stays in its 256-byte size class.
+func TestWriteStatementAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(queryCtx{}); size > 256 {
+		t.Errorf("queryCtx is %d bytes, want at most 256", size)
+	}
+	if raceDetector {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	for _, durable := range []bool{false, true} {
+		db := NewDatabase()
+		if durable {
+			db = openWalDB(t, newMemFS(), -1)
+		}
+		db.MustExec("CREATE TABLE acct (id INTEGER PRIMARY KEY, owner TEXT, bal INTEGER)")
+		rows := make([][]any, 2000)
+		for i := range rows {
+			rows[i] = []any{i, fmt.Sprint("owner-", i), 1000}
+		}
+		if err := db.InsertRows("acct", rows); err != nil {
+			t.Fatal(err)
+		}
+		next, gone := 1<<20, 0
+		for _, c := range []struct {
+			sql    string
+			params func() []any
+			max    float64
+		}{
+			{"UPDATE acct SET bal = bal + ? WHERE id = ?", func() []any { return []any{1, 7} }, 14},
+			{"INSERT INTO acct VALUES (?, ?, ?)", func() []any { next++; return []any{next, "o", 5} }, 11},
+			{"DELETE FROM acct WHERE id = ?", func() []any { gone++; return []any{gone} }, 7},
+		} {
+			for i := 0; i < 100; i++ { // past the first writes' one-time set-up
+				db.MustExec(c.sql, c.params()...)
+			}
+			got := testing.AllocsPerRun(200, func() { db.MustExec(c.sql, c.params()...) })
+			if durable {
+				c.max++
+			}
+			if got > c.max {
+				t.Errorf("durable=%v: %s allocates %.0f objects, want at most %.0f", durable, c.sql, got, c.max)
+			}
+		}
+		closeDB(t, db)
 	}
 }
 
@@ -427,7 +500,7 @@ func TestTornTailDropped(t *testing.T) {
 // TestCorruptHeaderRejected: a log whose header is not this format's magic
 // — garbage, or the magic of an earlier format — is refused.
 func TestCorruptHeaderRejected(t *testing.T) {
-	for name, header := range map[string]string{"corrupt": "XAGWAL4\n", "TAGWAL1": "TAGWAL1\n", "TAGWAL2": "TAGWAL2\n", "TAGWAL3": "TAGWAL3\n"} {
+	for name, header := range map[string]string{"corrupt": "XAGWAL5\n", "TAGWAL1": "TAGWAL1\n", "TAGWAL2": "TAGWAL2\n", "TAGWAL3": "TAGWAL3\n", "TAGWAL4": "TAGWAL4\n"} {
 		fs := newMemFS()
 		db := openWalDB(t, fs, 0)
 		db.MustExec("CREATE TABLE t (a INTEGER)")
@@ -979,9 +1052,9 @@ func TestCheckpointAfterCloseRefused(t *testing.T) {
 // table's name once, so decoding it allocates a row per op and a constant.
 func TestDecodeSharesTableName(t *testing.T) {
 	const n = 1000
-	payload := binary.LittleEndian.AppendUint32(nil, n)
+	payload, next := binary.LittleEndian.AppendUint32(nil, n), 0
 	for i := range n {
-		payload = appendWalOp(payload, walOp{kind: 'I', table: "films", id: i, row: Row{Int(int64(i))}})
+		payload = appendWalOp(payload, walOp{kind: 'I', table: "films", id: i, row: Row{Int(int64(i))}}, &next)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if ops, err := decodeRecord(payload); err != nil || len(ops) != n {
@@ -1007,6 +1080,9 @@ func FuzzWALRecord(f *testing.F) {
 	} {
 		f.Add(encodeRecordPayload(ops))
 	}
+	for _, payload := range outOfRangeIDs() {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ops, err := decodeRecord(payload)
 		if err != nil {
@@ -1027,12 +1103,30 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
+// outOfRangeIDs returns record payloads whose last row op's id falls
+// outside [0, 2³²): a delta before id 0, past the top, past int64's range
+// (an 11-byte varint), and one past an op at the top id.
+func outOfRangeIDs() [][]byte {
+	del := []byte{'D', 1, 0, 0, 0, 't'} // a DELETE from t, less its id
+	var out [][]byte
+	for _, delta := range [][]byte{
+		binary.AppendVarint(nil, -1),
+		binary.AppendVarint(nil, 1<<32),
+		append(bytes.Repeat([]byte{0xff}, 10), 0x01),
+	} {
+		out = append(out, append(binary.LittleEndian.AppendUint32(nil, 1), append(del, delta...)...))
+	}
+	top := encodeRecordPayload([]walOp{{kind: 'D', table: "t", id: math.MaxUint32}})
+	binary.LittleEndian.PutUint32(top, 2)
+	return append(out, append(append(top, del...), 0))
+}
+
 // encodeRecordPayload encodes ops as a record's payload: the count, then
 // the ops.
 func encodeRecordPayload(ops []walOp) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(ops)))
+	b, next := binary.LittleEndian.AppendUint32(nil, uint32(len(ops))), 0
 	for _, op := range ops {
-		b = appendWalOp(b, op)
+		b = appendWalOp(b, op, &next)
 	}
 	return b
 }
