@@ -66,10 +66,6 @@ import (
 type (
 	// Database is the embedded SQL engine (the exec substrate).
 	Database = sqldb.Database
-	// Stmt is a prepared SELECT statement: parsed once via Database.Prepare,
-	// executable many times. Database.Query also consults an internal LRU
-	// plan cache, so hot query strings are parsed only once either way.
-	Stmt = sqldb.Stmt
 	// Result is a materialised query result (Rows.Collect).
 	Result = sqldb.Result
 	// Rows is a streaming, context-aware query cursor (Database.QueryRows).
@@ -259,12 +255,6 @@ func (s *System) Ask(ctx context.Context, question string) (*Response, error) {
 // relational and semantic operators.
 func (s *System) Frame(table string) (*DataFrame, error) {
 	return sem.FromTable(s.env.DB, table)
-}
-
-// Prepare parses a SELECT once for repeated execution against the system's
-// database — the low-latency path for hot queries under heavy traffic.
-func (s *System) Prepare(sql string) (*Stmt, error) {
-	return s.env.DB.Prepare(sql)
 }
 
 // QueryRows runs SQL against the system's database and returns a

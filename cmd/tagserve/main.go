@@ -35,7 +35,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:5432", "TCP listen address")
 	domain := flag.String("domain", "", "built-in benchmark domain to preload (empty for a bare database)")
 	dataDir := flag.String("data", "", "durable WAL directory (empty for in-memory)")
-	initScript := flag.String("init", "", "SQL script to execute before serving")
+	initScript := flag.String("init", "", "SQL script to load atomically before serving (it may not hold BEGIN, COMMIT or ROLLBACK)")
 	password := flag.String("password", "", "require cleartext password auth with this password")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent connections (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget before forcing sessions out")

@@ -17,10 +17,10 @@
 // .dump, .restore, .quit. .explain shows the plan a SELECT would run;
 // .analyze runs it and annotates the same tree with real per-operator
 // counts and the query's totals (EXPLAIN ANALYZE). .dump <file> writes the
-// database as a SQL script; .restore <file> loads one atomically (all
-// statements apply in a single transaction, or none do). .dump, .explain
-// and .analyze read committed state, outside the shell's transaction, and
-// .restore is refused while one is open.
+// database as a SQL script; .restore <file> loads one in one transaction,
+// all or nothing, and refuses a script that holds BEGIN, COMMIT or ROLLBACK.
+// .dump, .explain and .analyze read committed state, outside the shell's
+// transaction, and .restore is refused while one is open.
 //
 // Queries run under a signal-aware context: the first Ctrl-C cancels the
 // in-flight statement mid-scan (the engine returns a typed ErrCanceled

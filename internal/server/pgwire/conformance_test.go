@@ -372,7 +372,7 @@ func TestExplicitTransactions(t *testing.T) {
 	etx := db.Begin()
 	mustQuery(t, c1, `BEGIN`)
 	mustQuery(t, c2, `INSERT INTO acct VALUES (3, 7)`)
-	if _, err := etx.Exec(`ROLLBACK`); err != nil {
+	if err := etx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	mustQuery(t, c1, `COMMIT`)

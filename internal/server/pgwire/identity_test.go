@@ -13,8 +13,8 @@ import (
 // own rows up unbuilt, so every consumer above them — a caller, a full or
 // top-K sort, DISTINCT, a join, a derived table, IN, INSERT … SELECT — must
 // leave them as it found them. Each identity shape runs through Query,
-// QueryRows, a prepared Stmt, a Txn and the wire (simple and extended), and
-// the database then dumps byte for byte as it did before.
+// QueryRows, a Txn's QueryRows and the wire (simple and extended), and the
+// database then dumps byte for byte as it did before.
 func TestIdentityReadsNeverWrite(t *testing.T) {
 	_, db, addr := startServer(t, Options{}, sqldb.WithMaxWorkers(1))
 	db.MustExec("CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER, s TEXT)")
@@ -61,15 +61,11 @@ func TestIdentityReadsNeverWrite(t *testing.T) {
 		if err := rows.Err(); err != nil {
 			t.Fatalf("QueryRows %s: %v", sql, err)
 		}
-		stmt, err := db.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stmt.Query(); err != nil {
-			t.Fatalf("Stmt %s: %v", sql, err)
-		}
 		tx := db.Begin()
-		if _, err := tx.Query(sql); err != nil {
+		if rows, err = tx.QueryRows(ctx, sql); err == nil {
+			_, err = rows.Collect()
+		}
+		if err != nil {
 			t.Fatalf("Txn %s: %v", sql, err)
 		}
 		if err := tx.Commit(); err != nil {

@@ -69,9 +69,8 @@ func (r *Result) String() string {
 
 // Query executes a SELECT statement, materialising its rows. It is
 // Collect over QueryRows: parses are served from the database's LRU plan
-// cache, so repeated queries skip the parser; callers executing one
-// statement many times can also hold a *Stmt from Prepare, and callers
-// that consume rows incrementally should use QueryRows directly.
+// cache, so a text run many times is parsed once, and callers that consume
+// rows incrementally should use QueryRows directly.
 func (db *Database) Query(sql string, params ...any) (*Result, error) {
 	return db.QueryContext(context.Background(), sql, params...)
 }
@@ -79,7 +78,11 @@ func (db *Database) Query(sql string, params ...any) (*Result, error) {
 // QueryContext is Query under a context: cancellation or deadline expiry
 // stops the scan mid-flight with an ErrCanceled error.
 func (db *Database) QueryContext(ctx context.Context, sql string, params ...any) (*Result, error) {
-	return collect(db.QueryRows(ctx, sql, params...))
+	rows, err := db.QueryRows(ctx, sql, params...)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
 }
 
 // Exec parses and executes any statement. For SELECT it streams rows to
@@ -146,9 +149,9 @@ func bindParams(params []any) []Value {
 	return vals
 }
 
-// execStmt executes one admitted statement in tx (nil = autocommit). BEGIN
-// is refused, since a transaction is opened by Database.Begin and never by
-// a statement; COMMIT and ROLLBACK finish tx.
+// execStmt executes one admitted statement in tx (nil = autocommit). BEGIN,
+// COMMIT and ROLLBACK are refused: Database.Begin opens a transaction and
+// only its handle, Txn.Commit or Txn.Rollback, ends it.
 func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *Txn) (int, error) {
 	if sel, ok := stmt.(*SelectStmt); ok {
 		// Count the cursor's rows: each is built in a reused buffer and
@@ -166,16 +169,8 @@ func (db *Database) execStmt(qc *queryCtx, stmt Statement, params []Value, tx *T
 	}
 	qc.execs++
 	switch t := stmt.(type) {
-	case *BeginStmt:
-		return 0, errf(ErrMisuse, "sql: a statement cannot begin a transaction; use Database.Begin")
-	case *CommitStmt, *RollbackStmt:
-		if tx == nil {
-			return 0, errf(ErrMisuse, "sql: no transaction is active")
-		}
-		if _, ok := t.(*CommitStmt); ok {
-			return 0, tx.Commit()
-		}
-		return 0, tx.Rollback()
+	case *BeginStmt, *CommitStmt, *RollbackStmt:
+		return 0, errf(ErrMisuse, "sql: a statement cannot begin or end a transaction; use Database.Begin and Txn.Commit or Txn.Rollback")
 	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt:
 		wtx, err := db.beginWrite(qc, tx)
 		if err != nil {

@@ -791,11 +791,12 @@ func (h *diffRun) query(d *diffDB, held bool, sql string) ([]Row, error) {
 		stmts, err = ParseAll(sql)
 	case !d.cfg[axLent]:
 		ct := h.remember(d, sql)
-		query := d.db.Query
+		var res *Result
 		if tx != nil {
-			query = tx.Query
+			res, err = txQuery(tx, sql)
+		} else {
+			res, err = d.db.Query(sql)
 		}
-		res, err := query(sql)
 		h.executed(ct, nil)
 		return resultRows(res, err)
 	default:
@@ -1044,16 +1045,15 @@ func (h *diffRun) begin(rollback bool) error {
 	return nil
 }
 
-// end commits or rolls back the leg by statement — COMMIT or ROLLBACK by
-// each configuration's path — and a rolled-back leg must leave both tables
-// bit-identical.
+// end commits or rolls back the leg through its handle, and a rolled-back
+// leg must leave both tables bit-identical.
 func (h *diffRun) end(rollback bool) error {
-	finish := "COMMIT"
-	if rollback {
-		finish = "ROLLBACK"
-	}
 	for _, d := range h.dbs {
-		_, err := h.exec(d, finish, nil)
+		finish, end := "Commit", d.tx.Commit
+		if rollback {
+			finish, end = "Rollback", d.tx.Rollback
+		}
+		err := end()
 		d.tx = nil
 		if err != nil {
 			return h.fail("agreement", d.cfg, "the transaction", "%s: %v", finish, err)
@@ -1066,7 +1066,7 @@ func (h *diffRun) end(rollback bool) error {
 			return h.fail("rollback", d.cfg, "before BEGIN", "%v", err)
 		}
 		if strings.Join(after, "\n") != strings.Join(d.before, "\n") {
-			return h.fail("rollback", d.cfg, "before BEGIN", "the tables differ after ROLLBACK (%d rows, %d before)", len(after), len(d.before))
+			return h.fail("rollback", d.cfg, "before BEGIN", "the tables differ after Rollback (%d rows, %d before)", len(after), len(d.before))
 		}
 		h.compared["rollback"]++
 	}

@@ -101,11 +101,12 @@ func (db *Database) walkState(emit func(walOp) error) error {
 // LoadScript executes a multi-statement SQL script (as produced by Dump)
 // atomically: the whole script runs inside one transaction, so a
 // mid-script error leaves the database untouched. DDL participates in the
-// transaction and is rolled back with everything else. Each statement is
-// parsed once the one before it has run, under one query context as
-// execAll runs a parsed list, so a script's AST is never held whole; an
-// error running a statement is therefore returned even when a later
-// statement would not parse.
+// transaction and is rolled back with everything else, and a BEGIN, COMMIT
+// or ROLLBACK in the script is refused (ErrMisuse) like any failing
+// statement. Each statement is parsed once the one before it has run,
+// under one query context as execAll runs a parsed list, so a script's AST
+// is never held whole; an error running a statement is therefore returned
+// even when a later statement would not parse.
 func (db *Database) LoadScript(src string) error {
 	tx := db.Begin()
 	qc := new(queryCtx).init(context.Background(), db)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -38,6 +39,15 @@ func testDB(t testing.TB) *Database {
 		(5, 4, 5, 'tense and lean'),
 		(6, 99, 1, 'orphan review')`)
 	return db
+}
+
+// txQuery is Collect over tx.QueryRows: a transaction's read, materialised.
+func txQuery(tx *Txn, sql string, params ...any) (*Result, error) {
+	rows, err := tx.QueryRows(context.Background(), sql, params...)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Collect()
 }
 
 // queryStrings runs a query and flattens the result to strings for easy

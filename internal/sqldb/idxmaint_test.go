@@ -338,8 +338,8 @@ func concurrentOrderedReads(t *testing.T, viewsLive bool) {
 			}
 			lo := r.Intn(3 * n)
 			tx := db.Begin()
-			ri, erri := tx.Query(indexedSQL, lo, lo+300)
-			rp, errp := tx.Query(heapSQL, lo, lo+300)
+			ri, erri := txQuery(tx, indexedSQL, lo, lo+300)
+			rp, errp := txQuery(tx, heapSQL, lo, lo+300)
 			_ = tx.Rollback()
 			if erri != nil || errp != nil {
 				t.Errorf("reader: %v / %v", erri, errp)

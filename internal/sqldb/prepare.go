@@ -1,62 +1,25 @@
 package sqldb
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the database's statement cache and prepared
-// statements. The rule: work that depends only on a statement's text
-// happens once per text. Lexing and parsing are that work; everything after
-// them reads the schema, the bound values and the snapshot (join build sides
-// materialise during planning, the access path is picked from the bound
-// values), so it runs per execution. Every entry point that is handed text
-// reaches the parser through one cache of text -> []Statement: Exec and
-// Txn.Exec of any statement kind (execSQL), Query*/Prepare/Explain*
-// (selectStmt) and the wire server's Query and Parse messages (ParseCached).
+// This file implements the database's statement cache. The rule: work that
+// depends only on a statement's text happens once per text. Lexing and
+// parsing are that work; everything after them reads the schema, the bound
+// values and the snapshot (join build sides materialise during planning,
+// the access path is picked from the bound values), so it runs per
+// execution. Every entry point that is handed text reaches the parser
+// through one cache of text -> []Statement: Exec and Txn.Exec of any
+// statement kind (execSQL), Query* and Explain* (selectStmt) and the wire
+// server's Query and Parse messages (ParseCached), so a caller that runs
+// one text many times just hands in the same text.
 //
 // Execution never mutates a parsed statement — statement_cache_test.go runs
 // cached against fresh-parsed step by step and renders every cached
 // statement before and after — so one AST serves any number of concurrent
-// executions and a Stmt is safe for concurrent use.
-
-// Stmt is a prepared SELECT statement: parsed once, executable many times
-// with different parameters.
-type Stmt struct {
-	db  *Database
-	sel *SelectStmt
-	sql string
-}
-
-// Prepare parses a SELECT statement for repeated execution.
-func (db *Database) Prepare(sql string) (*Stmt, error) {
-	sel, err := db.plans.selectStmt(sql, "Prepare")
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{db: db, sel: sel, sql: sql}, nil
-}
-
-// Query executes the prepared statement with the given parameters,
-// materialising the result.
-func (s *Stmt) Query(params ...any) (*Result, error) {
-	return s.QueryContext(context.Background(), params...)
-}
-
-// QueryContext is Query under a context.
-func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error) {
-	return collect(s.QueryRows(ctx, params...))
-}
-
-// QueryRows executes the prepared statement and returns a streaming
-// cursor (see Database.QueryRows).
-func (s *Stmt) QueryRows(ctx context.Context, params ...any) (*Rows, error) {
-	return s.db.queryRows(ctx, s.sel, bindParams(params), nil, nil, false)
-}
-
-// SQL returns the statement's original text.
-func (s *Stmt) SQL() string { return s.sql }
+// executions.
 
 // What the cache retains is bounded by constants, however long a text is
 // and however many arrive: an entry is charged its text plus planEntryCost

@@ -1,46 +1,48 @@
 package sqldb
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestPrepareBasics(t *testing.T) {
+// TestQueryRebindsParams: one text run with two bindings, its parse
+// served from the cache the second time, returns each binding's rows; a
+// text that is not one SELECT is refused by name.
+func TestQueryRebindsParams(t *testing.T) {
 	db := testDB(t)
-	stmt, err := db.Prepare("SELECT title FROM movies WHERE genre = ? ORDER BY revenue DESC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stmt.SQL() == "" {
-		t.Error("SQL() should echo the statement text")
-	}
-	res, err := stmt.Query("Romance")
+	const sql = "SELECT title FROM movies WHERE genre = ? ORDER BY revenue DESC"
+	res, err := db.Query(sql, "Romance")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]string{{"Titanic"}, {"The Notebook"}, {"Quiet Nights"}}
 	got := rowsToStrings(res.Rows)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("prepared query = %v, want %v", got, want)
+		t.Errorf("parameterised query = %v, want %v", got, want)
 	}
-	// Different parameters, same plan.
-	res, err = stmt.Query("Crime")
+	// Different parameters, same cached parse.
+	hits := db.Stats().PlanCacheHits
+	res, err = db.Query(sql, "Crime")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].AsText() != "Heat" {
 		t.Errorf("re-execution with new params = %v", rowsToStrings(res.Rows))
 	}
-
-	if _, err := db.Prepare("INSERT INTO movies VALUES (9, 'x', 'y', 1, 2000)"); err == nil {
-		t.Error("Prepare of non-SELECT must fail")
-	} else if !strings.Contains(err.Error(), "Prepare requires") {
-		t.Errorf("Prepare error should name Prepare, got %q", err)
+	if got := db.Stats().PlanCacheHits - hits; got != 1 {
+		t.Errorf("re-execution moved PlanCacheHits by %d, want 1", got)
 	}
-	if _, err := db.Prepare("SELECT FROM WHERE"); err == nil {
-		t.Error("Prepare of invalid SQL must fail")
+
+	if _, err := db.Query("INSERT INTO movies VALUES (9, 'x', 'y', 1, 2000)"); err == nil {
+		t.Error("Query of non-SELECT must fail")
+	} else if !strings.Contains(err.Error(), "QueryRows requires") {
+		t.Errorf("Query error should name QueryRows, got %q", err)
+	}
+	if _, err := db.Query("SELECT FROM WHERE"); err == nil {
+		t.Error("Query of invalid SQL must fail")
 	}
 }
 
@@ -48,16 +50,19 @@ func TestPlanCacheReusesParses(t *testing.T) {
 	db := testDB(t)
 	const sql = "SELECT COUNT(*) FROM movies"
 	held := len(db.plans.m) // the fixture's own DDL and INSERTs
-	s1, err := db.Prepare(sql)
-	if err != nil {
-		t.Fatal(err)
+	var sels [2]Statement
+	for i := range sels {
+		rows, err := db.QueryRows(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sels[i] = db.plans.m[sql].stmts[0]
 	}
-	s2, err := db.Prepare(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.sel != s2.sel {
-		t.Error("repeated Prepare should reuse the cached parse")
+	if _, ok := sels[0].(*SelectStmt); !ok || sels[0] != sels[1] {
+		t.Errorf("repeated QueryRows should reuse the cached *SelectStmt, got %p and %p", sels[0], sels[1])
 	}
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
@@ -133,18 +138,15 @@ func TestPlanCacheSurvivesSchemaChange(t *testing.T) {
 // TestPreparedParamsTakeIndexPerExecution: `col = ?`, `col > ?` and
 // `col BETWEEN ? AND ?` over an indexed column resolve the binding where
 // the access path is chosen — index scans, no full scan, visible in
-// EXPLAIN — and one prepared Stmt run with two bindings returns each
+// EXPLAIN — and one cached parse run with several bindings returns each
 // binding's rows: nothing resolved for one execution reaches the next.
 func TestPreparedParamsTakeIndexPerExecution(t *testing.T) {
 	db := testDB(t)
-	eq, err := db.Prepare("SELECT title FROM movies WHERE id = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const eq = "SELECT title FROM movies WHERE id = ?"
 	before := db.Stats()
 	for _, id := range []int{3, 5, 3} {
 		want := queryStrings(t, db, fmt.Sprintf("SELECT title FROM movies WHERE id + 0 = %d", id))
-		res, err := eq.Query(id)
+		res, err := db.Query(eq, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +161,7 @@ func TestPreparedParamsTakeIndexPerExecution(t *testing.T) {
 	if got := s.FullScans - before.FullScans; got != 3 {
 		t.Errorf("FullScans moved by %d, want 3 (the reference queries only)", got)
 	}
-	if res, err := eq.Query(nil); err != nil || len(res.Rows) != 0 {
+	if res, err := db.Query(eq, nil); err != nil || len(res.Rows) != 0 {
 		t.Errorf("id = ? bound to NULL returned %v, %v; want no rows", res, err)
 	}
 

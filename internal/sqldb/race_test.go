@@ -194,7 +194,7 @@ func TestSealedReadersAcrossSealAndRehydrate(t *testing.T) {
 					}
 				default: // an old snapshot and a half-drained cursor outlive the writer's next moves
 					tx := db.Begin()
-					whole(tx.Query("SELECT COUNT(*), SUM(v) FROM t"))
+					whole(txQuery(tx, "SELECT COUNT(*), SUM(v) FROM t"))
 					cur, err := db.QueryRows(ctx, "SELECT id, v FROM t")
 					n, sum := 0, int64(0)
 					for err == nil && cur.Next() {
@@ -208,7 +208,7 @@ func TestSealedReadersAcrossSealAndRehydrate(t *testing.T) {
 					if err != nil || n != rows || sum != rows*each {
 						fail("a cursor across the writer read %d rows summing %d (%v), want %d summing %d", n, sum, err, rows, rows*each)
 					}
-					whole(tx.Query("SELECT COUNT(*), SUM(v) FROM t"))
+					whole(txQuery(tx, "SELECT COUNT(*), SUM(v) FROM t"))
 					_ = tx.Rollback()
 				}
 			}

@@ -196,15 +196,6 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// collect is Collect over the cursor an entry point just opened: the
-// materialising form of every Query.
-func collect(rows *Rows, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return rows.Collect()
-}
-
 // Collect drains the cursor into a materialised Result and closes it —
 // the bridge from the streaming API to the old eager one (Database.Query
 // is QueryRows + Collect) — with the rows Next has not yet returned. They

@@ -385,13 +385,9 @@ func TestRowsScanConversions(t *testing.T) {
 	}
 }
 
-func TestStmtQueryRows(t *testing.T) {
+func TestQueryRowsParams(t *testing.T) {
 	db := bigDB(t, 100)
-	stmt, err := db.Prepare("SELECT id FROM big WHERE grp = ? LIMIT 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := stmt.QueryRows(context.Background(), 3)
+	rows, err := db.QueryRows(context.Background(), "SELECT id FROM big WHERE grp = ? LIMIT 2", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

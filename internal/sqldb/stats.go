@@ -67,8 +67,8 @@ type Stats struct {
 	// vacuum lag.
 	TombstonesSkipped uint64
 	// Begins / Commits / Rollbacks count explicit transactions: those
-	// Database.Begin opens, finished by Txn.Commit / Txn.Rollback or a
-	// COMMIT / ROLLBACK statement run in them. Autocommit statements are
+	// Database.Begin opens, finished by Txn.Commit / Txn.Rollback (a
+	// Session's COMMIT or ROLLBACK calls them). Autocommit statements are
 	// not counted here.
 	Begins    uint64
 	Commits   uint64

@@ -423,8 +423,9 @@ func (tx *Txn) undoTo(undo, wal int) {
 	tx.undo, tx.walOps = tx.undo[:undo], tx.walOps[:wal]
 }
 
-// Exec executes its statements inside the transaction. BEGIN is refused;
-// COMMIT/ROLLBACK finish this transaction.
+// Exec executes its statements inside the transaction. BEGIN, COMMIT and
+// ROLLBACK are refused and leave the transaction open: only Commit and
+// Rollback end it.
 func (tx *Txn) Exec(sql string, params ...any) (int, error) {
 	return tx.ExecContext(context.Background(), sql, params...)
 }
@@ -434,20 +435,11 @@ func (tx *Txn) ExecContext(ctx context.Context, sql string, params ...any) (int,
 	return tx.db.execSQL(ctx, sql, params, tx)
 }
 
-// Query executes a SELECT inside the transaction, reading the
-// transaction's snapshot plus its own writes.
-func (tx *Txn) Query(sql string, params ...any) (*Result, error) {
-	return tx.QueryContext(context.Background(), sql, params...)
-}
-
-// QueryContext is Query with a cancellation context.
-func (tx *Txn) QueryContext(ctx context.Context, sql string, params ...any) (*Result, error) {
-	return collect(tx.QueryRows(ctx, sql, params...))
-}
-
-// QueryRows opens a streaming cursor inside the transaction. The cursor
-// holds its own snapshot reference and stays valid (and consistent) even
-// if the transaction commits before the cursor is drained.
+// QueryRows opens a streaming cursor over a SELECT inside the transaction,
+// reading the transaction's snapshot plus its own writes; Collect
+// materialises it. The cursor holds its own snapshot reference and stays
+// valid (and consistent) even if the transaction commits before the cursor
+// is drained.
 func (tx *Txn) QueryRows(ctx context.Context, sql string, params ...any) (*Rows, error) {
 	sel, err := tx.db.plans.selectStmt(sql, "QueryRows")
 	if err != nil {

@@ -27,7 +27,7 @@ func dumpString(t *testing.T, db *Database) string {
 	return b.String()
 }
 
-// TestBeginRollbackLeavesQueriesBitIdentical: Begin → DML → ROLLBACK must
+// TestBeginRollbackLeavesQueriesBitIdentical: Begin → DML → Rollback must
 // leave every subsequent query — and the full dump — exactly as before the
 // transaction.
 func TestBeginRollbackLeavesQueriesBitIdentical(t *testing.T) {
@@ -61,14 +61,14 @@ func TestBeginRollbackLeavesQueriesBitIdentical(t *testing.T) {
 		}
 	}
 	// Inside the transaction the writes are visible to its own reads.
-	in, err := tx.Query("SELECT COUNT(*) FROM t WHERE id = 101")
+	in, err := txQuery(tx, "SELECT COUNT(*) FROM t WHERE id = 101")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(in.Rows) != 1 || in.Rows[0][0].AsText() != "1" {
 		t.Fatalf("own insert invisible inside transaction: %v", in.Rows)
 	}
-	if _, err := tx.Exec("ROLLBACK"); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,7 +109,7 @@ func TestTxnAPIVisibilityAndIsolation(t *testing.T) {
 	if _, err := tx.Exec("INSERT INTO t VALUES (2, 20)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tx.Query("SELECT COUNT(*) FROM t")
+	res, err := txQuery(tx, "SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,41 @@ func TestTxnMisuseErrors(t *testing.T) {
 		t.Errorf("bare BEGIN: %v, want ErrMisuse", err)
 	}
 
+	// No statement begins or ends a Txn: each is refused and leaves it open
+	// with its writes, and the statements before it in the same text stand
+	// inside it until the handle ends it.
 	tx := db.Begin()
-	if _, err := tx.Exec("BEGIN"); CodeOf(err) != ErrMisuse {
-		t.Errorf("BEGIN inside Txn: %v, want ErrMisuse", err)
+	if _, err := tx.Exec("INSERT INTO t VALUES (5)"); err != nil {
+		t.Fatal(err)
 	}
+	for _, sql := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
+		if _, err := tx.Exec(sql); CodeOf(err) != ErrMisuse {
+			t.Errorf("%s inside Txn: %v, want ErrMisuse", sql, err)
+		}
+		if active := db.Stats().ActiveTxns; active != 1 {
+			t.Errorf("ActiveTxns = %d after %s inside Txn, want 1", active, sql)
+		}
+		if res, err := txQuery(tx, "SELECT COUNT(*) FROM t WHERE id = 5"); err != nil || res.Rows[0][0].AsInt() != 1 {
+			t.Errorf("after %s the Txn does not read its own insert: %v (err %v)", sql, res, err)
+		}
+	}
+	if n, err := tx.Exec("INSERT INTO t VALUES (7); COMMIT"); CodeOf(err) != ErrMisuse || n != 1 {
+		t.Errorf("INSERT then COMMIT in one Txn.Exec: n = %d, %v; want 1, ErrMisuse", n, err)
+	}
+	if got := queryStrings(t, db, "SELECT COUNT(*) FROM t"); got[0][0] != "0" {
+		t.Errorf("a COMMIT statement published the Txn's rows: COUNT(*) = %s outside it", got[0][0])
+	}
+	if res, err := txQuery(tx, "SELECT id FROM t ORDER BY id"); err != nil || !reflect.DeepEqual(rowsToStrings(res.Rows), [][]string{{"5"}, {"7"}}) {
+		t.Errorf("the Txn reads %v (err %v), want its inserts 5 and 7", res, err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryStrings(t, db, "SELECT COUNT(*) FROM t"); got[0][0] != "0" {
+		t.Errorf("Rollback left %s rows, want none", got[0][0])
+	}
+
+	tx = db.Begin()
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +226,8 @@ func TestTxnMisuseErrors(t *testing.T) {
 	if err := tx.Rollback(); CodeOf(err) != ErrMisuse {
 		t.Errorf("Rollback after Commit: %v, want ErrMisuse", err)
 	}
-	if _, err := tx.Query("SELECT * FROM t"); CodeOf(err) != ErrMisuse {
-		t.Errorf("Query on finished Txn: %v, want ErrMisuse", err)
+	if _, err := tx.QueryRows(context.Background(), "SELECT * FROM t"); CodeOf(err) != ErrMisuse {
+		t.Errorf("QueryRows on finished Txn: %v, want ErrMisuse", err)
 	}
 
 	// A finished Txn rejects every statement kind before it touches a latch
@@ -267,13 +298,6 @@ func TestBareCallsRunAutocommit(t *testing.T) {
 	if res, err := rows.Collect(); err != nil || len(res.Rows) != 2 {
 		t.Errorf("QueryRows saw %v (err %v), want the 2 committed rows", res, err)
 	}
-	stmt, err := db.Prepare(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := stmt.Query(); err != nil || len(res.Rows) != 2 {
-		t.Errorf("prepared Stmt saw %v (err %v), want the 2 committed rows", res, err)
-	}
 	if n, err := db.Exec(probe); err != nil || n != 2 {
 		t.Errorf("Exec(SELECT) counted %d rows (err %v), want the 2 committed", n, err)
 	}
@@ -301,7 +325,7 @@ func TestBareCallsRunAutocommit(t *testing.T) {
 		t.Errorf("BEGIN through execAll(nil): %v, want ErrMisuse", err)
 	}
 	// The bare COMMIT and ROLLBACK left the Txn open and its row its own.
-	if res, err := tx.Query("SELECT COUNT(*) FROM t WHERE id = 99"); err != nil || res.Rows[0][0].AsInt() != 1 {
+	if res, err := txQuery(tx, "SELECT COUNT(*) FROM t WHERE id = 99"); err != nil || res.Rows[0][0].AsInt() != 1 {
 		t.Fatalf("the Txn lost its insert to a bare statement: %v (err %v)", res, err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -356,7 +380,7 @@ func TestWriteLatchWaitHonoursContext(t *testing.T) {
 }
 
 // TestTxnStatsCounters: Begins/Commits/Rollbacks/ActiveTxns move with the
-// transaction lifecycle, finished through the API and by statement.
+// transaction lifecycle, each end counted once.
 func TestTxnStatsCounters(t *testing.T) {
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE t (id INTEGER)")
@@ -375,7 +399,7 @@ func TestTxnStatsCounters(t *testing.T) {
 	if _, err := tx.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Exec("ROLLBACK"); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	s = db.Stats()

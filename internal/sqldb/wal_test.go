@@ -876,6 +876,41 @@ func TestLoadScriptAtomic(t *testing.T) {
 	if got := queryStrings(t, db, "SELECT x FROM ok"); len(got) != 1 {
 		t.Errorf("failed scripts left rows %v, want [[1]]", got)
 	}
+
+	// A script cannot begin or end the transaction it runs in: a BEGIN,
+	// COMMIT or ROLLBACK anywhere in it refuses the whole script, in memory
+	// and durably, where a reopen recovers the state from before it.
+	for _, durable := range []bool{false, true} {
+		for _, mid := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
+			fs := newMemFS()
+			db := NewDatabase()
+			if durable {
+				db = openWalDB(t, fs, -1)
+			}
+			db.MustExec("CREATE TABLE t (a INTEGER)")
+			db.MustExec("INSERT INTO t VALUES (1)")
+			before := dumpString(t, db)
+			script := "INSERT INTO t VALUES (2); CREATE TABLE s (a INTEGER); " + mid + "; INSERT INTO s VALUES (1);"
+			if err := db.LoadScript(script); CodeOf(err) != ErrMisuse {
+				t.Errorf("durable=%v: LoadScript(%q) error = %v, want ErrMisuse", durable, script, err)
+			}
+			if after := dumpString(t, db); after != before {
+				t.Errorf("durable=%v: a script with %s applied part of itself:\n%s", durable, mid, after)
+			}
+			if _, err := db.Query("SELECT * FROM s"); CodeOf(err) != ErrNoTable {
+				t.Errorf("durable=%v: the table of a script with %s exists (err %v)", durable, mid, err)
+			}
+			if !durable {
+				continue
+			}
+			closeDB(t, db)
+			db = openWalDB(t, fs, -1)
+			if after := dumpString(t, db); after != before {
+				t.Errorf("a reopen after a script with %s recovered:\n%s\nwant\n%s", mid, after, before)
+			}
+			closeDB(t, db)
+		}
+	}
 }
 
 // TestDDLRollback pins the transactional-DDL semantics the WAL relies on:
