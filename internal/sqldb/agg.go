@@ -16,7 +16,7 @@ func isAggregateName(name string) bool {
 // (groupTable): the classes below tupleBlock in head, which doubles up to
 // that size from one class, and tupleBlock classes a block from there on.
 // A column allocates with its blocks, never with its groups, and a
-// one-group aggregation does not pay for a thousand.
+// one-group aggregation does not pay for two thousand.
 type column[T any] struct {
 	head []T
 	rest [][]T

@@ -22,22 +22,19 @@ import (
 // open-addressed slot array, probed linearly, over the first-seen tuples,
 // which the set keeps as they were shown. Tuples of one set have one length.
 type TupleSet struct {
-	slots  []tupleSlot // a power of two of them, at most three quarters taken
-	blocks [][]Value   // the tuples by class, 1, 1, 2, 4, … tupleBlock, tupleBlock, … to a block
+	// 2^b slots, at most three quarters taken: a class + 1 in the low b bits
+	// (0 marks an empty slot) under the same high bits of its tuple's hash,
+	// so that a probe compares values only on a match
+	slots  []uint32
+	blocks [][]Value // the tuples by class, 1, 1, 2, 4, … tupleBlock, tupleBlock, … to a block
 	width  int
 	n      int
 }
 
-// tupleSlot is a class and the hash that placed it, so that a probe compares
-// values only on a match and growing the array hashes nothing again.
-type tupleSlot struct {
-	hash uint32
-	ref  uint32 // class + 1; 0 marks an empty slot
-}
-
 // Blocks double up to tupleBlock tuples — a set of one or two classes does
-// not pay for a thousand — and stay that size from there on.
-const tupleBlockBits, tupleBlock = 10, 1 << 10
+// not pay for two thousand — and stay that size from there on: a large
+// object, 32 KiB a value of the tuples, which no size class rounds up.
+const tupleBlockBits, tupleBlock = 11, 1 << 11
 
 // Add files tuple under its class and reports whether it founded it. A
 // founding tuple is copied; the caller may reuse its buffer.
@@ -45,13 +42,13 @@ func (s *TupleSet) Add(tuple []Value) (class int, fresh bool) {
 	if (s.n+1)*4 > len(s.slots)*3 {
 		s.grow()
 	}
-	i, h, class := s.probe(tuple)
+	i, tag, class := s.probe(tuple)
 	if class >= 0 {
 		return class, false
 	}
 	class, s.width = s.n, len(tuple)
 	s.n++
-	s.slots[i] = tupleSlot{h, uint32(s.n)}
+	s.slots[i] = tag | uint32(s.n)
 	b, off := locate(class)
 	if off == 0 { // the first class of a block: 0, 1, 2, 4, … tupleBlock, 2·tupleBlock, …
 		s.blocks = append(s.blocks, make([]Value, min(max(class, 1), tupleBlock)*s.width))
@@ -70,37 +67,36 @@ func (s *TupleSet) Find(tuple []Value) (class int, ok bool) {
 	return class, class >= 0
 }
 
-// probe returns the slot and hash of tuple's class and the class, or the
-// empty slot the class would take, its hash and -1.
-func (s *TupleSet) probe(tuple []Value) (slot, hash uint32, class int) {
+// probe returns the slot of tuple's class, its tag and the class, or the
+// empty slot the class would take, its tag and -1. A tuple hashes by the
+// canonical keys of its values, so every member of its class hashes alike.
+func (s *TupleSet) probe(tuple []Value) (slot, tag uint32, class int) {
 	var h64 uint64
 	for _, v := range tuple {
 		h64 = (h64 ^ keyHash(indexKey(v))) * hashFold
 	}
 	h, mask := uint32(h64>>32), uint32(len(s.slots)-1)
-	i := h & mask
-	for ; s.slots[i].ref != 0; i = (i + 1) & mask {
-		if class = int(s.slots[i].ref - 1); s.slots[i].hash == h && slices.EqualFunc(s.Tuple(class), tuple, sameKey) {
-			return i, h, class
+	i, tag := h&mask, h&^mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if class = int(s.slots[i]&mask - 1); s.slots[i]&^mask == tag && slices.EqualFunc(s.Tuple(class), tuple, sameKey) {
+			return i, tag, class
 		}
 	}
-	return i, h, -1
+	return i, tag, -1
 }
 
-// grow doubles the slot array and places every class again by its kept hash.
+// grow doubles the slot array and places every class again, hashing the
+// tuples the blocks keep in class order. (Empty tuples are one class,
+// founded after the first growth: a set of them never grows again.)
 func (s *TupleSet) grow() {
-	old := s.slots
-	s.slots = make([]tupleSlot, max(8, 2*len(old)))
-	mask := uint32(len(s.slots) - 1)
-	for _, sl := range old {
-		if sl.ref == 0 {
-			continue
+	s.slots = make([]uint32, max(8, 2*len(s.slots)))
+	ref := uint32(0)
+	for _, blk := range s.blocks {
+		for off := 0; off < len(blk) && int(ref) < s.n; off += s.width {
+			ref++
+			i, tag, _ := s.probe(blk[off : off+s.width]) // the classes differ: it finds none
+			s.slots[i] = tag | ref
 		}
-		i := sl.hash & mask
-		for s.slots[i].ref != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = sl
 	}
 }
 

@@ -317,3 +317,40 @@ func BenchmarkLiveHeapPerRow(b *testing.B) {
 	}
 	b.ReportMetric(per, "B/row")
 }
+
+// BenchmarkTupleSetAdd builds one group table an op from one-value tuples,
+// INTEGER and TEXT: every row founding a class (DISTINCT over a unique
+// column, a hash join's build on a key), and 131,072 rows over 26,214
+// classes (the GROUP BY shape of perf's groupby_high).
+func BenchmarkTupleSetAdd(b *testing.B) {
+	const classes = 26214
+	for _, typ := range []struct {
+		name string
+		key  func(int) Value
+	}{
+		{"INTEGER", func(i int) Value { return Int(int64(i)) }},
+		{"TEXT", func(i int) Value { return Text(fmt.Sprint("key-", i)) }},
+	} {
+		for _, shape := range []struct {
+			name string
+			rows int
+		}{{"distinct", classes}, {"repeated", 131072}} {
+			keys := make([]Value, shape.rows)
+			for i := range keys {
+				keys[i] = typ.key(i % classes)
+			}
+			b.Run(typ.name+"/"+shape.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var set TupleSet
+					for j := range keys {
+						set.Add(keys[j : j+1])
+					}
+					if set.n != classes {
+						b.Fatalf("%d classes, want %d", set.n, classes)
+					}
+				}
+			})
+		}
+	}
+}

@@ -626,13 +626,14 @@ func expandItems(items []SelectItem, in []colInfo) ([]SelectItem, []colInfo, err
 // class in set, which is first-seen order, and its state is that class's
 // cell in every accumulator, in the representative rows (kept only when
 // something reads them, readsRepRow) and in the founding scan ordinals
-// (kept only by the instances of a pooled fold, whose merge restores
-// first-seen order from them). Nothing is allocated per group.
+// (kept only by a pooled fold's instances, whose merge restores first-seen
+// order from them; 32 bits, as slot ids are, insertRow). Nothing is
+// allocated per group.
 type groupTable struct {
 	set      TupleSet
 	accs     []accumulator // one per collected aggregate
 	rep      column[Row]
-	first    column[int]
+	first    column[uint32]
 	ordinals bool    // first is kept
 	order    []int32 // the classes in first-seen order after a merge; nil = class order
 }

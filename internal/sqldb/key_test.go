@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -214,7 +215,7 @@ func tuplesOver(vals []Value, width int) [][]Value {
 // same classes a tuple at a time, over every tuple of width 1 to 3 of the
 // two corpora: ("a","bc") apart from ("ab","c"), NULLs together (the NaN
 // payloads among them), Int(1<<53+1) apart from Float(1<<53), through 148,877
-// classes at width 3 (the slot array grows 16 times, the tuples fill 156
+// classes at width 3 (the slot array grows 16 times, the tuples fill 84
 // blocks).
 func TestKeyEqualIffEqual(t *testing.T) {
 	vals := keyCorpus()
@@ -240,6 +241,64 @@ func TestKeyEqualIffEqual(t *testing.T) {
 	}
 	if c, fresh := set.Add(nil); c != 0 || fresh {
 		t.Errorf("the empty tuple came back as class %d (fresh %v)", c, fresh)
+	}
+}
+
+// TestTupleSetKeepsAReplacedFounder: a pooled fold's merge (absorb) may
+// overwrite a class's kept tuple with another member of its class, Int(5)
+// over the founding Float(5.0). The slots keep no hash, so every growth
+// hashes the kept tuple again, and it has to land where the founder did.
+// The other way round too, Float(5.0) over Int(5).
+func TestTupleSetKeepsAReplacedFounder(t *testing.T) {
+	for _, c := range []struct{ founder, kept Value }{{Float(5.0), Int(5)}, {Int(5), Float(5.0)}} {
+		var set TupleSet
+		set.Add([]Value{c.founder})
+		copy(set.Tuple(0), []Value{c.kept})
+		for i := int64(10); i < 1010; i++ { // the slot array grows from 8 to 2,048
+			set.Add([]Value{Int(i)})
+		}
+		for _, v := range []Value{Float(5.0), Int(5)} {
+			if class, ok := set.Find([]Value{v}); class != 0 || !ok {
+				t.Errorf("%v kept over %v: Find(%v) = class %d, %v after growth; want class 0", c.kept, c.founder, v, class, ok)
+			}
+			if class, fresh := set.Add([]Value{v}); class != 0 || fresh {
+				t.Errorf("%v kept over %v: Add(%v) = class %d, fresh %v after growth; want class 0", c.kept, c.founder, v, class, fresh)
+			}
+		}
+		if got := set.Tuple(0); !identical(got, []Value{c.kept}) {
+			t.Errorf("Tuple(0) = %v, want the replacement %v", got, c.kept)
+		}
+	}
+}
+
+// TestTupleSetBytesPerClass: a set of 26,214 one-value classes — the group
+// table of perf's groupby_high — allocates its blocks of tuples and its
+// 4-byte slots, every array the doubling left behind included: 36.5 B a
+// class measured, 58.4 B with 8-byte slots and 1,024-tuple blocks.
+func TestTupleSetBytesPerClass(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const classes, ceiling = 26214, 38.0
+	keys := make([]Value, classes)
+	for i := range keys {
+		keys[i] = Int(int64(i))
+	}
+	best := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var set TupleSet
+		for i := range keys {
+			set.Add(keys[i : i+1])
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(&set)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/classes)
+	}
+	t.Logf("%.1f B a class (ceiling %.0f)", best, ceiling)
+	if best > ceiling {
+		t.Errorf("a TupleSet allocates %.1f B a class over %d classes, want at most %.0f", best, classes, ceiling)
 	}
 }
 

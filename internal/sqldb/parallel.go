@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -375,7 +376,7 @@ func runAggregationBatch(sc *scanOp) (*groupTable, error) {
 		merged.order[c] = int32(c)
 	}
 	slices.SortFunc(merged.order, func(a, b int32) int {
-		return merged.first.get(int(a)) - merged.first.get(int(b))
+		return cmp.Compare(merged.first.get(int(a)), merged.first.get(int(b)))
 	})
 	return merged, nil
 }

@@ -607,7 +607,7 @@ func (s *scanOp) foldBatch(idx int) error {
 		}
 		class, fresh := f.set.Add(f.keyVals)
 		if fresh && f.ordinals {
-			*f.first.at(class) = s.at
+			*f.first.at(class) = uint32(s.at)
 		}
 		if fresh && s.repRows {
 			if *f.rep.at(class), err = s.materializeRow(i); err != nil {

@@ -308,15 +308,14 @@ func TestSealedPoolScanStaysColumnar(t *testing.T) {
 // three aggregation loops found their groups through the one table
 // (groupTable), so all three hold the line: the row loop (under a join with
 // a one-row table), the serial fold, and the pooled fold with its merge.
-// Bytes per founded group are held too, each loop at what it measured when
-// the accumulators became columns plus 10 %: the most over 36 runs at 1, 2
-// and 4 procs and, for the pooled fold, whose merge costs what the claim
-// order makes it, over runs where one worker claimed a single morsel. The
-// query that collects every group is held closer: the row loop and the
-// serial fold at the 841 and 159 B they measured (at 1, 2 and 4 procs, with
-// and without -race) plus 1 % and 4 %, so output rows grown by doubling —
-// 870 and 187 B — fail them; the pooled fold at its most under -race plus
-// 10 %.
+// Bytes per founded group are held too, each loop at the most it measured
+// with 4-byte slots and ordinals and 2,048-tuple blocks (six runs at 1, 2
+// and 4 procs, three more under -race; the pooled fold's merge costs what
+// the claim order makes it) times the headroom its bound had over the 8-byte
+// slots before: 1.37 to 1.90. The query that collects every group is held
+// closer: the row loop and the serial fold at the 493 and 97 B they
+// measured (the same at every procs count, with and without -race) plus 1 %
+// and 4 %, so output rows grown by doubling — 521 and 126 B — fail them.
 func TestGroupByAllocatesPerSlab(t *testing.T) {
 	lowerMorselMinRows(t, 8)
 	const groups = 20000
@@ -339,14 +338,14 @@ func TestGroupByAllocatesPerSlab(t *testing.T) {
 		q        string
 		maxBytes [3]float64 // per founded group: row loop, serial fold, pooled fold
 	}{
-		{"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 10", [3]float64{846, 83, 235}},
-		{"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10", [3]float64{919, 157, 418}},
+		{"SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY s DESC, k LIMIT 10", [3]float64{820, 61, 167}},
+		{"SELECT w, k, COUNT(*) AS n, MIN(v) FROM t GROUP BY w, k ORDER BY n, w, 2 LIMIT 10", [3]float64{893, 133, 340}},
 		// AVG keeps a float part per group and morsel: in a column, with the
 		// earlier morsels' parts in one list per aggregate.
-		{"SELECT k, COUNT(*), SUM(v), AVG(v) AS a, MIN(v), MAX(v) FROM t GROUP BY k ORDER BY a DESC, k LIMIT 10", [3]float64{960, 197, 609}},
+		{"SELECT k, COUNT(*), SUM(v), AVG(v) AS a, MIN(v), MAX(v) FROM t GROUP BY k ORDER BY a DESC, k LIMIT 10", [3]float64{933, 173, 548}},
 		// Every group is collected: the output rows are allocated once, in
 		// one slice of the final size (groupOp.rest), not grown by doubling.
-		{"SELECT k, SUM(v) AS s FROM t GROUP BY k", [3]float64{850, 165, 320}},
+		{"SELECT k, SUM(v) AS s FROM t GROUP BY k", [3]float64{498, 101, 267}},
 	} {
 		for li, leg := range []struct {
 			name string
